@@ -161,18 +161,18 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     if not targets:
         out.write("no targets in %s\n" % args.targets)
         return 2
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     supervise = SuperviseConfig(
-        shard_timeout_s=getattr(args, "shard_timeout", None),
-        max_retries=getattr(args, "max_retries", 0),
-        degrade=getattr(args, "degrade", "fail"),
+        shard_timeout_s=args.shard_timeout,
+        max_retries=args.max_retries,
+        degrade=args.degrade,
     )
-    metrics_path = getattr(args, "metrics", None)
-    detsan = getattr(args, "detsan", False)
-    shardsan = getattr(args, "shardsan", False)
-    allocsan = getattr(args, "allocsan", False)
-    allocsan_report = getattr(args, "allocsan_report", None)
-    profile_path = getattr(args, "profile", None)
+    metrics_path = args.metrics
+    detsan = args.detsan
+    shardsan = args.shardsan
+    allocsan = args.allocsan
+    allocsan_report = args.allocsan_report
+    profile_path = args.profile
     if sum((detsan, shardsan, allocsan)) > 1:
         out.write("--detsan, --shardsan and --allocsan are mutually exclusive\n")
         return 2
@@ -209,6 +209,16 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         out.write("--workers requires the yarrp6 prober (stateless shards)\n")
         return 2
 
+    # The campaign as run_parallel takes it (--workers > 1 and --shardsan).
+    spec = CampaignSpec(
+        internet=world_config,
+        vantage=args.vantage,
+        targets=tuple(targets),
+        pps=args.pps,
+        config=Yarrp6Config(max_ttl=args.max_ttl, fill=args.fill),
+        metrics=metrics_path is not None,
+    )
+
     # One profiler per campaign execution (detsan runs the campaign twice;
     # the reported profile is the last, clean run's).  Profiling is
     # observe-only: the .yrp6 bytes are identical with and without it.
@@ -220,14 +230,6 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         profilers.append(prof)
         with prof.phase("probe", prober=args.prober, workers=workers):
             if workers > 1:
-                spec = CampaignSpec(
-                    internet=world_config,
-                    vantage=args.vantage,
-                    targets=tuple(targets),
-                    pps=args.pps,
-                    config=Yarrp6Config(max_ttl=args.max_ttl, fill=args.fill),
-                    metrics=metrics_path is not None,
-                )
                 return run_parallel(
                     spec, shards=workers, profiler=prof, supervise=supervise
                 )
@@ -281,14 +283,6 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         # campaign at shard widths 1, 2 and 4 against ONE watched world
         # (serial in-process sharding, so every shard really touches the
         # same objects) and demand zero writes to unregistered state.
-        spec = CampaignSpec(
-            internet=world_config,
-            vantage=args.vantage,
-            targets=tuple(targets),
-            pps=args.pps,
-            config=Yarrp6Config(max_ttl=args.max_ttl, fill=args.fill),
-            metrics=metrics_path is not None,
-        )
         result = None
         for shards in (1, 2, 4):
             with ShardSan(mode="record", scope="repro") as sanitizer:
@@ -467,7 +461,7 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
             + "\n"
         )
 
-    top = getattr(args, "top", 0) or 0
+    top = args.top
     if top > 0:
         ttl_entry = metrics.get("prober.ttl_yield")
         if ttl_entry and ttl_entry.get("kind") == "counter_map":

@@ -31,7 +31,7 @@ SIGKILLs itself: the silent OOM-killer shape), ``corrupt`` (return an
 continue — exercises deadline slack without failing).
 
 Enable in tests with ``pytest --faultsan`` (see
-:mod:`repro.lint.faultsan_pytest`); the chaos grid lives in
+:mod:`repro.lint.sanitizers_pytest`); the chaos grid lives in
 ``tests/prober/test_faultsan.py``.
 """
 

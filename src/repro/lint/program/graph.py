@@ -40,7 +40,6 @@ DEFAULT_ROOTS = frozenset(
         "repro.prober.campaign.run_campaign",
         "repro.prober.parallel.run_shard",
         "repro.prober.parallel.run_single",
-        "repro.prober.parallel._shard_worker",
         "repro.prober.supervise._supervised_worker",
     }
 )

@@ -13,9 +13,9 @@ taint through call arguments (alias-expanded, positionally mapped with
 the ``self``/``cls`` offset for method calls), and flags any store fact
 whose expanded path is rooted at a tainted name::
 
-    'parallel.run_shard' writes 'spec.targets' through the CampaignSpec
-    pickle boundary (tainted via parallel._shard_worker ->
-    parallel.run_shard); workers must treat the spec as frozen
+    'campaign.run_campaign' writes 'config.key' through the CampaignSpec
+    pickle boundary (tainted via parallel.run_shard ->
+    campaign.run_campaign); workers must treat the spec as frozen
 
 Taint does not follow the build cut — ``build_internet`` consumes the
 config to construct a fresh world, and its writes are construction, not
@@ -39,11 +39,15 @@ DESCRIPTION = (
     "contract; DET003 tightened from field types to actual mutations)"
 )
 
-#: Entry points whose ``spec`` parameter is the boundary object.
+#: Entry points whose ``spec`` parameter is the boundary object.  The
+#: pool entry point receives the spec inside its payload and reaches
+#: ``run_shard`` through ``ShardJob.run`` — an indirect call the graph
+#: cannot follow — so the taint enters at ``run_shard``; the worker is
+#: listed so the roots name every way into worker code.
 BOUNDARY_ROOTS = (
     "repro.prober.parallel.run_shard",
     "repro.prober.parallel.run_single",
-    "repro.prober.parallel._shard_worker",
+    "repro.prober.supervise._supervised_worker",
 )
 
 #: The boundary parameter name at the roots.

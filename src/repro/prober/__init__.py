@@ -22,7 +22,6 @@ from .encoding import (
 )
 from .parallel import (
     CampaignSpec,
-    ShardFailure,
     merge_results,
     run_parallel,
     run_shard,
@@ -33,6 +32,7 @@ from .supervise import (
     DEFAULT_SUPERVISE,
     DEGRADE_FAIL,
     DEGRADE_SERIAL,
+    ShardFailure,
     SuperviseConfig,
     backoff_delay_s,
     validate_supervise,

@@ -54,21 +54,9 @@ yarrp processes.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import os
-import traceback
 from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.build import InternetConfig
 from ..netsim.engine import pps_interval
@@ -86,10 +74,10 @@ from .permutation import ProbeSchedule
 from .records import ProbeRecord
 from .supervise import (
     DEFAULT_SUPERVISE,
-    ShardFailure,
+    ShardJob,
     SuperviseConfig,
-    run_pool_supervised,
-    run_serial_supervised,
+    Supervisor,
+    _resolve_start_method,
     validate_supervise,
 )
 from .yarrp6 import Yarrp6Config
@@ -263,51 +251,6 @@ def run_single(
     )
 
 
-#: ("ok", shard, result) or ("error", shard, traceback text).
-ShardOutcome = Tuple[str, int, Union[CampaignResult, str]]
-
-
-def _shard_worker(payload: Tuple[CampaignSpec, int, int]) -> ShardOutcome:  # repro-lint: program-root
-    """Unsupervised pool entry point: never raises, so a failure is a
-    value, not a pool hang.
-
-    :func:`run_parallel` now dispatches through
-    :func:`repro.prober.supervise._supervised_worker` (same contract
-    plus start announcements and fault-injection sites); this one is
-    kept as the minimal reference worker — the spawn-rebuild tests
-    drive it directly to prove a bare ``(spec, shard, shards)`` payload
-    reproduces a shard byte-identically in a fresh process.
-    """
-    spec, shard, shards = payload
-    try:
-        return ("ok", shard, run_shard(spec, shard, shards))
-    except BaseException:
-        return ("error", shard, traceback.format_exc())
-
-
-def _resolve_start_method(start_method: Optional[str]) -> str:
-    """The pool start method actually used: fork when available (workers
-    inherit the parent's built world), the platform default otherwise."""
-    if start_method is not None:
-        return start_method
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-def _make_pool(
-    processes: int,
-    start_method: Optional[str],
-    initializer: Optional[Any] = None,
-    initargs: Tuple[Any, ...] = (),
-) -> multiprocessing.pool.Pool:
-    """Build the worker pool (separate hook so tests can assert that
-    validation failures never reach it).  ``initializer``/``initargs``
-    let the supervisor hand workers the start-report queue."""
-    method = _resolve_start_method(start_method)
-    return multiprocessing.get_context(method).Pool(
-        processes, initializer=initializer, initargs=initargs
-    )
-
-
 def run_parallel(
     spec: CampaignSpec,
     shards: int,
@@ -330,8 +273,8 @@ def run_parallel(
     fails on the first permanently-lost shard, but — unlike a bare pool
     — a crashed, killed, or hung worker is always a detected event, and
     every failed shard is reported in one structured
-    :class:`ShardFailure`.  What the supervisor had to do rides home on
-    the merged result's ``failures`` field (a
+    :class:`~repro.prober.supervise.ShardFailure`.  What the supervisor
+    had to do rides home on the merged result's ``failures`` field (a
     :class:`~repro.obs.failures.FailureReport` dump); because a shard
     is a pure function of ``(spec, shard, shards)``, a retried or
     degraded run stays byte-identical to a clean one.  ``fault_plan``
@@ -358,26 +301,27 @@ def run_parallel(
         processes = max(1, min(processes, shards))
 
         report = FailureReport()
-        bytes_by_shard: Dict[int, int] = {}
-        if processes == 1:
-            # Serial shards share the process's world via _world_for;
-            # run_shard profiles each one in place (no IPC, no pickling),
-            # so the parent passes its own profiler straight through.
-            results = run_serial_supervised(
-                spec, shards, config, fault_plan, prof, report
-            )
-        else:
-            worker_spec = replace(spec, profile=True) if prof.enabled else spec
+        # Inline shards share the process's world via _world_for and
+        # run_shard profiles each one in place (no IPC, no pickling);
+        # pool workers each profile themselves and ship the export home.
+        pooled = processes > 1
+        job = ShardJob(
+            run_shard,
+            replace(spec, profile=True) if pooled and prof.enabled else spec,
+            shards,
+            fault_plan,
+        )
+        supervisor = Supervisor(job, config, spec.internet.seed, report, prof)
+        if pooled:
             if _resolve_start_method(start_method) == "fork":
                 # Build (or rewind) the shared world BEFORE the pool forks:
                 # every worker inherits the compiled topology copy-on-write
                 # and skips its own build entirely.  Spawn workers start with
                 # an empty module and rebuild from the spec's config instead.
                 _world_for(spec.internet, profiler=prof)
-            results, bytes_by_shard = run_pool_supervised(
-                worker_spec, shards, processes, start_method, config,
-                fault_plan, prof, report,
-            )
+            results = supervisor.run_pool(processes, start_method)
+        else:
+            results = supervisor.run_inline()
         with prof.phase("merge"):
             merged = merge_results(
                 [result for result in results if result is not None],
@@ -390,7 +334,9 @@ def run_parallel(
         for shard, result in enumerate(results):
             if result is not None and result.wall_profile is not None:
                 prof.add_worker(
-                    shard, result.wall_profile, bytes_by_shard.get(shard, 0)
+                    shard,
+                    result.wall_profile,
+                    supervisor.bytes_by_shard.get(shard, 0),
                 )
         if prof.complete():
             # Only when the "parallel" phase was the outermost one: a

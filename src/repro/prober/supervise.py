@@ -2,22 +2,35 @@
 deterministic retry, graceful degradation.
 
 :func:`repro.prober.parallel.run_parallel` hands the actual execution
-of its shards to this module.  The contract it relies on — and the
-reason supervision can exist at all without threatening the bit-identity
-guarantees — is that **a shard is a pure function of** ``(spec, shard,
-shards)``: ``run_shard`` rebuilds (or rewinds) the world from the spec
-and replays the permutation walk on the virtual clock, so running a
-shard a second time produces byte-identical records, metrics, and
-summary counters.  Retrying a lost shard is therefore *invisible* in
-the merged result; only the :class:`~repro.obs.failures.FailureReport`
-(and the host's wall clock) can tell a faulted run from a clean one.
-FaultSan (:mod:`repro.lint.faultsan`) proves this differentially.
+of its shards to this module as a :class:`ShardJob` — the shard
+function plus an opaque spec.  The imports run one way only: this
+module knows nothing about campaigns or worlds and never imports
+``parallel``.  The contract it relies on — and the reason supervision
+can exist at all without threatening the bit-identity guarantees — is
+that **a shard is a pure function of** ``(spec, shard, shards)``: the
+shard function rebuilds (or rewinds) the world from the spec and replays
+the permutation walk on the virtual clock, so running a shard a second
+time produces byte-identical records, metrics, and summary counters.
+Retrying a lost shard is therefore *invisible* in the merged result;
+only the :class:`~repro.obs.failures.FailureReport` (and the host's wall
+clock) can tell a faulted run from a clean one.  FaultSan
+(:mod:`repro.lint.faultsan`) proves this differentially.
+
+Because of that purity, running a shard in-process, in a pool, retried,
+or degraded is the *same* operation, and there is one runner: a
+:class:`Supervisor` holds the per-shard state and makes the three
+decisions — :meth:`~Supervisor.accept` (classify an attempt's outcome),
+:meth:`~Supervisor.fault` (retry or exhaust) and
+:meth:`~Supervisor.finish` (degrade or raise) — and its one loop drives
+an *executor* that only knows how to start an attempt and report what
+came of it: inline in this process (``processes == 1``), or on a worker
+pool.
 
 What the supervisor defends against, and how:
 
-- **Worker crash** — the worker entry point catches everything and
-  returns an ``("error", shard, traceback)`` outcome; the supervisor
-  counts it as a ``crash`` fault and retries.
+- **Worker crash** — an attempt catches everything and comes back as an
+  ``("error", traceback)`` outcome; the supervisor counts it as a
+  ``crash`` fault and retries.
 - **Silent worker death** (SIGKILL, OOM killer) — every attempt
   announces ``(shard, attempt, pid)`` on a start queue the moment a
   worker picks it up; the supervisor polls worker liveness and treats a
@@ -29,8 +42,9 @@ What the supervisor defends against, and how:
   the host clock, via the :mod:`repro.prober.deadline` boundary) has
   its worker SIGKILLed and is counted as a ``timeout`` fault.
 - **Corrupt result** — a result that fails to cross the pool pipe
-  (pickling error) surfaces through the pool's error callback and is
-  counted as a ``corrupt-result`` fault; the retry re-runs the shard
+  (pickling error) surfaces through the pool's error callback, and a
+  value that is not a ``CampaignResult`` is never merged; both are
+  counted as a ``corrupt-result`` fault, and the retry re-runs the shard
   rather than trusting broken bytes.
 
 Retries are bounded (``max_retries``) with deterministic seeded backoff
@@ -52,7 +66,17 @@ import queue
 import signal
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..obs.failures import (
     CAUSE_CORRUPT,
@@ -61,13 +85,12 @@ from ..obs.failures import (
     CAUSE_WORKER_DIED,
     FailureReport,
 )
-from ..obs.profiler import NULL_PROFILER, WallProfiler, pickled_bytes
+from ..obs.profiler import WallProfiler, pickled_bytes
 from . import deadline
 from .campaign import CampaignResult
 
-if TYPE_CHECKING:  # pure type cycle: parallel imports supervise at runtime
+if TYPE_CHECKING:  # only for annotations: the import stays lazy at runtime
     from ..lint.faultsan import FaultPlan
-    from .parallel import CampaignSpec
 
 
 class ShardFailure(RuntimeError):
@@ -101,8 +124,8 @@ class SuperviseConfig:
 
     #: Per-attempt wall-clock deadline, measured from the moment a
     #: worker announces the attempt.  ``None`` disables deadlines.
-    #: Ignored on the in-process serial path (``processes=1``), where
-    #: there is no worker to preempt.
+    #: Ignored by the inline executor (``processes=1``), where there is
+    #: no worker to preempt.
     shard_timeout_s: Optional[float] = None
     #: Extra attempts after the first, per shard.
     max_retries: int = 0
@@ -183,22 +206,35 @@ def backoff_delay_s(
     return config.backoff_base_s * (2.0 ** (attempt - 1)) * (1.0 + jitter)
 
 
-# -- worker side ------------------------------------------------------------
-
-#: The start-report queue inherited by pool workers (set by
-#: :func:`_init_worker` via the pool initializer): workers announce
-#: ``(shard, attempt, pid)`` the instant they pick up a task, giving the
-#: parent the pid to watch (liveness) and the deadline's start time.
-_START_QUEUE: Optional[Any] = None
+# -- the job, and one attempt at one shard of it ----------------------------
 
 
-def _init_worker(start_queue: Any) -> None:
-    global _START_QUEUE
-    _START_QUEUE = start_queue
+@dataclass(frozen=True)
+class ShardJob:
+    """What to run, as one picklable value (it rides in every worker
+    payload).
+
+    ``run(spec, shard, shards, profiler=None)`` is the shard function.
+    It must be defined at module level — it crosses the pool pipe by
+    reference — and be pure in its first three arguments, which is what
+    makes a retry invisible.  ``spec`` is opaque to the supervisor.
+    ``plan`` is FaultSan's deterministic fault plan, if any.
+    """
+
+    run: Callable[..., CampaignResult]
+    spec: Any
+    shards: int
+    plan: Optional["FaultPlan"] = None
 
 
-#: ``(spec, shard, shards, attempt, fault_plan)``.
-WorkerPayload = Tuple["CampaignSpec", int, int, int, Optional["FaultPlan"]]
+#: What came of one attempt, before :meth:`Supervisor.accept` classifies
+#: it: ``("ok", value)`` or ``("error", traceback text)`` out of
+#: :func:`_attempt`; the pool executor adds ``("pipe", detail)``,
+#: ``("deadline", detail)`` and ``("vanished", detail)``.
+Outcome = Tuple[str, Any]
+
+#: ``(shard, attempt, outcome)``: how executors report to the loop.
+Event = Tuple[int, int, Outcome]
 
 
 def _inject(
@@ -214,28 +250,70 @@ def _inject(
     return inject(plan, shard, attempt, site, value)
 
 
-def _supervised_worker(payload: WorkerPayload) -> Tuple[str, int, Any]:  # repro-lint: program-root
-    """Pool entry point: announce, run the shard, never raise.
+def _attempt(
+    job: ShardJob, shard: int, attempt: int, profiler: Optional[WallProfiler] = None
+) -> Outcome:
+    """Run one attempt in this process and never raise: a failure is a
+    value the supervisor turns into a retry or one clean
+    :class:`ShardFailure`, not a pool hang."""
+    try:
+        _inject(job.plan, shard, attempt, "worker.start")
+        value: Any = job.run(job.spec, shard, job.shards, profiler=profiler)
+        return ("ok", _inject(job.plan, shard, attempt, "worker.result", value))
+    except BaseException:
+        return ("error", traceback.format_exc())
 
-    Failures come back as ``("error", shard, traceback)`` values; the
-    supervisor turns them into retries or one clean
-    :class:`ShardFailure` instead of a pool hang.
-    """
-    spec, shard, shards, attempt, plan = payload
+
+# -- worker side ------------------------------------------------------------
+
+#: The start-report queue inherited by pool workers (set by
+#: :func:`_init_worker` via the pool initializer): workers announce
+#: ``(shard, attempt, pid)`` the instant they pick up a task, giving the
+#: parent the pid to watch (liveness) and the deadline's start time.
+_START_QUEUE: Optional[Any] = None
+
+
+def _init_worker(start_queue: Any) -> None:
+    global _START_QUEUE
+    _START_QUEUE = start_queue
+
+
+#: ``(job, shard, attempt)``.
+WorkerPayload = Tuple[ShardJob, int, int]
+
+
+def _supervised_worker(payload: WorkerPayload) -> Outcome:  # repro-lint: program-root
+    """Pool entry point: announce the attempt, then run it."""
+    job, shard, attempt = payload
     if _START_QUEUE is not None:
         _START_QUEUE.put((shard, attempt, os.getpid()))
-    try:
-        _inject(plan, shard, attempt, "worker.start")
-        from .parallel import run_shard
-
-        result: Any = run_shard(spec, shard, shards)
-        result = _inject(plan, shard, attempt, "worker.result", result)
-        return ("ok", shard, result)
-    except BaseException:
-        return ("error", shard, traceback.format_exc())
+    return _attempt(job, shard, attempt)
 
 
-# -- supervisor bookkeeping -------------------------------------------------
+def _resolve_start_method(start_method: Optional[str]) -> str:
+    """The pool start method actually used: fork when available (workers
+    inherit the parent's built world), the platform default otherwise."""
+    if start_method is not None:
+        return start_method
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def _make_pool(
+    processes: int,
+    start_method: Optional[str],
+    initializer: Optional[Any] = None,
+    initargs: Tuple[Any, ...] = (),
+) -> multiprocessing.pool.Pool:
+    """Build the worker pool (separate hook so tests can assert that
+    validation failures never reach it).  ``initializer``/``initargs``
+    hand workers the start-report queue."""
+    method = _resolve_start_method(start_method)
+    return multiprocessing.get_context(method).Pool(
+        processes, initializer=initializer, initargs=initargs
+    )
+
+
+# -- the supervisor ---------------------------------------------------------
 
 
 @dataclass
@@ -245,7 +323,6 @@ class _ShardState:
     shard: int
     attempt: int = 0  # attempts dispatched so far (1-based once running)
     dispatched: bool = False  # an attempt is in flight
-    handle: Optional[Any] = None  # the in-flight attempt's AsyncResult
     pid: Optional[int] = None  # worker running the attempt, once announced
     started_s: Optional[float] = None  # host time of the announcement
     ready_at_s: float = 0.0  # backoff gate for the next dispatch
@@ -283,123 +360,211 @@ def _shard_failure(failed: Sequence[_ShardState], attempts: int) -> ShardFailure
     return ShardFailure(message, failures=entries)
 
 
-def _fault(
-    state: _ShardState,
-    cause: str,
-    detail: str,
-    config: SuperviseConfig,
-    seed: int,
-    report: FailureReport,
-    prof: WallProfiler,
-) -> None:
-    """Record one failed attempt and decide: retry (arming the backoff
-    gate) or mark the shard exhausted."""
-    attempt = state.attempt
-    state.dispatched = False
-    state.pid = None
-    state.started_s = None
-    state.faults.append({"attempt": attempt, "cause": cause, "detail": detail})
-    report.record_fault(state.shard, attempt, cause, detail)
-    if attempt >= config.attempts():
-        state.exhausted = True
-        return
-    state.ready_at_s = deadline.now() + backoff_delay_s(
-        config, seed, state.shard, attempt
-    )
-    report.record_retry(state.shard)
-    with prof.phase(
-        "shard.retry", shard=state.shard, attempt=attempt + 1, cause=cause
-    ):
-        pass  # marker span: retries show up in the wall profile
+#: Failure cause by outcome status.  :meth:`Supervisor.accept` adds the
+#: one row a status alone can't decide: an ``"ok"`` outcome that is not
+#: a ``CampaignResult`` is as untrustworthy as one that broke on the pipe.
+_CAUSES = {
+    "error": CAUSE_CRASH,
+    "pipe": CAUSE_CORRUPT,
+    "deadline": CAUSE_TIMEOUT,
+    "vanished": CAUSE_WORKER_DIED,
+}
 
 
-def _finish(
-    spec: "CampaignSpec",
-    shards: int,
-    states: Sequence[_ShardState],
-    config: SuperviseConfig,
-    prof: WallProfiler,
-    report: FailureReport,
-) -> None:
-    """Resolve exhausted shards: degrade serially in-parent or raise."""
-    exhausted = [state for state in states if state.exhausted]
-    if not exhausted:
-        return
-    if config.degrade != DEGRADE_SERIAL:
-        raise _shard_failure(exhausted, config.attempts())
-    from .parallel import run_shard
+@dataclass
+class Supervisor:
+    """One campaign's supervision: the per-shard state, the loop, and
+    the decisions both executors defer to.
 
-    for state in exhausted:
-        # The most isolated retry there is: no pool, no pipe, no fault
-        # injection — and byte-identical, because a shard is a pure
-        # function of (spec, shard, shards).  A shard that fails even
-        # here has a real bug; let it raise.
-        with prof.phase("shard.degrade", shard=state.shard):
-            state.result = run_shard(spec, state.shard, shards, profiler=prof)
-        state.exhausted = False
-        report.record_degraded(state.shard)
+    ``seed`` keys the deterministic backoff; ``report`` and ``prof`` are
+    observe-only sinks (what the supervisor had to do, and where host
+    time went).
+    """
 
+    job: ShardJob
+    config: SuperviseConfig
+    seed: int
+    report: FailureReport
+    prof: WallProfiler
+    states: List[_ShardState] = field(init=False)
+    #: Pickled result size per shard, for the profiler (pool runs only).
+    bytes_by_shard: Dict[int, int] = field(default_factory=dict)
 
-# -- serial path ------------------------------------------------------------
+    def __post_init__(self) -> None:
+        self.states = [_ShardState(shard=shard) for shard in range(self.job.shards)]
 
+    def run_inline(self) -> List[Optional[CampaignResult]]:
+        """All shards in this process: same retry/degrade semantics as a
+        pool (deadlines excepted: in-process work can't be preempted),
+        no IPC, no pickling."""
+        self.supervise(_InlineExecutor(self))
+        return self.finish()
 
-def run_serial_supervised(
-    spec: "CampaignSpec",
-    shards: int,
-    config: SuperviseConfig,
-    plan: Optional["FaultPlan"],
-    prof: WallProfiler,
-    report: FailureReport,
-) -> List[Optional[CampaignResult]]:
-    """All shards in this process, with the same retry/degrade semantics
-    as the pool path (deadlines excepted: in-process work can't be
-    preempted).  Shards share the process world via ``_world_for`` and
-    profile straight into the parent's profiler, exactly like the
-    unsupervised serial path did."""
-    from .parallel import run_shard
+    def run_pool(
+        self, processes: int, start_method: Optional[str]
+    ) -> List[Optional[CampaignResult]]:
+        """All shards through a supervised worker pool.
 
-    states = [_ShardState(shard=shard) for shard in range(shards)]
-    seed = spec.internet.seed
-    for state in states:
-        while state.result is None and not state.exhausted:
-            state.attempt += 1
-            try:
-                _inject(plan, state.shard, state.attempt, "worker.start")
-                value: Any = run_shard(spec, state.shard, shards, profiler=prof)
-                value = _inject(
-                    plan, state.shard, state.attempt, "worker.result", value
-                )
-            except BaseException:
-                _fault(
-                    state,
-                    CAUSE_CRASH,
-                    traceback.format_exc(),
-                    config,
-                    seed,
-                    report,
-                    prof,
-                )
-            else:
-                if isinstance(value, CampaignResult):
-                    state.result = value
+        Pool shutdown is ``close()``/``join()`` whenever the supervision
+        loop ran to completion — workers exit cleanly and run their
+        exit finalizers — and ``terminate()`` only when the loop itself
+        died (unexpected error, KeyboardInterrupt) and abandoned
+        dispatched work.
+        """
+        start_queue = multiprocessing.get_context(
+            _resolve_start_method(start_method)
+        ).SimpleQueue()
+        with self.prof.phase("pool.start", processes=processes):
+            pool = _make_pool(
+                processes, start_method, initializer=_init_worker,
+                initargs=(start_queue,),
+            )
+        completed = False
+        try:
+            with self.prof.phase("shards"):
+                self.supervise(_PoolExecutor(self, pool, start_queue))
+            completed = True
+        finally:
+            with self.prof.phase("pool.stop"):
+                if completed:
+                    pool.close()
                 else:
-                    _fault(
-                        state,
-                        CAUSE_CORRUPT,
-                        "shard %d attempt %d returned %r instead of a "
-                        "CampaignResult" % (state.shard, state.attempt, value),
-                        config,
-                        seed,
-                        report,
-                        prof,
-                    )
-            if state.result is None and not state.exhausted:
-                deadline.sleep(state.ready_at_s - deadline.now())
-    _finish(spec, shards, states, config, prof, report)
-    return [state.result for state in states]
+                    pool.terminate()
+                pool.join()
+        return self.finish()
+
+    def supervise(self, executor: Union["_InlineExecutor", "_PoolExecutor"]) -> None:
+        """The supervision loop: dispatch, wait, absorb, sweep — until
+        every shard has a result or is exhausted."""
+        while True:
+            pending = [
+                state
+                for state in self.states
+                if state.result is None and not state.exhausted
+            ]
+            if not pending:
+                return
+            now_s = deadline.now()
+            for state in pending:
+                if not state.dispatched and now_s >= state.ready_at_s:
+                    state.attempt += 1
+                    state.dispatched = True
+                    executor.submit(state)
+            for shard, attempt, outcome in executor.wait(self._poll_slice()):
+                state = self.states[shard]
+                if not state.dispatched or attempt != state.attempt:
+                    continue  # stale: a late event from an attempt already written off
+                if self.accept(state, outcome):
+                    executor.landed(shard, outcome)
+            executor.sweep()
+
+    def _poll_slice(self) -> float:
+        """How long the event wait may block without missing a deadline,
+        a backoff gate opening, or a liveness tick."""
+        config = self.config
+        now_s = deadline.now()
+        slice_s = config.poll_interval_s
+        for state in self.states:
+            if state.result is not None or state.exhausted:
+                continue
+            if not state.dispatched:
+                slice_s = min(slice_s, state.ready_at_s - now_s)
+            elif config.shard_timeout_s is not None and state.started_s is not None:
+                slice_s = min(
+                    slice_s, state.started_s + config.shard_timeout_s - now_s
+                )
+        return max(0.001, slice_s)
+
+    def accept(self, state: _ShardState, outcome: Outcome) -> bool:
+        """Classify what came of ``state``'s in-flight attempt — the one
+        place an outcome becomes a result or a fault cause.  True when
+        the shard now has its result."""
+        status, value = outcome
+        if status != "ok":
+            self.fault(state, _CAUSES[status], value)
+        elif not isinstance(value, CampaignResult):
+            self.fault(
+                state,
+                CAUSE_CORRUPT,
+                "shard %d attempt %d returned %r instead of a CampaignResult"
+                % (state.shard, state.attempt, value),
+            )
+        else:
+            state.result = value
+            state.dispatched = False
+            state.pid = None
+        return state.result is not None
+
+    def fault(self, state: _ShardState, cause: str, detail: str) -> None:
+        """Record one failed attempt and decide: retry (arming the
+        backoff gate) or mark the shard exhausted."""
+        attempt = state.attempt
+        state.dispatched = False
+        state.pid = None
+        state.started_s = None
+        state.faults.append({"attempt": attempt, "cause": cause, "detail": detail})
+        self.report.record_fault(state.shard, attempt, cause, detail)
+        if attempt >= self.config.attempts():
+            state.exhausted = True
+            return
+        state.ready_at_s = deadline.now() + backoff_delay_s(
+            self.config, self.seed, state.shard, attempt
+        )
+        self.report.record_retry(state.shard)
+        with self.prof.phase(
+            "shard.retry", shard=state.shard, attempt=attempt + 1, cause=cause
+        ):
+            pass  # marker span: retries show up in the wall profile
+
+    def finish(self) -> List[Optional[CampaignResult]]:
+        """Resolve exhausted shards — degrade serially in-parent or
+        raise — and hand back the per-shard results."""
+        exhausted = [state for state in self.states if state.exhausted]
+        if exhausted and self.config.degrade != DEGRADE_SERIAL:
+            raise _shard_failure(exhausted, self.config.attempts())
+        job = self.job
+        for state in exhausted:
+            # The most isolated retry there is: no pool, no pipe, no fault
+            # injection — and byte-identical, because a shard is a pure
+            # function of (spec, shard, shards).  A shard that fails even
+            # here has a real bug; let it raise.
+            with self.prof.phase("shard.degrade", shard=state.shard):
+                state.result = job.run(
+                    job.spec, state.shard, job.shards, profiler=self.prof
+                )
+            state.exhausted = False
+            self.report.record_degraded(state.shard)
+        return [state.result for state in self.states]
 
 
-# -- pool path --------------------------------------------------------------
+# -- executors --------------------------------------------------------------
+
+
+class _InlineExecutor:
+    """Attempts run synchronously in this process and profile straight
+    into the parent's profiler.  There is no worker to preempt or lose,
+    and nothing crosses a pipe."""
+
+    def __init__(self, sup: Supervisor) -> None:
+        self.sup = sup
+        self.done: List[Event] = []
+
+    def submit(self, state: _ShardState) -> None:
+        sup = self.sup
+        outcome = _attempt(sup.job, state.shard, state.attempt, sup.prof)
+        self.done.append((state.shard, state.attempt, outcome))
+
+    def wait(self, timeout_s: float) -> List[Event]:
+        if not self.done:  # nothing ran: every pending shard is behind its backoff gate
+            deadline.sleep(timeout_s)
+        done, self.done = self.done, []
+        return done
+
+    def landed(self, shard: int, outcome: Outcome) -> None:
+        pass
+
+    def sweep(self) -> None:
+        pass
 
 
 def _kill(pid: Optional[int]) -> None:
@@ -409,25 +574,6 @@ def _kill(pid: Optional[int]) -> None:
         os.kill(pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):  # already gone / not ours
         pass
-
-
-def _discard(pool: multiprocessing.pool.Pool, state: _ShardState) -> None:
-    """Write off ``state``'s in-flight job in the pool's bookkeeping.
-
-    A job whose worker died never completes, so its entry would sit in
-    ``pool._cache`` forever — and ``close()``/``join()`` only finishes
-    once the cache drains.  Dropping the entry ourselves keeps the
-    clean-shutdown path reachable after a worker loss.  (The pool's
-    result handler tolerates a late result for a dropped job: it looks
-    the job up by id and ignores misses.)
-    """
-    handle, state.handle = state.handle, None
-    if handle is None:
-        return
-    job = getattr(handle, "_job", None)
-    cache = getattr(pool, "_cache", None)
-    if job is not None and isinstance(cache, dict):
-        cache.pop(job, None)
 
 
 def _live_pids(pool: multiprocessing.pool.Pool) -> Optional[Any]:
@@ -444,272 +590,114 @@ def _live_pids(pool: multiprocessing.pool.Pool) -> Optional[Any]:
     }
 
 
-def _drain_start_reports(start_queue: Any, states: Sequence[_ShardState]) -> None:
-    while not start_queue.empty():
-        shard, attempt, pid = start_queue.get()
-        state = states[shard]
-        if state.dispatched and attempt == state.attempt:
-            state.pid = pid
-            state.started_s = deadline.now()
-        # else: a stale announcement from a killed/raced attempt
+class _PoolExecutor:
+    """Attempts run on pool workers.  Results and pool errors arrive
+    through ``apply_async`` callbacks on an event queue (so a vanished
+    worker can't hang the parent the way a bare ``imap_unordered``
+    iterator would); :meth:`sweep` enforces deadlines and worker
+    liveness between waits."""
 
-
-def _poll_slice(
-    states: Sequence[_ShardState], config: SuperviseConfig, now_s: float
-) -> float:
-    """How long the event wait may block without missing a deadline, a
-    backoff gate opening, or a liveness tick."""
-    slice_s = config.poll_interval_s
-    for state in states:
-        if state.result is not None or state.exhausted:
-            continue
-        if state.dispatched:
-            if config.shard_timeout_s is not None and state.started_s is not None:
-                slice_s = min(
-                    slice_s,
-                    state.started_s + config.shard_timeout_s - now_s,
-                )
-        else:
-            slice_s = min(slice_s, state.ready_at_s - now_s)
-    return max(0.001, slice_s)
-
-
-def run_pool_supervised(
-    spec: "CampaignSpec",
-    shards: int,
-    processes: int,
-    start_method: Optional[str],
-    config: SuperviseConfig,
-    plan: Optional["FaultPlan"],
-    prof: WallProfiler,
-    report: FailureReport,
-) -> Tuple[List[Optional[CampaignResult]], Dict[int, int]]:
-    """Run every shard through a supervised worker pool.
-
-    Results and pool errors arrive through ``apply_async`` callbacks on
-    an event queue (so a vanished worker can't hang the parent the way
-    a bare ``imap_unordered`` iterator would); the supervision loop
-    alternates between waiting for events and sweeping deadlines and
-    worker liveness.  Returns the per-shard results plus the pickled
-    result size per shard for the profiler.
-
-    Pool shutdown is ``close()``/``join()`` whenever the supervision
-    loop ran to completion — workers exit cleanly and run their
-    exit finalizers — and ``terminate()`` only when the loop itself
-    died (unexpected error, KeyboardInterrupt) and abandoned dispatched
-    work.
-    """
-    from .parallel import _make_pool
-
-    states = [_ShardState(shard=shard) for shard in range(shards)]
-    bytes_by_shard: Dict[int, int] = {}
-    seed = spec.internet.seed
-    events: "queue.Queue[Tuple[str, int, int, Any]]" = queue.Queue()
-    start_queue = multiprocessing.get_context(
-        _resolve_method(start_method)
-    ).SimpleQueue()
-
-    with prof.phase("pool.start", processes=processes):
-        pool = _make_pool(
-            processes, start_method, initializer=_init_worker,
-            initargs=(start_queue,),
-        )
-    completed = False
-    try:
-        with prof.phase("shards"):
-            _pump(
-                pool, spec, shards, states, config, plan, prof, report,
-                seed, start_queue, events, bytes_by_shard,
-            )
-        completed = True
-    finally:
-        with prof.phase("pool.stop"):
-            if completed:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
-    _finish(spec, shards, states, config, prof, report)
-    return [state.result for state in states], bytes_by_shard
-
-
-def _resolve_method(start_method: Optional[str]) -> str:
-    from .parallel import _resolve_start_method
-
-    return _resolve_start_method(start_method)
-
-
-def _dispatch(
-    pool: multiprocessing.pool.Pool,
-    spec: "CampaignSpec",
-    shards: int,
-    state: _ShardState,
-    plan: Optional["FaultPlan"],
-    events: "queue.Queue[Tuple[str, int, int, Any]]",
-) -> None:
-    state.attempt += 1
-    state.dispatched = True
-    state.pid = None
-    state.started_s = None
-    shard, attempt = state.shard, state.attempt
-    payload: WorkerPayload = (spec, shard, shards, attempt, plan)
-
-    def on_result(outcome: Any, shard: int = shard, attempt: int = attempt) -> None:
-        events.put(("result", shard, attempt, outcome))
-
-    def on_error(
-        error: BaseException, shard: int = shard, attempt: int = attempt
+    def __init__(
+        self, sup: Supervisor, pool: multiprocessing.pool.Pool, start_queue: Any
     ) -> None:
-        # The pool failed to move the result across the pipe (e.g. a
-        # MaybeEncodingError from an unpicklable result): the shard ran,
-        # but its bytes are untrustworthy.
-        events.put(("error", shard, attempt, "%s: %s" % (type(error).__name__, error)))
+        self.sup = sup
+        self.pool = pool
+        self.start_queue = start_queue
+        self.events: "queue.Queue[Event]" = queue.Queue()
+        self.handles: Dict[int, Any] = {}  # shard -> in-flight AsyncResult
 
-    state.handle = pool.apply_async(
-        _supervised_worker, (payload,), callback=on_result,
-        error_callback=on_error,
-    )
+    def submit(self, state: _ShardState) -> None:
+        shard, attempt = state.shard, state.attempt
+        events = self.events
 
+        def on_result(outcome: Outcome) -> None:
+            events.put((shard, attempt, outcome))
 
-def _absorb_event(
-    event: Tuple[str, int, int, Any],
-    states: Sequence[_ShardState],
-    config: SuperviseConfig,
-    seed: int,
-    report: FailureReport,
-    prof: WallProfiler,
-    bytes_by_shard: Dict[int, int],
-) -> None:
-    kind, shard, attempt, payload = event
-    state = states[shard]
-    if not state.dispatched or attempt != state.attempt or state.result is not None:
-        return  # stale: a late event from an attempt already written off
-    state.handle = None  # the job completed; the pool dropped it itself
-    if kind == "error":
-        _fault(state, CAUSE_CORRUPT, payload, config, seed, report, prof)
-        return
-    status, _shard, value = payload  # a ShardOutcome tuple
-    if status == "ok" and isinstance(value, CampaignResult):
+        def on_error(error: BaseException) -> None:
+            # The pool failed to move the result across the pipe (e.g. a
+            # MaybeEncodingError from an unpicklable result): the shard ran,
+            # but its bytes are untrustworthy.
+            detail = "%s: %s" % (type(error).__name__, error)
+            events.put((shard, attempt, ("pipe", detail)))
+
+        self.handles[shard] = self.pool.apply_async(
+            _supervised_worker, ((self.sup.job, shard, attempt),),
+            callback=on_result, error_callback=on_error,
+        )
+
+    def wait(self, timeout_s: float) -> List[Event]:
+        with self.sup.prof.phase("ipc.wait"):
+            self._drain_start_reports()
+            try:
+                batch = [self.events.get(timeout=timeout_s)]
+            except queue.Empty:
+                return []
+        try:
+            while True:
+                batch.append(self.events.get_nowait())
+        except queue.Empty:
+            return batch
+
+    def landed(self, shard: int, outcome: Outcome) -> None:
+        prof = self.sup.prof
         if prof.enabled:
             # Re-pickle the outcome through a counting sink: the same
             # bytes the pool just moved over the pipe, per shard.
             with prof.phase("pickle", shard=shard):
-                count = pickled_bytes(payload)
+                count = pickled_bytes(outcome)
                 prof.add_bytes(count)
-                bytes_by_shard[shard] = count
-        state.result = value
-        state.dispatched = False
-        state.pid = None
-        return
-    detail = value if isinstance(value, str) else repr(value)
-    _fault(state, CAUSE_CRASH, detail, config, seed, report, prof)
+                self.sup.bytes_by_shard[shard] = count
 
-
-def _check_deadlines(
-    pool: multiprocessing.pool.Pool,
-    states: Sequence[_ShardState],
-    config: SuperviseConfig,
-    seed: int,
-    report: FailureReport,
-    prof: WallProfiler,
-) -> None:
-    if config.shard_timeout_s is None:
-        return
-    now_s = deadline.now()
-    for state in states:
-        if not state.dispatched or state.started_s is None:
-            continue
-        if now_s - state.started_s < config.shard_timeout_s:
-            continue
-        pid = state.pid
-        _kill(pid)  # the pool replaces the worker on its own
-        _discard(pool, state)
-        _fault(
-            state,
-            CAUSE_TIMEOUT,
-            "shard %d attempt %d exceeded the %.3fs deadline; "
-            "worker pid %s killed"
-            % (state.shard, state.attempt, config.shard_timeout_s, pid),
-            config,
-            seed,
-            report,
-            prof,
-        )
-
-
-def _check_liveness(
-    pool: multiprocessing.pool.Pool,
-    states: Sequence[_ShardState],
-    config: SuperviseConfig,
-    seed: int,
-    report: FailureReport,
-    prof: WallProfiler,
-) -> None:
-    live = _live_pids(pool)
-    if live is None:
-        return
-    for state in states:
-        if not state.dispatched or state.pid is None:
-            continue
-        if state.pid in live:
-            continue
-        _discard(pool, state)
-        _fault(
-            state,
-            CAUSE_WORKER_DIED,
-            "shard %d attempt %d: worker pid %d vanished without a result "
-            "(killed or out-of-memory)" % (state.shard, state.attempt, state.pid),
-            config,
-            seed,
-            report,
-            prof,
-        )
-
-
-def _pump(
-    pool: multiprocessing.pool.Pool,
-    spec: "CampaignSpec",
-    shards: int,
-    states: Sequence[_ShardState],
-    config: SuperviseConfig,
-    plan: Optional["FaultPlan"],
-    prof: WallProfiler,
-    report: FailureReport,
-    seed: int,
-    start_queue: Any,
-    events: "queue.Queue[Tuple[str, int, int, Any]]",
-    bytes_by_shard: Dict[int, int],
-) -> None:
-    """The supervision loop: dispatch, wait, absorb, sweep — until every
-    shard has a result or is exhausted."""
-    while True:
-        pending = [
-            state
-            for state in states
-            if state.result is None and not state.exhausted
-        ]
-        if not pending:
-            return
+    def sweep(self) -> None:
+        """Write off attempts past their deadline (SIGKILLing the
+        worker) and attempts whose worker vanished without a result."""
+        self._drain_start_reports()
+        sup = self.sup
+        timeout_s = sup.config.shard_timeout_s
         now_s = deadline.now()
-        for state in pending:
-            if not state.dispatched and now_s >= state.ready_at_s:
-                _dispatch(pool, spec, shards, state, plan, events)
-        with prof.phase("ipc.wait"):
-            _drain_start_reports(start_queue, states)
-            try:
-                event: Optional[Tuple[str, int, int, Any]] = events.get(
-                    timeout=_poll_slice(states, config, deadline.now())
-                )
-            except queue.Empty:
-                event = None
-        while event is not None:
-            _absorb_event(
-                event, states, config, seed, report, prof, bytes_by_shard
-            )
-            try:
-                event = events.get_nowait()
-            except queue.Empty:
-                event = None
-        _drain_start_reports(start_queue, states)
-        _check_deadlines(pool, states, config, seed, report, prof)
-        _check_liveness(pool, states, config, seed, report, prof)
+        live = _live_pids(self.pool)
+        for state in sup.states:
+            if not state.dispatched or state.started_s is None:
+                continue  # idle, or not yet picked up by a worker
+            pid = state.pid
+            if timeout_s is not None and now_s - state.started_s >= timeout_s:
+                _kill(pid)  # the pool replaces the worker on its own
+                self._discard(state)
+                sup.accept(state, (
+                    "deadline",
+                    "shard %d attempt %d exceeded the %.3fs deadline; "
+                    "worker pid %s killed"
+                    % (state.shard, state.attempt, timeout_s, pid),
+                ))
+            elif live is not None and pid not in live:
+                self._discard(state)
+                sup.accept(state, (
+                    "vanished",
+                    "shard %d attempt %d: worker pid %s vanished without a "
+                    "result (killed or out-of-memory)"
+                    % (state.shard, state.attempt, pid),
+                ))
+
+    def _drain_start_reports(self) -> None:
+        while not self.start_queue.empty():
+            shard, attempt, pid = self.start_queue.get()
+            state = self.sup.states[shard]
+            if state.dispatched and attempt == state.attempt:
+                state.pid = pid
+                state.started_s = deadline.now()
+            # else: a stale announcement from a killed/raced attempt
+
+    def _discard(self, state: _ShardState) -> None:
+        """Write off ``state``'s in-flight job in the pool's bookkeeping.
+
+        A job whose worker died never completes, so its entry would sit in
+        ``pool._cache`` forever — and ``close()``/``join()`` only finishes
+        once the cache drains.  Dropping the entry ourselves keeps the
+        clean-shutdown path reachable after a worker loss.  (The pool's
+        result handler tolerates a late result for a dropped job: it looks
+        the job up by id and ignores misses.)
+        """
+        job = getattr(self.handles.pop(state.shard, None), "_job", None)
+        cache = getattr(self.pool, "_cache", None)
+        if job is not None and isinstance(cache, dict):
+            cache.pop(job, None)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -502,3 +505,26 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             run(["--version"])
         assert excinfo.value.code == 0
+
+    def test_module_entry_point_starts_without_runpy_warning(self):
+        """``python -m repro.cli.main`` imports the package first; an eager
+        ``from .main import ...`` there makes runpy warn on every run."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.cli.main", "--version"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+    def test_package_exports_the_entry_points_in_any_import_order(self):
+        """This module imported ``repro.cli.main`` first, which binds the
+        submodule over ``repro.cli.main``; the package must still hand
+        out the functions."""
+        from repro.cli import build_parser, main as package_main
+
+        assert package_main is main
+        assert build_parser().prog == "repro-sim"

@@ -119,7 +119,7 @@ class TestPytestOptIn:
         run = subprocess.run(
             [
                 sys.executable, "-m", "pytest", "-q",
-                "-p", "repro.lint.faultsan_pytest",
+                "-p", "repro.lint.sanitizers_pytest",
                 str(test_file),
             ],
             capture_output=True,
@@ -143,7 +143,7 @@ class TestPytestOptIn:
         run = subprocess.run(
             [
                 sys.executable, "-m", "pytest", "-q", "--faultsan",
-                "-p", "repro.lint.faultsan_pytest",
+                "-p", "repro.lint.sanitizers_pytest",
                 str(test_file),
             ],
             capture_output=True,

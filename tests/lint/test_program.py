@@ -6,7 +6,15 @@ import os
 import shutil
 import sys
 
-from repro.lint.program import PROGRAM_RULES, lint_program_paths
+from repro.lint.program import (
+    PROGRAM_RULES,
+    analyze,
+    escape,
+    graph,
+    lint_program_paths,
+    load_sources,
+    mut103,
+)
 
 HERE = os.path.dirname(__file__)
 PROGRAM_FIXTURES = os.path.join(HERE, "fixtures", "program")
@@ -480,6 +488,21 @@ def test_live_tree_has_no_program_violations():
     assert violations == []
     # The graph must actually cover the tree: every default root resolved.
     assert program.graph.edge_count > 500
+
+
+def test_every_root_list_names_a_live_function():
+    """A root that no longer resolves is silently skipped by every rule
+    that walks from it; a rename must fail here instead."""
+    src = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
+    nodes = analyze(load_sources([src])).graph.nodes
+    for roots in (
+        graph.DEFAULT_ROOTS, escape.WORKER_ROOTS, mut103.BOUNDARY_ROOTS
+    ):
+        assert sorted(set(roots) - set(nodes)) == []
+    entry = "repro.prober.supervise._supervised_worker"
+    assert entry in graph.DEFAULT_ROOTS
+    assert entry in escape.WORKER_ROOTS
+    assert entry in mut103.BOUNDARY_ROOTS
 
 
 # -- facts cache ------------------------------------------------------------

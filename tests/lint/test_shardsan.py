@@ -213,7 +213,7 @@ def run_pytest(tmp_path, extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "repro.lint.shardsan_pytest",
+        [sys.executable, "-m", "pytest", "-q", "-p", "repro.lint.sanitizers_pytest",
          str(test_file)] + extra,
         capture_output=True,
         text=True,

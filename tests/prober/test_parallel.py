@@ -23,6 +23,7 @@ from repro.prober import (
     run_single,
 )
 from repro.prober import parallel as parallel_module
+from repro.prober import supervise as supervise_module
 
 
 _WORLDS = {}
@@ -148,7 +149,7 @@ class TestValidation:
     def test_errors_raise_before_any_fork(self, monkeypatch):
         """Satellite 4: a bad shard count or config fails with one clean
         ValueError in the parent, before any worker pool exists."""
-        monkeypatch.setattr(parallel_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config, vantage="US-EDU-1", targets=targets[:5]
@@ -172,7 +173,7 @@ class TestValidation:
     def test_presharded_config_rejected(self, monkeypatch):
         """run_parallel owns shard assignment; a spec that already carries
         a shard identity is a caller bug, not something to silently nest."""
-        monkeypatch.setattr(parallel_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config,

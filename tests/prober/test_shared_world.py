@@ -24,7 +24,12 @@ from repro.obs import dump_to_json
 from repro.prober import CampaignSpec, run_parallel, run_single
 from repro.prober import parallel as parallel_module
 from repro.prober.output import dumps
-from repro.prober.parallel import _resolve_start_method, _shard_worker, _world_for
+from repro.prober.parallel import _world_for, run_shard
+from repro.prober.supervise import (
+    ShardJob,
+    _resolve_start_method,
+    _supervised_worker,
+)
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -169,12 +174,13 @@ class TestSpawnFallback:
         config and produce the same bytes a fork worker does."""
         spec = make_spec(n_targets=12)
         inherited = _world_for(spec.internet)
-        status, shard, with_inherited = _shard_worker((spec, 1, 3))
+        payload = (ShardJob(run_shard, spec, 3), 1, 1)
+        status, with_inherited = _supervised_worker(payload)
         assert status == "ok"
         assert parallel_module._SHARED_WORLD[1] is inherited
 
         monkeypatch.setattr(parallel_module, "_SHARED_WORLD", None)
-        status, shard, rebuilt = _shard_worker((spec, 1, 3))
+        status, rebuilt = _supervised_worker(payload)
         assert status == "ok"
         assert parallel_module._SHARED_WORLD[1] is not inherited
         assert dumps(rebuilt) == dumps(with_inherited)

@@ -12,10 +12,13 @@ The load-bearing property throughout: a shard is a pure function of
 byte-for-byte like a run that never faulted.
 """
 
+import ast
 import multiprocessing
+import os
 
 import pytest
 
+from repro.lint.checkers.common import import_origins
 from repro.lint.faultsan import (
     KIND_CORRUPT,
     KIND_CRASH,
@@ -37,7 +40,6 @@ from repro.prober import (
     validate_supervise,
 )
 from repro.prober import deadline
-from repro.prober import parallel as parallel_module
 from repro.prober import supervise as supervise_module
 from repro.prober.output import dumps
 
@@ -82,6 +84,54 @@ def attempt_keys(merged):
     return [(f["shard"], f["attempt"], f["cause"]) for f in block["attempts"]]
 
 
+def fault_counts(merged):
+    return {
+        name: entry["value"]
+        for name, entry in merged.failures["metrics"].items()
+    }
+
+
+#: The two executors behind ``run_parallel``: inline in this process, and
+#: a worker pool.  One supervisor drives both, so for the same FaultPlan
+#: they must agree on the merged bytes AND on the fault accounting.
+EXECUTORS = {
+    "inline": {"processes": 1},
+    "pool": {"processes": 2, "start_method": "fork"},
+}
+
+
+def run_on(executor, spec, **kwargs):
+    """``run_parallel`` on the named executor.  A ``ShardFailure`` is
+    returned rather than raised, so both endings compare the same way."""
+    try:
+        return run_parallel(spec, **EXECUTORS[executor], **kwargs)
+    except ShardFailure as error:
+        return error
+
+
+def accounting(outcome):
+    """What the supervisor recorded, in an executor-independent form."""
+    if isinstance(outcome, ShardFailure):
+        return [
+            (entry["shard"], entry["attempts"],
+             [fault["cause"] for fault in entry["faults"]])
+            for entry in outcome.failures
+        ]
+    return attempt_keys(outcome), fault_counts(outcome)
+
+
+def assert_other_executor_agrees(executor, outcome, spec, **kwargs):
+    """Re-run the same plan on the other executor: identical accounting,
+    and (when the run finishes) byte-identical merged dumps."""
+    (other,) = set(EXECUTORS) - {executor}
+    if other == "pool" and not HAS_FORK:
+        return
+    twin = run_on(other, spec, **kwargs)
+    assert accounting(twin) == accounting(outcome)
+    if not isinstance(outcome, ShardFailure):
+        assert dumps(twin) == dumps(outcome)
+
+
 # -- config validation ------------------------------------------------------
 
 
@@ -109,7 +159,7 @@ class TestValidation:
         def bomb(*args, **kwargs):
             raise AssertionError("pool must not start for an invalid config")
 
-        monkeypatch.setattr(parallel_module, "_make_pool", bomb)
+        monkeypatch.setattr(supervise_module, "_make_pool", bomb)
         with pytest.raises(ValueError, match="max_retries"):
             run_parallel(
                 make_spec(),
@@ -172,75 +222,47 @@ class TestDeadline:
 
 
 class TestRetryRecovery:
-    def test_serial_crash_retry_is_byte_identical(self):
+    def check_crash_retry(self, executor):
         spec = make_spec()
-        reference = run_single(spec)
-        merged = run_parallel(
-            spec,
-            shards=2,
-            processes=1,
-            supervise=RETRY,
-            fault_plan=FaultPlan.single(1, KIND_CRASH),
-        )
-        assert dumps(merged) == dumps(reference)
+        plan = {"shards": 2, "supervise": RETRY,
+                "fault_plan": FaultPlan.single(1, KIND_CRASH)}
+        merged = run_on(executor, spec, **plan)
+        assert dumps(merged) == dumps(run_single(spec))
         assert attempt_keys(merged) == [(1, 1, "crash")]
-        counts = {
-            name: entry["value"]
-            for name, entry in merged.failures["metrics"].items()
-        }
+        counts = fault_counts(merged)
         assert counts["shard.crashes"] == 1
         assert counts["shard.retries"] == 1
         assert counts["shard.degraded"] == 0
         assert "FaultInjected" in merged.failures["attempts"][0]["detail"]
+        assert_other_executor_agrees(executor, merged, spec, **plan)
+
+    def check_corrupt_retry(self, executor):
+        spec = make_spec()
+        plan = {"shards": 2, "supervise": RETRY,
+                "fault_plan": FaultPlan.single(
+                    1, KIND_CORRUPT, site=SITE_WORKER_RESULT)}
+        merged = run_on(executor, spec, **plan)
+        assert dumps(merged) == dumps(run_single(spec))
+        assert attempt_keys(merged) == [(1, 1, "corrupt-result")]
+        assert_other_executor_agrees(executor, merged, spec, **plan)
+
+    def test_serial_crash_retry_is_byte_identical(self):
+        self.check_crash_retry("inline")
 
     def test_serial_corrupt_result_retries(self):
         """A non-CampaignResult out of a shard is a corrupt-result fault,
         never a merged-in value."""
-        spec = make_spec()
-        merged = run_parallel(
-            spec,
-            shards=2,
-            processes=1,
-            supervise=RETRY,
-            fault_plan=FaultPlan.single(
-                1, KIND_CORRUPT, site=SITE_WORKER_RESULT
-            ),
-        )
-        assert dumps(merged) == dumps(run_single(spec))
-        assert attempt_keys(merged) == [(1, 1, "corrupt-result")]
+        self.check_corrupt_retry("inline")
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_crash_retry_is_byte_identical(self):
-        spec = make_spec()
-        reference = run_single(spec)
-        merged = run_parallel(
-            spec,
-            shards=2,
-            processes=2,
-            start_method="fork",
-            supervise=RETRY,
-            fault_plan=FaultPlan.single(1, KIND_CRASH),
-        )
-        assert dumps(merged) == dumps(reference)
-        assert attempt_keys(merged) == [(1, 1, "crash")]
+        self.check_crash_retry("pool")
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_corrupt_pickle_retry_is_byte_identical(self):
         """An unpicklable result dies on the pool pipe; the supervisor
         sees the encoding error and re-runs the shard."""
-        spec = make_spec()
-        merged = run_parallel(
-            spec,
-            shards=2,
-            processes=2,
-            start_method="fork",
-            supervise=RETRY,
-            fault_plan=FaultPlan.single(
-                1, KIND_CORRUPT, site=SITE_WORKER_RESULT
-            ),
-        )
-        assert dumps(merged) == dumps(run_single(spec))
-        assert attempt_keys(merged) == [(1, 1, "corrupt-result")]
+        self.check_corrupt_retry("pool")
 
     def test_retries_show_up_in_the_wall_profile(self):
         spec = make_spec()
@@ -283,31 +305,25 @@ class TestExhaustion:
         assert entry["attempts"] == 2
         assert [f["cause"] for f in entry["faults"]] == ["crash", "crash"]
 
+    def check_every_failed_shard_is_collected(self, executor, failing):
+        spec = make_spec()
+        plan = {"shards": 4, "fault_plan": FaultPlan(
+            tuple(Fault(shard=shard, kind=KIND_CRASH) for shard in failing)
+        )}
+        error = run_on(executor, spec, **plan)
+        assert isinstance(error, ShardFailure)
+        assert [entry["shard"] for entry in error.failures] == failing
+        assert "2 shard(s) failed permanently" in str(error)
+        assert_other_executor_agrees(executor, error, spec, **plan)
+
     def test_every_failed_shard_is_collected_before_raising(self):
         """No first-failure masking: one ShardFailure names ALL the
         permanently-failed shards."""
-        spec = make_spec()
-        plan = FaultPlan(
-            (Fault(shard=1, kind=KIND_CRASH), Fault(shard=3, kind=KIND_CRASH))
-        )
-        with pytest.raises(ShardFailure) as excinfo:
-            run_parallel(spec, shards=4, processes=1, fault_plan=plan)
-        error = excinfo.value
-        assert [entry["shard"] for entry in error.failures] == [1, 3]
-        assert "2 shard(s) failed permanently" in str(error)
+        self.check_every_failed_shard_is_collected("inline", [1, 3])
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_collects_every_failed_shard_too(self):
-        spec = make_spec()
-        plan = FaultPlan(
-            (Fault(shard=0, kind=KIND_CRASH), Fault(shard=2, kind=KIND_CRASH))
-        )
-        with pytest.raises(ShardFailure) as excinfo:
-            run_parallel(
-                spec, shards=4, processes=2, start_method="fork",
-                fault_plan=plan,
-            )
-        assert [entry["shard"] for entry in excinfo.value.failures] == [0, 2]
+        self.check_every_failed_shard_is_collected("pool", [0, 2])
 
     def test_degrade_serial_reruns_in_parent_byte_identically(self):
         spec = make_spec()
@@ -372,7 +388,7 @@ class TestCleanRuns:
 
 def spy_on_pool(monkeypatch, calls):
     """Wrap the next pool's shutdown methods to record the order."""
-    real = parallel_module._make_pool
+    real = supervise_module._make_pool
 
     def spying(processes, start_method, initializer=None, initargs=()):
         pool = real(
@@ -388,7 +404,7 @@ def spy_on_pool(monkeypatch, calls):
             setattr(pool, name, wrapped)
         return pool
 
-    monkeypatch.setattr(parallel_module, "_make_pool", spying)
+    monkeypatch.setattr(supervise_module, "_make_pool", spying)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -408,7 +424,7 @@ class TestPoolShutdown:
         def broken(*args, **kwargs):
             raise RuntimeError("supervision loop died")
 
-        monkeypatch.setattr(supervise_module, "_pump", broken)
+        monkeypatch.setattr(supervise_module.Supervisor, "supervise", broken)
         with pytest.raises(RuntimeError, match="supervision loop died"):
             run_parallel(
                 make_spec(), shards=2, processes=2, start_method="fork"
@@ -435,3 +451,41 @@ class TestPoolShutdown:
         markers = list(tmp_path.glob("worker-*.exited"))
         assert markers, "worker exit cleanup never ran"
         assert markers[0].read_text() == "clean exit\n"
+
+
+# -- layering ---------------------------------------------------------------
+
+
+class TestLayering:
+    """``parallel`` hands ``supervise`` the shard function; nothing flows
+    the other way, and nothing in the package imports either module from
+    inside a function to dodge a cycle."""
+
+    PROBER = os.path.dirname(supervise_module.__file__)
+
+    def parse(self, name):
+        with open(os.path.join(self.PROBER, name)) as source:
+            return ast.parse(source.read())
+
+    def test_supervise_never_imports_parallel(self):
+        # import_origins sees every import in the file: module level,
+        # function-local, and under TYPE_CHECKING alike.
+        origins = import_origins(self.parse("supervise.py")).values()
+        assert [o for o in origins if "parallel" in o.split(".")] == []
+        assert import_origins(self.parse("parallel.py"))["Supervisor"] == (
+            ".supervise.Supervisor"
+        )
+
+    def test_no_function_local_runner_imports(self):
+        for name in sorted(os.listdir(self.PROBER)):
+            if not name.endswith(".py"):
+                continue
+            for scope in ast.walk(self.parse(name)):
+                if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                local = [
+                    node.module
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                ]
+                assert not {"parallel", "supervise"} & set(local), (name, scope.name)
