@@ -13,7 +13,10 @@ Checks, per module:
   class with a ``pack()`` method whose return value is a concatenation
   of ``struct.pack("<literal>", ...)`` calls and 16-byte
   ``address.to_bytes(...)`` terms, the computed byte length must equal
-  ``HEADER_LENGTH``.
+  ``HEADER_LENGTH``.  A module-level ``NAME = struct.Struct("<literal>")``
+  is followed: ``NAME.pack(...)`` counts as ``struct.pack`` of that
+  format, ``NAME.unpack(...)`` / ``NAME.unpack_from(...)`` as
+  ``struct.unpack``.
 * **the encoding module** (recognized by defining both
   ``PAYLOAD_LENGTH`` and ``MAGIC``):
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import ast
 import struct
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core import Checker, LintContext, Violation, register
 from .common import dotted_name, int_constant, str_constant
@@ -60,24 +63,60 @@ def _calcsize(format_string: str) -> Optional[int]:
         return None
 
 
-def _packed_size(node: ast.AST) -> Optional[int]:
+def _module_structs(tree: ast.Module) -> Dict[str, str]:
+    """Module-level ``NAME = struct.Struct("<literal>")`` -> format."""
+    structs: Dict[str, str] = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and dotted_name(node.value.func) == "struct.Struct"
+            and node.value.args
+        ):
+            format_string = str_constant(node.value.args[0])
+            if format_string is not None:
+                structs[node.targets[0].id] = format_string
+    return structs
+
+
+#: Method names of a precompiled ``struct.Struct`` per module function.
+_STRUCT_METHODS = {"pack": ("pack",), "unpack": ("unpack", "unpack_from")}
+
+
+def _call_format(
+    node: ast.Call, function: str, structs: Dict[str, str]
+) -> Optional[str]:
+    """Format of a ``struct.<function>("<literal>", ...)`` call or of the
+    same operation on a precompiled module-level struct, else None."""
+    name = dotted_name(node.func)
+    if name == "struct.%s" % function:
+        return str_constant(node.args[0]) if node.args else None
+    if (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr in _STRUCT_METHODS[function]
+        and isinstance(node.func.value, ast.Name)
+    ):
+        return structs.get(node.func.value.id)
+    return None
+
+
+def _packed_size(node: ast.AST, structs: Dict[str, str]) -> Optional[int]:
     """Byte length of an expression built from struct.pack literals,
     ``address.to_bytes(...)`` terms and their concatenation; None when
     any term's size is not statically known."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = _packed_size(node.left)
-        right = _packed_size(node.right)
+        left = _packed_size(node.left, structs)
+        right = _packed_size(node.right, structs)
         if left is None or right is None:
             return None
         return left + right
     if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name == "struct.pack" and node.args:
-            format_string = str_constant(node.args[0])
-            if format_string is not None:
-                return _calcsize(format_string)
-            return None
-        if name == "address.to_bytes":
+        format_string = _call_format(node, "pack", structs)
+        if format_string is not None:
+            return _calcsize(format_string)
+        if dotted_name(node.func) == "address.to_bytes":
             return ADDRESS_BYTES
         if isinstance(node.func, ast.Attribute) and node.func.attr == "to_bytes":
             return int_constant(node.args[0]) if node.args else None
@@ -86,14 +125,15 @@ def _packed_size(node: ast.AST) -> Optional[int]:
     return None
 
 
-def _struct_call_formats(tree: ast.AST, function: str) -> Iterator[ast.Call]:
+def _struct_call_formats(
+    tree: ast.AST, function: str, structs: Dict[str, str]
+) -> Iterator[Tuple[ast.Call, str]]:
+    """Every (call, format) of the given struct operation under ``tree``."""
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and dotted_name(node.func) == "struct.%s" % function
-            and node.args
-        ):
-            yield node
+        if isinstance(node, ast.Call):
+            format_string = _call_format(node, function, structs)
+            if format_string is not None:
+                yield node, format_string
 
 
 @register
@@ -115,6 +155,7 @@ class PacketInvariants(Checker):
     def _check_header_classes(
         self, context: LintContext, header_length: int
     ) -> Iterator[Violation]:
+        structs = _module_structs(context.tree)
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -124,7 +165,7 @@ class PacketInvariants(Checker):
                     and method.name == "pack"
                 ):
                     yield from self._check_pack(
-                        context, node.name, method, header_length
+                        context, node.name, method, header_length, structs
                     )
 
     def _check_pack(
@@ -133,11 +174,12 @@ class PacketInvariants(Checker):
         class_name: str,
         method: ast.FunctionDef,
         header_length: int,
+        structs: Dict[str, str],
     ) -> Iterator[Violation]:
         for statement in ast.walk(method):
             if not isinstance(statement, ast.Return) or statement.value is None:
                 continue
-            size = _packed_size(statement.value)
+            size = _packed_size(statement.value, structs)
             if size is not None and size != header_length:
                 yield self.violation(
                     context,
@@ -150,8 +192,9 @@ class PacketInvariants(Checker):
     def _check_encoding_module(
         self, context: LintContext, constants: Dict[str, int]
     ) -> Iterator[Violation]:
+        structs = _module_structs(context.tree)
         payload_length = constants["PAYLOAD_LENGTH"]
-        head_size = self._payload_head_size(context.tree)
+        head_size = self._payload_head_size(context.tree, structs)
         if head_size is not None:
             head_format, head_bytes, fudge_bytes, pack_node = head_size
             if head_bytes + fudge_bytes != payload_length:
@@ -162,7 +205,7 @@ class PacketInvariants(Checker):
                     "(%d) — the 12-byte probe encoding contract is broken"
                     % (head_format, head_bytes, fudge_bytes, payload_length),
                 )
-            elif not self._decode_reads_head(context.tree, head_bytes):
+            elif not self._decode_reads_head(context.tree, head_bytes, structs):
                 yield self.violation(
                     context,
                     pack_node,
@@ -195,16 +238,17 @@ class PacketInvariants(Checker):
                     % (name, value, limit.bit_length() // 8),
                 )
 
-    def _payload_head_size(self, tree: ast.Module):
+    def _payload_head_size(self, tree: ast.Module, structs: Dict[str, str]):
         """(format, head bytes, fudge bytes, pack node) from the payload
         builder: the function that both struct.packs a head and returns
         ``head + <fudge>.to_bytes(n, ...)``."""
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
-            packs = list(_struct_call_formats(node, "pack"))
+            packs = list(_struct_call_formats(node, "pack", structs))
             if len(packs) != 1:
                 continue
+            pack_node, format_string = packs[0]
             fudge_bytes = None
             for statement in ast.walk(node):
                 if (
@@ -216,21 +260,19 @@ class PacketInvariants(Checker):
                     fudge_bytes = int_constant(statement.args[0])
             if fudge_bytes is None:
                 continue
-            format_string = str_constant(packs[0].args[0])
-            if format_string is None:
-                continue
             head_bytes = _calcsize(format_string)
             if head_bytes is None:
                 continue
-            return format_string, head_bytes, fudge_bytes, packs[0]
+            return format_string, head_bytes, fudge_bytes, pack_node
         return None
 
-    def _decode_reads_head(self, tree: ast.Module, head_bytes: int) -> bool:
-        for call in _struct_call_formats(tree, "unpack"):
-            format_string = str_constant(call.args[0])
-            if format_string is not None and _calcsize(format_string) == head_bytes:
-                return True
-        return False
+    def _decode_reads_head(
+        self, tree: ast.Module, head_bytes: int, structs: Dict[str, str]
+    ) -> bool:
+        return any(
+            _calcsize(format_string) == head_bytes
+            for _, format_string in _struct_call_formats(tree, "unpack", structs)
+        )
 
     def _check_checksum_neutrality(self, context: LintContext) -> Iterator[Violation]:
         for node in ast.walk(context.tree):

@@ -29,19 +29,20 @@ def _fnv(data: bytes) -> int:
     return value
 
 
+#: Next headers whose first four transport bytes join the flow key:
+#: TCP/UDP ports, and ICMPv6 type, code and — critically — the checksum.
+_HASHED_TRANSPORT = frozenset((ipv6.PROTO_TCP, ipv6.PROTO_UDP, ipv6.PROTO_ICMPV6))
+
+
 def flow_key(header: IPv6Header, payload: bytes) -> bytes:
-    """The bytes a load balancer hashes for this packet."""
+    """The bytes a load balancer hashes for this packet: source,
+    destination, next header, flow label, then the transport bytes."""
     base = (
-        header.src.to_bytes(16, "big")
-        + header.dst.to_bytes(16, "big")
-        + bytes([header.next_header])
-        + header.flow_label.to_bytes(3, "big")
-    )
-    if header.next_header in (ipv6.PROTO_TCP, ipv6.PROTO_UDP) and len(payload) >= 4:
-        # Source and destination ports.
-        return base + payload[:4]
-    if header.next_header == ipv6.PROTO_ICMPV6 and len(payload) >= 4:
-        # Type, code and — critically — the checksum.
+        (((header.src << 128) | header.dst) << 32)
+        | (header.next_header << 24)
+        | header.flow_label
+    ).to_bytes(36, "big")
+    if header.next_header in _HASHED_TRANSPORT and len(payload) >= 4:
         return base + payload[:4]
     return base
 

@@ -476,7 +476,7 @@ class Internet:
             return []
         dst_as = self.truth.ases[dst_asn]
         if dst_as.tier == 1:
-            return [] if dst_asn == from_asn else []
+            return []
         # Providers of the destination.
         dst_providers = built.uplinks.get(dst_asn, [])
         if from_asn in dst_providers:
@@ -692,13 +692,13 @@ class Internet:
             if self._rng.random() > self.config.host_error_probability:
                 self.stats.silent_terminal += 1
                 return None
-            error = icmpv6.destination_unreachable(
-                UnreachableCode.PORT_UNREACHABLE,
+            packet = icmpv6.error_packet(
+                host,
+                header.src,
+                icmpv6.TYPE_DEST_UNREACH,
+                int(UnreachableCode.PORT_UNREACHABLE),
+                0,
                 ipv6.build_packet(header, payload),
-            )
-            packet = ipv6.build_packet(
-                IPv6Header(host, header.src, 0, PROTO_ICMPV6),
-                error.pack(host, header.src),
             )
             self.stats.unreachables += 1
             return Response(2 * delay + 150, packet, "icmp6")
@@ -759,40 +759,30 @@ class Internet:
         if self._rng.random() < self.config.response_loss:
             self.stats.lost += 1
             return None
-        quotation = self._quote(router, invoking)
         if msg_type == icmpv6.TYPE_TIME_EXCEEDED:
-            message = icmpv6.ICMPv6Message(
-                icmpv6.TYPE_TIME_EXCEEDED, code, 0, quotation
-            )
             self.stats.time_exceeded += 1
-        elif msg_type == icmpv6.TYPE_PACKET_TOO_BIG:
-            message = icmpv6.ICMPv6Message(
-                icmpv6.TYPE_PACKET_TOO_BIG, code, word, quotation
-            )
-        else:
-            message = icmpv6.ICMPv6Message(icmpv6.TYPE_DEST_UNREACH, code, 0, quotation)
+        elif msg_type == icmpv6.TYPE_DEST_UNREACH:
             self.stats.unreachables += 1
-        packet = ipv6.build_packet(
-            IPv6Header(iface, header.src, 0, PROTO_ICMPV6),
-            message.pack(iface, header.src),
+        packet = icmpv6.error_packet(
+            iface, header.src, msg_type, code, word, self._quote(router, invoking)
         )
         return Response(2 * delay + 200, packet, "icmp6")
 
     def _quote(self, router: Router, invoking: bytes) -> bytes:
-        """The invoking-packet quotation, with realistic misbehaviour for a
-        small deterministic subset of routers."""
+        """The invoking-packet quotation (``error_packet`` bounds it to the
+        minimum MTU), with realistic misbehaviour for a small
+        deterministic subset of routers."""
         behaviour = self._manglers.get(router.router_id)
-        quotation = invoking[: icmpv6.MAX_QUOTATION]
         if behaviour == "truncate":
             # IPv4-style minimal quote: IPv6 header + 8 bytes.
-            return quotation[:48]
+            return invoking[:48]
         if behaviour == "rewrite":
             # A middlebox rewrote the destination's low bits.
-            mangled = bytearray(quotation)
+            mangled = bytearray(invoking[: icmpv6.MAX_QUOTATION])
             if len(mangled) >= 40:
                 mangled[38] ^= 0x55
             return bytes(mangled)
-        return quotation
+        return invoking
 
     # ------------------------------------------------------------------
     # Ground-truth inspection helpers (tests / validation)

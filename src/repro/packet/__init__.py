@@ -20,7 +20,6 @@ from .icmpv6 import (
     ICMPv6Message,
     UnreachableCode,
     classify_response,
-    destination_unreachable,
     echo_reply,
     echo_request,
     time_exceeded,
@@ -58,7 +57,6 @@ __all__ = [
     "build_segment",
     "checksum_fudge",
     "classify_response",
-    "destination_unreachable",
     "echo_reply",
     "echo_request",
     "extract_identification",

@@ -13,21 +13,34 @@ Figure 4 of the paper).
 from __future__ import annotations
 
 from ..addrs import address
+from ..addrs.address import MAX_ADDRESS
+
+
+def fold_sum(total: int) -> int:
+    """Fold a raw one's-complement accumulator of any width to 16 bits.
+
+    End-around-carry folding leaves a value unchanged modulo ``0xFFFF``
+    (``2**16 ≡ 1``) and never produces zero from a nonzero total, so the
+    fold is one modulo: 0 stays 0, every other multiple of ``0xFFFF``
+    reads ``0xFFFF``.  Callers accumulate plain integers — whole words,
+    whole addresses — and fold once.
+    """
+    if total == 0:
+        return 0
+    return (total - 1) % 0xFFFF + 1
 
 
 def ones_complement_sum(data: bytes, initial: int = 0) -> int:
-    """One's-complement 16-bit sum over ``data`` (odd tail zero-padded)."""
-    total = initial
-    length = len(data)
-    # Sum 16-bit big-endian words.
-    for index in range(0, length - 1, 2):
-        total += (data[index] << 8) | data[index + 1]
-    if length % 2:
-        total += data[-1] << 8
-    # Fold carries.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    """One's-complement 16-bit sum over ``data`` (odd tail zero-padded).
+
+    The big-endian integer value of ``data`` is congruent to the sum of
+    its 16-bit words modulo ``0xFFFF`` and zero exactly when they all
+    are, so the whole buffer is summed by one ``int.from_bytes``.
+    """
+    total = int.from_bytes(data, "big")
+    if len(data) & 1:
+        total <<= 8
+    return fold_sum(total + initial)
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
@@ -46,6 +59,24 @@ def pseudo_header(src: int, dst: int, upper_length: int, next_header: int) -> by
     )
 
 
+def pseudo_header_sum(
+    src: int, dst: int, upper_length: int, next_header: int
+) -> int:
+    """Unfolded one's-complement sum of :func:`pseudo_header`'s bytes.
+
+    A field's integer value is congruent to the sum of its 16-bit words
+    modulo ``0xFFFF``, so the fields are added as they are; pass the
+    result as ``initial`` or to :func:`fold_sum`.  Raises
+    ``OverflowError`` for an address that has no 16-byte form, as
+    :func:`pseudo_header` does.
+    """
+    if not (0 <= src <= MAX_ADDRESS and 0 <= dst <= MAX_ADDRESS):
+        raise OverflowError(
+            "address out of range: src %#x, dst %#x" % (src, dst)
+        )
+    return src + dst + upper_length + (next_header & 0xFF)
+
+
 def transport_checksum(
     src: int, dst: int, next_header: int, segment: bytes
 ) -> int:
@@ -53,8 +84,8 @@ def transport_checksum(
 
     ``segment`` must have its own checksum field zeroed.
     """
-    header = pseudo_header(src, dst, len(segment), next_header)
-    return internet_checksum(segment, ones_complement_sum(header))
+    header = pseudo_header_sum(src, dst, len(segment), next_header)
+    return internet_checksum(segment, header)
 
 
 def verify_transport_checksum(
@@ -65,21 +96,8 @@ def verify_transport_checksum(
     Computing the checksum over a segment that *includes* a correct
     checksum field yields zero.
     """
-    header = pseudo_header(src, dst, len(segment), next_header)
-    return internet_checksum(segment, ones_complement_sum(header)) == 0
-
-
-def fold_sum(total: int) -> int:
-    """Fold a raw (possibly multi-carry) one's-complement accumulator
-    down to 16 bits.
-
-    The batched encoder accumulates plain integer word sums — cheaper
-    than folding per word — and folds once at the end; the result is
-    identical to :func:`ones_complement_sum` over the same bytes.
-    """
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    header = pseudo_header_sum(src, dst, len(segment), next_header)
+    return internet_checksum(segment, header) == 0
 
 
 def checksum_patch(checksum: int, old_word: int, new_word: int) -> int:
@@ -92,19 +110,6 @@ def checksum_patch(checksum: int, old_word: int, new_word: int) -> int:
     """
     total = (~checksum & 0xFFFF) + (~old_word & 0xFFFF) + (new_word & 0xFFFF)
     return ~fold_sum(total) & 0xFFFF
-
-
-def address_sum(value: int) -> int:
-    """Unfolded 16-bit word sum of a 128-bit IPv6 address.
-
-    One shift-and-mask pass over the integer itself, avoiding the
-    ``to_bytes`` round trip of :func:`address_checksum`; feed the result
-    to :func:`fold_sum` (and complement) to recover the same checksum.
-    """
-    total = 0
-    for shift in range(0, 128, 16):
-        total += (value >> shift) & 0xFFFF
-    return total
 
 
 def checksum_fudge(segment_without_fudge_sum: int, desired: int) -> int:
@@ -133,6 +138,10 @@ def address_checksum(value: int) -> int:
     Yarrp6 places this in the TCP/UDP source port or ICMPv6 identifier to
     detect in-path rewrites of the probe's destination address
     (Section 4.1).  Values 0 is avoided since port 0 is pathological.
+    An address integer is its own unfolded word sum (see
+    :func:`fold_sum`), so no byte form is needed; a value outside 128
+    bits still raises ``OverflowError``.
     """
-    checksum = internet_checksum(address.to_bytes(value))
-    return checksum if checksum != 0 else 0xFFFF
+    if not 0 <= value <= MAX_ADDRESS:
+        raise OverflowError("address out of range: %#x" % value)
+    return ~fold_sum(value) & 0xFFFF or 0xFFFF

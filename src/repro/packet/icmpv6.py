@@ -19,8 +19,20 @@ import enum
 import struct
 from typing import Optional
 
-from .checksum import transport_checksum, verify_transport_checksum
-from .ipv6 import PacketError
+from ..addrs.address import IID_MASK
+from .checksum import (
+    internet_checksum,
+    pseudo_header_sum,
+    transport_checksum,
+    verify_transport_checksum,
+)
+from .ipv6 import (
+    DEFAULT_HOP_LIMIT,
+    HEADER,
+    PROTO_ICMPV6,
+    VERSION,
+    PacketError,
+)
 
 # ICMPv6 type numbers (RFC 4443).
 TYPE_DEST_UNREACH = 1
@@ -39,6 +51,12 @@ MINIMUM_MTU = 1280
 #: Bytes available for the invoking-packet quotation inside an error:
 #: minimum MTU minus the IPv6 header (40) and ICMPv6 header (8).
 MAX_QUOTATION = MINIMUM_MTU - 40 - 8
+
+#: ICMPv6 header: type, code, checksum, 4-byte body word.
+_MESSAGE = struct.Struct("!BBHI")
+
+#: IPv6 fixed header followed by the ICMPv6 header.
+_ERROR_PACKET = struct.Struct(HEADER.format + "BBHI")
 
 
 class UnreachableCode(enum.IntEnum):
@@ -121,30 +139,24 @@ class ICMPv6Message:
     def pack(self, src: int = 0, dst: int = 0, compute_checksum: bool = True) -> bytes:
         """Serialize; when ``compute_checksum`` the pseudo-header checksum
         for (src, dst) is filled in, else the stored checksum is used."""
-        segment = (
-            struct.pack("!BBH", self.msg_type, self.code, 0)
-            + self.word.to_bytes(4, "big")
-            + self.body
-        )
+        value = self.checksum
         if compute_checksum:
-            value = transport_checksum(src, dst, 58, segment)
-        else:
-            value = self.checksum
-        return segment[:2] + value.to_bytes(2, "big") + segment[4:]
+            segment = _MESSAGE.pack(self.msg_type, self.code, 0, self.word) + self.body
+            value = transport_checksum(src, dst, PROTO_ICMPV6, segment)
+        return _MESSAGE.pack(self.msg_type, self.code, value, self.word) + self.body
 
     @classmethod
     def unpack(cls, data: bytes) -> "ICMPv6Message":
         """Parse an ICMPv6 segment (at least the 8-byte header)."""
         if len(data) < 8:
             raise PacketError("short ICMPv6 segment: %d bytes" % len(data))
-        msg_type, code, checksum = struct.unpack("!BBH", data[:4])
-        word = int.from_bytes(data[4:8], "big")
+        msg_type, code, checksum, word = _MESSAGE.unpack_from(data)
         return cls(msg_type, code, word, data[8:], checksum)
 
     def verify(self, src: int, dst: int) -> bool:
         """Validate the embedded checksum against (src, dst)."""
         packed = self.pack(compute_checksum=False)
-        return verify_transport_checksum(src, dst, 58, packed)
+        return verify_transport_checksum(src, dst, PROTO_ICMPV6, packed)
 
     def __repr__(self) -> str:
         return "ICMPv6Message(type=%d, code=%d, body=%dB)" % (
@@ -181,12 +193,44 @@ def time_exceeded(invoking_packet: bytes) -> ICMPv6Message:
     )
 
 
-def destination_unreachable(
-    code: UnreachableCode, invoking_packet: bytes
-) -> ICMPv6Message:
-    """Build a Destination Unreachable error quoting the invoking packet."""
-    return ICMPv6Message(
-        TYPE_DEST_UNREACH, int(code), 0, invoking_packet[:MAX_QUOTATION]
+def error_packet(
+    src: int, dst: int, msg_type: int, code: int, word: int, quotation: bytes
+) -> bytes:
+    """The complete IPv6 packet carrying one ICMPv6 error, in one pass.
+
+    Byte-identical to ``build_packet(IPv6Header(src, dst, 0, 58),
+    ICMPv6Message(msg_type, code, word, quotation).pack(src, dst))`` —
+    what a router emits per answered probe — without the intermediate
+    message, segment, pseudo-header and header objects: both headers
+    come from one ``Struct.pack`` and the checksum from the integer
+    values of the fields it covers (see
+    :func:`~repro.packet.checksum.pseudo_header_sum`).  ``quotation`` is
+    truncated to :data:`MAX_QUOTATION`.
+    """
+    quotation = quotation[:MAX_QUOTATION]
+    length = 8 + len(quotation)
+    checksum = internet_checksum(
+        quotation,
+        pseudo_header_sum(src, dst, length, PROTO_ICMPV6)
+        + (msg_type << 8 | code)
+        + word,
+    )
+    return (
+        _ERROR_PACKET.pack(
+            VERSION << 28,
+            length,
+            PROTO_ICMPV6,
+            DEFAULT_HOP_LIMIT,
+            src >> 64,
+            src & IID_MASK,
+            dst >> 64,
+            dst & IID_MASK,
+            msg_type,
+            code,
+            checksum,
+            word,
+        )
+        + quotation
     )
 
 

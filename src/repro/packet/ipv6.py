@@ -6,6 +6,7 @@ import struct
 from typing import Tuple
 
 from ..addrs import address
+from ..addrs.address import IID_MASK, MAX_ADDRESS
 
 #: Header length in bytes.
 HEADER_LENGTH = 40
@@ -20,6 +21,11 @@ PROTO_ICMPV6 = 58
 
 #: Default hop limit for locally originated packets.
 DEFAULT_HOP_LIMIT = 64
+
+#: The whole fixed header: first word (version, traffic class, flow
+#: label), payload length, next header, hop limit, and both addresses
+#: as 64-bit halves.
+HEADER = struct.Struct("!IHBBQQQQ")
 
 
 class PacketError(ValueError):
@@ -72,22 +78,25 @@ class IPv6Header:
 
     def pack(self) -> bytes:
         """Serialize to 40 network-order bytes."""
-        first_word = (
-            (VERSION << 28)
-            | (self.traffic_class << 20)
-            | self.flow_label
-        )
-        return (
-            struct.pack(
-                "!IHBB",
-                first_word,
+        src = self.src
+        dst = self.dst
+        try:
+            return HEADER.pack(
+                (VERSION << 28) | (self.traffic_class << 20) | self.flow_label,
                 self.payload_length,
                 self.next_header,
                 self.hop_limit,
+                src >> 64,
+                src & IID_MASK,
+                dst >> 64,
+                dst & IID_MASK,
             )
-            + address.to_bytes(self.src)
-            + address.to_bytes(self.dst)
-        )
+        except struct.error:
+            if 0 <= src <= MAX_ADDRESS and 0 <= dst <= MAX_ADDRESS:
+                raise
+            raise OverflowError(
+                "address out of range: src %#x, dst %#x" % (src, dst)
+            ) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv6Header":
@@ -96,20 +105,27 @@ class IPv6Header:
             raise PacketError(
                 "short IPv6 header: %d < %d bytes" % (len(data), HEADER_LENGTH)
             )
-        first_word, payload_length, next_header, hop_limit = struct.unpack(
-            "!IHBB", data[:8]
-        )
+        (
+            first_word,
+            payload_length,
+            next_header,
+            hop_limit,
+            src_high,
+            src_low,
+            dst_high,
+            dst_low,
+        ) = HEADER.unpack_from(data)
         version = first_word >> 28
         if version != VERSION:
             raise PacketError("not IPv6 (version %d)" % version)
         return cls(
-            src=address.from_bytes(data[8:24]),
-            dst=address.from_bytes(data[24:40]),
-            payload_length=payload_length,
-            next_header=next_header,
-            hop_limit=hop_limit,
-            traffic_class=(first_word >> 20) & 0xFF,
-            flow_label=first_word & 0xFFFFF,
+            (src_high << 64) | src_low,
+            (dst_high << 64) | dst_low,
+            payload_length,
+            next_header,
+            hop_limit,
+            (first_word >> 20) & 0xFF,
+            first_word & 0xFFFFF,
         )
 
     def copy(self, **overrides: int) -> "IPv6Header":
@@ -135,8 +151,17 @@ class IPv6Header:
 
 def build_packet(header: IPv6Header, payload: bytes) -> bytes:
     """Serialize header + payload, fixing up the payload length field."""
-    if header.payload_length != len(payload):
-        header = header.copy(payload_length=len(payload))
+    length = len(payload)
+    if header.payload_length != length:
+        header = IPv6Header(
+            header.src,
+            header.dst,
+            length,
+            header.next_header,
+            header.hop_limit,
+            header.traffic_class,
+            header.flow_label,
+        )
     return header.pack() + payload
 
 

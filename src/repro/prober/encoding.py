@@ -30,11 +30,10 @@ from ..addrs import address
 from ..packet import icmpv6, ipv6, tcp, udp
 from ..packet.checksum import (
     address_checksum,
-    address_sum,
     checksum_fudge,
     fold_sum,
     ones_complement_sum,
-    pseudo_header,
+    pseudo_header_sum,
 )
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header, PacketError
 
@@ -50,6 +49,9 @@ PAYLOAD_LENGTH = 12
 #: The constant one's-complement sum every probe's checksummed region is
 #: steered to via the fudge field; the emitted checksum is its complement.
 TARGET_SUM = 0xBEEF
+
+#: The payload ahead of the fudge: magic, instance, TTL, elapsed.
+PAYLOAD_HEAD = struct.Struct("!IBBI")
 
 #: Protocol name -> next-header value.
 PROTOCOLS = {"icmp6": PROTO_ICMPV6, "udp": PROTO_UDP, "tcp": PROTO_TCP}
@@ -103,10 +105,11 @@ def _payload_with_fudge(
     """The 12-byte Yarrp6 payload, fudged so that the transport checksum
     over (pseudo-header + fixed transport header + payload) lands on the
     chosen constant (``TARGET_SUM`` shifted by the flow id)."""
-    head = struct.pack("!IBBI", MAGIC, instance & 0xFF, ttl & 0xFF, elapsed & 0xFFFFFFFF)
+    head = PAYLOAD_HEAD.pack(MAGIC, instance & 0xFF, ttl & 0xFF, elapsed & 0xFFFFFFFF)
     length = len(fixed_header) + PAYLOAD_LENGTH
-    base = ones_complement_sum(pseudo_header(src, target, length, proto))
-    base = ones_complement_sum(fixed_header + head, base)
+    base = ones_complement_sum(
+        fixed_header + head, pseudo_header_sum(src, target, length, proto)
+    )
     fudge = checksum_fudge(base, desired_sum)
     return head + fudge.to_bytes(2, "big")
 
@@ -164,8 +167,7 @@ def encode_probe(
         checksum = (~desired_sum) & 0xFFFF
         segment = segment[:16] + checksum.to_bytes(2, "big") + segment[18:]
 
-    header = IPv6Header(src, target, 0, proto, hop_limit=ttl)
-    return ipv6.build_packet(header, segment)
+    return IPv6Header(src, target, len(segment), proto, hop_limit=ttl).pack() + segment
 
 
 #: Transport header lengths by next-header value.
@@ -252,11 +254,9 @@ class ProbeTemplate:
         fixed = bytearray(scaffold[_IPV6_HEADER:payload_at])
         checksum_at = _CHECKSUM_OFFSET[proto]
         fixed[checksum_at : checksum_at + 2] = b"\x00\x00"
-        base = ones_complement_sum(
-            pseudo_header(src, 0, transport_length + PAYLOAD_LENGTH, proto)
-        )
         self._base_sum = ones_complement_sum(
-            bytes(fixed) + scaffold[payload_at : payload_at + 10], base
+            bytes(fixed) + scaffold[payload_at : payload_at + 10],
+            pseudo_header_sum(src, 0, transport_length + PAYLOAD_LENGTH, proto),
         )
 
     def new_buffer(self) -> bytearray:
@@ -276,8 +276,8 @@ class ProbeTemplate:
         elapsed &= 0xFFFFFFFF
         buffer[7] = ttl
         buffer[24:40] = target.to_bytes(16, "big")
-        target_sum = address_sum(target)
-        sport = ~fold_sum(target_sum) & 0xFFFF
+        # The address integer is its own unfolded word sum (fold_sum).
+        sport = ~fold_sum(target) & 0xFFFF
         if sport == 0:
             sport = 0xFFFF
         sport_at = self._sport_at
@@ -288,7 +288,7 @@ class ProbeTemplate:
         buffer[payload_at + 6 : payload_at + 10] = elapsed.to_bytes(4, "big")
         total = fold_sum(
             self._base_sum
-            + target_sum
+            + target
             + sport
             + (ttl & 0xFF)
             + (elapsed >> 16)
@@ -336,10 +336,9 @@ def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> Decode
         raise DecodeError(
             "quotation truncated to %d bytes of transport" % len(rest)
         )
-    payload = rest[transport_length:]
     try:
-        magic, probe_instance, ttl, elapsed = struct.unpack(
-            "!IBBI", payload[:10]
+        magic, probe_instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(
+            rest, transport_length
         )
     except struct.error:
         raise DecodeError("quotation payload too short") from None
@@ -350,10 +349,8 @@ def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> Decode
             "instance mismatch: probe %d, ours %d" % (probe_instance, instance)
         )
     # Source port / ICMPv6 identifier carries the target checksum.
-    if header.next_header == PROTO_ICMPV6:
-        sport = struct.unpack("!H", rest[4:6])[0]
-    else:
-        sport = struct.unpack("!H", rest[0:2])[0]
+    sport_at = _SPORT_OFFSET[header.next_header]
+    sport = (rest[sport_at] << 8) | rest[sport_at + 1]
     modified = sport != address_checksum(header.dst)
     return DecodedProbe(
         target=header.dst,

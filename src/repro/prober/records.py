@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..packet import icmpv6, ipv6
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP
-from .encoding import DecodeError, decode_quotation, rtt_from
+from .encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_quotation, rtt_from
 
 
 class ProbeRecord:
@@ -142,11 +142,7 @@ class ResponseProcessor:
         if len(body) < 10:
             self.decode_failures += 1
             return None
-        import struct
-
-        from .encoding import MAGIC
-
-        magic, instance, ttl, elapsed = struct.unpack("!IBBI", body[:10])
+        magic, instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(body)
         if magic != MAGIC or (self.instance is not None and instance != self.instance):
             self.foreign += 1
             return None

@@ -210,6 +210,34 @@ class TestPKT001:
             for v in violations
         )
 
+    def test_header_length_drift_detected_through_precompiled_struct(self):
+        # IPv6Header.pack() goes through a module-level struct.Struct;
+        # the checker must follow it back to the format's 40 bytes.
+        from repro.packet import ipv6
+
+        with open(ipv6.__file__) as handle:
+            source = handle.read()
+        mutated = source.replace("HEADER_LENGTH = 40", "HEADER_LENGTH = 48")
+        assert mutated != source
+        violations = lint_source(mutated, module="repro.packet.ipv6")
+        assert [v.rule for v in violations] == ["PKT001"]
+        assert "40 bytes but HEADER_LENGTH is 48" in violations[0].message
+
+    def test_precompiled_decode_must_read_the_head_back(self):
+        source = (
+            "import struct\n"
+            "MAGIC = 1\n"
+            "PAYLOAD_LENGTH = 12\n"
+            "HEAD = struct.Struct('!IBBI')\n"
+            "def build(fudge):\n"
+            "    return HEAD.pack(MAGIC, 0, 0, 0) + fudge.to_bytes(2, 'big')\n"
+        )
+        reader = "def read(data):\n    return HEAD.unpack_from(data, 8)\n"
+        drifted = lint_source(source, module="repro.prober.encoding")
+        assert [v.rule for v in drifted] == ["PKT001"]
+        assert "pack/decode format drift" in drifted[0].message
+        assert lint_source(source + reader, module="repro.prober.encoding") == []
+
 
 class TestFramework:
     def test_syntax_error_reported_not_raised(self):

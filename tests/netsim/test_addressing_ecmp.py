@@ -113,6 +113,24 @@ class TestFlowHashing:
         assert flow_key(header_a, payload_a) != flow_key(header_b, payload_b)
 
 
+    def test_key_bytes(self):
+        """Source, destination, next header, 3-byte flow label, then the
+        first four transport bytes for TCP/UDP/ICMPv6 only."""
+        src, dst = (0x20010DB8 << 96) | 1, (1 << 128) - 1
+        for proto, hashed in ((PROTO_UDP, True), (58, True), (6, True), (59, False)):
+            for payload in (b"", b"abc", b"abcdefgh"):
+                header = IPv6Header(src, dst, len(payload), proto, flow_label=0xABCDE)
+                expected = (
+                    src.to_bytes(16, "big")
+                    + dst.to_bytes(16, "big")
+                    + bytes([proto])
+                    + b"\x0a\xbc\xde"
+                )
+                if hashed and len(payload) >= 4:
+                    expected += payload[:4]
+                assert flow_key(header, payload) == expected
+
+
 class TestRouterState:
     def _router(self, router_id=7):
         return Router(router_id, 64500, RouterRole.CORE, TokenBucket(100, 10))

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.addrs import format_address, parse
-from repro.netsim import Internet, InternetConfig, TerminalKind
+from repro.netsim import Internet, InternetConfig, TerminalKind, decoupled_dynamics
 from repro.netsim.ecmp import flow_variant
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
+from repro.prober.encoding import encode_probe
 
 
 def icmp_probe(src, dst, ttl, ident=7, seq=1, payload=b"probe"):
@@ -239,6 +240,88 @@ class TestRateLimiting:
         assert net.probe(icmp_probe(vantage.address, dst, 1), now=0) is not None
 
 
+class TestFlowPathChoice:
+    """``probe`` walks ``path_for(vantage, dst, flow_variant(header,
+    payload))`` — the packet's own flow picks the ECMP variant."""
+
+    @staticmethod
+    def flows(net):
+        """MDA flow ids x the three protocols, toward a host, toward the
+        gateway interface sharing that host's /64, and toward a second /64."""
+        vantage = net.vantage("EU-NET")
+        subnets = [
+            subnet
+            for subnet in net.truth.subnets.values()
+            if subnet.host_iids and subnet.gateway_addr in net.truth.router_addresses
+        ]
+        host = subnets[0].host_addresses()[0]
+        assert host >> 64 == subnets[0].gateway_addr >> 64
+        targets = [host, subnets[0].gateway_addr, subnets[1].host_addresses()[0]]
+        return vantage, [
+            encode_probe(
+                vantage.address, target, ttl, 0, protocol=protocol, flow_id=flow_id
+            )
+            for target in targets
+            for protocol in ("icmp6", "udp", "tcp")
+            for flow_id in range(8)
+            for ttl in (2, 9)
+        ]
+
+    def check(self, net, monkeypatch):
+        vantage, packets = self.flows(net)
+        asked = []
+        path_for = net.path_for
+
+        def spy(vantage, dst, variant=0):
+            asked.append((vantage, dst, variant))
+            return path_for(vantage, dst, variant)
+
+        monkeypatch.setattr(net, "path_for", spy)
+        picked = set()
+        for packet in packets:
+            del asked[:]
+            net.probe(packet, now=0)
+            header, payload = ipv6.split_packet(packet)
+            assert asked == [(vantage, header.dst, flow_variant(header, payload))]
+            picked.add(id(path_for(*asked[0])))
+        return picked
+
+    def test_probe_picks_the_flow_variants_path(self, net, monkeypatch):
+        picked = self.check(net, monkeypatch)
+        # The mix exercises real ECMP choice, and the router interface
+        # does not share the host's path although it shares its /64.
+        assert len(picked) > 3
+        # The rewind keeps the compiled paths, and the choice with them.
+        monkeypatch.undo()
+        net.fresh_run_state()
+        assert self.check(net, monkeypatch) == picked
+
+    def test_same_responses_cold_and_warm(self, small_built):
+        """A warm path cache changes nothing observable: a rewound world
+        answers the same stream byte for byte."""
+        world = Internet(small_built)
+        _, packets = self.flows(world)
+
+        def replay():
+            world.fresh_run_state()  # the session's routers are shared
+            out = []
+            for index, packet in enumerate(packets):
+                response = world.probe(packet, now=index * 1000)
+                out.append(response and (response.delay_us, response.data))
+            return out
+
+        cold = replay()
+        assert any(cold) and world._path_cache
+        assert replay() == cold
+
+    def test_unknown_vantage_raises_before_any_lookup(self, net):
+        paths = dict(net._path_cache)
+        packet = encode_probe(parse("2001:db8:dead::1"), first_host(net), 3, 0)
+        with pytest.raises(ValueError, match="not a configured vantage"):
+            net.probe(packet, now=0)
+        assert net._path_cache == paths
+
+
 class TestFiltering:
     def test_blocked_protocols_filtered_past_border(self, net):
         """Find an AS that blocks UDP and show ICMPv6 penetrates deeper."""
@@ -302,9 +385,60 @@ def flow_variant_of(src, dst):
     return flow_variant(header, echo.pack(src, dst))
 
 
+@pytest.fixture(scope="module")
+def lossless_net():
+    """A world that never drops or rate-limits a response."""
+    return Internet(
+        config=decoupled_dynamics(
+            InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
+        )
+    )
+
+
 class TestQuotationMisbehaviour:
     def test_some_routers_mangle_or_truncate(self, net):
         """The deterministic mangler assignment marks a small router subset."""
         behaviours = set(net._manglers.values())
         assert behaviours <= {"rewrite", "truncate"}
         assert 0 < len(net._manglers) < len(net.truth.routers) * 0.1
+
+    @pytest.mark.parametrize(
+        "msg_type, code, word",
+        [
+            (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED, 0),
+            (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED), 0),
+            (icmpv6.TYPE_PACKET_TOO_BIG, 0, 1480),
+        ],
+    )
+    def test_error_bytes_match_layered_build(self, lossless_net, msg_type, code, word):
+        """What a router emits is header-over-message-over-pseudo-header
+        construction of its (possibly mangled) quotation, byte for byte."""
+        net = lossless_net
+        vantage = net.vantage("EU-NET")
+        short = encode_probe(vantage.address, first_host(net), 4, 77, protocol="udp")
+        oversized = icmp_probe(vantage.address, first_host(net), 4, payload=b"\xa5" * 1399)
+        by_behaviour = {}
+        for router in net.truth.routers.values():
+            if router.respond_protocols is None:
+                by_behaviour.setdefault(net._manglers.get(router.router_id), router)
+        assert set(by_behaviour) == {None, "truncate", "rewrite"}
+        for behaviour, router in by_behaviour.items():
+            iface = router.interfaces[0]
+            for invoking in (short, oversized):
+                quotation = invoking[: icmpv6.MAX_QUOTATION]
+                if behaviour == "truncate":
+                    quotation = quotation[:48]
+                elif behaviour == "rewrite":
+                    quotation = (
+                        quotation[:38] + bytes([quotation[38] ^ 0x55]) + quotation[39:]
+                    )
+                header, _ = ipv6.split_packet(invoking)
+                response = net._icmp_error(
+                    router, iface, 500, msg_type, code, invoking, header, 0, word=word
+                )
+                assert response.data == ipv6.build_packet(
+                    IPv6Header(iface, vantage.address, 0, PROTO_ICMPV6),
+                    icmpv6.ICMPv6Message(msg_type, code, word, quotation).pack(
+                        iface, vantage.address
+                    ),
+                )

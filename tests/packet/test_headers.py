@@ -1,5 +1,7 @@
 """Round-trip and validation tests for IPv6/ICMPv6/TCP/UDP headers."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,22 @@ from repro.packet.ipv6 import IPv6Header, PacketError
 addresses = st.integers(min_value=0, max_value=MAX_ADDRESS)
 ports = st.integers(min_value=0, max_value=0xFFFF)
 payloads = st.binary(max_size=64)
+
+
+def reference_pack(header: IPv6Header) -> bytes:
+    """The field-by-field serialization ``IPv6Header.pack`` used to be."""
+    first_word = (6 << 28) | (header.traffic_class << 20) | header.flow_label
+    return (
+        struct.pack(
+            "!IHBB",
+            first_word,
+            header.payload_length,
+            header.next_header,
+            header.hop_limit,
+        )
+        + header.src.to_bytes(16, "big")
+        + header.dst.to_bytes(16, "big")
+    )
 
 
 class TestIPv6Header:
@@ -43,17 +61,48 @@ class TestIPv6Header:
     )
     def test_round_trip_property(self, src, dst, plen, nh, hlim, tclass, flow):
         header = IPv6Header(src, dst, plen, nh, hlim, tclass, flow)
+        assert header.pack() == reference_pack(header)
         assert IPv6Header.unpack(header.pack()) == header
 
+    @pytest.mark.parametrize("tclass", [0, 0xFF])
+    @pytest.mark.parametrize("flow", [0, 0xFFFFF])
+    @pytest.mark.parametrize("src, dst", [(0, MAX_ADDRESS), (MAX_ADDRESS, 1 << 64)])
+    def test_field_extremes(self, tclass, flow, src, dst):
+        header = IPv6Header(src, dst, 0xFFFF, 255, 255, tclass, flow)
+        assert header.pack() == reference_pack(header)
+        assert IPv6Header.unpack(header.pack() + b"trailing") == header
+
+    def test_address_out_of_range(self):
+        with pytest.raises(OverflowError):
+            IPv6Header(MAX_ADDRESS + 1, 2, 0, 58).pack()
+        with pytest.raises(OverflowError):
+            IPv6Header(1, -1, 0, 58).pack()
+        with pytest.raises(OverflowError):
+            icmpv6.error_packet(MAX_ADDRESS + 1, 2, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, b"")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("payload_length", 0x10000), ("hop_limit", 256), ("next_header", -1)],
+    )
+    def test_field_mutated_out_of_range_is_not_an_address_fault(self, field, value):
+        header = IPv6Header(1, 2, 0, 58)
+        setattr(header, field, value)
+        with pytest.raises(struct.error):
+            header.pack()
+
     def test_version_check(self):
-        data = bytearray(IPv6Header(1, 2, 0, 58).pack())
-        data[0] = 0x40  # version 4
-        with pytest.raises(PacketError):
-            IPv6Header.unpack(bytes(data))
+        data = bytearray(IPv6Header(1, 2, 0, 58, traffic_class=0xFF).pack())
+        for version in range(16):
+            if version == 6:
+                continue
+            data[0] = (version << 4) | (data[0] & 0x0F)
+            with pytest.raises(PacketError):
+                IPv6Header.unpack(bytes(data))
 
     def test_short_rejected(self):
-        with pytest.raises(PacketError):
-            IPv6Header.unpack(b"\x60" + b"\x00" * 10)
+        for length in (0, 11, 39):
+            with pytest.raises(PacketError):
+                IPv6Header.unpack((b"\x60" + b"\x00" * 39)[:length])
 
     def test_field_ranges(self):
         with pytest.raises(PacketError):
@@ -69,6 +118,16 @@ class TestIPv6Header:
         parsed, payload = ipv6.split_packet(packet)
         assert parsed.payload_length == 3
         assert payload == b"abc"
+
+    def test_build_packet_keeps_every_other_field(self):
+        header = IPv6Header(1, 2, 999, 17, 9, 0xA5, 0xBEEF)
+        parsed, _ = ipv6.split_packet(ipv6.build_packet(header, b"abc"))
+        assert parsed == header.copy(payload_length=3)
+        assert header.payload_length == 999
+
+    def test_build_packet_rejects_oversized_payload(self):
+        with pytest.raises(PacketError):
+            ipv6.build_packet(IPv6Header(1, 2, 0, 58), b"\x00" * 0x10000)
 
     def test_copy_overrides(self):
         header = IPv6Header(1, 2, 0, 58, hop_limit=5)
@@ -109,13 +168,43 @@ class TestICMPv6:
         total = 40 + 8 + len(error.quotation)
         assert total <= icmpv6.MINIMUM_MTU
 
+    @given(
+        addresses,
+        addresses,
+        st.sampled_from(
+            [
+                icmpv6.TYPE_TIME_EXCEEDED,
+                icmpv6.TYPE_DEST_UNREACH,
+                icmpv6.TYPE_PACKET_TOO_BIG,
+            ]
+        ),
+        st.integers(min_value=0, max_value=255),
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        st.binary(max_size=96) | st.binary(min_size=1200, max_size=1300),
+    )
+    def test_error_packet_matches_layered_build(
+        self, src, dst, msg_type, code, word, quotation
+    ):
+        """The one-pass error packet equals header-over-message-over-
+        pseudo-header construction, truncation and odd tails included."""
+        layered = ipv6.build_packet(
+            IPv6Header(src, dst, 0, ipv6.PROTO_ICMPV6),
+            icmpv6.ICMPv6Message(
+                msg_type, code, word, quotation[: icmpv6.MAX_QUOTATION]
+            ).pack(src, dst),
+        )
+        packet = icmpv6.error_packet(src, dst, msg_type, code, word, quotation)
+        assert packet == layered
+        header, segment = ipv6.split_packet(packet)
+        assert icmpv6.ICMPv6Message.unpack(segment).verify(src, dst)
+
     def test_echo_not_error(self):
         assert not icmpv6.echo_reply(1, 1).is_error
         assert icmpv6.echo_reply(1, 1).is_echo_reply
 
     def test_unreachable_codes_label(self):
-        error = icmpv6.destination_unreachable(
-            icmpv6.UnreachableCode.PORT_UNREACHABLE, b""
+        error = icmpv6.ICMPv6Message(
+            icmpv6.TYPE_DEST_UNREACH, int(icmpv6.UnreachableCode.PORT_UNREACHABLE)
         )
         assert icmpv6.classify_response(error) == "port unreachable"
         assert icmpv6.unreachable_code(error) is icmpv6.UnreachableCode.PORT_UNREACHABLE

@@ -489,3 +489,15 @@ class TestLayering:
                     if isinstance(node, ast.ImportFrom) and node.level == 1
                 ]
                 assert not {"parallel", "supervise"} & set(local), (name, scope.name)
+
+    def test_response_path_has_no_function_local_imports(self):
+        # records.py is the per-response path: an import statement inside
+        # one of its functions would run once per response.
+        local = [
+            (scope.name, ast.dump(node))
+            for scope in ast.walk(self.parse("records.py"))
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert local == []
