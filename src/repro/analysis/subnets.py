@@ -256,11 +256,6 @@ class ValidationReport:
         metric (395 of 914 candidates, 43%)."""
         return self.exact_matches / self.candidates if self.candidates else 0.0
 
-    @property
-    def probed_exact_fraction(self) -> float:
-        """Exact matches per probed truth subnet."""
-        return self.exact_matches / self.truth_probed if self.truth_probed else 0.0
-
 
 def validate_candidates(
     candidates: SubnetCandidates,

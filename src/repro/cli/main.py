@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from .. import __version__
 from ..addrs import address, format_address
@@ -57,11 +57,9 @@ from ..prober import (
     run_sequential,
     run_yarrp6,
 )
-from ..lint.detsan import DetSan, hash_seed_pinned
-from ..lint.shardsan import ShardSan
-from ..prober import parallel as _parallel
-from ..prober.output import dumps, load_campaign, save_campaign
+from ..prober.output import load_campaign, save_campaign
 from ..seeds import build_all_seeds
+from .checks import CHECKS, rejection
 from .worldcfg import load_config, save_config
 
 
@@ -156,58 +154,47 @@ _PROBERS = {
 }
 
 
+def _fault_summary(failures: Dict[str, Any]) -> str:
+    """The non-zero supervision counters of a manifest ``failures`` block
+    as ``name=N, ...`` (empty when the run needed no recovery)."""
+    return ", ".join(
+        "%s=%d" % (name, entry["value"])
+        for name, entry in sorted(failures.get("metrics", {}).items())
+        if entry["value"]
+    )
+
+
 def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     targets = [item for item in _read_items(args.targets) if isinstance(item, int)]
     if not targets:
         out.write("no targets in %s\n" % args.targets)
         return 2
-    workers = args.workers
+    chosen = [flag for flag in CHECKS if getattr(args, flag)]
+    refusal = rejection(args, chosen)
+    if refusal:
+        out.write(refusal)
+        return 2
+    if args.prober != "yarrp6":
+        for flag, used, reason in (
+            ("workers", args.workers > 1, "stateless shards"),
+            ("fill", args.fill, "fill probes extend Yarrp6's own walk"),
+        ):
+            if used:
+                out.write("--%s requires the yarrp6 prober (%s)\n" % (flag, reason))
+                return 2
     supervise = SuperviseConfig(
         shard_timeout_s=args.shard_timeout,
         max_retries=args.max_retries,
         degrade=args.degrade,
     )
-    metrics_path = args.metrics
-    detsan = args.detsan
-    shardsan = args.shardsan
-    allocsan = args.allocsan
-    allocsan_report = args.allocsan_report
-    profile_path = args.profile
-    if sum((detsan, shardsan, allocsan)) > 1:
-        out.write("--detsan, --shardsan and --allocsan are mutually exclusive\n")
-        return 2
-    if allocsan and profile_path:
-        out.write(
-            "--profile and --allocsan are mutually exclusive (allocsan runs "
-            "its own profiler under tracemalloc)\n"
-        )
-        return 2
-    if allocsan and workers > 1:
-        out.write(
-            "--allocsan requires --workers 1 (the hot phase runs inside "
-            "worker processes tracemalloc cannot observe)\n"
-        )
-        return 2
-    if allocsan_report and not allocsan:
-        out.write("--allocsan-report requires --allocsan\n")
-        return 2
-    if shardsan and args.prober != "yarrp6":
-        out.write("--shardsan requires the yarrp6 prober (shared-world shards)\n")
-        return 2
-    if shardsan and profile_path:
-        out.write(
-            "--profile and --shardsan are mutually exclusive (shardsan runs "
-            "its own shard-width sweep)\n"
-        )
-        return 2
     # The stopwatch is the run's only wall-clock read (top-level boundary,
     # reporting only — see repro.obs.wallclock); it never touches the sim.
-    stopwatch = Stopwatch() if metrics_path else None
+    stopwatch = Stopwatch() if args.metrics else None
     with open(args.world) as source:
         world_config = load_config(source)
-    if workers > 1 and args.prober != "yarrp6":
-        out.write("--workers requires the yarrp6 prober (stateless shards)\n")
-        return 2
+    prober_kwargs = {"max_ttl": args.max_ttl}
+    if args.fill:
+        prober_kwargs["fill"] = True
 
     # The campaign as run_parallel takes it (--workers > 1 and --shardsan).
     spec = CampaignSpec(
@@ -215,8 +202,8 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         vantage=args.vantage,
         targets=tuple(targets),
         pps=args.pps,
-        config=Yarrp6Config(max_ttl=args.max_ttl, fill=args.fill),
-        metrics=metrics_path is not None,
+        config=Yarrp6Config(**prober_kwargs),
+        metrics=args.metrics is not None,
     )
 
     # One profiler per campaign execution (detsan runs the campaign twice;
@@ -226,127 +213,41 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
 
     def run_once(prof=None):
         if prof is None:
-            prof = WallProfiler() if profile_path else NULL_PROFILER
+            prof = WallProfiler() if args.profile else NULL_PROFILER
         profilers.append(prof)
-        with prof.phase("probe", prober=args.prober, workers=workers):
-            if workers > 1:
+        with prof.phase("probe", prober=args.prober, workers=args.workers):
+            if args.workers > 1:
                 return run_parallel(
-                    spec, shards=workers, profiler=prof, supervise=supervise
+                    spec, shards=args.workers, profiler=prof, supervise=supervise
                 )
-            internet = Internet.from_config(world_config, profiler=prof)
-            runner = _PROBERS[args.prober]
-            kwargs = {}
-            if args.prober == "yarrp6":
-                kwargs = {"max_ttl": args.max_ttl, "fill": args.fill}
-            registry = MetricsRegistry() if metrics_path else None
-            return runner(
-                internet,
+            return _PROBERS[args.prober](
+                Internet.from_config(world_config, profiler=prof),
                 args.vantage,
                 targets,
                 pps=args.pps,
-                metrics=registry,
+                metrics=MetricsRegistry() if args.metrics else None,
                 profiler=prof,
-                **kwargs,
+                **prober_kwargs,
             )
 
-    if detsan:
-        # Dynamic cross-check of the static determinism rules: run the
-        # campaign under the sanitizer (record mode — finish the run,
-        # collect every tripwire hit), then rerun clean and demand a
-        # byte-identical dump.
-        if not hash_seed_pinned():
-            out.write(
-                "--detsan requires PYTHONHASHSEED pinned to a fixed integer "
-                "(hash randomization is per-process nondeterminism)\n"
+    try:
+        if chosen:
+            result, findings, verdict = CHECKS[chosen[0]].run(
+                run_once, spec, args, out
             )
-            return 2
-        with DetSan(mode="record", scope="repro") as sanitizer:
-            instrumented = run_once()
-        result = run_once()
-        if sanitizer.reports:
-            for report in sanitizer.reports[:20]:
-                out.write("detsan: %s\n" % report.summary())
-            out.write(
-                "detsan: %d nondeterminism report(s) — campaign is outside "
-                "the determinism contract\n" % len(sanitizer.reports)
-            )
-            return 1
-        if dumps(instrumented) != dumps(result):
-            out.write(
-                "detsan: instrumented dump differs from clean rerun — "
-                "sanitizer instrumentation perturbed the campaign\n"
-            )
-            return 1
-        out.write("detsan: clean (0 reports, dump byte-identical to rerun)\n")
-    elif shardsan:
-        # Runtime counterpart of the MUT101 static proof: run the same
-        # campaign at shard widths 1, 2 and 4 against ONE watched world
-        # (serial in-process sharding, so every shard really touches the
-        # same objects) and demand zero writes to unregistered state.
-        result = None
-        for shards in (1, 2, 4):
-            with ShardSan(mode="record", scope="repro") as sanitizer:
-                watched = sanitizer.watch(_parallel._world_for(spec.internet))
-                sharded = run_parallel(spec, shards=shards, processes=1)
-            if sanitizer.reports:
-                for report in sanitizer.reports[:20]:
-                    out.write("shardsan: %s\n" % report.summary())
-                out.write(
-                    "shardsan: %d unregistered write(s) at shards=%d — the "
-                    "shared world is not shard-safe\n"
-                    % (len(sanitizer.reports), shards)
-                )
-                return 1
-            out.write(
-                "shardsan: shards=%d clean (%d containers watched)\n"
-                % (shards, watched)
-            )
-            if result is None:
-                result = sharded
-        out.write("shardsan: clean (0 unregistered writes across shards 1/2/4)\n")
-    elif allocsan:
-        # Runtime counterpart of the PERF101-103 static rules: account
-        # tracemalloc bytes and allocator blocks around the hot
-        # campaign.run phase and enforce the per-probe / per-batch
-        # allocation budgets.  Observe-only: the .yrp6 bytes are
-        # identical to an unsanitized run.
-        from repro.lint.allocsan import (
-            AllocSanProfiler,
-            build_report,
-            check_budgets,
-            write_report,
-        )
-
-        with AllocSanProfiler() as alloc_prof:
-            result = run_once(alloc_prof)
-        report = build_report(alloc_prof, result)
-        if allocsan_report:
-            write_report(allocsan_report, report)
-            out.write("allocsan: budget report -> %s\n" % allocsan_report)
-        blown = check_budgets(report)
-        if blown:
-            for failure in blown:
-                out.write("allocsan: %s\n" % failure)
-            out.write(
-                "allocsan: %d budget violation(s) — the hot path allocates "
-                "beyond its contract\n" % len(blown)
-            )
-            return 1
-        tracked = report["tracked"]
-        out.write(
-            "allocsan: clean (%.1f bytes/probe <= %.0f, %.1f blocks/batch "
-            "<= %.0f over %d probes / %d batches)\n"
-            % (
-                tracked["allocsan.bytes_per_probe"]["value"],
-                report["budgets"]["allocsan.bytes_per_probe"],
-                tracked["allocsan.blocks_per_batch"]["value"],
-                report["budgets"]["allocsan.blocks_per_batch"],
-                report["probes"],
-                report["batches"],
-            )
-        )
-    else:
-        result = run_once()
+        else:
+            result, findings, verdict = run_once(), [], ""
+    except ValueError as error:
+        # A prober refusing its configuration (TTL range, pps): the
+        # prober's own message, like any other bad argument.
+        out.write("%s\n" % error)
+        return 2
+    for line in findings[:20]:
+        out.write("%s: %s\n" % (chosen[0], line))
+    if verdict:
+        out.write("%s: %s\n" % (chosen[0], verdict))
+    if findings:
+        return 1
     rows = save_campaign(args.out, result)
     out.write(
         "%s from %s: %d probes, %d responses, %d interfaces; %d rows -> %s\n"
@@ -361,51 +262,40 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         )
     )
     wall_profile = None
-    if profile_path and profilers:
+    if args.profile and profilers:
         profiler = profilers[-1]
         profiler.validate()
         wall_profile = profiler.to_profile_dict()
-        write_chrome_trace(profile_path, profiler)
+        write_chrome_trace(args.profile, profiler)
         out.write(profiler.report() + "\n")
         out.write(
             "profile: %.1f%% of %.4fs attributed; Perfetto trace -> %s\n"
             % (
                 100.0 * wall_profile["coverage"],
                 wall_profile["total_seconds"],
-                profile_path,
+                args.profile,
             )
         )
     failures = getattr(result, "failures", None)
-    if failures is not None:
+    faults = _fault_summary(failures or {})
+    if faults:
         # Reporting only (the CLI is outside the OBS101 scope): surface
         # anything the supervisor had to do to finish the campaign.
-        counts = {
-            name: int(entry["value"])
-            for name, entry in failures.get("metrics", {}).items()
-        }
-        if any(counts.values()):
-            out.write(
-                "supervise: %s\n"
-                % ", ".join(
-                    "%s=%d" % (name, value)
-                    for name, value in sorted(counts.items())
-                    if value
-                )
-            )
-    if metrics_path:
+        out.write("supervise: %s\n" % faults)
+    if args.metrics:
         manifest = build_manifest(
             result,
             seed=world_config.seed,
             metrics=result.metrics,
             world=dataclasses.asdict(world_config),
             records_file=args.out,
-            workers=workers,
+            workers=args.workers,
             wall_seconds=stopwatch.elapsed_seconds() if stopwatch else None,
             wall_profile=wall_profile,
             failures=failures,
         )
-        write_manifest(metrics_path, manifest)
-        out.write("manifest -> %s\n" % metrics_path)
+        write_manifest(args.metrics, manifest)
+        out.write("manifest -> %s\n" % args.metrics)
     return 0
 
 
@@ -421,15 +311,7 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     if "wallclock" in manifest:
         run_rows.append(["wall seconds", "%.3f" % manifest["wallclock"]["seconds"]])
     if "failures" in manifest:
-        counts = {
-            name: int(entry["value"])
-            for name, entry in manifest["failures"].get("metrics", {}).items()
-        }
-        summary = ", ".join(
-            "%s=%d" % (name, value)
-            for name, value in sorted(counts.items())
-            if value
-        )
+        summary = _fault_summary(manifest["failures"])
         run_rows.append(["supervision", summary or "clean (no faults)"])
     out.write(render_table(["field", "value"], run_rows, title="run") + "\n")
 

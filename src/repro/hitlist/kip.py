@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..addrs.address import ADDRESS_BITS, common_prefix_length
+from ..addrs.address import ADDRESS_BITS
 from ..addrs.prefix import Prefix
 
 #: Bits identifying a /64 (the high half of the address).
@@ -54,14 +54,6 @@ class KIPParams:
             raise ValueError("k must be >= 1")
         if not 0 < self.percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
-
-
-def _spanning(first64: int, last64: int) -> Prefix:
-    """Minimal prefix covering two /64 identifiers (as full addresses)."""
-    a = first64 << _SLASH64_BITS
-    b = last64 << _SLASH64_BITS
-    length = min(common_prefix_length(a, b), _SLASH64_BITS)
-    return Prefix(a, length)
 
 
 def kip_aggregate(

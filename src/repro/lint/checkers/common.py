@@ -9,7 +9,7 @@ time as t; t()`` and ``import time; time.time()`` both resolve to
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 def import_origins(tree: ast.Module) -> Dict[str, str]:
@@ -76,14 +76,6 @@ def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[child] = node
     return parents
-
-
-def iter_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """The module plus every function/method definition, outermost first."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def int_constant(node: ast.AST) -> Optional[int]:

@@ -344,14 +344,6 @@ def lint_file(path: str, select: Optional[Sequence[str]] = None) -> List[Violati
     return lint_source(source, path=path, select=select)
 
 
-def lint_file_state(
-    path: str, select: Optional[Sequence[str]] = None
-) -> FileLint:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source_state(source, path=path, select=select)
-
-
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     """Expand files/directories into a sorted stream of ``.py`` paths."""
     for path in paths:

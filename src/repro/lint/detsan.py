@@ -8,13 +8,12 @@ wall-clock reads, the module-level ``random`` API, ``os.urandom``,
 records the offending call with its caller and stack, and (in
 ``raise`` mode) aborts on the spot::
 
-    with DetSan(mode="raise", scope="repro"):
+    with DetSan(mode="raise"):
         result = run_campaign(...)        # trips on any entropy read
 
-Scoping: with ``scope="repro"`` only calls *from* ``repro.*`` modules
-trip; the test harness, ``multiprocessing`` internals, and third-party
-code pass through to the real functions.  Two standing exemptions
-mirror the static rules:
+Scoping: only calls *from* ``repro.*`` modules trip; the test harness,
+``multiprocessing`` internals, and third-party code pass through to the
+real functions.  Two standing exemptions mirror the static rules:
 
 * wall-clock reads from ``repro.obs.wallclock`` (the single allowlisted
   boundary — see :data:`WALLCLOCK_MODULES`);
@@ -25,7 +24,8 @@ mirror the static rules:
 uses it to run a full campaign under instrumentation and then verify
 the dump is byte-identical to a clean rerun.
 
-Patching is LIFO-restored and re-entrant; ``require_hash_seed=True``
+Modes, the LIFO patch stack and the caller scope are the shared
+:class:`~repro.lint.sanitizer.Sanitizer` base; ``require_hash_seed=True``
 additionally asserts ``PYTHONHASHSEED`` is pinned to a fixed integer
 before entering (hash randomization is process-global nondeterminism no
 monkeypatch can intercept).
@@ -38,22 +38,18 @@ import random
 import secrets
 import sys
 import time
-import traceback
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable
 
-#: The modules whose *time* reads pass through even in scope="repro"
+from .sanitizer import Sanitizer
+
+#: The modules whose *time* reads pass through
 #: (kept in sync with repro.lint.checkers.det001.WALLCLOCK_EXEMPT_MODULES):
 #: the Stopwatch boundary, the wall-clock profiler, and the supervised
 #: runner's deadline module.  Entropy reads trip regardless of caller.
 WALLCLOCK_MODULES = frozenset(
     {"repro.obs.wallclock", "repro.obs.profiler", "repro.prober.deadline"}
 )
-
-#: Caller-module prefixes that always pass through: DetSan's own
-#: machinery must be able to run while patched.
-_SELF_PREFIX = "repro.lint.detsan"
 
 _TIME_FUNCS = (
     "time",
@@ -94,6 +90,15 @@ _OS_FUNCS = ("urandom", "getrandom")
 _UUID_FUNCS = ("uuid1", "uuid4")
 _SECRETS_FUNCS = ("token_bytes", "token_hex", "token_urlsafe", "randbelow", "randbits", "choice")
 
+#: (module, guarded function names, report kind)
+_TABLES = (
+    (time, _TIME_FUNCS, "time"),
+    (random, _RANDOM_FUNCS, "random"),
+    (os, _OS_FUNCS, "entropy"),
+    (uuid, _UUID_FUNCS, "entropy"),
+    (secrets, _SECRETS_FUNCS, "entropy"),
+)
+
 
 class DetSanViolation(RuntimeError):
     """A banned nondeterminism source was called inside a DetSan region."""
@@ -101,19 +106,6 @@ class DetSanViolation(RuntimeError):
 
 class DetSanUsageError(RuntimeError):
     """DetSan itself was misconfigured (e.g. PYTHONHASHSEED not pinned)."""
-
-
-@dataclass
-class DetSanReport:
-    """One recorded tripwire hit."""
-
-    kind: str  # "time" | "random" | "entropy"
-    target: str  # e.g. "time.perf_counter"
-    caller: str  # __name__ of the calling module
-    stack: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return "%s %s called from %s" % (self.kind, self.target, self.caller)
 
 
 def hash_seed_pinned() -> bool:
@@ -133,28 +125,23 @@ def hash_seed_pinned() -> bool:
     return True
 
 
-class DetSan:
+class DetSan(Sanitizer):
     """Context manager installing the nondeterminism tripwires."""
 
-    def __init__(
-        self,
-        mode: str = "raise",
-        scope: str = "repro",
-        require_hash_seed: bool = False,
-        max_stack_frames: int = 12,
-    ):
-        if mode not in ("raise", "record"):
-            raise DetSanUsageError("mode must be 'raise' or 'record', got %r" % mode)
-        if scope not in ("repro", "all"):
-            raise DetSanUsageError("scope must be 'repro' or 'all', got %r" % scope)
-        self.mode = mode
-        self.scope = scope
-        self.require_hash_seed = require_hash_seed
-        self.max_stack_frames = max_stack_frames
-        self.reports: List[DetSanReport] = []
-        self._patched: List[Tuple[Any, str, Any]] = []  # LIFO restore stack
+    violation = DetSanViolation
+    usage_error = DetSanUsageError
+    #: DetSan's own machinery must be able to run while patched.
+    exempt_prefixes = ("repro.lint.detsan",)
+    summary_format = "%s %s called from %s"
+    violation_format = (
+        "DetSan: %s — banned inside a determinism-sanitized region (see "
+        "repro.lint.detsan; the seeded/virtual-clock alternatives are "
+        "documented in docs/determinism.md)"
+    )
 
-    # -- patch machinery ---------------------------------------------------
+    def __init__(self, mode: str = "raise", require_hash_seed: bool = False):
+        super().__init__(mode)
+        self.require_hash_seed = require_hash_seed
 
     def __enter__(self) -> "DetSan":
         if self.require_hash_seed and not hash_seed_pinned():
@@ -163,76 +150,29 @@ class DetSan:
                 "to a fixed integer (found %r)"
                 % os.environ.get("PYTHONHASHSEED", "<unset>")
             )
-        try:
-            self._patch_module(time, "time", _TIME_FUNCS, "time")
-            self._patch_module(random, "random", _RANDOM_FUNCS, "random")
-            self._patch_module(os, "os", _OS_FUNCS, "entropy")
-            self._patch_module(uuid, "uuid", _UUID_FUNCS, "entropy")
-            self._patch_module(secrets, "secrets", _SECRETS_FUNCS, "entropy")
-        except Exception:
-            self._restore()
-            raise
-        return self
+        return super().__enter__()
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self._restore()
+    def _install(self) -> None:
+        for module, names, kind in _TABLES:
+            for name in names:
+                original = getattr(module, name, None)
+                if callable(original):
+                    target = "%s.%s" % (module.__name__, name)
+                    self._patch(
+                        module, name, self._tripwire(original, target, kind)
+                    )
 
-    def _patch_module(
-        self, module: Any, module_name: str, names: Tuple[str, ...], kind: str
-    ) -> None:
-        for name in names:
-            original = getattr(module, name, None)
-            if original is None or not callable(original):
-                continue
-            wrapper = self._make_wrapper(
-                original, "%s.%s" % (module_name, name), kind
-            )
-            self._patched.append((module, name, original))
-            setattr(module, name, wrapper)
-
-    def _restore(self) -> None:
-        while self._patched:
-            module, name, original = self._patched.pop()
-            setattr(module, name, original)
-
-    def _make_wrapper(
+    def _tripwire(
         self, original: Callable[..., Any], target: str, kind: str
     ) -> Callable[..., Any]:
-        sanitizer = self
-
         def tripwire(*args: Any, **kwargs: Any) -> Any:
-            caller = sys._getframe(1).f_globals.get("__name__", "")
-            if not sanitizer._trips(caller, kind):
-                return original(*args, **kwargs)
-            report = DetSanReport(
-                kind=kind,
-                target=target,
-                caller=caller,
-                stack=traceback.format_stack(
-                    sys._getframe(1), limit=sanitizer.max_stack_frames
-                ),
-            )
-            sanitizer.reports.append(report)
-            if sanitizer.mode == "raise":
-                raise DetSanViolation(
-                    "DetSan: %s — banned inside a determinism-sanitized "
-                    "region (see repro.lint.detsan; the seeded/virtual-clock "
-                    "alternatives are documented in docs/determinism.md)"
-                    % report.summary()
-                )
+            frame = sys._getframe(1)
+            caller = frame.f_globals.get("__name__", "")
+            if self._in_scope(caller) and not (
+                kind == "time" and caller in WALLCLOCK_MODULES
+            ):
+                self._report(kind, target, caller, frame)
             return original(*args, **kwargs)
 
         tripwire.__name__ = getattr(original, "__name__", target)
-        tripwire.__detsan_original__ = original  # type: ignore[attr-defined]
         return tripwire
-
-    def _trips(self, caller: str, kind: str) -> bool:
-        if caller.startswith(_SELF_PREFIX):
-            return False
-        if self.scope == "repro" and not (
-            caller == "repro" or caller.startswith("repro.")
-        ):
-            return False
-        if kind == "time" and caller in WALLCLOCK_MODULES:
-            return False
-        return True

@@ -22,13 +22,21 @@ graphs (:mod:`.graph`), and runs the interprocedural rules on them:
 * **MUT103** — pickle-boundary immutability: no writes through the
   ``CampaignSpec`` handed to workers (:mod:`.mut103`);
 * **PERF101** — no per-iteration allocation in hot regions (functions
-  reachable from a ``# repro-lint: hot-loop`` root) (:mod:`.perf101`);
+  reachable from a ``# repro-lint: hot-loop`` root);
 * **PERF102** — no superlinear accumulation (``+=`` concatenation,
-  ``insert(0)``, list membership, in-loop sorts) in hot regions
-  (:mod:`.perf102`);
+  ``insert(0)``, list membership, in-loop sorts) in hot regions;
 * **PERF103** — no numpy↔Python scalar churn (``.item()`` loops,
-  element-wise indexing, ``np.append``) in hot regions
-  (:mod:`.perf103`).
+  element-wise indexing, ``np.append``) in hot regions (all three are
+  rows of :data:`.perf.RULES`).
+
+**Adding a rule is one row** in :data:`RULES`: any object — usually a
+module — with ``RULE`` (the id), ``DESCRIPTION`` (one line, shown by
+``--list-checkers``), ``check(program) -> List[Violation]`` and,
+optionally, ``in_scope(module) -> bool`` when the rule only judges some
+modules (LNT001 then counts it as having run only there).
+``PROGRAM_RULES``, :func:`run_rules`, ``--select`` validation and the
+facts-cache key (a digest of this package's source, see :mod:`.cache`)
+all follow from the row; there is no version constant to bump.
 
 Entry points: :func:`analyze` for an in-memory file set (the CLI driver
 shares its per-file :class:`~repro.lint.core.Suppressions` objects so
@@ -38,8 +46,7 @@ standalone convenience used by tests and tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import (
     Suppressions,
@@ -48,57 +55,24 @@ from ..core import (
     iter_python_files,
     violation_sort_key,
 )
-from . import (
-    det101,
-    mut101,
-    mut102,
-    mut103,
-    obs101,
-    perf101,
-    perf102,
-    perf103,
-    rng101,
-)
+from . import det101, mut101, mut102, mut103, obs101, perf, rng101
 from .cache import FactsCache
-from .facts import FACTS_VERSION, FileFacts, extract_facts  # noqa: F401  (re-export)
-from .graph import DEFAULT_ROOTS, ProgramGraph, build_graph  # noqa: F401
+from .facts import FileFacts, extract_facts  # noqa: F401  (re-export)
+from .graph import (  # noqa: F401  (re-export)
+    DEFAULT_ROOTS,
+    Program,
+    ProgramGraph,
+    SourceFile,
+    build_graph,
+)
 from .perf import DEFAULT_HOT_ROOTS  # noqa: F401  (re-export)
 
+#: The whole-program rules, in the order they run (see the module
+#: docstring for what a row must expose).
+RULES: List[Any] = [det101, rng101, obs101, mut101, mut102, mut103, *perf.RULES]
+
 #: rule id -> one-line description, mirrored into ``--list-checkers``.
-PROGRAM_RULES: Dict[str, str] = {
-    det101.RULE: det101.DESCRIPTION,
-    rng101.RULE: rng101.DESCRIPTION,
-    obs101.RULE: obs101.DESCRIPTION,
-    mut101.RULE: mut101.DESCRIPTION,
-    mut102.RULE: mut102.DESCRIPTION,
-    mut103.RULE: mut103.DESCRIPTION,
-    perf101.RULE: perf101.DESCRIPTION,
-    perf102.RULE: perf102.DESCRIPTION,
-    perf103.RULE: perf103.DESCRIPTION,
-}
-
-
-@dataclass
-class SourceFile:
-    """One file handed to the program analysis."""
-
-    path: str
-    module: str
-    source: str
-    suppressions: Suppressions
-
-
-@dataclass
-class Program:
-    """Analyzed program: facts per file plus the call graph."""
-
-    files: List[SourceFile]
-    facts: Dict[str, FileFacts]
-    graph: ProgramGraph
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: rules that ran, per path (OBS101 only where its scope applies).
-    ran_rules: Dict[str, Set[str]] = field(default_factory=dict)
+PROGRAM_RULES: Dict[str, str] = {rule.RULE: rule.DESCRIPTION for rule in RULES}
 
 
 def analyze(
@@ -126,29 +100,18 @@ def run_rules(
     """Run the selected program rules, filtered through each file's
     suppressions (usage is recorded on the shared objects, so LNT001
     sees program-rule suppressions as used)."""
-    chosen = set(PROGRAM_RULES) if select is None else set(select) & set(PROGRAM_RULES)
     suppressions = {item.path: item.suppressions for item in program.files}
     raw: List[Violation] = []
     for path in suppressions:
         program.ran_rules.setdefault(path, set())
-    if det101.RULE in chosen:
-        raw.extend(det101.check(program.graph, suppressions))
+    for rule in RULES:
+        if select is not None and rule.RULE not in select:
+            continue
+        raw.extend(rule.check(program))
+        in_scope = getattr(rule, "in_scope", None)
         for path in suppressions:
-            program.ran_rules[path].add(det101.RULE)
-    if rng101.RULE in chosen:
-        raw.extend(rng101.check(program.graph, program.facts))
-        for path in suppressions:
-            program.ran_rules[path].add(rng101.RULE)
-    if obs101.RULE in chosen:
-        raw.extend(obs101.check(program.facts))
-        for path, facts in program.facts.items():
-            if obs101.in_scope(facts.module):
-                program.ran_rules[path].add(obs101.RULE)
-    for module in (mut101, mut102, mut103, perf101, perf102, perf103):
-        if module.RULE in chosen:
-            raw.extend(module.check(program.graph, program.facts))
-            for path in suppressions:
-                program.ran_rules[path].add(module.RULE)
+            if in_scope is None or in_scope(program.facts[path].module):
+                program.ran_rules[path].add(rule.RULE)
     kept: List[Violation] = []
     for violation in raw:
         supp = suppressions.get(violation.path)

@@ -1,10 +1,11 @@
 """Content-hash facts cache for the whole-program analysis.
 
 One JSON document maps each file path to a sha256 of its bytes plus the
-extracted :class:`~repro.lint.program.facts.FileFacts`.  On a warm run
-only changed files are re-parsed; graph construction and the
-interprocedural rules always run fresh (they are cheap — the AST walks
-are the expensive part).
+extracted :class:`~repro.lint.program.facts.FileFacts`; the document as
+a whole is keyed on :func:`logic_digest` and :func:`interpreter_token`.
+On a warm run only changed files are re-parsed; graph construction and
+the interprocedural rules always run fresh (they are cheap — the AST
+walks are the expensive part).
 
 The cache is opt-in (``repro-lint --cache PATH``): the default CLI run
 writes nothing, so linting a read-only checkout stays side-effect-free.
@@ -19,47 +20,32 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-from . import (
-    det101,
-    mut101,
-    mut102,
-    mut103,
-    obs101,
-    perf101,
-    perf102,
-    perf103,
-    rng101,
-)
-from .facts import FACTS_VERSION, FileFacts, extract_facts
+from ..core import iter_python_files
+from .facts import FileFacts, extract_facts
 
-#: Every whole-program checker whose logic version invalidates the cache.
-_CHECKERS = (
-    det101,
-    rng101,
-    obs101,
-    mut101,
-    mut102,
-    mut103,
-    perf101,
-    perf102,
-    perf103,
-)
+#: The ``repro.lint`` package directory: every module that defines what
+#: facts are extracted and what the rules make of them.
+LINT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def checker_token() -> str:
-    """One string fingerprinting every checker's logic version.
+def logic_digest(root: str = LINT_ROOT) -> str:
+    """sha256 over the source of every module under ``root``.
 
     Facts themselves are a pure function of file bytes, but a cached
-    document written by an older repo checkout may predate a rule edit
-    that changed *what facts mean* (new store kinds, different alias
-    handling).  Folding each rule's ``VERSION`` into the cache key means
-    bumping a checker constant is enough to flush every stale entry.
+    document written by an older checkout may predate an edit that
+    changed *what facts mean* (new store kinds, different alias
+    handling).  Keying the cache on the analysis code's own bytes flushes
+    every stale entry on any such edit, with nothing to remember to bump.
     """
-    return ",".join(
-        "%s=%d" % (module.RULE, module.VERSION) for module in _CHECKERS
-    )
+    digest = hashlib.sha256()
+    for path in iter_python_files([root]):
+        digest.update(os.path.relpath(path, root).encode("utf-8"))
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
 
 
 def interpreter_token() -> str:
@@ -87,6 +73,7 @@ class FactsCache:
         self.entries: Dict[str, Dict[str, Any]] = {}
         self.hits = 0
         self.misses = 0
+        self.logic = logic_digest()
         if cache_path is not None:
             self._load(cache_path)
 
@@ -96,10 +83,8 @@ class FactsCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return
-        if not isinstance(payload, dict) or payload.get("version") != FACTS_VERSION:
-            return
-        if payload.get("checkers") != checker_token():
-            return  # a rule's logic changed; every cached fact is suspect
+        if not isinstance(payload, dict) or payload.get("logic") != self.logic:
+            return  # the analysis code changed; every cached fact is suspect
         if payload.get("python") != interpreter_token():
             return  # written under a different interpreter's AST
         files = payload.get("files")
@@ -121,15 +106,14 @@ class FactsCache:
                     return facts
         self.misses += 1
         facts = extract_facts(source, module)
-        self.entries[path] = {"hash": digest, "facts": facts.to_dict()}
+        self.entries[path] = {"hash": digest, "facts": asdict(facts)}
         return facts
 
     def save(self) -> None:
         if self.cache_path is None:
             return
         payload = {
-            "version": FACTS_VERSION,
-            "checkers": checker_token(),
+            "logic": self.logic,
             "python": interpreter_token(),
             "files": self.entries,
         }

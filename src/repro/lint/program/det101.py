@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Suppressions, Violation
-from .graph import ProgramGraph
+from .graph import Program, ProgramGraph
 
 RULE = "DET101"
 DESCRIPTION = (
@@ -37,17 +37,13 @@ DESCRIPTION = (
     "wallclock is the single allowed wall-clock sink)"
 )
 
-#: Bumped when this checker's logic changes; folded into the facts-cache
-#: key so stale cached analysis never survives a rule edit.
-VERSION = 1
-
 #: witness: (next function on the chain or None, banned target, anchor line)
 _Witness = Tuple[Optional[str], str, int]
 
 
-def check(
-    graph: ProgramGraph, suppressions: Dict[str, Suppressions]
-) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    graph = program.graph
+    suppressions = {item.path: item.suppressions for item in program.files}
     impure = _impurity(graph, suppressions)
     reached = graph.reachable()
     violations: List[Violation] = []

@@ -61,10 +61,6 @@ from ..checkers.det001 import (
 from ..checkers.det003 import BOUNDARY_CLASSES
 from . import mutation, perf
 
-#: Bump whenever the fact schema or extraction logic changes; stale
-#: cache entries are discarded on version mismatch.
-FACTS_VERSION = 5
-
 #: ``# repro-lint: program-root`` on a ``def`` line marks the function
 #: as a DET101 reachability root (an entry point the engine or the
 #: parallel runner calls into).
@@ -172,41 +168,6 @@ class FunctionFact:
     #: perf sites: {"rule", "kind", "line", "loop", "detail"} (see :mod:`.perf`).
     perf: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qname": self.qname,
-            "line": self.line,
-            "method": self.method,
-            "root": self.root,
-            "hot": self.hot,
-            "params": list(self.params),
-            "banned": [list(item) for item in self.banned],
-            "calls": self.calls,
-            "refs": [list(item) for item in self.refs],
-            "rng_sites": self.rng_sites,
-            "stores": self.stores,
-            "aliases": self.aliases,
-            "perf": self.perf,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionFact":
-        return cls(
-            qname=data["qname"],
-            line=data["line"],
-            method=data["method"],
-            root=data["root"],
-            hot=data.get("hot", False),
-            params=list(data["params"]),
-            banned=[(item[0], item[1]) for item in data["banned"]],
-            calls=list(data["calls"]),
-            refs=[(item[0], item[1]) for item in data["refs"]],
-            rng_sites=list(data["rng_sites"]),
-            stores=list(data.get("stores", [])),
-            aliases=dict(data.get("aliases", {})),
-            perf=list(data.get("perf", [])),
-        )
-
 
 @dataclass
 class FileFacts:
@@ -223,26 +184,11 @@ class FileFacts:
     #: True when the file failed to parse (facts are empty, not absent).
     parse_error: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "functions": [fact.to_dict() for fact in self.functions],
-            "boundary_rng": self.boundary_rng,
-            "obs_flows": self.obs_flows,
-            "classes": self.classes,
-            "parse_error": self.parse_error,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FileFacts":
-        return cls(
-            module=data["module"],
-            functions=[FunctionFact.from_dict(item) for item in data["functions"]],
-            boundary_rng=list(data["boundary_rng"]),
-            obs_flows=list(data["obs_flows"]),
-            classes=list(data.get("classes", [])),
-            parse_error=data["parse_error"],
-        )
+        """Inverse of ``dataclasses.asdict`` (after a JSON round trip)."""
+        functions = [FunctionFact(**item) for item in data["functions"]]
+        return cls(**dict(data, functions=functions))
 
 
 def extract_facts(source: str, module: str) -> FileFacts:

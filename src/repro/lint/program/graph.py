@@ -21,6 +21,9 @@ strategies, applied in order per call site:
 Reference edges (names passed as call arguments, like
 ``engine.schedule(interval, tick)``) use the same resolution and are
 treated as call edges: if the callback is impure, its registrar is.
+
+:class:`Program` bundles the source files, their facts and the graph —
+it is what every rule's ``check(program)`` receives.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core import Suppressions
 from .facts import FileFacts, FunctionFact
 
 #: Entry points that are always reachability roots, even without a
@@ -110,6 +114,29 @@ class ProgramGraph:
         fact, module, _ = self.nodes[full]
         head = module.rsplit(".", 1)[-1]
         return "%s.%s" % (head, fact.qname)
+
+
+@dataclass
+class SourceFile:
+    """One file handed to the program analysis."""
+
+    path: str
+    module: str
+    source: str
+    suppressions: Suppressions
+
+
+@dataclass
+class Program:
+    """Analyzed program: facts per file plus the call graph."""
+
+    files: List[SourceFile]
+    facts: Dict[str, FileFacts]
+    graph: ProgramGraph
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: rules that ran, per path (OBS101 only where its scope applies).
+    ran_rules: Dict[str, Set[str]] = field(default_factory=dict)
 
 
 def build_graph(files: Sequence[Tuple[str, FileFacts]]) -> ProgramGraph:

@@ -29,15 +29,13 @@ and ShardSan covers the remainder at runtime.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core import Violation
 from . import escape
-from .facts import FileFacts
-from .graph import ProgramGraph
+from .graph import Program
 
 RULE = "MUT101"
-VERSION = 1
 DESCRIPTION = (
     "whole-program: no code path reachable from the parallel shard "
     "workers may write world state missing from the @run_state registry "
@@ -45,9 +43,8 @@ DESCRIPTION = (
 )
 
 
-def check(
-    graph: ProgramGraph, facts: Dict[str, FileFacts]
-) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    graph, facts = program.graph, program.facts
     model = escape.WorldModel.from_facts(facts)
     reached = escape.reachable_from(graph, escape.WORKER_ROOTS)
     violations: List[Violation] = []

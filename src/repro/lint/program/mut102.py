@@ -32,15 +32,13 @@ lint of ``repro.obs``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..core import Violation
 from . import escape
-from .facts import FileFacts
-from .graph import ProgramGraph
+from .graph import Program
 
 RULE = "MUT102"
-VERSION = 1
 DESCRIPTION = (
     "whole-program: @run_state registrations and Internet."
     "fresh_run_state must cover each other exactly — every registered "
@@ -49,9 +47,8 @@ DESCRIPTION = (
 )
 
 
-def check(
-    graph: ProgramGraph, facts: Dict[str, FileFacts]
-) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    graph, facts = program.graph, program.facts
     reached = escape.reachable_from(graph, escape.REWIND_ROOTS)
     if not reached:
         return []  # rewind root not in this lint's scope

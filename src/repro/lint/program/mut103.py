@@ -28,11 +28,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core import Violation
 from . import escape
-from .facts import FileFacts
-from .graph import ProgramGraph, _resolve
+from .graph import Program, ProgramGraph, _resolve
 
 RULE = "MUT103"
-VERSION = 1
 DESCRIPTION = (
     "whole-program: worker code must never write through the "
     "CampaignSpec handed across the pickle boundary (frozen by "
@@ -57,9 +55,8 @@ BOUNDARY_PARAM = "spec"
 _Witness = Tuple[Optional[str], int]  # (caller full name or None, line)
 
 
-def check(
-    graph: ProgramGraph, facts: Dict[str, FileFacts]
-) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    graph = program.graph
     tainted = _propagate(graph)
     violations: List[Violation] = []
     for full in sorted(tainted):

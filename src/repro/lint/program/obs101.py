@@ -19,20 +19,16 @@ applies the module scope and renders violations.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core import Violation
-from .facts import FileFacts
+from .graph import Program
 
 RULE = "OBS101"
 DESCRIPTION = (
     "whole-program: no dataflow from repro.obs readbacks into netsim/"
     "prober control flow or state (telemetry is observe-only)"
 )
-
-#: Bumped when this checker's logic changes; folded into the facts-cache
-#: key so stale cached analysis never survives a rule edit.
-VERSION = 2
 
 
 def in_scope(module: str) -> bool:
@@ -42,7 +38,8 @@ def in_scope(module: str) -> bool:
     return "netsim" in parts or "prober" in parts
 
 
-def check(files: Dict[str, FileFacts]) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    files = program.facts
     violations: List[Violation] = []
     for path in sorted(files):
         facts = files[path]

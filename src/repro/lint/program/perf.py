@@ -28,6 +28,32 @@ Each perf site is a plain dict (JSON-cacheable alongside the rest of
 ``loop`` records syntactic loop context only; whether a non-loop site
 counts as per-iteration (hot-root bodies do) is decided at rule time so
 the facts stay a pure function of the file's bytes.
+
+The three rules are rows of :data:`RULES` — the site kinds a rule owns
+and how it words a finding — over one :meth:`HotRegionRule.check`:
+
+* **PERF101**, per-iteration allocation.  The columnar fast paths exist
+  because the scalar hot path spent most of its time constructing
+  throwaway objects: comprehensions and non-empty container literals,
+  object construction (CapWords calls, the raise path excluded), and
+  ``struct.pack`` where a prebuilt ``ProbeTemplate`` patch exists.
+  Amortized or output-carrying allocations (a batch's result list, a
+  per-response record) are the caller's call — suppress with a reason.
+* **PERF102**, superlinear accumulation — O(n) work per iteration turns
+  an O(n) campaign into O(n²): ``bytes``/``str`` ``+=`` on a
+  sequence-initialized local, ``list.insert(0, ...)``, membership tests
+  against a list-initialized local, ``sorted()``/``.sort()`` per turn.
+* **PERF103**, numpy↔Python scalar churn — the vectorized Feistel walk
+  pays only while work stays inside numpy: ``.item()`` calls,
+  element-wise indexing of an array local by a loop variable (mask/fancy
+  indexing is vectorized and NOT flagged), ``for x in arr:``, and
+  ``np.append``.  Array locals are recognized by assignment from
+  ``numpy.*`` calls (or attribute calls on a known array local); the
+  sanctioned exit from numpy is one bulk ``values.tolist()`` per batch.
+
+A site counts when it sits inside a syntactic loop, or anywhere in a hot
+*root's* body (the root function is itself the loop body).  Findings are
+anchored at the site with the witness call chain from the hot root.
 """
 
 from __future__ import annotations
@@ -41,16 +67,18 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
 )
 
 from ..checkers.common import dotted_name, resolve_call_target
+from ..core import Violation
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a facts -> perf -> graph cycle
     from . import escape
-    from .graph import ProgramGraph
+    from .graph import Program, ProgramGraph
 
 #: ``# repro-lint: hot-loop`` on a ``def`` line marks the function as a
 #: PERF hot root: it is the body of a per-probe or per-batch loop, so
@@ -67,7 +95,6 @@ DEFAULT_HOT_ROOTS: FrozenSet[str] = frozenset(
         "repro.prober.permutation.KeyedPermutation.images",
         "repro.prober.permutation.KeyedPermutation.images_scalar",
         "repro.prober.encoding.ProbeTemplate.encode_into",
-        "repro.prober.encoding.encode_probe_into",
         "repro.prober.yarrp6.Yarrp6.next_probes",
         "repro.prober.yarrp6.Yarrp6.receive",
     }
@@ -104,6 +131,79 @@ def hot_region(
 
     roots = hot_roots(graph)
     return roots, escape_mod.reachable_from(graph, roots)
+
+
+class HotRegionRule(NamedTuple):
+    """One PERF rule: the site kinds it owns and its finding's wording."""
+
+    RULE: str
+    DESCRIPTION: str
+    #: Site kinds (see :func:`perf_sites`) this rule owns.
+    kinds: FrozenSet[str]
+    #: ``% (site detail, witness chain)``, after "'f' is in the hot
+    #: region rooted at 'r' and ".
+    finding: str
+
+    def check(self, program: "Program") -> List[Violation]:
+        from . import escape as escape_mod
+
+        graph = program.graph
+        roots, reached = hot_region(graph)
+        violations: List[Violation] = []
+        for full in sorted(reached):
+            fact, _, path = graph.nodes[full]
+            for site in fact.perf:
+                if site["rule"] != self.RULE or site["kind"] not in self.kinds:
+                    continue
+                if not (site["loop"] or full in roots):
+                    continue
+                chain = escape_mod.witness_chain(graph, reached, full)
+                violations.append(
+                    Violation(
+                        rule=self.RULE,
+                        path=path,
+                        line=site["line"],
+                        column=1,
+                        message="'%s' is in the hot region rooted at '%s' and %s"
+                        % (
+                            graph.display(full),
+                            graph.display(reached[full].root),
+                            self.finding % (site["detail"], " -> ".join(chain)),
+                        ),
+                    )
+                )
+        return violations
+
+
+RULES = (
+    HotRegionRule(
+        "PERF101",
+        "whole-program: no per-iteration allocation (throwaway "
+        "comprehensions/literals, object construction, struct.pack) in "
+        "functions reachable from a # repro-lint: hot-loop root",
+        frozenset({"comprehension", "display", "construction", "struct-pack"}),
+        "allocates %s per iteration via %s — hoist it out of the hot loop "
+        "or patch a reused buffer",
+    ),
+    HotRegionRule(
+        "PERF102",
+        "whole-program: no superlinear accumulation (bytes/str +=, "
+        "list.insert(0), list membership tests, sorted() in loops) in "
+        "functions reachable from a # repro-lint: hot-loop root",
+        frozenset(
+            {"seq-concat", "insert-front", "list-membership", "sort-in-loop"}
+        ),
+        "accumulates superlinearly: %s via %s",
+    ),
+    HotRegionRule(
+        "PERF103",
+        "whole-program: no numpy<->Python scalar churn (.item() loops, "
+        "element-wise indexing, np.append) in functions reachable from a "
+        "# repro-lint: hot-loop root",
+        frozenset({"scalar-item", "scalar-index", "iterate-array", "np-append"}),
+        "crosses the numpy<->Python scalar boundary: %s via %s",
+    ),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import Violation
-from .facts import FileFacts
-from .graph import ProgramGraph
+from .graph import Program, ProgramGraph
 
 RULE = "RNG101"
 DESCRIPTION = (
@@ -27,10 +26,6 @@ DESCRIPTION = (
     "spec/world seed material, and no RNG object may cross the "
     "CampaignSpec worker boundary"
 )
-
-#: Bumped when this checker's logic changes; folded into the facts-cache
-#: key so stale cached analysis never survives a rule edit.
-VERSION = 1
 
 #: How many caller hops to follow when a seed depends on a parameter.
 MAX_PARAM_DEPTH = 4
@@ -41,10 +36,8 @@ MAX_PARAM_DEPTH = 4
 _Verdict = Optional[Tuple[str, str]]
 
 
-def check(
-    graph: ProgramGraph,
-    files: Dict[str, FileFacts],
-) -> List[Violation]:
+def check(program: Program) -> List[Violation]:
+    graph, files = program.graph, program.facts
     violations: List[Violation] = []
     memo: Dict[Tuple[str, str], _Verdict] = {}
     for full in sorted(graph.nodes):

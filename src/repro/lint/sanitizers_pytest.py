@@ -8,12 +8,11 @@ per sanitizer, of two kinds (the rows of :data:`SANITIZERS`):
     PYTHONHASHSEED=0 pytest --detsan
     pytest --shardsan
 
-``--detsan`` is ``DetSan(mode="raise", scope="repro")``: any ``repro.*``
+``--detsan`` is ``DetSan(mode="raise")``: any ``repro.*``
 code path that reads host time (outside ``repro.obs.wallclock``) or OS
 entropy fails that test with a :class:`~repro.lint.detsan.
 DetSanViolation` carrying the offending stack.  ``--shardsan`` is
-``ShardSan(mode="raise", scope="repro")``: any ``repro.*`` code path
-that writes an attribute of a ``@run_state``-registered world class
+``ShardSan(mode="raise")``: any ``repro.*`` code path that writes an attribute of a ``@run_state``-registered world class
 outside its registered per-run and ``shared=`` fields fails with a
 :class:`~repro.lint.shardsan.ShardSanViolation`; construction
 (``__init__``) and the world builder (``repro.netsim.build``) pass
@@ -106,5 +105,5 @@ def pytest_runtest_call(item: "pytest.Item") -> Iterator[None]:
     with contextlib.ExitStack() as stack:
         for flag, action, _ in SANITIZERS:
             if not isinstance(action, str) and item.config.getoption("--" + flag):
-                stack.enter_context(action(mode="raise", scope="repro"))
+                stack.enter_context(action(mode="raise"))
         yield

@@ -8,7 +8,7 @@ via :func:`repro.netsim.runstate.run_state` gets a guarded
 per-run field, a ``shared=`` cache, nor part of object construction is
 recorded (and, in ``raise`` mode, aborts on the spot)::
 
-    with ShardSan(mode="record", scope="repro") as san:
+    with ShardSan(mode="record") as san:
         world = _world_for(spec.internet)
         san.watch(world)                  # wrap unregistered containers
         run_parallel(spec, shards=4, processes=1)
@@ -32,22 +32,18 @@ Two standing exemptions mirror the static build cut exactly:
   mutating one (MUT101 cuts the same edges);
 * this module itself, so wrapping/unwrapping cannot trip the wires.
 
-Scoping follows DetSan: ``scope="repro"`` trips only on calls from
-``repro.*`` modules, so the test harness and stdlib internals pass
-through.
+Modes, the LIFO patch stack and the caller scope (only calls from
+``repro.*`` modules trip, so the test harness and stdlib internals pass
+through) are the shared :class:`~repro.lint.sanitizer.Sanitizer` base.
 """
 
 from __future__ import annotations
 
 import sys
-import traceback
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Set, Tuple
 
 from ..netsim.runstate import RunState
-
-#: Caller-module prefixes that never trip (see module docstring).
-_EXEMPT_PREFIXES = ("repro.lint.shardsan", "repro.netsim.build")
+from .sanitizer import Sanitizer
 
 #: Container mutators guarded on tracked lists.
 _LIST_MUTATORS = (
@@ -86,23 +82,6 @@ class ShardSanUsageError(RuntimeError):
     """ShardSan itself was misconfigured."""
 
 
-@dataclass
-class ShardSanReport:
-    """One recorded unregistered write."""
-
-    kind: str  # "setattr" | "list" | "dict"
-    target: str  # e.g. "Internet.counter" or "Router.interfaces.append"
-    caller: str  # __name__ of the calling module
-    stack: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return "unregistered %s write %s from %s" % (
-            self.kind,
-            self.target,
-            self.caller,
-        )
-
-
 def _slot_names(cls: type) -> List[str]:
     """All slot names declared along the MRO (deduplicated, in order)."""
     names: List[str] = []
@@ -126,125 +105,68 @@ def _allowed_fields(cls: type) -> Set[str]:
     return allowed
 
 
-class ShardSan:
+class ShardSan(Sanitizer):
     """Context manager guarding writes to the shared simulated world."""
 
-    def __init__(
-        self,
-        mode: str = "raise",
-        scope: str = "repro",
-        max_stack_frames: int = 12,
-    ) -> None:
-        if mode not in ("raise", "record"):
-            raise ShardSanUsageError(
-                "mode must be 'raise' or 'record', got %r" % mode
-            )
-        if scope not in ("repro", "all"):
-            raise ShardSanUsageError(
-                "scope must be 'repro' or 'all', got %r" % scope
-            )
-        self.mode = mode
-        self.scope = scope
-        self.max_stack_frames = max_stack_frames
-        self.reports: List[ShardSanReport] = []
-        #: LIFO (cls, name, original or None) class-attribute restore stack.
-        self._patched: List[Tuple[type, str, Any]] = []
+    violation = ShardSanViolation
+    usage_error = ShardSanUsageError
+    #: Constructing a world is not mutating one (MUT101 cuts the same
+    #: edges); this module itself wraps/unwraps while the wires are live.
+    exempt_prefixes = ("repro.lint.shardsan", "repro.netsim.build")
+    summary_format = "unregistered %s write %s from %s"
+    violation_format = (
+        "ShardSan: %s — worker-side code may only write state registered "
+        "via @run_state (see repro.netsim.runstate and docs/determinism.md)"
+    )
+
+    def __init__(self, mode: str = "raise") -> None:
+        super().__init__(mode)
         #: (object, attr, plain type) of containers wrapped by watch().
         self._watched: List[Tuple[Any, str, type]] = []
         #: ids of instances currently inside __init__ (writes exempt).
         self._constructing: Set[int] = set()
 
-    # -- region management -------------------------------------------------
-
-    def __enter__(self) -> "ShardSan":
-        try:
-            for cls in RunState.classes():
-                self._guard_class(cls)
-        except Exception:
-            self._restore()
-            raise
-        return self
-
     def __exit__(self, *exc_info: Any) -> None:
         self.unwatch()
-        self._restore()
+        super().__exit__(*exc_info)
 
-    def _guard_class(self, cls: type) -> None:
-        allowed = _allowed_fields(cls)
-        original_setattr = cls.__setattr__
-        guarded = self._make_setattr(cls, allowed, original_setattr)
-        self._patch(cls, "__setattr__", guarded)
-        original_init = cls.__dict__.get("__init__")
-        if original_init is not None:
-            self._patch(cls, "__init__", self._make_init(original_init))
-
-    def _patch(self, cls: type, name: str, value: Any) -> None:
-        self._patched.append((cls, name, cls.__dict__.get(name)))
-        setattr(cls, name, value)
-
-    def _restore(self) -> None:
-        while self._patched:
-            cls, name, original = self._patched.pop()
-            if original is None:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, original)
+    def _install(self) -> None:
+        for cls in RunState.classes():
+            self._patch(cls, "__setattr__", self._guarded_setattr(cls))
+            original_init = cls.__dict__.get("__init__")
+            if original_init is not None:
+                self._patch(cls, "__init__", self._guarded_init(original_init))
 
     # -- tripwires ---------------------------------------------------------
 
-    def _make_setattr(
-        self, cls: type, allowed: Set[str], original: Callable[..., None]
-    ) -> Callable[..., None]:
-        sanitizer = self
+    def _guarded_setattr(self, cls: type) -> Callable[..., None]:
+        allowed = _allowed_fields(cls)
+        original = cls.__setattr__
 
         def guarded_setattr(obj: Any, name: str, value: Any) -> None:
-            if name not in allowed and id(obj) not in sanitizer._constructing:
-                caller = sys._getframe(1).f_globals.get("__name__", "")
-                if sanitizer._trips(caller):
-                    sanitizer._report(
-                        "setattr", "%s.%s" % (cls.__name__, name), caller
-                    )
+            if name not in allowed and id(obj) not in self._constructing:
+                self._check(
+                    "setattr", "%s.%s" % (cls.__name__, name), sys._getframe(1)
+                )
             original(obj, name, value)
 
         return guarded_setattr
 
-    def _make_init(self, original: Callable[..., None]) -> Callable[..., None]:
-        sanitizer = self
-
+    def _guarded_init(self, original: Callable[..., None]) -> Callable[..., None]:
         def guarded_init(obj: Any, *args: Any, **kwargs: Any) -> None:
-            sanitizer._constructing.add(id(obj))
+            self._constructing.add(id(obj))
             try:
                 original(obj, *args, **kwargs)
             finally:
-                sanitizer._constructing.discard(id(obj))
+                self._constructing.discard(id(obj))
 
         return guarded_init
 
-    def _trips(self, caller: str) -> bool:
-        if caller.startswith(_EXEMPT_PREFIXES):
-            return False
-        if self.scope == "repro" and not (
-            caller == "repro" or caller.startswith("repro.")
-        ):
-            return False
-        return True
-
-    def _report(self, kind: str, target: str, caller: str) -> None:
-        report = ShardSanReport(
-            kind=kind,
-            target=target,
-            caller=caller,
-            stack=traceback.format_stack(
-                sys._getframe(2), limit=self.max_stack_frames
-            ),
-        )
-        self.reports.append(report)
-        if self.mode == "raise":
-            raise ShardSanViolation(
-                "ShardSan: %s — worker-side code may only write state "
-                "registered via @run_state (see repro.netsim.runstate and "
-                "docs/determinism.md)" % report.summary()
-            )
+    def _check(self, kind: str, target: str, frame: Any) -> None:
+        """Report a write made from ``frame`` if its module is in scope."""
+        caller = frame.f_globals.get("__name__", "")
+        if self._in_scope(caller):
+            self._report(kind, target, caller, frame)
 
     # -- container watching ------------------------------------------------
 
@@ -290,14 +212,11 @@ class ShardSan:
                 continue  # mutating registered state is the contract
             value = getattr(obj, name, None)
             label = "%s.%s" % (cls.__name__, name)
-            if type(value) is list:
-                tracked: Any = _TrackedList(value)
-                tracked.__dict__["_shardsan"] = (self, label)
-            elif type(value) is dict:
-                tracked = _TrackedDict(value)
-                tracked._shardsan = (self, label)
-            else:
+            tracked_type = _TRACKED.get(type(value))
+            if tracked_type is None:
                 continue
+            tracked = tracked_type(value)
+            tracked._shardsan = (self, label)
             object.__setattr__(obj, name, tracked)
             self._watched.append((obj, name, type(value)))
             wrapped += 1
@@ -313,11 +232,9 @@ def _make_container_mutator(
         hook = getattr(self, "_shardsan", None)
         if hook is not None:
             sanitizer, label = hook
-            caller = sys._getframe(1).f_globals.get("__name__", "")
-            if sanitizer._trips(caller):
-                sanitizer._report(
-                    kind, "%s.%s" % (label, method.strip("_")), caller
-                )
+            sanitizer._check(
+                kind, "%s.%s" % (label, method.strip("_")), sys._getframe(1)
+            )
         return original(self, *args, **kwargs)
 
     guarded.__name__ = method
@@ -338,12 +255,14 @@ class _TrackedDict(dict):
     _shardsan: Any = None
 
 
-for _method in _LIST_MUTATORS:
-    setattr(
-        _TrackedList, _method, _make_container_mutator(list, _method, "list")
-    )
-for _method in _DICT_MUTATORS:
-    setattr(
-        _TrackedDict, _method, _make_container_mutator(dict, _method, "dict")
-    )
-del _method
+#: plain container type -> its tracked subclass (exact types only).
+_TRACKED = {list: _TrackedList, dict: _TrackedDict}
+
+for _base, _mutators in ((list, _LIST_MUTATORS), (dict, _DICT_MUTATORS)):
+    for _method in _mutators:
+        setattr(
+            _TRACKED[_base],
+            _method,
+            _make_container_mutator(_base, _method, _base.__name__),
+        )
+del _base, _mutators, _method

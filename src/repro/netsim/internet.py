@@ -30,6 +30,7 @@ from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
 from .build import BuiltInternet, InternetConfig, Vantage, build_internet
 from .ecmp import flow_variant
+from .ratelimit import BucketObserver
 from .runstate import RunState, run_state  # noqa: F401  (public re-export)
 from .topology import Hop, Router, RouterRole, Subnet
 
@@ -175,7 +176,9 @@ def _hop_delay(router: Router, tier: int) -> int:
     return 250 + jitter % 900
 
 
-@run_state("stats", "tracer", "_rng", shared=("_path_cache",))
+@run_state(
+    "stats", "tracer", "_rng", "_limiter_observer", shared=("_path_cache",)
+)
 class Internet:
     """Facade over a built ground-truth internet.
 
@@ -184,8 +187,9 @@ class Internet:
     validation do).
 
     Run-scoped state is declared via :func:`~repro.netsim.runstate.
-    run_state` (re-exported here): ``stats``, ``tracer`` and the loss
-    RNG are rewound by :meth:`fresh_run_state`; ``_path_cache`` is
+    run_state` (re-exported here): ``stats``, ``tracer``, the loss RNG
+    and the limiter telemetry hook are rewound by
+    :meth:`fresh_run_state`; ``_path_cache`` is
     ``shared`` — path compilation is a pure function of the immutable
     topology, so the cache deliberately survives the rewind.  MUT101/
     MUT102 and ShardSan enforce the declaration (docs/determinism.md).
@@ -230,14 +234,8 @@ class Internet:
         self._tier: Dict[int, int] = {
             asn: asys.tier for asn, asys in self.truth.ases.items()
         }
-        # Deterministic per-router quotation misbehaviour flags.
-        self._manglers: Dict[int, str] = {}
-        for router_id in self.truth.routers:
-            roll = (router_id * 1103515245 + 12345) % 10_000
-            if roll < 50:
-                self._manglers[router_id] = "rewrite"
-            elif roll < 150:
-                self._manglers[router_id] = "truncate"
+        #: Called after every limiter decision (see :meth:`attach_metrics`).
+        self._limiter_observer: Optional[BucketObserver] = None
 
     # ------------------------------------------------------------------
     # Path compilation
@@ -280,13 +278,14 @@ class Internet:
         registry: MetricsRegistry,
         bucket_us: int = DEFAULT_BUCKET_US,
     ) -> None:
-        """Wire every router's rate limiter into telemetry instruments.
+        """Wire the routers' rate-limiter decisions into telemetry
+        instruments.
 
         Records the Figure 5 raw inputs — per-virtual-bucket allowed and
         denied decision series plus the post-decision token-level
-        distribution — through one shared observer closure, so the per-
-        decision cost is a couple of dict updates.  Observers are pure
-        recorders and never influence decisions; remove them with
+        distribution — through one observer closure, so the per-decision
+        cost is a couple of dict updates.  The observer is a pure
+        recorder and never influences decisions; remove it with
         :meth:`detach_metrics` once the campaign ends.
         """
         allowed_series = registry.series("ratelimit.allowed", bucket_us)
@@ -305,13 +304,11 @@ class Internet:
             if tokens != infinity:
                 levels.observe(tokens)
 
-        for router in self.truth.routers.values():
-            router.limiter.observer = observe
+        self._limiter_observer = observe
 
     def detach_metrics(self) -> None:
-        """Remove limiter observers installed by :meth:`attach_metrics`."""
-        for router in self.truth.routers.values():
-            router.limiter.observer = None
+        """Remove the limiter observer installed by :meth:`attach_metrics`."""
+        self._limiter_observer = None
 
     def path_for(self, vantage: Vantage, dst: int, variant: int = 0) -> CompiledPath:
         """The compiled path from ``vantage`` toward ``dst`` for an ECMP
@@ -747,6 +744,10 @@ class Internet:
         # Mandated ICMPv6 error rate limiting, evaluated when the packet
         # actually reaches the router in virtual time.
         allowed = router.limiter.consume(now + delay)
+        if self._limiter_observer is not None:
+            self._limiter_observer(
+                now + delay, allowed, router.limiter.peek(now + delay)
+            )
         self.tracer.event(
             "limiter.decision",
             router=router.router_id,
@@ -768,11 +769,23 @@ class Internet:
         )
         return Response(2 * delay + 200, packet, "icmp6")
 
+    @staticmethod
+    def mangling(router_id: int) -> Optional[str]:
+        """How a router misquotes the invoking packet: ``"rewrite"`` for
+        0.5 % of router ids, ``"truncate"`` for another 1 %, else
+        ``None`` — a pure function of the id."""
+        roll = (router_id * 1103515245 + 12345) % 10_000
+        if roll < 50:
+            return "rewrite"
+        if roll < 150:
+            return "truncate"
+        return None
+
     def _quote(self, router: Router, invoking: bytes) -> bytes:
         """The invoking-packet quotation (``error_packet`` bounds it to the
         minimum MTU), with realistic misbehaviour for a small
         deterministic subset of routers."""
-        behaviour = self._manglers.get(router.router_id)
+        behaviour = self.mangling(router.router_id)
         if behaviour == "truncate":
             # IPv4-style minimal quote: IPv6 header + 8 bytes.
             return invoking[:48]

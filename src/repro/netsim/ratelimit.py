@@ -14,28 +14,27 @@ last update so that no periodic refill events are needed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .engine import US_PER_SECOND
 from .runstate import run_state
 
-#: Telemetry hook called after every limiter decision with
+#: Telemetry hook ``Internet`` calls after every limiter decision with
 #: ``(virtual_now, allowed, tokens_after)``.  Observers must be pure
 #: recorders: they may never influence the decision or consume RNG.
 BucketObserver = Callable[[int, bool, float], None]
 
 
-@run_state("_tokens", "_updated", "allowed", "denied", "observer")
+@run_state("_tokens", "_updated", "allowed", "denied")
 class TokenBucket:
     """A continuous-refill token bucket evaluated at virtual timestamps.
 
     Every field except the provisioning knobs (``rate``, ``burst``) is
-    campaign-scoped: :meth:`reset` refills and zeroes the counters, and
-    the telemetry ``observer`` is unbound by ``Internet.detach_metrics``
-    — both reached from ``Internet.fresh_run_state``.
+    campaign-scoped: :meth:`reset`, reached from
+    ``Internet.fresh_run_state``, refills and zeroes the counters.
     """
 
-    __slots__ = ("rate", "burst", "_tokens", "_updated", "allowed", "denied", "observer")
+    __slots__ = ("rate", "burst", "_tokens", "_updated", "allowed", "denied")
 
     def __init__(self, rate: float, burst: float) -> None:
         if rate <= 0:
@@ -48,7 +47,6 @@ class TokenBucket:
         self._updated = 0
         self.allowed = 0
         self.denied = 0
-        self.observer: Optional[BucketObserver] = None
 
     def _refill(self, now: int) -> None:
         if now > self._updated:
@@ -64,12 +62,8 @@ class TokenBucket:
         if self._tokens >= amount:
             self._tokens -= amount
             self.allowed += 1
-            if self.observer is not None:
-                self.observer(now, True, self._tokens)
             return True
         self.denied += 1
-        if self.observer is not None:
-            self.observer(now, False, self._tokens)
         return False
 
     def peek(self, now: int) -> float:
@@ -98,11 +92,11 @@ class TokenBucket:
         )
 
 
-@run_state("allowed", "denied", "observer")
+@run_state("allowed", "denied")
 class UnlimitedBucket:
     """A degenerate limiter that always permits (for unlimited hops)."""
 
-    __slots__ = ("allowed", "denied", "observer")
+    __slots__ = ("allowed", "denied")
 
     rate = float("inf")
     burst = float("inf")
@@ -110,12 +104,9 @@ class UnlimitedBucket:
     def __init__(self) -> None:
         self.allowed = 0
         self.denied = 0
-        self.observer: Optional[BucketObserver] = None
 
     def consume(self, now: int, amount: float = 1.0) -> bool:
         self.allowed += 1
-        if self.observer is not None:
-            self.observer(now, True, float("inf"))
         return True
 
     def peek(self, now: int) -> float:

@@ -100,18 +100,6 @@ def verify_transport_checksum(
     return internet_checksum(segment, header) == 0
 
 
-def checksum_patch(checksum: int, old_word: int, new_word: int) -> int:
-    """Incrementally update a checksum after one 16-bit word changed.
-
-    RFC 1624 equation 3: given a segment's current Internet checksum and
-    a word rewritten from ``old_word`` to ``new_word``, return the new
-    checksum without re-summing the segment — the in-place field-patching
-    primitive the preallocated probe buffers use.
-    """
-    total = (~checksum & 0xFFFF) + (~old_word & 0xFFFF) + (new_word & 0xFFFF)
-    return ~fold_sum(total) & 0xFFFF
-
-
 def checksum_fudge(segment_without_fudge_sum: int, desired: int) -> int:
     """Fudge value making a segment's one's-complement sum hit ``desired``.
 

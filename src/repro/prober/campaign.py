@@ -84,6 +84,28 @@ def _noop() -> None:
     """Clock-advance sentinel for the batched loop's final emission."""
 
 
+def emissions_before(
+    when: int, rtt_us: int, offset: int, stride: int, cap: int, tick_gap: int
+) -> int:
+    """Probes an instance has emitted when a response arriving at ``when``
+    is processed, replicating the engine's (time, sequence) event order.
+
+    The instance emits its ``k``-th probe at ``offset + k*stride``, ``cap``
+    probes in all, so counting emissions before ``when`` is arithmetic.
+    One exactly at ``when`` went first only if the response's round trip
+    was shorter than ``tick_gap``, the gap between consecutive ticks of
+    the engine that ran it: a response is scheduled at its probe's send
+    time, the tick at ``when`` one gap earlier, and equal times fire in
+    scheduling order.
+    """
+    if when < offset:
+        return 0
+    before, remainder = divmod(when - offset, stride)
+    if remainder or rtt_us < tick_gap:
+        before += 1
+    return min(before, cap)
+
+
 def _make_prober(
     kind: str,
     source: int,
@@ -244,30 +266,16 @@ def run_campaign(  # repro-lint: program-root
         walker = machine
         total_walk = len(walker.schedule)
 
-        def sent_at(when: int, rtt_us: int) -> int:
-            """Probes emitted when a response arriving at ``when`` is
-            processed — the per-event loop's live counter, reconstructed
-            from the pacing arithmetic.  Emission k happens at
-            ``pace_offset_us + k*interval``; one exactly at ``when`` is
-            processed first only when its round trip was shorter than one
-            interval (its delivery was scheduled *after* that emission's
-            tick; see ``prober.parallel._global_sent_at``)."""
-            delta = when - pace_offset_us
-            if delta < 0:
-                return 0
-            quotient, remainder = divmod(delta, interval)
-            if remainder:
-                count = quotient + 1
-            else:
-                count = quotient + (1 if rtt_us < interval else 0)
-            return count if count < total_walk else total_walk
-
         def deliver_batched(data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
             with prof_deliver:
                 now = engine.now
-                record = walker.receive(
-                    data, now, sent=sent_at(now, now - send_time)
+                # The per-event loop's live sent counter, reconstructed
+                # from the pacing arithmetic.
+                sent = emissions_before(
+                    now, now - send_time, pace_offset_us, interval,
+                    total_walk, interval,
                 )
+                record = walker.receive(data, now, sent=sent)
                 note_discovery(record)
 
         def block_tick() -> None:  # repro-lint: hot-loop

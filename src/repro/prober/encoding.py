@@ -299,24 +299,6 @@ class ProbeTemplate:
         buffer[payload_at + 11] = fudge & 0xFF
 
 
-# repro-lint: hot-loop
-def encode_probe_into(
-    template: ProbeTemplate,
-    buffer: bytearray,
-    target: int,
-    ttl: int,
-    elapsed: int,
-) -> None:
-    """In-place batched twin of :func:`encode_probe`.
-
-    Patches ``buffer`` (from ``template.new_buffer()``) into the complete
-    probe packet for (target, TTL) at send time ``elapsed`` — byte-
-    identical to ``encode_probe(template.src, target, ttl, elapsed, ...)``
-    with the template's instance, protocol and flow id.
-    """
-    template.encode_into(buffer, target, ttl, elapsed)
-
-
 def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> DecodedProbe:
     """Recover Yarrp6 probe state from an ICMPv6 error quotation.
 

@@ -69,7 +69,7 @@ from ..obs.metrics import (
     merge_dumps,
 )
 from ..obs.profiler import NULL_PROFILER, WallProfiler
-from .campaign import CampaignResult, run_campaign
+from .campaign import CampaignResult, emissions_before, run_campaign
 from .permutation import ProbeSchedule
 from .records import ProbeRecord
 from .supervise import (
@@ -357,28 +357,13 @@ def _global_sent_at(
     is processed, replicating the single-process engine's event order.
 
     Shard ``s`` emits its ``k``-th probe at ``s*base + k*shards*base``
-    (stride pacing, one emission per tick until exhaustion), so counting
-    emissions before ``when`` is arithmetic.  A response arriving exactly
-    on an emission slot is processed *after* that emission only when its
-    round trip was shorter than one interval — the same tiebreak the
-    engine's (time, sequence) heap produces, because a response is
-    scheduled at its probe's send time and the tick at ``when`` was
-    scheduled one interval earlier.
+    (stride pacing, one emission per tick until exhaustion), and the
+    single-process engine ticks every ``base``.
     """
-    stride = base * shards
-    total = 0
-    for shard, cap in enumerate(shard_sent):
-        offset = shard * base
-        if when < offset:
-            continue
-        delta = when - offset
-        before, remainder = divmod(delta, stride)
-        if remainder:
-            before += 1  # emissions strictly before ``when``
-        elif before < cap and rtt_us < base:
-            before += 1  # the emission exactly at ``when`` went first
-        total += min(before, cap)
-    return total
+    return sum(
+        emissions_before(when, rtt_us, shard * base, base * shards, cap, base)
+        for shard, cap in enumerate(shard_sent)
+    )
 
 
 def merge_results(

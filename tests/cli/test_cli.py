@@ -163,20 +163,63 @@ class TestPipeline:
         assert outputs[0].strip()  # responses actually recorded
 
     def test_probe_workers_requires_yarrp6(self, world_file, tmp_path):
+        """So does --fill: a flag only Yarrp6 has is refused, not dropped."""
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
+        for flag, value in (("--workers", ["2"]), ("--fill", [])):
+            code, text = run(
+                [
+                    "probe",
+                    "--world", world_file,
+                    "--targets", str(targets),
+                    "--prober", "sequential",
+                    flag, *value,
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+            assert code == 2
+            assert "%s requires the yarrp6 prober" % flag in text
+
+    def test_probe_max_ttl_reaches_the_baseline_probers(self, world_file, tmp_path):
+        from repro.prober.output import load_campaign
+
+        seeds_path = str(tmp_path / "s")
+        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
+        targets_path = str(tmp_path / "t")
+        run(["targets", "--seeds", seeds_path, "--out", targets_path])
+        sent = {}
+        for name, extra in (("default", []), ("short", ["--max-ttl", "4"])):
+            results = str(tmp_path / ("%s.yrp6" % name))
+            code, text = run(
+                [
+                    "probe",
+                    "--world", world_file,
+                    "--targets", targets_path,
+                    "--prober", "sequential",
+                    "--out", results,
+                ]
+                + extra
+            )
+            assert code == 0, text
+            sent[name] = int(text.split(": ")[1].split(" probes")[0])
+        assert 0 < sent["short"] < sent["default"]
+        records = load_campaign(str(tmp_path / "short.yrp6")).records
+        assert records and max(record.ttl for record in records) <= 4
+
+        # Doubletree starts at TTL 8: the prober refuses the range, and the
+        # CLI reports that as a bad argument rather than a traceback.
         code, text = run(
             [
                 "probe",
                 "--world", world_file,
-                "--targets", str(targets),
-                "--prober", "sequential",
-                "--workers", "2",
-                "--out", str(tmp_path / "out"),
+                "--targets", targets_path,
+                "--prober", "doubletree",
+                "--max-ttl", "4",
+                "--out", str(tmp_path / "never.yrp6"),
             ]
         )
         assert code == 2
-        assert "yarrp6" in text
+        assert text == "start TTL outside probing range\n"
 
     def test_empty_targets_rejected(self, world_file, tmp_path):
         empty = tmp_path / "empty"

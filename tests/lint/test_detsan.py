@@ -1,6 +1,7 @@
-"""DetSan — runtime determinism sanitizer: tripwires, scoping,
-exemptions, restore semantics, the pytest plugin, and the
-``probe --detsan`` byte-identity gate across shard counts."""
+"""DetSan — runtime determinism sanitizer: tripwires, exemptions,
+restore semantics, the pytest plugin, and the ``probe --detsan``
+byte-identity gate across shard counts.  (Modes, nesting and the caller
+scope are the shared contract in ``test_sanitizer.py``.)"""
 
 import os
 import random
@@ -25,7 +26,7 @@ SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
 
 def repro_caller(body):
     """Compile ``body`` under a fake ``repro.*`` module name so its calls
-    trip the scope="repro" tripwires; returns the defined ``f``."""
+    trip the tripwires; returns the defined ``f``."""
     namespace = {"__name__": "repro.fake_detsan_fixture"}
     exec(compile(body, "<detsan-fixture>", "exec"), namespace)
     return namespace["f"]
@@ -72,22 +73,7 @@ def test_entropy_sources_raise(body):
             fn()
 
 
-# -- scoping and exemptions -------------------------------------------------
-
-
-def test_non_repro_callers_pass_through():
-    # This test module is not repro.*, so direct calls are exempt.
-    with DetSan():
-        # Deliberate banned-source calls: the exemption under test.
-        assert time.time() > 0  # repro-lint: disable=DET001
-        assert 0.0 <= random.random() < 1.0  # repro-lint: disable=DET001
-        assert len(os.urandom(2)) == 2  # repro-lint: disable=DET001
-
-
-def test_scope_all_trips_any_caller():
-    with DetSan(scope="all"):
-        with pytest.raises(DetSanViolation):
-            uuid.uuid4()  # repro-lint: disable=DET001  (the tripwire under test)
+# -- exemptions -------------------------------------------------------------
 
 
 def test_wallclock_module_is_exempt():
@@ -111,22 +97,6 @@ def test_profiler_module_is_exempt():
         assert prof.total_seconds() >= 0.0
 
 
-# -- record mode ------------------------------------------------------------
-
-
-def test_record_mode_collects_reports_and_calls_through():
-    fn = repro_caller(CLOCK)
-    with DetSan(mode="record") as sanitizer:
-        value = fn()
-    assert isinstance(value, float)
-    (report,) = sanitizer.reports
-    assert report.kind == "time"
-    assert report.target == "time.time"
-    assert report.caller == "repro.fake_detsan_fixture"
-    assert report.stack  # captured frames for the offender
-    assert "time.time called from repro.fake_detsan_fixture" in report.summary()
-
-
 # -- patch/restore semantics ------------------------------------------------
 
 
@@ -135,20 +105,6 @@ def test_patches_are_restored_on_exit():
     with DetSan():
         assert time.time is not originals[0]
     assert (time.time, random.random, os.urandom, uuid.uuid4) == originals
-
-
-def test_nested_regions_restore_lifo():
-    original = time.time
-    fn = repro_caller(CLOCK)
-    with DetSan(mode="record") as outer:
-        with DetSan(mode="record") as inner:
-            fn()
-        fn()
-    assert time.time is original
-    assert len(inner.reports) == 1
-    # The outer sanitizer sees both calls: the inner tripwire records,
-    # then forwards to the outer wrapper (exempt self-prefix aside).
-    assert len(outer.reports) >= 1
 
 
 def test_restore_after_exception():
@@ -161,13 +117,6 @@ def test_restore_after_exception():
 
 
 # -- configuration guards ---------------------------------------------------
-
-
-def test_invalid_mode_and_scope_are_usage_errors():
-    with pytest.raises(DetSanUsageError):
-        DetSan(mode="bogus")
-    with pytest.raises(DetSanUsageError):
-        DetSan(scope="bogus")
 
 
 def test_hash_seed_pinned_predicate(monkeypatch):

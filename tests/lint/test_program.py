@@ -2,10 +2,13 @@
 MUT101-103, and the PERF101-103 hot-path rules), the facts cache, and
 the program-root / hot-loop marker comments."""
 
+import importlib
+import io
 import os
 import shutil
 import sys
 
+from repro.lint import program as program_mod
 from repro.lint.program import (
     PROGRAM_RULES,
     analyze,
@@ -14,7 +17,9 @@ from repro.lint.program import (
     lint_program_paths,
     load_sources,
     mut103,
+    perf,
 )
+from repro.lint.program import cache as cache_mod
 
 HERE = os.path.dirname(__file__)
 PROGRAM_FIXTURES = os.path.join(HERE, "fixtures", "program")
@@ -443,6 +448,42 @@ def test_hot_loop_comment_marks_custom_roots(tmp_path):
 # -- program mechanics ------------------------------------------------------
 
 
+def test_everything_about_a_rule_follows_from_its_registry_row(
+    tmp_path, monkeypatch
+):
+    from repro.lint import cli
+
+    assert program_mod.PROGRAM_RULES == {
+        rule.RULE: rule.DESCRIPTION for rule in program_mod.RULES
+    }
+    # One more row in a rule table, and nothing else edited: re-importing
+    # the package is what a source edit amounts to.
+    row = perf.HotRegionRule(
+        "PERF199", "whole-program: test row", frozenset({"display"}), "%s via %s"
+    )
+    monkeypatch.setattr(perf, "RULES", perf.RULES + (row,))
+    try:
+        importlib.reload(program_mod)
+        assert program_mod.RULES[-1] is row
+        assert program_mod.PROGRAM_RULES["PERF199"] == row.DESCRIPTION
+        listing = io.StringIO()
+        assert cli.main(["--list-checkers"], out=listing) == 0
+        assert "PERF199  whole-program: test row" in listing.getvalue()
+        target = tmp_path / "mod.py"
+        target.write_text("def f():\n    return 1\n")
+        assert cli.main(["--select", "PERF199", str(target)], out=io.StringIO()) == 0
+        program = program_mod.analyze(program_mod.load_sources([str(target)]))
+        program_mod.run_rules(program)
+        # ran everywhere, except a rule with in_scope() outside its scope
+        assert program.ran_rules[str(target)] == (
+            set(program_mod.PROGRAM_RULES) - {"OBS101"}
+        )
+    finally:
+        monkeypatch.undo()
+        importlib.reload(program_mod)
+    assert "PERF199" not in program_mod.PROGRAM_RULES
+
+
 def test_program_rules_registry_is_complete():
     assert set(PROGRAM_RULES) == {
         "DET101",
@@ -539,8 +580,9 @@ def test_cache_invalidates_only_the_edited_file(tmp_path):
 
 
 def test_cache_invalidated_by_checker_version_bump(tmp_path):
-    # A cache written under different checker logic versions is fully
-    # discarded: bumping any rule's VERSION must flush stale facts.
+    # A cache written by different analysis code is fully discarded.  The
+    # key is a digest of the repro.lint sources themselves, so there is
+    # no version constant to forget: any edit to a rule flushes it.
     import json as json_mod
 
     tree = _copy_fixture("det101", tmp_path)
@@ -548,8 +590,8 @@ def test_cache_invalidated_by_checker_version_bump(tmp_path):
     baseline, program = lint_program_paths([str(tree)], cache_path=cache_path)
     with open(cache_path) as handle:
         payload = json_mod.load(handle)
-    assert "=" in payload["checkers"]  # e.g. "DET101=1,...,MUT103=1"
-    payload["checkers"] = payload["checkers"].replace("=1", "=0", 1)
+    assert payload["logic"] == cache_mod.logic_digest()
+    payload["logic"] = "0" * 64  # pretend other rule code wrote it
     with open(cache_path, "w") as handle:
         json_mod.dump(payload, handle)
     after, program2 = lint_program_paths([str(tree)], cache_path=cache_path)
@@ -557,12 +599,20 @@ def test_cache_invalidated_by_checker_version_bump(tmp_path):
     assert program2.cache_misses == program.cache_misses
     assert [v.format() for v in baseline] == [v.format() for v in after]
 
+    # ... and editing one rule module's bytes is such a change.
+    lint_copy = tmp_path / "lint"
+    shutil.copytree(cache_mod.LINT_ROOT, str(lint_copy))
+    assert cache_mod.logic_digest(str(lint_copy)) == cache_mod.logic_digest()
+    rule = lint_copy / "program" / "mut102.py"
+    rule.write_text(rule.read_text() + "\n# edited\n")
+    assert cache_mod.logic_digest(str(lint_copy)) != cache_mod.logic_digest()
+
 
 def test_cache_invalidated_by_interpreter_version_change(tmp_path):
     # Facts depend on ast.parse output, which differs across feature
     # versions — a cache written under Python 3.9 must not be trusted
     # under 3.12 even for byte-identical sources (regression: the key
-    # used to cover only FACTS_VERSION + checker_token + content hash).
+    # used to cover only the analysis code's version + content hash).
     import json as json_mod
 
     tree = _copy_fixture("det101", tmp_path)

@@ -121,7 +121,7 @@ class TestProbing:
             if all(
                 router.response_probability >= 1.0
                 and router.respond_protocols is None
-                and router.router_id not in net._manglers
+                and net.mangling(router.router_id) is None
                 for router, _, _ in candidate_path.hops
             ):
                 dst, path = candidate, candidate_path
@@ -398,9 +398,13 @@ def lossless_net():
 class TestQuotationMisbehaviour:
     def test_some_routers_mangle_or_truncate(self, net):
         """The deterministic mangler assignment marks a small router subset."""
-        behaviours = set(net._manglers.values())
-        assert behaviours <= {"rewrite", "truncate"}
-        assert 0 < len(net._manglers) < len(net.truth.routers) * 0.1
+        manglers = {
+            router_id: net.mangling(router_id)
+            for router_id in net.truth.routers
+            if net.mangling(router_id) is not None
+        }
+        assert set(manglers.values()) <= {"rewrite", "truncate"}
+        assert 0 < len(manglers) < len(net.truth.routers) * 0.1
 
     @pytest.mark.parametrize(
         "msg_type, code, word",
@@ -420,7 +424,7 @@ class TestQuotationMisbehaviour:
         by_behaviour = {}
         for router in net.truth.routers.values():
             if router.respond_protocols is None:
-                by_behaviour.setdefault(net._manglers.get(router.router_id), router)
+                by_behaviour.setdefault(net.mangling(router.router_id), router)
         assert set(by_behaviour) == {None, "truncate", "rewrite"}
         for behaviour, router in by_behaviour.items():
             iface = router.interfaces[0]

@@ -103,8 +103,7 @@ class TestInstrumentationIsInert:
         config, targets = small_world(3)
         internet = Internet.from_config(config)
         run_yarrp6(internet, "US-EDU-1", targets, pps=900.0, metrics=MetricsRegistry())
-        for router in internet.truth.routers.values():
-            assert router.limiter.observer is None
+        assert internet._limiter_observer is None
 
 
 class TestDumpAgreesWithResult:

@@ -30,7 +30,6 @@ from repro.prober.encoding import (
     ProbeTemplate,
     decode_quotation,
     encode_probe,
-    encode_probe_into,
 )
 from repro.prober.output import dumps
 from repro.prober.permutation import _VECTOR_MIN, KeyedPermutation
@@ -158,7 +157,7 @@ class TestTemplateEncoding:
     ):
         template = ProbeTemplate(SRC, instance=instance, protocol=protocol)
         buffer = template.new_buffer()
-        encode_probe_into(template, buffer, target, ttl, elapsed)
+        template.encode_into(buffer, target, ttl, elapsed)
         reference = encode_probe(
             SRC, target, ttl, elapsed, instance=instance, protocol=protocol
         )
@@ -176,7 +175,7 @@ class TestTemplateEncoding:
             (1, 200, 999),
         ]
         for target, ttl, elapsed in probes:
-            encode_probe_into(template, buffer, target, ttl, elapsed)
+            template.encode_into(buffer, target, ttl, elapsed)
             assert bytes(buffer) == encode_probe(SRC, target, ttl, elapsed)
 
     @settings(max_examples=30, deadline=None)
@@ -191,7 +190,7 @@ class TestTemplateEncoding:
         quoted in an ICMPv6 error, exactly like an assembled probe."""
         template = ProbeTemplate(SRC, protocol=protocol)
         buffer = template.new_buffer()
-        encode_probe_into(template, buffer, target, ttl, elapsed)
+        template.encode_into(buffer, target, ttl, elapsed)
         state = decode_quotation(bytes(buffer), instance=1)
         assert state.target == target
         assert state.ttl == ttl
