@@ -49,7 +49,7 @@ class _OrderedYarrp(Yarrp6):
             return None
         index, ttl = self._pairs[self._cursor]
         self._cursor += 1
-        return self._encode(self.targets[index], ttl, now)
+        return self._emit(self.targets[index], ttl, now)
 
     @property
     def exhausted(self):

@@ -73,7 +73,7 @@ def _probe_hop(
     interval = pps_interval(pps)
     answered = [0]
 
-    def deliver() -> None:
+    def deliver(data: bytes, sent_at: int) -> None:
         answered[0] += 1
 
     when = start
@@ -82,9 +82,7 @@ def _probe_hop(
             packet = encode_probe(
                 source, target, ttl, elapsed=engine.now & 0xFFFFFFFF, instance=instance
             )
-            response = internet.probe(packet, engine.now)
-            if response is not None:
-                engine.schedule(response.delay_us, deliver)
+            internet.exchange(engine, packet, engine.now, deliver)
 
         engine.schedule_at(when, send)
         when += interval

@@ -39,7 +39,6 @@ from ..hitlist.transform import SeedItem
 from ..netsim import Internet, InternetConfig, build_internet
 from ..obs import (
     NULL_PROFILER,
-    ManifestError,
     MetricsRegistry,
     Stopwatch,
     WallProfiler,
@@ -49,13 +48,12 @@ from ..obs import (
     write_manifest,
 )
 from ..prober import (
+    PROBERS,
     CampaignSpec,
     SuperviseConfig,
     Yarrp6Config,
-    run_doubletree,
+    run_campaign,
     run_parallel,
-    run_sequential,
-    run_yarrp6,
 )
 from ..prober.output import load_campaign, save_campaign
 from ..seeds import build_all_seeds
@@ -63,17 +61,27 @@ from .checks import CHECKS, rejection
 from .worldcfg import load_config, save_config
 
 
+class InputError(ValueError):
+    """A line of a seed or target file that is not an address or prefix;
+    the message is ``path:lineno: reason: 'offending text'``."""
+
+
 def _read_items(path: str) -> List[SeedItem]:
     items: List[SeedItem] = []
     with open(path) as source:
-        for line in source:
+        for lineno, line in enumerate(source, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "/" in line:
-                items.append(Prefix.parse(line))
-            else:
-                items.append(address.parse(line))
+            try:
+                if "/" in line:
+                    items.append(Prefix.parse(line))
+                else:
+                    items.append(address.parse(line))
+            except ValueError as error:
+                raise InputError(
+                    "%s:%d: %s: %r" % (path, lineno, error, line)
+                ) from None
     return items
 
 
@@ -147,13 +155,6 @@ def cmd_targets(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_PROBERS = {
-    "yarrp6": run_yarrp6,
-    "sequential": run_sequential,
-    "doubletree": run_doubletree,
-}
-
-
 def _fault_summary(failures: Dict[str, Any]) -> str:
     """The non-zero supervision counters of a manifest ``failures`` block
     as ``name=N, ...`` (empty when the run needed no recovery)."""
@@ -220,28 +221,21 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
                 return run_parallel(
                     spec, shards=args.workers, profiler=prof, supervise=supervise
                 )
-            return _PROBERS[args.prober](
+            return run_campaign(
                 Internet.from_config(world_config, profiler=prof),
                 args.vantage,
                 targets,
-                pps=args.pps,
+                args.prober,
+                args.pps,
+                PROBERS[args.prober].Config(**prober_kwargs),
                 metrics=MetricsRegistry() if args.metrics else None,
                 profiler=prof,
-                **prober_kwargs,
             )
 
-    try:
-        if chosen:
-            result, findings, verdict = CHECKS[chosen[0]].run(
-                run_once, spec, args, out
-            )
-        else:
-            result, findings, verdict = run_once(), [], ""
-    except ValueError as error:
-        # A prober refusing its configuration (TTL range, pps): the
-        # prober's own message, like any other bad argument.
-        out.write("%s\n" % error)
-        return 2
+    if chosen:
+        result, findings, verdict = CHECKS[chosen[0]].run(run_once, spec, args, out)
+    else:
+        result, findings, verdict = run_once(), [], ""
     for line in findings[:20]:
         out.write("%s: %s\n" % (chosen[0], line))
     if verdict:
@@ -300,11 +294,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
-    try:
-        manifest = read_manifest(args.manifest)
-    except (OSError, ManifestError) as error:
-        out.write("%s\n" % error)
-        return 2
+    manifest = read_manifest(args.manifest)
     run = manifest.get("run", {})
     run_rows = [[key, run[key]] for key in sorted(run)]
     run_rows.append(["seed", manifest.get("seed")])
@@ -467,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--world", required=True)
     probe.add_argument("--vantage", default="US-EDU-1")
     probe.add_argument("--targets", required=True)
-    probe.add_argument("--prober", default="yarrp6", choices=tuple(_PROBERS))
+    probe.add_argument("--prober", default="yarrp6", choices=tuple(PROBERS))
     probe.add_argument("--pps", type=float, default=1000.0)
     probe.add_argument("--max-ttl", type=int, default=16)
     probe.add_argument("--fill", action="store_true")
@@ -577,7 +567,16 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, out or sys.stdout)
+    out = out or sys.stdout
+    try:
+        return args.handler(args, out)
+    except (ValueError, OSError) as error:
+        # An input the command line named cannot be used — an unreadable
+        # or malformed file or manifest, an unknown vantage, a
+        # configuration the prober refuses (TTL range, pps): its own
+        # one-line message, like any other bad argument.
+        out.write("%s\n" % error)
+        return 2
 
 
 if __name__ == "__main__":

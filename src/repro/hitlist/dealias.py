@@ -77,12 +77,12 @@ def detect_aliased(
                     IPv6Header(vantage.address, target, 0, PROTO_ICMPV6, hop_limit=64),
                     echo.pack(vantage.address, target),
                 )
-                response = internet.probe(packet, engine.now)
-                if response is not None:
-                    data = response.data
-                    engine.schedule(
-                        response.delay_us, lambda: deliver(prefix, data)
-                    )
+                internet.exchange(
+                    engine,
+                    packet,
+                    engine.now,
+                    lambda data, sent_at: deliver(prefix, data),
+                )
 
             engine.schedule_at(when, send)
             when += interval

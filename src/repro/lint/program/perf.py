@@ -16,8 +16,8 @@ Hot roots come from two places, mirroring ``program-root``:
   straight-line code counts as per-iteration context even outside a
   syntactic ``for``/``while``;
 * :data:`DEFAULT_HOT_ROOTS`, the known hot paths of the prober: the
-  ``run_campaign`` batch loop, ``Engine.run_batch``, the keyed
-  permutation, template encoding, and the receive/deliver path.
+  ``run_campaign`` batch loop, the keyed permutation, template
+  encoding, and the receive/deliver path.
 
 Each perf site is a plain dict (JSON-cacheable alongside the rest of
 :class:`~repro.lint.program.facts.FileFacts`)::
@@ -91,7 +91,6 @@ DEFAULT_HOT_ROOTS: FrozenSet[str] = frozenset(
     {
         "repro.prober.campaign.run_campaign.block_tick",
         "repro.prober.campaign.run_campaign.deliver_batched",
-        "repro.netsim.engine.Engine.run_batch",
         "repro.prober.permutation.KeyedPermutation.images",
         "repro.prober.permutation.KeyedPermutation.images_scalar",
         "repro.prober.encoding.ProbeTemplate.encode_into",

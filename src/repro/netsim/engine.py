@@ -144,37 +144,6 @@ class Engine:
             self._now = until
         return self._now
 
-    # repro-lint: hot-loop
-    def run_batch(self) -> int:  # repro-lint: program-root
-        """Fire every event sharing the earliest pending timestamp.
-
-        One clock update and one metrics flush cover the whole batch —
-        no per-event dispatch beyond the heap pop itself.  Returns the
-        number of events fired (0 when the queue is empty).
-        """
-        heap = self._heap
-        if not heap:
-            return 0
-        slots = self._slots
-        when = heap[0] >> _SLOT_BITS
-        self._now = when
-        fired = 0
-        try:
-            while heap and heap[0] >> _SLOT_BITS == when:
-                key = heappop(heap)
-                slot = key & _SLOT_MASK
-                callback = slots[slot]
-                slots[slot] = None
-                self._live -= 1
-                fired += 1
-                assert callback is not None
-                callback()
-        finally:
-            self._m_fired.inc(fired)
-            if not heap:
-                slots.clear()
-        return fired
-
     def step(self) -> bool:  # repro-lint: program-root
         """Run exactly one event; False when the queue is empty."""
         heap = self._heap

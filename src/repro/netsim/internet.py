@@ -30,6 +30,7 @@ from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
 from .build import BuiltInternet, InternetConfig, Vantage, build_internet
 from .ecmp import flow_variant
+from .engine import Engine
 from .ratelimit import BucketObserver
 from .runstate import RunState, run_state  # noqa: F401  (public re-export)
 from .topology import Hop, Router, RouterRole, Subnet
@@ -241,7 +242,13 @@ class Internet:
     # Path compilation
     # ------------------------------------------------------------------
     def vantage(self, name: str) -> Vantage:
-        return self.built.vantages[name]
+        vantages = self.built.vantages
+        if name not in vantages:
+            raise ValueError(
+                "unknown vantage %r (configured: %s)"
+                % (name, ", ".join(sorted(vantages)))
+            )
+        return vantages[name]
 
     def reset_dynamics(self) -> None:
         """Refill every rate limiter and clear per-router probing state
@@ -599,6 +606,27 @@ class Internet:
             self.stats.silent_terminal += 1
             return None
         return self._deliver_lan(path, header, payload, data, now)
+
+    def exchange(
+        self,
+        engine: Engine,
+        data: bytes,
+        when: int,
+        deliver: Callable[[bytes, int], None],
+    ) -> None:
+        """One wire exchange: inject probe bytes at virtual time ``when``
+        and, if the network answers, have ``engine`` call
+        ``deliver(response_bytes, when)`` after the round trip.
+
+        ``when`` may lie ahead of ``engine.now`` (a block of emissions
+        crafted in one event); a silent network schedules nothing.
+        """
+        response = self.probe(data, when)
+        if response is not None:
+            engine.schedule_at(
+                when + response.delay_us,
+                lambda data=response.data: deliver(data, when),
+            )
 
     def _deliver_lan(
         self,

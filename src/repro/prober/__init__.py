@@ -2,7 +2,9 @@
 Doubletree baselines, plus campaign orchestration."""
 
 from .adaptive import AdaptiveConfig, RateController, run_adaptive_yarrp6
+from .base import Prober, WaveProber
 from .campaign import (
+    PROBERS,
     CampaignResult,
     run_campaign,
     run_doubletree,
@@ -74,8 +76,10 @@ __all__ = [
     "PAYLOAD_LENGTH",
     "PMTUDConfig",
     "PMTUDResult",
+    "PROBERS",
     "ProbeRecord",
     "ProbeSchedule",
+    "Prober",
     "RateController",
     "ResponseProcessor",
     "SequentialConfig",
@@ -84,6 +88,7 @@ __all__ = [
     "SuperviseConfig",
     "Speedtrap",
     "SpeedtrapConfig",
+    "WaveProber",
     "Yarrp6",
     "Yarrp6Config",
     "backoff_delay_s",

@@ -100,6 +100,11 @@ def run_adaptive_yarrp6(
 
     state = {"interval": pps_interval(controller.pps), "window_end": config.window_us}
 
+    def deliver(data: bytes, sent_at: int) -> None:
+        record = machine.receive(data, engine.now)
+        if record is not None and record.is_time_exceeded:
+            controller.on_response(record.ttl)
+
     def tick() -> None:
         if engine.now >= state["window_end"]:
             rate = controller.evaluate(engine.now)
@@ -112,33 +117,18 @@ def run_adaptive_yarrp6(
             return
         # Hop limit byte of the IPv6 header drives the near-hop counter.
         controller.on_probe(packet[7])
-        response = internet.probe(packet, engine.now)
-        if response is not None:
-            data = response.data
-            def deliver(data: bytes = data) -> None:
-                record = machine.receive(data, engine.now)
-                if record is not None and record.is_time_exceeded:
-                    controller.on_response(record.ttl)
-            engine.schedule(response.delay_us, deliver)
+        internet.exchange(engine, packet, engine.now, deliver)
         engine.schedule(state["interval"], tick)
 
     engine.schedule(0, tick)
     engine.run()
 
-    processor = machine.processor
-    result = CampaignResult(
-        name="%s/adaptive-yarrp6" % vantage_name,
-        vantage=vantage_name,
-        prober="adaptive-yarrp6",
-        pps=config.initial_pps,
-        targets=len(targets),
-        sent=machine.sent,
-        records=processor.records,
-        interfaces=set(processor.interfaces),
-        curve=list(processor.curve),
-        response_labels=dict(processor.response_labels),
-        summary=machine.summary(),
-        duration_us=engine.now,
-        traces=len(targets),
+    result = CampaignResult.collect(
+        machine,
+        "%s/adaptive-yarrp6" % vantage_name,
+        vantage_name,
+        "adaptive-yarrp6",
+        config.initial_pps,
+        engine.now,
     )
     return result, controller

@@ -10,7 +10,8 @@ simulated round-trip delay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
@@ -22,10 +23,11 @@ from ..obs.metrics import (
 )
 from ..obs.profiler import NULL_AGG, NULL_PROFILER, WallProfiler
 from ..obs.trace import NULL_TRACER, Tracer
-from .doubletree import DoubletreeConfig, DoubletreeProber
+from .base import Prober
+from .doubletree import DoubletreeProber
 from .records import ProbeRecord
-from .traceroute import SequentialConfig, SequentialProber
-from .yarrp6 import Yarrp6, Yarrp6Config
+from .traceroute import SequentialProber
+from .yarrp6 import Yarrp6
 
 
 @dataclass
@@ -62,17 +64,49 @@ class CampaignResult:
     #: simulation code.
     failures: Optional[Dict[str, Any]] = None
 
+    @classmethod
+    def collect(
+        cls,
+        machine: Prober,
+        name: str,
+        vantage: str,
+        prober: str,
+        pps: float,
+        duration_us: int,
+        metrics: Optional[MetricDump] = None,
+    ) -> "CampaignResult":
+        """The result of a finished campaign, read off its prober."""
+        processor = machine.processor
+        return cls(
+            name=name,
+            vantage=vantage,
+            prober=prober,
+            pps=pps,
+            targets=len(machine.targets),
+            sent=machine.sent,
+            records=processor.records,
+            interfaces=set(processor.interfaces),
+            curve=list(processor.curve),
+            response_labels=dict(processor.response_labels),
+            summary=machine.summary(),
+            duration_us=duration_us,
+            traces=len(machine.targets),
+            metrics=metrics,
+        )
+
     @property
     def yield_per_probe(self) -> float:
         """Interface addresses discovered per probe (Table 6's metric)."""
         return len(self.interfaces) / self.sent if self.sent else 0.0
 
 
-#: Any prober's config object; campaigns dispatch on the prober kind, so
-#: the pairing of kind and config type is checked at runtime.
-ProberConfig = Union[Yarrp6Config, SequentialConfig, DoubletreeConfig]
-
-Prober = Union[Yarrp6, SequentialProber, DoubletreeProber]
+#: Prober kind -> class.  A class names its config dataclass as
+#: ``Config``; the kinds are also the CLI's ``--prober`` choices.
+PROBERS: Dict[str, Type[Prober]] = {
+    "yarrp6": Yarrp6,
+    "sequential": SequentialProber,
+    "doubletree": DoubletreeProber,
+}
 
 #: Emissions crafted per engine event on the columnar fast path.  Large
 #: enough to amortize permutation/encode dispatch, small enough that the
@@ -106,29 +140,13 @@ def emissions_before(
     return min(before, cap)
 
 
-def _make_prober(
-    kind: str,
-    source: int,
-    targets: Sequence[int],
-    config: Any,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Prober:
-    if kind == "yarrp6":
-        return Yarrp6(source, targets, config, metrics=metrics)
-    if kind == "sequential":
-        return SequentialProber(source, targets, config, metrics=metrics)
-    if kind == "doubletree":
-        return DoubletreeProber(source, targets, config, metrics=metrics)
-    raise ValueError("unknown prober kind %r" % kind)
-
-
 def run_campaign(  # repro-lint: program-root
     internet: Internet,
     vantage_name: str,
     targets: Sequence[int],
     prober: str = "yarrp6",
     pps: float = 1000.0,
-    config: Optional[ProberConfig] = None,
+    config: Optional[Any] = None,
     name: Optional[str] = None,
     engine: Optional[Engine] = None,
     reset: bool = True,
@@ -187,6 +205,14 @@ def run_campaign(  # repro-lint: program-root
         batch = DEFAULT_BATCH
     if batch < 0:
         raise ValueError("negative batch: %r" % batch)
+    prober_class = PROBERS.get(prober)
+    if prober_class is None:
+        raise ValueError("unknown prober kind %r" % prober)
+    if config is not None and not isinstance(config, prober_class.Config):
+        raise ValueError(
+            "%s prober takes a %s, got %s"
+            % (prober, prober_class.Config.__name__, type(config).__name__)
+        )
     prof = profiler if profiler is not None else NULL_PROFILER
     with prof.phase("campaign.setup", prober=prober):
         if reset:
@@ -196,7 +222,7 @@ def run_campaign(  # repro-lint: program-root
         engine = engine or Engine(metrics=metrics)
         trace.bind_clock(lambda: engine.now)
         vantage = internet.vantage(vantage_name)
-        machine = _make_prober(prober, vantage.address, targets, config, registry)
+        machine = prober_class(vantage.address, targets, config, registry)
         interval = pps_interval(pps) * pace_stride
 
         sent_series = registry.series("campaign.sent", metrics_bucket_us)
@@ -221,7 +247,7 @@ def run_campaign(  # repro-lint: program-root
             discovered.add(record.hop)
             discovery_series.record(engine.now)
 
-    def deliver(data: bytes) -> None:
+    def deliver(data: bytes, sent_at: int) -> None:
         with trace.span("receive"):
             record = machine.receive(data, engine.now)
         note_discovery(record)
@@ -237,10 +263,7 @@ def run_campaign(  # repro-lint: program-root
                 return
             sent_series.record(engine.now)
             with trace.span("probe"):
-                response = internet.probe(packet, engine.now)
-            if response is not None:
-                data = response.data
-                engine.schedule(response.delay_us, lambda data=data: deliver(data))
+                internet.exchange(engine, packet, engine.now, deliver)
             if not machine.exhausted:
                 # Probers that exhaust on their final emission (Yarrp6) end the
                 # campaign here, so duration is the last emission or response —
@@ -290,14 +313,7 @@ def run_campaign(  # repro-lint: program-root
             with prof_inject:
                 for when, packet in emissions:
                     sent_series.record(when)
-                    response = internet.probe(packet, when)
-                    if response is not None:
-                        engine.schedule_at(
-                            when + response.delay_us,
-                            lambda data=response.data, sent=when: deliver_batched(
-                                data, sent
-                            ),
-                        )
+                    internet.exchange(engine, packet, when, deliver_batched)
             if walker.sent < total_walk:
                 engine.schedule_at(start + count * interval, block_tick)
             elif emissions and emissions[-1][0] > engine.now:
@@ -328,83 +344,43 @@ def run_campaign(  # repro-lint: program-root
         if registry.enabled:
             internet.detach_metrics()
 
-    processor = machine.processor
-    return CampaignResult(
-        name=name or "%s/%s" % (vantage_name, prober),
-        vantage=vantage_name,
-        prober=prober,
-        pps=pps,
-        targets=len(targets),
-        sent=machine.sent,
-        records=processor.records,
-        interfaces=set(processor.interfaces),
-        curve=list(processor.curve),
-        response_labels=dict(processor.response_labels),
-        summary=machine.summary(),
-        duration_us=engine.now,
-        traces=len(targets),
-        metrics=registry.to_dict() if registry.enabled else None,
+    return CampaignResult.collect(
+        machine,
+        name or "%s/%s" % (vantage_name, prober),
+        vantage_name,
+        prober,
+        pps,
+        engine.now,
+        registry.to_dict() if registry.enabled else None,
     )
 
 
-def run_yarrp6(
+def _run_kind(
+    kind: str,
     internet: Internet,
     vantage_name: str,
     targets: Sequence[int],
     pps: float = 1000.0,
-    config: Optional[Yarrp6Config] = None,
+    config: Optional[Any] = None,
     name: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     profiler: Optional[WallProfiler] = None,
     **config_kwargs: Any,
 ) -> CampaignResult:
-    """Convenience wrapper: Yarrp6 campaign with config keywords."""
+    """:func:`run_campaign` for one row of :data:`PROBERS`, taking the
+    prober's config either whole or as keywords."""
     if config is None and config_kwargs:
-        config = Yarrp6Config(**config_kwargs)
+        config = PROBERS[kind].Config(**config_kwargs)
     return run_campaign(
-        internet, vantage_name, targets, "yarrp6", pps, config, name=name,
+        internet, vantage_name, targets, kind, pps, config, name=name,
         metrics=metrics, tracer=tracer, profiler=profiler,
     )
 
 
-def run_sequential(
-    internet: Internet,
-    vantage_name: str,
-    targets: Sequence[int],
-    pps: float = 1000.0,
-    config: Optional[SequentialConfig] = None,
-    name: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    profiler: Optional[WallProfiler] = None,
-    **config_kwargs: Any,
-) -> CampaignResult:
-    """Convenience wrapper: sequential (scamper-like) campaign."""
-    if config is None and config_kwargs:
-        config = SequentialConfig(**config_kwargs)
-    return run_campaign(
-        internet, vantage_name, targets, "sequential", pps, config, name=name,
-        metrics=metrics, tracer=tracer, profiler=profiler,
-    )
-
-
-def run_doubletree(
-    internet: Internet,
-    vantage_name: str,
-    targets: Sequence[int],
-    pps: float = 1000.0,
-    config: Optional[DoubletreeConfig] = None,
-    name: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    profiler: Optional[WallProfiler] = None,
-    **config_kwargs: Any,
-) -> CampaignResult:
-    """Convenience wrapper: Doubletree campaign."""
-    if config is None and config_kwargs:
-        config = DoubletreeConfig(**config_kwargs)
-    return run_campaign(
-        internet, vantage_name, targets, "doubletree", pps, config, name=name,
-        metrics=metrics, tracer=tracer, profiler=profiler,
-    )
+#: Convenience wrappers: ``run_yarrp6(internet, vantage, targets, pps=...,
+#: fill=True)`` and likewise for the sequential (scamper-like) and
+#: Doubletree baselines.
+run_yarrp6 = partial(_run_kind, "yarrp6")
+run_sequential = partial(_run_kind, "sequential")
+run_doubletree = partial(_run_kind, "doubletree")

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from .encoding import encode_probe
-from .records import ProbeRecord, ResponseProcessor
+from ..obs.metrics import MetricsRegistry
+from .base import WaveProber
+from .records import ProbeRecord
 
 
 @dataclass
@@ -48,8 +48,11 @@ class _DTState:
         self.terminal = False
 
 
-class DoubletreeProber:
+class DoubletreeProber(WaveProber):
     """Windowed Doubletree with a shared local stop set."""
+
+    Config = DoubletreeConfig
+    State = _DTState
 
     def __init__(
         self,
@@ -58,48 +61,29 @@ class DoubletreeProber:
         config: Optional[DoubletreeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.source = source
-        self.targets = list(targets)
-        self.config = config or DoubletreeConfig()
-        if not self.targets:
-            raise ValueError("no targets")
+        super().__init__(source, targets, config, metrics)
         if not 1 <= self.config.start_ttl <= self.config.max_ttl:
             raise ValueError("start TTL outside probing range")
-        self.processor = ResponseProcessor(self.config.instance)
-        self.sent = 0
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_sent = registry.counter("prober.sent")
-        self._m_responses = registry.counter("prober.responses")
-        self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
         #: Local stop set: interfaces seen at any hop by any earlier trace.
         self.stop_set: Set[int] = set()
         #: (hop interface) pairs recorded per (target, ttl) for stop tests.
         self._hop_seen: Dict[Tuple[int, int], int] = {}
-        self._traces: Dict[int, _DTState] = {}
-        self._emitter = self._emission_order()
 
-    def _emission_order(self) -> Iterator[Tuple[int, int]]:
+    def _waves(self, block: List[_DTState]) -> Iterator[Tuple[int, int]]:
         config = self.config
-        for start in range(0, len(self.targets), config.window):
-            block = [
-                _DTState(target)
-                for target in self.targets[start : start + config.window]
-            ]
+        # Forward waves: start_ttl .. max_ttl.
+        for ttl in range(config.start_ttl, config.max_ttl + 1):
             for trace in block:
-                self._traces[trace.target] = trace
-            # Forward waves: start_ttl .. max_ttl.
-            for ttl in range(config.start_ttl, config.max_ttl + 1):
-                for trace in block:
-                    if trace.forward_alive:
-                        yield trace.target, ttl
-                        self._account_forward(trace, ttl)
-            # Backward waves: start_ttl-1 .. 1.  The stop test uses
-            # *responses*: silence (e.g. a rate-limited hop) never stops
-            # the walk — the pathological behaviour the paper reports.
-            for ttl in range(config.start_ttl - 1, 0, -1):
-                for trace in block:
-                    if trace.backward_alive:
-                        yield trace.target, ttl
+                if trace.forward_alive:
+                    yield trace.target, ttl
+                    self._account_forward(trace, ttl)
+        # Backward waves: start_ttl-1 .. 1.  The stop test uses
+        # *responses*: silence (e.g. a rate-limited hop) never stops
+        # the walk — the pathological behaviour the paper reports.
+        for ttl in range(config.start_ttl - 1, 0, -1):
+            for trace in block:
+                if trace.backward_alive:
+                    yield trace.target, ttl
 
     def _account_forward(self, trace: _DTState, ttl: int) -> None:
         """Update the forward gap counter using responses so far (waves
@@ -113,39 +97,7 @@ class DoubletreeProber:
                 if trace.forward_gap >= self.config.gap_limit:
                     trace.forward_alive = False
 
-    @property
-    def exhausted(self) -> bool:
-        return self._emitter is None
-
-    def next_probe(self, now: int) -> Optional[bytes]:  # repro-lint: program-root
-        if self._emitter is None:
-            return None
-        try:
-            target, ttl = next(self._emitter)
-        except StopIteration:
-            self._emitter = None
-            return None
-        self.sent += 1
-        self._m_sent.inc()
-        return encode_probe(
-            self.source,
-            target,
-            ttl,
-            elapsed=now & 0xFFFFFFFF,
-            instance=self.config.instance,
-            protocol=self.config.protocol,
-        )
-
-    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:  # repro-lint: program-root
-        record = self.processor.process(data, now, self.sent)
-        if record is None:
-            return None
-        self._m_responses.inc()
-        if record.is_time_exceeded:
-            self._m_ttl_yield.inc(record.ttl)
-        trace = self._traces.get(record.target)
-        if trace is None:
-            return record
+    def _on_record(self, trace: _DTState, record: ProbeRecord) -> None:
         self._hop_seen[(record.target, record.ttl)] = record.hop
         if record.is_terminal:
             trace.terminal = True
@@ -155,23 +107,10 @@ class DoubletreeProber:
             if record.hop in self.stop_set:
                 trace.backward_alive = False
         self.stop_set.add(record.hop)
-        return record
-
-    @property
-    def records(self) -> List[ProbeRecord]:
-        return self.processor.records
-
-    @property
-    def interfaces(self) -> set:
-        return self.processor.interfaces
 
     def summary(self) -> Dict[str, int]:
         return {
-            "sent": self.sent,
-            "received": self.processor.received,
-            "interfaces": len(self.processor.interfaces),
+            **super().summary(),
             "stop_set": len(self.stop_set),
-            "completed_traces": sum(
-                1 for trace in self._traces.values() if trace.terminal
-            ),
+            "completed_traces": self.completed_traces,
         }

@@ -56,6 +56,17 @@ PAYLOAD_HEAD = struct.Struct("!IBBI")
 #: Protocol name -> next-header value.
 PROTOCOLS = {"icmp6": PROTO_ICMPV6, "udp": PROTO_UDP, "tcp": PROTO_TCP}
 
+#: Transport header lengths by next-header value.
+_TRANSPORT_LENGTH = {PROTO_ICMPV6: 8, PROTO_UDP: 8, PROTO_TCP: 20}
+
+#: Byte offset of the transport checksum field within the transport
+#: header, per protocol.
+_CHECKSUM_OFFSET = {PROTO_ICMPV6: 2, PROTO_UDP: 6, PROTO_TCP: 16}
+
+#: Byte offset of the field carrying the target checksum (TCP/UDP source
+#: port, ICMPv6 identifier) within the transport header.
+_SPORT_OFFSET = {PROTO_ICMPV6: 4, PROTO_UDP: 0, PROTO_TCP: 0}
+
 
 class DecodeError(ValueError):
     """Raised when a quotation cannot be interpreted as a Yarrp6 probe."""
@@ -137,49 +148,29 @@ def encode_probe(
     sport = address_checksum(target)
     desired_sum = (TARGET_SUM + flow_id) & 0xFFFF
 
+    # The transport header with a zero checksum field.
     if proto == PROTO_ICMPV6:
-        # type, code, zero checksum, id, seq — checksum inserted below.
         fixed = struct.pack(
             "!BBHHH", icmpv6.TYPE_ECHO_REQUEST, 0, 0, sport, DEST_PORT
         )
-        payload = _payload_with_fudge(
-            src, target, proto, fixed, instance, ttl, elapsed, desired_sum
-        )
-        segment = fixed + payload
-        checksum = (~desired_sum) & 0xFFFF
-        segment = segment[:2] + checksum.to_bytes(2, "big") + segment[4:]
     elif proto == PROTO_UDP:
         length = udp.HEADER_LENGTH + PAYLOAD_LENGTH
         fixed = struct.pack("!HHHH", sport, DEST_PORT, length, 0)
-        payload = _payload_with_fudge(
-            src, target, proto, fixed, instance, ttl, elapsed, desired_sum
-        )
-        segment = fixed + payload
-        checksum = (~desired_sum) & 0xFFFF
-        segment = segment[:6] + checksum.to_bytes(2, "big") + segment[8:]
     else:  # TCP SYN
-        header = tcp.TCPHeader(sport, DEST_PORT, seq=0, flags=tcp.FLAG_SYN)
-        fixed = header.pack()
-        payload = _payload_with_fudge(
-            src, target, proto, fixed, instance, ttl, elapsed, desired_sum
-        )
-        segment = fixed + payload
-        checksum = (~desired_sum) & 0xFFFF
-        segment = segment[:16] + checksum.to_bytes(2, "big") + segment[18:]
+        fixed = tcp.TCPHeader(sport, DEST_PORT, seq=0, flags=tcp.FLAG_SYN).pack()
 
+    payload = _payload_with_fudge(
+        src, target, proto, fixed, instance, ttl, elapsed, desired_sum
+    )
+    checksum_at = _CHECKSUM_OFFSET[proto]
+    segment = (
+        fixed[:checksum_at]
+        + ((~desired_sum) & 0xFFFF).to_bytes(2, "big")
+        + fixed[checksum_at + 2 :]
+        + payload
+    )
     return IPv6Header(src, target, len(segment), proto, hop_limit=ttl).pack() + segment
 
-
-#: Transport header lengths by next-header value.
-_TRANSPORT_LENGTH = {PROTO_ICMPV6: 8, PROTO_UDP: 8, PROTO_TCP: 20}
-
-#: Byte offset of the transport checksum field within the transport
-#: header, per protocol.
-_CHECKSUM_OFFSET = {PROTO_ICMPV6: 2, PROTO_UDP: 6, PROTO_TCP: 16}
-
-#: Byte offset of the field carrying the target checksum (TCP/UDP source
-#: port, ICMPv6 identifier) within the transport header.
-_SPORT_OFFSET = {PROTO_ICMPV6: 4, PROTO_UDP: 0, PROTO_TCP: 0}
 
 #: IPv6 fixed-header size; the transport header starts here.
 _IPV6_HEADER = 40

@@ -86,7 +86,7 @@ def run_mda(
     engine = Engine()
     interval = pps_interval(config.pps)
 
-    def deliver(data: bytes) -> None:
+    def deliver(data: bytes, sent_at: int) -> None:
         record = processor.process(data, engine.now, result.sent)
         if record is not None and record.is_time_exceeded:
             result.record(record.target, record.ttl, record.hop)
@@ -106,10 +106,7 @@ def run_mda(
                         flow_id=flow_id * 7,  # spread the checksum constants
                     )
                     result.sent += 1
-                    response = internet.probe(packet, engine.now)
-                    if response is not None:
-                        data = response.data
-                        engine.schedule(response.delay_us, lambda data=data: deliver(data))
+                    internet.exchange(engine, packet, engine.now, deliver)
 
                 engine.schedule_at(when, send)
                 when += interval

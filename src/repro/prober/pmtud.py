@@ -84,13 +84,7 @@ def discover_pmtu(
         replies: Dict[int, Tuple[str, int, int]] = {}
 
         def send(target: int) -> None:
-            packet = _padded_probe(vantage.address, target, sizes[target])
-            response = internet.probe(packet, engine.now)
-            if response is None:
-                return
-            data = response.data
-
-            def deliver(target: int = target, data: bytes = data) -> None:
+            def deliver(data: bytes, sent_at: int) -> None:
                 try:
                     header, payload = ipv6.split_packet(data)
                     message = icmpv6.ICMPv6Message.unpack(payload)
@@ -105,7 +99,8 @@ def discover_pmtu(
                     # path as far as it goes; treat as terminal.
                     replies[target] = ("error", 0, header.src)
 
-            engine.schedule(response.delay_us, deliver)
+            packet = _padded_probe(vantage.address, target, sizes[target])
+            internet.exchange(engine, packet, engine.now, deliver)
 
         when = engine.now
         for target in sorted(live):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from ..packet import icmpv6, ipv6
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP
 from .encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_quotation, rtt_from
@@ -73,9 +74,17 @@ class ProbeRecord:
 
 
 class ResponseProcessor:
-    """Decodes response packets into records and aggregates statistics."""
+    """Decodes response packets into records and aggregates statistics.
 
-    def __init__(self, instance: Optional[int] = None) -> None:
+    ``metrics`` counts every decoded response (``prober.responses``) and
+    every Time Exceeded by originating TTL (``prober.ttl_yield``).
+    """
+
+    def __init__(
+        self,
+        instance: Optional[int] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         self.instance = instance
         self.records: List[ProbeRecord] = []
         #: Unique response source addresses from ICMPv6 *Time Exceeded*
@@ -91,6 +100,9 @@ class ResponseProcessor:
         self.foreign = 0
         self.mangled_targets = 0
         self.response_labels: Dict[str, int] = {}
+        registry = metrics if metrics is not None else NULL_REGISTRY
+        self._m_responses = registry.counter("prober.responses")
+        self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
 
     def process(self, data: bytes, now: int, sent_so_far: int) -> Optional[ProbeRecord]:
         """Interpret response bytes; returns the record, or None when the
@@ -129,9 +141,12 @@ class ResponseProcessor:
         if record.target_modified:
             self.mangled_targets += 1
         self.responders.add(record.hop)
-        if record.is_time_exceeded and record.hop not in self.interfaces:
-            self.interfaces.add(record.hop)
-            self.curve.append((sent_so_far, len(self.interfaces)))
+        self._m_responses.inc()
+        if record.is_time_exceeded:
+            self._m_ttl_yield.inc(record.ttl)
+            if record.hop not in self.interfaces:
+                self.interfaces.add(record.hop)
+                self.curve.append((sent_so_far, len(self.interfaces)))
         return record
 
     def _from_echo_reply(

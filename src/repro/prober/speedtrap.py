@@ -138,15 +138,12 @@ def run_speedtrap(
     interval = pps_interval(config.pps)
 
     def send(packet: bytes, round_index: int) -> None:
-        response = internet.probe(packet, engine.now)
-        if response is not None:
-            data = response.data
-            engine.schedule(
-                response.delay_us,
-                lambda data=data, round_index=round_index: machine.receive(
-                    data, engine.now, round_index
-                ),
-            )
+        internet.exchange(
+            engine,
+            packet,
+            engine.now,
+            lambda data, sent_at: machine.receive(data, engine.now, round_index),
+        )
 
     when = 0
     for candidate in machine.candidates:

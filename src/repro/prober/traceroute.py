@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from .encoding import encode_probe
-from .records import ProbeRecord, ResponseProcessor
+from ..obs.metrics import MetricsRegistry
+from .base import WaveProber
+from .records import ProbeRecord
 
 
 @dataclass
@@ -51,8 +51,11 @@ class _TraceState:
         self.terminal = False
 
 
-class SequentialProber:
+class SequentialProber(WaveProber):
     """Lockstep-windowed sequential tracer."""
+
+    Config = SequentialConfig
+    State = _TraceState
 
     def __init__(
         self,
@@ -61,38 +64,18 @@ class SequentialProber:
         config: Optional[SequentialConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.source = source
-        self.targets = list(targets)
-        self.config = config or SequentialConfig()
-        if not self.targets:
-            raise ValueError("no targets")
-        self.processor = ResponseProcessor(self.config.instance)
-        self.sent = 0
-        self._traces: Dict[int, _TraceState] = {}
-        self._emitter = self._emission_order()
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_sent = registry.counter("prober.sent")
-        self._m_responses = registry.counter("prober.responses")
-        self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
-        self._m_completed = registry.counter("prober.completed_traces")
+        super().__init__(source, targets, config, metrics)
+        self._m_completed = self._registry.counter("prober.completed_traces")
 
-    def _emission_order(self) -> Iterator[Tuple[int, int]]:
-        """Generate (target, ttl) in windowed per-TTL waves."""
-        config = self.config
-        for start in range(0, len(self.targets), config.window):
-            block = [
-                _TraceState(target)
-                for target in self.targets[start : start + config.window]
-            ]
+    def _waves(self, block: List[_TraceState]) -> Iterator[Tuple[int, int]]:
+        """Per-TTL waves over the block's live traces."""
+        for ttl in range(1, self.config.max_ttl + 1):
             for trace in block:
-                self._traces[trace.target] = trace
-            for ttl in range(1, config.max_ttl + 1):
-                for trace in block:
-                    if not trace.alive:
-                        continue
-                    self._maybe_gap_out(trace, ttl)
-                    if trace.alive:
-                        yield trace.target, ttl
+                if not trace.alive:
+                    continue
+                self._maybe_gap_out(trace, ttl)
+                if trace.alive:
+                    yield trace.target, ttl
 
     def _maybe_gap_out(self, trace: _TraceState, next_ttl: int) -> None:
         """Abandon the trace after gap_limit consecutive silent hops,
@@ -107,62 +90,18 @@ class SequentialProber:
         if horizon - last_response >= config.gap_limit:
             trace.alive = False
 
-    @property
-    def exhausted(self) -> bool:
-        return self._emitter is None
-
-    def next_probe(self, now: int) -> Optional[bytes]:  # repro-lint: program-root
-        if self._emitter is None:
-            return None
-        try:
-            target, ttl = next(self._emitter)
-        except StopIteration:
-            self._emitter = None
-            return None
-        self.sent += 1
-        self._m_sent.inc()
-        return encode_probe(
-            self.source,
-            target,
-            ttl,
-            elapsed=now & 0xFFFFFFFF,
-            instance=self.config.instance,
-            protocol=self.config.protocol,
-        )
-
-    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:  # repro-lint: program-root
-        record = self.processor.process(data, now, self.sent)
-        if record is None:
-            return None
-        self._m_responses.inc()
-        if record.is_time_exceeded:
-            self._m_ttl_yield.inc(record.ttl)
-        trace = self._traces.get(record.target)
-        if trace is not None:
-            trace.responded_ttls.add(record.ttl)
-            if record.is_terminal:
-                # Destination (or a terminal error source) reached: stop.
-                if not trace.terminal:
-                    self._m_completed.inc()
-                trace.terminal = True
-                trace.alive = False
-        return record
-
-    @property
-    def records(self) -> List[ProbeRecord]:
-        return self.processor.records
-
-    @property
-    def interfaces(self) -> set:
-        return self.processor.interfaces
+    def _on_record(self, trace: _TraceState, record: ProbeRecord) -> None:
+        trace.responded_ttls.add(record.ttl)
+        if record.is_terminal:
+            # Destination (or a terminal error source) reached: stop.
+            if not trace.terminal:
+                self._m_completed.inc()
+            trace.terminal = True
+            trace.alive = False
 
     def summary(self) -> Dict[str, int]:
         return {
-            "sent": self.sent,
-            "received": self.processor.received,
-            "interfaces": len(self.processor.interfaces),
+            **super().summary(),
             "decode_failures": self.processor.decode_failures,
-            "completed_traces": sum(
-                1 for trace in self._traces.values() if trace.terminal
-            ),
+            "completed_traces": self.completed_traces,
         }

@@ -22,10 +22,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from .encoding import ProbeTemplate, encode_probe
+from ..obs.metrics import MetricsRegistry
+from .base import Prober
+from .encoding import ProbeTemplate
 from .permutation import ProbeSchedule
-from .records import ProbeRecord, ResponseProcessor
+from .records import ProbeRecord
 
 
 @dataclass
@@ -52,8 +53,10 @@ class Yarrp6Config:
     neighborhood_window_us: int = 5_000_000
 
 
-class Yarrp6:
+class Yarrp6(Prober):
     """The prober: hand it targets, pull packets, feed it responses."""
+
+    Config = Yarrp6Config
 
     def __init__(
         self,
@@ -62,11 +65,7 @@ class Yarrp6:
         config: Optional[Yarrp6Config] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.source = source
-        self.targets = list(targets)
-        self.config = config or Yarrp6Config()
-        if not self.targets:
-            raise ValueError("no targets")
+        super().__init__(source, targets, config, metrics)
         self.schedule = ProbeSchedule(
             len(self.targets),
             self.config.min_ttl,
@@ -75,7 +74,6 @@ class Yarrp6:
             shard=self.config.shard,
             shards=self.config.shards,
         )
-        self.processor = ResponseProcessor(self.config.instance)
         self._cursor = 0
         #: Walk pairs prefetched via the schedule's batched fast path;
         #: ``_fetched`` counts pairs pulled from the schedule so far.
@@ -85,18 +83,13 @@ class Yarrp6:
         self._template: Optional[ProbeTemplate] = None
         self._template_buffer: Optional[bytearray] = None
         self._fill_queue: Deque[Tuple[int, int]] = deque()
-        self.sent = 0
         self.fills = 0
         self.skipped = 0
         # Neighborhood state: per-TTL timestamp of the last new interface.
         self._last_new_at: Dict[int, int] = {}
         self._neighborhood_known: Dict[int, set] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_sent = registry.counter("prober.sent")
-        self._m_fills = registry.counter("prober.fills")
-        self._m_skipped = registry.counter("prober.skipped")
-        self._m_responses = registry.counter("prober.responses")
-        self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
+        self._m_fills = self._registry.counter("prober.fills")
+        self._m_skipped = self._registry.counter("prober.skipped")
 
     # -- emission --------------------------------------------------------
     @property
@@ -114,7 +107,7 @@ class Yarrp6:
             target, ttl = self._fill_queue.popleft()
             self.fills += 1
             self._m_fills.inc()
-            return self._encode(target, ttl, now)
+            return self._emit(target, ttl, now)
         total = len(self.schedule)
         while self._cursor < total:
             if not self._buffer:
@@ -127,7 +120,7 @@ class Yarrp6:
                 self.skipped += 1
                 self._m_skipped.inc()
                 continue
-            return self._encode(self.targets[target_index], ttl, now)
+            return self._emit(self.targets[target_index], ttl, now)
         return None
 
     @property
@@ -204,18 +197,6 @@ class Yarrp6:
         assert buffer is not None
         return self._template, buffer
 
-    def _encode(self, target: int, ttl: int, now: int) -> bytes:
-        self.sent += 1
-        self._m_sent.inc()
-        return encode_probe(
-            self.source,
-            target,
-            ttl,
-            elapsed=now & 0xFFFFFFFF,
-            instance=self.config.instance,
-            protocol=self.config.protocol,
-        )
-
     def _skip_neighborhood(self, ttl: int, now: int) -> bool:
         limit = self.config.neighborhood_ttl
         if limit is None or ttl > limit:
@@ -246,9 +227,6 @@ class Yarrp6:
         )
         if record is None:
             return None
-        self._m_responses.inc()
-        if record.is_time_exceeded:
-            self._m_ttl_yield.inc(record.ttl)
         if (
             self.config.neighborhood_ttl is not None
             and record.is_time_exceeded
@@ -268,22 +246,15 @@ class Yarrp6:
         return record
 
     # -- results ---------------------------------------------------------
-    @property
-    def records(self) -> List[ProbeRecord]:
-        return self.processor.records
-
-    @property
-    def interfaces(self) -> set:
-        return self.processor.interfaces
-
     def summary(self) -> Dict[str, int]:
         """Counters for reporting."""
+        base = super().summary()
+        # Emission counters lead; the base's response counters follow.
         return {
-            "sent": self.sent,
+            "sent": base.pop("sent"),
             "fills": self.fills,
             "skipped": self.skipped,
-            "received": self.processor.received,
-            "interfaces": len(self.processor.interfaces),
+            **base,
             "decode_failures": self.processor.decode_failures,
             "mangled_targets": self.processor.mangled_targets,
             "tcp_responses": self.processor.tcp_responses,

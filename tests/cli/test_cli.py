@@ -234,6 +234,56 @@ class TestPipeline:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, line, reason",
+        [
+            ("probe", "not-an-address", "invalid group 'not-an-address'"),
+            ("targets", "2001:db8::/200", "prefix length out of range: 200"),
+        ],
+    )
+    def test_malformed_input_line_names_file_and_line(
+        self, world_file, tmp_path, command, line, reason
+    ):
+        listing = tmp_path / "items"
+        listing.write_text("# header\n2001:db8::1\n%s\n" % line)
+        argv = {
+            "probe": ["probe", "--world", world_file, "--targets", str(listing)],
+            "targets": ["targets", "--seeds", str(listing)],
+        }[command]
+        code, text = run(argv + ["--out", str(tmp_path / "never")])
+        assert code == 2
+        assert text == "%s:3: %s: %r\n" % (listing, reason, line)
+
+    def test_missing_targets_file_is_a_one_line_error(self, world_file, tmp_path):
+        missing = str(tmp_path / "nonexistent")
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--targets", missing,
+                "--out", str(tmp_path / "never"),
+            ]
+        )
+        assert code == 2
+        assert missing in text and text.count("\n") == 1
+
+    def test_unknown_vantage_lists_the_configured_ones(self, world_file, tmp_path):
+        targets = tmp_path / "t"
+        targets.write_text("2001:db8::1\n")
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--vantage", "NOPE",
+                "--targets", str(targets),
+                "--out", str(tmp_path / "never"),
+            ]
+        )
+        assert code == 2
+        assert text == (
+            "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)\n"
+        )
+
     def test_probe_metrics_writes_manifest(self, world_file, tmp_path):
         from repro.obs import MANIFEST_FORMAT, read_manifest
 

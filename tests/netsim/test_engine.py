@@ -117,56 +117,6 @@ class TestEngine:
         assert fired == expected
 
 
-class TestRunBatch:
-    def test_fires_all_events_at_earliest_timestamp(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(10, lambda: fired.append("a"))
-        engine.schedule(10, lambda: fired.append("b"))
-        engine.schedule(10, lambda: fired.append("c"))
-        engine.schedule(20, lambda: fired.append("late"))
-        assert engine.run_batch() == 3
-        assert fired == ["a", "b", "c"]
-        assert engine.now == 10
-        assert engine.pending == 1
-        assert engine.run_batch() == 1
-        assert fired == ["a", "b", "c", "late"]
-
-    def test_empty_queue_returns_zero(self):
-        engine = Engine()
-        assert engine.run_batch() == 0
-        assert engine.now == 0
-
-    def test_includes_events_scheduled_mid_batch_at_same_time(self):
-        """An event that schedules another event for the SAME timestamp
-        extends the current batch (matching run()'s behaviour, where the
-        new event simply pops next)."""
-        engine = Engine()
-        fired = []
-        engine.schedule(
-            5, lambda: (fired.append("first"), engine.schedule(0, lambda: fired.append("nested")))
-        )
-        assert engine.run_batch() == 2
-        assert fired == ["first", "nested"]
-
-    def test_batched_drain_equals_run(self):
-        """Draining entirely through run_batch reproduces run()'s exact
-        firing order."""
-        rng = random.Random(42)
-        delays = [rng.randrange(0, 50) for _ in range(200)]
-        order_run, order_batch = [], []
-        for collector, drain in ((order_run, "run"), (order_batch, "batch")):
-            engine = Engine()
-            for tag, delay in enumerate(delays):
-                engine.schedule(delay, lambda tag=tag: collector.append(tag))
-            if drain == "run":
-                engine.run()
-            else:
-                while engine.run_batch():
-                    pass
-        assert order_batch == order_run
-
-
 class TestCompaction:
     def test_compaction_preserves_order_and_results(self):
         """Push enough churn through the queue to trigger slot-array

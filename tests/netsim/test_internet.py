@@ -5,6 +5,7 @@ import pytest
 from repro.addrs import format_address, parse
 from repro.netsim import Internet, InternetConfig, TerminalKind, decoupled_dynamics
 from repro.netsim.ecmp import flow_variant
+from repro.netsim.engine import Engine
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
@@ -238,6 +239,49 @@ class TestRateLimiting:
             net.probe(icmp_probe(vantage.address, dst, 1, seq=index), now=index)
         net.reset_dynamics()
         assert net.probe(icmp_probe(vantage.address, dst, 1), now=0) is not None
+
+
+class TestExchange:
+    """``exchange`` is ``probe`` plus the round trip on the engine."""
+
+    def test_dropped_probe_schedules_nothing(self, net):
+        vantage = net.vantage("US-EDU-1")
+        dst = first_host(net)
+        when = 0
+        while not net.stats.rate_limited:  # drain the first hop's bucket
+            when += 1
+            net.probe(icmp_probe(vantage.address, dst, 1, seq=when), now=when)
+        engine = Engine()
+        calls = []
+        net.exchange(
+            engine,
+            icmp_probe(vantage.address, dst, 1),
+            when,
+            lambda data, sent_at: calls.append(data),
+        )
+        assert engine.pending == 0
+        engine.run()
+        assert calls == []
+
+    # The block loop injects ahead of the clock: ``when`` > ``engine.now``.
+    @pytest.mark.parametrize("when", (0, 5000))
+    def test_answered_probe_delivers_once_after_the_round_trip(self, net, when):
+        vantage = net.vantage("US-EDU-1")
+        packet = icmp_probe(vantage.address, first_host(net), 3)
+        response = net.probe(packet, now=when)
+        assert response is not None
+        net.fresh_run_state()
+        engine = Engine()
+        calls = []
+        net.exchange(
+            engine,
+            packet,
+            when,
+            lambda data, sent_at: calls.append((engine.now, data, sent_at)),
+        )
+        assert engine.now == 0 and engine.pending == 1 and calls == []
+        engine.run()
+        assert calls == [(when + response.delay_us, response.data, when)]
 
 
 class TestFlowPathChoice:

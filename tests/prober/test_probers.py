@@ -5,6 +5,7 @@ import pytest
 
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.prober import (
+    PROBERS,
     DoubletreeConfig,
     SequentialConfig,
     Yarrp6,
@@ -41,11 +42,61 @@ def host_targets(built):
     return targets
 
 
-class TestYarrp6Unit:
-    def test_requires_targets(self):
-        with pytest.raises(ValueError):
-            Yarrp6(1, [])
+@pytest.mark.parametrize("kind", list(PROBERS))
+class TestProberContract:
+    """What ``run_campaign`` relies on, for every row of ``PROBERS``."""
 
+    def test_requires_targets(self, kind):
+        with pytest.raises(ValueError, match="no targets"):
+            PROBERS[kind](1, [])
+
+    def test_default_config(self, kind):
+        cls = PROBERS[kind]
+        assert cls(1, [2]).config == cls.Config()
+
+    def test_drain_counts_every_emission(self, kind, net, host_targets):
+        prober = PROBERS[kind](net.vantage("US-EDU-1").address, host_targets[:10])
+        emitted = 0
+        while not prober.exhausted:
+            if prober.next_probe(now=emitted) is not None:
+                emitted += 1
+        assert prober.next_probe(now=emitted) is None
+        summary = prober.summary()
+        assert emitted == prober.sent == summary["sent"] > 0
+        # Every report opens with the emission count and carries the
+        # base's response counters in the base's order.
+        assert next(iter(summary)) == "sent"
+        base = ("sent", "received", "interfaces")
+        assert tuple(key for key in summary if key in base) == base
+        assert summary["received"] == summary["interfaces"] == 0
+
+    def test_rejects_another_kinds_config(self, kind, net, host_targets):
+        net.stats.probes = 7  # reset_dynamics() would replace the stats
+        for other in PROBERS:
+            if other == kind:
+                continue
+            wrong = PROBERS[other].Config()
+            with pytest.raises(ValueError, match="%s prober takes a" % kind):
+                run_campaign(net, "US-EDU-1", host_targets[:5], kind, config=wrong)
+        assert net.stats.probes == 7
+
+    def test_a_row_is_all_a_kind_needs(
+        self, kind, net, host_targets, monkeypatch, capsys
+    ):
+        """Adding a row to ``PROBERS`` makes the kind runnable and a
+        ``probe --prober`` choice with no other edit."""
+        from repro.cli.main import build_parser
+
+        row = "mirror-" + kind
+        monkeypatch.setitem(PROBERS, row, PROBERS[kind])
+        result = run_campaign(net, "US-EDU-1", host_targets[:5], row, pps=500)
+        assert result.prober == row and result.sent > 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["probe", "--help"])
+        assert row in capsys.readouterr().out
+
+
+class TestYarrp6Unit:
     def test_emission_count(self, net, host_targets):
         vantage = net.vantage("US-EDU-1")
         prober = Yarrp6(vantage.address, host_targets[:10], Yarrp6Config(max_ttl=4))
@@ -176,12 +227,6 @@ class TestSequential:
         result = run_sequential(net, "US-EDU-1", host_targets[:50], pps=200)
         assert result.summary["completed_traces"] > 0
 
-    def test_requires_targets(self):
-        from repro.prober.traceroute import SequentialProber
-
-        with pytest.raises(ValueError):
-            SequentialProber(1, [])
-
 
 class TestRateLimitContrast:
     def test_yarrp_beats_sequential_at_speed(self, built):
@@ -253,6 +298,16 @@ class TestCampaignRunner:
     def test_unknown_prober(self, net, host_targets):
         with pytest.raises(ValueError):
             run_campaign(net, "US-EDU-1", host_targets[:5], prober="warts")
+
+    def test_config_must_match_prober_kind(self, net, host_targets):
+        with pytest.raises(ValueError) as refusal:
+            run_campaign(
+                net, "US-EDU-1", host_targets[:5], "sequential",
+                config=Yarrp6Config(),
+            )
+        assert str(refusal.value) == (
+            "sequential prober takes a SequentialConfig, got Yarrp6Config"
+        )
 
     def test_result_metadata(self, net, host_targets):
         result = run_yarrp6(net, "EU-NET", host_targets[:20], pps=100, max_ttl=4)
