@@ -23,17 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO
 from .. import __version__
 from ..addrs import address, format_address
 from ..addrs.prefix import Prefix
-from ..analysis import (
-    AsnResolver,
-    build_traces,
-    discover_by_path_div,
-    format_count,
-    graph_summary,
-    interface_graph,
-    path_length_stats,
-    reach_fraction,
-    render_table,
-)
 from ..hitlist import make_targets
 from ..hitlist.transform import SeedItem
 from ..netsim import Internet, InternetConfig, build_internet
@@ -56,7 +45,7 @@ from ..prober import (
     run_parallel,
 )
 from ..prober.output import load_campaign, save_campaign
-from ..seeds import build_all_seeds
+from ..seeds import SOURCES
 from .checks import CHECKS, rejection
 from .worldcfg import load_config, save_config
 
@@ -122,21 +111,20 @@ def _load_world(path: str):
 
 
 def cmd_seeds(args: argparse.Namespace, out: TextIO) -> int:
-    built = _load_world(args.world)
-    seeds = build_all_seeds(
-        built,
+    build = SOURCES.get(args.source)
+    if build is None:
+        out.write(
+            "unknown source %r; available: %s\n"
+            % (args.source, ", ".join(sorted(SOURCES)))
+        )
+        return 2
+    seed_list = build(
+        _load_world(args.world),
         random_count=args.random_count,
         sixgen_budget=args.sixgen_budget,
         cdn_k32=args.cdn_k32,
         cdn_k256=args.cdn_k256,
     )
-    if args.source not in seeds:
-        out.write(
-            "unknown source %r; available: %s\n"
-            % (args.source, ", ".join(sorted(seeds)))
-        )
-        return 2
-    seed_list = seeds[args.source]
     _write_items(args.out, seed_list.items)
     out.write(
         "%s: %d items written to %s\n" % (seed_list.name, len(seed_list), args.out)
@@ -294,6 +282,8 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
+    from ..analysis import render_table  # see cmd_analyze
+
     manifest = read_manifest(args.manifest)
     run = manifest.get("run", {})
     run_rows = [[key, run[key]] for key in sorted(run)]
@@ -378,6 +368,23 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
+    if args.subnets and not args.world:
+        out.write("--subnets needs --world for ASN attribution\n")
+        return 2
+    # Imported here, not at module level: repro.analysis pulls in networkx,
+    # which only this command and `stats` use.
+    from ..analysis import (
+        AsnResolver,
+        build_traces,
+        discover_by_path_div,
+        format_count,
+        graph_summary,
+        interface_graph,
+        path_length_stats,
+        reach_fraction,
+        render_table,
+    )
+
     loaded = load_campaign(args.results)
     traces = build_traces(loaded.records)
     median, mean, p95 = path_length_stats(traces.values())
@@ -401,9 +408,6 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
         )
 
     if args.subnets:
-        if not args.world:
-            out.write("--subnets needs --world for ASN attribution\n")
-            return 2
         built = _load_world(args.world)
         resolver = AsnResolver(built.truth.registry, built.truth.equivalent_asns)
         candidates = discover_by_path_div(traces, resolver)

@@ -27,6 +27,7 @@ evaluation turns on:
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -694,17 +695,29 @@ class _Builder:
         self.out.alloc_index[vantage.asn] = []
 
     def build(self) -> BuiltInternet:
-        self.build_backbone()
-        for asn in self.out.tier1_asns + self.out.tier2_asns:
-            self.out.dist_index[asn] = []
-            self.out.alloc_index[asn] = []
-        self.build_edge_ases()
-        for index in range(self.config.n_cpe_isps):
-            self.build_cpe_isp(index)
-        if self.config.include_6to4:
-            self.build_6to4_relay()
-        self.build_vantages()
-        return self.out
+        # The build allocates only long-lived containers (routers, limiters,
+        # subnets, per-AS lists and dicts) and no cyclic garbage; left on,
+        # the generational collector re-walks them all as they accumulate.
+        # (What it saves, and what it only defers to the first collections
+        # after the build: docs/performance.md, "Where the CLI chain's
+        # host time goes".)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.build_backbone()
+            for asn in self.out.tier1_asns + self.out.tier2_asns:
+                self.out.dist_index[asn] = []
+                self.out.alloc_index[asn] = []
+            self.build_edge_ases()
+            for index in range(self.config.n_cpe_isps):
+                self.build_cpe_isp(index)
+            if self.config.include_6to4:
+                self.build_6to4_relay()
+            self.build_vantages()
+            return self.out
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def build_internet(config: Optional[InternetConfig] = None) -> BuiltInternet:

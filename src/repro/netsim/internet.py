@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..addrs.prefix import Prefix
 from ..obs.metrics import DEFAULT_BUCKET_US, MetricsRegistry
@@ -169,6 +169,16 @@ def _covering(sorted_prefixes: Sequence[Prefix], value: int) -> Optional[Prefix]
     return None
 
 
+def check_vantage(name: str, configured: Collection[str]) -> None:
+    """Raise ``ValueError`` unless ``name`` is one of the ``configured``
+    vantage names (a built world's, or a config's before anything is built)."""
+    if name not in configured:
+        raise ValueError(
+            "unknown vantage %r (configured: %s)"
+            % (name, ", ".join(sorted(configured)))
+        )
+
+
 def _hop_delay(router: Router, tier: int) -> int:
     """Deterministic per-router one-way link delay in microseconds."""
     jitter = (router.router_id * 2654435761) & 0xFFFFFFFF
@@ -242,13 +252,8 @@ class Internet:
     # Path compilation
     # ------------------------------------------------------------------
     def vantage(self, name: str) -> Vantage:
-        vantages = self.built.vantages
-        if name not in vantages:
-            raise ValueError(
-                "unknown vantage %r (configured: %s)"
-                % (name, ", ".join(sorted(vantages)))
-            )
-        return vantages[name]
+        check_vantage(name, self.built.vantages)
+        return self.built.vantages[name]
 
     def reset_dynamics(self) -> None:
         """Refill every rate limiter and clear per-router probing state

@@ -18,7 +18,7 @@ skipped, malformed rows counted and skipped rather than fatal.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, TextIO, Tuple, TypeVar
 
 from ..addrs import address
 from ..packet import icmpv6
@@ -28,9 +28,27 @@ from .records import ProbeRecord
 #: Format identifier written as the first header line.
 FORMAT_VERSION = "yrp6/1"
 
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
 
 class OutputError(ValueError):
     """Raised for unreadable output files."""
+
+
+class _Memo(Dict[_K, _V]):
+    """A dict local to one call that fills a missing key with ``compute(key)``.
+
+    A key whose computation raises is not stored, so every occurrence of
+    a malformed input raises (and is counted) on its own.
+    """
+
+    def __init__(self, compute: Callable[[_K], _V]) -> None:
+        self.compute = compute
+
+    def __missing__(self, key: _K) -> _V:
+        value = self[key] = self.compute(key)
+        return value
 
 
 def write_records(
@@ -51,17 +69,20 @@ def write_records(
     sink.write(
         "# columns: target received_us type code ttl hop rtt_us flags\n"
     )
+    # Hops (and, per TTL, targets) repeat across rows: format each
+    # distinct address once per call.
+    text = _Memo(address.format_address)
     count = 0
     for record in records:
         sink.write(
             "%s\t%d\t%d\t%d\t%d\t%s\t%d\t%s\n"
             % (
-                address.format_address(record.target),
+                text[record.target],
                 record.received_at,
                 record.icmp_type,
                 record.icmp_code,
                 record.ttl,
-                address.format_address(record.hop),
+                text[record.hop],
                 record.rtt_us,
                 "M" if record.target_modified else "-",
             )
@@ -104,9 +125,8 @@ class LoadedCampaign:
         }
 
 
-def _label_for(icmp_type: int, icmp_code: int) -> str:
-    message = icmpv6.ICMPv6Message(icmp_type, icmp_code)
-    return icmpv6.classify_response(message)
+def _label_for(type_code: Tuple[int, int]) -> str:
+    return icmpv6.classify_response(icmpv6.ICMPv6Message(*type_code))
 
 
 def read_records(source: TextIO) -> LoadedCampaign:
@@ -117,6 +137,10 @@ def read_records(source: TextIO) -> LoadedCampaign:
     metadata: Dict[str, str] = {}
     records: List[ProbeRecord] = []
     skipped = 0
+    # Parse each distinct address text (full validation) and classify
+    # each distinct (type, code) once per call.
+    parsed = _Memo(address.parse)
+    labels = _Memo(_label_for)
     for line in source:
         line = line.rstrip("\n")
         if not line:
@@ -132,12 +156,12 @@ def read_records(source: TextIO) -> LoadedCampaign:
             skipped += 1
             continue
         try:
-            target = address.parse(fields[0])
+            target = parsed[fields[0]]
             received = int(fields[1])
             icmp_type = int(fields[2])
             icmp_code = int(fields[3])
             ttl = int(fields[4])
-            hop = address.parse(fields[5])
+            hop = parsed[fields[5]]
             rtt = int(fields[6])
             modified = fields[7] == "M"
         except (ValueError, address.AddressError):
@@ -150,7 +174,7 @@ def read_records(source: TextIO) -> LoadedCampaign:
                 hop=hop,
                 icmp_type=icmp_type,
                 icmp_code=icmp_code,
-                label=_label_for(icmp_type, icmp_code),
+                label=labels[icmp_type, icmp_code],
                 rtt_us=rtt,
                 received_at=received,
                 target_modified=modified,

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.build import InternetConfig
 from ..netsim.engine import pps_interval
-from ..netsim.internet import Internet
+from ..netsim.internet import Internet, check_vantage
 from ..obs.failures import FailureReport
 from ..obs.metrics import (
     DEFAULT_BUCKET_US,
@@ -121,13 +121,15 @@ def validate_spec(spec: CampaignSpec, shards: int) -> None:
     """Raise ``ValueError`` for any spec the workers would choke on.
 
     Runs in the parent, *before* any worker forks: a bad shard count, TTL
-    range or empty target list must fail immediately with a clean error,
-    not N times inside a pool.
+    range, vantage name or empty target list must fail immediately with a
+    clean error, not N times inside a pool.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1: %r" % shards)
     if not spec.targets:
         raise ValueError("no targets")
+    # Internet.vantage's check, without building the world to make it.
+    check_vantage(spec.vantage, [vantage.name for vantage in spec.internet.vantages])
     config = spec.prober_config()
     if config.shard != 0 or config.shards != 1:
         raise ValueError(

@@ -2,6 +2,7 @@
 
 from .base import SeedList, join
 from .sources import (
+    SOURCES,
     build_all_seeds,
     caida_seed,
     cdn_observations,
@@ -16,6 +17,7 @@ from .sources import (
 )
 
 __all__ = [
+    "SOURCES",
     "SeedList",
     "build_all_seeds",
     "caida_seed",

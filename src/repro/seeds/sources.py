@@ -9,16 +9,15 @@ hitlists every time.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..addrs.iid import IIDClass, classify_address
-from ..addrs.prefix import Prefix
 from ..hitlist.kip import KIPParams, kip_aggregate
 from ..hitlist.sixgen import SixGenConfig, generate
 from ..hitlist.synthesis import lowbyte1
 from ..hitlist.transform import zn
 from ..netsim.build import BuiltInternet
-from ..netsim.topology import HostKind, RouterRole
+from ..netsim.topology import RouterRole
 from .base import SeedList
 
 
@@ -282,6 +281,30 @@ def random_seed(built: BuiltInternet, count: int = 20_000) -> SeedList:
     return SeedList("random", "Random", items)
 
 
+#: The seed-source table: name -> builder, called as ``build(built,
+#: random_count=, sixgen_budget=, cdn_k32=, cdn_k256=)``.  A row names the
+#: knob that parameterises it and ignores the rest; the CDN rows also
+#: take ``observations=`` so that :func:`build_all_seeds` draws them once.
+#: Each source draws from its own ``_rng(built, salt)``, so a row called
+#: alone builds the same list as the same row called among nine.  Adding
+#: a hitlist = one function + one row.
+SOURCES: Dict[str, Callable[..., SeedList]] = {
+    "caida": lambda built, **knobs: caida_seed(built),
+    "dnsdb": lambda built, **knobs: dnsdb_seed(built),
+    "fiebig": lambda built, **knobs: fiebig_seed(built),
+    "fdns_any": lambda built, **knobs: fdns_seed(built),
+    "cdn-k256": lambda built, cdn_k256, observations=None, **knobs: cdn_seed(
+        built, cdn_k256, observations, label="cdn-k256"
+    ),
+    "cdn-k32": lambda built, cdn_k32, observations=None, **knobs: cdn_seed(
+        built, cdn_k32, observations, label="cdn-k32"
+    ),
+    "6gen": lambda built, sixgen_budget, **knobs: sixgen_seed(built, budget=sixgen_budget),
+    "tum": lambda built, **knobs: tum_seed(built),
+    "random": lambda built, random_count, **knobs: random_seed(built, random_count),
+}
+
+
 def build_all_seeds(
     built: BuiltInternet,
     random_count: int = 20_000,
@@ -297,16 +320,11 @@ def build_all_seeds(
     worlds pass proportionally scaled values (keeping the 8x ratio) so
     the sets play the same role.
     """
-    observations = cdn_observations(built)
-    seeds = {
-        "caida": caida_seed(built),
-        "dnsdb": dnsdb_seed(built),
-        "fiebig": fiebig_seed(built),
-        "fdns_any": fdns_seed(built),
-        "cdn-k256": cdn_seed(built, cdn_k256, observations, label="cdn-k256"),
-        "cdn-k32": cdn_seed(built, cdn_k32, observations, label="cdn-k32"),
-        "6gen": sixgen_seed(built, budget=sixgen_budget),
-        "tum": tum_seed(built),
-        "random": random_seed(built, random_count),
-    }
-    return seeds
+    knobs = dict(
+        random_count=random_count,
+        sixgen_budget=sixgen_budget,
+        cdn_k32=cdn_k32,
+        cdn_k256=cdn_k256,
+        observations=cdn_observations(built),
+    )
+    return {name: build(built, **knobs) for name, build in SOURCES.items()}

@@ -114,6 +114,36 @@ class TestPipeline:
         assert code == 2
         assert "unknown source" in text
 
+    def test_unknown_seed_source_is_refused_before_the_world_is_read(self, tmp_path):
+        code, text = run(
+            [
+                "seeds",
+                "--world", str(tmp_path / "nonexistent"),
+                "--source", "NOPE",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert text == (
+            "unknown source 'NOPE'; available: 6gen, caida, cdn-k256, cdn-k32, "
+            "dnsdb, fdns_any, fiebig, random, tum\n"
+        )
+
+    def test_seeds_builds_only_the_named_source(self, world_file, tmp_path, monkeypatch):
+        """``--source dnsdb`` must not pay for 6Gen or the kIP aggregations."""
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("a source nobody asked for was synthesized")
+
+        monkeypatch.setattr("repro.seeds.sources.generate", bomb)
+        monkeypatch.setattr("repro.seeds.sources.kip_aggregate", bomb)
+        out_path = tmp_path / "dnsdb.seeds"
+        code, text = run(
+            ["seeds", "--world", world_file, "--source", "dnsdb", "--out", str(out_path)]
+        )
+        assert code == 0, text
+        assert out_path.read_text().strip()
+
     def test_probe_other_probers(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")
         run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
@@ -270,19 +300,23 @@ class TestPipeline:
     def test_unknown_vantage_lists_the_configured_ones(self, world_file, tmp_path):
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--vantage", "NOPE",
-                "--targets", str(targets),
-                "--out", str(tmp_path / "never"),
-            ]
-        )
-        assert code == 2
-        assert text == (
-            "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)\n"
-        )
+        # --workers 2: refused in the parent before any worker forks, not
+        # as a ShardFailure traceback from the pool.
+        for workers in ("1", "2"):
+            code, text = run(
+                [
+                    "probe",
+                    "--world", world_file,
+                    "--vantage", "NOPE",
+                    "--targets", str(targets),
+                    "--workers", workers,
+                    "--out", str(tmp_path / "never"),
+                ]
+            )
+            assert code == 2
+            assert text == (
+                "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)\n"
+            )
 
     def test_probe_metrics_writes_manifest(self, world_file, tmp_path):
         from repro.obs import MANIFEST_FORMAT, read_manifest
@@ -385,7 +419,8 @@ class TestPipeline:
         )
         code, text = run(["analyze", "--results", results, "--subnets"])
         assert code == 2
-        assert "--world" in text
+        # Refused before the file is loaded: no summary table, one line.
+        assert text == "--subnets needs --world for ASN attribution\n"
 
 
 class TestProfile:
@@ -612,6 +647,31 @@ class TestParser:
         )
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+    def test_networkx_is_imported_by_analyze_only(self, tmp_path):
+        """Start-up and the commands that never draw a graph must not pay
+        for ``repro.analysis`` -> networkx; ``analyze`` imports it itself."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        script = (
+            "import io, sys\n"
+            "from repro.cli.main import main\n"
+            "assert 'networkx' not in sys.modules, 'imported at start-up'\n"
+            "world, results = sys.argv[1:]\n"
+            "assert main(['world', '--edge', '6', '--cpe', '10', '--out', world],"
+            " io.StringIO()) == 0\n"
+            "assert 'networkx' not in sys.modules, 'imported by world'\n"
+            "assert main(['analyze', '--results', results], io.StringIO()) == 0\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        results = tmp_path / "r.yrp6"
+        results.write_text("# yrp6/1\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "w.json"), str(results)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_package_exports_the_entry_points_in_any_import_order(self):
         """This module imported ``repro.cli.main`` first, which binds the

@@ -1,6 +1,9 @@
 """Tests for ground-truth internet generation."""
 
+import gc
 from collections import Counter
+
+import pytest
 
 from repro.addrs import classify_address, classify_set, IIDClass
 from repro.addrs.prefix import Prefix
@@ -20,6 +23,28 @@ class TestDeterminism:
         a = build_internet(InternetConfig(n_edge=10, cpe_customers_per_isp=50, seed=3))
         b = build_internet(InternetConfig(n_edge=10, cpe_customers_per_isp=50, seed=4))
         assert a.truth.all_router_addresses() != b.truth.all_router_addresses()
+
+
+class TestCollectorState:
+    """The build suspends the cyclic collector; the caller gets it back
+    exactly as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("n_tier2", [10, 0], ids=["builds", "raises"])
+    def test_restored_as_found(self, enabled, n_tier2):
+        config = InternetConfig(n_edge=6, cpe_customers_per_isp=10, n_tier2=n_tier2)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if n_tier2:
+                build_internet(config)
+            else:
+                # No tier-2 to sample a provider from: raises mid-build.
+                with pytest.raises(ValueError):
+                    build_internet(config)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestStructure:

@@ -115,6 +115,48 @@ class TestRoundTrip:
             assert parsed.hop == original.hop
             assert parsed.target_modified == original.target_modified
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # Tiny pools: targets and hops repeat on most rows, so the
+                # codec's per-call address memo answers nearly all of them.
+                st.sampled_from([0, 1, 0x20010DB8 << 96, MAX_ADDRESS]),
+                st.integers(min_value=1, max_value=255),
+                st.sampled_from([0, 2, (0x20010DB8 << 96) | 0xFFFF, MAX_ADDRESS]),
+                st.sampled_from(
+                    [
+                        (icmpv6.TYPE_TIME_EXCEEDED, 0),
+                        (icmpv6.TYPE_DEST_UNREACH, 4),
+                        (icmpv6.TYPE_ECHO_REPLY, 0),
+                    ]
+                ),
+                st.booleans(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_property_round_trip_with_repeated_addresses(self, rows):
+        records = [
+            record(target=target, ttl=ttl, hop=hop, icmp_type=kind, code=code, modified=modified)
+            for target, ttl, hop, (kind, code), modified in rows
+        ]
+        for one in records:
+            one.label = icmpv6.classify_response(
+                icmpv6.ICMPv6Message(one.icmp_type, one.icmp_code)
+            )
+
+        def fields(items):
+            return [
+                tuple(getattr(item, name) for name in ProbeRecord.__slots__)
+                for item in items
+            ]
+
+        text = dumps(campaign(records))
+        loaded = loads(text)
+        assert fields(loaded.records) == fields(records)
+        assert dumps(campaign(loaded.records)) == text
+
 
 class TestRobustness:
     def test_rejects_non_yrp6(self):
@@ -128,6 +170,14 @@ class TestRobustness:
         loaded = loads(text)
         assert len(loaded.records) == 1
         assert loaded.skipped_rows == 2
+
+    def test_repeated_malformed_address_is_counted_on_every_row(self):
+        """A text that fails validation is never remembered as parsed."""
+        bad = "2001:db8::zz\t42\t3\t0\t3\t::2\t1500\t-\n"
+        as_hop = "::1\t42\t3\t0\t3\t2001:db8::zz\t1500\t-\n"
+        loaded = loads(dumps(campaign([record()])) + bad + as_hop + bad)
+        assert len(loaded.records) == 1
+        assert loaded.skipped_rows == 3
 
     def test_blank_lines_skipped(self):
         text = dumps(campaign([record()])) + "\n\n"

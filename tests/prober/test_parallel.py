@@ -169,6 +169,15 @@ class TestValidation:
         empty = CampaignSpec(internet=config, vantage="US-EDU-1", targets=())
         with pytest.raises(ValueError):
             run_parallel(empty, shards=2, processes=4)
+        # The message Internet.vantage gives the serial path, from the
+        # config alone: no world is built to refuse a typo.
+        monkeypatch.setattr(parallel_module, "_world_for", self.bomb)
+        lost = CampaignSpec(internet=config, vantage="NOPE", targets=targets[:5])
+        with pytest.raises(ValueError) as excinfo:
+            run_parallel(lost, shards=2, processes=4)
+        assert str(excinfo.value) == (
+            "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)"
+        )
 
     def test_presharded_config_rejected(self, monkeypatch):
         """run_parallel owns shard assignment; a spec that already carries
@@ -184,9 +193,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_parallel(spec, shards=2, processes=4)
 
-    def test_worker_exception_surfaces_cleanly(self):
+    def test_worker_exception_surfaces_cleanly(self, monkeypatch):
         """A failure inside a worker becomes one ShardFailure carrying the
         worker traceback — not a hang, not a pickled half-error."""
+        # validate_spec would refuse this vantage in the parent; let it
+        # through so that the workers are what fails.
+        monkeypatch.setattr(parallel_module, "validate_spec", lambda spec, shards: None)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config, vantage="NO-SUCH-VANTAGE", targets=targets[:5]

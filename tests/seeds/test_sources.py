@@ -6,6 +6,7 @@ from repro.addrs import IIDClass
 from repro.netsim import InternetConfig, build_internet
 from repro.netsim.topology import RouterRole
 from repro.seeds import (
+    SOURCES,
     SeedList,
     build_all_seeds,
     caida_seed,
@@ -214,3 +215,19 @@ class TestBuildAll:
     def test_nonempty(self, all_seeds):
         for name, seed_list in all_seeds.items():
             assert len(seed_list) > 0, name
+
+
+class TestSourceTable:
+    def test_same_names_as_build_all(self, all_seeds):
+        assert list(SOURCES) == list(all_seeds)
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_row_alone_equals_row_among_nine(self, built, all_seeds, name):
+        """A source built on its own (what ``seeds --source`` does) is the
+        list ``build_all_seeds`` builds: no row leans on another's RNG
+        draws or on the shared CDN observations."""
+        alone = SOURCES[name](
+            built, random_count=3000, sixgen_budget=60_000, cdn_k32=32, cdn_k256=256
+        )
+        assert alone.name == name
+        assert alone.items == all_seeds[name].items
