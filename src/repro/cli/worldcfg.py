@@ -9,7 +9,7 @@ under a second at CLI scales).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Dict, TextIO
 
 from ..netsim.build import InternetConfig, VantageConfig
@@ -18,32 +18,68 @@ from ..netsim.build import InternetConfig, VantageConfig
 _VANTAGE_KEY = "vantages"
 
 
+class WorldConfigError(ValueError):
+    """A world file that is not an :class:`InternetConfig` document; the
+    message is ``path: reason``."""
+
+
 def config_to_dict(config: InternetConfig) -> Dict[str, Any]:
     data = asdict(config)
     data[_VANTAGE_KEY] = [asdict(vantage) for vantage in config.vantages]
     return data
 
 
-def config_from_dict(data: Dict[str, Any]) -> InternetConfig:
-    payload = dict(data)
-    vantages = payload.pop(_VANTAGE_KEY, None)
-    # JSON has no tuples; the dataclass fields that are tuples need
-    # coercion back.
-    for key, value in list(payload.items()):
-        if isinstance(value, list):
-            payload[key] = tuple(value)
-    if vantages is not None:
-        payload[_VANTAGE_KEY] = tuple(
-            VantageConfig(
-                name=entry["name"],
-                premise_hops=entry.get("premise_hops", 3),
-                premise_limit=tuple(entry.get("premise_limit", (200.0, 60.0))),
-                aggressive_hops=tuple(entry.get("aggressive_hops", ())),
-                aggressive_limit=tuple(entry.get("aggressive_limit", (40.0, 10.0))),
-            )
-            for entry in vantages
+def _checked(value: Any, default: Any, what: str) -> Any:
+    """``value`` as the type of the field's ``default``: an int is
+    accepted for a float, and a list becomes a tuple (JSON has none)
+    whose items are checked against the default's first item."""
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(
+            _checked(item, default[0], "%s[%d]" % (what, at)) if default else item
+            for at, item in enumerate(value)
         )
-    return InternetConfig(**payload)
+    if isinstance(default, VantageConfig):
+        if not (isinstance(value, dict) and isinstance(value.get("name"), str)):
+            raise WorldConfigError("%s must be an object with a string 'name'" % what)
+        return _from_dict(VantageConfig, default, value, what)
+    wanted = (int, float) if isinstance(default, float) else type(default)
+    # (a JSON true is not a number, though Python's bool is an int)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(
+        value, wanted
+    ):
+        expected = "list" if isinstance(default, tuple) else type(default).__name__
+        raise WorldConfigError(
+            "%s must be %s, not %s" % (what, expected, json.dumps(value))
+        )
+    return value
+
+
+def _from_dict(cls: type, template: Any, data: Any, what: str) -> Any:
+    """``cls(**data)`` once every key is a field of ``cls`` and every
+    value has the type ``template`` (an instance holding the defaults)
+    has there."""
+    if not isinstance(data, dict):
+        raise WorldConfigError(
+            "%s must be a JSON object, not %s" % (what, json.dumps(data))
+        )
+    valid = [item.name for item in fields(cls)]
+    for key in data:
+        if key not in valid:
+            raise WorldConfigError(
+                "unknown key %r in %s (valid keys: %s)" % (key, what, ", ".join(valid))
+            )
+    return cls(
+        **{
+            key: _checked(value, getattr(template, key), "%s.%s" % (what, key))
+            for key, value in data.items()
+        }
+    )
+
+
+def config_from_dict(data: Dict[str, Any]) -> InternetConfig:
+    """The config a ``world``-written document describes; anything else
+    raises :class:`WorldConfigError` naming the offending key."""
+    return _from_dict(InternetConfig, InternetConfig(), data, "world")
 
 
 def save_config(sink: TextIO, config: InternetConfig) -> None:
@@ -52,4 +88,8 @@ def save_config(sink: TextIO, config: InternetConfig) -> None:
 
 
 def load_config(source: TextIO) -> InternetConfig:
-    return config_from_dict(json.load(source))
+    name = getattr(source, "name", "<world>")
+    try:
+        return config_from_dict(json.load(source))
+    except ValueError as error:  # a JSON syntax error, or a WorldConfigError
+        raise WorldConfigError("%s: %s" % (name, error)) from None

@@ -32,27 +32,14 @@ Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.
 """
 
-from .core import (
-    Checker,
-    LintContext,
-    Violation,
-    all_checkers,
-    lint_file,
-    lint_paths,
-    lint_source,
-    register,
-)
+__all__ = ["Violation", "lint_file", "lint_paths", "lint_source"]
 
-# Importing the checkers package registers the built-in rules.
-from . import checkers as _checkers  # noqa: F401
 
-__all__ = [
-    "Checker",
-    "LintContext",
-    "Violation",
-    "all_checkers",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register",
-]
+def __getattr__(name: str):
+    # PEP 562: ``repro-sim`` imports the sanitizers through this package
+    # on every start-up; the static-analysis half loads on first use.
+    if name in __all__:
+        from . import rules
+
+        return getattr(rules, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -1,3 +1,1 @@
-"""Built-in checkers; importing this package registers every rule."""
-
-from . import det001, det002, det003, lnt001, pkt001  # noqa: F401
+"""The per-file rules: each module is one row of :data:`repro.lint.rules.RULES`."""

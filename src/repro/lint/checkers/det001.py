@@ -33,10 +33,16 @@ banned even in that module.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import List, Optional, Tuple
 
-from ..core import Checker, LintContext, Violation, register
-from .common import import_origins, resolve_call_target
+from ..core import Program, Violation
+from ..index import resolve_call_target
+
+RULE = "DET001"
+DESCRIPTION = (
+    "bans wall-clock reads, module-level random.*, os.urandom, "
+    "uuid.uuid4 and builtin hash() in simulation code"
+)
 
 #: Exact qualified call targets that are always nondeterministic.
 BANNED_CALLS = frozenset(
@@ -59,10 +65,6 @@ BANNED_CALLS = frozenset(
         "uuid.uuid4",
     }
 )
-
-#: ``random.*`` members that are legitimate (classes & constants, not the
-#: module-level convenience functions bound to the hidden global RNG).
-RANDOM_ALLOWED = frozenset({"random.Random"})
 
 #: The wall-clock subset of :data:`BANNED_CALLS` — permitted only inside
 #: the modules below; never the entropy sources.
@@ -97,60 +99,54 @@ WALLCLOCK_EXEMPT_MODULES = frozenset(
 BANNED_PREFIXES = ("secrets.",)
 
 
-@register
-class NondeterminismSources(Checker):
-    rule = "DET001"
-    description = (
-        "bans wall-clock reads, module-level random.*, os.urandom, "
-        "uuid.uuid4 and builtin hash() in simulation code"
-    )
+def verdict(target: str, call: ast.Call, module: str) -> Optional[Tuple[str, str]]:
+    """The one judgement of a resolved call target: ``(label, message)``
+    when it is a banned source, else None.  ``label`` is how DET101 and
+    RNG101 name the source in a witness chain; ``message`` is DET001's
+    finding."""
+    if target == "hash":
+        return (
+            "hash [PYTHONHASHSEED]",
+            "builtin hash() is PYTHONHASHSEED-dependent on str/bytes; "
+            "use a keyed/stable hash (e.g. repro's address_checksum or "
+            "struct-packed digests) instead",
+        )
+    if target in WALLCLOCK_CALLS and module in WALLCLOCK_EXEMPT_MODULES:
+        return None
+    if target in BANNED_CALLS:
+        return (
+            target,
+            "call to nondeterministic %s(); simulation code must use "
+            "the virtual clock / seeded RNG streams" % target,
+        )
+    if target.startswith(BANNED_PREFIXES):
+        return (
+            target,
+            "call into %s — the secrets module is OS-entropy by design" % target,
+        )
+    if target == "random.Random":  # the sanctioned replacement, when seeded
+        if call.args or call.keywords:
+            return None
+        return (
+            "random.Random [unseeded]",
+            "random.Random() without a seed self-seeds from the OS; "
+            "pass an explicit seed",
+        )
+    if target.startswith("random."):
+        return (
+            target,
+            "module-level %s() draws from the hidden global RNG; "
+            "thread a seeded random.Random instance instead" % target,
+        )
+    return None
 
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        origins = import_origins(context.tree)
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, origins)
-            if target is None:
-                continue
-            if target == "hash" and "hash" not in origins:
-                yield self.violation(
-                    context,
-                    node,
-                    "builtin hash() is PYTHONHASHSEED-dependent on str/bytes; "
-                    "use a keyed/stable hash (e.g. repro's address_checksum or "
-                    "struct-packed digests) instead",
-                )
-            elif (
-                target in WALLCLOCK_CALLS
-                and context.module in WALLCLOCK_EXEMPT_MODULES
-            ):
-                continue
-            elif target in BANNED_CALLS:
-                yield self.violation(
-                    context,
-                    node,
-                    "call to nondeterministic %s(); simulation code must use "
-                    "the virtual clock / seeded RNG streams" % target,
-                )
-            elif target.startswith(BANNED_PREFIXES):
-                yield self.violation(
-                    context,
-                    node,
-                    "call into %s — the secrets module is OS-entropy by design"
-                    % target,
-                )
-            elif target.startswith("random.") and target not in RANDOM_ALLOWED:
-                yield self.violation(
-                    context,
-                    node,
-                    "module-level %s() draws from the hidden global RNG; "
-                    "thread a seeded random.Random instance instead" % target,
-                )
-            elif target == "random.Random" and not node.args and not node.keywords:
-                yield self.violation(
-                    context,
-                    node,
-                    "random.Random() without a seed self-seeds from the OS; "
-                    "pass an explicit seed",
-                )
+
+def check(program: Program) -> List[Violation]:
+    violations: List[Violation] = []
+    for file in program.files:
+        for site in file.index.of(ast.Call):
+            target = resolve_call_target(site.node.func, file.index.origins)
+            found = target and verdict(target, site.node, file.module)
+            if found:
+                violations.append(Violation.at(RULE, file.path, site.node, found[1]))
+    return violations

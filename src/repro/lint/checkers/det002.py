@@ -32,10 +32,16 @@ Not flagged (order cannot escape):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
-from ..core import Checker, LintContext, Violation, register
-from .common import parent_map
+from ..core import Program, SourceFile, Violation
+from ..index import Scope, ScopeIndex
+
+RULE = "DET002"
+DESCRIPTION = (
+    "flags iteration over sets in prober/netsim/analysis unless "
+    "sorted() or annotated '# lint: ordered'"
+)
 
 #: Packages (dotted-path segments) where emission/result order matters.
 ORDER_SENSITIVE_SEGMENTS = frozenset({"prober", "netsim", "analysis"})
@@ -52,6 +58,10 @@ _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 ORDER_INSENSITIVE_CALLS = frozenset(
     {"sorted", "sum", "len", "min", "max", "any", "all", "set", "frozenset"}
 )
+
+
+def in_scope(module: str) -> bool:
+    return bool(set(module.split(".")) & ORDER_SENSITIVE_SEGMENTS)
 
 
 def _annotation_is_set(annotation: Optional[ast.AST]) -> bool:
@@ -76,30 +86,29 @@ class _ClassInfo:
     """Set-typed members of one class: annotated attributes plus
     properties/methods with a ``Set[...]`` return annotation."""
 
-    def __init__(self, node: ast.ClassDef):
+    def __init__(self) -> None:
         self.set_attributes: Set[str] = set()
         self.set_returning: Set[str] = set()
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
+
+
+def _class_infos(index: ScopeIndex) -> Dict[Scope, _ClassInfo]:
+    infos = {scope: _ClassInfo() for scope in index.classes}
+    for scope in index.scopes:
+        if scope.cls is None:
+            continue
+        info = infos[scope.cls]
+        for name, site, _ in scope.bindings:
+            if isinstance(site.node, ast.AnnAssign) and _annotation_is_set(
+                site.node.annotation
             ):
-                if _annotation_is_set(statement.annotation):
-                    self.set_attributes.add(statement.target.id)
-            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _annotation_is_set(statement.returns):
-                    if _is_property(statement):
-                        self.set_attributes.add(statement.name)
-                    else:
-                        self.set_returning.add(statement.name)
-                for inner in ast.walk(statement):
-                    if (
-                        isinstance(inner, ast.AnnAssign)
-                        and isinstance(inner.target, ast.Attribute)
-                        and isinstance(inner.target.value, ast.Name)
-                        and inner.target.value.id == "self"
-                        and _annotation_is_set(inner.annotation)
-                    ):
-                        self.set_attributes.add(inner.target.attr)
+                if name.startswith("self."):
+                    info.set_attributes.add(name[5:])
+                elif scope.is_class:
+                    info.set_attributes.add(name)
+        if scope.method and _annotation_is_set(scope.node.returns):
+            members = info.set_attributes if _is_property(scope.node) else info.set_returning
+            members.add(scope.node.name)
+    return infos
 
 
 def _is_property(node: ast.AST) -> bool:
@@ -123,207 +132,148 @@ class _Scope:
         return name in self.set_names and name not in self.poisoned
 
 
-class SetIterationChecker(Checker):
-    rule = "DET002"
-    description = (
-        "flags iteration over sets in prober/netsim/analysis unless "
-        "sorted() or annotated '# lint: ordered'"
-    )
+def check(program: Program) -> List[Violation]:
+    violations: List[Violation] = []
+    for file in program.files:
+        if in_scope(file.module):
+            violations.extend(_check_file(file))
+    return violations
 
-    def interested(self, context: LintContext) -> bool:
-        segments = set(context.module.split("."))
-        return bool(segments & ORDER_SENSITIVE_SEGMENTS)
 
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        parents = parent_map(context.tree)
-        classes: Dict[ast.AST, _ClassInfo] = {}
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef):
-                classes[node] = _ClassInfo(node)
+def _check_file(file: SourceFile) -> Iterator[Violation]:
+    index = file.index
+    classes = _class_infos(index)
+    frames = _set_names(index, classes)
 
-        def enclosing_class(node: ast.AST) -> Optional[_ClassInfo]:
-            current: Optional[ast.AST] = node
-            while current is not None:
-                if isinstance(current, ast.ClassDef):
-                    return classes[current]
-                current = parents.get(current)
-            return None
-
-        scopes = self._build_scopes(context.tree, parents, classes, enclosing_class)
-
-        def flag(node: ast.AST, what: str) -> Optional[Violation]:
-            line = getattr(node, "lineno", 1)
-            if context.suppressions.is_ordered(line):
-                return None
-            return self.violation(
-                context,
-                node,
-                "iteration over unordered %s; wrap in sorted(...) or annotate "
-                "'# lint: ordered' if order provably cannot escape" % what,
-            )
-
-        for node in ast.walk(context.tree):
-            scope = self._scope_of(node, parents, scopes)
-            info = enclosing_class(node)
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                what = self._set_description(node.iter, scope, info)
-                if what is not None:
-                    violation = flag(node, what)
-                    if violation:
-                        yield violation
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                if isinstance(node, ast.SetComp):
-                    continue  # unordered in, unordered out
-                if self._consumer_is_order_insensitive(node, parents):
-                    continue
-                for generator in node.generators:
-                    what = self._set_description(generator.iter, scope, info)
-                    if what is not None:
-                        violation = flag(generator.iter, what)
-                        if violation:
-                            yield violation
-            elif isinstance(node, ast.Call):
-                callee = node.func
-                ordering_call = (
-                    isinstance(callee, ast.Name)
-                    and callee.id in ("list", "tuple", "enumerate", "iter")
-                ) or (isinstance(callee, ast.Attribute) and callee.attr == "join")
-                if ordering_call and node.args:
-                    what = self._set_description(node.args[0], scope, info)
-                    if what is not None:
-                        violation = flag(node, what)
-                        if violation:
-                            yield violation
-
-    # -- set-expression inference ---------------------------------------
-    def _set_description(
-        self, node: ast.AST, scope: _Scope, info: Optional[_ClassInfo]
-    ) -> Optional[str]:
-        """Human description when ``node`` is statically a set, else None."""
-        if isinstance(node, ast.Set):
-            return "set literal"
-        if isinstance(node, ast.SetComp):
-            return "set comprehension"
-        if isinstance(node, ast.Call):
-            callee = node.func
-            if isinstance(callee, ast.Name) and callee.id in ("set", "frozenset"):
-                return "%s(...) result" % callee.id
-            if isinstance(callee, ast.Attribute) and callee.attr in _SET_METHODS:
-                if self._set_description(callee.value, scope, info) is not None:
-                    return ".%s(...) result" % callee.attr
-            if (
-                isinstance(callee, ast.Attribute)
-                and isinstance(callee.value, ast.Name)
-                and callee.value.id == "self"
-                and info is not None
-                and callee.attr in info.set_returning
-            ):
-                return "set returned by self.%s()" % callee.attr
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
-            if (
-                self._set_description(node.left, scope, info) is not None
-                or self._set_description(node.right, scope, info) is not None
-            ):
-                return "set-operator result"
-        if isinstance(node, ast.Name) and scope.is_set(node.id):
-            return "set %r" % node.id
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and info is not None
-            and node.attr in info.set_attributes
-        ):
-            return "set attribute self.%s" % node.attr
-        return None
-
-    def _consumer_is_order_insensitive(
-        self, node: ast.AST, parents: Dict[ast.AST, ast.AST]
-    ) -> bool:
-        parent = parents.get(node)
-        return (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Name)
-            and parent.func.id in ORDER_INSENSITIVE_CALLS
-            and node in parent.args
+    def flag(node: ast.AST, what: Optional[str]) -> Iterator[Violation]:
+        if what is None or file.suppressions.is_ordered(getattr(node, "lineno", 1)):
+            return
+        yield Violation.at(
+            RULE,
+            file.path,
+            node,
+            "iteration over unordered %s; wrap in sorted(...) or annotate "
+            "'# lint: ordered' if order provably cannot escape" % what,
         )
 
-    # -- scope bookkeeping ----------------------------------------------
-    def _build_scopes(
-        self,
-        tree: ast.Module,
-        parents: Dict[ast.AST, ast.AST],
-        classes: Dict[ast.AST, "_ClassInfo"],
-        enclosing_class,
-    ) -> Dict[ast.AST, _Scope]:
-        scopes: Dict[ast.AST, _Scope] = {tree: _Scope()}
-        assignments: List[tuple] = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes[node] = _Scope()
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
-            annotation: Optional[ast.AST] = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign):
-                targets, value, annotation = [node.target], node.value, node.annotation
-            elif isinstance(node, ast.AugAssign):
-                if isinstance(node.op, _SET_OPS):
-                    continue  # |=, &= etc. preserve set-ness
-                targets, value = [node.target], node.value
-            else:
+    for site in index.of(ast.For, ast.AsyncFor, ast.ListComp, ast.DictComp, ast.GeneratorExp, ast.Call):
+        node = site.node
+        scope, info = frames[site.scope.frame], classes.get(site.scope.cls)
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield from flag(node, _set_description(node.iter, scope, info))
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            ordering_call = (
+                isinstance(callee, ast.Name)
+                and callee.id in ("list", "tuple", "enumerate", "iter")
+            ) or (isinstance(callee, ast.Attribute) and callee.attr == "join")
+            if ordering_call and node.args:
+                yield from flag(node, _set_description(node.args[0], scope, info))
+        elif not _consumer_is_order_insensitive(node, site.parent):
+            # (a set comprehension over a set is unordered in, unordered
+            # out, and is not in the scan at all)
+            for generator in node.generators:
+                yield from flag(
+                    generator.iter, _set_description(generator.iter, scope, info)
+                )
+
+
+# -- set-expression inference -------------------------------------------
+
+
+def _set_description(
+    node: ast.AST, scope: _Scope, info: Optional[_ClassInfo]
+) -> Optional[str]:
+    """Human description when ``node`` is statically a set, else None."""
+    if isinstance(node, ast.Set):
+        return "set literal"
+    if isinstance(node, ast.SetComp):
+        return "set comprehension"
+    if isinstance(node, ast.Call):
+        callee = node.func
+        if isinstance(callee, ast.Name) and callee.id in ("set", "frozenset"):
+            return "%s(...) result" % callee.id
+        if isinstance(callee, ast.Attribute) and callee.attr in _SET_METHODS:
+            if _set_description(callee.value, scope, info) is not None:
+                return ".%s(...) result" % callee.attr
+        if (
+            isinstance(callee, ast.Attribute)
+            and isinstance(callee.value, ast.Name)
+            and callee.value.id == "self"
+            and info is not None
+            and callee.attr in info.set_returning
+        ):
+            return "set returned by self.%s()" % callee.attr
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        if (
+            _set_description(node.left, scope, info) is not None
+            or _set_description(node.right, scope, info) is not None
+        ):
+            return "set-operator result"
+    if isinstance(node, ast.Name) and scope.is_set(node.id):
+        return "set %r" % node.id
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and info is not None
+        and node.attr in info.set_attributes
+    ):
+        return "set attribute self.%s" % node.attr
+    return None
+
+
+def _consumer_is_order_insensitive(node: ast.AST, parent: ast.AST) -> bool:
+    return (
+        isinstance(parent, ast.Call)
+        and isinstance(parent.func, ast.Name)
+        and parent.func.id in ORDER_INSENSITIVE_CALLS
+        and node in parent.args
+    )
+
+
+def _set_names(
+    index: ScopeIndex, classes: Dict[Scope, _ClassInfo]
+) -> Dict[Scope, _Scope]:
+    """frame -> which of its names are sets.  A class body's assignments
+    count toward its enclosing frame."""
+    frames = {scope: _Scope() for scope in index.frames}
+    assignments: List[tuple] = []
+    for scope in index.scopes:
+        for name, site, value in scope.bindings:
+            node = site.node
+            if "." in name or not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 continue
-            scope_node = self._scope_node(node, parents)
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    assignments.append(
-                        (scope_node, target.id, value, annotation, enclosing_class(node))
-                    )
-        # Fixpoint: set-ness can flow through chains (x = set(); y = x)
-        # whose assignments ast.walk may visit in any order.
-        changed = True
-        while changed:
-            changed = False
-            for scope_node, name, value, annotation, info in assignments:
-                scope = scopes[scope_node]
-                if scope.is_set(name) or name in scope.poisoned:
-                    continue
-                if _annotation_is_set(annotation) or (
-                    value is not None
-                    and self._set_description(value, scope, info) is not None
-                ):
-                    scope.set_names.add(name)
-                    changed = True
-        # Anything also assigned a non-set expression is poisoned.
-        for scope_node, name, value, annotation, info in assignments:
-            scope = scopes[scope_node]
-            is_set = _annotation_is_set(annotation) or (
-                value is not None
-                and self._set_description(value, scope, info) is not None
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, _SET_OPS):
+                continue  # |=, &= etc. preserve set-ness
+            assignments.append(
+                (
+                    frames[scope.frame],
+                    name,
+                    value,
+                    getattr(node, "annotation", None),
+                    classes.get(scope.cls),
+                )
             )
-            if not is_set and (value is not None or annotation is not None):
-                scope.poisoned.add(name)
-        return scopes
-
-    def _scope_node(self, node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> ast.AST:
-        current = parents.get(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
-                return current
-            current = parents.get(current)
-        return node
-
-    def _scope_of(
-        self,
-        node: ast.AST,
-        parents: Dict[ast.AST, ast.AST],
-        scopes: Dict[ast.AST, _Scope],
-    ) -> _Scope:
-        scope_node = self._scope_node(node, parents)
-        return scopes.get(scope_node, _Scope())
-
-
-register(SetIterationChecker)
+    # Fixpoint: set-ness can flow through chains (x = set(); y = x)
+    # whatever order the assignments are listed in.
+    changed = True
+    while changed:
+        changed = False
+        for scope, name, value, annotation, info in assignments:
+            if scope.is_set(name) or name in scope.poisoned:
+                continue
+            if _annotation_is_set(annotation) or (
+                value is not None
+                and _set_description(value, scope, info) is not None
+            ):
+                scope.set_names.add(name)
+                changed = True
+    # Anything also assigned a non-set expression is poisoned.
+    for scope, name, value, annotation, info in assignments:
+        is_set = _annotation_is_set(annotation) or (
+            value is not None and _set_description(value, scope, info) is not None
+        )
+        if not is_set and (value is not None or annotation is not None):
+            scope.poisoned.add(name)
+    return frames

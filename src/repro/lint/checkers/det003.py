@@ -10,9 +10,9 @@ every worker-boundary dataclass against an explicit picklable allowlist,
 so the boundary is enforced at lint time on every platform.
 
 A class is a worker boundary when its name is in
-:data:`BOUNDARY_CLASSES`, or when its ``class`` line carries a
-``# repro-lint: worker-boundary`` comment (the extension point for new
-spec types).  Every name appearing in a boundary field's annotation must
+:data:`BOUNDARY_CLASSES`, or when a ``# repro-lint: worker-boundary``
+comment sits on its ``class`` line or the line above (the extension
+point for new spec types).  Every name appearing in a boundary field's annotation must
 be in :data:`PICKLABLE_TYPES`; containers are checked recursively
 (``Optional[Tuple[int, ...]]`` is fine, ``Optional[Internet]`` is not).
 """
@@ -20,10 +20,16 @@ be in :data:`PICKLABLE_TYPES`; containers are checked recursively
 from __future__ import annotations
 
 import ast
-import re
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List
 
-from ..core import Checker, LintContext, Violation, register
+from ..core import Program, SourceFile, Violation
+from ..index import leaf_label
+
+RULE = "DET003"
+DESCRIPTION = (
+    "worker-boundary dataclass fields must use declared-picklable "
+    "types (the parallel runner pickles them across fork/spawn)"
+)
 
 #: Known worker-boundary dataclasses: the parallel runner's spec and the
 #: config dataclasses it carries (transitively pickled with it).
@@ -48,8 +54,6 @@ PICKLABLE_TYPES = frozenset(
     }
 )
 
-_BOUNDARY_MARK = re.compile(r"#\s*repro-lint:\s*worker-boundary\b")
-
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
@@ -60,7 +64,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _annotation_names(node: ast.AST) -> Iterator[ast.AST]:
+def annotation_leaves(node: ast.AST) -> Iterator[ast.AST]:
     """Leaf type references inside an annotation expression."""
     if isinstance(node, ast.Name):
         yield node
@@ -68,14 +72,14 @@ def _annotation_names(node: ast.AST) -> Iterator[ast.AST]:
         # typing.Optional -> judge by the final attribute
         yield node
     elif isinstance(node, ast.Subscript):
-        yield from _annotation_names(node.value)
-        yield from _annotation_names(node.slice)
+        yield from annotation_leaves(node.value)
+        yield from annotation_leaves(node.slice)
     elif isinstance(node, (ast.Tuple, ast.List)):
         for element in node.elts:
-            yield from _annotation_names(element)
+            yield from annotation_leaves(element)
     elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        yield from _annotation_names(node.left)
-        yield from _annotation_names(node.right)
+        yield from annotation_leaves(node.left)
+        yield from annotation_leaves(node.right)
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, str):
             try:
@@ -83,67 +87,53 @@ def _annotation_names(node: ast.AST) -> Iterator[ast.AST]:
             except SyntaxError:
                 yield node
             else:
-                yield from _annotation_names(parsed)
+                yield from annotation_leaves(parsed)
         # None / Ellipsis constants are structural, not type leaves.
-    elif isinstance(node, ast.Index):  # pragma: no cover - py<3.9 only
-        yield from _annotation_names(node.value)  # type: ignore[attr-defined]
     else:
         yield node
 
 
-def _leaf_label(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-@register
-class WorkerBoundaryPickleSafety(Checker):
-    rule = "DET003"
-    description = (
-        "worker-boundary dataclass fields must use declared-picklable "
-        "types (the parallel runner pickles them across fork/spawn)"
-    )
-
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.ClassDef):
+def check(program: Program) -> List[Violation]:
+    violations: List[Violation] = []
+    for file in program.files:
+        for scope in file.index.classes:
+            node = scope.node
+            if node.name not in BOUNDARY_CLASSES and not file.index.marked(
+                node, "worker-boundary"
+            ):
                 continue
-            marked = _BOUNDARY_MARK.search(context.line_text(node.lineno))
-            if node.name not in BOUNDARY_CLASSES and not marked:
-                continue
-            if not _is_dataclass(node):
-                yield self.violation(
-                    context,
-                    node,
-                    "worker-boundary class %s must be a @dataclass so its "
-                    "field types are declared and checkable" % node.name,
+            if _is_dataclass(node):
+                violations.extend(_check_fields(file, node))
+            else:
+                violations.append(
+                    Violation.at(
+                        RULE,
+                        file.path,
+                        node,
+                        "worker-boundary class %s must be a @dataclass so its "
+                        "field types are declared and checkable" % node.name,
+                    )
                 )
-                continue
-            yield from self._check_fields(context, node)
+    return violations
 
-    def _check_fields(
-        self, context: LintContext, node: ast.ClassDef
-    ) -> Iterator[Violation]:
-        for statement in node.body:
-            if not isinstance(statement, ast.AnnAssign):
-                continue
-            if not isinstance(statement.target, ast.Name):
-                continue
-            bad: List[str] = []
-            for leaf in _annotation_names(statement.annotation):
-                label = _leaf_label(leaf)
-                if label is None or label not in PICKLABLE_TYPES:
-                    bad.append(label or ast.dump(leaf))
-            if bad:
-                yield self.violation(
-                    context,
-                    statement,
-                    "field %s.%s uses type(s) outside the picklable set: %s "
-                    "(workers receive this object by pickle)"
-                    % (node.name, statement.target.id, ", ".join(sorted(set(bad)))),
-                )
+
+def _check_fields(file: SourceFile, node: ast.ClassDef) -> Iterator[Violation]:
+    for statement in node.body:
+        if not isinstance(statement, ast.AnnAssign):
+            continue
+        if not isinstance(statement.target, ast.Name):
+            continue
+        bad: List[str] = []
+        for leaf in annotation_leaves(statement.annotation):
+            label = leaf_label(leaf)
+            if label is None or label not in PICKLABLE_TYPES:
+                bad.append(label or ast.dump(leaf))
+        if bad:
+            yield Violation.at(
+                RULE,
+                file.path,
+                statement,
+                "field %s.%s uses type(s) outside the picklable set: %s "
+                "(workers receive this object by pickle)"
+                % (node.name, statement.target.id, ", ".join(sorted(set(bad)))),
+            )

@@ -14,96 +14,73 @@ violation on that line.  This rule reports:
 * suppressions naming rule ids the toolchain does not know (typos).
 
 A suppression for a rule that did *not* run (deselected via
-``--select``, scoped out by ``interested()``, or a whole-program rule
-in a per-file-only invocation) is left alone: its usefulness was not
-judgeable on this run.
+``--select``, scoped out by the rule's ``in_scope()``, or a whole-program
+rule in a per-file-only invocation) is left alone: its usefulness was not
+judgeable on this run.  Neither is anything in a file that failed to
+parse — no rule ran there.
 
-LNT001 runs in the post phase — after every file rule and, in the CLI
-driver, after the whole-program pass — so usage recorded by any rule
+LNT001 is the last row of the rule table, so usage recorded by any rule
 counts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import FrozenSet, Iterator, List
 
-from ..core import Checker, LintContext, Violation, register
+from ..core import Program, SourceFile, Violation
+
+RULE = "LNT001"
+DESCRIPTION = (
+    "warns on unused '# repro-lint: disable=' / '# lint: ordered' "
+    "suppressions and on suppressions naming unknown rules"
+)
 
 #: Rule whose usage governs ``# lint: ordered`` annotations.
 ORDERED_RULE = "DET002"
 
 
-@register
-class UnusedSuppressions(Checker):
-    rule = "LNT001"
-    description = (
-        "warns on unused '# repro-lint: disable=' / '# lint: ordered' "
-        "suppressions and on suppressions naming unknown rules"
-    )
-    phase = "post"
+def check(program: Program) -> List[Violation]:
+    violations: List[Violation] = []
+    for file in program.files:
+        if file.error is None:
+            violations.extend(
+                Violation(RULE, file.path, line, 1, message)
+                for line, message in _unused(file, program.known_rules)
+            )
+    return violations
 
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        if not context.known_rules:
-            # Syntax-error files carry no rule inventory; nothing ran,
-            # so no suppression is judgeable.
-            return
-        suppressions = context.suppressions
-        any_ran = bool(context.ran_rules - {self.rule})
-        for line in sorted(suppressions.disabled_lines):
-            for token in sorted(suppressions.disabled_lines[line]):
-                yield from self._judge(
-                    context, line, token, (line, token) in suppressions.used_lines,
-                    any_ran, "disable=%s" % token,
-                )
-        for token in sorted(suppressions.disabled_file):
+
+def _unused(file: SourceFile, known_rules: FrozenSet[str]) -> Iterator[tuple]:
+    suppressions = file.suppressions
+    for line in sorted(suppressions.disabled_lines):
+        for token in sorted(suppressions.disabled_lines[line]):
+            if (line, token) not in suppressions.used_lines:
+                yield from _judge(file, known_rules, line, token, "disable=%s" % token)
+    for token in sorted(suppressions.disabled_file):
+        if token not in suppressions.used_file:
             line = suppressions.disabled_file[token]
-            yield from self._judge(
-                context, line, token, token in suppressions.used_file,
-                any_ran, "disable-file=%s" % token,
-            )
-        if ORDERED_RULE in context.ran_rules:
-            for line in sorted(suppressions.ordered_lines):
-                if line not in suppressions.used_ordered:
-                    yield self._at(
-                        context, line,
-                        "unused '# lint: ordered' annotation: %s found no set "
-                        "iteration on this line" % ORDERED_RULE,
-                    )
-
-    def _judge(
-        self,
-        context: LintContext,
-        line: int,
-        token: str,
-        used: bool,
-        any_ran: bool,
-        what: str,
-    ) -> Iterable[Violation]:
-        if used:
-            return
-        if token == "all":
-            if any_ran:
-                yield self._at(
-                    context, line,
-                    "unused suppression '%s': no rule fired here" % what,
-                )
-            return
-        if token not in context.known_rules:
-            yield self._at(
-                context, line,
-                "suppression '%s' names an unknown rule (try --list-checkers)"
-                % what,
-            )
-            return
-        if token in context.ran_rules:
-            yield self._at(
-                context, line,
-                "unused suppression '%s': the rule ran and found nothing to "
-                "suppress here" % what,
+            yield from _judge(file, known_rules, line, token, "disable-file=%s" % token)
+    if ORDERED_RULE in file.ran_rules:
+        for line in sorted(suppressions.ordered_lines - suppressions.used_ordered):
+            yield line, (
+                "unused '# lint: ordered' annotation: %s found no set "
+                "iteration on this line" % ORDERED_RULE
             )
 
-    def _at(self, context: LintContext, line: int, message: str) -> Violation:
-        return Violation(
-            rule=self.rule, path=context.path, line=line, column=1,
-            message=message,
+
+def _judge(
+    file: SourceFile, known_rules: FrozenSet[str], line: int, token: str, what: str
+) -> Iterator[tuple]:
+    """The finding, if any, for one suppression that never fired."""
+    if token == "all":
+        if file.ran_rules - {RULE}:
+            yield line, "unused suppression '%s': no rule fired here" % what
+    elif token not in known_rules:
+        yield line, (
+            "suppression '%s' names an unknown rule (try --list-checkers)" % what
+        )
+    elif token in file.ran_rules:
+        yield line, (
+            "unused suppression '%s': the rule ran and found nothing to "
+            "suppress here" % what
         )

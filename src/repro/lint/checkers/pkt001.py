@@ -39,8 +39,14 @@ import ast
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core import Checker, LintContext, Violation, register
-from .common import dotted_name, int_constant, str_constant
+from ..core import Program, SourceFile, Violation
+from ..index import Scope, dotted_name, int_constant, str_constant
+
+RULE = "PKT001"
+DESCRIPTION = (
+    "packet byte-length constants must match their struct formats; "
+    "emitted checksums must be one's-complement neutral"
+)
 
 ADDRESS_BYTES = 16  # an IPv6 address serialized by address.to_bytes
 
@@ -126,181 +132,183 @@ def _packed_size(node: ast.AST, structs: Dict[str, str]) -> Optional[int]:
 
 
 def _struct_call_formats(
-    tree: ast.AST, function: str, structs: Dict[str, str]
+    calls: Iterable[ast.Call], function: str, structs: Dict[str, str]
 ) -> Iterator[Tuple[ast.Call, str]]:
-    """Every (call, format) of the given struct operation under ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            format_string = _call_format(node, function, structs)
-            if format_string is not None:
-                yield node, format_string
+    """Every (call, format) of the given struct operation among ``calls``."""
+    for node in calls:
+        format_string = _call_format(node, function, structs)
+        if format_string is not None:
+            yield node, format_string
 
 
-@register
-class PacketInvariants(Checker):
-    rule = "PKT001"
-    description = (
-        "packet byte-length constants must match their struct formats; "
-        "emitted checksums must be one's-complement neutral"
-    )
+def _calls_under(scope: Scope) -> List[ast.Call]:
+    """Every call in ``scope`` and the scopes nested in it."""
+    return [
+        site.node
+        for nested in scope.walk()
+        for site in nested.own
+        if isinstance(site.node, ast.Call)
+    ]
 
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        constants = _module_int_constants(context.tree)
+
+def check(program: Program) -> List[Violation]:
+    violations: List[Violation] = []
+    for file in program.files:
+        constants = _module_int_constants(file.tree)
         if "HEADER_LENGTH" in constants:
-            yield from self._check_header_classes(context, constants["HEADER_LENGTH"])
+            violations.extend(_check_header_classes(file, constants["HEADER_LENGTH"]))
         if "PAYLOAD_LENGTH" in constants and "MAGIC" in constants:
-            yield from self._check_encoding_module(context, constants)
+            violations.extend(_check_encoding_module(file, constants))
+    return violations
 
-    # -- header classes ---------------------------------------------------
-    def _check_header_classes(
-        self, context: LintContext, header_length: int
-    ) -> Iterator[Violation]:
-        structs = _module_structs(context.tree)
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for method in node.body:
-                if (
-                    isinstance(method, ast.FunctionDef)
-                    and method.name == "pack"
-                ):
-                    yield from self._check_pack(
-                        context, node.name, method, header_length, structs
-                    )
 
-    def _check_pack(
-        self,
-        context: LintContext,
-        class_name: str,
-        method: ast.FunctionDef,
-        header_length: int,
-        structs: Dict[str, str],
-    ) -> Iterator[Violation]:
-        for statement in ast.walk(method):
-            if not isinstance(statement, ast.Return) or statement.value is None:
-                continue
-            size = _packed_size(statement.value, structs)
-            if size is not None and size != header_length:
-                yield self.violation(
-                    context,
-                    statement,
-                    "%s.pack() emits %d bytes but HEADER_LENGTH is %d"
-                    % (class_name, size, header_length),
-                )
+# -- header classes -------------------------------------------------------
 
-    # -- the Yarrp6 encoding module ---------------------------------------
-    def _check_encoding_module(
-        self, context: LintContext, constants: Dict[str, int]
-    ) -> Iterator[Violation]:
-        structs = _module_structs(context.tree)
-        payload_length = constants["PAYLOAD_LENGTH"]
-        head_size = self._payload_head_size(context.tree, structs)
-        if head_size is not None:
-            head_format, head_bytes, fudge_bytes, pack_node = head_size
-            if head_bytes + fudge_bytes != payload_length:
-                yield self.violation(
-                    context,
-                    pack_node,
-                    "payload head %r (%d B) + fudge (%d B) != PAYLOAD_LENGTH "
-                    "(%d) — the 12-byte probe encoding contract is broken"
-                    % (head_format, head_bytes, fudge_bytes, payload_length),
-                )
-            elif not self._decode_reads_head(context.tree, head_bytes, structs):
-                yield self.violation(
-                    context,
-                    pack_node,
-                    "no struct.unpack in this module reads the %d-byte packed "
-                    "head back — pack/decode format drift" % head_bytes,
-                )
-        for name, limit in (
-            ("MAGIC", 0xFFFFFFFF),
-            ("DEST_PORT", 0xFFFF),
-            ("TARGET_SUM", 0xFFFF),
+
+def _check_header_classes(file: SourceFile, header_length: int) -> Iterator[Violation]:
+    """Every ``return`` of a class's ``pack()`` method emits HEADER_LENGTH bytes."""
+    structs = _module_structs(file.tree)
+    for site in file.index.of(ast.Return):
+        method, owner = site.scope.node, site.scope.parent
+        if not (
+            isinstance(method, ast.FunctionDef)
+            and method.name == "pack"
+            and site.scope.method
+            and site.node.value is not None
         ):
-            value = constants.get(name)
-            if value is not None and not 0 <= value <= limit:
-                yield from self._constant_violation(context, name, value, limit)
-        yield from self._check_checksum_neutrality(context)
+            continue
+        size = _packed_size(site.node.value, structs)
+        if size is not None and size != header_length:
+            yield Violation.at(
+                RULE,
+                file.path,
+                site.node,
+                "%s.pack() emits %d bytes but HEADER_LENGTH is %d"
+                % (owner.node.name, size, header_length),
+            )
 
-    def _constant_violation(
-        self, context: LintContext, name: str, value: int, limit: int
-    ) -> Iterator[Violation]:
-        for node in context.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == name
-            ):
-                yield self.violation(
-                    context,
-                    node,
-                    "%s = %#x does not fit its %d-byte wire field"
-                    % (name, value, limit.bit_length() // 8),
-                )
 
-    def _payload_head_size(self, tree: ast.Module, structs: Dict[str, str]):
-        """(format, head bytes, fudge bytes, pack node) from the payload
-        builder: the function that both struct.packs a head and returns
-        ``head + <fudge>.to_bytes(n, ...)``."""
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            packs = list(_struct_call_formats(node, "pack", structs))
-            if len(packs) != 1:
-                continue
-            pack_node, format_string = packs[0]
-            fudge_bytes = None
-            for statement in ast.walk(node):
-                if (
-                    isinstance(statement, ast.Call)
-                    and isinstance(statement.func, ast.Attribute)
-                    and statement.func.attr == "to_bytes"
-                    and statement.args
-                ):
-                    fudge_bytes = int_constant(statement.args[0])
-            if fudge_bytes is None:
-                continue
-            head_bytes = _calcsize(format_string)
-            if head_bytes is None:
-                continue
-            return format_string, head_bytes, fudge_bytes, pack_node
-        return None
+# -- the Yarrp6 encoding module -------------------------------------------
 
-    def _decode_reads_head(
-        self, tree: ast.Module, head_bytes: int, structs: Dict[str, str]
-    ) -> bool:
-        return any(
+
+def _check_encoding_module(
+    file: SourceFile, constants: Dict[str, int]
+) -> Iterator[Violation]:
+    structs = _module_structs(file.tree)
+    payload_length = constants["PAYLOAD_LENGTH"]
+    head_size = _payload_head_size(file, structs)
+    if head_size is not None:
+        head_format, head_bytes, fudge_bytes, pack_node = head_size
+        if head_bytes + fudge_bytes != payload_length:
+            yield Violation.at(
+                RULE,
+                file.path,
+                pack_node,
+                "payload head %r (%d B) + fudge (%d B) != PAYLOAD_LENGTH "
+                "(%d) — the 12-byte probe encoding contract is broken"
+                % (head_format, head_bytes, fudge_bytes, payload_length),
+            )
+        elif not any(
             _calcsize(format_string) == head_bytes
-            for _, format_string in _struct_call_formats(tree, "unpack", structs)
-        )
-
-    def _check_checksum_neutrality(self, context: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Name) and target.id == "checksum"):
-                continue
-            if not self._is_complement_pattern(node.value):
-                yield self.violation(
-                    context,
-                    node,
-                    "checksum must be emitted as the one's complement "
-                    "'(~steered_sum) & 0xFFFF'; any other expression breaks "
-                    "per-target checksum constancy (Paris/ECMP neutrality)",
-                )
-
-    def _is_complement_pattern(self, node: ast.AST) -> bool:
-        if (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.BitAnd)
-            and int_constant(node.right) == 0xFFFF
+            for _, format_string in _struct_call_formats(
+                _calls_under(file.index.module), "unpack", structs
+            )
         ):
-            inner = node.left
-            while isinstance(inner, ast.BinOp) or (
-                isinstance(inner, ast.UnaryOp) and isinstance(inner.op, ast.Invert)
+            yield Violation.at(
+                RULE,
+                file.path,
+                pack_node,
+                "no struct.unpack in this module reads the %d-byte packed "
+                "head back — pack/decode format drift" % head_bytes,
+            )
+    for name, limit in (
+        ("MAGIC", 0xFFFFFFFF),
+        ("DEST_PORT", 0xFFFF),
+        ("TARGET_SUM", 0xFFFF),
+    ):
+        value = constants.get(name)
+        if value is not None and not 0 <= value <= limit:
+            yield from _constant_violation(file, name, value, limit)
+    yield from _check_checksum_neutrality(file)
+
+
+def _constant_violation(
+    file: SourceFile, name: str, value: int, limit: int
+) -> Iterator[Violation]:
+    for node in file.tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == name
+        ):
+            yield Violation.at(
+                RULE,
+                file.path,
+                node,
+                "%s = %#x does not fit its %d-byte wire field"
+                % (name, value, limit.bit_length() // 8),
+            )
+
+
+def _payload_head_size(file: SourceFile, structs: Dict[str, str]):
+    """(format, head bytes, fudge bytes, pack node) from the payload
+    builder: the function that both struct.packs a head and returns
+    ``head + <fudge>.to_bytes(n, ...)``."""
+    for scope in file.index.scopes:
+        if not isinstance(scope.node, ast.FunctionDef):
+            continue
+        calls = _calls_under(scope)
+        packs = list(_struct_call_formats(calls, "pack", structs))
+        if len(packs) != 1:
+            continue
+        pack_node, format_string = packs[0]
+        fudge_bytes = None
+        for call in calls:
+            if (
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr == "to_bytes"
+                and call.args
             ):
-                if isinstance(inner, ast.UnaryOp):
-                    return True
-                inner = inner.left
-        return False
+                fudge_bytes = int_constant(call.args[0])
+        if fudge_bytes is None:
+            continue
+        head_bytes = _calcsize(format_string)
+        if head_bytes is None:
+            continue
+        return format_string, head_bytes, fudge_bytes, pack_node
+    return None
+
+
+def _check_checksum_neutrality(file: SourceFile) -> Iterator[Violation]:
+    for site in file.index.of(ast.Assign):
+        node = site.node
+        if len(node.targets) != 1:
+            continue
+        target = node.targets[0]
+        if not (isinstance(target, ast.Name) and target.id == "checksum"):
+            continue
+        if not _is_complement_pattern(node.value):
+            yield Violation.at(
+                RULE,
+                file.path,
+                node,
+                "checksum must be emitted as the one's complement "
+                "'(~steered_sum) & 0xFFFF'; any other expression breaks "
+                "per-target checksum constancy (Paris/ECMP neutrality)",
+            )
+
+
+def _is_complement_pattern(node: ast.AST) -> bool:
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and int_constant(node.right) == 0xFFFF
+    ):
+        inner = node.left
+        while isinstance(inner, ast.BinOp) or (
+            isinstance(inner, ast.UnaryOp) and isinstance(inner.op, ast.Invert)
+        ):
+            if isinstance(inner, ast.UnaryOp):
+                return True
+            inner = inner.left
+    return False

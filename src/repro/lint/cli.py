@@ -13,12 +13,11 @@ Usage::
 
 Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
-Driver pipeline (order matters for LNT001, the unused-suppression
-rule): file-phase checkers run per file; the whole-program pass
-(DET101/RNG101/OBS101/MUT101-103) runs over every linted file at once, filtering
-its findings through the *same* per-file suppression objects so usage
-is recorded; post-phase checkers (LNT001) then judge the suppressions;
-finally everything is merged and sorted by (path, line, rule-id) —
+Pipeline (:mod:`repro.lint.rules`): every file is read, parsed, tokenized
+and indexed once; the selected rows of the one rule table run in table
+order — the per-file rows, then the whole-program rows over the facts
+and call graph, then LNT001, which judges the suppressions the earlier
+rows consumed — and the findings are sorted by (path, line, rule-id):
 identical order in text, JSON and SARIF output.
 
 The facts cache is opt-in (``--cache PATH``): the default invocation
@@ -32,19 +31,10 @@ import json
 import os
 import subprocess
 import sys
-from typing import Dict, List, Optional, Sequence, Set, TextIO
+from typing import List, Optional, Sequence, Set, TextIO
 
-from . import program as program_mod
-from .core import (
-    FileLint,
-    Violation,
-    all_checkers,
-    finish_lint,
-    iter_python_files,
-    lint_source_state,
-    violation_sort_key,
-)
-from .program.cache import FactsCache
+from . import rules as rules_mod
+from .core import SourceFile, Violation, iter_python_files, load_source
 from .sarif import render_sarif
 
 
@@ -191,45 +181,12 @@ def render_json(violations: Sequence[Violation], out: TextIO) -> None:
     )
 
 
-def _known_rules() -> Dict[str, str]:
-    """Every rule id -> description: file checkers + program rules."""
-    rules = {
-        rule: checker.description for rule, checker in all_checkers().items()
-    }
-    rules.update(program_mod.PROGRAM_RULES)
-    return rules
-
-
-def _run_program_pass(
-    states: Sequence[FileLint],
-    select: Optional[List[str]],
-    cache: Optional[FactsCache],
-) -> "tuple[List[Violation], program_mod.Program]":
-    sources = [
-        program_mod.SourceFile(
-            path=state.context.path,
-            module=state.context.module,
-            source=state.context.source,
-            suppressions=state.context.suppressions,
-        )
-        for state in states
-    ]
-    analyzed = program_mod.analyze(sources, cache=cache)
-    violations = program_mod.run_rules(analyzed, select=select)
-    by_path = {state.context.path: state for state in states}
-    for path, ran in analyzed.ran_rules.items():
-        state = by_path.get(path)
-        if state is not None:
-            state.context.ran_rules.update(ran)
-    return violations, analyzed
-
-
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    known = _known_rules()
+    known = rules_mod.DESCRIPTIONS
     if args.list_checkers:
         for rule in sorted(known):
             out.write("%s  %s\n" % (rule, known[rule]))
@@ -248,11 +205,11 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                 % ", ".join(sorted(unknown))
             )
             return 2
-
-    program_selected = (
-        not args.no_program
-        and (select is None or bool(set(select) & set(program_mod.PROGRAM_RULES)))
-    )
+    rules = [
+        rule
+        for rule in rules_mod.select_rules(select)
+        if not (args.no_program and rule in rules_mod.PROGRAM_RULES)
+    ]
 
     changed: Optional[Set[str]] = None
     if args.changed:
@@ -263,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                 "linting the full file set\n"
             )
 
-    states: List[FileLint] = []
+    files: List[SourceFile] = []
     try:
         for file_path in iter_python_files(args.paths):
             if excluded(file_path, args.exclude):
@@ -272,54 +229,32 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                 os.path.normcase(os.path.abspath(file_path)) not in changed
             ):
                 continue
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            state = lint_source_state(source, path=file_path, select=select)
-            state.context.known_rules.update(known)
-            states.append(state)
+            files.append(load_source(file_path))
     except OSError as error:
         out.write("error: %s\n" % error)
         return 2
 
-    violations: List[Violation] = []
-    cache: Optional[FactsCache] = None
-    analyzed: Optional[program_mod.Program] = None
-    if program_selected:
-        cache = FactsCache(args.cache) if args.cache else None
-        program_violations, analyzed = _run_program_pass(states, select, cache)
-        by_path = {state.context.path: state for state in states}
-        for violation in program_violations:
-            state = by_path.get(violation.path)
-            if state is not None:
-                state.violations.append(violation)
-            else:  # pragma: no cover - program pass only sees linted files
-                violations.append(violation)
-        if cache is not None:
-            try:
-                cache.save()
-            except OSError as error:
-                out.write("error: could not write cache: %s\n" % error)
-                return 2
-
-    for state in states:
-        violations.extend(finish_lint(state, select))
-    violations.sort(key=violation_sort_key)
+    try:
+        violations, program = rules_mod.lint(files, rules, args.cache)
+    except OSError as error:
+        out.write("error: could not write cache: %s\n" % error)
+        return 2
 
     if args.stats:
-        if analyzed is not None:
+        if program.graph is not None:
             sys.stderr.write(
                 "repro-lint: %d files, %d functions, %d call edges, "
                 "cache %d hit / %d miss\n"
                 % (
-                    len(states),
-                    len(analyzed.graph.nodes),
-                    analyzed.graph.edge_count,
-                    analyzed.cache_hits,
-                    analyzed.cache_misses,
+                    len(files),
+                    len(program.graph.nodes),
+                    program.graph.edge_count,
+                    program.cache_hits,
+                    program.cache_misses,
                 )
             )
         else:
-            sys.stderr.write("repro-lint: %d files (file rules only)\n" % len(states))
+            sys.stderr.write("repro-lint: %d files (file rules only)\n" % len(files))
 
     if args.format == "json":
         render_json(violations, out)

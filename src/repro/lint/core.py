@@ -1,10 +1,17 @@
-"""Lint framework plumbing: violations, checker registry, suppressions.
+"""Lint plumbing every rule shares: violations, the source record, suppressions.
 
-A checker is a class with a ``rule`` id and a ``check(context)`` method
-yielding :class:`Violation` objects.  Registration is declarative
-(:func:`register`), so adding a rule is one new module in
-``repro/lint/checkers`` — the CLI, suppression handling, and output
-formats come for free.
+One file is read **once**: :func:`load_source` is the only ``open()`` of
+lint input, and :func:`read_source` does the only ``ast.parse``, the only
+tokenizer pass (every comment directive — the three suppression forms
+below and the three ``# repro-lint: <marker>`` comments — is read from
+those comment tokens, so a directive inside a string literal does
+nothing) and the only index build (:mod:`repro.lint.index`).  The result
+is a :class:`SourceFile`, the one per-file record the rule table in
+:mod:`repro.lint.rules` runs over; a :class:`Program` is the set of them
+plus, when a whole-program rule is selected, their facts and call graph.
+
+A file that cannot be decoded or parsed still yields a record: an empty
+index and one ``E999`` finding, so the other files are linted regardless.
 
 Suppression layers, narrowest first:
 
@@ -27,7 +34,13 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+
+from .index import ScopeIndex, build_index
+
+if TYPE_CHECKING:  # pragma: no cover - the fact/graph types live above the rules
+    from .program.facts import FileFacts
+    from .program.graph import ProgramGraph
 
 #: ``# lint: ordered`` — DET002's "this iteration is deterministic" mark.
 ORDERED_COMMENT = re.compile(r"#\s*lint:\s*ordered\b")
@@ -46,6 +59,17 @@ class Violation:
     column: int
     message: str
 
+    @classmethod
+    def at(cls, rule: str, path: str, node: ast.AST, message: str) -> "Violation":
+        """A finding anchored at ``node``'s first character."""
+        return cls(
+            rule,
+            path,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0) + 1,
+            message,
+        )
+
     def format(self) -> str:
         return "%s:%d:%d: %s %s" % (self.path, self.line, self.column, self.rule, self.message)
 
@@ -60,18 +84,15 @@ class Violation:
 
 
 class Suppressions:
-    """Per-file suppression state parsed from comment tokens.
-
-    Comments are read with :mod:`tokenize`, not substring search, so a
-    ``# repro-lint: ...`` inside a string literal does not suppress
-    anything.
+    """Per-file suppression state parsed from the file's comment tokens
+    (``line -> comment text``, see :func:`read_comments`).
 
     Every query *records* which declarations it consumed, so LNT001 can
     report suppressions that never fired (the ``warn_unused_ignores``
     analogue — see :mod:`repro.lint.checkers.lnt001`).
     """
 
-    def __init__(self, source: str):
+    def __init__(self, comments: Dict[int, str]):
         self.ordered_lines: Set[int] = set()
         self.disabled_lines: Dict[int, Set[str]] = {}
         #: rule token -> line of the first ``disable-file=`` declaring it.
@@ -79,7 +100,7 @@ class Suppressions:
         self.used_ordered: Set[int] = set()
         self.used_lines: Set[Tuple[int, str]] = set()
         self.used_file: Set[str] = set()
-        for comment, line in _iter_comments(source):
+        for line, comment in comments.items():
             if ORDERED_COMMENT.search(comment):
                 self.ordered_lines.add(line)
             match = _DISABLE_FILE.search(comment)
@@ -117,98 +138,59 @@ def _parse_rules(text: str) -> List[str]:
     return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
-def _iter_comments(source: str) -> Iterator[tuple]:
+def read_comments(source: str) -> Dict[int, str]:
+    """``line -> comment text`` from one tokenizer pass.  Comments are read
+    with :mod:`tokenize`, not substring search, so a ``# repro-lint: ...``
+    inside a string literal is not a directive."""
+    comments: Dict[int, str] = {}
     lines = iter(source.splitlines(keepends=True))
     try:
         for token in tokenize.generate_tokens(lambda: next(lines, "")):
             if token.type == tokenize.COMMENT:
-                yield token.string, token.start[0]
+                comments[token.start[0]] = token.string
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        # A file the tokenizer rejects still gets linted from its AST
-        # (or reported as a parse failure); it just has no suppressions.
-        return
+        # A file the tokenizer rejects is reported as a parse failure; it
+        # keeps the directives read before the bad token.
+        pass
+    return comments
 
 
 @dataclass
-class LintContext:
-    """Everything a checker may inspect about one file."""
+class SourceFile:
+    """The one per-file record: what every rule may inspect about a file,
+    plus what the driver learned while running the rules over it."""
 
     path: str
     #: Dotted module path when the file sits under a package root the
-    #: runner recognized (``repro.prober.yarrp6``), else the bare stem.
+    #: loader recognized (``repro.prober.yarrp6``), else the bare stem.
     module: str
     source: str
     tree: ast.Module
+    index: ScopeIndex
     suppressions: Suppressions
-    lines: List[str] = field(default_factory=list)
-    #: Rules that actually ran on this file (selected and interested),
-    #: including whole-program rules when the CLI driver ran them.
-    #: Post-phase checkers (LNT001) read this to decide which
-    #: suppressions were judgeable.
+    #: The ``E999`` finding when the file could not be decoded or parsed
+    #: (``tree`` and ``index`` are then empty and no rule judges the file).
+    error: Optional[Violation] = None
+    #: Rules that ran on this file (selected, and in scope for its
+    #: module); LNT001 reads this to decide which suppressions were
+    #: judgeable.
     ran_rules: Set[str] = field(default_factory=set)
-    #: Every rule id the toolchain knows (registry + program rules), so
-    #: LNT001 can distinguish "unused" from "unknown rule" suppressions.
-    known_rules: Set[str] = field(default_factory=set)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
-class Checker:
-    """Base class for lint rules.
+@dataclass
+class Program:
+    """What a rule's ``check(program)`` receives: the files, and — when a
+    whole-program rule is selected — their facts and the call graph."""
 
-    Subclasses set :attr:`rule` (the stable id reported to users) and
-    :attr:`description`, and implement :meth:`check`.  Suppression
-    filtering happens in the runner — checkers yield every candidate.
-
-    ``phase`` is ``"file"`` for ordinary AST rules; ``"post"`` checkers
-    run after every file rule (and any whole-program pass) so they can
-    inspect what the earlier rules consumed — LNT001 is the only one.
-    """
-
-    rule: str = ""
-    description: str = ""
-    phase: str = "file"
-
-    def interested(self, context: LintContext) -> bool:
-        """Whether this checker applies to ``context`` at all (cheap
-        module-path gate so rules can scope themselves)."""
-        return True
-
-    def check(self, context: LintContext) -> Iterable[Violation]:
-        raise NotImplementedError
-
-    def violation(
-        self, context: LintContext, node: ast.AST, message: str
-    ) -> Violation:
-        return Violation(
-            rule=self.rule,
-            path=context.path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            message=message,
-        )
-
-
-_REGISTRY: Dict[str, Type[Checker]] = {}
-
-
-def register(checker_class: Type[Checker]) -> Type[Checker]:
-    """Class decorator adding a checker to the global registry."""
-    if not checker_class.rule:
-        raise ValueError("checker %r has no rule id" % checker_class.__name__)
-    existing = _REGISTRY.get(checker_class.rule)
-    if existing is not None and existing is not checker_class:
-        raise ValueError("duplicate rule id %r" % checker_class.rule)
-    _REGISTRY[checker_class.rule] = checker_class
-    return checker_class
-
-
-def all_checkers() -> Dict[str, Type[Checker]]:
-    """rule id -> checker class, for CLI ``--select`` and listings."""
-    return dict(_REGISTRY)
+    files: List[SourceFile]
+    #: path -> facts (empty unless the whole-program half ran)
+    facts: Dict[str, "FileFacts"] = field(default_factory=dict)
+    graph: Optional["ProgramGraph"] = None
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: Every rule id in the table, so LNT001 can tell "unused" from
+    #: "unknown rule" suppressions.
+    known_rules: FrozenSet[str] = frozenset()
 
 
 def _module_path(path: str) -> str:
@@ -231,117 +213,50 @@ def violation_sort_key(violation: Violation) -> Tuple[str, int, str, int]:
     return (violation.path, violation.line, violation.rule, violation.column)
 
 
-@dataclass
-class FileLint:
-    """Per-file lint state: the context plus what fired and what ran.
-
-    The CLI driver keeps these alive across the whole-program pass so
-    program-rule suppressions and LNT001 see one consistent view.
-    """
-
-    context: LintContext
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def path(self) -> str:
-        return self.context.path
-
-
-def lint_source_state(
+def read_source(
     source: str,
     path: str = "<string>",
-    select: Optional[Sequence[str]] = None,
     module: Optional[str] = None,
-) -> FileLint:
-    """Run the file-phase checkers and return resumable state (no
-    post-phase rules yet; see :func:`finish_lint`)."""
+    error: Optional[Violation] = None,
+) -> SourceFile:
+    """Parse, tokenize and index ``source`` — once each."""
     try:
         tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        context = LintContext(
+    except (SyntaxError, ValueError) as failure:  # ValueError: a NUL byte
+        tree = ast.Module(body=[], type_ignores=[])
+        error = Violation(
+            rule="E999",
             path=path,
-            module=module if module is not None else _module_path(path),
-            source=source,
-            tree=ast.Module(body=[], type_ignores=[]),
-            suppressions=Suppressions(source),
-            lines=source.splitlines(),
+            line=getattr(failure, "lineno", None) or 1,
+            column=(getattr(failure, "offset", None) or 0) + 1,
+            message="syntax error: %s" % (getattr(failure, "msg", None) or failure),
         )
-        state = FileLint(context=context)
-        state.violations.append(
-            Violation(
-                rule="E999",
-                path=path,
-                line=error.lineno or 1,
-                column=(error.offset or 0) + 1,
-                message="syntax error: %s" % (error.msg or "unparseable"),
-            )
-        )
-        return state
-    context = LintContext(
+    comments = read_comments(source)
+    return SourceFile(
         path=path,
         module=module if module is not None else _module_path(path),
         source=source,
         tree=tree,
-        suppressions=Suppressions(source),
-        lines=source.splitlines(),
+        index=build_index(tree, comments),
+        suppressions=Suppressions(comments),
+        error=error,
     )
-    context.known_rules.update(_REGISTRY)
-    state = FileLint(context=context)
-    chosen = _REGISTRY if select is None else {
-        rule: _REGISTRY[rule] for rule in select if rule in _REGISTRY
-    }
-    for rule in sorted(chosen):
-        checker_class = chosen[rule]
-        if checker_class.phase != "file":
-            continue
-        checker = checker_class()
-        if not checker.interested(context):
-            continue
-        context.ran_rules.add(rule)
-        for violation in checker.check(context):
-            if context.suppressions.is_disabled(violation.rule, violation.line):
-                continue
-            state.violations.append(violation)
-    return state
 
 
-def finish_lint(
-    state: FileLint, select: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Run post-phase checkers (LNT001) on completed state, then sort."""
-    chosen = _REGISTRY if select is None else {
-        rule: _REGISTRY[rule] for rule in select if rule in _REGISTRY
-    }
-    for rule in sorted(chosen):
-        checker_class = chosen[rule]
-        if checker_class.phase != "post":
-            continue
-        checker = checker_class()
-        if not checker.interested(state.context):
-            continue
-        state.context.ran_rules.add(rule)
-        for violation in checker.check(state.context):
-            if state.context.suppressions.is_disabled(violation.rule, violation.line):
-                continue
-            state.violations.append(violation)
-    state.violations.sort(key=violation_sort_key)
-    return state.violations
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Sequence[str]] = None,
-    module: Optional[str] = None,
-) -> List[Violation]:
-    """Lint python source text; the library core every entry point uses."""
-    return finish_lint(lint_source_state(source, path, select, module), select)
-
-
-def lint_file(path: str, select: Optional[Sequence[str]] = None) -> List[Violation]:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, select=select)
+def load_source(path: str) -> SourceFile:
+    """Read and index one file — the only ``open()`` of lint input.  An
+    unreadable path raises ``OSError``; undecodable bytes are an ``E999``
+    finding at ``path:1:1``, like a file that does not parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except UnicodeDecodeError as failure:
+        return read_source(
+            "",
+            path,
+            error=Violation("E999", path, 1, 1, "not valid UTF-8: %s" % failure),
+        )
+    return read_source(source, path)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -358,12 +273,6 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             yield path
 
 
-def lint_paths(
-    paths: Sequence[str], select: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Lint every python file under ``paths`` (files or directories)."""
-    violations: List[Violation] = []
-    for file_path in iter_python_files(paths):
-        violations.extend(lint_file(file_path, select=select))
-    violations.sort(key=violation_sort_key)
-    return violations
+def load_sources(paths: Sequence[str]) -> List[SourceFile]:
+    """A record for every python file under ``paths`` (files or directories)."""
+    return [load_source(file_path) for file_path in iter_python_files(paths)]

@@ -3,9 +3,9 @@
 One JSON document maps each file path to a sha256 of its bytes plus the
 extracted :class:`~repro.lint.program.facts.FileFacts`; the document as
 a whole is keyed on :func:`logic_digest` and :func:`interpreter_token`.
-On a warm run only changed files are re-parsed; graph construction and
-the interprocedural rules always run fresh (they are cheap — the AST
-walks are the expensive part).
+On a warm run facts are re-extracted for changed files only; graph
+construction and the interprocedural rules always run fresh (they are
+cheap — parsing and fact extraction are the expensive part).
 
 The cache is opt-in (``repro-lint --cache PATH``): the default CLI run
 writes nothing, so linting a read-only checkout stays side-effect-free.
@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-from ..core import iter_python_files
+from ..core import SourceFile, iter_python_files
 from .facts import FileFacts, extract_facts
 
 #: The ``repro.lint`` package directory: every module that defines what
@@ -91,22 +91,22 @@ class FactsCache:
         if isinstance(files, dict):
             self.entries = files
 
-    def facts_for(self, path: str, source: str, module: str) -> FileFacts:
+    def facts_for(self, file: SourceFile) -> FileFacts:
         """Cached facts when the content hash matches, else re-extract."""
-        digest = content_hash(source)
-        entry = self.entries.get(path)
+        digest = content_hash(file.source)
+        entry = self.entries.get(file.path)
         if entry is not None and entry.get("hash") == digest:
             try:
                 facts = FileFacts.from_dict(entry["facts"])
             except (KeyError, TypeError):
                 pass
             else:
-                if facts.module == module:
+                if facts.module == file.module:
                     self.hits += 1
                     return facts
         self.misses += 1
-        facts = extract_facts(source, module)
-        self.entries[path] = {"hash": digest, "facts": asdict(facts)}
+        facts = extract_facts(file)
+        self.entries[file.path] = {"hash": digest, "facts": asdict(facts)}
         return facts
 
     def save(self) -> None:

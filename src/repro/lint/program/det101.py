@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core import Suppressions, Violation
-from .graph import Program, ProgramGraph
+from ..core import Program, Suppressions, Violation
+from .graph import ProgramGraph, reachable_from, witness_chain
 
 RULE = "DET101"
 DESCRIPTION = (
@@ -45,14 +45,15 @@ def check(program: Program) -> List[Violation]:
     graph = program.graph
     suppressions = {item.path: item.suppressions for item in program.files}
     impure = _impurity(graph, suppressions)
-    reached = graph.reachable()
+    reached = reachable_from(graph, graph.roots(), cut=False)
     violations: List[Violation] = []
     for full in sorted(impure):
         if full not in reached:
             continue
         _, _, path = graph.nodes[full]
         next_hop, banned, line = impure[full]
-        chain = _chain(graph, full, impure)
+        chain = witness_chain(graph, full, lambda current: impure[current][0])
+        chain.append(banned.split(" ", 1)[0])
         violations.append(
             Violation(
                 rule=RULE,
@@ -64,7 +65,7 @@ def check(program: Program) -> List[Violation]:
                     "nondeterministic %s via %s"
                     % (
                         graph.display(full),
-                        graph.display(reached[full]),
+                        graph.display(reached[full].root),
                         _callable_label(banned),
                         " -> ".join(chain),
                     )
@@ -108,19 +109,3 @@ def _impurity(
                     changed = True
                     break
     return impure
-
-
-def _chain(
-    graph: ProgramGraph, start: str, impure: Dict[str, _Witness]
-) -> List[str]:
-    chain = []
-    current: Optional[str] = start
-    seen = set()
-    banned = impure[start][1]
-    while current is not None and current not in seen:
-        seen.add(current)
-        chain.append(graph.display(current))
-        banned = impure[current][1]
-        current = impure[current][0]
-    chain.append(banned.split(" ", 1)[0])
-    return chain

@@ -1,19 +1,16 @@
-"""Shared machinery for the mutation rules: world model + reachability.
+"""Shared machinery for the mutation rules: the world model.
 
 The three MUT rules answer one question from three directions: *which
 writes can touch the shared world, and does the RunState registry
-account for them?*  This module owns the pieces they share:
+account for them?*  Reachability (with the build cut: build-phase writes
+construct the world rather than mutate it mid-run) is
+:func:`repro.lint.program.graph.reachable_from`; this module owns the
+rest of what they share:
 
 * :class:`WorldModel` — every class declaration in the program joined
   with its ``@run_state(...)`` registration (fields rewound per run,
   ``shared=`` caches that survive the rewind, ``constructed_per_run``
   instances that never outlive a run);
-* :func:`reachable_from` — forward reachability over the call graph
-  with the **build cut** applied: edges into ``repro.netsim.build`` or
-  into constructors (``__init__`` / ``__post_init__`` / ``from_config``
-  / ``build_internet``) are not followed, because build-phase writes
-  construct the world rather than mutate it mid-run (ShardSan applies
-  the identical exemption at runtime);
 * :func:`expand` — alias expansion of store paths against the
   function's single-assignment alias map (``slots = self._slots`` makes
   ``slots.append(cb)`` a write to ``self._slots``);
@@ -48,21 +45,6 @@ from .graph import ProgramGraph
 
 #: Modules whose classes make up the shared simulated world.
 WORLD_PREFIX = "repro.netsim"
-
-#: The build cut: writes reached only through these are world
-#: *construction*, not mid-run mutation.
-BUILD_CUT_MODULES = frozenset({"repro.netsim.build"})
-BUILD_CUT_NAMES = frozenset(
-    {"__init__", "__post_init__", "from_config", "build_internet"}
-)
-
-#: Shard-worker entry points (MUT101 roots): everything a worker process
-#: executes is reachable from these.
-WORKER_ROOTS = (
-    "repro.prober.parallel.run_shard",
-    "repro.prober.parallel.run_single",
-    "repro.prober.supervise._supervised_worker",
-)
 
 #: The rewind entry point (MUT102 root).
 REWIND_ROOTS = ("repro.netsim.internet.Internet.fresh_run_state",)
@@ -164,66 +146,6 @@ class WorldModel:
             return None
         class_name = fact.qname.rsplit(".", 2)[-2]
         return self.classes.get((module, class_name))
-
-
-# ---------------------------------------------------------------------------
-# reachability with the build cut
-
-
-@dataclass
-class Reach:
-    """How a function was reached: the root plus a parent pointer."""
-
-    root: str
-    parent: Optional[str]
-    line: int  # call line in the parent (0 for roots)
-
-
-def is_cut(graph: ProgramGraph, full: str) -> bool:
-    fact, module, _ = graph.nodes[full]
-    if module in BUILD_CUT_MODULES:
-        return True
-    return fact.qname.rsplit(".", 1)[-1] in BUILD_CUT_NAMES
-
-
-def reachable_from(
-    graph: ProgramGraph, roots: Sequence[str]
-) -> Dict[str, Reach]:
-    """Forward BFS from the roots present in the graph, never following
-    an edge into the build cut.  Deterministic: roots and edges are
-    visited in sorted/recorded order, so parent pointers (and therefore
-    witness chains) are stable."""
-    reached: Dict[str, Reach] = {}
-    for root in sorted(roots):
-        if root not in graph.nodes or root in reached:
-            continue
-        queue = [root]
-        reached[root] = Reach(root=root, parent=None, line=0)
-        while queue:
-            current = queue.pop(0)
-            for edge in graph.edges.get(current, ()):
-                if edge.dst in reached or is_cut(graph, edge.dst):
-                    continue
-                reached[edge.dst] = Reach(
-                    root=root, parent=current, line=edge.line
-                )
-                queue.append(edge.dst)
-    return reached
-
-
-def witness_chain(
-    graph: ProgramGraph, reached: Dict[str, Reach], full: str
-) -> List[str]:
-    """Display names from the root down to ``full`` (inclusive)."""
-    chain: List[str] = []
-    current: Optional[str] = full
-    seen: Set[str] = set()
-    while current is not None and current not in seen:
-        seen.add(current)
-        chain.append(graph.display(current))
-        current = reached[current].parent
-    chain.reverse()
-    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -48,26 +48,22 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..checkers.common import dotted_name, import_origins, resolve_call_target
-from ..checkers.det001 import (
-    BANNED_CALLS,
-    BANNED_PREFIXES,
-    RANDOM_ALLOWED,
-    WALLCLOCK_CALLS,
-    WALLCLOCK_EXEMPT_MODULES,
+from ..checkers.det001 import verdict
+from ..checkers.det003 import BOUNDARY_CLASSES, annotation_leaves
+from ..core import SourceFile
+from ..index import (
+    Scope,
+    ScopeIndex,
+    Site,
+    dotted_name,
+    leaf_label,
+    level_order,
+    name_or_self,
+    resolve_call_target,
 )
-from ..checkers.det003 import BOUNDARY_CLASSES
 from . import mutation, perf
-
-#: ``# repro-lint: program-root`` on a ``def`` line marks the function
-#: as a DET101 reachability root (an entry point the engine or the
-#: parallel runner calls into).
-PROGRAM_ROOT_MARK = re.compile(r"#\s*repro-lint:\s*program-root\b")
-
-#: ``# repro-lint: hot-loop`` marks a PERF hot root (see :mod:`.perf`).
-HOT_ROOT_MARK = perf.HOT_ROOT_MARK
 
 #: Names/attributes that look like seed material for RNG101.
 _SEEDLIKE = re.compile(r"(seed|key)", re.IGNORECASE)
@@ -191,165 +187,75 @@ class FileFacts:
         return cls(**dict(data, functions=functions))
 
 
-def extract_facts(source: str, module: str) -> FileFacts:
-    """Distill ``source`` into :class:`FileFacts` (pure function of the
-    arguments — cacheable by content hash)."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return FileFacts(module=module, parse_error=True)
-    lines = source.splitlines()
-    origins = import_origins(tree)
-    facts = FileFacts(module=module)
-    for func_node, qname, in_class in _iter_functions(tree):
-        facts.functions.append(
-            _function_fact(func_node, qname, in_class, module, origins, lines)
-        )
-    facts.functions.append(
-        _function_fact(tree, "<module>", False, module, origins, lines)
-    )
+def extract_facts(file: SourceFile) -> FileFacts:
+    """Distill one file's scope index into :class:`FileFacts` (pure
+    function of the file's bytes and module path — cacheable by content
+    hash)."""
+    facts = FileFacts(module=file.module, parse_error=file.error is not None)
+    if facts.parse_error:
+        return facts
+    index = file.index
+    obs_names = {
+        local
+        for local, origin in index.origins.items()
+        if _OBS_ORIGIN.search(origin) and local in OBS_TYPES
+    }
+    scan_obs = bool(obs_names) or _any_obs_annotation(index)
+    for scope in index.frames:
+        # Breadth-first: the order call / ref / flow facts are defined in.
+        own = level_order(scope.own)
+        facts.functions.append(_function_fact(scope, own, file.module, index))
+        if scan_obs:
+            _obs_scan_scope(scope, own, index.origins, obs_names, facts)
     facts.functions.sort(key=lambda fact: (fact.line, fact.qname))
-    _extract_boundary_rng(tree, origins, facts)
-    _extract_obs_flows(tree, origins, facts)
-    facts.classes = mutation.class_facts(tree)
+    facts.obs_flows.sort(key=lambda item: (item["line"], item["col"]))
+    _extract_boundary_rng(index, facts)
+    facts.classes = mutation.class_facts(index)
     return facts
 
 
 # ---------------------------------------------------------------------------
-# function discovery & per-function facts
-
-
-def _iter_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, str, bool]]:
-    def visit(node: ast.AST, prefix: str, in_class: bool) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qname = prefix + child.name
-                yield child, qname, in_class
-                yield from visit(child, qname + ".", False)
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, prefix + child.name + ".", True)
-            else:
-                yield from visit(child, prefix, in_class)
-
-    return visit(tree, "", False)
-
-
-def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Nodes belonging to ``scope`` itself: descends into lambdas and
-    comprehensions but not into nested def/class scopes."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _param_names(node: ast.AST) -> List[str]:
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return []
-    args = node.args
-    names = [arg.arg for arg in getattr(args, "posonlyargs", [])]
-    names += [arg.arg for arg in args.args]
-    names += [arg.arg for arg in args.kwonlyargs]
-    return names
-
-
-def _is_root(node: ast.AST, lines: List[str]) -> bool:
-    return _marked(node, lines, PROGRAM_ROOT_MARK)
-
-
-def _is_hot(node: ast.AST, lines: List[str]) -> bool:
-    return _marked(node, lines, HOT_ROOT_MARK)
-
-
-def _marked(node: ast.AST, lines: List[str], mark: "re.Pattern[str]") -> bool:
-    lineno = getattr(node, "lineno", 0)
-    for candidate in (lineno, lineno - 1):
-        if 1 <= candidate <= len(lines) and mark.search(lines[candidate - 1]):
-            return True
-    return False
-
-
-def _classify_banned(
-    target: str, call: ast.Call, module: str
-) -> Optional[str]:
-    """DET001's verdict on a resolved call target, or None if clean."""
-    if target in WALLCLOCK_CALLS and module in WALLCLOCK_EXEMPT_MODULES:
-        return None
-    if target in BANNED_CALLS:
-        return target
-    if target.startswith(BANNED_PREFIXES):
-        return target
-    if target == "random.Random":
-        if not call.args and not call.keywords:
-            return "random.Random [unseeded]"
-        return None
-    if target.startswith("random.") and target not in RANDOM_ALLOWED:
-        return target
-    return None
+# per-function facts
 
 
 def _function_fact(
-    scope: ast.AST,
-    qname: str,
-    in_class: bool,
-    module: str,
-    origins: Dict[str, str],
-    lines: List[str],
+    scope: Scope, own: List[Site], module: str, index: ScopeIndex
 ) -> FunctionFact:
+    origins = index.origins
     fact = FunctionFact(
-        qname=qname,
-        line=getattr(scope, "lineno", 1),
-        method=in_class,
-        root=_is_root(scope, lines),
-        hot=_is_hot(scope, lines),
-        params=_param_names(scope),
+        qname=scope.qname,
+        line=getattr(scope.node, "lineno", 1),
+        method=scope.method,
+        root=index.marked(scope.node, "program-root"),
+        hot=index.marked(scope.node, "hot-loop"),
+        params=[arg.arg for arg in scope.params],
     )
     env = _single_assignments(scope)
     params = set(fact.params)
-    for node in _own_nodes(scope):
+    for site in own:
+        node = site.node
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node.func, origins)
         raw = dotted_name(node.func)
-        if target is not None:
-            verdict = _classify_banned(target, node, module)
-            if verdict is not None:
-                fact.banned.append((verdict, node.lineno))
-            if target == "hash" and "hash" not in origins:
-                fact.banned.append(("hash [PYTHONHASHSEED]", node.lineno))
+        banned = target and verdict(target, node, module)
+        if banned:
+            fact.banned.append((banned[0], node.lineno))
         fact.calls.append(
             _call_fact(node, target, raw, origins, env, params)
         )
         for arg in node.args:
-            ref = _callback_ref(arg)
+            ref = name_or_self(arg)
             if ref is not None:
                 fact.refs.append((ref, node.lineno))
         if target == "random.Random" and node.args:
             tags = _classify_seed(node.args[0], origins, env, params)
             fact.rng_sites.append({"line": node.lineno, "tags": sorted(tags)})
     fact.banned.sort(key=lambda item: (item[1], item[0]))
-    fact.stores = mutation.store_facts(_own_nodes(scope))
+    fact.stores = mutation.store_facts(site.node for site in own)
     fact.aliases = mutation.alias_facts(env)
     fact.perf = perf.perf_sites(scope, origins)
     return fact
-
-
-def _callback_ref(node: ast.AST) -> Optional[str]:
-    """A function-valued argument: bare name or ``self.X``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return "self." + node.attr
-    return None
 
 
 def _call_fact(
@@ -374,9 +280,9 @@ def _call_fact(
             for kw in node.keywords
             if kw.arg is not None
         },
-        "arg_paths": [mutation.dotted_path(arg) for arg in node.args],
+        "arg_paths": [dotted_name(arg) for arg in node.args],
         "kwarg_paths": {
-            kw.arg: mutation.dotted_path(kw.value)
+            kw.arg: dotted_name(kw.value)
             for kw in node.keywords
             if kw.arg is not None
         },
@@ -387,24 +293,19 @@ def _call_fact(
 # RNG101 seed-expression classification
 
 
-def _single_assignments(scope: ast.AST) -> Dict[str, ast.AST]:
-    """name -> value expr for locals assigned exactly once in ``scope``."""
+def _single_assignments(scope: Scope) -> Dict[str, ast.AST]:
+    """name -> value expr for locals bound exactly once in ``scope``, by
+    a plain assignment (an augmented/annotated assignment or a loop
+    target makes the name multiply-bound)."""
     counts: Dict[str, int] = {}
     values: Dict[str, ast.AST] = {}
-    for node in _own_nodes(scope):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    counts[target.id] = counts.get(target.id, 0) + 1
-                    values[target.id] = node.value
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            target = node.target
-            if isinstance(target, ast.Name):
-                counts[target.id] = counts.get(target.id, 0) + 2
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            target = node.target
-            if isinstance(target, ast.Name):
-                counts[target.id] = counts.get(target.id, 0) + 2
+    for name, site, value in scope.bindings:
+        if "." in name:
+            continue
+        plain = isinstance(site.node, ast.Assign)
+        counts[name] = counts.get(name, 0) + (1 if plain else 2)
+        if plain:
+            values[name] = value
     return {
         name: value for name, value in values.items() if counts.get(name) == 1
     }
@@ -451,7 +352,7 @@ def _classify_seed(
     if isinstance(node, ast.Call):
         target = resolve_call_target(node.func, origins)
         name = dotted_name(node.func) or ""
-        if target is not None and _classify_banned(target, node, "") is not None:
+        if target is not None and verdict(target, node, "") is not None:
             return {"b:entropy source %s()" % target}
         if target in _PASSTHROUGH_CALLS and node.args:
             tags: Set[str] = set()
@@ -484,33 +385,33 @@ def _classify_seed(
 # RNG-across-worker-boundary extraction (RNG101, per-file half)
 
 
-def _extract_boundary_rng(
-    tree: ast.Module, origins: Dict[str, str], facts: FileFacts
-) -> None:
-    rng_names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            target_path = resolve_call_target(node.value.func, origins)
-            if target_path == "random.Random":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        rng_names.add(target.id)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name in BOUNDARY_CLASSES:
-            for statement in node.body:
-                if not isinstance(statement, ast.AnnAssign):
-                    continue
-                annotation = ast.dump(statement.annotation)
-                if "Random" in annotation:
-                    facts.boundary_rng.append(
-                        {
-                            "line": statement.lineno,
-                            "cls": node.name,
-                            "detail": "field declared with a Random type",
-                        }
-                    )
-        if not isinstance(node, ast.Call):
+def _extract_boundary_rng(index: ScopeIndex, facts: FileFacts) -> None:
+    origins = index.origins
+    rng_names = {
+        name
+        for scope in index.scopes
+        for name, site, value in scope.bindings
+        if "." not in name
+        and isinstance(site.node, ast.Assign)
+        and isinstance(value, ast.Call)
+        and resolve_call_target(value.func, origins) == "random.Random"
+    }
+    for scope in index.classes:
+        if scope.node.name not in BOUNDARY_CLASSES:
             continue
+        for statement in scope.node.body:
+            if isinstance(statement, ast.AnnAssign) and "Random" in ast.dump(
+                statement.annotation
+            ):
+                facts.boundary_rng.append(
+                    {
+                        "line": statement.lineno,
+                        "cls": scope.node.name,
+                        "detail": "field declared with a Random type",
+                    }
+                )
+    for site in index.of(ast.Call):
+        node = site.node
         name = dotted_name(node.func)
         if name is None or name.rsplit(".", 1)[-1] not in BOUNDARY_CLASSES:
             continue
@@ -543,98 +444,58 @@ def _rng_valued(
 # OBS101 extraction (telemetry is observe-only)
 
 
-def _extract_obs_flows(
-    tree: ast.Module, origins: Dict[str, str], facts: FileFacts
-) -> None:
-    obs_names = {
-        local
-        for local, origin in origins.items()
-        if _OBS_ORIGIN.search(origin) and local in OBS_TYPES
-    }
-    if not obs_names and not _any_obs_annotation(tree):
-        return
-    for scope_node, _, _ in list(_iter_functions(tree)) + [(tree, "<module>", False)]:
-        _obs_scan_scope(scope_node, origins, obs_names, facts)
-    facts.obs_flows.sort(key=lambda item: (item["line"], item["col"]))
+def _any_obs_annotation(index: ScopeIndex) -> bool:
+    return any(
+        _names_obs_type(site.node.annotation)
+        for site in index.of(ast.arg, ast.AnnAssign)
+    )
 
 
-def _any_obs_annotation(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg) and node.annotation is not None:
-            label = _annotation_label(node.annotation)
-            if label in OBS_TYPES:
-                return True
-        if isinstance(node, ast.AnnAssign):
-            label = _annotation_label(node.annotation)
-            if label in OBS_TYPES:
-                return True
-    return False
-
-
-def _annotation_label(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Subscript):  # Optional[MetricsRegistry]
-        for child in ast.walk(node):
-            label = _bare_label(child)
-            if label in OBS_TYPES:
-                return label
-        return None
-    return _bare_label(node)
-
-
-def _bare_label(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1].strip("[]")
-    return None
+def _names_obs_type(annotation: Optional[ast.AST]) -> bool:
+    """Whether an annotation mentions a telemetry type anywhere
+    (``MetricsRegistry``, ``Optional[obs.Counter]``, ``"Tracer"``)."""
+    return annotation is not None and any(
+        leaf_label(leaf) in OBS_TYPES for leaf in annotation_leaves(annotation)
+    )
 
 
 def _obs_scan_scope(
-    scope: ast.AST,
+    scope: Scope,
+    own: List[Site],
     origins: Dict[str, str],
     obs_names: Set[str],
     facts: FileFacts,
 ) -> None:
-    handles: Set[str] = set()  # plain names and "self.x" paths
-    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        for arg in (
-            list(getattr(scope.args, "posonlyargs", []))
-            + scope.args.args
-            + scope.args.kwonlyargs
+    # Handles (plain names and "self.x" paths): annotated parameters,
+    # then bindings from obs constructors/factories in source order.
+    handles: Set[str] = {
+        arg.arg for arg in scope.params if _names_obs_type(arg.annotation)
+    }
+    for name, site, value in scope.bindings:
+        node = site.node
+        if isinstance(node, ast.AnnAssign):
+            if _names_obs_type(node.annotation):
+                handles.add(name)
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(value, ast.Call)
+            and _is_obs_handle_expr(value, origins, obs_names, handles)
         ):
-            if arg.annotation is not None and _annotation_label(arg.annotation) in OBS_TYPES:
-                handles.add(arg.arg)
-    own = list(_own_nodes(scope))
-    # Pass 1: find handles (assignments from obs constructors/factories).
-    for node in own:
-        if isinstance(node, ast.AnnAssign) and node.target is not None:
-            label = _annotation_label(node.annotation)
-            path = _name_or_self_path(node.target)
-            if label in OBS_TYPES and path is not None:
-                handles.add(path)
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            continue
-        if _is_obs_handle_expr(node.value, origins, obs_names, handles):
-            for target in node.targets:
-                path = _name_or_self_path(target)
-                if path is not None:
-                    handles.add(path)
-    # Pass 2: find tainted readback values and their one-level aliases.
-    tainted: Set[str] = set()
-    for node in own:
-        if isinstance(node, ast.Assign) and _is_readback(node.value, handles):
-            for target in node.targets:
-                path = _name_or_self_path(target)
-                if path is not None and "." not in path:
-                    tainted.add(path)
+            handles.add(name)
+    # Tainted locals: readback values and their one-level aliases.
+    tainted: Set[str] = {
+        name
+        for name, site, value in scope.bindings
+        if "." not in name
+        and isinstance(site.node, ast.Assign)
+        and _is_readback(value, handles)
+    }
     # Pass 3: flag readback values steering the simulation.  ``reported``
     # holds node ids of readback expressions already flagged, so an
     # ``if reg.total() > 0`` reports once (branch condition), not again
     # for the Compare operand inside it.
     reported: Set[int] = set()
-    for node in own:
+    for node in (site.node for site in own):
         if isinstance(node, (ast.If, ast.While)):
             found = _readback_within(node.test, handles, tainted, reported)
             if found is not None:
@@ -665,7 +526,7 @@ def _obs_scan_scope(
                               "state" % found)
                     )
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = _name_or_self_path(node.func.value)
+            receiver = name_or_self(node.func.value)
             if receiver in handles:
                 continue  # mutating telemetry itself is the whole point
             if node.func.attr in OBS_FACTORY_METHODS:
@@ -687,18 +548,6 @@ def _flow(node: ast.AST, detail: str) -> Dict[str, Any]:
     }
 
 
-def _name_or_self_path(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return "self." + node.attr
-    return None
-
-
 def _is_obs_handle_expr(
     node: ast.Call,
     origins: Dict[str, str],
@@ -708,7 +557,7 @@ def _is_obs_handle_expr(
     if isinstance(node.func, ast.Name) and node.func.id in obs_names:
         return True
     if isinstance(node.func, ast.Attribute):
-        receiver = _name_or_self_path(node.func.value)
+        receiver = name_or_self(node.func.value)
         if receiver in handles and node.func.attr in OBS_FACTORY_METHODS:
             return True
         origin = resolve_call_target(node.func, origins)
@@ -724,7 +573,7 @@ def _is_obs_handle_expr(
 def _is_readback(node: ast.AST, handles: Set[str]) -> bool:
     if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
         return False
-    receiver = _name_or_self_path(node.func.value)
+    receiver = name_or_self(node.func.value)
     return receiver in handles and node.func.attr in OBS_READBACK_METHODS
 
 
@@ -736,7 +585,7 @@ def _direct_readback(
     if _is_readback(node, handles):
         reported.add(id(node))
         func = node.func  # type: ignore[union-attr]
-        receiver = _name_or_self_path(func.value)
+        receiver = name_or_self(func.value)
         return "%s.%s()" % (receiver, func.attr)
     if isinstance(node, ast.Name) and node.id in tainted:
         reported.add(id(node))

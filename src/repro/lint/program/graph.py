@@ -22,17 +22,29 @@ Reference edges (names passed as call arguments, like
 ``engine.schedule(interval, tick)``) use the same resolution and are
 treated as call edges: if the callback is impure, its registrar is.
 
-:class:`Program` bundles the source files, their facts and the graph —
-it is what every rule's ``check(program)`` receives.
+The graph also owns the one forward reachability every reachability
+rule shares (:func:`reachable_from`, optionally stopping at the **build
+cut**) and the one witness-chain builder (:func:`witness_chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core import Suppressions
-from .facts import FileFacts, FunctionFact
+if TYPE_CHECKING:  # pragma: no cover - facts -> perf -> graph at import time
+    from .facts import FileFacts, FunctionFact
+
+#: Shard-worker entry points: everything a worker process executes is
+#: reachable from these (MUT101's roots; the ``spec`` parameter tainted
+#: by MUT103 enters here).  The pool entry point receives the spec inside
+#: its payload and reaches ``run_shard`` through ``ShardJob.run`` — an
+#: indirect call the graph cannot follow — so it is listed itself.
+WORKER_ROOTS = (
+    "repro.prober.parallel.run_shard",
+    "repro.prober.parallel.run_single",
+    "repro.prober.supervise._supervised_worker",
+)
 
 #: Entry points that are always reachability roots, even without a
 #: ``# repro-lint: program-root`` comment (belt and braces: the comment
@@ -42,10 +54,16 @@ DEFAULT_ROOTS = frozenset(
         "repro.netsim.engine.Engine.run",
         "repro.netsim.engine.Engine.step",
         "repro.prober.campaign.run_campaign",
-        "repro.prober.parallel.run_shard",
-        "repro.prober.parallel.run_single",
-        "repro.prober.supervise._supervised_worker",
+        *WORKER_ROOTS,
     }
+)
+
+#: The build cut: code reached only through these is world
+#: *construction*, not mid-run behaviour (ShardSan applies the identical
+#: exemption at runtime).
+BUILD_CUT_MODULES = frozenset({"repro.netsim.build"})
+BUILD_CUT_NAMES = frozenset(
+    {"__init__", "__post_init__", "from_config", "build_internet"}
 )
 
 
@@ -86,21 +104,6 @@ class ProgramGraph:
         ]
         return sorted(found)
 
-    def reachable(self) -> Dict[str, str]:
-        """full name -> root it is reachable from (first in sorted order)."""
-        reached: Dict[str, str] = {}
-        for root in self.roots():
-            queue = [root]
-            while queue:
-                current = queue.pop(0)
-                if current in reached:
-                    continue
-                reached[current] = root
-                for edge in self.edges.get(current, ()):
-                    if edge.dst not in reached:
-                        queue.append(edge.dst)
-        return reached
-
     def callers_of(self, full: str) -> List[Edge]:
         found = []
         for edges in self.edges.values():
@@ -117,26 +120,59 @@ class ProgramGraph:
 
 
 @dataclass
-class SourceFile:
-    """One file handed to the program analysis."""
+class Reach:
+    """How a function was reached: the root plus a parent pointer."""
 
-    path: str
-    module: str
-    source: str
-    suppressions: Suppressions
+    root: str
+    parent: Optional[str]
 
 
-@dataclass
-class Program:
-    """Analyzed program: facts per file plus the call graph."""
+def is_cut(graph: ProgramGraph, full: str) -> bool:
+    fact, module, _ = graph.nodes[full]
+    if module in BUILD_CUT_MODULES:
+        return True
+    return fact.qname.rsplit(".", 1)[-1] in BUILD_CUT_NAMES
 
-    files: List[SourceFile]
-    facts: Dict[str, FileFacts]
-    graph: ProgramGraph
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: rules that ran, per path (OBS101 only where its scope applies).
-    ran_rules: Dict[str, Set[str]] = field(default_factory=dict)
+
+def reachable_from(
+    graph: ProgramGraph, roots: Iterable[str], cut: bool
+) -> Dict[str, Reach]:
+    """Forward BFS from the roots present in the graph; with ``cut`` it
+    never follows an edge into the build cut (edges into
+    ``repro.netsim.build`` or into constructors — ``__init__`` /
+    ``__post_init__`` / ``from_config`` / ``build_internet``).  A function
+    belongs to the first root, in sorted order, that reaches it.
+    Deterministic: roots and edges are visited in sorted/recorded order,
+    so parent pointers (and therefore witness chains) are stable."""
+    reached: Dict[str, Reach] = {}
+    for root in sorted(roots):
+        if root not in graph.nodes or root in reached:
+            continue
+        queue = [root]
+        reached[root] = Reach(root=root, parent=None)
+        while queue:
+            current = queue.pop(0)
+            for edge in graph.edges.get(current, ()):
+                if edge.dst in reached or (cut and is_cut(graph, edge.dst)):
+                    continue
+                reached[edge.dst] = Reach(root=root, parent=current)
+                queue.append(edge.dst)
+    return reached
+
+
+def witness_chain(
+    graph: ProgramGraph, start: str, link: Callable[[str], Optional[str]]
+) -> List[str]:
+    """Display names from ``start`` along ``link(current) -> next`` until
+    it returns None (or revisits a function)."""
+    chain: List[str] = []
+    current: Optional[str] = start
+    seen: Set[str] = set()
+    while current is not None and current not in seen:
+        seen.add(current)
+        chain.append(graph.display(current))
+        current = link(current)
+    return chain
 
 
 def build_graph(files: Sequence[Tuple[str, FileFacts]]) -> ProgramGraph:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import Violation
+from ..core import Program, Violation
 from . import escape
-from .graph import Program
+from .graph import WORKER_ROOTS, reachable_from, witness_chain
 
 RULE = "MUT101"
 DESCRIPTION = (
@@ -46,7 +46,7 @@ DESCRIPTION = (
 def check(program: Program) -> List[Violation]:
     graph, facts = program.graph, program.facts
     model = escape.WorldModel.from_facts(facts)
-    reached = escape.reachable_from(graph, escape.WORKER_ROOTS)
+    reached = reachable_from(graph, WORKER_ROOTS, cut=True)
     violations: List[Violation] = []
     for full in sorted(reached):
         fact, _, path = graph.nodes[full]
@@ -58,7 +58,7 @@ def check(program: Program) -> List[Violation]:
             )
             if resolution.verdict != escape.UNREGISTERED:
                 continue
-            chain = escape.witness_chain(graph, reached, full)
+            chain = witness_chain(graph, full, lambda current: reached[current].parent)
             root = reached[full].root
             violations.append(
                 Violation(
@@ -74,7 +74,7 @@ def check(program: Program) -> List[Violation]:
                         % (
                             graph.display(full),
                             graph.display(root),
-                            " -> ".join(chain),
+                            " -> ".join(reversed(chain)),
                             expanded,
                         )
                     ),

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-from ..core import Violation
+from ..core import Program, Violation
 from . import escape
-from .graph import Program
+from .graph import reachable_from, witness_chain
 
 RULE = "MUT102"
 DESCRIPTION = (
@@ -49,7 +49,7 @@ DESCRIPTION = (
 
 def check(program: Program) -> List[Violation]:
     graph, facts = program.graph, program.facts
-    reached = escape.reachable_from(graph, escape.REWIND_ROOTS)
+    reached = reachable_from(graph, escape.REWIND_ROOTS, cut=True)
     if not reached:
         return []  # rewind root not in this lint's scope
     model = escape.WorldModel.from_facts(facts)
@@ -67,7 +67,9 @@ def check(program: Program) -> List[Violation]:
             )
             if resolution.field is None:
                 continue
-            chain = " -> ".join(escape.witness_chain(graph, reached, full))
+            chain = " -> ".join(
+                reversed(witness_chain(graph, full, lambda current: reached[current].parent))
+            )
             for entry in resolution.classes:
                 key = (entry.module, entry.name, resolution.field)
                 if key in reset:

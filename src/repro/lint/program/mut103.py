@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core import Violation
+from ..core import Program, Violation
 from . import escape
-from .graph import Program, ProgramGraph, _resolve
+from .graph import WORKER_ROOTS, ProgramGraph, _resolve, is_cut, witness_chain
 
 RULE = "MUT103"
 DESCRIPTION = (
@@ -37,18 +37,8 @@ DESCRIPTION = (
     "contract; DET003 tightened from field types to actual mutations)"
 )
 
-#: Entry points whose ``spec`` parameter is the boundary object.  The
-#: pool entry point receives the spec inside its payload and reaches
-#: ``run_shard`` through ``ShardJob.run`` — an indirect call the graph
-#: cannot follow — so the taint enters at ``run_shard``; the worker is
-#: listed so the roots name every way into worker code.
-BOUNDARY_ROOTS = (
-    "repro.prober.parallel.run_shard",
-    "repro.prober.parallel.run_single",
-    "repro.prober.supervise._supervised_worker",
-)
-
-#: The boundary parameter name at the roots.
+#: The boundary parameter name at the worker roots
+#: (:data:`~repro.lint.program.graph.WORKER_ROOTS`).
 BOUNDARY_PARAM = "spec"
 
 #: taint witness: how a (function, param) became tainted.
@@ -67,7 +57,12 @@ def check(program: Program) -> List[Violation]:
             parts = expanded.split(".")
             if len(parts) < 2 or parts[0] not in params:
                 continue
-            chain = _chain(graph, tainted, full)
+            # Deterministic: follow the first witness in sorted param order.
+            chain = witness_chain(
+                graph,
+                full,
+                lambda current: tainted[current][min(tainted[current])][0],
+            )
             violations.append(
                 Violation(
                     rule=RULE,
@@ -78,7 +73,7 @@ def check(program: Program) -> List[Violation]:
                         "'%s' writes '%s' through the CampaignSpec pickle "
                         "boundary (tainted via %s); workers must treat the "
                         "spec as frozen"
-                        % (graph.display(full), expanded, " -> ".join(chain))
+                        % (graph.display(full), expanded, " -> ".join(reversed(chain)))
                     ),
                 )
             )
@@ -89,7 +84,7 @@ def _propagate(graph: ProgramGraph) -> Dict[str, Dict[str, _Witness]]:
     """function full name -> {tainted param -> witness}, to a fixpoint."""
     tainted: Dict[str, Dict[str, _Witness]] = {}
     queue: List[str] = []
-    for root in BOUNDARY_ROOTS:
+    for root in WORKER_ROOTS:
         node = graph.nodes.get(root)
         if node is not None and BOUNDARY_PARAM in node[0].params:
             tainted[root] = {BOUNDARY_PARAM: (None, node[0].line)}
@@ -103,7 +98,7 @@ def _propagate(graph: ProgramGraph) -> Dict[str, Dict[str, _Witness]]:
             if not flows:
                 continue
             for dst in _resolve(graph, module, fact, call):
-                if escape.is_cut(graph, dst):
+                if is_cut(graph, dst):
                     continue
                 dst_fact = graph.nodes[dst][0]
                 offset = (
@@ -156,22 +151,3 @@ def _tainted_args(
                 if root in names:
                     flows.append((0, kwarg))
     return flows
-
-
-def _chain(
-    graph: ProgramGraph,
-    tainted: Dict[str, Dict[str, _Witness]],
-    start: str,
-) -> List[str]:
-    """Display names from the boundary root down to ``start``."""
-    chain: List[str] = []
-    current: Optional[str] = start
-    seen = set()
-    while current is not None and current not in seen:
-        seen.add(current)
-        chain.append(graph.display(current))
-        witnesses = tainted[current]
-        # Deterministic: follow the first witness in sorted param order.
-        current = witnesses[sorted(witnesses)[0]][0]
-    chain.reverse()
-    return chain

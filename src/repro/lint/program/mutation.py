@@ -34,6 +34,8 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..index import ScopeIndex, dotted_name
+
 #: Method names whose call mutates the receiver container in place.
 MUTATOR_METHODS = frozenset(
     {
@@ -70,16 +72,6 @@ MUTATOR_FUNCTIONS = frozenset(
 )
 
 
-def dotted_path(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_path(node.value)
-        return None if base is None else base + "." + node.attr
-    return None
-
-
 def store_facts(own_nodes: Iterable[ast.AST]) -> List[Dict[str, Any]]:
     """Every mutation this scope performs, in (line, path) order."""
     stores: List[Dict[str, Any]] = []
@@ -90,9 +82,9 @@ def store_facts(own_nodes: Iterable[ast.AST]) -> List[Dict[str, Any]]:
 
     def target_store(target: ast.AST, line: int) -> None:
         if isinstance(target, ast.Attribute):
-            emit(dotted_path(target), line, "attr")
+            emit(dotted_name(target), line, "attr")
         elif isinstance(target, ast.Subscript):
-            emit(dotted_path(target.value), line, "subscript")
+            emit(dotted_name(target.value), line, "subscript")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 target_store(element, line)
@@ -118,18 +110,18 @@ def store_facts(own_nodes: Iterable[ast.AST]) -> List[Dict[str, Any]]:
                 and func.attr in MUTATOR_METHODS
             ):
                 emit(
-                    dotted_path(func.value),
+                    dotted_name(func.value),
                     node.lineno,
                     "call:%s" % func.attr,
                 )
             elif (
                 isinstance(func, (ast.Name, ast.Attribute))
-                and (dotted_path(func) or "").rsplit(".", 1)[-1]
+                and (dotted_name(func) or "").rsplit(".", 1)[-1]
                 in MUTATOR_FUNCTIONS
                 and node.args
             ):
-                name = (dotted_path(func) or "").rsplit(".", 1)[-1]
-                emit(dotted_path(node.args[0]), node.lineno, "call:%s" % name)
+                name = (dotted_name(func) or "").rsplit(".", 1)[-1]
+                emit(dotted_name(node.args[0]), node.lineno, "call:%s" % name)
     stores.sort(key=lambda item: (item["line"], item["path"], item["kind"]))
     return stores
 
@@ -142,7 +134,7 @@ def alias_facts(env: Dict[str, ast.AST]) -> Dict[str, str]:
     """
     aliases: Dict[str, str] = {}
     for name, value in env.items():
-        path = dotted_path(value)
+        path = dotted_name(value)
         if path is not None and path != name:
             aliases[name] = path
     return aliases
@@ -152,17 +144,14 @@ def alias_facts(env: Dict[str, ast.AST]) -> Dict[str, str]:
 # class facts: declared fields + @run_state registrations
 
 
-def class_facts(tree: ast.Module) -> List[Dict[str, Any]]:
+def class_facts(index: ScopeIndex) -> List[Dict[str, Any]]:
     """One dict per class defined anywhere in the file."""
-    found: List[Dict[str, Any]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            found.append(_class_fact(node))
+    found = [_class_fact(scope.node, index) for scope in index.classes]
     found.sort(key=lambda item: (item["line"], item["name"]))
     return found
 
 
-def _class_fact(node: ast.ClassDef) -> Dict[str, Any]:
+def _class_fact(node: ast.ClassDef, index: ScopeIndex) -> Dict[str, Any]:
     info: Dict[str, Any] = {
         "name": node.name,
         "line": node.lineno,
@@ -176,7 +165,7 @@ def _class_fact(node: ast.ClassDef) -> Dict[str, Any]:
     for deco in node.decorator_list:
         if not isinstance(deco, ast.Call):
             continue
-        name = dotted_path(deco.func)
+        name = dotted_name(deco.func)
         if name is None or name.rsplit(".", 1)[-1] != "run_state":
             continue
         info["registered"] = True
@@ -210,8 +199,11 @@ def _class_fact(node: ast.ClassDef) -> Dict[str, Any]:
                 fields.setdefault(statement.target.id, statement.lineno)
         elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if statement.name in ("__init__", "__post_init__"):
-                for attr, line in _init_self_stores(statement):
-                    fields.setdefault(attr, line)
+                # ``self.X = ...`` anywhere inside a constructor declares X.
+                for scope in index.scope_of[statement].walk():
+                    for name, site, _ in scope.bindings:
+                        if name.startswith("self."):
+                            fields.setdefault(name[5:], site.node.lineno)
     return info
 
 
@@ -221,22 +213,3 @@ def _string_items(nodes: Iterable[ast.AST]) -> List[str]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             items.append(node.value)
     return items
-
-
-def _init_self_stores(func: ast.AST) -> List[Any]:
-    """(attr, line) for every ``self.X = ...`` directly in a constructor."""
-    stores: List[Any] = []
-    for node in ast.walk(func):
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                stores.append((target.attr, node.lineno))
-    return stores

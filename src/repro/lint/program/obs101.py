@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import Violation
-from .graph import Program
+from ..core import Program, Violation
 
 RULE = "OBS101"
 DESCRIPTION = (

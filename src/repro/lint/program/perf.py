@@ -60,30 +60,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from ..checkers.common import dotted_name, resolve_call_target
-from ..core import Violation
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a facts -> perf -> graph cycle
-    from . import escape
-    from .graph import Program, ProgramGraph
-
-#: ``# repro-lint: hot-loop`` on a ``def`` line marks the function as a
-#: PERF hot root: it is the body of a per-probe or per-batch loop, so
-#: allocations in its straight-line code happen once per iteration.
-HOT_ROOT_MARK = re.compile(r"#\s*repro-lint:\s*hot-loop\b")
+from ..core import Program, Violation
+from ..index import Scope, dotted_name, resolve_call_target
+from .graph import ProgramGraph, Reach, reachable_from, witness_chain
 
 #: The prober's known hot paths (full dotted node names), used even
 #: without a source marker so the rules guard third-party-style trees.
@@ -110,7 +91,7 @@ _EXCEPTION_NAME = re.compile(r"(Error|Exception|Warning)$")
 # hot-region computation (rule-time half)
 
 
-def hot_roots(graph: "ProgramGraph") -> Set[str]:
+def hot_roots(graph: ProgramGraph) -> Set[str]:
     """Marked ``hot-loop`` functions plus the default hot paths that
     exist in this program."""
     roots = {
@@ -122,14 +103,10 @@ def hot_roots(graph: "ProgramGraph") -> Set[str]:
     return roots
 
 
-def hot_region(
-    graph: "ProgramGraph",
-) -> Tuple[Set[str], Dict[str, "escape.Reach"]]:
+def hot_region(graph: ProgramGraph) -> Tuple[Set[str], Dict[str, Reach]]:
     """(hot roots, reachable functions) with the build cut applied."""
-    from . import escape as escape_mod
-
     roots = hot_roots(graph)
-    return roots, escape_mod.reachable_from(graph, roots)
+    return roots, reachable_from(graph, roots, cut=True)
 
 
 class HotRegionRule(NamedTuple):
@@ -143,9 +120,7 @@ class HotRegionRule(NamedTuple):
     #: region rooted at 'r' and ".
     finding: str
 
-    def check(self, program: "Program") -> List[Violation]:
-        from . import escape as escape_mod
-
+    def check(self, program: Program) -> List[Violation]:
         graph = program.graph
         roots, reached = hot_region(graph)
         violations: List[Violation] = []
@@ -156,7 +131,7 @@ class HotRegionRule(NamedTuple):
                     continue
                 if not (site["loop"] or full in roots):
                     continue
-                chain = escape_mod.witness_chain(graph, reached, full)
+                chain = witness_chain(graph, full, lambda current: reached[current].parent)
                 violations.append(
                     Violation(
                         rule=self.RULE,
@@ -167,7 +142,7 @@ class HotRegionRule(NamedTuple):
                         % (
                             graph.display(full),
                             graph.display(reached[full].root),
-                            self.finding % (site["detail"], " -> ".join(chain)),
+                            self.finding % (site["detail"], " -> ".join(reversed(chain))),
                         ),
                     )
                 )
@@ -209,7 +184,7 @@ RULES = (
 # per-function site extraction (fact-time half)
 
 
-def perf_sites(scope: ast.AST, origins: Dict[str, str]) -> List[Dict[str, Any]]:
+def perf_sites(scope: Scope, origins: Dict[str, str]) -> List[Dict[str, Any]]:
     """Distill one function scope into perf sites (pure function of the
     AST — cacheable)."""
     sites: List[Dict[str, Any]] = []
@@ -229,34 +204,8 @@ def perf_sites(scope: ast.AST, origins: Dict[str, str]) -> List[Dict[str, Any]]:
             }
         )
 
-    def visit(
-        node: ast.AST, in_loop: bool, in_raise: bool, loop_vars: Set[str]
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        _classify(node, in_loop, in_raise, loop_vars)
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            # The iterable is evaluated once per loop *entry*; only the
-            # body (and the per-iteration target unpack) runs per turn.
-            visit(node.iter, in_loop, in_raise, loop_vars)
-            inner_vars = loop_vars | _target_names(node.target)
-            visit(node.target, True, in_raise, inner_vars)
-            for child in node.body + node.orelse:
-                visit(child, True, in_raise, inner_vars)
-        elif isinstance(node, ast.While):
-            visit(node.test, True, in_raise, loop_vars)
-            for child in node.body + node.orelse:
-                visit(child, True, in_raise, loop_vars)
-        elif isinstance(node, ast.Raise):
-            for child in ast.iter_child_nodes(node):
-                visit(child, in_loop, True, loop_vars)
-        else:
-            for child in ast.iter_child_nodes(node):
-                visit(child, in_loop, in_raise, loop_vars)
-
-    def _classify(
-        node: ast.AST, in_loop: bool, in_raise: bool, loop_vars: Set[str]
-    ) -> None:
+    for site in scope.own:
+        node, in_loop, in_raise, loop_vars = site.node, site.loop, site.raising, site.loop_vars
         # --- PERF101: per-iteration allocation -------------------------
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
             label = {
@@ -381,33 +330,8 @@ def perf_sites(scope: ast.AST, origins: Dict[str, str]) -> List[Dict[str, Any]]:
                     "variable (vectorize the loop body)" % node.value.id,
                 )
 
-    for child in ast.iter_child_nodes(scope):
-        visit(child, False, False, set())
     sites.sort(key=lambda site: (site["line"], site["rule"], site["kind"]))
     return sites
-
-
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of ``scope`` itself — descends comprehensions/lambdas but
-    not nested def/class scopes (mirrors ``facts._own_nodes``)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _target_names(node: ast.AST) -> Set[str]:
-    if isinstance(node, ast.Name):
-        return {node.id}
-    if isinstance(node, (ast.Tuple, ast.List)):
-        names: Set[str] = set()
-        for element in node.elts:
-            names |= _target_names(element)
-        return names
-    return set()
 
 
 def _init_kind(value: ast.AST) -> Optional[str]:
@@ -427,35 +351,26 @@ def _init_kind(value: ast.AST) -> Optional[str]:
     return None
 
 
-def _seq_inits(scope: ast.AST) -> Dict[str, Set[str]]:
+def _seq_inits(scope: Scope) -> Dict[str, Set[str]]:
     """local name -> sequence kinds it was ever initialized with."""
     kinds: Dict[str, Set[str]] = {}
-    for node in _scope_nodes(scope):
-        targets: List[ast.AST] = []
-        value: Optional[ast.AST] = None
-        if isinstance(node, ast.Assign):
-            targets, value = list(node.targets), node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
-        kind = _init_kind(value)
-        if kind is None:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                kinds.setdefault(target.id, set()).add(kind)
+    for name, site, value in scope.bindings:
+        if isinstance(site.node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            kind = _init_kind(value)
+            if kind is not None and "." not in name:
+                kinds.setdefault(name, set()).add(kind)
     return kinds
 
 
-def _numpy_locals(scope: ast.AST, origins: Dict[str, str]) -> Set[str]:
+def _numpy_locals(scope: Scope, origins: Dict[str, str]) -> Set[str]:
     """Locals assigned from ``numpy.*`` calls (or from attribute calls
     on an already-known array local — ``rounded = values.astype(...)``)."""
     names: Set[str] = set()
-    for node in _scope_nodes(scope):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+    for name, site, call in scope.bindings:
+        if "." in name or not (
+            isinstance(site.node, ast.Assign) and isinstance(call, ast.Call)
+        ):
             continue
-        call = node.value
         target_path = resolve_call_target(call.func, origins)
         from_numpy = target_path is not None and target_path.startswith("numpy.")
         from_array = (
@@ -463,9 +378,6 @@ def _numpy_locals(scope: ast.AST, origins: Dict[str, str]) -> Set[str]:
             and isinstance(call.func.value, ast.Name)
             and call.func.value.id in names
         )
-        if not (from_numpy or from_array):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
+        if from_numpy or from_array:
+            names.add(name)
     return names

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core import Violation
-from .graph import Program, ProgramGraph
+from ..core import Program, Violation
+from .graph import ProgramGraph
 
 RULE = "RNG101"
 DESCRIPTION = (

@@ -2,7 +2,7 @@
 
 Static Analysis Results Interchange Format, the schema GitHub code
 scanning ingests.  One run, one driver (``repro-lint``), one rule entry
-per registered checker (file-phase and whole-program alike), one result
+per row of the rule table (per-file and whole-program alike), one result
 per violation.  Output is deterministic: results arrive already sorted
 by (path, line, rule-id, column), rules are listed in sorted id order,
 and the JSON is dumped with sorted keys.

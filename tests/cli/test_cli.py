@@ -53,6 +53,53 @@ class TestWorldConfig:
         # The file is plain JSON.
         assert json.loads(path.read_text())["n_edge"] == 7
 
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            # Was read as the *default world*: 143 caida items, exit 0.
+            ("[]", "world must be a JSON object, not []"),
+            ("null", "world must be a JSON object, not null"),
+            # Each of these was a TypeError / KeyError traceback.
+            ('{"egde_count": 3}', "unknown key 'egde_count' in world (valid keys: seed, "),
+            ('{"n_edge": "x"}', 'world.n_edge must be int, not "x"'),
+            ('{"n_edge": true}', "world.n_edge must be int, not true"),
+            ('{"response_loss": "0"}', 'world.response_loss must be float, not "0"'),
+            ('{"dist_per_edge": ["a", 2]}', 'world.dist_per_edge[0] must be int, not "a"'),
+            ('{"vantages": 3}', "world.vantages must be list, not 3"),
+            (
+                '{"vantages": [{"premise_hops": 2}]}',
+                "world.vantages[0] must be an object with a string 'name'",
+            ),
+            (
+                '{"vantages": [{"name": "X", "hops": 2}]}',
+                "unknown key 'hops' in world.vantages[0] (valid keys: name, premise_hops, ",
+            ),
+            # A syntax error used to print no file name.
+            ('{"n_edge": 3,', "Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_malformed_world_file_is_one_line_naming_the_file(
+        self, tmp_path, document, reason
+    ):
+        world = tmp_path / "w.json"
+        world.write_text(document)
+        out = str(tmp_path / "caida.seeds")
+        code, text = run(["seeds", "--world", str(world), "--source", "caida", "--out", out])
+        assert code == 2
+        assert text.startswith("%s: %s" % (world, reason)), text
+        assert text.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_world_file_accepts_ints_for_floats_and_lists_for_tuples(self, tmp_path):
+        world = tmp_path / "w.json"
+        world.write_text('{"response_loss": 0, "cpe_www_fractions": [1, 0.5], "n_edge": 9}')
+        with open(world) as source:
+            config = load_config(source)
+        assert config == InternetConfig(
+            response_loss=0, cpe_www_fractions=(1, 0.5), n_edge=9
+        )
+        assert isinstance(config.cpe_www_fractions, tuple)
+
     def test_world_command_output(self, world_file, tmp_path):
         data = json.loads(open(world_file).read())
         assert data["n_edge"] == 30

@@ -172,6 +172,18 @@ class TestDET003:
 
         assert lint_file(parallel.__file__) == []
 
+    def test_boundary_marker_in_a_string_literal_marks_nothing(self):
+        # Markers are read from comment tokens: this class line *contains*
+        # the marker text, but inside a string, so it is not a boundary.
+        source = (
+            'class Plan: note = "# repro-lint: worker-boundary"\n'
+        )
+        assert lint_source(source) == []
+        marked = "class Plan:  # repro-lint: worker-boundary\n    pass\n"
+        assert [v.rule for v in lint_source(marked)] == ["DET003"]
+        above = "# repro-lint: worker-boundary\nclass Plan:\n    pass\n"
+        assert [v.rule for v in lint_source(above)] == ["DET003"]
+
 
 class TestPKT001:
     def test_fixture_lines(self):
@@ -250,16 +262,23 @@ class TestFramework:
         assert locations == sorted(locations)
 
     def test_select_filters_rules(self):
-        from repro.lint.core import lint_file as lint
+        from repro.lint.rules import lint_file as lint
 
         only = lint(fixture_path("det003_bad.py"), select=["PKT001"])
         assert only == []
 
-    def test_registry_rejects_duplicates(self):
-        from repro.lint.core import Checker, register
+    def test_registry_rejects_duplicates(self, monkeypatch):
+        # A duplicate id in the one table raises at import.
+        import importlib
 
-        class Fresh(Checker):
-            rule = "DET001"  # collides with the built-in
+        from repro.lint import rules
+        from repro.lint.program import perf
 
-        with pytest.raises(ValueError):
-            register(Fresh)
+        clash = perf.HotRegionRule("DET001", "clashes", frozenset(), "%s via %s")
+        monkeypatch.setattr(perf, "RULES", perf.RULES + (clash,))
+        try:
+            with pytest.raises(ValueError, match="duplicate rule id 'DET001'"):
+                importlib.reload(rules)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(rules)

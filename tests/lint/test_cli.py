@@ -74,6 +74,87 @@ def test_missing_path_is_io_error():
     assert "error" in output
 
 
+def test_golden_output_for_the_fixture_trees(monkeypatch):
+    # The whole `--format json` document over the fixtures, byte for byte:
+    # a refactor's "same rule ids, lines, columns and messages" is a diff
+    # of one file.  Regenerate (from the repo root) only when a rule's
+    # behaviour is meant to change:
+    #   python -m repro.lint.cli --format json tests/lint/fixtures \
+    #       > tests/lint/expected_fixtures.json
+    monkeypatch.chdir(os.path.join(HERE, "..", ".."))
+    for target, golden in (
+        ("tests/lint/fixtures", "expected_fixtures.json"),
+        # MUT101 only fires with its fixture program linted alone.
+        ("tests/lint/fixtures/program/mut101", "expected_mut101.json"),
+    ):
+        code, output = run(["--format", "json", target])
+        assert code == 1
+        with open(os.path.join(HERE, golden)) as handle:
+            assert output == handle.read(), golden
+
+
+def test_each_file_is_read_parsed_tokenized_and_indexed_once(tmp_path, monkeypatch):
+    import ast
+    import tokenize
+
+    from repro.lint import index
+
+    tree = tmp_path / "repro" / "prober"
+    tree.mkdir(parents=True)
+    sources = {
+        "a.py": "import time\n\n\ndef f():  # repro-lint: program-root\n    return time.time()\n",
+        "b.py": "from .a import f\n\n\ndef g(items):\n    return [f() for _ in set(items)]\n",
+        "c.py": "X = 1  # repro-lint: disable=DET001\n",
+    }
+    for name, text in sources.items():
+        (tree / name).write_text(text)
+    counts = {"parse": [], "tokenize": 0, "origins": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            if name == "parse":
+                counts["parse"].append(args[0])
+            else:
+                counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+    monkeypatch.setattr(
+        tokenize, "generate_tokens", counting("tokenize", tokenize.generate_tokens)
+    )
+    monkeypatch.setattr(
+        index, "_import_origins", counting("origins", index._import_origins)
+    )
+    # Every rule selected, whole-program pass included.
+    code, output = run([str(tmp_path)])
+    assert code == 1 and "DET101" in output and "LNT001" in output
+    assert sorted(counts["parse"]) == sorted(sources.values())
+    assert counts["tokenize"] == len(sources)
+    assert counts["origins"] == len(sources)
+
+
+def test_undecodable_file_is_one_e999_and_the_rest_is_still_linted(tmp_path):
+    from repro.lint.rules import lint_file, lint_program_paths
+
+    latin = tmp_path / "latin.py"
+    latin.write_bytes(b'x = "caf\xe9"\n')
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import time\n\n\ndef f():\n    return time.time()\n")
+    code, output = run([str(tmp_path)])
+    assert code == 1, output
+    assert "%s:1:1: E999 not valid UTF-8" % latin in output
+    assert "%s:5:12: DET001" % dirty in output
+    assert output.count("E999") == 1
+    assert [(v.rule, v.line, v.column) for v in lint_file(str(latin))] == [
+        ("E999", 1, 1)
+    ]
+    violations, program = lint_program_paths([str(tmp_path)])
+    assert [(v.rule, v.path) for v in violations] == [("E999", str(latin))]
+    assert program.facts[str(latin)].parse_error
+
+
 def test_exclude_skips_prefixed_paths():
     # Linting the fixture tree trips by design; excluding it yields a
     # clean run over the same argument.

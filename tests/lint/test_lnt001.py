@@ -5,7 +5,7 @@ import io
 import os
 
 from repro.lint.cli import main
-from repro.lint.core import lint_file, lint_source
+from repro.lint.rules import lint_file, lint_source
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")

@@ -8,18 +8,15 @@ import os
 import shutil
 import sys
 
-from repro.lint import program as program_mod
-from repro.lint.program import (
+from repro.lint import rules as rules_mod
+from repro.lint.program import cache as cache_mod
+from repro.lint.program import escape, graph, perf
+from repro.lint.rules import (
     PROGRAM_RULES,
     analyze,
-    escape,
-    graph,
     lint_program_paths,
     load_sources,
-    mut103,
-    perf,
 )
-from repro.lint.program import cache as cache_mod
 
 HERE = os.path.dirname(__file__)
 PROGRAM_FIXTURES = os.path.join(HERE, "fixtures", "program")
@@ -453,39 +450,41 @@ def test_everything_about_a_rule_follows_from_its_registry_row(
 ):
     from repro.lint import cli
 
-    assert program_mod.PROGRAM_RULES == {
-        rule.RULE: rule.DESCRIPTION for rule in program_mod.RULES
+    assert rules_mod.DESCRIPTIONS == {
+        rule.RULE: rule.DESCRIPTION for rule in rules_mod.RULES
     }
-    # One more row in a rule table, and nothing else edited: re-importing
-    # the package is what a source edit amounts to.
+    assert rules_mod.RULES[-1].RULE == "LNT001"  # judges what the others consumed
+    # One more row in the rule table, and nothing else edited: re-importing
+    # the table is what a source edit amounts to.
     row = perf.HotRegionRule(
         "PERF199", "whole-program: test row", frozenset({"display"}), "%s via %s"
     )
     monkeypatch.setattr(perf, "RULES", perf.RULES + (row,))
     try:
-        importlib.reload(program_mod)
-        assert program_mod.RULES[-1] is row
-        assert program_mod.PROGRAM_RULES["PERF199"] == row.DESCRIPTION
+        importlib.reload(rules_mod)
+        assert rules_mod.PROGRAM_RULES[-1] is row
+        assert rules_mod.DESCRIPTIONS["PERF199"] == row.DESCRIPTION
         listing = io.StringIO()
         assert cli.main(["--list-checkers"], out=listing) == 0
         assert "PERF199  whole-program: test row" in listing.getvalue()
         target = tmp_path / "mod.py"
         target.write_text("def f():\n    return 1\n")
         assert cli.main(["--select", "PERF199", str(target)], out=io.StringIO()) == 0
-        program = program_mod.analyze(program_mod.load_sources([str(target)]))
-        program_mod.run_rules(program)
+        program = rules_mod.analyze(rules_mod.load_sources([str(target)]))
+        rules_mod.run_rules(program)
         # ran everywhere, except a rule with in_scope() outside its scope
-        assert program.ran_rules[str(target)] == (
-            set(program_mod.PROGRAM_RULES) - {"OBS101"}
+        # (OBS101 and DET002 judge netsim/prober/analysis modules only)
+        assert program.files[0].ran_rules == (
+            set(rules_mod.DESCRIPTIONS) - {"OBS101", "DET002"}
         )
     finally:
         monkeypatch.undo()
-        importlib.reload(program_mod)
-    assert "PERF199" not in program_mod.PROGRAM_RULES
+        importlib.reload(rules_mod)
+    assert "PERF199" not in rules_mod.DESCRIPTIONS
 
 
 def test_program_rules_registry_is_complete():
-    assert set(PROGRAM_RULES) == {
+    assert {rule.RULE for rule in PROGRAM_RULES} == {
         "DET101",
         "RNG101",
         "OBS101",
@@ -523,6 +522,45 @@ def test_program_root_comment_marks_custom_roots(tmp_path):
     assert any("my_loop" in v.message for v in violations)
 
 
+def test_program_root_marker_in_a_string_literal_marks_nothing(tmp_path):
+    # `# repro-lint: program-root` is a directive only as a comment token:
+    # a default-argument string spelling it on the def line roots nothing.
+    pkg = tmp_path / "repro"
+    pkg.mkdir()
+    source = (
+        "import time\n"
+        "\n"
+        "\n"
+        'def entry(note="# repro-lint: program-root"):\n'
+        "    return helper()\n"
+        "\n"
+        "\n"
+        "def helper():\n"
+        "    return time.time()\n"
+    )
+    (pkg / "marker.py").write_text(source)
+    violations, _ = lint_program_paths([str(tmp_path)], select=["DET101"])
+    assert violations == []
+    (pkg / "marker.py").write_text(source.replace("):\n", "):  # repro-lint: program-root\n", 1))
+    violations, _ = lint_program_paths([str(tmp_path)], select=["DET101"])
+    assert located(violations) == [("marker.py", 5), ("marker.py", 9)]
+
+
+def test_hot_loop_marker_in_a_string_literal_marks_nothing(tmp_path):
+    pkg = tmp_path / "repro"
+    pkg.mkdir()
+    source = (
+        'def spin(items, note="# repro-lint: hot-loop"):\n'
+        "    return [{'item': item} for item in items]\n"
+    )
+    (pkg / "marker.py").write_text(source)
+    violations, _ = lint_program_paths([str(tmp_path)], select=["PERF101"])
+    assert violations == []
+    (pkg / "marker.py").write_text(source.replace("):\n", "):  # repro-lint: hot-loop\n", 1))
+    violations, _ = lint_program_paths([str(tmp_path)], select=["PERF101"])
+    assert {v.line for v in violations} == {2}
+
+
 def test_live_tree_has_no_program_violations():
     src = os.path.normpath(os.path.join(HERE, "..", "..", "src", "repro"))
     violations, program = lint_program_paths([src])
@@ -537,13 +575,16 @@ def test_every_root_list_names_a_live_function():
     src = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
     nodes = analyze(load_sources([src])).graph.nodes
     for roots in (
-        graph.DEFAULT_ROOTS, escape.WORKER_ROOTS, mut103.BOUNDARY_ROOTS
+        graph.DEFAULT_ROOTS,
+        graph.WORKER_ROOTS,
+        escape.REWIND_ROOTS,
+        perf.DEFAULT_HOT_ROOTS,
     ):
         assert sorted(set(roots) - set(nodes)) == []
-    entry = "repro.prober.supervise._supervised_worker"
-    assert entry in graph.DEFAULT_ROOTS
-    assert entry in escape.WORKER_ROOTS
-    assert entry in mut103.BOUNDARY_ROOTS
+    # One spelling of the worker roots: DET101's defaults contain it, and
+    # MUT101 / MUT103 read the same tuple.
+    assert "repro.prober.supervise._supervised_worker" in graph.WORKER_ROOTS
+    assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS
 
 
 # -- facts cache ------------------------------------------------------------

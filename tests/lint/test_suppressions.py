@@ -1,7 +1,7 @@
 """Suppression comment edge cases: multi-rule disables and comments
 inside multi-line statements."""
 
-from repro.lint.core import lint_source
+from repro.lint.rules import lint_source
 
 MODULE = "repro.prober.fixture"  # in scope for DET001 and DET002
 

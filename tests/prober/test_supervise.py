@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.lint.checkers.common import import_origins
+from repro.lint.core import load_source
 from repro.lint.faultsan import (
     KIND_CORRUPT,
     KIND_CRASH,
@@ -468,13 +468,14 @@ class TestLayering:
             return ast.parse(source.read())
 
     def test_supervise_never_imports_parallel(self):
-        # import_origins sees every import in the file: module level,
-        # function-local, and under TYPE_CHECKING alike.
-        origins = import_origins(self.parse("supervise.py")).values()
-        assert [o for o in origins if "parallel" in o.split(".")] == []
-        assert import_origins(self.parse("parallel.py"))["Supervisor"] == (
-            ".supervise.Supervisor"
-        )
+        # The lint index's import origins see every import in the file:
+        # module level, function-local, and under TYPE_CHECKING alike.
+        def origins(name):
+            return load_source(os.path.join(self.PROBER, name)).index.origins
+
+        imported = origins("supervise.py").values()
+        assert [o for o in imported if "parallel" in o.split(".")] == []
+        assert origins("parallel.py")["Supervisor"] == ".supervise.Supervisor"
 
     def test_no_function_local_runner_imports(self):
         for name in sorted(os.listdir(self.PROBER)):
