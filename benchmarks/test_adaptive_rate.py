@@ -21,7 +21,6 @@ def run_trials(world, suite):
     targets = sorted(set(targets) | set(extra))
     net = Internet(world)
     fixed = run_yarrp6(net, "US-EDU-1", targets, pps=START_PPS, max_ttl=16)
-    net.reset_dynamics()
     adaptive, controller = run_adaptive_yarrp6(
         net,
         "US-EDU-1",

@@ -33,7 +33,6 @@ def run_pipeline(world, campaigns):
     candidates = sorted(campaign.interfaces)
 
     internet = Internet(world)
-    internet.reset_dynamics()
     machine = run_speedtrap(internet, "EU-NET", candidates)
     clusters = resolve_aliases(machine.samples)
     truth = truth_clusters_for(candidates, world.truth.router_addresses)

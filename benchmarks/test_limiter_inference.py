@@ -21,8 +21,8 @@ def run_inference(world):
         rows.append(
             (
                 hop_index,
-                router.limiter.rate,
-                router.limiter.burst,
+                router.rate,
+                router.burst,
                 estimate.rate,
                 estimate.burst,
                 estimate.probes_used,

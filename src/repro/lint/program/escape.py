@@ -29,9 +29,9 @@ Resolution order for an expanded dotted path:
    mutates through the registered per-run handle ``stats``);
 4. otherwise the final field name is looked up program-wide: if it is
    declared by at least one world class and by **no** non-world class,
-   the write is attributed to those world declarers (``router.limiter.
+   the write is attributed to those world declarers (``state.limiter.
    observer = None`` resolves through ``observer`` to the bucket
-   classes); a field declared on both sides of the world boundary is
+   class); a field declared on both sides of the world boundary is
    ambiguous and skipped — the rules only report what they can prove.
 """
 

@@ -16,7 +16,8 @@ ways the contract rots:
 
 ``shared=`` fields are caches that must *survive* the rewind, so a
 reset touching one is its own finding.  Classes registered with
-``constructed_per_run=True`` (``Engine``, ``InternetStats``) are exempt
+``constructed_per_run=True`` (``Engine``, ``InternetStats``, the
+per-router ``RouterState`` and its ``TokenBucket``) are exempt
 from the never-reset direction: their instances never outlive a run, so
 there is nothing to rewind.
 
@@ -24,8 +25,8 @@ Mechanically: forward reachability from ``Internet.fresh_run_state``
 (build cut applied), with every reachable store alias-expanded and
 attributed to world classes through the same resolution MUT101 uses —
 ``self`` writes to the enclosing class, dotted writes to the
-unambiguous world declarers of the final field (``router.limiter.
-observer = None`` attributes to both bucket classes).  The rule is
+unambiguous world declarers of the final field (``state.limiter.
+observer = None`` attributes to the bucket class).  The rule is
 silent when the rewind root is not in the linted tree (e.g. a scoped
 lint of ``repro.obs``).
 """

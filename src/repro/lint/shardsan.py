@@ -20,7 +20,7 @@ recorded (and, in ``raise`` mode, aborts on the spot)::
 Watching a built world replaces every plain ``list``/``dict`` attribute
 that is **not** covered by a ``@run_state`` registration with a tracked
 subclass whose mutators report before delegating; registered containers
-(``Router.atomic_frag_until``) and ``shared=`` caches
+(``RouterState.atomic_frag_until``) and ``shared=`` caches
 (``Internet._path_cache``) stay untouched because mutating them is the
 sanctioned contract.  On exit every tracked container is converted back
 to its plain type, preserving whatever mutations record mode let

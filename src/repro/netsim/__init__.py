@@ -11,8 +11,8 @@ from .build import (
 )
 from .ecmp import VARIANTS, flow_hash, flow_variant
 from .engine import Engine, US_PER_SECOND, pps_interval, seconds
-from .internet import CompiledPath, Internet, Response, TerminalKind
-from .ratelimit import TokenBucket, UnlimitedBucket
+from .internet import CompiledPath, Internet, Response, RouterState, TerminalKind
+from .ratelimit import TokenBucket
 from .topology import (
     AddressPlan,
     AutonomousSystem,
@@ -37,12 +37,12 @@ __all__ = [
     "Response",
     "Router",
     "RouterRole",
+    "RouterState",
     "Subnet",
     "SubnetPlan",
     "TerminalKind",
     "TokenBucket",
     "US_PER_SECOND",
-    "UnlimitedBucket",
     "VARIANTS",
     "Vantage",
     "VantageConfig",

@@ -40,7 +40,6 @@ from .addressing import (
     interface_address,
     pick_host_kind,
 )
-from .ratelimit import TokenBucket
 from .topology import (
     AddressPlan,
     AutonomousSystem,
@@ -264,9 +263,7 @@ class _Builder:
         burst_range: Tuple[float, float],
     ) -> Router:
         rng = self.rng
-        limiter = TokenBucket(
-            rate=rng.uniform(*rate_range), burst=rng.uniform(*burst_range)
-        )
+        rate, burst = rng.uniform(*rate_range), rng.uniform(*burst_range)
         respond: Optional[Set[int]] = None
         probability = 1.0
         if rng.random() < self.config.silent_router_fraction:
@@ -277,7 +274,8 @@ class _Builder:
             self._next_router_id,
             asn,
             role,
-            limiter,
+            rate,
+            burst,
             respond_protocols=respond,
             response_probability=probability,
         )
@@ -676,7 +674,8 @@ class _Builder:
                     self._next_router_id,
                     asys.asn,
                     RouterRole.CORE,
-                    TokenBucket(rate, burst),
+                    rate,
+                    burst,
                 )
                 self._next_router_id += 1
                 self.out.truth.register_router(router)
@@ -695,8 +694,8 @@ class _Builder:
         self.out.alloc_index[vantage.asn] = []
 
     def build(self) -> BuiltInternet:
-        # The build allocates only long-lived containers (routers, limiters,
-        # subnets, per-AS lists and dicts) and no cyclic garbage; left on,
+        # The build allocates only long-lived containers (routers, subnets,
+        # per-AS lists and dicts) and no cyclic garbage; left on,
         # the generational collector re-walks them all as they accumulate.
         # (What it saves, and what it only defers to the first collections
         # after the build: docs/performance.md, "Where the CLI chain's

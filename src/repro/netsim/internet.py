@@ -22,18 +22,18 @@ from bisect import bisect_right
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..addrs.prefix import Prefix
-from ..obs.metrics import DEFAULT_BUCKET_US, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
-from ..obs.trace import NULL_TRACER, Tracer
+from ..obs.trace import Tracer
 from ..packet import fragment, icmpv6, ipv6, tcp, udp
 from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
 from .build import BuiltInternet, InternetConfig, Vantage, build_internet
 from .ecmp import flow_variant
 from .engine import Engine
-from .ratelimit import BucketObserver
+from .ratelimit import BucketObserver, TokenBucket
 from .runstate import RunState, run_state  # noqa: F401  (public re-export)
-from .topology import Hop, Router, RouterRole, Subnet
+from .topology import Hop, Router, Subnet
 
 
 class TerminalKind(enum.Enum):
@@ -42,7 +42,6 @@ class TerminalKind(enum.Enum):
     LAN = "lan"          # delivered onto the destination /64
     ROUTER = "router"    # the destination is a router's own interface
     ERROR = "error"      # ICMPv6 error from the last hop router
-    SILENT = "silent"    # blackholed (e.g. a relay with no onward state)
 
 
 class CompiledPath:
@@ -105,13 +104,11 @@ class CompiledPath:
 class Response:
     """A response packet headed back to the vantage."""
 
-    __slots__ = ("delay_us", "data", "kind")
+    __slots__ = ("delay_us", "data")
 
-    def __init__(self, delay_us: int, data: bytes, kind: str) -> None:
+    def __init__(self, delay_us: int, data: bytes) -> None:
         self.delay_us = delay_us
         self.data = data
-        #: "icmp6" for ICMPv6 packets, "tcp" for RST/SYN-ACK from hosts.
-        self.kind = kind
 
 
 @run_state(
@@ -159,6 +156,56 @@ class InternetStats:
         self.packet_too_big = 0
 
 
+@run_state(
+    "atomic_frag_until", "_frag_value", "_frag_last", constructed_per_run=True
+)
+class RouterState:
+    """What one run has changed about one router: its limiter's bucket,
+    its RFC 6946 atomic-fragment holds and its fragment Identification
+    counter.  ``Internet`` creates one, in just-built state, on the
+    router's first limiter decision or first sub-1280 Packet Too Big,
+    and forgets them all on the rewind."""
+
+    __slots__ = (
+        "limiter",
+        "frag_drift",
+        "atomic_frag_until",
+        "_frag_value",
+        "_frag_last",
+    )
+
+    def __init__(self, router: Router) -> None:
+        self.limiter = TokenBucket(router.rate, router.burst)
+        self.frag_drift = router.frag_drift
+        #: Per-source expiry of the RFC 6946 atomic-fragment state set by
+        #: a sub-1280 Packet Too Big.
+        self.atomic_frag_until: Dict[int, int] = {}
+        # The router-wide Identification counter all interfaces share —
+        # the very property alias resolution exploits.  Seeded from the
+        # id, so every run replays the identical ID stream.
+        self._frag_value = (router.router_id * 2246822519) & 0xFFFFFFFF
+        self._frag_last = 0
+
+    def note_packet_too_big(self, source: int, now: int, hold_us: int = 600_000_000) -> None:
+        """Record that ``source`` sent a PTB below the minimum MTU: replies
+        to it carry atomic fragments for the holding period (RFC 6946)."""
+        self.atomic_frag_until[source] = now + hold_us
+
+    def atomic_active(self, source: int, now: int) -> bool:
+        return self.atomic_frag_until.get(source, -1) >= now
+
+    def frag_identification(self, now: int) -> int:
+        """Next fragment Identification: one shared, monotonically
+        advancing counter per router, plus background-traffic drift."""
+        if now > self._frag_last:
+            self._frag_value += int(
+                self.frag_drift * (now - self._frag_last) / 1_000_000
+            )
+            self._frag_last = now
+        self._frag_value = (self._frag_value + 1) & 0xFFFFFFFF
+        return self._frag_value
+
+
 def _covering(sorted_prefixes: Sequence[Prefix], value: int) -> Optional[Prefix]:
     """Find the prefix in a sorted list covering ``value``, if any."""
     if not sorted_prefixes:
@@ -188,7 +235,7 @@ def _hop_delay(router: Router, tier: int) -> int:
 
 
 @run_state(
-    "stats", "tracer", "_rng", "_limiter_observer", shared=("_path_cache",)
+    "stats", "router_state", "_rng", "_limiter_observer", shared=("_path_cache",)
 )
 class Internet:
     """Facade over a built ground-truth internet.
@@ -197,13 +244,15 @@ class Internet:
     :meth:`trace_path` to inspect ground-truth paths (what the tests and
     validation do).
 
-    Run-scoped state is declared via :func:`~repro.netsim.runstate.
-    run_state` (re-exported here): ``stats``, ``tracer``, the loss RNG
-    and the limiter telemetry hook are rewound by
-    :meth:`fresh_run_state`; ``_path_cache`` is
-    ``shared`` — path compilation is a pure function of the immutable
-    topology, so the cache deliberately survives the rewind.  MUT101/
-    MUT102 and ShardSan enforce the declaration (docs/determinism.md).
+    The built world is read-only; everything a campaign changes lives
+    here, declared via :func:`~repro.netsim.runstate.run_state`
+    (re-exported here): ``stats``, the per-router ``router_state`` table,
+    the loss RNG and the limiter telemetry hook are rewound by
+    :meth:`fresh_run_state`, so two instances over one world never see
+    each other's campaigns.  ``_path_cache`` is ``shared`` — path
+    compilation is a pure function of the immutable topology, so the
+    cache deliberately survives the rewind.  MUT101/MUT102 and ShardSan
+    enforce the declaration (docs/determinism.md).
     """
 
     @classmethod
@@ -234,10 +283,6 @@ class Internet:
         self.built = built
         self.truth = built.truth
         self.config = built.config
-        self.stats = InternetStats()
-        #: Span/event sink; rebindable per campaign (default: no-op).
-        self.tracer: Tracer = NULL_TRACER
-        self._rng = random.Random(built.config.seed ^ 0x5EED)
         self._path_cache: Dict[Tuple[int, int, int], CompiledPath] = {}
         self._vantage_by_addr: Dict[int, Vantage] = {
             vantage.address: vantage for vantage in built.vantages.values()
@@ -245,8 +290,8 @@ class Internet:
         self._tier: Dict[int, int] = {
             asn: asys.tier for asn, asys in self.truth.ases.items()
         }
-        #: Called after every limiter decision (see :meth:`attach_metrics`).
-        self._limiter_observer: Optional[BucketObserver] = None
+        # Run-fresh by construction: the rewind is the initialiser.
+        self.fresh_run_state()
 
     # ------------------------------------------------------------------
     # Path compilation
@@ -256,12 +301,14 @@ class Internet:
         return self.built.vantages[name]
 
     def reset_dynamics(self) -> None:
-        """Refill every rate limiter and clear per-router probing state
-        (atomic-fragment holds and fragment Identification counters) —
-        used between campaigns so trials don't contaminate each other."""
-        for router in self.truth.routers.values():
-            router.limiter.reset()
-            router.reset_probing_state()
+        """Forget every router's limiter and probing state (atomic-fragment
+        holds, fragment Identification counters) and zero the stats — used
+        between campaigns so trials don't contaminate each other.  O(1):
+        a router's state reappears, just-built, when a probe next needs it."""
+        #: router_id -> what this run changed about that router: exactly
+        #: the routers that made a limiter decision or took a sub-1280
+        #: Packet Too Big since the last rewind.
+        self.router_state: Dict[int, RouterState] = {}
         self.stats = InternetStats()
 
     def fresh_run_state(self) -> None:
@@ -272,9 +319,9 @@ class Internet:
         This is what lets the parallel runner share ONE built world across
         shard campaigns (fork-inherited or run serially in-process) instead
         of paying :func:`~repro.netsim.build.build_internet` once per
-        shard: :meth:`reset_dynamics` clears limiters, probing state and
+        shard: :meth:`reset_dynamics` drops limiters, probing state and
         stats, the loss/response RNG is reseeded to its constructor value,
-        and telemetry hooks are unbound.  The path cache survives — path
+        and the telemetry hook is unbound.  The path cache survives — path
         compilation is a pure function of the immutable topology, so a
         warm cache changes nothing observable.  Unlike
         :meth:`reset_dynamics` alone, which deliberately lets the RNG
@@ -282,44 +329,53 @@ class Internet:
         """
         self.reset_dynamics()
         self._rng = random.Random(self.config.seed ^ 0x5EED)
-        self.tracer = NULL_TRACER
-        self.detach_metrics()
+        self.detach_observers()
 
-    def attach_metrics(
-        self,
-        registry: MetricsRegistry,
-        bucket_us: int = DEFAULT_BUCKET_US,
-    ) -> None:
-        """Wire the routers' rate-limiter decisions into telemetry
-        instruments.
+    def _state_of(self, router: Router) -> RouterState:
+        """``router``'s entry in the run table, created just-built on first use."""
+        state = self.router_state.get(router.router_id)
+        if state is None:
+            state = self.router_state[router.router_id] = RouterState(router)
+        return state
 
-        Records the Figure 5 raw inputs — per-virtual-bucket allowed and
-        denied decision series plus the post-decision token-level
-        distribution — through one observer closure, so the per-decision
-        cost is a couple of dict updates.  The observer is a pure
-        recorder and never influences decisions; remove it with
-        :meth:`detach_metrics` once the campaign ends.
+    def attach_observers(self, registry: MetricsRegistry, tracer: Tracer) -> None:
+        """Wire the routers' rate-limiter decisions into telemetry.
+
+        One observer closure records the Figure 5 raw inputs — per-virtual-
+        bucket allowed and denied decision series plus the post-decision
+        token-level distribution — in ``registry`` and a
+        ``limiter.decision`` event in ``tracer`` (either may be the shared
+        no-op).  The observer is a pure recorder and never influences
+        decisions; remove it with :meth:`detach_observers` once the
+        campaign ends.
         """
-        allowed_series = registry.series("ratelimit.allowed", bucket_us)
-        denied_series = registry.series("ratelimit.denied", bucket_us)
+        allowed_series = registry.series("ratelimit.allowed")
+        denied_series = registry.series("ratelimit.denied")
         levels = registry.histogram(
             "ratelimit.token_level",
             bounds=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
         )
         infinity = float("inf")
 
-        def observe(now: int, allowed: bool, tokens: float) -> None:
+        def observe(router_id: int, now: int, allowed: bool, tokens: float) -> None:
             if allowed:
                 allowed_series.record(now)
             else:
                 denied_series.record(now)
             if tokens != infinity:
                 levels.observe(tokens)
+            tracer.event(
+                "limiter.decision",
+                router=router_id,
+                allowed=allowed,
+                decided_at_us=now,
+            )
 
-        self._limiter_observer = observe
+        #: Called after every limiter decision (None: nobody listens).
+        self._limiter_observer: Optional[BucketObserver] = observe
 
-    def detach_metrics(self) -> None:
-        """Remove the limiter observer installed by :meth:`attach_metrics`."""
+    def detach_observers(self) -> None:
+        """Remove the observer installed by :meth:`attach_observers`."""
         self._limiter_observer = None
 
     def path_for(self, vantage: Vantage, dst: int, variant: int = 0) -> CompiledPath:
@@ -339,9 +395,13 @@ class Internet:
 
     def _compile_path(self, vantage: Vantage, dst: int, variant: int) -> CompiledPath:
         built = self.built
-        hops: List[Tuple[Router, int, int]] = []
+        hops: List[Hop] = []
         mtus: List[int] = []
         cum = 0
+        # Border filtering, decided below once the destination AS is known.
+        filter_index: Optional[int] = None
+        filter_action = "drop"
+        blocked: frozenset = frozenset()
 
         def push(router: Router, iface: int) -> None:
             nonlocal cum
@@ -349,20 +409,25 @@ class Internet:
             hops.append((router, iface, cum))
             mtus.append(self.truth.ases[router.asn].link_mtu)
 
+        def finish(
+            terminal: TerminalKind,
+            error_code: Optional[UnreachableCode] = None,
+            subnet: Optional[Subnet] = None,
+        ) -> CompiledPath:
+            return CompiledPath(
+                hops, terminal, error_code, subnet,
+                filter_index, filter_action, blocked, mtus,
+            )
+
         for router, iface in vantage.premise_chain:
             push(router, iface)
 
         match = self.truth.bgp.longest_match(dst)
         provider_asn = built.uplinks[vantage.asn][0]
-        self._push_transit(hops, push, provider_asn, variant)
+        self._push_transit(push, provider_asn, variant)
         if match is None:
             # Full-table transit: no route.
-            return CompiledPath(
-                hops,
-                TerminalKind.ERROR,
-                UnreachableCode.NO_ROUTE,
-                mtu_profile=mtus,
-            )
+            return finish(TerminalKind.ERROR, UnreachableCode.NO_ROUTE)
 
         dst_prefix, dst_asn = match
         dst_as = self.truth.ases[dst_asn]
@@ -371,22 +436,12 @@ class Internet:
         # backbone, then down to the destination AS.
         as_path = self._as_route(provider_asn, dst_asn, variant)
         for asn in as_path:
-            self._push_transit(hops, push, asn, variant)
+            self._push_transit(push, asn, variant)
 
         if dst_asn != vantage.asn and dst_asn not in (provider_asn, *as_path):
-            # Destination AS ingress border + core.
-            borders = built.borders.get(dst_asn, ())
-            if borders:
-                router, iface = borders[variant % len(borders)]
-                push(router, iface)
-            cores = built.cores.get(dst_asn, ())
-            if cores:
-                router, iface = cores[variant % len(cores)]
-                push(router, iface)
+            self._push_transit(push, dst_asn, variant)
 
         # Border filtering applies where traffic enters the destination AS.
-        filter_index: Optional[int] = None
-        filter_action = "drop"
         blocked = frozenset(dst_as.policy.blocked_protocols)
         if blocked:
             filter_index = len(hops) - 1 if hops else 0
@@ -398,76 +453,33 @@ class Internet:
         owner = self.truth.router_addresses.get(dst)
         if owner is not None:
             push(owner, dst)
-            return CompiledPath(
-                hops,
-                TerminalKind.ROUTER,
-                filter_index=filter_index,
-                filter_action=filter_action,
-                blocked=blocked,
-                mtu_profile=mtus,
-            )
+            return finish(TerminalKind.ROUTER)
 
         # Internal descent: distribution -> aggregation -> gateway.
         dist = _covering(built.dist_index.get(dst_asn, ()), dst)
         if dist is None:
-            return CompiledPath(
-                hops,
-                TerminalKind.ERROR,
-                UnreachableCode.NO_ROUTE,
-                filter_index=filter_index,
-                filter_action=filter_action,
-                blocked=blocked,
-                mtu_profile=mtus,
-            )
+            return finish(TerminalKind.ERROR, UnreachableCode.NO_ROUTE)
         options = built.dist_routers[dist.base]
         router, iface = options[variant % len(options)]
         push(router, iface)
 
         alloc = _covering(built.alloc_index.get(dst_asn, ()), dst)
         if alloc is None or not dist.covers(alloc):
-            return CompiledPath(
-                hops,
-                TerminalKind.ERROR,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                filter_index=filter_index,
-                filter_action=filter_action,
-                blocked=blocked,
-                mtu_profile=mtus,
-            )
+            return finish(TerminalKind.ERROR, UnreachableCode.ADDRESS_UNREACHABLE)
         options = built.agg_routers[alloc.base]
         router, iface = options[variant % len(options)]
         push(router, iface)
 
         subnet = self.truth.subnet_of(dst)
         if subnet is None:
-            return CompiledPath(
-                hops,
-                TerminalKind.ERROR,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                filter_index=filter_index,
-                filter_action=filter_action,
-                blocked=blocked,
-                mtu_profile=mtus,
-            )
+            return finish(TerminalKind.ERROR, UnreachableCode.ADDRESS_UNREACHABLE)
         push(subnet.gateway, subnet.gateway_addr)
-        return CompiledPath(
-            hops,
-            TerminalKind.LAN,
-            subnet=subnet,
-            filter_index=filter_index,
-            filter_action=filter_action,
-            blocked=blocked,
-            mtu_profile=mtus,
-        )
+        return finish(TerminalKind.LAN, subnet=subnet)
 
     def _push_transit(
-        self,
-        hops: List[Hop],
-        push: Callable[[Router, int], None],
-        asn: int,
-        variant: int,
+        self, push: Callable[[Router, int], None], asn: int, variant: int
     ) -> None:
-        """Append a transit AS's ingress border and a core router."""
+        """Append an AS's ingress border and a core router."""
         borders = self.built.borders.get(asn, ())
         if borders:
             router, iface = borders[variant % len(borders)]
@@ -536,81 +548,48 @@ class Internet:
         path = self.path_for(vantage, header.dst, variant)
         hop_limit = header.hop_limit
 
-        filtered = (
+        # Who would answer with an ICMPv6 error, and with which one: at
+        # most one (hop, type, code, word), first match wins.
+        word = 0
+        if (
             path.filter_index is not None
             and header.next_header in path.blocked
             and hop_limit > path.filter_index
-        )
-        if filtered:
+        ):
             self.stats.filtered += 1
             if path.filter_action != "admin":
                 return None
-            router, iface, delay = path.hops[path.filter_index - 1] if path.filter_index else path.hops[-1]
-            return self._icmp_error(
-                router,
-                iface,
-                delay,
-                icmpv6.TYPE_DEST_UNREACH,
-                int(UnreachableCode.ADMIN_PROHIBITED),
-                data,
-                header,
-                now,
-            )
-
-        break_index = path.mtu_break(len(data), hop_limit)
-        if break_index is not None:
-            # The packet exceeds a link MTU before its hop limit expires:
-            # the router at the bottleneck reports Packet Too Big.
-            router, iface, delay = path.hops[break_index]
-            self.stats.packet_too_big += 1
-            return self._icmp_error(
-                router,
-                iface,
-                delay,
-                icmpv6.TYPE_PACKET_TOO_BIG,
-                0,
-                data,
-                header,
-                now,
-                word=path.mtu_profile[break_index],
-            )
-
-        if hop_limit <= path.length:
-            router, iface, delay = path.hops[hop_limit - 1]
-            return self._icmp_error(
-                router,
-                iface,
-                delay,
-                icmpv6.TYPE_TIME_EXCEEDED,
-                icmpv6.CODE_HOP_LIMIT_EXCEEDED,
-                data,
-                header,
-                now,
-            )
-
-        # Probe outlives the path: terminal behaviour.
-        if path.terminal is TerminalKind.ERROR:
-            if not path.hops:
-                return None
-            router, iface, delay = path.hops[-1]
-            return self._icmp_error(
-                router,
-                iface,
-                delay,
-                icmpv6.TYPE_DEST_UNREACH,
-                int(path.error_code),
-                data,
-                header,
-                now,
-            )
-        if path.terminal is TerminalKind.ROUTER:
-            # The router answers probes to its own interface address.
-            router, _, delay = path.hops[-1]
-            return self._host_response(header, payload, delay, responder=router, now=now)
-        if path.terminal is TerminalKind.SILENT or path.subnet is None:
-            self.stats.silent_terminal += 1
-            return None
-        return self._deliver_lan(path, header, payload, data, now)
+            hop = path.hops[path.filter_index - 1] if path.filter_index else path.hops[-1]
+            msg_type = icmpv6.TYPE_DEST_UNREACH
+            code = int(UnreachableCode.ADMIN_PROHIBITED)
+        else:
+            break_index = path.mtu_break(len(data), hop_limit)
+            if break_index is not None:
+                # The packet exceeds a link MTU before its hop limit
+                # expires: the router at the bottleneck reports it.
+                self.stats.packet_too_big += 1
+                hop = path.hops[break_index]
+                msg_type = icmpv6.TYPE_PACKET_TOO_BIG
+                code = 0
+                word = path.mtu_profile[break_index]
+            elif hop_limit <= path.length:
+                hop = path.hops[hop_limit - 1]
+                msg_type = icmpv6.TYPE_TIME_EXCEEDED
+                code = icmpv6.CODE_HOP_LIMIT_EXCEEDED
+            elif path.terminal is TerminalKind.ERROR:
+                # From here the probe outlives the path: terminal behaviour.
+                if not path.hops:
+                    return None
+                hop = path.hops[-1]
+                msg_type = icmpv6.TYPE_DEST_UNREACH
+                code = int(path.error_code)
+            elif path.terminal is TerminalKind.ROUTER:
+                # The router answers probes to its own interface address.
+                router, _, delay = path.hops[-1]
+                return self._host_response(header, payload, delay, responder=router, now=now)
+            else:
+                return self._deliver_lan(path, header, payload, data, now)
+        return self._icmp_error(hop, msg_type, code, word, data, header, now)
 
     def exchange(
         self,
@@ -654,14 +633,12 @@ class Internet:
         if subnet.aliased or subnet.has_host(header.dst):
             return self._host_response(header, payload, delay, now=now)
         # Neighbour discovery fails; the gateway may report it.
-        router, iface, gw_delay = path.hops[-1]
         if self._rng.random() < self.config.gateway_unreach_probability:
             return self._icmp_error(
-                router,
-                iface,
-                gw_delay,
+                path.hops[-1],
                 icmpv6.TYPE_DEST_UNREACH,
                 int(UnreachableCode.ADDRESS_UNREACHABLE),
+                0,
                 data,
                 header,
                 now,
@@ -693,7 +670,9 @@ class Internet:
                 # atomic fragments toward the reporter (RFC 6946) — the
                 # state speedtrap alias resolution plants.
                 if responder is not None and request.word < icmpv6.MINIMUM_MTU:
-                    responder.note_packet_too_big(header.src, now + delay)
+                    self._state_of(responder).note_packet_too_big(
+                        header.src, now + delay
+                    )
                 return None
             if request.msg_type != icmpv6.TYPE_ECHO_REQUEST:
                 return None
@@ -702,12 +681,13 @@ class Internet:
             )
             reply_segment = reply.pack(host, header.src)
             next_header = PROTO_ICMPV6
-            if responder is not None and responder.atomic_active(
-                header.src, now + delay
-            ):
-                identification = responder.frag_identification(now + delay)
+            # Only a router that took a sub-1280 PTB this run holds any.
+            state = None if responder is None else self.router_state.get(responder.router_id)
+            if state is not None and state.atomic_active(header.src, now + delay):
                 reply_segment = fragment.wrap_atomic(
-                    PROTO_ICMPV6, identification, reply_segment
+                    PROTO_ICMPV6,
+                    state.frag_identification(now + delay),
+                    reply_segment,
                 )
                 next_header = fragment.PROTO_FRAGMENT
             packet = ipv6.build_packet(
@@ -715,7 +695,7 @@ class Internet:
                 reply_segment,
             )
             self.stats.echo_replies += 1
-            return Response(2 * delay + 150, packet, "icmp6")
+            return Response(2 * delay + 150, packet)
         if header.next_header == PROTO_UDP:
             # Closed port: the host itself sends port unreachable — but
             # end hosts rate-limit their own ICMPv6 errors hard.
@@ -731,7 +711,7 @@ class Internet:
                 ipv6.build_packet(header, payload),
             )
             self.stats.unreachables += 1
-            return Response(2 * delay + 150, packet, "icmp6")
+            return Response(2 * delay + 150, packet)
         if header.next_header == PROTO_TCP:
             try:
                 seg, _ = tcp.split_segment(payload)
@@ -749,21 +729,22 @@ class Internet:
                 tcp.build_segment(host, header.src, rst),
             )
             self.stats.tcp_responses += 1
-            return Response(2 * delay + 150, packet, "tcp")
+            return Response(2 * delay + 150, packet)
         return None
 
     def _icmp_error(
         self,
-        router: Router,
-        iface: int,
-        delay: int,
+        hop: Hop,
         msg_type: int,
         code: int,
+        word: int,
         invoking: bytes,
         header: IPv6Header,
         now: int,
-        word: int = 0,
     ) -> Optional[Response]:
+        """Does ``hop``'s router send the error :meth:`probe` decided on?
+        Its response knobs, then its limiter, then reverse-path loss."""
+        router, iface, delay = hop
         # Protocol-selective hops (observed in the wild, Section 4.2).
         if (
             router.respond_protocols is not None
@@ -776,17 +757,12 @@ class Internet:
             return None
         # Mandated ICMPv6 error rate limiting, evaluated when the packet
         # actually reaches the router in virtual time.
-        allowed = router.limiter.consume(now + delay)
+        limiter = self._state_of(router).limiter
+        allowed = limiter.consume(now + delay)
         if self._limiter_observer is not None:
             self._limiter_observer(
-                now + delay, allowed, router.limiter.peek(now + delay)
+                router.router_id, now + delay, allowed, limiter.peek(now + delay)
             )
-        self.tracer.event(
-            "limiter.decision",
-            router=router.router_id,
-            allowed=allowed,
-            decided_at_us=now + delay,
-        )
         if not allowed:
             self.stats.rate_limited += 1
             return None
@@ -800,7 +776,7 @@ class Internet:
         packet = icmpv6.error_packet(
             iface, header.src, msg_type, code, word, self._quote(router, invoking)
         )
-        return Response(2 * delay + 200, packet, "icmp6")
+        return Response(2 * delay + 200, packet)
 
     @staticmethod
     def mangling(router_id: int) -> Optional[str]:

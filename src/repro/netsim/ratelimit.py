@@ -14,36 +14,42 @@ last update so that no periodic refill events are needed.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Tuple
 
 from .engine import US_PER_SECOND
 from .runstate import run_state
 
 #: Telemetry hook ``Internet`` calls after every limiter decision with
-#: ``(virtual_now, allowed, tokens_after)``.  Observers must be pure
-#: recorders: they may never influence the decision or consume RNG.
-BucketObserver = Callable[[int, bool, float], None]
+#: ``(router_id, virtual_now, allowed, tokens_after)``.  Observers must be
+#: pure recorders: they may never influence the decision or consume RNG.
+BucketObserver = Callable[[int, int, bool, float], None]
 
 
-@run_state("_tokens", "_updated", "allowed", "denied")
+def provisioning(rate: float, burst: float) -> Tuple[float, float]:
+    """``(rate, burst)`` as floats; ``ValueError`` for a limiter that could
+    never grant a token.  Shared by ``Router``, which only records its
+    provisioning at build time, and the bucket a run makes from it."""
+    if rate <= 0:
+        raise ValueError("rate must be positive: %r" % rate)
+    if burst < 1:
+        raise ValueError("burst must be at least 1: %r" % burst)
+    return float(rate), float(burst)
+
+
+@run_state("_tokens", "_updated", "allowed", "denied", constructed_per_run=True)
 class TokenBucket:
     """A continuous-refill token bucket evaluated at virtual timestamps.
 
-    Every field except the provisioning knobs (``rate``, ``burst``) is
-    campaign-scoped: :meth:`reset`, reached from
-    ``Internet.fresh_run_state``, refills and zeroes the counters.
+    A bucket starts full and lives for one run: ``Internet`` creates a
+    router's bucket on its first limiter decision and drops every bucket
+    on the rewind, so there is nothing to reset.
     """
 
     __slots__ = ("rate", "burst", "_tokens", "_updated", "allowed", "denied")
 
     def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive: %r" % rate)
-        if burst < 1:
-            raise ValueError("burst must be at least 1: %r" % burst)
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = float(burst)
+        self.rate, self.burst = provisioning(rate, burst)
+        self._tokens = self.burst
         self._updated = 0
         self.allowed = 0
         self.denied = 0
@@ -76,13 +82,6 @@ class TokenBucket:
         """Total consume() attempts observed."""
         return self.allowed + self.denied
 
-    def reset(self) -> None:
-        """Refill to full and clear counters."""
-        self._tokens = self.burst
-        self._updated = 0
-        self.allowed = 0
-        self.denied = 0
-
     def __repr__(self) -> str:
         return "TokenBucket(rate=%g/s, burst=%g, allowed=%d, denied=%d)" % (
             self.rate,
@@ -90,32 +89,3 @@ class TokenBucket:
             self.allowed,
             self.denied,
         )
-
-
-@run_state("allowed", "denied")
-class UnlimitedBucket:
-    """A degenerate limiter that always permits (for unlimited hops)."""
-
-    __slots__ = ("allowed", "denied")
-
-    rate = float("inf")
-    burst = float("inf")
-
-    def __init__(self) -> None:
-        self.allowed = 0
-        self.denied = 0
-
-    def consume(self, now: int, amount: float = 1.0) -> bool:
-        self.allowed += 1
-        return True
-
-    def peek(self, now: int) -> float:
-        return float("inf")
-
-    @property
-    def total(self) -> int:
-        return self.allowed
-
-    def reset(self) -> None:
-        self.allowed = 0
-        self.denied = 0

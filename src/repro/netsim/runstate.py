@@ -18,15 +18,18 @@ read the registry back —
 Three categories exist:
 
 ``run_state(*fields)``
-    campaign-scoped state that ``fresh_run_state`` must rewind
-    (limiter tokens, stats counters, the loss RNG);
+    campaign-scoped state that ``fresh_run_state`` must rewind (the
+    stats block, the per-router state table, the loss RNG) — all of it
+    on ``Internet``; a registration with *no* fields (``Router``)
+    declares a built-world class nothing may write after the build;
 ``shared=(...)``
     state that deliberately **survives** the rewind because it is a pure
     function of the immutable topology (the compiled-path cache) —
     mutating it is idempotent and observationally invisible;
 ``constructed_per_run=True``
     classes whose *instances* are created fresh for every run (the
-    engine, the stats block) — their fields are legal write targets but
+    engine, the stats block, a router's run state and its token bucket)
+    — their fields are legal write targets but
     are exempt from the rewind-completeness check, since no instance
     outlives a run.
 

@@ -14,13 +14,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..addrs.prefix import Prefix
 from ..addrs.trie import PrefixTrie
-from .ratelimit import TokenBucket
+from .ratelimit import provisioning
 from .runstate import run_state
-
-#: Multiplier seeding each router's fragment Identification counter from
-#: its id — a pure function of the topology, so a rewound router replays
-#: the identical ID stream.
-_FRAG_SEED_MULT = 2246822519
 
 
 class RouterRole(enum.Enum):
@@ -51,29 +46,27 @@ class HostKind(enum.Enum):
     LOWBYTE_SERVER = "lowbyte-server"
 
 
-@run_state("atomic_frag_until", "_frag_value", "_frag_last")
+@run_state()
 class Router:
-    """A packet forwarder: interfaces, an ICMPv6 error rate limiter, and
-    response behaviour knobs.
+    """A packet forwarder: interfaces, the provisioning of its ICMPv6
+    error rate limiter, and response behaviour knobs.
 
-    Campaign-scoped state — the RFC 6946 atomic-fragment holds and the
-    fragment Identification counter — is declared via :func:`run_state`
-    and rewound by :meth:`reset_probing_state`; everything else (the
-    interface list, response knobs) is immutable after the build.
+    Immutable after the build: the empty :func:`run_state` registration
+    makes any later write a MUT101 / ShardSan violation.  Everything a
+    campaign changes about a router lives in the ``RouterState`` the
+    probing :class:`~repro.netsim.internet.Internet` keeps for it.
     """
 
     __slots__ = (
         "router_id",
         "asn",
         "role",
-        "limiter",
+        "rate",
+        "burst",
         "interfaces",
         "respond_protocols",
         "response_probability",
         "frag_drift",
-        "atomic_frag_until",
-        "_frag_value",
-        "_frag_last",
     )
 
     def __init__(
@@ -81,14 +74,17 @@ class Router:
         router_id: int,
         asn: int,
         role: RouterRole,
-        limiter: TokenBucket,
+        rate: float,
+        burst: float,
         respond_protocols: Optional[Set[int]] = None,
         response_probability: float = 1.0,
     ) -> None:
         self.router_id = router_id
         self.asn = asn
         self.role = role
-        self.limiter = limiter
+        #: Token-bucket provisioning (tokens/second, bucket depth) of the
+        #: router's ICMPv6 error limiter.
+        self.rate, self.burst = provisioning(rate, burst)
         self.interfaces: List[int] = []
         #: None = respond regardless of probe protocol; otherwise the set of
         #: next-header values that elicit errors (one paper vantage saw a
@@ -101,44 +97,9 @@ class Router:
         #: own background traffic — what speedtrap's velocity tolerance
         #: must ride over.  Deterministic per router.
         self.frag_drift = (router_id * 2654435761 % 400) / 100.0
-        #: Per-source expiry of the RFC 6946 atomic-fragment state set by
-        #: a sub-1280 Packet Too Big.
-        self.atomic_frag_until: Dict[int, int] = {}
-        # The router-wide Identification counter all interfaces share —
-        # the very property alias resolution exploits.
-        self._frag_value = (router_id * _FRAG_SEED_MULT) & 0xFFFFFFFF
-        self._frag_last = 0
-
-    def reset_probing_state(self) -> None:
-        """Rewind the per-campaign probing state: clear the RFC 6946
-        atomic-fragment holds and reseed the fragment Identification
-        counter to its just-built value, so a rewound shared world emits
-        the same ID stream a freshly built one would."""
-        self.atomic_frag_until.clear()
-        self._frag_value = (self.router_id * _FRAG_SEED_MULT) & 0xFFFFFFFF
-        self._frag_last = 0
 
     def add_interface(self, addr: int) -> None:
         self.interfaces.append(addr)
-
-    def note_packet_too_big(self, source: int, now: int, hold_us: int = 600_000_000) -> None:
-        """Record that ``source`` sent a PTB below the minimum MTU: replies
-        to it carry atomic fragments for the holding period (RFC 6946)."""
-        self.atomic_frag_until[source] = now + hold_us
-
-    def atomic_active(self, source: int, now: int) -> bool:
-        return self.atomic_frag_until.get(source, -1) >= now
-
-    def frag_identification(self, now: int) -> int:
-        """Next fragment Identification: one shared, monotonically
-        advancing counter per router, plus background-traffic drift."""
-        if now > self._frag_last:
-            self._frag_value += int(
-                self.frag_drift * (now - self._frag_last) / 1_000_000
-            )
-            self._frag_last = now
-        self._frag_value = (self._frag_value + 1) & 0xFFFFFFFF
-        return self._frag_value
 
     def __repr__(self) -> str:
         return "Router(%d, AS%d, %s, %d ifaces)" % (
@@ -183,7 +144,7 @@ class Subnet:
     def has_host(self, addr: int) -> bool:
         if not self.prefix.contains(addr):
             return False
-        return (addr & ((1 << 64) - 1)) in set(self.host_iids)
+        return (addr & ((1 << 64) - 1)) in self.host_iids
 
     def __repr__(self) -> str:
         return "Subnet(%s, %d hosts)" % (self.prefix, len(self.host_iids))

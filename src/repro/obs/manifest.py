@@ -31,7 +31,8 @@ Manifest = Dict[str, Any]
 
 
 class ManifestError(ValueError):
-    """Raised for unreadable or wrong-format manifest files."""
+    """Raised for unreadable or wrong-format manifest files; the message
+    is ``path: reason``."""
 
 
 def build_manifest(
@@ -116,7 +117,9 @@ def read_manifest(path: str) -> Manifest:
         try:
             data = json.load(source)
         except json.JSONDecodeError as error:
-            raise ManifestError("not a JSON manifest: %s" % error) from error
+            raise ManifestError(
+                "%s: not a JSON manifest: %s" % (path, error)
+            ) from error
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
-        raise ManifestError("not a %s file: %s" % (MANIFEST_FORMAT, path))
+        raise ManifestError("%s: not a %s file" % (path, MANIFEST_FORMAT))
     return data

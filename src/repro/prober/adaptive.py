@@ -83,7 +83,6 @@ def run_adaptive_yarrp6(
     targets: Sequence[int],
     config: Optional[AdaptiveConfig] = None,
     yarrp_config: Optional[Yarrp6Config] = None,
-    reset: bool = True,
 ) -> Tuple[CampaignResult, RateController]:
     """Yarrp6 campaign under AIMD rate control.
 
@@ -91,8 +90,7 @@ def run_adaptive_yarrp6(
     records the rate trajectory).
     """
     config = config or AdaptiveConfig()
-    if reset:
-        internet.reset_dynamics()
+    internet.reset_dynamics()
     vantage = internet.vantage(vantage_name)
     machine = Yarrp6(vantage.address, targets, yarrp_config)
     controller = RateController(config)

@@ -15,12 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
-from ..obs.metrics import (
-    DEFAULT_BUCKET_US,
-    NULL_REGISTRY,
-    MetricDump,
-    MetricsRegistry,
-)
+from ..obs.metrics import NULL_REGISTRY, MetricDump, MetricsRegistry
 from ..obs.profiler import NULL_AGG, NULL_PROFILER, WallProfiler
 from ..obs.trace import NULL_TRACER, Tracer
 from .base import Prober
@@ -148,20 +143,18 @@ def run_campaign(  # repro-lint: program-root
     pps: float = 1000.0,
     config: Optional[Any] = None,
     name: Optional[str] = None,
-    engine: Optional[Engine] = None,
-    reset: bool = True,
     pace_offset_us: int = 0,
     pace_stride: int = 1,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    metrics_bucket_us: int = DEFAULT_BUCKET_US,
     batch: Optional[int] = None,
     profiler: Optional[WallProfiler] = None,
 ) -> CampaignResult:
     """Run one probing campaign to completion in virtual time.
 
-    ``reset`` refills every router's rate limiter first, isolating the
-    campaign from earlier trials (the paper ran trials on separate days).
+    Every campaign starts from :meth:`Internet.reset_dynamics` — full
+    rate limiters, zeroed stats — isolating it from earlier trials on the
+    same instance (the paper ran trials on separate days).
 
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
@@ -215,18 +208,17 @@ def run_campaign(  # repro-lint: program-root
         )
     prof = profiler if profiler is not None else NULL_PROFILER
     with prof.phase("campaign.setup", prober=prober):
-        if reset:
-            internet.reset_dynamics()
+        internet.reset_dynamics()
         registry = metrics if metrics is not None else NULL_REGISTRY
         trace = tracer if tracer is not None else NULL_TRACER
-        engine = engine or Engine(metrics=metrics)
+        engine = Engine(metrics=metrics)
         trace.bind_clock(lambda: engine.now)
         vantage = internet.vantage(vantage_name)
         machine = prober_class(vantage.address, targets, config, registry)
         interval = pps_interval(pps) * pace_stride
 
-        sent_series = registry.series("campaign.sent", metrics_bucket_us)
-        discovery_series = registry.series("campaign.discovery", metrics_bucket_us)
+        sent_series = registry.series("campaign.sent")
+        discovery_series = registry.series("campaign.discovery")
     # Novel-interface tracking costs a set lookup per response; skip it
     # entirely when nobody is listening.
     track_discovery = registry.enabled
@@ -323,10 +315,8 @@ def run_campaign(  # repro-lint: program-root
 
         kickoff = block_tick
 
-    if registry.enabled:
-        internet.attach_metrics(registry, metrics_bucket_us)
-    if trace.enabled:
-        internet.tracer = trace
+    if registry.enabled or trace.enabled:
+        internet.attach_observers(registry, trace)
     try:
         with prof.phase("campaign.run", prober=prober):
             if prof.enabled and kickoff is not tick:
@@ -339,10 +329,7 @@ def run_campaign(  # repro-lint: program-root
                 engine.schedule(pace_offset_us, kickoff)
                 engine.run()
     finally:
-        if trace.enabled:
-            internet.tracer = NULL_TRACER
-        if registry.enabled:
-            internet.detach_metrics()
+        internet.detach_observers()
 
     return CampaignResult.collect(
         machine,

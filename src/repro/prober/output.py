@@ -33,7 +33,8 @@ _V = TypeVar("_V")
 
 
 class OutputError(ValueError):
-    """Raised for unreadable output files."""
+    """Raised for unreadable output files; :func:`load_campaign`'s message
+    is ``path: reason``."""
 
 
 class _Memo(Dict[_K, _V]):
@@ -133,7 +134,10 @@ def read_records(source: TextIO) -> LoadedCampaign:
     """Parse an output stream written by :func:`write_records`."""
     first = source.readline()
     if not first.startswith("#") or FORMAT_VERSION not in first:
-        raise OutputError("not a %s file" % FORMAT_VERSION)
+        raise OutputError(
+            ("not a %s file" if first else "empty file, not a %s file")
+            % FORMAT_VERSION
+        )
     metadata: Dict[str, str] = {}
     records: List[ProbeRecord] = []
     skipped = 0
@@ -192,7 +196,10 @@ def save_campaign(path: str, result: CampaignResult) -> int:
 def load_campaign(path: str) -> LoadedCampaign:
     """Read a campaign output file from ``path``."""
     with open(path) as source:
-        return read_records(source)
+        try:
+            return read_records(source)
+        except OutputError as error:
+            raise OutputError("%s: %s" % (path, error)) from None
 
 
 def dumps(result: CampaignResult) -> str:

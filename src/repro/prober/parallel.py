@@ -62,12 +62,7 @@ from ..netsim.build import InternetConfig
 from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet, check_vantage
 from ..obs.failures import FailureReport
-from ..obs.metrics import (
-    DEFAULT_BUCKET_US,
-    MetricDump,
-    MetricsRegistry,
-    merge_dumps,
-)
+from ..obs.metrics import MetricDump, MetricsRegistry, merge_dumps
 from ..obs.profiler import NULL_PROFILER, WallProfiler
 from .campaign import CampaignResult, emissions_before, run_campaign
 from .permutation import ProbeSchedule
@@ -103,7 +98,6 @@ class CampaignSpec:
     #: Run every shard with a metrics registry; the merged result carries
     #: the shard dumps combined by :func:`repro.obs.metrics.merge_dumps`.
     metrics: bool = False
-    metrics_bucket_us: int = DEFAULT_BUCKET_US
     #: Run every shard with its own wall-clock profiler; the worker's
     #: exported phase data rides home on ``CampaignResult.wall_profile``.
     #: Reporting only — the probe bytes and records are identical either
@@ -225,7 +219,6 @@ def run_shard(
             pace_offset_us=shard * base,
             pace_stride=shards,
             metrics=MetricsRegistry() if spec.metrics else None,
-            metrics_bucket_us=spec.metrics_bucket_us,
             profiler=prof,
         )
     if own_profiler:
@@ -248,7 +241,6 @@ def run_single(
         spec.prober_config(),
         name=spec.name,
         metrics=MetricsRegistry() if spec.metrics else None,
-        metrics_bucket_us=spec.metrics_bucket_us,
         profiler=profiler,
     )
 

@@ -153,7 +153,6 @@ class TestEndToEnd:
         """Echo replies carry no fragment header unless a PTB planted the
         atomic state first — sampling without the lure yields nothing."""
         net = Internet(world)
-        net.reset_dynamics()  # clear atomic state other tests planted
         candidates = []
         for router in world.truth.routers.values():
             if len(router.interfaces) >= 2:

@@ -455,6 +455,30 @@ class TestPipeline:
         assert code == 2
         assert "repro-manifest/1" in text
 
+    @pytest.mark.parametrize(
+        "argv, content, reason",
+        [
+            # Three readers used to give three shapes, two without the name.
+            (["analyze", "--results"], "hello world\n", "not a yrp6/1 file\n"),
+            (["analyze", "--results"], "", "empty file, not a yrp6/1 file\n"),
+            (
+                ["stats"],
+                '{"format": "repro-manifest/1",',
+                "not a JSON manifest: Expecting property name enclosed in double quotes",
+            ),
+            (["stats"], "[1, 2]\n", "not a repro-manifest/1 file\n"),
+        ],
+    )
+    def test_unreadable_results_or_manifest_is_one_line_naming_the_file(
+        self, tmp_path, argv, content, reason
+    ):
+        bad = tmp_path / "bad.file"
+        bad.write_text(content)
+        code, text = run(argv + [str(bad)])
+        assert code == 2
+        assert text.startswith("%s: %s" % (bad, reason)), text
+        assert text.count("\n") == 1
+
     def test_subnets_requires_world(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")
         run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])

@@ -93,13 +93,12 @@ def test_watched_unregistered_container_trips(world):
 
 
 def test_registered_container_mutation_is_not_watched(world):
-    router = next(iter(world.truth.routers.values()))
-    # atomic_frag_until is registered per-run state on Router.
-    fn = repro_caller("def f(router):\n    router.atomic_frag_until[5] = 1\n")
+    # router_state is registered per-run state on Internet.
+    fn = repro_caller("def f(world):\n    world.router_state[5] = 1\n")
     with ShardSan() as sanitizer:
         sanitizer.watch(world)
-        fn(router)
-    assert router.atomic_frag_until.pop(5) == 1
+        fn(world)
+    assert world.router_state.pop(5) == 1
 
 
 def test_shared_cache_mutation_is_not_watched(world):

@@ -12,6 +12,4 @@ def small_built():
 
 @pytest.fixture()
 def net(small_built):
-    internet = Internet(small_built)
-    internet.reset_dynamics()
-    return internet
+    return Internet(small_built)

@@ -17,7 +17,7 @@ from repro.netsim.addressing import (
     random_mac,
 )
 from repro.netsim.ecmp import VARIANTS, flow_hash, flow_key, flow_variant
-from repro.netsim.ratelimit import TokenBucket
+from repro.netsim.internet import RouterState
 from repro.netsim.topology import AddressPlan, HostKind, Router, RouterRole
 from repro.packet import icmpv6, ipv6, udp
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_UDP
@@ -132,8 +132,10 @@ class TestFlowHashing:
 
 
 class TestRouterState:
+    """The per-run entry ``Internet`` keeps for a router it has probed."""
+
     def _router(self, router_id=7):
-        return Router(router_id, 64500, RouterRole.CORE, TokenBucket(100, 10))
+        return RouterState(Router(router_id, 64500, RouterRole.CORE, 100, 10))
 
     def test_frag_counter_monotone(self):
         router = self._router()

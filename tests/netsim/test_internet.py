@@ -1,14 +1,27 @@
 """Integration tests for the packet-level internet simulator."""
 
+import random
+
 import pytest
 
 from repro.addrs import format_address, parse
-from repro.netsim import Internet, InternetConfig, TerminalKind, decoupled_dynamics
+from repro.netsim import (
+    CompiledPath,
+    Internet,
+    InternetConfig,
+    Router,
+    TerminalKind,
+    build_internet,
+    decoupled_dynamics,
+)
 from repro.netsim.ecmp import flow_variant
 from repro.netsim.engine import Engine
+from repro.netsim.runstate import RunState
+from repro.obs import Tracer
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
+from repro.prober import run_sequential, run_speedtrap, run_yarrp6
 from repro.prober.encoding import encode_probe
 
 
@@ -175,7 +188,6 @@ class TestProbing:
         response = net.probe(packet, now=0)
         if response is None:
             pytest.skip("probabilistic loss")
-        assert response.kind == "tcp"
         _, payload = ipv6.split_packet(response.data)
         header, _ = tcp.split_segment(payload)
         assert header.rst
@@ -239,6 +251,141 @@ class TestRateLimiting:
             net.probe(icmp_probe(vantage.address, dst, 1, seq=index), now=index)
         net.reset_dynamics()
         assert net.probe(icmp_probe(vantage.address, dst, 1), now=0) is not None
+
+
+class TestRunStateOwnership:
+    """Everything a campaign changes lives in the ``Internet`` that ran
+    it; the built world it ran on is read-only."""
+
+    @staticmethod
+    def snapshot(built):
+        """Every slot of every router, subnet and AS, containers copied
+        (so a mutated list, dict or set shows)."""
+        truth = built.truth
+        things = [*truth.routers.values(), *truth.subnets.values(), *truth.ases.values()]
+
+        def frozen(value):
+            return type(value)(value) if isinstance(value, (list, dict, set)) else value
+
+        return [
+            (type(thing).__name__, name, frozen(getattr(thing, name)))
+            for thing in things
+            for name in type(thing).__slots__
+        ]
+
+    def test_campaigns_leave_the_built_world_untouched(self):
+        built = build_internet(InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7))
+        before = self.snapshot(built)
+        net = Internet(built)
+        targets = [subnet.prefix.base | 1 for subnet in built.truth.subnets.values()][:40]
+        campaign = run_sequential(net, "EU-NET", targets, pps=20_000.0)
+        assert net.stats.rate_limited  # the limiters were binding
+        machine = run_speedtrap(net, "EU-NET", sorted(campaign.interfaces))
+        assert machine.samples  # fragment state was planted and read back
+        assert self.snapshot(built) == before
+        assert any(state.atomic_frag_until for state in net.router_state.values())
+        # The registry says the same: outside per-run instances only
+        # Internet declares run state, and Router is registered with none.
+        owners = {
+            cls.__name__
+            for cls in RunState.classes()
+            if RunState.fields(cls) and not RunState.constructed_per_run(cls)
+        }
+        assert owners == {"Internet"}
+        assert RunState.is_registered(Router) and not RunState.fields(Router)
+
+    def test_two_instances_over_one_world_share_no_limiter(self):
+        built = build_internet(
+            InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7, response_loss=0.0)
+        )
+        first, second = Internet(built), Internet(built)
+        vantage = first.vantage("US-EDU-1")
+        dst = first_host(first)
+        when = 0
+        while not first.stats.rate_limited:  # drain hop 1 through ``first``
+            when += 1
+            first.probe(icmp_probe(vantage.address, dst, 1, seq=when), now=when)
+        assert second.probe(icmp_probe(vantage.address, dst, 1), now=when) is not None
+        assert second.stats.rate_limited == 0
+
+    def test_rewind_cost_does_not_depend_on_world_size(self, monkeypatch):
+        # The ledger's ``yarrp6-walk`` at smoke size (seed 2018); at full
+        # size the same walk reaches 476 of 27 537 routers.
+        built = build_internet(
+            InternetConfig(
+                n_edge=24, cpe_customers_per_isp=40, leaves_per_alloc=(1, 2),
+                hosts_per_leaf=(1, 3), seed=2018,
+            )
+        )
+        subnets = list(built.truth.subnets.values())
+        targets = [
+            subnet.prefix.base | 1 for subnet in random.Random(2018).sample(subnets, 60)
+        ]
+        net = Internet(built)
+        tracer = Tracer()
+        run_yarrp6(net, "EU-NET", targets, pps=1000.0, max_ttl=16, tracer=tracer)
+        decided = {
+            span.attrs["router"] for span in tracer.spans if span.name == "limiter.decision"
+        }
+        assert set(net.router_state) == decided
+        assert len(decided) == 152 and len(built.truth.routers) == 1101
+        net.reset_dynamics()
+        assert net.router_state == {}
+
+        class Untouchable(dict):
+            def __iter__(self):
+                raise AssertionError("the rewind walked truth.routers")
+
+            keys = values = items = __iter__
+
+        monkeypatch.setattr(built.truth, "routers", Untouchable(built.truth.routers))
+        net.reset_dynamics()
+        net.fresh_run_state()
+        Internet(built)
+
+
+class TestDecisionOrder:
+    """``probe`` picks at most one ICMPv6 error, first match wins: border
+    filter, MTU break, hop-limit expiry, path-terminal error."""
+
+    @pytest.mark.parametrize(
+        "blocked, payload, hop_limit, answer",
+        [
+            # Filtered and oversized and expiring; then one condition fewer.
+            (True, 1300, 3, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED), 0, 1)),
+            (False, 1300, 3, (icmpv6.TYPE_PACKET_TOO_BIG, 0, 1280, 1)),
+            (False, 8, 3, (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED, 0, 2)),
+            (False, 8, 4, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.NO_ROUTE), 0, 2)),
+        ],
+    )
+    def test_first_matching_condition_answers(
+        self, lossless_net, monkeypatch, blocked, payload, hop_limit, answer
+    ):
+        net = lossless_net
+        vantage = net.vantage("EU-NET")
+        routers = list(net.truth.routers.values())[:3]
+        hops = [
+            (router, router.interfaces[0], 100 * (index + 1))
+            for index, router in enumerate(routers)
+        ]
+        path = CompiledPath(
+            hops,
+            TerminalKind.ERROR,
+            UnreachableCode.NO_ROUTE,
+            filter_index=2,
+            filter_action="admin",
+            blocked=frozenset({PROTO_ICMPV6} if blocked else ()),
+            mtu_profile=[1500, 1280, 1500],
+        )
+        monkeypatch.setattr(net, "path_for", lambda vantage, dst, variant=0: path)
+        probe = icmp_probe(
+            vantage.address, parse("2001:db8::1"), hop_limit, payload=b"\xa5" * payload
+        )
+        assert (len(probe) > 1280) == (payload == 1300)
+        header, message = parse_icmp(net.probe(probe, now=0))
+        msg_type, code, word, hop = answer
+        assert (message.msg_type, message.code, message.word) == (msg_type, code, word)
+        assert header.src == hops[hop][1]
 
 
 class TestExchange:
@@ -347,7 +494,7 @@ class TestFlowPathChoice:
         _, packets = self.flows(world)
 
         def replay():
-            world.fresh_run_state()  # the session's routers are shared
+            world.fresh_run_state()
             out = []
             for index, packet in enumerate(packets):
                 response = world.probe(packet, now=index * 1000)
@@ -482,7 +629,7 @@ class TestQuotationMisbehaviour:
                     )
                 header, _ = ipv6.split_packet(invoking)
                 response = net._icmp_error(
-                    router, iface, 500, msg_type, code, invoking, header, 0, word=word
+                    (router, iface, 500), msg_type, code, word, invoking, header, 0
                 )
                 assert response.data == ipv6.build_packet(
                     IPv6Header(iface, vantage.address, 0, PROTO_ICMPV6),

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.netsim.engine import US_PER_SECOND
-from repro.netsim.ratelimit import TokenBucket, UnlimitedBucket
+from repro.netsim.ratelimit import TokenBucket
 
 
 class TestTokenBucket:
@@ -49,15 +49,6 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=10, burst=0)
 
-    def test_reset(self):
-        bucket = TokenBucket(rate=10, burst=2)
-        bucket.consume(0)
-        bucket.consume(0)
-        bucket.consume(0)
-        bucket.reset()
-        assert bucket.allowed == 0 and bucket.denied == 0
-        assert bucket.peek(0) == 2
-
     def test_total(self):
         bucket = TokenBucket(rate=10, burst=1)
         bucket.consume(0)
@@ -86,16 +77,3 @@ class TestTokenBucket:
         window_seconds = (n - 1) * 1000 / US_PER_SECOND
         assert granted <= 5 + 50 * window_seconds + 1
 
-
-class TestUnlimitedBucket:
-    def test_always_allows(self):
-        bucket = UnlimitedBucket()
-        assert all(bucket.consume(0) for _ in range(1000))
-        assert bucket.denied == 0
-        assert bucket.total == 1000
-
-    def test_reset(self):
-        bucket = UnlimitedBucket()
-        bucket.consume(0)
-        bucket.reset()
-        assert bucket.allowed == 0

@@ -26,9 +26,7 @@ def built():
 
 @pytest.fixture()
 def net(built):
-    internet = Internet(built)
-    internet.reset_dynamics()
-    return internet
+    return Internet(built)
 
 
 @pytest.fixture(scope="module")

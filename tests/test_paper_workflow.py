@@ -133,7 +133,6 @@ class TestSubnetStage:
 class TestAliasStage:
     def test_resolution_then_collapse(self, world, campaign):
         internet = Internet(world)
-        internet.reset_dynamics()
         machine = run_speedtrap(internet, "EU-NET", sorted(campaign.interfaces))
         clusters = resolve_aliases(machine.samples)
         truth = truth_clusters_for(campaign.interfaces, world.truth.router_addresses)
