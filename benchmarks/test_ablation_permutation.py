@@ -17,8 +17,9 @@ import random
 from repro.analysis import per_hop_responsiveness, render_table
 from repro.hitlist import fixediid, zn
 from repro.netsim import Internet
+from repro.netsim.engine import Engine, pps_interval
 from repro.prober import run_yarrp6
-from repro.prober.campaign import run_campaign
+from repro.prober.campaign import CampaignResult
 from repro.prober.yarrp6 import Yarrp6, Yarrp6Config
 
 MAX_TTL = 16
@@ -76,43 +77,26 @@ def run_trials(world, seeds):
     )
     for order in ("ttl-major", "target-major"):
         internet.reset_dynamics()
-        from repro.netsim.engine import Engine, pps_interval
-
         engine = Engine()
         machine = _OrderedYarrp(
             internet.vantage("US-EDU-1").address, targets, config, order
         )
-        interval = pps_interval(RATE)
+
+        def deliver(data, sent_at):
+            machine.receive(data, engine.now)
 
         def tick():
-            packet = machine.next_probe(engine.now)
-            if packet is None:
-                return
-            response = internet.probe(packet, engine.now)
-            if response is not None:
-                data = response.data
-                engine.schedule(
-                    response.delay_us, lambda data=data: machine.receive(data, engine.now)
-                )
-            engine.schedule(interval, tick)
+            while True:
+                packet = machine.next_probe(engine.now)
+                internet.exchange(engine, packet, engine.now, deliver)
+                if machine.exhausted:
+                    return
+                yield pps_interval(RATE)
 
-        engine.schedule(0, tick)
+        engine.drive(tick())
         engine.run()
-        from repro.prober.campaign import CampaignResult
-
-        out[order] = CampaignResult(
-            name=order,
-            vantage="US-EDU-1",
-            prober="yarrp6-" + order,
-            pps=RATE,
-            targets=len(targets),
-            sent=machine.sent,
-            records=machine.processor.records,
-            interfaces=set(machine.processor.interfaces),
-            curve=list(machine.processor.curve),
-            response_labels=dict(machine.processor.response_labels),
-            summary=machine.summary(),
-            duration_us=engine.now,
+        out[order] = CampaignResult.collect(
+            machine, order, "US-EDU-1", "yarrp6-" + order, RATE, engine.now
         )
     return targets, out
 

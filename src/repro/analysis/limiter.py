@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..netsim.engine import Engine, US_PER_SECOND, pps_interval
 from ..netsim.internet import Internet
@@ -71,23 +71,21 @@ def _probe_hop(
     """Emit ``count`` probes at ``pps`` beginning at ``start``; returns
     (sent, responses at that TTL)."""
     interval = pps_interval(pps)
-    answered = [0]
+    answered: List[int] = []
 
-    def deliver(data: bytes, sent_at: int) -> None:
-        answered[0] += 1
-
-    when = start
-    for index in range(count):
-        def send(when=when) -> None:
+    def burst() -> Iterator[int]:
+        for _ in range(count):
             packet = encode_probe(
                 source, target, ttl, elapsed=engine.now & 0xFFFFFFFF, instance=instance
             )
-            internet.exchange(engine, packet, engine.now, deliver)
+            internet.exchange(
+                engine, packet, engine.now, lambda data, sent_at: answered.append(sent_at)
+            )
+            yield interval
 
-        engine.schedule_at(when, send)
-        when += interval
-    engine.run(until=when + 2 * US_PER_SECOND)
-    return count, answered[0]
+    engine.drive(burst(), start)
+    engine.run(until=start + count * interval + 2 * US_PER_SECOND)
+    return count, len(answered)
 
 
 def infer_limiter(

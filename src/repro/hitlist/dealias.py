@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..addrs.prefix import Prefix
 from ..addrs.trie import PrefixTrie
@@ -64,14 +64,14 @@ def detect_aliased(
         if message.is_echo_reply:
             answered[prefix] += 1
 
-    when = 0
     for prefix in prefixes:
         if prefix.length != 64:
             raise ValueError("aliased-prefix detection probes /64s, got %s" % prefix)
-        for index in range(config.probes_per_prefix):
-            target = prefix.base | (rng.getrandbits(64) or 1)
 
-            def send(prefix=prefix, target=target, index=index) -> None:
+    def sweep() -> Iterator[int]:
+        for prefix in prefixes:
+            for index in range(config.probes_per_prefix):
+                target = prefix.base | (rng.getrandbits(64) or 1)
                 echo = icmpv6.echo_request(index + 1, index, b"dealias")
                 packet = ipv6.build_packet(
                     IPv6Header(vantage.address, target, 0, PROTO_ICMPV6, hop_limit=64),
@@ -81,11 +81,11 @@ def detect_aliased(
                     engine,
                     packet,
                     engine.now,
-                    lambda data, sent_at: deliver(prefix, data),
+                    lambda data, sent_at, prefix=prefix: deliver(prefix, data),
                 )
+                yield interval
 
-            engine.schedule_at(when, send)
-            when += interval
+    engine.drive(sweep())
     engine.run()
 
     needed = config.threshold * config.probes_per_prefix

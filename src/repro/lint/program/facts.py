@@ -16,8 +16,8 @@ top level as the pseudo-function ``<module>``):
   dataflow class for each argument, feeding both the call graph and
   RNG101's interprocedural seed tracing;
 * bare-name / ``self.X`` references passed as call arguments — the
-  callback pattern (``engine.schedule(interval, tick)``) that a pure
-  call graph would miss;
+  callback pattern (``internet.exchange(engine, packet, now, deliver)``)
+  that a pure call graph would miss;
 * ``random.Random(seed_expr)`` construction sites with the seed
   expression classified (constant / seed-like / parameter-dependent /
   untraceable);

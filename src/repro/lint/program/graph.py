@@ -18,9 +18,12 @@ strategies, applied in order per call site:
    over-reported, never missed), and precise enough in practice because
    the repro tree keeps method names distinctive.
 
-Reference edges (names passed as call arguments, like
-``engine.schedule(interval, tick)``) use the same resolution and are
-treated as call edges: if the callback is impure, its registrar is.
+Reference edges (names passed as call arguments, like ``deliver`` in
+``internet.exchange(engine, packet, now, deliver)``) use the same
+resolution and are treated as call edges: if the callback is impure, its
+registrar is.  A driver loop is a generator ``run_campaign`` calls by
+name (``tick()``) and hands to ``Engine.drive``, so its body hangs off
+its caller by an ordinary call edge.
 
 The graph also owns the one forward reachability every reachability
 rule shares (:func:`reachable_from`, optionally stopping at the **build

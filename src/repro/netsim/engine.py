@@ -21,12 +21,17 @@ references and the slot array is compacted in place once it is mostly
 dead.  The event *order* — and therefore every campaign artifact — is
 bit-identical to the tuple implementation; see
 ``docs/performance.md``.
+
+**One pacing primitive.**  A driver loop is a generator handed to
+:meth:`Engine.drive`, which resumes it on the clock and re-arms it after
+each delay it yields.  No driver schedules itself: the responses are
+scheduled by ``Internet.exchange``, the resumptions here.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 from ..obs.metrics import NULL_REGISTRY, SCOPE_RUN, MetricsRegistry
 from .runstate import run_state
@@ -43,6 +48,23 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 #: Compact the slot array when it holds at least this many entries and
 #: at most a quarter of them are still pending.
 _COMPACT_MIN = 4096
+
+
+class _Resumption(NamedTuple):
+    """A driver generator waiting in a heap slot for its next turn (see
+    :meth:`Engine.drive`).  One object serves the whole drive: firing it
+    runs the generator to its next ``yield`` and, unless the generator
+    returned, puts the same object back on the heap.  It is not a closure
+    — no cell names it — so the slot it sits in is the only reference to
+    it, and to the suspended generator."""
+
+    engine: Engine
+    steps: Iterator[int]
+
+    def __call__(self) -> None:
+        delay = next(self.steps, None)
+        if delay is not None:
+            self.engine.schedule(delay, self)
 
 
 @run_state("_now", "_heap", "_slots", "_live", constructed_per_run=True)
@@ -94,6 +116,18 @@ class Engine:
         if delay < 0:
             raise ValueError("negative delay: %r" % delay)
         self.schedule_at(self._now + delay, callback)
+
+    def drive(self, steps: Iterator[int], start: int = 0) -> None:
+        """Pace the generator ``steps`` on the virtual clock.
+
+        ``steps`` is resumed at absolute time ``start`` (µs) and again
+        ``delay`` µs after each ``delay`` it yields; once it returns
+        nothing further is scheduled.  An event a step schedules fires
+        before that step's next resumption when their times tie
+        (scheduling order).  The heap slot is the only reference to a
+        suspended ``steps``, so a finished drive leaves nothing behind.
+        """
+        self.schedule_at(start, _Resumption(self, steps))
 
     def _compact(self) -> None:
         """Reassign pending slots to the low indices, dropping dead ones.

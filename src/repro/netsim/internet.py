@@ -270,12 +270,14 @@ class Internet:
 
         ``profiler`` attributes the build's host cost to a ``world.build``
         phase (wall-clock reporting only; the built world is identical
-        with or without it).
+        with or without it).  The facade is constructed inside the phase:
+        the build suspends the cyclic collector, so the first allocation
+        after it pays for a young-generation pass over the whole new
+        world, and that pass is the build's cost, not the caller's.
         """
         prof = profiler if profiler is not None else NULL_PROFILER
         with prof.phase("world.build"):
-            built = build_internet(config)
-        return cls(built)
+            return cls(build_internet(config))
 
     def __init__(self, built: Optional[BuiltInternet] = None, config: Optional[InternetConfig] = None) -> None:
         if built is None:

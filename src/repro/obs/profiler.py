@@ -375,10 +375,6 @@ class NullWallProfiler(WallProfiler):
 #: Shared no-op profiler; safe to hand to any number of components.
 NULL_PROFILER = NullWallProfiler()
 
-#: Shared no-op aggregate handle for hot loops that rebind their handles
-#: only when profiling is on.
-NULL_AGG = _NULL_HANDLE
-
 
 # ---------------------------------------------------------------------------
 # byte accounting

@@ -16,7 +16,7 @@ operator cannot know the path's token-bucket provisioning in advance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..netsim.engine import Engine, US_PER_SECOND, pps_interval
 from ..netsim.internet import Internet
@@ -96,29 +96,29 @@ def run_adaptive_yarrp6(
     controller = RateController(config)
     engine = Engine()
 
-    state = {"interval": pps_interval(controller.pps), "window_end": config.window_us}
-
     def deliver(data: bytes, sent_at: int) -> None:
         record = machine.receive(data, engine.now)
         if record is not None and record.is_time_exceeded:
             controller.on_response(record.ttl)
 
-    def tick() -> None:
-        if engine.now >= state["window_end"]:
-            rate = controller.evaluate(engine.now)
-            state["interval"] = pps_interval(rate)
-            state["window_end"] = engine.now + config.window_us
-        packet = machine.next_probe(engine.now)
-        if packet is None:
-            if not machine.exhausted:
-                engine.schedule(state["interval"], tick)
-            return
-        # Hop limit byte of the IPv6 header drives the near-hop counter.
-        controller.on_probe(packet[7])
-        internet.exchange(engine, packet, engine.now, deliver)
-        engine.schedule(state["interval"], tick)
+    def tick() -> Iterator[int]:
+        window_end = config.window_us
+        while True:
+            if engine.now >= window_end:
+                controller.evaluate(engine.now)
+                window_end = engine.now + config.window_us
+            packet = machine.next_probe(engine.now)
+            if packet is not None:
+                # Hop limit byte of the IPv6 header drives the near-hop counter.
+                controller.on_probe(packet[7])
+                internet.exchange(engine, packet, engine.now, deliver)
+            if machine.exhausted:
+                # As in run_campaign: the campaign ends on its final
+                # emission, never on an empty trailing tick.
+                return
+            yield pps_interval(controller.pps)
 
-    engine.schedule(0, tick)
+    engine.drive(tick())
     engine.run()
 
     result = CampaignResult.collect(

@@ -9,14 +9,14 @@ simulated round-trip delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
 from ..obs.metrics import NULL_REGISTRY, MetricDump, MetricsRegistry
-from ..obs.profiler import NULL_AGG, NULL_PROFILER, WallProfiler
+from ..obs.profiler import NULL_PROFILER, WallProfiler
 from ..obs.trace import NULL_TRACER, Tracer
 from .base import Prober
 from .doubletree import DoubletreeProber
@@ -44,7 +44,6 @@ class CampaignResult:
     #: Count of traces issued (targets probed; one "trace" per target in
     #: the paper's accounting, regardless of prober).
     traces: int = 0
-    extras: Dict[str, float] = field(default_factory=dict)
     #: Telemetry dump (None unless the campaign ran with a registry).
     metrics: Optional[MetricDump] = None
     #: Exported wall-clock profile (None unless the run was profiled).
@@ -109,10 +108,6 @@ PROBERS: Dict[str, Type[Prober]] = {
 DEFAULT_BATCH = 256
 
 
-def _noop() -> None:
-    """Clock-advance sentinel for the batched loop's final emission."""
-
-
 def emissions_before(
     when: int, rtt_us: int, offset: int, stride: int, cap: int, tick_gap: int
 ) -> int:
@@ -156,6 +151,15 @@ def run_campaign(  # repro-lint: program-root
     rate limiters, zeroed stats — isolating it from earlier trials on the
     same instance (the paper ran trials on separate days).
 
+    The campaign loop is a generator paced by :meth:`Engine.drive`: each
+    resumption emits (one probe, or one block on the columnar path),
+    hands the bytes to :meth:`Internet.exchange` — which schedules the
+    response — and yields the delay to its next emission; it returns
+    once the prober is exhausted, so the campaign's duration is its last
+    emission or response.  Nothing but the engine's heap refers to the
+    suspended loop, so when this function returns the caller holds the
+    only reference to ``internet``.
+
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
     happens at ``pace_offset_us`` and subsequent ones every ``pace_stride``
@@ -174,7 +178,7 @@ def run_campaign(  # repro-lint: program-root
 
     ``batch`` sizes the **columnar fast path**: when the prober is a
     Yarrp6 pure walk (no fill, no neighborhood skipping) and no tracer is
-    attached, the campaign crafts ``batch`` probes per engine event
+    attached, the campaign crafts ``batch`` probes per resumption
     through the batched pull loop (:meth:`Yarrp6.next_probes`) instead of
     one per tick, reconstructing each response's probes-sent count
     analytically from the pacing arithmetic.  The dump, records, curve,
@@ -223,11 +227,6 @@ def run_campaign(  # repro-lint: program-root
     # entirely when nobody is listening.
     track_discovery = registry.enabled
     discovered: Set[int] = set()
-    # Hot-path aggregate handles for the columnar loop below.  Rebound
-    # to live aggregates under the open ``campaign.run`` phase when
-    # profiling is on; the closures see the rebinding through their
-    # cells, and the shared no-op costs two calls per block otherwise.
-    prof_craft = prof_inject = prof_deliver = NULL_AGG
 
     def note_discovery(record: Optional[ProbeRecord]) -> None:
         if (
@@ -244,24 +243,23 @@ def run_campaign(  # repro-lint: program-root
             record = machine.receive(data, engine.now)
         note_discovery(record)
 
-    def tick() -> None:
-        with trace.span("tick"):
-            with trace.span("emit"):
-                packet = machine.next_probe(engine.now)
-            if packet is None:
-                if not machine.exhausted:
-                    # Neighborhood skipping may momentarily starve emission.
-                    engine.schedule(interval, tick)
-                return
-            sent_series.record(engine.now)
-            with trace.span("probe"):
-                internet.exchange(engine, packet, engine.now, deliver)
-            if not machine.exhausted:
+    def tick() -> Iterator[int]:
+        while True:
+            with trace.span("tick"):
+                with trace.span("emit"):
+                    packet = machine.next_probe(engine.now)
+                # None: neighborhood skipping may momentarily starve emission.
+                if packet is not None:
+                    sent_series.record(engine.now)
+                    with trace.span("probe"):
+                        internet.exchange(engine, packet, engine.now, deliver)
+            if machine.exhausted:
                 # Probers that exhaust on their final emission (Yarrp6) end the
                 # campaign here, so duration is the last emission or response —
                 # never an empty trailing tick, whose time would depend on the
                 # pacing stride rather than on the probe stream itself.
-                engine.schedule(interval, tick)
+                return
+            yield interval
 
     # -- columnar fast path ---------------------------------------------
     # One engine event per *block* of emissions instead of one per probe:
@@ -271,7 +269,6 @@ def run_campaign(  # repro-lint: program-root
     # are scheduled at the same absolute virtual times with the same
     # relative ordering the per-event loop produces.  Valid only for pure
     # walks, where every emission time is known in advance.
-    kickoff = tick
     if (
         batch > 0
         and isinstance(machine, Yarrp6)
@@ -281,7 +278,7 @@ def run_campaign(  # repro-lint: program-root
         walker = machine
         total_walk = len(walker.schedule)
 
-        def deliver_batched(data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
+        def deliver_batched(prof_deliver: Any, data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
             with prof_deliver:
                 now = engine.now
                 # The per-event loop's live sent counter, reconstructed
@@ -293,40 +290,43 @@ def run_campaign(  # repro-lint: program-root
                 record = walker.receive(data, now, sent=sent)
                 note_discovery(record)
 
-        def block_tick() -> None:  # repro-lint: hot-loop
-            start = engine.now
-            count = min(batch, total_walk - walker.sent)
-            with prof_craft:
-                # An arithmetic progression, not a materialized list:
-                # zero per-block allocation (PERF101) and next_probes
-                # only ever indexes it.  interval >= 1 (pps_interval).
-                times = range(start, start + count * interval, interval)
-                emissions = walker.next_probes(times)
-            with prof_inject:
-                for when, packet in emissions:
-                    sent_series.record(when)
-                    internet.exchange(engine, packet, when, deliver_batched)
-            if walker.sent < total_walk:
-                engine.schedule_at(start + count * interval, block_tick)
-            elif emissions and emissions[-1][0] > engine.now:
+        def block_tick() -> Iterator[int]:  # repro-lint: hot-loop
+            # First resumed inside the open ``campaign.run`` phase, so the
+            # per-block aggregates nest under it.
+            prof_craft = prof.agg("emit.craft")
+            prof_inject = prof.agg("emit.inject")
+            deliver_block = partial(deliver_batched, prof.agg("recv.deliver"))
+            while True:
+                start = engine.now
+                count = min(batch, total_walk - walker.sent)
+                with prof_craft:
+                    # An arithmetic progression, not a materialized list:
+                    # zero per-block allocation (PERF101) and next_probes
+                    # only ever indexes it.  interval >= 1 (pps_interval).
+                    times = range(start, start + count * interval, interval)
+                    emissions = walker.next_probes(times)
+                with prof_inject:
+                    for when, packet in emissions:
+                        sent_series.record(when)
+                        internet.exchange(engine, packet, when, deliver_block)
+                if walker.sent >= total_walk:
+                    break
+                yield count * interval
+            if emissions and emissions[-1][0] > engine.now:
                 # Land the clock on the final emission, as the per-event
                 # loop's last tick does (duration invariant).
-                engine.schedule_at(emissions[-1][0], _noop)
+                yield emissions[-1][0] - engine.now
 
-        kickoff = block_tick
+        steps = block_tick()
+    else:
+        steps = tick()
 
     if registry.enabled or trace.enabled:
         internet.attach_observers(registry, trace)
     try:
         with prof.phase("campaign.run", prober=prober):
-            if prof.enabled and kickoff is not tick:
-                # Bound here — inside the open campaign.run phase — so
-                # the per-block aggregates nest under it.
-                prof_craft = prof.agg("emit.craft")
-                prof_inject = prof.agg("emit.inject")
-                prof_deliver = prof.agg("recv.deliver")
             with trace.span("campaign", vantage=vantage_name, prober=prober):
-                engine.schedule(pace_offset_us, kickoff)
+                engine.drive(steps, pace_offset_us)
                 engine.run()
     finally:
         internet.detach_observers()

@@ -17,7 +17,7 @@ state untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
@@ -91,11 +91,10 @@ def run_mda(
         if record is not None and record.is_time_exceeded:
             result.record(record.target, record.ttl, record.hop)
 
-    when = 0
-    for flow_id in range(config.flows):
-        for target in targets:
-            for ttl in range(1, config.max_ttl + 1):
-                def send(target: int = target, ttl: int = ttl, flow_id: int = flow_id) -> None:
+    def sweep() -> Iterator[int]:
+        for flow_id in range(config.flows):
+            for target in targets:
+                for ttl in range(1, config.max_ttl + 1):
                     packet = encode_probe(
                         vantage.address,
                         target,
@@ -107,8 +106,8 @@ def run_mda(
                     )
                     result.sent += 1
                     internet.exchange(engine, packet, engine.now, deliver)
+                    yield interval
 
-                engine.schedule_at(when, send)
-                when += interval
+    engine.drive(sweep())
     engine.run()
     return result

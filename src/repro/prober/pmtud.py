@@ -15,7 +15,7 @@ tunneled paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
@@ -83,29 +83,37 @@ def discover_pmtu(
             break
         replies: Dict[int, Tuple[str, int, int]] = {}
 
-        def send(target: int) -> None:
-            def deliver(data: bytes, sent_at: int) -> None:
-                try:
-                    header, payload = ipv6.split_packet(data)
-                    message = icmpv6.ICMPv6Message.unpack(payload)
-                except ipv6.PacketError:
-                    return
-                if message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG:
-                    replies[target] = ("ptb", message.word, header.src)
-                elif message.is_echo_reply:
-                    replies[target] = ("reply", 0, header.src)
-                elif message.is_error:
-                    # Unreachable et al.: the *packet size* traversed the
-                    # path as far as it goes; treat as terminal.
-                    replies[target] = ("error", 0, header.src)
+        def deliver(target: int, data: bytes) -> None:
+            try:
+                header, payload = ipv6.split_packet(data)
+                message = icmpv6.ICMPv6Message.unpack(payload)
+            except ipv6.PacketError:
+                return
+            if message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG:
+                replies[target] = ("ptb", message.word, header.src)
+            elif message.is_echo_reply:
+                replies[target] = ("reply", 0, header.src)
+            elif message.is_error:
+                # Unreachable et al.: the *packet size* traversed the
+                # path as far as it goes; treat as terminal.
+                replies[target] = ("error", 0, header.src)
 
-            packet = _padded_probe(vantage.address, target, sizes[target])
-            internet.exchange(engine, packet, engine.now, deliver)
+        def paced() -> Iterator[int]:
+            # The wait comes before every probe but the first, so the
+            # round — and the next round's start — ends on its last
+            # probe or reply, not one interval after it.
+            for index, target in enumerate(sorted(live)):
+                if index:
+                    yield interval
+                packet = _padded_probe(vantage.address, target, sizes[target])
+                internet.exchange(
+                    engine,
+                    packet,
+                    engine.now,
+                    lambda data, sent_at, target=target: deliver(target, data),
+                )
 
-        when = engine.now
-        for target in sorted(live):
-            engine.schedule_at(when, lambda target=target: send(target))
-            when += interval
+        engine.drive(paced(), engine.now)
         engine.run()
 
         for target in sorted(live):

@@ -19,7 +19,7 @@ The samples — (address, virtual time, identification) — go to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
@@ -145,19 +145,17 @@ def run_speedtrap(
             lambda data, sent_at: machine.receive(data, engine.now, round_index),
         )
 
-    when = 0
-    for candidate in machine.candidates:
-        engine.schedule_at(when, lambda c=candidate: send(machine.lure_packet(c), -1))
-        when += interval
-    when += config.round_gap_us
-    for round_index in range(config.rounds):
+    def rounds() -> Iterator[int]:
         for candidate in machine.candidates:
-            engine.schedule_at(
-                when,
-                lambda c=candidate, r=round_index: send(machine.sample_packet(c, r), r),
-            )
-            when += interval
-        when += config.round_gap_us
+            send(machine.lure_packet(candidate), -1)
+            yield interval
+        for round_index in range(config.rounds):
+            yield config.round_gap_us
+            for candidate in machine.candidates:
+                send(machine.sample_packet(candidate, round_index), round_index)
+                yield interval
+
+    engine.drive(rounds())
     engine.run()
 
     for candidate in machine.candidates:

@@ -494,6 +494,42 @@ class TestPipeline:
         assert text == "--subnets needs --world for ASN attribution\n"
 
 
+class TestNoGarbage:
+    def test_probe_strands_no_more_objects_than_seeds(self, world_file, tmp_path):
+        """A campaign leaves no reference cycle behind: with the collector
+        off, a ``probe`` command's unreachable objects are argparse's own
+        — what ``seeds`` leaves too — not the world and its records."""
+        import gc
+
+        seeds_path = str(tmp_path / "s")
+        targets_path = str(tmp_path / "t")
+        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
+        run(["targets", "--seeds", seeds_path, "--out", targets_path])
+
+        def stranded(argv):
+            gc.collect()
+            gc.disable()
+            try:
+                code, text = run(argv)
+                assert code == 0, text
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        seeds = stranded(
+            ["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path]
+        )
+        probe = stranded(
+            [
+                "probe",
+                "--world", world_file,
+                "--targets", targets_path,
+                "--out", str(tmp_path / "r.yrp6"),
+            ]
+        )
+        assert probe <= seeds, (probe, seeds)
+
+
 class TestProfile:
     def _pipeline(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")
@@ -532,11 +568,40 @@ class TestProfile:
         manifest = read_manifest(manifest_path)
         profile = manifest["wallclock"]["profile"]
         assert profile["coverage"] >= 0.95
-        assert "probe" in {row["path"] for row in profile["phases"]}
+        paths = {row["path"] for row in profile["phases"]}
+        assert "probe" in paths
+        # The world's teardown (tens of thousands of objects freed by
+        # reference count) has a phase of its own.
+        assert "probe/world.free" in paths
         # Profiling is observe-only: the records match an unprofiled run.
         plain = str(tmp_path / "plain.yrp6")
         run(["probe", "--world", world_file, "--targets", targets_path, "--out", plain])
         assert open(results, "rb").read() == open(plain, "rb").read()
+
+    def test_probe_profile_coverage_holds_run_after_run(self, world_file, tmp_path):
+        """One process, several profiled commands: wherever the world is
+        freed and whatever the collector does between commands, every
+        reading attributes >= 95% of ``probe`` to a named child."""
+        from repro.obs import read_manifest
+
+        targets_path = self._pipeline(world_file, tmp_path)
+        manifest_path = str(tmp_path / "again.manifest.json")
+        readings = []
+        for _ in range(6):
+            code, text = run(
+                [
+                    "probe",
+                    "--world", world_file,
+                    "--targets", targets_path,
+                    "--out", str(tmp_path / "again.yrp6"),
+                    "--metrics", manifest_path,
+                    "--profile", str(tmp_path / "again-trace.json"),
+                ]
+            )
+            assert code == 0, text
+            profile = read_manifest(manifest_path)["wallclock"]["profile"]
+            readings.append(profile["coverage"])
+        assert min(readings) >= 0.95, readings
 
     def test_probe_profile_with_workers_covers_the_pool(
         self, world_file, tmp_path

@@ -82,9 +82,15 @@ class TestDetection:
         assert not found
 
     def test_requires_slash64(self, built):
+        """Every prefix is checked ahead of the first probe: a bad one
+        late in the list must not leave half a sweep on the wire."""
         net = Internet(built)
+        _, normal = leaf_split(built)
         with pytest.raises(ValueError):
-            detect_aliased(net, "US-EDU-1", [Prefix.parse("2001:db8::/48")])
+            detect_aliased(
+                net, "US-EDU-1", normal[:3] + [Prefix.parse("2001:db8::/48")]
+            )
+        assert net.stats.probes == 0
 
     def test_threshold(self, built):
         """A lossy-but-real LAN with a lenient threshold is still safe:

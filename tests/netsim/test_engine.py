@@ -1,6 +1,8 @@
 """Tests for the virtual-time event engine."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from repro.netsim.engine import (
     pps_interval,
     seconds,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestEngine:
@@ -115,6 +118,130 @@ class TestEngine:
             )
         ]
         assert fired == expected
+
+
+class TestDrive:
+    """``Engine.drive``: the one pacing primitive every driver loop is a
+    generator on."""
+
+    def test_resumes_at_start_then_after_each_yielded_delay(self):
+        engine = Engine()
+        resumed = []
+
+        def steps():
+            for delay in (10, 0, 250):
+                resumed.append(engine.now)
+                yield delay
+            resumed.append(engine.now)
+
+        engine.drive(steps(), start=40)
+        assert resumed == []  # nothing runs before the engine does
+        engine.run()
+        assert resumed == [40, 50, 50, 300]
+        assert engine.now == 300
+
+    def test_start_defaults_to_time_zero(self):
+        engine = Engine()
+        resumed = []
+
+        def steps():
+            resumed.append(engine.now)
+            yield 7
+            resumed.append(engine.now)
+
+        engine.drive(steps())
+        engine.run()
+        assert resumed == [0, 7]
+
+    def test_event_scheduled_by_a_step_fires_before_its_next_resumption(self):
+        """Response first, next resumption second: on a time tie the
+        event a step scheduled wins, as it did when the loop scheduled
+        its response and then itself."""
+        engine = Engine()
+        order = []
+
+        def steps():
+            for index in range(3):
+                order.append("step %d" % index)
+                engine.schedule(5, lambda index=index: order.append("event %d" % index))
+                yield 5
+
+        engine.drive(steps())
+        engine.run()
+        assert order == [
+            "step 0", "event 0", "step 1", "event 1", "step 2", "event 2",
+        ]
+
+    def test_return_ends_the_drive_with_no_trailing_event(self):
+        registry = MetricsRegistry()
+        engine = Engine(metrics=registry)
+
+        def steps():
+            yield 100
+            yield 100
+
+        engine.drive(steps())
+        engine.run()
+        assert engine.now == 200  # the last resumption, not one delay after it
+        assert engine.pending == 0
+        dump = registry.to_dict()
+        assert dump["engine.events_scheduled"]["value"] == 3
+        assert dump["engine.events_fired"]["value"] == 3
+
+    def test_negative_yield_is_rejected(self):
+        engine = Engine()
+
+        def steps():
+            yield -1
+
+        engine.drive(steps())
+        with pytest.raises(ValueError):
+            engine.run()
+
+    def test_exception_in_the_generator_surfaces_from_run(self):
+        engine = Engine()
+
+        def steps():
+            yield 1
+            raise RuntimeError("mid-campaign")
+
+        engine.drive(steps())
+        with pytest.raises(RuntimeError, match="mid-campaign"):
+            engine.run()
+
+    def test_run_until_leaves_a_suspended_generator_resumable(self):
+        engine = Engine()
+        resumed = []
+
+        def steps():
+            for _ in range(4):
+                resumed.append(engine.now)
+                yield 100
+
+        engine.drive(steps())
+        engine.run(until=150)
+        assert resumed == [0, 100]
+        assert engine.pending == 1
+        engine.run()
+        assert resumed == [0, 100, 200, 300]
+        assert engine.pending == 0
+
+    def test_a_finished_drive_holds_no_reference_to_its_generator(self):
+        engine = Engine()
+
+        def steps():
+            yield 1
+
+        generator = steps()
+        dead = weakref.ref(generator)
+        gc.disable()
+        try:
+            engine.drive(generator)
+            del generator
+            engine.run()
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestCompaction:

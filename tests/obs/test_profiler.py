@@ -8,7 +8,6 @@ import pytest
 
 from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
 from repro.obs.profiler import (
-    NULL_AGG,
     NULL_PROFILER,
     NullWallProfiler,
     WallProfileError,
@@ -104,7 +103,7 @@ class TestNullProfiler:
 
     def test_null_handles_are_shared(self):
         prof = NullWallProfiler()
-        assert prof.phase("a") is prof.agg("b") is NULL_AGG
+        assert prof.phase("a") is prof.agg("b")
 
 
 class TestAnalysis:

@@ -5,6 +5,7 @@ import pytest
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.prober.adaptive import AdaptiveConfig, RateController, run_adaptive_yarrp6
 from repro.prober import run_yarrp6
+from repro.prober.yarrp6 import Yarrp6Config
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +121,23 @@ class TestAdaptiveCampaign:
         )
         if controller.history:
             assert controller.history[-1][1] >= 500
+
+    def test_pinned_rate_ends_where_the_fixed_rate_campaign_does(self, built, targets):
+        """With the controller pinned, the adaptive loop is run_yarrp6's
+        loop, so the campaign ends on its last emission or response —
+        not on an empty tick one 20 ms pacing interval after the walk ran
+        out, which is longer than the last round trip here."""
+        pinned = AdaptiveConfig(initial_pps=50, min_pps=50, max_pps=50)
+        walk = Yarrp6Config(max_ttl=4)
+        adaptive, _ = run_adaptive_yarrp6(
+            Internet(built), "US-EDU-1", targets[:5], pinned, walk
+        )
+        fixed = run_yarrp6(Internet(built), "US-EDU-1", targets[:5], pps=50, config=walk)
+        assert adaptive.sent == fixed.sent == 20
+        assert [record.received_at for record in adaptive.records] == [
+            record.received_at for record in fixed.records
+        ]
+        assert adaptive.duration_us == fixed.duration_us
+        assert adaptive.duration_us == max(
+            19 * 20_000, max(record.received_at for record in adaptive.records)
+        )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.netsim.ecmp import flow_variant
+from repro.netsim.engine import Engine
 from repro.packet import ipv6
 from repro.packet.checksum import verify_transport_checksum
 from repro.prober.encoding import encode_probe
@@ -96,3 +97,27 @@ class TestMDA:
         result = run_mda(net, "US-EDU-1", targets, MDAConfig(flows=6, max_ttl=12))
         assert result.width(targets[0]) >= 1
         assert result.width(0xDEAD) == 0
+
+    def test_heap_holds_in_flight_responses_not_the_whole_sweep(self, built, monkeypatch):
+        """The sweep is paced one probe per resumption, so the engine's
+        queue is bounded by the responses still in flight (round trip /
+        probe interval) plus the one pending resumption — not by the
+        7 680 probes of the sweep, which used to be queued up front."""
+
+        class Watched(Engine):
+            peak = 0
+
+            def schedule_at(self, when, callback):
+                super().schedule_at(when, callback)
+                Watched.peak = max(Watched.peak, self.pending)
+
+        monkeypatch.setattr("repro.prober.mda.Engine", Watched)
+        targets = [
+            subnet.prefix.base | 1
+            for subnet in list(built.truth.subnets.values())[:60]
+        ]
+        result = run_mda(Internet(built), "US-EDU-1", targets)
+        assert result.sent == 60 * 16 * 8
+        # Round trips on this world stay under 70 ms (the peak reads 69
+        # at 1000 pps); a quarter of a second of traffic is a loose roof.
+        assert 0 < Watched.peak <= 250
