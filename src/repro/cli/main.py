@@ -43,6 +43,8 @@ from ..prober import (
     Yarrp6Config,
     run_campaign,
     run_parallel,
+    validate_spec,
+    validate_supervise,
 )
 from ..prober.output import load_campaign, save_campaign
 from ..seeds import SOURCES
@@ -51,26 +53,30 @@ from .worldcfg import load_config, save_config
 
 
 class InputError(ValueError):
-    """A line of a seed or target file that is not an address or prefix;
-    the message is ``path:lineno: reason: 'offending text'``."""
+    """A seed or target file that cannot be used: a line that is not an
+    address or prefix (``path:lineno: reason: 'offending text'``) or bytes
+    that are not text (``path: reason``)."""
 
 
 def _read_items(path: str) -> List[SeedItem]:
     items: List[SeedItem] = []
     with open(path) as source:
-        for lineno, line in enumerate(source, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if "/" in line:
-                    items.append(Prefix.parse(line))
-                else:
-                    items.append(address.parse(line))
-            except ValueError as error:
-                raise InputError(
-                    "%s:%d: %s: %r" % (path, lineno, error, line)
-                ) from None
+        try:
+            for lineno, line in enumerate(source, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    if "/" in line:
+                        items.append(Prefix.parse(line))
+                    else:
+                        items.append(address.parse(line))
+                except ValueError as error:
+                    raise InputError(
+                        "%s:%d: %s: %r" % (path, lineno, error, line)
+                    ) from None
+        except UnicodeDecodeError as error:  # raised by the read, not a line
+            raise InputError("%s: %s" % (path, error)) from None
     return items
 
 
@@ -147,9 +153,9 @@ def _fault_summary(failures: Dict[str, Any]) -> str:
     """The non-zero supervision counters of a manifest ``failures`` block
     as ``name=N, ...`` (empty when the run needed no recovery)."""
     return ", ".join(
-        "%s=%d" % (name, entry["value"])
+        "%s=%s" % (name, entry["value"])
         for name, entry in sorted(failures.get("metrics", {}).items())
-        if entry["value"]
+        if entry.get("kind") == "counter" and entry["value"]
     )
 
 
@@ -194,6 +200,10 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         config=Yarrp6Config(**prober_kwargs),
         metrics=args.metrics is not None,
     )
+    # Whatever --workers is, and before any world is built: what the
+    # parallel path would refuse, the serial path must not quietly run.
+    validate_spec(spec, args.workers)
+    validate_supervise(supervise)
 
     # One profiler per campaign execution (detsan runs the campaign twice;
     # the reported profile is the last, clean run's).  Profiling is
@@ -269,8 +279,8 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     failures = getattr(result, "failures", None)
     faults = _fault_summary(failures or {})
     if faults:
-        # Reporting only (the CLI is outside the OBS101 scope): surface
-        # anything the supervisor had to do to finish the campaign.
+        # Reporting only (the campaign is over; its bytes are already
+        # written): surface anything the supervisor had to do to finish it.
         out.write("supervise: %s\n" % faults)
     if args.metrics:
         manifest = build_manifest(
@@ -296,14 +306,15 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     run = manifest.get("run", {})
     run_rows = [[key, run[key]] for key in sorted(run)]
     run_rows.append(["seed", manifest.get("seed")])
-    if "wallclock" in manifest:
-        run_rows.append(["wall seconds", "%.3f" % manifest["wallclock"]["seconds"]])
+    wallclock = manifest.get("wallclock", {})
+    if "seconds" in wallclock:
+        run_rows.append(["wall seconds", "%.3f" % wallclock["seconds"]])
     if "failures" in manifest:
         summary = _fault_summary(manifest["failures"])
         run_rows.append(["supervision", summary or "clean (no faults)"])
     out.write(render_table(["field", "value"], run_rows, title="run") + "\n")
 
-    metrics = manifest.get("metrics") or {}
+    metrics = manifest.get("metrics", {})
     scalar_rows = []
     series_rows = []
     for name in sorted(metrics):
@@ -319,7 +330,7 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 [name, "last=%s min=%s max=%s" % (entry["last"], entry["min"], entry["max"])]
             )
         elif kind == "histogram":
-            scalar_rows.append([name, "%d samples" % sum(entry["counts"])])
+            scalar_rows.append([name, "%s samples" % sum(entry["counts"])])
         elif kind == "series":
             total = sum(value for _, value in entry["points"])
             series_rows.append([name, len(entry["points"]), total])
@@ -349,7 +360,7 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 )
                 + "\n"
             )
-        profile = manifest.get("wallclock", {}).get("profile")
+        profile = wallclock.get("profile")
         if profile:
             phases = sorted(
                 profile.get("phases", []),

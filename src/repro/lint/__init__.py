@@ -5,10 +5,9 @@ bit-identical to the single-process campaign for any ``N`` — rests on
 properties no unit test can exhaustively defend: no wall-clock reads in
 hot paths, no unseeded randomness, no iteration order leaking out of an
 unordered container into results, no unpicklable field sneaking into a
-worker-boundary spec, and packet-layer byte-length constants that match
-the structs actually emitted.  This package checks those properties at
-the AST level so violations fail CI instead of diverging a 4-worker
-campaign at runtime.
+worker-boundary spec.  This package checks those properties at the AST
+level so violations fail CI instead of diverging a 4-worker campaign at
+runtime.
 
 Rules (see ``docs/determinism.md`` for the full contract):
 
@@ -23,9 +22,6 @@ DET002    iteration over ``set``/``frozenset`` values in order-
           outside ``sorted(...)`` or a ``# lint: ordered`` annotation
 DET003    worker-boundary dataclasses (``CampaignSpec`` &c.) carrying
           field types outside the declared picklable set
-PKT001    packet byte-length / checksum-neutrality invariants
-          (header ``pack()`` vs ``HEADER_LENGTH``, the 12-byte Yarrp6
-          payload contract in ``prober/encoding.py``)
 ========  ============================================================
 
 Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)

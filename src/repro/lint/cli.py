@@ -6,32 +6,27 @@ Usage::
     repro-lint --format json src/ > v.json
     repro-lint --format sarif src/ > lint.sarif
     repro-lint --select DET101,RNG101 src/repro
-    repro-lint --cache .lint-cache.json src/   # warm-start the analysis
-    repro-lint --changed src/                  # only files dirty vs git HEAD
     repro-lint --exclude tests/lint/fixtures tests/ benchmarks/
     repro-lint --list-checkers
 
 Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
-Pipeline (:mod:`repro.lint.rules`): every file is read, parsed, tokenized
-and indexed once; the selected rows of the one rule table run in table
-order — the per-file rows, then the whole-program rows over the facts
-and call graph, then LNT001, which judges the suppressions the earlier
-rows consumed — and the findings are sorted by (path, line, rule-id):
-identical order in text, JSON and SARIF output.
-
-The facts cache is opt-in (``--cache PATH``): the default invocation
-writes nothing to disk.
+Pipeline (:mod:`repro.lint.rules`): every file under the given paths is
+read, parsed, tokenized and indexed once; the selected rows of the one
+rule table run in table order — the per-file rows, then the
+whole-program rows over the facts and call graph, then LNT001, which
+judges the suppressions the earlier rows consumed — and the findings are
+sorted by (path, line, rule-id): identical order in text, JSON and SARIF
+output.  There is no subset mode and nothing is written to disk: what
+the whole-program rows judge is always the whole of what was named.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence, Set, TextIO
+from typing import List, Optional, Sequence, TextIO
 
 from . import rules as rules_mod
 from .core import SourceFile, Violation, iter_python_files, load_source
@@ -68,30 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         "whose fixtures are deliberate violations",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed versus git HEAD (tracked "
-        "modifications plus untracked files) under the given paths — "
-        "fast pre-commit runs; falls back to the full file set when git "
-        "is unavailable or this is not a work tree",
-    )
-    parser.add_argument(
-        "--no-program",
-        action="store_true",
-        help="skip the whole-program pass (DET101/RNG101/OBS101/MUT10x/PERF10x)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="JSON facts cache for the whole-program pass (opt-in; "
-        "created/updated atomically)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print analysis statistics (files, graph size, cache hits) "
-        "to stderr",
+        help="print analysis statistics (files, graph size) to stderr",
     )
     parser.add_argument(
         "--list-checkers",
@@ -116,46 +90,6 @@ def excluded(path: str, prefixes: Sequence[str]) -> bool:
         if norm == cut or norm.startswith(cut + "/"):
             return True
     return False
-
-
-def _git_lines(command: List[str]) -> Optional[List[str]]:
-    try:
-        proc = subprocess.run(
-            command, capture_output=True, text=True, check=False
-        )
-    except OSError:
-        return None
-    if proc.returncode != 0:
-        return None
-    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
-
-
-def changed_file_set() -> Optional[Set[str]]:
-    """Absolute paths of files changed versus git HEAD, or None when
-    git is unavailable / the cwd is not inside a work tree.
-
-    "Changed" is the pre-commit notion: tracked files with staged or
-    unstaged modifications (``git diff --name-only HEAD``) plus
-    untracked files that are not ignored (``git ls-files --others
-    --exclude-standard``).
-    """
-    toplevel = _git_lines(["git", "rev-parse", "--show-toplevel"])
-    if not toplevel:
-        return None
-    root = toplevel[0]
-    changed: Set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        lines = _git_lines(command)
-        if lines is None:
-            return None
-        changed.update(
-            os.path.normcase(os.path.abspath(os.path.join(root, line)))
-            for line in lines
-        )
-    return changed
 
 
 def render_text(violations: Sequence[Violation], out: TextIO) -> None:
@@ -205,53 +139,23 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                 % ", ".join(sorted(unknown))
             )
             return 2
-    rules = [
-        rule
-        for rule in rules_mod.select_rules(select)
-        if not (args.no_program and rule in rules_mod.PROGRAM_RULES)
-    ]
-
-    changed: Optional[Set[str]] = None
-    if args.changed:
-        changed = changed_file_set()
-        if changed is None:
-            sys.stderr.write(
-                "repro-lint: --changed needs git and a work tree; "
-                "linting the full file set\n"
-            )
 
     files: List[SourceFile] = []
     try:
         for file_path in iter_python_files(args.paths):
-            if excluded(file_path, args.exclude):
-                continue
-            if changed is not None and (
-                os.path.normcase(os.path.abspath(file_path)) not in changed
-            ):
-                continue
-            files.append(load_source(file_path))
+            if not excluded(file_path, args.exclude):
+                files.append(load_source(file_path))
     except OSError as error:
         out.write("error: %s\n" % error)
         return 2
 
-    try:
-        violations, program = rules_mod.lint(files, rules, args.cache)
-    except OSError as error:
-        out.write("error: could not write cache: %s\n" % error)
-        return 2
+    violations, program = rules_mod.lint(files, rules_mod.select_rules(select))
 
     if args.stats:
         if program.graph is not None:
             sys.stderr.write(
-                "repro-lint: %d files, %d functions, %d call edges, "
-                "cache %d hit / %d miss\n"
-                % (
-                    len(files),
-                    len(program.graph.nodes),
-                    program.graph.edge_count,
-                    program.cache_hits,
-                    program.cache_misses,
-                )
+                "repro-lint: %d files, %d functions, %d call edges\n"
+                % (len(files), len(program.graph.nodes), program.graph.edge_count)
             )
         else:
             sys.stderr.write("repro-lint: %d files (file rules only)\n" % len(files))

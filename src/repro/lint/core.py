@@ -186,8 +186,6 @@ class Program:
     #: path -> facts (empty unless the whole-program half ran)
     facts: Dict[str, "FileFacts"] = field(default_factory=dict)
     graph: Optional["ProgramGraph"] = None
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Every rule id in the table, so LNT001 can tell "unused" from
     #: "unknown rule" suppressions.
     known_rules: FrozenSet[str] = frozenset()

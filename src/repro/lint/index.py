@@ -300,14 +300,3 @@ def leaf_label(node: ast.AST) -> Optional[str]:
         return node.value.rsplit(".", 1)[-1].strip("[]")
     return None
 
-
-def int_constant(node: ast.AST) -> Optional[int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    return None
-
-
-def str_constant(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None

@@ -2,7 +2,7 @@
 
 The per-file rules in :mod:`repro.lint.checkers` judge one file's scope
 index at a time; the rules here judge the program.  Each file's index is
-distilled into cacheable facts (:mod:`.facts`, with the mutation and
+distilled into facts (:mod:`.facts`, with the mutation and
 perf-site extractors in :mod:`.mutation` and :mod:`.perf`), the facts are
 joined into module-import and function-call graphs (:mod:`.graph`, which
 also owns the one forward reachability and the one witness-chain
@@ -14,8 +14,6 @@ builder), and the interprocedural rules run on the result:
 * **RNG101** — RNG provenance: every ``random.Random`` seed must trace
   to spec/world seed material, and no RNG object may cross the
   ``CampaignSpec`` worker boundary (:mod:`.rng101`);
-* **OBS101** — telemetry observe-only: no dataflow from ``repro.obs``
-  readbacks into ``netsim``/``prober`` state (:mod:`.obs101`);
 * **MUT101** — shared-world shard safety: code reachable from the
   parallel shard workers may only write state registered via
   ``@run_state(...)`` (:mod:`.mut101`);

@@ -2,10 +2,9 @@
 
 The program layer never re-walks an AST during graph construction:
 everything the interprocedural rules need is distilled here into plain
-JSON-serializable dicts (:class:`FileFacts`), keyed by the defining
-function.  That is what makes the on-disk cache sound — facts depend
-only on the file's bytes and its dotted module path, so a content hash
-fully determines them (see :mod:`repro.lint.program.cache`).
+dicts (:class:`FileFacts`), keyed by the defining function.  Facts depend
+only on the file's bytes and its dotted module path, never on another
+file.
 
 Facts recorded per function (including nested functions and the module
 top level as the pseudo-function ``<module>``):
@@ -21,9 +20,7 @@ top level as the pseudo-function ``<module>``):
 * ``random.Random(seed_expr)`` construction sites with the seed
   expression classified (constant / seed-like / parameter-dependent /
   untraceable);
-* RNG values flowing into worker-boundary dataclass constructors;
-* telemetry readback values flowing into simulation state or control
-  flow (OBS101, computed per-file and scoped per-module later).
+* RNG values flowing into worker-boundary dataclass constructors.
 
 Argument / seed-expression classes are tag strings:
 
@@ -51,14 +48,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..checkers.det001 import verdict
-from ..checkers.det003 import BOUNDARY_CLASSES, annotation_leaves
+from ..checkers.det003 import BOUNDARY_CLASSES
 from ..core import SourceFile
 from ..index import (
     Scope,
     ScopeIndex,
     Site,
     dotted_name,
-    leaf_label,
     level_order,
     name_or_self,
     resolve_call_target,
@@ -71,72 +67,6 @@ _SEEDLIKE = re.compile(r"(seed|key)", re.IGNORECASE)
 _SEED_DERIVER = re.compile(r"(seed|key|derive|mix)", re.IGNORECASE)
 #: Integer-preserving builtins RNG101 looks through.
 _PASSTHROUGH_CALLS = frozenset({"int", "abs", "round", "min", "max", "sum"})
-
-#: repro.obs types whose instances are telemetry *handles* (mutating
-#: them is fine; reading values back into simulation logic is not).
-OBS_TYPES = frozenset(
-    {
-        "MetricsRegistry",
-        "Tracer",
-        "Counter",
-        "Gauge",
-        "CounterMap",
-        "TimeSeries",
-        "Histogram",
-        "Metric",
-        "Span",
-        "Stopwatch",
-        "WallProfiler",
-        "NullWallProfiler",
-        "FailureReport",
-    }
-)
-
-#: Handle-producing methods on obs objects — their results are still
-#: handles, so assigning them to ``self.x`` is the sanctioned idiom.
-OBS_FACTORY_METHODS = frozenset(
-    {
-        "counter",
-        "gauge",
-        "counter_map",
-        "series",
-        "histogram",
-        "span",
-        "stopwatch",
-        "phase",
-        "agg",
-    }
-)
-
-#: Readback methods — their results are *data* and must not steer the
-#: simulation (OBS101).
-OBS_READBACK_METHODS = frozenset(
-    {
-        "to_dict",
-        "to_list",
-        "dumps",
-        "payload",
-        "points",
-        "total",
-        "get",
-        "names",
-        "values",
-        "snapshot",
-        "elapsed_seconds",
-        "percentile",
-        "mean",
-        "value",
-        "total_seconds",
-        "coverage",
-        "report",
-        "to_profile_dict",
-        "export",
-        "counts",
-        "faults",
-    }
-)
-
-_OBS_ORIGIN = re.compile(r"(^|\.)obs(\.|$)")
 
 
 @dataclass
@@ -173,42 +103,24 @@ class FileFacts:
     functions: List[FunctionFact] = field(default_factory=list)
     #: RNG-across-worker-boundary findings: {"line", "cls", "detail"}
     boundary_rng: List[Dict[str, Any]] = field(default_factory=list)
-    #: OBS101 findings (module scoping applied later): {"line", "col", "detail"}
-    obs_flows: List[Dict[str, Any]] = field(default_factory=list)
     #: class declarations + @run_state registrations (see :mod:`.mutation`).
     classes: List[Dict[str, Any]] = field(default_factory=list)
     #: True when the file failed to parse (facts are empty, not absent).
     parse_error: bool = False
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileFacts":
-        """Inverse of ``dataclasses.asdict`` (after a JSON round trip)."""
-        functions = [FunctionFact(**item) for item in data["functions"]]
-        return cls(**dict(data, functions=functions))
-
 
 def extract_facts(file: SourceFile) -> FileFacts:
-    """Distill one file's scope index into :class:`FileFacts` (pure
-    function of the file's bytes and module path — cacheable by content
-    hash)."""
+    """Distill one file's scope index into :class:`FileFacts` (a pure
+    function of the file's bytes and module path)."""
     facts = FileFacts(module=file.module, parse_error=file.error is not None)
     if facts.parse_error:
         return facts
     index = file.index
-    obs_names = {
-        local
-        for local, origin in index.origins.items()
-        if _OBS_ORIGIN.search(origin) and local in OBS_TYPES
-    }
-    scan_obs = bool(obs_names) or _any_obs_annotation(index)
     for scope in index.frames:
-        # Breadth-first: the order call / ref / flow facts are defined in.
+        # Breadth-first: the order call / ref facts are defined in.
         own = level_order(scope.own)
         facts.functions.append(_function_fact(scope, own, file.module, index))
-        if scan_obs:
-            _obs_scan_scope(scope, own, index.origins, obs_names, facts)
     facts.functions.sort(key=lambda fact: (fact.line, fact.qname))
-    facts.obs_flows.sort(key=lambda item: (item["line"], item["col"]))
     _extract_boundary_rng(index, facts)
     facts.classes = mutation.class_facts(index)
     return facts
@@ -437,185 +349,4 @@ def _rng_valued(
             return "local '%s' holding a random.Random instance" % node.id
         if re.search(r"(^|_)rng$", node.id, re.IGNORECASE):
             return "RNG-named value '%s'" % node.id
-    return None
-
-
-# ---------------------------------------------------------------------------
-# OBS101 extraction (telemetry is observe-only)
-
-
-def _any_obs_annotation(index: ScopeIndex) -> bool:
-    return any(
-        _names_obs_type(site.node.annotation)
-        for site in index.of(ast.arg, ast.AnnAssign)
-    )
-
-
-def _names_obs_type(annotation: Optional[ast.AST]) -> bool:
-    """Whether an annotation mentions a telemetry type anywhere
-    (``MetricsRegistry``, ``Optional[obs.Counter]``, ``"Tracer"``)."""
-    return annotation is not None and any(
-        leaf_label(leaf) in OBS_TYPES for leaf in annotation_leaves(annotation)
-    )
-
-
-def _obs_scan_scope(
-    scope: Scope,
-    own: List[Site],
-    origins: Dict[str, str],
-    obs_names: Set[str],
-    facts: FileFacts,
-) -> None:
-    # Handles (plain names and "self.x" paths): annotated parameters,
-    # then bindings from obs constructors/factories in source order.
-    handles: Set[str] = {
-        arg.arg for arg in scope.params if _names_obs_type(arg.annotation)
-    }
-    for name, site, value in scope.bindings:
-        node = site.node
-        if isinstance(node, ast.AnnAssign):
-            if _names_obs_type(node.annotation):
-                handles.add(name)
-        elif (
-            isinstance(node, ast.Assign)
-            and isinstance(value, ast.Call)
-            and _is_obs_handle_expr(value, origins, obs_names, handles)
-        ):
-            handles.add(name)
-    # Tainted locals: readback values and their one-level aliases.
-    tainted: Set[str] = {
-        name
-        for name, site, value in scope.bindings
-        if "." not in name
-        and isinstance(site.node, ast.Assign)
-        and _is_readback(value, handles)
-    }
-    # Pass 3: flag readback values steering the simulation.  ``reported``
-    # holds node ids of readback expressions already flagged, so an
-    # ``if reg.total() > 0`` reports once (branch condition), not again
-    # for the Compare operand inside it.
-    reported: Set[int] = set()
-    for node in (site.node for site in own):
-        if isinstance(node, (ast.If, ast.While)):
-            found = _readback_within(node.test, handles, tainted, reported)
-            if found is not None:
-                facts.obs_flows.append(
-                    _flow(node.test, "telemetry readback %s used in a branch "
-                          "condition" % found)
-                )
-        elif isinstance(node, ast.IfExp):
-            found = _readback_within(node.test, handles, tainted, reported)
-            if found is not None:
-                facts.obs_flows.append(
-                    _flow(node.test, "telemetry readback %s used in a "
-                          "conditional expression" % found)
-                )
-        elif isinstance(node, (ast.BinOp, ast.Compare, ast.BoolOp)):
-            found = _readback_operand(node, handles, tainted, reported)
-            if found is not None:
-                facts.obs_flows.append(
-                    _flow(node, "telemetry readback %s used as an arithmetic/"
-                          "comparison operand" % found)
-                )
-        elif isinstance(node, ast.Assign):
-            if any(isinstance(t, ast.Attribute) for t in node.targets):
-                found = _direct_readback(node.value, handles, tainted, reported)
-                if found is not None:
-                    facts.obs_flows.append(
-                        _flow(node, "telemetry readback %s assigned into object "
-                              "state" % found)
-                    )
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = name_or_self(node.func.value)
-            if receiver in handles:
-                continue  # mutating telemetry itself is the whole point
-            if node.func.attr in OBS_FACTORY_METHODS:
-                continue
-            for value in list(node.args) + [kw.value for kw in node.keywords]:
-                found = _direct_readback(value, handles, tainted, reported)
-                if found is not None:
-                    facts.obs_flows.append(
-                        _flow(node, "telemetry readback %s passed into .%s() on "
-                              "simulation state" % (found, node.func.attr))
-                    )
-
-
-def _flow(node: ast.AST, detail: str) -> Dict[str, Any]:
-    return {
-        "line": getattr(node, "lineno", 1),
-        "col": getattr(node, "col_offset", 0) + 1,
-        "detail": detail,
-    }
-
-
-def _is_obs_handle_expr(
-    node: ast.Call,
-    origins: Dict[str, str],
-    obs_names: Set[str],
-    handles: Set[str],
-) -> bool:
-    if isinstance(node.func, ast.Name) and node.func.id in obs_names:
-        return True
-    if isinstance(node.func, ast.Attribute):
-        receiver = name_or_self(node.func.value)
-        if receiver in handles and node.func.attr in OBS_FACTORY_METHODS:
-            return True
-        origin = resolve_call_target(node.func, origins)
-        if (
-            origin is not None
-            and _OBS_ORIGIN.search(origin)
-            and origin.rsplit(".", 1)[-1] in OBS_TYPES
-        ):
-            return True
-    return False
-
-
-def _is_readback(node: ast.AST, handles: Set[str]) -> bool:
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return False
-    receiver = name_or_self(node.func.value)
-    return receiver in handles and node.func.attr in OBS_READBACK_METHODS
-
-
-def _direct_readback(
-    node: ast.AST, handles: Set[str], tainted: Set[str], reported: Set[int]
-) -> Optional[str]:
-    if id(node) in reported:
-        return None
-    if _is_readback(node, handles):
-        reported.add(id(node))
-        func = node.func  # type: ignore[union-attr]
-        receiver = name_or_self(func.value)
-        return "%s.%s()" % (receiver, func.attr)
-    if isinstance(node, ast.Name) and node.id in tainted:
-        reported.add(id(node))
-        return "'%s'" % node.id
-    return None
-
-
-def _readback_within(
-    node: ast.AST, handles: Set[str], tainted: Set[str], reported: Set[int]
-) -> Optional[str]:
-    for child in ast.walk(node):
-        detail = _direct_readback(child, handles, tainted, reported)
-        if detail is not None:
-            return detail
-    return None
-
-
-def _readback_operand(
-    node: ast.AST, handles: Set[str], tainted: Set[str], reported: Set[int]
-) -> Optional[str]:
-    if isinstance(node, ast.BinOp):
-        operands = [node.left, node.right]
-    elif isinstance(node, ast.Compare):
-        operands = [node.left] + list(node.comparators)
-    elif isinstance(node, ast.BoolOp):
-        operands = list(node.values)
-    else:
-        return None
-    for operand in operands:
-        detail = _direct_readback(operand, handles, tainted, reported)
-        if detail is not None:
-            return detail
     return None

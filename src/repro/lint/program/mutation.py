@@ -10,7 +10,7 @@ their first argument in place (``heappush`` and friends) — plus an
 they alias (``slots = self._slots`` means ``slots.append(x)`` mutates
 ``self._slots``).
 
-Each store fact is a plain dict (JSON-cacheable alongside the rest of
+Each store fact is a plain dict (alongside the rest of
 :class:`~repro.lint.program.facts.FileFacts`)::
 
     {"path": "self.stats.probes", "line": 17, "kind": "attr"}

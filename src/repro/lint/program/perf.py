@@ -19,7 +19,7 @@ Hot roots come from two places, mirroring ``program-root``:
   ``run_campaign`` batch loop, the keyed permutation, template
   encoding, and the receive/deliver path.
 
-Each perf site is a plain dict (JSON-cacheable alongside the rest of
+Each perf site is a plain dict (alongside the rest of
 :class:`~repro.lint.program.facts.FileFacts`)::
 
     {"rule": "PERF101", "kind": "comprehension", "line": 17,
@@ -186,7 +186,7 @@ RULES = (
 
 def perf_sites(scope: Scope, origins: Dict[str, str]) -> List[Dict[str, Any]]:
     """Distill one function scope into perf sites (pure function of the
-    AST — cacheable)."""
+    AST)."""
     sites: List[Dict[str, Any]] = []
     seq_kinds = _seq_inits(scope)
     numpy_names = _numpy_locals(scope, origins)

@@ -9,28 +9,26 @@ Every rule — per-file and whole-program alike — is a row of
 over ``program.files`` and reads each file's scope index
 (:mod:`repro.lint.index`); a whole-program row reads ``program.facts`` and
 ``program.graph``.  **Adding a rule is one row**: ``--select`` validation,
-``--list-checkers``, SARIF rule metadata, LNT001's rule inventory and the
-facts-cache key (a digest of this package's source, see
-:mod:`.program.cache`) all follow from it; there is nothing else to edit
-and no version constant to bump.
+``--list-checkers``, SARIF rule metadata and LNT001's rule inventory all
+follow from it; there is nothing else to edit.
 
 The table is ordered: :data:`FILE_RULES` first, then
-:data:`PROGRAM_RULES` (the rows that need facts and the call graph —
-``--no-program`` and the per-file library entry points leave them out),
-and LNT001 last, because it judges the suppressions every earlier row
-consumed.  :func:`run_rules` is the only loop that applies suppressions.
+:data:`PROGRAM_RULES` (the rows that need facts and the call graph — the
+per-file library entry points leave them out), and LNT001 last, because
+it judges the suppressions every earlier row consumed.  :func:`run_rules`
+is the only loop that applies suppressions.
 
 Entry points: :func:`lint_source` / :func:`lint_file` / :func:`lint_paths`
 run the per-file rows plus LNT001; :func:`lint_program_paths` runs the
-whole-program rows (with an optional facts cache); the CLI runs the whole
-table through :func:`lint`.
+whole-program rows; the CLI runs the selected rows of the whole table
+through :func:`lint`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .checkers import det001, det002, det003, lnt001, pkt001
+from .checkers import det001, det002, det003, lnt001
 from .core import (
     Program,
     SourceFile,
@@ -39,18 +37,15 @@ from .core import (
     read_source,
     violation_sort_key,
 )
-from .program import det101, mut101, mut102, mut103, obs101, perf, rng101
-from .program.cache import FactsCache
+from .program import det101, mut101, mut102, mut103, perf, rng101
 from .program.facts import extract_facts
 from .program.graph import build_graph
 
 #: Rows that judge one file's scope index at a time.
-FILE_RULES: List[Any] = [det001, det002, det003, pkt001]
+FILE_RULES: List[Any] = [det001, det002, det003]
 
 #: Rows that judge the program: they read the facts and the call graph.
-PROGRAM_RULES: List[Any] = [
-    det101, rng101, obs101, mut101, mut102, mut103, *perf.RULES
-]
+PROGRAM_RULES: List[Any] = [det101, rng101, mut101, mut102, mut103, *perf.RULES]
 
 #: The table, in the order the rows run (see the module docstring).
 RULES: List[Any] = [*FILE_RULES, *PROGRAM_RULES, lnt001]
@@ -73,21 +68,12 @@ def select_rules(
     return [rule for rule in rules if select is None or rule.RULE in select]
 
 
-def analyze(
-    files: Sequence[SourceFile], cache: Optional[FactsCache] = None
-) -> Program:
+def analyze(files: Sequence[SourceFile]) -> Program:
     """The files plus their facts and call graph (what a whole-program
     row needs)."""
-    facts = {
-        file.path: cache.facts_for(file) if cache is not None else extract_facts(file)
-        for file in files
-    }
+    facts = {file.path: extract_facts(file) for file in files}
     return Program(
-        files=list(files),
-        facts=facts,
-        graph=build_graph(sorted(facts.items())),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
+        files=list(files), facts=facts, graph=build_graph(sorted(facts.items()))
     )
 
 
@@ -113,18 +99,12 @@ def run_rules(program: Program, rules: Sequence[Any] = RULES) -> List[Violation]
 
 
 def lint(
-    files: Sequence[SourceFile],
-    rules: Sequence[Any] = RULES,
-    cache_path: Optional[str] = None,
+    files: Sequence[SourceFile], rules: Sequence[Any] = RULES
 ) -> Tuple[List[Violation], Program]:
     """The pipeline: facts and graph when a whole-program row is among
-    ``rules`` (through the facts cache at ``cache_path``, if given), then
-    the driver loop."""
+    ``rules``, then the driver loop."""
     if any(rule in PROGRAM_RULES for rule in rules):
-        cache = FactsCache(cache_path) if cache_path is not None else None
-        program = analyze(files, cache)
-        if cache is not None:
-            cache.save()
+        program = analyze(files)
     else:
         program = Program(files=list(files))
     return run_rules(program, rules), program
@@ -152,9 +132,7 @@ def lint_file(path: str, select: Optional[Sequence[str]] = None) -> List[Violati
 
 
 def lint_program_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    cache_path: Optional[str] = None,
+    paths: Sequence[str], select: Optional[Sequence[str]] = None
 ) -> Tuple[List[Violation], Program]:
     """Standalone whole-program lint of ``paths`` (files/directories)."""
-    return lint(load_sources(paths), select_rules(select, PROGRAM_RULES), cache_path)
+    return lint(load_sources(paths), select_rules(select, PROGRAM_RULES))

@@ -16,8 +16,10 @@ those platforms, but the alignment guarantee is per-OS, not universal —
 treat cross-process skew under exotic start methods as cosmetic.
 
 Like every wall-clock view, the trace file is reporting-only output:
-nothing in the simulation reads it back (OBS101), and its bytes are
-host-dependent by nature — never compare traces for determinism.
+nothing in the simulation reads it back (it is written after the run,
+and a profiled run's ``.yrp6`` is ``cmp``'d against a plain one's), and
+its bytes are host-dependent by nature — never compare traces for
+determinism.
 """
 
 from __future__ import annotations

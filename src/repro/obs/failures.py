@@ -18,10 +18,12 @@ strips alongside ``wallclock``: how often the host lost a worker is a
 fact about the host, not about the spec.
 
 Observe-only, like every ``repro.obs`` type: prober code may *write*
-to a report (``record_*``) but must never read it back to steer
-execution — OBS101 flags readbacks (``to_dict``, ``counts``,
-``faults``) that flow into control or state.  The supervisor's retry
-decisions come from its own local bookkeeping.
+to a report (``record_*``) but must never read it back (``to_dict``,
+``counts``, ``faults``) to steer execution.  The supervisor's retry
+decisions come from its own local bookkeeping, and the recovery
+byte-identity tests (``tests/prober/test_supervise.py::TestRetryRecovery``
+/ ``TestExhaustion``) hold a retried or degraded run to the clean run's
+bytes and attempt history.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class FailureReport:
         self._degraded.append(shard)
         self._registry.counter("shard.degraded").inc()
 
-    # -- read side (reporting only; see OBS101) -------------------------
+    # -- read side (reporting only) -------------------------------------
 
     def counts(self) -> Dict[str, int]:
         """Counter values by name (all counters, zeros included)."""

@@ -17,7 +17,7 @@ contract as ``run_parallel``).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from .metrics import MetricDump
 
@@ -112,14 +112,89 @@ def write_manifest(path: str, manifest: Manifest) -> None:
         sink.write(manifest_dumps(manifest))
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _is_numbers(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_pairs(value: Any) -> bool:
+    """``[[key, amount], ...]``: a counter map's values, a series' points."""
+    return isinstance(value, list) and all(
+        _is_numbers(pair) and len(pair) == 2 for pair in value
+    )
+
+
+#: field -> the shape its value must have (None: any value, but present)
+_Fields = Dict[str, Optional[Callable[[Any], bool]]]
+
+#: Metric kind -> the fields of its dump entry (``Metric.payload``) a
+#: reader of the manifest indexes, each with the shape it must have.
+_KIND_FIELDS: Dict[str, _Fields] = {
+    "counter": {"value": _is_number},
+    "counter_map": {"values": _is_pairs},
+    "gauge": {"last": None, "min": None, "max": None},
+    "histogram": {"counts": _is_numbers},
+    "series": {"points": _is_pairs},
+}
+
+#: One row of a wall-clock profile's phase table (``to_profile_dict``).
+_PHASE_FIELDS: _Fields = {
+    "path": None,
+    "count": None,
+    "self_seconds": _is_number,
+    "total_seconds": _is_number,
+}
+
+
+def _object(value: Any, where: str, fields: Optional[_Fields] = None) -> Dict[str, Any]:
+    """``value``, when it is a JSON object carrying every one of
+    ``fields`` in shape; ``ValueError(reason)`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError("%s must be an object, not %s" % (where, json.dumps(value)))
+    for field, in_shape in (fields or {}).items():
+        if field not in value or (in_shape and not in_shape(value[field])):
+            raise ValueError("%s has no well-formed %r" % (where, field))
+    return value
+
+
+def _check_metrics(dump: Any, where: str) -> None:
+    for name, entry in _object(dump, where).items():
+        kind = _object(entry, "%s[%r]" % (where, name)).get("kind")
+        if isinstance(kind, str):
+            _object(entry, "%s %s[%r]" % (kind, where, name), _KIND_FIELDS.get(kind))
+
+
 def read_manifest(path: str) -> Manifest:
+    """The manifest at ``path``, with the shape readers index checked:
+    ``run``, ``failures`` and ``wallclock`` are objects, every metric
+    entry (the failures block's too) carries its kind's fields, a profile's
+    phase rows theirs.  Anything else is a :class:`ManifestError`."""
     with open(path) as source:
         try:
             data = json.load(source)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # bad JSON, or bytes that are not text
             raise ManifestError(
                 "%s: not a JSON manifest: %s" % (path, error)
             ) from error
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise ManifestError("%s: not a %s file" % (path, MANIFEST_FORMAT))
+    try:
+        _object(data.get("run", {}), "run")
+        _check_metrics(data.get("metrics", {}), "metrics")
+        failures = _object(data.get("failures", {}), "failures")
+        _check_metrics(failures.get("metrics", {}), "failures.metrics")
+        wallclock = _object(data.get("wallclock", {}), "wallclock")
+        if "seconds" in wallclock:
+            _object(wallclock, "wallclock", {"seconds": _is_number})
+        profile = _object(wallclock.get("profile", {}), "wallclock.profile")
+        phases = profile.get("phases", [])
+        if not isinstance(phases, list):
+            raise ValueError("wallclock.profile.phases must be a list")
+        for row in phases:
+            _object(row, "wallclock.profile.phases row", _PHASE_FIELDS)
+    except ValueError as error:
+        raise ManifestError("%s: %s" % (path, error)) from None
     return data

@@ -34,8 +34,10 @@ an explicitly allowlisted wall-clock consumer (DET001/DetSan both
 exempt ``repro.obs.profiler``; entropy stays banned).  Reads happen
 here and only here, values flow strictly *outward* (report, manifest
 ``wallclock`` section, BENCH payloads), and profiling a campaign leaves
-its ``.yrp6`` dump byte-identical — enforced by OBS101 statically and
-the profiler test suite under ``pytest --detsan``.
+its ``.yrp6`` dump byte-identical — enforced by the byte-identity tests
+(``tests/obs/test_profiler.py::TestPipelineContract``, the profiled-vs-plain
+``cmp`` in ``tests/cli/test_cli.py::TestProfile`` and in CI) and the
+profiler test suite under ``pytest --detsan``.
 """
 
 from __future__ import annotations

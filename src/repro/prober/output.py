@@ -198,7 +198,7 @@ def load_campaign(path: str) -> LoadedCampaign:
     with open(path) as source:
         try:
             return read_records(source)
-        except OutputError as error:
+        except (OutputError, UnicodeDecodeError) as error:
             raise OutputError("%s: %s" % (path, error)) from None
 
 

@@ -257,6 +257,39 @@ class TestPipeline:
             assert code == 2
             assert "%s requires the yarrp6 prober" % flag in text
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # Each ran a serial campaign and exited 0: the checks were only
+            # reached through run_parallel, i.e. with --workers > 1.
+            (["--workers", "0"], "shards must be >= 1: 0\n"),
+            (["--workers", "-2"], "shards must be >= 1: -2\n"),
+            (["--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
+            (["--shard-timeout", "0"], "shard_timeout_s must be positive or None: 0.0\n"),
+            # ... and the parallel path still says the same thing.
+            (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
+        ],
+    )
+    def test_probe_validates_what_it_was_given_whatever_workers_is(
+        self, world_file, tmp_path, monkeypatch, flags, message
+    ):
+        from repro.netsim import Internet
+
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built before the arguments were checked")
+
+        # Both paths build their world here (cmd_probe, parallel._world_for).
+        monkeypatch.setattr(Internet, "from_config", no_world)
+        targets = tmp_path / "t"
+        targets.write_text("2001:db8::1\n")
+        out = tmp_path / "never.yrp6"
+        code, text = run(
+            ["probe", "--world", world_file, "--targets", str(targets), "--out", str(out)]
+            + flags
+        )
+        assert (code, text) == (2, message)
+        assert not out.exists()
+
     def test_probe_max_ttl_reaches_the_baseline_probers(self, world_file, tmp_path):
         from repro.prober.output import load_campaign
 
@@ -459,21 +492,57 @@ class TestPipeline:
         "argv, content, reason",
         [
             # Three readers used to give three shapes, two without the name.
-            (["analyze", "--results"], "hello world\n", "not a yrp6/1 file\n"),
-            (["analyze", "--results"], "", "empty file, not a yrp6/1 file\n"),
+            (["analyze", "--results"], b"hello world\n", "not a yrp6/1 file\n"),
+            (["analyze", "--results"], b"", "empty file, not a yrp6/1 file\n"),
             (
                 ["stats"],
-                '{"format": "repro-manifest/1",',
+                b'{"format": "repro-manifest/1",',
                 "not a JSON manifest: Expecting property name enclosed in double quotes",
             ),
-            (["stats"], "[1, 2]\n", "not a repro-manifest/1 file\n"),
+            (["stats"], b"[1, 2]\n", "not a repro-manifest/1 file\n"),
+            # The right format tag over a malformed body: each was a
+            # traceback (KeyError 'value', TypeError, IndexError), exit 1.
+            (
+                ["stats"],
+                b'{"format": "repro-manifest/1",'
+                b' "metrics": {"prober.sent": {"kind": "counter"}}}',
+                "counter metrics['prober.sent'] has no well-formed 'value'\n",
+            ),
+            (
+                ["stats"],
+                b'{"format": "repro-manifest/1", "metrics":'
+                b' {"prober.ttl_yield": {"kind": "counter_map", "values": [1, 2]}}}',
+                "counter_map metrics['prober.ttl_yield'] has no well-formed 'values'\n",
+            ),
+            (
+                ["stats"],
+                b'{"format": "repro-manifest/1", "run": [1]}',
+                "run must be an object, not [1]\n",
+            ),
+            # Bytes that are not text: each was a bare UnicodeDecodeError,
+            # exit 2 by inheritance and with no file name.
+            (
+                ["analyze", "--results"],
+                b"# yrp6/1\n2001:db8::1\t\xff\n",
+                "'utf-8' codec can't decode byte 0xff",
+            ),
+            (
+                ["stats"],
+                b'{"format": "repro-manifest/1", "seed": "\xff"}',
+                "not a JSON manifest: 'utf-8' codec can't decode byte 0xff",
+            ),
+            (
+                ["targets", "--out", os.devnull, "--seeds"],
+                b"2001:db8::1\n\xff\n",
+                "'utf-8' codec can't decode byte 0xff",
+            ),
         ],
     )
     def test_unreadable_results_or_manifest_is_one_line_naming_the_file(
         self, tmp_path, argv, content, reason
     ):
         bad = tmp_path / "bad.file"
-        bad.write_text(content)
+        bad.write_bytes(content)
         code, text = run(argv + [str(bad)])
         assert code == 2
         assert text.startswith("%s: %s" % (bad, reason)), text

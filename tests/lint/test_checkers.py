@@ -185,86 +185,20 @@ class TestDET003:
         assert [v.rule for v in lint_source(above)] == ["DET003"]
 
 
-class TestPKT001:
-    def test_fixture_lines(self):
-        violations = lint_file(fixture_path("pkt001_bad.py"))
-        assert {v.rule for v in violations} == {"PKT001"}
-        assert lines_for(violations, "PKT001") == [8, 10, 19, 25, 30]
-
-    def test_messages(self):
-        violations = lint_file(fixture_path("pkt001_bad.py"))
-        by_line = {v.line: v.message for v in violations}
-        assert "MAGIC" in by_line[8]
-        assert "TARGET_SUM" in by_line[10]
-        assert "12 bytes but HEADER_LENGTH is 8" in by_line[19]
-        assert "PAYLOAD_LENGTH" in by_line[25]
-        assert "one's complement" in by_line[30]
-
-    def test_real_packet_modules_are_clean(self):
-        from repro.packet import fragment, ipv6, tcp, udp
-        from repro.prober import encoding
-
-        for module in (fragment, ipv6, tcp, udp, encoding):
-            assert lint_file(module.__file__) == [], module.__name__
-
-    def test_payload_length_drift_detected(self):
-        # Mutate the real encoding contract: a 13-byte PAYLOAD_LENGTH
-        # must trip the checker against the unchanged "!IBBI" head.
-        from repro.prober import encoding
-
-        with open(encoding.__file__) as handle:
-            source = handle.read()
-        mutated = source.replace("PAYLOAD_LENGTH = 12", "PAYLOAD_LENGTH = 13")
-        assert mutated != source
-        violations = lint_source(mutated, module="repro.prober.encoding")
-        assert any(
-            v.rule == "PKT001" and "PAYLOAD_LENGTH" in v.message
-            for v in violations
-        )
-
-    def test_header_length_drift_detected_through_precompiled_struct(self):
-        # IPv6Header.pack() goes through a module-level struct.Struct;
-        # the checker must follow it back to the format's 40 bytes.
-        from repro.packet import ipv6
-
-        with open(ipv6.__file__) as handle:
-            source = handle.read()
-        mutated = source.replace("HEADER_LENGTH = 40", "HEADER_LENGTH = 48")
-        assert mutated != source
-        violations = lint_source(mutated, module="repro.packet.ipv6")
-        assert [v.rule for v in violations] == ["PKT001"]
-        assert "40 bytes but HEADER_LENGTH is 48" in violations[0].message
-
-    def test_precompiled_decode_must_read_the_head_back(self):
-        source = (
-            "import struct\n"
-            "MAGIC = 1\n"
-            "PAYLOAD_LENGTH = 12\n"
-            "HEAD = struct.Struct('!IBBI')\n"
-            "def build(fudge):\n"
-            "    return HEAD.pack(MAGIC, 0, 0, 0) + fudge.to_bytes(2, 'big')\n"
-        )
-        reader = "def read(data):\n    return HEAD.unpack_from(data, 8)\n"
-        drifted = lint_source(source, module="repro.prober.encoding")
-        assert [v.rule for v in drifted] == ["PKT001"]
-        assert "pack/decode format drift" in drifted[0].message
-        assert lint_source(source + reader, module="repro.prober.encoding") == []
-
-
 class TestFramework:
     def test_syntax_error_reported_not_raised(self):
         violations = lint_source("def broken(:\n")
         assert [v.rule for v in violations] == ["E999"]
 
     def test_violations_sorted_by_location(self):
-        violations = lint_file(fixture_path("pkt001_bad.py"))
+        violations = lint_file(fixture_path("det001_bad.py"))
         locations = [(v.path, v.line, v.column) for v in violations]
         assert locations == sorted(locations)
 
     def test_select_filters_rules(self):
         from repro.lint.rules import lint_file as lint
 
-        only = lint(fixture_path("det003_bad.py"), select=["PKT001"])
+        only = lint(fixture_path("det003_bad.py"), select=["DET001"])
         assert only == []
 
     def test_registry_rejects_duplicates(self, monkeypatch):

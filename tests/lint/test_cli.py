@@ -5,6 +5,8 @@ import io
 import json
 import os
 
+import pytest
+
 from repro.lint.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -25,12 +27,12 @@ def test_clean_tree_exits_zero():
 
 
 def test_violations_exit_one_with_locations():
-    path = os.path.join(FIXTURES, "pkt001_bad.py")
+    path = os.path.join(FIXTURES, "det001_bad.py")
     code, output = run([path])
     assert code == 1
-    assert "PKT001" in output
+    assert "DET001" in output
     # text format is path:line:col: RULE message
-    assert "%s:8:1: PKT001" % path in output
+    assert "%s:13:12: DET001" % path in output
 
 
 def test_json_format_is_machine_readable():
@@ -44,7 +46,7 @@ def test_json_format_is_machine_readable():
 
 def test_select_runs_only_named_rules():
     code, output = run(
-        ["--select", "DET001", os.path.join(FIXTURES, "pkt001_bad.py")]
+        ["--select", "DET003", os.path.join(FIXTURES, "det001_bad.py")]
     )
     assert code == 0
     assert "0 violations found" in output
@@ -56,6 +58,25 @@ def test_unknown_select_is_usage_error():
     assert "NOPE42" in output
 
 
+@pytest.mark.parametrize("retired", ["PKT001", "OBS101"])
+def test_retired_rule_id_is_an_unknown_rule_id(retired):
+    code, output = run(["--select", retired, FIXTURES])
+    assert code == 2
+    assert output == "unknown rule id(s): %s (try --list-checkers)\n" % retired
+
+
+@pytest.mark.parametrize(
+    "argv", [["--cache", "facts.json"], ["--changed"], ["--no-program"]]
+)
+def test_retired_option_is_a_usage_error(argv, capsys):
+    # There is one way to run: every file under the paths, every selected
+    # row.  The options that made a second way are plain argparse errors.
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + [FIXTURES])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: %s" % argv[0] in capsys.readouterr().err
+
+
 def test_no_paths_is_usage_error():
     code, _ = run([])
     assert code == 2
@@ -64,8 +85,10 @@ def test_no_paths_is_usage_error():
 def test_list_checkers_names_every_rule():
     code, output = run(["--list-checkers"])
     assert code == 0
-    for rule in ("DET001", "DET002", "DET003", "PKT001"):
-        assert rule in output
+    assert [line.split()[0] for line in output.splitlines()] == [
+        "DET001", "DET002", "DET003", "DET101", "LNT001", "MUT101", "MUT102",
+        "MUT103", "PERF101", "PERF102", "PERF103", "RNG101",
+    ]
 
 
 def test_missing_path_is_io_error():
@@ -172,59 +195,3 @@ def test_exclude_normalizes_dot_and_trailing_slash():
     assert excluded("tests/lint/fixtures", ["tests/lint/fixtures"])
     # A prefix match is per path segment, not per character.
     assert not excluded("tests/lint/fixtures_extra/x.py", ["tests/lint/fixtures"])
-
-
-# -- --changed: git-diff-scoped file sets -----------------------------------
-
-
-def _init_repo(tmp_path):
-    import subprocess
-
-    def git(*argv):
-        subprocess.run(
-            ["git", "-c", "user.email=lint@test", "-c", "user.name=lint"]
-            + list(argv),
-            cwd=str(tmp_path),
-            check=True,
-            capture_output=True,
-        )
-
-    git("init", "-q")
-    return git
-
-
-def test_changed_limits_the_run_to_dirty_files(tmp_path, monkeypatch):
-    git = _init_repo(tmp_path)
-    clean = tmp_path / "clean.py"
-    clean.write_text("import time\n\n\ndef committed():\n    return time.time()\n")
-    touched = tmp_path / "touched.py"
-    touched.write_text("def fine():\n    return 1\n")
-    git("add", "clean.py", "touched.py")
-    git("commit", "-q", "-m", "seed")
-    # clean.py has a violation but is committed untouched; touched.py is
-    # modified and fresh.py is untracked — only those two are linted.
-    touched.write_text(
-        "import time\n\n\ndef dirty():\n    return time.time()\n"
-    )
-    (tmp_path / "fresh.py").write_text("import random\nrandom.random()\n")
-    monkeypatch.chdir(tmp_path)
-    code, output = run(["--changed", str(tmp_path)])
-    assert code == 1, output
-    assert "touched.py" in output
-    assert "fresh.py" in output
-    assert "clean.py" not in output
-    # Without --changed the committed violation is back in scope.
-    code, output = run([str(tmp_path)])
-    assert "clean.py" in output
-
-
-def test_changed_falls_back_to_full_run_outside_a_repo(tmp_path, monkeypatch, capsys):
-    (tmp_path / "mod.py").write_text(
-        "import time\n\n\ndef dirty():\n    return time.time()\n"
-    )
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-gitdir"))
-    code, output = run(["--changed", str(tmp_path)])
-    assert code == 1, output
-    assert "mod.py" in output
-    assert "linting the full file set" in capsys.readouterr().err

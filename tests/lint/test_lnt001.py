@@ -28,7 +28,10 @@ def test_lnt001_fixture_findings():
     assert "found nothing to suppress" in by_line[11]
     assert "unknown rule" in by_line[15]
     assert "DET999" in by_line[15]
+    # PKT001 is a retired id: a suppression still naming it is found like
+    # any other unknown one, not ignored.
     assert "disable-file=PKT001" in by_line[18]
+    assert "unknown rule" in by_line[18]
 
 
 def test_lnt001_used_suppression_is_quiet():
@@ -40,11 +43,11 @@ def test_lnt001_used_suppression_is_quiet():
 
 def test_lnt001_skips_rules_that_did_not_run():
     # With DET001 deselected we cannot know whether its suppressions are
-    # earned, so only the unknown-rule finding survives.
+    # earned, so only the unknown-rule findings survive.
     violations = lint_file(
         os.path.join(FIXTURES, "lnt001_bad.py"), select=["DET002", "LNT001"]
     )
-    assert [(v.rule, v.line) for v in violations] == [("LNT001", 15)]
+    assert [(v.rule, v.line) for v in violations] == [("LNT001", 15), ("LNT001", 18)]
 
 
 def test_lnt001_stale_ordered_annotation():

@@ -1,15 +1,12 @@
-"""Fixture self-tests for the whole-program rules (DET101/RNG101/OBS101,
-MUT101-103, and the PERF101-103 hot-path rules), the facts cache, and
-the program-root / hot-loop marker comments."""
+"""Fixture self-tests for the whole-program rules (DET101/RNG101,
+MUT101-103, and the PERF101-103 hot-path rules) and the program-root /
+hot-loop marker comments."""
 
 import importlib
 import io
 import os
-import shutil
-import sys
 
 from repro.lint import rules as rules_mod
-from repro.lint.program import cache as cache_mod
 from repro.lint.program import escape, graph, perf
 from repro.lint.rules import (
     PROGRAM_RULES,
@@ -130,80 +127,6 @@ def test_rng101_boundary_crossing_names_the_spec_class():
     boundary = [v for v in violations if "boundary.py" in v.path][0]
     assert "CampaignSpec" in boundary.message
     assert "worker boundary" in boundary.message
-
-
-# -- OBS101: observe-only telemetry ---------------------------------------
-
-
-def test_obs101_flags_readbacks_steering_simulation_state():
-    violations, _ = run_fixture("obs101", select=["OBS101"])
-    assert all(v.rule == "OBS101" for v in violations)
-    assert located(violations) == [
-        ("loop.py", 9),
-        ("loop.py", 11),
-        ("loop.py", 18),
-    ]
-
-
-def test_obs101_messages_name_the_flow_kind():
-    violations, _ = run_fixture("obs101", select=["OBS101"])
-    by_line = {v.line: v.message for v in violations}
-    assert "branch condition" in by_line[9]
-    assert "operand" in by_line[11]
-    assert "object state" in by_line[18]
-    for message in by_line.values():
-        assert "observe-only" in message
-
-
-def test_obs101_observe_path_is_clean():
-    violations, _ = run_fixture("obs101", select=["OBS101"])
-    assert not any("clean.py" in v.path for v in violations)
-
-
-def test_obs101_flags_profiler_readbacks_steering_the_prober():
-    violations, _ = run_fixture("obs101_profiler", select=["OBS101"])
-    assert all(v.rule == "OBS101" for v in violations)
-    assert located(violations) == [
-        ("steer.py", 9),
-        ("steer.py", 11),
-        ("steer.py", 18),
-    ]
-    by_line = {v.line: v.message for v in violations}
-    assert "total_seconds()" in by_line[9]
-    assert "coverage()" in by_line[11]
-    assert "to_profile_dict()" in by_line[18]
-
-
-def test_obs101_profiler_observe_path_is_clean():
-    # Phases, aggregates, byte accounting and the outbound export are
-    # all sanctioned; only readbacks flowing back in are violations.
-    violations, _ = run_fixture("obs101_profiler", select=["OBS101"])
-    assert not any("observe.py" in v.path for v in violations)
-
-
-def test_obs101_flags_failure_report_readbacks_steering_the_prober():
-    """A FailureReport is telemetry like any other obs handle: the
-    supervisor may record faults and ship the block out, but retry
-    policy steered by a readback would make failure accounting
-    load-bearing."""
-    violations, _ = run_fixture("obs101_failures", select=["OBS101"])
-    assert all(v.rule == "OBS101" for v in violations)
-    assert located(violations) == [
-        ("steer.py", 8),
-        ("steer.py", 10),
-        ("steer.py", 17),
-    ]
-    by_line = {v.line: v.message for v in violations}
-    assert "counts()" in by_line[8]
-    assert "counts()" in by_line[10]
-    assert "faults()" in by_line[17]
-
-
-def test_obs101_failure_report_write_and_ship_paths_are_clean():
-    # record_fault/record_retry mutate telemetry (sanctioned) and
-    # to_dict() flowing out through a return never comes back in.
-    violations, _ = run_fixture("obs101_failures", select=["OBS101"])
-    assert {v.line for v in violations} == {8, 10, 17}
 
 
 # -- MUT101: shared-world shard safety --------------------------------------
@@ -473,10 +396,8 @@ def test_everything_about_a_rule_follows_from_its_registry_row(
         program = rules_mod.analyze(rules_mod.load_sources([str(target)]))
         rules_mod.run_rules(program)
         # ran everywhere, except a rule with in_scope() outside its scope
-        # (OBS101 and DET002 judge netsim/prober/analysis modules only)
-        assert program.files[0].ran_rules == (
-            set(rules_mod.DESCRIPTIONS) - {"OBS101", "DET002"}
-        )
+        # (DET002 judges netsim/prober/analysis modules only)
+        assert program.files[0].ran_rules == set(rules_mod.DESCRIPTIONS) - {"DET002"}
     finally:
         monkeypatch.undo()
         importlib.reload(rules_mod)
@@ -487,7 +408,6 @@ def test_program_rules_registry_is_complete():
     assert {rule.RULE for rule in PROGRAM_RULES} == {
         "DET101",
         "RNG101",
-        "OBS101",
         "MUT101",
         "MUT102",
         "MUT103",
@@ -585,105 +505,3 @@ def test_every_root_list_names_a_live_function():
     # MUT101 / MUT103 read the same tuple.
     assert "repro.prober.supervise._supervised_worker" in graph.WORKER_ROOTS
     assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS
-
-
-# -- facts cache ------------------------------------------------------------
-
-
-def _copy_fixture(name, tmp_path):
-    dest = tmp_path / "tree"
-    shutil.copytree(os.path.join(PROGRAM_FIXTURES, name), str(dest))
-    return dest
-
-
-def test_cache_cold_then_warm(tmp_path):
-    tree = _copy_fixture("det101", tmp_path)
-    cache_path = str(tmp_path / "facts.json")
-    cold, program = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program.cache_misses > 0
-    assert program.cache_hits == 0
-    warm, program2 = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program2.cache_misses == 0
-    assert program2.cache_hits == program.cache_misses
-    assert [v.format() for v in cold] == [v.format() for v in warm]
-
-
-def test_cache_invalidates_only_the_edited_file(tmp_path):
-    tree = _copy_fixture("det101", tmp_path)
-    cache_path = str(tmp_path / "facts.json")
-    baseline, _ = lint_program_paths([str(tree)], cache_path=cache_path)
-    engine = tree / "repro" / "netsim" / "engine.py"
-    engine.write_text(engine.read_text() + "\n# touched\n")
-    after, program = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program.cache_misses == 1
-    assert program.cache_hits > 0
-    assert [v.format() for v in baseline] == [v.format() for v in after]
-
-
-def test_cache_invalidated_by_checker_version_bump(tmp_path):
-    # A cache written by different analysis code is fully discarded.  The
-    # key is a digest of the repro.lint sources themselves, so there is
-    # no version constant to forget: any edit to a rule flushes it.
-    import json as json_mod
-
-    tree = _copy_fixture("det101", tmp_path)
-    cache_path = str(tmp_path / "facts.json")
-    baseline, program = lint_program_paths([str(tree)], cache_path=cache_path)
-    with open(cache_path) as handle:
-        payload = json_mod.load(handle)
-    assert payload["logic"] == cache_mod.logic_digest()
-    payload["logic"] = "0" * 64  # pretend other rule code wrote it
-    with open(cache_path, "w") as handle:
-        json_mod.dump(payload, handle)
-    after, program2 = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program2.cache_hits == 0
-    assert program2.cache_misses == program.cache_misses
-    assert [v.format() for v in baseline] == [v.format() for v in after]
-
-    # ... and editing one rule module's bytes is such a change.
-    lint_copy = tmp_path / "lint"
-    shutil.copytree(cache_mod.LINT_ROOT, str(lint_copy))
-    assert cache_mod.logic_digest(str(lint_copy)) == cache_mod.logic_digest()
-    rule = lint_copy / "program" / "mut102.py"
-    rule.write_text(rule.read_text() + "\n# edited\n")
-    assert cache_mod.logic_digest(str(lint_copy)) != cache_mod.logic_digest()
-
-
-def test_cache_invalidated_by_interpreter_version_change(tmp_path):
-    # Facts depend on ast.parse output, which differs across feature
-    # versions — a cache written under Python 3.9 must not be trusted
-    # under 3.12 even for byte-identical sources (regression: the key
-    # used to cover only the analysis code's version + content hash).
-    import json as json_mod
-
-    tree = _copy_fixture("det101", tmp_path)
-    cache_path = str(tmp_path / "facts.json")
-    baseline, program = lint_program_paths([str(tree)], cache_path=cache_path)
-    with open(cache_path) as handle:
-        payload = json_mod.load(handle)
-    assert payload["python"] == "%d.%d" % sys.version_info[:2]
-    payload["python"] = "3.0"  # pretend another interpreter wrote it
-    with open(cache_path, "w") as handle:
-        json_mod.dump(payload, handle)
-    after, program2 = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program2.cache_hits == 0
-    assert program2.cache_misses == program.cache_misses
-    assert [v.format() for v in baseline] == [v.format() for v in after]
-    # The rewritten cache records the real interpreter again.
-    with open(cache_path) as handle:
-        assert json_mod.load(handle)["python"] == "%d.%d" % sys.version_info[:2]
-
-
-def test_cache_file_survives_corruption(tmp_path):
-    tree = _copy_fixture("rng101", tmp_path)
-    cache_path = str(tmp_path / "facts.json")
-    lint_program_paths([str(tree)], cache_path=cache_path)
-    with open(cache_path, "w") as handle:
-        handle.write("{not json")
-    violations, program = lint_program_paths([str(tree)], cache_path=cache_path)
-    assert program.cache_misses > 0  # fell back to re-extraction
-    assert located(violations) == [
-        ("boundary.py", 14),
-        ("rng.py", 19),
-        ("rng.py", 23),
-    ]

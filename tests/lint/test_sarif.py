@@ -18,7 +18,7 @@ def run_sarif(paths):
 
 
 def test_sarif_document_shape():
-    code, output = run_sarif([os.path.join(FIXTURES, "pkt001_bad.py")])
+    code, output = run_sarif([os.path.join(FIXTURES, "det001_bad.py")])
     assert code == 1
     doc = json.loads(output)
     assert doc["version"] == SARIF_VERSION == "2.1.0"
@@ -29,20 +29,19 @@ def test_sarif_document_shape():
 
 
 def test_sarif_driver_lists_every_rule():
-    _, output = run_sarif([os.path.join(FIXTURES, "pkt001_bad.py")])
+    _, output = run_sarif([os.path.join(FIXTURES, "det001_bad.py")])
     driver = json.loads(output)["runs"][0]["tool"]["driver"]
     ids = [rule["id"] for rule in driver["rules"]]
     assert ids == sorted(ids)
-    for rule in ("DET001", "DET002", "DET003", "DET101", "LNT001",
-                 "MUT101", "MUT102", "MUT103", "OBS101", "PERF101",
-                 "PERF102", "PERF103", "PKT001", "RNG101"):
-        assert rule in ids
+    assert ids == ["DET001", "DET002", "DET003", "DET101", "LNT001",
+                   "MUT101", "MUT102", "MUT103", "PERF101", "PERF102",
+                   "PERF103", "RNG101"]
 
 
 def test_sarif_perf_rules_carry_help_uris():
     from repro.lint.sarif import TOOL_URI
 
-    _, output = run_sarif([os.path.join(FIXTURES, "pkt001_bad.py")])
+    _, output = run_sarif([os.path.join(FIXTURES, "det001_bad.py")])
     rules = json.loads(output)["runs"][0]["tool"]["driver"]["rules"]
     by_id = {rule["id"]: rule for rule in rules}
     for rule_id in ("PERF101", "PERF102", "PERF103"):
@@ -54,7 +53,7 @@ def test_sarif_perf_rules_carry_help_uris():
 def test_sarif_rules_carry_description_and_help_uri():
     from repro.lint.sarif import TOOL_URI
 
-    _, output = run_sarif([os.path.join(FIXTURES, "pkt001_bad.py")])
+    _, output = run_sarif([os.path.join(FIXTURES, "det001_bad.py")])
     rules = json.loads(output)["runs"][0]["tool"]["driver"]["rules"]
     for rule in rules:
         assert rule["shortDescription"]["text"]
@@ -62,18 +61,18 @@ def test_sarif_rules_carry_description_and_help_uri():
 
 
 def test_sarif_result_links_rule_and_location():
-    _, output = run_sarif([os.path.join(FIXTURES, "pkt001_bad.py")])
+    _, output = run_sarif([os.path.join(FIXTURES, "det001_bad.py")])
     run = json.loads(output)["runs"][0]
     result = run["results"][0]
-    assert result["ruleId"] == "PKT001"
+    assert result["ruleId"] == "DET001"
     assert result["level"] == "error"
     rules = run["tool"]["driver"]["rules"]
-    assert rules[result["ruleIndex"]]["id"] == "PKT001"
+    assert rules[result["ruleIndex"]]["id"] == "DET001"
     location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("pkt001_bad.py")
+    assert location["artifactLocation"]["uri"].endswith("det001_bad.py")
     assert "\\" not in location["artifactLocation"]["uri"]
-    assert location["region"]["startLine"] == 8
-    assert location["region"]["startColumn"] == 1
+    assert location["region"]["startLine"] == 13
+    assert location["region"]["startColumn"] == 12
 
 
 def test_sarif_clean_input_has_empty_results(tmp_path):

@@ -264,6 +264,29 @@ class TestRetryRecovery:
         sees the encoding error and re-runs the shard."""
         self.check_corrupt_retry("pool")
 
+    def test_each_shard_spends_its_own_retry_budget(self):
+        """Shard 0 crashes once and shard 1 twice under ``max_retries=2``,
+        and both come back: whether a shard is retried, and which attempt
+        it is on, follow from that shard's own history — never from a
+        campaign-wide tally read back from the report."""
+        spec = make_spec()
+        plan = {
+            "shards": 2,
+            "supervise": SuperviseConfig(max_retries=2, backoff_base_s=0.0),
+            "fault_plan": FaultPlan(
+                tuple(
+                    Fault(shard=shard, kind=KIND_CRASH, attempt=attempt)
+                    for shard, attempt in ((0, 1), (1, 1), (1, 2))
+                )
+            ),
+        }
+        merged = run_on("inline", spec, **plan)
+        assert dumps(merged) == dumps(run_single(spec))
+        assert attempt_keys(merged) == [
+            (0, 1, "crash"), (1, 1, "crash"), (1, 2, "crash")
+        ]
+        assert fault_counts(merged)["shard.retries"] == 3
+
     def test_retries_show_up_in_the_wall_profile(self):
         spec = make_spec()
         prof = WallProfiler()
@@ -337,6 +360,8 @@ class TestExhaustion:
             fault_plan=FaultPlan.exhaust(1, KIND_CRASH, attempts=2),
         )
         assert dumps(merged) == dumps(run_single(spec))
+        # Attempts are numbered by the shard's own history.
+        assert attempt_keys(merged) == [(1, 1, "crash"), (1, 2, "crash")]
         block = merged.failures
         assert block["degraded"] == [1]
         counts = {

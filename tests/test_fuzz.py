@@ -6,18 +6,22 @@ through every parser-facing surface and assert graceful behaviour
 (counted, skipped, or raising only the documented error types).
 """
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addrs import address
 from repro.addrs.address import MAX_ADDRESS
+from repro.cli.main import main as repro_sim
 from repro.netsim import Internet, InternetConfig, build_internet
+from repro.obs import MANIFEST_FORMAT, ManifestError, manifest_dumps, read_manifest
 from repro.packet import icmpv6, ipv6
 from repro.packet.ipv6 import IPv6Header, PacketError
 from repro.prober.encoding import DecodeError, decode_quotation, encode_probe
-from repro.prober.output import OutputError, loads
-from repro.prober.records import ResponseProcessor
+from repro.prober.output import OutputError, load_campaign, loads, write_records
+from repro.prober.records import ProbeRecord, ResponseProcessor
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +133,120 @@ class TestDecodeBoundary:
                 calls += 1
                 assert record is None or record.hop == router or wire_flips
         assert processor.received == calls
+
+
+def _valid_yrp6():
+    """Three rows (two hops and a destination answer) under a header block."""
+    net = 0x20010DB8 << 96
+    records = [
+        ProbeRecord(
+            target=net | index,
+            ttl=ttl,
+            hop=net | 0xFF00 | ttl,
+            icmp_type=icmp_type,
+            icmp_code=0,
+            label="",
+            rtt_us=1_500 + ttl,
+            received_at=40_000 * ttl,
+            target_modified=modified,
+        )
+        for index, (ttl, icmp_type, modified) in enumerate(
+            [
+                (1, icmpv6.TYPE_TIME_EXCEEDED, False),
+                (7, icmpv6.TYPE_TIME_EXCEEDED, True),
+                (9, icmpv6.TYPE_DEST_UNREACH, False),
+            ]
+        )
+    ]
+    sink = io.StringIO()
+    write_records(sink, records, {"name": "fuzz", "vantage": "EU-NET", "sent": "48"})
+    return sink.getvalue().encode()
+
+
+def _valid_manifest():
+    """Small, but with every section and metric kind ``stats`` renders."""
+    return manifest_dumps(
+        {
+            "format": MANIFEST_FORMAT,
+            "run": {"name": "fuzz", "sent": 48, "workers": 2},
+            "seed": 5,
+            "metrics": {
+                "prober.sent": {"kind": "counter", "scope": "merge", "value": 48},
+                "prober.ttl_yield": {"kind": "counter_map", "values": [[1, 3], [7, 3], [9, 1]]},
+                "engine.depth": {"kind": "gauge", "last": 0, "min": 0, "max": 4},
+                "prober.rtt": {"kind": "histogram", "bounds": [1.5], "counts": [2, 5]},
+                "campaign.sent": {"kind": "series", "bucket_us": 10, "points": [[0, 16], [10, 32]]},
+            },
+            "failures": {
+                "metrics": {"shard.retries": {"kind": "counter", "value": 1}},
+                "attempts": [],
+            },
+            "wallclock": {
+                "seconds": 0.25,
+                "profile": {
+                    "phases": [
+                        {"path": "probe", "count": 1, "self_seconds": 0.01, "total_seconds": 0.2},
+                        {"path": "probe/merge", "count": 1, "self_seconds": 0.19, "total_seconds": 0.19},
+                    ]
+                },
+            },
+        }
+    ).encode()
+
+
+#: 0-2 splices as (source start, length, insertion point), each modulo the length.
+_SPLICES = st.lists(
+    st.tuples(st.integers(0, 2**16), st.integers(1, 48), st.integers(0, 2**16)),
+    max_size=2,
+)
+
+
+@pytest.mark.parametrize(
+    "valid, reader, typed_error",
+    [
+        pytest.param(_valid_yrp6(), load_campaign, OutputError, id="yrp6"),
+        pytest.param(_valid_manifest(), read_manifest, ManifestError, id="manifest"),
+    ],
+)
+class TestFileReaderBoundary:
+    """The file boundary, held to the decode boundary's line: whatever a
+    disk, a transfer or an editor did to a file we wrote, its reader
+    returns a result or raises its own ``path: reason`` error — never a
+    UnicodeDecodeError, KeyError, TypeError, IndexError or struct.error —
+    and ``stats`` renders every manifest ``read_manifest`` accepted."""
+
+    @staticmethod
+    def _read(path, data, reader, typed_error):
+        path.write_bytes(data)
+        try:
+            reader(str(path))
+        except typed_error as error:
+            assert str(error).startswith("%s: " % path)
+        else:
+            if reader is read_manifest:
+                out = io.StringIO()
+                assert repro_sim(["stats", str(path), "--top", "3"], out=out) == 0, out.getvalue()
+
+    def test_every_truncation(self, tmp_path_factory, valid, reader, typed_error):
+        path = tmp_path_factory.getbasetemp() / "fuzz-cut"
+        for length in range(len(valid) + 1):
+            self._read(path, valid[:length], reader, typed_error)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**16), _FLIPS, _SPLICES)
+    def test_flips_and_splices(
+        self, tmp_path_factory, valid, reader, typed_error, keep, flips, splices
+    ):
+        data = bytearray(valid)
+        for start, length, at in splices:
+            start, at = start % len(data), at % len(data)
+            data[at:at] = data[start : start + length]
+        # Half the examples also lose their tail.
+        data = data[: max(1, keep % (2 * len(data)))]
+        for position, bit in flips:
+            data[position % len(data)] ^= 1 << bit
+        path = tmp_path_factory.getbasetemp() / "fuzz-mangled"
+        self._read(path, bytes(data), reader, typed_error)
 
 
 class TestInternetFuzz:
