@@ -1,0 +1,120 @@
+"""The ten-pair protocol as one command (choosing-metrics §8).
+
+``python -m benchmarks.pairs PARENT_TREE CHANGE_TREE --workload W
+[--pairs 10] [--seed 2018]`` runs ``BENCHMARK.json``'s command for ``W``
+in each checkout, alternating which side goes first, and prints per
+end-to-end metric the docs/performance.md row, every run and a verdict.
+Exit 2: the trees would not be measured by the same benchmark (nothing
+is run); exit 1: an operation failed.  It imports nothing of either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import glob
+import json
+import os
+import statistics
+import subprocess
+import sys
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+SIDES = ("parent", "change")
+HEADER = """| workload | metric | parent median (quartiles) | change median (quartiles) \
+| change / parent | pairs the change reads better | verdict |
+|---|---|---|---|---|---|---|"""
+
+
+def verdict(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> Tuple[str, int]:
+    """``(verdict, pairs the change won)`` for one metric's paired runs.
+
+    ``claimed``: the change reads better in at least nine tenths of the
+    pairs (ties for neither) and the medians are further apart than the
+    parent's own quartiles.  Otherwise ``worse`` when its median is past
+    ``bound`` (a share of the parent's median) the wrong way,
+    ``unresolved`` when either side's quartiles are further apart than
+    the bound, and ``within bound``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    base = statistics.median(parent)
+    gain = sign * (statistics.median(change) - base)
+    spreads = [q3 - q1 for q1, _, q3 in (statistics.quantiles(v, n=4) for v in (parent, change))]
+    if 10 * won >= 9 * len(parent) and gain > spreads[0]:
+        return "claimed", won
+    if -gain > bound * abs(base):
+        return "worse", won
+    return ("unresolved" if max(spreads) > bound * abs(base) else "within bound"), won
+
+
+def differing_files(parent: str, change: str) -> List[str]:
+    """The files the benchmark is made of that the two trees do not share."""
+    names = {"BENCHMARK.json", os.path.join("benchmarks", "ledger", "expected.json")}
+    for tree in (parent, change):
+        sources = glob.glob(os.path.join(tree, "benchmarks", "ledger", "*.py"))
+        names.update(os.path.relpath(path, tree) for path in sources)
+    _, mismatched, unreadable = filecmp.cmpfiles(parent, change, sorted(names), shallow=False)
+    return sorted(mismatched + unreadable)
+
+
+def _text(value: float) -> str:
+    return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
+
+
+def report(workload: str, metrics: List[Dict[str, Any]], runs: Dict[str, List[Any]]) -> str:
+    """The table, every run and the failed-operation count of finished pairs."""
+    rows, every_run, failed = [HEADER], ["", "```"], []
+    for metric in metrics:
+        name = metric["name"]
+        sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
+        label, won = verdict(sides[0], sides[1], metric["better"], metric["bound"])
+        cells = []
+        for values in sides:
+            q1, median, q3 = map(_text, statistics.quantiles(values, n=4))
+            cells.append("%s (%s–%s)" % (median, q1, q3))
+        ratio = statistics.median(sides[1]) / statistics.median(sides[0])
+        rows.append(
+            "| `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
+            % (workload, name, cells[0], cells[1], ratio, won, len(sides[0]), label)
+        )
+        listed = [" ".join(map(_text, values)) for values in sides]
+        every_run.append("%s %s parent %s | change %s" % (workload, name, *listed))
+    for side in SIDES:
+        attempted = sum(run["attempted"] for run in runs[side])
+        failed.append("%s %d / %d" % (side, sum(run["failed"] for run in runs[side]), attempted))
+    return "\n".join(rows + every_run + ["```", "operations failed: " + ", ".join(failed)])
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m benchmarks.pairs", description=__doc__)
+    parser.add_argument("parent_tree")
+    parser.add_argument("change_tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=2018)
+    args = parser.parse_args(argv)
+    trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
+    differing = differing_files(args.parent_tree, args.change_tree)
+    if differing:
+        print("pairs: the trees' benchmarks differ: %s" % ", ".join(differing), file=sys.stderr)
+        return 2
+    with open(os.path.join(args.parent_tree, "BENCHMARK.json"), encoding="utf-8") as source:
+        spec = json.load(source)
+    command = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed)]
+    command += ["--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    runs: Dict[str, List[Any]] = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            stdout = subprocess.check_output(command, cwd=trees[side], text=True)
+            runs[side].append(json.loads(stdout.strip().splitlines()[-1]))
+        print("pairs: %d of %d done" % (pair + 1, args.pairs), file=sys.stderr)
+    print("seed %d: %s" % (args.seed, " ".join(command)))
+    print(report(args.workload, spec["end_to_end"], runs))
+    return int(any(run["failed"] for side in SIDES for run in runs[side]))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

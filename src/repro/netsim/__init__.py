@@ -9,7 +9,7 @@ from .build import (
     build_internet,
     decoupled_dynamics,
 )
-from .ecmp import VARIANTS, flow_hash, flow_variant
+from .ecmp import VARIANTS, flow_variant
 from .engine import Engine, US_PER_SECOND, pps_interval, seconds
 from .internet import CompiledPath, Internet, Response, RouterState, TerminalKind
 from .ratelimit import TokenBucket
@@ -48,7 +48,6 @@ __all__ = [
     "VantageConfig",
     "build_internet",
     "decoupled_dynamics",
-    "flow_hash",
     "flow_variant",
     "pps_interval",
     "seconds",

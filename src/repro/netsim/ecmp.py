@@ -10,48 +10,53 @@ constant per target keeps every probe for a target on one path
 
 from __future__ import annotations
 
-from ..packet import ipv6, tcp, udp
+from ..packet import ipv6
 from ..packet.ipv6 import IPv6Header
 
 #: Number of path variants the simulator distinguishes; ECMP groups pick
 #: ``variant % len(options)``.
 VARIANTS = 4
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv(data: bytes) -> int:
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return value
-
-
 #: Next headers whose first four transport bytes join the flow key:
 #: TCP/UDP ports, and ICMPv6 type, code and — critically — the checksum.
 _HASHED_TRANSPORT = frozenset((ipv6.PROTO_TCP, ipv6.PROTO_UDP, ipv6.PROTO_ICMPV6))
 
-
-def flow_key(header: IPv6Header, payload: bytes) -> bytes:
-    """The bytes a load balancer hashes for this packet: source,
-    destination, next header, flow label, then the transport bytes."""
-    base = (
-        (((header.src << 128) | header.dst) << 32)
-        | (header.next_header << 24)
-        | header.flow_label
-    ).to_bytes(36, "big")
-    if header.next_header in _HASHED_TRANSPORT and len(payload) >= 4:
-        return base + payload[:4]
-    return base
-
-
-def flow_hash(header: IPv6Header, payload: bytes) -> int:
-    """64-bit flow hash of a packet."""
-    return _fnv(flow_key(header, payload))
+#: Bit 0 of every byte of the longest (40-byte) flow key, and bit 0 of
+#: the bytes at even distance from the key's end.
+_BIT0 = int.from_bytes(b"\x01" * 40, "big")
+_EVEN_BIT0 = int.from_bytes(b"\x00\x01" * 20, "big")
 
 
 def flow_variant(header: IPv6Header, payload: bytes) -> int:
-    """Path variant in [0, VARIANTS) selected by this packet's flow."""
-    return flow_hash(header, payload) % VARIANTS
+    """Path variant in [0, VARIANTS) selected by this packet's flow.
+
+    The model: a load balancer takes FNV-1a-64 (offset
+    ``0xCBF29CE484222325``, prime ``0x100000001B3``) over the flow key —
+    source ‖ destination ‖ next header ‖ 3-byte flow label, then the
+    first four transport bytes for TCP, UDP and ICMPv6 — and the low two
+    bits of the hash pick the variant.
+
+    Those two bits have a closed form.  One FNV step is ``h' = (h ^ b) *
+    prime mod 2**64``; its low two bits depend only on the low two bits
+    of ``h``, ``b`` and the prime, and ``prime % 4 == 3``, i.e. -1, so
+    the step negates ``h ^ b`` modulo 4: ``h0' = h0 ^ b0`` and ``h1' =
+    h1 ^ b1 ^ h0'``.  That is linear over GF(2).  Unrolled from ``offset
+    % 4 == 1`` over a key of even length (36 or 40 bytes), bit 0 of the
+    hash is 1 ^ the parity of bit 0 of every key byte, and bit 1 is the
+    parity of bit 1 of every key byte ^ the parity of bit 0 of the bytes
+    at even distance from the key's end (the running ``h0`` enters
+    ``h1`` once per later step, so a byte's bit 0 survives only where
+    that count is odd).  Each parity is a byte-sum of the masked key,
+    taken with ``% 255`` (256 ≡ 1 modulo 255, and the sums are at most
+    60).  Only bits 0-1 of each key byte steer ECMP in this model.
+    """
+    key = (
+        (((header.src << 128) | header.dst) << 32)
+        | (header.next_header << 24)
+        | header.flow_label
+    )
+    if header.next_header in _HASHED_TRANSPORT and len(payload) >= 4:
+        key = key << 32 | int.from_bytes(payload[:4], "big")
+    low = 1 ^ (key & _BIT0) % 255 & 1
+    high = (((key >> 1) & _BIT0) + (key & _EVEN_BIT0)) % 255 & 1
+    return high << 1 | low

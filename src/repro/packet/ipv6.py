@@ -62,6 +62,8 @@ class IPv6Header:
     ) -> None:
         if not 0 <= payload_length <= 0xFFFF:
             raise PacketError("payload length out of range: %r" % payload_length)
+        if not 0 <= next_header <= 0xFF:
+            raise PacketError("next header out of range: %r" % next_header)
         if not 0 <= hop_limit <= 0xFF:
             raise PacketError("hop limit out of range: %r" % hop_limit)
         if not 0 <= traffic_class <= 0xFF:
@@ -71,7 +73,7 @@ class IPv6Header:
         self.src = src
         self.dst = dst
         self.payload_length = payload_length
-        self.next_header = next_header & 0xFF
+        self.next_header = next_header
         self.hop_limit = hop_limit
         self.traffic_class = traffic_class
         self.flow_label = flow_label
@@ -101,10 +103,6 @@ class IPv6Header:
     @classmethod
     def unpack(cls, data: bytes) -> "IPv6Header":
         """Parse the first 40 bytes of ``data`` as an IPv6 header."""
-        if len(data) < HEADER_LENGTH:
-            raise PacketError(
-                "short IPv6 header: %d < %d bytes" % (len(data), HEADER_LENGTH)
-            )
         (
             first_word,
             payload_length,
@@ -114,19 +112,18 @@ class IPv6Header:
             src_low,
             dst_high,
             dst_low,
-        ) = HEADER.unpack_from(data)
-        version = first_word >> 28
-        if version != VERSION:
-            raise PacketError("not IPv6 (version %d)" % version)
-        return cls(
-            (src_high << 64) | src_low,
-            (dst_high << 64) | dst_low,
-            payload_length,
-            next_header,
-            hop_limit,
-            (first_word >> 20) & 0xFF,
-            first_word & 0xFFFFF,
-        )
+        ) = header_fields(data)
+        # Every field is as wide as its wire encoding, so none can be out
+        # of the range ``__init__`` checks: build the value directly.
+        header = cls.__new__(cls)
+        header.src = (src_high << 64) | src_low
+        header.dst = (dst_high << 64) | dst_low
+        header.payload_length = payload_length
+        header.next_header = next_header
+        header.hop_limit = hop_limit
+        header.traffic_class = (first_word >> 20) & 0xFF
+        header.flow_label = first_word & 0xFFFFF
+        return header
 
     def copy(self, **overrides: int) -> "IPv6Header":
         """A copy with the given fields replaced."""
@@ -147,6 +144,24 @@ class IPv6Header:
         return isinstance(other, IPv6Header) and all(
             getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
+
+
+def header_fields(data: bytes) -> Tuple[int, ...]:
+    """The eight :data:`HEADER` fields at the start of ``data``.
+
+    The one place a fixed header is checked to be whole and version 6;
+    readers that want a few fields take them from here, the rest go
+    through :meth:`IPv6Header.unpack`.
+    """
+    if len(data) < HEADER_LENGTH:
+        raise PacketError(
+            "short IPv6 header: %d < %d bytes" % (len(data), HEADER_LENGTH)
+        )
+    fields = HEADER.unpack_from(data)
+    version = fields[0] >> 28
+    if version != VERSION:
+        raise PacketError("not IPv6 (version %d)" % version)
+    return fields
 
 
 def build_packet(header: IPv6Header, payload: bytes) -> bytes:

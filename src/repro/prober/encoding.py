@@ -298,40 +298,36 @@ def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> Decode
     mangled" via the magic and the target checksum respectively).
     """
     try:
-        header, rest = ipv6.split_packet(quotation)
+        _, _, protocol, _, _, _, dst_high, dst_low = ipv6.header_fields(quotation)
     except PacketError as error:
         raise DecodeError("unparseable quotation: %s" % error) from None
-    transport_length = _TRANSPORT_LENGTH.get(header.next_header)
+    transport_length = _TRANSPORT_LENGTH.get(protocol)
     if transport_length is None:
-        raise DecodeError("unexpected protocol %d in quotation" % header.next_header)
-    if len(rest) < transport_length + PAYLOAD_LENGTH - 2:
+        raise DecodeError("unexpected protocol %d in quotation" % protocol)
+    quoted = len(quotation) - _IPV6_HEADER
+    if quoted < transport_length + PAYLOAD_LENGTH - 2:
         # The fudge bytes are expendable; everything before them is not.
-        raise DecodeError(
-            "quotation truncated to %d bytes of transport" % len(rest)
-        )
-    try:
-        magic, probe_instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(
-            rest, transport_length
-        )
-    except struct.error:
-        raise DecodeError("quotation payload too short") from None
+        raise DecodeError("quotation truncated to %d bytes of transport" % quoted)
+    magic, probe_instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(
+        quotation, _IPV6_HEADER + transport_length
+    )
     if magic != MAGIC:
         raise DecodeError("bad magic %08x" % magic)
     if instance is not None and probe_instance != instance:
         raise DecodeError(
             "instance mismatch: probe %d, ours %d" % (probe_instance, instance)
         )
+    target = (dst_high << 64) | dst_low
     # Source port / ICMPv6 identifier carries the target checksum.
-    sport_at = _SPORT_OFFSET[header.next_header]
-    sport = (rest[sport_at] << 8) | rest[sport_at + 1]
-    modified = sport != address_checksum(header.dst)
+    sport_at = _IPV6_HEADER + _SPORT_OFFSET[protocol]
+    sport = (quotation[sport_at] << 8) | quotation[sport_at + 1]
     return DecodedProbe(
-        target=header.dst,
+        target=target,
         ttl=ttl,
         elapsed=elapsed,
         instance=probe_instance,
-        protocol=header.next_header,
-        target_modified=modified,
+        protocol=protocol,
+        target_modified=sport != address_checksum(target),
     )
 
 

@@ -1,11 +1,14 @@
 """Unit tests for address assignment, ECMP hashing, and router state."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.addrs import IIDClass, classify_iid
 from repro.addrs.prefix import Prefix
 from repro.netsim.addressing import (
@@ -16,11 +19,11 @@ from repro.netsim.addressing import (
     pick_host_kind,
     random_mac,
 )
-from repro.netsim.ecmp import VARIANTS, flow_hash, flow_key, flow_variant
+from repro.netsim.ecmp import VARIANTS, flow_variant
 from repro.netsim.internet import RouterState
 from repro.netsim.topology import AddressPlan, HostKind, Router, RouterRole
 from repro.packet import icmpv6, ipv6, udp
-from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_UDP
+from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 
 
 class TestInterfaceAddressing:
@@ -77,12 +80,92 @@ class TestHostAddressing:
         assert 0.25 < eui < 0.35
 
 
+# The ECMP model, per byte — the oracle ``flow_variant``'s closed form
+# must equal: FNV-1a-64 over the flow key, low bits pick the variant.
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+KEY_LENGTHS = (36, 40)
+HASHED_TRANSPORT = (PROTO_TCP, PROTO_UDP, PROTO_ICMPV6)
+
+
+def fnv_step(value, byte):
+    return ((value ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a(data):
+    value = FNV_OFFSET
+    for byte in data:
+        value = fnv_step(value, byte)
+    return value
+
+
+def expected_key(header, payload):
+    """Source, destination, next header, 3-byte flow label, then the
+    first four transport bytes for TCP/UDP/ICMPv6 only."""
+    key = (
+        header.src.to_bytes(16, "big")
+        + header.dst.to_bytes(16, "big")
+        + bytes([header.next_header])
+        + header.flow_label.to_bytes(3, "big")
+    )
+    if header.next_header in HASHED_TRANSPORT and len(payload) >= 4:
+        key += payload[:4]
+    assert len(key) in KEY_LENGTHS
+    return key
+
+
+def oracle_variant(header, payload):
+    return fnv1a(expected_key(header, payload)) % VARIANTS
+
+
 class TestFlowHashing:
     def _icmp_packet(self, src, dst, ident=1, seq=1, payload=b"x"):
         echo = icmpv6.echo_request(ident, seq, payload)
         segment = echo.pack(src, dst)
         header = IPv6Header(src, dst, len(segment), PROTO_ICMPV6)
         return header, segment
+
+    def _feeds_variant(self, packets):
+        """The closed form follows the oracle over ``packets`` and does
+        not put them all on one variant."""
+        variants = [flow_variant(header, payload) for header, payload in packets]
+        assert variants == [oracle_variant(header, payload) for header, payload in packets]
+        return len(set(variants)) > 1
+
+    def test_derivation_premises(self):
+        """Each line of ``flow_variant``'s docstring derivation rests on
+        one of these; a changed constant fails here first."""
+        assert VARIANTS == 4  # the variant is the hash's low two bits
+        assert FNV_PRIME % 4 == 3  # a step negates (h ^ b) modulo 4
+        assert FNV_OFFSET % 4 == 1  # h0 starts at 1, h1 at 0
+        assert all(length % 2 == 0 for length in KEY_LENGTHS)  # h0's constant cancels in h1
+
+    def test_fnv_step_is_linear_in_its_low_two_bits(self):
+        """Exhaustively: h0' = h0 ^ b0 and h1' = h1 ^ b1 ^ h0', whatever
+        the upper 62 bits of the state are."""
+        for upper in (0, FNV_OFFSET >> 2, (1 << 62) - 1):
+            for state in range(4):
+                for byte in range(256):
+                    stepped = fnv_step(upper << 2 | state, byte)
+                    low = (state ^ byte) & 1
+                    high = ((state ^ byte) >> 1 & 1) ^ low
+                    assert stepped % 4 == high << 1 | low
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=(1 << 128) - 1),
+        st.integers(min_value=0, max_value=(1 << 128) - 1),
+        st.integers(min_value=0, max_value=0xFFFFF),
+        st.binary(max_size=8),
+    )
+    def test_key_bytes(self, src, dst, flow_label, payload):
+        """The closed form is FNV-1a of the documented key, for every
+        next header over any addresses, flow label and transport."""
+        for next_header in range(256):
+            header = IPv6Header(
+                src, dst, len(payload), next_header, flow_label=flow_label
+            )
+            assert flow_variant(header, payload) == oracle_variant(header, payload)
 
     def test_same_packet_same_variant(self):
         header, payload = self._icmp_packet(1, 2)
@@ -94,41 +177,63 @@ class TestFlowHashing:
             assert 0 <= flow_variant(header, payload) < VARIANTS
 
     def test_icmp_checksum_feeds_hash(self):
-        """Two echo requests differing only in payload (hence checksum)
-        hash differently — the phenomenon Yarrp6's fudge neutralizes."""
-        header_a, payload_a = self._icmp_packet(1, 2, payload=b"aaaa")
-        header_b, payload_b = self._icmp_packet(1, 2, payload=b"bbbb")
-        assert flow_hash(header_a, payload_a) != flow_hash(header_b, payload_b)
+        """Echo requests differing only in payload (hence checksum) do
+        not all hash alike — the phenomenon Yarrp6's fudge neutralizes."""
+        assert self._feeds_variant(
+            [self._icmp_packet(1, 2, payload=bytes([n])) for n in range(8)]
+        )
 
     def test_udp_ports_feed_hash(self):
         src, dst = 1, 2
-        seg_a = udp.build_datagram(src, dst, 1000, 80, b"x")
-        seg_b = udp.build_datagram(src, dst, 1001, 80, b"x")
-        header = IPv6Header(src, dst, len(seg_a), PROTO_UDP)
-        assert flow_hash(header, seg_a) != flow_hash(header, seg_b)
+        segments = [udp.build_datagram(src, dst, 1000 + n, 80, b"x") for n in range(8)]
+        header = IPv6Header(src, dst, len(segments[0]), PROTO_UDP)
+        assert self._feeds_variant([(header, segment) for segment in segments])
 
     def test_destination_feeds_hash(self):
-        header_a, payload_a = self._icmp_packet(1, 100)
-        header_b, payload_b = self._icmp_packet(1, 200)
-        assert flow_key(header_a, payload_a) != flow_key(header_b, payload_b)
+        """Under one transport: a valid echo's checksum moves against
+        its destination, and over these neighbours the two cancel."""
+        _, segment = self._icmp_packet(1, 100)
+        assert self._feeds_variant(
+            [
+                (IPv6Header(1, dst, len(segment), PROTO_ICMPV6), segment)
+                for dst in range(100, 108)
+            ]
+        )
+
+    def test_unhashed_transport_does_not_feed_hash(self):
+        """Next header 59 (and a transport cut below four bytes) leaves
+        the key at its 36-byte base."""
+        header = IPv6Header(1, 2, 8, 59)
+        assert not self._feeds_variant([(header, bytes([n]) * 8) for n in range(8)])
+        header = IPv6Header(1, 2, 3, PROTO_UDP)
+        assert not self._feeds_variant([(header, bytes([n]) * 3) for n in range(8)])
 
 
-    def test_key_bytes(self):
-        """Source, destination, next header, 3-byte flow label, then the
-        first four transport bytes for TCP/UDP/ICMPv6 only."""
-        src, dst = (0x20010DB8 << 96) | 1, (1 << 128) - 1
-        for proto, hashed in ((PROTO_UDP, True), (58, True), (6, True), (59, False)):
-            for payload in (b"", b"abc", b"abcdefgh"):
-                header = IPv6Header(src, dst, len(payload), proto, flow_label=0xABCDE)
-                expected = (
-                    src.to_bytes(16, "big")
-                    + dst.to_bytes(16, "big")
-                    + bytes([proto])
-                    + b"\x0a\xbc\xde"
-                )
-                if hashed and len(payload) >= 4:
-                    expected += payload[:4]
-                assert flow_key(header, payload) == expected
+def test_ecmp_has_no_loop_and_src_stays_on_python_39():
+    """The two contracts the closed form leans on: the per-byte loop
+    cannot quietly return to ``netsim/ecmp.py``, and nothing under
+    ``src/repro`` reads ``int.bit_count`` (3.10+; pyproject declares and
+    CI's matrix runs 3.9)."""
+    package = pathlib.Path(repro.__file__).parent
+    loops = (
+        ast.For,
+        ast.While,
+        ast.AsyncFor,
+        ast.ListComp,
+        ast.SetComp,
+        ast.DictComp,
+        ast.GeneratorExp,
+    )
+    ecmp_tree = ast.parse((package / "netsim" / "ecmp.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(ecmp_tree) if isinstance(node, loops)]
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bit_count"
+        ]
+        assert not readers, "%s reads bit_count at lines %s" % (path, readers)
 
 
 class TestRouterState:

@@ -112,6 +112,43 @@ class TestIPv6Header:
         with pytest.raises(PacketError):
             IPv6Header(1, 2, 0, 58, flow_label=1 << 20)
 
+    @pytest.mark.parametrize("next_header", [314, 300, 256, -1])
+    def test_next_header_out_of_range_is_not_masked(self, next_header):
+        """314 used to become 58 (ICMPv6) and 300 a fragment header."""
+        message = "next header out of range: %r" % next_header
+        with pytest.raises(PacketError, match=message):
+            IPv6Header(1, 2, 0, next_header)
+        with pytest.raises(PacketError, match=message):
+            IPv6Header(1, 2, 0, 58).copy(next_header=next_header)
+        assert IPv6Header(1, 2, 0, 255).copy(next_header=0).next_header == 0
+
+    @given(st.binary(min_size=40, max_size=80))
+    def test_unpack_equals_the_checked_constructor(self, data):
+        """``unpack`` builds the value without ``__init__``: for any
+        version-6 bytes it equals the header ``__init__`` builds (without
+        raising) from the same ``HEADER.unpack_from``."""
+        data = bytes([0x60 | data[0] & 0x0F]) + data[1:]
+        word, plen, nh, hlim, src_hi, src_lo, dst_hi, dst_lo = ipv6.HEADER.unpack_from(data)
+        built = IPv6Header(
+            src_hi << 64 | src_lo,
+            dst_hi << 64 | dst_lo,
+            plen,
+            nh,
+            hlim,
+            word >> 20 & 0xFF,
+            word & 0xFFFFF,
+        )
+        assert IPv6Header.unpack(data) == built
+        assert ipv6.header_fields(data) == ipv6.HEADER.unpack_from(data)
+
+    def test_unpack_error_texts(self):
+        """Both rejections come from the one check ``header_fields`` owns."""
+        for parse in (IPv6Header.unpack, ipv6.header_fields, ipv6.split_packet):
+            with pytest.raises(PacketError, match=r"^short IPv6 header: 39 < 40 bytes$"):
+                parse(b"\x60" + b"\x00" * 38)
+            with pytest.raises(PacketError, match=r"^not IPv6 \(version 4\)$"):
+                parse(b"\x45" + b"\x00" * 39)
+
     def test_build_packet_fixes_length(self):
         header = IPv6Header(1, 2, 999, 58)
         packet = ipv6.build_packet(header, b"abc")

@@ -1,5 +1,10 @@
 """Tests for Yarrp6 stateless state encoding (Figure 4)."""
 
+import hashlib
+import io
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +16,17 @@ from repro.packet.checksum import address_checksum, verify_transport_checksum
 from repro.prober.encoding import (
     DEST_PORT,
     MAGIC,
+    PAYLOAD_HEAD,
     PAYLOAD_LENGTH,
+    DecodedProbe,
     DecodeError,
     decode_quotation,
     encode_probe,
     rtt_from,
 )
+from repro.prober.output import write_records
+from repro.prober.records import ResponseProcessor
+from tests.test_fuzz import _FLIPS, _PROBES, _mangled
 
 SRC = parse("2001:db8::100")
 addresses = st.integers(min_value=1, max_value=MAX_ADDRESS)
@@ -138,6 +148,140 @@ class TestDecode:
     def test_garbage(self):
         with pytest.raises(DecodeError):
             decode_quotation(b"\x00" * 30)
+
+
+def reference_decode(quotation, instance=None):
+    """``decode_quotation`` as it read through PR 20 — ``split_packet``
+    into the 7-field header value and a copy of the transport — kept as
+    the oracle for the version that reads fields at their offsets."""
+    transport_lengths = {ipv6.PROTO_ICMPV6: 8, ipv6.PROTO_UDP: 8, ipv6.PROTO_TCP: 20}
+    sport_offsets = {ipv6.PROTO_ICMPV6: 4, ipv6.PROTO_UDP: 0, ipv6.PROTO_TCP: 0}
+    try:
+        header, rest = ipv6.split_packet(quotation)
+    except ipv6.PacketError as error:
+        raise DecodeError("unparseable quotation: %s" % error) from None
+    transport_length = transport_lengths.get(header.next_header)
+    if transport_length is None:
+        raise DecodeError("unexpected protocol %d in quotation" % header.next_header)
+    if len(rest) < transport_length + PAYLOAD_LENGTH - 2:
+        raise DecodeError(
+            "quotation truncated to %d bytes of transport" % len(rest)
+        )
+    try:
+        magic, probe_instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(
+            rest, transport_length
+        )
+    except struct.error:
+        raise DecodeError("quotation payload too short") from None
+    if magic != MAGIC:
+        raise DecodeError("bad magic %08x" % magic)
+    if instance is not None and probe_instance != instance:
+        raise DecodeError(
+            "instance mismatch: probe %d, ours %d" % (probe_instance, instance)
+        )
+    sport_at = sport_offsets[header.next_header]
+    sport = (rest[sport_at] << 8) | rest[sport_at + 1]
+    return DecodedProbe(
+        target=header.dst,
+        ttl=ttl,
+        elapsed=elapsed,
+        instance=probe_instance,
+        protocol=header.next_header,
+        target_modified=sport != address_checksum(header.dst),
+    )
+
+
+def _outcome(decode, quotation, instance):
+    """Every field of the decoded probe, or the error's exact text."""
+    try:
+        decoded = decode(quotation, instance)
+    except DecodeError as error:
+        return str(error)
+    return tuple(getattr(decoded, name) for name in DecodedProbe.__slots__)
+
+
+def _mangled_responses():
+    """One fixed stream of what a vantage might receive: every eighth
+    and the six longest truncations of 24 bit-flipped quotations inside
+    real ICMPv6 errors, each also flipped on the wire, among echo
+    replies, TCP and UDP."""
+    rng = random.Random(2018)
+    vantage, router = SRC, parse("2001:db8:ffff::1")
+    for n in range(24):
+        probe = encode_probe(
+            vantage,
+            rng.getrandbits(128),
+            ttl=1 + n,
+            elapsed=rng.getrandbits(32),
+            instance=1 if n % 6 else 2,
+            protocol=("icmp6", "udp", "tcp")[n % 3],
+        )
+        flips = [(rng.randrange(1 << 16), rng.randrange(8)) for _ in range(n % 5)]
+        cuts = list(_mangled(probe, flips))
+        for quotation in cuts[n % 8 :: 8] + cuts[-6:]:
+            response = icmpv6.error_packet(
+                router + n, vantage, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, quotation
+            )
+            yield response
+            flipped = bytearray(response)
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            yield bytes(flipped)
+        yield ipv6.build_packet(
+            ipv6.IPv6Header(router + n, vantage, 0, ipv6.PROTO_ICMPV6),
+            icmpv6.ICMPv6Message(
+                icmpv6.TYPE_ECHO_REPLY, 0, 80, probe[-PAYLOAD_LENGTH:]
+            ).pack(
+                router + n, vantage
+            ),
+        )
+        yield ipv6.build_packet(
+            ipv6.IPv6Header(router + n, vantage, 0, (6, 17)[n % 2]), probe[40:]
+        )
+
+
+class TestParseTrim:
+    """``decode_quotation`` no longer builds the header value or copies
+    the transport; nothing observable may have moved."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PROBES, _FLIPS)
+    def test_decode_equals_the_value_type_path(self, probe, flips):
+        own = probe[4 - PAYLOAD_LENGTH]  # the instance byte
+        for quotation in _mangled(probe, flips):
+            for instance in (None, own, own ^ 1):
+                assert _outcome(decode_quotation, quotation, instance) == _outcome(
+                    reference_decode, quotation, instance
+                )
+
+    def test_processor_over_a_mangled_stream_is_pinned(self):
+        """The counters and record bytes the PR-20 tree produced."""
+        processor = ResponseProcessor(instance=1)
+        for sent, data in enumerate(_mangled_responses(), 1):
+            processor.process(data, now=5_000_000 + sent, sent_so_far=sent)
+        rows = io.StringIO()
+        write_records(rows, processor.records)
+        assert (
+            processor.received,
+            processor.decode_failures,
+            processor.foreign,
+            processor.tcp_responses,
+            processor.mangled_targets,
+            len(processor.records),
+            hashlib.sha256(rows.getvalue().encode("utf-8")).hexdigest(),
+        ) == PINNED_STREAM
+
+
+#: received, decode_failures, foreign, tcp_responses, mangled_targets,
+#: records, sha256 of the rows — read off the PR-20 tree.
+PINNED_STREAM = (
+    726,
+    568,
+    23,
+    12,
+    41,
+    123,
+    "6ed13200ca50b561c145099a30291d1cb0e1914c06d7f8e2ed8e4b420ad1e745",
+)
 
 
 class TestGoldenVectors:
