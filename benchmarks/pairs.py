@@ -4,8 +4,13 @@
 [--pairs 10] [--seed 2018]`` runs ``BENCHMARK.json``'s command for ``W``
 in each checkout, alternating which side goes first, and prints per
 end-to-end metric the docs/performance.md row, every run and a verdict.
-Exit 2: the trees would not be measured by the same benchmark (nothing
-is run); exit 1: an operation failed.  It imports nothing of either tree.
+With ``--trace N`` it runs the traced per-layer suite instead, ``N``
+alternating times a side, and prints one row per ``per_layer`` name:
+median, min–max, ratio — where a saving sits, so no verdict.
+Exit 2, before anything is run: the trees would not be measured by the
+same benchmark, ``BENCHMARK.json`` does not list ``W``, or ``--pairs`` is
+below the two runs a side that quartiles need; exit 1: an operation
+failed.  It imports nothing of either tree.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ SIDES = ("parent", "change")
 HEADER = """| workload | metric | parent median (quartiles) | change median (quartiles) \
 | change / parent | pairs the change reads better | verdict |
 |---|---|---|---|---|---|---|"""
+LAYER_HEADER = """| layer | parent median (min–max) | change median (min–max) \
+| change / parent |
+|---|---|---|---|"""
 
 
 def verdict(
@@ -64,9 +72,33 @@ def _text(value: float) -> str:
     return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
 
 
+def failures(runs: Dict[str, List[Any]]) -> str:
+    """The failed-operation count of finished runs, a side at a time."""
+    failed = []
+    for side in SIDES:
+        attempted = sum(run["attempted"] for run in runs[side])
+        failed.append("%s %d / %d" % (side, sum(run["failed"] for run in runs[side]), attempted))
+    return "operations failed: " + ", ".join(failed)
+
+
+def layer_report(names: Sequence[str], runs: Dict[str, List[Any]]) -> str:
+    """One row per per-layer metric of the traced runs: no verdict."""
+    rows = [LAYER_HEADER]
+    for name in names:
+        sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
+        medians = [statistics.median(values) for values in sides]
+        cells = [
+            "%s (%s–%s)" % (_text(median), _text(min(values)), _text(max(values)))
+            for median, values in zip(medians, sides)
+        ]
+        ratio = "%.3f" % (medians[1] / medians[0]) if medians[0] else "–"
+        rows.append("| `%s` | %s | %s | %s |" % (name, cells[0], cells[1], ratio))
+    return "\n".join(rows + [failures(runs)])
+
+
 def report(workload: str, metrics: List[Dict[str, Any]], runs: Dict[str, List[Any]]) -> str:
     """The table, every run and the failed-operation count of finished pairs."""
-    rows, every_run, failed = [HEADER], ["", "```"], []
+    rows, every_run = [HEADER], ["", "```"]
     for metric in metrics:
         name = metric["name"]
         sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
@@ -82,10 +114,7 @@ def report(workload: str, metrics: List[Dict[str, Any]], runs: Dict[str, List[An
         )
         listed = [" ".join(map(_text, values)) for values in sides]
         every_run.append("%s %s parent %s | change %s" % (workload, name, *listed))
-    for side in SIDES:
-        attempted = sum(run["attempted"] for run in runs[side])
-        failed.append("%s %d / %d" % (side, sum(run["failed"] for run in runs[side]), attempted))
-    return "\n".join(rows + every_run + ["```", "operations failed: " + ", ".join(failed)])
+    return "\n".join(rows + every_run + ["```", failures(runs)])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -95,6 +124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--trace", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
     differing = differing_files(args.parent_tree, args.change_tree)
@@ -103,16 +133,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     with open(os.path.join(args.parent_tree, "BENCHMARK.json"), encoding="utf-8") as source:
         spec = json.load(source)
+    listed = [workload["name"] for workload in spec["workloads"]]
+    if args.workload not in listed:
+        print(
+            "pairs: BENCHMARK.json lists no workload %r (it lists: %s)"
+            % (args.workload, ", ".join(listed)),
+            file=sys.stderr,
+        )
+        return 2
+    if args.pairs < 2 or args.trace < 0:
+        print(
+            "pairs: need --pairs >= 2 (quartiles want two runs a side) and --trace >= 0",
+            file=sys.stderr,
+        )
+        return 2
     command = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed)]
-    command += ["--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    command += ["--seconds", str(spec["run_seconds"]), "--trace", str(int(args.trace > 0))]
+    count = args.trace or args.pairs
     runs: Dict[str, List[Any]] = {side: [] for side in SIDES}
-    for pair in range(args.pairs):
+    for pair in range(count):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             stdout = subprocess.check_output(command, cwd=trees[side], text=True)
             runs[side].append(json.loads(stdout.strip().splitlines()[-1]))
-        print("pairs: %d of %d done" % (pair + 1, args.pairs), file=sys.stderr)
+        print("pairs: %d of %d done" % (pair + 1, count), file=sys.stderr)
     print("seed %d: %s" % (args.seed, " ".join(command)))
-    print(report(args.workload, spec["end_to_end"], runs))
+    if args.trace:
+        print(layer_report([layer["name"] for layer in spec["per_layer"]], runs))
+    else:
+        print(report(args.workload, spec["end_to_end"], runs))
     return int(any(run["failed"] for side in SIDES for run in runs[side]))
 
 

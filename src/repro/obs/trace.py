@@ -15,8 +15,10 @@ callback are zero-width.  The exported trace is deterministic: same
 spec, same bytes.
 
 The default is :data:`NULL_TRACER`, whose ``span()`` returns a shared
-no-op context manager — tracing stays wired into the hot paths at the
-cost of one method call per span.
+no-op context manager.  A per-event loop does not pay even that: it
+binds its calls through :meth:`Tracer.wrap` once, and the null tracer's
+``wrap`` hands the call back untouched — a disabled tracer is absent
+from the loop, not a no-op inside it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ class Tracer:
         self._stack.append(index)
         return _SpanHandle(self, index)
 
+    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+        """``call``, run inside a ``name`` span every time it is called
+        (the span closes when ``call`` raises, too)."""
+
+        def traced(*args: Any) -> Any:
+            with self.span(name):
+                return call(*args)
+
+        return traced
+
     def event(self, name: str, when: Optional[int] = None, **attrs: Any) -> None:
         """Record a zero-width span at ``when`` (default: the clock now)."""
         at = self._clock() if when is None else when
@@ -183,6 +195,9 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attrs: Any) -> Any:
         return _NULL_HANDLE
+
+    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+        return call
 
     def event(self, name: str, when: Optional[int] = None, **attrs: Any) -> None:
         pass

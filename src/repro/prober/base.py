@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from .encoding import encode_probe
+from .encoding import ProbeTemplate
 from .records import ProbeRecord, ResponseProcessor
 
 
@@ -25,6 +25,10 @@ class Prober:
     A subclass sets ``Config`` (a dataclass with at least ``instance``
     and ``protocol``; ``Config()`` is the default configuration) and
     supplies :attr:`exhausted`, :meth:`next_probe` and :meth:`receive`.
+
+    A config the probe's one-byte fields cannot carry is refused here,
+    at construction (``ValueError``), never mid-campaign by whichever
+    byte write trips first; subclasses check the fields they add.
     """
 
     #: The subclass's config dataclass.
@@ -42,11 +46,16 @@ class Prober:
         self.config = config or self.Config()
         if not self.targets:
             raise ValueError("no targets")
+        if not 0 <= self.config.instance <= 255:
+            raise ValueError("instance must be in 0-255: %r" % self.config.instance)
         #: Where a subclass registers its own instruments.
         self._registry = metrics if metrics is not None else NULL_REGISTRY
         self.processor = ResponseProcessor(self.config.instance, self._registry)
         self.sent = 0
         self._m_sent = self._registry.counter("prober.sent")
+        #: The one crafting path, built on first emission.
+        self._template: Optional[ProbeTemplate] = None
+        self._template_buffer: Optional[bytearray] = None
 
     # -- emission --------------------------------------------------------
     @property
@@ -59,18 +68,27 @@ class Prober:
         when there is nothing to send right now)."""
         raise NotImplementedError
 
+    def _ensure_template(self) -> Tuple[ProbeTemplate, bytearray]:
+        """The probe template and the one buffer every emission of this
+        prober is patched into, built lazily."""
+        if self._template is None:
+            self._template = ProbeTemplate(
+                self.source,
+                instance=self.config.instance,
+                protocol=self.config.protocol,
+            )
+            self._template_buffer = self._template.new_buffer()
+        buffer = self._template_buffer
+        assert buffer is not None
+        return self._template, buffer
+
     def _emit(self, target: int, ttl: int, now: int) -> bytes:
         """Count one emission and craft its packet."""
         self.sent += 1
         self._m_sent.inc()
-        return encode_probe(
-            self.source,
-            target,
-            ttl,
-            elapsed=now & 0xFFFFFFFF,
-            instance=self.config.instance,
-            protocol=self.config.protocol,
-        )
+        template, buffer = self._ensure_template()
+        template.encode_into(buffer, target, ttl, now & 0xFFFFFFFF)
+        return bytes(buffer)
 
     # -- reception -------------------------------------------------------
     def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:
@@ -117,6 +135,10 @@ class WaveProber(Prober):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(source, targets, config, metrics)
+        if not 1 <= self.config.max_ttl <= 255:
+            raise ValueError("max_ttl must be in 1-255: %r" % self.config.max_ttl)
+        if self.config.window < 1:
+            raise ValueError("window must be >= 1: %r" % self.config.window)
         self._traces: Dict[int, Any] = {}
         #: The (target, ttl) stream; a generator, so nothing runs until
         #: the first :meth:`next_probe`.  None once drained.

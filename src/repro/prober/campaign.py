@@ -238,21 +238,32 @@ def run_campaign(  # repro-lint: program-root
             discovered.add(record.hop)
             discovery_series.record(engine.now)
 
+    # -- per-event loop ---------------------------------------------------
+    # One body for traced and untraced runs: the tracer is bound around
+    # the calls once, here, and a disabled tracer's ``wrap`` hands each
+    # call back untouched, so the loop below never mentions it.
+    emit = trace.wrap("emit", machine.next_probe)
+    probe = trace.wrap("probe", internet.exchange)
+    receive = trace.wrap("receive", machine.receive)
+
     def deliver(data: bytes, sent_at: int) -> None:
-        with trace.span("receive"):
-            record = machine.receive(data, engine.now)
-        note_discovery(record)
+        record = receive(data, engine.now)
+        if track_discovery:
+            note_discovery(record)
+
+    def emit_one(now: int) -> None:
+        packet = emit(now)
+        # None: neighborhood skipping may momentarily starve emission.
+        if packet is not None:
+            if track_discovery:
+                sent_series.record(now)
+            probe(engine, packet, now, deliver)
+
+    step = trace.wrap("tick", emit_one)
 
     def tick() -> Iterator[int]:
         while True:
-            with trace.span("tick"):
-                with trace.span("emit"):
-                    packet = machine.next_probe(engine.now)
-                # None: neighborhood skipping may momentarily starve emission.
-                if packet is not None:
-                    sent_series.record(engine.now)
-                    with trace.span("probe"):
-                        internet.exchange(engine, packet, engine.now, deliver)
+            step(engine.now)
             if machine.exhausted:
                 # Probers that exhaust on their final emission (Yarrp6) end the
                 # campaign here, so duration is the last emission or response —

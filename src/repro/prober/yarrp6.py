@@ -24,7 +24,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .base import Prober
-from .encoding import ProbeTemplate
 from .permutation import ProbeSchedule
 from .records import ProbeRecord
 
@@ -66,22 +65,28 @@ class Yarrp6(Prober):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(source, targets, config, metrics)
+        config = self.config
         self.schedule = ProbeSchedule(
             len(self.targets),
-            self.config.min_ttl,
-            self.config.max_ttl,
-            self.config.key,
-            shard=self.config.shard,
-            shards=self.config.shards,
+            config.min_ttl,
+            config.max_ttl,
+            config.key,
+            shard=config.shard,
+            shards=config.shards,
         )
+        if not 1 <= config.fill_ceiling <= 255:
+            raise ValueError("fill_ceiling must be in 1-255: %r" % config.fill_ceiling)
+        # Fixed per campaign, read per probe: the walk's length, the TTLs
+        # whose Time Exceeded triggers a fill (empty with fill off or a
+        # ceiling at or below max_ttl) and the neighborhood limit.
+        self._total = len(self.schedule)
+        self._fill_ttls = range(config.max_ttl, config.fill_ceiling if config.fill else 0)
+        self._neighborhood_ttl = config.neighborhood_ttl
         self._cursor = 0
         #: Walk pairs prefetched via the schedule's batched fast path;
         #: ``_fetched`` counts pairs pulled from the schedule so far.
         self._buffer: Deque[Tuple[int, int]] = deque()
         self._fetched = 0
-        #: Batched-encode state, created on first :meth:`next_probes`.
-        self._template: Optional[ProbeTemplate] = None
-        self._template_buffer: Optional[bytearray] = None
         self._fill_queue: Deque[Tuple[int, int]] = deque()
         self.fills = 0
         self.skipped = 0
@@ -95,7 +100,7 @@ class Yarrp6(Prober):
     @property
     def exhausted(self) -> bool:
         """True when the permutation walk and fill queue are both done."""
-        return self._cursor >= len(self.schedule) and not self._fill_queue
+        return self._cursor >= self._total and not self._fill_queue
 
     #: Pairs pulled per batched schedule call; amortizes the permutation's
     #: per-index overhead without meaningfully front-running the walk.
@@ -108,7 +113,8 @@ class Yarrp6(Prober):
             self.fills += 1
             self._m_fills.inc()
             return self._emit(target, ttl, now)
-        total = len(self.schedule)
+        total = self._total
+        limit = self._neighborhood_ttl
         while self._cursor < total:
             if not self._buffer:
                 count = min(self.BATCH, total - self._fetched)
@@ -116,7 +122,7 @@ class Yarrp6(Prober):
                 self._fetched += count
             target_index, ttl = self._buffer.popleft()
             self._cursor += 1
-            if self._skip_neighborhood(ttl, now):
+            if limit is not None and ttl <= limit and self._skip_neighborhood(ttl, now):
                 self.skipped += 1
                 self._m_skipped.inc()
                 continue
@@ -152,8 +158,7 @@ class Yarrp6(Prober):
             raise ValueError(
                 "next_probes requires a pure walk (fill and neighborhood off)"
             )
-        total = len(self.schedule)
-        count = min(len(times), total - self._cursor)
+        count = min(len(times), self._total - self._cursor)
         if count <= 0:
             return []
         template, buffer = self._ensure_template()
@@ -180,27 +185,8 @@ class Yarrp6(Prober):
         self._m_sent.inc(count)
         return out
 
-    def _ensure_template(self) -> Tuple[ProbeTemplate, bytearray]:
-        """The shared probe template + scratch buffer, built lazily.
-
-        One-time setup hoisted out of :meth:`next_probes` so the hot
-        block body stays allocation-free.
-        """
-        if self._template is None:
-            self._template = ProbeTemplate(
-                self.source,
-                instance=self.config.instance,
-                protocol=self.config.protocol,
-            )
-            self._template_buffer = self._template.new_buffer()
-        buffer = self._template_buffer
-        assert buffer is not None
-        return self._template, buffer
-
     def _skip_neighborhood(self, ttl: int, now: int) -> bool:
-        limit = self.config.neighborhood_ttl
-        if limit is None or ttl > limit:
-            return False
+        """Whether ``ttl``, a TTL inside the neighborhood, has gone quiet."""
         last = self._last_new_at.get(ttl)
         if last is None:
             # Nothing seen yet at this TTL: keep probing until the first
@@ -227,22 +213,15 @@ class Yarrp6(Prober):
         )
         if record is None:
             return None
-        if (
-            self.config.neighborhood_ttl is not None
-            and record.is_time_exceeded
-            and record.ttl <= self.config.neighborhood_ttl
-        ):
-            known = self._neighborhood_known.setdefault(record.ttl, set())
+        ttl = record.ttl
+        limit = self._neighborhood_ttl
+        if limit is not None and ttl <= limit and record.is_time_exceeded:
+            known = self._neighborhood_known.setdefault(ttl, set())
             if record.hop not in known:
                 known.add(record.hop)
-                self._last_new_at[record.ttl] = now
-        if (
-            self.config.fill
-            and record.is_time_exceeded
-            and record.ttl >= self.config.max_ttl
-            and record.ttl < self.config.fill_ceiling
-        ):
-            self._fill_queue.append((record.target, record.ttl + 1))
+                self._last_new_at[ttl] = now
+        if ttl in self._fill_ttls and record.is_time_exceeded:
+            self._fill_queue.append((record.target, ttl + 1))
         return record
 
     # -- results ---------------------------------------------------------
@@ -253,6 +232,9 @@ class Yarrp6(Prober):
         return {
             "sent": base.pop("sent"),
             "fills": self.fills,
+            # Fill probes a late Time Exceeded queued after the walk's
+            # last slot: the campaign ends before anything emits them.
+            "fills_unsent": len(self._fill_queue),
             "skipped": self.skipped,
             **base,
             "decode_failures": self.processor.decode_failures,

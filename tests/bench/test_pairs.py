@@ -5,8 +5,12 @@ here are shaped like ledger runs (``probes_per_s`` around 35 k, ``wall_s``
 around 0.11 s) so each rule of choosing-metrics §8 is hit once.
 """
 
+import json
 import os
 
+import pytest
+
+from benchmarks import pairs
 from benchmarks.pairs import differing_files, main, report, verdict
 
 PARENT = [35308, 33092, 38079, 36582, 33599, 32737, 38774, 32471, 37133, 34034]
@@ -56,10 +60,20 @@ class TestVerdict:
         assert verdict(parent, change, "lower", 0.05)[0] == "unresolved"
 
 
+#: As much of ``BENCHMARK.json`` as ``main`` reads.
+SPEC = {
+    "command": ["python3", "benchmarks/ledger/run.py"],
+    "run_seconds": 6,
+    "workloads": [{"name": "yarrp6-walk"}, {"name": "yarrp6-fill"}],
+    "end_to_end": [{"name": "probes_per_s", "better": "higher", "bound": 0.25}],
+    "per_layer": [{"name": "prober.encoding.scalar_ns"}, {"name": "netsim.engine.events"}],
+}
+
+
 def _tree(root, name, harness="x = 1\n"):
     ledger = root / name / "benchmarks" / "ledger"
     ledger.mkdir(parents=True)
-    (root / name / "BENCHMARK.json").write_text("{}")
+    (root / name / "BENCHMARK.json").write_text(json.dumps(SPEC))
     (ledger / "harness.py").write_text(harness)
     (ledger / "expected.json").write_text("{}")
     return str(root / name)
@@ -82,6 +96,56 @@ class TestSameBenchmark:
         ]
         assert main([parent, change, "--workload", "yarrp6-walk"]) == 2
         assert "harness.py" in capsys.readouterr().err
+
+
+class TestRefusedBeforeAnythingRuns:
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # Both trees ran, then statistics.quantiles raised.
+            (["--workload", "yarrp6-fill", "--pairs", "1"], "--pairs >= 2"),
+            # The child's argparse refused it, as a CalledProcessError traceback.
+            (["--workload", "yarrp6-refill"], "lists no workload 'yarrp6-refill'"),
+        ],
+    )
+    def test_exit_2_and_nothing_spawned(self, tmp_path, capsys, monkeypatch, flags, reason):
+        def spawned(*args, **kwargs):
+            raise AssertionError("a benchmark ran before the arguments were checked")
+
+        monkeypatch.setattr(pairs.subprocess, "check_output", spawned)
+        assert main([_tree(tmp_path, "a"), _tree(tmp_path, "b")] + flags) == 2
+        assert reason in capsys.readouterr().err
+
+
+def test_trace_runs_n_alternating_traced_pairs_and_prints_a_row_per_layer(
+    tmp_path, capsys, monkeypatch
+):
+    trees = {"parent": _tree(tmp_path, "a"), "change": _tree(tmp_path, "b")}
+    readings = {"parent": iter([3100.0, 3300.0, 3200.0]), "change": iter([3150.0, 3250.0, 3350.0])}
+    order = []
+
+    def spawned(command, cwd, text):
+        side = [name for name, tree in trees.items() if tree == cwd][0]
+        order.append((side, command[-2:]))
+        layers = {
+            "prober.encoding.scalar_ns": {"value": next(readings[side])},
+            "netsim.engine.events": {"value": 0},
+        }
+        return "noise\n" + json.dumps({"attempted": 22, "failed": 0, "metrics": layers})
+
+    monkeypatch.setattr(pairs.subprocess, "check_output", spawned)
+    flags = ["--workload", "yarrp6-fill", "--trace", "3"]
+    assert main([trees["parent"], trees["change"]] + flags) == 0
+    assert order == [
+        (side, ["--trace", "1"])
+        for side in ("parent", "change", "change", "parent", "parent", "change")
+    ]
+    text = capsys.readouterr().out
+    assert "| `prober.encoding.scalar_ns` | 3200 (3100–3300) | 3250 (3150–3350) | 1.016 |" in text
+    # A layer that reads zero has no ratio; no row carries a verdict.
+    assert "| `netsim.engine.events` | 0 (0–0) | 0 (0–0) | – |" in text
+    assert "verdict" not in text
+    assert text.endswith("operations failed: parent 0 / 66, change 0 / 66\n")
 
 
 def test_report_rows_runs_and_failures():

@@ -268,6 +268,11 @@ class TestPipeline:
             (["--shard-timeout", "0"], "shard_timeout_s must be positive or None: 0.0\n"),
             # ... and the parallel path still says the same thing.
             (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
+            # A TTL the hop-limit byte cannot carry, for every --prober: the
+            # spec's walk range is checked before any prober is constructed.
+            (["--max-ttl", "0"], "bad TTL range [1, 0]\n"),
+            (["--prober", "sequential", "--max-ttl", "300"], "bad TTL range [1, 300]\n"),
+            (["--prober", "doubletree", "--max-ttl", "0"], "bad TTL range [1, 0]\n"),
         ],
     )
     def test_probe_validates_what_it_was_given_whatever_workers_is(

@@ -12,6 +12,10 @@ The load-bearing claims from docs/observability.md under test here:
   for shards in {1, 2, 4} — the same contract the records obey.
 """
 
+import ast
+import hashlib
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +28,13 @@ from repro.netsim import (
 )
 from repro.obs import (
     MetricsRegistry,
+    NullTracer,
     Tracer,
     dump_to_json,
     series_cumulative,
     series_points,
 )
+from repro.prober import campaign as campaign_module
 from repro.prober import (
     CampaignSpec,
     run_parallel,
@@ -201,6 +207,124 @@ class TestSpans:
             return tracer.dumps()
 
         assert trace_once() == trace_once()
+
+
+#: The two campaigns every per-event contract below is checked on: a
+#: fill campaign and a sequential one, on the coupled world so limiter
+#: decisions are made (and traced).
+PER_EVENT = {
+    "fill": (run_yarrp6, {"pps": 2000.0, "max_ttl": 3, "fill": True}),
+    "sequential": (run_sequential, {"pps": 2000.0}),
+}
+
+#: sha256 of ``Tracer.dumps()`` — read off the PR-21 tree, whose loop
+#: opened every span with an inline ``with trace.span(...)``.
+PINNED_TRACES = {
+    "fill": "c144615919b7bcf710c6569bcad32432087aec3bfa88a1a7ba1315657c18cf91",
+    "sequential": "a25ef4aa71bd8b5004219373afeab6a8b9a7308ff3ebeadd4fb535fc4b07737a",
+}
+
+
+def run_per_event(kind, tracer):
+    config, targets = small_world(11, decoupled=False)
+    run, options = PER_EVENT[kind]
+    return run(Internet.from_config(config), "US-EDU-1", targets, tracer=tracer, **options)
+
+
+class CountingNullTracer(NullTracer):
+    """Disabled, but remembers every call a loop still makes on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def span(self, name, **attrs):
+        self.calls.append(name)
+        return super().span(name, **attrs)
+
+    def event(self, name, when=None, **attrs):
+        self.calls.append(name)
+
+
+@pytest.mark.parametrize("kind", list(PER_EVENT))
+class TestPerEventLoop:
+    def test_a_disabled_tracer_is_absent_from_the_loop(self, kind):
+        """Nothing per tick, per probe or per response: the one call is
+        the campaign-level span around the whole run."""
+        tracer = CountingNullTracer()
+        result = run_per_event(kind, tracer)
+        assert result.sent > 1000 and len(result.records) > 1000
+        assert tracer.calls == ["campaign"]
+
+    def test_a_traced_campaign_dumps_the_parents_bytes(self, kind):
+        """Names, order, parent indices, times, and the limiter
+        decisions under ``probe``: the bound calls record what the
+        inline ``with`` blocks did."""
+        tracer = Tracer()
+        run_per_event(kind, tracer)
+        tracer.validate()
+        by_parent = {
+            (span.name, tracer.spans[span.parent].name)
+            for span in tracer.spans
+            if span.parent >= 0
+        }
+        assert by_parent == {
+            ("tick", "campaign"),
+            ("emit", "tick"),
+            ("probe", "tick"),
+            ("limiter.decision", "probe"),
+            ("receive", "campaign"),
+        }
+        digest = hashlib.sha256(tracer.dumps().encode("utf-8")).hexdigest()
+        assert digest == PINNED_TRACES[kind]
+
+
+def test_run_campaign_binds_the_tracer_once_outside_every_loop():
+    """The shape that keeps the null spans, and a traced twin of the
+    loop, from quietly coming back (a contract no offline session could
+    check as a CI grep)."""
+    tree = ast.parse(inspect.getsource(campaign_module))
+    (run,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "run_campaign"
+    ]
+
+    def attribute_uses(owner, attr):
+        return [
+            node
+            for node in ast.walk(run)
+            if isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and isinstance(node.value, ast.Name)
+            and node.value.id == owner
+        ]
+
+    # The only span opened inline is the campaign-level one.
+    spans = [
+        node
+        for node in ast.walk(run)
+        if isinstance(node, ast.Call) and node.func in attribute_uses("trace", "span")
+    ]
+    assert [call.args[0].value for call in spans] == ["campaign"]
+    # One emission site and one reception site: no second per-event loop.
+    assert len(attribute_uses("machine", "next_probe")) == 1
+    assert len(attribute_uses("machine", "receive")) == 1
+    # No loop, loop body or delivery callback names the tracer at all —
+    # neither to open a span nor to test ``trace.enabled``.
+    nested = [
+        node for node in ast.walk(run) if isinstance(node, ast.FunctionDef) and node is not run
+    ]
+    assert {"tick", "deliver"} <= {function.name for function in nested}
+    for function in nested:
+        names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        assert not {"trace", "tracer"} & names, function.name
+    generators = [
+        function.name
+        for function in nested
+        if any(isinstance(node, ast.Yield) for node in ast.walk(function))
+    ]
+    assert sorted(generators) == ["block_tick", "tick"]
 
 
 class TestShardInvariance:

@@ -53,6 +53,32 @@ class TestRecording:
         assert (second.start_us, second.end_us) == (5, 5)
         assert first.attrs == {"allowed": True}
 
+    def test_wrap_runs_the_call_inside_a_span_each_time(self):
+        tracer, clock = make_tracer()
+        double = tracer.wrap("emit", lambda value, scale: value * scale)
+        assert tracer.spans == []  # binding records nothing
+        with tracer.span("tick"):
+            assert double(3, 2) == 6
+            clock.now = 4
+            assert double("ab", 2) == "abab"
+        assert [(s.name, s.parent, s.start_us, s.end_us) for s in tracer.spans] == [
+            ("tick", -1, 0, 4),
+            ("emit", 0, 0, 0),
+            ("emit", 0, 4, 4),
+        ]
+
+    def test_wrap_closes_its_span_when_the_call_raises(self):
+        tracer, clock = make_tracer()
+
+        def refuse():
+            clock.now = 7
+            raise KeyError("no")
+
+        with pytest.raises(KeyError):
+            tracer.wrap("probe", refuse)()
+        assert (tracer.spans[0].name, tracer.spans[0].end_us) == ("probe", 7)
+        tracer.validate()
+
     def test_out_of_order_close_raises(self):
         tracer, _ = make_tracer()
         outer = tracer.span("outer")
@@ -128,6 +154,11 @@ class TestNullTracer:
         NULL_TRACER.bind_clock(lambda: 99)
         assert NULL_TRACER.spans == []
         NULL_TRACER.validate()
+
+    def test_wrap_hands_the_call_back(self):
+        """A disabled tracer is absent from the loop that bound it."""
+        call = [].append
+        assert NULL_TRACER.wrap("emit", call) is call
 
     def test_span_handle_is_shared(self):
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")

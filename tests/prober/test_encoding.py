@@ -1,7 +1,9 @@
 """Tests for Yarrp6 stateless state encoding (Figure 4)."""
 
+import ast
 import hashlib
 import io
+import os
 import random
 import struct
 
@@ -11,8 +13,11 @@ from hypothesis import strategies as st
 
 from repro.addrs import parse
 from repro.addrs.address import MAX_ADDRESS
+from repro.netsim import Internet, InternetConfig
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.checksum import address_checksum, verify_transport_checksum
+from repro.prober import PROBERS, Prober, Yarrp6, Yarrp6Config, run_campaign
+from repro.prober import encoding as encoding_module
 from repro.prober.encoding import (
     DEST_PORT,
     MAGIC,
@@ -282,6 +287,112 @@ PINNED_STREAM = (
     123,
     "6ed13200ca50b561c145099a30291d1cb0e1914c06d7f8e2ed8e4b420ad1e745",
 )
+
+
+class TestOneCraftingPath:
+    """Every campaign prober crafts through its ``ProbeTemplate``;
+    ``encode_probe`` is the definition those bytes are held to, and is
+    off the per-probe path."""
+
+    #: Any 128-bit target, any hop limit, and send times past the 32-bit
+    #: ``elapsed`` wrap.
+    emissions = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=MAX_ADDRESS),
+            ttls,
+            st.integers(min_value=0, max_value=2**40),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+    @pytest.mark.parametrize("protocol", ["icmp6", "udp", "tcp"])
+    @pytest.mark.parametrize("kind", list(PROBERS))
+    @settings(max_examples=30, deadline=None)
+    @given(emissions=emissions, instance=st.integers(min_value=0, max_value=255))
+    def test_emit_is_the_reference_encoder(self, kind, protocol, emissions, instance):
+        cls = PROBERS[kind]
+        prober = cls(SRC, [1], cls.Config(instance=instance, protocol=protocol))
+        for sent, (target, ttl, now) in enumerate(emissions, 1):
+            assert prober._emit(target, ttl, now) == encode_probe(
+                SRC, target, ttl, now & 0xFFFFFFFF, instance, protocol
+            )
+            assert prober.sent == sent
+
+    @pytest.mark.parametrize("protocol", ["icmp6", "udp", "tcp"])
+    @settings(max_examples=30, deadline=None)
+    @given(strays=emissions, start=st.integers(min_value=0, max_value=2**40))
+    def test_the_shared_buffer_carries_nothing_between_calls(self, protocol, strays, start):
+        """A block crafted after per-event emissions, and per-event
+        emissions after a block, through the one buffer."""
+        targets = [parse("2a00::1") + 7919 * index for index in range(4)]
+        prober = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=3, instance=7, protocol=protocol))
+        walk = [(targets[index], ttl) for index, ttl in prober.schedule]
+
+        def reference(position, now):
+            target, ttl = walk[position]
+            return encode_probe(SRC, target, ttl, now & 0xFFFFFFFF, 7, protocol)
+
+        def dirty():
+            for stray in strays:
+                prober._emit(*stray)
+
+        dirty()
+        times = [start, start + 3, start + 2**32]
+        assert prober.next_probes(times) == [
+            (now, reference(position, now)) for position, now in enumerate(times)
+        ]
+        assert prober.next_probe(start + 9) == reference(3, start + 9)
+        dirty()
+        assert prober.next_probes([start]) == [(start, reference(4, start))]
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [("yarrp6", {"fill": True, "max_ttl": 3}), ("sequential", {}), ("doubletree", {})],
+    )
+    def test_a_campaign_renders_the_scaffold_and_nothing_else(self, kind, options, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return encode_probe(*args, **kwargs)
+
+        monkeypatch.setattr(encoding_module, "encode_probe", counted)
+        config = InternetConfig(
+            seed=3, n_edge=6, n_tier2=3, n_cpe_isps=1, cpe_customers_per_isp=12
+        )
+        internet = Internet.from_config(config)
+        targets = [subnet.prefix.base | 1 for subnet in internet.truth.subnets.values()]
+        result = run_campaign(
+            internet, "US-EDU-1", targets[:40], kind, 2000.0, PROBERS[kind].Config(**options)
+        )
+        assert result.sent > 100 and result.records
+        assert len(calls) <= 1
+
+    @staticmethod
+    def names_in(module):
+        """Every identifier, attribute and imported name in a prober module."""
+        path = os.path.join(os.path.dirname(encoding_module.__file__), module + ".py")
+        with open(path, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        return named
+
+    @pytest.mark.parametrize("module", ["base", "yarrp6", "traceroute", "doubletree"])
+    def test_no_campaign_prober_names_the_scalar_encoder(self, module):
+        assert "encode_probe" not in self.names_in(module)
+
+    def test_the_template_is_the_base_classes(self):
+        """Yarrp6 keeps none of its own."""
+        assert not {"_template", "_template_buffer"} & self.names_in("yarrp6")
+        assert "_ensure_template" in vars(Prober) and "_ensure_template" not in vars(Yarrp6)
 
 
 class TestGoldenVectors:

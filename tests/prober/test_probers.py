@@ -94,6 +94,56 @@ class TestProberContract:
         assert row in capsys.readouterr().out
 
 
+class TestConfigCheckedAtConstruction:
+    """A config the probe's one-byte fields cannot carry is refused when
+    the prober is built — not by whichever byte write trips first, and
+    not by a campaign that sends probes it can never match."""
+
+    @pytest.mark.parametrize(
+        "kind, config, field",
+        [
+            ("yarrp6", Yarrp6Config(instance=300), "instance"),
+            ("sequential", SequentialConfig(instance=-1), "instance"),
+            ("doubletree", DoubletreeConfig(instance=256), "instance"),
+            ("sequential", SequentialConfig(max_ttl=0), "max_ttl"),
+            ("sequential", SequentialConfig(max_ttl=300), "max_ttl"),
+            ("doubletree", DoubletreeConfig(max_ttl=300), "max_ttl"),
+            ("doubletree", DoubletreeConfig(start_ttl=0, max_ttl=0), "max_ttl"),
+            ("sequential", SequentialConfig(window=0), "window"),
+            ("doubletree", DoubletreeConfig(window=-5), "window"),
+            ("yarrp6", Yarrp6Config(fill=True, fill_ceiling=300), "fill_ceiling"),
+            ("yarrp6", Yarrp6Config(fill_ceiling=0), "fill_ceiling"),
+            ("yarrp6", Yarrp6Config(max_ttl=300), "bad TTL range"),
+        ],
+    )
+    def test_refused_in_one_line_naming_the_field(self, kind, config, field):
+        with pytest.raises(ValueError) as refusal:
+            PROBERS[kind](1, [2], config)
+        message = str(refusal.value)
+        assert message.startswith(field) and "\n" not in message
+
+    def test_no_probe_leaves_for_a_config_the_payload_cannot_carry(self, net, host_targets):
+        """instance=300 used to send every probe with instance byte 44
+        and then match none of the responses against 300."""
+        with pytest.raises(ValueError, match="instance"):
+            run_yarrp6(net, "US-EDU-1", host_targets[:5], instance=300)
+        with pytest.raises(ValueError, match="max_ttl"):
+            run_sequential(net, "US-EDU-1", host_targets[:5], max_ttl=0)
+        assert net.stats.probes == 0
+
+    def test_the_edges_of_each_range_construct(self):
+        Yarrp6(1, [2], Yarrp6Config(instance=0, max_ttl=255, fill=True, fill_ceiling=255))
+        PROBERS["sequential"](1, [2], SequentialConfig(instance=255, max_ttl=1, window=1))
+        PROBERS["doubletree"](1, [2], DoubletreeConfig(start_ttl=255, max_ttl=255))
+
+    def test_a_fill_ceiling_below_max_ttl_never_fills(self, net, host_targets):
+        result = run_yarrp6(
+            net, "US-EDU-1", host_targets[:40], pps=500, max_ttl=8, fill=True, fill_ceiling=4
+        )
+        assert result.sent == 40 * 8
+        assert result.summary["fills"] == result.summary["fills_unsent"] == 0
+
+
 class TestYarrp6Unit:
     def test_emission_count(self, net, host_targets):
         vantage = net.vantage("US-EDU-1")
@@ -165,6 +215,30 @@ class TestFillMode:
         deepest_short = max(record.ttl for record in short.records)
         deepest_filled = max(record.ttl for record in filled.records)
         assert deepest_short <= 8 < deepest_filled
+
+    def test_fills_queued_after_the_last_slot_are_counted(
+        self, net, host_targets, monkeypatch
+    ):
+        """The campaign ends at the first emission that leaves the prober
+        exhausted; a Time Exceeded still in flight then queues a fill
+        nothing will send.  ``fills_unsent`` says how many."""
+        made = []
+
+        class Kept(Yarrp6):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setitem(PROBERS, "kept", Kept)
+        config = Yarrp6Config(max_ttl=4, fill=True)
+        result = run_campaign(net, "US-EDU-1", host_targets, "kept", 2000, config)
+        (prober,) = made
+        assert result.summary["fills_unsent"] == len(prober._fill_queue) > 0
+        assert result.sent == len(host_targets) * 4 + result.summary["fills"]
+
+    def test_a_pure_walk_leaves_no_fill_unsent(self, net, host_targets):
+        result = run_yarrp6(net, "US-EDU-1", host_targets[:40], pps=500, max_ttl=8)
+        assert result.summary["fills"] == result.summary["fills_unsent"] == 0
 
     def test_fill_ceiling_respected(self, net, host_targets):
         result = run_yarrp6(
