@@ -4,13 +4,17 @@
 [--pairs 10] [--seed 2018]`` runs ``BENCHMARK.json``'s command for ``W``
 in each checkout, alternating which side goes first, and prints per
 end-to-end metric the docs/performance.md row, every run and a verdict.
+``--workload all`` does that for each workload ``BENCHMARK.json`` lists,
+in turn, into one table and one every-run listing — the rows a perf
+change's acceptance needs.
 With ``--trace N`` it runs the traced per-layer suite instead, ``N``
 alternating times a side, and prints one row per ``per_layer`` name:
 median, min–max, ratio — where a saving sits, so no verdict.
 Exit 2, before anything is run: the trees would not be measured by the
-same benchmark, ``BENCHMARK.json`` does not list ``W``, or ``--pairs`` is
-below the two runs a side that quartiles need; exit 1: an operation
-failed.  It imports nothing of either tree.
+same benchmark, ``BENCHMARK.json`` does not list ``W``, ``--pairs`` is
+below the two runs a side that quartiles need, or ``--trace`` (one suite,
+whatever the workload) is asked of ``all``; exit 1: an operation failed
+anywhere.  It imports nothing of either tree.
 """
 
 from __future__ import annotations
@@ -96,25 +100,32 @@ def layer_report(names: Sequence[str], runs: Dict[str, List[Any]]) -> str:
     return "\n".join(rows + [failures(runs)])
 
 
-def report(workload: str, metrics: List[Dict[str, Any]], runs: Dict[str, List[Any]]) -> str:
-    """The table, every run and the failed-operation count of finished pairs."""
+def _every_run(measured: Dict[str, Dict[str, List[Any]]]) -> Dict[str, List[Any]]:
+    """side -> the runs of every workload measured."""
+    return {side: [run for runs in measured.values() for run in runs[side]] for side in SIDES}
+
+
+def report(metrics: List[Dict[str, Any]], measured: Dict[str, Dict[str, List[Any]]]) -> str:
+    """The table, every run and the failed-operation count of the finished
+    pairs of each workload in ``measured`` (workload -> side -> runs)."""
     rows, every_run = [HEADER], ["", "```"]
-    for metric in metrics:
-        name = metric["name"]
-        sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
-        label, won = verdict(sides[0], sides[1], metric["better"], metric["bound"])
-        cells = []
-        for values in sides:
-            q1, median, q3 = map(_text, statistics.quantiles(values, n=4))
-            cells.append("%s (%s–%s)" % (median, q1, q3))
-        ratio = statistics.median(sides[1]) / statistics.median(sides[0])
-        rows.append(
-            "| `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
-            % (workload, name, cells[0], cells[1], ratio, won, len(sides[0]), label)
-        )
-        listed = [" ".join(map(_text, values)) for values in sides]
-        every_run.append("%s %s parent %s | change %s" % (workload, name, *listed))
-    return "\n".join(rows + every_run + ["```", failures(runs)])
+    for workload, runs in measured.items():
+        for metric in metrics:
+            name = metric["name"]
+            sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
+            label, won = verdict(sides[0], sides[1], metric["better"], metric["bound"])
+            cells = []
+            for values in sides:
+                q1, median, q3 = map(_text, statistics.quantiles(values, n=4))
+                cells.append("%s (%s–%s)" % (median, q1, q3))
+            ratio = statistics.median(sides[1]) / statistics.median(sides[0])
+            rows.append(
+                "| `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
+                % (workload, name, cells[0], cells[1], ratio, won, len(sides[0]), label)
+            )
+            listed = [" ".join(map(_text, values)) for values in sides]
+            every_run.append("%s %s parent %s | change %s" % (workload, name, *listed))
+    return "\n".join(rows + every_run + ["```", failures(_every_run(measured))])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -134,7 +145,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(os.path.join(args.parent_tree, "BENCHMARK.json"), encoding="utf-8") as source:
         spec = json.load(source)
     listed = [workload["name"] for workload in spec["workloads"]]
-    if args.workload not in listed:
+    if args.workload not in listed + ["all"]:
         print(
             "pairs: BENCHMARK.json lists no workload %r (it lists: %s)"
             % (args.workload, ", ".join(listed)),
@@ -147,21 +158,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    command = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed)]
-    command += ["--seconds", str(spec["run_seconds"]), "--trace", str(int(args.trace > 0))]
+    if args.trace and args.workload == "all":
+        print("pairs: --trace runs one suite whatever the workload: name one", file=sys.stderr)
+        return 2
     count = args.trace or args.pairs
-    runs: Dict[str, List[Any]] = {side: [] for side in SIDES}
-    for pair in range(count):
-        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            stdout = subprocess.check_output(command, cwd=trees[side], text=True)
-            runs[side].append(json.loads(stdout.strip().splitlines()[-1]))
-        print("pairs: %d of %d done" % (pair + 1, count), file=sys.stderr)
-    print("seed %d: %s" % (args.seed, " ".join(command)))
+    measured: Dict[str, Dict[str, List[Any]]] = {}
+    for workload in listed if args.workload == "all" else [args.workload]:
+        command = spec["command"] + ["--workload", workload, "--seed", str(args.seed)]
+        command += ["--seconds", str(spec["run_seconds"]), "--trace", str(int(args.trace > 0))]
+        runs = measured[workload] = {side: [] for side in SIDES}
+        for pair in range(count):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                stdout = subprocess.check_output(command, cwd=trees[side], text=True)
+                runs[side].append(json.loads(stdout.strip().splitlines()[-1]))
+            print("pairs: %s %d of %d done" % (workload, pair + 1, count), file=sys.stderr)
+        print("seed %d: %s" % (args.seed, " ".join(command)))
     if args.trace:
-        print(layer_report([layer["name"] for layer in spec["per_layer"]], runs))
+        print(layer_report([layer["name"] for layer in spec["per_layer"]], measured[args.workload]))
     else:
-        print(report(args.workload, spec["end_to_end"], runs))
-    return int(any(run["failed"] for side in SIDES for run in runs[side]))
+        print(report(spec["end_to_end"], measured))
+    return int(any(run["failed"] for runs in _every_run(measured).values() for run in runs))
 
 
 if __name__ == "__main__":

@@ -94,15 +94,21 @@ def eui64_oui(iid: int) -> int:
     return (mac[0] << 16) | (mac[1] << 8) | mac[2]
 
 
+def eui64_iid(oui: int, nic: int) -> int:
+    """The modified EUI-64 IID of a MAC given as its 24-bit OUI and
+    24-bit NIC-specific half: universal/local bit flipped, ``ff:fe``
+    between the halves (RFC 4291 Appendix A).  Unchecked — for halves
+    that are 24 bits by construction."""
+    return ((oui ^ 0x020000) << 40) | 0xFFFE000000 | nic
+
+
 def make_eui64_iid(mac: Tuple[int, ...]) -> int:
     """Forge a modified EUI-64 IID from six MAC octets (for simulation)."""
     if len(mac) != 6 or any(not 0 <= octet <= 0xFF for octet in mac):
         raise ValueError("MAC must be six octets")
-    octets = [mac[0] ^ 0x02, mac[1], mac[2], 0xFF, 0xFE, mac[3], mac[4], mac[5]]
-    iid = 0
-    for octet in octets:
-        iid = (iid << 8) | octet
-    return iid
+    return eui64_iid(
+        (mac[0] << 16) | (mac[1] << 8) | mac[2], (mac[3] << 16) | (mac[4] << 8) | mac[5]
+    )
 
 
 def classify_set(addresses: Iterable[int]) -> Dict[IIDClass, int]:

@@ -37,6 +37,16 @@ class Prefix:
         raise AttributeError("Prefix is immutable")
 
     @classmethod
+    def _aligned(cls, base: int, length: int) -> "Prefix":
+        """``Prefix(base, length)`` for a base that is in range and has no
+        bit past ``length`` *by construction* — derived inside this module
+        from a prefix that was checked once."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "base", base)
+        return self
+
+    @classmethod
     def parse(cls, text: str) -> "Prefix":
         """Parse ``addr/len`` text; a bare address implies /128."""
         text = text.strip()
@@ -125,10 +135,9 @@ class Prefix:
             raise AddressError(
                 "subnet length /%d shorter than /%d" % (new_length, self.length)
             )
-        step = 1 << (ADDRESS_BITS - new_length)
-        count = 1 << (new_length - self.length)
-        for index in range(count):
-            yield Prefix(self.base + index * step, new_length)
+        shift = ADDRESS_BITS - new_length
+        for index in range(1 << (new_length - self.length)):
+            yield Prefix._aligned(self.base | (index << shift), new_length)
 
     def nth_subnet(self, new_length: int, index: int) -> "Prefix":
         """The ``index``-th subdivision at ``new_length`` without iterating."""
@@ -139,8 +148,7 @@ class Prefix:
         count = 1 << (new_length - self.length)
         if not 0 <= index < count:
             raise IndexError("subnet index %d out of range" % index)
-        step = 1 << (ADDRESS_BITS - new_length)
-        return Prefix(self.base + index * step, new_length)
+        return Prefix._aligned(self.base | (index << (ADDRESS_BITS - new_length)), new_length)
 
     def random_address(self, rng: random.Random) -> int:
         """A uniformly random address within this prefix."""
@@ -154,8 +162,7 @@ class Prefix:
                 "subnet length /%d shorter than /%d" % (new_length, self.length)
             )
         index = rng.getrandbits(new_length - self.length) if new_length > self.length else 0
-        step = 1 << (ADDRESS_BITS - new_length)
-        return Prefix(self.base + index * step, new_length)
+        return Prefix._aligned(self.base | (index << (ADDRESS_BITS - new_length)), new_length)
 
 
 def mask_for(length: int) -> int:

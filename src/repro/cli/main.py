@@ -25,7 +25,7 @@ from ..addrs import address, format_address
 from ..addrs.prefix import Prefix
 from ..hitlist import make_targets
 from ..hitlist.transform import SeedItem
-from ..netsim import Internet, InternetConfig, build_internet
+from ..netsim import Internet, InternetConfig, build_internet, validate_config
 from ..obs import (
     NULL_PROFILER,
     MetricsRegistry,
@@ -95,6 +95,7 @@ def cmd_world(args: argparse.Namespace, out: TextIO) -> int:
         n_edge=args.edge,
         cpe_customers_per_isp=args.cpe,
     )
+    validate_config(config)  # a refused world leaves no file behind
     with open(args.out, "w") as sink:
         save_config(sink, config)
     built = build_internet(config)
@@ -105,7 +106,7 @@ def cmd_world(args: argparse.Namespace, out: TextIO) -> int:
             len(built.truth.ases),
             len(built.truth.routers),
             len(built.truth.subnets),
-            len(built.truth.all_host_addresses()),
+            sum(len(subnet.host_iids) for subnet in built.truth.subnets.values()),
         )
     )
     return 0

@@ -8,6 +8,7 @@ from .build import (
     VantageConfig,
     build_internet,
     decoupled_dynamics,
+    validate_config,
 )
 from .ecmp import VARIANTS, flow_variant
 from .engine import Engine, US_PER_SECOND, pps_interval, seconds
@@ -51,4 +52,5 @@ __all__ = [
     "flow_variant",
     "pps_interval",
     "seconds",
+    "validate_config",
 ]

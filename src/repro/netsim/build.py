@@ -29,22 +29,23 @@ from __future__ import annotations
 
 import gc
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..addrs.prefix import Prefix
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 from .addressing import (
     CPE_OUIS,
-    host_iid,
+    draw_between,
+    eui64_draw,
     interface_address,
-    pick_host_kind,
+    leaf_hosts,
 )
+from .ratelimit import provisioning
 from .topology import (
     AddressPlan,
     AutonomousSystem,
     GroundTruth,
-    HostKind,
     Router,
     RouterRole,
     Subnet,
@@ -156,6 +157,93 @@ class InternetConfig:
     )
 
 
+_COUNTS = (
+    "n_tier1",
+    "n_tier2",
+    "n_edge",
+    "n_cpe_isps",
+    "cpe_customers_per_isp",
+    "equivalent_families",
+)
+_COUNT_RANGES = ("dist_per_edge", "allocs_per_dist", "leaves_per_alloc", "hosts_per_leaf")
+_LIMIT_RANGES = (
+    ("core_limit_rate", "core_limit_burst"),
+    ("edge_limit_rate", "edge_limit_burst"),
+)
+#: An edge AS or a CPE ISP samples up to this many distinct tier-2 providers.
+_MIN_TIER2 = 2
+
+
+def _pair(what: str, value: Any) -> Tuple[Any, Any]:
+    try:
+        low, high = value
+    except (TypeError, ValueError):
+        raise ValueError("world.%s must be a (low, high) pair, not %r" % (what, value)) from None
+    return low, high
+
+
+def _limit(what: str, rate: float, burst: float) -> None:
+    try:
+        provisioning(rate, burst)
+    except (TypeError, ValueError) as error:
+        raise ValueError("world.%s: %s" % (what, error)) from None
+
+
+def validate_config(config: InternetConfig) -> None:
+    """Refuse, with a one-line ``ValueError`` naming the field, a config
+    the builder would mis-draw from.
+
+    The builder draws through helpers that assume what is checked here
+    once — counts are not negative, ``(low, high)`` ranges are ordered
+    integers, limiter provisioning is grantable, fractions are
+    probabilities — instead of finding out from whichever stdlib call
+    trips first, part-way through the RNG stream.
+    """
+    for name in _COUNTS:
+        value = getattr(config, name)
+        if not (isinstance(value, int) and value >= 0):
+            raise ValueError("world.%s must be an int >= 0, not %r" % (name, value))
+    if config.n_tier2 < _MIN_TIER2:
+        raise ValueError(
+            "world.n_tier2 must be at least %d (the providers an edge AS or CPE ISP "
+            "samples), not %r" % (_MIN_TIER2, config.n_tier2)
+        )
+    for name in _COUNT_RANGES:
+        low, high = _pair(name, getattr(config, name))
+        if not (isinstance(low, int) and isinstance(high, int) and 0 <= low <= high):
+            raise ValueError(
+                "world.%s must be ints 0 <= low <= high, not %r" % (name, (low, high))
+            )
+    for rates, bursts in _LIMIT_RANGES:
+        ends = zip(_pair(rates, getattr(config, rates)), _pair(bursts, getattr(config, bursts)))
+        for rate, burst in ends:
+            _limit("%s / %s" % (rates, bursts), rate, burst)
+    if not config.cpe_www_fractions:
+        raise ValueError("world.cpe_www_fractions must not be empty")
+    fractions = [
+        (item.name, getattr(config, item.name))
+        for item in fields(config)
+        if item.name.endswith(("_fraction", "_probability"))
+    ]
+    fractions += [
+        ("cpe_www_fractions[%d]" % at, value)
+        for at, value in enumerate(config.cpe_www_fractions)
+    ]
+    for name, value in fractions:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("world.%s must be within [0, 1], not %r" % (name, value))
+    for vantage in config.vantages:
+        where = "vantages[%s]" % vantage.name
+        if not (isinstance(vantage.premise_hops, int) and vantage.premise_hops >= 0):
+            raise ValueError(
+                "world.%s.premise_hops must be an int >= 0, not %r"
+                % (where, vantage.premise_hops)
+            )
+        for name in ("premise_limit", "aggressive_limit"):
+            what = "%s.%s" % (where, name)
+            _limit(what, *_pair(what, getattr(vantage, name)))
+
+
 class Vantage:
     """A built vantage: its host address and on-premise hop chain."""
 
@@ -233,6 +321,10 @@ class _Builder:
         self.config = config
         self.rng = random.Random(config.seed)
         self.out = BuiltInternet(config)
+        truth = self.out.truth
+        self._routers = truth.routers
+        self._router_addresses = truth.router_addresses
+        self._subnets = truth.subnets
         self._next_asn = 64496
         self._next_router_id = 1
         self._used_prefixes: Set[int] = set()
@@ -262,25 +354,25 @@ class _Builder:
         rate_range: Tuple[float, float],
         burst_range: Tuple[float, float],
     ) -> Router:
-        rng = self.rng
-        rate, burst = rng.uniform(*rate_range), rng.uniform(*burst_range)
+        rng, config = self.rng, self.config
+        random = rng.random
+        # ``uniform(low, high)`` is ``low + (high - low) * random()``: the
+        # same draws without a stdlib frame per range per router.
+        rate_low, rate_high = rate_range
+        burst_low, burst_high = burst_range
+        rate = rate_low + (rate_high - rate_low) * random()
+        burst = burst_low + (burst_high - burst_low) * random()
         respond: Optional[Set[int]] = None
         probability = 1.0
-        if rng.random() < self.config.silent_router_fraction:
+        if random() < config.silent_router_fraction:
             probability = rng.uniform(0.0, 0.5)
-        elif rng.random() < self.config.icmp_only_router_fraction:
+        elif random() < config.icmp_only_router_fraction:
             respond = {PROTO_ICMPV6}
-        router = Router(
-            self._next_router_id,
-            asn,
-            role,
-            rate,
-            burst,
-            respond_protocols=respond,
-            response_probability=probability,
+        router_id = self._next_router_id
+        self._next_router_id = router_id + 1
+        router = self._routers[router_id] = Router(
+            router_id, asn, role, rate, burst, respond, probability
         )
-        self._next_router_id += 1
-        self.out.truth.register_router(router)
         return router
 
     def link_prefix(self, asn: int) -> Prefix:
@@ -292,7 +384,8 @@ class _Builder:
         return Prefix(infra.base | (counter << 64), 64)
 
     def give_interface(self, router: Router, addr: int) -> int:
-        self.out.truth.register_interface(router, addr)
+        router.interfaces.append(addr)
+        self._router_addresses[addr] = router
         return addr
 
     def iface_on_link(self, router: Router, link: Prefix, position: int) -> int:
@@ -389,36 +482,26 @@ class _Builder:
         gateway: Router,
         www_fraction: float,
         host_count: int,
-        host_oui: int = 0,
     ) -> Subnet:
         rng, config = self.rng, self.config
-        if asys.address_plan is AddressPlan.EUI64:
-            gw_iid = host_iid(HostKind.EUI64, rng, asys.cpe_oui or CPE_OUIS[0])
-        else:
-            gw_iid = 1
+        residential = asys.address_plan is AddressPlan.EUI64
+        gw_iid = eui64_draw(rng, asys.cpe_oui or CPE_OUIS[0]) if residential else 1
         gateway_addr = self.give_interface(gateway, leaf_prefix.base | gw_iid)
         subnet = Subnet(leaf_prefix, gateway, gateway_addr)
-        if (
-            asys.address_plan is not AddressPlan.EUI64
-            and rng.random() < config.aliased_subnet_fraction
-        ):
+        if not residential and rng.random() < config.aliased_subnet_fraction:
             subnet.aliased = True
         is_www = rng.random() < www_fraction
         # Residential LANs are dominated by SLAAC privacy addresses;
         # enterprise/hosting LANs carry more static low-byte servers.
-        privacy = (
-            0.85 if asys.address_plan is AddressPlan.EUI64
-            else config.privacy_fraction
+        subnet.host_iids, subnet.www_client_iids = leaf_hosts(
+            rng,
+            host_count,
+            0.85 if residential else config.privacy_fraction,
+            config.eui64_host_fraction,
+            asys.cpe_oui or CPE_OUIS[1],
+            is_www,
         )
-        for _ in range(host_count):
-            kind = pick_host_kind(
-                rng, privacy, config.eui64_host_fraction
-            )
-            iid = host_iid(kind, rng, asys.cpe_oui or CPE_OUIS[1])
-            subnet.host_iids.append(iid)
-            if is_www and kind is HostKind.SLAAC_PRIVACY:
-                subnet.www_client_iids.append(iid)
-        self.out.truth.register_subnet(subnet)
+        self._subnets[leaf_prefix.base] = subnet
         asys.plan.leaves.append(subnet)
         return subnet
 
@@ -497,12 +580,13 @@ class _Builder:
     def build_edge_plan(self, asys: AutonomousSystem) -> None:
         """Sparse hierarchical allocation inside one edge AS."""
         config, rng = self.config, self.rng
+        hosts_low, hosts_high = config.hosts_per_leaf
         prefix = self._infra_prefix[asys.asn]
         # Customer space: everything except the infra /48 (index 0).
         dist_length = min(40, prefix.length + 8) if prefix.length < 40 else min(
             prefix.length + 4, 56
         )
-        n_dist = rng.randint(*config.dist_per_edge)
+        n_dist = draw_between(rng, *config.dist_per_edge)
         dist_slots = rng.sample(
             range(1, 1 << (dist_length - prefix.length)),
             k=min(n_dist, (1 << (dist_length - prefix.length)) - 1),
@@ -522,7 +606,7 @@ class _Builder:
             iface = self.iface_on_link(router, self.link_prefix(asys.asn), 0)
             self.out.dist_routers[dist.base] = ((router, iface),)
             alloc_length = min(60, dist_length + 8)
-            n_alloc = rng.randint(*config.allocs_per_dist)
+            n_alloc = draw_between(rng, *config.allocs_per_dist)
             span = 1 << (alloc_length - dist_length)
             alloc_slots = _allocate_slots(rng, span, min(n_alloc, span))
             for alloc_slot in alloc_slots:
@@ -537,7 +621,7 @@ class _Builder:
                 asys.routers.append(agg)
                 agg_iface = self.iface_on_link(agg, self.link_prefix(asys.asn), 0)
                 self.out.agg_routers[alloc.base] = ((agg, agg_iface),)
-                n_leaves = rng.randint(*config.leaves_per_alloc)
+                n_leaves = draw_between(rng, *config.leaves_per_alloc)
                 leaf_span = 1 << (64 - alloc_length)
                 leaf_slots = _allocate_slots(rng, leaf_span, min(n_leaves, leaf_span))
                 for leaf_slot in leaf_slots:
@@ -554,7 +638,7 @@ class _Builder:
                         leaf,
                         gateway,
                         config.edge_www_fraction,
-                        rng.randint(*config.hosts_per_leaf),
+                        draw_between(rng, hosts_low, hosts_high),
                     )
         self.out.dist_index[asys.asn] = sorted(dists)
         self.out.alloc_index[asys.asn] = sorted(asys.plan.allocations)
@@ -577,6 +661,8 @@ class _Builder:
         n_regions = 8
         region_length = prefix.length + 8  # /40 regions
         customers = config.cpe_customers_per_isp
+        hosts_low, hosts_high = config.hosts_per_leaf
+        www = config.cpe_www_fractions[min(index, len(config.cpe_www_fractions) - 1)]
         per_region = max(1, customers // n_regions)
         region_slots = rng.sample(range(1, 200), k=n_regions)
         for region_slot in region_slots:
@@ -614,10 +700,9 @@ class _Builder:
                 # aggregation and 6Gen generation effective on client space.
                 offset = rng.randrange(0, 8)
                 count = min(per_pool, span - offset)
-                slots = range(offset, offset + count)
-                for slot in slots:
-                    delegation = pool.nth_subnet(56, slot)
-                    leaf = delegation.nth_subnet(64, 0)
+                for slot in range(offset, offset + count):
+                    # /64 number 0 of the customer's /56 delegation
+                    leaf = pool.nth_subnet(64, slot << 8)
                     cpe = self.new_router(
                         asys.asn,
                         RouterRole.CPE,
@@ -625,16 +710,8 @@ class _Builder:
                         config.edge_limit_burst,
                     )
                     asys.routers.append(cpe)
-                    www = config.cpe_www_fractions[
-                        min(index, len(config.cpe_www_fractions) - 1)
-                    ]
                     self.populate_leaf(
-                        asys,
-                        leaf,
-                        cpe,
-                        www,
-                        rng.randint(*config.hosts_per_leaf),
-                        host_oui=asys.cpe_oui,
+                        asys, leaf, cpe, www, draw_between(rng, hosts_low, hosts_high)
                     )
         self.out.dist_index[asys.asn] = sorted(asys.plan.distribution)
         self.out.alloc_index[asys.asn] = sorted(asys.plan.allocations)
@@ -670,7 +747,7 @@ class _Builder:
                     rate, burst = vantage_config.aggressive_limit
                 else:
                     rate, burst = vantage_config.premise_limit
-                router = Router(
+                router = self._routers[self._next_router_id] = Router(
                     self._next_router_id,
                     asys.asn,
                     RouterRole.CORE,
@@ -678,7 +755,6 @@ class _Builder:
                     burst,
                 )
                 self._next_router_id += 1
-                self.out.truth.register_router(router)
                 asys.routers.append(router)
                 link = self.link_prefix(asys.asn)
                 iface = self.give_interface(router, link.base | 1)
@@ -720,8 +796,12 @@ class _Builder:
 
 
 def build_internet(config: Optional[InternetConfig] = None) -> BuiltInternet:
-    """Generate a ground-truth internet from ``config`` (seeded, repeatable)."""
-    return _Builder(config or InternetConfig()).build()
+    """Generate a ground-truth internet from ``config`` (seeded, repeatable);
+    ``ValueError`` before the first draw for a config :func:`validate_config`
+    refuses."""
+    config = config or InternetConfig()
+    validate_config(config)
+    return _Builder(config).build()
 
 
 #: A token-bucket parameterization that can never run dry at campaign

@@ -98,9 +98,6 @@ class Router:
         #: must ride over.  Deterministic per router.
         self.frag_drift = (router_id * 2654435761 % 400) / 100.0
 
-    def add_interface(self, addr: int) -> None:
-        self.interfaces.append(addr)
-
     def __repr__(self) -> str:
         return "Router(%d, AS%d, %s, %d ifaces)" % (
             self.router_id,
@@ -259,16 +256,6 @@ class GroundTruth:
         #: ASN -> canonical ASN for operationally-equivalent AS families
         #: (mergers; §6's "equivalent ASNs" augmentation).
         self.equivalent_asns: Dict[int, int] = {}
-
-    def register_router(self, router: Router) -> None:
-        self.routers[router.router_id] = router
-
-    def register_interface(self, router: Router, addr: int) -> None:
-        router.add_interface(addr)
-        self.router_addresses[addr] = router
-
-    def register_subnet(self, subnet: Subnet) -> None:
-        self.subnets[subnet.prefix.base] = subnet
 
     def canonical_asn(self, asn: int) -> int:
         return self.equivalent_asns.get(asn, asn)

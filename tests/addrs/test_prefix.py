@@ -140,6 +140,62 @@ class TestTransformations:
             assert prefix.covers(subnet)
 
 
+@st.composite
+def subdivisions(draw):
+    """``(prefix, new_length, index)`` with the index in range."""
+    prefix = draw(prefixes)
+    new_length = draw(st.integers(prefix.length, 128))
+    index = draw(st.integers(0, (1 << (new_length - prefix.length)) - 1))
+    return prefix, new_length, index
+
+
+class TestDerivedPrefixes:
+    """``nth_subnet`` / ``subnets`` / ``random_subnet`` build their result
+    without re-checking a base that is aligned and in range by
+    construction; the checked constructor is the oracle, and every
+    argument check keeps its message."""
+
+    @given(subdivisions())
+    def test_nth_subnet_is_the_checked_constructor(self, drawn):
+        prefix, new_length, index = drawn
+        derived = prefix.nth_subnet(new_length, index)
+        checked = Prefix(prefix.base + index * (1 << (128 - new_length)), new_length)
+        assert type(derived) is Prefix
+        assert (derived.base, derived.length) == (checked.base, checked.length)
+        assert derived == checked and hash(derived) == hash(checked)  # repro-lint: disable=DET001
+        with pytest.raises(AttributeError, match="Prefix is immutable"):
+            derived.base = 0
+
+    @given(subdivisions(), st.integers(0, 2**32))
+    def test_random_subnet_and_subnets_agree_with_nth_subnet(self, drawn, seed):
+        prefix, new_length, index = drawn
+        bits = new_length - prefix.length
+        drawn_index = random.Random(seed).getrandbits(bits) if bits else 0
+        subnet = prefix.random_subnet(new_length, random.Random(seed))
+        assert subnet == Prefix(prefix.base + drawn_index * (1 << (128 - new_length)), new_length)
+        for at, listed in zip(range(3), prefix.subnets(new_length)):
+            assert listed == prefix.nth_subnet(new_length, at)
+
+    def test_messages_are_the_checked_ones(self):
+        with pytest.raises(AddressError, match=r"^prefix length out of range: 129$"):
+            Prefix(0, 129)
+        with pytest.raises(AddressError, match=r"^prefix base out of range: -1$"):
+            Prefix(-1, 64)
+        with pytest.raises(AddressError, match=r"^prefix base out of range: %d$" % (1 << 128)):
+            Prefix(1 << 128, 64)
+        slash32 = Prefix.parse("2001:db8::/32")
+        for index in (-1, 16):
+            with pytest.raises(IndexError, match=r"^subnet index %d out of range$" % index):
+                slash32.nth_subnet(36, index)
+        for derive in (
+            lambda: slash32.nth_subnet(24, 0),
+            lambda: list(slash32.subnets(24)),
+            lambda: slash32.random_subnet(24, random.Random(1)),
+        ):
+            with pytest.raises(AddressError, match=r"^subnet length /24 shorter than /32$"):
+                derive()
+
+
 class TestMasks:
     def test_mask_for_extremes(self):
         assert mask_for(0) == 0

@@ -106,6 +106,8 @@ class TestRefusedBeforeAnythingRuns:
             (["--workload", "yarrp6-fill", "--pairs", "1"], "--pairs >= 2"),
             # The child's argparse refused it, as a CalledProcessError traceback.
             (["--workload", "yarrp6-refill"], "lists no workload 'yarrp6-refill'"),
+            # The traced suite is one suite: five copies of it are not five rows.
+            (["--workload", "all", "--trace", "3"], "--trace runs one suite"),
         ],
     )
     def test_exit_2_and_nothing_spawned(self, tmp_path, capsys, monkeypatch, flags, reason):
@@ -148,6 +150,52 @@ def test_trace_runs_n_alternating_traced_pairs_and_prints_a_row_per_layer(
     assert text.endswith("operations failed: parent 0 / 66, change 0 / 66\n")
 
 
+class TestEveryWorkload:
+    """``--workload all``: each listed workload in turn, one table."""
+
+    def _main(self, tmp_path, monkeypatch, failing=None):
+        trees = {"parent": _tree(tmp_path, "a"), "change": _tree(tmp_path, "b")}
+        order = []
+
+        def spawned(command, cwd, text):
+            side = [name for name, tree in trees.items() if tree == cwd][0]
+            workload = command[command.index("--workload") + 1]
+            order.append((workload, side))
+            rate = {"parent": 30000.0, "change": 40000.0}[side] + len(order)
+            failed = int((workload, side) == failing)
+            metrics = {"probes_per_s": {"value": rate}}
+            return json.dumps({"attempted": 5, "failed": failed, "metrics": metrics})
+
+        monkeypatch.setattr(pairs.subprocess, "check_output", spawned)
+        flags = ["--workload", "all", "--pairs", "2"]
+        return main([trees["parent"], trees["change"]] + flags), order
+
+    def test_each_listed_workload_in_turn_into_one_table(self, tmp_path, capsys, monkeypatch):
+        code, order = self._main(tmp_path, monkeypatch)
+        assert code == 0
+        # The same alternation, started afresh for each workload.
+        assert order == [
+            (workload, side)
+            for workload in ("yarrp6-walk", "yarrp6-fill")
+            for side in ("parent", "change", "change", "parent")
+        ]
+        text = capsys.readouterr().out
+        assert text.count(pairs.HEADER) == 1 and text.count("```") == 2
+        rows = [line for line in text.splitlines() if line.startswith("| `yarrp6-")]
+        assert [row.split("`")[1] for row in rows] == ["yarrp6-walk", "yarrp6-fill"]
+        assert all(row.endswith("| 2 / 2 | claimed |") for row in rows)
+        assert "yarrp6-walk probes_per_s parent 30001 30004 | change 40002 40003" in text
+        assert "yarrp6-fill probes_per_s parent 30005 30008 | change 40006 40007" in text
+        assert text.endswith("operations failed: parent 0 / 20, change 0 / 20\n")
+
+    def test_an_operation_failed_anywhere_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        code, _ = self._main(tmp_path, monkeypatch, failing=("yarrp6-fill", "change"))
+        assert code == 1
+        assert capsys.readouterr().out.endswith(
+            "operations failed: parent 0 / 20, change 2 / 20\n"
+        )
+
+
 def test_report_rows_runs_and_failures():
     metrics = [{"name": "probes_per_s", "better": "higher", "bound": 0.25}]
 
@@ -158,9 +206,8 @@ def test_report_rows_runs_and_failures():
         ]
 
     text = report(
-        "yarrp6-walk",
         metrics,
-        {"parent": runs(PARENT, 0), "change": runs([v * 1.3 for v in PARENT], 1)},
+        {"yarrp6-walk": {"parent": runs(PARENT, 0), "change": runs([v * 1.3 for v in PARENT], 1)}},
     )
     assert (
         "| `yarrp6-walk` | `probes_per_s` | 34671 (33003–37370) | 45072 (42904–48580) "

@@ -76,6 +76,19 @@ class TestWorldConfig:
             ),
             # A syntax error used to print no file name.
             ('{"n_edge": 3,', "Expecting property name enclosed in double quotes"),
+            # Well-typed, but a world the builder would mis-draw from.  Were:
+            # "empty range for randrange() (4, 2, -2)"; "Sample larger than
+            # population or is negative"; an IndexError traceback, exit 1;
+            # and two worlds that built (as n_edge=0 / n_cpe_isps=0).
+            ('{"hosts_per_leaf": [4, 1]}', "world.hosts_per_leaf must be ints 0 <= low <= high"),
+            ('{"n_tier2": 0}', "world.n_tier2 must be at least 2"),
+            ('{"cpe_www_fractions": []}', "world.cpe_www_fractions must not be empty"),
+            ('{"n_edge": -3}', "world.n_edge must be an int >= 0, not -3"),
+            ('{"n_cpe_isps": -1}', "world.n_cpe_isps must be an int >= 0, not -1"),
+            (
+                '{"edge_limit_rate": [0, 500]}',
+                "world.edge_limit_rate / edge_limit_burst: rate must be positive: 0",
+            ),
         ],
     )
     def test_malformed_world_file_is_one_line_naming_the_file(
@@ -100,10 +113,52 @@ class TestWorldConfig:
         )
         assert isinstance(config.cpe_www_fractions, tuple)
 
+    def test_a_refused_world_is_refused_by_every_command_that_builds_it(
+        self, world_file, tmp_path
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"hosts_per_leaf": [4, 1]}')
+        targets = tmp_path / "t.targets"
+        targets.write_text("2001:db8::1\n")
+        results = str(tmp_path / "run.yrp6")
+        probe = ["probe", "--vantage", "EU-NET", "--targets", str(targets)]
+        assert run(probe + ["--world", world_file, "--out", results])[0] == 0
+        refused = "%s: world.hosts_per_leaf must be ints 0 <= low <= high, not (4, 1)\n" % bad
+        for argv in (
+            probe + ["--world", str(bad), "--out", str(tmp_path / "bad.yrp6")],
+            probe + ["--world", str(bad), "--out", str(tmp_path / "bad.yrp6"), "--workers", "2"],
+            ["analyze", "--results", results, "--world", str(bad), "--subnets"],
+        ):
+            code, text = run(argv)
+            assert code == 2
+            assert text.endswith(refused) and "Traceback" not in text, text
+        assert not os.path.exists(tmp_path / "bad.yrp6")
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # Built the --edge 0 world and wrote "n_edge": -1 into the file.
+            (["--edge", "-1"], "world.n_edge must be an int >= 0, not -1\n"),
+            # Built the --cpe 0 world (one customer per pool).
+            (["--cpe", "-5"], "world.cpe_customers_per_isp must be an int >= 0, not -5\n"),
+        ],
+    )
+    def test_world_refuses_before_it_writes(self, tmp_path, flags, reason):
+        path = tmp_path / "w.json"
+        assert run(["world", "--out", str(path)] + flags) == (2, reason)
+        assert not path.exists()
+
     def test_world_command_output(self, world_file, tmp_path):
         data = json.loads(open(world_file).read())
         assert data["n_edge"] == 30
         assert data["seed"] == 5
+        # The summary line, character for character (hosts are counted,
+        # not materialised as one address each).
+        path = str(tmp_path / "again.json")
+        assert run(["world", "--edge", "30", "--cpe", "150", "--seed", "5", "--out", path]) == (
+            0,
+            "world written to %s: 52 ASes, 1689 routers, 1046 leaf /64s, 2628 hosts\n" % path,
+        )
 
 
 class TestPipeline:

@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.addrs import IIDClass, classify_iid
+from repro.addrs import IIDClass, classify_iid, eui64_oui, make_eui64_iid
 from repro.addrs.prefix import Prefix
 from repro.netsim.addressing import (
     CPE_OUIS,
+    draw_between,
+    eui64_draw,
     host_iid,
     interface_address,
     interface_iid,
-    pick_host_kind,
-    random_mac,
+    leaf_hosts,
 )
 from repro.netsim.ecmp import VARIANTS, flow_variant
 from repro.netsim.internet import RouterState
@@ -49,9 +50,7 @@ class TestInterfaceAddressing:
         assert link.contains(addr)
 
     def test_random_mac_oui(self):
-        mac = random_mac(random.Random(3), 0xAABBCC)
-        assert mac[:3] == (0xAA, 0xBB, 0xCC)
-        assert all(0 <= octet <= 255 for octet in mac)
+        assert eui64_oui(eui64_draw(random.Random(3), 0xAABBCC)) == 0xAABBCC
 
 
 class TestHostAddressing:
@@ -72,12 +71,97 @@ class TestHostAddressing:
             assert 1 <= iid <= 0x200
 
     def test_pick_host_kind_mix(self):
-        rng = random.Random(7)
-        kinds = [pick_host_kind(rng, 0.5, 0.3) for _ in range(2000)]
-        privacy = kinds.count(HostKind.SLAAC_PRIVACY) / len(kinds)
-        eui = kinds.count(HostKind.EUI64) / len(kinds)
-        assert 0.45 < privacy < 0.55
-        assert 0.25 < eui < 0.35
+        hosts, clients = leaf_hosts(random.Random(7), 2000, 0.5, 0.3, CPE_OUIS[1], True)
+        classes = [classify_iid(iid) for iid in hosts]
+        assert 0.45 < classes.count(IIDClass.RANDOMIZED) / len(hosts) < 0.55
+        assert 0.25 < classes.count(IIDClass.EUI64) / len(hosts) < 0.35
+        # The privacy-addressed hosts of a WWW LAN are its CDN-visible clients.
+        assert clients == [
+            iid for iid, cls in zip(hosts, classes) if cls is IIDClass.RANDOMIZED
+        ]
+        assert leaf_hosts(random.Random(7), 2000, 0.5, 0.3, CPE_OUIS[1], False) == (hosts, [])
+
+
+# The scalar spellings the world build drew through before PR 23 — a MAC
+# tuple per EUI-64 IID, a kind enum then an ``if`` chain per host,
+# ``randint`` per bounded draw.  Kept here as the oracle: the closed
+# forms in ``netsim.addressing`` must return the same values *and* leave
+# the generator in the same state (as many draws, in the same order).
+def random_mac(rng, oui):
+    return (
+        (oui >> 16) & 0xFF,
+        (oui >> 8) & 0xFF,
+        oui & 0xFF,
+        rng.getrandbits(8),
+        rng.getrandbits(8),
+        rng.getrandbits(8),
+    )
+
+
+def pick_host_kind(rng, privacy_fraction, eui64_fraction):
+    roll = rng.random()
+    if roll < privacy_fraction:
+        return HostKind.SLAAC_PRIVACY
+    if roll < privacy_fraction + eui64_fraction:
+        return HostKind.EUI64
+    return HostKind.LOWBYTE_SERVER
+
+
+def scalar_host_iid(kind, rng, oui=0):
+    if kind is HostKind.SLAAC_PRIVACY:
+        iid = rng.getrandbits(64)
+        if (iid >> 24) & 0xFFFF == 0xFFFE:
+            iid ^= 1 << 30
+        return iid or 1
+    if kind is HostKind.EUI64:
+        return make_eui64_iid(random_mac(rng, oui or CPE_OUIS[1]))
+    return rng.randint(1, 0x200)
+
+
+SEEDS = st.integers(0, 2**32)
+FRACTIONS = st.floats(0.0, 1.0)
+
+
+class TestDrawsAgainstTheScalarOracle:
+    @given(SEEDS, st.integers(0, 0xFFFFFF))
+    def test_eui64_draw(self, seed, oui):
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        assert eui64_draw(drawn, oui) == make_eui64_iid(random_mac(oracle, oui))
+        assert drawn.getstate() == oracle.getstate()
+
+    @given(
+        SEEDS,
+        st.integers(0, 2**20),
+        # any width, and the edges of the rejection loop: width 1 and
+        # one below / at / above a power of two
+        st.integers(0, 2**20)
+        | st.sampled_from([0] + [(1 << k) + d for k in range(1, 21) for d in (-2, -1, 0)]),
+    )
+    def test_draw_between_is_randint(self, seed, low, span):
+        high = min(low + span, 2**20)
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert draw_between(drawn, low, high) == oracle.randint(low, high)
+        assert drawn.getstate() == oracle.getstate()
+
+    @given(SEEDS, st.sampled_from(list(HostKind)), st.sampled_from((0,) + CPE_OUIS))
+    def test_host_iid(self, seed, kind, oui):
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        assert host_iid(kind, drawn, oui) == scalar_host_iid(kind, oracle, oui)
+        assert drawn.getstate() == oracle.getstate()
+
+    @given(SEEDS, st.integers(0, 8), FRACTIONS, FRACTIONS, st.booleans())
+    def test_leaf_hosts_is_the_per_host_loop(self, seed, count, privacy, eui64, www):
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        hosts, clients = [], []
+        for _ in range(count):
+            kind = pick_host_kind(oracle, privacy, eui64)
+            iid = scalar_host_iid(kind, oracle, CPE_OUIS[2])
+            hosts.append(iid)
+            if www and kind is HostKind.SLAAC_PRIVACY:
+                clients.append(iid)
+        assert leaf_hosts(drawn, count, privacy, eui64, CPE_OUIS[2], www) == (hosts, clients)
+        assert drawn.getstate() == oracle.getstate()
 
 
 # The ECMP model, per byte — the oracle ``flow_variant``'s closed form

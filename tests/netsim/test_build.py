@@ -1,13 +1,17 @@
 """Tests for ground-truth internet generation."""
 
 import gc
+import hashlib
+import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.addrs import classify_address, classify_set, IIDClass
 from repro.addrs.prefix import Prefix
-from repro.netsim import InternetConfig, build_internet
+from repro.netsim import InternetConfig, VantageConfig, build_internet, decoupled_dynamics
+from repro.netsim import build
 from repro.netsim.topology import AddressPlan, RouterRole
 
 
@@ -25,26 +29,255 @@ class TestDeterminism:
         assert a.truth.all_router_addresses() != b.truth.all_router_addresses()
 
 
+def _prefixes(prefixes):
+    return [(prefix.base, prefix.length) for prefix in prefixes]
+
+
+def _hops(hops):
+    return [(router.router_id, addr) for router, addr in hops]
+
+
+def world_digest(built, rng):
+    """sha256 over everything ``BuiltInternet`` holds, in the order it
+    holds it, and over the builder RNG's end state (as many draws, not
+    just the same visible values)."""
+    truth = built.truth
+    parts = [
+        [
+            (
+                key, r.router_id, r.asn, r.role.value, r.rate, r.burst, r.interfaces,
+                r.respond_protocols and sorted(r.respond_protocols),
+                r.response_probability, r.frag_drift,
+            )
+            for key, r in truth.routers.items()
+        ],
+        [(addr, r.router_id) for addr, r in truth.router_addresses.items()],
+        [
+            (
+                key, s.prefix.base, s.prefix.length, s.gateway.router_id, s.gateway_addr,
+                s.host_iids, s.www_client_iids, s.aliased,
+            )
+            for key, s in truth.subnets.items()
+        ],
+        [
+            (
+                key, a.asn, a.name, a.tier, _prefixes(a.prefixes), _prefixes(a.internal_prefixes),
+                a.providers, [r.router_id for r in a.routers], a.plan.asn,
+                _prefixes(a.plan.distribution), _prefixes(a.plan.allocations),
+                [leaf.prefix.base for leaf in a.plan.leaves],
+                sorted(a.policy.blocked_protocols), a.policy.prohibit_action,
+                a.address_plan.value, a.cpe_oui, a.link_mtu,
+            )
+            for key, a in truth.ases.items()
+        ],
+        [(p.base, p.length, asn) for p, asn in truth.bgp.items()],
+        [(p.base, p.length, asn) for p, asn in truth.registry.items()],
+        list(truth.equivalent_asns.items()),
+        [built.tier1_asns, built.tier2_asns, built.edge_asns, built.cpe_asns],
+        [(asn, _hops(hops)) for asn, hops in built.borders.items()],
+        [(asn, _hops(hops)) for asn, hops in built.cores.items()],
+        [(base, _hops(hops)) for base, hops in built.dist_routers.items()],
+        [(base, _hops(hops)) for base, hops in built.agg_routers.items()],
+        list(built.uplinks.items()),
+        [(asn, _prefixes(index)) for asn, index in built.dist_index.items()],
+        [(asn, _prefixes(index)) for asn, index in built.alloc_index.items()],
+        [
+            (name, v.name, v.asn, v.address, _hops(v.premise_chain))
+            for name, v in built.vantages.items()
+        ],
+        rng.getstate(),
+    ]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+#: The CI smoke world (``world --seed 5 --edge 30 --cpe 150``).
+SMOKE = InternetConfig(seed=5, n_edge=30, cpe_customers_per_isp=150)
+
+#: config -> ``world_digest`` of its build, recorded from the tree before
+#: PR 23 (per-draw ``randint`` / ``uniform`` / MAC tuples / checked
+#: ``Prefix``): the build kernel may change how a value is drawn, never
+#: which, in what order, or how many.
+PINNED = [
+    (SMOKE, "5b25cff49c3d5b469f294fd678e40cdeecbc147b1177b3cad919668f8dbffa69"),
+    (
+        decoupled_dynamics(SMOKE),
+        "e98a31275d1416e1a00495886616e3a20e8da84e5fa37aa65942bc1876e20e68",
+    ),
+    (
+        replace(
+            SMOKE,
+            edge_slash48_fraction=1.0,
+            unadvertised_infra_fraction=1.0,
+            tunnel_fraction=1.0,
+        ),
+        "90f327197b119b099e4e3254969a43f9efbaa31a1f28fc428dbc2337bd013c44",
+    ),
+    (
+        replace(SMOKE, include_6to4=False, equivalent_families=0, n_cpe_isps=3),
+        "1c7c2583dd85373d665338b487cb8d6825372c62b01516e2b5019da7fa167294",
+    ),
+    (
+        replace(
+            SMOKE,
+            silent_router_fraction=0.5,
+            icmp_only_router_fraction=0.5,
+            aliased_subnet_fraction=0.5,
+        ),
+        "75098beed79118cc3f9b8c2a15f58b9f67024ac4815bb9d4d82959c9950e658f",
+    ),
+    # Width-1 ranges, leaves with no host, one customer per pool.
+    (
+        replace(
+            SMOKE,
+            dist_per_edge=(1, 1),
+            allocs_per_dist=(4, 4),
+            leaves_per_alloc=(1, 2),
+            hosts_per_leaf=(0, 8),
+            cpe_customers_per_isp=1,
+        ),
+        "45ef04194cadebd38921d976b51cdc066cbfb2390ece1c67e8865d7bd11c6b50",
+    ),
+]
+
+
+class TestWorldPinned:
+    @pytest.mark.parametrize(
+        "config, digest",
+        PINNED,
+        ids=["smoke", "decoupled", "slash48-hidden-tunnel", "three-isps", "silent", "narrow"],
+    )
+    def test_every_field_and_the_rng_end_state(self, config, digest):
+        builder = build._Builder(config)
+        assert world_digest(builder.build(), builder.rng) == digest
+
+
 class TestCollectorState:
     """The build suspends the cyclic collector; the caller gets it back
     exactly as it was."""
 
     @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("n_tier2", [10, 0], ids=["builds", "raises"])
-    def test_restored_as_found(self, enabled, n_tier2):
-        config = InternetConfig(n_edge=6, cpe_customers_per_isp=10, n_tier2=n_tier2)
+    @pytest.mark.parametrize("raises", [False, True], ids=["builds", "raises"])
+    def test_restored_as_found(self, enabled, raises, monkeypatch):
+        config = InternetConfig(n_edge=6, cpe_customers_per_isp=10)
+        if raises:
+            # Mid-build: the backbone, edge and CPE phases have run.
+            monkeypatch.setattr(build._Builder, "build_vantages", lambda self: 1 // 0)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            if n_tier2:
-                build_internet(config)
-            else:
-                # No tier-2 to sample a provider from: raises mid-build.
-                with pytest.raises(ValueError):
+            if raises:
+                with pytest.raises(ZeroDivisionError):
                     build_internet(config)
+            else:
+                build_internet(config)
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+class TestConfigChecked:
+    """A config the builder would mis-draw from is refused whole, by
+    field name, before a builder (and its RNG) exists — not by whichever
+    stdlib call trips first part-way through the stream."""
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            # Was: empty range for randrange() (4, 2, -2)
+            ({"hosts_per_leaf": (4, 1)}, "world.hosts_per_leaf must be ints 0 <= low <= high"),
+            ({"dist_per_edge": (-1, 2)}, "world.dist_per_edge must be ints 0 <= low <= high"),
+            ({"allocs_per_dist": (1.0, 2)}, "world.allocs_per_dist must be ints"),
+            ({"leaves_per_alloc": (2,)}, "world.leaves_per_alloc must be a (low, high) pair"),
+            # Was: Sample larger than population or is negative
+            ({"n_tier2": 0}, "world.n_tier2 must be at least 2"),
+            ({"n_tier2": 1}, "world.n_tier2 must be at least 2"),
+            # Was: an IndexError traceback from the first CPE customer
+            ({"cpe_www_fractions": ()}, "world.cpe_www_fractions must not be empty"),
+            # Were: built, as the n_edge=0 / n_cpe_isps=0 world
+            ({"n_edge": -3}, "world.n_edge must be an int >= 0, not -3"),
+            ({"n_cpe_isps": -1}, "world.n_cpe_isps must be an int >= 0, not -1"),
+            ({"cpe_customers_per_isp": -5}, "world.cpe_customers_per_isp must be an int >= 0"),
+            ({"n_tier1": 2.5}, "world.n_tier1 must be an int >= 0, not 2.5"),
+            ({"equivalent_families": -1}, "world.equivalent_families must be an int >= 0"),
+            # The limiter's own words, with the field's name in front.
+            (
+                {"edge_limit_rate": (0.0, 500.0)},
+                "world.edge_limit_rate / edge_limit_burst: rate must be positive: 0.0",
+            ),
+            (
+                {"core_limit_burst": (50.0, 0.5)},
+                "world.core_limit_rate / core_limit_burst: burst must be at least 1: 0.5",
+            ),
+            (
+                {"vantages": (VantageConfig("V", premise_limit=(-1.0, 5.0)),)},
+                "world.vantages[V].premise_limit: rate must be positive: -1.0",
+            ),
+            (
+                {"vantages": (VantageConfig("V", aggressive_limit=(5.0, 0.0)),)},
+                "world.vantages[V].aggressive_limit: burst must be at least 1: 0.0",
+            ),
+            (
+                {"vantages": (VantageConfig("V", premise_hops=-1),)},
+                "world.vantages[V].premise_hops must be an int >= 0, not -1",
+            ),
+            ({"privacy_fraction": 1.5}, "world.privacy_fraction must be within [0, 1], not 1.5"),
+            ({"gateway_unreach_probability": -0.1}, "world.gateway_unreach_probability must be"),
+            ({"cpe_www_fractions": (0.5, 2.0)}, "world.cpe_www_fractions[1] must be within"),
+        ],
+    )
+    def test_refused_by_field_before_the_first_draw(self, change, reason, monkeypatch):
+        def built_anyway(config):
+            raise AssertionError("a builder was made for a refused config")
+
+        monkeypatch.setattr(build, "_Builder", built_anyway)
+        with pytest.raises(ValueError) as refusal:
+            build_internet(replace(SMOKE, **change))
+        assert str(refusal.value).startswith(reason), str(refusal.value)
+        assert "\n" not in str(refusal.value)
+
+    def test_the_edges_of_what_is_allowed_still_build(self):
+        """Zero counts, width-1 ranges, fractions at 0 and 1."""
+        built = build_internet(
+            replace(
+                SMOKE,
+                n_tier1=0,
+                n_tier2=2,
+                n_edge=0,
+                n_cpe_isps=0,
+                equivalent_families=0,
+                hosts_per_leaf=(0, 0),
+                privacy_fraction=1.0,
+                eui64_host_fraction=0.0,
+            )
+        )
+        assert set(built.vantages) == {"US-EDU-1", "US-EDU-2", "EU-NET"}
+
+
+class TestFrameBudget:
+    """The build is a kernel: what is constant per build is not re-derived
+    per draw.  The contract is a count — exact, repeatable, the same on
+    any host — of Python-level calls per router built."""
+
+    #: 32.6 before PR 23 (``randint`` -> ``randrange`` -> ``_randbelow``,
+    #: ``uniform`` twice a router, a validated MAC tuple per EUI-64 IID,
+    #: a re-checked ``Prefix`` per subnet, three calls per host); 17.9
+    #: after.  A helper re-wrapped around a per-host draw costs ~1.5.
+    CALLS_PER_ROUTER = 20
+
+    def test_python_calls_per_router_on_the_smoke_world(self):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            built = build_internet(SMOKE)
+        finally:
+            sys.setprofile(previous)
+        assert calls / len(built.truth.routers) <= self.CALLS_PER_ROUTER
 
 
 class TestStructure:
