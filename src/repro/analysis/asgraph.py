@@ -15,12 +15,15 @@ same views from our traces:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .subnets import AsnResolver
 from .traces import Trace
+
+if TYPE_CHECKING:
+    # Annotations only: a function that builds or measures a graph
+    # imports networkx itself, so ``import repro.analysis`` does not.
+    import networkx as nx
 
 
 def as_path(trace: Trace, resolver: AsnResolver) -> List[int]:
@@ -42,6 +45,8 @@ def as_level_graph(
     traces: Mapping[int, Trace], resolver: AsnResolver
 ) -> nx.Graph:
     """AS adjacency graph over all traces' AS paths."""
+    import networkx as nx
+
     graph = nx.Graph()
     for trace in traces.values():
         path = as_path(trace, resolver)
@@ -58,6 +63,8 @@ def as_level_graph(
 def k_core_summary(graph: nx.Graph) -> Dict[str, float]:
     """Czyz-style k-core reading: the innermost core's k and size, plus
     how concentrated connectivity is (core share of all edges)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return {"max_k": 0, "core_size": 0, "core_edge_share": 0.0}
     cores = nx.core_number(graph)

@@ -16,11 +16,14 @@ campaigns.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Set, TextIO, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, TextIO, Tuple
 
 from ..addrs import address
+
+if TYPE_CHECKING:
+    # Annotations only: a function that builds or measures a graph
+    # imports networkx itself, so ``import repro.analysis`` does not.
+    import networkx as nx
 
 
 class DatasetError(ValueError):
@@ -134,6 +137,8 @@ def export_router_level(
 
 def load_router_level(nodes_text: str, links_text: str) -> nx.Graph:
     """Reconstruct a router-level graph from dataset text."""
+    import networkx as nx
+
     nodes = read_nodes(io.StringIO(nodes_text))
     links = read_links(io.StringIO(links_text))
     graph = nx.Graph()

@@ -16,12 +16,15 @@ registry resolves it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..addrs.trie import PrefixTrie
 from .traces import Trace
+
+if TYPE_CHECKING:
+    # Annotations only: a function that builds or measures a graph
+    # imports networkx itself, so ``import repro.analysis`` does not.
+    import networkx as nx
 
 
 def interface_graph(
@@ -35,6 +38,8 @@ def interface_graph(
     ``allow_gaps`` a single missing hop is bridged (h, h+2) — a common,
     clearly-marked inference in IP topology work.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for trace in traces.values():
         path = trace.path
@@ -67,6 +72,8 @@ def router_graph(
     to themselves); parallel interface links between two routers merge
     into one weighted edge.
     """
+    import networkx as nx
+
     representative: Dict[int, int] = {}
     for cluster in alias_clusters:
         members = sorted(cluster)
@@ -94,6 +101,8 @@ def router_graph(
 
 def graph_summary(graph: nx.Graph) -> Dict[str, float]:
     """Headline statistics for reporting."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return {"nodes": 0, "edges": 0, "components": 0, "mean_degree": 0.0}
     degrees = [degree for _, degree in graph.degree()]

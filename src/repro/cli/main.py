@@ -391,8 +391,8 @@ def cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
     if args.subnets and not args.world:
         out.write("--subnets needs --world for ASN attribution\n")
         return 2
-    # Imported here, not at module level: repro.analysis pulls in networkx,
-    # which only this command and `stats` use.
+    # Only this command and `stats` read repro.analysis; networkx is loaded
+    # by the graph functions themselves, so only --graph pays for it.
     from ..analysis import (
         AsnResolver,
         build_traces,
@@ -600,6 +600,15 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         # configuration the prober refuses (TTL range, pps): its own
         # one-line message, like any other bad argument.
         out.write("%s\n" % error)
+        return 2
+    except ModuleNotFoundError as error:
+        # numpy and networkx are imported by the call that computes with
+        # them, so a process without one gets as far as a handler.
+        if error.name not in ("numpy", "networkx"):
+            raise
+        out.write(
+            "repro-sim: %s: needs the %r package\n" % (args.command, error.name)
+        )
         return 2
 
 

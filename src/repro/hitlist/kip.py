@@ -25,8 +25,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..addrs.address import ADDRESS_BITS
 from ..addrs.prefix import Prefix
 
@@ -67,6 +65,8 @@ def kip_aggregate(
     whole input cannot meet ``k``, the result is empty (nothing may be
     released).
     """
+    import numpy as np  # loaded by its one user, not by ``import repro.hitlist``
+
     n_intervals = params.intervals
     per64: Dict[int, Set[int]] = {}
     for addr, interval in observations:

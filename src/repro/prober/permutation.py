@@ -17,11 +17,6 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable, Iterator, List, Tuple
 
-try:  # numpy is optional: the scalar path below is the full reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None  # type: ignore[assignment]
-
 #: Feistel rounds; four suffice for statistical mixing (this is not a
 #: security boundary, just burst-avoidance).
 ROUNDS = 4
@@ -47,7 +42,6 @@ class KeyedPermutation:
         bits = max(2, (n - 1).bit_length())
         if bits % 2:
             bits += 1
-        self._bits = bits
         self._half = bits // 2
         self._mask = (1 << self._half) - 1
         self._round_keys = [
@@ -60,6 +54,20 @@ class KeyedPermutation:
             )
             for round_index in range(ROUNDS)
         ]
+        # The vector backend, resolved once and only for a domain whose
+        # blocks images() can ever hand to it: numpy loads when a
+        # schedule is constructed (validate_spec, campaign.setup — before
+        # campaign.run, and in the parent before any pool forks), never
+        # at ``import repro``.  Without numpy the scalar path below is
+        # the full reference.
+        self._np: Any = None
+        if bits < 64 and n >= _VECTOR_MIN:
+            try:
+                import numpy
+            except ImportError:
+                pass
+            else:
+                self._np = numpy
 
     def _round(self, value: int, round_key: int) -> int:
         """Feistel round function: a cheap 64-bit mixer."""
@@ -99,8 +107,7 @@ class KeyedPermutation:
         suite (``tests/prober/test_batched_equivalence.py``) pins that.
         """
         if (
-            _np is not None
-            and self._bits < 64
+            self._np is not None  # implies a sub-64-bit domain, see __init__
             and isinstance(indices, range)
             and len(indices) >= _VECTOR_MIN
         ):
@@ -111,6 +118,7 @@ class KeyedPermutation:
 
     def _images_vector(self, indices: range) -> List[int]:
         """Columnar Feistel over a uint64 lane per index (bit-exact)."""
+        _np = self._np
         domain = _np.uint64(self.n)
         half = _np.uint64(self._half)
         mask = _np.uint64(self._mask)

@@ -59,11 +59,7 @@ and byte-identical by the same purity argument.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import os
-import queue
-import signal
 import traceback
 from dataclasses import dataclass, field
 from typing import (
@@ -89,7 +85,13 @@ from ..obs.profiler import WallProfiler, pickled_bytes
 from . import deadline
 from .campaign import CampaignResult
 
-if TYPE_CHECKING:  # only for annotations: the import stays lazy at runtime
+# multiprocessing, queue and signal are imported by the pool path that
+# uses them (run_pool, _make_pool, _PoolExecutor, _kill): an inline run
+# and every command but `probe --workers N` never fork.
+if TYPE_CHECKING:  # only for annotations: the imports stay lazy at runtime
+    import multiprocessing.pool
+    import queue
+
     from ..lint.faultsan import FaultPlan
 
 
@@ -295,6 +297,8 @@ def _resolve_start_method(start_method: Optional[str]) -> str:
     inherit the parent's built world), the platform default otherwise."""
     if start_method is not None:
         return start_method
+    import multiprocessing
+
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -307,6 +311,8 @@ def _make_pool(
     """Build the worker pool (separate hook so tests can assert that
     validation failures never reach it).  ``initializer``/``initargs``
     hand workers the start-report queue."""
+    import multiprocessing
+
     method = _resolve_start_method(start_method)
     return multiprocessing.get_context(method).Pool(
         processes, initializer=initializer, initargs=initargs
@@ -411,6 +417,8 @@ class Supervisor:
         died (unexpected error, KeyboardInterrupt) and abandoned
         dispatched work.
         """
+        import multiprocessing
+
         start_queue = multiprocessing.get_context(
             _resolve_start_method(start_method)
         ).SimpleQueue()
@@ -570,6 +578,8 @@ class _InlineExecutor:
 def _kill(pid: Optional[int]) -> None:
     if pid is None:
         return
+    import signal
+
     try:
         os.kill(pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):  # already gone / not ours
@@ -600,6 +610,8 @@ class _PoolExecutor:
     def __init__(
         self, sup: Supervisor, pool: multiprocessing.pool.Pool, start_queue: Any
     ) -> None:
+        import queue
+
         self.sup = sup
         self.pool = pool
         self.start_queue = start_queue
@@ -626,6 +638,8 @@ class _PoolExecutor:
         )
 
     def wait(self, timeout_s: float) -> List[Event]:
+        import queue
+
         with self.sup.prof.phase("ipc.wait"):
             self._drain_start_reports()
             try:

@@ -913,31 +913,6 @@ class TestParser:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
 
-    def test_networkx_is_imported_by_analyze_only(self, tmp_path):
-        """Start-up and the commands that never draw a graph must not pay
-        for ``repro.analysis`` -> networkx; ``analyze`` imports it itself."""
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        script = (
-            "import io, sys\n"
-            "from repro.cli.main import main\n"
-            "assert 'networkx' not in sys.modules, 'imported at start-up'\n"
-            "world, results = sys.argv[1:]\n"
-            "assert main(['world', '--edge', '6', '--cpe', '10', '--out', world],"
-            " io.StringIO()) == 0\n"
-            "assert 'networkx' not in sys.modules, 'imported by world'\n"
-            "assert main(['analyze', '--results', results], io.StringIO()) == 0\n"
-            "assert 'networkx' in sys.modules\n"
-        )
-        results = tmp_path / "r.yrp6"
-        results.write_text("# yrp6/1\n")
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "w.json"), str(results)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-        )
-        assert done.returncode == 0, done.stderr
-
     def test_package_exports_the_entry_points_in_any_import_order(self):
         """This module imported ``repro.cli.main`` first, which binds the
         submodule over ``repro.cli.main``; the package must still hand
