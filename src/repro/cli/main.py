@@ -179,9 +179,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
                 out.write("--%s requires the yarrp6 prober (%s)\n" % (flag, reason))
                 return 2
     supervise = SuperviseConfig(
-        shard_timeout_s=args.shard_timeout,
-        max_retries=args.max_retries,
-        degrade=args.degrade,
+        shard_timeout_s=args.shard_timeout, max_retries=args.max_retries
     )
     # The stopwatch is the run's only wall-clock read (top-level boundary,
     # reporting only — see repro.obs.wallclock); it never touches the sim.
@@ -205,6 +203,15 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     # parallel path would refuse, the serial path must not quietly run.
     validate_spec(spec, args.workers)
     validate_supervise(supervise)
+    if args.workers == 1:
+        # A serial campaign runs no supervisor: refuse what it would ignore.
+        for flag, used in (
+            ("max-retries", args.max_retries != 0),
+            ("shard-timeout", args.shard_timeout is not None),
+        ):
+            if used:
+                out.write("--%s requires --workers > 1 (only shards are supervised)\n" % flag)
+                return 2
 
     # One profiler per campaign execution (detsan runs the campaign twice;
     # the reported profile is the last, clean run's).  Profiling is
@@ -507,16 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="re-run a crashed, killed, hung or corrupt shard up to N times "
-        "(deterministic: a retried shard is byte-identical to a first "
+        "(--workers > 1; a retried shard is byte-identical to a first "
         "try; default 0)",
-    )
-    probe.add_argument(
-        "--degrade",
-        choices=("fail", "serial"),
-        default="fail",
-        help="what to do when a shard exhausts its retries: 'fail' raises "
-        "one ShardFailure naming every failed shard; 'serial' re-runs "
-        "the exhausted shards in the parent process (default: fail)",
     )
     probe.add_argument(
         "--metrics",

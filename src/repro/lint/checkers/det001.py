@@ -23,9 +23,9 @@ Flagged:
   PYTHONHASHSEED where the salted hash genuinely cannot escape
 
 One structural exemption: the module ``repro.obs.wallclock`` is the
-designated top-level wall-clock boundary (run manifests report how long
-the *host* took), so pure time reads are permitted **there and only
-there**.  The exemption covers exactly the wall-clock subset — entropy
+designated wall-clock boundary (run manifests, profiler spans and
+supervision deadlines report how long the *host* took), so pure time
+reads are permitted **there and only there**.  The exemption covers exactly the wall-clock subset — entropy
 sources (``os.urandom``, ``secrets``, module-level ``random.*``) stay
 banned even in that module.
 """
@@ -85,15 +85,10 @@ WALLCLOCK_CALLS = frozenset(
     }
 )
 
-#: The allowlisted wall-clock boundaries (see each module's docstring
-#: for the rules callers must follow): the Stopwatch boundary, the
-#: host-time profiler, and the supervised runner's deadline module
-#: (supervision decisions — is this worker late/dead — are host facts
-#: and never reach probe bytes).  Entropy sources stay banned
-#: everywhere.
-WALLCLOCK_EXEMPT_MODULES = frozenset(
-    {"repro.obs.wallclock", "repro.obs.profiler", "repro.prober.deadline"}
-)
+#: The allowlisted wall-clock boundary (its docstring holds the rules
+#: callers must follow) — the one allowlist, which DetSan imports.
+#: Entropy sources stay banned everywhere.
+WALLCLOCK_EXEMPT_MODULES = frozenset({"repro.obs.wallclock"})
 
 #: Modules whose entire surface is banned.
 BANNED_PREFIXES = ("secrets.",)

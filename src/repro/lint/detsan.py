@@ -16,7 +16,7 @@ Scoping: only calls *from* ``repro.*`` modules trip; the test harness,
 real functions.  Two standing exemptions mirror the static rules:
 
 * wall-clock reads from ``repro.obs.wallclock`` (the single allowlisted
-  boundary — see :data:`WALLCLOCK_MODULES`);
+  boundary: DET001's ``WALLCLOCK_EXEMPT_MODULES``, the same object);
 * this module itself (so nested regions and the pytest plugin can
   manage patches while one is active).
 
@@ -39,17 +39,9 @@ import secrets
 import sys
 import time
 import uuid
-from typing import Any, Callable
+from typing import Any, Callable, FrozenSet
 
 from .sanitizer import Sanitizer
-
-#: The modules whose *time* reads pass through
-#: (kept in sync with repro.lint.checkers.det001.WALLCLOCK_EXEMPT_MODULES):
-#: the Stopwatch boundary, the wall-clock profiler, and the supervised
-#: runner's deadline module.  Entropy reads trip regardless of caller.
-WALLCLOCK_MODULES = frozenset(
-    {"repro.obs.wallclock", "repro.obs.profiler", "repro.prober.deadline"}
-)
 
 _TIME_FUNCS = (
     "time",
@@ -153,24 +145,33 @@ class DetSan(Sanitizer):
         return super().__enter__()
 
     def _install(self) -> None:
+        # DET001's allowlist object, so the static rule and this sanitizer
+        # cannot drift; imported here, not at module level, so `repro-sim`
+        # start-up never loads the static half of repro.lint.
+        from .checkers.det001 import WALLCLOCK_EXEMPT_MODULES
+
         for module, names, kind in _TABLES:
+            # Only time reads have an allowlist: entropy trips from anywhere.
+            exempt = WALLCLOCK_EXEMPT_MODULES if kind == "time" else frozenset()
             for name in names:
                 original = getattr(module, name, None)
                 if callable(original):
                     target = "%s.%s" % (module.__name__, name)
                     self._patch(
-                        module, name, self._tripwire(original, target, kind)
+                        module, name, self._tripwire(original, target, kind, exempt)
                     )
 
     def _tripwire(
-        self, original: Callable[..., Any], target: str, kind: str
+        self,
+        original: Callable[..., Any],
+        target: str,
+        kind: str,
+        exempt: FrozenSet[str],
     ) -> Callable[..., Any]:
         def tripwire(*args: Any, **kwargs: Any) -> Any:
             frame = sys._getframe(1)
             caller = frame.f_globals.get("__name__", "")
-            if self._in_scope(caller) and not (
-                kind == "time" and caller in WALLCLOCK_MODULES
-            ):
+            if self._in_scope(caller) and caller not in exempt:
                 self._report(kind, target, caller, frame)
             return original(*args, **kwargs)
 

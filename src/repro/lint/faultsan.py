@@ -4,9 +4,9 @@ Sibling to DetSan (runtime nondeterminism tripwires) and ShardSan
 (shared-world write tracking), FaultSan attacks from the other side: it
 *manufactures* the failures the supervisor in
 :mod:`repro.prober.supervise` claims to survive, deterministically, so
-a differential test can assert that every recovery path — retry,
-degradation, multi-failure abort — still produces merged dumps
-byte-identical to an unfaulted run.
+a differential test can assert what each recovery path promises: a
+retried shard merges byte-identical to an unfaulted run, and an
+exhausted one aborts with its exact attempt history.
 
 A :class:`FaultPlan` is a frozen set of :class:`Fault` tuples, each
 naming exactly one ``(shard, attempt, site)`` and a fault kind.  The
@@ -30,9 +30,8 @@ SIGKILLs itself: the silent OOM-killer shape), ``corrupt`` (return an
 :class:`Unpicklable` wrapper), ``slow`` (sleep ``seconds`` then
 continue — exercises deadline slack without failing).
 
-Enable in tests with ``pytest --faultsan`` (see
-:mod:`repro.lint.sanitizers_pytest`); the chaos grid lives in
-``tests/prober/test_faultsan.py``.
+The chaos grid lives in ``tests/prober/test_faultsan.py`` and runs with
+the rest of the test suite.
 """
 
 from __future__ import annotations

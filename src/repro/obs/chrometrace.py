@@ -8,10 +8,10 @@ and durations, one track per process.
 
 The parent renders as pid 0; shard workers render as pid ``shard + 1``,
 with metadata events naming each track.  Timestamps are the profiler's
-raw ``time.perf_counter()`` readings rebased to the earliest span.  On
-Linux (and macOS) ``perf_counter`` is a boot-relative monotonic clock
-shared by fork children, so parent and worker spans line up on one
-timeline; under a spawn start method the clocks still share an epoch on
+raw :func:`repro.obs.wallclock.now` readings rebased to the earliest
+span.  On Linux (and macOS) that clock (``perf_counter``) is
+boot-relative and monotonic, shared by fork children, so parent and
+worker spans line up on one timeline; under a spawn start method the clocks still share an epoch on
 those platforms, but the alignment guarantee is per-OS, not universal —
 treat cross-process skew under exotic start methods as cosmetic.
 

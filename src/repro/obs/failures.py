@@ -2,8 +2,8 @@
 
 A :class:`FailureReport` records what the supervisor in
 :mod:`repro.prober.supervise` had to do to finish a campaign: every
-worker fault (crash, timeout, silent death, corrupt result), every
-retry, and every shard that fell back to in-parent serial execution.
+worker fault (crash, timeout, silent death, corrupt result) and every
+retry.
 The counters live in an ordinary :class:`~repro.obs.metrics.
 MetricsRegistry`, so the report speaks the same dialect as the rest of
 the telemetry layer, but the registry is *private to the report* — a
@@ -22,8 +22,8 @@ to a report (``record_*``) but must never read it back (``to_dict``,
 ``counts``, ``faults``) to steer execution.  The supervisor's retry
 decisions come from its own local bookkeeping, and the recovery
 byte-identity tests (``tests/prober/test_supervise.py::TestRetryRecovery``
-/ ``TestExhaustion``) hold a retried or degraded run to the clean run's
-bytes and attempt history.
+/ ``TestExhaustion``) hold a retried run to the clean run's bytes and an
+exhausted one to its exact attempt history.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 from .metrics import MetricsRegistry
 
 #: Format identifier for the ``failures`` block, bumped on schema change.
-FAILURES_FORMAT = "repro-failures/1"
+FAILURES_FORMAT = "repro-failures/2"
 
 #: Fault causes, as recorded per attempt and counted per cause.
 CAUSE_CRASH = "crash"
@@ -53,7 +53,6 @@ _CAUSE_COUNTERS = {
 COUNTER_NAMES = (
     "shard.crashes",
     "shard.corrupt_results",
-    "shard.degraded",
     "shard.retries",
     "shard.timeouts",
     "shard.worker_deaths",
@@ -72,7 +71,6 @@ class FailureReport:
         for name in COUNTER_NAMES:
             self._registry.counter(name)
         self._attempts: List[Dict[str, Any]] = []
-        self._degraded: List[int] = []
 
     # -- write side (the supervisor) ------------------------------------
 
@@ -93,11 +91,6 @@ class FailureReport:
     def record_retry(self, shard: int) -> None:
         """The supervisor decided to re-dispatch ``shard``."""
         self._registry.counter("shard.retries").inc()
-
-    def record_degraded(self, shard: int) -> None:
-        """``shard`` exhausted its retries and ran serially in-parent."""
-        self._degraded.append(shard)
-        self._registry.counter("shard.degraded").inc()
 
     # -- read side (reporting only) -------------------------------------
 
@@ -121,5 +114,4 @@ class FailureReport:
             "format": FAILURES_FORMAT,
             "metrics": self._registry.to_dict(),
             "attempts": self.faults(),
-            "degraded": sorted(self._degraded),
         }

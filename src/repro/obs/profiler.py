@@ -29,12 +29,12 @@ machine-readable dict for the run manifest's quarantined wall-clock
 block (:meth:`to_profile_dict`), and Chrome-trace JSON via
 :mod:`repro.obs.chrometrace`.
 
-Determinism contract: like :mod:`repro.obs.wallclock`, this module is
-an explicitly allowlisted wall-clock consumer (DET001/DetSan both
-exempt ``repro.obs.profiler``; entropy stays banned).  Reads happen
-here and only here, values flow strictly *outward* (report, manifest
-``wallclock`` section, BENCH payloads), and profiling a campaign leaves
-its ``.yrp6`` dump byte-identical — enforced by the byte-identity tests
+Determinism contract: host time is read through
+:func:`repro.obs.wallclock.now`, the one allowlisted doorway (DET001
+and DetSan exempt that module and nothing else).  Values flow strictly
+*outward* (report, manifest ``wallclock`` section, BENCH payloads), and
+profiling a campaign leaves its ``.yrp6`` dump byte-identical —
+enforced by the byte-identity tests
 (``tests/obs/test_profiler.py::TestPipelineContract``, the profiled-vs-plain
 ``cmp`` in ``tests/cli/test_cli.py::TestProfile`` and in CI) and the
 profiler test suite under ``pytest --detsan``.
@@ -43,8 +43,9 @@ profiler test suite under ``pytest --detsan``.
 from __future__ import annotations
 
 import pickle
-import time
 from typing import Any, Dict, List, Optional, Tuple
+
+from .wallclock import now
 
 #: One recorded span, flattened for export: (name, start_s, end_s,
 #: parent index, bytes, attrs-or-None).
@@ -53,16 +54,6 @@ SpanRow = Tuple[str, float, float, int, int, Optional[Dict[str, Any]]]
 
 class WallProfileError(ValueError):
     """Raised for malformed profiles (unclosed or misnested phases)."""
-
-
-def _now() -> float:
-    """Monotonic host seconds (the same clock as ``repro.obs.wallclock``).
-
-    Called dynamically — never captured at import — so the DetSan
-    runtime sanitizer sees every read and can verify the allowlist
-    exemption for this module is doing its job.
-    """
-    return time.perf_counter()
 
 
 class WallSpan:
@@ -118,13 +109,13 @@ class _AggHandle:
         self._started = 0.0
 
     def __enter__(self) -> "_AggHandle":
-        self._started = _now()
+        self._started = now()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         entry = self._entry
         entry[0] += 1
-        entry[1] += _now() - self._started
+        entry[1] += now() - self._started
 
 
 class _NullHandle:
@@ -161,7 +152,7 @@ class WallProfiler:
         """Open a nested phase; close it by exiting the ``with`` block."""
         index = len(self.spans)
         parent = self._stack[-1] if self._stack else -1
-        self.spans.append(WallSpan(name, _now(), parent, attrs or None))
+        self.spans.append(WallSpan(name, now(), parent, attrs or None))
         self._stack.append(index)
         return _PhaseHandle(self, index)
 
@@ -184,7 +175,7 @@ class WallProfiler:
                 % (index, self._stack)
             )
         self._stack.pop()
-        self.spans[index].end_s = _now()
+        self.spans[index].end_s = now()
 
     # -- worker absorption ----------------------------------------------
     def add_worker(

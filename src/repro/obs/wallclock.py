@@ -2,19 +2,23 @@
 
 Everything under the virtual clock is banned from reading host time
 (DET001), because one wall-clock read in a path that feeds probe bytes
-or event order silently breaks the bit-identity contracts.  But a run
-manifest legitimately wants to record *how long the host took* — a
-statement about the machine, not about the simulated campaign.  This
-module is the one place that read may happen; the DET001 checker
-allowlists exactly the module path ``repro.obs.wallclock`` and nothing
-else.
+or event order silently breaks the bit-identity contracts.  But some
+code legitimately wants to know *how long the host took* — a statement
+about the machine, not about the simulated campaign.  This module is the
+one place that read may happen; the DET001 checker and DetSan allowlist
+exactly the module path ``repro.obs.wallclock`` and nothing else.
 
 Rules for callers:
 
-* call only at the top-level run boundary (CLI, benchmark harness) —
-  never from engine, netsim, prober, campaign, or analysis code;
+* call only where the answer is a fact about the host: the top-level
+  run boundary (CLI, benchmark harness), wall-profiler spans
+  (:mod:`repro.obs.profiler`), and supervision deadlines
+  (:mod:`repro.prober.supervise`: is this worker late?) — never from
+  engine, netsim, campaign, prober-loop, or analysis code;
 * the value may be *reported* (manifest ``wallclock`` section, bench
-  JSON) but must never influence simulation behaviour;
+  JSON) or decide that a worker is lost and its shard must re-run —
+  which re-derives the same bytes from the spec — but must never
+  influence simulation behaviour;
 * determinism-sensitive consumers compare manifests through
   :func:`repro.obs.manifest.deterministic_view`, which strips the
   wall-clock section.

@@ -32,11 +32,8 @@ from .parallel import (
 )
 from .supervise import (
     DEFAULT_SUPERVISE,
-    DEGRADE_FAIL,
-    DEGRADE_SERIAL,
     ShardFailure,
     SuperviseConfig,
-    backoff_delay_s,
     validate_supervise,
 )
 from .permutation import KeyedPermutation, ProbeSchedule
@@ -60,8 +57,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "DEFAULT_SUPERVISE",
-    "DEGRADE_FAIL",
-    "DEGRADE_SERIAL",
     "DEST_PORT",
     "DecodeError",
     "DecodedProbe",
@@ -91,7 +86,6 @@ __all__ = [
     "WaveProber",
     "Yarrp6",
     "Yarrp6Config",
-    "backoff_delay_s",
     "decode_quotation",
     "discover_pmtu",
     "dumps",

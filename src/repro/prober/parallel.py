@@ -262,16 +262,16 @@ def run_parallel(
     function of the shard results.
 
     Execution is *supervised* (see :mod:`repro.prober.supervise`):
-    ``supervise`` configures per-shard deadlines, bounded deterministic
-    retries and graceful degradation; the default retries nothing and
-    fails on the first permanently-lost shard, but — unlike a bare pool
-    — a crashed, killed, or hung worker is always a detected event, and
-    every failed shard is reported in one structured
+    ``supervise`` configures per-shard deadlines and a per-shard retry
+    budget; the default retries nothing and fails on the first
+    permanently-lost shard, but — unlike a bare pool — a crashed,
+    killed, or hung worker is always a detected event, and every failed
+    shard is reported in one structured
     :class:`~repro.prober.supervise.ShardFailure`.  What the supervisor
     had to do rides home on the merged result's ``failures`` field (a
     :class:`~repro.obs.failures.FailureReport` dump); because a shard
-    is a pure function of ``(spec, shard, shards)``, a retried or
-    degraded run stays byte-identical to a clean one.  ``fault_plan``
+    is a pure function of ``(spec, shard, shards)``, a retried run
+    stays byte-identical to a clean one.  ``fault_plan``
     is FaultSan's hook (:mod:`repro.lint.faultsan`): deterministic
     injected faults for testing the recovery paths.
 
@@ -305,7 +305,7 @@ def run_parallel(
             shards,
             fault_plan,
         )
-        supervisor = Supervisor(job, config, spec.internet.seed, report, prof)
+        supervisor = Supervisor(job, config, report, prof)
         if pooled:
             if _resolve_start_method(start_method) == "fork":
                 # Build (or rewind) the shared world BEFORE the pool forks:
@@ -318,7 +318,7 @@ def run_parallel(
             results = supervisor.run_inline()
         with prof.phase("merge"):
             merged = merge_results(
-                [result for result in results if result is not None],
+                results,
                 spec.pps,
                 name=spec.default_name(),
                 targets=len(spec.targets),
@@ -326,7 +326,7 @@ def run_parallel(
         merged = replace(merged, failures=report.to_dict())
     if prof.enabled:
         for shard, result in enumerate(results):
-            if result is not None and result.wall_profile is not None:
+            if result.wall_profile is not None:
                 prof.add_worker(
                     shard,
                     result.wall_profile,

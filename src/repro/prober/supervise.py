@@ -1,5 +1,5 @@
 """Supervised shard execution: deadlines, dead-worker detection,
-deterministic retry, graceful degradation.
+immediate retry.
 
 :func:`repro.prober.parallel.run_parallel` hands the actual execution
 of its shards to this module as a :class:`ShardJob` — the shard
@@ -16,12 +16,11 @@ only the :class:`~repro.obs.failures.FailureReport` (and the host's wall
 clock) can tell a faulted run from a clean one.  FaultSan
 (:mod:`repro.lint.faultsan`) proves this differentially.
 
-Because of that purity, running a shard in-process, in a pool, retried,
-or degraded is the *same* operation, and there is one runner: a
-:class:`Supervisor` holds the per-shard state and makes the three
-decisions — :meth:`~Supervisor.accept` (classify an attempt's outcome),
-:meth:`~Supervisor.fault` (retry or exhaust) and
-:meth:`~Supervisor.finish` (degrade or raise) — and its one loop drives
+Because of that purity, running a shard in-process, in a pool, or again
+is the *same* operation, and there is one runner: a :class:`Supervisor`
+holds the per-shard state and makes the two decisions —
+:meth:`~Supervisor.accept` (classify an attempt's outcome) and
+:meth:`~Supervisor.fault` (retry or exhaust) — and its one loop drives
 an *executor* that only knows how to start an attempt and report what
 came of it: inline in this process (``processes == 1``), or on a worker
 pool.
@@ -39,22 +38,18 @@ What the supervisor defends against, and how:
   on its own; the retry is dispatched like any other task.
 - **Hang / runaway shard** — with ``shard_timeout_s`` set, an attempt
   that outlives its deadline (measured from its start announcement on
-  the host clock, via the :mod:`repro.prober.deadline` boundary) has
-  its worker SIGKILLed and is counted as a ``timeout`` fault.
+  the host clock, read through :func:`repro.obs.wallclock.now`) has its
+  worker SIGKILLed and is counted as a ``timeout`` fault.
 - **Corrupt result** — a result that fails to cross the pool pipe
   (pickling error) surfaces through the pool's error callback, and a
   value that is not a ``CampaignResult`` is never merged; both are
   counted as a ``corrupt-result`` fault, and the retry re-runs the shard
   rather than trusting broken bytes.
 
-Retries are bounded (``max_retries``) with deterministic seeded backoff
-— the delay is a pure function of ``(seed, shard, attempt)``, so two
-runs facing the same faults pace their retries identically.  A shard
-that exhausts its attempts either fails the campaign with a structured
-:class:`ShardFailure` carrying *every* exhausted shard's history
-(``degrade="fail"``), or falls back to running serially in the parent
-process (``degrade="serial"``) — the slowest but most isolated path,
-and byte-identical by the same purity argument.
+A retry is an immediate re-dispatch — a stateless shard has nothing to
+wait out — bounded by ``max_retries`` per shard.  A shard that exhausts
+its attempts fails the campaign with one structured
+:class:`ShardFailure` carrying *every* exhausted shard's history.
 """
 
 from __future__ import annotations
@@ -82,7 +77,7 @@ from ..obs.failures import (
     FailureReport,
 )
 from ..obs.profiler import WallProfiler, pickled_bytes
-from . import deadline
+from ..obs.wallclock import now
 from .campaign import CampaignResult
 
 # multiprocessing, queue and signal are imported by the pool path that
@@ -111,10 +106,6 @@ class ShardFailure(RuntimeError):
         self.failures = tuple(failures)
 
 
-DEGRADE_FAIL = "fail"
-DEGRADE_SERIAL = "serial"
-
-
 @dataclass(frozen=True)
 class SuperviseConfig:
     """How hard :func:`run_parallel` fights to finish a campaign.
@@ -131,19 +122,6 @@ class SuperviseConfig:
     shard_timeout_s: Optional[float] = None
     #: Extra attempts after the first, per shard.
     max_retries: int = 0
-    #: Base of the deterministic exponential backoff between attempts;
-    #: attempt ``n``'s retry waits ``base * 2**(n-1) * (1 + jitter)``
-    #: where jitter in ``[0, 1)`` is a pure function of
-    #: ``(seed, shard, n)``.  Zero disables backoff.
-    backoff_base_s: float = 0.05
-    #: What to do with a shard that exhausts its attempts: ``"fail"``
-    #: raises one :class:`ShardFailure` naming every exhausted shard;
-    #: ``"serial"`` re-runs each exhausted shard in the parent process
-    #: after the pool shuts down.
-    degrade: str = DEGRADE_FAIL
-    #: Supervision loop tick: upper bound on how long deadline and
-    #: liveness checks can lag behind events.
-    poll_interval_s: float = 0.02
 
     def attempts(self) -> int:
         return 1 + self.max_retries
@@ -162,50 +140,11 @@ def validate_supervise(config: SuperviseConfig) -> None:
         )
     if config.max_retries < 0:
         raise ValueError("max_retries must be >= 0: %r" % config.max_retries)
-    if config.backoff_base_s < 0:
-        raise ValueError(
-            "backoff_base_s must be >= 0: %r" % config.backoff_base_s
-        )
-    if config.degrade not in (DEGRADE_FAIL, DEGRADE_SERIAL):
-        raise ValueError(
-            "degrade must be %r or %r: %r"
-            % (DEGRADE_FAIL, DEGRADE_SERIAL, config.degrade)
-        )
-    if config.poll_interval_s <= 0:
-        raise ValueError(
-            "poll_interval_s must be positive: %r" % config.poll_interval_s
-        )
 
 
-# -- deterministic backoff --------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(*values: int) -> int:
-    """splitmix64-style avalanche over the inputs: a pure integer hash
-    (the builtin ``hash`` is PYTHONHASHSEED-dependent and DET001-banned)."""
-    acc = 0
-    for value in values:
-        acc = (acc + (value & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
-        acc ^= acc >> 30
-        acc = (acc * 0xBF58476D1CE4E5B9) & _MASK64
-        acc ^= acc >> 27
-        acc = (acc * 0x94D049BB133111EB) & _MASK64
-        acc ^= acc >> 31
-    return acc
-
-
-def backoff_delay_s(
-    config: SuperviseConfig, seed: int, shard: int, attempt: int
-) -> float:
-    """Seconds to wait before re-dispatching ``shard`` after failed
-    attempt ``attempt``: exponential in the attempt, jittered by a pure
-    function of ``(seed, shard, attempt)`` — deterministic across runs."""
-    if config.backoff_base_s <= 0:
-        return 0.0
-    jitter = _mix64(seed, shard, attempt) / float(1 << 64)
-    return config.backoff_base_s * (2.0 ** (attempt - 1)) * (1.0 + jitter)
+#: Supervision loop tick: upper bound on how long deadline and liveness
+#: checks can lag behind events.
+POLL_INTERVAL_S = 0.02
 
 
 # -- the job, and one attempt at one shard of it ----------------------------
@@ -331,7 +270,6 @@ class _ShardState:
     dispatched: bool = False  # an attempt is in flight
     pid: Optional[int] = None  # worker running the attempt, once announced
     started_s: Optional[float] = None  # host time of the announcement
-    ready_at_s: float = 0.0  # backoff gate for the next dispatch
     faults: List[Dict[str, Any]] = field(default_factory=list)
     result: Optional[CampaignResult] = None
     exhausted: bool = False
@@ -382,14 +320,12 @@ class Supervisor:
     """One campaign's supervision: the per-shard state, the loop, and
     the decisions both executors defer to.
 
-    ``seed`` keys the deterministic backoff; ``report`` and ``prof`` are
-    observe-only sinks (what the supervisor had to do, and where host
-    time went).
+    ``report`` and ``prof`` are observe-only sinks (what the supervisor
+    had to do, and where host time went).
     """
 
     job: ShardJob
     config: SuperviseConfig
-    seed: int
     report: FailureReport
     prof: WallProfiler
     states: List[_ShardState] = field(init=False)
@@ -399,16 +335,16 @@ class Supervisor:
     def __post_init__(self) -> None:
         self.states = [_ShardState(shard=shard) for shard in range(self.job.shards)]
 
-    def run_inline(self) -> List[Optional[CampaignResult]]:
-        """All shards in this process: same retry/degrade semantics as a
-        pool (deadlines excepted: in-process work can't be preempted),
-        no IPC, no pickling."""
+    def run_inline(self) -> List[CampaignResult]:
+        """All shards in this process: same retry semantics as a pool
+        (deadlines excepted: in-process work can't be preempted), no
+        IPC, no pickling."""
         self.supervise(_InlineExecutor(self))
         return self.finish()
 
     def run_pool(
         self, processes: int, start_method: Optional[str]
-    ) -> List[Optional[CampaignResult]]:
+    ) -> List[CampaignResult]:
         """All shards through a supervised worker pool.
 
         Pool shutdown is ``close()``/``join()`` whenever the supervision
@@ -452,36 +388,18 @@ class Supervisor:
             ]
             if not pending:
                 return
-            now_s = deadline.now()
             for state in pending:
-                if not state.dispatched and now_s >= state.ready_at_s:
+                if not state.dispatched:
                     state.attempt += 1
                     state.dispatched = True
                     executor.submit(state)
-            for shard, attempt, outcome in executor.wait(self._poll_slice()):
+            for shard, attempt, outcome in executor.wait():
                 state = self.states[shard]
                 if not state.dispatched or attempt != state.attempt:
                     continue  # stale: a late event from an attempt already written off
                 if self.accept(state, outcome):
                     executor.landed(shard, outcome)
             executor.sweep()
-
-    def _poll_slice(self) -> float:
-        """How long the event wait may block without missing a deadline,
-        a backoff gate opening, or a liveness tick."""
-        config = self.config
-        now_s = deadline.now()
-        slice_s = config.poll_interval_s
-        for state in self.states:
-            if state.result is not None or state.exhausted:
-                continue
-            if not state.dispatched:
-                slice_s = min(slice_s, state.ready_at_s - now_s)
-            elif config.shard_timeout_s is not None and state.started_s is not None:
-                slice_s = min(
-                    slice_s, state.started_s + config.shard_timeout_s - now_s
-                )
-        return max(0.001, slice_s)
 
     def accept(self, state: _ShardState, outcome: Outcome) -> bool:
         """Classify what came of ``state``'s in-flight attempt — the one
@@ -504,8 +422,8 @@ class Supervisor:
         return state.result is not None
 
     def fault(self, state: _ShardState, cause: str, detail: str) -> None:
-        """Record one failed attempt and decide: retry (arming the
-        backoff gate) or mark the shard exhausted."""
+        """Record one failed attempt and decide: retry (the next loop pass
+        re-dispatches the shard) or mark the shard exhausted."""
         attempt = state.attempt
         state.dispatched = False
         state.pid = None
@@ -515,34 +433,19 @@ class Supervisor:
         if attempt >= self.config.attempts():
             state.exhausted = True
             return
-        state.ready_at_s = deadline.now() + backoff_delay_s(
-            self.config, self.seed, state.shard, attempt
-        )
         self.report.record_retry(state.shard)
         with self.prof.phase(
             "shard.retry", shard=state.shard, attempt=attempt + 1, cause=cause
         ):
             pass  # marker span: retries show up in the wall profile
 
-    def finish(self) -> List[Optional[CampaignResult]]:
-        """Resolve exhausted shards — degrade serially in-parent or
-        raise — and hand back the per-shard results."""
+    def finish(self) -> List[CampaignResult]:
+        """Raise one :class:`ShardFailure` naming every exhausted shard,
+        or hand back the per-shard results."""
         exhausted = [state for state in self.states if state.exhausted]
-        if exhausted and self.config.degrade != DEGRADE_SERIAL:
+        if exhausted:
             raise _shard_failure(exhausted, self.config.attempts())
-        job = self.job
-        for state in exhausted:
-            # The most isolated retry there is: no pool, no pipe, no fault
-            # injection — and byte-identical, because a shard is a pure
-            # function of (spec, shard, shards).  A shard that fails even
-            # here has a real bug; let it raise.
-            with self.prof.phase("shard.degrade", shard=state.shard):
-                state.result = job.run(
-                    job.spec, state.shard, job.shards, profiler=self.prof
-                )
-            state.exhausted = False
-            self.report.record_degraded(state.shard)
-        return [state.result for state in self.states]
+        return [state.result for state in self.states if state.result is not None]
 
 
 # -- executors --------------------------------------------------------------
@@ -562,9 +465,7 @@ class _InlineExecutor:
         outcome = _attempt(sup.job, state.shard, state.attempt, sup.prof)
         self.done.append((state.shard, state.attempt, outcome))
 
-    def wait(self, timeout_s: float) -> List[Event]:
-        if not self.done:  # nothing ran: every pending shard is behind its backoff gate
-            deadline.sleep(timeout_s)
+    def wait(self) -> List[Event]:
         done, self.done = self.done, []
         return done
 
@@ -588,7 +489,7 @@ def _kill(pid: Optional[int]) -> None:
 
 def _live_pids(pool: multiprocessing.pool.Pool) -> Optional[Any]:
     """Pids of the pool's currently-alive workers, or ``None`` when the
-    pool implementation doesn't expose them (liveness checks degrade to
+    pool implementation doesn't expose them (liveness checks fall back to
     deadline-only supervision)."""
     workers = getattr(pool, "_pool", None)
     if workers is None:
@@ -637,13 +538,13 @@ class _PoolExecutor:
             callback=on_result, error_callback=on_error,
         )
 
-    def wait(self, timeout_s: float) -> List[Event]:
+    def wait(self) -> List[Event]:
         import queue
 
         with self.sup.prof.phase("ipc.wait"):
             self._drain_start_reports()
             try:
-                batch = [self.events.get(timeout=timeout_s)]
+                batch = [self.events.get(timeout=POLL_INTERVAL_S)]
             except queue.Empty:
                 return []
         try:
@@ -668,7 +569,7 @@ class _PoolExecutor:
         self._drain_start_reports()
         sup = self.sup
         timeout_s = sup.config.shard_timeout_s
-        now_s = deadline.now()
+        now_s = now()
         live = _live_pids(self.pool)
         for state in sup.states:
             if not state.dispatched or state.started_s is None:
@@ -698,7 +599,7 @@ class _PoolExecutor:
             state = self.sup.states[shard]
             if state.dispatched and attempt == state.attempt:
                 state.pid = pid
-                state.started_s = deadline.now()
+                state.started_s = now()
             # else: a stale announcement from a killed/raced attempt
 
     def _discard(self, state: _ShardState) -> None:

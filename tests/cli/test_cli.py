@@ -323,6 +323,11 @@ class TestPipeline:
             (["--shard-timeout", "0"], "shard_timeout_s must be positive or None: 0.0\n"),
             # ... and the parallel path still says the same thing.
             (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
+            # Well-formed, but a serial campaign runs no supervisor to use them.
+            (["--max-retries", "2"],
+             "--max-retries requires --workers > 1 (only shards are supervised)\n"),
+            (["--shard-timeout", "5"],
+             "--shard-timeout requires --workers > 1 (only shards are supervised)\n"),
             # A TTL the hop-limit byte cannot carry, for every --prober: the
             # spec's walk range is checked before any prober is constructed.
             (["--max-ttl", "0"], "bad TTL range [1, 0]\n"),

@@ -1,14 +1,9 @@
 """AllocSan — allocation accounting around hot profiler phases, budget
-normalization, and the benchmark-gate report shape.
-
-The fast machinery tests here are unmarked and always run; the real
-campaign under tracemalloc is ``@pytest.mark.allocsan`` and needs
-``pytest --allocsan`` (CI's budget step)."""
+normalization, the benchmark-gate report shape, and a real campaign
+under tracemalloc held to the budgets."""
 
 import json
 import tracemalloc
-
-import pytest
 
 from repro.lint.allocsan import (
     DEFAULT_BATCH,
@@ -190,7 +185,6 @@ class TestReport:
         assert keys == sorted(keys)
 
 
-@pytest.mark.allocsan
 class TestCampaignBudgets:
     def test_smoke_campaign_fits_the_budgets(self):
         from repro.netsim import Internet, InternetConfig, build_internet

@@ -83,9 +83,9 @@ def test_wallclock_module_is_exempt():
         assert watch.elapsed_seconds() >= 0.0
 
 
-def test_profiler_module_is_exempt():
-    # repro.obs.profiler reads host time for phase attribution; its
-    # perf_counter reads pass through like the Stopwatch boundary does.
+def test_profiler_reads_time_through_the_wallclock_boundary():
+    # repro.obs.profiler times its phases with repro.obs.wallclock.now,
+    # so a profiled region passes like the Stopwatch boundary does.
     from repro.obs.profiler import WallProfiler
 
     with DetSan():
@@ -95,6 +95,26 @@ def test_profiler_module_is_exempt():
                 pass
         prof.validate()
         assert prof.total_seconds() >= 0.0
+
+
+def test_exemption_is_det001s_allowlist_object(monkeypatch):
+    """DetSan reads DET001's allowlist itself, not a copy: widen it and a
+    direct time read from the named module passes, entropy still trips."""
+    from repro.lint.checkers import det001
+
+    fn = repro_caller(CLOCK)
+    entropy = repro_caller(URANDOM)
+    with DetSan():
+        with pytest.raises(DetSanViolation):
+            fn()
+    monkeypatch.setattr(
+        det001, "WALLCLOCK_EXEMPT_MODULES",
+        det001.WALLCLOCK_EXEMPT_MODULES | {"repro.fake_detsan_fixture"},
+    )
+    with DetSan():
+        assert fn() > 0
+        with pytest.raises(DetSanViolation):
+            entropy()
 
 
 # -- patch/restore semantics ------------------------------------------------

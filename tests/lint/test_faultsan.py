@@ -1,14 +1,11 @@
-"""FaultSan unit tests: plan construction, seeded determinism, the
-inject gate, and the ``--faultsan`` pytest opt-in.
+"""FaultSan unit tests: plan construction, seeded determinism, and the
+inject gate.
 
 The chaos grid that drives these faults through real pools lives in
 ``tests/prober/test_faultsan.py``; here we pin the injector itself.
 """
 
-import os
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -27,10 +24,6 @@ from repro.lint.faultsan import (
     inject,
     seeded_plan,
 )
-
-HERE = os.path.dirname(__file__)
-ROOT = os.path.normpath(os.path.join(HERE, "..", ".."))
-SRC = os.path.join(ROOT, "src")
 
 
 class TestPlans:
@@ -101,55 +94,3 @@ class TestInject:
         with pytest.raises(ValueError, match="gamma-ray"):
             inject(plan, 0, 1, SITE_WORKER_START)
 
-
-class TestPytestOptIn:
-    def test_marked_tests_skip_without_the_flag(self, tmp_path):
-        """``@pytest.mark.faultsan`` tests collect but skip unless the
-        run opts in with ``--faultsan``."""
-        test_file = tmp_path / "test_gate.py"
-        test_file.write_text(
-            "import pytest\n"
-            "@pytest.mark.faultsan\n"
-            "def test_chaos():\n"
-            "    raise AssertionError('must not run without --faultsan')\n"
-            "def test_plain():\n"
-            "    pass\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        run = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", "-q",
-                "-p", "repro.lint.sanitizers_pytest",
-                str(test_file),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(tmp_path),
-        )
-        assert run.returncode == 0, run.stdout + run.stderr
-        assert "1 passed" in run.stdout
-        assert "1 skipped" in run.stdout
-
-    def test_flag_runs_marked_tests(self, tmp_path):
-        test_file = tmp_path / "test_gate.py"
-        test_file.write_text(
-            "import pytest\n"
-            "@pytest.mark.faultsan\n"
-            "def test_chaos():\n"
-            "    pass\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        run = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", "-q", "--faultsan",
-                "-p", "repro.lint.sanitizers_pytest",
-                str(test_file),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(tmp_path),
-        )
-        assert run.returncode == 0, run.stdout + run.stderr
-        assert "1 passed" in run.stdout

@@ -23,7 +23,6 @@ class TestCounters:
         block = report.to_dict()
         assert block["format"] == FAILURES_FORMAT
         assert block["attempts"] == []
-        assert block["degraded"] == []
         assert sorted(block["metrics"]) == sorted(COUNTER_NAMES)
 
     def test_each_cause_feeds_its_own_counter(self):
@@ -39,16 +38,12 @@ class TestCounters:
         assert counts["shard.worker_deaths"] == 1
         assert counts["shard.corrupt_results"] == 2
         assert counts["shard.retries"] == 0
-        assert counts["shard.degraded"] == 0
 
-    def test_retries_and_degradations_count(self):
+    def test_retries_count(self):
         report = FailureReport()
         report.record_retry(3)
         report.record_retry(3)
-        report.record_degraded(5)
         assert report.counts()["shard.retries"] == 2
-        assert report.counts()["shard.degraded"] == 1
-        assert report.to_dict()["degraded"] == [5]
 
 
 class TestAttempts:
@@ -85,7 +80,6 @@ class TestBlock:
         report = FailureReport()
         report.record_fault(1, 1, CAUSE_CRASH, "boom")
         report.record_retry(1)
-        report.record_degraded(1)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(text) == report.to_dict()
 

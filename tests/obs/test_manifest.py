@@ -69,14 +69,13 @@ class TestBuild:
 class TestFailuresBlock:
     def failures(self, retries=0):
         return {
-            "format": "repro-failures/1",
+            "format": "repro-failures/2",
             "metrics": {
                 "shard.retries": {
                     "kind": "counter", "scope": "run", "value": retries,
                 },
             },
             "attempts": [],
-            "degraded": [],
         }
 
     def test_failures_block_rides_in_verbatim(self):
@@ -105,7 +104,7 @@ class TestDeterministicView:
             seed=7,
             records_file="a.yrp6",
             wall_seconds=0.5,
-            failures={"format": "repro-failures/1"},
+            failures={"format": "repro-failures/2"},
         )
         view = deterministic_view(manifest)
         assert "wallclock" not in view

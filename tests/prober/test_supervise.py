@@ -1,18 +1,17 @@
-"""Supervised shard execution: config validation, deterministic backoff,
-retry/exhaust/degrade semantics, and pool shutdown hygiene.
+"""Supervised shard execution: config validation, retry/exhaust
+semantics, and pool shutdown hygiene.
 
-These are the fast always-on recovery tests: fault injection here uses
-in-process ``crash``/``corrupt``/``mark-exit`` faults only, so nothing
-sleeps past a deadline or SIGKILLs a worker.  The full chaos grid
-(hang, SIGKILL, spawn pools) lives in ``test_faultsan.py`` behind
-``pytest --faultsan``.
+Fault injection here uses in-process ``crash``/``corrupt``/``mark-exit``
+faults only, so nothing sleeps past a deadline or SIGKILLs a worker;
+the chaos grid (hang, SIGKILL) is ``test_faultsan.py``.
 
 The load-bearing property throughout: a shard is a pure function of
-``(spec, shard, shards)``, so a retried or degraded run must serialize
-byte-for-byte like a run that never faulted.
+``(spec, shard, shards)``, so a retried run must serialize byte-for-byte
+like a run that never faulted.
 """
 
 import ast
+import dataclasses
 import multiprocessing
 import os
 
@@ -29,17 +28,14 @@ from repro.lint.faultsan import (
 )
 from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
 from repro.obs import WallProfiler
-from repro.obs.failures import CAUSE_CRASH
 from repro.prober import (
     CampaignSpec,
     ShardFailure,
     SuperviseConfig,
-    backoff_delay_s,
     run_parallel,
     run_single,
     validate_supervise,
 )
-from repro.prober import deadline
 from repro.prober import supervise as supervise_module
 from repro.prober.output import dumps
 
@@ -75,8 +71,7 @@ def make_spec(n_targets=20, seed=11, metrics=False):
     )
 
 
-#: Retry fast in tests: no backoff sleeps between attempts.
-RETRY = SuperviseConfig(max_retries=1, backoff_base_s=0.0)
+RETRY = SuperviseConfig(max_retries=1)
 
 
 def attempt_keys(merged):
@@ -142,9 +137,6 @@ class TestValidation:
             SuperviseConfig(shard_timeout_s=0.0),
             SuperviseConfig(shard_timeout_s=-1.0),
             SuperviseConfig(max_retries=-1),
-            SuperviseConfig(backoff_base_s=-0.01),
-            SuperviseConfig(degrade="panic"),
-            SuperviseConfig(poll_interval_s=0.0),
         ],
     )
     def test_bad_fields_raise(self, config):
@@ -154,6 +146,11 @@ class TestValidation:
     def test_defaults_validate(self):
         validate_supervise(SuperviseConfig())
         assert SuperviseConfig(max_retries=2).attempts() == 3
+
+    def test_config_is_a_deadline_and_a_retry_budget(self):
+        assert [f.name for f in dataclasses.fields(SuperviseConfig)] == [
+            "shard_timeout_s", "max_retries"
+        ]
 
     def test_invalid_config_never_starts_a_pool(self, monkeypatch):
         def bomb(*args, **kwargs):
@@ -167,55 +164,6 @@ class TestValidation:
                 processes=2,
                 supervise=SuperviseConfig(max_retries=-1),
             )
-
-
-# -- deterministic backoff --------------------------------------------------
-
-
-class TestBackoff:
-    def test_pure_function_of_seed_shard_attempt(self):
-        config = SuperviseConfig(backoff_base_s=0.05)
-        first = backoff_delay_s(config, 2018, 3, 2)
-        assert backoff_delay_s(config, 2018, 3, 2) == first
-        assert backoff_delay_s(config, 2019, 3, 2) != first
-        assert backoff_delay_s(config, 2018, 4, 2) != first
-        assert backoff_delay_s(config, 2018, 3, 3) != first
-
-    @pytest.mark.parametrize("attempt", [1, 2, 3, 4])
-    def test_exponential_envelope_with_bounded_jitter(self, attempt):
-        config = SuperviseConfig(backoff_base_s=0.05)
-        delay = backoff_delay_s(config, 7, 1, attempt)
-        floor = 0.05 * 2.0 ** (attempt - 1)
-        assert floor <= delay < 2 * floor  # jitter in [0, 1)
-
-    def test_zero_base_disables_backoff(self):
-        config = SuperviseConfig(backoff_base_s=0.0)
-        assert backoff_delay_s(config, 7, 1, 3) == 0.0
-
-
-# -- the deadline boundary --------------------------------------------------
-
-
-class TestDeadline:
-    def test_none_never_expires(self):
-        never = deadline.Deadline(None)
-        assert not never.expired()
-        assert never.remaining_s() is None
-
-    def test_expiry_tracks_the_host_clock(self):
-        soon = deadline.Deadline(0.001)
-        deadline.sleep(0.005)
-        assert soon.expired()
-        assert soon.remaining_s() == 0.0
-        later = deadline.Deadline(60.0)
-        assert not later.expired()
-        assert 0.0 < later.remaining_s() <= 60.0
-
-    def test_sleep_ignores_non_positive_durations(self):
-        before = deadline.now()
-        deadline.sleep(-5.0)
-        deadline.sleep(0.0)
-        assert deadline.now() - before < 1.0
 
 
 # -- retry recovery (serial and pool) ---------------------------------------
@@ -232,7 +180,6 @@ class TestRetryRecovery:
         counts = fault_counts(merged)
         assert counts["shard.crashes"] == 1
         assert counts["shard.retries"] == 1
-        assert counts["shard.degraded"] == 0
         assert "FaultInjected" in merged.failures["attempts"][0]["detail"]
         assert_other_executor_agrees(executor, merged, spec, **plan)
 
@@ -272,7 +219,7 @@ class TestRetryRecovery:
         spec = make_spec()
         plan = {
             "shards": 2,
-            "supervise": SuperviseConfig(max_retries=2, backoff_base_s=0.0),
+            "supervise": SuperviseConfig(max_retries=2),
             "fault_plan": FaultPlan(
                 tuple(
                     Fault(shard=shard, kind=KIND_CRASH, attempt=attempt)
@@ -303,7 +250,7 @@ class TestRetryRecovery:
         assert "parallel/shard.retry" in paths
 
 
-# -- exhaustion and degradation ---------------------------------------------
+# -- exhaustion -------------------------------------------------------------
 
 
 class TestExhaustion:
@@ -348,34 +295,6 @@ class TestExhaustion:
     def test_pool_collects_every_failed_shard_too(self):
         self.check_every_failed_shard_is_collected("pool", [0, 2])
 
-    def test_degrade_serial_reruns_in_parent_byte_identically(self):
-        spec = make_spec()
-        merged = run_parallel(
-            spec,
-            shards=2,
-            processes=1,
-            supervise=SuperviseConfig(
-                max_retries=1, backoff_base_s=0.0, degrade="serial"
-            ),
-            fault_plan=FaultPlan.exhaust(1, KIND_CRASH, attempts=2),
-        )
-        assert dumps(merged) == dumps(run_single(spec))
-        # Attempts are numbered by the shard's own history.
-        assert attempt_keys(merged) == [(1, 1, "crash"), (1, 2, "crash")]
-        block = merged.failures
-        assert block["degraded"] == [1]
-        counts = {
-            name: entry["value"] for name, entry in block["metrics"].items()
-        }
-        assert counts == {
-            "shard.crashes": 2,
-            "shard.corrupt_results": 0,
-            "shard.degraded": 1,
-            "shard.retries": 1,
-            "shard.timeouts": 0,
-            "shard.worker_deaths": 0,
-        }
-
 
 # -- the failures block on clean runs ---------------------------------------
 
@@ -386,7 +305,6 @@ class TestCleanRuns:
         merged = run_parallel(spec, shards=2, processes=1)
         block = merged.failures
         assert block["attempts"] == []
-        assert block["degraded"] == []
         assert all(
             entry["value"] == 0 for entry in block["metrics"].values()
         )
@@ -401,9 +319,7 @@ class TestCleanRuns:
             spec,
             shards=2,
             processes=1,
-            supervise=SuperviseConfig(
-                shard_timeout_s=30.0, max_retries=3, degrade="serial"
-            ),
+            supervise=SuperviseConfig(shard_timeout_s=30.0, max_retries=3),
         )
         assert dumps(supervised) == dumps(plain)
 
