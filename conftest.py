@@ -1,9 +1,8 @@
 """Repository-root pytest configuration.
 
 Registers the runtime-sanitizer plugin: ``pytest --detsan`` runs every
-test inside the determinism sanitizer (``repro.lint.detsan``) and
-``pytest --shardsan`` inside the shared-world write sanitizer
-(``repro.lint.shardsan``).  The FaultSan chaos grid and the AllocSan
+test inside the determinism sanitizer (``repro.lint.detsan``).  The
+FaultSan chaos grid and the AllocSan
 budget test are ordinary tests: a plain ``pytest`` runs them.  The
 plugin lives in the package so it is importable wherever ``repro`` is;
 registering it here (the rootdir conftest) keeps ``pytest`` invocations

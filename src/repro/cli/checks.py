@@ -1,4 +1,4 @@
-"""The ``probe`` sanitizer checks: ``--detsan``, ``--shardsan``, ``--allocsan``.
+"""The ``probe`` sanitizer checks: ``--detsan`` and ``--allocsan``.
 
 Each is a row of :data:`CHECKS` — a function that runs the campaign
 under its sanitizer plus the flag combinations it cannot run with — so
@@ -14,9 +14,6 @@ from typing import Any, Callable, List, NamedTuple, Optional, TextIO, Tuple
 
 from ..lint import allocsan
 from ..lint.detsan import DetSan, hash_seed_pinned
-from ..lint.shardsan import ShardSan
-from ..prober import CampaignSpec, run_parallel
-from ..prober import parallel as _parallel
 from ..prober.output import dumps
 
 #: What a check returns — see :class:`Check`.
@@ -25,7 +22,6 @@ _Outcome = Tuple[Any, List[str], str]
 
 def _check_detsan(
     run_once: Callable[..., Any],
-    spec: CampaignSpec,
     args: argparse.Namespace,
     out: TextIO,
 ) -> _Outcome:
@@ -50,39 +46,8 @@ def _check_detsan(
     return result, [], "clean (0 reports, dump byte-identical to rerun)"
 
 
-def _check_shardsan(
-    run_once: Callable[..., Any],
-    spec: CampaignSpec,
-    args: argparse.Namespace,
-    out: TextIO,
-) -> _Outcome:
-    """Runtime counterpart of the MUT101 static proof: run the same
-    campaign at shard widths 1, 2 and 4 against ONE watched world (serial
-    in-process sharding, so every shard really touches the same objects)
-    and demand zero writes to unregistered state."""
-    result = None
-    for shards in (1, 2, 4):
-        with ShardSan(mode="record") as sanitizer:
-            watched = sanitizer.watch(_parallel._world_for(spec.internet))
-            sharded = run_parallel(spec, shards=shards, processes=1)
-        findings = [sanitizer.summary(report) for report in sanitizer.reports]
-        if findings:
-            return sharded, findings, (
-                "%d unregistered write(s) at shards=%d — the shared world "
-                "is not shard-safe" % (len(findings), shards)
-            )
-        out.write(
-            "shardsan: shards=%d clean (%d containers watched)\n"
-            % (shards, watched)
-        )
-        if result is None:
-            result = sharded
-    return result, [], "clean (0 unregistered writes across shards 1/2/4)"
-
-
 def _check_allocsan(
     run_once: Callable[..., Any],
-    spec: CampaignSpec,
     args: argparse.Namespace,
     out: TextIO,
 ) -> _Outcome:
@@ -120,7 +85,7 @@ def _check_allocsan(
 class Check(NamedTuple):
     """One ``probe`` sanitizer check (a row of :data:`CHECKS`).
 
-    ``run(run_once, spec, args, out)`` executes the campaign under the
+    ``run(run_once, args, out)`` executes the campaign under the
     sanitizer and returns ``(result, findings, verdict)``: the campaign
     to save, one line per finding (any finding makes ``probe`` exit 1;
     the first 20 are printed), and the closing line — ``clean (...)``,
@@ -130,7 +95,6 @@ class Check(NamedTuple):
     """
 
     run: Callable[..., _Outcome]
-    yarrp6_only: str = ""
     owns_profiler: str = ""
     single_worker: str = ""
     needs_hash_seed: str = ""
@@ -141,11 +105,6 @@ CHECKS = {
     "detsan": Check(
         _check_detsan,
         needs_hash_seed="hash randomization is per-process nondeterminism",
-    ),
-    "shardsan": Check(
-        _check_shardsan,
-        yarrp6_only="shared-world shards",
-        owns_profiler="shardsan runs its own shard-width sweep",
     ),
     "allocsan": Check(
         _check_allocsan,
@@ -158,8 +117,6 @@ CHECKS = {
 #: ``(Check field, violated(args), rejection % (flag, reason))``, in the
 #: order they are tested.
 _CONSTRAINTS = (
-    ("yarrp6_only", lambda args: args.prober != "yarrp6",
-     "--%s requires the yarrp6 prober (%s)\n"),
     ("owns_profiler", lambda args: bool(args.profile),
      "--profile and --%s are mutually exclusive (%s)\n"),
     ("single_worker", lambda args: args.workers > 1,
@@ -173,7 +130,7 @@ def rejection(args: argparse.Namespace, chosen: List[str]) -> Optional[str]:
     """Why the ``chosen`` checks cannot run with these ``probe`` flags, if
     they cannot."""
     if len(chosen) > 1:
-        return "--detsan, --shardsan and --allocsan are mutually exclusive\n"
+        return "--detsan and --allocsan are mutually exclusive\n"
     if args.allocsan_report and not args.allocsan:
         return "--allocsan-report requires --allocsan\n"
     for flag in chosen:

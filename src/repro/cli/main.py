@@ -190,7 +190,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     if args.fill:
         prober_kwargs["fill"] = True
 
-    # The campaign as run_parallel takes it (--workers > 1 and --shardsan).
+    # The campaign as run_parallel takes it (--workers > 1).
     spec = CampaignSpec(
         internet=world_config,
         vantage=args.vantage,
@@ -247,7 +247,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
             return result
 
     if chosen:
-        result, findings, verdict = CHECKS[chosen[0]].run(run_once, spec, args, out)
+        result, findings, verdict = CHECKS[chosen[0]].run(run_once, args, out)
     else:
         result, findings, verdict = run_once(), [], ""
     for line in findings[:20]:
@@ -321,6 +321,10 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         summary = _fault_summary(manifest["failures"])
         run_rows.append(["supervision", summary or "clean (no faults)"])
     out.write(render_table(["field", "value"], run_rows, title="run") + "\n")
+    summary = manifest.get("summary", {})
+    if summary:
+        summary_rows = [[key, summary[key]] for key in sorted(summary)]
+        out.write(render_table(["field", "value"], summary_rows, title="summary") + "\n")
 
     metrics = manifest.get("metrics", {})
     scalar_rows = []
@@ -529,14 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the DetSan determinism sanitizer: record any host "
         "time/entropy reads, rerun clean, and require a byte-identical "
         "dump (requires pinned PYTHONHASHSEED; exit 1 on any report)",
-    )
-    probe.add_argument(
-        "--shardsan",
-        action="store_true",
-        help="run under the ShardSan shared-world sanitizer: execute the "
-        "campaign at shard widths 1, 2 and 4 on one watched world and "
-        "require zero writes to unregistered state (yarrp6 only; exit 1 "
-        "on any report)",
     )
     probe.add_argument(
         "--allocsan",

@@ -24,11 +24,12 @@ real functions.  Two standing exemptions mirror the static rules:
 uses it to run a full campaign under instrumentation and then verify
 the dump is byte-identical to a clean rerun.
 
-Modes, the LIFO patch stack and the caller scope are the shared
-:class:`~repro.lint.sanitizer.Sanitizer` base; ``require_hash_seed=True``
-additionally asserts ``PYTHONHASHSEED`` is pinned to a fixed integer
-before entering (hash randomization is process-global nondeterminism no
-monkeypatch can intercept).
+Patches go on one LIFO stack: each remembers what ``module.name`` was
+and the exit puts them back newest first, so regions nest and a failed
+install leaves nothing behind.  ``require_hash_seed=True`` additionally
+asserts ``PYTHONHASHSEED`` is pinned to a fixed integer before entering
+(hash randomization is process-global nondeterminism no monkeypatch can
+intercept).
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import random
 import secrets
 import sys
 import time
+import traceback
 import uuid
-from typing import Any, Callable, FrozenSet
-
-from .sanitizer import Sanitizer
+from dataclasses import dataclass
+from types import FrameType
+from typing import Any, Callable, FrozenSet, List, Tuple
 
 _TIME_FUNCS = (
     "time",
@@ -92,6 +94,20 @@ _TABLES = (
 )
 
 
+#: Frames of the offender's stack kept on each report.
+_STACK_FRAMES = 12
+
+
+@dataclass
+class Report:
+    """One recorded tripwire hit."""
+
+    kind: str  # "time", "random" or "entropy"
+    target: str  # e.g. "time.perf_counter"
+    caller: str  # __name__ of the calling module
+    stack: List[str]
+
+
 class DetSanViolation(RuntimeError):
     """A banned nondeterminism source was called inside a DetSan region."""
 
@@ -117,23 +133,21 @@ def hash_seed_pinned() -> bool:
     return True
 
 
-class DetSan(Sanitizer):
-    """Context manager installing the nondeterminism tripwires."""
+class DetSan:
+    """Context manager installing the nondeterminism tripwires.
 
-    violation = DetSanViolation
-    usage_error = DetSanUsageError
-    #: DetSan's own machinery must be able to run while patched.
-    exempt_prefixes = ("repro.lint.detsan",)
-    summary_format = "%s %s called from %s"
-    violation_format = (
-        "DetSan: %s — banned inside a determinism-sanitized region (see "
-        "repro.lint.detsan; the seeded/virtual-clock alternatives are "
-        "documented in docs/determinism.md)"
-    )
+    ``mode="raise"`` aborts on the first hit; ``"record"`` collects
+    :class:`Report` rows in ``reports`` and lets the call proceed.
+    """
 
     def __init__(self, mode: str = "raise", require_hash_seed: bool = False):
-        super().__init__(mode)
+        if mode not in ("raise", "record"):
+            raise DetSanUsageError("mode must be 'raise' or 'record', got %r" % mode)
+        self.mode = mode
         self.require_hash_seed = require_hash_seed
+        self.reports: List[Report] = []
+        #: LIFO (module, name, original) restore stack.
+        self._patched: List[Tuple[Any, str, Any]] = []
 
     def __enter__(self) -> "DetSan":
         if self.require_hash_seed and not hash_seed_pinned():
@@ -142,7 +156,28 @@ class DetSan(Sanitizer):
                 "to a fixed integer (found %r)"
                 % os.environ.get("PYTHONHASHSEED", "<unset>")
             )
-        return super().__enter__()
+        try:
+            self._install()
+        except Exception:
+            self._restore()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._restore()
+
+    def _patch(self, module: Any, name: str, value: Any) -> None:
+        self._patched.append((module, name, getattr(module, name)))
+        setattr(module, name, value)
+
+    def _restore(self) -> None:
+        while self._patched:
+            module, name, original = self._patched.pop()
+            setattr(module, name, original)
+
+    def summary(self, report: Report) -> str:
+        """One report as one line."""
+        return "%s %s called from %s" % (report.kind, report.target, report.caller)
 
     def _install(self) -> None:
         # DET001's allowlist object, so the static rule and this sanitizer
@@ -171,9 +206,27 @@ class DetSan(Sanitizer):
         def tripwire(*args: Any, **kwargs: Any) -> Any:
             frame = sys._getframe(1)
             caller = frame.f_globals.get("__name__", "")
-            if self._in_scope(caller) and caller not in exempt:
+            if _in_scope(caller) and caller not in exempt:
                 self._report(kind, target, caller, frame)
             return original(*args, **kwargs)
 
         tripwire.__name__ = getattr(original, "__name__", target)
         return tripwire
+
+    def _report(self, kind: str, target: str, caller: str, frame: FrameType) -> None:
+        report = Report(
+            kind, target, caller, traceback.format_stack(frame, limit=_STACK_FRAMES)
+        )
+        self.reports.append(report)
+        if self.mode == "raise":
+            raise DetSanViolation(
+                "DetSan: %s — banned inside a determinism-sanitized region (see "
+                "repro.lint.detsan; the seeded/virtual-clock alternatives are "
+                "documented in docs/determinism.md)" % self.summary(report)
+            )
+
+
+def _in_scope(caller: str) -> bool:
+    """Only ``repro.*`` callers are inside the contract; DetSan's own
+    machinery must be able to run while patched."""
+    return caller != __name__ and (caller == "repro" or caller.startswith("repro."))

@@ -1,7 +1,7 @@
 """FaultSan: deterministic fault injection for the supervised runner.
 
-Sibling to DetSan (runtime nondeterminism tripwires) and ShardSan
-(shared-world write tracking), FaultSan attacks from the other side: it
+Sibling to DetSan (runtime nondeterminism tripwires), FaultSan attacks
+from the other side: it
 *manufactures* the failures the supervisor in
 :mod:`repro.prober.supervise` claims to survive, deterministically, so
 a differential test can assert what each recovery path promises: a

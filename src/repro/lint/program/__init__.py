@@ -14,12 +14,6 @@ builder), and the interprocedural rules run on the result:
 * **RNG101** — RNG provenance: every ``random.Random`` seed must trace
   to spec/world seed material, and no RNG object may cross the
   ``CampaignSpec`` worker boundary (:mod:`.rng101`);
-* **MUT101** — shared-world shard safety: code reachable from the
-  parallel shard workers may only write state registered via
-  ``@run_state(...)`` (:mod:`.mut101`);
-* **MUT102** — rewind completeness: the RunState registry and
-  ``Internet.fresh_run_state`` must cover each other exactly
-  (:mod:`.mut102`);
 * **MUT103** — pickle-boundary immutability: no writes through the
   ``CampaignSpec`` handed to workers (:mod:`.mut103`);
 * **PERF101** — no per-iteration allocation in hot regions (functions

@@ -103,8 +103,6 @@ class FileFacts:
     functions: List[FunctionFact] = field(default_factory=list)
     #: RNG-across-worker-boundary findings: {"line", "cls", "detail"}
     boundary_rng: List[Dict[str, Any]] = field(default_factory=list)
-    #: class declarations + @run_state registrations (see :mod:`.mutation`).
-    classes: List[Dict[str, Any]] = field(default_factory=list)
     #: True when the file failed to parse (facts are empty, not absent).
     parse_error: bool = False
 
@@ -122,7 +120,6 @@ def extract_facts(file: SourceFile) -> FileFacts:
         facts.functions.append(_function_fact(scope, own, file.module, index))
     facts.functions.sort(key=lambda fact: (fact.line, fact.qname))
     _extract_boundary_rng(index, facts)
-    facts.classes = mutation.class_facts(index)
     return facts
 
 

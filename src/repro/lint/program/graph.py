@@ -39,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - facts -> perf -> graph at import time
     from .facts import FileFacts, FunctionFact
 
 #: Shard-worker entry points: everything a worker process executes is
-#: reachable from these (MUT101's roots; the ``spec`` parameter tainted
-#: by MUT103 enters here).  The pool entry point receives the spec inside
+#: reachable from these (the ``spec`` parameter tainted by MUT103 enters
+#: here).  The pool entry point receives the spec inside
 #: its payload and reaches ``run_shard`` through ``ShardJob.run`` — an
 #: indirect call the graph cannot follow — so it is listed itself.
 WORKER_ROOTS = (
@@ -62,8 +62,7 @@ DEFAULT_ROOTS = frozenset(
 )
 
 #: The build cut: code reached only through these is world
-#: *construction*, not mid-run behaviour (ShardSan applies the identical
-#: exemption at runtime).
+#: *construction*, not mid-run behaviour.
 BUILD_CUT_MODULES = frozenset({"repro.netsim.build"})
 BUILD_CUT_NAMES = frozenset(
     {"__init__", "__post_init__", "from_config", "build_internet"}

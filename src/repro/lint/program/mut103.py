@@ -19,7 +19,7 @@ whose expanded path is rooted at a tainted name::
 
 Taint does not follow the build cut — ``build_internet`` consumes the
 config to construct a fresh world, and its writes are construction, not
-boundary mutation (MUT101's cut, applied to the same edges).
+boundary mutation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Program, Violation
-from . import escape
 from .graph import WORKER_ROOTS, ProgramGraph, _resolve, is_cut, witness_chain
 
 RULE = "MUT103"
@@ -44,6 +43,23 @@ BOUNDARY_PARAM = "spec"
 #: taint witness: how a (function, param) became tainted.
 _Witness = Tuple[Optional[str], int]  # (caller full name or None, line)
 
+#: Alias chains longer than this are degenerate (`x = x.next` style);
+#: expansion stops rather than looping.
+ALIAS_EXPANSION_LIMIT = 4
+
+
+def expand(path: str, aliases: Dict[str, str]) -> str:
+    """Expand the leading component of ``path`` through the alias map
+    (``slots = self._slots`` makes ``slots.append(cb)`` a write to
+    ``self._slots``)."""
+    for _ in range(ALIAS_EXPANSION_LIMIT):
+        head, sep, rest = path.partition(".")
+        replacement = aliases.get(head)
+        if replacement is None or replacement.partition(".")[0] == head:
+            break
+        path = replacement + sep + rest
+    return path
+
 
 def check(program: Program) -> List[Violation]:
     graph = program.graph
@@ -53,7 +69,7 @@ def check(program: Program) -> List[Violation]:
         fact, _, path = graph.nodes[full]
         params = tainted[full]
         for store in fact.stores:
-            expanded = escape.expand(store["path"], fact.aliases)
+            expanded = expand(store["path"], fact.aliases)
             parts = expanded.split(".")
             if len(parts) < 2 or parts[0] not in params:
                 continue
@@ -139,7 +155,7 @@ def _tainted_args(
     arg_paths = call.get("arg_paths") or []
     for index, path in enumerate(arg_paths):
         if isinstance(path, str):
-            root = escape.expand(path, aliases).partition(".")[0]
+            root = expand(path, aliases).partition(".")[0]
             if root in names:
                 flows.append((index, None))
     kwarg_paths = call.get("kwarg_paths") or {}
@@ -147,7 +163,7 @@ def _tainted_args(
         for kwarg in sorted(kwarg_paths):
             path = kwarg_paths[kwarg]
             if isinstance(path, str):
-                root = escape.expand(path, aliases).partition(".")[0]
+                root = expand(path, aliases).partition(".")[0]
                 if root in names:
                     flows.append((0, kwarg))
     return flows

@@ -18,15 +18,9 @@ Each store fact is a plain dict (alongside the rest of
     {"path": "router.interfaces", "line": 42, "kind": "call:append"}
 
 ``path`` is the dotted chain being written through, **before** alias
-expansion — expansion happens at rule time against the function's alias
-map so the facts stay a pure function of the file's bytes.
-
-The same pass records **class facts** per file: declared fields (from
-``__slots__``, dataclass-style annotated class bodies, and ``self.X``
-stores inside ``__init__``/``__post_init__``) and any
-``@run_state(...)`` registration (fields, ``shared=`` survivors,
-``constructed_per_run=`` flag).  The rules in :mod:`.escape` join these
-into the world model MUT101/MUT102/MUT103 check against.
+expansion — expansion happens at rule time (MUT103) against the
+function's alias map so the facts stay a pure function of the file's
+bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..index import ScopeIndex, dotted_name
+from ..index import dotted_name
 
 #: Method names whose call mutates the receiver container in place.
 MUTATOR_METHODS = frozenset(
@@ -138,78 +132,3 @@ def alias_facts(env: Dict[str, ast.AST]) -> Dict[str, str]:
         if path is not None and path != name:
             aliases[name] = path
     return aliases
-
-
-# ---------------------------------------------------------------------------
-# class facts: declared fields + @run_state registrations
-
-
-def class_facts(index: ScopeIndex) -> List[Dict[str, Any]]:
-    """One dict per class defined anywhere in the file."""
-    found = [_class_fact(scope.node, index) for scope in index.classes]
-    found.sort(key=lambda item: (item["line"], item["name"]))
-    return found
-
-
-def _class_fact(node: ast.ClassDef, index: ScopeIndex) -> Dict[str, Any]:
-    info: Dict[str, Any] = {
-        "name": node.name,
-        "line": node.lineno,
-        "fields": {},
-        "registered": False,
-        "reg_line": None,
-        "run_state": [],
-        "run_shared": [],
-        "per_run": False,
-    }
-    for deco in node.decorator_list:
-        if not isinstance(deco, ast.Call):
-            continue
-        name = dotted_name(deco.func)
-        if name is None or name.rsplit(".", 1)[-1] != "run_state":
-            continue
-        info["registered"] = True
-        info["reg_line"] = deco.lineno
-        info["run_state"] = sorted(_string_items(deco.args))
-        for keyword in deco.keywords:
-            if keyword.arg == "shared":
-                items = (
-                    keyword.value.elts
-                    if isinstance(keyword.value, (ast.Tuple, ast.List))
-                    else []
-                )
-                info["run_shared"] = sorted(_string_items(items))
-            elif keyword.arg == "constructed_per_run":
-                if isinstance(keyword.value, ast.Constant):
-                    info["per_run"] = bool(keyword.value.value)
-    fields: Dict[str, int] = info["fields"]
-    for statement in node.body:
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    for slot in _string_items(
-                        statement.value.elts
-                        if isinstance(statement.value, (ast.Tuple, ast.List))
-                        else []
-                    ):
-                        fields.setdefault(slot, statement.lineno)
-        elif isinstance(statement, ast.AnnAssign):
-            # dataclass-style declared field
-            if isinstance(statement.target, ast.Name):
-                fields.setdefault(statement.target.id, statement.lineno)
-        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if statement.name in ("__init__", "__post_init__"):
-                # ``self.X = ...`` anywhere inside a constructor declares X.
-                for scope in index.scope_of[statement].walk():
-                    for name, site, _ in scope.bindings:
-                        if name.startswith("self."):
-                            fields.setdefault(name[5:], site.node.lineno)
-    return info
-
-
-def _string_items(nodes: Iterable[ast.AST]) -> List[str]:
-    items: List[str] = []
-    for node in nodes:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            items.append(node.value)
-    return items

@@ -34,7 +34,6 @@ from heapq import heappop, heappush
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
 from ..obs.metrics import NULL_REGISTRY, SCOPE_RUN, MetricsRegistry
-from .runstate import run_state
 
 #: Microseconds per second, the engine's clock unit.
 US_PER_SECOND = 1_000_000
@@ -67,7 +66,6 @@ class _Resumption(NamedTuple):
             self.engine.schedule(delay, self)
 
 
-@run_state("_now", "_heap", "_slots", "_live", constructed_per_run=True)
 class Engine:
     """A minimal run-to-completion event scheduler over virtual time.
 

@@ -32,7 +32,6 @@ from .build import BuiltInternet, InternetConfig, Vantage, build_internet
 from .ecmp import flow_variant
 from .engine import Engine
 from .ratelimit import BucketObserver, TokenBucket
-from .runstate import RunState, run_state  # noqa: F401  (public re-export)
 from .topology import Hop, Router, Subnet
 
 
@@ -111,19 +110,6 @@ class Response:
         self.data = data
 
 
-@run_state(
-    "probes",
-    "time_exceeded",
-    "echo_replies",
-    "unreachables",
-    "rate_limited",
-    "filtered",
-    "silent_terminal",
-    "tcp_responses",
-    "lost",
-    "packet_too_big",
-    constructed_per_run=True,
-)
 class InternetStats:
     """Aggregate counters over everything the internet saw.
 
@@ -156,9 +142,6 @@ class InternetStats:
         self.packet_too_big = 0
 
 
-@run_state(
-    "atomic_frag_until", "_frag_value", "_frag_last", constructed_per_run=True
-)
 class RouterState:
     """What one run has changed about one router: its limiter's bucket,
     its RFC 6946 atomic-fragment holds and its fragment Identification
@@ -234,9 +217,6 @@ def _hop_delay(router: Router, tier: int) -> int:
     return 250 + jitter % 900
 
 
-@run_state(
-    "stats", "router_state", "_rng", "_limiter_observer", shared=("_path_cache",)
-)
 class Internet:
     """Facade over a built ground-truth internet.
 
@@ -245,14 +225,13 @@ class Internet:
     validation do).
 
     The built world is read-only; everything a campaign changes lives
-    here, declared via :func:`~repro.netsim.runstate.run_state`
-    (re-exported here): ``stats``, the per-router ``router_state`` table,
-    the loss RNG and the limiter telemetry hook are rewound by
-    :meth:`fresh_run_state`, so two instances over one world never see
-    each other's campaigns.  ``_path_cache`` is ``shared`` — path
-    compilation is a pure function of the immutable topology, so the
-    cache deliberately survives the rewind.  MUT101/MUT102 and ShardSan
-    enforce the declaration (docs/determinism.md).
+    here: ``stats``, the per-router ``router_state`` table, the loss RNG
+    and the limiter telemetry hook are rewound by :meth:`fresh_run_state`,
+    so two instances over one world never see each other's campaigns.
+    ``_path_cache`` survives the rewind — path compilation is a pure
+    function of the immutable topology.  Both halves are checked by
+    fingerprint in ``tests/netsim/test_world_readonly.py``
+    (docs/determinism.md).
     """
 
     @classmethod

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 from .engine import US_PER_SECOND
-from .runstate import run_state
 
 #: Telemetry hook ``Internet`` calls after every limiter decision with
 #: ``(router_id, virtual_now, allowed, tokens_after)``.  Observers must be
@@ -36,7 +35,6 @@ def provisioning(rate: float, burst: float) -> Tuple[float, float]:
     return float(rate), float(burst)
 
 
-@run_state("_tokens", "_updated", "allowed", "denied", constructed_per_run=True)
 class TokenBucket:
     """A continuous-refill token bucket evaluated at virtual timestamps.
 

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..addrs.prefix import Prefix
 from ..addrs.trie import PrefixTrie
 from .ratelimit import provisioning
-from .runstate import run_state
 
 
 class RouterRole(enum.Enum):
@@ -46,15 +45,15 @@ class HostKind(enum.Enum):
     LOWBYTE_SERVER = "lowbyte-server"
 
 
-@run_state()
 class Router:
     """A packet forwarder: interfaces, the provisioning of its ICMPv6
     error rate limiter, and response behaviour knobs.
 
-    Immutable after the build: the empty :func:`run_state` registration
-    makes any later write a MUT101 / ShardSan violation.  Everything a
-    campaign changes about a router lives in the ``RouterState`` the
-    probing :class:`~repro.netsim.internet.Internet` keeps for it.
+    Immutable after the build (``tests/netsim/test_world_readonly.py``
+    fingerprints the built world around every probing driver).
+    Everything a campaign changes about a router lives in the
+    ``RouterState`` the probing :class:`~repro.netsim.internet.Internet`
+    keeps for it.
     """
 
     __slots__ = (

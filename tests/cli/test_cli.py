@@ -544,6 +544,28 @@ class TestPipeline:
         assert "prober.sent" in text
         assert "campaign.sent" in text  # the series table
 
+    def test_stats_shows_the_summary_block(self, world_file, tmp_path):
+        seeds_path = str(tmp_path / "s")
+        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
+        targets_path = str(tmp_path / "t")
+        run(["targets", "--seeds", seeds_path, "--out", targets_path])
+        manifest_path = str(tmp_path / "m.json")
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--targets", targets_path,
+                "--fill",
+                "--out", str(tmp_path / "r.yrp6"),
+                "--metrics", manifest_path,
+            ]
+        )
+        assert code == 0, text
+        code, text = run(["stats", manifest_path])
+        assert code == 0
+        assert "summary" in text
+        assert "fills_unsent" in text
+
     def test_stats_rejects_missing_or_malformed(self, tmp_path):
         code, text = run(["stats", str(tmp_path / "nope.json")])
         assert code == 2
@@ -763,21 +785,6 @@ class TestProfile:
         assert "probe/parallel/merge" in paths
         assert profile["coverage"] >= 0.95
 
-    def test_probe_profile_shardsan_conflict(self, world_file, tmp_path):
-        targets_path = self._pipeline(world_file, tmp_path)
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--targets", targets_path,
-                "--out", str(tmp_path / "r.yrp6"),
-                "--profile", str(tmp_path / "trace.json"),
-                "--shardsan",
-            ]
-        )
-        assert code == 2
-        assert "mutually exclusive" in text
-
     def test_stats_top_renders_ttl_and_phase_tables(self, world_file, tmp_path):
         targets_path = self._pipeline(world_file, tmp_path)
         manifest_path = str(tmp_path / "m.json")
@@ -885,7 +892,7 @@ class TestAllocSan:
             "--out", str(tmp_path / "x.yrp6"),
         ]
         code, text = run(base + ["--allocsan", "--detsan"])
-        assert code == 2 and "mutually exclusive" in text
+        assert code == 2 and "--detsan and --allocsan are mutually exclusive" in text
         code, text = run(base + ["--allocsan", "--profile", str(tmp_path / "t.json")])
         assert code == 2 and "mutually exclusive" in text
         code, text = run(base + ["--allocsan", "--workers", "2"])

@@ -1,7 +1,6 @@
-"""DetSan — runtime determinism sanitizer: tripwires, exemptions,
+"""DetSan — runtime determinism sanitizer: tripwires, exemptions, modes,
 restore semantics, the pytest plugin, and the ``probe --detsan``
-byte-identity gate across shard counts.  (Modes, nesting and the caller
-scope are the shared contract in ``test_sanitizer.py``.)"""
+byte-identity gate across shard counts."""
 
 import os
 import random
@@ -134,6 +133,69 @@ def test_restore_after_exception():
         with DetSan():
             fn()
     assert random.random is original
+
+
+def test_nested_regions_restore_lifo():
+    original = time.time
+    fn = repro_caller(CLOCK)
+    with DetSan(mode="record") as outer:
+        outer_wire = time.time
+        with DetSan(mode="record") as inner:
+            assert time.time is not outer_wire
+            fn()
+        assert time.time is outer_wire
+        fn()
+    assert time.time is original
+    assert len(inner.reports) == 1
+    # The inner tripwire forwards to the outer one from DetSan's own
+    # (exempt) module, so the outer region sees the second call only.
+    assert len(outer.reports) == 1
+
+
+def test_failing_install_restores_what_it_patched():
+    seen = []
+
+    class Failing(DetSan):
+        def _patch(self, module, name, value):
+            if len(seen) == 3:
+                raise RuntimeError("install failed")
+            seen.append((module, name, getattr(module, name)))
+            super()._patch(module, name, value)
+
+    with pytest.raises(RuntimeError, match="install failed"):
+        Failing().__enter__()
+    assert len(seen) == 3
+    for module, name, before in seen:
+        assert getattr(module, name) is before
+
+
+# -- modes and caller scope -------------------------------------------------
+
+
+def test_bad_mode_is_a_usage_error():
+    with pytest.raises(DetSanUsageError):
+        DetSan(mode="bogus")
+
+
+def test_non_repro_callers_pass_through():
+    namespace = {"__name__": "tests.fake_detsan_fixture"}
+    exec(compile(CLOCK, "<detsan-fixture>", "exec"), namespace)
+    with DetSan() as sanitizer:  # raise mode: a trip would abort
+        assert namespace["f"]() > 0
+    assert sanitizer.reports == []
+
+
+def test_record_mode_reports_and_lets_the_call_proceed():
+    fn = repro_caller(CLOCK)
+    with DetSan(mode="record") as sanitizer:
+        assert fn() > 0
+    (report,) = sanitizer.reports
+    assert (report.kind, report.target) == ("time", "time.time")
+    assert report.caller == "repro.fake_detsan_fixture"
+    assert report.stack  # captured frames for the offender
+    assert sanitizer.summary(report) == (
+        "time time.time called from repro.fake_detsan_fixture"
+    )
 
 
 # -- configuration guards ---------------------------------------------------

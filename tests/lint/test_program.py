@@ -1,5 +1,5 @@
 """Fixture self-tests for the whole-program rules (DET101/RNG101,
-MUT101-103, and the PERF101-103 hot-path rules) and the program-root /
+MUT103, and the PERF101-103 hot-path rules) and the program-root /
 hot-loop marker comments."""
 
 import importlib
@@ -7,7 +7,7 @@ import io
 import os
 
 from repro.lint import rules as rules_mod
-from repro.lint.program import escape, graph, perf
+from repro.lint.program import graph, perf
 from repro.lint.rules import (
     PROGRAM_RULES,
     analyze,
@@ -127,81 +127,6 @@ def test_rng101_boundary_crossing_names_the_spec_class():
     boundary = [v for v in violations if "boundary.py" in v.path][0]
     assert "CampaignSpec" in boundary.message
     assert "worker boundary" in boundary.message
-
-
-# -- MUT101: shared-world shard safety --------------------------------------
-
-
-def test_mut101_flags_unregistered_world_writes_only():
-    violations, _ = run_fixture("mut101", select=["MUT101"])
-    assert all(v.rule == "MUT101" for v in violations)
-    assert located(violations) == [("world.py", 11), ("world.py", 15)]
-
-
-def test_mut101_expands_aliases_to_the_underlying_field():
-    violations, _ = run_fixture("mut101", select=["MUT101"])
-    aliased = [v for v in violations if v.line == 15][0]
-    # `cache = self._scratch; cache.append(1)` resolves to the field.
-    assert "'self._scratch'" in aliased.message
-
-
-def test_mut101_witness_chain_names_the_worker_root():
-    violations, _ = run_fixture("mut101", select=["MUT101"])
-    direct = [v for v in violations if v.line == 11][0]
-    assert "shard worker root 'parallel.run_shard'" in direct.message
-    assert "parallel.run_shard -> world.Internet.probe" in direct.message
-
-
-def test_mut101_registered_shared_and_unreachable_writes_are_clean():
-    violations, _ = run_fixture("mut101", select=["MUT101"])
-    # line 9 (registered), 10 (shared cache), 18 (unreachable offline),
-    # and helper's name-based registered write are all sanctioned.
-    assert not any(v.line in (9, 10, 18) for v in violations)
-    assert not any("parallel.py" in v.path for v in violations)
-
-
-# -- MUT102: rewind completeness --------------------------------------------
-
-
-def test_mut102_flags_all_three_disagreement_kinds():
-    violations, _ = run_fixture("mut102", select=["MUT102"])
-    assert all(v.rule == "MUT102" for v in violations)
-    assert located(violations) == [
-        ("internet.py", 6),
-        ("internet.py", 11),
-        ("internet.py", 15),
-    ]
-
-
-def test_mut102_registered_but_never_reset_anchors_at_registration():
-    violations, _ = run_fixture("mut102", select=["MUT102"])
-    ghost = [v for v in violations if v.line == 6][0]
-    assert "'internet.Internet.ghost'" in ghost.message
-    assert "never resets it" in ghost.message
-
-
-def test_mut102_shared_field_must_survive_the_rewind():
-    violations, _ = run_fixture("mut102", select=["MUT102"])
-    cache = [v for v in violations if v.line == 11][0]
-    assert "'internet.Internet._cache'" in cache.message
-    assert "declared shared" in cache.message
-
-
-def test_mut102_reset_but_unregistered_shows_the_chain():
-    violations, _ = run_fixture("mut102", select=["MUT102"])
-    scratch = [v for v in violations if v.line == 15][0]
-    assert "'internet.Internet.scratch'" in scratch.message
-    assert (
-        "internet.Internet.fresh_run_state -> internet.Internet.reset_helpers"
-        in scratch.message
-    )
-
-
-def test_mut102_constructed_per_run_classes_are_exempt():
-    violations, _ = run_fixture("mut102", select=["MUT102"])
-    # Engine.events is registered and never reset, but Engine instances
-    # never outlive a run (constructed_per_run=True).
-    assert not any("Engine" in v.message for v in violations)
 
 
 # -- MUT103: pickle-boundary immutability ------------------------------------
@@ -408,8 +333,6 @@ def test_program_rules_registry_is_complete():
     assert {rule.RULE for rule in PROGRAM_RULES} == {
         "DET101",
         "RNG101",
-        "MUT101",
-        "MUT102",
         "MUT103",
         "PERF101",
         "PERF102",
@@ -497,11 +420,10 @@ def test_every_root_list_names_a_live_function():
     for roots in (
         graph.DEFAULT_ROOTS,
         graph.WORKER_ROOTS,
-        escape.REWIND_ROOTS,
         perf.DEFAULT_HOT_ROOTS,
     ):
         assert sorted(set(roots) - set(nodes)) == []
     # One spelling of the worker roots: DET101's defaults contain it, and
-    # MUT101 / MUT103 read the same tuple.
+    # MUT103 reads the same tuple.
     assert "repro.prober.supervise._supervised_worker" in graph.WORKER_ROOTS
     assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS

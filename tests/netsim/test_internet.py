@@ -9,19 +9,17 @@ from repro.netsim import (
     CompiledPath,
     Internet,
     InternetConfig,
-    Router,
     TerminalKind,
     build_internet,
     decoupled_dynamics,
 )
 from repro.netsim.ecmp import flow_variant
 from repro.netsim.engine import Engine
-from repro.netsim.runstate import RunState
 from repro.obs import Tracer
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
-from repro.prober import run_sequential, run_speedtrap, run_yarrp6
+from repro.prober import run_yarrp6
 from repro.prober.encoding import encode_probe
 
 
@@ -253,46 +251,10 @@ class TestRateLimiting:
         assert net.probe(icmp_probe(vantage.address, dst, 1), now=0) is not None
 
 
-class TestRunStateOwnership:
+class TestCampaignStateOwnership:
     """Everything a campaign changes lives in the ``Internet`` that ran
-    it; the built world it ran on is read-only."""
-
-    @staticmethod
-    def snapshot(built):
-        """Every slot of every router, subnet and AS, containers copied
-        (so a mutated list, dict or set shows)."""
-        truth = built.truth
-        things = [*truth.routers.values(), *truth.subnets.values(), *truth.ases.values()]
-
-        def frozen(value):
-            return type(value)(value) if isinstance(value, (list, dict, set)) else value
-
-        return [
-            (type(thing).__name__, name, frozen(getattr(thing, name)))
-            for thing in things
-            for name in type(thing).__slots__
-        ]
-
-    def test_campaigns_leave_the_built_world_untouched(self):
-        built = build_internet(InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7))
-        before = self.snapshot(built)
-        net = Internet(built)
-        targets = [subnet.prefix.base | 1 for subnet in built.truth.subnets.values()][:40]
-        campaign = run_sequential(net, "EU-NET", targets, pps=20_000.0)
-        assert net.stats.rate_limited  # the limiters were binding
-        machine = run_speedtrap(net, "EU-NET", sorted(campaign.interfaces))
-        assert machine.samples  # fragment state was planted and read back
-        assert self.snapshot(built) == before
-        assert any(state.atomic_frag_until for state in net.router_state.values())
-        # The registry says the same: outside per-run instances only
-        # Internet declares run state, and Router is registered with none.
-        owners = {
-            cls.__name__
-            for cls in RunState.classes()
-            if RunState.fields(cls) and not RunState.constructed_per_run(cls)
-        }
-        assert owners == {"Internet"}
-        assert RunState.is_registered(Router) and not RunState.fields(Router)
+    it; the built world it ran on is read-only (fingerprinted around
+    every driver in ``test_world_readonly.py``)."""
 
     def test_two_instances_over_one_world_share_no_limiter(self):
         built = build_internet(
