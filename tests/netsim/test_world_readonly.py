@@ -13,8 +13,11 @@ each over every probing driver:
   ``Internet(built)``'s, so a field a campaign sets that the rewind does
   not reset shows.
 
-The sharded row runs ``run_parallel`` serially on the process-shared
-world, so its shards, their rewinds and the merge all touch one object.
+The single and sharded rows run ``run_single`` and ``run_parallel``
+(serially, at 1, 2 and 4 shards) on the process-shared world, so the
+campaign, its shards, their rewinds and the merge all touch one object.
+The last tests check that both fingerprints see each kind of write they
+stand guard over.
 """
 
 import pickle
@@ -39,7 +42,7 @@ from repro.prober import (
     run_yarrp6,
 )
 from repro.prober.mda import MDAConfig
-from repro.prober.parallel import _world_for
+from repro.prober.parallel import _world_for, run_single
 
 WORLD = InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
 VANTAGE = "EU-NET"
@@ -83,11 +86,14 @@ def _path_div(net, world):
     )
 
 
-def _sharded(net, world):
-    spec = CampaignSpec(
+def _spec(world):
+    return CampaignSpec(
         internet=WORLD, vantage=VANTAGE, targets=tuple(world.targets), pps=PPS, metrics=True
     )
-    run_parallel(spec, shards=4, processes=1)
+
+
+def _sharded(shards):
+    return lambda net, world: run_parallel(_spec(world), shards=shards, processes=1)
 
 
 #: name -> ``driver(net, inputs)``: one probing driver run on ``net``.
@@ -102,14 +108,20 @@ DRIVERS = {
     "pmtud": lambda net, world: discover_pmtu(net, VANTAGE, world.targets[:10]),
     "dealias": lambda net, world: detect_aliased(net, VANTAGE, world.prefixes),
     "path-div": _path_div,
-    "sharded": _sharded,
+    "single": lambda net, world: run_single(_spec(world)),
+    "sharded-1": _sharded(1),
+    "sharded-2": _sharded(2),
+    "sharded-4": _sharded(4),
 }
+
+#: Drivers that probe the process-shared world rather than their own facade.
+SHARED = {"single", "sharded-1", "sharded-2", "sharded-4"}
 
 
 def instance(name, world):
-    """What ``name`` probes: the process-shared world for the sharded run,
-    a fresh facade over this test's build otherwise."""
-    return _world_for(WORLD) if name == "sharded" else Internet(world.built)
+    """What ``name`` probes: the process-shared world for the single and
+    sharded runs, a fresh facade over this test's build otherwise."""
+    return _world_for(WORLD) if name in SHARED else Internet(world.built)
 
 
 def run_fingerprint(net):
@@ -135,3 +147,42 @@ def test_rewind_after_driver_equals_a_fresh_instance(name, inputs):
     assert net.stats.probes
     net.fresh_run_state()
     assert run_fingerprint(net) == run_fingerprint(Internet(net.built))
+
+
+def _first_router(built):
+    return next(iter(built.truth.routers.values()))
+
+
+def _store_truth_router(built):
+    router = _first_router(built)
+    built.truth.routers[max(built.truth.routers) + 1] = router
+
+
+#: name -> ``write(built)``: one kind of write into the built world.
+BUILT_WRITES = {
+    "router-slot": lambda built: setattr(_first_router(built), "rate", -1.0),
+    "interfaces-append": lambda built: _first_router(built).interfaces.append(1),
+    "truth-routers-store": _store_truth_router,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILT_WRITES))
+def test_built_fingerprint_sees_the_write(kind, inputs):
+    before = pickle.dumps(inputs.built)
+    assert pickle.dumps(inputs.built) == before  # the pickle is deterministic
+    BUILT_WRITES[kind](inputs.built)
+    assert pickle.dumps(inputs.built) != before
+
+
+def test_run_fingerprint_sees_a_dirty_instance(inputs):
+    net = Internet(inputs.built)
+    DRIVERS["yarrp6-walk"](net, inputs)
+    assert run_fingerprint(net) != run_fingerprint(Internet(inputs.built))
+
+
+def test_run_fingerprint_sees_a_field_the_rewind_misses(inputs):
+    net = Internet(inputs.built)
+    DRIVERS["yarrp6-walk"](net, inputs)
+    net.campaign_marker = 1  # a field fresh_run_state() knows nothing of
+    net.fresh_run_state()
+    assert run_fingerprint(net) != run_fingerprint(Internet(inputs.built))
