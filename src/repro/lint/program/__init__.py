@@ -2,8 +2,8 @@
 
 The per-file rules in :mod:`repro.lint.checkers` judge one file's scope
 index at a time; the rules here judge the program.  Each file's index is
-distilled into facts (:mod:`.facts`, with the mutation and
-perf-site extractors in :mod:`.mutation` and :mod:`.perf`), the facts are
+distilled into facts (:mod:`.facts`, with the perf-site extractor in
+:mod:`.perf`), the facts are
 joined into module-import and function-call graphs (:mod:`.graph`, which
 also owns the one forward reachability and the one witness-chain
 builder), and the interprocedural rules run on the result:
@@ -12,10 +12,7 @@ builder), and the interprocedural rules run on the result:
   prober / parallel-runner entry points may reach a DET001-banned
   source through any call chain (:mod:`.det101`);
 * **RNG101** — RNG provenance: every ``random.Random`` seed must trace
-  to spec/world seed material, and no RNG object may cross the
-  ``CampaignSpec`` worker boundary (:mod:`.rng101`);
-* **MUT103** — pickle-boundary immutability: no writes through the
-  ``CampaignSpec`` handed to workers (:mod:`.mut103`);
+  to spec/world seed material (:mod:`.rng101`);
 * **PERF101** — no per-iteration allocation in hot regions (functions
   reachable from a ``# repro-lint: hot-loop`` root);
 * **PERF102** — no superlinear accumulation (``+=`` concatenation,

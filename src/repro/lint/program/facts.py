@@ -19,8 +19,7 @@ top level as the pseudo-function ``<module>``):
   that a pure call graph would miss;
 * ``random.Random(seed_expr)`` construction sites with the seed
   expression classified (constant / seed-like / parameter-dependent /
-  untraceable);
-* RNG values flowing into worker-boundary dataclass constructors.
+  untraceable).
 
 Argument / seed-expression classes are tag strings:
 
@@ -48,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..checkers.det001 import verdict
-from ..checkers.det003 import BOUNDARY_CLASSES
 from ..core import SourceFile
 from ..index import (
     Scope,
@@ -59,7 +57,7 @@ from ..index import (
     name_or_self,
     resolve_call_target,
 )
-from . import mutation, perf
+from . import perf
 
 #: Names/attributes that look like seed material for RNG101.
 _SEEDLIKE = re.compile(r"(seed|key)", re.IGNORECASE)
@@ -87,10 +85,6 @@ class FunctionFact:
     refs: List[Tuple[str, int]] = field(default_factory=list)
     #: random.Random sites: {"line", "tags": [...]}
     rng_sites: List[Dict[str, Any]] = field(default_factory=list)
-    #: mutation facts: {"path", "line", "kind"} (see :mod:`.mutation`).
-    stores: List[Dict[str, Any]] = field(default_factory=list)
-    #: single-assigned local -> the pure attribute chain it aliases.
-    aliases: Dict[str, str] = field(default_factory=dict)
     #: perf sites: {"rule", "kind", "line", "loop", "detail"} (see :mod:`.perf`).
     perf: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -101,8 +95,6 @@ class FileFacts:
 
     module: str
     functions: List[FunctionFact] = field(default_factory=list)
-    #: RNG-across-worker-boundary findings: {"line", "cls", "detail"}
-    boundary_rng: List[Dict[str, Any]] = field(default_factory=list)
     #: True when the file failed to parse (facts are empty, not absent).
     parse_error: bool = False
 
@@ -119,7 +111,6 @@ def extract_facts(file: SourceFile) -> FileFacts:
         own = level_order(scope.own)
         facts.functions.append(_function_fact(scope, own, file.module, index))
     facts.functions.sort(key=lambda fact: (fact.line, fact.qname))
-    _extract_boundary_rng(index, facts)
     return facts
 
 
@@ -161,8 +152,6 @@ def _function_fact(
             tags = _classify_seed(node.args[0], origins, env, params)
             fact.rng_sites.append({"line": node.lineno, "tags": sorted(tags)})
     fact.banned.sort(key=lambda item: (item[1], item[0]))
-    fact.stores = mutation.store_facts(site.node for site in own)
-    fact.aliases = mutation.alias_facts(env)
     fact.perf = perf.perf_sites(scope, origins)
     return fact
 
@@ -186,12 +175,6 @@ def _call_fact(
         ],
         "kwargs": {
             kw.arg: sorted(_classify_seed(kw.value, origins, env, params))
-            for kw in node.keywords
-            if kw.arg is not None
-        },
-        "arg_paths": [dotted_name(arg) for arg in node.args],
-        "kwarg_paths": {
-            kw.arg: dotted_name(kw.value)
             for kw in node.keywords
             if kw.arg is not None
         },
@@ -289,61 +272,3 @@ def _classify_seed(
         return {"c"}
     return {"o:%s expression is not traceable to a seed" % type(node).__name__}
 
-
-# ---------------------------------------------------------------------------
-# RNG-across-worker-boundary extraction (RNG101, per-file half)
-
-
-def _extract_boundary_rng(index: ScopeIndex, facts: FileFacts) -> None:
-    origins = index.origins
-    rng_names = {
-        name
-        for scope in index.scopes
-        for name, site, value in scope.bindings
-        if "." not in name
-        and isinstance(site.node, ast.Assign)
-        and isinstance(value, ast.Call)
-        and resolve_call_target(value.func, origins) == "random.Random"
-    }
-    for scope in index.classes:
-        if scope.node.name not in BOUNDARY_CLASSES:
-            continue
-        for statement in scope.node.body:
-            if isinstance(statement, ast.AnnAssign) and "Random" in ast.dump(
-                statement.annotation
-            ):
-                facts.boundary_rng.append(
-                    {
-                        "line": statement.lineno,
-                        "cls": scope.node.name,
-                        "detail": "field declared with a Random type",
-                    }
-                )
-    for site in index.of(ast.Call):
-        node = site.node
-        name = dotted_name(node.func)
-        if name is None or name.rsplit(".", 1)[-1] not in BOUNDARY_CLASSES:
-            continue
-        cls = name.rsplit(".", 1)[-1]
-        for value in list(node.args) + [kw.value for kw in node.keywords]:
-            detail = _rng_valued(value, origins, rng_names)
-            if detail is not None:
-                facts.boundary_rng.append(
-                    {"line": node.lineno, "cls": cls, "detail": detail}
-                )
-    facts.boundary_rng.sort(key=lambda item: (item["line"], item["cls"]))
-
-
-def _rng_valued(
-    node: ast.AST, origins: Dict[str, str], rng_names: Set[str]
-) -> Optional[str]:
-    if isinstance(node, ast.Call):
-        target = resolve_call_target(node.func, origins)
-        if target == "random.Random":
-            return "a random.Random(...) instance"
-    if isinstance(node, ast.Name):
-        if node.id in rng_names:
-            return "local '%s' holding a random.Random instance" % node.id
-        if re.search(r"(^|_)rng$", node.id, re.IGNORECASE):
-            return "RNG-named value '%s'" % node.id
-    return None

@@ -39,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - facts -> perf -> graph at import time
     from .facts import FileFacts, FunctionFact
 
 #: Shard-worker entry points: everything a worker process executes is
-#: reachable from these (the ``spec`` parameter tainted by MUT103 enters
-#: here).  The pool entry point receives the spec inside
+#: reachable from these.  The pool entry point receives the spec inside
 #: its payload and reaches ``run_shard`` through ``ShardJob.run`` — an
 #: indirect call the graph cannot follow — so it is listed itself.
 WORKER_ROOTS = (

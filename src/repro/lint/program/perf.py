@@ -1,10 +1,10 @@
 """Per-function performance-site extraction and hot-region machinery.
 
-The PerfSan half of the whole-program analysis mirrors the mutation
-layer: every function is distilled at fact-extraction time into a list
-of **perf sites** — allocation expressions, superlinear accumulation
-patterns, and numpy↔Python scalar churn — each tagged with whether it
-sits inside a syntactic loop.  The PERF rules then intersect those
+The PerfSan half of the whole-program analysis: every function is
+distilled at fact-extraction time into a list of **perf sites** —
+allocation expressions, superlinear accumulation patterns, and
+numpy↔Python scalar churn — each tagged with whether it sits inside a
+syntactic loop.  The PERF rules then intersect those
 sites with the **hot region**: every function reachable (build cut
 applied — constructing a world or a template is setup, not steady
 state) from a hot root.

@@ -7,10 +7,9 @@ parameter that every caller feeds from one of those.  The dataflow is
 the tag classification from fact extraction, resolved interprocedurally
 through the call graph's argument classes (depth-limited, memoized).
 
-Second half: no live ``random.Random`` object may cross the
-``CampaignSpec`` worker boundary.  Shards must *derive* their streams
-from the spec's integer seed — shipping a mutable RNG by pickle forks
-its state and silently decouples the shards from ``run_single``.
+That no live ``random.Random`` crosses the ``CampaignSpec`` worker
+boundary is not this rule's business: ``validate_spec`` refuses any spec
+value that is not immutable, a ``Random`` included, before a shard runs.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from .graph import ProgramGraph
 RULE = "RNG101"
 DESCRIPTION = (
     "whole-program: random.Random seeds must be dataflow-traceable to "
-    "spec/world seed material, and no RNG object may cross the "
-    "CampaignSpec worker boundary"
+    "spec/world seed material"
 )
 
 #: How many caller hops to follow when a seed depends on a parameter.
@@ -37,7 +35,7 @@ _Verdict = Optional[Tuple[str, str]]
 
 
 def check(program: Program) -> List[Violation]:
-    graph, files = program.graph, program.facts
+    graph = program.graph
     violations: List[Violation] = []
     memo: Dict[Tuple[str, str], _Verdict] = {}
     for full in sorted(graph.nodes):
@@ -57,23 +55,6 @@ def check(program: Program) -> List[Violation]:
                     column=1,
                     message="random.Random seed is not traceable to a "
                     "spec/world seed: %s" % problem,
-                )
-            )
-    for path in sorted(files):
-        facts = files[path]
-        for finding in facts.boundary_rng:
-            violations.append(
-                Violation(
-                    rule=RULE,
-                    path=path,
-                    line=finding["line"],
-                    column=1,
-                    message=(
-                        "%s crosses the %s worker boundary; shards must "
-                        "derive their RNG streams from the spec's integer "
-                        "seed, never share a live Random object"
-                        % (finding["detail"], finding["cls"])
-                    ),
                 )
             )
     return violations

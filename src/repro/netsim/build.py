@@ -52,7 +52,7 @@ from .topology import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VantageConfig:
     """One measurement vantage point: a host inside its own edge AS."""
 
@@ -69,7 +69,7 @@ class VantageConfig:
     aggressive_limit: Tuple[float, float] = (40.0, 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InternetConfig:
     """Knobs for the generated internet.  Defaults build a mid-size world
     (~10k routers) suitable for tests; benchmarks scale ``n_edge`` and
@@ -196,8 +196,10 @@ def validate_config(config: InternetConfig) -> None:
     The builder draws through helpers that assume what is checked here
     once — counts are not negative, ``(low, high)`` ranges are ordered
     integers, limiter provisioning is grantable, fractions are
-    probabilities — instead of finding out from whichever stdlib call
-    trips first, part-way through the RNG stream.
+    probabilities, vantage names are unique and aggressive hops lie on
+    the premise chain — instead of finding out from whichever stdlib call
+    trips first, part-way through the RNG stream (or not at all, from a
+    world built without the hop or vantage asked for).
     """
     for name in _COUNTS:
         value = getattr(config, name)
@@ -232,13 +234,24 @@ def validate_config(config: InternetConfig) -> None:
     for name, value in fractions:
         if not 0.0 <= value <= 1.0:
             raise ValueError("world.%s must be within [0, 1], not %r" % (name, value))
+    named = set()
     for vantage in config.vantages:
         where = "vantages[%s]" % vantage.name
+        if vantage.name in named:
+            raise ValueError("world.%s: duplicate vantage name" % where)
+        named.add(vantage.name)
         if not (isinstance(vantage.premise_hops, int) and vantage.premise_hops >= 0):
             raise ValueError(
                 "world.%s.premise_hops must be an int >= 0, not %r"
                 % (where, vantage.premise_hops)
             )
+        # A hop outside the premise chain would be silently ignored.
+        for at, hop in enumerate(vantage.aggressive_hops):
+            if not (isinstance(hop, int) and 1 <= hop <= vantage.premise_hops):
+                raise ValueError(
+                    "world.%s.aggressive_hops[%d] must be an int in 1..%d, not %r"
+                    % (where, at, vantage.premise_hops, hop)
+                )
         for name in ("premise_limit", "aggressive_limit"):
             what = "%s.%s" % (where, name)
             _limit(what, *_pair(what, getattr(vantage, name)))

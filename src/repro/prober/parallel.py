@@ -15,10 +15,10 @@ holds bit for bit, for any ``N``, whenever the campaign is *decomposable*
 **Spec pickling, not object pickling.**  Workers never receive a live
 :class:`~repro.netsim.internet.Internet` over a pipe — a
 :class:`CampaignSpec` holds only the :class:`~repro.netsim.build.
-InternetConfig` (a dataclass of numbers), the vantage name, the target
-list and the prober config.  On fork platforms the parent builds the
-world ONCE before the pool starts and every worker inherits it
-copy-on-write; workers rewind its run-scoped state
+InternetConfig` (a frozen dataclass of numbers), the vantage name, the
+target tuple and the frozen prober config.  On fork platforms the
+parent builds the world ONCE before the pool starts and every worker
+inherits it copy-on-write; workers rewind its run-scoped state
 (:meth:`Internet.fresh_run_state`) instead of rebuilding, so sharding
 cost is per-campaign, not per-shard-times-build.  Spawn platforms (and
 any worker whose inherited world doesn't match the spec) fall back to
@@ -55,8 +55,8 @@ yarrp processes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.build import InternetConfig
 from ..netsim.engine import pps_interval
@@ -111,13 +111,40 @@ class CampaignSpec:
         return self.name or "%s/yarrp6" % self.vantage
 
 
+#: What a spec may hold, besides tuples and frozen dataclasses of these.
+_SCALARS = (int, float, str, bytes, type(None))
+
+
+def _check_immutable(value: Any, path: str) -> None:
+    """Refuse, naming its path, anything in ``value`` that could be
+    written or could carry state across the pickle boundary: a spec is a
+    tree of scalars, tuples and frozen dataclasses."""
+    if isinstance(value, _SCALARS):
+        return
+    if isinstance(value, tuple):
+        if set(map(type, value)) <= {int}:  # the targets: plain ints, fast
+            return
+        for at, item in enumerate(value):
+            _check_immutable(item, "%s[%d]" % (path, at))
+        return
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise ValueError("%s is a %s, not an immutable value" % (path, type(value).__name__))
+    for item in fields(value):
+        _check_immutable(getattr(value, item.name), "%s.%s" % (path, item.name))
+
+
 def validate_spec(spec: CampaignSpec, shards: int) -> None:
     """Raise ``ValueError`` for any spec the workers would choke on.
 
     Runs in the parent, *before* any worker forks: a bad shard count, TTL
     range, vantage name or empty target list must fail immediately with a
-    clean error, not N times inside a pool.
+    clean error, not N times inside a pool.  So does a spec that is not an
+    immutable value all the way down (a list of targets, a live
+    ``Random``): a pool worker would get a copy of it and a serial shard
+    the object itself, so a write through it would differ between the two.
     """
+    _check_immutable(spec, "spec")
     if shards < 1:
         raise ValueError("shards must be >= 1: %r" % shards)
     if not spec.targets:
@@ -287,24 +314,21 @@ def run_parallel(
     prof = profiler if profiler is not None else NULL_PROFILER
     config = supervise if supervise is not None else DEFAULT_SUPERVISE
     with prof.phase("parallel", shards=shards):
-        with prof.phase("validate"):
-            validate_spec(spec, shards)
-            validate_supervise(config)
         if processes is None:
             processes = min(shards, os.cpu_count() or 1)
         processes = max(1, min(processes, shards))
-
-        report = FailureReport()
         # Inline shards share the process's world via _world_for and
         # run_shard profiles each one in place (no IPC, no pickling);
         # pool workers each profile themselves and ship the export home.
         pooled = processes > 1
-        job = ShardJob(
-            run_shard,
-            replace(spec, profile=True) if pooled and prof.enabled else spec,
-            shards,
-            fault_plan,
-        )
+        sent = replace(spec, profile=True) if pooled and prof.enabled else spec
+        with prof.phase("validate"):
+            # The spec checked is the one the shards get.
+            validate_spec(sent, shards)
+            validate_supervise(config)
+
+        report = FailureReport()
+        job = ShardJob(run_shard, sent, shards, fault_plan)
         supervisor = Supervisor(job, config, report, prof)
         if pooled:
             if _resolve_start_method(start_method) == "fork":

@@ -28,7 +28,7 @@ from .permutation import ProbeSchedule
 from .records import ProbeRecord
 
 
-@dataclass
+@dataclass(frozen=True)
 class Yarrp6Config:
     """Prober parameters (command-line flags of the real tool)."""
 

@@ -89,6 +89,12 @@ class TestWorldConfig:
                 '{"edge_limit_rate": [0, 500]}',
                 "world.edge_limit_rate / edge_limit_burst: rate must be positive: 0",
             ),
+            # Was: built, without the aggressive hop (no item type to check
+            # against: the field's default is the empty tuple).
+            (
+                '{"vantages": [{"name": "X", "aggressive_hops": ["3"]}]}',
+                "world.vantages[X].aggressive_hops[0] must be an int in 1..3, not '3'",
+            ),
         ],
     )
     def test_malformed_world_file_is_one_line_naming_the_file(

@@ -86,7 +86,7 @@ def test_list_checkers_names_every_rule():
     code, output = run(["--list-checkers"])
     assert code == 0
     assert [line.split()[0] for line in output.splitlines()] == [
-        "DET001", "DET002", "DET003", "DET101", "LNT001", "MUT103",
+        "DET001", "DET002", "DET003", "DET101", "LNT001",
         "PERF101", "PERF102", "PERF103", "RNG101",
     ]
 

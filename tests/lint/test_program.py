@@ -1,6 +1,6 @@
-"""Fixture self-tests for the whole-program rules (DET101/RNG101,
-MUT103, and the PERF101-103 hot-path rules) and the program-root /
-hot-loop marker comments."""
+"""Fixture self-tests for the whole-program rules (DET101/RNG101 and
+the PERF101-103 hot-path rules) and the program-root / hot-loop marker
+comments."""
 
 import importlib
 import io
@@ -91,11 +91,10 @@ def test_det101_unreachable_impurity_is_not_flagged():
 # -- RNG101: seed provenance ----------------------------------------------
 
 
-def test_rng101_flags_entropy_opaque_and_boundary_only():
+def test_rng101_flags_entropy_and_opaque_only():
     violations, _ = run_fixture("rng101", select=["RNG101"])
     assert all(v.rule == "RNG101" for v in violations)
     assert located(violations) == [
-        ("boundary.py", 14),
         ("rng.py", 19),
         ("rng.py", 23),
     ]
@@ -120,50 +119,6 @@ def test_rng101_seed_mixed_derivation_is_clean():
     # good() (line 10) and seed_mixed() (line 15) are sanctioned: the
     # seed parameter is mixed arithmetically with constants / opaque ints.
     assert not any(v.line in (10, 15) for v in violations)
-
-
-def test_rng101_boundary_crossing_names_the_spec_class():
-    violations, _ = run_fixture("rng101", select=["RNG101"])
-    boundary = [v for v in violations if "boundary.py" in v.path][0]
-    assert "CampaignSpec" in boundary.message
-    assert "worker boundary" in boundary.message
-
-
-# -- MUT103: pickle-boundary immutability ------------------------------------
-
-
-def test_mut103_flags_every_write_through_the_spec():
-    violations, _ = run_fixture("mut103", select=["MUT103"])
-    assert all(v.rule == "MUT103" for v in violations)
-    assert located(violations) == [
-        ("parallel.py", 5),
-        ("parallel.py", 13),
-        ("parallel.py", 17),
-        ("parallel.py", 23),
-    ]
-
-
-def test_mut103_taint_follows_sub_objects_and_renames():
-    violations, _ = run_fixture("mut103", select=["MUT103"])
-    by_line = {v.line: v.message for v in violations}
-    # spec.internet handed to configure(config) taints 'config'.
-    assert "'config.seed'" in by_line[13]
-    assert "parallel.run_shard -> parallel.configure" in by_line[13]
-    # spec handed to run(job) taints 'job'.
-    assert "'job.name'" in by_line[17]
-
-
-def test_mut103_method_calls_map_positional_args_past_self():
-    violations, _ = run_fixture("mut103", select=["MUT103"])
-    method = [v for v in violations if v.line == 23][0]
-    assert "'spec.pps'" in method.message
-    assert "parallel.Runner.apply" in method.message
-
-
-def test_mut103_reads_of_the_spec_are_clean():
-    violations, _ = run_fixture("mut103", select=["MUT103"])
-    # untouched() only reads spec.targets — and is not tainted anyway.
-    assert not any(v.line >= 26 for v in violations)
 
 
 # -- PERF101: per-iteration allocation in hot regions -----------------------
@@ -333,7 +288,6 @@ def test_program_rules_registry_is_complete():
     assert {rule.RULE for rule in PROGRAM_RULES} == {
         "DET101",
         "RNG101",
-        "MUT103",
         "PERF101",
         "PERF102",
         "PERF103",
@@ -423,7 +377,6 @@ def test_every_root_list_names_a_live_function():
         perf.DEFAULT_HOT_ROOTS,
     ):
         assert sorted(set(roots) - set(nodes)) == []
-    # One spelling of the worker roots: DET101's defaults contain it, and
-    # MUT103 reads the same tuple.
+    # One spelling of the worker roots: DET101's defaults contain it.
     assert "repro.prober.supervise._supervised_worker" in graph.WORKER_ROOTS
     assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS

@@ -34,7 +34,7 @@ def test_sarif_driver_lists_every_rule():
     ids = [rule["id"] for rule in driver["rules"]]
     assert ids == sorted(ids)
     assert ids == ["DET001", "DET002", "DET003", "DET101", "LNT001",
-                   "MUT103", "PERF101", "PERF102", "PERF103", "RNG101"]
+                   "PERF101", "PERF102", "PERF103", "RNG101"]
 
 
 def test_sarif_perf_rules_carry_help_uris():

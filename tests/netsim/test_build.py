@@ -220,6 +220,28 @@ class TestConfigChecked:
                 {"vantages": (VantageConfig("V", premise_hops=-1),)},
                 "world.vantages[V].premise_hops must be an int >= 0, not -1",
             ),
+            # Were: built, without the aggressive hop asked for.
+            (
+                {"vantages": (VantageConfig("V", aggressive_hops=(9,)),)},
+                "world.vantages[V].aggressive_hops[0] must be an int in 1..3, not 9",
+            ),
+            (
+                {"vantages": (VantageConfig("V", premise_hops=6, aggressive_hops=(5, 0)),)},
+                "world.vantages[V].aggressive_hops[1] must be an int in 1..6, not 0",
+            ),
+            (
+                {"vantages": (VantageConfig("V", aggressive_hops=("3",)),)},
+                "world.vantages[V].aggressive_hops[0] must be an int in 1..3, not '3'",
+            ),
+            (
+                {"vantages": (VantageConfig("V", aggressive_hops=({"x": 1},)),)},
+                "world.vantages[V].aggressive_hops[0] must be an int in 1..3, not {'x': 1}",
+            ),
+            # Was: built, the second overwriting the first after both drew.
+            (
+                {"vantages": (VantageConfig("A"), VantageConfig("A", premise_hops=5))},
+                "world.vantages[A]: duplicate vantage name",
+            ),
             ({"privacy_fraction": 1.5}, "world.privacy_fraction must be within [0, 1], not 1.5"),
             ({"gateway_unreach_probability": -0.1}, "world.gateway_unreach_probability must be"),
             ({"cpe_www_fractions": (0.5, 2.0)}, "world.cpe_www_fractions[1] must be within"),

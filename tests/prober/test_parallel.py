@@ -10,11 +10,14 @@ results, so most tests run the shards serially (``processes=1``) for
 speed; one test drives a real worker pool end to end.
 """
 
+import random
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
+from repro.netsim import InternetConfig, VantageConfig, build_internet, decoupled_dynamics
 from repro.prober import (
     CampaignSpec,
     ShardFailure,
@@ -178,6 +181,69 @@ class TestValidation:
         assert str(excinfo.value) == (
             "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)"
         )
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (lambda: CampaignSpec(InternetConfig(), "US-EDU-1", (1,)), "targets"),
+            (InternetConfig, "seed"),
+            (lambda: VantageConfig("V"), "premise_hops"),
+            (Yarrp6Config, "key"),
+        ],
+        ids=["CampaignSpec", "InternetConfig", "VantageConfig", "Yarrp6Config"],
+    )
+    def test_the_spec_and_its_configs_are_frozen(self, value, name):
+        """A worker cannot write through the spec: a store on it, or on
+        any config it embeds, raises instead of diverging."""
+        with pytest.raises(FrozenInstanceError):
+            setattr(value(), name, 0)
+
+    @pytest.mark.parametrize(
+        "change, refusal",
+        [
+            (lambda spec: replace(spec, targets=list(spec.targets)), "spec.targets is a list"),
+            (lambda spec: replace(spec, name=random.Random(7)), "spec.name is a Random"),
+            (
+                lambda spec: replace(spec, targets=(random.Random(7),) + spec.targets),
+                "spec.targets[0] is a Random",
+            ),
+            (
+                lambda spec: replace(
+                    spec, internet=replace(spec.internet, dist_per_edge=[2, 5])
+                ),
+                "spec.internet.dist_per_edge is a list",
+            ),
+            (
+                lambda spec: replace(
+                    spec,
+                    internet=replace(
+                        spec.internet,
+                        vantages=(VantageConfig("US-EDU-1", aggressive_hops=({"x": 1},)),),
+                    ),
+                ),
+                "spec.internet.vantages[0].aggressive_hops[0] is a dict",
+            ),
+        ],
+        ids=[
+            "list-targets",
+            "random-name",
+            "random-in-targets",
+            "list-dist-per-edge",
+            "dict-in-aggressive-hops",
+        ],
+    )
+    def test_a_spec_that_is_not_an_immutable_value_is_refused(
+        self, change, refusal, monkeypatch
+    ):
+        """What crosses the pickle boundary is checked once, in the parent,
+        before a world is built or a pool made; the refusal names the path."""
+        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", self.bomb)
+        config, targets = small_world(7)
+        spec = change(CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5]))
+        with pytest.raises(ValueError) as excinfo:
+            run_parallel(spec, shards=2, processes=2)
+        assert str(excinfo.value).startswith(refusal + ","), str(excinfo.value)
 
     def test_presharded_config_rejected(self, monkeypatch):
         """run_parallel owns shard assignment; a spec that already carries
