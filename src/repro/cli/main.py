@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument(
         "--profile",
         metavar="PATH",
-        help="profile the pipeline's wall-clock phases (world build, pool "
+        help="profile the pipeline's wall-clock phases (world build, process "
         "startup, shard execution, result pickling/IPC, merge), write a "
         "Perfetto-loadable Chrome trace to PATH and print the phase "
         "report; reporting only — the .yrp6 bytes are unchanged",

@@ -3,9 +3,9 @@
 ``run_parallel`` ships a :class:`CampaignSpec` to every worker process.
 A field holding a live ``Internet``, an open file, a lambda, or any
 other unpicklable object is a *runtime* bomb that only detonates when a
-pool actually forks — and with the ``fork`` start method some of those
-objects silently pickle on Linux and explode only under ``spawn`` (the
-macOS/Windows default).  This rule checks the *declared field types* of
+worker process actually starts — and with the ``fork`` start method
+some of those objects silently pickle on Linux and explode only under
+``spawn`` (the macOS/Windows default).  This rule checks the *declared field types* of
 every worker-boundary dataclass against an explicit picklable allowlist,
 so the boundary is enforced at lint time on every platform.
 

@@ -21,7 +21,7 @@ Injection sites (the supervised worker calls :func:`inject` at each):
 - ``worker.start`` — before ``run_shard``; faults here cost no
   simulation work (crash, hang, sigkill, slow).
 - ``worker.result`` — after ``run_shard``, wrapping the result on its
-  way to the pool pipe (corrupt: the result is made unpicklable, which
+  way to the pipe (corrupt: the result is made unpicklable, which
   surfaces parent-side exactly like a real pickling failure).
 
 Fault kinds: ``crash`` (raise :class:`FaultInjected`), ``hang`` (sleep
@@ -53,10 +53,6 @@ KIND_HANG = "hang"
 KIND_SIGKILL = "sigkill"
 KIND_CORRUPT = "corrupt"
 KIND_SLOW = "slow"
-#: Register a worker-exit marker file (see :func:`inject`): proves the
-#: pool was shut down with ``close()``/``join()`` — ``terminate()``
-#: kills workers before their exit finalizers run.
-KIND_MARK_EXIT = "mark-exit"
 KINDS = (KIND_CRASH, KIND_HANG, KIND_SIGKILL, KIND_CORRUPT, KIND_SLOW)
 
 
@@ -67,9 +63,9 @@ class FaultInjected(RuntimeError):
 class Unpicklable:
     """A result wrapper whose pickling always fails.
 
-    Returned from a ``corrupt`` fault: the pool worker fails to encode
-    it onto the result pipe, and the parent sees the same
-    ``MaybeEncodingError`` a genuinely corrupt result would produce.
+    Returned from a ``corrupt`` fault: the attempt process fails to
+    pickle it for the result pipe, and the parent sees the same
+    ``("pipe", detail)`` outcome a genuinely corrupt result would produce.
     """
 
     def __reduce__(self) -> Tuple[Any, ...]:
@@ -86,8 +82,6 @@ class Fault:
     site: str = SITE_WORKER_START
     #: Sleep length for ``hang``/``slow`` faults, ignored otherwise.
     seconds: float = 60.0
-    #: Directory for ``mark-exit`` marker files, ignored otherwise.
-    path: str = ""
 
     def matches(self, shard: int, attempt: int, site: str) -> bool:
         return (
@@ -185,21 +179,4 @@ def inject(
         raise AssertionError("unreachable: SIGKILL delivered")  # pragma: no cover
     if fault.kind == KIND_CORRUPT:
         return Unpicklable()
-    if fault.kind == KIND_MARK_EXIT:
-        # Pool workers leave through os._exit, which skips the atexit
-        # module; multiprocessing.util finalizers DO run on a clean
-        # worker shutdown (BaseProcess._bootstrap calls _exit_function
-        # in its finally) and are skipped by terminate()'s SIGTERM —
-        # exactly the close()/join() discriminator the test needs.
-        from multiprocessing import util
-
-        pid = os.getpid()
-        marker = os.path.join(fault.path, "worker-%d.exited" % pid)
-
-        def mark() -> None:
-            with open(marker, "w") as sink:
-                sink.write("clean exit\n")
-
-        util.Finalize(None, mark, exitpriority=0)
-        return value
     raise ValueError("unknown fault kind: %r" % fault.kind)

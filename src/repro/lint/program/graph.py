@@ -39,13 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - facts -> perf -> graph at import time
     from .facts import FileFacts, FunctionFact
 
 #: Shard-worker entry points: everything a worker process executes is
-#: reachable from these.  The pool entry point receives the spec inside
-#: its payload and reaches ``run_shard`` through ``ShardJob.run`` — an
+#: reachable from these.  An attempt process's target receives the spec
+#: inside its job and reaches ``run_shard`` through ``ShardJob.run`` — an
 #: indirect call the graph cannot follow — so it is listed itself.
 WORKER_ROOTS = (
     "repro.prober.parallel.run_shard",
     "repro.prober.parallel.run_single",
-    "repro.prober.supervise._supervised_worker",
+    "repro.prober.supervise._attempt_process",
 )
 
 #: Entry points that are always reachability roots, even without a

@@ -45,7 +45,6 @@ from .profiler import (
     WallProfileError,
     WallProfiler,
     WallSpan,
-    pickled_bytes,
 )
 from .trace import NULL_TRACER, NullTracer, Span, TraceError, Tracer
 from .wallclock import Stopwatch
@@ -86,7 +85,6 @@ __all__ = [
     "dump_to_json",
     "manifest_dumps",
     "merge_dumps",
-    "pickled_bytes",
     "read_manifest",
     "series_cumulative",
     "series_points",

@@ -3,7 +3,7 @@
 The virtual-time :class:`~repro.obs.trace.Tracer` answers "where in the
 simulated schedule did time go"; this module answers the *other*
 question — where the **host's** time goes when a campaign runs: world
-build vs. pool startup vs. shard execution vs. pickling the results
+build vs. process startup vs. shard execution vs. the results coming
 back over the pipe.  That breakdown is what turns the ROADMAP's
 "profile pickle/IPC and pool startup" item into measured numbers.
 
@@ -16,10 +16,10 @@ path:
   work (``emit.craft`` runs thousands of times per campaign; recording
   one span per block would swamp the trace, so an aggregate keeps just
   count and total under the enclosing phase);
-* byte accounting — ``add_bytes()`` attributes payload sizes (from
-  :func:`pickled_bytes`, a counting pickler that never materializes the
-  bytes) to the innermost open phase, so "how big is the IPC result
-  traffic" is a first-class column, not a guess.
+* byte accounting — ``add_bytes()`` attributes payload sizes (the
+  pickled bytes each shard's outcome crossed the pipe as) to the
+  innermost open phase, so "how big is the IPC result traffic" is a
+  first-class column, not a guess.
 
 Worker processes build their own profiler (``CampaignSpec.profile``),
 ship it home through :meth:`export` on the result, and the parent folds
@@ -36,13 +36,13 @@ and DetSan exempt that module and nothing else).  Values flow strictly
 profiling a campaign leaves its ``.yrp6`` dump byte-identical —
 enforced by the byte-identity tests
 (``tests/obs/test_profiler.py::TestPipelineContract``, the profiled-vs-plain
-``cmp`` in ``tests/cli/test_cli.py::TestProfile`` and in CI) and the
+comparisons in ``tests/cli/test_cli.py::TestProfile`` and
+``::TestObserversAreInert``) and the
 profiler test suite under ``pytest --detsan``.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
 from .wallclock import now
@@ -367,36 +367,6 @@ class NullWallProfiler(WallProfiler):
 
 #: Shared no-op profiler; safe to hand to any number of components.
 NULL_PROFILER = NullWallProfiler()
-
-
-# ---------------------------------------------------------------------------
-# byte accounting
-
-
-class _CountingSink:
-    """A write sink that counts bytes without keeping them."""
-
-    __slots__ = ("bytes",)
-
-    def __init__(self) -> None:
-        self.bytes = 0
-
-    def write(self, data: bytes) -> int:
-        self.bytes += len(data)
-        return len(data)
-
-
-def pickled_bytes(obj: Any, protocol: Optional[int] = None) -> int:
-    """Size of ``pickle.dumps(obj, protocol)`` without materializing it.
-
-    ``protocol=None`` matches :mod:`multiprocessing`'s default wire
-    format, so measuring a ``ShardOutcome`` here reports the bytes the
-    pool actually pushed through its pipe (modulo framing overhead).
-    Deterministic for a fixed object graph.
-    """
-    sink = _CountingSink()
-    pickle.Pickler(sink, protocol).dump(obj)
-    return sink.bytes
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ process, merged deterministically.
 Yarrp6's keyed permutation was designed so cooperating instances can
 split the probe space with no shared state (Section 4.1): shard ``s`` of
 ``N`` walks the permutation positions congruent to ``s`` modulo ``N``.
-This module runs those shards in a :mod:`multiprocessing` pool and glues
-the results back together so that::
+This module runs those shards in :mod:`multiprocessing` processes and
+glues the results back together so that::
 
     run_parallel(spec, shards=N) == single-process campaign of ``spec``
 
@@ -17,14 +17,14 @@ holds bit for bit, for any ``N``, whenever the campaign is *decomposable*
 :class:`CampaignSpec` holds only the :class:`~repro.netsim.build.
 InternetConfig` (a frozen dataclass of numbers), the vantage name, the
 target tuple and the frozen prober config.  On fork platforms the
-parent builds the world ONCE before the pool starts and every worker
-inherits it copy-on-write; workers rewind its run-scoped state
-(:meth:`Internet.fresh_run_state`) instead of rebuilding, so sharding
-cost is per-campaign, not per-shard-times-build.  Spawn platforms (and
-any worker whose inherited world doesn't match the spec) fall back to
-rebuilding the identical world from the config's seed via
-:meth:`Internet.from_config` — worlds are pure functions of their
-config, so both routes produce the same bytes.
+parent builds the world ONCE before the first process starts and every
+shard attempt inherits it copy-on-write; attempts rewind its run-scoped
+state (:meth:`Internet.fresh_run_state`) instead of rebuilding, so
+sharding cost is per-campaign, not per-shard-times-build.  Spawn
+platforms (and any process whose inherited world doesn't match the
+spec) fall back to rebuilding the identical world from the config's
+seed via :meth:`Internet.from_config` — worlds are pure functions of
+their config, so both routes produce the same bytes.
 
 **Stride pacing.**  The single-process walk emits permutation position
 ``p`` at virtual time ``p * interval``.  Shard ``s`` therefore runs with
@@ -38,7 +38,8 @@ send time (the event order the single-process engine produces), then by
 shard id; interface sets are unioned; the discovery curve is replayed on
 the virtual-time axis with the global sent-counter reconstructed from
 the shards' emission clocks; summary counters and rate-limiter drop
-tallies are summed; duration is the maximum over shards.
+tallies are summed; duration is the maximum over the shards that sent
+anything.
 
 The contract is exact when the simulated internet's dynamics are
 *decoupled* — responses are a pure function of each probe — which
@@ -139,10 +140,11 @@ def validate_spec(spec: CampaignSpec, shards: int) -> None:
 
     Runs in the parent, *before* any worker forks: a bad shard count, TTL
     range, vantage name or empty target list must fail immediately with a
-    clean error, not N times inside a pool.  So does a spec that is not an
-    immutable value all the way down (a list of targets, a live
-    ``Random``): a pool worker would get a copy of it and a serial shard
-    the object itself, so a write through it would differ between the two.
+    clean error, not N times inside worker processes.  So does a spec that
+    is not an immutable value all the way down (a list of targets, a live
+    ``Random``): a worker process would get a copy of it and a serial
+    shard the object itself, so a write through it would differ between
+    the two.
     """
     _check_immutable(spec, "spec")
     if shards < 1:
@@ -173,8 +175,8 @@ def validate_spec(spec: CampaignSpec, shards: int) -> None:
 
 #: This process's shared world: ``(config, world)``.  Set by
 #: :func:`_world_for`; under a fork start method the parent populates it
-#: before the pool exists, so every worker inherits the built world
-#: copy-on-write and only rewinds run state per shard.
+#: before the first attempt process starts, so every attempt inherits the
+#: built world copy-on-write and only rewinds run state.
 _SHARED_WORLD: Optional[Tuple[InternetConfig, Internet]] = None
 
 
@@ -184,7 +186,7 @@ def _world_for(
     """The process-wide world for ``config``, rewound to run-fresh state.
 
     Reuses the cached world when its config matches — the fork-inherited
-    parent build in pool workers, or the previous call's build when
+    parent build in attempt processes, or the previous call's build when
     shards run serially in one process.  A mismatch (first use, spawn
     start method, different campaign) rebuilds from the config; builds
     are pure functions of the config, so either route yields an
@@ -283,16 +285,17 @@ def run_parallel(
 ) -> CampaignResult:
     """Run ``spec`` as ``shards`` cooperating Yarrp6 instances and merge.
 
-    ``processes`` caps the worker pool (default: one per shard, bounded
-    by the CPU count); with one process the shards run serially in this
-    process, which produces the identical result — the merge is a pure
-    function of the shard results.
+    ``processes`` caps how many shard attempts run at once, each in a
+    process of its own (default: one per shard, bounded by the CPU
+    count); with one process the shards run serially in this process,
+    which produces the identical result — the merge is a pure function
+    of the shard results.
 
     Execution is *supervised* (see :mod:`repro.prober.supervise`):
     ``supervise`` configures per-shard deadlines and a per-shard retry
     budget; the default retries nothing and fails on the first
-    permanently-lost shard, but — unlike a bare pool — a crashed,
-    killed, or hung worker is always a detected event, and every failed
+    permanently-lost shard, but a crashed, killed, or hung attempt is
+    always a detected event, never a hang, and every failed
     shard is reported in one structured
     :class:`~repro.prober.supervise.ShardFailure`.  What the supervisor
     had to do rides home on the merged result's ``failures`` field (a
@@ -303,8 +306,9 @@ def run_parallel(
     injected faults for testing the recovery paths.
 
     With a ``profiler`` the parent records the pipeline phases (world
-    build/rewind, pool startup, per-shard IPC wait and result pickle
-    size, retries, merge), each worker runs its own
+    build/rewind, the first wave of attempt processes, IPC wait and the
+    bytes each shard's outcome crossed the pipe as, retries, merge), each
+    attempt process runs its own
     :class:`WallProfiler` (the spec is re-sent with ``profile=True``),
     and the worker exports plus per-shard pickled byte counts are
     folded into the profiler and attached to the merged result's
@@ -319,9 +323,9 @@ def run_parallel(
         processes = max(1, min(processes, shards))
         # Inline shards share the process's world via _world_for and
         # run_shard profiles each one in place (no IPC, no pickling);
-        # pool workers each profile themselves and ship the export home.
-        pooled = processes > 1
-        sent = replace(spec, profile=True) if pooled and prof.enabled else spec
+        # attempt processes each profile themselves and ship the export home.
+        in_processes = processes > 1
+        sent = replace(spec, profile=True) if in_processes and prof.enabled else spec
         with prof.phase("validate"):
             # The spec checked is the one the shards get.
             validate_spec(sent, shards)
@@ -330,14 +334,14 @@ def run_parallel(
         report = FailureReport()
         job = ShardJob(run_shard, sent, shards, fault_plan)
         supervisor = Supervisor(job, config, report, prof)
-        if pooled:
+        if in_processes:
             if _resolve_start_method(start_method) == "fork":
-                # Build (or rewind) the shared world BEFORE the pool forks:
-                # every worker inherits the compiled topology copy-on-write
-                # and skips its own build entirely.  Spawn workers start with
-                # an empty module and rebuild from the spec's config instead.
+                # Build (or rewind) the shared world BEFORE the first fork:
+                # every attempt inherits the compiled topology copy-on-write
+                # and skips its own build entirely.  Spawned attempts start
+                # with an empty module and rebuild from the spec's config.
                 _world_for(spec.internet, profiler=prof)
-            results = supervisor.run_pool(processes, start_method)
+            results = supervisor.run_processes(processes, start_method)
         else:
             results = supervisor.run_inline()
         with prof.phase("merge"):
@@ -392,8 +396,8 @@ def merge_results(
 ) -> CampaignResult:
     """Deterministically merge per-shard results into one campaign.
 
-    Pure and order-insensitive: shard results may arrive from the pool in
-    any order; everything is re-sorted on the virtual clock.
+    Pure and order-insensitive: shard results may arrive from their
+    processes in any order; everything is re-sorted on the virtual clock.
     """
     if not shard_results:
         raise ValueError("no shard results to merge")
@@ -455,7 +459,9 @@ def merge_results(
         curve=curve,
         response_labels=response_labels,
         summary=summary,
-        duration_us=max(result.duration_us for result in shard_results),
+        # A shard with nothing to send still ends at its pace offset, a
+        # time no probe of the campaign has; shard 0 always sends.
+        duration_us=max(result.duration_us for result in shard_results if result.sent),
         traces=targets if targets is not None else first.traces,
         metrics=merged_metrics,
     )

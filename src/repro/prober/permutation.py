@@ -57,9 +57,9 @@ class KeyedPermutation:
         # The vector backend, resolved once and only for a domain whose
         # blocks images() can ever hand to it: numpy loads when a
         # schedule is constructed (validate_spec, campaign.setup — before
-        # campaign.run, and in the parent before any pool forks), never
-        # at ``import repro``.  Without numpy the scalar path below is
-        # the full reference.
+        # campaign.run, and in the parent before any shard process
+        # forks), never at ``import repro``.  Without numpy the scalar
+        # path below is the full reference.
         self._np: Any = None
         if bits < 64 and n >= _VECTOR_MIN:
             try:

@@ -1,4 +1,4 @@
-"""Supervised shard execution: deadlines, dead-worker detection,
+"""Supervised shard execution: one process per attempt, deadlines,
 immediate retry.
 
 :func:`repro.prober.parallel.run_parallel` hands the actual execution
@@ -16,58 +16,42 @@ only the :class:`~repro.obs.failures.FailureReport` (and the host's wall
 clock) can tell a faulted run from a clean one.  FaultSan
 (:mod:`repro.lint.faultsan`) proves this differentially.
 
-Because of that purity, running a shard in-process, in a pool, or again
-is the *same* operation, and there is one runner: a :class:`Supervisor`
-holds the per-shard state and makes the two decisions —
+Because of that purity, running a shard in this process, in a fresh
+process, or again is the *same* operation.  A :class:`Supervisor` holds
+the per-shard state and makes the two decisions —
 :meth:`~Supervisor.accept` (classify an attempt's outcome) and
-:meth:`~Supervisor.fault` (retry or exhaust) — and its one loop drives
-an *executor* that only knows how to start an attempt and report what
-came of it: inline in this process (``processes == 1``), or on a worker
-pool.
-
-What the supervisor defends against, and how:
+:meth:`~Supervisor.fault` (retry or exhaust).  With ``processes == 1``
+every attempt runs in this process; otherwise every attempt is one
+process of its own, at most ``processes`` at once, and what happened to
+that process is what happened to the attempt:
 
 - **Worker crash** — an attempt catches everything and comes back as an
   ``("error", traceback)`` outcome; the supervisor counts it as a
   ``crash`` fault and retries.
-- **Silent worker death** (SIGKILL, OOM killer) — every attempt
-  announces ``(shard, attempt, pid)`` on a start queue the moment a
-  worker picks it up; the supervisor polls worker liveness and treats a
-  vanished pid as a ``worker-died`` fault instead of hanging forever on
-  a result that will never arrive.  The pool replaces the dead process
-  on its own; the retry is dispatched like any other task.
+- **Silent worker death** (SIGKILL, OOM killer) — the attempt's pipe
+  reaches end-of-file with no outcome on it: a ``worker-died`` fault.
 - **Hang / runaway shard** — with ``shard_timeout_s`` set, an attempt
-  that outlives its deadline (measured from its start announcement on
-  the host clock, read through :func:`repro.obs.wallclock.now`) has its
-  worker SIGKILLed and is counted as a ``timeout`` fault.
-- **Corrupt result** — a result that fails to cross the pool pipe
-  (pickling error) surfaces through the pool's error callback, and a
-  value that is not a ``CampaignResult`` is never merged; both are
-  counted as a ``corrupt-result`` fault, and the retry re-runs the shard
-  rather than trusting broken bytes.
+  process still silent that long after it started (host clock, read
+  through :func:`repro.obs.wallclock.now`) is killed and counted as a
+  ``timeout`` fault.
+- **Corrupt result** — an outcome the attempt process cannot pickle
+  comes home as ``("pipe", detail)``, and a value that is not a
+  ``CampaignResult`` is never merged; both are counted as a
+  ``corrupt-result`` fault, and the retry re-runs the shard rather than
+  trusting broken bytes.
 
-A retry is an immediate re-dispatch — a stateless shard has nothing to
-wait out — bounded by ``max_retries`` per shard.  A shard that exhausts
-its attempts fails the campaign with one structured
+A retry is an immediate re-run in a new process — a stateless shard has
+nothing to wait out — bounded by ``max_retries`` per shard.  A shard
+that exhausts its attempts fails the campaign with one structured
 :class:`ShardFailure` carrying *every* exhausted shard's history.
 """
 
 from __future__ import annotations
 
-import os
+import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.failures import (
     CAUSE_CORRUPT,
@@ -76,16 +60,17 @@ from ..obs.failures import (
     CAUSE_WORKER_DIED,
     FailureReport,
 )
-from ..obs.profiler import WallProfiler, pickled_bytes
+from ..obs.profiler import WallProfiler
 from ..obs.wallclock import now
 from .campaign import CampaignResult
 
-# multiprocessing, queue and signal are imported by the pool path that
-# uses them (run_pool, _make_pool, _PoolExecutor, _kill): an inline run
-# and every command but `probe --workers N` never fork.
+# multiprocessing is imported by the process path that uses it
+# (run_processes, _resolve_start_method): an inline run and every
+# command but `probe --workers N` never fork.
 if TYPE_CHECKING:  # only for annotations: the imports stay lazy at runtime
-    import multiprocessing.pool
-    import queue
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import BaseContext
+    from multiprocessing.process import BaseProcess
 
     from ..lint.faultsan import FaultPlan
 
@@ -111,14 +96,13 @@ class SuperviseConfig:
     """How hard :func:`run_parallel` fights to finish a campaign.
 
     The default is the strictest setting: no timeout, no retries, fail
-    on the first permanently-lost shard — byte-for-byte the semantics
-    an unsupervised pool would have, minus the hangs.
+    on the first permanently-lost shard — but a lost shard is always a
+    detected event, never a hang.
     """
 
-    #: Per-attempt wall-clock deadline, measured from the moment a
-    #: worker announces the attempt.  ``None`` disables deadlines.
-    #: Ignored by the inline executor (``processes=1``), where there is
-    #: no worker to preempt.
+    #: Per-attempt wall-clock deadline, measured from the moment the
+    #: attempt's process starts.  ``None`` disables deadlines.  Ignored
+    #: in-process (``processes=1``), where there is no process to kill.
     shard_timeout_s: Optional[float] = None
     #: Extra attempts after the first, per shard.
     max_retries: int = 0
@@ -131,7 +115,7 @@ DEFAULT_SUPERVISE = SuperviseConfig()
 
 
 def validate_supervise(config: SuperviseConfig) -> None:
-    """Raise ``ValueError`` before any worker forks, like
+    """Raise ``ValueError`` before any process starts, like
     :func:`repro.prober.parallel.validate_spec`."""
     if config.shard_timeout_s is not None and config.shard_timeout_s <= 0:
         raise ValueError(
@@ -142,23 +126,18 @@ def validate_supervise(config: SuperviseConfig) -> None:
         raise ValueError("max_retries must be >= 0: %r" % config.max_retries)
 
 
-#: Supervision loop tick: upper bound on how long deadline and liveness
-#: checks can lag behind events.
-POLL_INTERVAL_S = 0.02
-
-
 # -- the job, and one attempt at one shard of it ----------------------------
 
 
 @dataclass(frozen=True)
 class ShardJob:
-    """What to run, as one picklable value (it rides in every worker
-    payload).
+    """What to run, as one picklable value (every attempt process gets
+    it).
 
     ``run(spec, shard, shards, profiler=None)`` is the shard function.
-    It must be defined at module level — it crosses the pool pipe by
-    reference — and be pure in its first three arguments, which is what
-    makes a retry invisible.  ``spec`` is opaque to the supervisor.
+    It must be defined at module level — it crosses to a spawned process
+    by reference — and be pure in its first three arguments, which is
+    what makes a retry invisible.  ``spec`` is opaque to the supervisor.
     ``plan`` is FaultSan's deterministic fault plan, if any.
     """
 
@@ -170,12 +149,10 @@ class ShardJob:
 
 #: What came of one attempt, before :meth:`Supervisor.accept` classifies
 #: it: ``("ok", value)`` or ``("error", traceback text)`` out of
-#: :func:`_attempt`; the pool executor adds ``("pipe", detail)``,
-#: ``("deadline", detail)`` and ``("vanished", detail)``.
+#: :func:`_attempt`, ``("pipe", detail)`` out of :func:`_attempt_process`,
+#: and ``("deadline", detail)`` or ``("vanished", detail)`` from the
+#: supervisor watching the process.
 Outcome = Tuple[str, Any]
-
-#: ``(shard, attempt, outcome)``: how executors report to the loop.
-Event = Tuple[int, int, Outcome]
 
 
 def _inject(
@@ -196,7 +173,7 @@ def _attempt(
 ) -> Outcome:
     """Run one attempt in this process and never raise: a failure is a
     value the supervisor turns into a retry or one clean
-    :class:`ShardFailure`, not a pool hang."""
+    :class:`ShardFailure`."""
     try:
         _inject(job.plan, shard, attempt, "worker.start")
         value: Any = job.run(job.spec, shard, job.shards, profiler=profiler)
@@ -205,34 +182,22 @@ def _attempt(
         return ("error", traceback.format_exc())
 
 
-# -- worker side ------------------------------------------------------------
-
-#: The start-report queue inherited by pool workers (set by
-#: :func:`_init_worker` via the pool initializer): workers announce
-#: ``(shard, attempt, pid)`` the instant they pick up a task, giving the
-#: parent the pid to watch (liveness) and the deadline's start time.
-_START_QUEUE: Optional[Any] = None
-
-
-def _init_worker(start_queue: Any) -> None:
-    global _START_QUEUE
-    _START_QUEUE = start_queue
-
-
-#: ``(job, shard, attempt)``.
-WorkerPayload = Tuple[ShardJob, int, int]
-
-
-def _supervised_worker(payload: WorkerPayload) -> Outcome:  # repro-lint: program-root
-    """Pool entry point: announce the attempt, then run it."""
-    job, shard, attempt = payload
-    if _START_QUEUE is not None:
-        _START_QUEUE.put((shard, attempt, os.getpid()))
-    return _attempt(job, shard, attempt)
+def _attempt_process(
+    job: ShardJob, shard: int, attempt: int, conn: "Connection"
+) -> None:  # repro-lint: program-root
+    """The whole life of an attempt process: run the attempt, send its
+    outcome home as one pickled message, exit.  An outcome that will not
+    pickle goes home as ``("pipe", detail)`` instead."""
+    outcome = _attempt(job, shard, attempt)
+    try:
+        data = pickle.dumps(outcome)
+    except Exception as error:
+        data = pickle.dumps(("pipe", "%s: %s" % (type(error).__name__, error)))
+    conn.send_bytes(data)
 
 
 def _resolve_start_method(start_method: Optional[str]) -> str:
-    """The pool start method actually used: fork when available (workers
+    """The start method actually used: fork when available (attempts
     inherit the parent's built world), the platform default otherwise."""
     if start_method is not None:
         return start_method
@@ -241,21 +206,19 @@ def _resolve_start_method(start_method: Optional[str]) -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def _make_pool(
-    processes: int,
-    start_method: Optional[str],
-    initializer: Optional[Any] = None,
-    initargs: Tuple[Any, ...] = (),
-) -> multiprocessing.pool.Pool:
-    """Build the worker pool (separate hook so tests can assert that
-    validation failures never reach it).  ``initializer``/``initargs``
-    hand workers the start-report queue."""
-    import multiprocessing
-
-    method = _resolve_start_method(start_method)
-    return multiprocessing.get_context(method).Pool(
-        processes, initializer=initializer, initargs=initargs
+def _start(
+    context: "BaseContext", job: ShardJob, shard: int, attempt: int
+) -> Tuple["BaseProcess", "Connection"]:
+    """Start one attempt process; return it and its pipe's read end (a
+    hook tests use to watch every process).  The parent's copy of the
+    write end closes at once, so end-of-file means the process is gone."""
+    reader, writer = context.Pipe(duplex=False)
+    process = context.Process(  # type: ignore[attr-defined]
+        target=_attempt_process, args=(job, shard, attempt, writer), daemon=True
     )
+    process.start()
+    writer.close()
+    return process, reader
 
 
 # -- the supervisor ---------------------------------------------------------
@@ -266,13 +229,20 @@ class _ShardState:
     """Everything the supervisor knows about one shard."""
 
     shard: int
-    attempt: int = 0  # attempts dispatched so far (1-based once running)
-    dispatched: bool = False  # an attempt is in flight
-    pid: Optional[int] = None  # worker running the attempt, once announced
-    started_s: Optional[float] = None  # host time of the announcement
+    attempt: int = 0  # attempts started so far (1-based once running)
     faults: List[Dict[str, Any]] = field(default_factory=list)
     result: Optional[CampaignResult] = None
     exhausted: bool = False
+
+
+@dataclass
+class _Running:
+    """One attempt process, from its start until it is reaped."""
+
+    state: _ShardState
+    process: "BaseProcess"
+    conn: "Connection"
+    deadline_s: Optional[float]
 
 
 def _shard_failure(failed: Sequence[_ShardState], attempts: int) -> ShardFailure:
@@ -317,8 +287,8 @@ _CAUSES = {
 
 @dataclass
 class Supervisor:
-    """One campaign's supervision: the per-shard state, the loop, and
-    the decisions both executors defer to.
+    """One campaign's supervision: the per-shard state, the two ways to
+    run attempts, and the decisions both defer to.
 
     ``report`` and ``prof`` are observe-only sinks (what the supervisor
     had to do, and where host time went).
@@ -329,80 +299,113 @@ class Supervisor:
     report: FailureReport
     prof: WallProfiler
     states: List[_ShardState] = field(init=False)
-    #: Pickled result size per shard, for the profiler (pool runs only).
+    #: Pickled outcome size per shard, for the profiler (process runs only).
     bytes_by_shard: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.states = [_ShardState(shard=shard) for shard in range(self.job.shards)]
 
     def run_inline(self) -> List[CampaignResult]:
-        """All shards in this process: same retry semantics as a pool
-        (deadlines excepted: in-process work can't be preempted), no
-        IPC, no pickling."""
-        self.supervise(_InlineExecutor(self))
+        """All shards in this process: same retry semantics as attempt
+        processes (deadlines excepted: in-process work can't be
+        preempted), no IPC, no pickling."""
+        for state in self.states:
+            while state.result is None and not state.exhausted:
+                state.attempt += 1
+                self.accept(state, _attempt(self.job, state.shard, state.attempt, self.prof))
         return self.finish()
 
-    def run_pool(
+    def run_processes(
         self, processes: int, start_method: Optional[str]
     ) -> List[CampaignResult]:
-        """All shards through a supervised worker pool.
-
-        Pool shutdown is ``close()``/``join()`` whenever the supervision
-        loop ran to completion — workers exit cleanly and run their
-        exit finalizers — and ``terminate()`` only when the loop itself
-        died (unexpected error, KeyboardInterrupt) and abandoned
-        dispatched work.
-        """
+        """All shards, every attempt a process of its own, at most
+        ``processes`` running at once.  Every process is reaped before this
+        returns: joined once it has reported, or killed first — past its
+        deadline, or because the loop itself died."""
         import multiprocessing
+        from multiprocessing.connection import wait
 
-        start_queue = multiprocessing.get_context(
-            _resolve_start_method(start_method)
-        ).SimpleQueue()
-        with self.prof.phase("pool.start", processes=processes):
-            pool = _make_pool(
-                processes, start_method, initializer=_init_worker,
-                initargs=(start_queue,),
-            )
-        completed = False
+        context = multiprocessing.get_context(_resolve_start_method(start_method))
+        timeout_s = self.config.shard_timeout_s
+        waiting = list(self.states)
+        running: List[_Running] = []
+
+        def launch() -> None:
+            while waiting and len(running) < processes:
+                state = waiting.pop(0)
+                state.attempt += 1
+                process, conn = _start(context, self.job, state.shard, state.attempt)
+                deadline_s = None if timeout_s is None else now() + timeout_s
+                running.append(_Running(state, process, conn, deadline_s))
+
         try:
+            with self.prof.phase("pool.start", processes=processes):
+                launch()
             with self.prof.phase("shards"):
-                self.supervise(_PoolExecutor(self, pool, start_queue))
-            completed = True
+                while running:
+                    # Read before the wait: an attempt is late only if its deadline
+                    # had passed and the wait still found it silent.
+                    now_s = now()
+                    deadlines = [run.deadline_s for run in running if run.deadline_s is not None]
+                    with self.prof.phase("ipc.wait"):
+                        ready = wait(
+                            [run.conn for run in running]
+                            + [run.process.sentinel for run in running],
+                            None if not deadlines else max(0.0, min(deadlines) - now_s),
+                        )
+                    for run in list(running):
+                        if run.conn in ready or run.process.sentinel in ready:
+                            outcome = self._receive(run)
+                        elif run.deadline_s is not None and now_s >= run.deadline_s:
+                            run.process.kill()
+                            outcome = (
+                                "deadline",
+                                "shard %d attempt %d exceeded the %.3fs deadline; "
+                                "process %s killed"
+                                % (run.state.shard, run.state.attempt, timeout_s, run.process.pid),
+                            )
+                        else:
+                            continue
+                        running.remove(run)
+                        run.process.join()
+                        run.conn.close()
+                        if not self.accept(run.state, outcome) and not run.state.exhausted:
+                            waiting.append(run.state)
+                    launch()
         finally:
             with self.prof.phase("pool.stop"):
-                if completed:
-                    pool.close()
-                else:
-                    pool.terminate()
-                pool.join()
+                for run in running:
+                    run.process.kill()
+                for run in running:
+                    run.process.join()
+                    run.conn.close()
         return self.finish()
 
-    def supervise(self, executor: Union["_InlineExecutor", "_PoolExecutor"]) -> None:
-        """The supervision loop: dispatch, wait, absorb, sweep — until
-        every shard has a result or is exhausted."""
-        while True:
-            pending = [
-                state
-                for state in self.states
-                if state.result is None and not state.exhausted
-            ]
-            if not pending:
-                return
-            for state in pending:
-                if not state.dispatched:
-                    state.attempt += 1
-                    state.dispatched = True
-                    executor.submit(state)
-            for shard, attempt, outcome in executor.wait():
-                state = self.states[shard]
-                if not state.dispatched or attempt != state.attempt:
-                    continue  # stale: a late event from an attempt already written off
-                if self.accept(state, outcome):
-                    executor.landed(shard, outcome)
-            executor.sweep()
+    def _receive(self, run: _Running) -> Outcome:
+        """Read what the attempt process sent, which is all it will ever
+        send: one pickled outcome, or end-of-file if it died first."""
+        shard = run.state.shard
+        try:
+            data = run.conn.recv_bytes()
+        except EOFError:
+            run.process.join()
+            return (
+                "vanished",
+                "shard %d attempt %d: process %s exited with code %s and no result "
+                "(killed or out-of-memory)"
+                % (shard, run.state.attempt, run.process.pid, run.process.exitcode),
+            )
+        with self.prof.phase("pickle", shard=shard):
+            self.prof.add_bytes(len(data))
+            self.bytes_by_shard[shard] = len(data)
+            try:
+                outcome: Outcome = pickle.loads(data)
+            except Exception as error:
+                outcome = ("pipe", "%s: %s" % (type(error).__name__, error))
+        return outcome
 
     def accept(self, state: _ShardState, outcome: Outcome) -> bool:
-        """Classify what came of ``state``'s in-flight attempt — the one
+        """Classify what came of ``state``'s latest attempt — the one
         place an outcome becomes a result or a fault cause.  True when
         the shard now has its result."""
         status, value = outcome
@@ -417,17 +420,12 @@ class Supervisor:
             )
         else:
             state.result = value
-            state.dispatched = False
-            state.pid = None
         return state.result is not None
 
     def fault(self, state: _ShardState, cause: str, detail: str) -> None:
-        """Record one failed attempt and decide: retry (the next loop pass
-        re-dispatches the shard) or mark the shard exhausted."""
+        """Record one failed attempt and decide: retry (the shard runs
+        again) or mark the shard exhausted."""
         attempt = state.attempt
-        state.dispatched = False
-        state.pid = None
-        state.started_s = None
         state.faults.append({"attempt": attempt, "cause": cause, "detail": detail})
         self.report.record_fault(state.shard, attempt, cause, detail)
         if attempt >= self.config.attempts():
@@ -446,173 +444,3 @@ class Supervisor:
         if exhausted:
             raise _shard_failure(exhausted, self.config.attempts())
         return [state.result for state in self.states if state.result is not None]
-
-
-# -- executors --------------------------------------------------------------
-
-
-class _InlineExecutor:
-    """Attempts run synchronously in this process and profile straight
-    into the parent's profiler.  There is no worker to preempt or lose,
-    and nothing crosses a pipe."""
-
-    def __init__(self, sup: Supervisor) -> None:
-        self.sup = sup
-        self.done: List[Event] = []
-
-    def submit(self, state: _ShardState) -> None:
-        sup = self.sup
-        outcome = _attempt(sup.job, state.shard, state.attempt, sup.prof)
-        self.done.append((state.shard, state.attempt, outcome))
-
-    def wait(self) -> List[Event]:
-        done, self.done = self.done, []
-        return done
-
-    def landed(self, shard: int, outcome: Outcome) -> None:
-        pass
-
-    def sweep(self) -> None:
-        pass
-
-
-def _kill(pid: Optional[int]) -> None:
-    if pid is None:
-        return
-    import signal
-
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):  # already gone / not ours
-        pass
-
-
-def _live_pids(pool: multiprocessing.pool.Pool) -> Optional[Any]:
-    """Pids of the pool's currently-alive workers, or ``None`` when the
-    pool implementation doesn't expose them (liveness checks fall back to
-    deadline-only supervision)."""
-    workers = getattr(pool, "_pool", None)
-    if workers is None:
-        return None
-    return {
-        worker.pid
-        for worker in workers
-        if worker.pid is not None and worker.is_alive()
-    }
-
-
-class _PoolExecutor:
-    """Attempts run on pool workers.  Results and pool errors arrive
-    through ``apply_async`` callbacks on an event queue (so a vanished
-    worker can't hang the parent the way a bare ``imap_unordered``
-    iterator would); :meth:`sweep` enforces deadlines and worker
-    liveness between waits."""
-
-    def __init__(
-        self, sup: Supervisor, pool: multiprocessing.pool.Pool, start_queue: Any
-    ) -> None:
-        import queue
-
-        self.sup = sup
-        self.pool = pool
-        self.start_queue = start_queue
-        self.events: "queue.Queue[Event]" = queue.Queue()
-        self.handles: Dict[int, Any] = {}  # shard -> in-flight AsyncResult
-
-    def submit(self, state: _ShardState) -> None:
-        shard, attempt = state.shard, state.attempt
-        events = self.events
-
-        def on_result(outcome: Outcome) -> None:
-            events.put((shard, attempt, outcome))
-
-        def on_error(error: BaseException) -> None:
-            # The pool failed to move the result across the pipe (e.g. a
-            # MaybeEncodingError from an unpicklable result): the shard ran,
-            # but its bytes are untrustworthy.
-            detail = "%s: %s" % (type(error).__name__, error)
-            events.put((shard, attempt, ("pipe", detail)))
-
-        self.handles[shard] = self.pool.apply_async(
-            _supervised_worker, ((self.sup.job, shard, attempt),),
-            callback=on_result, error_callback=on_error,
-        )
-
-    def wait(self) -> List[Event]:
-        import queue
-
-        with self.sup.prof.phase("ipc.wait"):
-            self._drain_start_reports()
-            try:
-                batch = [self.events.get(timeout=POLL_INTERVAL_S)]
-            except queue.Empty:
-                return []
-        try:
-            while True:
-                batch.append(self.events.get_nowait())
-        except queue.Empty:
-            return batch
-
-    def landed(self, shard: int, outcome: Outcome) -> None:
-        prof = self.sup.prof
-        if prof.enabled:
-            # Re-pickle the outcome through a counting sink: the same
-            # bytes the pool just moved over the pipe, per shard.
-            with prof.phase("pickle", shard=shard):
-                count = pickled_bytes(outcome)
-                prof.add_bytes(count)
-                self.sup.bytes_by_shard[shard] = count
-
-    def sweep(self) -> None:
-        """Write off attempts past their deadline (SIGKILLing the
-        worker) and attempts whose worker vanished without a result."""
-        self._drain_start_reports()
-        sup = self.sup
-        timeout_s = sup.config.shard_timeout_s
-        now_s = now()
-        live = _live_pids(self.pool)
-        for state in sup.states:
-            if not state.dispatched or state.started_s is None:
-                continue  # idle, or not yet picked up by a worker
-            pid = state.pid
-            if timeout_s is not None and now_s - state.started_s >= timeout_s:
-                _kill(pid)  # the pool replaces the worker on its own
-                self._discard(state)
-                sup.accept(state, (
-                    "deadline",
-                    "shard %d attempt %d exceeded the %.3fs deadline; "
-                    "worker pid %s killed"
-                    % (state.shard, state.attempt, timeout_s, pid),
-                ))
-            elif live is not None and pid not in live:
-                self._discard(state)
-                sup.accept(state, (
-                    "vanished",
-                    "shard %d attempt %d: worker pid %s vanished without a "
-                    "result (killed or out-of-memory)"
-                    % (state.shard, state.attempt, pid),
-                ))
-
-    def _drain_start_reports(self) -> None:
-        while not self.start_queue.empty():
-            shard, attempt, pid = self.start_queue.get()
-            state = self.sup.states[shard]
-            if state.dispatched and attempt == state.attempt:
-                state.pid = pid
-                state.started_s = now()
-            # else: a stale announcement from a killed/raced attempt
-
-    def _discard(self, state: _ShardState) -> None:
-        """Write off ``state``'s in-flight job in the pool's bookkeeping.
-
-        A job whose worker died never completes, so its entry would sit in
-        ``pool._cache`` forever — and ``close()``/``join()`` only finishes
-        once the cache drains.  Dropping the entry ourselves keeps the
-        clean-shutdown path reachable after a worker loss.  (The pool's
-        result handler tolerates a late result for a dropped job: it looks
-        the job up by id and ignores misses.)
-        """
-        job = getattr(self.handles.pop(state.shard, None), "_job", None)
-        cache = getattr(self.pool, "_cache", None)
-        if job is not None and isinstance(cache, dict):
-            cache.pop(job, None)

@@ -829,6 +829,62 @@ class TestProfile:
         assert "profiler phases" not in text
 
 
+def _no_faults(workdir, text):
+    # A healthy host loses no attempt: the manifest's failures block shows
+    # a retry-free, fault-free run.
+    block = json.loads((workdir / "artefact.json").read_text())["failures"]
+    assert block["metrics"]["shard.retries"]["value"] == 0, block
+    assert block["attempts"] == [], block
+
+
+def _trace_has_events(workdir, text):
+    assert "Perfetto trace" in text, text
+    assert json.loads((workdir / "artefact.json").read_text())["traceEvents"]
+
+
+def _detsan_clean(workdir, text):
+    assert "detsan: clean" in text, text
+
+
+#: Observer flags, the width each runs at, and what its artefact must show.
+OBSERVERS = {
+    "metrics-2": (["--metrics", "artefact.json"], 2, _no_faults),
+    "profile-4": (["--profile", "artefact.json"], 4, _trace_has_events),
+    "detsan-2": (["--detsan"], 2, _detsan_clean),
+}
+
+
+class TestObserversAreInert:
+    @pytest.mark.parametrize("name", sorted(OBSERVERS))
+    def test_flagged_run_writes_the_bare_runs_bytes(self, name, world_file, tmp_path):
+        """Observers are observe-only: a flagged ``--workers N`` run writes
+        the bytes of a bare run at the same width (the smoke world
+        rate-limits, so only same-width runs are comparable).  The flagged
+        run is a fresh interpreter with the hash seed pinned, as
+        ``--detsan`` requires."""
+        flags, workers, check = OBSERVERS[name]
+        seeds_path = str(tmp_path / "s")
+        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
+        targets_path = str(tmp_path / "t")
+        run(["targets", "--seeds", seeds_path, "--out", targets_path])
+        probe = ["probe", "--world", world_file, "--targets", targets_path,
+                 "--workers", str(workers)]
+        code, text = run(probe + ["--out", str(tmp_path / "bare.yrp6")])
+        assert code == 0, text
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main"] + probe
+            + ["--out", "flagged.yrp6"] + flags,
+            capture_output=True,
+            text=True,
+            cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0"),
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        check(tmp_path, done.stdout)
+        assert (tmp_path / "flagged.yrp6").read_bytes() == (tmp_path / "bare.yrp6").read_bytes()
+
+
 class TestAllocSan:
     def _pipeline(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")

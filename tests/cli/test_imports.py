@@ -127,23 +127,23 @@ CASES = {
     "probe": ("cli(%s, '--out', scratch('r.yrp6'))" % PROBE, {"numpy"}),
     # Loaded at construction, not on the first block: validate_spec builds
     # the widest shard's schedule in the parent, so numpy is there before
-    # any pool exists and the fork workers inherit it.
+    # any attempt process exists and the forked ones inherit it.
     "probe-workers-2": (
         "cli_main = sys.modules['repro.cli.main']  # repro.cli.main is the function\n"
         "from repro.prober import supervise\n"
         "seen = []\n"
-        "real_validate, real_pool = cli_main.validate_spec, supervise._make_pool\n"
+        "real_validate, real_start = cli_main.validate_spec, supervise._start\n"
         "def validate(spec, shards):\n"
         "    seen.append(('validate_spec called', 'numpy' in sys.modules))\n"
         "    real_validate(spec, shards)\n"
         "    seen.append(('validate_spec returned', 'numpy' in sys.modules))\n"
-        "def make_pool(*args, **kwargs):\n"
-        "    seen.append(('_make_pool reached', 'numpy' in sys.modules))\n"
-        "    return real_pool(*args, **kwargs)\n"
-        "cli_main.validate_spec, supervise._make_pool = validate, make_pool\n"
+        "def start(*args, **kwargs):\n"
+        "    seen.append(('_start reached', 'numpy' in sys.modules))\n"
+        "    return real_start(*args, **kwargs)\n"
+        "cli_main.validate_spec, supervise._start = validate, start\n"
         "cli(%s, '--workers', '2', '--out', scratch('r.yrp6'))\n"
         "assert seen == [('validate_spec called', False),"
-        " ('validate_spec returned', True), ('_make_pool reached', True)], seen\n"
+        " ('validate_spec returned', True)] + [('_start reached', True)] * 2, seen\n"
         % PROBE,
         {"numpy"},
     ),

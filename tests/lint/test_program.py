@@ -378,5 +378,5 @@ def test_every_root_list_names_a_live_function():
     ):
         assert sorted(set(roots) - set(nodes)) == []
     # One spelling of the worker roots: DET101's defaults contain it.
-    assert "repro.prober.supervise._supervised_worker" in graph.WORKER_ROOTS
+    assert "repro.prober.supervise._attempt_process" in graph.WORKER_ROOTS
     assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS

@@ -12,7 +12,6 @@ from repro.obs.profiler import (
     NullWallProfiler,
     WallProfileError,
     WallProfiler,
-    pickled_bytes,
 )
 from repro.prober import CampaignSpec, run_parallel, run_single
 from repro.prober.output import dumps
@@ -136,7 +135,7 @@ class TestAnalysis:
             worker.add_bytes(11)
         worker.validate()
         export = worker.export()
-        # The export is exactly what crosses the pool pipe: picklable.
+        # The export is exactly what crosses the pipe: picklable.
         export = pickle.loads(pickle.dumps(export))
 
         parent = WallProfiler()
@@ -177,16 +176,6 @@ class TestAnalysis:
         assert "workers" not in profile
         assert "pickle_bytes_total" not in profile
         assert profile["coverage"] <= 1.0
-
-
-class TestPickledBytes:
-    def test_matches_pickle_dumps_length(self):
-        payload = {"records": list(range(100)), "name": "shard"}
-        assert pickled_bytes(payload) == len(pickle.dumps(payload))
-
-    def test_deterministic_for_fixed_object(self):
-        payload = ("ok", 3, [1.5] * 64)
-        assert pickled_bytes(payload) == pickled_bytes(payload)
 
 
 def small_spec(metrics=False):
@@ -254,9 +243,11 @@ class TestPipelineContract:
         assert profile["pickle_bytes_total"] == sum(
             worker["pickle_bytes"] for worker in profile["workers"]
         )
-        paths = {row["path"] for row in profile["phases"]}
-        assert {"parallel/pool.start", "parallel/shards/ipc.wait",
-                "parallel/shards/pickle", "parallel/merge"} <= paths
+        rows = {row["path"]: row for row in profile["phases"]}
+        assert {"parallel/pool.start", "parallel/shards", "parallel/shards/ipc.wait",
+                "parallel/shards/pickle", "parallel/pool.stop", "parallel/merge"} <= set(rows)
+        # The bytes counted are the bytes that crossed the pipes.
+        assert rows["parallel/shards/pickle"]["bytes"] == profile["pickle_bytes_total"]
         worker_paths = {
             row["path"]
             for worker in profile["workers"]

@@ -134,6 +134,23 @@ class TestMergeEqualsSingleProcess:
         merged = run_parallel(spec, shards=shards, processes=1)
         assert_identical(merged, reference)
 
+    def test_more_shards_than_probes(self):
+        """Five probes over eight shards: shards 5-7 send nothing, and the
+        last of them ends at its 28 ms pace offset, after the single
+        process's last event.  The merge must not take that as the
+        campaign's duration."""
+        config, targets = small_world(7)
+        spec = CampaignSpec(
+            internet=config,
+            vantage="US-EDU-1",
+            targets=targets[:1],
+            pps=250.0,
+            config=Yarrp6Config(min_ttl=1, max_ttl=5, key=1),
+        )
+        reference = run_single(spec)
+        merged = run_parallel(spec, shards=8, processes=1)
+        assert_identical(merged, reference)
+
     def test_merged_name_and_metadata(self):
         config, targets = small_world(7)
         spec = CampaignSpec(
@@ -147,12 +164,12 @@ class TestMergeEqualsSingleProcess:
 
 class TestValidation:
     def bomb(self, *args, **kwargs):
-        raise AssertionError("pool must not be created for an invalid spec")
+        raise AssertionError("no attempt process may start for an invalid spec")
 
     def test_errors_raise_before_any_fork(self, monkeypatch):
         """Satellite 4: a bad shard count or config fails with one clean
         ValueError in the parent, before any worker pool exists."""
-        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", self.bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config, vantage="US-EDU-1", targets=targets[:5]
@@ -237,7 +254,7 @@ class TestValidation:
     ):
         """What crosses the pickle boundary is checked once, in the parent,
         before a world is built or a pool made; the refusal names the path."""
-        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", self.bomb)
         monkeypatch.setattr(parallel_module, "_world_for", self.bomb)
         config, targets = small_world(7)
         spec = change(CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5]))
@@ -248,7 +265,7 @@ class TestValidation:
     def test_presharded_config_rejected(self, monkeypatch):
         """run_parallel owns shard assignment; a spec that already carries
         a shard identity is a caller bug, not something to silently nest."""
-        monkeypatch.setattr(supervise_module, "_make_pool", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", self.bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config,

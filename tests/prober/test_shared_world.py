@@ -25,11 +25,7 @@ from repro.prober import CampaignSpec, run_parallel, run_single
 from repro.prober import parallel as parallel_module
 from repro.prober.output import dumps
 from repro.prober.parallel import _world_for, run_shard
-from repro.prober.supervise import (
-    ShardJob,
-    _resolve_start_method,
-    _supervised_worker,
-)
+from repro.prober.supervise import ShardJob, _attempt, _resolve_start_method
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -174,13 +170,13 @@ class TestSpawnFallback:
         config and produce the same bytes a fork worker does."""
         spec = make_spec(n_targets=12)
         inherited = _world_for(spec.internet)
-        payload = (ShardJob(run_shard, spec, 3), 1, 1)
-        status, with_inherited = _supervised_worker(payload)
+        job = ShardJob(run_shard, spec, 3)
+        status, with_inherited = _attempt(job, 1, 1)
         assert status == "ok"
         assert parallel_module._SHARED_WORLD[1] is inherited
 
         monkeypatch.setattr(parallel_module, "_SHARED_WORLD", None)
-        status, rebuilt = _supervised_worker(payload)
+        status, rebuilt = _attempt(job, 1, 1)
         assert status == "ok"
         assert parallel_module._SHARED_WORLD[1] is not inherited
         assert dumps(rebuilt) == dumps(with_inherited)

@@ -1,9 +1,10 @@
 """Supervised shard execution: config validation, retry/exhaust
-semantics, and pool shutdown hygiene.
+semantics, and the life of every attempt process.
 
-Fault injection here uses in-process ``crash``/``corrupt``/``mark-exit``
-faults only, so nothing sleeps past a deadline or SIGKILLs a worker;
-the chaos grid (hang, SIGKILL) is ``test_faultsan.py``.
+Fault injection here is mostly ``crash``/``corrupt``; one SIGKILL runs
+without a deadline, one slow shard delivers while the parent stalls, and
+one hang is cut short by a dying loop.  The chaos grid (crash, SIGKILL,
+hang, corrupt under a deadline) is ``test_faultsan.py``.
 
 The load-bearing property throughout: a shard is a pure function of
 ``(spec, shard, shards)``, so a retried run must serialize byte-for-byte
@@ -14,6 +15,8 @@ import ast
 import dataclasses
 import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -21,7 +24,9 @@ from repro.lint.core import load_source
 from repro.lint.faultsan import (
     KIND_CORRUPT,
     KIND_CRASH,
-    KIND_MARK_EXIT,
+    KIND_HANG,
+    KIND_SIGKILL,
+    KIND_SLOW,
     SITE_WORKER_RESULT,
     Fault,
     FaultPlan,
@@ -86,12 +91,13 @@ def fault_counts(merged):
     }
 
 
-#: The two executors behind ``run_parallel``: inline in this process, and
-#: a worker pool.  One supervisor drives both, so for the same FaultPlan
-#: they must agree on the merged bytes AND on the fault accounting.
+#: The two ways ``run_parallel`` runs attempts: inline in this process,
+#: and one process per attempt.  One supervisor decides for both, so for
+#: the same FaultPlan they must agree on the merged bytes AND on the
+#: fault accounting.
 EXECUTORS = {
     "inline": {"processes": 1},
-    "pool": {"processes": 2, "start_method": "fork"},
+    "processes": {"processes": 2, "start_method": "fork"},
 }
 
 
@@ -119,7 +125,7 @@ def assert_other_executor_agrees(executor, outcome, spec, **kwargs):
     """Re-run the same plan on the other executor: identical accounting,
     and (when the run finishes) byte-identical merged dumps."""
     (other,) = set(EXECUTORS) - {executor}
-    if other == "pool" and not HAS_FORK:
+    if other == "processes" and not HAS_FORK:
         return
     twin = run_on(other, spec, **kwargs)
     assert accounting(twin) == accounting(outcome)
@@ -154,9 +160,9 @@ class TestValidation:
 
     def test_invalid_config_never_starts_a_pool(self, monkeypatch):
         def bomb(*args, **kwargs):
-            raise AssertionError("pool must not start for an invalid config")
+            raise AssertionError("no attempt may start for an invalid config")
 
-        monkeypatch.setattr(supervise_module, "_make_pool", bomb)
+        monkeypatch.setattr(supervise_module, "_start", bomb)
         with pytest.raises(ValueError, match="max_retries"):
             run_parallel(
                 make_spec(),
@@ -166,7 +172,7 @@ class TestValidation:
             )
 
 
-# -- retry recovery (serial and pool) ---------------------------------------
+# -- retry recovery (inline and in processes) -------------------------------
 
 
 class TestRetryRecovery:
@@ -203,13 +209,27 @@ class TestRetryRecovery:
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_crash_retry_is_byte_identical(self):
-        self.check_crash_retry("pool")
+        self.check_crash_retry("processes")
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_corrupt_pickle_retry_is_byte_identical(self):
-        """An unpicklable result dies on the pool pipe; the supervisor
-        sees the encoding error and re-runs the shard."""
-        self.check_corrupt_retry("pool")
+        """An unpicklable result cannot cross the pipe; the attempt
+        process sends the pickling error instead and the supervisor
+        re-runs the shard."""
+        self.check_corrupt_retry("processes")
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_sigkill_without_a_deadline_is_a_worker_death(self):
+        """No ``shard_timeout_s``: only the killed process's pipe, which
+        reaches end-of-file with nothing on it, tells the supervisor the
+        attempt is lost."""
+        spec = make_spec()
+        merged = run_on(
+            "processes", spec, shards=2, supervise=RETRY,
+            fault_plan=FaultPlan.single(1, KIND_SIGKILL),
+        )
+        assert dumps(merged) == dumps(run_single(spec))
+        assert attempt_keys(merged) == [(1, 1, "worker-died")]
 
     def test_each_shard_spends_its_own_retry_budget(self):
         """Shard 0 crashes once and shard 1 twice under ``max_retries=2``,
@@ -293,7 +313,7 @@ class TestExhaustion:
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_collects_every_failed_shard_too(self):
-        self.check_every_failed_shard_is_collected("pool", [0, 2])
+        self.check_every_failed_shard_is_collected("processes", [0, 2])
 
 
 # -- the failures block on clean runs ---------------------------------------
@@ -324,74 +344,75 @@ class TestCleanRuns:
         assert dumps(supervised) == dumps(plain)
 
 
-# -- pool shutdown hygiene --------------------------------------------------
+# -- attempt processes ------------------------------------------------------
 
 
-def spy_on_pool(monkeypatch, calls):
-    """Wrap the next pool's shutdown methods to record the order."""
-    real = supervise_module._make_pool
+def spy_on_attempts(monkeypatch, started, fail_at=None):
+    """Record every process ``_start`` starts.  Call number ``fail_at``
+    (0-based) raises instead, as if the supervision loop itself died."""
+    real = supervise_module._start
 
-    def spying(processes, start_method, initializer=None, initargs=()):
-        pool = real(
-            processes, start_method, initializer=initializer, initargs=initargs
-        )
-        for name in ("close", "terminate", "join"):
-            original = getattr(pool, name)
+    def spying(context, job, shard, attempt):
+        if len(started) == fail_at:
+            raise RuntimeError("supervision loop died")
+        process, conn = real(context, job, shard, attempt)
+        started.append(process)
+        return process, conn
 
-            def wrapped(_original=original, _name=name):
-                calls.append(_name)
-                return _original()
-
-            setattr(pool, name, wrapped)
-        return pool
-
-    monkeypatch.setattr(supervise_module, "_make_pool", spying)
+    monkeypatch.setattr(supervise_module, "_start", spying)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-class TestPoolShutdown:
-    def test_success_path_closes_and_joins(self, monkeypatch):
-        calls = []
-        spy_on_pool(monkeypatch, calls)
+class TestAttemptProcesses:
+    def test_every_attempt_process_exits_with_code_0(self, monkeypatch):
+        """On the success path every attempt returns from its target: a
+        normal exit, which is what runs a process's exit finalizers, and
+        nothing is left for anyone to reap."""
+        started = []
+        spy_on_attempts(monkeypatch, started)
         spec = make_spec()
-        merged = run_parallel(spec, shards=2, processes=2, start_method="fork")
+        merged = run_parallel(spec, shards=4, processes=2, start_method="fork")
         assert dumps(merged) == dumps(run_single(spec))
-        assert calls == ["close", "join"]
+        assert [process.exitcode for process in started] == [0, 0, 0, 0]
+        assert multiprocessing.active_children() == []
 
-    def test_supervisor_crash_terminates(self, monkeypatch):
-        calls = []
-        spy_on_pool(monkeypatch, calls)
+    def test_a_stalled_parent_times_out_no_attempt_that_delivered(self, monkeypatch):
+        """Shard 0 reports first and the parent stalls 0.6 s handling it
+        (a loaded host, a long collection); shard 1 delivers at ~0.1 s,
+        inside its 0.5 s deadline, while the parent is stalled.  The
+        deadline has passed by the time the parent looks at shard 1, but
+        the outcome was on time: no fault."""
+        real = supervise_module.Supervisor._receive
 
-        def broken(*args, **kwargs):
-            raise RuntimeError("supervision loop died")
+        def stalling(sup, run):
+            outcome = real(sup, run)
+            if run.state.shard == 0:
+                time.sleep(0.6)
+            return outcome
 
-        monkeypatch.setattr(supervise_module.Supervisor, "supervise", broken)
-        with pytest.raises(RuntimeError, match="supervision loop died"):
-            run_parallel(
-                make_spec(), shards=2, processes=2, start_method="fork"
-            )
-        assert calls == ["terminate", "join"]
-
-    def test_workers_run_exit_finalizers_on_the_success_path(
-        self, monkeypatch, tmp_path
-    ):
-        """The regression satellite: ``terminate()`` kills workers before
-        their exit finalizers run, so worker-side cleanup only survives
-        a ``close()``/``join()`` shutdown.  A ``mark-exit`` fault
-        registers a marker-writing finalizer in one worker; the marker
-        must exist once ``run_parallel`` returns."""
-        calls = []
-        spy_on_pool(monkeypatch, calls)
+        monkeypatch.setattr(supervise_module.Supervisor, "_receive", stalling)
         spec = make_spec()
-        plan = FaultPlan.single(0, KIND_MARK_EXIT, path=str(tmp_path))
         merged = run_parallel(
-            spec, shards=2, processes=2, start_method="fork", fault_plan=plan
+            spec, shards=2, processes=2, start_method="fork",
+            supervise=SuperviseConfig(shard_timeout_s=0.5),
+            fault_plan=FaultPlan.single(1, KIND_SLOW, seconds=0.1),
         )
         assert dumps(merged) == dumps(run_single(spec))
-        assert calls == ["close", "join"]
-        markers = list(tmp_path.glob("worker-*.exited"))
-        assert markers, "worker exit cleanup never ran"
-        assert markers[0].read_text() == "clean exit\n"
+        assert attempt_keys(merged) == []
+
+    def test_a_dying_loop_kills_and_reaps_every_running_attempt(self, monkeypatch):
+        """Shard 0 hangs for a minute; the loop dies when it starts shard
+        2.  Shard 0's process is killed and joined on the way out, not
+        left to finish its sleep."""
+        started = []
+        spy_on_attempts(monkeypatch, started, fail_at=2)
+        with pytest.raises(RuntimeError, match="supervision loop died"):
+            run_parallel(
+                make_spec(), shards=4, processes=2, start_method="fork",
+                fault_plan=FaultPlan.single(0, KIND_HANG, seconds=60.0),
+            )
+        assert [process.exitcode for process in started] == [-signal.SIGKILL, 0]
+        assert multiprocessing.active_children() == []
 
 
 # -- layering ---------------------------------------------------------------
@@ -417,6 +438,44 @@ class TestLayering:
         imported = origins("supervise.py").values()
         assert [o for o in imported if "parallel" in o.split(".")] == []
         assert origins("parallel.py")["Supervisor"] == ".supervise.Supervisor"
+
+    def test_supervise_reads_no_private_attribute_it_did_not_define(self):
+        """Supervision rests on public ``multiprocessing`` API only: no
+        read of an underscore attribute (dunders aside) that this module
+        does not define itself, and no ``getattr`` of an ``"_..."`` name."""
+        tree = self.parse("supervise.py")
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        } | {
+            node.target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+
+        def private(name):
+            return name.startswith("_") and not name.endswith("__")
+
+        reads = [
+            (node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and private(node.attr)
+            and node.attr not in defined
+        ]
+        named = [
+            (node.lineno, node.args[1].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr", "setattr", "delattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and node.args[1].value.startswith("_")
+        ]
+        assert reads + named == []
 
     def test_no_function_local_runner_imports(self):
         for name in sorted(os.listdir(self.PROBER)):
