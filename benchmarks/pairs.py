@@ -10,6 +10,9 @@ change's acceptance needs.
 With ``--trace N`` it runs the traced per-layer suite instead, ``N``
 alternating times a side, and prints one row per ``per_layer`` name:
 median, min–max, ratio — where a saving sits, so no verdict.
+``--json PATH`` also writes what it prints to PATH, as data: every row
+(with its verdict), every run, the failed operations and each tree's id
+(:func:`tree_id`); ``benchmarks/history/PR_NN.json`` are such files.
 Exit 2, before anything is run: the trees would not be measured by the
 same benchmark, ``BENCHMARK.json`` does not list ``W``, ``--pairs`` is
 below the two runs a side that quartiles need, or ``--trace`` (one suite,
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import glob
+import hashlib
 import json
 import os
 import statistics
@@ -72,31 +76,74 @@ def differing_files(parent: str, change: str) -> List[str]:
     return sorted(mismatched + unreadable)
 
 
+def tree_id(tree: str) -> str:
+    """The sha256 of a checkout's ``src/**/*.py`` — each file's path
+    relative to the tree, a NUL, its bytes, a NUL, in sorted path order:
+    what a side measured, whether or not the tree is a git checkout."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True)):
+        digest.update(os.path.relpath(path, tree).encode() + b"\0")
+        with open(path, "rb") as source:
+            digest.update(source.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _text(value: float) -> str:
     return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
 
 
+def failed_operations(runs: Dict[str, List[Any]]) -> Dict[str, Dict[str, int]]:
+    """side -> failed and attempted operations of its finished runs."""
+    return {
+        side: {
+            "failed": sum(run["failed"] for run in runs[side]),
+            "attempted": sum(run["attempted"] for run in runs[side]),
+        }
+        for side in SIDES
+    }
+
+
 def failures(runs: Dict[str, List[Any]]) -> str:
     """The failed-operation count of finished runs, a side at a time."""
-    failed = []
-    for side in SIDES:
-        attempted = sum(run["attempted"] for run in runs[side])
-        failed.append("%s %d / %d" % (side, sum(run["failed"] for run in runs[side]), attempted))
-    return "operations failed: " + ", ".join(failed)
+    counts = failed_operations(runs)
+    return "operations failed: " + ", ".join(
+        "%s %d / %d" % (side, counts[side]["failed"], counts[side]["attempted"]) for side in SIDES
+    )
+
+
+def _values(runs: Dict[str, List[Any]], name: str) -> Dict[str, List[float]]:
+    return {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
+
+
+def layer_rows(names: Sequence[str], runs: Dict[str, List[Any]]) -> List[Dict[str, Any]]:
+    """One row per per-layer metric of the traced runs: each side's runs,
+    median, min and max, and the ratio of medians (None for a zero parent)."""
+    rows = []
+    for name in names:
+        row: Dict[str, Any] = {"layer": name}
+        for side, values in _values(runs, name).items():
+            row[side] = {
+                "median": statistics.median(values),
+                "min": min(values),
+                "max": max(values),
+                "runs": values,
+            }
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        row["ratio"] = change / parent if parent else None
+        rows.append(row)
+    return rows
 
 
 def layer_report(names: Sequence[str], runs: Dict[str, List[Any]]) -> str:
     """One row per per-layer metric of the traced runs: no verdict."""
     rows = [LAYER_HEADER]
-    for name in names:
-        sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
-        medians = [statistics.median(values) for values in sides]
+    for row in layer_rows(names, runs):
         cells = [
-            "%s (%s–%s)" % (_text(median), _text(min(values)), _text(max(values)))
-            for median, values in zip(medians, sides)
+            "%s (%s–%s)" % tuple(_text(row[side][key]) for key in ("median", "min", "max"))
+            for side in SIDES
         ]
-        ratio = "%.3f" % (medians[1] / medians[0]) if medians[0] else "–"
-        rows.append("| `%s` | %s | %s | %s |" % (name, cells[0], cells[1], ratio))
+        ratio = "–" if row["ratio"] is None else "%.3f" % row["ratio"]
+        rows.append("| `%s` | %s | %s | %s |" % (row["layer"], cells[0], cells[1], ratio))
     return "\n".join(rows + [failures(runs)])
 
 
@@ -105,27 +152,69 @@ def _every_run(measured: Dict[str, Dict[str, List[Any]]]) -> Dict[str, List[Any]
     return {side: [run for runs in measured.values() for run in runs[side]] for side in SIDES}
 
 
+def table(
+    metrics: List[Dict[str, Any]], measured: Dict[str, Dict[str, List[Any]]]
+) -> List[Dict[str, Any]]:
+    """One row per workload in ``measured`` (workload -> side -> runs) and
+    end-to-end metric: each side's runs and quartiles, the ratio of
+    medians, the pairs the change read better and the verdict."""
+    rows = []
+    for workload, runs in measured.items():
+        for metric in metrics:
+            row: Dict[str, Any] = {"workload": workload, "metric": metric["name"]}
+            sides = _values(runs, metric["name"])
+            for side, values in sides.items():
+                q1, median, q3 = statistics.quantiles(values, n=4)
+                row[side] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+            label, won = verdict(*sides.values(), metric["better"], metric["bound"])
+            row["ratio"] = statistics.median(sides["change"]) / statistics.median(sides["parent"])
+            row.update(won=won, pairs=len(sides["parent"]), verdict=label)
+            rows.append(row)
+    return rows
+
+
 def report(metrics: List[Dict[str, Any]], measured: Dict[str, Dict[str, List[Any]]]) -> str:
     """The table, every run and the failed-operation count of the finished
     pairs of each workload in ``measured`` (workload -> side -> runs)."""
     rows, every_run = [HEADER], ["", "```"]
-    for workload, runs in measured.items():
-        for metric in metrics:
-            name = metric["name"]
-            sides = [[run["metrics"][name]["value"] for run in runs[side]] for side in SIDES]
-            label, won = verdict(sides[0], sides[1], metric["better"], metric["bound"])
-            cells = []
-            for values in sides:
-                q1, median, q3 = map(_text, statistics.quantiles(values, n=4))
-                cells.append("%s (%s–%s)" % (median, q1, q3))
-            ratio = statistics.median(sides[1]) / statistics.median(sides[0])
-            rows.append(
-                "| `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
-                % (workload, name, cells[0], cells[1], ratio, won, len(sides[0]), label)
-            )
-            listed = [" ".join(map(_text, values)) for values in sides]
-            every_run.append("%s %s parent %s | change %s" % (workload, name, *listed))
+    for row in table(metrics, measured):
+        cells = [
+            "%s (%s–%s)" % tuple(_text(row[side][key]) for key in ("median", "q1", "q3"))
+            for side in SIDES
+        ]
+        rows.append(
+            "| `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
+            % (row["workload"], row["metric"], *cells, row["ratio"], row["won"], row["pairs"],
+               row["verdict"])
+        )
+        listed = [" ".join(map(_text, row[side]["runs"])) for side in SIDES]
+        every_run.append("%s %s parent %s | change %s" % (row["workload"], row["metric"], *listed))
     return "\n".join(rows + every_run + ["```", failures(_every_run(measured))])
+
+
+def record(
+    spec: Dict[str, Any],
+    measured: Dict[str, Dict[str, List[Any]]],
+    trees: Dict[str, str],
+    seed: int,
+    commands: Dict[str, List[str]],
+    trace: bool,
+) -> Dict[str, Any]:
+    """What a run prints, as data: the command and seed each workload ran
+    with, each side's tree id, the table's rows (the per-layer rows with
+    ``trace``) with every run, and the failed operations."""
+    if trace:
+        (runs,) = measured.values()
+        rows = {"layers": layer_rows([layer["name"] for layer in spec["per_layer"]], runs)}
+    else:
+        rows = {"rows": table(spec["end_to_end"], measured)}
+    return {
+        "seed": seed,
+        "commands": commands,
+        "trees": {side: tree_id(tree) for side, tree in trees.items()},
+        **rows,
+        "operations": failed_operations(_every_run(measured)),
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -136,6 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("--trace", type=int, default=0, metavar="N")
+    parser.add_argument("--json", metavar="PATH")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
     differing = differing_files(args.parent_tree, args.change_tree)
@@ -163,9 +253,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     count = args.trace or args.pairs
     measured: Dict[str, Dict[str, List[Any]]] = {}
+    commands: Dict[str, List[str]] = {}
     for workload in listed if args.workload == "all" else [args.workload]:
         command = spec["command"] + ["--workload", workload, "--seed", str(args.seed)]
         command += ["--seconds", str(spec["run_seconds"]), "--trace", str(int(args.trace > 0))]
+        commands[workload] = command
         runs = measured[workload] = {side: [] for side in SIDES}
         for pair in range(count):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -177,6 +269,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(layer_report([layer["name"] for layer in spec["per_layer"]], measured[args.workload]))
     else:
         print(report(spec["end_to_end"], measured))
+    if args.json:
+        document = record(spec, measured, trees, args.seed, commands, args.trace > 0)
+        with open(args.json, "w", encoding="utf-8") as sink:
+            json.dump(document, sink, indent=1)
+            sink.write("\n")
     return int(any(run["failed"] for runs in _every_run(measured).values() for run in runs))
 
 

@@ -11,7 +11,6 @@ constant per target keeps every probe for a target on one path
 from __future__ import annotations
 
 from ..packet import ipv6
-from ..packet.ipv6 import IPv6Header
 
 #: Number of path variants the simulator distinguishes; ECMP groups pick
 #: ``variant % len(options)``.
@@ -21,14 +20,18 @@ VARIANTS = 4
 #: TCP/UDP ports, and ICMPv6 type, code and — critically — the checksum.
 _HASHED_TRANSPORT = frozenset((ipv6.PROTO_TCP, ipv6.PROTO_UDP, ipv6.PROTO_ICMPV6))
 
+#: End of those four transport bytes within the packet.
+_TRANSPORT_END = ipv6.HEADER_LENGTH + 4
+
 #: Bit 0 of every byte of the longest (40-byte) flow key, and bit 0 of
 #: the bytes at even distance from the key's end.
 _BIT0 = int.from_bytes(b"\x01" * 40, "big")
 _EVEN_BIT0 = int.from_bytes(b"\x00\x01" * 20, "big")
 
 
-def flow_variant(header: IPv6Header, payload: bytes) -> int:
-    """Path variant in [0, VARIANTS) selected by this packet's flow.
+def flow_variant(src: int, dst: int, next_header: int, flow_label: int, packet: bytes) -> int:
+    """Path variant in [0, VARIANTS) selected by the flow of ``packet``,
+    whose fixed-header fields the caller has already read.
 
     The model: a load balancer takes FNV-1a-64 (offset
     ``0xCBF29CE484222325``, prime ``0x100000001B3``) over the flow key —
@@ -50,13 +53,9 @@ def flow_variant(header: IPv6Header, payload: bytes) -> int:
     taken with ``% 255`` (256 ≡ 1 modulo 255, and the sums are at most
     60).  Only bits 0-1 of each key byte steer ECMP in this model.
     """
-    key = (
-        (((header.src << 128) | header.dst) << 32)
-        | (header.next_header << 24)
-        | header.flow_label
-    )
-    if header.next_header in _HASHED_TRANSPORT and len(payload) >= 4:
-        key = key << 32 | int.from_bytes(payload[:4], "big")
+    key = (((src << 128) | dst) << 32) | (next_header << 24) | flow_label
+    if next_header in _HASHED_TRANSPORT and len(packet) >= _TRANSPORT_END:
+        key = key << 32 | int.from_bytes(packet[ipv6.HEADER_LENGTH:_TRANSPORT_END], "big")
     low = 1 ^ (key & _BIT0) % 255 & 1
     high = (((key >> 1) & _BIT0) + (key & _EVEN_BIT0)) % 255 & 1
     return high << 1 | low

@@ -55,6 +55,7 @@ class CompiledPath:
         "filter_action",
         "blocked",
         "mtu_profile",
+        "path_mtu",
     )
 
     def __init__(
@@ -80,15 +81,13 @@ class CompiledPath:
         self.blocked = blocked or frozenset()
         #: Per-hop MTU of the link each hop forwards onto (defaults 1500).
         self.mtu_profile = mtu_profile or [1500] * len(hops)
+        #: The bottleneck MTU along the whole path: a packet no larger
+        #: fits every link, so ``probe`` skips :meth:`mtu_break` for it.
+        self.path_mtu = min(self.mtu_profile, default=1500)
 
     @property
     def length(self) -> int:
         return len(self.hops)
-
-    @property
-    def path_mtu(self) -> int:
-        """The bottleneck MTU along the whole path."""
-        return min(self.mtu_profile, default=1500)
 
     def mtu_break(self, size: int, hop_limit: int) -> Optional[int]:
         """Index of the hop that must reject a packet of ``size`` before
@@ -519,22 +518,27 @@ class Internet:
         identified by the packet's source address.  Returns the response
         (with its arrival delay) or None when the network stays silent."""
         self.stats.probes += 1
-        header, payload = ipv6.split_packet(data)
-        vantage = self._vantage_by_addr.get(header.src)
+        first_word, _, next_header, hop_limit, src_high, src_low, dst_high, dst_low = (
+            ipv6.header_fields(data)
+        )
+        src = (src_high << 64) | src_low
+        vantage = self._vantage_by_addr.get(src)
         if vantage is None:
-            raise ValueError(
-                "probe source %x is not a configured vantage" % header.src
-            )
-        variant = flow_variant(header, payload)
-        path = self.path_for(vantage, header.dst, variant)
-        hop_limit = header.hop_limit
+            raise ValueError("probe source %x is not a configured vantage" % src)
+        dst = (dst_high << 64) | dst_low
+        path = self.path_for(
+            vantage, dst, flow_variant(src, dst, next_header, first_word & 0xFFFFF, data)
+        )
+        # RFC 8200: the first router discards a packet that arrives with
+        # hop limit 0 and reports it, as it does one with hop limit 1.
+        hop_limit = hop_limit or 1
 
         # Who would answer with an ICMPv6 error, and with which one: at
         # most one (hop, type, code, word), first match wins.
         word = 0
         if (
             path.filter_index is not None
-            and header.next_header in path.blocked
+            and next_header in path.blocked
             and hop_limit > path.filter_index
         ):
             self.stats.filtered += 1
@@ -544,7 +548,8 @@ class Internet:
             msg_type = icmpv6.TYPE_DEST_UNREACH
             code = int(UnreachableCode.ADMIN_PROHIBITED)
         else:
-            break_index = path.mtu_break(len(data), hop_limit)
+            size = len(data)
+            break_index = path.mtu_break(size, hop_limit) if size > path.path_mtu else None
             if break_index is not None:
                 # The packet exceeds a link MTU before its hop limit
                 # expires: the router at the bottleneck reports it.
@@ -553,7 +558,7 @@ class Internet:
                 msg_type = icmpv6.TYPE_PACKET_TOO_BIG
                 code = 0
                 word = path.mtu_profile[break_index]
-            elif hop_limit <= path.length:
+            elif hop_limit <= len(path.hops):
                 hop = path.hops[hop_limit - 1]
                 msg_type = icmpv6.TYPE_TIME_EXCEEDED
                 code = icmpv6.CODE_HOP_LIMIT_EXCEEDED
@@ -567,10 +572,10 @@ class Internet:
             elif path.terminal is TerminalKind.ROUTER:
                 # The router answers probes to its own interface address.
                 router, _, delay = path.hops[-1]
-                return self._host_response(header, payload, delay, responder=router, now=now)
+                return self._host_response(data, delay, responder=router, now=now)
             else:
-                return self._deliver_lan(path, header, payload, data, now)
-        return self._icmp_error(hop, msg_type, code, word, data, header, now)
+                return self._deliver_lan(path, data, src, dst, next_header, now)
+        return self._icmp_error(hop, msg_type, code, word, data, next_header, src, now)
 
     def exchange(
         self,
@@ -596,23 +601,22 @@ class Internet:
     def _deliver_lan(
         self,
         path: CompiledPath,
-        header: IPv6Header,
-        payload: bytes,
         data: bytes,
+        src: int,
+        dst: int,
+        next_header: int,
         now: int,
     ) -> Optional[Response]:
         subnet = path.subnet
         _, _, delay = path.hops[-1]
         delay += 100  # LAN hop
-        if header.dst == subnet.gateway_addr:
+        if dst == subnet.gateway_addr:
             # The probe targets the gateway's own LAN address (e.g. the
             # ::1 synthesis hitting an active /64): the router answers
             # like a host — echo reply / port unreachable / RST.
-            return self._host_response(
-                header, payload, delay, responder=subnet.gateway, now=now
-            )
-        if subnet.aliased or subnet.has_host(header.dst):
-            return self._host_response(header, payload, delay, now=now)
+            return self._host_response(data, delay, responder=subnet.gateway, now=now)
+        if subnet.aliased or subnet.has_host(dst):
+            return self._host_response(data, delay, now=now)
         # Neighbour discovery fails; the gateway may report it.
         if self._rng.random() < self.config.gateway_unreach_probability:
             return self._icmp_error(
@@ -621,7 +625,8 @@ class Internet:
                 int(UnreachableCode.ADDRESS_UNREACHABLE),
                 0,
                 data,
-                header,
+                next_header,
+                src,
                 now,
             )
         self.stats.silent_terminal += 1
@@ -629,17 +634,18 @@ class Internet:
 
     def _host_response(
         self,
-        header: IPv6Header,
-        payload: bytes,
+        data: bytes,
         delay: int,
         responder: Optional[Router] = None,
         now: int = 0,
     ) -> Optional[Response]:
-        """Terminal response from the destination itself — an end host, or
-        a router answering for one of its own addresses (``responder``)."""
+        """Terminal response from the destination of probe ``data`` itself
+        — an end host, or a router answering for one of its own addresses
+        (``responder``).  The one branch that replies from a header object."""
         if self._rng.random() < self.config.response_loss:
             self.stats.lost += 1
             return None
+        header, payload = ipv6.split_packet(data)
         host = header.dst
         if header.next_header == PROTO_ICMPV6:
             try:
@@ -720,16 +726,18 @@ class Internet:
         code: int,
         word: int,
         invoking: bytes,
-        header: IPv6Header,
+        next_header: int,
+        src: int,
         now: int,
     ) -> Optional[Response]:
         """Does ``hop``'s router send the error :meth:`probe` decided on?
-        Its response knobs, then its limiter, then reverse-path loss."""
+        Its response knobs, then its limiter, then reverse-path loss.
+        ``next_header`` and ``src`` are those of the ``invoking`` packet."""
         router, iface, delay = hop
         # Protocol-selective hops (observed in the wild, Section 4.2).
         if (
             router.respond_protocols is not None
-            and header.next_header not in router.respond_protocols
+            and next_header not in router.respond_protocols
         ):
             return None
         if router.response_probability < 1.0 and (
@@ -738,7 +746,7 @@ class Internet:
             return None
         # Mandated ICMPv6 error rate limiting, evaluated when the packet
         # actually reaches the router in virtual time.
-        limiter = self._state_of(router).limiter
+        limiter = (self.router_state.get(router.router_id) or self._state_of(router)).limiter
         allowed = limiter.consume(now + delay)
         if self._limiter_observer is not None:
             self._limiter_observer(
@@ -755,7 +763,7 @@ class Internet:
         elif msg_type == icmpv6.TYPE_DEST_UNREACH:
             self.stats.unreachables += 1
         packet = icmpv6.error_packet(
-            iface, header.src, msg_type, code, word, self._quote(router, invoking)
+            iface, src, msg_type, code, word, self._quote(router, invoking)
         )
         return Response(2 * delay + 200, packet)
 

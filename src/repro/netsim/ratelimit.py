@@ -62,7 +62,13 @@ class TokenBucket:
 
     def consume(self, now: int, amount: float = 1.0) -> bool:
         """Take ``amount`` tokens at virtual time ``now``; False if empty."""
-        self._refill(now)
+        # ``_refill``, inline: one call fewer per limiter decision.
+        if now > self._updated:
+            self._tokens = min(
+                self.burst,
+                self._tokens + self.rate * (now - self._updated) / US_PER_SECOND,
+            )
+            self._updated = now
         if self._tokens >= amount:
             self._tokens -= amount
             self.allowed += 1

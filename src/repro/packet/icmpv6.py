@@ -55,8 +55,24 @@ MAX_QUOTATION = MINIMUM_MTU - 40 - 8
 #: ICMPv6 header: type, code, checksum, 4-byte body word.
 _MESSAGE = struct.Struct("!BBHI")
 
-#: IPv6 fixed header followed by the ICMPv6 header.
-_ERROR_PACKET = struct.Struct(HEADER.format + "BBHI")
+#: IPv6 fixed header followed by the ICMPv6 header: the 48 bytes ahead
+#: of an error's quotation or an echo's body, packed by
+#: :func:`error_packet` and read back by ``ResponseProcessor.process``.
+ERROR_PACKET = struct.Struct(HEADER.format + "BBHI")
+
+#: Table 4 label per ``(type, code)`` of every response the simulator
+#: sends; :func:`response_label` covers the rest.
+RESPONSE_LABELS = {
+    (TYPE_TIME_EXCEEDED, CODE_HOP_LIMIT_EXCEEDED): "time exceeded",
+    (TYPE_ECHO_REPLY, 0): "echo reply",
+    (TYPE_DEST_UNREACH, 0): "no route to destination",
+    (TYPE_DEST_UNREACH, 1): "administratively prohibited",
+    (TYPE_DEST_UNREACH, 2): "beyond scope of source",
+    (TYPE_DEST_UNREACH, 3): "address unreachable",
+    (TYPE_DEST_UNREACH, 4): "port unreachable",
+    (TYPE_DEST_UNREACH, 5): "source address failed policy",
+    (TYPE_DEST_UNREACH, 6): "reject route to destination",
+}
 
 
 class UnreachableCode(enum.IntEnum):
@@ -72,15 +88,7 @@ class UnreachableCode(enum.IntEnum):
 
     def label(self) -> str:
         """Human-readable label matching the paper's Table 4 rows."""
-        return {
-            UnreachableCode.NO_ROUTE: "no route to destination",
-            UnreachableCode.ADMIN_PROHIBITED: "administratively prohibited",
-            UnreachableCode.BEYOND_SCOPE: "beyond scope of source",
-            UnreachableCode.ADDRESS_UNREACHABLE: "address unreachable",
-            UnreachableCode.PORT_UNREACHABLE: "port unreachable",
-            UnreachableCode.FAILED_POLICY: "source address failed policy",
-            UnreachableCode.REJECT_ROUTE: "reject route to destination",
-        }[self]
+        return RESPONSE_LABELS[TYPE_DEST_UNREACH, self]
 
 
 class ICMPv6Message:
@@ -216,7 +224,7 @@ def error_packet(
         + word,
     )
     return (
-        _ERROR_PACKET.pack(
+        ERROR_PACKET.pack(
             VERSION << 28,
             length,
             PROTO_ICMPV6,
@@ -234,18 +242,23 @@ def error_packet(
     )
 
 
+def response_label(msg_type: int, code: int) -> str:
+    """Table 4 style label for a response of this type and code."""
+    label = RESPONSE_LABELS.get((msg_type, code))
+    if label is not None:
+        return label
+    if msg_type == TYPE_TIME_EXCEEDED:
+        return "time exceeded"
+    if msg_type == TYPE_ECHO_REPLY:
+        return "echo reply"
+    if msg_type == TYPE_DEST_UNREACH:
+        return "destination unreachable (code %d)" % code
+    return "icmpv6 type %d" % msg_type
+
+
 def classify_response(message: ICMPv6Message) -> str:
     """Table 4 style label for a response message."""
-    if message.msg_type == TYPE_TIME_EXCEEDED:
-        return "time exceeded"
-    if message.msg_type == TYPE_ECHO_REPLY:
-        return "echo reply"
-    if message.msg_type == TYPE_DEST_UNREACH:
-        try:
-            return UnreachableCode(message.code).label()
-        except ValueError:
-            return "destination unreachable (code %d)" % message.code
-    return "icmpv6 type %d" % message.msg_type
+    return response_label(message.msg_type, message.code)
 
 
 def unreachable_code(message: ICMPv6Message) -> Optional[UnreachableCode]:

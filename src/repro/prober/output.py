@@ -127,7 +127,7 @@ class LoadedCampaign:
 
 
 def _label_for(type_code: Tuple[int, int]) -> str:
-    return icmpv6.classify_response(icmpv6.ICMPv6Message(*type_code))
+    return icmpv6.response_label(*type_code)
 
 
 def read_records(source: TextIO) -> LoadedCampaign:

@@ -15,8 +15,17 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from ..packet import icmpv6, ipv6
+from ..packet.icmpv6 import (
+    ERROR_PACKET,
+    RESPONSE_LABELS,
+    TYPE_ECHO_REPLY,
+    TYPE_TIME_EXCEEDED,
+)
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP
 from .encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_quotation, rtt_from
+
+#: The IPv6 + ICMPv6 headers ahead of an echo's body or an error's quotation.
+_HEAD_LENGTH = ERROR_PACKET.size
 
 
 class ProbeRecord:
@@ -106,33 +115,67 @@ class ResponseProcessor:
 
     def process(self, data: bytes, now: int, sent_so_far: int) -> Optional[ProbeRecord]:
         """Interpret response bytes; returns the record, or None when the
-        packet is foreign/undecodable (still counted)."""
+        packet is foreign/undecodable (still counted).
+
+        The IPv6 and ICMPv6 headers are read once, as integers, by the
+        struct :func:`~repro.packet.icmpv6.error_packet` packs them with;
+        an error's quotation is decoded from the bytes after them."""
         self.received += 1
-        try:
-            header, payload = ipv6.split_packet(data)
-        except ipv6.PacketError:
+        if len(data) < ipv6.HEADER_LENGTH or data[0] >> 4 != ipv6.VERSION:
             self.decode_failures += 1
             return None
-        if header.next_header == PROTO_TCP:
+        next_header = data[6]
+        if next_header == PROTO_TCP:
             self.tcp_responses += 1
             return None
-        if header.next_header != PROTO_ICMPV6:
+        if next_header != PROTO_ICMPV6:
             self.foreign += 1
             return None
-        try:
-            message = icmpv6.ICMPv6Message.unpack(payload)
-        except ipv6.PacketError:
+        if len(data) < _HEAD_LENGTH:
             self.decode_failures += 1
             return None
+        _, _, _, _, src_high, src_low, _, _, msg_type, code, _, _ = ERROR_PACKET.unpack_from(data)
+        hop = (src_high << 64) | src_low
 
-        if message.is_echo_reply:
-            record = self._from_echo_reply(header, message, now)
-        elif message.is_error:
-            record = self._from_error(header, message, now)
+        if msg_type == TYPE_ECHO_REPLY:
+            # Echo replies mirror our 12-byte payload; recover state from it.
+            if len(data) < _HEAD_LENGTH + PAYLOAD_HEAD.size:
+                self.decode_failures += 1
+                return None
+            magic, instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(data, _HEAD_LENGTH)
+            if magic != MAGIC or (self.instance is not None and instance != self.instance):
+                self.foreign += 1
+                return None
+            record = ProbeRecord(
+                target=hop,
+                ttl=ttl,
+                hop=hop,
+                icmp_type=msg_type,
+                icmp_code=code,
+                label="echo reply",
+                rtt_us=rtt_from(elapsed, now),
+                received_at=now,
+            )
+        elif msg_type < 128:
+            try:
+                decoded = decode_quotation(data[_HEAD_LENGTH:], self.instance)
+            except DecodeError:
+                self.decode_failures += 1
+                return None
+            record = ProbeRecord(
+                target=decoded.target,
+                ttl=decoded.ttl,
+                hop=hop,
+                icmp_type=msg_type,
+                icmp_code=code,
+                label=RESPONSE_LABELS.get((msg_type, code))
+                or icmpv6.response_label(msg_type, code),
+                rtt_us=rtt_from(decoded.elapsed, now),
+                received_at=now,
+                target_modified=decoded.target_modified,
+            )
         else:
             self.foreign += 1
-            return None
-        if record is None:
             return None
 
         self.records.append(record)
@@ -140,54 +183,11 @@ class ResponseProcessor:
         self.response_labels[record.label] = label_count + 1
         if record.target_modified:
             self.mangled_targets += 1
-        self.responders.add(record.hop)
+        self.responders.add(hop)
         self._m_responses.inc()
-        if record.is_time_exceeded:
+        if msg_type == TYPE_TIME_EXCEEDED:
             self._m_ttl_yield.inc(record.ttl)
-            if record.hop not in self.interfaces:
-                self.interfaces.add(record.hop)
+            if hop not in self.interfaces:
+                self.interfaces.add(hop)
                 self.curve.append((sent_so_far, len(self.interfaces)))
         return record
-
-    def _from_echo_reply(
-        self, header: ipv6.IPv6Header, message: icmpv6.ICMPv6Message, now: int
-    ) -> Optional[ProbeRecord]:
-        """Echo replies mirror our 12-byte payload; recover state from it."""
-        body = message.body
-        if len(body) < 10:
-            self.decode_failures += 1
-            return None
-        magic, instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(body)
-        if magic != MAGIC or (self.instance is not None and instance != self.instance):
-            self.foreign += 1
-            return None
-        return ProbeRecord(
-            target=header.src,
-            ttl=ttl,
-            hop=header.src,
-            icmp_type=message.msg_type,
-            icmp_code=message.code,
-            label="echo reply",
-            rtt_us=rtt_from(elapsed, now),
-            received_at=now,
-        )
-
-    def _from_error(
-        self, header: ipv6.IPv6Header, message: icmpv6.ICMPv6Message, now: int
-    ) -> Optional[ProbeRecord]:
-        try:
-            decoded = decode_quotation(message.quotation, self.instance)
-        except DecodeError:
-            self.decode_failures += 1
-            return None
-        return ProbeRecord(
-            target=decoded.target,
-            ttl=decoded.ttl,
-            hop=header.src,
-            icmp_type=message.msg_type,
-            icmp_code=message.code,
-            label=icmpv6.classify_response(message),
-            rtt_us=rtt_from(decoded.elapsed, now),
-            received_at=now,
-            target_modified=decoded.target_modified,
-        )

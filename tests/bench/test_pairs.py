@@ -215,3 +215,84 @@ def test_report_rows_runs_and_failures():
     ) in text
     assert "yarrp6-walk probes_per_s parent 35308 33092" in text
     assert text.endswith("operations failed: parent 0 / 70, change 10 / 70")
+
+
+class TestJson:
+    """``--json PATH``: what the run prints, as data, built here from
+    canned runs (``check_output`` is replaced; nothing is spawned)."""
+
+    def _spawned(self, trees, monkeypatch):
+        def spawned(command, cwd, text):
+            side = [name for name, tree in trees.items() if tree == cwd][0]
+            factor = 1.3 if side == "change" else 1.0
+            value = PARENT[len(calls) // 2 % len(PARENT)] * factor
+            calls.append(side)
+            metrics = {
+                name: {"value": value}
+                for name in ("probes_per_s", "prober.encoding.scalar_ns", "netsim.engine.events")
+            }
+            return json.dumps({"attempted": 7, "failed": int(side == "change"), "metrics": metrics})
+
+        calls = []
+        monkeypatch.setattr(pairs.subprocess, "check_output", spawned)
+
+    @pytest.mark.parametrize(
+        "flags", [["--workload", "all"], ["--workload", "yarrp6-fill", "--trace", "3"]]
+    )
+    def test_the_file_holds_what_is_printed_and_the_print_is_unchanged(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        trees = {"parent": _tree(tmp_path, "a"), "change": _tree(tmp_path, "b")}
+        self._spawned(trees, monkeypatch)
+        argv = [trees["parent"], trees["change"], "--pairs", "4", "--seed", "7"] + flags
+        assert main(argv) == 1
+        printed = capsys.readouterr().out
+        self._spawned(trees, monkeypatch)
+        path = tmp_path / "PR.json"
+        assert main(argv + ["--json", str(path)]) == 1
+        assert capsys.readouterr().out == printed
+        document = json.loads(path.read_text())
+        assert document["seed"] == 7
+        runs_a_side = len(document["commands"]) * (3 if "--trace" in flags else 4)
+        assert document["operations"] == {
+            "parent": {"failed": 0, "attempted": 7 * runs_a_side},
+            "change": {"failed": runs_a_side, "attempted": 7 * runs_a_side},
+        }
+        assert document["trees"]["parent"] == document["trees"]["change"]
+        for workload, command in document["commands"].items():
+            assert "seed 7: %s" % " ".join(command) in printed
+        if "--trace" in flags:
+            assert [row["layer"] for row in document["layers"]] == [
+                layer["name"] for layer in SPEC["per_layer"]
+            ]
+            for row in document["layers"]:
+                cells = [
+                    "%s (%s–%s)" % tuple(pairs._text(side[key]) for key in ("median", "min", "max"))
+                    for side in (row["parent"], row["change"])
+                ]
+                assert "| `%s` | %s | %s | %.3f |" % (row["layer"], *cells, row["ratio"]) in printed
+        else:
+            assert [row["workload"] for row in document["rows"]] == ["yarrp6-walk", "yarrp6-fill"]
+            for row in document["rows"]:
+                assert row["verdict"] == "claimed" and (row["won"], row["pairs"]) == (4, 4)
+                assert len(row["parent"]["runs"]) == len(row["change"]["runs"]) == 4
+                assert "| %.3f | 4 / 4 | claimed |" % row["ratio"] in printed
+                listed = [" ".join(map(pairs._text, row[side]["runs"])) for side in pairs.SIDES]
+                every_run = "%s probes_per_s parent %s | change %s" % (row["workload"], *listed)
+                assert every_run in printed
+
+
+def test_a_tree_id_is_its_python_sources(tmp_path):
+    trees = [_tree(tmp_path, name) for name in ("a", "b", "c")]
+    for tree, body in zip(trees, ("x = 1\n", "x = 1\n", "x = 2\n")):
+        os.makedirs(os.path.join(tree, "src", "repro"))
+        with open(os.path.join(tree, "src", "repro", "m.py"), "w") as source:
+            source.write(body)
+    # Not sources: byte code, and the harness outside src/.
+    with open(os.path.join(trees[1], "src", "repro", "m.pyc"), "w") as junk:
+        junk.write("junk")
+    with open(os.path.join(trees[1], "benchmarks", "ledger", "harness.py"), "w") as harness:
+        harness.write("x = 3\n")
+    ids = [pairs.tree_id(tree) for tree in trees]
+    assert ids[0] == ids[1] != ids[2]
+    assert len(ids[0]) == 64

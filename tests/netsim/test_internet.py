@@ -434,8 +434,11 @@ class TestFlowPathChoice:
         for packet in packets:
             del asked[:]
             net.probe(packet, now=0)
-            header, payload = ipv6.split_packet(packet)
-            assert asked == [(vantage, header.dst, flow_variant(header, payload))]
+            header = IPv6Header.unpack(packet)
+            variant = flow_variant(
+                header.src, header.dst, header.next_header, header.flow_label, packet
+            )
+            assert asked == [(vantage, header.dst, variant)]
             picked.add(id(path_for(*asked[0])))
         return picked
 
@@ -491,8 +494,7 @@ class TestFiltering:
             # Resolve the path this exact UDP flow will take, so the TTL
             # lands beyond its filtering border.
             deep = udp_probe(vantage.address, dst, 64)
-            header, payload = ipv6.split_packet(deep)
-            variant = flow_variant(header, payload)
+            variant = flow_variant(vantage.address, dst, PROTO_UDP, 0, deep)
             udp_path = net.path_for(vantage, dst, variant)
             deep = udp_probe(vantage.address, dst, udp_path.length)
             response = net.probe(deep, now=0)
@@ -533,9 +535,7 @@ class TestFiltering:
 
 def flow_variant_of(src, dst):
     """Variant the simulator will pick for our standard ICMP probe."""
-    echo = icmpv6.echo_request(7, 1, b"probe")
-    header = IPv6Header(src, dst, 0, PROTO_ICMPV6, hop_limit=5)
-    return flow_variant(header, echo.pack(src, dst))
+    return flow_variant(src, dst, PROTO_ICMPV6, 0, icmp_probe(src, dst, 5))
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +546,28 @@ def lossless_net():
             InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
         )
     )
+
+
+class TestHopLimitZero:
+    """RFC 8200: the first router discards a packet that arrives with hop
+    limit 0 and reports it, as it does one with hop limit 1 — not the
+    path's last hop, which ``hops[hop_limit - 1]`` would pick.  No prober
+    sends one (``ProbeSchedule`` refuses TTL 0)."""
+
+    def test_answered_by_the_first_hop_like_hop_limit_one(self, lossless_net):
+        net = lossless_net
+        vantage = net.vantage("EU-NET")
+        target = first_host(net)
+        answers = []
+        for ttl in (0, 1):
+            net.fresh_run_state()
+            response = net.probe(encode_probe(vantage.address, target, ttl, 0), now=0)
+            header, message = parse_icmp(response)
+            answers.append((response.delay_us, header.src, message.msg_type, message.code))
+        _, first_iface = vantage.premise_chain[0]
+        assert net.path_length("EU-NET", target) > 1
+        assert answers[0] == answers[1]
+        assert answers[0][1:] == (first_iface, icmpv6.TYPE_TIME_EXCEEDED, 0)
 
 
 class TestQuotationMisbehaviour:
@@ -589,9 +611,15 @@ class TestQuotationMisbehaviour:
                     quotation = (
                         quotation[:38] + bytes([quotation[38] ^ 0x55]) + quotation[39:]
                     )
-                header, _ = ipv6.split_packet(invoking)
                 response = net._icmp_error(
-                    (router, iface, 500), msg_type, code, word, invoking, header, 0
+                    (router, iface, 500),
+                    msg_type,
+                    code,
+                    word,
+                    invoking,
+                    invoking[6],
+                    vantage.address,
+                    0,
                 )
                 assert response.data == ipv6.build_packet(
                     IPv6Header(iface, vantage.address, 0, PROTO_ICMPV6),

@@ -51,8 +51,8 @@ class TestFlowIdEncoding:
         variants = set()
         for flow_id in range(8):
             packet = encode_probe(net.vantage("US-EDU-1").address, dst, 5, 0, flow_id=flow_id * 7)
-            header, payload = ipv6.split_packet(packet)
-            variants.add(flow_variant(header, payload))
+            header = ipv6.IPv6Header.unpack(packet)
+            variants.add(flow_variant(header.src, dst, header.next_header, 0, packet))
         assert len(variants) > 1
 
 
