@@ -13,6 +13,9 @@ median, min–max, ratio — where a saving sits, so no verdict.
 ``--json PATH`` also writes what it prints to PATH, as data: every row
 (with its verdict), every run, the failed operations and each tree's id
 (:func:`tree_id`); ``benchmarks/history/PR_NN.json`` are such files.
+``python -m benchmarks.pairs --history [DIR]`` runs nothing: it prints
+one row per metric of each ``PR_*.json`` in DIR (default
+``benchmarks/history``), in PR order — the trajectory.
 Exit 2, before anything is run: the trees would not be measured by the
 same benchmark, ``BENCHMARK.json`` does not list ``W``, ``--pairs`` is
 below the two runs a side that quartiles need, or ``--trace`` (one suite,
@@ -40,6 +43,11 @@ HEADER = """| workload | metric | parent median (quartiles) | change median (qua
 LAYER_HEADER = """| layer | parent median (min–max) | change median (min–max) \
 | change / parent |
 |---|---|---|---|"""
+HISTORY_HEADER = """| file | workload | metric | parent median | change median | change / parent \
+| pairs the change reads better | verdict |
+|---|---|---|---|---|---|---|---|"""
+#: Where perf changes commit their ``--json`` records.
+HISTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "history")
 
 
 def verdict(
@@ -217,16 +225,53 @@ def record(
     }
 
 
+def _pr_number(path: str) -> Tuple[int, str]:
+    name = os.path.basename(path)
+    digits = name[len("PR_") : -len(".json")]
+    return (int(digits) if digits.isdigit() else -1, name)
+
+
+def history(directory: str) -> str:
+    """One row per metric (per layer, for a traced record) of each
+    ``PR_*.json`` record in ``directory``, in PR order."""
+    rows = [HISTORY_HEADER]
+    for path in sorted(glob.glob(os.path.join(directory, "PR_*.json")), key=_pr_number):
+        with open(path, encoding="utf-8") as source:
+            document = json.load(source)
+        name = os.path.basename(path)
+        for row in document.get("rows", []):
+            rows.append(
+                "| %s | `%s` | `%s` | %s | %s | %.3f | %d / %d | %s |"
+                % (name, row["workload"], row["metric"], _text(row["parent"]["median"]),
+                   _text(row["change"]["median"]), row["ratio"], row["won"], row["pairs"],
+                   row["verdict"])
+            )
+        for row in document.get("layers", []):
+            ratio = "–" if row["ratio"] is None else "%.3f" % row["ratio"]
+            rows.append(
+                "| %s | (per layer) | `%s` | %s | %s | %s | – | – |"
+                % (name, row["layer"], _text(row["parent"]["median"]),
+                   _text(row["change"]["median"]), ratio)
+            )
+    return "\n".join(rows)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.pairs", description=__doc__)
-    parser.add_argument("parent_tree")
-    parser.add_argument("change_tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("parent_tree", nargs="?")
+    parser.add_argument("change_tree", nargs="?")
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("--trace", type=int, default=0, metavar="N")
     parser.add_argument("--json", metavar="PATH")
+    parser.add_argument("--history", nargs="?", const=HISTORY, metavar="DIR")
     args = parser.parse_args(argv)
+    if args.history is not None:
+        print(history(args.history))
+        return 0
+    if args.change_tree is None or args.workload is None:
+        parser.error("PARENT_TREE, CHANGE_TREE and --workload are required without --history")
     trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
     differing = differing_files(args.parent_tree, args.change_tree)
     if differing:

@@ -583,20 +583,23 @@ class Internet:
         data: bytes,
         when: int,
         deliver: Callable[[bytes, int], None],
-    ) -> None:
+    ) -> Optional[Tuple[int, bytes]]:
         """One wire exchange: inject probe bytes at virtual time ``when``
         and, if the network answers, have ``engine`` call
         ``deliver(response_bytes, when)`` after the round trip.
 
+        Returns what it scheduled, ``(arrival time, response bytes)``, or
+        None when the network stays silent and nothing is scheduled.
         ``when`` may lie ahead of ``engine.now`` (a block of emissions
-        crafted in one event); a silent network schedules nothing.
+        crafted in one event).
         """
         response = self.probe(data, when)
-        if response is not None:
-            engine.schedule_at(
-                when + response.delay_us,
-                lambda data=response.data: deliver(data, when),
-            )
+        if response is None:
+            return None
+        arrival = when + response.delay_us
+        reply = response.data
+        engine.schedule_at(arrival, lambda: deliver(reply, when))
+        return arrival, reply
 
     def _deliver_lan(
         self,

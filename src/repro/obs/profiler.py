@@ -43,7 +43,7 @@ profiler test suite under ``pytest --detsan``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .wallclock import now
 
@@ -162,6 +162,17 @@ class WallProfiler:
         parent = self._stack[-1] if self._stack else -1
         entry = self._aggs.setdefault((parent, name), [0.0, 0.0])
         return _AggHandle(entry)
+
+    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+        """``call``, each call adding one interval to the ``name``
+        aggregate under the phase open now (see :meth:`agg`)."""
+        handle = self.agg(name)
+
+        def timed(*args: Any) -> Any:
+            with handle:
+                return call(*args)
+
+        return timed
 
     def add_bytes(self, count: int) -> None:
         """Attribute ``count`` payload bytes to the innermost open phase."""
@@ -355,6 +366,9 @@ class NullWallProfiler(WallProfiler):
 
     def agg(self, name: str) -> Any:
         return _NULL_HANDLE
+
+    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+        return call
 
     def add_bytes(self, count: int) -> None:
         pass

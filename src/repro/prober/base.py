@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from .encoding import ProbeTemplate
+from .encoding import PROTOCOLS, ProbeTemplate
 from .records import ProbeRecord, ResponseProcessor
 
 
@@ -26,9 +26,10 @@ class Prober:
     and ``protocol``; ``Config()`` is the default configuration) and
     supplies :attr:`exhausted`, :meth:`next_probe` and :meth:`receive`.
 
-    A config the probe's one-byte fields cannot carry is refused here,
-    at construction (``ValueError``), never mid-campaign by whichever
-    byte write trips first; subclasses check the fields they add.
+    A config the probe cannot carry (an ``instance`` past one byte, a
+    ``protocol`` with no template) is refused here, at construction
+    (``ValueError``), never mid-campaign by whichever emission trips
+    first; subclasses check the fields they add.
     """
 
     #: The subclass's config dataclass.
@@ -48,14 +49,22 @@ class Prober:
             raise ValueError("no targets")
         if not 0 <= self.config.instance <= 255:
             raise ValueError("instance must be in 0-255: %r" % self.config.instance)
+        if self.config.protocol not in PROTOCOLS:
+            raise ValueError(
+                "protocol must be one of %s: %r"
+                % (", ".join(sorted(PROTOCOLS)), self.config.protocol)
+            )
         #: Where a subclass registers its own instruments.
         self._registry = metrics if metrics is not None else NULL_REGISTRY
         self.processor = ResponseProcessor(self.config.instance, self._registry)
         self.sent = 0
         self._m_sent = self._registry.counter("prober.sent")
-        #: The one crafting path, built on first emission.
-        self._template: Optional[ProbeTemplate] = None
-        self._template_buffer: Optional[bytearray] = None
+        #: The one crafting path, and the one buffer every emission of
+        #: this prober is patched into.
+        self._template = ProbeTemplate(
+            source, instance=self.config.instance, protocol=self.config.protocol
+        )
+        self._template_buffer = self._template.new_buffer()
 
     # -- emission --------------------------------------------------------
     @property
@@ -68,26 +77,12 @@ class Prober:
         when there is nothing to send right now)."""
         raise NotImplementedError
 
-    def _ensure_template(self) -> Tuple[ProbeTemplate, bytearray]:
-        """The probe template and the one buffer every emission of this
-        prober is patched into, built lazily."""
-        if self._template is None:
-            self._template = ProbeTemplate(
-                self.source,
-                instance=self.config.instance,
-                protocol=self.config.protocol,
-            )
-            self._template_buffer = self._template.new_buffer()
-        buffer = self._template_buffer
-        assert buffer is not None
-        return self._template, buffer
-
     def _emit(self, target: int, ttl: int, now: int) -> bytes:
         """Count one emission and craft its packet."""
         self.sent += 1
         self._m_sent.inc()
-        template, buffer = self._ensure_template()
-        template.encode_into(buffer, target, ttl, now & 0xFFFFFFFF)
+        buffer = self._template_buffer
+        self._template.encode_into(buffer, target, ttl, now & 0xFFFFFFFF)
         return bytes(buffer)
 
     # -- reception -------------------------------------------------------

@@ -154,9 +154,9 @@ def run_campaign(  # repro-lint: program-root
     The campaign loop is a generator paced by :meth:`Engine.drive`: each
     resumption emits (one probe, or one block on the columnar path),
     hands the bytes to :meth:`Internet.exchange` — which schedules the
-    response — and yields the delay to its next emission; it returns
-    once the prober is exhausted, so the campaign's duration is its last
-    emission or response.  Nothing but the engine's heap refers to the
+    response and returns it — and yields the delay to its next emission;
+    it returns once the prober is exhausted, so the campaign's duration
+    is its last emission or response.  Nothing but the engine's heap refers to the
     suspended loop, so when this function returns the caller holds the
     only reference to ``internet``.
 
@@ -177,19 +177,24 @@ def run_campaign(  # repro-lint: program-root
     interfaces are bit-identical with telemetry on or off.
 
     ``batch`` sizes the **columnar fast path**: when the prober is a
-    Yarrp6 pure walk (no fill, no neighborhood skipping) and no tracer is
-    attached, the campaign crafts ``batch`` probes per resumption
-    through the batched pull loop (:meth:`Yarrp6.next_probes`) instead of
-    one per tick, reconstructing each response's probes-sent count
-    analytically from the pacing arithmetic.  The dump, records, curve,
-    interfaces, summary and duration are byte-identical to the per-event
-    path — pinned by ``tests/prober/test_batched_equivalence.py``.
-    ``batch=0`` forces the per-event reference path; ``None`` means
-    :data:`DEFAULT_BATCH`.
+    Yarrp6 walk, with or without fill mode (no neighborhood skipping),
+    and no tracer is attached, the campaign emits ``batch`` probes per
+    resumption through the batched pull loop (:meth:`Yarrp6.next_probes`)
+    instead of one per tick.  Fill mode's one reaction, a Time Exceeded
+    at TTL >= max TTL queueing TTL + 1, is worked out from what
+    :meth:`Internet.exchange` returns, so the fill joins the queue at the
+    slot the per-event loop's delivery would have queued it for.  Each
+    response's probes-sent count is reconstructed from the pacing
+    arithmetic.  The dump, records, curve, interfaces, summary (``fills``
+    and ``fills_unsent`` included) and duration are byte-identical to
+    the per-event path — pinned by
+    ``tests/prober/test_batched_equivalence.py``.  ``batch=0`` forces
+    the per-event reference path; ``None`` means :data:`DEFAULT_BATCH`.
 
     ``profiler`` attributes *host* time to ``campaign.setup`` /
     ``campaign.run`` phases, with per-block aggregates (``emit.craft``,
-    ``emit.inject``, ``recv.deliver``) on the columnar path.  Wall-clock
+    the pull loop crafting each probe and handing it to the wire, and
+    ``recv.deliver``) on the columnar path.  Wall-clock
     reporting only: it never selects a code path, so the probe bytes and
     records stay bit-identical with profiling on or off (unlike
     ``tracer``, it does not disable the columnar fast path).
@@ -274,59 +279,58 @@ def run_campaign(  # repro-lint: program-root
 
     # -- columnar fast path ---------------------------------------------
     # One engine event per *block* of emissions instead of one per probe:
-    # the pull loop crafts a whole block into a preallocated buffer, the
-    # internet sees probes at their exact logical send times (in emission
-    # order, so limiter and loss draws replay identically), and responses
-    # are scheduled at the same absolute virtual times with the same
-    # relative ordering the per-event loop produces.  Valid only for pure
-    # walks, where every emission time is known in advance.
+    # the pull loop crafts a run of probes into a preallocated buffer and
+    # hands each to the internet at its exact logical send time (in
+    # emission order, so limiter and loss draws replay identically);
+    # responses are scheduled at the same absolute virtual times with the
+    # same relative ordering the per-event loop produces, and their
+    # deliveries only record them.  A pure walk is the case where the
+    # fill range is empty.
     if (
         batch > 0
         and isinstance(machine, Yarrp6)
-        and machine.pure_walk
+        and machine.config.neighborhood_ttl is None
         and not trace.enabled
     ):
         walker = machine
-        total_walk = len(walker.schedule)
+        process = walker.processor.process
 
-        def deliver_batched(prof_deliver: Any, data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
-            with prof_deliver:
-                now = engine.now
-                # The per-event loop's live sent counter, reconstructed
-                # from the pacing arithmetic.
-                sent = emissions_before(
-                    now, now - send_time, pace_offset_us, interval,
-                    total_walk, interval,
-                )
-                record = walker.receive(data, now, sent=sent)
+        def deliver_batched(data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
+            now = engine.now
+            # The per-event loop's live sent counter, reconstructed from
+            # the pacing arithmetic; the pull loop runs ahead of the
+            # clock, so its own count caps it only once it has ended.
+            sent = emissions_before(
+                now, now - send_time, pace_offset_us, interval, walker.sent, interval
+            )
+            record = process(data, now, sent)
+            if track_discovery:
                 note_discovery(record)
 
         def block_tick() -> Iterator[int]:  # repro-lint: hot-loop
             # First resumed inside the open ``campaign.run`` phase, so the
-            # per-block aggregates nest under it.
-            prof_craft = prof.agg("emit.craft")
-            prof_inject = prof.agg("emit.inject")
-            deliver_block = partial(deliver_batched, prof.agg("recv.deliver"))
+            # per-block aggregates nest under it; a disabled profiler
+            # hands both calls back untouched.
+            pull = prof.wrap("emit.craft", walker.next_probes)
+            deliver = prof.wrap("recv.deliver", deliver_batched)
+            send = partial(internet.exchange, engine)
             while True:
                 start = engine.now
-                count = min(batch, total_walk - walker.sent)
-                with prof_craft:
-                    # An arithmetic progression, not a materialized list:
-                    # zero per-block allocation (PERF101) and next_probes
-                    # only ever indexes it.  interval >= 1 (pps_interval).
-                    times = range(start, start + count * interval, interval)
-                    emissions = walker.next_probes(times)
-                with prof_inject:
-                    for when, packet in emissions:
+                # An arithmetic progression, not a materialized list: zero
+                # per-block allocation (PERF101); next_probes only slices,
+                # iterates and bisects it.  interval >= 1 (pps_interval).
+                times = range(start, start + batch * interval, interval)
+                count = pull(times, send, deliver)
+                if track_discovery:
+                    for when in times[:count]:
                         sent_series.record(when)
-                        internet.exchange(engine, packet, when, deliver_block)
-                if walker.sent >= total_walk:
+                if walker.exhausted:
                     break
                 yield count * interval
-            if emissions and emissions[-1][0] > engine.now:
+            if count and times[count - 1] > engine.now:
                 # Land the clock on the final emission, as the per-event
                 # loop's last tick does (duration invariant).
-                yield emissions[-1][0] - engine.now
+                yield times[count - 1] - engine.now
 
         steps = block_tick()
     else:

@@ -18,14 +18,33 @@ Optional behaviours from the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
+from ..packet.icmpv6 import ERROR_PACKET, TYPE_TIME_EXCEEDED
+from ..packet.ipv6 import PROTO_ICMPV6, VERSION
 from .base import Prober
+from .encoding import DecodeError, decode_quotation
 from .permutation import ProbeSchedule
 from .records import ProbeRecord
+
+#: The IPv6 + ICMPv6 headers ahead of an error's quotation.
+_QUOTE_AT = ERROR_PACKET.size
+
+#: A run length no block reaches.
+_UNBOUNDED = 1 << 62
+
+#: A response's delivery callback, ``deliver(response bytes, send time)``.
+Deliver = Callable[[bytes, int], None]
+#: ``send(packet, when, deliver)`` hands one probe to the wire at its send
+#: time and returns the response it scheduled for ``deliver``, as
+#: ``(arrival time, response bytes)``, or None for silence:
+#: :meth:`repro.netsim.internet.Internet.exchange` with its engine bound.
+Send = Callable[[bytes, int, Deliver], Optional[Tuple[int, bytes]]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +107,14 @@ class Yarrp6(Prober):
         self._buffer: Deque[Tuple[int, int]] = deque()
         self._fetched = 0
         self._fill_queue: Deque[Tuple[int, int]] = deque()
+        #: Fills :meth:`next_probes` worked out from responses still in
+        #: flight: a heap of ``(arrival, exchange order, target, ttl)``,
+        #: the engine's delivery order.
+        self._in_flight: List[Tuple[int, int, int, int]] = []
+        #: How many slots :meth:`next_probes` crafts before sending any of
+        #: them: the shortest round trip, in slots, that has yet queued a
+        #: fill inside a run (unbounded for a pure walk, which never does).
+        self._lead = _UNBOUNDED
         self.fills = 0
         self.skipped = 0
         # Neighborhood state: per-TTL timestamp of the last new interface.
@@ -131,86 +158,196 @@ class Yarrp6(Prober):
 
     @property
     def pure_walk(self) -> bool:
-        """True when the emission stream is a pure permutation walk —
-        no fill probes and no neighborhood skipping — i.e. every probe's
-        position and send time are known in advance.  This is the
-        precondition for :meth:`next_probes` (and for the campaign
-        runner's columnar fast path)."""
-        return not self.config.fill and self.config.neighborhood_ttl is None
+        """True when the emission stream is a pure permutation walk — an
+        empty fill range (fill off, or a ceiling at or below max TTL) and
+        no neighborhood skipping — so no response changes it.  For
+        :meth:`next_probes` that is only the case needing no prediction:
+        fill mode runs there too, and neighborhood mode is the one stream
+        it refuses."""
+        return not self._fill_ttls and self._neighborhood_ttl is None
 
     # repro-lint: hot-loop
-    def next_probes(self, times: Sequence[int]) -> List[Tuple[int, bytes]]:  # repro-lint: program-root
-        """The batched pull loop: up to ``len(times)`` walk probes, the
-        k-th crafted for virtual send time ``times[k]``.
+    def next_probes(  # repro-lint: program-root
+        self, times: Sequence[int], send: Send, deliver: Deliver
+    ) -> int:
+        """The batched pull loop: emit up to ``len(times)`` probes, the
+        k-th at virtual send time ``times[k]`` (ascending), handing each
+        to ``send(packet, when, deliver)``.
 
-        Returns ``[(send_time, packet), ...]``, shorter than ``times``
-        only when the walk exhausts.  Packets are crafted into one
-        preallocated buffer via :class:`~repro.prober.encoding.
-        ProbeTemplate` with in-place field patching — byte-identical to
-        what :meth:`next_probe` would emit at the same virtual times, but
-        without per-probe byte assembly or per-probe schedule calls.
+        Returns how many it emitted: fewer than ``len(times)`` only when
+        the stream ends, right after the emission that leaves the prober
+        :attr:`exhausted` (as the per-event loop ends on it).  Packets are
+        patched into one preallocated buffer via :class:`~repro.prober.
+        encoding.ProbeTemplate`; the stream is byte-identical to
+        :meth:`next_probe` called at the same virtual times with
+        :meth:`receive` fed every response in engine order.
 
-        Only valid for pure walks (:attr:`pure_walk`): fill and
-        neighborhood modes react to responses, which would reorder the
-        stream mid-block.
+        That includes fill mode, whose one reaction is known at exchange
+        time: ``send`` returns the response and its arrival, so a Time
+        Exceeded that :meth:`receive` would answer with a fill is kept in
+        flight, keyed by engine order (arrival, then exchange order), and
+        joins the fill queue at the first slot at or after its arrival —
+        where delivery would have put it.  Neighborhood skipping reads
+        the clock of discovery, not of emission, and is refused.
+
+        Slots are crafted a run at a time, then sent, each step back to
+        back (5 % faster than alternating them per probe on the ledger's
+        walk).  A fill due inside the run it came from cuts the run
+        there: the slots from the cut on are put back, exactly as they
+        were taken, to be chosen again, and later runs are no longer
+        than the round trip that cut it.  A pure walk queues no fill, so
+        its run is the whole block.
         """
-        if not self.pure_walk:
-            raise ValueError(
-                "next_probes requires a pure walk (fill and neighborhood off)"
-            )
-        count = min(len(times), self._total - self._cursor)
-        if count <= 0:
-            return []
-        template, buffer = self._ensure_template()
-        targets = self.targets
-        buffered = len(self._buffer)
-        if buffered < count:
-            # Top the prefetch deque up to a full block, then consume
-            # pairs straight off it below — no intermediate pairs list
-            # (PERF101), same (target, ttl) stream in the same order.
-            fetch = count - buffered
-            self._buffer.extend(self.schedule.block(self._fetched, fetch))
+        if self._neighborhood_ttl is not None:
+            raise ValueError("next_probes cannot run neighborhood skipping")
+        total = self._total
+        walk = self._buffer
+        fetch = min(len(times), total - self._cursor) - len(walk)
+        if fetch > 0:
+            # Top the prefetch deque up to a block's worth of walk pairs,
+            # then consume pairs straight off it below — no intermediate
+            # pairs list (PERF101), same (target, ttl) stream in order.
+            walk.extend(self.schedule.block(self._fetched, fetch))
             self._fetched += fetch
-        self._cursor += count
-        out: List[Tuple[int, bytes]] = []
-        append = out.append
-        popleft = self._buffer.popleft
-        encode_into = template.encode_into
-        for position in range(count):
-            target_index, ttl = popleft()
-            when = times[position]
-            encode_into(buffer, targets[target_index], ttl, when & 0xFFFFFFFF)
-            append((when, bytes(buffer)))
-        self.sent += count
-        self._m_sent.inc(count)
-        return out
+        buffer = self._template_buffer
+        encode_into = self._template.encode_into
+        targets = self.targets
+        fill_queue = self._fill_queue
+        in_flight = self._in_flight
+        fill_ttls = self._fill_ttls
+        # The length of an error quoting a probe verbatim.
+        verbatim = _QUOTE_AT + len(buffer)
+        cursor = self._cursor
+        sent = self.sent
+        fills = 0
+        count = len(times)
+        position = 0
+        ended = False
+        while position < count and not ended:
+            # -- craft a run: (when, packet, target, ttl, walk pair or None)
+            crafted = []
+            # (run index, entry) of each fill released into the queue.
+            released = []
+            for when in times[position : min(count, position + self._lead)]:
+                while in_flight and in_flight[0][0] <= when:
+                    # Delivered before this slot's tick: every probe in
+                    # flight left at an earlier slot.
+                    entry = heappop(in_flight)
+                    released.append((len(crafted), entry))
+                    fill_queue.append(entry[2:])
+                if fill_queue:
+                    target, ttl = fill_queue.popleft()
+                    pair = None
+                elif cursor < total:
+                    pair = walk.popleft()
+                    target = targets[pair[0]]
+                    ttl = pair[1]
+                    cursor += 1
+                else:
+                    ended = True
+                    break
+                encode_into(buffer, target, ttl, when & 0xFFFFFFFF)
+                crafted.append((when, bytes(buffer), target, ttl, pair))
+                if cursor >= total and not fill_queue:
+                    ended = True
+                    break
+            # -- send it, up to the first slot a fill from it is due at
+            keep = len(crafted)
+            index = 0
+            while index < keep:
+                when, packet, target, ttl, pair = crafted[index]
+                index += 1
+                sent += 1
+                if pair is None:
+                    fills += 1
+                reply = send(packet, when, deliver)
+                # A response quoting the probe verbatim fills only if the
+                # probe's own TTL is in the fill range: no call for the rest.
+                if (
+                    reply is not None
+                    and fill_ttls
+                    and (
+                        ttl in fill_ttls
+                        or len(reply[1]) != verbatim
+                        or not reply[1].endswith(packet)
+                    )
+                ):
+                    fill = self._fill_for(reply[1], packet, target, ttl)
+                    if fill is not None:
+                        arrival = reply[0]
+                        heappush(in_flight, (arrival, sent, *fill))
+                        if arrival <= crafted[keep - 1][0]:
+                            due = bisect_left(
+                                times, arrival, position + index, position + keep
+                            ) - position
+                            self._lead = min(self._lead, due - index + 1)
+                            keep = due
+            # -- put back what was crafted past the cut, last slot first:
+            # its pick to the front it came from, then the fills released
+            # into the queue's back before it, into flight again.
+            if keep < len(crafted):
+                ended = False
+                for slot in range(len(crafted) - 1, keep - 1, -1):
+                    _, _, target, ttl, pair = crafted[slot]
+                    if pair is None:
+                        fill_queue.appendleft((target, ttl))
+                    else:
+                        walk.appendleft(pair)
+                        cursor -= 1
+                    while released and released[-1][0] == slot:
+                        heappush(in_flight, released.pop()[1])
+                        fill_queue.pop()
+            position += keep
+        emitted = sent - self.sent
+        self._cursor = cursor
+        self.sent = sent
+        self._m_sent.inc(emitted)
+        if fills:
+            self.fills += fills
+            self._m_fills.inc(fills)
+        return emitted
+
+    def _fill_for(
+        self, data: bytes, packet: bytes, target: int, ttl: int
+    ) -> Optional[Tuple[int, int]]:
+        """The fill :meth:`receive` will queue for response ``data`` to
+        ``packet``, the probe for (``target``, ``ttl``): None unless the
+        response is a Time Exceeded whose quoted TTL is in the fill
+        range.  A quotation that is the probe verbatim is not decoded
+        again; a mangled or truncated one is, as :meth:`receive` will."""
+        if (
+            len(data) < _QUOTE_AT
+            or data[0] >> 4 != VERSION
+            or data[6] != PROTO_ICMPV6
+            or data[40] != TYPE_TIME_EXCEEDED
+        ):
+            return None
+        if len(data) != _QUOTE_AT + len(packet) or not data.endswith(packet):
+            try:
+                decoded = decode_quotation(data[_QUOTE_AT:], self.config.instance)
+            except DecodeError:
+                return None
+            target, ttl = decoded.target, decoded.ttl
+        return (target, ttl + 1) if ttl in self._fill_ttls else None
 
     def _skip_neighborhood(self, ttl: int, now: int) -> bool:
-        """Whether ``ttl``, a TTL inside the neighborhood, has gone quiet."""
+        """Whether ``ttl``, a TTL inside the neighborhood, has gone quiet.
+        A TTL is never skipped before its first discovery."""
         last = self._last_new_at.get(ttl)
-        if last is None:
-            # Nothing seen yet at this TTL: keep probing until the first
-            # discovery or until the window elapses from campaign start.
-            return now > self.config.neighborhood_window_us and ttl in self._neighborhood_known
-        return now - last > self.config.neighborhood_window_us
+        return last is not None and now - last > self.config.neighborhood_window_us
 
     # -- reception -------------------------------------------------------
     # repro-lint: hot-loop
-    def receive(
-        self, data: bytes, now: int, sent: Optional[int] = None
-    ) -> Optional[ProbeRecord]:  # repro-lint: program-root
-        """Feed a response packet; may enqueue fill probes.
+    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:  # repro-lint: program-root
+        """Feed a response packet on the per-event path: record it, note
+        a neighborhood discovery, and queue the fill a Time Exceeded at
+        a TTL in the fill range asks for.
 
-        ``sent`` overrides the probes-sent count attributed to this
-        response (the discovery-curve x coordinate).  The batched
-        campaign loop crafts emissions ahead of the virtual clock, so it
-        passes the analytically reconstructed "probes sent when this
-        response arrived" — the same number the per-event loop's live
-        counter would hold.  Per-event callers leave it ``None``.
+        :meth:`next_probes` never needs this: it has already worked out
+        each response's fill, so the batched loop hands responses to
+        :attr:`processor` directly, which only records them.
         """
-        record = self.processor.process(
-            data, now, self.sent if sent is None else sent
-        )
+        record = self.processor.process(data, now, self.sent)
         if record is None:
             return None
         ttl = record.ttl
@@ -232,9 +369,11 @@ class Yarrp6(Prober):
         return {
             "sent": base.pop("sent"),
             "fills": self.fills,
-            # Fill probes a late Time Exceeded queued after the walk's
-            # last slot: the campaign ends before anything emits them.
-            "fills_unsent": len(self._fill_queue),
+            # Fill probes a late Time Exceeded asks for after the
+            # stream's last slot: queued by delivery on the per-event
+            # path, still in flight on the batched one; the campaign
+            # ends before anything emits them.
+            "fills_unsent": len(self._fill_queue) + len(self._in_flight),
             "skipped": self.skipped,
             **base,
             "decode_failures": self.processor.decode_failures,

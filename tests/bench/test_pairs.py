@@ -5,6 +5,7 @@ here are shaped like ledger runs (``probes_per_s`` around 35 k, ``wall_s``
 around 0.11 s) so each rule of choosing-metrics §8 is hit once.
 """
 
+import glob
 import json
 import os
 
@@ -296,3 +297,59 @@ def test_a_tree_id_is_its_python_sources(tmp_path):
     ids = [pairs.tree_id(tree) for tree in trees]
     assert ids[0] == ids[1] != ids[2]
     assert len(ids[0]) == 64
+
+
+class TestHistory:
+    """``--history``: the committed records as one trajectory, read from
+    disk; nothing is spawned."""
+
+    @staticmethod
+    def _side(median):
+        return {"median": median, "q1": median, "q3": median, "min": median, "max": median,
+                "runs": [median, median]}
+
+    def _write(self, directory, name, **rows):
+        document = {"seed": 2018, "commands": {}, "trees": {}, "operations": {}, **rows}
+        (directory / name).write_text(json.dumps(document))
+
+    def test_one_row_per_metric_of_each_file_in_pr_order(self, tmp_path, capsys, monkeypatch):
+        def spawned(*args, **kwargs):
+            raise AssertionError("--history ran a benchmark")
+
+        monkeypatch.setattr(pairs.subprocess, "check_output", spawned)
+        rows = [
+            {"workload": "yarrp6-fill", "metric": metric, "parent": self._side(parent),
+             "change": self._side(change), "ratio": change / parent, "won": 10, "pairs": 10,
+             "verdict": "claimed"}
+            for metric, parent, change in (("wall_s", 0.1, 0.08), ("probes_per_s", 41146, 51260))
+        ]
+        layers = [{"layer": "netsim.engine.events", "parent": self._side(3398),
+                   "change": self._side(3398), "ratio": 1.0}]
+        self._write(tmp_path, "PR_10.json", rows=rows)
+        self._write(tmp_path, "PR_9.json", layers=layers)
+        (tmp_path / "notes.json").write_text("not a record")
+        assert main(["--history", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == pairs.HISTORY_HEADER.splitlines()[0]
+        assert printed[2:] == [
+            "| PR_9.json | (per layer) | `netsim.engine.events` | 3398 | 3398 | 1.000 | – | – |",
+            "| PR_10.json | `yarrp6-fill` | `wall_s` | 0.1 | 0.08 | 0.800 | 10 / 10 | claimed |",
+            "| PR_10.json | `yarrp6-fill` | `probes_per_s` | 41146 | 51260 | 1.246 | 10 / 10 "
+            "| claimed |",
+        ]
+
+    def test_the_committed_records_read(self):
+        lines = pairs.history(pairs.HISTORY).splitlines()
+        paths = glob.glob(os.path.join(pairs.HISTORY, "PR_*.json"))
+        assert paths
+        expected = 0
+        for path in paths:
+            with open(path, encoding="utf-8") as source:
+                document = json.load(source)
+            expected += len(document.get("rows", [])) + len(document.get("layers", []))
+        assert len(lines) == 2 + expected
+
+    def test_trees_and_workload_are_required_without_it(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--workload", "yarrp6-walk"])
+        assert "required without --history" in capsys.readouterr().err

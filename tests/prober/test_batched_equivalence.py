@@ -10,20 +10,25 @@ the per-event implementation it replaces:
 * ``Yarrp6.next_probes`` (batched pull) vs ``next_probe`` (one at a
   time);
 * ``run_campaign(batch=N)`` (block emission, analytic sent-counter
-  reconstruction) vs ``run_campaign(batch=0)`` (the per-tick engine
-  loop).
+  reconstruction, fills released from what the exchange returned) vs
+  ``run_campaign(batch=0)`` (the per-tick engine loop, fills queued by
+  delivery), for pure walks and fill mode alike.
 
 This suite pins each claim differentially — same seeds, same worlds,
 both implementations, byte equality — including the block-boundary and
 final-partial-block edges where off-by-one bugs would live.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.prober.yarrp6 as yarrp6_module
 from repro.netsim import Internet, InternetConfig, build_internet, decoupled_dynamics
 from repro.obs import dump_to_json
+from repro.packet import icmpv6
 from repro.prober.campaign import DEFAULT_BATCH, run_campaign
 from repro.prober.encoding import (
     PROTOCOLS,
@@ -197,6 +202,19 @@ class TestTemplateEncoding:
         assert state.elapsed == elapsed
 
 
+def pull(prober, times):
+    """``prober.next_probes(times, send, deliver)`` on a silent network:
+    the ``(send_time, packet)`` pairs it handed to ``send``, in order."""
+    emitted = []
+
+    def send(packet, when, deliver):
+        emitted.append((when, packet))
+
+    count = prober.next_probes(times, send, None)
+    assert count == len(emitted)
+    return emitted
+
+
 class TestBatchedPullLoop:
     """next_probes == repeated next_probe at the same virtual times."""
 
@@ -231,7 +249,7 @@ class TestBatchedPullLoop:
         collected = []
         for chunk in chunks:
             times = [clock + 1000 * step for step in range(chunk)]
-            collected.extend(batched.next_probes(times))
+            collected.extend(pull(batched, times))
             clock += 1000 * chunk
         reference = self.walk_scalar(
             scalar, [1000 * step for step in range(sum(chunks))]
@@ -243,9 +261,9 @@ class TestBatchedPullLoop:
         targets = [TARGET, TARGET + 1]
         prober = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=3))
         total = len(prober.schedule)
-        emissions = prober.next_probes(list(range(0, 10 * (total + 5), 10)))
+        emissions = pull(prober, list(range(0, 10 * (total + 5), 10)))
         assert len(emissions) == total
-        assert prober.next_probes([0, 1, 2]) == []
+        assert pull(prober, [0, 1, 2]) == []
         assert prober.exhausted
 
     def test_mixing_scalar_and_batched_pulls(self):
@@ -264,27 +282,39 @@ class TestBatchedPullLoop:
                     stream.append((times[cursor], packet))
                     cursor += 1
             else:
-                got = mixed.next_probes(times[cursor : cursor + batch])
+                got = pull(mixed, times[cursor : cursor + batch])
                 stream.extend(got)
                 cursor += len(got)
         assert stream == self.walk_scalar(scalar, times)
 
-    def test_rejects_fill_mode(self):
-        prober = Yarrp6(SRC, [TARGET], Yarrp6Config(fill=True))
+    def test_a_silent_network_leaves_fill_mode_a_walk(self):
+        """With no response there is nothing to fill: a fill-mode pull
+        is the walk, and nothing is left in flight."""
+        targets = [TARGET + index for index in range(9)]
+        filling = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5, fill=True))
+        scalar = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5))
+        assert scalar.pure_walk and not filling.pure_walk
+        # A ceiling at or below max TTL leaves the fill range empty.
+        assert Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5, fill=True, fill_ceiling=5)).pure_walk
+        times = list(range(0, 50 * 100, 100))
+        assert pull(filling, times) == self.walk_scalar(scalar, times)
+        assert filling.summary()["fills"] == filling.summary()["fills_unsent"] == 0
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_rejects_neighborhood_mode(self, fill):
+        prober = Yarrp6(SRC, [TARGET], Yarrp6Config(neighborhood_ttl=4, fill=fill))
         assert not prober.pure_walk
-        with pytest.raises(ValueError):
-            prober.next_probes([0])
-
-    def test_rejects_neighborhood_mode(self):
-        prober = Yarrp6(SRC, [TARGET], Yarrp6Config(neighborhood_ttl=4))
-        assert not prober.pure_walk
-        with pytest.raises(ValueError):
-            prober.next_probes([0])
+        with pytest.raises(ValueError, match="neighborhood"):
+            prober.next_probes([0], lambda packet, when, deliver: None, None)
+        assert prober.sent == 0
 
 
-def run_pair(seed, pps, batch, n_targets=None, key=0xF00D, max_ttl=8):
+def run_pair(
+    seed, pps, batch, n_targets=None, key=0xF00D, max_ttl=8, offset=0, stride=1, **options
+):
     """One campaign through the reference path and one through the
-    columnar path, on identical worlds."""
+    columnar path, on identical worlds; ``options`` are further
+    ``Yarrp6Config`` fields (``fill``, ``fill_ceiling``)."""
     config, targets = tiny_world(seed)
     targets = list(targets if n_targets is None else targets[:n_targets])
     results = []
@@ -295,9 +325,11 @@ def run_pair(seed, pps, batch, n_targets=None, key=0xF00D, max_ttl=8):
                 "US-EDU-1",
                 targets,
                 pps=pps,
-                config=Yarrp6Config(max_ttl=max_ttl, key=key),
+                config=Yarrp6Config(max_ttl=max_ttl, key=key, **options),
                 metrics=MetricsRegistry(),
                 batch=batch_size,
+                pace_offset_us=offset,
+                pace_stride=stride,
             )
         )
     return results
@@ -388,8 +420,9 @@ class TestBatchedCampaignEquivalence:
         )
 
     def test_non_pure_walk_falls_back(self):
-        """Fill mode must take the reference path even when a batch size
-        is requested — and produce fill probes as usual."""
+        """Neighborhood mode must take the reference path even when a
+        batch size is requested — one engine event per probe, as at
+        ``batch=0`` — and skip probes as usual."""
         config, targets = tiny_world(7)
         results = []
         for batch in (0, DEFAULT_BATCH):
@@ -397,15 +430,22 @@ class TestBatchedCampaignEquivalence:
                 run_campaign(
                     Internet.from_config(config),
                     "US-EDU-1",
-                    list(targets[:20]),
+                    list(targets),
                     pps=1000.0,
-                    config=Yarrp6Config(max_ttl=4, fill=True, fill_ceiling=10),
+                    config=Yarrp6Config(
+                        max_ttl=6, neighborhood_ttl=3, neighborhood_window_us=20_000
+                    ),
+                    metrics=MetricsRegistry(),
                     batch=batch,
                 )
             )
         reference, fallback = results
-        assert dumps(fallback) == dumps(reference)
-        assert fallback.summary == reference.summary
+        assert reference.summary["skipped"] > 0
+        assert_equivalent(reference, fallback)
+        assert (
+            fallback.metrics["engine.events_fired"]["value"]
+            == reference.metrics["engine.events_fired"]["value"]
+        )
 
     def test_negative_batch_rejected(self):
         config, targets = tiny_world(7)
@@ -416,3 +456,198 @@ class TestBatchedCampaignEquivalence:
                 list(targets[:2]),
                 batch=-1,
             )
+
+
+class TestFillModeEquivalence:
+    """Fill mode on the columnar path: every fill predicted from what the
+    exchange returned joins the queue at the slot the per-event loop's
+    delivery would have queued it for, so the two paths emit the same
+    stream — fills, ``fills_unsent`` and all."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, DEFAULT_BATCH, 10**6])
+    def test_batch_sizes(self, batch):
+        reference, batched = run_pair(
+            seed=7, pps=1000.0, batch=batch, max_ttl=4, fill=True, fill_ceiling=12
+        )
+        assert reference.summary["fills"] > 100
+        assert reference.summary["fills_unsent"] > 0
+        assert_equivalent(reference, batched)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.sampled_from([7, 21, 5]),
+        pps=st.sampled_from([100.0, 1000.0, 3333.0, 20_000.0, 100_000.0]),
+        max_ttl=st.integers(min_value=1, max_value=10),
+        fill_ceiling=st.integers(min_value=1, max_value=20),
+        offset=st.integers(min_value=0, max_value=5000),
+        stride=st.integers(min_value=1, max_value=4),
+        batch=st.integers(min_value=1, max_value=300),
+        n_targets=st.integers(min_value=1, max_value=60),
+    )
+    def test_equivalence_property(
+        self, seed, pps, max_ttl, fill_ceiling, offset, stride, batch, n_targets
+    ):
+        reference, batched = run_pair(
+            seed=seed, pps=pps, batch=batch, n_targets=n_targets, max_ttl=max_ttl,
+            offset=offset, stride=stride, fill=True, fill_ceiling=fill_ceiling,
+        )
+        assert_equivalent(reference, batched)
+
+    @pytest.mark.parametrize("seed, mangling", [(5, "rewrite"), (3, "truncate")])
+    def test_a_mangled_quotation_is_decoded(self, seed, mangling, monkeypatch):
+        """A Time Exceeded from a ``rewrite`` or ``truncate`` router does
+        not quote the probe verbatim: the prediction decodes it, as
+        ``receive`` does, and a rewritten target's fill goes to the
+        rewritten address."""
+        decoded = []
+
+        def spy(quotation, instance=None):
+            try:
+                state = decode_quotation(quotation, instance)
+            except Exception:
+                decoded.append(None)
+                raise
+            decoded.append(state)
+            return state
+
+        monkeypatch.setattr(yarrp6_module, "decode_quotation", spy)
+        reference, batched = run_pair(
+            seed=seed, pps=1000.0, batch=DEFAULT_BATCH, max_ttl=4, fill=True, fill_ceiling=12
+        )
+        assert_equivalent(reference, batched)
+        if mangling == "rewrite":
+            assert any(state is not None and state.target_modified for state in decoded)
+        else:
+            assert None in decoded
+
+
+HOP = 0x20010DB8FFFF00000000000000000001
+
+
+class TestFillReleaseAgainstDelivery:
+    """``next_probes`` on a scripted network — each probe answered after
+    a chosen round trip, verbatim, rewritten, truncated or not at all —
+    emits what ``next_probe`` emits with ``receive`` fed every response
+    in engine order (arrival, then send order; a response arriving at a
+    slot's time before that slot's probe).  Round trips of a few slots
+    cut runs and put slots back, fills released into the queue included.
+    """
+
+    INTERVAL = 10
+
+    @staticmethod
+    def answer(packet, kind):
+        if kind == "silent":
+            return None
+        quote = packet
+        if kind == "rewrite":
+            quote = bytearray(packet)
+            quote[38] ^= 0x55
+            quote = bytes(quote)
+        elif kind == "truncate":
+            quote = packet[:48]
+        return icmpv6.error_packet(HOP, SRC, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, quote)
+
+    def per_event(self, prober, script):
+        """The reference: a tick every interval, deliveries first."""
+        emitted, pending, now = [], [], 0
+        while True:
+            while pending and pending[0][0] <= now:
+                arrival, _, data = heapq.heappop(pending)
+                prober.receive(data, arrival)
+            packet = prober.next_probe(now)
+            if packet is None:
+                break
+            rtt, kind = script(len(emitted))
+            data = self.answer(packet, kind)
+            if data is not None:
+                heapq.heappush(pending, (now + rtt, len(emitted), data))
+            emitted.append((now, packet))
+            if prober.exhausted:
+                break
+            now += self.INTERVAL
+        while pending:
+            arrival, _, data = heapq.heappop(pending)
+            prober.receive(data, arrival)
+        return emitted
+
+    def batched(self, prober, script, chunks):
+        emitted = []
+
+        def send(packet, when, deliver):
+            rtt, kind = script(len(emitted))
+            emitted.append((when, packet))
+            data = self.answer(packet, kind)
+            return None if data is None else (when + rtt, data)
+
+        now = 0
+        for round_ in range(10**6):
+            chunk = chunks[round_ % len(chunks)]
+            times = range(now, now + chunk * self.INTERVAL, self.INTERVAL)
+            count = prober.next_probes(times, send, None)
+            if prober.exhausted:
+                return emitted
+            assert count == chunk
+            now += count * self.INTERVAL
+        raise AssertionError("the stream never ended")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_targets=st.integers(min_value=1, max_value=12),
+        max_ttl=st.integers(min_value=1, max_value=6),
+        fill_ceiling=st.integers(min_value=1, max_value=12),
+        rtts=st.lists(st.integers(min_value=1, max_value=90), min_size=1, max_size=17),
+        kinds=st.lists(
+            st.sampled_from(["verbatim"] * 6 + ["rewrite", "truncate", "silent"]),
+            min_size=1,
+            max_size=13,
+        ),
+        chunks=st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=5),
+        key=st.integers(min_value=0, max_value=2**64),
+    )
+    def test_same_stream_fills_and_unsent(
+        self, n_targets, max_ttl, fill_ceiling, rtts, kinds, chunks, key
+    ):
+        def script(index):
+            return rtts[index % len(rtts)], kinds[index % len(kinds)]
+
+        targets = [TARGET + 7919 * index for index in range(n_targets)]
+        config = Yarrp6Config(max_ttl=max_ttl, fill=True, fill_ceiling=fill_ceiling, key=key)
+        reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
+        expected = self.per_event(reference, script)
+        assert self.batched(batched, script, chunks) == expected
+        assert batched.summary()["fills"] == reference.summary()["fills"]
+        assert batched.summary()["fills_unsent"] == reference.summary()["fills_unsent"]
+        assert batched.sent == reference.sent == len(expected)
+
+    def test_a_shorter_round_trip_cuts_a_run_holding_released_fills(self):
+        """Round trips of 4.5 slots cut the first run and set the run
+        length; probe 30's, of 1.1 slots, cuts a later run past a slot
+        that had taken a fill released from flight, so that fill goes
+        back into flight and is released again."""
+        targets = [TARGET + 7919 * index for index in range(6)]
+        config = Yarrp6Config(max_ttl=1, fill=True, fill_ceiling=9, key=5)
+
+        def script(index):
+            return (11 if index == 30 else 45), "verbatim"
+
+        reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
+        expected = self.per_event(reference, script)
+        assert self.batched(batched, script, [64]) == expected
+        assert reference.summary()["fills"] == batched.summary()["fills"] > 30
+        assert batched._lead == 2
+
+    def test_a_response_landing_on_a_slot_fills_that_slot(self):
+        """A round trip of exactly three slots: each fill is delivered at a
+        slot's own time, before that slot's probe, so it takes the slot."""
+        targets = [TARGET + 7919 * index for index in range(4)]
+        config = Yarrp6Config(max_ttl=1, fill=True, fill_ceiling=6, key=9)
+
+        def script(index):
+            return 3 * self.INTERVAL, "verbatim"
+
+        reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
+        expected = self.per_event(reference, script)
+        assert self.batched(batched, script, [256]) == expected
+        # Probe 0 (TTL 1) answers at slot 3, which sends its TTL-2 fill.
+        assert decode_quotation(expected[3][1]).ttl == 2

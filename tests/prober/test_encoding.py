@@ -16,7 +16,7 @@ from repro.addrs.address import MAX_ADDRESS
 from repro.netsim import Internet, InternetConfig
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.checksum import address_checksum, verify_transport_checksum
-from repro.prober import PROBERS, Prober, Yarrp6, Yarrp6Config, run_campaign
+from repro.prober import PROBERS, Yarrp6, Yarrp6Config, run_campaign
 from repro.prober import encoding as encoding_module
 from repro.prober.encoding import (
     DEST_PORT,
@@ -337,14 +337,21 @@ class TestOneCraftingPath:
             for stray in strays:
                 prober._emit(*stray)
 
+        def pull(times):
+            emitted = []
+            prober.next_probes(
+                times, lambda packet, now, deliver: emitted.append((now, packet)), None
+            )
+            return emitted
+
         dirty()
         times = [start, start + 3, start + 2**32]
-        assert prober.next_probes(times) == [
+        assert pull(times) == [
             (now, reference(position, now)) for position, now in enumerate(times)
         ]
         assert prober.next_probe(start + 9) == reference(3, start + 9)
         dirty()
-        assert prober.next_probes([start]) == [(start, reference(4, start))]
+        assert pull([start]) == [(start, reference(4, start))]
 
     @pytest.mark.parametrize(
         "kind, options",
@@ -390,9 +397,12 @@ class TestOneCraftingPath:
         assert "encode_probe" not in self.names_in(module)
 
     def test_the_template_is_the_base_classes(self):
-        """Yarrp6 keeps none of its own."""
-        assert not {"_template", "_template_buffer"} & self.names_in("yarrp6")
-        assert "_ensure_template" in vars(Prober) and "_ensure_template" not in vars(Yarrp6)
+        """Built once, when the prober is; Yarrp6 builds none of its own."""
+        assert "ProbeTemplate" not in self.names_in("yarrp6")
+        assert "ProbeTemplate" in self.names_in("base")
+        prober = Yarrp6(SRC, [parse("2a00::1")], Yarrp6Config(protocol="udp"))
+        assert prober._template.protocol == "udp"
+        assert isinstance(prober._template_buffer, bytearray)
 
 
 class TestGoldenVectors:

@@ -114,6 +114,9 @@ class TestConfigCheckedAtConstruction:
             ("yarrp6", Yarrp6Config(fill=True, fill_ceiling=300), "fill_ceiling"),
             ("yarrp6", Yarrp6Config(fill_ceiling=0), "fill_ceiling"),
             ("yarrp6", Yarrp6Config(max_ttl=300), "bad TTL range"),
+            ("yarrp6", Yarrp6Config(protocol="sctp"), "protocol"),
+            ("sequential", SequentialConfig(protocol="icmp"), "protocol"),
+            ("doubletree", DoubletreeConfig(protocol="UDP"), "protocol"),
         ],
     )
     def test_refused_in_one_line_naming_the_field(self, kind, config, field):
@@ -217,11 +220,13 @@ class TestFillMode:
         assert deepest_short <= 8 < deepest_filled
 
     def test_fills_queued_after_the_last_slot_are_counted(
-        self, net, host_targets, monkeypatch
+        self, built, host_targets, monkeypatch
     ):
         """The campaign ends at the first emission that leaves the prober
-        exhausted; a Time Exceeded still in flight then queues a fill
-        nothing will send.  ``fills_unsent`` says how many."""
+        exhausted; a Time Exceeded still in flight then asks for a fill
+        nothing will send — queued by its delivery on the per-event
+        path, kept in flight on the batched one.  ``fills_unsent`` says
+        how many, the same on both."""
         made = []
 
         class Kept(Yarrp6):
@@ -231,10 +236,19 @@ class TestFillMode:
 
         monkeypatch.setitem(PROBERS, "kept", Kept)
         config = Yarrp6Config(max_ttl=4, fill=True)
-        result = run_campaign(net, "US-EDU-1", host_targets, "kept", 2000, config)
-        (prober,) = made
-        assert result.summary["fills_unsent"] == len(prober._fill_queue) > 0
-        assert result.sent == len(host_targets) * 4 + result.summary["fills"]
+        per_event, batched = (
+            run_campaign(
+                Internet(built), "US-EDU-1", host_targets, "kept", 2000, config, batch=batch
+            )
+            for batch in (0, None)
+        )
+        queued, in_flight = made
+        assert per_event.summary["fills_unsent"] == len(queued._fill_queue) > 0
+        assert not queued._in_flight
+        assert batched.summary["fills_unsent"] == len(in_flight._in_flight)
+        assert not in_flight._fill_queue
+        assert batched.summary == per_event.summary
+        assert per_event.sent == len(host_targets) * 4 + per_event.summary["fills"]
 
     def test_a_pure_walk_leaves_no_fill_unsent(self, net, host_targets):
         result = run_yarrp6(net, "US-EDU-1", host_targets[:40], pps=500, max_ttl=8)
