@@ -36,6 +36,11 @@ class Prefix:
     def __setattr__(self, name, value):
         raise AttributeError("Prefix is immutable")
 
+    def __reduce__(self):
+        # Pickle rebuilds through the trusted constructor: the default
+        # protocol-2+ path would restore the slots with ``setattr``.
+        return (Prefix._aligned, (self.base, self.length))
+
     @classmethod
     def _aligned(cls, base: int, length: int) -> "Prefix":
         """``Prefix(base, length)`` for a base that is in range and has no

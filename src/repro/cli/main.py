@@ -41,6 +41,7 @@ from ..prober import (
     CampaignSpec,
     SuperviseConfig,
     Yarrp6Config,
+    contract,
     run_campaign,
     run_parallel,
     validate_spec,
@@ -203,6 +204,10 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     # parallel path would refuse, the serial path must not quietly run.
     validate_spec(spec, args.workers)
     validate_supervise(supervise)
+    label = contract(spec, args.workers)
+    if args.strict and label != "exact":
+        out.write("--strict: contract is %s, not exact\n" % label)
+        return 2
     if args.workers == 1:
         # A serial campaign runs no supervisor: refuse what it would ignore.
         for flag, used in (
@@ -258,13 +263,15 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     rows = save_campaign(args.out, result)
     out.write(
-        "%s from %s: %d probes, %d responses, %d interfaces; %d rows -> %s\n"
+        "%s from %s: %d probes, %d responses, %d interfaces; contract: %s; "
+        "%d rows -> %s\n"
         % (
             args.prober,
             args.vantage,
             result.sent,
             len(result.records),
             len(result.interfaces),
+            label,
             rows,
             args.out,
         )
@@ -298,6 +305,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
             world=dataclasses.asdict(world_config),
             records_file=args.out,
             workers=args.workers,
+            contract=label,
             wall_seconds=stopwatch.elapsed_seconds() if stopwatch else None,
             wall_profile=wall_profile,
             failures=failures,
@@ -502,6 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="split the campaign into N permutation shards run in parallel "
         "worker processes (yarrp6 only)",
+    )
+    probe.add_argument(
+        "--strict",
+        action="store_true",
+        help="refuse (exit 2) a run whose --workers result is not exactly "
+        "the single campaign's (contract other than 'exact')",
     )
     probe.add_argument(
         "--shard-timeout",

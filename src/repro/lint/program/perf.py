@@ -71,7 +71,7 @@ from .graph import ProgramGraph, Reach, reachable_from, witness_chain
 DEFAULT_HOT_ROOTS: FrozenSet[str] = frozenset(
     {
         "repro.prober.campaign.run_campaign.block_tick",
-        "repro.prober.campaign.run_campaign.deliver_batched",
+        "repro.prober.campaign.run_campaign.deliver_held",
         "repro.prober.permutation.KeyedPermutation.images",
         "repro.prober.permutation.KeyedPermutation.images_scalar",
         "repro.prober.encoding.ProbeTemplate.encode_into",

@@ -24,8 +24,11 @@ bit-identical to the tuple implementation; see
 
 **One pacing primitive.**  A driver loop is a generator handed to
 :meth:`Engine.drive`, which resumes it on the clock and re-arms it after
-each delay it yields.  No driver schedules itself: the responses are
-scheduled by ``Internet.exchange``, the resumptions here.
+each delay it yields.  No driver schedules itself: the resumptions are
+scheduled here and, on the per-event loops, the responses by
+``Internet.exchange``.  The columnar Yarrp6 loop schedules no response:
+it holds the replies ``Internet.answer`` returns and records them at
+its own resumptions, in this queue's (time, scheduling-order) order.
 """
 
 from __future__ import annotations

@@ -577,6 +577,16 @@ class Internet:
                 return self._deliver_lan(path, data, src, dst, next_header, now)
         return self._icmp_error(hop, msg_type, code, word, data, next_header, src, now)
 
+    def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
+        """Inject probe bytes at virtual time ``when`` and say what comes
+        back: ``(arrival time, response bytes)``, or None when the network
+        stays silent.  The one reader of a :class:`Response`'s round trip;
+        nothing is scheduled (see :meth:`exchange`)."""
+        response = self.probe(data, when)
+        if response is None:
+            return None
+        return when + response.delay_us, response.data
+
     def exchange(
         self,
         engine: Engine,
@@ -584,22 +594,19 @@ class Internet:
         when: int,
         deliver: Callable[[bytes, int], None],
     ) -> Optional[Tuple[int, bytes]]:
-        """One wire exchange: inject probe bytes at virtual time ``when``
-        and, if the network answers, have ``engine`` call
-        ``deliver(response_bytes, when)`` after the round trip.
+        """One wire exchange: :meth:`answer` the probe bytes sent at
+        virtual time ``when`` and, if the network answers, have ``engine``
+        call ``deliver(response_bytes, when)`` at the arrival time.
 
         Returns what it scheduled, ``(arrival time, response bytes)``, or
         None when the network stays silent and nothing is scheduled.
-        ``when`` may lie ahead of ``engine.now`` (a block of emissions
-        crafted in one event).
+        ``when`` may lie ahead of ``engine.now``.
         """
-        response = self.probe(data, when)
-        if response is None:
-            return None
-        arrival = when + response.delay_us
-        reply = response.data
-        engine.schedule_at(arrival, lambda: deliver(reply, when))
-        return arrival, reply
+        reply = self.answer(data, when)
+        if reply is not None:
+            arrival, response = reply
+            engine.schedule_at(arrival, lambda: deliver(response, when))
+        return reply
 
     def _deliver_lan(
         self,

@@ -42,6 +42,7 @@ def build_manifest(
     world: Optional[Dict[str, Any]] = None,
     records_file: Optional[str] = None,
     workers: int = 1,
+    contract: str = "exact",
     wall_seconds: Optional[float] = None,
     wall_profile: Optional[Dict[str, Any]] = None,
     failures: Optional[Dict[str, Any]] = None,
@@ -60,6 +61,7 @@ def build_manifest(
             "interfaces": len(result.interfaces),
             "duration_us": result.duration_us,
             "workers": workers,
+            "contract": contract,
         },
         "seed": seed,
         "summary": dict(result.summary),

@@ -24,6 +24,7 @@ from .encoding import (
 )
 from .parallel import (
     CampaignSpec,
+    contract,
     merge_results,
     run_parallel,
     run_shard,

@@ -3,14 +3,15 @@ against the virtual clock at a configured packet rate.
 
 This is the reproduction's equivalent of "run yarrp6 at 1kpps from
 EU-NET with the cdn-k32-z64 target list": it paces the prober's
-emissions, injects the packets, and delivers responses back after their
-simulated round-trip delay.
+emissions, injects the packets, and records the responses at their
+simulated arrival times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..netsim.engine import Engine, pps_interval
@@ -22,7 +23,7 @@ from .base import Prober
 from .doubletree import DoubletreeProber
 from .records import ProbeRecord
 from .traceroute import SequentialProber
-from .yarrp6 import Yarrp6
+from .yarrp6 import Held, Yarrp6
 
 
 @dataclass
@@ -152,13 +153,15 @@ def run_campaign(  # repro-lint: program-root
     same instance (the paper ran trials on separate days).
 
     The campaign loop is a generator paced by :meth:`Engine.drive`: each
-    resumption emits (one probe, or one block on the columnar path),
-    hands the bytes to :meth:`Internet.exchange` — which schedules the
-    response and returns it — and yields the delay to its next emission;
-    it returns once the prober is exhausted, so the campaign's duration
-    is its last emission or response.  Nothing but the engine's heap refers to the
-    suspended loop, so when this function returns the caller holds the
-    only reference to ``internet``.
+    resumption emits (one probe, or one block on the columnar path) and
+    yields the delay to its next emission.  The per-event loop hands
+    each probe to :meth:`Internet.exchange`, which schedules the
+    response's delivery; the columnar loop hands it to
+    :meth:`Internet.answer` and records the replies itself.  The loop
+    returns once the prober is exhausted, so the campaign's duration is
+    its last emission or response.  Nothing but the engine's heap refers
+    to the suspended loop, so when this function returns the caller
+    holds the only reference to ``internet``.
 
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
@@ -182,19 +185,24 @@ def run_campaign(  # repro-lint: program-root
     resumption through the batched pull loop (:meth:`Yarrp6.next_probes`)
     instead of one per tick.  Fill mode's one reaction, a Time Exceeded
     at TTL >= max TTL queueing TTL + 1, is worked out from what
-    :meth:`Internet.exchange` returns, so the fill joins the queue at the
-    slot the per-event loop's delivery would have queued it for.  Each
-    response's probes-sent count is reconstructed from the pacing
-    arithmetic.  The dump, records, curve, interfaces, summary (``fills``
-    and ``fills_unsent`` included) and duration are byte-identical to
-    the per-event path — pinned by
+    :meth:`Internet.answer` returns, so the fill joins the queue at the
+    slot the per-event loop's delivery would have queued it for.  No
+    response is scheduled on the engine: the loop holds each reply and,
+    at every resumption, first records those that arrived by then in
+    (arrival, exchange order) order — what the engine would have
+    delivered before that resumption — and the rest once the clock has
+    landed on the last arrival.  The engine fires one event per block
+    (plus that landing).  Each response's probes-sent count is
+    reconstructed from the pacing arithmetic.  The dump, records, curve,
+    interfaces, summary (``fills`` and ``fills_unsent`` included) and
+    duration are byte-identical to the per-event path — pinned by
     ``tests/prober/test_batched_equivalence.py``.  ``batch=0`` forces
     the per-event reference path; ``None`` means :data:`DEFAULT_BATCH`.
 
     ``profiler`` attributes *host* time to ``campaign.setup`` /
     ``campaign.run`` phases, with per-block aggregates (``emit.craft``,
     the pull loop crafting each probe and handing it to the wire, and
-    ``recv.deliver``) on the columnar path.  Wall-clock
+    ``recv.deliver``, recording the replies due) on the columnar path.  Wall-clock
     reporting only: it never selects a code path, so the probe bytes and
     records stay bit-identical with profiling on or off (unlike
     ``tracer``, it does not disable the columnar fast path).
@@ -233,15 +241,14 @@ def run_campaign(  # repro-lint: program-root
     track_discovery = registry.enabled
     discovered: Set[int] = set()
 
-    def note_discovery(record: Optional[ProbeRecord]) -> None:
+    def note_discovery(record: Optional[ProbeRecord], now: int) -> None:
         if (
-            track_discovery
-            and record is not None
+            record is not None
             and record.is_time_exceeded
             and record.hop not in discovered
         ):
             discovered.add(record.hop)
-            discovery_series.record(engine.now)
+            discovery_series.record(now)
 
     # -- per-event loop ---------------------------------------------------
     # One body for traced and untraced runs: the tracer is bound around
@@ -252,9 +259,10 @@ def run_campaign(  # repro-lint: program-root
     receive = trace.wrap("receive", machine.receive)
 
     def deliver(data: bytes, sent_at: int) -> None:
-        record = receive(data, engine.now)
+        now = engine.now
+        record = receive(data, now)
         if track_discovery:
-            note_discovery(record)
+            note_discovery(record, now)
 
     def emit_one(now: int) -> None:
         packet = emit(now)
@@ -281,11 +289,12 @@ def run_campaign(  # repro-lint: program-root
     # One engine event per *block* of emissions instead of one per probe:
     # the pull loop crafts a run of probes into a preallocated buffer and
     # hands each to the internet at its exact logical send time (in
-    # emission order, so limiter and loss draws replay identically);
-    # responses are scheduled at the same absolute virtual times with the
-    # same relative ordering the per-event loop produces, and their
-    # deliveries only record them.  A pure walk is the case where the
-    # fill range is empty.
+    # emission order, so limiter and loss draws replay identically).  The
+    # replies are held here, not scheduled: each resumption first records
+    # those that arrived by its time, in (arrival, exchange order) order —
+    # what the engine would have delivered before it, a tie included,
+    # since a reply always exists before the next resumption is armed.  A
+    # pure walk is the case where the fill range is empty.
     if (
         batch > 0
         and isinstance(machine, Yarrp6)
@@ -294,43 +303,55 @@ def run_campaign(  # repro-lint: program-root
     ):
         walker = machine
         process = walker.processor.process
+        held: List[Held] = []
 
-        def deliver_batched(data: bytes, send_time: int) -> None:  # repro-lint: hot-loop
-            now = engine.now
-            # The per-event loop's live sent counter, reconstructed from
-            # the pacing arithmetic; the pull loop runs ahead of the
-            # clock, so its own count caps it only once it has ended.
-            sent = emissions_before(
-                now, now - send_time, pace_offset_us, interval, walker.sent, interval
-            )
-            record = process(data, now, sent)
-            if track_discovery:
-                note_discovery(record)
+        def deliver_held(until: int) -> None:  # repro-lint: hot-loop
+            """Record every held reply arriving at or before ``until``."""
+            while held and held[0][0] <= until:
+                arrival, _, data, send_time = heappop(held)
+                # The per-event loop's live sent counter, reconstructed
+                # from the pacing arithmetic; the pull loop runs ahead of
+                # the clock, so its own count caps it only once it has
+                # ended.
+                sent = emissions_before(
+                    arrival, arrival - send_time, pace_offset_us, interval,
+                    walker.sent, interval,
+                )
+                record = process(data, arrival, sent)
+                if track_discovery:
+                    note_discovery(record, arrival)
 
         def block_tick() -> Iterator[int]:  # repro-lint: hot-loop
             # First resumed inside the open ``campaign.run`` phase, so the
             # per-block aggregates nest under it; a disabled profiler
             # hands both calls back untouched.
             pull = prof.wrap("emit.craft", walker.next_probes)
-            deliver = prof.wrap("recv.deliver", deliver_batched)
-            send = partial(internet.exchange, engine)
+            deliver = prof.wrap("recv.deliver", deliver_held)
+            answer = internet.answer
+            hold = partial(heappush, held)
             while True:
                 start = engine.now
+                deliver(start)
                 # An arithmetic progression, not a materialized list: zero
                 # per-block allocation (PERF101); next_probes only slices,
                 # iterates and bisects it.  interval >= 1 (pps_interval).
                 times = range(start, start + batch * interval, interval)
-                count = pull(times, send, deliver)
+                count = pull(times, answer, hold)
                 if track_discovery:
                     for when in times[:count]:
                         sent_series.record(when)
                 if walker.exhausted:
                     break
                 yield count * interval
-            if count and times[count - 1] > engine.now:
-                # Land the clock on the final emission, as the per-event
-                # loop's last tick does (duration invariant).
-                yield times[count - 1] - engine.now
+            # Land the clock where the per-event loop's engine stops: on
+            # the final emission or the last arrival, whichever is later
+            # (duration invariant), and record what is still held there.
+            end = times[count - 1] if count else start
+            for arrival, _, _, _ in held:
+                end = max(end, arrival)
+            if end > engine.now:
+                yield end - engine.now
+            deliver(end)
 
         steps = block_tick()
     else:

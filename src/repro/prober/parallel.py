@@ -59,7 +59,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..netsim.build import InternetConfig
+from ..netsim.build import InternetConfig, decoupled_dynamics
 from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet, check_vantage
 from ..obs.failures import FailureReport
@@ -171,6 +171,51 @@ def validate_spec(spec: CampaignSpec, shards: int) -> None:
         shards=shards,
     )
     pps_interval(spec.pps)
+
+
+#: The :class:`InternetConfig` fields :func:`decoupled_dynamics` sets to
+#: keep every ICMPv6 rate limiter from binding; every other field it sets
+#: drops responses at random.
+_LIMITER_FIELDS = frozenset(
+    {"core_limit_rate", "core_limit_burst", "edge_limit_rate", "edge_limit_burst", "vantages"}
+)
+
+
+def contract(spec: CampaignSpec, workers: int) -> str:
+    """What ``workers`` processes promise for ``spec``, read off the spec
+    alone: ``exact`` — the single campaign, bit for bit — or
+    ``N-instances (...)``, the union of N cooperating instances, naming
+    each reason it is not the single campaign:
+
+    * ``limiters``: a rate limiter can bind, and each shard drains only
+      its own copy of the buckets;
+    * ``loss``: responses are dropped at random, and each shard draws
+      from its own stream;
+    * ``fill`` / ``neighbourhood``: a response changes what its prober
+      sends next, and a shard sees only its own responses.
+    """
+    if workers == 1:
+        return "exact"
+    config = spec.prober_config()
+    decoupled = decoupled_dynamics(spec.internet)
+    coupled = {
+        item.name
+        for item in fields(decoupled)
+        if getattr(decoupled, item.name) != getattr(spec.internet, item.name)
+    }
+    causes = [
+        cause
+        for cause, applies in (
+            ("limiters", coupled & _LIMITER_FIELDS),
+            ("loss", coupled - _LIMITER_FIELDS),
+            ("fill", config.fill and config.fill_ceiling > config.max_ttl),
+            ("neighbourhood", config.neighborhood_ttl is not None),
+        )
+        if applies
+    ]
+    if not causes:
+        return "exact"
+    return "%d-instances (%s)" % (workers, "|".join(causes))
 
 
 #: This process's shared world: ``(config, world)``.  Set by

@@ -38,13 +38,15 @@ _QUOTE_AT = ERROR_PACKET.size
 #: A run length no block reaches.
 _UNBOUNDED = 1 << 62
 
-#: A response's delivery callback, ``deliver(response bytes, send time)``.
-Deliver = Callable[[bytes, int], None]
-#: ``send(packet, when, deliver)`` hands one probe to the wire at its send
-#: time and returns the response it scheduled for ``deliver``, as
-#: ``(arrival time, response bytes)``, or None for silence:
-#: :meth:`repro.netsim.internet.Internet.exchange` with its engine bound.
-Send = Callable[[bytes, int, Deliver], Optional[Tuple[int, bytes]]]
+#: ``answer(packet, when)`` hands one probe to the wire at its send time
+#: and returns what comes back, ``(arrival time, response bytes)``, or
+#: None for silence: :meth:`repro.netsim.internet.Internet.answer`.
+Answer = Callable[[bytes, int], Optional[Tuple[int, bytes]]]
+#: A reply held for recording, ``(arrival, exchange order, response
+#: bytes, send time)``: sorted as tuples, the engine's delivery order.
+Held = Tuple[int, int, bytes, int]
+#: ``hold(held)`` takes each reply :meth:`Yarrp6.next_probes` received.
+Hold = Callable[[Held], None]
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,15 @@ class Yarrp6(Prober):
 
     # repro-lint: hot-loop
     def next_probes(  # repro-lint: program-root
-        self, times: Sequence[int], send: Send, deliver: Deliver
+        self, times: Sequence[int], answer: Answer, hold: Hold
     ) -> int:
         """The batched pull loop: emit up to ``len(times)`` probes, the
         k-th at virtual send time ``times[k]`` (ascending), handing each
-        to ``send(packet, when, deliver)``.
+        to ``answer(packet, when)`` and each reply that comes back to
+        ``hold`` as ``(arrival, exchange order, response bytes, send
+        time)``; the exchange order is :attr:`sent` counting this probe.
+        Recording the held replies in tuple order is recording them in
+        the per-event loop's delivery order; the caller does that.
 
         Returns how many it emitted: fewer than ``len(times)`` only when
         the stream ends, right after the emission that leaves the prober
@@ -183,7 +189,7 @@ class Yarrp6(Prober):
         :meth:`receive` fed every response in engine order.
 
         That includes fill mode, whose one reaction is known at exchange
-        time: ``send`` returns the response and its arrival, so a Time
+        time: ``answer`` returns the response and its arrival, so a Time
         Exceeded that :meth:`receive` would answer with a fill is kept in
         flight, keyed by engine order (arrival, then exchange order), and
         joins the fill queue at the first slot at or after its arrival —
@@ -260,21 +266,18 @@ class Yarrp6(Prober):
                 sent += 1
                 if pair is None:
                     fills += 1
-                reply = send(packet, when, deliver)
+                reply = answer(packet, when)
+                if reply is None:
+                    continue
+                arrival, data = reply
+                hold((arrival, sent, data, when))
                 # A response quoting the probe verbatim fills only if the
                 # probe's own TTL is in the fill range: no call for the rest.
-                if (
-                    reply is not None
-                    and fill_ttls
-                    and (
-                        ttl in fill_ttls
-                        or len(reply[1]) != verbatim
-                        or not reply[1].endswith(packet)
-                    )
+                if fill_ttls and (
+                    ttl in fill_ttls or len(data) != verbatim or not data.endswith(packet)
                 ):
-                    fill = self._fill_for(reply[1], packet, target, ttl)
+                    fill = self._fill_for(data, packet, target, ttl)
                     if fill is not None:
-                        arrival = reply[0]
                         heappush(in_flight, (arrival, sent, *fill))
                         if arrival <= crafted[keep - 1][0]:
                             due = bisect_left(
@@ -344,8 +347,8 @@ class Yarrp6(Prober):
         a TTL in the fill range asks for.
 
         :meth:`next_probes` never needs this: it has already worked out
-        each response's fill, so the batched loop hands responses to
-        :attr:`processor` directly, which only records them.
+        each response's fill, so the batched loop hands the replies it
+        held to :attr:`processor` directly, which only records them.
         """
         record = self.processor.process(data, now, self.sent)
         if record is None:

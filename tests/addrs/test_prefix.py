@@ -1,5 +1,6 @@
 """Unit and property tests for repro.addrs.prefix."""
 
+import pickle
 import random
 
 import pytest
@@ -56,6 +57,17 @@ class TestConstruction:
         assert clone == prefix
         # Prefix hashes (base, length) ints — PYTHONHASHSEED-free.
         assert hash(clone) == hash(prefix)  # repro-lint: disable=DET001
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @given(prefix=prefixes)
+    def test_round_trip(self, protocol, prefix):
+        copy = pickle.loads(pickle.dumps(prefix, protocol))
+        assert type(copy) is Prefix
+        assert (copy.base, copy.length) == (prefix.base, prefix.length)
+        with pytest.raises(AttributeError, match="immutable"):
+            copy.length = 48
 
 
 class TestContainment:

@@ -15,7 +15,7 @@ from repro.cli.worldcfg import (
     load_config,
     save_config,
 )
-from repro.netsim import InternetConfig, VantageConfig
+from repro.netsim import InternetConfig, VantageConfig, decoupled_dynamics
 
 
 def run(argv):
@@ -654,6 +654,70 @@ class TestPipeline:
         assert code == 2
         # Refused before the file is loaded: no summary table, one line.
         assert text == "--subnets needs --world for ASN attribution\n"
+
+
+class TestContractLabel:
+    """``--workers N`` says what it returns: the summary line, the
+    manifest's ``run`` block and ``stats`` carry ``contract(spec, N)``,
+    and ``--strict`` refuses anything but ``exact``."""
+
+    def _targets(self, world_file, tmp_path):
+        seeds_path = str(tmp_path / "s")
+        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
+        targets_path = str(tmp_path / "t")
+        run(["targets", "--seeds", seeds_path, "--out", targets_path])
+        return targets_path
+
+    def test_the_smoke_world_prints_three_labels(self, world_file, tmp_path):
+        targets = self._targets(world_file, tmp_path)
+        labels = []
+        for workers in ("1", "2", "4"):
+            manifest = str(tmp_path / ("m%s.json" % workers))
+            code, text = run(
+                [
+                    "probe", "--world", world_file, "--targets", targets,
+                    "--vantage", "EU-NET", "--pps", "5000", "--workers", workers,
+                    "--out", str(tmp_path / ("w%s.yrp6" % workers)), "--metrics", manifest,
+                ]
+            )
+            assert code == 0, text
+            label = text.split("; contract: ", 1)[1].split("; ", 1)[0]
+            with open(manifest) as source:
+                assert json.load(source)["run"]["contract"] == label
+            code, stats = run(["stats", manifest])
+            assert code == 0
+            assert "contract" in stats and label in stats
+            labels.append(label)
+        assert labels == [
+            "exact",
+            "2-instances (limiters|loss)",
+            "4-instances (limiters|loss)",
+        ]
+
+    def test_strict_refuses_all_but_exact(self, world_file, tmp_path):
+        targets = self._targets(world_file, tmp_path)
+        out = tmp_path / "r.yrp6"
+        argv = ["probe", "--targets", targets, "--workers", "2", "--strict", "--out", str(out)]
+        code, text = run(argv + ["--world", world_file])
+        assert code == 2
+        assert text == "--strict: contract is 2-instances (limiters|loss), not exact\n"
+        assert not out.exists()
+        code, text = run(argv + ["--world", world_file, "--fill", "--workers", "1"])
+        assert code == 0, text
+        assert "; contract: exact; " in text
+
+        decoupled = str(tmp_path / "decoupled.json")
+        with open(decoupled, "w") as sink:
+            save_config(
+                sink,
+                decoupled_dynamics(InternetConfig(n_edge=30, cpe_customers_per_isp=150, seed=5)),
+            )
+        code, text = run(argv + ["--world", decoupled])
+        assert code == 0, text
+        assert "; contract: exact; " in text
+        code, text = run(argv + ["--world", decoupled, "--fill"])
+        assert code == 2
+        assert "2-instances (fill)" in text
 
 
 class TestNoGarbage:

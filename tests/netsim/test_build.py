@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import pickle
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,13 @@ import pytest
 
 from repro.addrs import classify_address, classify_set, IIDClass
 from repro.addrs.prefix import Prefix
-from repro.netsim import InternetConfig, VantageConfig, build_internet, decoupled_dynamics
+from repro.netsim import (
+    Internet,
+    InternetConfig,
+    VantageConfig,
+    build_internet,
+    decoupled_dynamics,
+)
 from repro.netsim import build
 from repro.netsim.topology import AddressPlan, RouterRole
 
@@ -447,3 +454,34 @@ class TestGroundTruthHelpers:
     def test_host_population_nonempty(self, small_built):
         hosts = small_built.truth.all_host_addresses()
         assert len(hosts) > 500
+
+
+class TestPickleRoundTrip:
+    """A built world survives pickle (so a spawn-started process can be
+    handed one instead of rebuilding it): the copy pickles to the same
+    bytes and a campaign on it dumps the same ``.yrp6``."""
+
+    #: The CLI smoke world: ``world --edge 30 --cpe 150 --seed 5``.
+    SMOKE = InternetConfig(n_edge=30, cpe_customers_per_isp=150, seed=5)
+
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        return build_internet(self.SMOKE)
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_the_smoke_world_round_trips(self, smoke, protocol):
+        data = pickle.dumps(smoke, protocol)
+        assert pickle.dumps(pickle.loads(data), protocol) == data
+
+    def test_a_campaign_on_the_copy_dumps_the_same_bytes(self, smoke):
+        from repro.prober import run_yarrp6
+        from repro.prober.output import dumps
+
+        targets = [subnet.prefix.base | 1 for subnet in smoke.truth.subnets.values()]
+        copy = pickle.loads(pickle.dumps(smoke))
+        original, copied = (
+            run_yarrp6(Internet(world), "EU-NET", targets[:60], pps=5000, fill=True)
+            for world in (smoke, copy)
+        )
+        assert original.records
+        assert dumps(copied) == dumps(original)

@@ -1,10 +1,12 @@
 """One wire exchange and one pacing loop, checked over the source tree.
 
-``Internet.exchange`` is the only code that reads a ``Response``'s
+``Internet.answer`` is the only code that reads a ``Response``'s
 ``delay_us``: a read anywhere else is a hand-written copy of the round
 trip.  ``Engine.drive`` is the only code that paces a driver on the
-virtual clock and ``Internet.exchange`` the only code that schedules a
-response: any other ``.schedule(`` / ``.schedule_at(`` call is a
+virtual clock and ``Internet.exchange`` (``answer`` plus one
+``schedule_at``) the only code that schedules a response; the columnar
+Yarrp6 loop schedules none, it records the replies ``answer`` returns
+itself.  Any other ``.schedule(`` / ``.schedule_at(`` call is a
 hand-written campaign loop (and, if it names itself, a reference cycle
 holding the world).  The paper benchmarks and the examples are held to
 the same line as the package.

@@ -202,15 +202,19 @@ class TestTemplateEncoding:
         assert state.elapsed == elapsed
 
 
+def silent_hold(held):
+    raise AssertionError("a silent network has no reply to hold: %r" % (held,))
+
+
 def pull(prober, times):
-    """``prober.next_probes(times, send, deliver)`` on a silent network:
-    the ``(send_time, packet)`` pairs it handed to ``send``, in order."""
+    """``prober.next_probes(times, answer, hold)`` on a silent network:
+    the ``(send_time, packet)`` pairs it handed to ``answer``, in order."""
     emitted = []
 
-    def send(packet, when, deliver):
+    def answer(packet, when):
         emitted.append((when, packet))
 
-    count = prober.next_probes(times, send, None)
+    count = prober.next_probes(times, answer, silent_hold)
     assert count == len(emitted)
     return emitted
 
@@ -305,7 +309,7 @@ class TestBatchedPullLoop:
         prober = Yarrp6(SRC, [TARGET], Yarrp6Config(neighborhood_ttl=4, fill=fill))
         assert not prober.pure_walk
         with pytest.raises(ValueError, match="neighborhood"):
-            prober.next_probes([0], lambda packet, when, deliver: None, None)
+            prober.next_probes([0], lambda packet, when: None, silent_hold)
         assert prober.sent == 0
 
 
@@ -409,15 +413,23 @@ class TestBatchedCampaignEquivalence:
         )
         assert_equivalent(reference, batched)
 
-    def test_batched_loop_fires_fewer_engine_events(self):
+    @pytest.mark.parametrize("batch", [1, 7, DEFAULT_BATCH])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_batched_loop_fires_fewer_engine_events(self, batch, fill):
         """The point of the columnar loop: one engine event per block,
-        not per probe.  Run-scoped engine counters must shrink while the
+        not per probe or per response.  The engine fires the block
+        resumptions, plus one landing step when the last arrival is
+        later than the last block's start — nothing else — while the
         merge-scoped telemetry (asserted elsewhere) stays identical."""
-        reference, batched = run_pair(seed=7, pps=1000.0, batch=DEFAULT_BATCH)
-        assert (
-            batched.metrics["engine.events_fired"]["value"]
-            < reference.metrics["engine.events_fired"]["value"]
+        reference, batched = run_pair(
+            seed=7, pps=1000.0, batch=batch, max_ttl=4, fill=fill, fill_ceiling=12
         )
+        blocks = -(-batched.sent // batch)
+        landing = batched.duration_us > (blocks - 1) * batch * 1000
+        fired = batched.metrics["engine.events_fired"]["value"]
+        assert fired == batched.metrics["engine.events_scheduled"]["value"]
+        assert fired == blocks + landing
+        assert fired < reference.metrics["engine.events_fired"]["value"]
 
     def test_non_pure_walk_falls_back(self):
         """Neighborhood mode must take the reference path even when a
@@ -549,11 +561,14 @@ class TestFillReleaseAgainstDelivery:
         return icmpv6.error_packet(HOP, SRC, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, quote)
 
     def per_event(self, prober, script):
-        """The reference: a tick every interval, deliveries first."""
-        emitted, pending, now = [], [], 0
+        """The reference: a tick every interval, deliveries first.
+        Returns what it emitted, ``(send time, packet)``, and what it
+        delivered, ``(arrival, response)``, each in order."""
+        emitted, pending, delivered, now = [], [], [], 0
         while True:
             while pending and pending[0][0] <= now:
                 arrival, _, data = heapq.heappop(pending)
+                delivered.append((arrival, data))
                 prober.receive(data, arrival)
             packet = prober.next_probe(now)
             if packet is None:
@@ -568,25 +583,35 @@ class TestFillReleaseAgainstDelivery:
             now += self.INTERVAL
         while pending:
             arrival, _, data = heapq.heappop(pending)
+            delivered.append((arrival, data))
             prober.receive(data, arrival)
-        return emitted
+        return emitted, delivered
 
     def batched(self, prober, script, chunks):
+        """``next_probes`` a chunk at a time: what it emitted, and the
+        replies it held, sorted, as ``(arrival, response)``."""
         emitted = []
 
-        def send(packet, when, deliver):
+        def answer(packet, when):
             rtt, kind = script(len(emitted))
             emitted.append((when, packet))
             data = self.answer(packet, kind)
             return None if data is None else (when + rtt, data)
 
+        def hold(entry):
+            # Held as it comes back, numbered by the sent count that
+            # includes its probe, with that probe's send time.
+            assert (entry[1], entry[3]) == (len(emitted), emitted[-1][0])
+            held.append(entry)
+
+        held = []
         now = 0
         for round_ in range(10**6):
             chunk = chunks[round_ % len(chunks)]
             times = range(now, now + chunk * self.INTERVAL, self.INTERVAL)
-            count = prober.next_probes(times, send, None)
+            count = prober.next_probes(times, answer, hold)
             if prober.exhausted:
-                return emitted
+                return emitted, [(arrival, data) for arrival, _, data, _ in sorted(held)]
             assert count == chunk
             now += count * self.INTERVAL
         raise AssertionError("the stream never ended")
@@ -614,8 +639,8 @@ class TestFillReleaseAgainstDelivery:
         targets = [TARGET + 7919 * index for index in range(n_targets)]
         config = Yarrp6Config(max_ttl=max_ttl, fill=True, fill_ceiling=fill_ceiling, key=key)
         reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
-        expected = self.per_event(reference, script)
-        assert self.batched(batched, script, chunks) == expected
+        expected, delivered = self.per_event(reference, script)
+        assert self.batched(batched, script, chunks) == (expected, delivered)
         assert batched.summary()["fills"] == reference.summary()["fills"]
         assert batched.summary()["fills_unsent"] == reference.summary()["fills_unsent"]
         assert batched.sent == reference.sent == len(expected)
@@ -632,8 +657,8 @@ class TestFillReleaseAgainstDelivery:
             return (11 if index == 30 else 45), "verbatim"
 
         reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
-        expected = self.per_event(reference, script)
-        assert self.batched(batched, script, [64]) == expected
+        expected, delivered = self.per_event(reference, script)
+        assert self.batched(batched, script, [64]) == (expected, delivered)
         assert reference.summary()["fills"] == batched.summary()["fills"] > 30
         assert batched._lead == 2
 
@@ -647,7 +672,7 @@ class TestFillReleaseAgainstDelivery:
             return 3 * self.INTERVAL, "verbatim"
 
         reference, batched = Yarrp6(SRC, targets, config), Yarrp6(SRC, targets, config)
-        expected = self.per_event(reference, script)
-        assert self.batched(batched, script, [256]) == expected
+        expected, delivered = self.per_event(reference, script)
+        assert self.batched(batched, script, [256]) == (expected, delivered)
         # Probe 0 (TTL 1) answers at slot 3, which sends its TTL-2 fill.
         assert decode_quotation(expected[3][1]).ttl == 2

@@ -339,9 +339,7 @@ class TestOneCraftingPath:
 
         def pull(times):
             emitted = []
-            prober.next_probes(
-                times, lambda packet, now, deliver: emitted.append((now, packet)), None
-            )
+            prober.next_probes(times, lambda packet, now: emitted.append((now, packet)), None)
             return emitted
 
         dirty()

@@ -22,6 +22,7 @@ from repro.prober import (
     CampaignSpec,
     ShardFailure,
     Yarrp6Config,
+    contract,
     run_parallel,
     run_single,
 )
@@ -160,6 +161,71 @@ class TestMergeEqualsSingleProcess:
         assert merged.name == "US-EDU-1/yarrp6"
         assert merged.targets == 10
         assert merged.pps == spec.pps
+
+
+class TestContract:
+    """``contract(spec, workers)``: ``exact`` exactly where the merge is
+    the single campaign, otherwise the N-instances label naming why."""
+
+    DEFAULT = InternetConfig(n_edge=6, cpe_customers_per_isp=12, seed=3)
+
+    def spec(self, internet, **config):
+        return CampaignSpec(internet, "EU-NET", (1, 2), config=Yarrp6Config(**config))
+
+    def test_one_worker_is_exact_whatever_the_spec(self):
+        spec = self.spec(self.DEFAULT, fill=True, neighborhood_ttl=3)
+        assert contract(spec, 1) == "exact"
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_decoupled_pure_walk_is_exact(self, workers):
+        decoupled = decoupled_dynamics(self.DEFAULT)
+        assert contract(self.spec(decoupled), workers) == "exact"
+        # A fill range that is empty keeps the walk pure.
+        assert contract(self.spec(decoupled, fill=True, fill_ceiling=16), workers) == "exact"
+
+    @pytest.mark.parametrize(
+        "internet, config, label",
+        [
+            ("default", {}, "2-instances (limiters|loss)"),
+            ("default", {"fill": True}, "2-instances (limiters|loss|fill)"),
+            ("decoupled", {"fill": True}, "2-instances (fill)"),
+            ("decoupled", {"neighborhood_ttl": 3}, "2-instances (neighbourhood)"),
+            (
+                "default",
+                {"fill": True, "neighborhood_ttl": 3},
+                "2-instances (limiters|loss|fill|neighbourhood)",
+            ),
+        ],
+    )
+    def test_each_cause_is_named(self, internet, config, label):
+        world = self.DEFAULT if internet == "default" else decoupled_dynamics(self.DEFAULT)
+        assert contract(self.spec(world, **config), 2) == label
+
+    def test_every_coupling_decoupled_dynamics_removes_is_a_cause(self):
+        """Undo one field of ``decoupled_dynamics`` at a time: each makes
+        the run non-exact, as a limiter or as a loss."""
+        decoupled = decoupled_dynamics(self.DEFAULT)
+        changed = [
+            name
+            for name in vars(decoupled)
+            if getattr(decoupled, name) != getattr(self.DEFAULT, name)
+        ]
+        assert len(changed) >= 10
+        labels = {
+            name: contract(
+                self.spec(replace(decoupled, **{name: getattr(self.DEFAULT, name)})), 3
+            )
+            for name in changed
+        }
+        assert labels["response_loss"] == "3-instances (loss)"
+        assert labels["core_limit_rate"] == labels["vantages"] == "3-instances (limiters)"
+        assert set(labels.values()) == {"3-instances (loss)", "3-instances (limiters)"}
+
+    def test_an_exact_label_is_the_single_campaign(self):
+        config, targets = small_world(7)
+        spec = CampaignSpec(config, "US-EDU-1", targets[:12], pps=2000.0)
+        assert contract(spec, 3) == "exact"
+        assert_identical(run_parallel(spec, shards=3, processes=1), run_single(spec))
 
 
 class TestValidation:

@@ -1,8 +1,15 @@
 """Tests for the synthetic seed sources (Table 1/Table 2 machinery)."""
 
+import io
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.addrs import IIDClass
+from repro.cli.main import main
+from repro.cli.worldcfg import save_config
 from repro.netsim import InternetConfig, build_internet
 from repro.netsim.topology import RouterRole
 from repro.seeds import (
@@ -231,3 +238,27 @@ class TestSourceTable:
         )
         assert alone.name == name
         assert alone.items == all_seeds[name].items
+
+    @pytest.mark.parametrize("name", ["dnsdb", "6gen"])
+    def test_row_alone_in_a_fresh_interpreter(self, tmp_path, name):
+        """``seeds --source NAME`` in a process no other row has run in
+        writes what it writes after all nine ran in this one.  The twin
+        above builds its row after the others in one process, so a row
+        that borrows what another left behind (a module global an
+        earlier row filled) passes it; here nothing ran earlier."""
+        world = str(tmp_path / "world.json")
+        with open(world, "w") as sink:
+            save_config(sink, InternetConfig(n_edge=30, cpe_customers_per_isp=150, seed=5))
+        argv = ["seeds", "--world", world, "--source", name, "--out"]
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", *argv, str(tmp_path / "fresh")],
+            check=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        build_all_seeds(build_internet(InternetConfig(n_edge=8, seed=5)), random_count=10)
+        assert main(argv + [str(tmp_path / "among")], out=io.StringIO()) == 0
+        fresh = (tmp_path / "fresh").read_text()
+        assert fresh.strip()
+        assert fresh == (tmp_path / "among").read_text()
