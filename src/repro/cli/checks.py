@@ -104,6 +104,8 @@ class Check(NamedTuple):
 CHECKS = {
     "detsan": Check(
         _check_detsan,
+        single_worker="a tripwire hit inside a worker process never "
+        "reaches this one's reports",
         needs_hash_seed="hash randomization is per-process nondeterminism",
     ),
     "allocsan": Check(

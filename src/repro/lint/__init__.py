@@ -22,7 +22,16 @@ DET002    iteration over ``set``/``frozenset`` values in order-
           outside ``sorted(...)`` or a ``# lint: ordered`` annotation
 DET003    worker-boundary dataclasses (``CampaignSpec`` &c.) carrying
           field types outside the declared picklable set
+PERF101   per-iteration allocation in the hot region (functions
+          reachable from a ``# repro-lint: hot-loop`` root)
+PERF102   superlinear accumulation in the hot region
+PERF103   numpy<->Python scalar churn in the hot region
+LNT001    an unused or unknown ``# repro-lint: disable=`` suppression
 ========  ============================================================
+
+The PERF rows are the whole-program half (:mod:`repro.lint.program`);
+what a static rule cannot see at runtime the sanitizers check
+(:mod:`.detsan`, :mod:`.allocsan`, :mod:`.faultsan`).
 
 Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.

@@ -33,7 +33,7 @@ banned even in that module.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core import Program, Violation
 from ..index import resolve_call_target
@@ -94,44 +94,35 @@ WALLCLOCK_EXEMPT_MODULES = frozenset({"repro.obs.wallclock"})
 BANNED_PREFIXES = ("secrets.",)
 
 
-def verdict(target: str, call: ast.Call, module: str) -> Optional[Tuple[str, str]]:
-    """The one judgement of a resolved call target: ``(label, message)``
-    when it is a banned source, else None.  ``label`` is how DET101 and
-    RNG101 name the source in a witness chain; ``message`` is DET001's
-    finding."""
+def verdict(target: str, call: ast.Call, module: str) -> Optional[str]:
+    """The one judgement of a resolved call target: DET001's finding
+    when it is a banned source, else None."""
     if target == "hash":
         return (
-            "hash [PYTHONHASHSEED]",
             "builtin hash() is PYTHONHASHSEED-dependent on str/bytes; "
             "use a keyed/stable hash (e.g. repro's address_checksum or "
-            "struct-packed digests) instead",
+            "struct-packed digests) instead"
         )
     if target in WALLCLOCK_CALLS and module in WALLCLOCK_EXEMPT_MODULES:
         return None
     if target in BANNED_CALLS:
         return (
-            target,
             "call to nondeterministic %s(); simulation code must use "
-            "the virtual clock / seeded RNG streams" % target,
+            "the virtual clock / seeded RNG streams" % target
         )
     if target.startswith(BANNED_PREFIXES):
-        return (
-            target,
-            "call into %s — the secrets module is OS-entropy by design" % target,
-        )
+        return "call into %s — the secrets module is OS-entropy by design" % target
     if target == "random.Random":  # the sanctioned replacement, when seeded
         if call.args or call.keywords:
             return None
         return (
-            "random.Random [unseeded]",
             "random.Random() without a seed self-seeds from the OS; "
-            "pass an explicit seed",
+            "pass an explicit seed"
         )
     if target.startswith("random."):
         return (
-            target,
             "module-level %s() draws from the hidden global RNG; "
-            "thread a seeded random.Random instance instead" % target,
+            "thread a seeded random.Random instance instead" % target
         )
     return None
 
@@ -143,5 +134,5 @@ def check(program: Program) -> List[Violation]:
             target = resolve_call_target(site.node.func, file.index.origins)
             found = target and verdict(target, site.node, file.module)
             if found:
-                violations.append(Violation.at(RULE, file.path, site.node, found[1]))
+                violations.append(Violation.at(RULE, file.path, site.node, found))
     return violations

@@ -5,7 +5,7 @@ Usage::
     repro-lint src/                      # file rules + whole-program pass
     repro-lint --format json src/ > v.json
     repro-lint --format sarif src/ > lint.sarif
-    repro-lint --select DET101,RNG101 src/repro
+    repro-lint --select PERF101,PERF102,PERF103 src/repro
     repro-lint --exclude tests/lint/fixtures tests/ benchmarks/
     repro-lint --list-checkers
 

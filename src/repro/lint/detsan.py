@@ -1,7 +1,9 @@
 """DetSan — the runtime determinism sanitizer.
 
-The static rules (DET001/DET101/RNG101) prove what the *parsed* program
-can reach; DetSan checks what the *running* program actually touches.
+The static rule DET001 finds the banned calls the *parsed* program
+spells out; DetSan checks what the *running* program actually touches,
+including a read two calls away through a callable the source never
+names.
 Inside a ``DetSan`` region every banned nondeterminism source —
 wall-clock reads, the module-level ``random`` API, ``os.urandom``,
 ``uuid.uuid1/uuid4``, ``secrets`` — is patched to a tripwire that
@@ -22,7 +24,10 @@ real functions.  Two standing exemptions mirror the static rules:
 
 ``mode="record"`` logs instead of raising — the ``probe --detsan`` flag
 uses it to run a full campaign under instrumentation and then verify
-the dump is byte-identical to a clean rerun.
+the dump is byte-identical to a clean rerun.  The reports live in the
+process that entered the region: a tripwire hit inside a shard process
+never reaches it, which is why ``probe --detsan`` runs at ``--workers 1``
+only.
 
 Patches go on one LIFO stack: each remembers what ``module.name`` was
 and the exit puts them back newest first, so regions nest and a failed

@@ -11,9 +11,9 @@ rules used to rediscover with their own walkers:
   the loop variables in force (:class:`Site`);
 * its **bindings** — every ``name = ...`` / ``self.x = ...`` / ``+=`` /
   annotated assignment / loop target, in source order, which each
-  consumer filters for the question it asks ("assigned exactly once?",
-  "ever initialised from a list?", "holds a numpy array?");
-* its parameters, qualified name, enclosing class and enclosing frame
+  consumer filters for the question it asks ("ever initialised from a
+  list?", "holds a numpy array?");
+* its qualified name, enclosing class and enclosing frame
   (the nearest ``def`` or the module — a class body shares its frame's
   name table as far as DET002 is concerned).
 
@@ -34,9 +34,9 @@ import re
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional
 
-#: ``# repro-lint: program-root`` / ``hot-loop`` on a ``def``,
-#: ``worker-boundary`` on a ``class``: on the line itself or the one above.
-MARKER = re.compile(r"#\s*repro-lint:\s*(program-root|hot-loop|worker-boundary)\b")
+#: ``# repro-lint: hot-loop`` on a ``def``, ``worker-boundary`` on a
+#: ``class``: on the line itself or the one above.
+MARKER = re.compile(r"#\s*repro-lint:\s*(hot-loop|worker-boundary)\b")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _NO_VARS: FrozenSet[str] = frozenset()
@@ -81,10 +81,6 @@ class Scope:
         self.cls: Optional[Scope] = self if self.is_class else parent and parent.cls
         #: nearest enclosing def or the module (itself unless a class)
         self.frame: Scope = parent.frame if self.is_class and parent else self
-        self.params: List[ast.arg] = []
-        if is_function:
-            args = node.args
-            self.params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
         self.own: List[Site] = []
         self.bindings: List[Binding] = []
         self.children: List[Scope] = []

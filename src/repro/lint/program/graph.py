@@ -1,8 +1,8 @@
 """Module-import and function-call graph over extracted file facts.
 
 Nodes are fully-qualified function names (``module.qpath``, e.g.
-``repro.netsim.engine.Engine.run``).  Edges come from three resolution
-strategies, applied in order per call site:
+``repro.prober.yarrp6.Yarrp6.next_probes``).  Edges come from three
+resolution strategies, applied in order per call site:
 
 1. **Lexical / module scope** — a bare name resolves nested-scope-first
    inside its own module (``tick`` inside ``run_campaign`` resolves to
@@ -14,51 +14,31 @@ strategies, applied in order per call site:
 3. **CHA by method name** — an attribute call on an unknown receiver
    (``prober.next_probe(...)``) conservatively edges to *every* program
    method of that name, the classic class-hierarchy-analysis
-   over-approximation.  Sound for DET101 (impurity may only be
-   over-reported, never missed), and precise enough in practice because
-   the repro tree keeps method names distinctive.
+   over-approximation.  Sound for the PERF rules (the hot region may
+   only be over-reported, never missed), and precise enough in practice
+   because the repro tree keeps method names distinctive.
 
 Reference edges (names passed as call arguments, like ``deliver`` in
 ``internet.exchange(engine, packet, now, deliver)``) use the same
-resolution and are treated as call edges: if the callback is impure, its
-registrar is.  A driver loop is a generator ``run_campaign`` calls by
-name (``tick()``) and hands to ``Engine.drive``, so its body hangs off
-its caller by an ordinary call edge.
+resolution and are followed like call edges.  A driver loop is a
+generator ``run_campaign`` calls by name (``tick()``) and hands to
+``Engine.drive``, so its body hangs off its caller by an ordinary call
+edge.  What the graph cannot follow is a bound method held in a local
+(``answer = internet.answer`` handed to ``next_probes``): such a callee
+is a hot root by its own ``# repro-lint: hot-loop`` marker.
 
-The graph also owns the one forward reachability every reachability
-rule shares (:func:`reachable_from`, optionally stopping at the **build
-cut**) and the one witness-chain builder (:func:`witness_chain`).
+The graph also owns the one forward reachability (:func:`reachable_from`,
+which stops at the **build cut**) and the one witness-chain builder
+(:func:`witness_chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - facts -> perf -> graph at import time
     from .facts import FileFacts, FunctionFact
-
-#: Shard-worker entry points: everything a worker process executes is
-#: reachable from these.  An attempt process's target receives the spec
-#: inside its job and reaches ``run_shard`` through ``ShardJob.run`` — an
-#: indirect call the graph cannot follow — so it is listed itself.
-WORKER_ROOTS = (
-    "repro.prober.parallel.run_shard",
-    "repro.prober.parallel.run_single",
-    "repro.prober.supervise._attempt_process",
-)
-
-#: Entry points that are always reachability roots, even without a
-#: ``# repro-lint: program-root`` comment (belt and braces: the comment
-#: lives in the source, this list survives comment refactors).
-DEFAULT_ROOTS = frozenset(
-    {
-        "repro.netsim.engine.Engine.run",
-        "repro.netsim.engine.Engine.step",
-        "repro.prober.campaign.run_campaign",
-        *WORKER_ROOTS,
-    }
-)
 
 #: The build cut: code reached only through these is world
 #: *construction*, not mid-run behaviour.
@@ -75,7 +55,6 @@ class Edge:
     src: str
     dst: str
     line: int
-    kind: str  # "call" | "ref"
 
 
 @dataclass
@@ -90,28 +69,10 @@ class ProgramGraph:
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: src full name -> outgoing edges, deterministic order
     edges: Dict[str, List[Edge]] = field(default_factory=dict)
-    #: module -> path (for cross-file messages)
-    module_paths: Dict[str, str] = field(default_factory=dict)
 
     @property
     def edge_count(self) -> int:
         return sum(len(edges) for edges in self.edges.values())
-
-    def roots(self) -> List[str]:
-        found = [
-            full
-            for full, (fact, _, _) in self.nodes.items()
-            if fact.root or full in DEFAULT_ROOTS
-        ]
-        return sorted(found)
-
-    def callers_of(self, full: str) -> List[Edge]:
-        found = []
-        for edges in self.edges.values():
-            for edge in edges:
-                if edge.dst == full and edge.kind == "call":
-                    found.append(edge)
-        return found
 
     def display(self, full: str) -> str:
         """Short human name: last module segment + qualified path."""
@@ -135,11 +96,9 @@ def is_cut(graph: ProgramGraph, full: str) -> bool:
     return fact.qname.rsplit(".", 1)[-1] in BUILD_CUT_NAMES
 
 
-def reachable_from(
-    graph: ProgramGraph, roots: Iterable[str], cut: bool
-) -> Dict[str, Reach]:
-    """Forward BFS from the roots present in the graph; with ``cut`` it
-    never follows an edge into the build cut (edges into
+def reachable_from(graph: ProgramGraph, roots: Iterable[str]) -> Dict[str, Reach]:
+    """Forward BFS from the roots present in the graph that never
+    follows an edge into the build cut (edges into
     ``repro.netsim.build`` or into constructors — ``__init__`` /
     ``__post_init__`` / ``from_config`` / ``build_internet``).  A function
     belongs to the first root, in sorted order, that reaches it.
@@ -154,26 +113,22 @@ def reachable_from(
         while queue:
             current = queue.pop(0)
             for edge in graph.edges.get(current, ()):
-                if edge.dst in reached or (cut and is_cut(graph, edge.dst)):
+                if edge.dst in reached or is_cut(graph, edge.dst):
                     continue
                 reached[edge.dst] = Reach(root=root, parent=current)
                 queue.append(edge.dst)
     return reached
 
 
-def witness_chain(
-    graph: ProgramGraph, start: str, link: Callable[[str], Optional[str]]
-) -> List[str]:
-    """Display names from ``start`` along ``link(current) -> next`` until
-    it returns None (or revisits a function)."""
+def witness_chain(graph: ProgramGraph, reached: Dict[str, Reach], full: str) -> str:
+    """The call chain from ``full``'s root down to ``full``, in display
+    names, along the parent pointers of :func:`reachable_from`."""
     chain: List[str] = []
-    current: Optional[str] = start
-    seen: Set[str] = set()
-    while current is not None and current not in seen:
-        seen.add(current)
+    current: Optional[str] = full
+    while current is not None:
         chain.append(graph.display(current))
-        current = link(current)
-    return chain
+        current = reached[current].parent
+    return " -> ".join(reversed(chain))
 
 
 def build_graph(files: Sequence[Tuple[str, FileFacts]]) -> ProgramGraph:
@@ -181,7 +136,6 @@ def build_graph(files: Sequence[Tuple[str, FileFacts]]) -> ProgramGraph:
     indexes and edge lists are sorted deterministically."""
     graph = ProgramGraph()
     for path, facts in sorted(files, key=lambda item: item[0]):
-        graph.module_paths[facts.module] = path
         funcs = graph.by_module.setdefault(facts.module, {})
         for fact in facts.functions:
             if fact.qname == "<module>":
@@ -202,16 +156,16 @@ def build_graph(files: Sequence[Tuple[str, FileFacts]]) -> ProgramGraph:
             out: List[Edge] = []
             for call in fact.calls:
                 for dst in _resolve(graph, facts.module, fact, call):
-                    out.append(Edge(src=full, dst=dst, line=call["line"], kind="call"))
+                    out.append(Edge(src=full, dst=dst, line=call["line"]))
             for name, line in fact.refs:
                 for dst in _resolve_ref(graph, facts.module, fact, name):
-                    out.append(Edge(src=full, dst=dst, line=line, kind="ref"))
-            seen: Set[Tuple[str, str]] = set()
+                    out.append(Edge(src=full, dst=dst, line=line))
+            seen: Set[str] = set()
             unique: List[Edge] = []
-            for edge in sorted(out, key=lambda e: (e.line, e.dst, e.kind)):
-                if (edge.dst, edge.kind) in seen:
+            for edge in sorted(out, key=lambda e: (e.line, e.dst)):
+                if edge.dst in seen:
                     continue
-                seen.add((edge.dst, edge.kind))
+                seen.add(edge.dst)
                 unique.append(edge)
             if unique:
                 graph.edges[full] = unique

@@ -1,23 +1,22 @@
 """Per-function performance-site extraction and hot-region machinery.
 
-The PerfSan half of the whole-program analysis: every function is
-distilled at fact-extraction time into a list of **perf sites** —
-allocation expressions, superlinear accumulation patterns, and
-numpy↔Python scalar churn — each tagged with whether it sits inside a
-syntactic loop.  The PERF rules then intersect those
+Every function is distilled at fact-extraction time into a list of
+**perf sites** — allocation expressions, superlinear accumulation
+patterns, and numpy↔Python scalar churn — each tagged with whether it
+sits inside a syntactic loop.  The PERF rules then intersect those
 sites with the **hot region**: every function reachable (build cut
 applied — constructing a world or a template is setup, not steady
 state) from a hot root.
 
-Hot roots come from two places, mirroring ``program-root``:
-
-* ``# repro-lint: hot-loop`` on (or immediately above) a ``def`` line —
-  the function *is the body of* a per-probe/per-batch loop, so its own
-  straight-line code counts as per-iteration context even outside a
-  syntactic ``for``/``while``;
-* :data:`DEFAULT_HOT_ROOTS`, the known hot paths of the prober: the
-  ``run_campaign`` batch loop, the keyed permutation, template
-  encoding, and the receive/deliver path.
+A hot root is a function marked ``# repro-lint: hot-loop`` on (or
+immediately above) its ``def`` line: it *is the body of* a
+per-probe/per-batch loop, so its own straight-line code counts as
+per-iteration context even outside a syntactic ``for``/``while``.  The
+live tree marks nine: the ``run_campaign`` block loop and its delivery,
+the keyed permutation, template encoding, the prober's send and receive
+paths, and ``Internet.probe`` / ``Internet.answer`` — the network half
+of every probe, which the block loop reaches only through a local the
+call graph cannot follow.
 
 Each perf site is a plain dict (alongside the rest of
 :class:`~repro.lint.program.facts.FileFacts`)::
@@ -66,20 +65,6 @@ from ..core import Program, Violation
 from ..index import Scope, dotted_name, resolve_call_target
 from .graph import ProgramGraph, Reach, reachable_from, witness_chain
 
-#: The prober's known hot paths (full dotted node names), used even
-#: without a source marker so the rules guard third-party-style trees.
-DEFAULT_HOT_ROOTS: FrozenSet[str] = frozenset(
-    {
-        "repro.prober.campaign.run_campaign.block_tick",
-        "repro.prober.campaign.run_campaign.deliver_held",
-        "repro.prober.permutation.KeyedPermutation.images",
-        "repro.prober.permutation.KeyedPermutation.images_scalar",
-        "repro.prober.encoding.ProbeTemplate.encode_into",
-        "repro.prober.yarrp6.Yarrp6.next_probes",
-        "repro.prober.yarrp6.Yarrp6.receive",
-    }
-)
-
 #: Class-looking callable (CapWords, not an ALL_CAPS constant).
 _CLASS_NAME = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 #: Exception-looking class names — constructing one sits on the raise
@@ -92,21 +77,14 @@ _EXCEPTION_NAME = re.compile(r"(Error|Exception|Warning)$")
 
 
 def hot_roots(graph: ProgramGraph) -> Set[str]:
-    """Marked ``hot-loop`` functions plus the default hot paths that
-    exist in this program."""
-    roots = {
-        full
-        for full, (fact, _, _) in graph.nodes.items()
-        if getattr(fact, "hot", False)
-    }
-    roots.update(full for full in DEFAULT_HOT_ROOTS if full in graph.nodes)
-    return roots
+    """The functions marked ``# repro-lint: hot-loop``."""
+    return {full for full, (fact, _, _) in graph.nodes.items() if fact.hot}
 
 
 def hot_region(graph: ProgramGraph) -> Tuple[Set[str], Dict[str, Reach]]:
     """(hot roots, reachable functions) with the build cut applied."""
     roots = hot_roots(graph)
-    return roots, reachable_from(graph, roots, cut=True)
+    return roots, reachable_from(graph, roots)
 
 
 class HotRegionRule(NamedTuple):
@@ -131,7 +109,6 @@ class HotRegionRule(NamedTuple):
                     continue
                 if not (site["loop"] or full in roots):
                     continue
-                chain = witness_chain(graph, full, lambda current: reached[current].parent)
                 violations.append(
                     Violation(
                         rule=self.RULE,
@@ -142,7 +119,7 @@ class HotRegionRule(NamedTuple):
                         % (
                             graph.display(full),
                             graph.display(reached[full].root),
-                            self.finding % (site["detail"], " -> ".join(reversed(chain))),
+                            self.finding % (site["detail"], witness_chain(graph, reached, full)),
                         ),
                     )
                 )

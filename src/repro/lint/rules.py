@@ -37,7 +37,7 @@ from .core import (
     read_source,
     violation_sort_key,
 )
-from .program import det101, perf, rng101
+from .program import perf
 from .program.facts import extract_facts
 from .program.graph import build_graph
 
@@ -45,7 +45,7 @@ from .program.graph import build_graph
 FILE_RULES: List[Any] = [det001, det002, det003]
 
 #: Rows that judge the program: they read the facts and the call graph.
-PROGRAM_RULES: List[Any] = [det101, rng101, *perf.RULES]
+PROGRAM_RULES: List[Any] = [*perf.RULES]
 
 #: The table, in the order the rows run (see the module docstring).
 RULES: List[Any] = [*FILE_RULES, *PROGRAM_RULES, lnt001]

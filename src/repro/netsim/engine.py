@@ -147,7 +147,7 @@ class Engine:
         ]
         slots[:] = pending
 
-    def run(self, until: Optional[int] = None) -> int:  # repro-lint: program-root
+    def run(self, until: Optional[int] = None) -> int:
         """Drain the event queue; stop once virtual time would pass ``until``.
 
         Returns the final virtual time.  With no ``until`` the engine runs
@@ -179,7 +179,7 @@ class Engine:
             self._now = until
         return self._now
 
-    def step(self) -> bool:  # repro-lint: program-root
+    def step(self) -> bool:
         """Run exactly one event; False when the queue is empty."""
         heap = self._heap
         if not heap:

@@ -161,7 +161,7 @@ class WaveProber(Prober):
     def exhausted(self) -> bool:
         return self._emitter is None
 
-    def next_probe(self, now: int) -> Optional[bytes]:  # repro-lint: program-root
+    def next_probe(self, now: int) -> Optional[bytes]:
         if self._emitter is None:
             return None
         try:
@@ -171,7 +171,7 @@ class WaveProber(Prober):
             return None
         return self._emit(target, ttl, now)
 
-    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:  # repro-lint: program-root
+    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:
         record = self.processor.process(data, now, self.sent)
         if record is not None:
             trace = self._traces.get(record.target)

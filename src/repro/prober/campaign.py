@@ -131,7 +131,7 @@ def emissions_before(
     return min(before, cap)
 
 
-def run_campaign(  # repro-lint: program-root
+def run_campaign(
     internet: Internet,
     vantage_name: str,
     targets: Sequence[int],

@@ -257,7 +257,7 @@ def run_shard(
     shards: int,
     internet: Optional[Internet] = None,
     profiler: Optional[WallProfiler] = None,
-) -> CampaignResult:  # repro-lint: program-root
+) -> CampaignResult:
     """Run one permutation shard of ``spec`` to completion in-process.
 
     ``internet`` lets a caller supply a prebuilt world (it must already be
@@ -303,7 +303,7 @@ def run_shard(
 
 def run_single(
     spec: CampaignSpec, profiler: Optional[WallProfiler] = None
-) -> CampaignResult:  # repro-lint: program-root
+) -> CampaignResult:
     """The single-process reference campaign for ``spec``."""
     internet = _world_for(spec.internet, profiler=profiler)
     return run_campaign(

@@ -184,7 +184,7 @@ def _attempt(
 
 def _attempt_process(
     job: ShardJob, shard: int, attempt: int, conn: "Connection"
-) -> None:  # repro-lint: program-root
+) -> None:
     """The whole life of an attempt process: run the attempt, send its
     outcome home as one pickled message, exit.  An outcome that will not
     pickle goes home as ``("pipe", detail)`` instead."""

@@ -135,7 +135,7 @@ class Yarrp6(Prober):
     #: per-index overhead without meaningfully front-running the walk.
     BATCH = 256
 
-    def next_probe(self, now: int) -> Optional[bytes]:  # repro-lint: program-root
+    def next_probe(self, now: int) -> Optional[bytes]:
         """The next probe packet to emit at virtual time ``now``."""
         if self._fill_queue:
             target, ttl = self._fill_queue.popleft()
@@ -169,7 +169,7 @@ class Yarrp6(Prober):
         return not self._fill_ttls and self._neighborhood_ttl is None
 
     # repro-lint: hot-loop
-    def next_probes(  # repro-lint: program-root
+    def next_probes(
         self, times: Sequence[int], answer: Answer, hold: Hold
     ) -> int:
         """The batched pull loop: emit up to ``len(times)`` probes, the
@@ -341,7 +341,7 @@ class Yarrp6(Prober):
 
     # -- reception -------------------------------------------------------
     # repro-lint: hot-loop
-    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:  # repro-lint: program-root
+    def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:
         """Feed a response packet on the per-event path: record it, note
         a neighborhood discovery, and queue the fill a Time Exceeded at
         a TTL in the fill range asks for.

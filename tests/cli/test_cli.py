@@ -914,7 +914,7 @@ def _detsan_clean(workdir, text):
 OBSERVERS = {
     "metrics-2": (["--metrics", "artefact.json"], 2, _no_faults),
     "profile-4": (["--profile", "artefact.json"], 4, _trace_has_events),
-    "detsan-2": (["--detsan"], 2, _detsan_clean),
+    "detsan-1": (["--detsan"], 1, _detsan_clean),
 }
 
 

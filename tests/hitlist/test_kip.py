@@ -107,7 +107,7 @@ class TestAggregation:
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=10, max_value=120))
     def test_invariants_random_worlds(self, k_log, count):
         # The seed IS the hypothesis-drawn case: deliberately test-local.
-        rng = random.Random(count * 31 + k_log)  # repro-lint: disable=RNG101
+        rng = random.Random(count * 31 + k_log)
         k = 1 << k_log
         observations = []
         base = parse("2001:db8::")

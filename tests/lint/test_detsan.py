@@ -258,7 +258,7 @@ def test_pytest_plugin_sanitizes_test_calls(tmp_path):
     assert clean.returncode == 0, clean.stdout
 
 
-# -- probe --detsan: byte-identity across shard counts ----------------------
+# -- probe --detsan: byte-identity, and one worker only --------------------
 
 
 @pytest.fixture(scope="module")
@@ -277,22 +277,43 @@ def campaign_inputs(tmp_path_factory):
     return base, world, targets
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_probe_detsan_dump_is_byte_identical(
-    campaign_inputs, monkeypatch, workers
-):
+def test_probe_detsan_dump_is_byte_identical(campaign_inputs, monkeypatch):
     from repro.cli.main import main
 
     base, world, targets = campaign_inputs
     monkeypatch.setenv("PYTHONHASHSEED", "0")
-    plain = str(base / ("plain-%d.yrp6" % workers))
-    sanitized = str(base / ("detsan-%d.yrp6" % workers))
-    argv = ["probe", "--world", world, "--targets", targets,
-            "--workers", str(workers)]
+    plain = str(base / "plain.yrp6")
+    sanitized = str(base / "detsan.yrp6")
+    argv = ["probe", "--world", world, "--targets", targets]
     assert main(argv + ["--out", plain]) == 0
     assert main(argv + ["--detsan", "--out", sanitized]) == 0
     with open(plain, "rb") as first, open(sanitized, "rb") as second:
         assert first.read() == second.read()
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_probe_detsan_refuses_more_than_one_worker(
+    campaign_inputs, monkeypatch, workers
+):
+    """The tripwire's reports live in the process that entered the region;
+    an entropy read inside a shard process would leave them empty and the
+    run would print "clean"."""
+    import io
+
+    from repro.cli.main import main
+
+    base, world, targets = campaign_inputs
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    out = io.StringIO()
+    code = main(["probe", "--world", world, "--targets", targets,
+                 "--workers", str(workers), "--detsan",
+                 "--out", str(base / "never.yrp6")], out=out)
+    assert code == 2
+    assert out.getvalue() == (
+        "--detsan requires --workers 1 (a tripwire hit inside a worker "
+        "process never reaches this one's reports)\n"
+    )
+    assert not (base / "never.yrp6").exists()
 
 
 def test_probe_detsan_requires_pinned_hash_seed(

@@ -65,32 +65,45 @@ def test_lnt001_silent_on_unparseable_files():
 
 
 def test_lnt001_counts_program_rule_suppression_as_used(tmp_path):
+    # The finding lands in a module the hot root only reaches through the
+    # call graph: its suppression is consumed there, by the program rule.
     tree = tmp_path / "repro"
     tree.mkdir()
-    (tree / "engine.py").write_text(
-        "import time\n"
+    (tree / "loop.py").write_text(
+        "from .cell import fill\n"
         "\n"
         "\n"
-        "def run_campaign(spec):\n"
-        "    return time.time()  # repro-lint: disable=DET101\n"
+        "def spin(items):  # repro-lint: hot-loop\n"
+        "    return fill(items)\n"
     )
-    # DET001 deselected: only the program rule can consume the comment.
-    code, output = run_cli(["--select", "DET101,LNT001", str(tmp_path)])
+    (tree / "cell.py").write_text(
+        "def fill(items):\n"
+        "    out = []\n"
+        "    for item in items:\n"
+        "        out.append([item])  # repro-lint: disable=PERF101\n"
+        "    return out\n"
+    )
+    code, output = run_cli(["--select", "PERF101,LNT001", str(tmp_path)])
     assert code == 0, output
     assert "LNT001" not in output
 
 
 def test_lnt001_flags_unused_program_rule_suppression(tmp_path):
+    # The same loop outside every hot region: PERF101 never judges it, so
+    # the suppression is unused.
     tree = tmp_path / "repro"
     tree.mkdir()
-    (tree / "engine.py").write_text(
-        "def harmless():\n"
-        "    return 1  # repro-lint: disable=DET101\n"
+    (tree / "cell.py").write_text(
+        "def fill(items):\n"
+        "    out = []\n"
+        "    for item in items:\n"
+        "        out.append([item])  # repro-lint: disable=PERF101\n"
+        "    return out\n"
     )
-    code, output = run_cli(["--select", "DET101,LNT001", str(tmp_path)])
+    code, output = run_cli(["--select", "PERF101,LNT001", str(tmp_path)])
     assert code == 1, output
     assert "LNT001" in output
-    assert "disable=DET101" in output
+    assert "disable=PERF101" in output
 
 
 PERF_HOT_SOURCE = (

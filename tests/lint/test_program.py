@@ -1,13 +1,12 @@
-"""Fixture self-tests for the whole-program rules (DET101/RNG101 and
-the PERF101-103 hot-path rules) and the program-root / hot-loop marker
-comments."""
+"""Fixture self-tests for the whole-program rules (PERF101-103, the
+hot-path rules) and the hot-loop marker comment."""
 
 import importlib
 import io
 import os
 
 from repro.lint import rules as rules_mod
-from repro.lint.program import graph, perf
+from repro.lint.program import perf
 from repro.lint.rules import (
     PROGRAM_RULES,
     analyze,
@@ -27,98 +26,6 @@ def run_fixture(name, select):
 
 def located(violations):
     return sorted((os.path.basename(v.path), v.line) for v in violations)
-
-
-# -- DET101: transitive impurity ------------------------------------------
-
-
-def test_det101_flags_every_function_on_the_impure_chain():
-    violations, _ = run_fixture("det101", select=["DET101"])
-    assert all(v.rule == "DET101" for v in violations)
-    assert located(violations) == [
-        ("campaign.py", 8),
-        ("campaign.py", 10),
-        ("engine.py", 7),
-        ("engine.py", 11),
-        ("engine.py", 22),
-    ]
-
-
-def test_det101_message_shows_the_full_call_chain():
-    violations, _ = run_fixture("det101", select=["DET101"])
-    by_line = {(os.path.basename(v.path), v.line): v.message for v in violations}
-    assert "engine.jitter_us -> time.time" in by_line[("engine.py", 7)]
-    assert (
-        "engine.helper -> engine.jitter_us -> time.time"
-        in by_line[("engine.py", 11)]
-    )
-    assert (
-        "engine.Engine.run -> engine.helper -> engine.jitter_us -> time.time"
-        in by_line[("engine.py", 22)]
-    )
-    # Cross-module chain through a nested callback.
-    assert (
-        "campaign.run_campaign.tick -> engine.helper -> engine.jitter_us"
-        in by_line[("campaign.py", 8)]
-    )
-    assert (
-        "campaign.run_campaign -> campaign.run_campaign.tick"
-        in by_line[("campaign.py", 10)]
-    )
-
-
-def test_det101_names_the_program_root():
-    violations, _ = run_fixture("det101", select=["DET101"])
-    roots = {v.message.split("program root '")[1].split("'")[0] for v in violations}
-    assert "engine.Engine.run" in roots
-    assert "campaign.run_campaign" in roots
-
-
-def test_det101_suppressed_source_does_not_seed_impurity():
-    violations, _ = run_fixture("det101", select=["DET101"])
-    # stamped() calls time.time_ns() under a DET001 disable; that source
-    # must not leak into any chain, and Engine.run's finding must come
-    # only from the helper() path.
-    assert not any("time.time_ns" in v.message for v in violations)
-
-
-def test_det101_unreachable_impurity_is_not_flagged():
-    violations, _ = run_fixture("det101", select=["DET101"])
-    assert not any("offline_report" in v.message for v in violations)
-    assert not any(v.line == 27 for v in violations)
-
-
-# -- RNG101: seed provenance ----------------------------------------------
-
-
-def test_rng101_flags_entropy_and_opaque_only():
-    violations, _ = run_fixture("rng101", select=["RNG101"])
-    assert all(v.rule == "RNG101" for v in violations)
-    assert located(violations) == [
-        ("rng.py", 19),
-        ("rng.py", 23),
-    ]
-
-
-def test_rng101_entropy_seed_message():
-    violations, _ = run_fixture("rng101", select=["RNG101"])
-    entropy = [v for v in violations if v.line == 19][0]
-    assert "os.urandom" in entropy.message
-
-
-def test_rng101_traces_opaque_value_to_the_call_site():
-    violations, _ = run_fixture("rng101", select=["RNG101"])
-    opaque = [v for v in violations if v.line == 23][0]
-    assert "parameter 'count'" in opaque.message
-    assert "rng.py:32" in opaque.message
-    assert "compute()" in opaque.message
-
-
-def test_rng101_seed_mixed_derivation_is_clean():
-    violations, _ = run_fixture("rng101", select=["RNG101"])
-    # good() (line 10) and seed_mixed() (line 15) are sanctioned: the
-    # seed parameter is mixed arithmetically with constants / opaque ints.
-    assert not any(v.line in (10, 15) for v in violations)
 
 
 # -- PERF101: per-iteration allocation in hot regions -----------------------
@@ -285,62 +192,15 @@ def test_everything_about_a_rule_follows_from_its_registry_row(
 
 
 def test_program_rules_registry_is_complete():
-    assert {rule.RULE for rule in PROGRAM_RULES} == {
-        "DET101",
-        "RNG101",
-        "PERF101",
-        "PERF102",
-        "PERF103",
-    }
+    assert {rule.RULE for rule in PROGRAM_RULES} == {"PERF101", "PERF102", "PERF103"}
 
 
 def test_program_output_is_deterministic_across_runs():
-    first, _ = run_fixture("det101", select=None)
-    second, _ = run_fixture("det101", select=None)
-    assert [v.format() for v in first] == [v.format() for v in second]
-
-
-def test_program_root_comment_marks_custom_roots(tmp_path):
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
-    (pkg / "custom.py").write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def my_loop():  # repro-lint: program-root\n"
-        "    return dirty()\n"
-        "\n"
-        "\n"
-        "def dirty():\n"
-        "    return time.time()\n"
-    )
-    violations, _ = lint_program_paths([str(tmp_path)], select=["DET101"])
-    assert located(violations) == [("custom.py", 5), ("custom.py", 9)]
-    assert any("my_loop" in v.message for v in violations)
-
-
-def test_program_root_marker_in_a_string_literal_marks_nothing(tmp_path):
-    # `# repro-lint: program-root` is a directive only as a comment token:
-    # a default-argument string spelling it on the def line roots nothing.
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
-    source = (
-        "import time\n"
-        "\n"
-        "\n"
-        'def entry(note="# repro-lint: program-root"):\n'
-        "    return helper()\n"
-        "\n"
-        "\n"
-        "def helper():\n"
-        "    return time.time()\n"
-    )
-    (pkg / "marker.py").write_text(source)
-    violations, _ = lint_program_paths([str(tmp_path)], select=["DET101"])
-    assert violations == []
-    (pkg / "marker.py").write_text(source.replace("):\n", "):  # repro-lint: program-root\n", 1))
-    violations, _ = lint_program_paths([str(tmp_path)], select=["DET101"])
-    assert located(violations) == [("marker.py", 5), ("marker.py", 9)]
+    for name in ("perf101", "perf102", "perf103"):
+        first, _ = run_fixture(name, select=None)
+        second, _ = run_fixture(name, select=None)
+        assert first
+        assert [v.format() for v in first] == [v.format() for v in second]
 
 
 def test_hot_loop_marker_in_a_string_literal_marks_nothing(tmp_path):
@@ -362,21 +222,22 @@ def test_live_tree_has_no_program_violations():
     src = os.path.normpath(os.path.join(HERE, "..", "..", "src", "repro"))
     violations, program = lint_program_paths([src])
     assert violations == []
-    # The graph must actually cover the tree: every default root resolved.
+    # The graph must actually cover the tree.
     assert program.graph.edge_count > 500
 
 
-def test_every_root_list_names_a_live_function():
-    """A root that no longer resolves is silently skipped by every rule
-    that walks from it; a rename must fail here instead."""
+def test_live_hot_region_covers_both_halves_of_a_probe():
+    """The block loop reaches the wire through ``answer``, a local the
+    call graph cannot follow, so the network half is in the hot region
+    only by the ``hot-loop`` markers on ``Internet.answer`` / ``probe``.
+    A marker lost in a refactor shrinks the region silently; it fails
+    here instead."""
     src = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
-    nodes = analyze(load_sources([src])).graph.nodes
-    for roots in (
-        graph.DEFAULT_ROOTS,
-        graph.WORKER_ROOTS,
-        perf.DEFAULT_HOT_ROOTS,
+    _, reached = perf.hot_region(analyze(load_sources([src])).graph)
+    for full in (
+        "repro.netsim.internet.Internet.probe",
+        "repro.netsim.ratelimit.TokenBucket.consume",
+        "repro.prober.records.ResponseProcessor.process",
+        "repro.prober.encoding.ProbeTemplate.encode_into",
     ):
-        assert sorted(set(roots) - set(nodes)) == []
-    # One spelling of the worker roots: DET101's defaults contain it.
-    assert "repro.prober.supervise._attempt_process" in graph.WORKER_ROOTS
-    assert set(graph.WORKER_ROOTS) < graph.DEFAULT_ROOTS
+        assert full in reached, full
