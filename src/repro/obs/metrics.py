@@ -324,19 +324,13 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._metrics)
 
-    def to_dict(self, include_run_scoped: bool = True) -> MetricDump:
+    def to_dict(self) -> MetricDump:
         """Render every metric; key order is sorted and value rendering
         is canonical, so equal registries dump equal bytes."""
-        dump: MetricDump = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if not include_run_scoped and metric.scope == SCOPE_RUN:
-                continue
-            dump[name] = metric.to_dict()
-        return dump
+        return {name: self._metrics[name].to_dict() for name in sorted(self._metrics)}
 
-    def dumps(self, include_run_scoped: bool = True) -> str:
-        return dump_to_json(self.to_dict(include_run_scoped=include_run_scoped))
+    def dumps(self) -> str:
+        return dump_to_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +408,7 @@ class NullRegistry(MetricsRegistry):
     ) -> Histogram:
         return _NULL_HISTOGRAM
 
-    def to_dict(self, include_run_scoped: bool = True) -> MetricDump:
+    def to_dict(self) -> MetricDump:
         return {}
 
 

@@ -208,7 +208,7 @@ def contract(spec: CampaignSpec, workers: int) -> str:
         for cause, applies in (
             ("limiters", coupled & _LIMITER_FIELDS),
             ("loss", coupled - _LIMITER_FIELDS),
-            ("fill", config.fill and config.fill_ceiling > config.max_ttl),
+            ("fill", config.fill_ttls),
             ("neighbourhood", config.neighborhood_ttl is not None),
         )
         if applies

@@ -51,6 +51,7 @@ from __future__ import annotations
 import pickle
 import traceback
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.failures import (
@@ -101,7 +102,8 @@ class SuperviseConfig:
     """
 
     #: Per-attempt wall-clock deadline, measured from the moment the
-    #: attempt's process starts.  ``None`` disables deadlines.  Ignored
+    #: attempt's process starts: positive and finite, or ``None``, which
+    #: disables deadlines.  Ignored
     #: in-process (``processes=1``), where there is no process to kill.
     shard_timeout_s: Optional[float] = None
     #: Extra attempts after the first, per shard.
@@ -113,6 +115,11 @@ class SuperviseConfig:
 
 DEFAULT_SUPERVISE = SuperviseConfig()
 
+#: The longest single wait for an attempt to report.  A far deadline is
+#: waited out in slices: the wait takes its timeout as a machine-sized
+#: count of milliseconds, and the loop re-reads deadlines every turn.
+_WAIT_SLICE_S = 60.0
+
 
 def validate_supervise(config: SuperviseConfig) -> None:
     """Raise ``ValueError`` before any process starts, like
@@ -122,6 +129,8 @@ def validate_supervise(config: SuperviseConfig) -> None:
             "shard_timeout_s must be positive or None: %r"
             % config.shard_timeout_s
         )
+    if config.shard_timeout_s is not None and not isfinite(config.shard_timeout_s):
+        raise ValueError("shard_timeout_s must be finite: %r" % config.shard_timeout_s)
     if config.max_retries < 0:
         raise ValueError("max_retries must be >= 0: %r" % config.max_retries)
 
@@ -351,7 +360,9 @@ class Supervisor:
                         ready = wait(
                             [run.conn for run in running]
                             + [run.process.sentinel for run in running],
-                            None if not deadlines else max(0.0, min(deadlines) - now_s),
+                            None
+                            if not deadlines
+                            else min(_WAIT_SLICE_S, max(0.0, min(deadlines) - now_s)),
                         )
                     for run in list(running):
                         if run.conn in ready or run.process.sentinel in ready:

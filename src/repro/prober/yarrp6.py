@@ -72,6 +72,14 @@ class Yarrp6Config:
     #: seen at it for this many microseconds.
     neighborhood_window_us: int = 5_000_000
 
+    @property
+    def fill_ttls(self) -> range:
+        """The TTLs whose Time Exceeded triggers a fill one hop further:
+        ``[max_ttl, fill_ceiling)``, empty with fill off or a ceiling at
+        or below ``max_ttl``.  A non-empty range makes the emission
+        stream depend on responses."""
+        return range(self.max_ttl, self.fill_ceiling if self.fill else 0)
+
 
 class Yarrp6(Prober):
     """The prober: hand it targets, pull packets, feed it responses."""
@@ -97,11 +105,10 @@ class Yarrp6(Prober):
         )
         if not 1 <= config.fill_ceiling <= 255:
             raise ValueError("fill_ceiling must be in 1-255: %r" % config.fill_ceiling)
-        # Fixed per campaign, read per probe: the walk's length, the TTLs
-        # whose Time Exceeded triggers a fill (empty with fill off or a
-        # ceiling at or below max_ttl) and the neighborhood limit.
+        # Fixed per campaign, read per probe: the walk's length, the fill
+        # range and the neighborhood limit.
         self._total = len(self.schedule)
-        self._fill_ttls = range(config.max_ttl, config.fill_ceiling if config.fill else 0)
+        self._fill_ttls = config.fill_ttls
         self._neighborhood_ttl = config.neighborhood_ttl
         self._cursor = 0
         #: Walk pairs prefetched via the schedule's batched fast path;
@@ -157,16 +164,6 @@ class Yarrp6(Prober):
                 continue
             return self._emit(self.targets[target_index], ttl, now)
         return None
-
-    @property
-    def pure_walk(self) -> bool:
-        """True when the emission stream is a pure permutation walk — an
-        empty fill range (fill off, or a ceiling at or below max TTL) and
-        no neighborhood skipping — so no response changes it.  For
-        :meth:`next_probes` that is only the case needing no prediction:
-        fill mode runs there too, and neighborhood mode is the one stream
-        it refuses."""
-        return not self._fill_ttls and self._neighborhood_ttl is None
 
     # repro-lint: hot-loop
     def next_probes(

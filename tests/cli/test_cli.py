@@ -339,6 +339,13 @@ class TestPipeline:
             (["--max-ttl", "0"], "bad TTL range [1, 0]\n"),
             (["--prober", "sequential", "--max-ttl", "300"], "bad TTL range [1, 300]\n"),
             (["--prober", "doubletree", "--max-ttl", "0"], "bad TTL range [1, 0]\n"),
+            # Values the pacer or the supervisor cannot honour: `--pps inf`
+            # ran at 1 µs and wrote `Infinity` into the manifest, `nan` and
+            # `--shard-timeout inf` died with a traceback.
+            (["--pps", "inf"], "rate must be positive and finite: inf\n"),
+            (["--pps", "nan"], "rate must be positive and finite: nan\n"),
+            (["--workers", "2", "--shard-timeout", "inf"], "shard_timeout_s must be finite: inf\n"),
+            (["--workers", "2", "--shard-timeout", "nan"], "shard_timeout_s must be finite: nan\n"),
         ],
     )
     def test_probe_validates_what_it_was_given_whatever_workers_is(

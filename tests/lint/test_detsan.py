@@ -258,6 +258,36 @@ def test_pytest_plugin_sanitizes_test_calls(tmp_path):
     assert clean.returncode == 0, clean.stdout
 
 
+#: The columnar fast paths' equivalence suites and the engine under them:
+#: each must stay bit-identical to its scalar reference AND read neither
+#: host time nor OS entropy from ``repro.*`` code.
+DETSAN_SUITE = (
+    "tests/prober/test_batched_equivalence.py",
+    "tests/prober/test_shared_world.py",
+    "tests/netsim/test_engine.py",
+    "tests/obs/test_profiler.py",
+)
+
+
+def test_equivalence_suite_is_clean_under_detsan():
+    """``pytest --detsan`` over :data:`DETSAN_SUITE`, in a fresh
+    interpreter with the hash seed pinned, exits 0."""
+    root = os.path.dirname(SRC)
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    finished = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--detsan", *DETSAN_SUITE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=600,
+    )
+    assert finished.returncode == 0, finished.stdout[-3000:]
+    assert " passed" in finished.stdout
+
+
 # -- probe --detsan: byte-identity, and one worker only --------------------
 
 

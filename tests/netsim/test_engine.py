@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.netsim.engine import (
-    _COMPACT_MIN,
-    Engine,
-    US_PER_SECOND,
-    pps_interval,
-    seconds,
-)
+from repro.netsim.engine import Engine, US_PER_SECOND, pps_interval, seconds
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -74,14 +68,6 @@ class TestEngine:
         with pytest.raises(ValueError):
             Engine().schedule(-1, lambda: None)
 
-    def test_step(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(3, lambda: fired.append(1))
-        assert engine.step()
-        assert fired == [1]
-        assert not engine.step()
-
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
     def test_events_fire_in_time_order(self, delays):
         engine = Engine()
@@ -103,9 +89,9 @@ class TestEngine:
         )
     )
     def test_fifo_among_equal_times(self, events):
-        """The columnar queue's core claim: (time, scheduling order) is
-        the total event order, exactly as a (when, seq, cb) tuple heap
-        would produce — including duplicate timestamps."""
+        """(time, scheduling order) is the total event order, duplicate
+        timestamps included: a same-time event never overtakes one
+        scheduled before it."""
         engine = Engine()
         fired = []
         for tag, (_, delay) in enumerate(events):
@@ -244,65 +230,48 @@ class TestDrive:
             gc.enable()
 
 
-class TestCompaction:
-    def test_compaction_preserves_order_and_results(self):
-        """Push enough churn through the queue to trigger slot-array
-        compaction repeatedly; firing order must stay (time, FIFO)."""
+class TestChurn:
+    """Order and bookkeeping under heavy scheduling traffic."""
+
+    def test_order_holds_under_churn(self):
+        """Schedule 12 288 events while the clock advances under them, so
+        only a few are pending at a time; every event fires, in (time,
+        FIFO) order."""
         engine = Engine()
         fired = []
         rng = random.Random(7)
-        pending = 0
-
-        def make(tag):
-            return lambda: fired.append(tag)
-
-        tag = 0
-        for _ in range(3 * _COMPACT_MIN):
-            engine.schedule(rng.randrange(0, 10_000), make(tag))
-            tag += 1
-            pending += 1
-            # Keep the live count low so the mostly-dead threshold trips.
-            while pending > 4:
-                engine.step()
-                pending -= 1
+        for tag in range(12_288):
+            engine.schedule(
+                rng.randrange(0, 10_000),
+                lambda tag=tag: fired.append((engine.now, tag)),
+            )
+            engine.run(until=engine.now + 2_500)
+            assert engine.pending <= 8
         engine.run()
-        assert len(fired) == tag
-        assert sorted(fired) == list(range(tag))
+        assert len(fired) == 12_288
+        assert fired == sorted(fired)
 
-    def test_compaction_keeps_aliases_valid_inside_run(self):
-        """run() holds aliases to the heap and slot lists; a compaction
-        triggered by scheduling from *inside* a callback must mutate
-        those lists in place, not rebind them."""
+    def test_events_scheduled_inside_a_running_callback_keep_their_order(self):
+        """A callback that schedules 4 104 events from inside ``run``:
+        all of them fire, in the order their times give."""
         engine = Engine()
         fired = []
 
         def stuff_queue():
-            # Enough appends to cross _COMPACT_MIN while almost all
-            # earlier slots are dead -> compaction fires mid-run.
-            for index in range(_COMPACT_MIN + 8):
+            for index in range(4_104):
                 engine.schedule(
                     1 + index, lambda index=index: fired.append(index)
                 )
 
         engine.schedule(0, stuff_queue)
         engine.run()
-        assert fired == list(range(_COMPACT_MIN + 8))
+        assert fired == list(range(4_104))
 
-    def test_slot_array_shrinks_when_mostly_dead(self):
-        """The compaction actually reclaims memory: after heavy churn the
-        slot array must not retain one entry per ever-scheduled event."""
+    def test_pending_tracks_live_events_under_churn(self):
         engine = Engine()
-        for index in range(4 * _COMPACT_MIN):
-            engine.schedule(index, lambda: None)
-            engine.step()
-        assert len(engine._slots) < 2 * _COMPACT_MIN
-
-    def test_pending_tracks_live_events_across_compaction(self):
-        engine = Engine()
-        for index in range(2 * _COMPACT_MIN):
+        for index in range(8_192):
             engine.schedule(10 + index, lambda: None)
-        for _ in range(2 * _COMPACT_MIN - 3):
-            engine.step()
+        engine.run(until=10 + 8_192 - 4)
         assert engine.pending == 3
         engine.run()
         assert engine.pending == 0
@@ -320,6 +289,11 @@ class TestConversions:
     def test_pps_interval_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             pps_interval(0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_pps_interval_rejects_a_non_finite_rate_by_name(self, rate):
+        with pytest.raises(ValueError, match="finite: %r" % rate):
+            pps_interval(rate)
 
     def test_us_per_second(self):
         assert US_PER_SECOND == 10**6

@@ -121,7 +121,6 @@ class TestRegistry:
         registry.counter("local", scope=SCOPE_RUN)
         registry.gauge("depth")
         assert set(registry.to_dict()) == {"merged", "local", "depth"}
-        assert set(registry.to_dict(include_run_scoped=False)) == {"merged"}
 
 
 class TestNullRegistry:

@@ -297,9 +297,9 @@ class TestBatchedPullLoop:
         targets = [TARGET + index for index in range(9)]
         filling = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5, fill=True))
         scalar = Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5))
-        assert scalar.pure_walk and not filling.pure_walk
+        assert not scalar.config.fill_ttls and filling.config.fill_ttls
         # A ceiling at or below max TTL leaves the fill range empty.
-        assert Yarrp6(SRC, targets, Yarrp6Config(max_ttl=5, fill=True, fill_ceiling=5)).pure_walk
+        assert not Yarrp6Config(max_ttl=5, fill=True, fill_ceiling=5).fill_ttls
         times = list(range(0, 50 * 100, 100))
         assert pull(filling, times) == self.walk_scalar(scalar, times)
         assert filling.summary()["fills"] == filling.summary()["fills_unsent"] == 0
@@ -307,7 +307,7 @@ class TestBatchedPullLoop:
     @pytest.mark.parametrize("fill", [False, True])
     def test_rejects_neighborhood_mode(self, fill):
         prober = Yarrp6(SRC, [TARGET], Yarrp6Config(neighborhood_ttl=4, fill=fill))
-        assert not prober.pure_walk
+        assert prober.config.fill_ttls or prober.config.neighborhood_ttl is not None
         with pytest.raises(ValueError, match="neighborhood"):
             prober.next_probes([0], lambda packet, when: None, silent_hold)
         assert prober.sent == 0

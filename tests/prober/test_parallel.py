@@ -183,6 +183,16 @@ class TestContract:
         # A fill range that is empty keeps the walk pure.
         assert contract(self.spec(decoupled, fill=True, fill_ceiling=16), workers) == "exact"
 
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("ceiling", [15, 16, 17])
+    def test_fill_is_a_cause_exactly_where_the_fill_range_is_not_empty(self, fill, ceiling):
+        """The label and the prober read one range, ``Yarrp6Config.fill_ttls``:
+        ``[max_ttl, fill_ceiling)`` with fill on, else empty."""
+        spec = self.spec(decoupled_dynamics(self.DEFAULT), fill=fill, fill_ceiling=ceiling)
+        fills = fill and ceiling > 16
+        assert list(spec.prober_config().fill_ttls) == ([16] if fills else [])
+        assert contract(spec, 2) == ("2-instances (fill)" if fills else "exact")
+
     @pytest.mark.parametrize(
         "internet, config, label",
         [

@@ -143,6 +143,8 @@ class TestValidation:
             SuperviseConfig(shard_timeout_s=0.0),
             SuperviseConfig(shard_timeout_s=-1.0),
             SuperviseConfig(max_retries=-1),
+            SuperviseConfig(shard_timeout_s=float("nan")),
+            SuperviseConfig(shard_timeout_s=float("inf")),
         ],
     )
     def test_bad_fields_raise(self, config):
@@ -396,6 +398,31 @@ class TestAttemptProcesses:
             spec, shards=2, processes=2, start_method="fork",
             supervise=SuperviseConfig(shard_timeout_s=0.5),
             fault_plan=FaultPlan.single(1, KIND_SLOW, seconds=0.1),
+        )
+        assert dumps(merged) == dumps(run_single(spec))
+        assert attempt_keys(merged) == []
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_a_non_finite_deadline_is_refused_before_any_process_starts(
+        self, monkeypatch, timeout
+    ):
+        started = []
+        spy_on_attempts(monkeypatch, started)
+        with pytest.raises(ValueError, match="shard_timeout_s must be finite"):
+            run_parallel(
+                make_spec(), shards=2, processes=2, start_method="fork",
+                supervise=SuperviseConfig(shard_timeout_s=timeout),
+            )
+        assert started == []
+
+    def test_a_deadline_past_what_one_wait_can_take_is_honoured(self):
+        """1e7 s is finite but more milliseconds than the wait's timeout
+        can hold: the loop waits it out in slices, and a clean run
+        finishes as if there were no deadline."""
+        spec = make_spec()
+        merged = run_parallel(
+            spec, shards=2, processes=2, start_method="fork",
+            supervise=SuperviseConfig(shard_timeout_s=1e7),
         )
         assert dumps(merged) == dumps(run_single(spec))
         assert attempt_keys(merged) == []
