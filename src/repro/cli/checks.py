@@ -95,7 +95,6 @@ class Check(NamedTuple):
     """
 
     run: Callable[..., _Outcome]
-    owns_profiler: str = ""
     single_worker: str = ""
     needs_hash_seed: str = ""
 
@@ -110,7 +109,6 @@ CHECKS = {
     ),
     "allocsan": Check(
         _check_allocsan,
-        owns_profiler="allocsan runs its own profiler under tracemalloc",
         single_worker="the hot phase runs inside worker processes "
         "tracemalloc cannot observe",
     ),
@@ -119,8 +117,6 @@ CHECKS = {
 #: ``(Check field, violated(args), rejection % (flag, reason))``, in the
 #: order they are tested.
 _CONSTRAINTS = (
-    ("owns_profiler", lambda args: bool(args.profile),
-     "--profile and --%s are mutually exclusive (%s)\n"),
     ("single_worker", lambda args: args.workers > 1,
      "--%s requires --workers 1 (%s)\n"),
     ("needs_hash_seed", lambda args: not hash_seed_pinned(),

@@ -222,7 +222,9 @@ def validate_config(config: InternetConfig) -> None:
             _limit("%s / %s" % (rates, bursts), rate, burst)
     if not config.cpe_www_fractions:
         raise ValueError("world.cpe_www_fractions must not be empty")
-    fractions = [
+    # ``response_loss`` is a probability by meaning, not by name.
+    fractions = [("response_loss", config.response_loss)]
+    fractions += [
         (item.name, getattr(config, item.name))
         for item in fields(config)
         if item.name.endswith(("_fraction", "_probability"))

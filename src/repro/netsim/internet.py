@@ -24,7 +24,6 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 from ..addrs.prefix import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
-from ..obs.trace import Tracer
 from ..packet import fragment, icmpv6, ipv6, tcp, udp
 from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
@@ -318,16 +317,14 @@ class Internet:
             state = self.router_state[router.router_id] = RouterState(router)
         return state
 
-    def attach_observers(self, registry: MetricsRegistry, tracer: Tracer) -> None:
+    def attach_observers(self, registry: MetricsRegistry) -> None:
         """Wire the routers' rate-limiter decisions into telemetry.
 
         One observer closure records the Figure 5 raw inputs — per-virtual-
         bucket allowed and denied decision series plus the post-decision
-        token-level distribution — in ``registry`` and a
-        ``limiter.decision`` event in ``tracer`` (either may be the shared
-        no-op).  The observer is a pure recorder and never influences
-        decisions; remove it with :meth:`detach_observers` once the
-        campaign ends.
+        token-level distribution — in ``registry``.  The observer is a
+        pure recorder and never influences decisions; remove it with
+        :meth:`detach_observers` once the campaign ends.
         """
         allowed_series = registry.series("ratelimit.allowed")
         denied_series = registry.series("ratelimit.denied")
@@ -344,12 +341,6 @@ class Internet:
                 denied_series.record(now)
             if tokens != infinity:
                 levels.observe(tokens)
-            tracer.event(
-                "limiter.decision",
-                router=router_id,
-                allowed=allowed,
-                decided_at_us=now,
-            )
 
         #: Called after every limiter decision (None: nobody listens).
         self._limiter_observer: Optional[BucketObserver] = observe

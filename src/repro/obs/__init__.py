@@ -1,9 +1,9 @@
-"""Observability over virtual time: metrics, spans, and run manifests.
+"""Observability: virtual-time metrics, wall-clock profiles, and run manifests.
 
 The simulator measures itself the same way it measures the paper's
 probers — on the virtual clock.  :mod:`~repro.obs.metrics` carries the
-counters/series registry, :mod:`~repro.obs.trace` records nested
-virtual-time spans, :mod:`~repro.obs.manifest` writes the per-run JSON
+counters/series registry, :mod:`~repro.obs.profiler` records where the
+host's time went, :mod:`~repro.obs.manifest` writes the per-run JSON
 manifest, and :mod:`~repro.obs.wallclock` is the one allowlisted place
 host time may be read (reporting only).  See ``docs/observability.md``.
 """
@@ -46,7 +46,6 @@ from .profiler import (
     WallProfiler,
     WallSpan,
 )
-from .trace import NULL_TRACER, NullTracer, Span, TraceError, Tracer
 from .wallclock import Stopwatch
 
 __all__ = [
@@ -65,17 +64,12 @@ __all__ = [
     "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_REGISTRY",
-    "NULL_TRACER",
     "NullRegistry",
-    "NullTracer",
     "NullWallProfiler",
     "SCOPE_MERGE",
     "SCOPE_RUN",
-    "Span",
     "Stopwatch",
     "TimeSeries",
-    "TraceError",
-    "Tracer",
     "WallProfileError",
     "WallProfiler",
     "WallSpan",

@@ -1,16 +1,15 @@
 """Hierarchical wall-clock profiling for the parallel pipeline.
 
-The virtual-time :class:`~repro.obs.trace.Tracer` answers "where in the
-simulated schedule did time go"; this module answers the *other*
-question — where the **host's** time goes when a campaign runs: world
-build vs. process startup vs. shard execution vs. the results coming
-back over the pipe.  That breakdown is what turns the ROADMAP's
-"profile pickle/IPC and pool startup" item into measured numbers.
+The metrics registry answers "what happened in *virtual* time"; this
+module answers the *other* question — where the **host's** time goes
+when a campaign runs: world build vs. process startup vs. shard
+execution vs. the results coming back over the pipe.  That breakdown is
+what turns the ROADMAP's "profile pickle/IPC and pool startup" item
+into measured numbers.
 
-A :class:`WallProfiler` mirrors the tracer's shape: nested ``phase()``
-spans opened with ``with``, strictly stacked because the pipeline is
-sequential in each process.  Two additions earn their keep on the hot
-path:
+A :class:`WallProfiler` records nested ``phase()`` spans opened with
+``with``, strictly stacked because the pipeline is sequential in each
+process.  Two additions earn their keep on the hot path:
 
 * ``agg()`` handles — reusable aggregate accumulators for per-block
   work (``emit.craft`` runs thousands of times per campaign; recording

@@ -18,7 +18,6 @@ from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
 from ..obs.metrics import NULL_REGISTRY, MetricDump, MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
-from ..obs.trace import NULL_TRACER, Tracer
 from .base import Prober
 from .doubletree import DoubletreeProber
 from .records import ProbeRecord
@@ -142,7 +141,6 @@ def run_campaign(
     pace_offset_us: int = 0,
     pace_stride: int = 1,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     batch: Optional[int] = None,
     profiler: Optional[WallProfiler] = None,
 ) -> CampaignResult:
@@ -174,16 +172,15 @@ def run_campaign(
     ``metrics`` turns on telemetry: engine/prober/rate-limiter instruments
     plus the per-virtual-bucket ``campaign.sent`` and ``campaign.discovery``
     series (the Figure 7 inputs), all dumped into the result's ``metrics``
-    field.  ``tracer`` records nested virtual-time spans (campaign → tick →
-    emit/probe → limiter decisions).  Both default to shared no-ops and
-    never alter the campaign's event stream: the probe bytes, records, and
-    interfaces are bit-identical with telemetry on or off.
+    field.  It defaults to the shared no-op registry and never alters the
+    campaign's event stream: the probe bytes, records, and interfaces are
+    bit-identical with telemetry on or off.
 
     ``batch`` sizes the **columnar fast path**: when the prober is a
     Yarrp6 walk, with or without fill mode (no neighborhood skipping),
-    and no tracer is attached, the campaign emits ``batch`` probes per
-    resumption through the batched pull loop (:meth:`Yarrp6.next_probes`)
-    instead of one per tick.  Fill mode's one reaction, a Time Exceeded
+    the campaign emits ``batch`` probes per resumption through the
+    batched pull loop (:meth:`Yarrp6.next_probes`) instead of one per
+    tick.  Fill mode's one reaction, a Time Exceeded
     at TTL >= max TTL queueing TTL + 1, is worked out from what
     :meth:`Internet.answer` returns, so the fill joins the queue at the
     slot the per-event loop's delivery would have queued it for.  No
@@ -204,8 +201,7 @@ def run_campaign(
     the pull loop crafting each probe and handing it to the wire, and
     ``recv.deliver``, recording the replies due) on the columnar path.  Wall-clock
     reporting only: it never selects a code path, so the probe bytes and
-    records stay bit-identical with profiling on or off (unlike
-    ``tracer``, it does not disable the columnar fast path).
+    records stay bit-identical with profiling on or off.
     """
     if pace_stride < 1:
         raise ValueError("pace_stride must be >= 1: %r" % pace_stride)
@@ -227,9 +223,7 @@ def run_campaign(
     with prof.phase("campaign.setup", prober=prober):
         internet.reset_dynamics()
         registry = metrics if metrics is not None else NULL_REGISTRY
-        trace = tracer if tracer is not None else NULL_TRACER
         engine = Engine(metrics=metrics)
-        trace.bind_clock(lambda: engine.now)
         vantage = internet.vantage(vantage_name)
         machine = prober_class(vantage.address, targets, config, registry)
         interval = pps_interval(pps) * pace_stride
@@ -251,12 +245,9 @@ def run_campaign(
             discovery_series.record(now)
 
     # -- per-event loop ---------------------------------------------------
-    # One body for traced and untraced runs: the tracer is bound around
-    # the calls once, here, and a disabled tracer's ``wrap`` hands each
-    # call back untouched, so the loop below never mentions it.
-    emit = trace.wrap("emit", machine.next_probe)
-    probe = trace.wrap("probe", internet.exchange)
-    receive = trace.wrap("receive", machine.receive)
+    # One probe per resumption; the internet schedules each response's
+    # delivery on the engine.
+    receive = machine.receive
 
     def deliver(data: bytes, sent_at: int) -> None:
         now = engine.now
@@ -264,19 +255,17 @@ def run_campaign(
         if track_discovery:
             note_discovery(record, now)
 
-    def emit_one(now: int) -> None:
-        packet = emit(now)
-        # None: neighborhood skipping may momentarily starve emission.
-        if packet is not None:
-            if track_discovery:
-                sent_series.record(now)
-            probe(engine, packet, now, deliver)
-
-    step = trace.wrap("tick", emit_one)
-
     def tick() -> Iterator[int]:
+        emit = machine.next_probe
+        exchange = internet.exchange
         while True:
-            step(engine.now)
+            now = engine.now
+            packet = emit(now)
+            # None: neighborhood skipping may momentarily starve emission.
+            if packet is not None:
+                if track_discovery:
+                    sent_series.record(now)
+                exchange(engine, packet, now, deliver)
             if machine.exhausted:
                 # Probers that exhaust on their final emission (Yarrp6) end the
                 # campaign here, so duration is the last emission or response —
@@ -299,7 +288,6 @@ def run_campaign(
         batch > 0
         and isinstance(machine, Yarrp6)
         and machine.config.neighborhood_ttl is None
-        and not trace.enabled
     ):
         walker = machine
         process = walker.processor.process
@@ -357,13 +345,12 @@ def run_campaign(
     else:
         steps = tick()
 
-    if registry.enabled or trace.enabled:
-        internet.attach_observers(registry, trace)
+    if registry.enabled:
+        internet.attach_observers(registry)
     try:
         with prof.phase("campaign.run", prober=prober):
-            with trace.span("campaign", vantage=vantage_name, prober=prober):
-                engine.drive(steps, pace_offset_us)
-                engine.run()
+            engine.drive(steps, pace_offset_us)
+            engine.run()
     finally:
         internet.detach_observers()
 
@@ -387,7 +374,6 @@ def _run_kind(
     config: Optional[Any] = None,
     name: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     profiler: Optional[WallProfiler] = None,
     **config_kwargs: Any,
 ) -> CampaignResult:
@@ -397,7 +383,7 @@ def _run_kind(
         config = PROBERS[kind].Config(**config_kwargs)
     return run_campaign(
         internet, vantage_name, targets, kind, pps, config, name=name,
-        metrics=metrics, tracer=tracer, profiler=profiler,
+        metrics=metrics, profiler=profiler,
     )
 
 

@@ -140,6 +140,21 @@ class TestWorldConfig:
             assert text.endswith(refused) and "Traceback" not in text, text
         assert not os.path.exists(tmp_path / "bad.yrp6")
 
+    @pytest.mark.parametrize("loss", ["2.0", "-0.1", "NaN"])
+    def test_probe_refuses_a_response_loss_that_is_not_a_probability(self, tmp_path, loss):
+        # Was: exit 0 with "848 probes, 0 responses" at 2.0, no loss at all at NaN.
+        world = tmp_path / "w.json"
+        world.write_text('{"n_edge": 30, "cpe_customers_per_isp": 150, "response_loss": %s}' % loss)
+        targets = tmp_path / "t.targets"
+        targets.write_text("2001:db8::1\n")
+        out = tmp_path / "run.yrp6"
+        code, text = run(
+            ["probe", "--world", str(world), "--targets", str(targets), "--out", str(out)]
+        )
+        assert code == 2
+        assert text.startswith("%s: world.response_loss must be within [0, 1]" % world), text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, reason",
         [
@@ -917,11 +932,26 @@ def _detsan_clean(workdir, text):
     assert "detsan: clean" in text, text
 
 
+def _observers_compose(workdir, text):
+    # AllocSan's profiler is the profiled run's: one trace, one manifest
+    # profile, and a clean budget verdict, all from one invocation.
+    assert "allocsan: clean" in text, text
+    assert "Perfetto trace" in text, text
+    assert json.loads((workdir / "trace.json").read_text())["traceEvents"]
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    assert manifest["wallclock"]["profile"]["phases"], manifest["wallclock"]
+
+
 #: Observer flags, the width each runs at, and what its artefact must show.
 OBSERVERS = {
     "metrics-2": (["--metrics", "artefact.json"], 2, _no_faults),
     "profile-4": (["--profile", "artefact.json"], 4, _trace_has_events),
     "detsan-1": (["--detsan"], 1, _detsan_clean),
+    "allocsan-profile-metrics-1": (
+        ["--allocsan", "--profile", "trace.json", "--metrics", "manifest.json"],
+        1,
+        _observers_compose,
+    ),
 }
 
 
@@ -1026,8 +1056,6 @@ class TestAllocSan:
         ]
         code, text = run(base + ["--allocsan", "--detsan"])
         assert code == 2 and "--detsan and --allocsan are mutually exclusive" in text
-        code, text = run(base + ["--allocsan", "--profile", str(tmp_path / "t.json")])
-        assert code == 2 and "mutually exclusive" in text
         code, text = run(base + ["--allocsan", "--workers", "2"])
         assert code == 2 and "--workers 1" in text
         code, text = run(base + ["--allocsan-report", str(tmp_path / "r.json")])

@@ -9,9 +9,10 @@ import pytest
 
 from repro.lint.cli import main
 
-HERE = os.path.dirname(__file__)
+HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
-SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
+ROOT = os.path.normpath(os.path.join(HERE, "..", ".."))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(argv):
@@ -21,9 +22,15 @@ def run(argv):
 
 
 def test_clean_tree_exits_zero():
-    code, output = run([os.path.join(SRC, "repro")])
-    assert code == 0, output
-    assert "0 violations found" in output
+    """``src`` lints clean, and so do the test and benchmark trees outside
+    the fixtures, which are deliberate violations."""
+    for argv in (
+        [os.path.join(SRC, "repro")],
+        ["--exclude", FIXTURES, os.path.join(ROOT, "tests"), os.path.join(ROOT, "benchmarks")],
+    ):
+        code, output = run(argv)
+        assert code == 0, output
+        assert "0 violations found" in output
 
 
 def test_violations_exit_one_with_locations():

@@ -252,6 +252,10 @@ class TestConfigChecked:
             ({"privacy_fraction": 1.5}, "world.privacy_fraction must be within [0, 1], not 1.5"),
             ({"gateway_unreach_probability": -0.1}, "world.gateway_unreach_probability must be"),
             ({"cpe_www_fractions": (0.5, 2.0)}, "world.cpe_www_fractions[1] must be within"),
+            # Were: built, and at 2.0 every response was lost; at nan none was.
+            ({"response_loss": 2.0}, "world.response_loss must be within [0, 1], not 2.0"),
+            ({"response_loss": -0.1}, "world.response_loss must be within [0, 1], not -0.1"),
+            ({"response_loss": float("nan")}, "world.response_loss must be within [0, 1], not nan"),
         ],
     )
     def test_refused_by_field_before_the_first_draw(self, change, reason, monkeypatch):

@@ -15,7 +15,7 @@ from repro.netsim import (
 )
 from repro.netsim.ecmp import flow_variant
 from repro.netsim.engine import Engine
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
@@ -284,11 +284,13 @@ class TestCampaignStateOwnership:
             subnet.prefix.base | 1 for subnet in random.Random(2018).sample(subnets, 60)
         ]
         net = Internet(built)
-        tracer = Tracer()
-        run_yarrp6(net, "EU-NET", targets, pps=1000.0, max_ttl=16, tracer=tracer)
-        decided = {
-            span.attrs["router"] for span in tracer.spans if span.name == "limiter.decision"
-        }
+        decided = set()
+
+        def collect_routers(registry):
+            net._limiter_observer = lambda router, now, allowed, tokens: decided.add(router)
+
+        monkeypatch.setattr(net, "attach_observers", collect_routers)
+        run_yarrp6(net, "EU-NET", targets, pps=1000.0, max_ttl=16, metrics=MetricsRegistry())
         assert set(net.router_state) == decided
         assert len(decided) == 152 and len(built.truth.routers) == 1101
         net.reset_dynamics()

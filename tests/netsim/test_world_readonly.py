@@ -29,7 +29,7 @@ from repro.addrs.prefix import Prefix
 from repro.analysis import AsnResolver, build_traces, discover_by_path_div
 from repro.hitlist.dealias import detect_aliased
 from repro.netsim import BuiltInternet, Internet, InternetConfig, build_internet
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.prober import (
     CampaignSpec,
     discover_pmtu,
@@ -142,7 +142,7 @@ def test_driver_leaves_the_built_world_untouched(name, inputs):
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_rewind_after_driver_equals_a_fresh_instance(name, inputs):
     net = instance(name, inputs)
-    net.attach_observers(MetricsRegistry(), Tracer())
+    net.attach_observers(MetricsRegistry())
     DRIVERS[name](net, inputs)
     assert net.stats.probes
     net.fresh_run_state()

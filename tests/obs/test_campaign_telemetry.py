@@ -3,7 +3,7 @@ with the result counters, and merged dumps are shard-count-invariant.
 
 The load-bearing claims from docs/observability.md under test here:
 
-* Running a campaign with a live registry and tracer produces the exact
+* Running a campaign with a live registry produces the exact
   same records, interfaces, and duration as an uninstrumented run.
 * The telemetry alone reconstructs the paper's curves: ``campaign.sent``
   and ``campaign.discovery`` give Figure 7's discovery-over-probes
@@ -28,8 +28,6 @@ from repro.netsim import (
 )
 from repro.obs import (
     MetricsRegistry,
-    NullTracer,
-    Tracer,
     dump_to_json,
     series_cumulative,
     series_points,
@@ -37,6 +35,9 @@ from repro.obs import (
 from repro.prober import campaign as campaign_module
 from repro.prober import (
     CampaignSpec,
+    Yarrp6Config,
+    dumps,
+    run_campaign,
     run_parallel,
     run_sequential,
     run_single,
@@ -93,7 +94,6 @@ class TestInstrumentationIsInert:
             targets,
             pps=900.0,
             metrics=MetricsRegistry(),
-            tracer=Tracer(),
         )
         assert plain.metrics is None
         assert instrumented.metrics is not None
@@ -173,116 +173,42 @@ class TestDumpAgreesWithResult:
         )
 
 
-class TestSpans:
-    def test_trace_is_strictly_nested_and_named(self):
-        config, targets = small_world(3)
-        tracer = Tracer()
-        run_yarrp6(
-            Internet.from_config(config),
-            "US-EDU-1",
-            targets[:8],
-            pps=900.0,
-            tracer=tracer,
-        )
-        tracer.validate()
-        names = {span.name for span in tracer.spans}
-        assert {"campaign", "tick", "emit", "probe"} <= names
-        roots = [span for span in tracer.spans if span.parent == -1]
-        assert [span.name for span in roots] == ["campaign"]
-        campaign = roots[0]
-        assert campaign.end_us >= max(span.end_us for span in tracer.spans)
-
-    def test_trace_dump_is_deterministic(self):
-        config, targets = small_world(3)
-
-        def trace_once():
-            tracer = Tracer()
-            run_yarrp6(
-                Internet.from_config(config),
-                "US-EDU-1",
-                targets[:8],
-                pps=900.0,
-                tracer=tracer,
-            )
-            return tracer.dumps()
-
-        assert trace_once() == trace_once()
-
-
-#: The two campaigns every per-event contract below is checked on: a
-#: fill campaign and a sequential one, on the coupled world so limiter
-#: decisions are made (and traced).
+#: The two campaigns the per-event loop is pinned on, on the coupled
+#: world so limiter decisions are made: fill mode forced off the block
+#: loop (``batch=0``), and a sequential one.
 PER_EVENT = {
-    "fill": (run_yarrp6, {"pps": 2000.0, "max_ttl": 3, "fill": True}),
-    "sequential": (run_sequential, {"pps": 2000.0}),
+    "fill": ("yarrp6", Yarrp6Config(max_ttl=3, fill=True), 0),
+    "sequential": ("sequential", None, None),
 }
 
-#: sha256 of ``Tracer.dumps()`` — read off the PR-21 tree, whose loop
-#: opened every span with an inline ``with trace.span(...)``.
-PINNED_TRACES = {
-    "fill": "c144615919b7bcf710c6569bcad32432087aec3bfa88a1a7ba1315657c18cf91",
-    "sequential": "a25ef4aa71bd8b5004219373afeab6a8b9a7308ff3ebeadd4fb535fc4b07737a",
+#: sha256 of ``dumps(result)`` and ``result.duration_us`` — read off the
+#: tree whose per-event loop still bound its calls through a virtual-time
+#: span tracer.
+PINNED_RUNS = {
+    "fill": ("319708f976be3f39cf50c8f17422c751fc497d98336c8581ee29833cef7da7a9", 973316),
+    "sequential": (
+        "7a3d3faaa3c7e208feccce2cc3e6a079a5f7a65b9c260005b82575ad197a1630",
+        1249326,
+    ),
 }
-
-
-def run_per_event(kind, tracer):
-    config, targets = small_world(11, decoupled=False)
-    run, options = PER_EVENT[kind]
-    return run(Internet.from_config(config), "US-EDU-1", targets, tracer=tracer, **options)
-
-
-class CountingNullTracer(NullTracer):
-    """Disabled, but remembers every call a loop still makes on it."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def span(self, name, **attrs):
-        self.calls.append(name)
-        return super().span(name, **attrs)
-
-    def event(self, name, when=None, **attrs):
-        self.calls.append(name)
 
 
 @pytest.mark.parametrize("kind", list(PER_EVENT))
-class TestPerEventLoop:
-    def test_a_disabled_tracer_is_absent_from_the_loop(self, kind):
-        """Nothing per tick, per probe or per response: the one call is
-        the campaign-level span around the whole run."""
-        tracer = CountingNullTracer()
-        result = run_per_event(kind, tracer)
-        assert result.sent > 1000 and len(result.records) > 1000
-        assert tracer.calls == ["campaign"]
-
-    def test_a_traced_campaign_dumps_the_parents_bytes(self, kind):
-        """Names, order, parent indices, times, and the limiter
-        decisions under ``probe``: the bound calls record what the
-        inline ``with`` blocks did."""
-        tracer = Tracer()
-        run_per_event(kind, tracer)
-        tracer.validate()
-        by_parent = {
-            (span.name, tracer.spans[span.parent].name)
-            for span in tracer.spans
-            if span.parent >= 0
-        }
-        assert by_parent == {
-            ("tick", "campaign"),
-            ("emit", "tick"),
-            ("probe", "tick"),
-            ("limiter.decision", "probe"),
-            ("receive", "campaign"),
-        }
-        digest = hashlib.sha256(tracer.dumps().encode("utf-8")).hexdigest()
-        assert digest == PINNED_TRACES[kind]
+def test_the_per_event_loop_reproduces_its_pinned_output(kind):
+    config, targets = small_world(11, decoupled=False)
+    prober, prober_config, batch = PER_EVENT[kind]
+    result = run_campaign(
+        Internet.from_config(config), "US-EDU-1", targets, prober, 2000.0,
+        prober_config, batch=batch,
+    )
+    assert result.sent > 1000 and len(result.records) > 1000
+    digest = hashlib.sha256(dumps(result).encode("utf-8")).hexdigest()
+    assert (digest, result.duration_us) == PINNED_RUNS[kind]
 
 
-def test_run_campaign_binds_the_tracer_once_outside_every_loop():
-    """The shape that keeps the null spans, and a traced twin of the
-    loop, from quietly coming back (a contract no offline session could
-    check as a CI grep)."""
+def test_run_campaign_has_one_per_event_loop_and_one_block_loop():
+    """The shape that keeps a second per-event loop from quietly coming
+    back: one emission site, one reception site, two generators."""
     tree = ast.parse(inspect.getsource(campaign_module))
     (run,) = [
         node
@@ -300,25 +226,13 @@ def test_run_campaign_binds_the_tracer_once_outside_every_loop():
             and node.value.id == owner
         ]
 
-    # The only span opened inline is the campaign-level one.
-    spans = [
-        node
-        for node in ast.walk(run)
-        if isinstance(node, ast.Call) and node.func in attribute_uses("trace", "span")
-    ]
-    assert [call.args[0].value for call in spans] == ["campaign"]
     # One emission site and one reception site: no second per-event loop.
     assert len(attribute_uses("machine", "next_probe")) == 1
     assert len(attribute_uses("machine", "receive")) == 1
-    # No loop, loop body or delivery callback names the tracer at all —
-    # neither to open a span nor to test ``trace.enabled``.
     nested = [
         node for node in ast.walk(run) if isinstance(node, ast.FunctionDef) and node is not run
     ]
     assert {"tick", "deliver"} <= {function.name for function in nested}
-    for function in nested:
-        names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
-        assert not {"trace", "tracer"} & names, function.name
     generators = [
         function.name
         for function in nested
