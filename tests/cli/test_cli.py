@@ -1022,6 +1022,25 @@ class TestAllocSan:
         run(["probe", "--world", world_file, "--targets", targets_path, "--out", plain])
         assert open(results, "rb").read() == open(plain, "rb").read()
 
+    def test_probe_allocsan_profile_traces_what_a_profiled_run_does(self, world_file, tmp_path):
+        """AllocSan's profiler is a full wall profiler: with ``--profile``
+        its trace names the phases a profile-only run's trace names."""
+        targets_path = self._pipeline(world_file, tmp_path)
+        base = ["probe", "--world", world_file, "--targets", targets_path]
+        traces = {}
+        for name, flags in (("profile", []), ("allocsan", ["--allocsan"])):
+            trace = tmp_path / (name + ".json")
+            code, text = run(
+                base + ["--out", str(tmp_path / (name + ".yrp6")), "--profile", str(trace)] + flags
+            )
+            assert code == 0, text
+            traces[name] = {
+                event["name"] for event in json.loads(trace.read_text())["traceEvents"]
+            }
+        assert "allocsan: clean" in text
+        assert traces["allocsan"] == traces["profile"] != set()
+        assert (tmp_path / "allocsan.yrp6").read_bytes() == (tmp_path / "profile.yrp6").read_bytes()
+
     def test_probe_allocsan_blown_budget_fails(
         self, world_file, tmp_path, monkeypatch
     ):

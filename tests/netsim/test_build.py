@@ -20,6 +20,7 @@ from repro.netsim import (
 )
 from repro.netsim import build
 from repro.netsim.topology import AddressPlan, RouterRole
+from repro.prober import run_yarrp6
 
 
 class TestDeterminism:
@@ -284,6 +285,20 @@ class TestConfigChecked:
             )
         )
         assert set(built.vantages) == {"US-EDU-1", "US-EDU-2", "EU-NET"}
+
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    def test_a_response_loss_at_either_end_is_a_probability(self, loss):
+        """The range is closed: 0 loses nothing, 1 loses every reply."""
+        internet = Internet.from_config(replace(SMOKE, response_loss=loss))
+        targets = [
+            subnet.prefix.base | 1 for subnet in list(internet.truth.subnets.values())[:20]
+        ]
+        result = run_yarrp6(internet, "US-EDU-1", targets, max_ttl=6)
+        assert result.sent > 0
+        if loss:
+            assert not result.records and internet.stats.lost > 0
+        else:
+            assert result.records and internet.stats.lost == 0
 
 
 class TestFrameBudget:

@@ -112,6 +112,62 @@ class TestInstrumentationIsInert:
         assert internet._limiter_observer is None
 
 
+#: Every loop a campaign can run on, on the coupled world at 20 kpps so
+#: every one of them trips the limiters: yarrp6 on the block loop and
+#: forced off it (``batch=0``), walking and filling, and the two baselines.
+LOOPS = {
+    "walk-blocks": ("yarrp6", Yarrp6Config(max_ttl=8), None),
+    "walk-per-event": ("yarrp6", Yarrp6Config(max_ttl=8), 0),
+    "fill-blocks": ("yarrp6", Yarrp6Config(max_ttl=3, fill=True), None),
+    "fill-per-event": ("yarrp6", Yarrp6Config(max_ttl=3, fill=True), 0),
+    "sequential": ("sequential", None, None),
+    "doubletree": ("doubletree", None, None),
+}
+
+
+def run_loop(loop, metrics=None):
+    config, targets = small_world(11, decoupled=False)
+    internet = Internet.from_config(config)
+    prober, prober_config, batch = LOOPS[loop]
+    result = run_campaign(
+        internet, "US-EDU-1", targets, prober, 20000.0, prober_config,
+        metrics=metrics, batch=batch,
+    )
+    return internet, result
+
+
+@pytest.mark.parametrize("loop", list(LOOPS))
+class TestEveryLoopIsObserved:
+    """The registry is the one observer left on the campaign loops: on
+    each of them it must record what happened and change none of it."""
+
+    def test_a_registry_changes_no_byte_of_the_output(self, loop):
+        plain_internet, plain = run_loop(loop)
+        internet, observed = run_loop(loop, MetricsRegistry())
+        assert plain.metrics is None and observed.metrics is not None
+        assert dumps(observed) == dumps(plain)
+        assert observed.duration_us == plain.duration_us
+        assert stats_of(internet) == stats_of(plain_internet)
+        assert internet._limiter_observer is None
+
+    def test_the_limiter_series_agree_with_the_ground_truth(self, loop):
+        internet, result = run_loop(loop, MetricsRegistry())
+        stats = internet.stats
+        denied = series_total(result.metrics, "ratelimit.denied")
+        assert denied == stats.rate_limited > 0
+        # Every Time Exceeded passed a limiter; a passed decision ends as
+        # an error sent or as a loss (losses at end hosts count there too).
+        allowed = series_total(result.metrics, "ratelimit.allowed")
+        assert stats.time_exceeded <= allowed
+        assert allowed <= (
+            stats.time_exceeded + stats.unreachables + stats.packet_too_big + stats.lost
+        )
+
+
+def stats_of(internet):
+    return {name: getattr(internet.stats, name) for name in type(internet.stats).__slots__}
+
+
 class TestDumpAgreesWithResult:
     def test_counters_match_headline_numbers(self):
         config, targets = small_world(3)
@@ -173,12 +229,20 @@ class TestDumpAgreesWithResult:
         )
 
 
-#: The two campaigns the per-event loop is pinned on, on the coupled
-#: world so limiter decisions are made: fill mode forced off the block
-#: loop (``batch=0``), and a sequential one.
+#: The campaigns the per-event loop is pinned on, on the coupled world
+#: so limiter decisions are made: yarrp6 forced off the block loop
+#: (``batch=0``) as a walk, with fill, and with fill plus neighbourhood
+#: skipping, and the two baselines, which have no block loop.
 PER_EVENT = {
     "fill": ("yarrp6", Yarrp6Config(max_ttl=3, fill=True), 0),
     "sequential": ("sequential", None, None),
+    "walk": ("yarrp6", Yarrp6Config(max_ttl=8), 0),
+    "fill-neighbourhood": (
+        "yarrp6",
+        Yarrp6Config(max_ttl=4, fill=True, neighborhood_ttl=2),
+        0,
+    ),
+    "doubletree": ("doubletree", None, None),
 }
 
 #: sha256 of ``dumps(result)`` and ``result.duration_us`` — read off the
@@ -189,6 +253,15 @@ PINNED_RUNS = {
     "sequential": (
         "7a3d3faaa3c7e208feccce2cc3e6a079a5f7a65b9c260005b82575ad197a1630",
         1249326,
+    ),
+    "walk": ("ad7540af90abe79484da7c2b0b243a00028f9c80b013cbaff141fac3294f7d78", 829584),
+    "fill-neighbourhood": (
+        "1072ac645c34bdd4f86e2c833def592a0e63fd08eebef5b9ff3f1909dd44b877",
+        979378,
+    ),
+    "doubletree": (
+        "1535727945a139220334e47272df2074b00348f19e34745718aba2e4714e2c08",
+        593578,
     ),
 }
 
