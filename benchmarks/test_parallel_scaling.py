@@ -31,8 +31,8 @@ imports, forks, runs and merges.
 import os
 
 from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
-from repro.obs import Stopwatch, WallProfiler, dump_to_json
-from repro.prober import CampaignSpec, run_parallel, run_single
+from repro.obs import Stopwatch, WallProfiler
+from repro.prober import CampaignSpec, dumps, run_parallel, run_single
 
 from .emit import emit_json, tracked_entry
 
@@ -77,17 +77,15 @@ def test_parallel_scaling(save_result):
     targets = tuple(
         subnet.prefix.base | 1 for subnet in built.truth.subnets.values()
     )[:N_TARGETS]
-    spec = CampaignSpec(
-        internet=WORLD, vantage="EU-NET", targets=targets, pps=PPS, metrics=True
-    )
+    spec = CampaignSpec(internet=WORLD, vantage="EU-NET", targets=targets, pps=PPS)
 
     reference = run_single(spec)
+    reference_dump = dumps(reference)
 
     cores = host_cores()
     rows = []
     wall = {}
     pps_per_core = {}
-    dumps = {}
     profiles = {}
     for shards in SHARD_COUNTS:
         profiler = WallProfiler()
@@ -105,7 +103,7 @@ def test_parallel_scaling(save_result):
         ]
         assert merged.interfaces == reference.interfaces
         assert merged.curve == reference.curve
-        dumps[shards] = merged.metrics
+        assert dumps(merged) == reference_dump
         # Virtual emissions retired per wall-second, per worker: the
         # per-core throughput of the campaign inner loop.
         pps_per_core[shards] = merged.sent / wall[shards] / shards
@@ -121,12 +119,6 @@ def test_parallel_scaling(save_result):
                 profiles[shards].get("pickle_bytes_total", 0),
             )
         )
-
-    # The merged telemetry is part of the determinism contract: every
-    # shard count dumps byte-identical metrics.
-    baseline = dump_to_json(dumps[SHARD_COUNTS[0]])
-    for shards in SHARD_COUNTS[1:]:
-        assert dump_to_json(dumps[shards]) == baseline
 
     save_result(
         "parallel_scaling",
@@ -190,7 +182,6 @@ def test_parallel_scaling(save_result):
                 str(shards): profiles[shards] for shards in SHARD_COUNTS
             },
             "tracked": tracked,
-            "metrics": dumps[SHARD_COUNTS[-1]],
         },
     )
 

@@ -1,10 +1,9 @@
 """The ``probe`` sanitizer checks: ``--detsan`` and ``--allocsan``.
 
 Each is a row of :data:`CHECKS` — a function that runs the campaign
-under its sanitizer plus the flag combinations it cannot run with — so
-``cmd_probe`` has one dispatch, one constraint loop and one
-report-printing block for all of them (the table and its constraints
-are documented in docs/observability.md).
+under its sanitizer, and whether it needs a pinned hash seed — so
+``cmd_probe`` has one dispatch and one report-printing block for both
+of them (the table is documented in docs/observability.md).
 """
 
 from __future__ import annotations
@@ -89,13 +88,12 @@ class Check(NamedTuple):
     sanitizer and returns ``(result, findings, verdict)``: the campaign
     to save, one line per finding (any finding makes ``probe`` exit 1;
     the first 20 are printed), and the closing line — ``clean (...)``,
-    or the count of findings.  The other fields are the row's
-    constraints: empty when the check does not have it, else the reason
-    shown in the rejection (see :data:`_CONSTRAINTS`).
+    or the count of findings.  ``needs_hash_seed`` is empty when the
+    check runs at any ``PYTHONHASHSEED``, else the reason shown when it
+    is not pinned.
     """
 
     run: Callable[..., _Outcome]
-    single_worker: str = ""
     needs_hash_seed: str = ""
 
 
@@ -103,25 +101,10 @@ class Check(NamedTuple):
 CHECKS = {
     "detsan": Check(
         _check_detsan,
-        single_worker="a tripwire hit inside a worker process never "
-        "reaches this one's reports",
         needs_hash_seed="hash randomization is per-process nondeterminism",
     ),
-    "allocsan": Check(
-        _check_allocsan,
-        single_worker="the hot phase runs inside worker processes "
-        "tracemalloc cannot observe",
-    ),
+    "allocsan": Check(_check_allocsan),
 }
-
-#: ``(Check field, violated(args), rejection % (flag, reason))``, in the
-#: order they are tested.
-_CONSTRAINTS = (
-    ("single_worker", lambda args: args.workers > 1,
-     "--%s requires --workers 1 (%s)\n"),
-    ("needs_hash_seed", lambda args: not hash_seed_pinned(),
-     "--%s requires PYTHONHASHSEED pinned to a fixed integer (%s)\n"),
-)
 
 
 def rejection(args: argparse.Namespace, chosen: List[str]) -> Optional[str]:
@@ -132,8 +115,7 @@ def rejection(args: argparse.Namespace, chosen: List[str]) -> Optional[str]:
     if args.allocsan_report and not args.allocsan:
         return "--allocsan-report requires --allocsan\n"
     for flag in chosen:
-        for field, violated, message in _CONSTRAINTS:
-            reason = getattr(CHECKS[flag], field)
-            if reason and violated(args):
-                return message % (flag, reason)
+        reason = CHECKS[flag].needs_hash_seed
+        if reason and not hash_seed_pinned():
+            return "--%s requires PYTHONHASHSEED pinned to a fixed integer (%s)\n" % (flag, reason)
     return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence, TextIO
 
 from .. import __version__
 from ..addrs import address, format_address
@@ -36,17 +36,7 @@ from ..obs import (
     write_chrome_trace,
     write_manifest,
 )
-from ..prober import (
-    PROBERS,
-    CampaignSpec,
-    SuperviseConfig,
-    Yarrp6Config,
-    contract,
-    run_campaign,
-    run_parallel,
-    validate_spec,
-    validate_supervise,
-)
+from ..prober import PROBERS, CampaignSpec, Yarrp6Config, run_campaign, validate_campaign
 from ..prober.output import load_campaign, save_campaign
 from ..seeds import SOURCES
 from .checks import CHECKS, rejection
@@ -151,16 +141,6 @@ def cmd_targets(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _fault_summary(failures: Dict[str, Any]) -> str:
-    """The non-zero supervision counters of a manifest ``failures`` block
-    as ``name=N, ...`` (empty when the run needed no recovery)."""
-    return ", ".join(
-        "%s=%s" % (name, entry["value"])
-        for name, entry in sorted(failures.get("metrics", {}).items())
-        if entry.get("kind") == "counter" and entry["value"]
-    )
-
-
 def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     targets = [item for item in _read_items(args.targets) if isinstance(item, int)]
     if not targets:
@@ -171,17 +151,9 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     if refusal:
         out.write(refusal)
         return 2
-    if args.prober != "yarrp6":
-        for flag, used, reason in (
-            ("workers", args.workers > 1, "stateless shards"),
-            ("fill", args.fill, "fill probes extend Yarrp6's own walk"),
-        ):
-            if used:
-                out.write("--%s requires the yarrp6 prober (%s)\n" % (flag, reason))
-                return 2
-    supervise = SuperviseConfig(
-        shard_timeout_s=args.shard_timeout, max_retries=args.max_retries
-    )
+    if args.fill and args.prober != "yarrp6":
+        out.write("--fill requires the yarrp6 prober (fill probes extend Yarrp6's own walk)\n")
+        return 2
     # The stopwatch is the run's only wall-clock read (top-level boundary,
     # reporting only — see repro.obs.wallclock); it never touches the sim.
     stopwatch = Stopwatch() if args.metrics else None
@@ -190,33 +162,13 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     prober_kwargs = {"max_ttl": args.max_ttl}
     if args.fill:
         prober_kwargs["fill"] = True
-
-    # The campaign as run_parallel takes it (--workers > 1).
-    spec = CampaignSpec(
-        internet=world_config,
-        vantage=args.vantage,
-        targets=tuple(targets),
-        pps=args.pps,
-        config=Yarrp6Config(**prober_kwargs),
-        metrics=args.metrics is not None,
+    # Before any world is built: a TTL range, vantage or pps the campaign
+    # would refuse is refused now, with the campaign's own message.
+    validate_campaign(
+        CampaignSpec(
+            world_config, args.vantage, tuple(targets), args.pps, Yarrp6Config(**prober_kwargs)
+        )
     )
-    # Whatever --workers is, and before any world is built: what the
-    # parallel path would refuse, the serial path must not quietly run.
-    validate_spec(spec, args.workers)
-    validate_supervise(supervise)
-    label = contract(spec, args.workers)
-    if args.strict and label != "exact":
-        out.write("--strict: contract is %s, not exact\n" % label)
-        return 2
-    if args.workers == 1:
-        # A serial campaign runs no supervisor: refuse what it would ignore.
-        for flag, used in (
-            ("max-retries", args.max_retries != 0),
-            ("shard-timeout", args.shard_timeout is not None),
-        ):
-            if used:
-                out.write("--%s requires --workers > 1 (only shards are supervised)\n" % flag)
-                return 2
 
     # One profiler per campaign execution (detsan runs the campaign twice;
     # the reported profile is the last, clean run's).  Profiling is
@@ -227,11 +179,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         if prof is None:
             prof = WallProfiler() if args.profile else NULL_PROFILER
         profilers.append(prof)
-        with prof.phase("probe", prober=args.prober, workers=args.workers):
-            if args.workers > 1:
-                return run_parallel(
-                    spec, shards=args.workers, profiler=prof, supervise=supervise
-                )
+        with prof.phase("probe", prober=args.prober):
             internet = Internet.from_config(world_config, profiler=prof)
             result = run_campaign(
                 internet,
@@ -263,15 +211,13 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     rows = save_campaign(args.out, result)
     out.write(
-        "%s from %s: %d probes, %d responses, %d interfaces; contract: %s; "
-        "%d rows -> %s\n"
+        "%s from %s: %d probes, %d responses, %d interfaces; %d rows -> %s\n"
         % (
             args.prober,
             args.vantage,
             result.sent,
             len(result.records),
             len(result.interfaces),
-            label,
             rows,
             args.out,
         )
@@ -291,12 +237,6 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
                 args.profile,
             )
         )
-    failures = getattr(result, "failures", None)
-    faults = _fault_summary(failures or {})
-    if faults:
-        # Reporting only (the campaign is over; its bytes are already
-        # written): surface anything the supervisor had to do to finish it.
-        out.write("supervise: %s\n" % faults)
     if args.metrics:
         manifest = build_manifest(
             result,
@@ -304,11 +244,8 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
             metrics=result.metrics,
             world=dataclasses.asdict(world_config),
             records_file=args.out,
-            workers=args.workers,
-            contract=label,
             wall_seconds=stopwatch.elapsed_seconds() if stopwatch else None,
             wall_profile=wall_profile,
-            failures=failures,
         )
         write_manifest(args.metrics, manifest)
         out.write("manifest -> %s\n" % args.metrics)
@@ -325,9 +262,6 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     wallclock = manifest.get("wallclock", {})
     if "seconds" in wallclock:
         run_rows.append(["wall seconds", "%.3f" % wallclock["seconds"]])
-    if "failures" in manifest:
-        summary = _fault_summary(manifest["failures"])
-        run_rows.append(["supervision", summary or "clean (no faults)"])
     out.write(render_table(["field", "value"], run_rows, title="run") + "\n")
     summary = manifest.get("summary", {})
     if summary:
@@ -505,37 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--max-ttl", type=int, default=16)
     probe.add_argument("--fill", action="store_true")
     probe.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="split the campaign into N permutation shards run in parallel "
-        "worker processes (yarrp6 only)",
-    )
-    probe.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse (exit 2) a run whose --workers result is not exactly "
-        "the single campaign's (contract other than 'exact')",
-    )
-    probe.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard wall-clock deadline: a worker attempt that outlives "
-        "it is killed and counted as a timeout fault (--workers > 1; "
-        "default: no deadline)",
-    )
-    probe.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="re-run a crashed, killed, hung or corrupt shard up to N times "
-        "(--workers > 1; a retried shard is byte-identical to a first "
-        "try; default 0)",
-    )
-    probe.add_argument(
         "--metrics",
         metavar="PATH",
         help="write a JSON run manifest (spec, seed, metric dump, wall time) "
@@ -566,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument(
         "--profile",
         metavar="PATH",
-        help="profile the pipeline's wall-clock phases (world build, process "
-        "startup, shard execution, result pickling/IPC, merge), write a "
+        help="profile the pipeline's wall-clock phases (world build, the "
+        "campaign's layers, world teardown), write a "
         "Perfetto-loadable Chrome trace to PATH and print the phase "
         "report; reporting only — the .yrp6 bytes are unchanged",
     )

@@ -30,8 +30,8 @@ LNT001    an unused or unknown ``# repro-lint: disable=`` suppression
 ========  ============================================================
 
 The PERF rows are the whole-program half (:mod:`repro.lint.program`);
-what a static rule cannot see at runtime the sanitizers check
-(:mod:`.detsan`, :mod:`.allocsan`, :mod:`.faultsan`).
+what a static rule cannot see at runtime the two sanitizers check
+(:mod:`.detsan`, :mod:`.allocsan`).
 
 Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.

@@ -25,9 +25,8 @@ real functions.  Two standing exemptions mirror the static rules:
 ``mode="record"`` logs instead of raising — the ``probe --detsan`` flag
 uses it to run a full campaign under instrumentation and then verify
 the dump is byte-identical to a clean rerun.  The reports live in the
-process that entered the region: a tripwire hit inside a shard process
-never reaches it, which is why ``probe --detsan`` runs at ``--workers 1``
-only.
+process that entered the region: a tripwire hit inside a child process
+never reaches it.
 
 Patches go on one LIFO stack: each remembers what ``module.name`` was
 and the exit puts them back newest first, so regions nest and a failed

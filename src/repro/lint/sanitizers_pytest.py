@@ -15,9 +15,9 @@ sanitized; fixtures and collection run unpatched so harness-level timing
 (hypothesis deadlines, tmp-path bookkeeping) and session-scoped world
 builds are unaffected.
 
-The FaultSan chaos grid (``tests/prober/test_faultsan.py``) and the
-AllocSan budget test (``tests/lint/test_allocsan.py``) need no flag:
-they are ordinary tests and run with the rest of the suite.
+The other sanitizer, AllocSan, needs no flag: its budget test
+(``tests/lint/test_allocsan.py``) is an ordinary test and runs with the
+rest of the suite.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from itertools import count
 from math import isfinite
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, SCOPE_RUN, MetricsRegistry
+from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 #: Microseconds per second, the engine's clock unit.
 US_PER_SECOND = 1_000_000
@@ -54,7 +54,7 @@ class Engine:
     sequence number is unique, so entries order by (time, scheduling
     order) and callbacks are never compared.
 
-    ``metrics`` attaches run-scoped instruments (events scheduled/fired,
+    ``metrics`` attaches instruments (events scheduled/fired,
     queue depth); the default is the shared no-op registry, so the
     telemetry costs one null method call per event when off.
     """
@@ -64,8 +64,8 @@ class Engine:
         self._heap: List[Tuple[int, int, Callable[[], None]]] = []
         self._sequence = count()
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_scheduled = registry.counter("engine.events_scheduled", scope=SCOPE_RUN)
-        self._m_fired = registry.counter("engine.events_fired", scope=SCOPE_RUN)
+        self._m_scheduled = registry.counter("engine.events_scheduled")
+        self._m_fired = registry.counter("engine.events_fired")
         self._m_depth = registry.gauge("engine.queue_depth")
 
     @property

@@ -21,8 +21,6 @@ from .manifest import (
 from .metrics import (
     DEFAULT_BUCKET_US,
     NULL_REGISTRY,
-    SCOPE_MERGE,
-    SCOPE_RUN,
     Counter,
     CounterMap,
     Gauge,
@@ -33,12 +31,10 @@ from .metrics import (
     NullRegistry,
     TimeSeries,
     dump_to_json,
-    merge_dumps,
     series_cumulative,
     series_points,
 )
 from .chrometrace import chrome_trace, trace_events, write_chrome_trace
-from .failures import FAILURES_FORMAT, FailureReport
 from .profiler import (
     NULL_PROFILER,
     NullWallProfiler,
@@ -52,8 +48,6 @@ __all__ = [
     "Counter",
     "CounterMap",
     "DEFAULT_BUCKET_US",
-    "FAILURES_FORMAT",
-    "FailureReport",
     "Gauge",
     "Histogram",
     "MANIFEST_FORMAT",
@@ -66,8 +60,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "NullWallProfiler",
-    "SCOPE_MERGE",
-    "SCOPE_RUN",
     "Stopwatch",
     "TimeSeries",
     "WallProfileError",
@@ -78,7 +70,6 @@ __all__ = [
     "deterministic_view",
     "dump_to_json",
     "manifest_dumps",
-    "merge_dumps",
     "read_manifest",
     "series_cumulative",
     "series_points",

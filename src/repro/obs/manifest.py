@@ -7,11 +7,10 @@ dump, and — in its own clearly quarantined section — the wall-clock
 duration measured at the top-level boundary via
 :mod:`repro.obs.wallclock`.
 
-Everything except the ``wallclock`` and ``failures`` sections is a pure
-function of the spec: :func:`deterministic_view` strips those, and
-:func:`manifest_dumps` of the stripped view is byte-identical across
-reruns and across parallel shard counts (for decoupled worlds, the same
-contract as ``run_parallel``).
+Everything except the ``wallclock`` section and the records-file path
+is a pure function of the spec: :func:`deterministic_view` strips those,
+and :func:`manifest_dumps` of the stripped view is byte-identical across
+reruns.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ def build_manifest(
     metrics: Optional[MetricDump] = None,
     world: Optional[Dict[str, Any]] = None,
     records_file: Optional[str] = None,
-    workers: int = 1,
-    contract: str = "exact",
     wall_seconds: Optional[float] = None,
     wall_profile: Optional[Dict[str, Any]] = None,
-    failures: Optional[Dict[str, Any]] = None,
 ) -> Manifest:
     """Assemble the manifest document for one finished campaign."""
     manifest: Manifest = {
@@ -60,8 +56,6 @@ def build_manifest(
             "responses": len(result.records),
             "interfaces": len(result.interfaces),
             "duration_us": result.duration_us,
-            "workers": workers,
-            "contract": contract,
         },
         "seed": seed,
         "summary": dict(result.summary),
@@ -71,13 +65,6 @@ def build_manifest(
         manifest["world"] = world
     if records_file is not None:
         manifest["records_file"] = records_file
-    if failures is not None:
-        # The supervised runner's FailureReport: which workers crashed,
-        # timed out or vanished, and what the supervisor did about it.
-        # Host-dependent (a fact about this machine's scheduler and
-        # memory pressure, not about the spec), so deterministic_view
-        # strips it like the wallclock block.
-        manifest["failures"] = failures
     if wall_seconds is not None or wall_profile is not None:
         # Host-dependent numbers live under ONE quarantined key, so
         # deterministic_view strips the whole block (profile included).
@@ -91,13 +78,12 @@ def build_manifest(
 
 
 def deterministic_view(manifest: Manifest) -> Manifest:
-    """The manifest minus host-dependent fields (the wall-clock section,
-    the records-file path, and the supervision failure report): the part
-    covered by byte-identity."""
+    """The manifest minus host-dependent fields (the wall-clock section
+    and the records-file path): the part covered by byte-identity."""
     return {
         key: value
         for key, value in manifest.items()
-        if key not in ("wallclock", "records_file", "failures")
+        if key not in ("wallclock", "records_file")
     }
 
 
@@ -171,9 +157,10 @@ def _check_metrics(dump: Any, where: str) -> None:
 
 def read_manifest(path: str) -> Manifest:
     """The manifest at ``path``, with the shape readers index checked:
-    ``run``, ``failures`` and ``wallclock`` are objects, every metric
-    entry (the failures block's too) carries its kind's fields, a profile's
-    phase rows theirs.  Anything else is a :class:`ManifestError`."""
+    ``run`` and ``wallclock`` are objects, every metric entry carries its
+    kind's fields, a profile's phase rows theirs.  Keys no reader indexes
+    (an older manifest's ``failures`` block) are not checked.  Anything
+    else is a :class:`ManifestError`."""
     with open(path) as source:
         try:
             data = json.load(source)
@@ -186,8 +173,6 @@ def read_manifest(path: str) -> Manifest:
     try:
         _object(data.get("run", {}), "run")
         _check_metrics(data.get("metrics", {}), "metrics")
-        failures = _object(data.get("failures", {}), "failures")
-        _check_metrics(failures.get("metrics", {}), "failures.metrics")
         wallclock = _object(data.get("wallclock", {}), "wallclock")
         if "seconds" in wallclock:
             _object(wallclock, "wallclock", {"seconds": _is_number})

@@ -5,25 +5,11 @@ to the **virtual clock** — the only clock simulation code may read (see
 DET001 and ``docs/observability.md``); wall time exists solely at the
 top-level run boundary in :mod:`repro.obs.wallclock`.  That restriction
 is what makes a metrics dump a *result* rather than a log: the same
-campaign spec produces the same dump, byte for byte, on any machine and
-in any process layout.
-
-Two properties the rest of the system builds on:
-
-**Deterministic dumps.**  :meth:`MetricsRegistry.to_dict` renders every
+campaign spec produces the same dump, byte for byte, on any machine.
+:meth:`MetricsRegistry.to_dict` renders every
 metric into plain JSON-able values with fully ordered keys, and
 :func:`dump_to_json` serializes with sorted keys, so equal registries
 produce equal bytes.
-
-**Deterministic merges.**  :func:`merge_dumps` combines per-shard dumps
-from the parallel runner into one dump by per-kind semantics: counters,
-counter maps, series buckets, and histogram counts are summed.  Metrics
-carry a *scope*: ``"merge"`` metrics count per-probe events that
-partition exactly across permutation shards (their sums reproduce the
-single-process dump bit for bit over decoupled worlds); ``"run"``
-metrics — and every gauge — are per-process diagnostics (engine queue
-depth, event totals) that are *dropped* at merge time because
-aggregating them across processes has no meaning.
 
 The default registry everywhere is :data:`NULL_REGISTRY`, whose metric
 objects are shared no-op singletons, so instrumentation stays on the hot
@@ -40,38 +26,30 @@ Number = Union[int, float]
 #: A metric dump: metric name -> rendered payload (plain JSON values).
 MetricDump = Dict[str, Dict[str, Any]]
 
-#: Metrics with this scope merge exactly across permutation shards.
-SCOPE_MERGE = "merge"
-#: Per-process diagnostics, dropped when shard dumps are merged.
-SCOPE_RUN = "run"
-
 #: Default virtual-time bucket width for time series: one virtual second.
 DEFAULT_BUCKET_US = 1_000_000
 
 
 class MetricError(ValueError):
-    """Raised for inconsistent metric declarations or unmergeable dumps."""
+    """Raised for inconsistent metric declarations."""
 
 
 class Metric:
-    """Base class: a named instrument with a merge scope."""
+    """Base class: a named instrument."""
 
     kind = ""
 
-    __slots__ = ("name", "scope")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, scope: str) -> None:
-        if scope not in (SCOPE_MERGE, SCOPE_RUN):
-            raise MetricError("unknown scope %r for metric %r" % (scope, name))
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.scope = scope
 
     def payload(self) -> Dict[str, Any]:
         """Kind-specific rendered values (JSON-able, fully ordered)."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind, "scope": self.scope}
+        data: Dict[str, Any] = {"kind": self.kind}
         data.update(self.payload())
         return data
 
@@ -83,8 +61,8 @@ class Counter(Metric):
 
     __slots__ = ("value",)
 
-    def __init__(self, name: str, scope: str = SCOPE_MERGE) -> None:
-        super().__init__(name, scope)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self.value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
@@ -95,19 +73,14 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A point-in-time observation (queue depth, token level).
-
-    Gauges are always run-scoped: the maximum queue depth of one shard's
-    engine says nothing about the campaign as a whole, so merges drop
-    them by construction.
-    """
+    """A point-in-time observation (queue depth, token level)."""
 
     kind = "gauge"
 
     __slots__ = ("last", "min", "max", "samples")
 
     def __init__(self, name: str) -> None:
-        super().__init__(name, SCOPE_RUN)
+        super().__init__(name)
         self.last: Number = 0
         self.min: Optional[Number] = None
         self.max: Optional[Number] = None
@@ -137,8 +110,8 @@ class CounterMap(Metric):
 
     __slots__ = ("values",)
 
-    def __init__(self, name: str, scope: str = SCOPE_MERGE) -> None:
-        super().__init__(name, scope)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self.values: Dict[int, Number] = {}
 
     def inc(self, key: int, amount: Number = 1) -> None:
@@ -158,22 +131,15 @@ class TimeSeries(Metric):
 
     ``record(now, amount)`` adds ``amount`` to the bucket containing the
     virtual timestamp ``now``; the rendered payload is a sorted list of
-    ``[bucket_start_us, value]`` points.  Because cooperating shards emit
-    on exactly the virtual-clock slots the single process would use, the
-    per-bucket sums of shard series reproduce the single-process series.
+    ``[bucket_start_us, value]`` points.
     """
 
     kind = "series"
 
     __slots__ = ("bucket_us", "buckets")
 
-    def __init__(
-        self,
-        name: str,
-        bucket_us: int = DEFAULT_BUCKET_US,
-        scope: str = SCOPE_MERGE,
-    ) -> None:
-        super().__init__(name, scope)
+    def __init__(self, name: str, bucket_us: int = DEFAULT_BUCKET_US) -> None:
+        super().__init__(name)
         if bucket_us < 1:
             raise MetricError("bucket_us must be >= 1: %r" % bucket_us)
         self.bucket_us = bucket_us
@@ -205,13 +171,8 @@ class Histogram(Metric):
 
     __slots__ = ("bounds", "counts")
 
-    def __init__(
-        self,
-        name: str,
-        bounds: Sequence[float],
-        scope: str = SCOPE_MERGE,
-    ) -> None:
-        super().__init__(name, scope)
+    def __init__(self, name: str, bounds: Sequence[float]) -> None:
+        super().__init__(name)
         ordered = tuple(float(bound) for bound in bounds)
         if not ordered or list(ordered) != sorted(set(ordered)):
             raise MetricError(
@@ -251,10 +212,10 @@ class MetricsRegistry:
         self._metrics: Dict[str, Metric] = {}
 
     # -- factories -------------------------------------------------------
-    def counter(self, name: str, scope: str = SCOPE_MERGE) -> Counter:
+    def counter(self, name: str) -> Counter:
         metric = self._get(name, Counter)
         if metric is None:
-            metric = Counter(name, scope)
+            metric = Counter(name)
             self._metrics[name] = metric
         return metric
 
@@ -265,22 +226,17 @@ class MetricsRegistry:
             self._metrics[name] = metric
         return metric
 
-    def counter_map(self, name: str, scope: str = SCOPE_MERGE) -> CounterMap:
+    def counter_map(self, name: str) -> CounterMap:
         metric = self._get(name, CounterMap)
         if metric is None:
-            metric = CounterMap(name, scope)
+            metric = CounterMap(name)
             self._metrics[name] = metric
         return metric
 
-    def series(
-        self,
-        name: str,
-        bucket_us: int = DEFAULT_BUCKET_US,
-        scope: str = SCOPE_MERGE,
-    ) -> TimeSeries:
+    def series(self, name: str, bucket_us: int = DEFAULT_BUCKET_US) -> TimeSeries:
         metric = self._get(name, TimeSeries)
         if metric is None:
-            metric = TimeSeries(name, bucket_us, scope)
+            metric = TimeSeries(name, bucket_us)
             self._metrics[name] = metric
         elif metric.bucket_us != bucket_us:
             raise MetricError(
@@ -289,15 +245,10 @@ class MetricsRegistry:
             )
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[float],
-        scope: str = SCOPE_MERGE,
-    ) -> Histogram:
+    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         metric = self._get(name, Histogram)
         if metric is None:
-            metric = Histogram(name, bounds, scope)
+            metric = Histogram(name, bounds)
             self._metrics[name] = metric
         elif metric.bounds != tuple(float(bound) for bound in bounds):
             raise MetricError(
@@ -383,29 +334,19 @@ class NullRegistry(MetricsRegistry):
 
     enabled = False
 
-    def counter(self, name: str, scope: str = SCOPE_MERGE) -> Counter:
+    def counter(self, name: str) -> Counter:
         return _NULL_COUNTER
 
     def gauge(self, name: str) -> Gauge:
         return _NULL_GAUGE
 
-    def counter_map(self, name: str, scope: str = SCOPE_MERGE) -> CounterMap:
+    def counter_map(self, name: str) -> CounterMap:
         return _NULL_COUNTER_MAP
 
-    def series(
-        self,
-        name: str,
-        bucket_us: int = DEFAULT_BUCKET_US,
-        scope: str = SCOPE_MERGE,
-    ) -> TimeSeries:
+    def series(self, name: str, bucket_us: int = DEFAULT_BUCKET_US) -> TimeSeries:
         return _NULL_SERIES
 
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[float],
-        scope: str = SCOPE_MERGE,
-    ) -> Histogram:
+    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         return _NULL_HISTOGRAM
 
     def to_dict(self) -> MetricDump:
@@ -417,81 +358,11 @@ NULL_REGISTRY = NullRegistry()
 
 
 # ---------------------------------------------------------------------------
-# Dump serialization and merging.
+# Dump serialization and reading.
 # ---------------------------------------------------------------------------
 def dump_to_json(dump: MetricDump) -> str:
     """Canonical JSON for a dump: sorted keys, no whitespace drift."""
     return json.dumps(dump, sort_keys=True, separators=(",", ": "), indent=1)
-
-
-def merge_dumps(dumps: Sequence[MetricDump]) -> MetricDump:
-    """Merge per-shard dumps into one, by per-kind semantics.
-
-    Counters, counter maps, series buckets, and histogram counts are
-    summed; run-scoped metrics and gauges are dropped (per-process
-    diagnostics).  Series bucket widths and histogram bounds must agree
-    across shards — a mismatch raises :class:`MetricError` rather than
-    producing a silently wrong aggregate.
-    """
-    merged: MetricDump = {}
-    for dump in dumps:
-        for name in sorted(dump):
-            entry = dump[name]
-            if entry.get("scope") != SCOPE_MERGE or entry.get("kind") == "gauge":
-                continue
-            current = merged.get(name)
-            if current is None:
-                merged[name] = _copy_entry(entry)
-            else:
-                _merge_entry(name, current, entry)
-    return merged
-
-
-def _copy_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    copied: Dict[str, Any] = {}
-    for key, value in entry.items():
-        if isinstance(value, list):
-            copied[key] = [list(item) if isinstance(item, list) else item for item in value]
-        else:
-            copied[key] = value
-    return copied
-
-
-def _merge_entry(name: str, current: Dict[str, Any], entry: Dict[str, Any]) -> None:
-    kind = current.get("kind")
-    if entry.get("kind") != kind:
-        raise MetricError(
-            "metric %r has conflicting kinds across shards: %r vs %r"
-            % (name, kind, entry.get("kind"))
-        )
-    if kind == "counter":
-        current["value"] = current["value"] + entry["value"]
-    elif kind == "counter_map":
-        values = {key: value for key, value in current["values"]}
-        for key, value in entry["values"]:
-            values[key] = values.get(key, 0) + value
-        current["values"] = [[key, values[key]] for key in sorted(values)]
-    elif kind == "series":
-        if current["bucket_us"] != entry["bucket_us"]:
-            raise MetricError(
-                "series %r has conflicting bucket widths across shards: %d vs %d"
-                % (name, current["bucket_us"], entry["bucket_us"])
-            )
-        buckets = {bucket: value for bucket, value in current["points"]}
-        for bucket, value in entry["points"]:
-            buckets[bucket] = buckets.get(bucket, 0) + value
-        current["points"] = [[bucket, buckets[bucket]] for bucket in sorted(buckets)]
-    elif kind == "histogram":
-        if current["bounds"] != entry["bounds"]:
-            raise MetricError(
-                "histogram %r has conflicting bounds across shards: %r vs %r"
-                % (name, current["bounds"], entry["bounds"])
-            )
-        current["counts"] = [
-            a + b for a, b in zip(current["counts"], entry["counts"])
-        ]
-    else:
-        raise MetricError("metric %r has unmergeable kind %r" % (name, kind))
 
 
 def series_points(dump: MetricDump, name: str) -> List[Tuple[int, Number]]:

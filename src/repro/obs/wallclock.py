@@ -11,14 +11,11 @@ exactly the module path ``repro.obs.wallclock`` and nothing else.
 Rules for callers:
 
 * call only where the answer is a fact about the host: the top-level
-  run boundary (CLI, benchmark harness), wall-profiler spans
-  (:mod:`repro.obs.profiler`), and supervision deadlines
-  (:mod:`repro.prober.supervise`: is this worker late?) — never from
-  engine, netsim, campaign, prober-loop, or analysis code;
+  run boundary (CLI, benchmark harness) and wall-profiler spans
+  (:mod:`repro.obs.profiler`) — never from engine, netsim, campaign,
+  prober-loop, or analysis code;
 * the value may be *reported* (manifest ``wallclock`` section, bench
-  JSON) or decide that a worker is lost and its shard must re-run —
-  which re-derives the same bytes from the spec — but must never
-  influence simulation behaviour;
+  JSON) but must never influence simulation behaviour;
 * determinism-sensitive consumers compare manifests through
   :func:`repro.obs.manifest.deterministic_view`, which strips the
   wall-clock section.

@@ -24,19 +24,14 @@ from .encoding import (
 )
 from .parallel import (
     CampaignSpec,
-    contract,
     merge_results,
     run_parallel,
     run_shard,
     run_single,
+    validate_campaign,
     validate_spec,
 )
-from .supervise import (
-    DEFAULT_SUPERVISE,
-    ShardFailure,
-    SuperviseConfig,
-    validate_supervise,
-)
+from .supervise import ShardFailure
 from .permutation import KeyedPermutation, ProbeSchedule
 from .mda import MDAConfig, MDAResult, run_mda
 from .output import (
@@ -57,7 +52,6 @@ __all__ = [
     "AdaptiveConfig",
     "CampaignResult",
     "CampaignSpec",
-    "DEFAULT_SUPERVISE",
     "DEST_PORT",
     "DecodeError",
     "DecodedProbe",
@@ -81,7 +75,6 @@ __all__ = [
     "SequentialConfig",
     "SequentialProber",
     "ShardFailure",
-    "SuperviseConfig",
     "Speedtrap",
     "SpeedtrapConfig",
     "WaveProber",
@@ -106,8 +99,8 @@ __all__ = [
     "run_shard",
     "run_single",
     "run_speedtrap",
+    "validate_campaign",
     "validate_spec",
-    "validate_supervise",
     "write_campaign",
     "run_yarrp6",
 ]

@@ -50,13 +50,6 @@ class CampaignResult:
     #: Host-dependent reporting data: never serialized into ``.yrp6``
     #: output, never merged into metrics, never read by simulation code.
     wall_profile: Optional[Dict[str, Any]] = None
-    #: Supervision report (:meth:`repro.obs.failures.FailureReport.
-    #: to_dict`), attached by :func:`~repro.prober.parallel.run_parallel`.
-    #: Host-dependent like ``wall_profile`` — what the host did to the
-    #: workers, not what the campaign measured: never serialized into
-    #: ``.yrp6`` output, never merged into metrics, never read back by
-    #: simulation code.
-    failures: Optional[Dict[str, Any]] = None
 
     @classmethod
     def collect(

@@ -18,7 +18,7 @@ holds bit for bit, for any ``N``, whenever the campaign is *decomposable*
 InternetConfig` (a frozen dataclass of numbers), the vantage name, the
 target tuple and the frozen prober config.  On fork platforms the
 parent builds the world ONCE before the first process starts and every
-shard attempt inherits it copy-on-write; attempts rewind its run-scoped
+shard process inherits it copy-on-write; shards rewind its run-scoped
 state (:meth:`Internet.fresh_run_state`) instead of rebuilding, so
 sharding cost is per-campaign, not per-shard-times-build.  Spawn
 platforms (and any process whose inherited world doesn't match the
@@ -46,40 +46,26 @@ The contract is exact when the simulated internet's dynamics are
 :func:`repro.netsim.build.decoupled_dynamics` guarantees, and when the
 prober config keeps the emission stream a pure permutation walk (no fill
 probes, no neighborhood skipping: both react to responses, which a shard
-only partially sees).  Outside the contract ``run_parallel`` is still
-deterministic and still covers every (target, TTL) pair exactly once;
-the merged result is then the union of N cooperating instances rather
-than a bit-replay of one instance, exactly as with real cooperating
-yarrp processes.
+only partially sees).  :func:`validate_spec` refuses any other spec by
+name before a process starts: sharding returns the single campaign or
+nothing.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.build import InternetConfig, decoupled_dynamics
 from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet, check_vantage
-from ..obs.failures import FailureReport
-from ..obs.metrics import MetricDump, MetricsRegistry, merge_dumps
 from ..obs.profiler import NULL_PROFILER, WallProfiler
 from .campaign import CampaignResult, emissions_before, run_campaign
 from .permutation import ProbeSchedule
 from .records import ProbeRecord
-from .supervise import (
-    DEFAULT_SUPERVISE,
-    ShardJob,
-    SuperviseConfig,
-    Supervisor,
-    _resolve_start_method,
-    validate_supervise,
-)
+from .supervise import ShardJob, resolve_start_method, run_processes
 from .yarrp6 import Yarrp6Config
-
-if TYPE_CHECKING:  # only for annotations: the import stays lazy at runtime
-    from ..lint.faultsan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -96,9 +82,6 @@ class CampaignSpec:
     pps: float = 1000.0
     config: Optional[Yarrp6Config] = None
     name: Optional[str] = None
-    #: Run every shard with a metrics registry; the merged result carries
-    #: the shard dumps combined by :func:`repro.obs.metrics.merge_dumps`.
-    metrics: bool = False
     #: Run every shard with its own wall-clock profiler; the worker's
     #: exported phase data rides home on ``CampaignResult.wall_profile``.
     #: Reporting only — the probe bytes and records are identical either
@@ -135,33 +118,22 @@ def _check_immutable(value: Any, path: str) -> None:
         _check_immutable(getattr(value, item.name), "%s.%s" % (path, item.name))
 
 
-def validate_spec(spec: CampaignSpec, shards: int) -> None:
-    """Raise ``ValueError`` for any spec the workers would choke on.
+def validate_campaign(spec: CampaignSpec, shards: int = 1) -> None:
+    """Raise ``ValueError`` for a campaign no prober could run.
 
-    Runs in the parent, *before* any worker forks: a bad shard count, TTL
-    range, vantage name or empty target list must fail immediately with a
-    clean error, not N times inside worker processes.  So does a spec that
-    is not an immutable value all the way down (a list of targets, a live
-    ``Random``): a worker process would get a copy of it and a serial
-    shard the object itself, so a write through it would differ between
-    the two.
+    Builds no world: a spec that is not an immutable value all the way
+    down (a list of targets, a live ``Random``), an empty target list, an
+    unknown vantage, a TTL range the schedule refuses (checked for the
+    widest of ``shards`` shards) or a pps the pacer cannot honour fails
+    here, with the message the campaign itself would give.  The ``probe``
+    command runs it too, before it builds its world.
     """
     _check_immutable(spec, "spec")
-    if shards < 1:
-        raise ValueError("shards must be >= 1: %r" % shards)
     if not spec.targets:
         raise ValueError("no targets")
     # Internet.vantage's check, without building the world to make it.
     check_vantage(spec.vantage, [vantage.name for vantage in spec.internet.vantages])
     config = spec.prober_config()
-    if config.shard != 0 or config.shards != 1:
-        raise ValueError(
-            "spec config must be unsharded (shard=0, shards=1); "
-            "run_parallel assigns shard identities: got shard=%r shards=%r"
-            % (config.shard, config.shards)
-        )
-    # Constructing the widest shard's schedule exercises every validation
-    # the workers would hit: TTL range, domain size, shard arithmetic.
     ProbeSchedule(
         len(spec.targets),
         config.min_ttl,
@@ -173,54 +145,48 @@ def validate_spec(spec: CampaignSpec, shards: int) -> None:
     pps_interval(spec.pps)
 
 
-#: The :class:`InternetConfig` fields :func:`decoupled_dynamics` sets to
-#: keep every ICMPv6 rate limiter from binding; every other field it sets
-#: drops responses at random.
-_LIMITER_FIELDS = frozenset(
-    {"core_limit_rate", "core_limit_burst", "edge_limit_rate", "edge_limit_burst", "vantages"}
-)
+def validate_spec(spec: CampaignSpec, shards: int, processes: int) -> None:
+    """Raise ``ValueError`` for anything :func:`run_parallel` must not run.
 
-
-def contract(spec: CampaignSpec, workers: int) -> str:
-    """What ``workers`` processes promise for ``spec``, read off the spec
-    alone: ``exact`` — the single campaign, bit for bit — or
-    ``N-instances (...)``, the union of N cooperating instances, naming
-    each reason it is not the single campaign:
-
-    * ``limiters``: a rate limiter can bind, and each shard drains only
-      its own copy of the buckets;
-    * ``loss``: responses are dropped at random, and each shard draws
-      from its own stream;
-    * ``fill`` / ``neighbourhood``: a response changes what its prober
-      sends next, and a shard sees only its own responses.
+    Runs in the parent, *before* any process starts: a bad shard or
+    process count, a campaign :func:`validate_campaign` refuses, a config
+    that already carries a shard identity, and a spec whose shards would
+    not merge back into the single campaign.  The last refusal names each
+    cause: a ``coupled world`` (a rate limiter can bind, or responses are
+    lost at random — each shard would drain its own buckets and draw its
+    own losses), ``fill`` or ``neighbourhood`` (a response changes what
+    the prober sends next, and a shard sees only its own responses).
     """
-    if workers == 1:
-        return "exact"
+    for name, count in (("shards", shards), ("processes", processes)):
+        if count < 1:
+            raise ValueError("%s must be >= 1: %r" % (name, count))
+    validate_campaign(spec, shards)
     config = spec.prober_config()
-    decoupled = decoupled_dynamics(spec.internet)
-    coupled = {
-        item.name
-        for item in fields(decoupled)
-        if getattr(decoupled, item.name) != getattr(spec.internet, item.name)
-    }
+    if config.shard != 0 or config.shards != 1:
+        raise ValueError(
+            "spec config must be unsharded (shard=0, shards=1); "
+            "run_parallel assigns shard identities: got shard=%r shards=%r"
+            % (config.shard, config.shards)
+        )
     causes = [
         cause
         for cause, applies in (
-            ("limiters", coupled & _LIMITER_FIELDS),
-            ("loss", coupled - _LIMITER_FIELDS),
+            ("coupled world", decoupled_dynamics(spec.internet) != spec.internet),
             ("fill", config.fill_ttls),
             ("neighbourhood", config.neighborhood_ttl is not None),
         )
         if applies
     ]
-    if not causes:
-        return "exact"
-    return "%d-instances (%s)" % (workers, "|".join(causes))
+    if causes:
+        raise ValueError(
+            "run_parallel shards only a decoupled world's pure walk; "
+            "this spec has: %s" % ", ".join(causes)
+        )
 
 
 #: This process's shared world: ``(config, world)``.  Set by
 #: :func:`_world_for`; under a fork start method the parent populates it
-#: before the first attempt process starts, so every attempt inherits the
+#: before the first shard process starts, so every shard inherits the
 #: built world copy-on-write and only rewinds run state.
 _SHARED_WORLD: Optional[Tuple[InternetConfig, Internet]] = None
 
@@ -231,7 +197,7 @@ def _world_for(
     """The process-wide world for ``config``, rewound to run-fresh state.
 
     Reuses the cached world when its config matches — the fork-inherited
-    parent build in attempt processes, or the previous call's build when
+    parent build in shard processes, or the previous call's build when
     shards run serially in one process.  A mismatch (first use, spawn
     start method, different campaign) rebuilds from the config; builds
     are pure functions of the config, so either route yields an
@@ -292,7 +258,6 @@ def run_shard(
             name="%s[%d/%d]" % (spec.default_name(), shard, shards),
             pace_offset_us=shard * base,
             pace_stride=shards,
-            metrics=MetricsRegistry() if spec.metrics else None,
             profiler=prof,
         )
     if own_profiler:
@@ -314,7 +279,6 @@ def run_single(
         spec.pps,
         spec.prober_config(),
         name=spec.name,
-        metrics=MetricsRegistry() if spec.metrics else None,
         profiler=profiler,
     )
 
@@ -325,70 +289,54 @@ def run_parallel(
     processes: Optional[int] = None,
     start_method: Optional[str] = None,
     profiler: Optional[WallProfiler] = None,
-    supervise: Optional[SuperviseConfig] = None,
-    fault_plan: Optional["FaultPlan"] = None,
 ) -> CampaignResult:
-    """Run ``spec`` as ``shards`` cooperating Yarrp6 instances and merge.
+    """Run ``spec`` as ``shards`` cooperating Yarrp6 instances and merge:
+    the single campaign of ``spec``, bit for bit.
 
-    ``processes`` caps how many shard attempts run at once, each in a
-    process of its own (default: one per shard, bounded by the CPU
-    count); with one process the shards run serially in this process,
-    which produces the identical result — the merge is a pure function
-    of the shard results.
-
-    Execution is *supervised* (see :mod:`repro.prober.supervise`):
-    ``supervise`` configures per-shard deadlines and a per-shard retry
-    budget; the default retries nothing and fails on the first
-    permanently-lost shard, but a crashed, killed, or hung attempt is
-    always a detected event, never a hang, and every failed
-    shard is reported in one structured
-    :class:`~repro.prober.supervise.ShardFailure`.  What the supervisor
-    had to do rides home on the merged result's ``failures`` field (a
-    :class:`~repro.obs.failures.FailureReport` dump); because a shard
-    is a pure function of ``(spec, shard, shards)``, a retried run
-    stays byte-identical to a clean one.  ``fault_plan``
-    is FaultSan's hook (:mod:`repro.lint.faultsan`): deterministic
-    injected faults for testing the recovery paths.
+    ``spec`` must pass :func:`validate_spec`, which refuses before any
+    process starts.  ``processes`` caps how many shards run at once, each
+    in a process of its own (see :mod:`repro.prober.supervise`; default:
+    one per shard, bounded by the CPU count); with one process the shards
+    run serially in this process, which produces the identical result —
+    the merge is a pure function of the shard results.  A shard process
+    that crashes, dies or sends back anything but a result raises
+    :class:`~repro.prober.supervise.ShardFailure`.
 
     With a ``profiler`` the parent records the pipeline phases (world
-    build/rewind, the first wave of attempt processes, IPC wait and the
-    bytes each shard's outcome crossed the pipe as, retries, merge), each
-    attempt process runs its own
-    :class:`WallProfiler` (the spec is re-sent with ``profile=True``),
-    and the worker exports plus per-shard pickled byte counts are
-    folded into the profiler and attached to the merged result's
-    ``wall_profile``.  Profiling is observe-only: probe bytes, records
-    and metric dumps are identical with and without it.
+    build/rewind, the shard processes' start, IPC wait and the bytes each
+    shard's outcome crossed the pipe as, merge), each shard process runs
+    its own :class:`WallProfiler` (the spec is re-sent with
+    ``profile=True``), and the worker exports plus per-shard pickled byte
+    counts are folded into the profiler and attached to the merged
+    result's ``wall_profile``.  Profiling is observe-only: probe bytes
+    and records are identical with and without it.
     """
     prof = profiler if profiler is not None else NULL_PROFILER
-    config = supervise if supervise is not None else DEFAULT_SUPERVISE
     with prof.phase("parallel", shards=shards):
         if processes is None:
             processes = min(shards, os.cpu_count() or 1)
-        processes = max(1, min(processes, shards))
-        # Inline shards share the process's world via _world_for and
-        # run_shard profiles each one in place (no IPC, no pickling);
-        # attempt processes each profile themselves and ship the export home.
-        in_processes = processes > 1
-        sent = replace(spec, profile=True) if in_processes and prof.enabled else spec
         with prof.phase("validate"):
-            # The spec checked is the one the shards get.
-            validate_spec(sent, shards)
-            validate_supervise(config)
-
-        report = FailureReport()
-        job = ShardJob(run_shard, sent, shards, fault_plan)
-        supervisor = Supervisor(job, config, report, prof)
-        if in_processes:
-            if _resolve_start_method(start_method) == "fork":
+            validate_spec(spec, shards, processes)
+        processes = min(processes, shards)
+        bytes_by_shard: Dict[int, int] = {}
+        if processes > 1:
+            # Shard processes each profile themselves and ship the export home.
+            sent = replace(spec, profile=True) if prof.enabled else spec
+            if resolve_start_method(start_method) == "fork":
                 # Build (or rewind) the shared world BEFORE the first fork:
-                # every attempt inherits the compiled topology copy-on-write
-                # and skips its own build entirely.  Spawned attempts start
+                # every shard inherits the compiled topology copy-on-write
+                # and skips its own build entirely.  Spawned shards start
                 # with an empty module and rebuild from the spec's config.
                 _world_for(spec.internet, profiler=prof)
-            results = supervisor.run_processes(processes, start_method)
+            results, bytes_by_shard = run_processes(
+                ShardJob(run_shard, sent, shards), processes, start_method, prof
+            )
         else:
-            results = supervisor.run_inline()
+            # Inline shards share the process's world via _world_for and
+            # run_shard profiles each one in place (no IPC, no pickling).
+            results = [
+                run_shard(spec, shard, shards, profiler=prof) for shard in range(shards)
+            ]
         with prof.phase("merge"):
             merged = merge_results(
                 results,
@@ -396,15 +344,10 @@ def run_parallel(
                 name=spec.default_name(),
                 targets=len(spec.targets),
             )
-        merged = replace(merged, failures=report.to_dict())
     if prof.enabled:
         for shard, result in enumerate(results):
             if result.wall_profile is not None:
-                prof.add_worker(
-                    shard,
-                    result.wall_profile,
-                    supervisor.bytes_by_shard.get(shard, 0),
-                )
+                prof.add_worker(shard, result.wall_profile, bytes_by_shard.get(shard, 0))
         if prof.complete():
             # Only when the "parallel" phase was the outermost one: a
             # caller still inside its own phase snapshots later itself.
@@ -460,12 +403,10 @@ def merge_results(
     interfaces = set()
     records: List[ProbeRecord] = []
     curve: List[Tuple[int, int]] = []
-    discovery_times: List[int] = []
     for received_at, send_time, shard, record in tagged:
         records.append(record)
         if record.is_time_exceeded and record.hop not in interfaces:
             interfaces.add(record.hop)
-            discovery_times.append(received_at)
             curve.append(
                 (
                     _global_sent_at(
@@ -486,12 +427,6 @@ def merge_results(
         for label, count in result.response_labels.items():
             response_labels[label] = response_labels.get(label, 0) + count
 
-    dumps = [result.metrics for result in shard_results]
-    merged_metrics: Optional[MetricDump] = None
-    if all(dump is not None for dump in dumps):
-        merged_metrics = merge_dumps([dump for dump in dumps if dump is not None])
-        _rebuild_discovery(merged_metrics, discovery_times)
-
     return CampaignResult(
         name=name or first.name,
         vantage=first.vantage,
@@ -508,24 +443,4 @@ def merge_results(
         # time no probe of the campaign has; shard 0 always sends.
         duration_us=max(result.duration_us for result in shard_results if result.sent),
         traces=targets if targets is not None else first.traces,
-        metrics=merged_metrics,
     )
-
-
-def _rebuild_discovery(merged: MetricDump, discovery_times: Sequence[int]) -> None:
-    """Recompute ``campaign.discovery`` from the merged record replay.
-
-    The summed per-shard series overcounts: an interface two shards each
-    saw first is "novel" twice.  Global novelty is decided above during
-    the merged replay, so the series is rebuilt from those timestamps —
-    making the dump identical for every shard count, including 1.
-    """
-    entry = merged.get("campaign.discovery")
-    if entry is None:
-        return
-    bucket_us = int(entry["bucket_us"])
-    buckets: Dict[int, int] = {}
-    for when in discovery_times:
-        bucket = (when // bucket_us) * bucket_us
-        buckets[bucket] = buckets.get(bucket, 0) + 1
-    entry["points"] = [[bucket, buckets[bucket]] for bucket in sorted(buckets)]

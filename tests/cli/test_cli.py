@@ -15,7 +15,7 @@ from repro.cli.worldcfg import (
     load_config,
     save_config,
 )
-from repro.netsim import InternetConfig, VantageConfig, decoupled_dynamics
+from repro.netsim import InternetConfig, VantageConfig
 
 
 def run(argv):
@@ -132,7 +132,6 @@ class TestWorldConfig:
         refused = "%s: world.hosts_per_leaf must be ints 0 <= low <= high, not (4, 1)\n" % bad
         for argv in (
             probe + ["--world", str(bad), "--out", str(tmp_path / "bad.yrp6")],
-            probe + ["--world", str(bad), "--out", str(tmp_path / "bad.yrp6"), "--workers", "2"],
             ["analyze", "--results", results, "--world", str(bad), "--subnets"],
         ):
             code, text = run(argv)
@@ -285,82 +284,35 @@ class TestPipeline:
             )
             assert code == 0, text
 
-    def test_probe_workers_deterministic(self, world_file, tmp_path):
-        """--workers N probes every (target, TTL) pair exactly once and is
-        reproducible run-to-run.  (Bit-equality with --workers 1 holds only
-        for decoupled worlds — the default world rate-limits, so shards
-        legitimately see different limiter state; see docs/architecture.md.)
-        """
-        seeds_path = str(tmp_path / "s")
-        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
-        targets_path = str(tmp_path / "t")
-        run(["targets", "--seeds", seeds_path, "--out", targets_path])
-        n_targets = len([l for l in open(targets_path) if l.strip()])
-
-        outputs = []
-        for name in ("a.yrp6", "b.yrp6"):
-            path = str(tmp_path / name)
-            code, text = run(
-                [
-                    "probe",
-                    "--world", world_file,
-                    "--targets", targets_path,
-                    "--workers", "2",
-                    "--out", path,
-                ]
-            )
-            assert code == 0, text
-            assert "%d probes" % (n_targets * 16) in text  # full coverage
-            outputs.append(open(path).read())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].strip()  # responses actually recorded
-
-    def test_probe_workers_requires_yarrp6(self, world_file, tmp_path):
-        """So does --fill: a flag only Yarrp6 has is refused, not dropped."""
+    def test_probe_fill_requires_yarrp6(self, world_file, tmp_path):
+        """A flag only Yarrp6 has is refused, not dropped."""
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
-        for flag, value in (("--workers", ["2"]), ("--fill", [])):
-            code, text = run(
-                [
-                    "probe",
-                    "--world", world_file,
-                    "--targets", str(targets),
-                    "--prober", "sequential",
-                    flag, *value,
-                    "--out", str(tmp_path / "out"),
-                ]
-            )
-            assert code == 2
-            assert "%s requires the yarrp6 prober" % flag in text
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--targets", str(targets),
+                "--prober", "sequential",
+                "--fill",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "--fill requires the yarrp6 prober" in text
 
     @pytest.mark.parametrize(
         "flags, message",
         [
-            # Each ran a serial campaign and exited 0: the checks were only
-            # reached through run_parallel, i.e. with --workers > 1.
-            (["--workers", "0"], "shards must be >= 1: 0\n"),
-            (["--workers", "-2"], "shards must be >= 1: -2\n"),
-            (["--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
-            (["--shard-timeout", "0"], "shard_timeout_s must be positive or None: 0.0\n"),
-            # ... and the parallel path still says the same thing.
-            (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0: -1\n"),
-            # Well-formed, but a serial campaign runs no supervisor to use them.
-            (["--max-retries", "2"],
-             "--max-retries requires --workers > 1 (only shards are supervised)\n"),
-            (["--shard-timeout", "5"],
-             "--shard-timeout requires --workers > 1 (only shards are supervised)\n"),
             # A TTL the hop-limit byte cannot carry, for every --prober: the
             # spec's walk range is checked before any prober is constructed.
             (["--max-ttl", "0"], "bad TTL range [1, 0]\n"),
             (["--prober", "sequential", "--max-ttl", "300"], "bad TTL range [1, 300]\n"),
             (["--prober", "doubletree", "--max-ttl", "0"], "bad TTL range [1, 0]\n"),
-            # Values the pacer or the supervisor cannot honour: `--pps inf`
-            # ran at 1 µs and wrote `Infinity` into the manifest, `nan` and
-            # `--shard-timeout inf` died with a traceback.
+            # Values the pacer cannot honour: `--pps inf` ran at 1 µs and
+            # wrote `Infinity` into the manifest, `nan` died with a traceback.
             (["--pps", "inf"], "rate must be positive and finite: inf\n"),
             (["--pps", "nan"], "rate must be positive and finite: nan\n"),
-            (["--workers", "2", "--shard-timeout", "inf"], "shard_timeout_s must be finite: inf\n"),
-            (["--workers", "2", "--shard-timeout", "nan"], "shard_timeout_s must be finite: nan\n"),
         ],
     )
     def test_probe_validates_what_it_was_given_whatever_workers_is(
@@ -371,7 +323,7 @@ class TestPipeline:
         def no_world(*args, **kwargs):
             raise AssertionError("a world was built before the arguments were checked")
 
-        # Both paths build their world here (cmd_probe, parallel._world_for).
+        # cmd_probe builds its world here.
         monkeypatch.setattr(Internet, "from_config", no_world)
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
@@ -473,23 +425,19 @@ class TestPipeline:
     def test_unknown_vantage_lists_the_configured_ones(self, world_file, tmp_path):
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
-        # --workers 2: refused in the parent before any worker forks, not
-        # as a ShardFailure traceback from the pool.
-        for workers in ("1", "2"):
-            code, text = run(
-                [
-                    "probe",
-                    "--world", world_file,
-                    "--vantage", "NOPE",
-                    "--targets", str(targets),
-                    "--workers", workers,
-                    "--out", str(tmp_path / "never"),
-                ]
-            )
-            assert code == 2
-            assert text == (
-                "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)\n"
-            )
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--vantage", "NOPE",
+                "--targets", str(targets),
+                "--out", str(tmp_path / "never"),
+            ]
+        )
+        assert code == 2
+        assert text == (
+            "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)\n"
+        )
 
     def test_probe_metrics_writes_manifest(self, world_file, tmp_path):
         from repro.obs import MANIFEST_FORMAT, read_manifest
@@ -523,32 +471,6 @@ class TestPipeline:
         plain = str(tmp_path / "plain.yrp6")
         run(["probe", "--world", world_file, "--targets", targets_path, "--out", plain])
         assert open(results).read() == open(plain).read()
-
-    def test_probe_workers_metrics_manifest_is_merged(self, world_file, tmp_path):
-        from repro.obs import read_manifest
-
-        seeds_path = str(tmp_path / "s")
-        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
-        targets_path = str(tmp_path / "t")
-        run(["targets", "--seeds", seeds_path, "--out", targets_path])
-        manifest_path = str(tmp_path / "par.manifest.json")
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--targets", targets_path,
-                "--workers", "2",
-                "--out", str(tmp_path / "par.yrp6"),
-                "--metrics", manifest_path,
-            ]
-        )
-        assert code == 0, text
-        manifest = read_manifest(manifest_path)
-        assert manifest["run"]["workers"] == 2
-        metrics = manifest["metrics"]
-        assert metrics["prober.sent"]["value"] == manifest["run"]["sent"]
-        # Per-process diagnostics are dropped from the merged dump.
-        assert not any(name.startswith("engine.") for name in metrics)
 
     def test_stats_renders_manifest(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")
@@ -593,6 +515,52 @@ class TestPipeline:
         assert code == 0
         assert "summary" in text
         assert "fills_unsent" in text
+
+    def test_stats_reads_a_manifest_with_the_retired_sharding_keys(self, tmp_path):
+        """``probe --workers 2 --metrics`` once wrote ``run.workers``,
+        ``run.contract``, a ``failures`` block and a ``scope`` in every
+        metric entry.  Such a manifest still renders: the run keys as run
+        rows, the metrics as before, the failures block unread."""
+        manifest = tmp_path / "sharded.json"
+        manifest.write_text(json.dumps({
+            "format": "repro-manifest/1",
+            "run": {
+                "contract": "2-instances (limiters|loss)", "duration_us": 267370,
+                "interfaces": 136, "name": "EU-NET/yarrp6", "pps": 5000.0,
+                "prober": "yarrp6", "responses": 796, "sent": 848, "targets": 53,
+                "vantage": "EU-NET", "workers": 2,
+            },
+            "seed": 5,
+            "summary": {"interfaces": 136, "received": 797, "sent": 848},
+            "metrics": {
+                "campaign.sent": {
+                    "bucket_us": 1000000, "kind": "series", "points": [[0, 848]],
+                    "scope": "merge",
+                },
+                "prober.sent": {"kind": "counter", "scope": "merge", "value": 848},
+                "prober.ttl_yield": {
+                    "kind": "counter_map", "scope": "merge", "values": [[1, 52], [2, 53]],
+                },
+            },
+            "failures": {
+                "attempts": [],
+                "format": "repro-failures/2",
+                "metrics": {
+                    "shard.retries": {"kind": "counter", "scope": "merge", "value": 0},
+                },
+            },
+            "records_file": "par.yrp6",
+            "wallclock": {"seconds": 0.23},
+        }))
+        code, text = run(["stats", str(manifest), "--top", "2"])
+        assert code == 0, text
+        rows = [line.split() for line in text.splitlines()]
+        assert ["contract", "2-instances", "(limiters|loss)"] in rows
+        assert ["workers", "2"] in rows
+        assert ["prober.sent", "848"] in rows
+        assert ["campaign.sent", "1", "848"] in rows
+        assert "top 2 TTL yield" in text
+        assert "supervision" not in text and "shard.retries" not in text
 
     def test_stats_rejects_missing_or_malformed(self, tmp_path):
         code, text = run(["stats", str(tmp_path / "nope.json")])
@@ -676,70 +644,6 @@ class TestPipeline:
         assert code == 2
         # Refused before the file is loaded: no summary table, one line.
         assert text == "--subnets needs --world for ASN attribution\n"
-
-
-class TestContractLabel:
-    """``--workers N`` says what it returns: the summary line, the
-    manifest's ``run`` block and ``stats`` carry ``contract(spec, N)``,
-    and ``--strict`` refuses anything but ``exact``."""
-
-    def _targets(self, world_file, tmp_path):
-        seeds_path = str(tmp_path / "s")
-        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
-        targets_path = str(tmp_path / "t")
-        run(["targets", "--seeds", seeds_path, "--out", targets_path])
-        return targets_path
-
-    def test_the_smoke_world_prints_three_labels(self, world_file, tmp_path):
-        targets = self._targets(world_file, tmp_path)
-        labels = []
-        for workers in ("1", "2", "4"):
-            manifest = str(tmp_path / ("m%s.json" % workers))
-            code, text = run(
-                [
-                    "probe", "--world", world_file, "--targets", targets,
-                    "--vantage", "EU-NET", "--pps", "5000", "--workers", workers,
-                    "--out", str(tmp_path / ("w%s.yrp6" % workers)), "--metrics", manifest,
-                ]
-            )
-            assert code == 0, text
-            label = text.split("; contract: ", 1)[1].split("; ", 1)[0]
-            with open(manifest) as source:
-                assert json.load(source)["run"]["contract"] == label
-            code, stats = run(["stats", manifest])
-            assert code == 0
-            assert "contract" in stats and label in stats
-            labels.append(label)
-        assert labels == [
-            "exact",
-            "2-instances (limiters|loss)",
-            "4-instances (limiters|loss)",
-        ]
-
-    def test_strict_refuses_all_but_exact(self, world_file, tmp_path):
-        targets = self._targets(world_file, tmp_path)
-        out = tmp_path / "r.yrp6"
-        argv = ["probe", "--targets", targets, "--workers", "2", "--strict", "--out", str(out)]
-        code, text = run(argv + ["--world", world_file])
-        assert code == 2
-        assert text == "--strict: contract is 2-instances (limiters|loss), not exact\n"
-        assert not out.exists()
-        code, text = run(argv + ["--world", world_file, "--fill", "--workers", "1"])
-        assert code == 0, text
-        assert "; contract: exact; " in text
-
-        decoupled = str(tmp_path / "decoupled.json")
-        with open(decoupled, "w") as sink:
-            save_config(
-                sink,
-                decoupled_dynamics(InternetConfig(n_edge=30, cpe_customers_per_isp=150, seed=5)),
-            )
-        code, text = run(argv + ["--world", decoupled])
-        assert code == 0, text
-        assert "; contract: exact; " in text
-        code, text = run(argv + ["--world", decoupled, "--fill"])
-        assert code == 2
-        assert "2-instances (fill)" in text
 
 
 class TestNoGarbage:
@@ -851,32 +755,6 @@ class TestProfile:
             readings.append(profile["coverage"])
         assert min(readings) >= 0.95, readings
 
-    def test_probe_profile_with_workers_covers_the_pool(
-        self, world_file, tmp_path
-    ):
-        from repro.obs import read_manifest
-
-        targets_path = self._pipeline(world_file, tmp_path)
-        trace_path = str(tmp_path / "par-trace.json")
-        manifest_path = str(tmp_path / "par.manifest.json")
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--targets", targets_path,
-                "--workers", "2",
-                "--out", str(tmp_path / "par.yrp6"),
-                "--metrics", manifest_path,
-                "--profile", trace_path,
-            ]
-        )
-        assert code == 0, text
-        profile = read_manifest(manifest_path)["wallclock"]["profile"]
-        paths = {row["path"] for row in profile["phases"]}
-        assert "probe/parallel" in paths
-        assert "probe/parallel/merge" in paths
-        assert profile["coverage"] >= 0.95
-
     def test_stats_top_renders_ttl_and_phase_tables(self, world_file, tmp_path):
         targets_path = self._pipeline(world_file, tmp_path)
         manifest_path = str(tmp_path / "m.json")
@@ -915,12 +793,9 @@ class TestProfile:
         assert "profiler phases" not in text
 
 
-def _no_faults(workdir, text):
-    # A healthy host loses no attempt: the manifest's failures block shows
-    # a retry-free, fault-free run.
-    block = json.loads((workdir / "artefact.json").read_text())["failures"]
-    assert block["metrics"]["shard.retries"]["value"] == 0, block
-    assert block["attempts"] == [], block
+def _manifest_counts_the_run(workdir, text):
+    manifest = json.loads((workdir / "artefact.json").read_text())
+    assert manifest["metrics"]["prober.sent"]["value"] == manifest["run"]["sent"] > 0
 
 
 def _trace_has_events(workdir, text):
@@ -942,14 +817,13 @@ def _observers_compose(workdir, text):
     assert manifest["wallclock"]["profile"]["phases"], manifest["wallclock"]
 
 
-#: Observer flags, the width each runs at, and what its artefact must show.
+#: Observer flags and what its artefact must show.
 OBSERVERS = {
-    "metrics-2": (["--metrics", "artefact.json"], 2, _no_faults),
-    "profile-4": (["--profile", "artefact.json"], 4, _trace_has_events),
-    "detsan-1": (["--detsan"], 1, _detsan_clean),
-    "allocsan-profile-metrics-1": (
+    "metrics": (["--metrics", "artefact.json"], _manifest_counts_the_run),
+    "profile": (["--profile", "artefact.json"], _trace_has_events),
+    "detsan": (["--detsan"], _detsan_clean),
+    "allocsan-profile-metrics": (
         ["--allocsan", "--profile", "trace.json", "--metrics", "manifest.json"],
-        1,
         _observers_compose,
     ),
 }
@@ -958,18 +832,15 @@ OBSERVERS = {
 class TestObserversAreInert:
     @pytest.mark.parametrize("name", sorted(OBSERVERS))
     def test_flagged_run_writes_the_bare_runs_bytes(self, name, world_file, tmp_path):
-        """Observers are observe-only: a flagged ``--workers N`` run writes
-        the bytes of a bare run at the same width (the smoke world
-        rate-limits, so only same-width runs are comparable).  The flagged
-        run is a fresh interpreter with the hash seed pinned, as
-        ``--detsan`` requires."""
-        flags, workers, check = OBSERVERS[name]
+        """Observers are observe-only: a flagged run writes the bytes of a
+        bare run.  The flagged run is a fresh interpreter with the hash
+        seed pinned, as ``--detsan`` requires."""
+        flags, check = OBSERVERS[name]
         seeds_path = str(tmp_path / "s")
         run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
         targets_path = str(tmp_path / "t")
         run(["targets", "--seeds", seeds_path, "--out", targets_path])
-        probe = ["probe", "--world", world_file, "--targets", targets_path,
-                 "--workers", str(workers)]
+        probe = ["probe", "--world", world_file, "--targets", targets_path]
         code, text = run(probe + ["--out", str(tmp_path / "bare.yrp6")])
         assert code == 0, text
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -1075,8 +946,6 @@ class TestAllocSan:
         ]
         code, text = run(base + ["--allocsan", "--detsan"])
         assert code == 2 and "--detsan and --allocsan are mutually exclusive" in text
-        code, text = run(base + ["--allocsan", "--workers", "2"])
-        assert code == 2 and "--workers 1" in text
         code, text = run(base + ["--allocsan-report", str(tmp_path / "r.json")])
         assert code == 2 and "requires --allocsan" in text
 

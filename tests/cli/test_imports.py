@@ -103,7 +103,7 @@ CASES = {
     ),
     # Sequential and Doubletree never build a permutation; called as the
     # ledger's baselines-burst calls them (the CLI's `probe` would run
-    # validate_spec, which constructs a schedule for every prober).
+    # validate_campaign, which constructs a schedule for every prober).
     "baselines": (
         "from repro.cli.worldcfg import load_config\n"
         "from repro.netsim import Internet, build_internet\n"
@@ -127,24 +127,30 @@ CASES = {
     "probe": ("cli(%s, '--out', scratch('r.yrp6'))" % PROBE, {"numpy"}),
     # Loaded at construction, not on the first block: validate_spec builds
     # the widest shard's schedule in the parent, so numpy is there before
-    # any attempt process exists and the forked ones inherit it.
-    "probe-workers-2": (
-        "cli_main = sys.modules['repro.cli.main']  # repro.cli.main is the function\n"
-        "from repro.prober import supervise\n"
+    # any shard process exists and the forked ones inherit it.
+    "run-parallel-2": (
+        "from repro.addrs import address\n"
+        "from repro.cli.worldcfg import load_config\n"
+        "from repro.netsim import decoupled_dynamics\n"
+        "from repro.prober import CampaignSpec, parallel, run_parallel, supervise\n"
+        "with open(path('world.json')) as source:\n"
+        "    world = decoupled_dynamics(load_config(source))\n"
+        "with open(path('caida.targets')) as source:\n"
+        "    targets = tuple(address.parse(line.strip()) for line in source)\n"
         "seen = []\n"
-        "real_validate, real_start = cli_main.validate_spec, supervise._start\n"
-        "def validate(spec, shards):\n"
+        "real_validate, real_start = parallel.validate_spec, supervise._start\n"
+        "def validate(*args):\n"
         "    seen.append(('validate_spec called', 'numpy' in sys.modules))\n"
-        "    real_validate(spec, shards)\n"
+        "    real_validate(*args)\n"
         "    seen.append(('validate_spec returned', 'numpy' in sys.modules))\n"
-        "def start(*args, **kwargs):\n"
+        "def start(*args):\n"
         "    seen.append(('_start reached', 'numpy' in sys.modules))\n"
-        "    return real_start(*args, **kwargs)\n"
-        "cli_main.validate_spec, supervise._start = validate, start\n"
-        "cli(%s, '--workers', '2', '--out', scratch('r.yrp6'))\n"
+        "    return real_start(*args)\n"
+        "parallel.validate_spec, supervise._start = validate, start\n"
+        "spec = CampaignSpec(world, 'EU-NET', targets, pps=5000.0)\n"
+        "run_parallel(spec, shards=2, processes=2, start_method='fork')\n"
         "assert seen == [('validate_spec called', False),"
-        " ('validate_spec returned', True)] + [('_start reached', True)] * 2, seen\n"
-        % PROBE,
+        " ('validate_spec returned', True)] + [('_start reached', True)] * 2, seen\n",
         {"numpy"},
     ),
     # ...and before campaign.run: an import inside the accounted phase is

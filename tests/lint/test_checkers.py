@@ -71,8 +71,9 @@ class TestDET001:
         "module", ["repro.obs.metrics", "repro.obs.profiler", "repro.prober.supervise"]
     )
     def test_exemption_is_module_scoped_not_path_substring(self, module):
-        """One doorway: the profiler and the supervisor read host time
-        through repro.obs.wallclock, so a direct read there is flagged."""
+        """One doorway: the profiler reads host time through
+        repro.obs.wallclock, so a direct read there, or in any other
+        module, is flagged."""
         source = "import time\nx = time.perf_counter()\n"
         assert lint_source(source, module="repro.obs.wallclock") == []
         flagged = lint_source(source, module=module)

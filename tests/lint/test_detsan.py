@@ -321,31 +321,6 @@ def test_probe_detsan_dump_is_byte_identical(campaign_inputs, monkeypatch):
         assert first.read() == second.read()
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_probe_detsan_refuses_more_than_one_worker(
-    campaign_inputs, monkeypatch, workers
-):
-    """The tripwire's reports live in the process that entered the region;
-    an entropy read inside a shard process would leave them empty and the
-    run would print "clean"."""
-    import io
-
-    from repro.cli.main import main
-
-    base, world, targets = campaign_inputs
-    monkeypatch.setenv("PYTHONHASHSEED", "0")
-    out = io.StringIO()
-    code = main(["probe", "--world", world, "--targets", targets,
-                 "--workers", str(workers), "--detsan",
-                 "--out", str(base / "never.yrp6")], out=out)
-    assert code == 2
-    assert out.getvalue() == (
-        "--detsan requires --workers 1 (a tripwire hit inside a worker "
-        "process never reaches this one's reports)\n"
-    )
-    assert not (base / "never.yrp6").exists()
-
-
 def test_probe_detsan_requires_pinned_hash_seed(
     campaign_inputs, monkeypatch
 ):

@@ -14,7 +14,8 @@ each over every probing driver:
   not reset shows.
 
 The single and sharded rows run ``run_single`` and ``run_parallel``
-(serially, at 1, 2 and 4 shards) on the process-shared world, so the
+(serially, at 1, 2 and 4 shards, on the world's decoupled twin, the
+only world ``run_parallel`` shards) on the process-shared world, so the
 campaign, its shards, their rewinds and the merge all touch one object.
 The last tests check that both fingerprints see each kind of write they
 stand guard over.
@@ -28,7 +29,13 @@ import pytest
 from repro.addrs.prefix import Prefix
 from repro.analysis import AsnResolver, build_traces, discover_by_path_div
 from repro.hitlist.dealias import detect_aliased
-from repro.netsim import BuiltInternet, Internet, InternetConfig, build_internet
+from repro.netsim import (
+    BuiltInternet,
+    Internet,
+    InternetConfig,
+    build_internet,
+    decoupled_dynamics,
+)
 from repro.obs import MetricsRegistry
 from repro.prober import (
     CampaignSpec,
@@ -45,6 +52,7 @@ from repro.prober.mda import MDAConfig
 from repro.prober.parallel import _world_for, run_single
 
 WORLD = InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
+DECOUPLED = decoupled_dynamics(WORLD)
 VANTAGE = "EU-NET"
 PPS = 20_000.0
 
@@ -86,14 +94,14 @@ def _path_div(net, world):
     )
 
 
-def _spec(world):
+def _spec(internet, world):
     return CampaignSpec(
-        internet=WORLD, vantage=VANTAGE, targets=tuple(world.targets), pps=PPS, metrics=True
+        internet=internet, vantage=VANTAGE, targets=tuple(world.targets), pps=PPS
     )
 
 
 def _sharded(shards):
-    return lambda net, world: run_parallel(_spec(world), shards=shards, processes=1)
+    return lambda net, world: run_parallel(_spec(DECOUPLED, world), shards=shards, processes=1)
 
 
 #: name -> ``driver(net, inputs)``: one probing driver run on ``net``.
@@ -108,20 +116,26 @@ DRIVERS = {
     "pmtud": lambda net, world: discover_pmtu(net, VANTAGE, world.targets[:10]),
     "dealias": lambda net, world: detect_aliased(net, VANTAGE, world.prefixes),
     "path-div": _path_div,
-    "single": lambda net, world: run_single(_spec(world)),
+    "single": lambda net, world: run_single(_spec(WORLD, world)),
     "sharded-1": _sharded(1),
     "sharded-2": _sharded(2),
     "sharded-4": _sharded(4),
 }
 
-#: Drivers that probe the process-shared world rather than their own facade.
-SHARED = {"single", "sharded-1", "sharded-2", "sharded-4"}
+#: Drivers that probe the process-shared world rather than their own
+#: facade -> the config that world is built from.
+SHARED = {
+    "single": WORLD,
+    "sharded-1": DECOUPLED,
+    "sharded-2": DECOUPLED,
+    "sharded-4": DECOUPLED,
+}
 
 
 def instance(name, world):
     """What ``name`` probes: the process-shared world for the single and
     sharded runs, a fresh facade over this test's build otherwise."""
-    return _world_for(WORLD) if name in SHARED else Internet(world.built)
+    return _world_for(SHARED[name]) if name in SHARED else Internet(world.built)
 
 
 def run_fingerprint(net):

@@ -41,7 +41,6 @@ class TestBuild:
         assert run["prober"] == "yarrp6"
         assert run["sent"] == 160
         assert run["interfaces"] == 3
-        assert run["workers"] == 1
         assert manifest["seed"] == 2018
         assert manifest["summary"] == {"time exceeded": 5}
         assert manifest["metrics"] == {}
@@ -49,52 +48,19 @@ class TestBuild:
         assert "world" not in manifest
 
     def test_optional_sections(self):
-        dump = {"prober.sent": {"kind": "counter", "scope": "merge", "value": 160}}
+        dump = {"prober.sent": {"kind": "counter", "value": 160}}
         manifest = build_manifest(
             result(),
             seed=7,
             metrics=dump,
             world={"n_edge": 6},
             records_file="run.yrp6",
-            workers=4,
             wall_seconds=1.25,
         )
         assert manifest["metrics"] == dump
         assert manifest["world"] == {"n_edge": 6}
         assert manifest["records_file"] == "run.yrp6"
-        assert manifest["run"]["workers"] == 4
         assert manifest["wallclock"] == {"seconds": 1.25}
-
-
-class TestFailuresBlock:
-    def failures(self, retries=0):
-        return {
-            "format": "repro-failures/2",
-            "metrics": {
-                "shard.retries": {
-                    "kind": "counter", "scope": "run", "value": retries,
-                },
-            },
-            "attempts": [],
-        }
-
-    def test_failures_block_rides_in_verbatim(self):
-        block = self.failures(retries=2)
-        manifest = build_manifest(result(), seed=7, failures=block)
-        assert manifest["failures"] == block
-
-    def test_absent_by_default(self):
-        assert "failures" not in build_manifest(result(), seed=7)
-
-    def test_deterministic_view_strips_failures(self):
-        """How often this host lost a worker is a fact about the host,
-        not the spec: a retried run and a clean run must agree."""
-        clean = build_manifest(result(), seed=7, failures=self.failures(0))
-        faulted = build_manifest(result(), seed=7, failures=self.failures(3))
-        assert manifest_dumps(clean) != manifest_dumps(faulted)
-        assert manifest_dumps(deterministic_view(clean)) == manifest_dumps(
-            deterministic_view(faulted)
-        )
 
 
 class TestDeterministicView:
@@ -104,17 +70,11 @@ class TestDeterministicView:
             seed=7,
             records_file="a.yrp6",
             wall_seconds=0.5,
-            failures={"format": "repro-failures/2"},
         )
         view = deterministic_view(manifest)
         assert "wallclock" not in view
         assert "records_file" not in view
-        assert "failures" not in view
-        assert set(manifest) - set(view) == {
-            "wallclock",
-            "records_file",
-            "failures",
-        }
+        assert set(manifest) - set(view) == {"wallclock", "records_file"}
 
     def test_view_is_byte_stable_across_wallclock(self):
         fast = build_manifest(result(), seed=7, wall_seconds=0.1)

@@ -178,7 +178,7 @@ class TestAnalysis:
         assert profile["coverage"] <= 1.0
 
 
-def small_spec(metrics=False):
+def small_spec():
     config = decoupled_dynamics(
         InternetConfig(
             seed=11,
@@ -197,7 +197,6 @@ def small_spec(metrics=False):
         vantage="US-EDU-1",
         targets=targets,
         pps=900.0,
-        metrics=metrics,
     )
 
 
@@ -206,7 +205,7 @@ class TestPipelineContract:
     wall time to named phases and never changes the campaign's bytes."""
 
     def test_profiled_parallel_run_is_byte_identical(self):
-        spec = small_spec(metrics=True)
+        spec = small_spec()
         prof = WallProfiler()
         profiled = run_parallel(spec, shards=4, processes=1, profiler=prof)
         plain = run_parallel(spec, shards=4, processes=1)

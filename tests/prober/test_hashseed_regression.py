@@ -1,6 +1,10 @@
 """Hash-randomization regression: campaign dumps must be byte-identical
 across interpreter processes started with different PYTHONHASHSEED
-values (no iteration order anywhere may depend on ``hash(str)``)."""
+values (no iteration order anywhere may depend on ``hash(str)``).
+
+Each process writes two dumps: the serial ``probe`` command's over the
+world file, and ``run_parallel``'s at two shards over the same world
+decoupled (the only world it shards), so the merge is covered too."""
 
 import os
 import subprocess
@@ -11,6 +15,25 @@ from repro.cli.main import main
 HERE = os.path.dirname(__file__)
 SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
 
+#: argv: world file, targets file, output prefix.
+SCRIPT = """
+import sys
+from repro.addrs import address
+from repro.cli.main import main
+from repro.cli.worldcfg import load_config
+from repro.netsim import decoupled_dynamics
+from repro.prober import CampaignSpec, run_parallel
+from repro.prober.output import save_campaign
+world, targets, out = sys.argv[1:]
+assert main(["probe", "--world", world, "--targets", targets, "--out", out + ".serial"]) == 0
+with open(world) as source:
+    config = decoupled_dynamics(load_config(source))
+with open(targets) as source:
+    addresses = tuple(address.parse(line.strip()) for line in source if line.strip())
+spec = CampaignSpec(config, "US-EDU-1", addresses)
+save_campaign(out + ".sharded", run_parallel(spec, shards=2, processes=2))
+"""
+
 
 def probe_under_hash_seed(base, world, targets, hash_seed):
     out = str(base / ("run-hashseed-%s.yrp6" % hash_seed))
@@ -18,16 +41,17 @@ def probe_under_hash_seed(base, world, targets, hash_seed):
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hash_seed
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.cli.main", "probe",
-         "--world", world, "--targets", targets, "--workers", "2",
-         "--out", out],
+        [sys.executable, "-c", SCRIPT, world, targets, out],
         capture_output=True,
         text=True,
         env=env,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    with open(out, "rb") as handle:
-        return handle.read()
+    dumps = []
+    for kind in ("serial", "sharded"):
+        with open("%s.%s" % (out, kind), "rb") as handle:
+            dumps.append(handle.read())
+    return dumps
 
 
 def test_dump_identical_across_hash_seeds(tmp_path):
@@ -41,5 +65,5 @@ def test_dump_identical_across_hash_seeds(tmp_path):
     assert main(["targets", "--seeds", seeds, "--out", targets]) == 0
     first = probe_under_hash_seed(tmp_path, world, targets, "1")
     second = probe_under_hash_seed(tmp_path, world, targets, "2")
-    assert first
+    assert all(first)
     assert first == second

@@ -22,9 +22,9 @@ from repro.prober import (
     CampaignSpec,
     ShardFailure,
     Yarrp6Config,
-    contract,
     run_parallel,
     run_single,
+    validate_spec,
 )
 from repro.prober import parallel as parallel_module
 from repro.prober import supervise as supervise_module
@@ -163,57 +163,55 @@ class TestMergeEqualsSingleProcess:
         assert merged.pps == spec.pps
 
 
-class TestContract:
-    """``contract(spec, workers)``: ``exact`` exactly where the merge is
-    the single campaign, otherwise the N-instances label naming why."""
+def bomb(*args, **kwargs):
+    raise AssertionError("no process may start and no world be built for a refused spec")
+
+
+class TestExactCore:
+    """``run_parallel`` shards only what merges back into the single
+    campaign; anything else is refused by name before a process starts
+    or a world is built."""
 
     DEFAULT = InternetConfig(n_edge=6, cpe_customers_per_isp=12, seed=3)
 
     def spec(self, internet, **config):
         return CampaignSpec(internet, "EU-NET", (1, 2), config=Yarrp6Config(**config))
 
-    def test_one_worker_is_exact_whatever_the_spec(self):
-        spec = self.spec(self.DEFAULT, fill=True, neighborhood_ttl=3)
-        assert contract(spec, 1) == "exact"
+    @pytest.fixture(autouse=True)
+    def no_process_no_world(self, monkeypatch):
+        monkeypatch.setattr(supervise_module, "_start", bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_a_decoupled_pure_walk_is_exact(self, workers):
-        decoupled = decoupled_dynamics(self.DEFAULT)
-        assert contract(self.spec(decoupled), workers) == "exact"
-        # A fill range that is empty keeps the walk pure.
-        assert contract(self.spec(decoupled, fill=True, fill_ceiling=16), workers) == "exact"
-
-    @pytest.mark.parametrize("fill", [False, True])
-    @pytest.mark.parametrize("ceiling", [15, 16, 17])
-    def test_fill_is_a_cause_exactly_where_the_fill_range_is_not_empty(self, fill, ceiling):
-        """The label and the prober read one range, ``Yarrp6Config.fill_ttls``:
-        ``[max_ttl, fill_ceiling)`` with fill on, else empty."""
-        spec = self.spec(decoupled_dynamics(self.DEFAULT), fill=fill, fill_ceiling=ceiling)
-        fills = fill and ceiling > 16
-        assert list(spec.prober_config().fill_ttls) == ([16] if fills else [])
-        assert contract(spec, 2) == ("2-instances (fill)" if fills else "exact")
+    def refusal(self, spec, shards=2):
+        with pytest.raises(ValueError) as excinfo:
+            run_parallel(spec, shards=shards, processes=2)
+        return str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "internet, config, label",
+        "internet, config, causes",
         [
-            ("default", {}, "2-instances (limiters|loss)"),
-            ("default", {"fill": True}, "2-instances (limiters|loss|fill)"),
-            ("decoupled", {"fill": True}, "2-instances (fill)"),
-            ("decoupled", {"neighborhood_ttl": 3}, "2-instances (neighbourhood)"),
+            ("default", {}, "coupled world"),
+            ("decoupled", {"fill": True}, "fill"),
+            ("decoupled", {"neighborhood_ttl": 3}, "neighbourhood"),
             (
                 "default",
                 {"fill": True, "neighborhood_ttl": 3},
-                "2-instances (limiters|loss|fill|neighbourhood)",
+                "coupled world, fill, neighbourhood",
             ),
         ],
+        ids=["coupled", "fill", "neighbourhood", "all-three"],
     )
-    def test_each_cause_is_named(self, internet, config, label):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_cause_is_refused_by_name(self, internet, config, causes, shards):
         world = self.DEFAULT if internet == "default" else decoupled_dynamics(self.DEFAULT)
-        assert contract(self.spec(world, **config), 2) == label
+        assert self.refusal(self.spec(world, **config), shards) == (
+            "run_parallel shards only a decoupled world's pure walk; "
+            "this spec has: %s" % causes
+        )
 
-    def test_every_coupling_decoupled_dynamics_removes_is_a_cause(self):
+    def test_every_coupling_decoupled_dynamics_removes_is_refused(self):
         """Undo one field of ``decoupled_dynamics`` at a time: each makes
-        the run non-exact, as a limiter or as a loss."""
+        the world coupled, as a limiter or as a loss."""
         decoupled = decoupled_dynamics(self.DEFAULT)
         changed = [
             name
@@ -221,31 +219,29 @@ class TestContract:
             if getattr(decoupled, name) != getattr(self.DEFAULT, name)
         ]
         assert len(changed) >= 10
-        labels = {
-            name: contract(
-                self.spec(replace(decoupled, **{name: getattr(self.DEFAULT, name)})), 3
-            )
-            for name in changed
-        }
-        assert labels["response_loss"] == "3-instances (loss)"
-        assert labels["core_limit_rate"] == labels["vantages"] == "3-instances (limiters)"
-        assert set(labels.values()) == {"3-instances (loss)", "3-instances (limiters)"}
+        for name in changed:
+            spec = self.spec(replace(decoupled, **{name: getattr(self.DEFAULT, name)}))
+            assert self.refusal(spec).endswith("this spec has: coupled world"), name
 
-    def test_an_exact_label_is_the_single_campaign(self):
-        config, targets = small_world(7)
-        spec = CampaignSpec(config, "US-EDU-1", targets[:12], pps=2000.0)
-        assert contract(spec, 3) == "exact"
-        assert_identical(run_parallel(spec, shards=3, processes=1), run_single(spec))
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("ceiling", [15, 16, 17])
+    def test_fill_is_refused_exactly_where_the_fill_range_is_not_empty(self, fill, ceiling):
+        """The refusal and the prober read one range, ``Yarrp6Config.fill_ttls``:
+        ``[max_ttl, fill_ceiling)`` with fill on, else empty."""
+        spec = self.spec(decoupled_dynamics(self.DEFAULT), fill=fill, fill_ceiling=ceiling)
+        fills = fill and ceiling > 16
+        assert list(spec.prober_config().fill_ttls) == ([16] if fills else [])
+        if fills:
+            assert self.refusal(spec).endswith("this spec has: fill")
+        else:
+            validate_spec(spec, 2, 2)
 
 
 class TestValidation:
-    def bomb(self, *args, **kwargs):
-        raise AssertionError("no attempt process may start for an invalid spec")
-
     def test_errors_raise_before_any_fork(self, monkeypatch):
         """Satellite 4: a bad shard count or config fails with one clean
         ValueError in the parent, before any worker pool exists."""
-        monkeypatch.setattr(supervise_module, "_start", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config, vantage="US-EDU-1", targets=targets[:5]
@@ -267,13 +263,26 @@ class TestValidation:
             run_parallel(empty, shards=2, processes=4)
         # The message Internet.vantage gives the serial path, from the
         # config alone: no world is built to refuse a typo.
-        monkeypatch.setattr(parallel_module, "_world_for", self.bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
         lost = CampaignSpec(internet=config, vantage="NOPE", targets=targets[:5])
         with pytest.raises(ValueError) as excinfo:
             run_parallel(lost, shards=2, processes=4)
         assert str(excinfo.value) == (
             "unknown vantage 'NOPE' (configured: EU-NET, US-EDU-1, US-EDU-2)"
         )
+
+    @pytest.mark.parametrize("processes", [0, -3])
+    def test_a_process_count_below_one_is_refused_by_name(self, monkeypatch, processes):
+        """A count below one is a caller bug: running the shards inline
+        anyway would return the single campaign and hide it."""
+        monkeypatch.setattr(supervise_module, "_start", bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
+        monkeypatch.setattr(parallel_module, "run_shard", bomb)
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5])
+        with pytest.raises(ValueError) as excinfo:
+            run_parallel(spec, shards=2, processes=processes)
+        assert str(excinfo.value) == "processes must be >= 1: %d" % processes
 
     @pytest.mark.parametrize(
         "value, name",
@@ -330,8 +339,8 @@ class TestValidation:
     ):
         """What crosses the pickle boundary is checked once, in the parent,
         before a world is built or a pool made; the refusal names the path."""
-        monkeypatch.setattr(supervise_module, "_start", self.bomb)
-        monkeypatch.setattr(parallel_module, "_world_for", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
         config, targets = small_world(7)
         spec = change(CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5]))
         with pytest.raises(ValueError) as excinfo:
@@ -341,7 +350,7 @@ class TestValidation:
     def test_presharded_config_rejected(self, monkeypatch):
         """run_parallel owns shard assignment; a spec that already carries
         a shard identity is a caller bug, not something to silently nest."""
-        monkeypatch.setattr(supervise_module, "_start", self.bomb)
+        monkeypatch.setattr(supervise_module, "_start", bomb)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config,
@@ -357,7 +366,7 @@ class TestValidation:
         worker traceback — not a hang, not a pickled half-error."""
         # validate_spec would refuse this vantage in the parent; let it
         # through so that the workers are what fails.
-        monkeypatch.setattr(parallel_module, "validate_spec", lambda spec, shards: None)
+        monkeypatch.setattr(parallel_module, "validate_spec", lambda *args: None)
         config, targets = small_world(7)
         spec = CampaignSpec(
             internet=config, vantage="NO-SUCH-VANTAGE", targets=targets[:5]

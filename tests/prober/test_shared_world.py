@@ -11,8 +11,7 @@ that make that safe:
   observably identical to a freshly built one;
 * **identity**: ``run_parallel`` through real fork pools at shard counts
   1/2/4/8, and through the spawn fallback, serializes byte-for-byte to
-  the single-process reference (``output.dumps``), merged metrics
-  included.
+  the single-process reference (``output.dumps``).
 """
 
 import multiprocessing
@@ -20,12 +19,11 @@ import multiprocessing
 import pytest
 
 from repro.netsim import Internet, InternetConfig, build_internet, decoupled_dynamics
-from repro.obs import dump_to_json
 from repro.prober import CampaignSpec, run_parallel, run_single
 from repro.prober import parallel as parallel_module
 from repro.prober.output import dumps
 from repro.prober.parallel import _world_for, run_shard
-from repro.prober.supervise import ShardJob, _attempt, _resolve_start_method
+from repro.prober.supervise import resolve_start_method
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -52,14 +50,13 @@ def shared_world_config(seed=11):
     return _WORLDS[seed]
 
 
-def make_spec(n_targets=30, pps=1100.0, metrics=False, seed=11):
+def make_spec(n_targets=30, pps=1100.0, seed=11):
     config, targets = shared_world_config(seed)
     return CampaignSpec(
         internet=config,
         vantage="US-EDU-1",
         targets=targets[:n_targets],
         pps=pps,
-        metrics=metrics,
     )
 
 
@@ -124,23 +121,6 @@ class TestShardByteIdentity:
         )
         assert dumps(merged) == dumps(reference)
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_fork_pool_metrics_merge_identical(self):
-        """Merged telemetry is part of the byte-identity contract: the
-        merged dump equals the merge-scoped view of the single run's
-        dump (run-scoped engine counters and gauges are per-process by
-        definition and excluded from merges)."""
-        spec = make_spec(metrics=True)
-        reference = run_single(spec)
-        merged = run_parallel(spec, shards=4, processes=2, start_method="fork")
-        assert dumps(merged) == dumps(reference)
-        reference_view = {
-            name: entry
-            for name, entry in reference.metrics.items()
-            if entry.get("scope") == "merge" and entry.get("kind") != "gauge"
-        }
-        assert dump_to_json(merged.metrics) == dump_to_json(reference_view)
-
     def test_serial_shards_share_one_world(self, monkeypatch):
         """processes=1 runs every shard in this process on ONE world:
         builds must not scale with the shard count."""
@@ -166,18 +146,15 @@ class TestSpawnFallback:
     def test_spawn_worker_rebuilds_identically(self, monkeypatch):
         """A spawn worker starts with no inherited world (module globals
         are empty): simulate that by clearing the cache and running the
-        worker entry point in-process — it must rebuild from the spec's
+        shard function in-process — it must rebuild from the spec's
         config and produce the same bytes a fork worker does."""
         spec = make_spec(n_targets=12)
         inherited = _world_for(spec.internet)
-        job = ShardJob(run_shard, spec, 3)
-        status, with_inherited = _attempt(job, 1, 1)
-        assert status == "ok"
+        with_inherited = run_shard(spec, 1, 3)
         assert parallel_module._SHARED_WORLD[1] is inherited
 
         monkeypatch.setattr(parallel_module, "_SHARED_WORLD", None)
-        status, rebuilt = _attempt(job, 1, 1)
-        assert status == "ok"
+        rebuilt = run_shard(spec, 1, 3)
         assert parallel_module._SHARED_WORLD[1] is not inherited
         assert dumps(rebuilt) == dumps(with_inherited)
 
@@ -198,7 +175,7 @@ class TestSpawnFallback:
         assert dumps(merged) == dumps(reference)
 
     def test_resolve_start_method(self):
-        assert _resolve_start_method("spawn") == "spawn"
-        assert _resolve_start_method("fork") == "fork"
-        resolved = _resolve_start_method(None)
+        assert resolve_start_method("spawn") == "spawn"
+        assert resolve_start_method("fork") == "fork"
+        resolved = resolve_start_method(None)
         assert resolved == ("fork" if HAS_FORK else "spawn")
