@@ -335,6 +335,72 @@ class TestPipeline:
         assert (code, text) == (2, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("prober", ["yarrp6", "sequential", "doubletree"])
+    @pytest.mark.parametrize(
+        "flags, targets, message",
+        [
+            (["--pps", "0"], "2001:db8::1\n", "rate must be positive and finite: 0.0\n"),
+            (["--pps", "-1"], "2001:db8::1\n", "rate must be positive and finite: -1.0\n"),
+            (["--pps=-inf"], "2001:db8::1\n", "rate must be positive and finite: -inf\n"),
+            (["--max-ttl", "256"], "2001:db8::1\n", "bad TTL range [1, 256]\n"),
+            (
+                ["--vantage", "eu-net"],
+                "2001:db8::1\n",
+                "unknown vantage 'eu-net' (configured: EU-NET, US-EDU-1, US-EDU-2)\n",
+            ),
+            ([], "# only a comment\n", "no targets in {targets}\n"),
+        ],
+        ids=["pps-0", "pps-negative", "pps-minus-inf", "max-ttl-256", "vantage-case", "no-targets"],
+    )
+    def test_every_prober_refuses_before_it_builds_a_world(
+        self, world_file, tmp_path, monkeypatch, prober, flags, targets, message
+    ):
+        """The serial ``probe`` checks its campaign once, whichever prober
+        runs it, with the campaign's own message and no world built."""
+        from repro.netsim import Internet
+
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built before the arguments were checked")
+
+        monkeypatch.setattr(Internet, "from_config", no_world)
+        targets_path = tmp_path / "t"
+        targets_path.write_text(targets)
+        out = tmp_path / "never.yrp6"
+        code, text = run(
+            [
+                "probe",
+                "--world", world_file,
+                "--targets", str(targets_path),
+                "--prober", prober,
+                "--out", str(out),
+            ]
+            + flags
+        )
+        assert (code, text) == (2, message.format(targets=targets_path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "2"], ["--strict"], ["--shard-timeout", "5"], ["--max-retries", "1"]],
+        ids=["workers", "strict", "shard-timeout", "max-retries"],
+    )
+    def test_the_retired_sharding_flags_are_refused_not_ignored(
+        self, world_file, tmp_path, capsys, flags
+    ):
+        """``probe`` is one serial campaign: a script that still asks for
+        shards or a retry budget stops at the parser, exit 2."""
+        targets = tmp_path / "t"
+        targets.write_text("2001:db8::1\n")
+        out = tmp_path / "never.yrp6"
+        with pytest.raises(SystemExit) as excinfo:
+            run(
+                ["probe", "--world", world_file, "--targets", str(targets), "--out", str(out)]
+                + flags
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: %s" % " ".join(flags) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_max_ttl_reaches_the_baseline_probers(self, world_file, tmp_path):
         from repro.prober.output import load_campaign
 
@@ -561,6 +627,44 @@ class TestPipeline:
         assert ["campaign.sent", "1", "848"] in rows
         assert "top 2 TTL yield" in text
         assert "supervision" not in text and "shard.retries" not in text
+
+    @pytest.mark.parametrize("retired", ["workers", "contract", "failures", "scope"])
+    def test_stats_reads_a_manifest_with_one_retired_key(self, tmp_path, retired):
+        """Each of the keys ``probe --workers`` once wrote, on its own in
+        an otherwise serial manifest: ``stats`` renders the manifest as
+        it renders one without it."""
+        document = {
+            "format": "repro-manifest/1",
+            "run": {
+                "duration_us": 1000, "interfaces": 3, "name": "EU-NET/yarrp6", "pps": 5000.0,
+                "prober": "yarrp6", "responses": 4, "sent": 5, "targets": 1,
+                "vantage": "EU-NET",
+            },
+            "seed": 5,
+            "summary": {"interfaces": 3, "received": 4, "sent": 5},
+            "metrics": {"prober.sent": {"kind": "counter", "value": 5}},
+        }
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(document))
+        if retired == "workers":
+            document["run"]["workers"] = 2
+        elif retired == "contract":
+            document["run"]["contract"] = "exact"
+        elif retired == "failures":
+            document["failures"] = {"attempts": [], "format": "repro-failures/2", "metrics": {}}
+        else:
+            document["metrics"]["prober.sent"]["scope"] = "merge"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(document))
+        code, text = run(["stats", str(old)])
+        assert code == 0, text
+        lines = text.splitlines()
+        expected = run(["stats", str(plain)])[1].splitlines()
+        if retired in ("workers", "contract"):
+            row = {"workers": ["workers", "2"], "contract": ["contract", "exact"]}[retired]
+            assert row in [line.split() for line in lines]
+            lines = [line for line in lines if line.split() != row]
+        assert [line.replace(str(old), str(plain)) for line in lines] == expected
 
     def test_stats_rejects_missing_or_malformed(self, tmp_path):
         code, text = run(["stats", str(tmp_path / "nope.json")])

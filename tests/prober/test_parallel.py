@@ -10,6 +10,10 @@ results, so most tests run the shards serially (``processes=1``) for
 speed; one test drives a real worker pool end to end.
 """
 
+import hashlib
+import math
+import multiprocessing
+import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -17,15 +21,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import InternetConfig, VantageConfig, build_internet, decoupled_dynamics
+from repro.netsim import (
+    Internet,
+    InternetConfig,
+    VantageConfig,
+    build_internet,
+    decoupled_dynamics,
+)
+from repro.netsim.engine import pps_interval
+from repro.obs import WallProfiler
 from repro.prober import (
     CampaignSpec,
     ShardFailure,
     Yarrp6Config,
     run_parallel,
+    run_shard,
     run_single,
+    validate_campaign,
     validate_spec,
 )
+from repro.prober.output import dumps
+from repro.prober.permutation import ProbeSchedule
 from repro.prober import parallel as parallel_module
 from repro.prober import supervise as supervise_module
 
@@ -163,6 +179,130 @@ class TestMergeEqualsSingleProcess:
         assert merged.pps == spec.pps
 
 
+START_METHODS = [
+    method for method in ("fork", "spawn") if method in multiprocessing.get_all_start_methods()
+]
+
+
+def sha(result):
+    return hashlib.sha256(dumps(result).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestStartMethods:
+    """Forked shards inherit the parent's world; spawned ones rebuild it
+    from the spec.  Both routes give the single campaign's bytes."""
+
+    @pytest.mark.parametrize("shards, processes", [(2, 2), (3, 3), (4, 2), (5, 2)])
+    def test_the_sharded_dump_is_the_single_dump(self, start_method, shards, processes):
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="EU-NET", targets=targets[:20], pps=700.0)
+        merged = run_parallel(spec, shards, processes=processes, start_method=start_method)
+        assert sha(merged) == sha(run_single(spec))
+        assert multiprocessing.active_children() == []
+
+    def test_a_profiled_pool_gives_the_same_bytes_and_every_shards_profile(
+        self, start_method
+    ):
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:20])
+        prof = WallProfiler()
+        merged = run_parallel(spec, 3, processes=3, start_method=start_method, profiler=prof)
+        assert sha(merged) == sha(run_single(spec))
+        workers = merged.wall_profile["workers"]
+        assert [worker["shard"] for worker in workers] == [0, 1, 2]
+        assert all(worker["pickle_bytes"] > 0 for worker in workers)
+        for worker in workers:
+            assert "shard.run" in {row["path"] for row in worker["phases"]}
+
+
+    def test_shard_processes_find_or_build_the_world_by_start_method(self, start_method):
+        """Under fork the parent builds or rewinds the world before the
+        first process starts and every shard inherits it; a spawned shard
+        starts empty and builds its own from the spec."""
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:8])
+        merged = run_parallel(
+            spec, 2, processes=2, start_method=start_method, profiler=WallProfiler()
+        )
+        parent = {row["path"] for row in merged.wall_profile["phases"]}
+        workers = [
+            {row["path"] for row in worker["phases"]}
+            for worker in merged.wall_profile["workers"]
+        ]
+        forked = start_method == "fork"
+        assert ("parallel/world.rewind" in parent) == forked
+        assert [("shard.run/world.build" in paths) for paths in workers] == [not forked] * 2
+        assert all("shard.run/world.rewind" in paths for paths in workers)
+
+
+def test_the_default_process_count_runs_the_single_campaign():
+    config, targets = small_world(7)
+    spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:12])
+    assert sha(run_parallel(spec, 3)) == sha(run_single(spec))
+
+
+class TestShardDecomposition:
+    """What each shard sends: its own slice of the permutation, on its
+    own slots of the single campaign's clock."""
+
+    def spec(self):
+        config, targets = small_world(7)
+        return CampaignSpec(
+            internet=config,
+            vantage="US-EDU-1",
+            targets=targets[:15],
+            pps=800.0,
+            config=Yarrp6Config(min_ttl=1, max_ttl=9, key=5),
+        )
+
+    @pytest.mark.parametrize("shards", [2, 3, 5])
+    def test_the_shards_split_the_single_campaign(self, shards):
+        spec = self.spec()
+        reference = run_single(spec)
+        parts = [run_shard(spec, shard, shards) for shard in range(shards)]
+        assert [part.sent for part in parts] == [
+            len(ProbeSchedule(15, 1, 9, 5, shard=shard, shards=shards))
+            for shard in range(shards)
+        ]
+        assert sum(part.sent for part in parts) == reference.sent
+        assert sorted(record_key(r) for part in parts for r in part.records) == sorted(
+            record_key(r) for r in reference.records
+        )
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_each_shard_sends_on_its_offset_and_stride(self, shards):
+        """Shard ``s`` of ``N`` sends at ``s*base + k*N*base``: the slots
+        the single process gives the positions it owns."""
+        spec = self.spec()
+        base = pps_interval(spec.pps)
+        for shard in range(shards):
+            part = run_shard(spec, shard, shards)
+            sent_at = {r.received_at - r.rtt_us for r in part.records}
+            assert sent_at
+            assert {(t - shard * base) % (shards * base) for t in sent_at} == {0}
+
+
+class TestMerge:
+    def shard_results(self, shards=3):
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:12])
+        return spec, [run_shard(spec, shard, shards) for shard in range(shards)]
+
+    def test_the_merge_is_a_pure_function_of_its_inputs(self):
+        spec, parts = self.shard_results()
+        before = [dumps(part) for part in parts]
+        first = parallel_module.merge_results(parts, spec.pps, targets=len(spec.targets))
+        second = parallel_module.merge_results(parts, spec.pps, targets=len(spec.targets))
+        assert dumps(first) == dumps(second)
+        assert [dumps(part) for part in parts] == before
+
+    def test_the_merge_of_one_shard_is_that_shard(self):
+        spec, (only,) = self.shard_results(shards=1)
+        merged = parallel_module.merge_results([only], spec.pps, targets=len(spec.targets))
+        assert_identical(merged, only)
+
+
 def bomb(*args, **kwargs):
     raise AssertionError("no process may start and no world be built for a refused spec")
 
@@ -237,6 +377,30 @@ class TestExactCore:
             validate_spec(spec, 2, 2)
 
 
+    @pytest.mark.parametrize(
+        "internet, config, causes",
+        [
+            ("default", {}, "coupled world"),
+            ("decoupled", {"fill": True}, "fill"),
+            ("decoupled", {"neighborhood_ttl": 3}, "neighbourhood"),
+            ("default", {"fill": True, "neighborhood_ttl": 3}, "coupled world, fill, neighbourhood"),
+        ],
+        ids=["coupled", "fill", "neighbourhood", "all-three"],
+    )
+    def test_the_inline_path_refuses_too(self, internet, config, causes, monkeypatch):
+        """``processes=1`` runs the shards in this process; it refuses the
+        same specs, before a shard runs."""
+        monkeypatch.setattr(parallel_module, "run_shard", bomb)
+        world = self.DEFAULT if internet == "default" else decoupled_dynamics(self.DEFAULT)
+        with pytest.raises(ValueError) as excinfo:
+            run_parallel(self.spec(world, **config), shards=2, processes=1)
+        assert str(excinfo.value).endswith("this spec has: %s" % causes)
+
+    @pytest.mark.parametrize("shards, processes", [(1, 1), (2, 1), (8, 3), (2, 16)])
+    def test_a_decoupled_pure_walk_is_accepted(self, shards, processes):
+        validate_spec(self.spec(decoupled_dynamics(self.DEFAULT)), shards, processes)
+
+
 class TestValidation:
     def test_errors_raise_before_any_fork(self, monkeypatch):
         """Satellite 4: a bad shard count or config fails with one clean
@@ -283,6 +447,32 @@ class TestValidation:
         with pytest.raises(ValueError) as excinfo:
             run_parallel(spec, shards=2, processes=processes)
         assert str(excinfo.value) == "processes must be >= 1: %d" % processes
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_a_shard_count_below_one_is_refused_by_name(self, monkeypatch, shards):
+        """Checked before the process count, so ``processes=0`` does not
+        hide it."""
+        monkeypatch.setattr(supervise_module, "_start", bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
+        config, targets = small_world(7)
+        spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5])
+        for processes in (4, 0):
+            with pytest.raises(ValueError) as excinfo:
+                run_parallel(spec, shards=shards, processes=processes)
+            assert str(excinfo.value) == "shards must be >= 1: %d" % shards
+
+    @pytest.mark.parametrize("shard, shards", [(0, 2), (1, 3), (2, 3)])
+    def test_a_presharded_config_is_refused_by_name(self, shard, shards):
+        config, targets = small_world(7)
+        spec = CampaignSpec(
+            internet=config,
+            vantage="US-EDU-1",
+            targets=targets[:5],
+            config=Yarrp6Config(shard=shard, shards=shards),
+        )
+        with pytest.raises(ValueError) as excinfo:
+            validate_spec(spec, 2, 2)
+        assert str(excinfo.value).endswith("got shard=%d shards=%d" % (shard, shards))
 
     @pytest.mark.parametrize(
         "value, name",
@@ -380,3 +570,82 @@ class TestValidation:
     def test_merge_requires_results(self):
         with pytest.raises(ValueError):
             parallel_module.merge_results([], pps=1000.0)
+
+
+def spec_with(**changes):
+    config, targets = small_world(7)
+    spec = CampaignSpec(internet=config, vantage="US-EDU-1", targets=targets[:5])
+    prober = changes.pop("prober", None)
+    if prober is not None:
+        changes["config"] = Yarrp6Config(**prober)
+    return replace(spec, **changes)
+
+
+class TestValidateCampaign:
+    """The checks ``probe`` and ``run_parallel`` share: each refusal with
+    the message the campaign itself would give, and no world built."""
+
+    @pytest.fixture(autouse=True)
+    def no_world(self, monkeypatch):
+        monkeypatch.setattr(Internet, "from_config", bomb)
+        monkeypatch.setattr(parallel_module, "_world_for", bomb)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"targets": ()}, "no targets"),
+            (
+                {"vantage": "us-edu-1"},
+                "unknown vantage 'us-edu-1' (configured: EU-NET, US-EDU-1, US-EDU-2)",
+            ),
+            ({"prober": {"min_ttl": 0}}, "bad TTL range [0, 16]"),
+            ({"prober": {"max_ttl": 256}}, "bad TTL range [1, 256]"),
+            ({"prober": {"min_ttl": 9, "max_ttl": 3}}, "bad TTL range [9, 3]"),
+            ({"pps": 0.0}, "rate must be positive and finite: 0.0"),
+            ({"pps": -1.0}, "rate must be positive and finite: -1.0"),
+            ({"pps": math.inf}, "rate must be positive and finite: inf"),
+            ({"pps": -math.inf}, "rate must be positive and finite: -inf"),
+            ({"pps": math.nan}, "rate must be positive and finite: nan"),
+            ({"targets": [1, 2]}, "spec.targets is a list, not an immutable value"),
+        ],
+        ids=[
+            "no-targets",
+            "vantage",
+            "min-ttl-0",
+            "max-ttl-256",
+            "ttl-inverted",
+            "pps-0",
+            "pps-negative",
+            "pps-inf",
+            "pps-minus-inf",
+            "pps-nan",
+            "list-targets",
+        ],
+    )
+    def test_refused_with_the_campaigns_message(self, changes, message):
+        with pytest.raises(ValueError) as excinfo:
+            validate_campaign(spec_with(**changes))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("shards", [1, 2, 1000])
+    def test_a_campaign_the_probers_run_is_accepted(self, shards):
+        """More shards than probes is a valid split: the extra shards
+        send nothing."""
+        validate_campaign(spec_with(prober={"min_ttl": 1, "max_ttl": 255}), shards)
+
+
+class TestCampaignSpec:
+    def test_a_spec_survives_the_pickle_boundary_as_an_equal_value(self):
+        spec = spec_with(prober={"max_ttl": 9, "key": 77}, name="x")
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_defaults_name_the_vantage_and_the_default_prober(self):
+        spec = spec_with()
+        assert spec.default_name() == "US-EDU-1/yarrp6"
+        assert spec.prober_config() == Yarrp6Config()
+        assert replace(spec, name="named").default_name() == "named"
+
+    def test_resolve_start_method_keeps_an_explicit_choice(self):
+        assert supervise_module.resolve_start_method("spawn") == "spawn"
+        expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        assert supervise_module.resolve_start_method(None) == expected

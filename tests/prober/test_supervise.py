@@ -19,7 +19,7 @@ import pytest
 
 from repro.lint.core import load_source
 from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
-from repro.obs import NULL_PROFILER
+from repro.obs import NULL_PROFILER, WallProfiler
 from repro.prober import CampaignSpec, ShardFailure, run_parallel, run_shard, run_single
 from repro.prober import supervise as supervise_module
 from repro.prober.output import dumps
@@ -91,6 +91,35 @@ def not_a_result(spec, shard, shards, profiler=None):
 def hanging(spec, shard, shards, profiler=None):
     if shard == 0:
         time.sleep(60.0)
+    return run_shard(spec, shard, shards)
+
+
+def crash_at(spec, shard, shards, profiler=None):
+    """``spec`` is ``(campaign spec, faulty shard)``: the job's spec is
+    opaque to the runner, so the fault's position rides along in it."""
+    campaign, faulty = spec
+    if shard == faulty:
+        raise RuntimeError("injected crash in shard %d" % shard)
+    return run_shard(campaign, shard, shards)
+
+
+def hang_or_crash(spec, shard, shards, profiler=None):
+    """Shard 0 sleeps for a minute; shard 1 crashes at once."""
+    if shard == 0:
+        time.sleep(60.0)
+    raise RuntimeError("injected crash in shard %d" % shard)
+
+
+def slow(spec, shard, shards, profiler=None):
+    """Every shard outlives the start of the shards after it."""
+    time.sleep(0.3)
+    return run_shard(spec, shard, shards)
+
+
+def last_first(spec, shard, shards, profiler=None):
+    """Later shards finish first: shard ``s`` waits 0.3 s for each shard
+    after it before it runs."""
+    time.sleep(0.3 * (shards - 1 - shard))
     return run_shard(spec, shard, shards)
 
 
@@ -170,6 +199,100 @@ class TestDetection:
         assert dumps(merged) == dumps(run_single(spec))
         assert [process.exitcode for process in started] == [0, 0, 0, 0]
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestRunProcesses:
+    """What :func:`run_processes` returns, and how many processes it has
+    running at any time."""
+
+    @pytest.mark.parametrize("faulty", [0, 1, 2])
+    def test_the_failure_names_the_shard_that_failed(self, start_method, faulty):
+        job = ShardJob(crash_at, (make_spec(), faulty), 3)
+        with pytest.raises(ShardFailure) as excinfo:
+            run_processes(job, 3, start_method, NULL_PROFILER)
+        assert (excinfo.value.shard, excinfo.value.cause) == (faulty, "crash")
+        assert "injected crash in shard %d" % faulty in excinfo.value.detail
+        assert multiprocessing.active_children() == []
+
+    def test_a_failure_kills_a_sibling_that_is_still_running(
+        self, start_method, monkeypatch
+    ):
+        """Shard 1's crash is raised on its first occurrence: shard 0,
+        a minute from done, is killed and reaped (exit -SIGKILL), not
+        waited for (it would have exited 0)."""
+        started = []
+        spy_on_starts(monkeypatch, started)
+        with pytest.raises(ShardFailure) as excinfo:
+            run_job(hang_or_crash, start_method, shards=2, processes=2)
+        assert (excinfo.value.shard, excinfo.value.cause) == (1, "crash")
+        assert [process.exitcode for process in started] == [-signal.SIGKILL, 0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("faulty", [0, 1])
+    def test_one_process_at_a_time_starts_no_shard_after_a_failure(
+        self, start_method, monkeypatch, faulty
+    ):
+        started = []
+        spy_on_starts(monkeypatch, started)
+        job = ShardJob(crash_at, (make_spec(), faulty), 3)
+        with pytest.raises(ShardFailure) as excinfo:
+            run_processes(job, 1, start_method, NULL_PROFILER)
+        assert excinfo.value.shard == faulty
+        assert len(started) == faulty + 1
+        assert multiprocessing.active_children() == []
+
+    def test_results_come_back_in_shard_order(self, start_method):
+        """Shards that report last to first still come back as shard 0,
+        1, 2: the merge reads each result's position as its shard id."""
+        spec = make_spec()
+        job = ShardJob(last_first, spec, 3)
+        results, _ = run_processes(job, 3, start_method, NULL_PROFILER)
+        assert [dumps(result) for result in results] == [
+            dumps(run_shard(spec, shard, 3)) for shard in range(3)
+        ]
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_never_more_than_processes_at_once(self, start_method, monkeypatch, processes):
+        """Four slow shards under a cap of ``processes``: every start
+        finds fewer than the cap running, and the cap is reached."""
+        running_at_start = []
+        real = supervise_module._start
+
+        def counting(context, job, shard):
+            running_at_start.append(len(multiprocessing.active_children()))
+            return real(context, job, shard)
+
+        monkeypatch.setattr(supervise_module, "_start", counting)
+        results, _ = run_processes(
+            ShardJob(slow, make_spec(), 4), processes, start_method, NULL_PROFILER
+        )
+        assert len(results) == 4
+        assert len(running_at_start) == 4
+        assert max(running_at_start) == processes - 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_cap_above_the_shard_count_starts_one_process_per_shard(
+        self, start_method, monkeypatch
+    ):
+        started = []
+        spy_on_starts(monkeypatch, started)
+        results, _ = run_processes(
+            ShardJob(run_shard, make_spec(), 2), 8, start_method, NULL_PROFILER
+        )
+        assert len(results) == len(started) == 2
+        assert [process.exitcode for process in started] == [0, 0]
+
+    def test_every_shard_reports_the_bytes_its_outcome_crossed_the_pipe_as(
+        self, start_method
+    ):
+        prof = WallProfiler()
+        with prof.phase("parallel"):
+            _, sizes = run_processes(ShardJob(run_shard, make_spec(), 3), 3, start_method, prof)
+        assert sorted(sizes) == [0, 1, 2]
+        assert all(size > 0 for size in sizes.values())
+        rows = {row["path"]: row for row in prof.phase_rows()}
+        assert rows["parallel/shards/pickle"]["bytes"] == sum(sizes.values())
 
 
 # -- layering ---------------------------------------------------------------
