@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..addrs.prefix import Prefix
@@ -98,14 +99,16 @@ class CompiledPath:
         return None
 
 
-class Response:
-    """A response packet headed back to the vantage."""
+class Response(tuple[int, bytes]):
+    """A response packet headed back to the vantage: ``Response((delay_us,
+    data))``.  A tuple, so making one runs no Python ``__init__``."""
 
-    __slots__ = ("delay_us", "data")
+    __slots__ = ()
 
-    def __init__(self, delay_us: int, data: bytes) -> None:
-        self.delay_us = delay_us
-        self.data = data
+    #: Round trip in µs, from the probe's injection to the response's arrival.
+    delay_us = property(itemgetter(0))
+    #: The response packet's bytes.
+    data = property(itemgetter(1))
 
 
 class InternetStats:
@@ -685,7 +688,7 @@ class Internet:
                 reply_segment,
             )
             self.stats.echo_replies += 1
-            return Response(2 * delay + 150, packet)
+            return Response((2 * delay + 150, packet))
         if header.next_header == PROTO_UDP:
             # Closed port: the host itself sends port unreachable — but
             # end hosts rate-limit their own ICMPv6 errors hard.
@@ -701,7 +704,7 @@ class Internet:
                 ipv6.build_packet(header, payload),
             )
             self.stats.unreachables += 1
-            return Response(2 * delay + 150, packet)
+            return Response((2 * delay + 150, packet))
         if header.next_header == PROTO_TCP:
             try:
                 seg, _ = tcp.split_segment(payload)
@@ -719,7 +722,7 @@ class Internet:
                 tcp.build_segment(host, header.src, rst),
             )
             self.stats.tcp_responses += 1
-            return Response(2 * delay + 150, packet)
+            return Response((2 * delay + 150, packet))
         return None
 
     def _icmp_error(
@@ -765,10 +768,11 @@ class Internet:
             self.stats.time_exceeded += 1
         elif msg_type == icmpv6.TYPE_DEST_UNREACH:
             self.stats.unreachables += 1
-        packet = icmpv6.error_packet(
-            iface, src, msg_type, code, word, self._quote(router, invoking)
-        )
-        return Response(2 * delay + 200, packet)
+        behaviour = self.mangling(router.router_id)
+        if behaviour is not None:
+            invoking = self._quote(behaviour, invoking)
+        packet = icmpv6.error_packet(iface, src, msg_type, code, word, invoking)
+        return Response((2 * delay + 200, packet))
 
     @staticmethod
     def mangling(router_id: int) -> Optional[str]:
@@ -782,21 +786,19 @@ class Internet:
             return "truncate"
         return None
 
-    def _quote(self, router: Router, invoking: bytes) -> bytes:
-        """The invoking-packet quotation (``error_packet`` bounds it to the
-        minimum MTU), with realistic misbehaviour for a small
-        deterministic subset of routers."""
-        behaviour = self.mangling(router.router_id)
+    @staticmethod
+    def _quote(behaviour: str, invoking: bytes) -> bytes:
+        """The quotation of a router that misquotes the ``invoking``
+        packet as :meth:`mangling` says (``error_packet`` bounds it to
+        the minimum MTU); every other router quotes it verbatim."""
         if behaviour == "truncate":
             # IPv4-style minimal quote: IPv6 header + 8 bytes.
             return invoking[:48]
-        if behaviour == "rewrite":
-            # A middlebox rewrote the destination's low bits.
-            mangled = bytearray(invoking[: icmpv6.MAX_QUOTATION])
-            if len(mangled) >= 40:
-                mangled[38] ^= 0x55
-            return bytes(mangled)
-        return invoking
+        # "rewrite": a middlebox rewrote the destination's low bits.
+        mangled = bytearray(invoking[: icmpv6.MAX_QUOTATION])
+        if len(mangled) >= 40:
+            mangled[38] ^= 0x55
+        return bytes(mangled)
 
     # ------------------------------------------------------------------
     # Ground-truth inspection helpers (tests / validation)

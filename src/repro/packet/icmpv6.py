@@ -19,13 +19,8 @@ import enum
 import struct
 from typing import Optional
 
-from ..addrs.address import IID_MASK
-from .checksum import (
-    internet_checksum,
-    pseudo_header_sum,
-    transport_checksum,
-    verify_transport_checksum,
-)
+from ..addrs.address import IID_MASK, MAX_ADDRESS
+from .checksum import transport_checksum, verify_transport_checksum
 from .ipv6 import (
     DEFAULT_HOP_LIMIT,
     HEADER,
@@ -210,19 +205,23 @@ def error_packet(
     ICMPv6Message(msg_type, code, word, quotation).pack(src, dst))`` —
     what a router emits per answered probe — without the intermediate
     message, segment, pseudo-header and header objects: both headers
-    come from one ``Struct.pack`` and the checksum from the integer
-    values of the fields it covers (see
-    :func:`~repro.packet.checksum.pseudo_header_sum`).  ``quotation`` is
-    truncated to :data:`MAX_QUOTATION`.
+    come from one ``Struct.pack`` and the checksum from one
+    ``int.from_bytes`` of the quotation plus the integer values of the
+    fields it covers, folded once (see
+    :func:`~repro.packet.checksum.pseudo_header_sum` and
+    :func:`~repro.packet.checksum.fold_sum`).  ``quotation`` is
+    truncated to :data:`MAX_QUOTATION`; an address outside 128 bits
+    raises ``OverflowError``.
     """
+    if not (0 <= src <= MAX_ADDRESS and 0 <= dst <= MAX_ADDRESS):
+        raise OverflowError("address out of range: src %#x, dst %#x" % (src, dst))
     quotation = quotation[:MAX_QUOTATION]
     length = 8 + len(quotation)
-    checksum = internet_checksum(
-        quotation,
-        pseudo_header_sum(src, dst, length, PROTO_ICMPV6)
-        + (msg_type << 8 | code)
-        + word,
-    )
+    total = int.from_bytes(quotation, "big")
+    if length & 1:
+        total <<= 8
+    # Never zero (``length`` is at least 8), so the fold is one modulo.
+    total += src + dst + length + PROTO_ICMPV6 + (msg_type << 8 | code) + word
     return (
         ERROR_PACKET.pack(
             VERSION << 28,
@@ -235,7 +234,7 @@ def error_packet(
             dst & IID_MASK,
             msg_type,
             code,
-            checksum,
+            ~((total - 1) % 0xFFFF + 1) & 0xFFFF,
             word,
         )
         + quotation

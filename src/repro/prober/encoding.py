@@ -24,18 +24,17 @@ target on a single ECMP path (Paris-traceroute behaviour for free).
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..addrs import address
-from ..packet import icmpv6, ipv6, tcp, udp
+from ..packet import icmpv6, tcp, udp
 from ..packet.checksum import (
     address_checksum,
     checksum_fudge,
-    fold_sum,
     ones_complement_sum,
     pseudo_header_sum,
 )
-from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header, PacketError
+from ..packet.ipv6 import HEADER, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, VERSION, IPv6Header
 
 #: "yp6\0" — the Yarrp6 payload magic.
 MAGIC = 0x79503600
@@ -267,49 +266,58 @@ class ProbeTemplate:
         elapsed &= 0xFFFFFFFF
         buffer[7] = ttl
         buffer[24:40] = target.to_bytes(16, "big")
-        # The address integer is its own unfolded word sum (fold_sum).
-        sport = ~fold_sum(target) & 0xFFFF
-        if sport == 0:
-            sport = 0xFFFF
+        # The address integer is its own unfolded word sum: its checksum
+        # is address_checksum's, folded inline (fold_sum).
+        sport = ~((target - 1) % 0xFFFF + 1) & 0xFFFF or 0xFFFF
         sport_at = self._sport_at
         buffer[sport_at] = sport >> 8
         buffer[sport_at + 1] = sport & 0xFF
         payload_at = self._payload_at
         buffer[payload_at + 5] = ttl & 0xFF
         buffer[payload_at + 6 : payload_at + 10] = elapsed.to_bytes(4, "big")
-        total = fold_sum(
-            self._base_sum
-            + target
-            + sport
-            + (ttl & 0xFF)
-            + (elapsed >> 16)
-            + (elapsed & 0xFFFF)
+        total = (
+            self._base_sum + target + sport + (ttl & 0xFF) + (elapsed >> 16) + (elapsed & 0xFFFF)
         )
-        fudge = checksum_fudge(total, self._desired)
+        # The base sum covers the magic, so the total is never zero and
+        # folds with one modulo; then checksum_fudge, inline.
+        fudge = self._desired - ((total - 1) % 0xFFFF + 1)
+        if fudge <= 0:
+            fudge += 0xFFFF
         buffer[payload_at + 10] = fudge >> 8
         buffer[payload_at + 11] = fudge & 0xFF
 
 
-def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> DecodedProbe:
-    """Recover Yarrp6 probe state from an ICMPv6 error quotation.
+def decode_at(
+    data: bytes, offset: int, instance: Optional[int]
+) -> Tuple[int, int, int, int, int, bool]:
+    """Recover Yarrp6 probe state from the ICMPv6 error quotation that
+    starts ``offset`` bytes into ``data``, reading it in place: ``(target,
+    ttl, elapsed, instance, protocol, target_modified)``, the fields of
+    :class:`DecodedProbe` in its order.
 
     Raises :class:`DecodeError` for non-Yarrp6 or hopelessly truncated
     quotations (distinguishing "someone else's packet" from "our packet,
-    mangled" via the magic and the target checksum respectively).
+    mangled" via the magic and the target checksum respectively).  The
+    one decoder: :func:`decode_quotation` is it at offset 0.
     """
-    try:
-        _, _, protocol, _, _, _, dst_high, dst_low = ipv6.header_fields(quotation)
-    except PacketError as error:
-        raise DecodeError("unparseable quotation: %s" % error) from None
+    quoted = len(data) - offset - _IPV6_HEADER
+    if quoted < 0:
+        raise DecodeError(
+            "unparseable quotation: short IPv6 header: %d < %d bytes"
+            % (max(quoted + _IPV6_HEADER, 0), _IPV6_HEADER)
+        )
+    first_word, _, protocol, _, _, _, dst_high, dst_low = HEADER.unpack_from(data, offset)
+    if first_word >> 28 != VERSION:
+        raise DecodeError("unparseable quotation: not IPv6 (version %d)" % (first_word >> 28))
     transport_length = _TRANSPORT_LENGTH.get(protocol)
     if transport_length is None:
         raise DecodeError("unexpected protocol %d in quotation" % protocol)
-    quoted = len(quotation) - _IPV6_HEADER
     if quoted < transport_length + PAYLOAD_LENGTH - 2:
         # The fudge bytes are expendable; everything before them is not.
         raise DecodeError("quotation truncated to %d bytes of transport" % quoted)
+    transport_at = offset + _IPV6_HEADER
     magic, probe_instance, ttl, elapsed = PAYLOAD_HEAD.unpack_from(
-        quotation, _IPV6_HEADER + transport_length
+        data, transport_at + transport_length
     )
     if magic != MAGIC:
         raise DecodeError("bad magic %08x" % magic)
@@ -318,17 +326,24 @@ def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> Decode
             "instance mismatch: probe %d, ours %d" % (probe_instance, instance)
         )
     target = (dst_high << 64) | dst_low
-    # Source port / ICMPv6 identifier carries the target checksum.
-    sport_at = _IPV6_HEADER + _SPORT_OFFSET[protocol]
-    sport = (quotation[sport_at] << 8) | quotation[sport_at + 1]
-    return DecodedProbe(
-        target=target,
-        ttl=ttl,
-        elapsed=elapsed,
-        instance=probe_instance,
-        protocol=protocol,
-        target_modified=sport != address_checksum(target),
+    # Source port / ICMPv6 identifier carries the target checksum
+    # (address_checksum, folded inline as encode_into does).
+    sport_at = transport_at + _SPORT_OFFSET[protocol]
+    return (
+        target,
+        ttl,
+        elapsed,
+        probe_instance,
+        protocol,
+        (data[sport_at] << 8 | data[sport_at + 1])
+        != (~((target - 1) % 0xFFFF + 1) & 0xFFFF or 0xFFFF),
     )
+
+
+def decode_quotation(quotation: bytes, instance: Optional[int] = None) -> DecodedProbe:
+    """Recover Yarrp6 probe state from an ICMPv6 error quotation: the
+    :class:`DecodedProbe` of :func:`decode_at` at offset 0."""
+    return DecodedProbe(*decode_at(quotation, 0, instance))
 
 
 def rtt_from(elapsed: int, now: int) -> int:

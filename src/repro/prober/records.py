@@ -22,7 +22,7 @@ from ..packet.icmpv6 import (
     TYPE_TIME_EXCEEDED,
 )
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP
-from .encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_quotation, rtt_from
+from .encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_at
 
 #: The IPv6 + ICMPv6 headers ahead of an echo's body or an error's quotation.
 _HEAD_LENGTH = ERROR_PACKET.size
@@ -110,6 +110,9 @@ class ResponseProcessor:
         self.mangled_targets = 0
         self.response_labels: Dict[str, int] = {}
         registry = metrics if metrics is not None else NULL_REGISTRY
+        #: Whether the counters below count: with metrics off ``process``
+        #: skips their calls.
+        self._metered = registry.enabled
         self._m_responses = registry.counter("prober.responses")
         self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
 
@@ -119,7 +122,10 @@ class ResponseProcessor:
 
         The IPv6 and ICMPv6 headers are read once, as integers, by the
         struct :func:`~repro.packet.icmpv6.error_packet` packs them with;
-        an error's quotation is decoded from the bytes after them."""
+        an error's quotation is decoded in place, after them
+        (:func:`~repro.prober.encoding.decode_at`).  An RTT is the
+        32-bit truncated send timestamp's distance to ``now``
+        (:func:`~repro.prober.encoding.rtt_from`)."""
         self.received += 1
         if len(data) < ipv6.HEADER_LENGTH or data[0] >> 4 != ipv6.VERSION:
             self.decode_failures += 1
@@ -146,47 +152,47 @@ class ResponseProcessor:
             if magic != MAGIC or (self.instance is not None and instance != self.instance):
                 self.foreign += 1
                 return None
+            modified = False
+            label = "echo reply"
             record = ProbeRecord(
-                target=hop,
-                ttl=ttl,
-                hop=hop,
-                icmp_type=msg_type,
-                icmp_code=code,
-                label="echo reply",
-                rtt_us=rtt_from(elapsed, now),
-                received_at=now,
+                hop, ttl, hop, msg_type, code, label, (now - elapsed) & 0xFFFFFFFF, now
             )
         elif msg_type < 128:
             try:
-                decoded = decode_quotation(data[_HEAD_LENGTH:], self.instance)
+                target, ttl, elapsed, _, _, modified = decode_at(
+                    data, _HEAD_LENGTH, self.instance
+                )
             except DecodeError:
                 self.decode_failures += 1
                 return None
+            label = RESPONSE_LABELS.get((msg_type, code)) or icmpv6.response_label(
+                msg_type, code
+            )
             record = ProbeRecord(
-                target=decoded.target,
-                ttl=decoded.ttl,
-                hop=hop,
-                icmp_type=msg_type,
-                icmp_code=code,
-                label=RESPONSE_LABELS.get((msg_type, code))
-                or icmpv6.response_label(msg_type, code),
-                rtt_us=rtt_from(decoded.elapsed, now),
-                received_at=now,
-                target_modified=decoded.target_modified,
+                target,
+                ttl,
+                hop,
+                msg_type,
+                code,
+                label,
+                (now - elapsed) & 0xFFFFFFFF,
+                now,
+                modified,
             )
         else:
             self.foreign += 1
             return None
 
         self.records.append(record)
-        label_count = self.response_labels.get(record.label, 0)
-        self.response_labels[record.label] = label_count + 1
-        if record.target_modified:
+        self.response_labels[label] = self.response_labels.get(label, 0) + 1
+        if modified:
             self.mangled_targets += 1
         self.responders.add(hop)
-        self._m_responses.inc()
+        if self._metered:
+            self._m_responses.inc()
         if msg_type == TYPE_TIME_EXCEEDED:
-            self._m_ttl_yield.inc(record.ttl)
+            if self._metered:
+                self._m_ttl_yield.inc(ttl)
             if hop not in self.interfaces:
                 self.interfaces.add(hop)
                 self.curve.append((sent_so_far, len(self.interfaces)))

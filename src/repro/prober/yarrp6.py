@@ -28,7 +28,7 @@ from ..obs.metrics import MetricsRegistry
 from ..packet.icmpv6 import ERROR_PACKET, TYPE_TIME_EXCEEDED
 from ..packet.ipv6 import PROTO_ICMPV6, VERSION
 from .base import Prober
-from .encoding import DecodeError, decode_quotation
+from .encoding import DecodeError, decode_at
 from .permutation import ProbeSchedule
 from .records import ProbeRecord
 
@@ -314,7 +314,8 @@ class Yarrp6(Prober):
         ``packet``, the probe for (``target``, ``ttl``): None unless the
         response is a Time Exceeded whose quoted TTL is in the fill
         range.  A quotation that is the probe verbatim is not decoded
-        again; a mangled or truncated one is, as :meth:`receive` will."""
+        again; a mangled or truncated one is, in place and by the decoder
+        :meth:`receive`'s processor calls, at the same offset."""
         if (
             len(data) < _QUOTE_AT
             or data[0] >> 4 != VERSION
@@ -324,10 +325,9 @@ class Yarrp6(Prober):
             return None
         if len(data) != _QUOTE_AT + len(packet) or not data.endswith(packet):
             try:
-                decoded = decode_quotation(data[_QUOTE_AT:], self.config.instance)
+                target, ttl, _, _, _, _ = decode_at(data, _QUOTE_AT, self.config.instance)
             except DecodeError:
                 return None
-            target, ttl = decoded.target, decoded.ttl
         return (target, ttl + 1) if ttl in self._fill_ttls else None
 
     def _skip_neighborhood(self, ttl: int, now: int) -> bool:

@@ -33,6 +33,7 @@ from repro.prober.campaign import DEFAULT_BATCH, run_campaign
 from repro.prober.encoding import (
     PROTOCOLS,
     ProbeTemplate,
+    decode_at,
     decode_quotation,
     encode_probe,
 )
@@ -503,27 +504,29 @@ class TestFillModeEquivalence:
     @pytest.mark.parametrize("seed, mangling", [(5, "rewrite"), (3, "truncate")])
     def test_a_mangled_quotation_is_decoded(self, seed, mangling, monkeypatch):
         """A Time Exceeded from a ``rewrite`` or ``truncate`` router does
-        not quote the probe verbatim: the prediction decodes it, as
-        ``receive`` does, and a rewritten target's fill goes to the
-        rewritten address."""
+        not quote the probe verbatim: the prediction decodes it in place,
+        at the offset ``receive``'s processor reads, and a rewritten
+        target's fill goes to the rewritten address."""
         decoded = []
 
-        def spy(quotation, instance=None):
+        def spy(data, offset, instance):
+            assert offset == 48
             try:
-                state = decode_quotation(quotation, instance)
+                state = decode_at(data, offset, instance)
             except Exception:
                 decoded.append(None)
                 raise
             decoded.append(state)
             return state
 
-        monkeypatch.setattr(yarrp6_module, "decode_quotation", spy)
+        monkeypatch.setattr(yarrp6_module, "decode_at", spy)
         reference, batched = run_pair(
             seed=seed, pps=1000.0, batch=DEFAULT_BATCH, max_ttl=4, fill=True, fill_ceiling=12
         )
         assert_equivalent(reference, batched)
         if mangling == "rewrite":
-            assert any(state is not None and state.target_modified for state in decoded)
+            # The last field is target_modified.
+            assert any(state is not None and state[-1] for state in decoded)
         else:
             assert None in decoded
 

@@ -10,6 +10,7 @@ smoke-campaign responses and the mangled variants a router or a
 middlebox could hand back.
 """
 
+import collections
 import sys
 from typing import Dict, List, Optional
 
@@ -20,8 +21,16 @@ from hypothesis import strategies as st
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.packet import icmpv6, ipv6, udp
 from repro.packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
-from repro.prober import run_yarrp6
-from repro.prober.encoding import MAGIC, PAYLOAD_HEAD, DecodeError, decode_quotation, rtt_from
+from repro.prober import run_sequential, run_yarrp6
+from repro.prober.encoding import (
+    MAGIC,
+    PAYLOAD_HEAD,
+    DecodedProbe,
+    DecodeError,
+    decode_at,
+    decode_quotation,
+    rtt_from,
+)
 from repro.prober.records import ProbeRecord, ResponseProcessor
 
 #: The CI smoke world (``repro-sim world --edge 30 --cpe 150 --seed 5``).
@@ -220,6 +229,10 @@ def responses(smoke_built) -> List[bytes]:
     return got
 
 
+#: Where an error's quotation starts: after the IPv6 and ICMPv6 headers.
+_QUOTE_AT = 48
+
+
 def _feed(responses, instance, now=5_000_000):
     oracle, processor = ObjectProcessor(instance), ResponseProcessor(instance)
     for sent, data in enumerate(responses):
@@ -247,6 +260,43 @@ class TestSameRecordsAsTheObjectDecoder:
             kinds.setdefault((data[6], data[40] if len(data) > 40 else None), data)
         _feed([data[:cut] for data in kinds.values() for cut in range(len(data) + 1)], 1)
 
+    def test_the_in_place_decoder_at_every_cut(self, responses):
+        """``decode_at(data, 48, instance)`` — what ``process`` and the
+        fill prediction call — against ``decode_quotation`` of the
+        quotation sliced off: every response cut at every length, the
+        instance the decoder expects going round ``None``, 1 and 2, and
+        each error's quotation rewritten and truncated the ways a router
+        misquotes (``Internet._quote``; a truncation is one of the cuts)
+        under each of them.  Same fields, or a ``DecodeError`` with the
+        same message."""
+
+        def cases():
+            for number, data in enumerate(responses):
+                for cut in range(len(data) + 1):
+                    yield data[:cut], (None, 1, 2)[number % 3]
+                if len(data) > _QUOTE_AT + 40 and data[40] < 128:
+                    rewritten = bytearray(data)
+                    rewritten[_QUOTE_AT + 38] ^= 0x55
+                    for instance in (None, 1, 2):
+                        yield bytes(rewritten), instance
+
+        outcomes = collections.Counter()
+        for data, instance in cases():
+            try:
+                decoded = decode_quotation(data[_QUOTE_AT:], instance)
+            except DecodeError as error:
+                expected = str(error)
+                outcomes[expected.split(" ")[0]] += 1
+            else:
+                expected = tuple(getattr(decoded, name) for name in DecodedProbe.__slots__)
+                outcomes["modified" if decoded.target_modified else "decoded"] += 1
+            try:
+                got = decode_at(data, _QUOTE_AT, instance)
+            except DecodeError as error:
+                got = str(error)
+            assert got == expected, (data.hex(), instance)
+        assert set(outcomes) == {"decoded", "modified", "unparseable", "quotation", "instance"}
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.data(),
@@ -272,7 +322,8 @@ class TestSameRecordsAsTheObjectDecoder:
 class TestCallBudget:
     """The wire exchange is a kernel too (``tests/netsim/test_build.py``
     ``TestFrameBudget`` for the build): Python-level calls per probe of a
-    warm smoke-world walk — exact, repeatable, the same on any host.
+    warm smoke-world campaign — exact, repeatable, the same on any host —
+    on each of the three loops a probe's round trip runs in.
     """
 
     #: 54.7 with header and message objects on both sides (``split_packet``
@@ -283,15 +334,28 @@ class TestCallBudget:
     #: its delivery recording it straight (no ``receive`` wrapper, no
     #: null profiler handle, no null discovery or sent-series call); 29.2
     #: with the block loop recording its own replies (no ``schedule_at``,
-    #: closure, engine pop or delivery call per response).  The budget is
-    #: that plus 5 %: a helper re-wrapped around a per-probe step costs
-    #: ~0.9.
-    CALLS_PER_PROBE = 30.6
+    #: closure, engine pop or delivery call per response); 15.36 with the
+    #: error crafted, its quotation decoded in place and the record built
+    #: without a helper call (no checksum helpers, ``_quote``,
+    #: ``Response.__init__``, ``header_fields``, ``DecodedProbe``,
+    #: ``rtt_from`` or null ``inc``).  Each budget is its measured value
+    #: plus 5 %: a helper re-wrapped around a per-response step costs
+    #: ~0.8 a probe, around a per-probe step 1.0.
+    CALLS_PER_PROBE = 16.1
+    #: The fill walk (``max_ttl=8, fill=True``): 13.57, on the same loop.
+    FILL_CALLS_PER_PROBE = 14.2
+    #: The per-event loop (``run_sequential`` at 20 kpps): 35.87.  Its
+    #: margin is 1.8 calls, so it catches a helper re-wrapped around two
+    #: per-probe steps, or around one per-probe and one per-response step.
+    PER_EVENT_CALLS_PER_PROBE = 37.7
 
-    def test_python_calls_per_probe_on_the_smoke_walk(self, smoke_built):
+    @staticmethod
+    def calls_per_probe(smoke_built, run) -> float:
+        """Python calls per probe sent of ``run(internet, targets)``, its
+        second run on one ``Internet`` (the first compiles every path)."""
         internet = Internet(smoke_built)
         targets = _targets(smoke_built)
-        run_yarrp6(internet, "EU-NET", targets, pps=5000)  # compile every path
+        run(internet, targets)
         internet.fresh_run_state()
         calls = 0
 
@@ -302,7 +366,29 @@ class TestCallBudget:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            result = run_yarrp6(internet, "EU-NET", targets, pps=5000)
+            result = run(internet, targets)
         finally:
             sys.setprofile(previous)
-        assert calls / result.sent <= self.CALLS_PER_PROBE
+        return calls / result.sent
+
+    def test_python_calls_per_probe_on_the_smoke_walk(self, smoke_built):
+        calls = self.calls_per_probe(
+            smoke_built, lambda internet, targets: run_yarrp6(internet, "EU-NET", targets, pps=5000)
+        )
+        assert calls <= self.CALLS_PER_PROBE
+
+    def test_python_calls_per_probe_on_the_fill_walk(self, smoke_built):
+        calls = self.calls_per_probe(
+            smoke_built,
+            lambda internet, targets: run_yarrp6(
+                internet, "EU-NET", targets, pps=5000, max_ttl=8, fill=True
+            ),
+        )
+        assert calls <= self.FILL_CALLS_PER_PROBE
+
+    def test_python_calls_per_probe_on_the_per_event_loop(self, smoke_built):
+        calls = self.calls_per_probe(
+            smoke_built,
+            lambda internet, targets: run_sequential(internet, "EU-NET", targets, pps=20_000),
+        )
+        assert calls <= self.PER_EVENT_CALLS_PER_PROBE
