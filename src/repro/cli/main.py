@@ -25,6 +25,7 @@ from ..addrs import address, format_address
 from ..addrs.prefix import Prefix
 from ..hitlist import make_targets
 from ..hitlist.transform import SeedItem
+from ..lint.detsan import hash_seed_pinned
 from ..netsim import Internet, InternetConfig, build_internet, validate_config
 from ..obs import (
     NULL_PROFILER,
@@ -39,7 +40,7 @@ from ..obs import (
 from ..prober import PROBERS, CampaignSpec, Yarrp6Config, run_campaign, validate_campaign
 from ..prober.output import load_campaign, save_campaign
 from ..seeds import SOURCES
-from .checks import CHECKS, rejection
+from .checks import check_detsan
 from .worldcfg import load_config, save_config
 
 
@@ -146,10 +147,11 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     if not targets:
         out.write("no targets in %s\n" % args.targets)
         return 2
-    chosen = [flag for flag in CHECKS if getattr(args, flag)]
-    refusal = rejection(args, chosen)
-    if refusal:
-        out.write(refusal)
+    if args.detsan and not hash_seed_pinned():
+        out.write(
+            "--detsan requires PYTHONHASHSEED pinned to a fixed integer "
+            "(hash randomization is per-process nondeterminism)\n"
+        )
         return 2
     if args.fill and args.prober != "yarrp6":
         out.write("--fill requires the yarrp6 prober (fill probes extend Yarrp6's own walk)\n")
@@ -175,9 +177,8 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     # observe-only: the .yrp6 bytes are identical with and without it.
     profilers: List[WallProfiler] = []
 
-    def run_once(prof=None):
-        if prof is None:
-            prof = WallProfiler() if args.profile else NULL_PROFILER
+    def run_once():
+        prof = WallProfiler() if args.profile else NULL_PROFILER
         profilers.append(prof)
         with prof.phase("probe", prober=args.prober):
             internet = Internet.from_config(world_config, profiler=prof)
@@ -199,14 +200,14 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
                 del internet
             return result
 
-    if chosen:
-        result, findings, verdict = CHECKS[chosen[0]].run(run_once, args, out)
+    if args.detsan:
+        result, findings, verdict = check_detsan(run_once)
     else:
         result, findings, verdict = run_once(), [], ""
     for line in findings[:20]:
-        out.write("%s: %s\n" % (chosen[0], line))
+        out.write("detsan: %s\n" % line)
     if verdict:
-        out.write("%s: %s\n" % (chosen[0], verdict))
+        out.write("detsan: %s\n" % verdict)
     if findings:
         return 1
     rows = save_campaign(args.out, result)
@@ -450,21 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the DetSan determinism sanitizer: record any host "
         "time/entropy reads, rerun clean, and require a byte-identical "
         "dump (requires pinned PYTHONHASHSEED; exit 1 on any report)",
-    )
-    probe.add_argument(
-        "--allocsan",
-        action="store_true",
-        help="run under the AllocSan allocation-budget sanitizer: account "
-        "tracemalloc bytes and allocator blocks around the hot "
-        "campaign.run phase and enforce the per-probe / per-batch "
-        "budgets (single process; exit 1 on a blown budget)",
-    )
-    probe.add_argument(
-        "--allocsan-report",
-        metavar="PATH",
-        help="with --allocsan, write the budget report JSON (tracked "
-        "section compatible with `python -m benchmarks.emit --baseline`) "
-        "to PATH",
     )
     probe.add_argument(
         "--profile",

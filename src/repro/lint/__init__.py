@@ -30,8 +30,9 @@ LNT001    an unused or unknown ``# repro-lint: disable=`` suppression
 ========  ============================================================
 
 The PERF rows are the whole-program half (:mod:`repro.lint.program`);
-what a static rule cannot see at runtime the two sanitizers check
-(:mod:`.detsan`, :mod:`.allocsan`).
+what a static rule cannot see at runtime the DetSan sanitizer
+(:mod:`.detsan`) and the Tier-1 budget rows (``TestCallBudget``,
+``TestRetainedBytes``) check.
 
 Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.
@@ -41,7 +42,7 @@ __all__ = ["Violation", "lint_file", "lint_paths", "lint_source"]
 
 
 def __getattr__(name: str):
-    # PEP 562: ``repro-sim`` imports the sanitizers through this package
+    # PEP 562: ``repro-sim`` imports the sanitizer through this package
     # on every start-up; the static-analysis half loads on first use.
     if name in __all__:
         from . import rules

@@ -14,10 +14,6 @@ on the library, not on the harness — and only the test *call* phase is
 sanitized; fixtures and collection run unpatched so harness-level timing
 (hypothesis deadlines, tmp-path bookkeeping) and session-scoped world
 builds are unaffected.
-
-The other sanitizer, AllocSan, needs no flag: its budget test
-(``tests/lint/test_allocsan.py``) is an ordinary test and runs with the
-rest of the suite.
 """
 
 from __future__ import annotations

@@ -381,14 +381,20 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--workers", "2"], ["--strict"], ["--shard-timeout", "5"], ["--max-retries", "1"]],
-        ids=["workers", "strict", "shard-timeout", "max-retries"],
+        [
+            ["--workers", "2"],
+            ["--strict"],
+            ["--shard-timeout", "5"],
+            ["--max-retries", "1"],
+            ["--allocsan"],
+            ["--allocsan-report", "r.json"],
+        ],
+        ids=["workers", "strict", "shard-timeout", "max-retries", "allocsan", "allocsan-report"],
     )
-    def test_the_retired_sharding_flags_are_refused_not_ignored(
-        self, world_file, tmp_path, capsys, flags
-    ):
-        """``probe`` is one serial campaign: a script that still asks for
-        shards or a retry budget stops at the parser, exit 2."""
+    def test_the_retired_flags_are_refused_not_ignored(self, world_file, tmp_path, capsys, flags):
+        """``probe`` is one serial campaign with one check: a script that
+        still asks for shards, a retry budget or the retired allocation
+        sanitizer stops at the parser, exit 2."""
         targets = tmp_path / "t"
         targets.write_text("2001:db8::1\n")
         out = tmp_path / "never.yrp6"
@@ -912,9 +918,7 @@ def _detsan_clean(workdir, text):
 
 
 def _observers_compose(workdir, text):
-    # AllocSan's profiler is the profiled run's: one trace, one manifest
-    # profile, and a clean budget verdict, all from one invocation.
-    assert "allocsan: clean" in text, text
+    # One profiled run feeds both: one trace, one manifest profile.
     assert "Perfetto trace" in text, text
     assert json.loads((workdir / "trace.json").read_text())["traceEvents"]
     manifest = json.loads((workdir / "manifest.json").read_text())
@@ -926,8 +930,8 @@ OBSERVERS = {
     "metrics": (["--metrics", "artefact.json"], _manifest_counts_the_run),
     "profile": (["--profile", "artefact.json"], _trace_has_events),
     "detsan": (["--detsan"], _detsan_clean),
-    "allocsan-profile-metrics": (
-        ["--allocsan", "--profile", "trace.json", "--metrics", "manifest.json"],
+    "profile-metrics": (
+        ["--profile", "trace.json", "--metrics", "manifest.json"],
         _observers_compose,
     ),
 }
@@ -959,99 +963,6 @@ class TestObserversAreInert:
         assert done.returncode == 0, done.stdout + done.stderr
         check(tmp_path, done.stdout)
         assert (tmp_path / "flagged.yrp6").read_bytes() == (tmp_path / "bare.yrp6").read_bytes()
-
-
-class TestAllocSan:
-    def _pipeline(self, world_file, tmp_path):
-        seeds_path = str(tmp_path / "s")
-        run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
-        targets_path = str(tmp_path / "t")
-        run(["targets", "--seeds", seeds_path, "--out", targets_path])
-        return targets_path
-
-    def test_probe_allocsan_clean_run_writes_report(self, world_file, tmp_path):
-        targets_path = self._pipeline(world_file, tmp_path)
-        results = str(tmp_path / "alloc.yrp6")
-        report_path = str(tmp_path / "allocsan.json")
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--targets", targets_path,
-                "--out", results,
-                "--allocsan",
-                "--allocsan-report", report_path,
-            ]
-        )
-        assert code == 0, text
-        assert "allocsan: clean" in text
-        report = json.loads(open(report_path).read())
-        assert report["sanitizer"] == "allocsan"
-        assert set(report["tracked"]) == {
-            "allocsan.bytes_per_probe",
-            "allocsan.blocks_per_batch",
-        }
-        assert report["probes"] > 0
-        # Sanitizing is observe-only: the records match a plain run.
-        plain = str(tmp_path / "plain.yrp6")
-        run(["probe", "--world", world_file, "--targets", targets_path, "--out", plain])
-        assert open(results, "rb").read() == open(plain, "rb").read()
-
-    def test_probe_allocsan_profile_traces_what_a_profiled_run_does(self, world_file, tmp_path):
-        """AllocSan's profiler is a full wall profiler: with ``--profile``
-        its trace names the phases a profile-only run's trace names."""
-        targets_path = self._pipeline(world_file, tmp_path)
-        base = ["probe", "--world", world_file, "--targets", targets_path]
-        traces = {}
-        for name, flags in (("profile", []), ("allocsan", ["--allocsan"])):
-            trace = tmp_path / (name + ".json")
-            code, text = run(
-                base + ["--out", str(tmp_path / (name + ".yrp6")), "--profile", str(trace)] + flags
-            )
-            assert code == 0, text
-            traces[name] = {
-                event["name"] for event in json.loads(trace.read_text())["traceEvents"]
-            }
-        assert "allocsan: clean" in text
-        assert traces["allocsan"] == traces["profile"] != set()
-        assert (tmp_path / "allocsan.yrp6").read_bytes() == (tmp_path / "profile.yrp6").read_bytes()
-
-    def test_probe_allocsan_blown_budget_fails(
-        self, world_file, tmp_path, monkeypatch
-    ):
-        from repro.lint import allocsan as allocsan_mod
-
-        monkeypatch.setattr(
-            allocsan_mod,
-            "DEFAULT_BUDGETS",
-            {"allocsan.bytes_per_probe": 0.0},
-        )
-        targets_path = self._pipeline(world_file, tmp_path)
-        code, text = run(
-            [
-                "probe",
-                "--world", world_file,
-                "--targets", targets_path,
-                "--out", str(tmp_path / "blown.yrp6"),
-                "--allocsan",
-            ]
-        )
-        assert code == 1, text
-        assert "exceeds budget" in text
-        assert "budget violation" in text
-
-    def test_probe_allocsan_conflicts(self, world_file, tmp_path):
-        targets_path = self._pipeline(world_file, tmp_path)
-        base = [
-            "probe",
-            "--world", world_file,
-            "--targets", targets_path,
-            "--out", str(tmp_path / "x.yrp6"),
-        ]
-        code, text = run(base + ["--allocsan", "--detsan"])
-        assert code == 2 and "--detsan and --allocsan are mutually exclusive" in text
-        code, text = run(base + ["--allocsan-report", str(tmp_path / "r.json")])
-        assert code == 2 and "requires --allocsan" in text
 
 
 class TestParser:

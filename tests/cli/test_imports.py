@@ -153,13 +153,6 @@ CASES = {
         " ('validate_spec returned', True)] + [('_start reached', True)] * 2, seen\n",
         {"numpy"},
     ),
-    # ...and before campaign.run: an import inside the accounted phase is
-    # thousands of bytes a probe against a budget of 900.
-    "probe-allocsan": (
-        "text = cli(%s, '--allocsan', '--out', scratch('r.yrp6'))\n"
-        "assert 'allocsan: clean' in text, text\n" % PROBE,
-        {"numpy"},
-    ),
     "analyze-graph": (
         "text = cli('analyze', '--results', path('walk.yrp6'), '--graph')\n"
         "assert 'interface graph:' in text, text\n",
@@ -176,12 +169,11 @@ def test_third_party_imports_follow_use(case, chain, tmp_path):
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert {name for name in loaded if "." not in name} == expected
     if case == "import":
-        # cli/checks.py reaches the sanitizers through the repro.lint
-        # package; the rule table, the index and the whole-program half
-        # must not ride along on every repro-sim command.
-        lint = [name for name in loaded if name.startswith("repro.lint")]
-        assert [name for name in lint if name.startswith("repro.lint.program")] == []
-        assert len(lint) <= 13, lint
+        # The CLI reaches DetSan through the repro.lint package; the rule
+        # table, the index and the whole-program half must not ride along
+        # on every repro-sim command.
+        lint = {name for name in loaded if name.startswith("repro.lint")}
+        assert lint == {"repro.lint", "repro.lint.detsan"}
 
 
 def test_scalar_fallback_writes_the_same_bytes(chain, tmp_path):
