@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Callable, List, Optional, Sequence, TextIO, TypeVar
 
 from .. import __version__
 from ..addrs import address, format_address
 from ..addrs.prefix import Prefix
 from ..hitlist import make_targets
 from ..hitlist.transform import SeedItem
-from ..lint.detsan import hash_seed_pinned
 from ..netsim import Internet, InternetConfig, build_internet, validate_config
 from ..obs import (
     NULL_PROFILER,
@@ -40,7 +39,6 @@ from ..obs import (
 from ..prober import PROBERS, CampaignSpec, Yarrp6Config, run_campaign, validate_campaign
 from ..prober.output import load_campaign, save_campaign
 from ..seeds import SOURCES
-from .checks import check_detsan
 from .worldcfg import load_config, save_config
 
 
@@ -50,8 +48,23 @@ class InputError(ValueError):
     that are not text (``path: reason``)."""
 
 
-def _read_items(path: str) -> List[SeedItem]:
-    items: List[SeedItem] = []
+T = TypeVar("T")
+
+
+def _seed_item(line: str) -> SeedItem:
+    return Prefix.parse(line) if "/" in line else address.parse(line)
+
+
+def _target(line: str) -> int:
+    if "/" in line:
+        raise ValueError("a prefix, not a target address")
+    return address.parse(line)
+
+
+def _read_items(path: str, parse: Callable[[str], T]) -> List[T]:
+    """Each non-blank, non-``#`` line of ``path`` through ``parse``; a
+    line it refuses is an :class:`InputError` naming the line."""
+    items: List[T] = []
     with open(path) as source:
         try:
             for lineno, line in enumerate(source, 1):
@@ -59,10 +72,7 @@ def _read_items(path: str) -> List[SeedItem]:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    if "/" in line:
-                        items.append(Prefix.parse(line))
-                    else:
-                        items.append(address.parse(line))
+                    items.append(parse(line))
                 except ValueError as error:
                     raise InputError(
                         "%s:%d: %s: %r" % (path, lineno, error, line)
@@ -132,7 +142,7 @@ def cmd_seeds(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_targets(args: argparse.Namespace, out: TextIO) -> int:
-    items = _read_items(args.seeds)
+    items = _read_items(args.seeds, _seed_item)
     target_set = make_targets("cli", items, level=args.level, method=args.method)
     _write_items(args.out, list(target_set.addresses))
     out.write(
@@ -143,15 +153,9 @@ def cmd_targets(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
-    targets = [item for item in _read_items(args.targets) if isinstance(item, int)]
+    targets = _read_items(args.targets, _target)
     if not targets:
         out.write("no targets in %s\n" % args.targets)
-        return 2
-    if args.detsan and not hash_seed_pinned():
-        out.write(
-            "--detsan requires PYTHONHASHSEED pinned to a fixed integer "
-            "(hash randomization is per-process nondeterminism)\n"
-        )
         return 2
     if args.fill and args.prober != "yarrp6":
         out.write("--fill requires the yarrp6 prober (fill probes extend Yarrp6's own walk)\n")
@@ -172,44 +176,27 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         )
     )
 
-    # One profiler per campaign execution (detsan runs the campaign twice;
-    # the reported profile is the last, clean run's).  Profiling is
-    # observe-only: the .yrp6 bytes are identical with and without it.
-    profilers: List[WallProfiler] = []
-
-    def run_once():
-        prof = WallProfiler() if args.profile else NULL_PROFILER
-        profilers.append(prof)
-        with prof.phase("probe", prober=args.prober):
-            internet = Internet.from_config(world_config, profiler=prof)
-            result = run_campaign(
-                internet,
-                args.vantage,
-                targets,
-                args.prober,
-                args.pps,
-                PROBERS[args.prober].Config(**prober_kwargs),
-                metrics=MetricsRegistry() if args.metrics else None,
-                profiler=prof,
-            )
-            # Nothing else holds the world, so this frees it — tens of
-            # thousands of objects — by reference count; named, so the
-            # profile attributes the teardown instead of leaving it in
-            # ``probe``'s self time.
-            with prof.phase("world.free"):
-                del internet
-            return result
-
-    if args.detsan:
-        result, findings, verdict = check_detsan(run_once)
-    else:
-        result, findings, verdict = run_once(), [], ""
-    for line in findings[:20]:
-        out.write("detsan: %s\n" % line)
-    if verdict:
-        out.write("detsan: %s\n" % verdict)
-    if findings:
-        return 1
+    # Profiling is observe-only: the .yrp6 bytes are identical with and
+    # without it.
+    profiler = WallProfiler() if args.profile else NULL_PROFILER
+    with profiler.phase("probe", prober=args.prober):
+        internet = Internet.from_config(world_config, profiler=profiler)
+        result = run_campaign(
+            internet,
+            args.vantage,
+            targets,
+            args.prober,
+            args.pps,
+            PROBERS[args.prober].Config(**prober_kwargs),
+            metrics=MetricsRegistry() if args.metrics else None,
+            profiler=profiler,
+        )
+        # Nothing else holds the world, so this frees it — tens of
+        # thousands of objects — by reference count; named, so the
+        # profile attributes the teardown instead of leaving it in
+        # ``probe``'s self time.
+        with profiler.phase("world.free"):
+            del internet
     rows = save_campaign(args.out, result)
     out.write(
         "%s from %s: %d probes, %d responses, %d interfaces; %d rows -> %s\n"
@@ -224,8 +211,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
         )
     )
     wall_profile = None
-    if args.profile and profilers:
-        profiler = profilers[-1]
+    if args.profile:
         profiler.validate()
         wall_profile = profiler.to_profile_dict()
         write_chrome_trace(args.profile, profiler)
@@ -444,13 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a JSON run manifest (spec, seed, metric dump, wall time) "
         "to PATH alongside the .yrp6 output",
-    )
-    probe.add_argument(
-        "--detsan",
-        action="store_true",
-        help="run under the DetSan determinism sanitizer: record any host "
-        "time/entropy reads, rerun clean, and require a byte-identical "
-        "dump (requires pinned PYTHONHASHSEED; exit 1 on any report)",
     )
     probe.add_argument(
         "--profile",

@@ -1,13 +1,13 @@
 """``repro.lint`` — determinism & protocol-invariant static analysis.
 
-The simulation's headline guarantee — ``run_parallel(spec, N)`` is
-bit-identical to the single-process campaign for any ``N`` — rests on
-properties no unit test can exhaustively defend: no wall-clock reads in
-hot paths, no unseeded randomness, no iteration order leaking out of an
-unordered container into results, no unpicklable field sneaking into a
-worker-boundary spec.  This package checks those properties at the AST
-level so violations fail CI instead of diverging a 4-worker campaign at
-runtime.
+A campaign is a pure function of its inputs — the same world, spec and
+seed write the same ``.yrp6`` bytes in any process, at any hash seed, on
+either campaign loop.  That rests on properties no unit test can
+exhaustively defend: no wall-clock reads in hot paths, no unseeded
+randomness, no iteration order leaking out of an unordered container
+into results, no unpicklable field sneaking into a worker-boundary spec.
+This package checks those properties at the AST level, so a violation
+fails the lint run instead of moving a byte of some later campaign.
 
 Rules (see ``docs/determinism.md`` for the full contract):
 
@@ -38,14 +38,6 @@ Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.
 """
 
+from .rules import Violation, lint_file, lint_paths, lint_source
+
 __all__ = ["Violation", "lint_file", "lint_paths", "lint_source"]
-
-
-def __getattr__(name: str):
-    # PEP 562: ``repro-sim`` imports the sanitizer through this package
-    # on every start-up; the static-analysis half loads on first use.
-    if name in __all__:
-        from . import rules
-
-        return getattr(rules, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -7,10 +7,9 @@ names.
 Inside a ``DetSan`` region every banned nondeterminism source —
 wall-clock reads, the module-level ``random`` API, ``os.urandom``,
 ``uuid.uuid1/uuid4``, ``secrets`` — is patched to a tripwire that
-records the offending call with its caller and stack, and (in
-``raise`` mode) aborts on the spot::
+raises on the spot, naming the offending call and its caller::
 
-    with DetSan(mode="raise"):
+    with DetSan():
         result = run_campaign(...)        # trips on any entropy read
 
 Scoping: only calls *from* ``repro.*`` modules trip; the test harness,
@@ -22,18 +21,11 @@ real functions.  Two standing exemptions mirror the static rules:
 * this module itself (so nested regions and the pytest plugin can
   manage patches while one is active).
 
-``mode="record"`` logs instead of raising — the ``probe --detsan`` flag
-uses it to run a full campaign under instrumentation and then verify
-the dump is byte-identical to a clean rerun.  The reports live in the
-process that entered the region: a tripwire hit inside a child process
-never reaches it.
-
 Patches go on one LIFO stack: each remembers what ``module.name`` was
 and the exit puts them back newest first, so regions nest and a failed
-install leaves nothing behind.  ``require_hash_seed=True`` additionally
-asserts ``PYTHONHASHSEED`` is pinned to a fixed integer before entering
-(hash randomization is process-global nondeterminism no monkeypatch can
-intercept).
+install leaves nothing behind.  ``hash(str)`` is outside its reach:
+hash randomization is process-global, and the cross-process hash-seed
+test (``tests/prober/test_hashseed_regression.py``) guards it instead.
 """
 
 from __future__ import annotations
@@ -43,11 +35,10 @@ import random
 import secrets
 import sys
 import time
-import traceback
 import uuid
-from dataclasses import dataclass
-from types import FrameType
 from typing import Any, Callable, FrozenSet, List, Tuple
+
+from .checkers import det001
 
 _TIME_FUNCS = (
     "time",
@@ -98,68 +89,19 @@ _TABLES = (
 )
 
 
-#: Frames of the offender's stack kept on each report.
-_STACK_FRAMES = 12
-
-
-@dataclass
-class Report:
-    """One recorded tripwire hit."""
-
-    kind: str  # "time", "random" or "entropy"
-    target: str  # e.g. "time.perf_counter"
-    caller: str  # __name__ of the calling module
-    stack: List[str]
-
-
 class DetSanViolation(RuntimeError):
     """A banned nondeterminism source was called inside a DetSan region."""
 
 
-class DetSanUsageError(RuntimeError):
-    """DetSan itself was misconfigured (e.g. PYTHONHASHSEED not pinned)."""
-
-
-def hash_seed_pinned() -> bool:
-    """Whether this interpreter was started with a pinned PYTHONHASHSEED.
-
-    ``PYTHONHASHSEED`` must be present in the environment and be a fixed
-    integer — absent or ``"random"`` both mean ``hash(str)`` varies per
-    process, which no runtime patch can repair.
-    """
-    value = os.environ.get("PYTHONHASHSEED", "")
-    if not value or value == "random":
-        return False
-    try:
-        int(value)
-    except ValueError:
-        return False
-    return True
-
-
 class DetSan:
-    """Context manager installing the nondeterminism tripwires.
+    """Context manager installing the nondeterminism tripwires; the first
+    hit raises :class:`DetSanViolation`."""
 
-    ``mode="raise"`` aborts on the first hit; ``"record"`` collects
-    :class:`Report` rows in ``reports`` and lets the call proceed.
-    """
-
-    def __init__(self, mode: str = "raise", require_hash_seed: bool = False):
-        if mode not in ("raise", "record"):
-            raise DetSanUsageError("mode must be 'raise' or 'record', got %r" % mode)
-        self.mode = mode
-        self.require_hash_seed = require_hash_seed
-        self.reports: List[Report] = []
+    def __init__(self) -> None:
         #: LIFO (module, name, original) restore stack.
         self._patched: List[Tuple[Any, str, Any]] = []
 
     def __enter__(self) -> "DetSan":
-        if self.require_hash_seed and not hash_seed_pinned():
-            raise DetSanUsageError(
-                "DetSan(require_hash_seed=True): PYTHONHASHSEED must be set "
-                "to a fixed integer (found %r)"
-                % os.environ.get("PYTHONHASHSEED", "<unset>")
-            )
         try:
             self._install()
         except Exception:
@@ -179,19 +121,12 @@ class DetSan:
             module, name, original = self._patched.pop()
             setattr(module, name, original)
 
-    def summary(self, report: Report) -> str:
-        """One report as one line."""
-        return "%s %s called from %s" % (report.kind, report.target, report.caller)
-
     def _install(self) -> None:
-        # DET001's allowlist object, so the static rule and this sanitizer
-        # cannot drift; imported here, not at module level, so `repro-sim`
-        # start-up never loads the static half of repro.lint.
-        from .checkers.det001 import WALLCLOCK_EXEMPT_MODULES
-
         for module, names, kind in _TABLES:
             # Only time reads have an allowlist: entropy trips from anywhere.
-            exempt = WALLCLOCK_EXEMPT_MODULES if kind == "time" else frozenset()
+            # Read through the module, not bound at import: the static rule
+            # and this sanitizer share one allowlist object and cannot drift.
+            exempt = det001.WALLCLOCK_EXEMPT_MODULES if kind == "time" else frozenset()
             for name in names:
                 original = getattr(module, name, None)
                 if callable(original):
@@ -208,26 +143,18 @@ class DetSan:
         exempt: FrozenSet[str],
     ) -> Callable[..., Any]:
         def tripwire(*args: Any, **kwargs: Any) -> Any:
-            frame = sys._getframe(1)
-            caller = frame.f_globals.get("__name__", "")
+            caller = sys._getframe(1).f_globals.get("__name__", "")
             if _in_scope(caller) and caller not in exempt:
-                self._report(kind, target, caller, frame)
+                raise DetSanViolation(
+                    "DetSan: %s %s called from %s — banned inside a "
+                    "determinism-sanitized region (see repro.lint.detsan; the "
+                    "seeded/virtual-clock alternatives are documented in "
+                    "docs/determinism.md)" % (kind, target, caller)
+                )
             return original(*args, **kwargs)
 
         tripwire.__name__ = getattr(original, "__name__", target)
         return tripwire
-
-    def _report(self, kind: str, target: str, caller: str, frame: FrameType) -> None:
-        report = Report(
-            kind, target, caller, traceback.format_stack(frame, limit=_STACK_FRAMES)
-        )
-        self.reports.append(report)
-        if self.mode == "raise":
-            raise DetSanViolation(
-                "DetSan: %s — banned inside a determinism-sanitized region (see "
-                "repro.lint.detsan; the seeded/virtual-clock alternatives are "
-                "documented in docs/determinism.md)" % self.summary(report)
-            )
 
 
 def _in_scope(caller: str) -> bool:

@@ -5,7 +5,7 @@ runs every test body inside the determinism sanitizer::
 
     PYTHONHASHSEED=0 pytest --detsan
 
-``--detsan`` is ``DetSan(mode="raise")``: any ``repro.*``
+``--detsan`` wraps each test call in a ``DetSan()`` region: any ``repro.*``
 code path that reads host time (outside ``repro.obs.wallclock``) or OS
 entropy fails that test with a :class:`~repro.lint.detsan.
 DetSanViolation` carrying the offending stack.  Test code itself
@@ -39,5 +39,5 @@ def pytest_addoption(parser: "pytest.Parser") -> None:
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item: "pytest.Item") -> Iterator[None]:
     sanitized = item.config.getoption("--detsan")
-    with DetSan(mode="raise") if sanitized else contextlib.nullcontext():
+    with DetSan() if sanitized else contextlib.nullcontext():
         yield

@@ -222,20 +222,10 @@ def run_campaign(
         interval = pps_interval(pps) * pace_stride
 
         sent_series = registry.series("campaign.sent")
-        discovery_series = registry.series("campaign.discovery")
-    # Novel-interface tracking costs a set lookup per response; skip it
+    # The processor records ``campaign.discovery`` where it finds a new
+    # interface; the sent series costs a call per probe, so it is skipped
     # entirely when nobody is listening.
-    track_discovery = registry.enabled
-    discovered: Set[int] = set()
-
-    def note_discovery(record: Optional[ProbeRecord], now: int) -> None:
-        if (
-            record is not None
-            and record.is_time_exceeded
-            and record.hop not in discovered
-        ):
-            discovered.add(record.hop)
-            discovery_series.record(now)
+    metered = registry.enabled
 
     # -- per-event loop ---------------------------------------------------
     # One probe per resumption; the internet schedules each response's
@@ -243,10 +233,7 @@ def run_campaign(
     receive = machine.receive
 
     def deliver(data: bytes, sent_at: int) -> None:
-        now = engine.now
-        record = receive(data, now)
-        if track_discovery:
-            note_discovery(record, now)
+        receive(data, engine.now)
 
     def tick() -> Iterator[int]:
         emit = machine.next_probe
@@ -256,7 +243,7 @@ def run_campaign(
             packet = emit(now)
             # None: neighborhood skipping may momentarily starve emission.
             if packet is not None:
-                if track_discovery:
+                if metered:
                     sent_series.record(now)
                 exchange(engine, packet, now, deliver)
             if machine.exhausted:
@@ -298,9 +285,7 @@ def run_campaign(
                     arrival, arrival - send_time, pace_offset_us, interval,
                     walker.sent, interval,
                 )
-                record = process(data, arrival, sent)
-                if track_discovery:
-                    note_discovery(record, arrival)
+                process(data, arrival, sent)
 
         def block_tick() -> Iterator[int]:  # repro-lint: hot-loop
             # First resumed inside the open ``campaign.run`` phase, so the
@@ -318,7 +303,7 @@ def run_campaign(
                 # iterates and bisects it.  interval >= 1 (pps_interval).
                 times = range(start, start + batch * interval, interval)
                 count = pull(times, answer, hold)
-                if track_discovery:
+                if metered:
                     for when in times[:count]:
                         sent_series.record(when)
                 if walker.exhausted:

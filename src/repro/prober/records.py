@@ -115,6 +115,9 @@ class ResponseProcessor:
         self._metered = registry.enabled
         self._m_responses = registry.counter("prober.responses")
         self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
+        #: Figure 7's discovery curve over virtual time: one point per new
+        #: interface.
+        self._m_discovery = registry.series("campaign.discovery")
 
     def process(self, data: bytes, now: int, sent_so_far: int) -> Optional[ProbeRecord]:
         """Interpret response bytes; returns the record, or None when the
@@ -196,4 +199,6 @@ class ResponseProcessor:
             if hop not in self.interfaces:
                 self.interfaces.add(hop)
                 self.curve.append((sent_so_far, len(self.interfaces)))
+                if self._metered:
+                    self._m_discovery.record(now)
         return record

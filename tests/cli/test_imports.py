@@ -169,11 +169,9 @@ def test_third_party_imports_follow_use(case, chain, tmp_path):
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert {name for name in loaded if "." not in name} == expected
     if case == "import":
-        # The CLI reaches DetSan through the repro.lint package; the rule
-        # table, the index and the whole-program half must not ride along
-        # on every repro-sim command.
-        lint = {name for name in loaded if name.startswith("repro.lint")}
-        assert lint == {"repro.lint", "repro.lint.detsan"}
+        # repro-sim carries no sanitizer: no module of the linter rides
+        # along on its start-up.
+        assert {name for name in loaded if name.startswith("repro.lint")} == set()
 
 
 def test_scalar_fallback_writes_the_same_bytes(chain, tmp_path):

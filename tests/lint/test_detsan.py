@@ -1,6 +1,5 @@
-"""DetSan — runtime determinism sanitizer: tripwires, exemptions, modes,
-restore semantics, the pytest plugin, and the ``probe --detsan``
-byte-identity gate across shard counts."""
+"""DetSan — runtime determinism sanitizer: tripwires, exemptions,
+restore semantics, the message a trip raises, and the pytest plugin."""
 
 import os
 import random
@@ -11,12 +10,7 @@ import uuid
 
 import pytest
 
-from repro.lint.detsan import (
-    DetSan,
-    DetSanUsageError,
-    DetSanViolation,
-    hash_seed_pinned,
-)
+from repro.lint.detsan import DetSan, DetSanViolation
 from repro.obs.wallclock import Stopwatch
 
 HERE = os.path.dirname(__file__)
@@ -47,8 +41,8 @@ def test_time_read_from_repro_module_raises():
     with DetSan():
         with pytest.raises(DetSanViolation) as excinfo:
             fn()
-    assert "time.time" in str(excinfo.value)
-    assert "repro.fake_detsan_fixture" in str(excinfo.value)
+    # Kind, target and caller, on one line.
+    assert "time time.time called from repro.fake_detsan_fixture" in str(excinfo.value)
 
 
 def test_module_random_api_from_repro_module_raises():
@@ -138,18 +132,27 @@ def test_restore_after_exception():
 def test_nested_regions_restore_lifo():
     original = time.time
     fn = repro_caller(CLOCK)
-    with DetSan(mode="record") as outer:
+    harness = {"__name__": "tests.fake_detsan_fixture"}
+    exec(compile(CLOCK, "<detsan-fixture>", "exec"), harness)
+    with DetSan():
         outer_wire = time.time
-        with DetSan(mode="record") as inner:
+        with DetSan():
             assert time.time is not outer_wire
-            fn()
+            # The inner tripwire forwards a harness call to the outer one
+            # from DetSan's own (exempt) module: it passes both.
+            assert harness["f"]() > 0
+            # The inner tripwire trips first and raises before it forwards
+            # to the outer one: one tripwire frame, the one wrapping it.
+            with pytest.raises(DetSanViolation) as tripped:
+                fn()
+            (wire,) = [e for e in tripped.traceback if e.name == "tripwire"]
+            assert wire.locals["original"] is outer_wire
         assert time.time is outer_wire
-        fn()
+        with pytest.raises(DetSanViolation) as tripped:
+            fn()
+        (wire,) = [e for e in tripped.traceback if e.name == "tripwire"]
+        assert wire.locals["original"] is original
     assert time.time is original
-    assert len(inner.reports) == 1
-    # The inner tripwire forwards to the outer one from DetSan's own
-    # (exempt) module, so the outer region sees the second call only.
-    assert len(outer.reports) == 1
 
 
 def test_failing_install_restores_what_it_patched():
@@ -169,60 +172,14 @@ def test_failing_install_restores_what_it_patched():
         assert getattr(module, name) is before
 
 
-# -- modes and caller scope -------------------------------------------------
-
-
-def test_bad_mode_is_a_usage_error():
-    with pytest.raises(DetSanUsageError):
-        DetSan(mode="bogus")
+# -- caller scope -----------------------------------------------------------
 
 
 def test_non_repro_callers_pass_through():
     namespace = {"__name__": "tests.fake_detsan_fixture"}
     exec(compile(CLOCK, "<detsan-fixture>", "exec"), namespace)
-    with DetSan() as sanitizer:  # raise mode: a trip would abort
+    with DetSan():  # a trip would raise
         assert namespace["f"]() > 0
-    assert sanitizer.reports == []
-
-
-def test_record_mode_reports_and_lets_the_call_proceed():
-    fn = repro_caller(CLOCK)
-    with DetSan(mode="record") as sanitizer:
-        assert fn() > 0
-    (report,) = sanitizer.reports
-    assert (report.kind, report.target) == ("time", "time.time")
-    assert report.caller == "repro.fake_detsan_fixture"
-    assert report.stack  # captured frames for the offender
-    assert sanitizer.summary(report) == (
-        "time time.time called from repro.fake_detsan_fixture"
-    )
-
-
-# -- configuration guards ---------------------------------------------------
-
-
-def test_hash_seed_pinned_predicate(monkeypatch):
-    monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-    assert not hash_seed_pinned()
-    monkeypatch.setenv("PYTHONHASHSEED", "random")
-    assert not hash_seed_pinned()
-    monkeypatch.setenv("PYTHONHASHSEED", "abc")
-    assert not hash_seed_pinned()
-    monkeypatch.setenv("PYTHONHASHSEED", "0")
-    assert hash_seed_pinned()
-    monkeypatch.setenv("PYTHONHASHSEED", "12")
-    assert hash_seed_pinned()
-
-
-def test_require_hash_seed_blocks_unpinned_entry(monkeypatch):
-    monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-    with pytest.raises(DetSanUsageError):
-        DetSan(require_hash_seed=True).__enter__()
-    monkeypatch.setenv("PYTHONHASHSEED", "0")
-    before = time.time  # may itself be a tripwire if the suite runs --detsan
-    with DetSan(require_hash_seed=True):
-        pass
-    assert time.time is before  # restored
 
 
 # -- pytest plugin ----------------------------------------------------------
@@ -286,48 +243,3 @@ def test_equivalence_suite_is_clean_under_detsan():
     )
     assert finished.returncode == 0, finished.stdout[-3000:]
     assert " passed" in finished.stdout
-
-
-# -- probe --detsan: byte-identity, and one worker only --------------------
-
-
-@pytest.fixture(scope="module")
-def campaign_inputs(tmp_path_factory):
-    from repro.cli.main import main
-
-    base = tmp_path_factory.mktemp("detsan-campaign")
-    world = str(base / "world.json")
-    seeds = str(base / "seeds.jsonl")
-    targets = str(base / "targets.jsonl")
-    assert main(["world", "--seed", "7", "--edge", "12", "--cpe", "40",
-                 "--out", world]) == 0
-    assert main(["seeds", "--world", world, "--source", "caida",
-                 "--out", seeds]) == 0
-    assert main(["targets", "--seeds", seeds, "--out", targets]) == 0
-    return base, world, targets
-
-
-def test_probe_detsan_dump_is_byte_identical(campaign_inputs, monkeypatch):
-    from repro.cli.main import main
-
-    base, world, targets = campaign_inputs
-    monkeypatch.setenv("PYTHONHASHSEED", "0")
-    plain = str(base / "plain.yrp6")
-    sanitized = str(base / "detsan.yrp6")
-    argv = ["probe", "--world", world, "--targets", targets]
-    assert main(argv + ["--out", plain]) == 0
-    assert main(argv + ["--detsan", "--out", sanitized]) == 0
-    with open(plain, "rb") as first, open(sanitized, "rb") as second:
-        assert first.read() == second.read()
-
-
-def test_probe_detsan_requires_pinned_hash_seed(
-    campaign_inputs, monkeypatch
-):
-    from repro.cli.main import main
-
-    base, world, targets = campaign_inputs
-    monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-    code = main(["probe", "--world", world, "--targets", targets,
-                 "--detsan", "--out", str(base / "never.yrp6")])
-    assert code == 2

@@ -40,6 +40,7 @@ NET = "repro/netsim/internet.py"
 PERM = "repro/prober/permutation.py"
 RECORDS = "repro/prober/records.py"
 CAMPAIGN = "repro/prober/campaign.py"
+OUTPUT = "repro/prober/output.py"
 
 ENCODE = "                encode_into(buffer, target, ttl, when & 0xFFFFFFFF)\n"
 SEND = "                index += 1\n                sent += 1\n"
@@ -175,6 +176,41 @@ MUTANTS = [
     (
         "M6 indirect clock read",
         [(NET, COUNT, COUNT + "        getattr(__import__('ti' + 'me'), 'perf_counter')()\n")],
+        {},
+    ),
+    (
+        "S1 campaign counter in the key",
+        [
+            (PERM, "import hashlib\n", "import hashlib\nimport itertools\n"),
+            (PERM, "_VECTOR_MIN = 16\n", "_VECTOR_MIN = 16\n\n_CAMPAIGNS = itertools.count()\n"),
+            (
+                PERM,
+                "        self._perm = KeyedPermutation(space, key)\n",
+                "        self._perm = KeyedPermutation(space, key ^ next(_CAMPAIGNS))\n",
+            ),
+        ],
+        {},
+    ),
+    (
+        "O1 observer draws",
+        [
+            (
+                NET,
+                '        allowed_series = registry.series("ratelimit.allowed")\n',
+                '        self._rng.random()\n        allowed_series = registry.series("ratelimit.allowed")\n',
+            )
+        ],
+        {},
+    ),
+    (
+        "H1 `key=hash` header order",
+        [
+            (
+                OUTPUT,
+                "    for key, value in (metadata or {}).items():\n",
+                "    for key, value in sorted((metadata or {}).items(), key=hash):\n",
+            )
+        ],
         {},
     ),
 ]
