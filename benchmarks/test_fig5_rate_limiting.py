@@ -44,7 +44,7 @@ def fig5_targets(world, seeds):
 def run_all(world, seeds):
     targets = fig5_targets(world, seeds)
     series = {}
-    telemetry = {}
+    results = {}
     for vantage in VANTAGES:
         for rate in RATES:
             internet = Internet(world)
@@ -58,13 +58,13 @@ def run_all(world, seeds):
             )
             series[(vantage, "yarrp", rate)] = per_hop_responsiveness(yarrp, MAX_TTL)
             series[(vantage, "sequential", rate)] = per_hop_responsiveness(seq, MAX_TTL)
-            telemetry[(vantage, "yarrp", rate)] = yarrp.metrics
-            telemetry[(vantage, "sequential", rate)] = seq.metrics
-    return targets, series, telemetry
+            results[(vantage, "yarrp", rate)] = yarrp
+            results[(vantage, "sequential", rate)] = seq
+    return targets, series, results
 
 
 def test_fig5(world, seeds, save_result, benchmark):
-    targets, series, telemetry = benchmark.pedantic(
+    targets, series, results = benchmark.pedantic(
         run_all, args=(world, seeds), rounds=1, iterations=1
     )
     for vantage in VANTAGES:
@@ -111,17 +111,15 @@ def test_fig5(world, seeds, save_result, benchmark):
 
     # The telemetry tells the same rate-limiting story from the router
     # side: sequential probing at speed trips far more token-bucket
-    # denials than the trickle run, and the prober's sent counter agrees
-    # with the campaign's virtual-time series.
+    # denials than the trickle run, and the campaign's sent count agrees
+    # with its virtual-time series.
     for vantage in VANTAGES:
         for strategy in ("yarrp", "sequential"):
             for rate in RATES:
-                dump = telemetry[(vantage, strategy, rate)]
-                assert dump["prober.sent"]["value"] == series_total(
-                    dump, "campaign.sent"
-                )
-        slow = telemetry[(vantage, "sequential", 20.0)]
-        fast = telemetry[(vantage, "sequential", 2000.0)]
+                result = results[(vantage, strategy, rate)]
+                assert result.sent == series_total(result.metrics, "campaign.sent")
+        slow = results[(vantage, "sequential", 20.0)].metrics
+        fast = results[(vantage, "sequential", 2000.0)].metrics
         assert series_total(fast, "ratelimit.denied") > series_total(
             slow, "ratelimit.denied"
         )
@@ -137,14 +135,12 @@ def test_fig5(world, seeds, save_result, benchmark):
                     "hop1_responsiveness": dict(
                         series[(vantage, strategy, rate)]
                     )[1],
-                    "sent": telemetry[(vantage, strategy, rate)][
-                        "prober.sent"
-                    ]["value"],
+                    "sent": results[(vantage, strategy, rate)].sent,
                     "ratelimit_denied": series_total(
-                        telemetry[(vantage, strategy, rate)],
+                        results[(vantage, strategy, rate)].metrics,
                         "ratelimit.denied",
                     ),
-                    "metrics": telemetry[(vantage, strategy, rate)],
+                    "metrics": results[(vantage, strategy, rate)].metrics,
                 }
                 for vantage in VANTAGES
                 for strategy in ("yarrp", "sequential")

@@ -169,12 +169,15 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
     if args.fill:
         prober_kwargs["fill"] = True
     # Before any world is built: a TTL range, vantage or pps the campaign
-    # would refuse is refused now, with the campaign's own message.
+    # would refuse is refused now, with the campaign's own message, and so
+    # is a config the chosen prober refuses (constructing one sends nothing).
     validate_campaign(
         CampaignSpec(
             world_config, args.vantage, tuple(targets), args.pps, Yarrp6Config(**prober_kwargs)
         )
     )
+    prober_config = PROBERS[args.prober].Config(**prober_kwargs)
+    PROBERS[args.prober](0, targets, prober_config)
 
     # Profiling is observe-only: the .yrp6 bytes are identical with and
     # without it.
@@ -187,7 +190,7 @@ def cmd_probe(args: argparse.Namespace, out: TextIO) -> int:
             targets,
             args.prober,
             args.pps,
-            PROBERS[args.prober].Config(**prober_kwargs),
+            prober_config,
             metrics=MetricsRegistry() if args.metrics else None,
             profiler=profiler,
         )

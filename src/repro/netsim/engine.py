@@ -24,8 +24,6 @@ from itertools import count
 from math import isfinite
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-
 #: Microseconds per second, the engine's clock unit.
 US_PER_SECOND = 1_000_000
 
@@ -53,20 +51,12 @@ class Engine:
     The queue is one heap of ``(when, sequence, callback)`` entries; the
     sequence number is unique, so entries order by (time, scheduling
     order) and callbacks are never compared.
-
-    ``metrics`` attaches instruments (events scheduled/fired,
-    queue depth); the default is the shared no-op registry, so the
-    telemetry costs one null method call per event when off.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0
         self._heap: List[Tuple[int, int, Callable[[], None]]] = []
         self._sequence = count()
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_scheduled = registry.counter("engine.events_scheduled")
-        self._m_fired = registry.counter("engine.events_fired")
-        self._m_depth = registry.gauge("engine.queue_depth")
 
     @property
     def now(self) -> int:
@@ -81,10 +71,7 @@ class Engine:
         """
         if when < self._now:
             when = self._now
-        heap = self._heap
-        heappush(heap, (when, next(self._sequence), callback))
-        self._m_scheduled.inc()
-        self._m_depth.set(len(heap))
+        heappush(self._heap, (when, next(self._sequence), callback))
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` microseconds of virtual time."""
@@ -111,16 +98,11 @@ class Engine:
         until no events remain.
         """
         heap = self._heap
-        fired = 0
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                self._now, _, callback = heappop(heap)
-                fired += 1
-                callback()
-        finally:
-            self._m_fired.inc(fired)
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            self._now, _, callback = heappop(heap)
+            callback()
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -2,8 +2,8 @@
 
 The simulator measures itself the same way it measures the paper's
 probers — on the virtual clock.  :mod:`~repro.obs.metrics` carries the
-counters/series registry, :mod:`~repro.obs.profiler` records where the
-host's time went, :mod:`~repro.obs.manifest` writes the per-run JSON
+metrics registry, :mod:`~repro.obs.profiler` records where the host's
+time went, :mod:`~repro.obs.manifest` writes the per-run JSON
 manifest, and :mod:`~repro.obs.wallclock` is the one allowlisted place
 host time may be read (reporting only).  See ``docs/observability.md``.
 """
@@ -20,15 +20,11 @@ from .manifest import (
 )
 from .metrics import (
     DEFAULT_BUCKET_US,
-    NULL_REGISTRY,
-    Counter,
     CounterMap,
-    Gauge,
     Histogram,
     MetricDump,
     MetricError,
     MetricsRegistry,
-    NullRegistry,
     TimeSeries,
     dump_to_json,
     series_cumulative,
@@ -45,10 +41,8 @@ from .profiler import (
 from .wallclock import Stopwatch
 
 __all__ = [
-    "Counter",
     "CounterMap",
     "DEFAULT_BUCKET_US",
-    "Gauge",
     "Histogram",
     "MANIFEST_FORMAT",
     "Manifest",
@@ -57,8 +51,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NULL_PROFILER",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "NullWallProfiler",
     "Stopwatch",
     "TimeSeries",

@@ -1,4 +1,4 @@
-"""Virtual-time metrics: counters, gauges, bucketed series, histograms.
+"""Virtual-time metrics: per-key tallies, bucketed series, histograms.
 
 The registry is the simulator's instrument panel.  Every metric is keyed
 to the **virtual clock** — the only clock simulation code may read (see
@@ -11,9 +11,11 @@ metric into plain JSON-able values with fully ordered keys, and
 :func:`dump_to_json` serializes with sorted keys, so equal registries
 produce equal bytes.
 
-The default registry everywhere is :data:`NULL_REGISTRY`, whose metric
-objects are shared no-op singletons, so instrumentation stays on the hot
-paths at the cost of one method call per event.
+A campaign writes a registry at two doorways only —
+:func:`repro.prober.campaign.run_campaign` and
+``Internet.attach_observers`` — and only when it is handed one:
+telemetry off is ``metrics is None``, and nothing else in the
+simulator, the engine and the probers included, holds a registry.
 """
 
 from __future__ import annotations
@@ -52,55 +54,6 @@ class Metric:
         data: Dict[str, Any] = {"kind": self.kind}
         data.update(self.payload())
         return data
-
-
-class Counter(Metric):
-    """A monotonically growing tally."""
-
-    kind = "counter"
-
-    __slots__ = ("value",)
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def payload(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-
-class Gauge(Metric):
-    """A point-in-time observation (queue depth, token level)."""
-
-    kind = "gauge"
-
-    __slots__ = ("last", "min", "max", "samples")
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.last: Number = 0
-        self.min: Optional[Number] = None
-        self.max: Optional[Number] = None
-        self.samples = 0
-
-    def set(self, value: Number) -> None:
-        self.last = value
-        self.samples += 1
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "last": self.last,
-            "min": self.min,
-            "max": self.max,
-            "samples": self.samples,
-        }
 
 
 class CounterMap(Metric):
@@ -204,28 +157,10 @@ class MetricsRegistry:
     call sites can never silently split one logical metric.
     """
 
-    #: False on :class:`NullRegistry`: lets callers skip optional work
-    #: (set maintenance, dump assembly) when nobody is listening.
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     # -- factories -------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        metric = self._get(name, Counter)
-        if metric is None:
-            metric = Counter(name)
-            self._metrics[name] = metric
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._get(name, Gauge)
-        if metric is None:
-            metric = Gauge(name)
-            self._metrics[name] = metric
-        return metric
-
     def counter_map(self, name: str) -> CounterMap:
         metric = self._get(name, CounterMap)
         if metric is None:
@@ -282,79 +217,6 @@ class MetricsRegistry:
 
     def dumps(self) -> str:
         return dump_to_json(self.to_dict())
-
-
-# ---------------------------------------------------------------------------
-# No-op instruments: the always-on default.
-# ---------------------------------------------------------------------------
-class NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
-class NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        pass
-
-
-class NullCounterMap(CounterMap):
-    __slots__ = ()
-
-    def inc(self, key: int, amount: Number = 1) -> None:
-        pass
-
-
-class NullTimeSeries(TimeSeries):
-    __slots__ = ()
-
-    def record(self, now: int, amount: Number = 1) -> None:
-        pass
-
-
-class NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = NullCounter("null")
-_NULL_GAUGE = NullGauge("null")
-_NULL_COUNTER_MAP = NullCounterMap("null")
-_NULL_SERIES = NullTimeSeries("null")
-_NULL_HISTOGRAM = NullHistogram("null", bounds=(1.0,))
-
-
-class NullRegistry(MetricsRegistry):
-    """The default: hands out shared no-op instruments and dumps empty."""
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return _NULL_GAUGE
-
-    def counter_map(self, name: str) -> CounterMap:
-        return _NULL_COUNTER_MAP
-
-    def series(self, name: str, bucket_us: int = DEFAULT_BUCKET_US) -> TimeSeries:
-        return _NULL_SERIES
-
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        return _NULL_HISTOGRAM
-
-    def to_dict(self) -> MetricDump:
-        return {}
-
-
-#: Shared no-op registry; safe to hand to any number of components.
-NULL_REGISTRY = NullRegistry()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from .encoding import PROTOCOLS, ProbeTemplate
 from .records import ProbeRecord, ResponseProcessor
 
@@ -40,7 +39,6 @@ class Prober:
         source: int,
         targets: Sequence[int],
         config: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.source = source
         self.targets = list(targets)
@@ -54,11 +52,8 @@ class Prober:
                 "protocol must be one of %s: %r"
                 % (", ".join(sorted(PROTOCOLS)), self.config.protocol)
             )
-        #: Where a subclass registers its own instruments.
-        self._registry = metrics if metrics is not None else NULL_REGISTRY
-        self.processor = ResponseProcessor(self.config.instance, self._registry)
+        self.processor = ResponseProcessor(self.config.instance)
         self.sent = 0
-        self._m_sent = self._registry.counter("prober.sent")
         #: The one crafting path, and the one buffer every emission of
         #: this prober is patched into.
         self._template = ProbeTemplate(
@@ -80,7 +75,6 @@ class Prober:
     def _emit(self, target: int, ttl: int, now: int) -> bytes:
         """Count one emission and craft its packet."""
         self.sent += 1
-        self._m_sent.inc()
         buffer = self._template_buffer
         self._template.encode_into(buffer, target, ttl, now & 0xFFFFFFFF)
         return bytes(buffer)
@@ -127,9 +121,8 @@ class WaveProber(Prober):
         source: int,
         targets: Sequence[int],
         config: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(source, targets, config, metrics)
+        super().__init__(source, targets, config)
         if not 1 <= self.config.max_ttl <= 255:
             raise ValueError("max_ttl must be in 1-255: %r" % self.config.max_ttl)
         if self.config.window < 1:

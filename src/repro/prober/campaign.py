@@ -16,8 +16,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Ty
 
 from ..netsim.engine import Engine, pps_interval
 from ..netsim.internet import Internet
-from ..obs.metrics import NULL_REGISTRY, MetricDump, MetricsRegistry
+from ..obs.metrics import MetricDump, MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
+from ..packet.icmpv6 import TYPE_TIME_EXCEEDED
 from .base import Prober
 from .doubletree import DoubletreeProber
 from .records import ProbeRecord
@@ -123,6 +124,22 @@ def emissions_before(
     return min(before, cap)
 
 
+def record_discovery(metrics: MetricsRegistry, records: Sequence[ProbeRecord]) -> None:
+    """Read ``prober.ttl_yield`` (every Time Exceeded, by originating
+    TTL) and ``campaign.discovery`` (Figure 7's curve over virtual time:
+    one point at the arrival of each new interface's first record) off a
+    finished campaign's record stream, in record order."""
+    ttl_yield = metrics.counter_map("prober.ttl_yield")
+    discovery = metrics.series("campaign.discovery")
+    seen: Set[int] = set()
+    for record in records:
+        if record.icmp_type == TYPE_TIME_EXCEEDED:
+            ttl_yield.inc(record.ttl)
+            if record.hop not in seen:
+                seen.add(record.hop)
+                discovery.record(record.received_at)
+
+
 def run_campaign(
     internet: Internet,
     vantage_name: str,
@@ -162,12 +179,15 @@ def run_campaign(
     walk would give its permutation positions, which is what makes the
     parallel runner's merge bit-for-bit faithful (see ``prober.parallel``).
 
-    ``metrics`` turns on telemetry: engine/prober/rate-limiter instruments
-    plus the per-virtual-bucket ``campaign.sent`` and ``campaign.discovery``
-    series (the Figure 7 inputs), all dumped into the result's ``metrics``
-    field.  It defaults to the shared no-op registry and never alters the
-    campaign's event stream: the probe bytes, records, and interfaces are
-    bit-identical with telemetry on or off.
+    ``metrics`` turns on telemetry, recorded at two doorways only: the
+    per-virtual-bucket ``campaign.sent`` series as the loop emits, the
+    rate-limiter instruments through :meth:`Internet.attach_observers`,
+    and, after the run, ``campaign.discovery`` and ``prober.ttl_yield``
+    read off the records (:func:`record_discovery`) — all dumped into
+    the result's ``metrics`` field.  ``None`` (the default) records
+    nothing.  Telemetry never alters the campaign's event stream: the
+    probe bytes, records, and interfaces are bit-identical with it on or
+    off, and the dump is the same on either loop.
 
     ``batch`` sizes the **columnar fast path**: when the prober is a
     Yarrp6 walk, with or without fill mode (no neighborhood skipping),
@@ -215,17 +235,13 @@ def run_campaign(
     prof = profiler if profiler is not None else NULL_PROFILER
     with prof.phase("campaign.setup", prober=prober):
         internet.reset_dynamics()
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        engine = Engine(metrics=metrics)
+        engine = Engine()
         vantage = internet.vantage(vantage_name)
-        machine = prober_class(vantage.address, targets, config, registry)
+        machine = prober_class(vantage.address, targets, config)
         interval = pps_interval(pps) * pace_stride
-
-        sent_series = registry.series("campaign.sent")
-    # The processor records ``campaign.discovery`` where it finds a new
-    # interface; the sent series costs a call per probe, so it is skipped
-    # entirely when nobody is listening.
-    metered = registry.enabled
+    # The sent series costs a call per probe, so it is skipped entirely
+    # when telemetry is off.
+    sent_series = None if metrics is None else metrics.series("campaign.sent")
 
     # -- per-event loop ---------------------------------------------------
     # One probe per resumption; the internet schedules each response's
@@ -243,7 +259,7 @@ def run_campaign(
             packet = emit(now)
             # None: neighborhood skipping may momentarily starve emission.
             if packet is not None:
-                if metered:
+                if sent_series is not None:
                     sent_series.record(now)
                 exchange(engine, packet, now, deliver)
             if machine.exhausted:
@@ -303,7 +319,7 @@ def run_campaign(
                 # iterates and bisects it.  interval >= 1 (pps_interval).
                 times = range(start, start + batch * interval, interval)
                 count = pull(times, answer, hold)
-                if metered:
+                if sent_series is not None:
                     for when in times[:count]:
                         sent_series.record(when)
                 if walker.exhausted:
@@ -323,14 +339,16 @@ def run_campaign(
     else:
         steps = tick()
 
-    if registry.enabled:
-        internet.attach_observers(registry)
+    if metrics is not None:
+        internet.attach_observers(metrics)
     try:
         with prof.phase("campaign.run", prober=prober):
             engine.drive(steps, pace_offset_us)
             engine.run()
     finally:
         internet.detach_observers()
+    if metrics is not None:
+        record_discovery(metrics, machine.processor.records)
 
     return CampaignResult.collect(
         machine,
@@ -339,7 +357,7 @@ def run_campaign(
         prober,
         pps,
         engine.now,
-        registry.to_dict() if registry.enabled else None,
+        None if metrics is None else metrics.to_dict(),
     )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .base import WaveProber
 from .records import ProbeRecord
 
@@ -59,11 +58,13 @@ class DoubletreeProber(WaveProber):
         source: int,
         targets: Sequence[int],
         config: Optional[DoubletreeConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(source, targets, config, metrics)
+        super().__init__(source, targets, config)
         if not 1 <= self.config.start_ttl <= self.config.max_ttl:
-            raise ValueError("start TTL outside probing range")
+            raise ValueError(
+                "start TTL %d outside probing range [1, %d]"
+                % (self.config.start_ttl, self.config.max_ttl)
+            )
         #: Local stop set: interfaces seen at any hop by any earlier trace.
         self.stop_set: Set[int] = set()
         #: (hop interface) pairs recorded per (target, ttl) for stop tests.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from ..packet import icmpv6, ipv6
 from ..packet.icmpv6 import (
     ERROR_PACKET,
@@ -83,17 +82,9 @@ class ProbeRecord:
 
 
 class ResponseProcessor:
-    """Decodes response packets into records and aggregates statistics.
+    """Decodes response packets into records and aggregates statistics."""
 
-    ``metrics`` counts every decoded response (``prober.responses``) and
-    every Time Exceeded by originating TTL (``prober.ttl_yield``).
-    """
-
-    def __init__(
-        self,
-        instance: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, instance: Optional[int] = None) -> None:
         self.instance = instance
         self.records: List[ProbeRecord] = []
         #: Unique response source addresses from ICMPv6 *Time Exceeded*
@@ -109,15 +100,6 @@ class ResponseProcessor:
         self.foreign = 0
         self.mangled_targets = 0
         self.response_labels: Dict[str, int] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        #: Whether the counters below count: with metrics off ``process``
-        #: skips their calls.
-        self._metered = registry.enabled
-        self._m_responses = registry.counter("prober.responses")
-        self._m_ttl_yield = registry.counter_map("prober.ttl_yield")
-        #: Figure 7's discovery curve over virtual time: one point per new
-        #: interface.
-        self._m_discovery = registry.series("campaign.discovery")
 
     def process(self, data: bytes, now: int, sent_so_far: int) -> Optional[ProbeRecord]:
         """Interpret response bytes; returns the record, or None when the
@@ -191,14 +173,7 @@ class ResponseProcessor:
         if modified:
             self.mangled_targets += 1
         self.responders.add(hop)
-        if self._metered:
-            self._m_responses.inc()
-        if msg_type == TYPE_TIME_EXCEEDED:
-            if self._metered:
-                self._m_ttl_yield.inc(ttl)
-            if hop not in self.interfaces:
-                self.interfaces.add(hop)
-                self.curve.append((sent_so_far, len(self.interfaces)))
-                if self._metered:
-                    self._m_discovery.record(now)
+        if msg_type == TYPE_TIME_EXCEEDED and hop not in self.interfaces:
+            self.interfaces.add(hop)
+            self.curve.append((sent_so_far, len(self.interfaces)))
         return record

@@ -21,9 +21,8 @@ in-flight responses get counted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .base import WaveProber
 from .records import ProbeRecord
 
@@ -57,16 +56,6 @@ class SequentialProber(WaveProber):
     Config = SequentialConfig
     State = _TraceState
 
-    def __init__(
-        self,
-        source: int,
-        targets: Sequence[int],
-        config: Optional[SequentialConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        super().__init__(source, targets, config, metrics)
-        self._m_completed = self._registry.counter("prober.completed_traces")
-
     def _waves(self, block: List[_TraceState]) -> Iterator[Tuple[int, int]]:
         """Per-TTL waves over the block's live traces."""
         for ttl in range(1, self.config.max_ttl + 1):
@@ -94,8 +83,6 @@ class SequentialProber(WaveProber):
         trace.responded_ttls.add(record.ttl)
         if record.is_terminal:
             # Destination (or a terminal error source) reached: stop.
-            if not trace.terminal:
-                self._m_completed.inc()
             trace.terminal = True
             trace.alive = False
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from ..packet.icmpv6 import ERROR_PACKET, TYPE_TIME_EXCEEDED
 from ..packet.ipv6 import PROTO_ICMPV6, VERSION
 from .base import Prober
@@ -91,9 +90,8 @@ class Yarrp6(Prober):
         source: int,
         targets: Sequence[int],
         config: Optional[Yarrp6Config] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(source, targets, config, metrics)
+        super().__init__(source, targets, config)
         config = self.config
         self.schedule = ProbeSchedule(
             len(self.targets),
@@ -129,8 +127,6 @@ class Yarrp6(Prober):
         # Neighborhood state: per-TTL timestamp of the last new interface.
         self._last_new_at: Dict[int, int] = {}
         self._neighborhood_known: Dict[int, set] = {}
-        self._m_fills = self._registry.counter("prober.fills")
-        self._m_skipped = self._registry.counter("prober.skipped")
 
     # -- emission --------------------------------------------------------
     @property
@@ -147,7 +143,6 @@ class Yarrp6(Prober):
         if self._fill_queue:
             target, ttl = self._fill_queue.popleft()
             self.fills += 1
-            self._m_fills.inc()
             return self._emit(target, ttl, now)
         total = self._total
         limit = self._neighborhood_ttl
@@ -160,7 +155,6 @@ class Yarrp6(Prober):
             self._cursor += 1
             if limit is not None and ttl <= limit and self._skip_neighborhood(ttl, now):
                 self.skipped += 1
-                self._m_skipped.inc()
                 continue
             return self._emit(self.targets[target_index], ttl, now)
         return None
@@ -301,10 +295,7 @@ class Yarrp6(Prober):
         emitted = sent - self.sent
         self._cursor = cursor
         self.sent = sent
-        self._m_sent.inc(emitted)
-        if fills:
-            self.fills += fills
-            self._m_fills.inc(fills)
+        self.fills += fills
         return emitted
 
     def _fill_for(

@@ -13,7 +13,9 @@ fails here; so does a hot-path edit that moves a row's anchor.
 The budget rows of ``tests/prober/test_records.py`` are run on the
 mutants only they catch, planted live: a kept leak must fail the
 retained-bytes row of every loop it reaches, the extra call every
-call-budget row.
+call-budget row.  So is the observer row: an observer that draws from
+the world's stream must make a metered walk's ``.yrp6`` differ from a
+bare one's.
 """
 
 import ast
@@ -28,7 +30,9 @@ import pytest
 
 from repro.lint.core import read_source
 from repro.lint.rules import RULES, lint, load_sources
-from repro.netsim import build_internet
+from repro.netsim import Internet, build_internet
+from repro.obs import MetricsRegistry
+from repro.prober import dumps
 from tests.prober import test_records as budgets
 
 HERE = os.path.dirname(__file__)
@@ -215,11 +219,13 @@ MUTANTS = [
     ),
 ]
 
-#: (row label, budget, the loops whose row of that budget it must fail).
+#: (row label, budget, the loops whose row of that budget it must fail);
+#: ``inert`` is the observer row, a metered run against a bare one.
 RUNTIME = [
     ("L1 `bytes(buffer)` kept", "bytes", ("walk", "fill")),
     ("L2 dict kept", "bytes", ("walk", "fill", "per-event")),
     ("C1 extra call", "calls", ("walk", "fill", "per-event")),
+    ("O1 observer draws", "inert", ("walk",)),
 ]
 
 
@@ -348,7 +354,12 @@ def test_mutant_fails_the_budget_rows_it_reaches(monkeypatch, smoke_built, label
     (edits,) = [row[1] for row in MUTANTS if row[0] == label]
     plant_live(monkeypatch, edits)
     run = budgets.LOOPS[loop]
-    if budget == "bytes":
+    if budget == "inert":
+        targets = budgets._targets(smoke_built)
+        bare = run(Internet(smoke_built), targets)
+        metered = run(Internet(smoke_built), targets, metrics=MetricsRegistry())
+        assert dumps(metered) != dumps(bare)
+    elif budget == "bytes":
         measured = budgets.TestRetainedBytes.bytes_per_probe(smoke_built, run)
         assert measured > budgets.TestRetainedBytes.BYTES_PER_PROBE[loop]
     else:

@@ -87,3 +87,18 @@ def test_sarif_output_is_byte_identical_across_runs():
     first = run_sarif([os.path.join(FIXTURES, "det003_bad.py")])
     second = run_sarif([os.path.join(FIXTURES, "det003_bad.py")])
     assert first == second
+
+
+def test_sarif_over_the_live_tree_parses(monkeypatch):
+    """``repro-lint --format sarif src/`` from the repository root, as a
+    code-scanning upload would run it: a SARIF log that parses, names
+    every rule and, on the clean tree, holds no result."""
+    monkeypatch.chdir(os.path.normpath(os.path.join(HERE, "..", "..")))
+    code, output = run_sarif(["src/"])
+    assert code == 0, output
+    doc = json.loads(output)
+    assert doc["version"] == SARIF_VERSION
+    (run,) = doc["runs"]
+    assert run["tool"]["driver"]["name"] == TOOL_NAME
+    assert len(run["tool"]["driver"]["rules"]) == 7
+    assert run["results"] == []

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.netsim.engine import Engine, US_PER_SECOND, pps_interval, seconds
-from repro.obs.metrics import MetricsRegistry
 
 
 class TestEngine:
@@ -159,8 +158,14 @@ class TestDrive:
         ]
 
     def test_return_ends_the_drive_with_no_trailing_event(self):
-        registry = MetricsRegistry()
-        engine = Engine(metrics=registry)
+        class CountingEngine(Engine):
+            scheduled = 0
+
+            def schedule_at(self, when, callback):
+                self.scheduled += 1
+                super().schedule_at(when, callback)
+
+        engine = CountingEngine()
 
         def steps():
             yield 100
@@ -170,9 +175,8 @@ class TestDrive:
         engine.run()
         assert engine.now == 200  # the last resumption, not one delay after it
         assert engine.pending == 0
-        dump = registry.to_dict()
-        assert dump["engine.events_scheduled"]["value"] == 3
-        assert dump["engine.events_fired"]["value"] == 3
+        # Three resumptions scheduled, all fired: the start and one per yield.
+        assert engine.scheduled == 3
 
     def test_negative_yield_is_rejected(self):
         engine = Engine()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import (
-    NULL_REGISTRY,
     MetricError,
     MetricsRegistry,
     dump_to_json,
@@ -13,23 +12,6 @@ from repro.obs import (
 
 
 class TestInstruments:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("sent")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4
-        assert counter.to_dict() == {"kind": "counter", "value": 4}
-
-    def test_gauge_tracks_extremes(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        for value in (5, 2, 9):
-            gauge.set(value)
-        payload = gauge.to_dict()
-        assert (payload["last"], payload["min"], payload["max"]) == (9, 2, 9)
-        assert payload["samples"] == 3
-
     def test_counter_map_sorted_rendering(self):
         registry = MetricsRegistry()
         yields = registry.counter_map("ttl_yield")
@@ -73,16 +55,16 @@ class TestInstruments:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
+        assert registry.counter_map("a") is registry.counter_map("a")
         assert registry.series("s", bucket_us=500) is registry.series(
             "s", bucket_us=500
         )
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("a")
+        registry.counter_map("a")
         with pytest.raises(MetricError):
-            registry.gauge("a")
+            registry.series("a")
 
     def test_series_bucket_conflict_raises(self):
         registry = MetricsRegistry()
@@ -99,37 +81,13 @@ class TestRegistry:
     def test_dump_is_sorted_and_byte_stable(self):
         def build():
             registry = MetricsRegistry()
-            registry.counter("zeta").inc()
+            registry.histogram("zeta", bounds=(1.0,)).observe(0.5)
             registry.series("alpha").record(0)
             registry.counter_map("mid").inc(3)
             return registry
 
         assert list(build().to_dict()) == ["alpha", "mid", "zeta"]
         assert dump_to_json(build().to_dict()) == dump_to_json(build().to_dict())
-
-
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        assert NULL_REGISTRY.enabled is False
-        assert NULL_REGISTRY.to_dict() == {}
-
-    def test_instruments_are_shared_noops(self):
-        counter = NULL_REGISTRY.counter("a")
-        assert counter is NULL_REGISTRY.counter("b")
-        counter.inc()
-        assert counter.value == 0
-        series = NULL_REGISTRY.series("s")
-        series.record(123)
-        assert series.total() == 0
-        gauge = NULL_REGISTRY.gauge("g")
-        gauge.set(9)
-        assert gauge.samples == 0
-        hist = NULL_REGISTRY.histogram("h", bounds=(1.0,))
-        hist.observe(0.5)
-        assert hist.total() == 0
-        cmap = NULL_REGISTRY.counter_map("m")
-        cmap.inc(1)
-        assert cmap.total() == 0
 
 
 class TestSeriesViews:
@@ -144,7 +102,7 @@ class TestSeriesViews:
 
     def test_missing_or_wrong_kind_is_empty(self):
         registry = MetricsRegistry()
-        registry.counter("sent").inc()
+        registry.counter_map("sent").inc(1)
         dump = registry.to_dict()
         assert series_points(dump, "nope") == []
         assert series_points(dump, "sent") == []
