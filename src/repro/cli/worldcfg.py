@@ -3,9 +3,10 @@
 Worlds are fully determined by their :class:`InternetConfig`, so the CLI
 persists a small JSON document instead of a pickled topology; every
 command regenerates the identical world from it.  Generation costs
-5-6 us per router (measured, docs/performance.md "Where the CLI chain's
-host time goes"): 0.03 s for the 5.9 k routers of ``--edge 40 --cpe
-2000``, 0.15 s for the benchmark grid's 27.5 k.
+4.5-4.7 us per router on an unloaded 2-core host, 0.80-0.83x what it
+cost before the leaf kernel (measured, docs/performance.md "Where the
+CLI chain's host time goes"): 0.03 s for the 5.9 k routers of ``--edge
+40 --cpe 2000``, 0.12 s for the benchmark grid's 27.5 k.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from .topology import (
     AddressPlan,
     AutonomousSystem,
     GroundTruth,
-    HostKind,
     Router,
     RouterRole,
     Subnet,
@@ -32,7 +31,6 @@ __all__ = [
     "CompiledPath",
     "Engine",
     "GroundTruth",
-    "HostKind",
     "Internet",
     "InternetConfig",
     "Response",

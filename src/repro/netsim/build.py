@@ -30,17 +30,12 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..addrs.iid import eui64_iid
 from ..addrs.prefix import Prefix
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
-from .addressing import (
-    CPE_OUIS,
-    draw_between,
-    eui64_draw,
-    interface_address,
-    leaf_hosts,
-)
+from .addressing import CPE_OUIS, LOWBYTE_SERVER_RANGE, draw_between, interface_address
 from .ratelimit import provisioning
 from .topology import (
     AddressPlan,
@@ -490,35 +485,95 @@ class _Builder:
         asys.policy.prohibit_action = action
 
     # -- leaf subnets ----------------------------------------------------
-    def populate_leaf(
+    def add_leaves(
         self,
         asys: AutonomousSystem,
-        leaf_prefix: Prefix,
-        gateway: Router,
+        parent: Prefix,
+        slots: Iterable[int],
+        role: RouterRole,
         www_fraction: float,
-        host_count: int,
-    ) -> Subnet:
-        rng, config = self.rng, self.config
+    ) -> None:
+        """The leaf /64s number ``slots`` of ``parent``, each behind a new
+        ``role`` gateway: the world build's inner loop.
+
+        Per leaf, in stream order: the gateway's draws (``new_router``),
+        the host count (``draw_between``), the gateway's IID on the LAN
+        (``eui64_draw`` on residential LANs, ``::1`` elsewhere), the
+        aliased flag (not on residential LANs), the www flag, then per host
+        a technique roll and its IID.  The helpers named are spelled out
+        here over the run's constants, the same draws without a frame per
+        draw (``tests/netsim/test_addressing_ecmp.py`` holds the kernel to
+        them).  Every slot lies inside ``parent`` by construction, so the
+        leaf prefix skips ``nth_subnet``'s range check.
+        """
+        config, new_router = self.config, self.new_router
+        getrandbits, random = self.rng.getrandbits, self.rng.random
+        rate, burst = config.edge_limit_rate, config.edge_limit_burst
+        hosts_low, hosts_high = config.hosts_per_leaf
+        hosts_width = hosts_high - hosts_low + 1
+        hosts_bits = hosts_width.bit_length()
+        server_low, server_high = LOWBYTE_SERVER_RANGE
+        server_width = server_high - server_low + 1
+        server_bits = server_width.bit_length()
         residential = asys.address_plan is AddressPlan.EUI64
-        gw_iid = eui64_draw(rng, asys.cpe_oui or CPE_OUIS[0]) if residential else 1
-        gateway_addr = self.give_interface(gateway, leaf_prefix.base | gw_iid)
-        subnet = Subnet(leaf_prefix, gateway, gateway_addr)
-        if not residential and rng.random() < config.aliased_subnet_fraction:
-            subnet.aliased = True
-        is_www = rng.random() < www_fraction
+        # An EUI-64 IID is its vendor's bits OR three NIC octet draws.
+        gateway_eui64 = eui64_iid(asys.cpe_oui or CPE_OUIS[0], 0) if residential else 0
+        host_eui64 = eui64_iid(asys.cpe_oui or CPE_OUIS[1], 0)
+        aliased_fraction = config.aliased_subnet_fraction
         # Residential LANs are dominated by SLAAC privacy addresses;
         # enterprise/hosting LANs carry more static low-byte servers.
-        subnet.host_iids, subnet.www_client_iids = leaf_hosts(
-            rng,
-            host_count,
-            0.85 if residential else config.privacy_fraction,
-            config.eui64_host_fraction,
-            asys.cpe_oui or CPE_OUIS[1],
-            is_www,
-        )
-        self._subnets[leaf_prefix.base] = subnet
-        asys.plan.leaves.append(subnet)
-        return subnet
+        privacy_below = 0.85 if residential else config.privacy_fraction
+        eui64_below = privacy_below + config.eui64_host_fraction
+        parent_base = parent.base
+        aligned = Prefix._aligned
+        router_addresses, subnets = self._router_addresses, self._subnets
+        add_router, add_leaf = asys.routers.append, asys.plan.leaves.append
+        for slot in slots:
+            gateway = new_router(asys.asn, role, rate, burst)
+            add_router(gateway)
+            count = getrandbits(hosts_bits)
+            while count >= hosts_width:
+                count = getrandbits(hosts_bits)
+            base = parent_base | (slot << 64)
+            if residential:
+                gateway_addr = base | gateway_eui64 | (
+                    (getrandbits(8) << 16) | (getrandbits(8) << 8) | getrandbits(8)
+                )
+            else:
+                gateway_addr = base | 1
+            gateway.interfaces.append(gateway_addr)
+            router_addresses[gateway_addr] = gateway
+            subnet = Subnet(aligned(base, 64), gateway, gateway_addr)
+            if not residential and random() < aliased_fraction:
+                subnet.aliased = True
+            www = random() < www_fraction
+            hosts = subnet.host_iids
+            clients = subnet.www_client_iids
+            for _ in range(hosts_low + count):
+                roll = random()
+                if roll < privacy_below:
+                    # RFC 4941 temporary address: uniformly random, the
+                    # ff:fe EUI-64 marker cleared so classification
+                    # stays honest.
+                    iid = getrandbits(64)
+                    if (iid >> 24) & 0xFFFF == 0xFFFE:
+                        iid ^= 1 << 30
+                    iid = iid or 1
+                    if www:
+                        # The hosts that surf are the CDN-visible clients.
+                        clients.append(iid)
+                elif roll < eui64_below:
+                    iid = host_eui64 | (
+                        (getrandbits(8) << 16) | (getrandbits(8) << 8) | getrandbits(8)
+                    )
+                else:
+                    iid = getrandbits(server_bits)
+                    while iid >= server_width:
+                        iid = getrandbits(server_bits)
+                    iid += server_low
+                hosts.append(iid)
+            subnets[base] = subnet
+            add_leaf(subnet)
 
     # -- the big pieces ---------------------------------------------------
     def build_backbone(self) -> None:
@@ -595,7 +650,6 @@ class _Builder:
     def build_edge_plan(self, asys: AutonomousSystem) -> None:
         """Sparse hierarchical allocation inside one edge AS."""
         config, rng = self.config, self.rng
-        hosts_low, hosts_high = config.hosts_per_leaf
         prefix = self._infra_prefix[asys.asn]
         # Customer space: everything except the infra /48 (index 0).
         dist_length = min(40, prefix.length + 8) if prefix.length < 40 else min(
@@ -639,22 +693,9 @@ class _Builder:
                 n_leaves = draw_between(rng, *config.leaves_per_alloc)
                 leaf_span = 1 << (64 - alloc_length)
                 leaf_slots = _allocate_slots(rng, leaf_span, min(n_leaves, leaf_span))
-                for leaf_slot in leaf_slots:
-                    leaf = alloc.nth_subnet(64, leaf_slot)
-                    gateway = self.new_router(
-                        asys.asn,
-                        RouterRole.GATEWAY,
-                        config.edge_limit_rate,
-                        config.edge_limit_burst,
-                    )
-                    asys.routers.append(gateway)
-                    self.populate_leaf(
-                        asys,
-                        leaf,
-                        gateway,
-                        config.edge_www_fraction,
-                        draw_between(rng, hosts_low, hosts_high),
-                    )
+                self.add_leaves(
+                    asys, alloc, leaf_slots, RouterRole.GATEWAY, config.edge_www_fraction
+                )
         self.out.dist_index[asys.asn] = sorted(dists)
         self.out.alloc_index[asys.asn] = sorted(asys.plan.allocations)
 
@@ -676,7 +717,6 @@ class _Builder:
         n_regions = 8
         region_length = prefix.length + 8  # /40 regions
         customers = config.cpe_customers_per_isp
-        hosts_low, hosts_high = config.hosts_per_leaf
         www = config.cpe_www_fractions[min(index, len(config.cpe_www_fractions) - 1)]
         per_region = max(1, customers // n_regions)
         region_slots = rng.sample(range(1, 200), k=n_regions)
@@ -715,19 +755,9 @@ class _Builder:
                 # aggregation and 6Gen generation effective on client space.
                 offset = rng.randrange(0, 8)
                 count = min(per_pool, span - offset)
-                for slot in range(offset, offset + count):
-                    # /64 number 0 of the customer's /56 delegation
-                    leaf = pool.nth_subnet(64, slot << 8)
-                    cpe = self.new_router(
-                        asys.asn,
-                        RouterRole.CPE,
-                        config.edge_limit_rate,
-                        config.edge_limit_burst,
-                    )
-                    asys.routers.append(cpe)
-                    self.populate_leaf(
-                        asys, leaf, cpe, www, draw_between(rng, hosts_low, hosts_high)
-                    )
+                # /64 number 0 of each customer's /56 delegation
+                delegations = range(offset << 8, (offset + count) << 8, 1 << 8)
+                self.add_leaves(asys, pool, delegations, RouterRole.CPE, www)
         self.out.dist_index[asys.asn] = sorted(asys.plan.distribution)
         self.out.alloc_index[asys.asn] = sorted(asys.plan.allocations)
 

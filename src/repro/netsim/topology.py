@@ -37,14 +37,6 @@ class AddressPlan(enum.Enum):
     EUI64 = "eui64"
 
 
-class HostKind(enum.Enum):
-    """End-host address assignment technique."""
-
-    SLAAC_PRIVACY = "slaac-privacy"
-    EUI64 = "eui64"
-    LOWBYTE_SERVER = "lowbyte-server"
-
-
 class Router:
     """A packet forwarder: interfaces, the provisioning of its ICMPv6
     error rate limiter, and response behaviour knobs.

@@ -21,7 +21,7 @@ simulator, the engine and the probers included, holds a registry.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -204,19 +204,10 @@ class MetricsRegistry:
         return metric
 
     # -- inspection ------------------------------------------------------
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
     def to_dict(self) -> MetricDump:
         """Render every metric; key order is sorted and value rendering
         is canonical, so equal registries dump equal bytes."""
         return {name: self._metrics[name].to_dict() for name in sorted(self._metrics)}
-
-    def dumps(self) -> str:
-        return dump_to_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .encoding import PROTOCOLS, ProbeTemplate
+from .permutation import check_ttl_range
 from .records import ProbeRecord, ResponseProcessor
 
 
@@ -123,8 +124,8 @@ class WaveProber(Prober):
         config: Optional[Any] = None,
     ) -> None:
         super().__init__(source, targets, config)
-        if not 1 <= self.config.max_ttl <= 255:
-            raise ValueError("max_ttl must be in 1-255: %r" % self.config.max_ttl)
+        # The baselines probe from TTL 1.
+        check_ttl_range(1, self.config.max_ttl)
         if self.config.window < 1:
             raise ValueError("window must be >= 1: %r" % self.config.window)
         self._traces: Dict[int, Any] = {}

@@ -212,6 +212,13 @@ class KeyedPermutation:
 _ITER_BLOCK = 1024
 
 
+def check_ttl_range(ttl_min: int, ttl_max: int) -> None:
+    """Refuse a probing range the hop-limit byte cannot carry, in the one
+    message every prober and ``validate_campaign`` give for it."""
+    if not 1 <= ttl_min <= ttl_max <= 255:
+        raise ValueError("bad TTL range [%d, %d]" % (ttl_min, ttl_max))
+
+
 class ProbeSchedule:
     """The permuted (target, TTL) walk Yarrp6 emits.
 
@@ -233,8 +240,7 @@ class ProbeSchedule:
         shard: int = 0,
         shards: int = 1,
     ) -> None:
-        if not 1 <= ttl_min <= ttl_max <= 255:
-            raise ValueError("bad TTL range [%d, %d]" % (ttl_min, ttl_max))
+        check_ttl_range(ttl_min, ttl_max)
         if n_targets < 1:
             raise ValueError("no targets")
         if shards < 1 or not 0 <= shard < shards:

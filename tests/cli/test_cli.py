@@ -197,6 +197,7 @@ REFUSED_BY_EVERY_PROBER = [
         "rate must be positive and finite: -inf\n",
         "pps-minus-inf",
     ),
+    (["--max-ttl", "0"], "2001:db8::1\n", "bad TTL range [1, 0]\n", "max-ttl-0"),
     (["--max-ttl", "256"], "2001:db8::1\n", "bad TTL range [1, 256]\n", "max-ttl-256"),
     (
         ["--vantage", "eu-net"],

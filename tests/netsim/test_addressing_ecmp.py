@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +12,18 @@ from hypothesis import strategies as st
 import repro
 from repro.addrs import IIDClass, classify_iid, eui64_oui, make_eui64_iid
 from repro.addrs.prefix import Prefix
+from repro.netsim import InternetConfig
 from repro.netsim.addressing import (
     CPE_OUIS,
     draw_between,
     eui64_draw,
-    host_iid,
     interface_address,
     interface_iid,
-    leaf_hosts,
 )
+from repro.netsim.build import _Builder
 from repro.netsim.ecmp import VARIANTS, flow_variant
 from repro.netsim.internet import RouterState
-from repro.netsim.topology import AddressPlan, HostKind, Router, RouterRole
+from repro.netsim.topology import AddressPlan, Router, RouterRole
 from repro.packet import icmpv6, ipv6, udp
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 
@@ -53,39 +54,79 @@ class TestInterfaceAddressing:
         assert eui64_oui(eui64_draw(random.Random(3), 0xAABBCC)) == 0xAABBCC
 
 
+def build_lan(seed, hosts, privacy, eui64, www, residential=False, rng=None):
+    """One LAN of ``hosts`` hosts, built by the world build's leaf kernel
+    in an AS of its own (drawing from ``rng`` if given)."""
+    config = replace(
+        InternetConfig(seed=seed),
+        hosts_per_leaf=(hosts, hosts),
+        privacy_fraction=privacy,
+        eui64_host_fraction=eui64,
+    )
+    builder = _Builder(config)
+    builder.rng = rng or builder.rng
+    asys = builder.make_as("LAN", 3, AddressPlan.EUI64 if residential else AddressPlan.LOWBYTE)
+    builder.add_leaves(asys, asys.prefixes[0], [1], RouterRole.GATEWAY, www)
+    (subnet,) = asys.plan.leaves
+    return subnet
+
+
 class TestHostAddressing:
     def test_privacy_iid_never_eui64(self):
-        rng = random.Random(4)
-        for _ in range(300):
-            iid = host_iid(HostKind.SLAAC_PRIVACY, rng)
+        for iid in build_lan(4, 300, 1.0, 0.0, 0.0).host_iids:
             assert classify_iid(iid) is not IIDClass.EUI64
             assert iid != 0
 
+    @pytest.mark.parametrize(
+        "drawn, iid",
+        [
+            # The ff:fe marker position of a 64-bit draw is cleared ...
+            (0x123456FFFE789ABC, 0x123456FFFE789ABC ^ (1 << 30)),
+            # ... and an all-zero draw, never an address, is ::1.
+            (0, 1),
+        ],
+    )
+    def test_privacy_iid_rule(self, drawn, iid):
+        class Draws(random.Random):
+            def getrandbits(self, bits):
+                return drawn if bits == 64 else super().getrandbits(bits)
+
+        assert build_lan(4, 1, 1.0, 0.0, 0.0, rng=Draws(4)).host_iids == [iid]
+
     def test_eui64_host(self):
-        iid = host_iid(HostKind.EUI64, random.Random(5))
-        assert classify_iid(iid) is IIDClass.EUI64
+        iids = build_lan(5, 50, 0.0, 1.0, 0.0).host_iids
+        assert {classify_iid(iid) for iid in iids} == {IIDClass.EUI64}
+        assert {eui64_oui(iid) for iid in iids} == {CPE_OUIS[1]}
 
     def test_lowbyte_server_small(self):
-        for _ in range(50):
-            iid = host_iid(HostKind.LOWBYTE_SERVER, random.Random(6))
+        for iid in build_lan(6, 50, 0.0, 0.0, 0.0).host_iids:
             assert 1 <= iid <= 0x200
 
     def test_pick_host_kind_mix(self):
-        hosts, clients = leaf_hosts(random.Random(7), 2000, 0.5, 0.3, CPE_OUIS[1], True)
+        subnet = build_lan(7, 2000, 0.5, 0.3, 1.0)
+        hosts = subnet.host_iids
         classes = [classify_iid(iid) for iid in hosts]
         assert 0.45 < classes.count(IIDClass.RANDOMIZED) / len(hosts) < 0.55
         assert 0.25 < classes.count(IIDClass.EUI64) / len(hosts) < 0.35
         # The privacy-addressed hosts of a WWW LAN are its CDN-visible clients.
-        assert clients == [
+        assert subnet.www_client_iids == [
             iid for iid, cls in zip(hosts, classes) if cls is IIDClass.RANDOMIZED
         ]
-        assert leaf_hosts(random.Random(7), 2000, 0.5, 0.3, CPE_OUIS[1], False) == (hosts, [])
+        quiet = build_lan(7, 2000, 0.5, 0.3, 0.0)
+        assert (quiet.host_iids, quiet.www_client_iids) == (hosts, [])
+
+    def test_residential_lans_are_mostly_privacy_addressed(self):
+        """A CPE LAN's mix ignores ``privacy_fraction``: 85 % privacy."""
+        hosts = build_lan(8, 2000, 0.0, 0.1, 0.0, residential=True).host_iids
+        randomized = sum(classify_iid(iid) is IIDClass.RANDOMIZED for iid in hosts)
+        assert 0.82 < randomized / len(hosts) < 0.88
 
 
 # The scalar spellings the world build drew through before PR 23 — a MAC
 # tuple per EUI-64 IID, a kind enum then an ``if`` chain per host,
-# ``randint`` per bounded draw.  Kept here as the oracle: the closed
-# forms in ``netsim.addressing`` must return the same values *and* leave
+# ``randint`` per bounded draw, a checked prefix per leaf.  Kept here as
+# the oracle: the closed forms in ``netsim.addressing`` and the leaf
+# kernel ``_Builder.add_leaves`` must return the same values *and* leave
 # the generator in the same state (as many draws, in the same order).
 def random_mac(rng, oui):
     return (
@@ -98,24 +139,60 @@ def random_mac(rng, oui):
     )
 
 
+SLAAC_PRIVACY, EUI64, LOWBYTE_SERVER = "slaac-privacy", "eui64", "lowbyte-server"
+
+
 def pick_host_kind(rng, privacy_fraction, eui64_fraction):
     roll = rng.random()
     if roll < privacy_fraction:
-        return HostKind.SLAAC_PRIVACY
+        return SLAAC_PRIVACY
     if roll < privacy_fraction + eui64_fraction:
-        return HostKind.EUI64
-    return HostKind.LOWBYTE_SERVER
+        return EUI64
+    return LOWBYTE_SERVER
 
 
 def scalar_host_iid(kind, rng, oui=0):
-    if kind is HostKind.SLAAC_PRIVACY:
+    if kind == SLAAC_PRIVACY:
         iid = rng.getrandbits(64)
         if (iid >> 24) & 0xFFFF == 0xFFFE:
             iid ^= 1 << 30
         return iid or 1
-    if kind is HostKind.EUI64:
+    if kind == EUI64:
         return make_eui64_iid(random_mac(rng, oui or CPE_OUIS[1]))
     return rng.randint(1, 0x200)
+
+
+def scalar_leaves(builder, asys, parent, slots, role, www_fraction):
+    """The per-leaf loop over ``slots``, one draw at a time: per leaf
+    the gateway, its host count, its IID, the aliased and www flags, each
+    host's technique and IID."""
+    rng, config = builder.rng, builder.config
+    residential = asys.address_plan is AddressPlan.EUI64
+    privacy = 0.85 if residential else config.privacy_fraction
+    leaves = []
+    for slot in slots:
+        gateway = builder.new_router(
+            asys.asn, role, config.edge_limit_rate, config.edge_limit_burst
+        )
+        count = rng.randint(*config.hosts_per_leaf)
+        prefix = parent.nth_subnet(64, slot)
+        if residential:
+            gateway_iid = make_eui64_iid(random_mac(rng, asys.cpe_oui or CPE_OUIS[0]))
+        else:
+            gateway_iid = 1
+        aliased = not residential and rng.random() < config.aliased_subnet_fraction
+        www = rng.random() < www_fraction
+        hosts, clients = [], []
+        for _ in range(count):
+            kind = pick_host_kind(rng, privacy, config.eui64_host_fraction)
+            iid = scalar_host_iid(kind, rng, asys.cpe_oui or CPE_OUIS[1])
+            hosts.append(iid)
+            if www and kind == SLAAC_PRIVACY:
+                clients.append(iid)
+        leaves.append(
+            (prefix, gateway.router_id, prefix.base | gateway_iid, hosts, clients, aliased)
+        )
+    return leaves
 
 
 SEEDS = st.integers(0, 2**32)
@@ -144,24 +221,54 @@ class TestDrawsAgainstTheScalarOracle:
             assert draw_between(drawn, low, high) == oracle.randint(low, high)
         assert drawn.getstate() == oracle.getstate()
 
-    @given(SEEDS, st.sampled_from(list(HostKind)), st.sampled_from((0,) + CPE_OUIS))
-    def test_host_iid(self, seed, kind, oui):
-        drawn, oracle = random.Random(seed), random.Random(seed)
-        assert host_iid(kind, drawn, oui) == scalar_host_iid(kind, oracle, oui)
-        assert drawn.getstate() == oracle.getstate()
-
-    @given(SEEDS, st.integers(0, 8), FRACTIONS, FRACTIONS, st.booleans())
-    def test_leaf_hosts_is_the_per_host_loop(self, seed, count, privacy, eui64, www):
-        drawn, oracle = random.Random(seed), random.Random(seed)
-        hosts, clients = [], []
-        for _ in range(count):
-            kind = pick_host_kind(oracle, privacy, eui64)
-            iid = scalar_host_iid(kind, oracle, CPE_OUIS[2])
-            hosts.append(iid)
-            if www and kind is HostKind.SLAAC_PRIVACY:
-                clients.append(iid)
-        assert leaf_hosts(drawn, count, privacy, eui64, CPE_OUIS[2], www) == (hosts, clients)
-        assert drawn.getstate() == oracle.getstate()
+    @settings(max_examples=200, deadline=None)
+    @given(
+        SEEDS,
+        st.booleans(),
+        st.sampled_from((None,) + CPE_OUIS),
+        st.lists(st.integers(0, 2**16 - 1), max_size=4, unique=True),
+        st.tuples(st.integers(0, 4), st.integers(0, 5)),
+        st.tuples(FRACTIONS, FRACTIONS, FRACTIONS, FRACTIONS, FRACTIONS),
+    )
+    def test_add_leaves_is_the_per_leaf_loop(
+        self, seed, residential, oui, slots, hosts, fractions
+    ):
+        privacy, eui64, aliased, silent, www = fractions
+        config = replace(
+            InternetConfig(seed=seed),
+            hosts_per_leaf=(hosts[0], sum(hosts)),
+            privacy_fraction=privacy,
+            eui64_host_fraction=eui64,
+            aliased_subnet_fraction=aliased,
+            silent_router_fraction=silent,
+        )
+        plan = AddressPlan.EUI64 if residential else AddressPlan.RANDOM
+        role = RouterRole.CPE if residential else RouterRole.GATEWAY
+        built, oracle = _Builder(config), _Builder(config)
+        asys, oracle_as = (
+            builder.make_as("LAN", 3, plan, prefix_length=48) for builder in (built, oracle)
+        )
+        asys.cpe_oui = oracle_as.cpe_oui = oui
+        # A /48: every slot is one of its /64s.
+        parent = asys.prefixes[0]
+        built.add_leaves(asys, parent, slots, role, www)
+        expected = scalar_leaves(oracle, oracle_as, parent, slots, role, www)
+        leaves = asys.plan.leaves
+        assert [
+            (
+                leaf.prefix, leaf.gateway.router_id, leaf.gateway_addr,
+                leaf.host_iids, leaf.www_client_iids, leaf.aliased,
+            )
+            for leaf in leaves
+        ] == expected
+        assert built.rng.getstate() == oracle.rng.getstate()
+        # Registered where the rest of the build and the probe path look.
+        for leaf in leaves:
+            assert built.out.truth.subnets[leaf.prefix.base] is leaf
+            assert built.out.truth.router_addresses[leaf.gateway_addr] is leaf.gateway
+            assert leaf.gateway.interfaces == [leaf.gateway_addr]
+            assert leaf.gateway.role is role
+        assert asys.routers == [leaf.gateway for leaf in leaves]
 
 
 # The ECMP model, per byte — the oracle ``flow_variant``'s closed form

@@ -100,11 +100,15 @@ def world_digest(built, rng):
 
 #: The CI smoke world (``world --seed 5 --edge 30 --cpe 150``).
 SMOKE = InternetConfig(seed=5, n_edge=30, cpe_customers_per_isp=150)
+#: The ``cli-chain`` world (``world --edge 40 --cpe 2000``): 250 customers
+#: in each of 8 pools per region, where the smoke world's pools hold ~18.
+CHAIN = InternetConfig(seed=2018, n_edge=40, cpe_customers_per_isp=2000)
 
 #: config -> ``world_digest`` of its build, recorded from the tree before
 #: PR 23 (per-draw ``randint`` / ``uniform`` / MAC tuples / checked
-#: ``Prefix``): the build kernel may change how a value is drawn, never
-#: which, in what order, or how many.
+#: ``Prefix``), the ``chain`` row from the tree before the leaf kernel
+#: (``_Builder.add_leaves``): the build may change how a value is drawn,
+#: never which, in what order, or how many.
 PINNED = [
     (SMOKE, "5b25cff49c3d5b469f294fd678e40cdeecbc147b1177b3cad919668f8dbffa69"),
     (
@@ -145,6 +149,7 @@ PINNED = [
         ),
         "45ef04194cadebd38921d976b51cdc066cbfb2390ece1c67e8865d7bd11c6b50",
     ),
+    (CHAIN, "f0ae1c3c59f4d298f33f2ecf7bec8d630ad86170dbca19a077c27262dab22fde"),
 ]
 
 
@@ -152,7 +157,10 @@ class TestWorldPinned:
     @pytest.mark.parametrize(
         "config, digest",
         PINNED,
-        ids=["smoke", "decoupled", "slash48-hidden-tunnel", "three-isps", "silent", "narrow"],
+        ids=[
+            "smoke", "decoupled", "slash48-hidden-tunnel", "three-isps", "silent", "narrow",
+            "chain",
+        ],
     )
     def test_every_field_and_the_rng_end_state(self, config, digest):
         builder = build._Builder(config)
@@ -309,8 +317,13 @@ class TestFrameBudget:
     #: 32.6 before PR 23 (``randint`` -> ``randrange`` -> ``_randbelow``,
     #: ``uniform`` twice a router, a validated MAC tuple per EUI-64 IID,
     #: a re-checked ``Prefix`` per subnet, three calls per host); 17.9
-    #: after.  A helper re-wrapped around a per-host draw costs ~1.5.
-    CALLS_PER_ROUTER = 20
+    #: after it (a call per leaf to ``populate_leaf``, ``draw_between``,
+    #: ``give_interface``, ``eui64_draw``, ``leaf_hosts``, and one per host
+    #: draw); 13.06 with the leaf kernel (``new_router``, ``Prefix._aligned``
+    #: and ``Subnet`` per leaf, no call per host).  A helper re-wrapped
+    #: around a per-host draw costs ~1.5, around a per-leaf one ~0.6: the
+    #: first fails this bound.
+    CALLS_PER_ROUTER = 14
 
     def test_python_calls_per_router_on_the_smoke_world(self):
         calls = 0

@@ -6,6 +6,7 @@ import pytest
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.prober import (
     PROBERS,
+    CampaignSpec,
     DoubletreeConfig,
     SequentialConfig,
     Yarrp6,
@@ -14,6 +15,7 @@ from repro.prober import (
     run_doubletree,
     run_sequential,
     run_yarrp6,
+    validate_campaign,
 )
 
 
@@ -105,10 +107,10 @@ class TestConfigCheckedAtConstruction:
             ("yarrp6", Yarrp6Config(instance=300), "instance"),
             ("sequential", SequentialConfig(instance=-1), "instance"),
             ("doubletree", DoubletreeConfig(instance=256), "instance"),
-            ("sequential", SequentialConfig(max_ttl=0), "max_ttl"),
-            ("sequential", SequentialConfig(max_ttl=300), "max_ttl"),
-            ("doubletree", DoubletreeConfig(max_ttl=300), "max_ttl"),
-            ("doubletree", DoubletreeConfig(start_ttl=0, max_ttl=0), "max_ttl"),
+            ("sequential", SequentialConfig(max_ttl=0), "bad TTL range"),
+            ("sequential", SequentialConfig(max_ttl=300), "bad TTL range"),
+            ("doubletree", DoubletreeConfig(max_ttl=300), "bad TTL range"),
+            ("doubletree", DoubletreeConfig(start_ttl=0, max_ttl=0), "bad TTL range"),
             ("sequential", SequentialConfig(window=0), "window"),
             ("doubletree", DoubletreeConfig(window=-5), "window"),
             ("yarrp6", Yarrp6Config(fill=True, fill_ceiling=300), "fill_ceiling"),
@@ -125,12 +127,26 @@ class TestConfigCheckedAtConstruction:
         message = str(refusal.value)
         assert message.startswith(field) and "\n" not in message
 
+    @pytest.mark.parametrize("max_ttl", [0, 256])
+    @pytest.mark.parametrize("kind", ["yarrp6", "sequential", "doubletree"])
+    def test_a_ttl_range_is_refused_in_the_campaigns_words(self, kind, max_ttl):
+        """One condition, one message: a prober built on the range says
+        what ``validate_campaign`` (and so ``probe``) says of it."""
+        with pytest.raises(ValueError) as prober:
+            PROBERS[kind](1, [2], PROBERS[kind].Config(max_ttl=max_ttl))
+        spec = CampaignSpec(
+            InternetConfig(), "US-EDU-1", (2,), 1000.0, Yarrp6Config(max_ttl=max_ttl)
+        )
+        with pytest.raises(ValueError) as campaign:
+            validate_campaign(spec)
+        assert str(prober.value) == str(campaign.value) == "bad TTL range [1, %d]" % max_ttl
+
     def test_no_probe_leaves_for_a_config_the_payload_cannot_carry(self, net, host_targets):
         """instance=300 used to send every probe with instance byte 44
         and then match none of the responses against 300."""
         with pytest.raises(ValueError, match="instance"):
             run_yarrp6(net, "US-EDU-1", host_targets[:5], instance=300)
-        with pytest.raises(ValueError, match="max_ttl"):
+        with pytest.raises(ValueError, match="bad TTL range"):
             run_sequential(net, "US-EDU-1", host_targets[:5], max_ttl=0)
         assert net.stats.probes == 0
 
