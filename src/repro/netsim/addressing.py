@@ -7,19 +7,18 @@ server) against its LAN's mix.  The mix of plans across the internet is
 what makes Table 1's and Table 7's IID class distributions (lowbyte vs
 EUI-64 vs randomized) come out.
 
-:func:`draw_between` and :func:`eui64_draw` are the draws the rest of
-the build makes one at a time.  The world build's inner loop,
-``_Builder.add_leaves`` in :mod:`repro.netsim.build`, spells the same
-draws out over a run of leaf /64s with no call per draw; the host rules
-(the privacy-address IID, the :data:`LOWBYTE_SERVER_RANGE` server) live
-only there.
+:func:`draw_between` is the draw the rest of the build makes one at a
+time.  The world build's inner loop, ``_Builder.add_leaves`` in
+:mod:`repro.netsim.build`, spells it out over a run of leaf /64s with no
+call per draw; the EUI-64 IIDs (gateways on residential LANs, SLAAC
+hosts) and the host rules (the privacy-address IID, the
+:data:`LOWBYTE_SERVER_RANGE` server) live only there.
 """
 
 from __future__ import annotations
 
 import random
 
-from ..addrs.iid import eui64_iid
 from ..addrs.prefix import Prefix
 from .topology import AddressPlan
 
@@ -45,31 +44,24 @@ def draw_between(rng: random.Random, low: int, high: int) -> int:
     return low + value
 
 
-def eui64_draw(rng: random.Random, oui: int) -> int:
-    """An EUI-64 IID of the vendor ``oui`` (24 bits): the NIC-specific
-    half is three octet draws, most significant first."""
-    getrandbits = rng.getrandbits
-    return eui64_iid(oui, (getrandbits(8) << 16) | (getrandbits(8) << 8) | getrandbits(8))
-
-
-def interface_iid(plan: AddressPlan, position: int, rng: random.Random, oui: int = 0) -> int:
+def interface_iid(plan: AddressPlan, position: int, rng: random.Random) -> int:
     """IID for the ``position``-th interface on a point-to-point /64.
 
     * lowbyte — ::1, ::2, … (the very common operational practice);
-    * random  — an opaque 64-bit identifier;
-    * eui64   — embedded-MAC identifier from the AS's CPE vendor.
+    * random  — an opaque 64-bit identifier.
+
+    Infrastructure is never EUI-64 numbered: an EUI-64 AS numbers its
+    own links low-byte (``_Builder.iface_on_link``).
     """
     if plan is AddressPlan.LOWBYTE:
         return position + 1
     if plan is AddressPlan.RANDOM:
         return rng.getrandbits(64) or 1
-    if plan is AddressPlan.EUI64:
-        return eui64_draw(rng, oui or CPE_OUIS[0])
-    raise ValueError("unknown plan %r" % plan)
+    raise ValueError("no infrastructure numbering for plan %r" % plan)
 
 
 def interface_address(
-    link_prefix: Prefix, plan: AddressPlan, position: int, rng: random.Random, oui: int = 0
+    link_prefix: Prefix, plan: AddressPlan, position: int, rng: random.Random
 ) -> int:
     """Full interface address on a /64 link prefix."""
-    return link_prefix.base | interface_iid(plan, position, rng, oui)
+    return link_prefix.base | interface_iid(plan, position, rng)

@@ -401,14 +401,11 @@ class _Builder:
     def iface_on_link(self, router: Router, link: Prefix, position: int) -> int:
         asys = self.out.truth.ases[router.asn]
         plan = asys.address_plan
-        if plan is AddressPlan.EUI64 and router.role is not RouterRole.CPE:
-            # EUI-64 comes from SLAAC on customer-premises gear; an ISP's
-            # own core/aggregation links are statically numbered.
+        if plan is AddressPlan.EUI64:
+            # EUI-64 comes from SLAAC on customer-premises gear, numbered
+            # by ``add_leaves``; an ISP's own links are statically numbered.
             plan = AddressPlan.LOWBYTE
-        addr = interface_address(
-            link, plan, position, self.rng, asys.cpe_oui or 0
-        )
-        return self.give_interface(router, addr)
+        return self.give_interface(router, interface_address(link, plan, position, self.rng))
 
     # -- AS construction -----------------------------------------------
     def make_as(
@@ -498,7 +495,7 @@ class _Builder:
 
         Per leaf, in stream order: the gateway's draws (``new_router``),
         the host count (``draw_between``), the gateway's IID on the LAN
-        (``eui64_draw`` on residential LANs, ``::1`` elsewhere), the
+        (EUI-64 on residential LANs, ``::1`` elsewhere), the
         aliased flag (not on residential LANs), the www flag, then per host
         a technique roll and its IID.  The helpers named are spelled out
         here over the run's constants, the same draws without a frame per

@@ -11,10 +11,12 @@ phenomenon that separates sequential from randomized probing in Figure 5
 **One pacing primitive.**  A driver loop is a generator handed to
 :meth:`Engine.drive`, which resumes it on the clock and re-arms it after
 each delay it yields.  No driver schedules itself: the resumptions are
-scheduled here and, on the per-event loops, the responses by
-``Internet.exchange``.  The columnar Yarrp6 loop schedules no response:
-it holds the replies ``Internet.answer`` returns and records them at
-its own resumptions, in this queue's (time, scheduling-order) order.
+scheduled here and, on the extension drivers (MDA, Speedtrap, PMTUD,
+adaptive rate, dealiasing, limiter inference), the responses by
+``Internet.exchange``.  Neither campaign loop schedules a response: each
+holds the replies ``Internet.answer`` returns and hands them on at its
+own slots, in this queue's (time, scheduling-order) order, so the
+engine resumes it once a block.
 """
 
 from __future__ import annotations

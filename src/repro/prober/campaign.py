@@ -161,15 +161,22 @@ def run_campaign(
     same instance (the paper ran trials on separate days).
 
     The campaign loop is a generator paced by :meth:`Engine.drive`: each
-    resumption emits (one probe, or one block on the columnar path) and
-    yields the delay to its next emission.  The per-event loop hands
-    each probe to :meth:`Internet.exchange`, which schedules the
-    response's delivery; the columnar loop hands it to
-    :meth:`Internet.answer` and records the replies itself.  The loop
-    returns once the prober is exhausted, so the campaign's duration is
-    its last emission or response.  Nothing but the engine's heap refers
-    to the suspended loop, so when this function returns the caller
-    holds the only reference to ``internet``.
+    resumption emits a block of probes and yields the delay to its next
+    block.  Both loops hand each probe to :meth:`Internet.answer` and
+    hold the replies themselves; no response is an engine event.  The
+    **per-probe loop** runs the prober's ``next_probe``/``receive``
+    contract one slot at a time, :data:`DEFAULT_BATCH` slots a
+    resumption: before each slot's emission it feeds ``receive`` every
+    held reply that arrived by the slot's time, in (arrival, exchange
+    order) order — what an engine scheduling each response would have
+    delivered before that slot, a reply landing on the slot included
+    (``tests/prober/test_per_probe_loop.py`` runs that engine as its
+    oracle).  A loop returns once the prober is exhausted, landing the
+    clock on its last slot or last arrival, whichever is later, and
+    handing on what it still holds, so the campaign's duration is its
+    last emission or response.  Nothing but the engine's heap refers to
+    the suspended loop, so when this function returns the caller holds
+    the only reference to ``internet``.
 
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
@@ -192,22 +199,21 @@ def run_campaign(
     ``batch`` sizes the **columnar fast path**: when the prober is a
     Yarrp6 walk, with or without fill mode (no neighborhood skipping),
     the campaign emits ``batch`` probes per resumption through the
-    batched pull loop (:meth:`Yarrp6.next_probes`) instead of one per
-    tick.  Fill mode's one reaction, a Time Exceeded
+    batched pull loop (:meth:`Yarrp6.next_probes`) instead of one slot
+    at a time.  Fill mode's one reaction, a Time Exceeded
     at TTL >= max TTL queueing TTL + 1, is worked out from what
     :meth:`Internet.answer` returns, so the fill joins the queue at the
-    slot the per-event loop's delivery would have queued it for.  No
-    response is scheduled on the engine: the loop holds each reply and,
-    at every resumption, first records those that arrived by then in
-    (arrival, exchange order) order — what the engine would have
-    delivered before that resumption — and the rest once the clock has
-    landed on the last arrival.  The engine fires one event per block
-    (plus that landing).  Each response's probes-sent count is
-    reconstructed from the pacing arithmetic.  The dump, records, curve,
-    interfaces, summary (``fills`` and ``fills_unsent`` included) and
-    duration are byte-identical to the per-event path — pinned by
-    ``tests/prober/test_batched_equivalence.py``.  ``batch=0`` forces
-    the per-event reference path; ``None`` means :data:`DEFAULT_BATCH`.
+    slot the per-probe loop's ``receive`` would have queued it for.  At
+    every resumption the loop first records the held replies that
+    arrived by then, in (arrival, exchange order) order, and the rest
+    once the clock has landed on the last arrival.  The engine fires one
+    event per block (plus that landing).  Each response's probes-sent
+    count is reconstructed from the pacing arithmetic.  The dump,
+    records, curve, interfaces, summary (``fills`` and ``fills_unsent``
+    included) and duration are byte-identical to the per-probe path —
+    pinned by ``tests/prober/test_batched_equivalence.py``.  ``batch=0``
+    forces the per-probe reference path; ``None`` means
+    :data:`DEFAULT_BATCH`.
 
     ``profiler`` attributes *host* time to ``campaign.setup`` /
     ``campaign.run`` phases, with per-block aggregates (``emit.craft``,
@@ -243,32 +249,54 @@ def run_campaign(
     # when telemetry is off.
     sent_series = None if metrics is None else metrics.series("campaign.sent")
 
-    # -- per-event loop ---------------------------------------------------
-    # One probe per resumption; the internet schedules each response's
-    # delivery on the engine.
-    receive = machine.receive
-
-    def deliver(data: bytes, sent_at: int) -> None:
-        receive(data, engine.now)
-
+    # -- per-probe loop ---------------------------------------------------
+    # One probe per slot, DEFAULT_BATCH slots per resumption.  The replies
+    # are held here, not scheduled: before each slot's emission the loop
+    # feeds the prober every reply that arrived by then, in (arrival,
+    # exchange order) order — what the engine would have delivered before
+    # that slot's resumption, a reply arriving on the slot included.
     def tick() -> Iterator[int]:
         emit = machine.next_probe
-        exchange = internet.exchange
+        receive = machine.receive
+        answer = internet.answer
+        held: List[Tuple[int, int, bytes]] = []
+        span = DEFAULT_BATCH * interval
+        now = engine.now
+        resume = now + span
         while True:
-            now = engine.now
+            while held and held[0][0] <= now:
+                arrival, _, data = heappop(held)
+                receive(data, arrival)
             packet = emit(now)
             # None: neighborhood skipping may momentarily starve emission.
             if packet is not None:
                 if sent_series is not None:
                     sent_series.record(now)
-                exchange(engine, packet, now, deliver)
+                reply = answer(packet, now)
+                if reply is not None:
+                    # Exchange order: the prober's sent count, this probe's.
+                    heappush(held, (reply[0], machine.sent, reply[1]))
             if machine.exhausted:
-                # Probers that exhaust on their final emission (Yarrp6) end the
-                # campaign here, so duration is the last emission or response —
-                # never an empty trailing tick, whose time would depend on the
-                # pacing stride rather than on the probe stream itself.
-                return
-            yield interval
+                # Probers that exhaust on their final emission (Yarrp6) end
+                # the campaign on it, so duration is the last emission or
+                # response — never an empty trailing slot, whose time would
+                # depend on the pacing stride rather than on the probe
+                # stream itself.
+                break
+            now += interval
+            if now == resume:
+                yield span
+                resume += span
+        # Land the clock where the engine would stop, on the last slot or
+        # the last arrival, whichever is later, and feed what is still held.
+        end = now
+        for arrival, _, _ in held:
+            end = max(end, arrival)
+        if end > engine.now:
+            yield end - engine.now
+        while held:
+            arrival, _, data = heappop(held)
+            receive(data, arrival)
 
     # -- columnar fast path ---------------------------------------------
     # One engine event per *block* of emissions instead of one per probe:
@@ -293,7 +321,7 @@ def run_campaign(
             """Record every held reply arriving at or before ``until``."""
             while held and held[0][0] <= until:
                 arrival, _, data, send_time = heappop(held)
-                # The per-event loop's live sent counter, reconstructed
+                # The per-probe loop's live sent counter, reconstructed
                 # from the pacing arithmetic; the pull loop runs ahead of
                 # the clock, so its own count caps it only once it has
                 # ended.
@@ -325,9 +353,9 @@ def run_campaign(
                 if walker.exhausted:
                     break
                 yield count * interval
-            # Land the clock where the per-event loop's engine stops: on
-            # the final emission or the last arrival, whichever is later
-            # (duration invariant), and record what is still held there.
+            # Land the clock where the per-probe loop lands: on the final
+            # emission or the last arrival, whichever is later (duration
+            # invariant), and record what is still held there.
             end = times[count - 1] if count else start
             for arrival, _, _, _ in held:
                 end = max(end, arrival)

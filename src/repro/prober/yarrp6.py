@@ -169,11 +169,11 @@ class Yarrp6(Prober):
         ``hold`` as ``(arrival, exchange order, response bytes, send
         time)``; the exchange order is :attr:`sent` counting this probe.
         Recording the held replies in tuple order is recording them in
-        the per-event loop's delivery order; the caller does that.
+        the per-probe loop's delivery order; the caller does that.
 
         Returns how many it emitted: fewer than ``len(times)`` only when
         the stream ends, right after the emission that leaves the prober
-        :attr:`exhausted` (as the per-event loop ends on it).  Packets are
+        :attr:`exhausted` (as the per-probe loop ends on it).  Packets are
         patched into one preallocated buffer via :class:`~repro.prober.
         encoding.ProbeTemplate`; the stream is byte-identical to
         :meth:`next_probe` called at the same virtual times with
@@ -330,7 +330,7 @@ class Yarrp6(Prober):
     # -- reception -------------------------------------------------------
     # repro-lint: hot-loop
     def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:
-        """Feed a response packet on the per-event path: record it, note
+        """Feed a response packet on the per-probe path: record it, note
         a neighborhood discovery, and queue the fill a Time Exceeded at
         a TTL in the fill range asks for.
 
@@ -361,7 +361,7 @@ class Yarrp6(Prober):
             "sent": base.pop("sent"),
             "fills": self.fills,
             # Fill probes a late Time Exceeded asks for after the
-            # stream's last slot: queued by delivery on the per-event
+            # stream's last slot: queued by delivery on the per-probe
             # path, still in flight on the batched one; the campaign
             # ends before anything emits them.
             "fills_unsent": len(self._fill_queue) + len(self._in_flight),

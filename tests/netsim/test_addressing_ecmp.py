@@ -16,7 +16,6 @@ from repro.netsim import InternetConfig
 from repro.netsim.addressing import (
     CPE_OUIS,
     draw_between,
-    eui64_draw,
     interface_address,
     interface_iid,
 )
@@ -39,19 +38,16 @@ class TestInterfaceAddressing:
         for _ in range(50):
             assert interface_iid(AddressPlan.RANDOM, 0, rng) != 0
 
-    def test_eui64_plan_classifies(self):
-        rng = random.Random(1)
-        iid = interface_iid(AddressPlan.EUI64, 0, rng, oui=CPE_OUIS[0])
-        assert classify_iid(iid) is IIDClass.EUI64
+    def test_eui64_plan_numbers_no_link(self):
+        """EUI-64 IIDs are drawn only on leaf LANs, by the leaf kernel."""
+        with pytest.raises(ValueError, match="no infrastructure numbering"):
+            interface_iid(AddressPlan.EUI64, 0, random.Random(1))
 
     def test_interface_address_inside_link(self):
         rng = random.Random(2)
         link = Prefix.parse("2001:db8:0:5::/64")
         addr = interface_address(link, AddressPlan.RANDOM, 0, rng)
         assert link.contains(addr)
-
-    def test_random_mac_oui(self):
-        assert eui64_oui(eui64_draw(random.Random(3), 0xAABBCC)) == 0xAABBCC
 
 
 def build_lan(seed, hosts, privacy, eui64, www, residential=False, rng=None):
@@ -200,12 +196,6 @@ FRACTIONS = st.floats(0.0, 1.0)
 
 
 class TestDrawsAgainstTheScalarOracle:
-    @given(SEEDS, st.integers(0, 0xFFFFFF))
-    def test_eui64_draw(self, seed, oui):
-        drawn, oracle = random.Random(seed), random.Random(seed)
-        assert eui64_draw(drawn, oui) == make_eui64_iid(random_mac(oracle, oui))
-        assert drawn.getstate() == oracle.getstate()
-
     @given(
         SEEDS,
         st.integers(0, 2**20),

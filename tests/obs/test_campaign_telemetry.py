@@ -315,7 +315,9 @@ def test_the_per_event_loop_reproduces_its_pinned_output(kind):
 
 def test_run_campaign_has_one_per_event_loop_and_one_block_loop():
     """The shape that keeps a second per-event loop from quietly coming
-    back: one emission site, one reception site, two generators."""
+    back: one emission site, one reception site, two generators — and
+    no response scheduled on the engine: no ``exchange`` call, no
+    ``deliver`` closure."""
     tree = ast.parse(inspect.getsource(campaign_module))
     (run,) = [
         node
@@ -336,10 +338,13 @@ def test_run_campaign_has_one_per_event_loop_and_one_block_loop():
     # One emission site and one reception site: no second per-event loop.
     assert len(attribute_uses("machine", "next_probe")) == 1
     assert len(attribute_uses("machine", "receive")) == 1
+    assert not [
+        node for node in ast.walk(run) if isinstance(node, ast.Attribute) and node.attr == "exchange"
+    ]
     nested = [
         node for node in ast.walk(run) if isinstance(node, ast.FunctionDef) and node is not run
     ]
-    assert {"tick", "deliver"} <= {function.name for function in nested}
+    assert "deliver" not in {function.name for function in nested}
     generators = [
         function.name
         for function in nested

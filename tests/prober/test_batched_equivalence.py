@@ -11,8 +11,8 @@ the per-event implementation it replaces:
   time);
 * ``run_campaign(batch=N)`` (block emission, analytic sent-counter
   reconstruction, fills released from what the exchange returned) vs
-  ``run_campaign(batch=0)`` (the per-tick engine loop, fills queued by
-  delivery), for pure walks and fill mode alike.
+  ``run_campaign(batch=0)`` (the per-probe loop, fills queued by
+  ``receive``), for pure walks and fill mode alike.
 
 This suite pins each claim differentially — same seeds, same worlds,
 both implementations, byte equality — including the block-boundary and
@@ -433,25 +433,32 @@ class TestBatchedCampaignEquivalence:
 
     @pytest.mark.parametrize("batch", [1, 7, DEFAULT_BATCH])
     @pytest.mark.parametrize("fill", [False, True])
-    def test_batched_loop_fires_fewer_engine_events(self, engines, batch, fill):
-        """The point of the columnar loop: one engine event per block,
-        not per probe or per response.  The engine fires the block
-        resumptions, plus one landing step when the last arrival is
-        later than the last block's start — nothing else — while the
-        telemetry (asserted elsewhere) stays identical."""
+    def test_each_loop_fires_one_event_per_block(self, engines, batch, fill):
+        """Neither loop schedules a response.  Each engine fires one
+        resumption per block — ``DEFAULT_BATCH`` slots on the per-probe
+        loop, ``batch`` emissions on the columnar one — plus one landing
+        step when the last arrival is later than the last block's start,
+        and nothing else, while the telemetry (asserted elsewhere) stays
+        identical."""
         reference, batched = run_pair(
             seed=7, pps=1000.0, batch=batch, max_ttl=4, fill=fill, fill_ceiling=12
         )
-        per_event, block = engines
-        blocks = -(-batched.sent // batch)
-        landing = batched.duration_us > (blocks - 1) * batch * 1000
-        assert block.fired == block.scheduled == blocks + landing
-        assert block.fired < per_event.fired
+        assert reference.sent > DEFAULT_BATCH
+        for engine, result, size in zip(engines, (reference, batched), (DEFAULT_BATCH, batch)):
+            blocks = -(-result.sent // size)
+            landing = result.duration_us > (blocks - 1) * size * 1000
+            assert engine.fired == engine.scheduled == blocks + landing
 
-    def test_non_pure_walk_falls_back(self, engines):
-        """Neighborhood mode must take the reference path even when a
-        batch size is requested — one engine event per probe, as at
-        ``batch=0`` — and skip probes as usual."""
+    def test_non_pure_walk_falls_back(self, engines, monkeypatch):
+        """Neighborhood mode must take the per-probe path even when a
+        batch size is requested — never the batched pull, and one
+        engine event per ``DEFAULT_BATCH`` slots, as at ``batch=0`` —
+        and skip probes as usual."""
+
+        def pulled(*args):
+            raise AssertionError("neighborhood mode reached the batched pull")
+
+        monkeypatch.setattr(Yarrp6, "next_probes", pulled)
         config, targets = tiny_world(7)
         results = []
         for batch in (0, DEFAULT_BATCH):
@@ -471,7 +478,7 @@ class TestBatchedCampaignEquivalence:
         reference, fallback = results
         assert reference.summary["skipped"] > 0
         assert_equivalent(reference, fallback)
-        assert engines[1].fired == engines[0].fired
+        assert engines[1].fired == engines[0].fired < reference.sent
 
     def test_negative_batch_rejected(self):
         config, targets = tiny_world(7)

@@ -379,9 +379,11 @@ class TestCallBudget:
     FILL_CALLS_PER_PROBE = 14.2
     #: The per-event loop (``run_sequential`` at 20 kpps): 35.87 while the
     #: engine and the prober held a registry (two null instrument calls
-    #: per scheduled event, one per emission); 31.36 with none, plus 2 %
-    #: so that one more call per probe (32.36) fails.
-    PER_EVENT_CALLS_PER_PROBE = 32.0
+    #: per scheduled event, one per emission); 31.36 with none; 22.39
+    #: with the loop holding its own replies (no ``exchange``,
+    #: ``schedule_at``, closure, engine pop, ``deliver`` or resumption
+    #: per probe), plus 2 % so that one more call per probe (23.39) fails.
+    PER_EVENT_CALLS_PER_PROBE = 22.8
 
     @staticmethod
     def calls_per_probe(smoke_built, run) -> float:
@@ -436,13 +438,14 @@ class TestRetainedBytes:
     probe should keep its record and little else.  Bytes retained across
     ``campaign.run`` per probe sent, on the second run of each loop
     ``TestCallBudget`` pins — exact on one interpreter, repeat runs read
-    the same.  Measured 315.12 (walk), 329.46 (fill walk) and 342.69
-    (per-event); each budget is that plus 10 %.  Keeping one copy of a
+    the same.  Measured 315.12 (walk), 329.46 (fill walk) and 310.70
+    (per-event; 342.69 while each reply was an engine event); each
+    budget is that plus 10 %.  Keeping one copy of a
     probe's bytes adds ~120 a probe, keeping a one-key dict per response
     ~130 to ~170: both fail every row they reach
     (``tests/lint/test_mutation_table.py``)."""
 
-    BYTES_PER_PROBE = {"walk": 346.6, "fill": 362.4, "per-event": 377.0}
+    BYTES_PER_PROBE = {"walk": 346.6, "fill": 362.4, "per-event": 341.8}
 
     @staticmethod
     def bytes_per_probe(smoke_built, run) -> float:
