@@ -13,11 +13,12 @@ near hops' buckets.
 """
 
 import random
+from heapq import heappop, heappush
 
 from repro.analysis import per_hop_responsiveness, render_table
 from repro.hitlist import fixediid, zn
 from repro.netsim import Internet
-from repro.netsim.engine import Engine, pps_interval
+from repro.netsim.engine import pps_interval
 from repro.prober import run_yarrp6
 from repro.prober.campaign import CampaignResult
 from repro.prober.yarrp6 import Yarrp6, Yarrp6Config
@@ -77,26 +78,28 @@ def run_trials(world, seeds):
     )
     for order in ("ttl-major", "target-major"):
         internet.reset_dynamics()
-        engine = Engine()
         machine = _OrderedYarrp(
             internet.vantage("US-EDU-1").address, targets, config, order
         )
-
-        def deliver(data, sent_at):
-            machine.receive(data, engine.now)
-
-        def tick():
-            while True:
-                packet = machine.next_probe(engine.now)
-                internet.exchange(engine, packet, engine.now, deliver)
-                if machine.exhausted:
-                    return
-                yield pps_interval(RATE)
-
-        engine.drive(tick())
-        engine.run()
+        # The per-probe loop of ``run_campaign``: replies are held and fed
+        # to the prober before each slot, in (arrival, send order) order.
+        held = []
+        now = 0
+        while True:
+            while held and held[0][0] <= now:
+                arrival, _, data = heappop(held)
+                machine.receive(data, arrival)
+            reply = internet.answer(machine.next_probe(now), now)
+            if reply is not None:
+                heappush(held, (reply[0], machine.sent, reply[1]))
+            if machine.exhausted:
+                break
+            now += pps_interval(RATE)
+        for arrival, _, data in sorted(held):
+            now = max(now, arrival)
+            machine.receive(data, arrival)
         out[order] = CampaignResult.collect(
-            machine, order, "US-EDU-1", "yarrp6-" + order, RATE, engine.now
+            machine, order, "US-EDU-1", "yarrp6-" + order, RATE, now
         )
     return targets, out
 

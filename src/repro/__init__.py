@@ -8,7 +8,7 @@ Subpackages:
   radix tries, DPL, IID classification).
 * :mod:`repro.packet`   — byte-level IPv6/ICMPv6/TCP/UDP crafting.
 * :mod:`repro.netsim`   — the simulated ground-truth IPv6 internet with a
-  virtual-time event engine and RFC 4443 rate limiting.
+  virtual clock and RFC 4443 rate limiting.
 * :mod:`repro.seeds`    — synthetic counterparts of the paper's seven
   hitlist seed sources.
 * :mod:`repro.hitlist`  — the target pipeline: zn transformation, kIP

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..netsim.engine import Engine, US_PER_SECOND, pps_interval
+from ..netsim.engine import US_PER_SECOND, pps_interval
 from ..netsim.internet import Internet
 from ..prober.encoding import encode_probe
 
@@ -56,6 +56,11 @@ class LimiterProbeConfig:
     settle_seconds: float = 5.0
     instance: int = 5
 
+    def __post_init__(self) -> None:
+        for name in ("scan_seconds", "settle_seconds"):
+            if getattr(self, name) < 0:
+                raise ValueError("negative %s: %r" % (name, getattr(self, name)))
+
 
 def _probe_hop(
     internet: Internet,
@@ -65,27 +70,21 @@ def _probe_hop(
     count: int,
     pps: float,
     start: int,
-    engine: Engine,
     instance: int,
 ) -> Tuple[int, int]:
-    """Emit ``count`` probes at ``pps`` beginning at ``start``; returns
-    (sent, responses at that TTL)."""
+    """Emit ``count`` probes at ``pps`` beginning at ``start`` and listen
+    until two seconds after the last slot; returns (responses heard by
+    then, the time listening stopped)."""
     interval = pps_interval(pps)
-    answered: List[int] = []
-
-    def burst() -> Iterator[int]:
-        for _ in range(count):
-            packet = encode_probe(
-                source, target, ttl, elapsed=engine.now & 0xFFFFFFFF, instance=instance
-            )
-            internet.exchange(
-                engine, packet, engine.now, lambda data, sent_at: answered.append(sent_at)
-            )
-            yield interval
-
-    engine.drive(burst(), start)
-    engine.run(until=start + count * interval + 2 * US_PER_SECOND)
-    return count, len(answered)
+    until = start + count * interval + 2 * US_PER_SECOND
+    answered = 0
+    for index in range(count):
+        now = start + index * interval
+        packet = encode_probe(source, target, ttl, elapsed=now & 0xFFFFFFFF, instance=instance)
+        reply = internet.answer(packet, now)
+        if reply is not None and reply[0] <= until:
+            answered += 1
+    return answered, until
 
 
 def infer_limiter(
@@ -104,22 +103,19 @@ def infer_limiter(
     config = config or LimiterProbeConfig()
     internet.reset_dynamics()
     vantage = internet.vantage(vantage_name)
-    engine = Engine()
-    probes_used = 0
+    probes_used = config.burst_probes
 
     # Phase 1: capacity. The bucket starts full; a tight burst reads it.
-    sent, burst_answered = _probe_hop(
+    burst_answered, now = _probe_hop(
         internet,
         vantage.address,
         target,
         ttl,
         config.burst_probes,
         config.burst_pps,
-        engine.now,
-        engine,
+        0,
         config.instance,
     )
-    probes_used += sent
 
     # Phase 2: refill-rate scan.  Before each steady scan, drain the
     # bucket again with a quick burst so the steady phase measures pure
@@ -127,8 +123,8 @@ def infer_limiter(
     scan: List[Tuple[float, float]] = []
     estimates: List[float] = []
     for rate in config.scan_rates:
-        settle = engine.now + int(config.settle_seconds * US_PER_SECOND)
-        drained, _ = _probe_hop(
+        settle = now + int(config.settle_seconds * US_PER_SECOND)
+        _, now = _probe_hop(
             internet,
             vantage.address,
             target,
@@ -136,24 +132,14 @@ def infer_limiter(
             config.burst_probes,
             config.burst_pps,
             settle,
-            engine,
             config.instance,
         )
-        probes_used += drained
         count = int(rate * config.scan_seconds)
-        sent, answered = _probe_hop(
-            internet,
-            vantage.address,
-            target,
-            ttl,
-            count,
-            rate,
-            engine.now,
-            engine,
-            config.instance,
+        answered, now = _probe_hop(
+            internet, vantage.address, target, ttl, count, rate, now, config.instance
         )
-        probes_used += sent
-        fraction = answered / sent if sent else 0.0
+        probes_used += config.burst_probes + count
+        fraction = answered / count if count else 0.0
         scan.append((rate, fraction))
         if fraction < 0.95:  # overloaded: fraction ~ refill/rate
             estimates.append(rate * fraction)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..addrs.prefix import Prefix
 from ..addrs.trie import PrefixTrie
-from ..netsim.engine import Engine, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from ..packet import icmpv6, ipv6
 from ..packet.ipv6 import PROTO_ICMPV6, IPv6Header
@@ -37,6 +37,14 @@ class DealiasConfig:
     seed: int = 0xA11A5
 
 
+def _is_echo_reply(data: bytes) -> bool:
+    try:
+        _, payload = ipv6.split_packet(data)
+        return icmpv6.ICMPv6Message.unpack(payload).is_echo_reply
+    except ipv6.PacketError:
+        return False
+
+
 def detect_aliased(
     internet: Internet,
     vantage_name: str,
@@ -51,42 +59,26 @@ def detect_aliased(
     """
     rng = random.Random(config.seed)
     vantage = internet.vantage(vantage_name)
-    engine = Engine()
     interval = pps_interval(config.pps)
-    answered: Dict[Prefix, int] = {prefix: 0 for prefix in prefixes}
-
-    def deliver(prefix: Prefix, data: bytes) -> None:
-        try:
-            header, payload = ipv6.split_packet(data)
-            message = icmpv6.ICMPv6Message.unpack(payload)
-        except ipv6.PacketError:
-            return
-        if message.is_echo_reply:
-            answered[prefix] += 1
-
     for prefix in prefixes:
         if prefix.length != 64:
             raise ValueError("aliased-prefix detection probes /64s, got %s" % prefix)
 
-    def sweep() -> Iterator[int]:
-        for prefix in prefixes:
-            for index in range(config.probes_per_prefix):
-                target = prefix.base | (rng.getrandbits(64) or 1)
-                echo = icmpv6.echo_request(index + 1, index, b"dealias")
-                packet = ipv6.build_packet(
-                    IPv6Header(vantage.address, target, 0, PROTO_ICMPV6, hop_limit=64),
-                    echo.pack(vantage.address, target),
-                )
-                internet.exchange(
-                    engine,
-                    packet,
-                    engine.now,
-                    lambda data, sent_at, prefix=prefix: deliver(prefix, data),
-                )
-                yield interval
-
-    engine.drive(sweep())
-    engine.run()
+    # Only counts are kept, so each reply is read as it is answered.
+    answered: Dict[Prefix, int] = {prefix: 0 for prefix in prefixes}
+    now = 0
+    for prefix in prefixes:
+        for index in range(config.probes_per_prefix):
+            target = prefix.base | (rng.getrandbits(64) or 1)
+            echo = icmpv6.echo_request(index + 1, index, b"dealias")
+            packet = ipv6.build_packet(
+                IPv6Header(vantage.address, target, 0, PROTO_ICMPV6, hop_limit=64),
+                echo.pack(vantage.address, target),
+            )
+            reply = internet.answer(packet, now)
+            if reply is not None and _is_echo_reply(reply[1]):
+                answered[prefix] += 1
+            now += interval
 
     needed = config.threshold * config.probes_per_prefix
     return {prefix for prefix, count in answered.items() if count >= needed}

@@ -13,8 +13,8 @@ top level as the pseudo-function ``<module>``):
 * outgoing calls with import-origin-resolved targets, feeding the call
   graph;
 * bare-name / ``self.X`` references passed as call arguments — the
-  callback pattern (``internet.exchange(engine, packet, now, deliver)``)
-  that a pure call graph would miss;
+  callback pattern (``prof.wrap("recv.deliver", deliver_held)``) that a
+  pure call graph would miss;
 * perf sites (:func:`.perf.perf_sites`).
 """
 

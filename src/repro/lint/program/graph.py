@@ -5,8 +5,8 @@ Nodes are fully-qualified function names (``module.qpath``, e.g.
 resolution strategies, applied in order per call site:
 
 1. **Lexical / module scope** — a bare name resolves nested-scope-first
-   inside its own module (``tick`` inside ``run_campaign`` resolves to
-   ``run_campaign.tick`` before a module-level ``tick``).
+   inside its own module (``run_slots`` inside ``run_campaign`` resolves
+   to ``run_campaign.run_slots`` before a module-level ``run_slots``).
 2. **Import origins** — a dotted target whose prefix was imported
    resolves across modules, including relative imports (``from .sources
    import leaf_rng`` inside ``repro.addrs.build`` →
@@ -18,14 +18,14 @@ resolution strategies, applied in order per call site:
    only be over-reported, never missed), and precise enough in practice
    because the repro tree keeps method names distinctive.
 
-Reference edges (names passed as call arguments, like ``deliver`` in
-``internet.exchange(engine, packet, now, deliver)``) use the same
-resolution and are followed like call edges.  A driver loop is a
-generator ``run_campaign`` calls by name (``tick()``) and hands to
-``Engine.drive``, so its body hangs off its caller by an ordinary call
-edge.  What the graph cannot follow is a bound method held in a local
-(``answer = internet.answer`` handed to ``next_probes``): such a callee
-is a hot root by its own ``# repro-lint: hot-loop`` marker.
+Reference edges (names passed as call arguments, like ``deliver_held``
+in ``prof.wrap("recv.deliver", deliver_held)``) use the same resolution
+and are followed like call edges.  A driver loop is a plain loop, in the
+driver's body or in a nested function it calls or passes on by name, so
+it hangs off its caller by an ordinary edge.  What the graph cannot
+follow is a bound method held in a local (``answer = internet.answer``
+handed to ``next_probes``): such a callee is a hot root by its own
+``# repro-lint: hot-loop`` marker.
 
 The graph also owns the one forward reachability (:func:`reachable_from`,
 which stops at the **build cut**) and the one witness-chain builder

@@ -1,4 +1,4 @@
-"""Simulated IPv6 internet: topology generation, virtual-time engine,
+"""Simulated IPv6 internet: topology generation, virtual time,
 rate limiting, ECMP, and byte-level packet handling."""
 
 from .build import (

@@ -30,7 +30,6 @@ from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
 from .build import BuiltInternet, InternetConfig, Vantage, build_internet
 from .ecmp import flow_variant
-from .engine import Engine
 from .ratelimit import BucketObserver, TokenBucket
 from .topology import Hop, Router, Subnet
 
@@ -576,33 +575,12 @@ class Internet:
     def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
         """Inject probe bytes at virtual time ``when`` and say what comes
         back: ``(arrival time, response bytes)``, or None when the network
-        stays silent.  The one reader of a :class:`Response`'s round trip;
-        nothing is scheduled (see :meth:`exchange`)."""
+        stays silent.  The one reader of a :class:`Response`'s round trip:
+        the caller holds the reply until its clock reaches the arrival."""
         response = self.probe(data, when)
         if response is None:
             return None
         return when + response.delay_us, response.data
-
-    def exchange(
-        self,
-        engine: Engine,
-        data: bytes,
-        when: int,
-        deliver: Callable[[bytes, int], None],
-    ) -> Optional[Tuple[int, bytes]]:
-        """One wire exchange: :meth:`answer` the probe bytes sent at
-        virtual time ``when`` and, if the network answers, have ``engine``
-        call ``deliver(response_bytes, when)`` at the arrival time.
-
-        Returns what it scheduled, ``(arrival time, response bytes)``, or
-        None when the network stays silent and nothing is scheduled.
-        ``when`` may lie ahead of ``engine.now``.
-        """
-        reply = self.answer(data, when)
-        if reply is not None:
-            arrival, response = reply
-            engine.schedule_at(arrival, lambda: deliver(response, when))
-        return reply
 
     def _deliver_lan(
         self,

@@ -15,7 +15,7 @@ A campaign writes a registry at two doorways only —
 :func:`repro.prober.campaign.run_campaign` and
 ``Internet.attach_observers`` — and only when it is handed one:
 telemetry off is ``metrics is None``, and nothing else in the
-simulator, the engine and the probers included, holds a registry.
+simulator, the probers included, holds a registry.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ operator cannot know the path's token-bucket provisioning in advance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
-from ..netsim.engine import Engine, US_PER_SECOND, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from .campaign import CampaignResult
 from .yarrp6 import Yarrp6, Yarrp6Config
@@ -94,32 +95,40 @@ def run_adaptive_yarrp6(
     vantage = internet.vantage(vantage_name)
     machine = Yarrp6(vantage.address, targets, yarrp_config)
     controller = RateController(config)
-    engine = Engine()
+    # The controller reacts to what it hears, so the replies are held and
+    # handed on before each slot in (arrival, send order) order, a reply
+    # arriving on the slot's time included.
+    held: List[Tuple[int, int, bytes]] = []
 
-    def deliver(data: bytes, sent_at: int) -> None:
-        record = machine.receive(data, engine.now)
-        if record is not None and record.is_time_exceeded:
-            controller.on_response(record.ttl)
+    def hear(until: int) -> None:
+        while held and held[0][0] <= until:
+            arrival, _, data = heappop(held)
+            record = machine.receive(data, arrival)
+            if record is not None and record.is_time_exceeded:
+                controller.on_response(record.ttl)
 
-    def tick() -> Iterator[int]:
-        window_end = config.window_us
-        while True:
-            if engine.now >= window_end:
-                controller.evaluate(engine.now)
-                window_end = engine.now + config.window_us
-            packet = machine.next_probe(engine.now)
-            if packet is not None:
-                # Hop limit byte of the IPv6 header drives the near-hop counter.
-                controller.on_probe(packet[7])
-                internet.exchange(engine, packet, engine.now, deliver)
-            if machine.exhausted:
-                # As in run_campaign: the campaign ends on its final
-                # emission, never on an empty trailing tick.
-                return
-            yield pps_interval(controller.pps)
-
-    engine.drive(tick())
-    engine.run()
+    now = 0
+    window_end = config.window_us
+    while True:
+        hear(now)
+        if now >= window_end:
+            controller.evaluate(now)
+            window_end = now + config.window_us
+        packet = machine.next_probe(now)
+        if packet is not None:
+            # Hop limit byte of the IPv6 header drives the near-hop counter.
+            controller.on_probe(packet[7])
+            reply = internet.answer(packet, now)
+            if reply is not None:
+                heappush(held, (reply[0], machine.sent, reply[1]))
+        if machine.exhausted:
+            # As in run_campaign: the campaign ends on its final emission,
+            # never on an empty trailing slot.
+            break
+        now += pps_interval(controller.pps)
+    # The clock lands on the last emission or the last arrival.
+    now = max([now] + [arrival for arrival, _, _ in held])
+    hear(now)
 
     result = CampaignResult.collect(
         machine,
@@ -127,6 +136,6 @@ def run_adaptive_yarrp6(
         vantage_name,
         "adaptive-yarrp6",
         config.initial_pps,
-        engine.now,
+        now,
     )
     return result, controller

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
-from ..netsim.engine import Engine, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from ..obs.metrics import MetricDump, MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
@@ -96,7 +96,7 @@ PROBERS: Dict[str, Type[Prober]] = {
     "doubletree": DoubletreeProber,
 }
 
-#: Emissions crafted per engine event on the columnar fast path.  Large
+#: Emissions crafted per block on the columnar fast path.  Large
 #: enough to amortize permutation/encode dispatch, small enough that the
 #: response backlog stays modest.
 DEFAULT_BATCH = 256
@@ -105,16 +105,15 @@ DEFAULT_BATCH = 256
 def emissions_before(
     when: int, rtt_us: int, offset: int, stride: int, cap: int, tick_gap: int
 ) -> int:
-    """Probes an instance has emitted when a response arriving at ``when``
-    is processed, replicating the engine's (time, sequence) event order.
+    """Probes an instance has emitted when a reply arriving at ``when`` is
+    handed on, in the per-probe loop's order.
 
     The instance emits its ``k``-th probe at ``offset + k*stride``, ``cap``
     probes in all, so counting emissions before ``when`` is arithmetic.
-    One exactly at ``when`` went first only if the response's round trip
-    was shorter than ``tick_gap``, the gap between consecutive ticks of
-    the engine that ran it: a response is scheduled at its probe's send
-    time, the tick at ``when`` one gap earlier, and equal times fire in
-    scheduling order.
+    A reply arriving on a slot's time is handed on before that slot
+    emits, so one exactly at ``when`` counts only when it is the reply's
+    own probe, a round trip shorter than ``tick_gap``, the slot spacing of
+    the loop the count stands for.
     """
     if when < offset:
         return 0
@@ -160,23 +159,19 @@ def run_campaign(
     rate limiters, zeroed stats — isolating it from earlier trials on the
     same instance (the paper ran trials on separate days).
 
-    The campaign loop is a generator paced by :meth:`Engine.drive`: each
-    resumption emits a block of probes and yields the delay to its next
-    block.  Both loops hand each probe to :meth:`Internet.answer` and
-    hold the replies themselves; no response is an engine event.  The
-    **per-probe loop** runs the prober's ``next_probe``/``receive``
-    contract one slot at a time, :data:`DEFAULT_BATCH` slots a
-    resumption: before each slot's emission it feeds ``receive`` every
-    held reply that arrived by the slot's time, in (arrival, exchange
-    order) order — what an engine scheduling each response would have
-    delivered before that slot, a reply landing on the slot included
-    (``tests/prober/test_per_probe_loop.py`` runs that engine as its
-    oracle).  A loop returns once the prober is exhausted, landing the
-    clock on its last slot or last arrival, whichever is later, and
-    handing on what it still holds, so the campaign's duration is its
-    last emission or response.  Nothing but the engine's heap refers to
-    the suspended loop, so when this function returns the caller holds
-    the only reference to ``internet``.
+    The campaign is a plain loop over a local clock: it hands each probe
+    to :meth:`Internet.answer` at its send time and holds the replies
+    itself.  The **per-probe loop** runs the prober's
+    ``next_probe``/``receive`` contract one slot at a time: before each
+    slot's emission it feeds ``receive`` every held reply that arrived by
+    the slot's time, in (arrival, send order) order, a reply landing on
+    the slot included (``tests/prober/test_per_probe_loop.py`` checks it
+    against an event scheduler that delivers each response as an event).
+    A loop returns once the prober is exhausted, landing the clock on its
+    last slot or last arrival, whichever is later, and handing on what it
+    still holds, so the campaign's duration is its last emission or
+    response.  Nothing outlives the call, so when this function returns
+    the caller holds the only reference to ``internet``.
 
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
@@ -198,16 +193,15 @@ def run_campaign(
 
     ``batch`` sizes the **columnar fast path**: when the prober is a
     Yarrp6 walk, with or without fill mode (no neighborhood skipping),
-    the campaign emits ``batch`` probes per resumption through the
-    batched pull loop (:meth:`Yarrp6.next_probes`) instead of one slot
-    at a time.  Fill mode's one reaction, a Time Exceeded
+    the campaign emits ``batch`` probes per block through the batched
+    pull loop (:meth:`Yarrp6.next_probes`) instead of one slot at a
+    time.  Fill mode's one reaction, a Time Exceeded
     at TTL >= max TTL queueing TTL + 1, is worked out from what
     :meth:`Internet.answer` returns, so the fill joins the queue at the
     slot the per-probe loop's ``receive`` would have queued it for.  At
-    every resumption the loop first records the held replies that
-    arrived by then, in (arrival, exchange order) order, and the rest
-    once the clock has landed on the last arrival.  The engine fires one
-    event per block (plus that landing).  Each response's probes-sent
+    every block's start the loop first records the held replies that
+    arrived by then, in (arrival, send order) order, and the rest once
+    the clock has landed on the last arrival.  Each response's probes-sent
     count is reconstructed from the pacing arithmetic.  The dump,
     records, curve, interfaces, summary (``fills`` and ``fills_unsent``
     included) and duration are byte-identical to the per-probe path —
@@ -241,7 +235,6 @@ def run_campaign(
     prof = profiler if profiler is not None else NULL_PROFILER
     with prof.phase("campaign.setup", prober=prober):
         internet.reset_dynamics()
-        engine = Engine()
         vantage = internet.vantage(vantage_name)
         machine = prober_class(vantage.address, targets, config)
         interval = pps_interval(pps) * pace_stride
@@ -250,19 +243,16 @@ def run_campaign(
     sent_series = None if metrics is None else metrics.series("campaign.sent")
 
     # -- per-probe loop ---------------------------------------------------
-    # One probe per slot, DEFAULT_BATCH slots per resumption.  The replies
-    # are held here, not scheduled: before each slot's emission the loop
-    # feeds the prober every reply that arrived by then, in (arrival,
-    # exchange order) order — what the engine would have delivered before
-    # that slot's resumption, a reply arriving on the slot included.
-    def tick() -> Iterator[int]:
+    # One probe per slot.  The replies are held here: before each slot's
+    # emission the loop feeds the prober every reply that arrived by
+    # then, in (arrival, send order) order, a reply arriving on the slot
+    # included.
+    def run_slots() -> int:
         emit = machine.next_probe
         receive = machine.receive
         answer = internet.answer
         held: List[Tuple[int, int, bytes]] = []
-        span = DEFAULT_BATCH * interval
-        now = engine.now
-        resume = now + span
+        now = pace_offset_us
         while True:
             while held and held[0][0] <= now:
                 arrival, _, data = heappop(held)
@@ -274,7 +264,7 @@ def run_campaign(
                     sent_series.record(now)
                 reply = answer(packet, now)
                 if reply is not None:
-                    # Exchange order: the prober's sent count, this probe's.
+                    # Send order: the prober's sent count, this probe's.
                     heappush(held, (reply[0], machine.sent, reply[1]))
             if machine.exhausted:
                 # Probers that exhaust on their final emission (Yarrp6) end
@@ -284,30 +274,25 @@ def run_campaign(
                 # stream itself.
                 break
             now += interval
-            if now == resume:
-                yield span
-                resume += span
-        # Land the clock where the engine would stop, on the last slot or
-        # the last arrival, whichever is later, and feed what is still held.
+        # Land the clock on the last slot or the last arrival, whichever
+        # is later, and feed what is still held.
         end = now
         for arrival, _, _ in held:
             end = max(end, arrival)
-        if end > engine.now:
-            yield end - engine.now
         while held:
             arrival, _, data = heappop(held)
             receive(data, arrival)
+        return end
 
     # -- columnar fast path ---------------------------------------------
-    # One engine event per *block* of emissions instead of one per probe:
-    # the pull loop crafts a run of probes into a preallocated buffer and
-    # hands each to the internet at its exact logical send time (in
-    # emission order, so limiter and loss draws replay identically).  The
-    # replies are held here, not scheduled: each resumption first records
-    # those that arrived by its time, in (arrival, exchange order) order —
-    # what the engine would have delivered before it, a tie included,
-    # since a reply always exists before the next resumption is armed.  A
-    # pure walk is the case where the fill range is empty.
+    # One block of emissions per pass instead of one probe: the pull loop
+    # crafts a run of probes into a preallocated buffer and hands each to
+    # the internet at its exact logical send time (in emission order, so
+    # limiter and loss draws replay identically).  The replies are held
+    # here: each block first records those that arrived by its start, in
+    # (arrival, send order) order — what the per-probe loop would have
+    # fed its prober by then, a tie included.  A pure walk is the case
+    # where the fill range is empty.
     if (
         batch > 0
         and isinstance(machine, Yarrp6)
@@ -331,16 +316,16 @@ def run_campaign(
                 )
                 process(data, arrival, sent)
 
-        def block_tick() -> Iterator[int]:  # repro-lint: hot-loop
-            # First resumed inside the open ``campaign.run`` phase, so the
+        def run_blocks() -> int:  # repro-lint: hot-loop
+            # Called inside the open ``campaign.run`` phase, so the
             # per-block aggregates nest under it; a disabled profiler
             # hands both calls back untouched.
             pull = prof.wrap("emit.craft", walker.next_probes)
             deliver = prof.wrap("recv.deliver", deliver_held)
             answer = internet.answer
             hold = partial(heappush, held)
+            start = pace_offset_us
             while True:
-                start = engine.now
                 deliver(start)
                 # An arithmetic progression, not a materialized list: zero
                 # per-block allocation (PERF101); next_probes only slices,
@@ -352,27 +337,25 @@ def run_campaign(
                         sent_series.record(when)
                 if walker.exhausted:
                     break
-                yield count * interval
+                start += count * interval
             # Land the clock where the per-probe loop lands: on the final
             # emission or the last arrival, whichever is later (duration
             # invariant), and record what is still held there.
             end = times[count - 1] if count else start
             for arrival, _, _, _ in held:
                 end = max(end, arrival)
-            if end > engine.now:
-                yield end - engine.now
             deliver(end)
+            return end
 
-        steps = block_tick()
+        run = run_blocks
     else:
-        steps = tick()
+        run = run_slots
 
     if metrics is not None:
         internet.attach_observers(metrics)
     try:
         with prof.phase("campaign.run", prober=prober):
-            engine.drive(steps, pace_offset_us)
-            engine.run()
+            duration_us = run()
     finally:
         internet.detach_observers()
     if metrics is not None:
@@ -384,7 +367,7 @@ def run_campaign(
         vantage_name,
         prober,
         pps,
-        engine.now,
+        duration_us,
         None if metrics is None else metrics.to_dict(),
     )
 

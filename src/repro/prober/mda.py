@@ -17,9 +17,10 @@ state untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..netsim.engine import Engine, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from .encoding import encode_probe
 from .records import ResponseProcessor
@@ -83,31 +84,36 @@ def run_mda(
     vantage = internet.vantage(vantage_name)
     result = MDAResult(targets, config)
     processor = ResponseProcessor(config.instance)
-    engine = Engine()
     interval = pps_interval(config.pps)
+    # The replies are held and handed on before each slot in (arrival,
+    # send order) order, so ``hop_sets`` fills in the order they land.
+    held: List[Tuple[int, int, bytes]] = []
 
-    def deliver(data: bytes, sent_at: int) -> None:
-        record = processor.process(data, engine.now, result.sent)
-        if record is not None and record.is_time_exceeded:
-            result.record(record.target, record.ttl, record.hop)
+    def hear(until: int) -> None:
+        while held and held[0][0] <= until:
+            arrival, _, data = heappop(held)
+            record = processor.process(data, arrival, result.sent)
+            if record is not None and record.is_time_exceeded:
+                result.record(record.target, record.ttl, record.hop)
 
-    def sweep() -> Iterator[int]:
-        for flow_id in range(config.flows):
-            for target in targets:
-                for ttl in range(1, config.max_ttl + 1):
-                    packet = encode_probe(
-                        vantage.address,
-                        target,
-                        ttl,
-                        elapsed=engine.now & 0xFFFFFFFF,
-                        instance=config.instance,
-                        protocol=config.protocol,
-                        flow_id=flow_id * 7,  # spread the checksum constants
-                    )
-                    result.sent += 1
-                    internet.exchange(engine, packet, engine.now, deliver)
-                    yield interval
-
-    engine.drive(sweep())
-    engine.run()
+    now = 0
+    for flow_id in range(config.flows):
+        for target in targets:
+            for ttl in range(1, config.max_ttl + 1):
+                hear(now)
+                packet = encode_probe(
+                    vantage.address,
+                    target,
+                    ttl,
+                    elapsed=now & 0xFFFFFFFF,
+                    instance=config.instance,
+                    protocol=config.protocol,
+                    flow_id=flow_id * 7,  # spread the checksum constants
+                )
+                result.sent += 1
+                reply = internet.answer(packet, now)
+                if reply is not None:
+                    heappush(held, (reply[0], result.sent, reply[1]))
+                now += interval
+    hear(max([now] + [arrival for arrival, _, _ in held]))
     return result

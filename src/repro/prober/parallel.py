@@ -34,7 +34,7 @@ single process would give its positions, so every probe carries the same
 bytes (including the embedded send timestamp) at the same time.
 
 **Deterministic merge.**  Records are sorted by arrival time, then by
-send time (the event order the single-process engine produces), then by
+send time (the order the single-process loop hands replies on in), then by
 shard id; interface sets are unioned; the discovery curve is replayed on
 the virtual-time axis with the global sent-counter reconstructed from
 the shards' emission clocks; summary counters and rate-limiter drop
@@ -364,11 +364,11 @@ def _global_sent_at(
     when: int, rtt_us: int, base: int, shards: int, shard_sent: Sequence[int]
 ) -> int:
     """Probes sent across all shards when a response arriving at ``when``
-    is processed, replicating the single-process engine's event order.
+    is handed on, replicating the single-process loop's order.
 
     Shard ``s`` emits its ``k``-th probe at ``s*base + k*shards*base``
-    (stride pacing, one emission per tick until exhaustion), and the
-    single-process engine ticks every ``base``.
+    (stride pacing, one emission per slot until exhaustion), and the
+    single-process loop has a slot every ``base``.
     """
     return sum(
         emissions_before(when, rtt_us, shard * base, base * shards, cap, base)

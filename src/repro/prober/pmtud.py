@@ -15,9 +15,9 @@ tunneled paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..netsim.engine import Engine, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from ..packet import icmpv6, ipv6
 from ..packet.checksum import address_checksum
@@ -58,6 +58,24 @@ def _padded_probe(source: int, target: int, size: int) -> bytes:
     )
 
 
+def _outcome(data: bytes) -> Optional[Tuple[str, int, int]]:
+    """What a reply says: ``(kind, reported MTU, sender)``, or None."""
+    try:
+        header, payload = ipv6.split_packet(data)
+        message = icmpv6.ICMPv6Message.unpack(payload)
+    except ipv6.PacketError:
+        return None
+    if message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG:
+        return ("ptb", message.word, header.src)
+    if message.is_echo_reply:
+        return ("reply", 0, header.src)
+    if message.is_error:
+        # Unreachable et al.: the *packet size* traversed the path as far
+        # as it goes; treat as terminal.
+        return ("error", 0, header.src)
+    return None
+
+
 def discover_pmtu(
     internet: Internet,
     vantage_name: str,
@@ -71,51 +89,33 @@ def discover_pmtu(
     """
     config = config or PMTUDConfig()
     vantage = internet.vantage(vantage_name)
-    engine = Engine()
     interval = pps_interval(config.pps)
 
     results: Dict[int, PMTUDResult] = {target: PMTUDResult() for target in targets}
     sizes: Dict[int, int] = {target: config.start_mtu for target in targets}
     live = set(targets)
 
+    # A round sends one probe per live target and reads each reply as it
+    # is answered; the next round starts on this one's last probe or
+    # reply, whichever is later.
+    start = 0
     for _ in range(config.max_rounds):
         if not live:
             break
         replies: Dict[int, Tuple[str, int, int]] = {}
-
-        def deliver(target: int, data: bytes) -> None:
-            try:
-                header, payload = ipv6.split_packet(data)
-                message = icmpv6.ICMPv6Message.unpack(payload)
-            except ipv6.PacketError:
-                return
-            if message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG:
-                replies[target] = ("ptb", message.word, header.src)
-            elif message.is_echo_reply:
-                replies[target] = ("reply", 0, header.src)
-            elif message.is_error:
-                # Unreachable et al.: the *packet size* traversed the
-                # path as far as it goes; treat as terminal.
-                replies[target] = ("error", 0, header.src)
-
-        def paced() -> Iterator[int]:
-            # The wait comes before every probe but the first, so the
-            # round — and the next round's start — ends on its last
-            # probe or reply, not one interval after it.
-            for index, target in enumerate(sorted(live)):
-                if index:
-                    yield interval
-                packet = _padded_probe(vantage.address, target, sizes[target])
-                internet.exchange(
-                    engine,
-                    packet,
-                    engine.now,
-                    lambda data, sent_at, target=target: deliver(target, data),
-                )
-
-        engine.drive(paced(), engine.now)
-        engine.run()
-
+        end = start
+        for index, target in enumerate(sorted(live)):
+            now = start + index * interval
+            packet = _padded_probe(vantage.address, target, sizes[target])
+            reply = internet.answer(packet, now)
+            end = max(end, now)
+            if reply is not None:
+                arrival, data = reply
+                end = max(end, arrival)
+                outcome = _outcome(data)
+                if outcome is not None:
+                    replies[target] = outcome
+        start = end
         for target in sorted(live):
             result = results[target]
             result.rounds += 1

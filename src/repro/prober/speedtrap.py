@@ -19,9 +19,10 @@ The samples — (address, virtual time, identification) — go to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..netsim.engine import Engine, pps_interval
+from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from ..packet import fragment, icmpv6, ipv6
 from ..packet.checksum import address_checksum
@@ -41,6 +42,10 @@ class SpeedtrapConfig:
     #: Virtual pause between rounds — interleaving across time is what
     #: gives the monotonic-sequence test its power.
     round_gap_us: int = 200_000
+
+    def __post_init__(self) -> None:
+        if self.round_gap_us < 0:
+            raise ValueError("negative round_gap_us: %r" % self.round_gap_us)
 
 
 class IdSample:
@@ -134,29 +139,32 @@ def run_speedtrap(
     config = config or SpeedtrapConfig()
     vantage = internet.vantage(vantage_name)
     machine = Speedtrap(vantage.address, candidates, config)
-    engine = Engine()
     interval = pps_interval(config.pps)
+    # The replies are held and handed on before each send in (arrival,
+    # send order) order, so every candidate's samples are in arrival order.
+    held: List[Tuple[int, int, bytes, int]] = []
 
-    def send(packet: bytes, round_index: int) -> None:
-        internet.exchange(
-            engine,
-            packet,
-            engine.now,
-            lambda data, sent_at: machine.receive(data, engine.now, round_index),
-        )
+    def hear(until: int) -> None:
+        while held and held[0][0] <= until:
+            arrival, _, data, round_index = heappop(held)
+            machine.receive(data, arrival, round_index)
 
-    def rounds() -> Iterator[int]:
+    # Round -1 is the lure round; every sampling round waits out the gap.
+    now = 0
+    for round_index in range(-1, config.rounds):
+        if round_index >= 0:
+            now += config.round_gap_us
         for candidate in machine.candidates:
-            send(machine.lure_packet(candidate), -1)
-            yield interval
-        for round_index in range(config.rounds):
-            yield config.round_gap_us
-            for candidate in machine.candidates:
-                send(machine.sample_packet(candidate, round_index), round_index)
-                yield interval
-
-    engine.drive(rounds())
-    engine.run()
+            hear(now)
+            if round_index < 0:
+                packet = machine.lure_packet(candidate)
+            else:
+                packet = machine.sample_packet(candidate, round_index)
+            reply = internet.answer(packet, now)
+            if reply is not None:
+                heappush(held, (reply[0], machine.sent, reply[1], round_index))
+            now += interval
+    hear(max([now] + [arrival for arrival, _, _, _ in held]))
 
     for candidate in machine.candidates:
         if candidate not in machine.samples:

@@ -41,8 +41,8 @@ _UNBOUNDED = 1 << 62
 #: and returns what comes back, ``(arrival time, response bytes)``, or
 #: None for silence: :meth:`repro.netsim.internet.Internet.answer`.
 Answer = Callable[[bytes, int], Optional[Tuple[int, bytes]]]
-#: A reply held for recording, ``(arrival, exchange order, response
-#: bytes, send time)``: sorted as tuples, the engine's delivery order.
+#: A reply held for recording, ``(arrival, send order, response bytes,
+#: send time)``: sorted as tuples, the per-probe loop's delivery order.
 Held = Tuple[int, int, bytes, int]
 #: ``hold(held)`` takes each reply :meth:`Yarrp6.next_probes` received.
 Hold = Callable[[Held], None]
@@ -115,8 +115,8 @@ class Yarrp6(Prober):
         self._fetched = 0
         self._fill_queue: Deque[Tuple[int, int]] = deque()
         #: Fills :meth:`next_probes` worked out from responses still in
-        #: flight: a heap of ``(arrival, exchange order, target, ttl)``,
-        #: the engine's delivery order.
+        #: flight: a heap of ``(arrival, send order, target, ttl)``, the
+        #: per-probe loop's delivery order.
         self._in_flight: List[Tuple[int, int, int, int]] = []
         #: How many slots :meth:`next_probes` crafts before sending any of
         #: them: the shortest round trip, in slots, that has yet queued a
@@ -166,8 +166,8 @@ class Yarrp6(Prober):
         """The batched pull loop: emit up to ``len(times)`` probes, the
         k-th at virtual send time ``times[k]`` (ascending), handing each
         to ``answer(packet, when)`` and each reply that comes back to
-        ``hold`` as ``(arrival, exchange order, response bytes, send
-        time)``; the exchange order is :attr:`sent` counting this probe.
+        ``hold`` as ``(arrival, send order, response bytes, send time)``;
+        the send order is :attr:`sent` counting this probe.
         Recording the held replies in tuple order is recording them in
         the per-probe loop's delivery order; the caller does that.
 
@@ -177,12 +177,12 @@ class Yarrp6(Prober):
         patched into one preallocated buffer via :class:`~repro.prober.
         encoding.ProbeTemplate`; the stream is byte-identical to
         :meth:`next_probe` called at the same virtual times with
-        :meth:`receive` fed every response in engine order.
+        :meth:`receive` fed every response in the per-probe loop's order.
 
-        That includes fill mode, whose one reaction is known at exchange
+        That includes fill mode, whose one reaction is known at send
         time: ``answer`` returns the response and its arrival, so a Time
         Exceeded that :meth:`receive` would answer with a fill is kept in
-        flight, keyed by engine order (arrival, then exchange order), and
+        flight, keyed by delivery order (arrival, then send order), and
         joins the fill queue at the first slot at or after its arrival —
         where delivery would have put it.  Neighborhood skipping reads
         the clock of discovery, not of emission, and is refused.
@@ -227,7 +227,7 @@ class Yarrp6(Prober):
             released = []
             for when in times[position : min(count, position + self._lead)]:
                 while in_flight and in_flight[0][0] <= when:
-                    # Delivered before this slot's tick: every probe in
+                    # Delivered before this slot emits: every probe in
                     # flight left at an earlier slot.
                     entry = heappop(in_flight)
                     released.append((len(crafted), entry))

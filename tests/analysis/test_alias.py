@@ -134,6 +134,11 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             Speedtrap(1, [])
 
+    def test_a_negative_round_gap_is_refused_when_configured(self):
+        with pytest.raises(ValueError, match="negative round_gap_us: -1"):
+            SpeedtrapConfig(round_gap_us=-1)
+        assert SpeedtrapConfig(round_gap_us=0).round_gap_us == 0
+
     def test_resolution_accuracy(self, world):
         net = Internet(world)
         candidates = []

@@ -63,3 +63,11 @@ class TestInference:
         net = Internet(built)
         estimate = infer_limiter(net, "US-EDU-1", any_target(built), 1)
         assert estimate.probes_used > 0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["settle_seconds", "scan_seconds"])
+    def test_a_negative_duration_is_refused_when_configured(self, field):
+        with pytest.raises(ValueError, match="negative %s: -10" % field):
+            LimiterProbeConfig(**{field: -10})
+        assert getattr(LimiterProbeConfig(**{field: 0}), field) == 0

@@ -1,15 +1,13 @@
-"""One wire exchange and one pacing loop, checked over the source tree.
+"""One wire exchange and no event scheduler, checked over the source tree.
 
 ``Internet.answer`` is the only code that reads a ``Response``'s
 ``delay_us``: a read anywhere else is a hand-written copy of the round
-trip.  ``Engine.drive`` is the only code that paces a driver on the
-virtual clock and ``Internet.exchange`` (``answer`` plus one
-``schedule_at``) the only code that schedules a response; the columnar
-Yarrp6 loop schedules none, it records the replies ``answer`` returns
-itself.  Any other ``.schedule(`` / ``.schedule_at(`` call is a
-hand-written campaign loop (and, if it names itself, a reference cycle
-holding the world).  The paper benchmarks and the examples are held to
-the same line as the package.
+trip.  Every driver is a plain loop over its own clock that holds the
+replies ``answer`` returns and hands them on itself, so nothing outside
+``netsim/engine.py`` constructs an ``Engine`` or schedules on one; a
+``.schedule_at(`` call elsewhere is a hand-written event loop (and, if
+it names itself, a reference cycle holding the world).  The paper
+benchmarks and the examples are held to the same line as the package.
 """
 
 import ast
@@ -48,7 +46,7 @@ def offenders(matches, allowed):
     ]
 
 
-def test_only_internet_exchange_reads_a_response_delay():
+def test_only_internet_answer_reads_a_response_delay():
     def reads_delay(node):
         return (
             isinstance(node, ast.Attribute)
@@ -59,7 +57,7 @@ def test_only_internet_exchange_reads_a_response_delay():
     assert offenders(reads_delay, ("netsim/internet.py",)) == []
 
 
-def test_only_the_engine_and_the_exchange_schedule():
+def test_only_the_engine_schedules():
     def schedules(node):
         return (
             isinstance(node, ast.Call)
@@ -67,4 +65,14 @@ def test_only_the_engine_and_the_exchange_schedule():
             and node.func.attr in ("schedule", "schedule_at")
         )
 
-    assert offenders(schedules, ("netsim/engine.py", "netsim/internet.py")) == []
+    assert offenders(schedules, ("netsim/engine.py",)) == []
+
+
+def test_no_driver_constructs_an_engine():
+    def constructs_engine(node):
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Engine")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Engine")
+        )
+
+    assert offenders(constructs_engine, ("netsim/engine.py",)) == []

@@ -14,7 +14,6 @@ from repro.netsim import (
     decoupled_dynamics,
 )
 from repro.netsim.ecmp import flow_variant
-from repro.netsim.engine import Engine
 from repro.obs import MetricsRegistry
 from repro.packet import icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
@@ -352,47 +351,27 @@ class TestDecisionOrder:
         assert header.src == hops[hop][1]
 
 
-class TestExchange:
-    """``exchange`` is ``probe`` plus the round trip on the engine."""
+class TestAnswer:
+    """``answer`` is ``probe`` plus the round trip: what comes back and
+    when, for the caller to hold until its clock gets there."""
 
-    def test_dropped_probe_schedules_nothing(self, net):
+    def test_dropped_probe_answers_nothing(self, net):
         vantage = net.vantage("US-EDU-1")
         dst = first_host(net)
         when = 0
         while not net.stats.rate_limited:  # drain the first hop's bucket
             when += 1
             net.probe(icmp_probe(vantage.address, dst, 1, seq=when), now=when)
-        engine = Engine()
-        calls = []
-        net.exchange(
-            engine,
-            icmp_probe(vantage.address, dst, 1),
-            when,
-            lambda data, sent_at: calls.append(data),
-        )
-        assert engine.pending == 0
-        engine.run()
-        assert calls == []
+        assert net.answer(icmp_probe(vantage.address, dst, 1), when) is None
 
-    # The block loop injects ahead of the clock: ``when`` > ``engine.now``.
     @pytest.mark.parametrize("when", (0, 5000))
-    def test_answered_probe_delivers_once_after_the_round_trip(self, net, when):
+    def test_answered_probe_arrives_after_the_round_trip(self, net, when):
         vantage = net.vantage("US-EDU-1")
         packet = icmp_probe(vantage.address, first_host(net), 3)
         response = net.probe(packet, now=when)
         assert response is not None
         net.fresh_run_state()
-        engine = Engine()
-        calls = []
-        net.exchange(
-            engine,
-            packet,
-            when,
-            lambda data, sent_at: calls.append((engine.now, data, sent_at)),
-        )
-        assert engine.now == 0 and engine.pending == 1 and calls == []
-        engine.run()
-        assert calls == [(when + response.delay_us, response.data, when)]
+        assert net.answer(packet, when) == (when + response.delay_us, response.data)
 
 
 class TestFlowPathChoice:

@@ -315,9 +315,9 @@ def test_the_per_event_loop_reproduces_its_pinned_output(kind):
 
 def test_run_campaign_has_one_per_event_loop_and_one_block_loop():
     """The shape that keeps a second per-event loop from quietly coming
-    back: one emission site, one reception site, two generators — and
-    no response scheduled on the engine: no ``exchange`` call, no
-    ``deliver`` closure."""
+    back: one emission site, one reception site, two loops — and no
+    event scheduler: no generator, no ``Engine``, no ``exchange`` or
+    ``drive`` call, no ``deliver`` closure."""
     tree = ast.parse(inspect.getsource(campaign_module))
     (run,) = [
         node
@@ -339,18 +339,16 @@ def test_run_campaign_has_one_per_event_loop_and_one_block_loop():
     assert len(attribute_uses("machine", "next_probe")) == 1
     assert len(attribute_uses("machine", "receive")) == 1
     assert not [
-        node for node in ast.walk(run) if isinstance(node, ast.Attribute) and node.attr == "exchange"
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("exchange", "drive"))
+        or (isinstance(node, ast.Name) and node.id == "Engine")
+        or isinstance(node, (ast.Yield, ast.YieldFrom))
     ]
-    nested = [
-        node for node in ast.walk(run) if isinstance(node, ast.FunctionDef) and node is not run
-    ]
-    assert "deliver" not in {function.name for function in nested}
-    generators = [
-        function.name
-        for function in nested
-        if any(isinstance(node, ast.Yield) for node in ast.walk(function))
-    ]
-    assert sorted(generators) == ["block_tick", "tick"]
+    nested = {
+        node.name for node in ast.walk(run) if isinstance(node, ast.FunctionDef) and node is not run
+    }
+    assert nested == {"deliver_held", "run_blocks", "run_slots"}
 
 
 def test_metrics_off_by_default():

@@ -10,7 +10,7 @@ the per-event implementation it replaces:
 * ``Yarrp6.next_probes`` (batched pull) vs ``next_probe`` (one at a
   time);
 * ``run_campaign(batch=N)`` (block emission, analytic sent-counter
-  reconstruction, fills released from what the exchange returned) vs
+  reconstruction, fills released from what ``answer`` returned) vs
   ``run_campaign(batch=0)`` (the per-probe loop, fills queued by
   ``receive``), for pure walks and fill mode alike.
 
@@ -25,10 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.prober.campaign as campaign_module
 import repro.prober.yarrp6 as yarrp6_module
 from repro.netsim import Internet, InternetConfig, build_internet, decoupled_dynamics
-from repro.netsim.engine import Engine
 from repro.obs import dump_to_json
 from repro.packet import icmpv6
 from repro.prober.campaign import DEFAULT_BATCH, run_campaign
@@ -356,36 +354,6 @@ def assert_equivalent(reference, batched):
     assert dump_to_json(batched.metrics) == dump_to_json(reference.metrics)
 
 
-class CountingEngine(Engine):
-    """The campaign engine, counting the events it schedules and fires."""
-
-    def __init__(self):
-        super().__init__()
-        self.scheduled = self.fired = 0
-
-    def schedule_at(self, when, callback):
-        self.scheduled += 1
-
-        def fire():
-            self.fired += 1
-            callback()
-
-        super().schedule_at(when, fire)
-
-
-@pytest.fixture()
-def engines(monkeypatch):
-    """Every engine the campaigns of one test run, in campaign order."""
-    made = []
-
-    def make():
-        made.append(CountingEngine())
-        return made[-1]
-
-    monkeypatch.setattr(campaign_module, "Engine", make)
-    return made
-
-
 class TestBatchedCampaignEquivalence:
     """The acceptance criterion: batched == scalar, bytes for bytes,
     telemetry included."""
@@ -431,29 +399,10 @@ class TestBatchedCampaignEquivalence:
         )
         assert_equivalent(reference, batched)
 
-    @pytest.mark.parametrize("batch", [1, 7, DEFAULT_BATCH])
-    @pytest.mark.parametrize("fill", [False, True])
-    def test_each_loop_fires_one_event_per_block(self, engines, batch, fill):
-        """Neither loop schedules a response.  Each engine fires one
-        resumption per block — ``DEFAULT_BATCH`` slots on the per-probe
-        loop, ``batch`` emissions on the columnar one — plus one landing
-        step when the last arrival is later than the last block's start,
-        and nothing else, while the telemetry (asserted elsewhere) stays
-        identical."""
-        reference, batched = run_pair(
-            seed=7, pps=1000.0, batch=batch, max_ttl=4, fill=fill, fill_ceiling=12
-        )
-        assert reference.sent > DEFAULT_BATCH
-        for engine, result, size in zip(engines, (reference, batched), (DEFAULT_BATCH, batch)):
-            blocks = -(-result.sent // size)
-            landing = result.duration_us > (blocks - 1) * size * 1000
-            assert engine.fired == engine.scheduled == blocks + landing
-
-    def test_non_pure_walk_falls_back(self, engines, monkeypatch):
+    def test_non_pure_walk_falls_back(self, monkeypatch):
         """Neighborhood mode must take the per-probe path even when a
-        batch size is requested — never the batched pull, and one
-        engine event per ``DEFAULT_BATCH`` slots, as at ``batch=0`` —
-        and skip probes as usual."""
+        batch size is requested — never the batched pull, as at
+        ``batch=0`` — and skip probes as usual."""
 
         def pulled(*args):
             raise AssertionError("neighborhood mode reached the batched pull")
@@ -478,7 +427,6 @@ class TestBatchedCampaignEquivalence:
         reference, fallback = results
         assert reference.summary["skipped"] > 0
         assert_equivalent(reference, fallback)
-        assert engines[1].fired == engines[0].fired < reference.sent
 
     def test_negative_batch_rejected(self):
         config, targets = tiny_world(7)
@@ -492,8 +440,8 @@ class TestBatchedCampaignEquivalence:
 
 
 class TestFillModeEquivalence:
-    """Fill mode on the columnar path: every fill predicted from what the
-    exchange returned joins the queue at the slot the per-event loop's
+    """Fill mode on the columnar path: every fill predicted from what
+    ``answer`` returned joins the queue at the slot the per-event loop's
     delivery would have queued it for, so the two paths emit the same
     stream — fills, ``fills_unsent`` and all."""
 
@@ -563,7 +511,7 @@ class TestFillReleaseAgainstDelivery:
     """``next_probes`` on a scripted network — each probe answered after
     a chosen round trip, verbatim, rewritten, truncated or not at all —
     emits what ``next_probe`` emits with ``receive`` fed every response
-    in engine order (arrival, then send order; a response arriving at a
+    in delivery order (arrival, then send order; a response arriving at a
     slot's time before that slot's probe).  Round trips of a few slots
     cut runs and put slots back, fills released into the queue included.
     """

@@ -1,16 +1,16 @@
-"""The per-probe campaign loop against the engine it stands in for.
+"""The per-probe campaign loop against the event scheduler it stands in for.
 
 ``run_campaign``'s per-probe loop (the sequential and Doubletree
 baselines, Yarrp6's neighbourhood mode, ``batch=0``) holds its replies
 itself: before each slot's emission it feeds the prober every reply that
-has arrived by then, in (arrival, exchange order) order, and the engine
-resumes it once a block of slots.  :func:`engine_campaign` is that loop
-as the engine ran it, one resumption per probe and each response
-scheduled by :meth:`Internet.exchange` — the order the held replies must
-replay.  Every case compares dumps, records, summary, curve, duration
-and metric dump, and picks a world where the order is visible: replies
-overtake each other, some land exactly on a slot, and neighbourhood
-skipping fires.
+has arrived by then, in (arrival, send order) order.
+:func:`engine_campaign` is the same campaign as a discrete-event
+simulation: every slot and every response is an :class:`Engine` event,
+each response scheduled when its probe is sent, so before the next slot
+— the order the held replies must replay.  Every case compares dumps,
+records, summary, curve, duration and metric dump, and picks a world
+where the order is visible: replies overtake each other, some land
+exactly on a slot, and neighbourhood skipping fires.
 """
 
 import pytest
@@ -30,31 +30,30 @@ def engine_campaign(
     internet, vantage, targets, prober, pps, config=None,
     pace_offset_us=0, pace_stride=1, metrics=None,
 ):
-    """The reference: one engine resumption per probe, every response an
-    engine event scheduled by :meth:`Internet.exchange`."""
+    """The reference: each slot an engine event that schedules its
+    probe's response at the arrival time, then the next slot."""
     internet.reset_dynamics()
     engine = Engine()
     machine = PROBERS[prober](internet.vantage(vantage).address, targets, config)
     interval = pps_interval(pps) * pace_stride
     sent_series = None if metrics is None else metrics.series("campaign.sent")
 
-    def deliver(data, sent_at):
-        machine.receive(data, engine.now)
-
     def tick():
-        while True:
-            packet = machine.next_probe(engine.now)
-            if packet is not None:
-                if sent_series is not None:
-                    sent_series.record(engine.now)
-                internet.exchange(engine, packet, engine.now, deliver)
-            if machine.exhausted:
-                return
-            yield interval
+        now = engine.now
+        packet = machine.next_probe(now)
+        if packet is not None:
+            if sent_series is not None:
+                sent_series.record(now)
+            reply = internet.answer(packet, now)
+            if reply is not None:
+                arrival, data = reply
+                engine.schedule_at(arrival, lambda: machine.receive(data, arrival))
+        if not machine.exhausted:
+            engine.schedule_at(now + interval, tick)
 
     if metrics is not None:
         internet.attach_observers(metrics)
-    engine.drive(tick(), pace_offset_us)
+    engine.schedule_at(pace_offset_us, tick)
     engine.run()
     internet.detach_observers()
     if metrics is not None:
