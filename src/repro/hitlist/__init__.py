@@ -1,11 +1,5 @@
 """Target generation: seeds → prefix transformation → synthesis (Fig. 1)."""
 
-from .dealias import (
-    DealiasConfig,
-    candidate_prefixes,
-    detect_aliased,
-    filter_hitlist,
-)
 from .entropy import EntropyModel, Segment, nybble_entropy, segment, structure_summary
 from .kip import KIPParams, coverage, kip_aggregate, kn_transform
 from .pipeline import TargetSet, build_suite, combine, make_targets
@@ -14,7 +8,6 @@ from .synthesis import fixediid, known, lowbyte1, random_iid, synthesize, with_i
 from .transform import as_prefix, expand_short_prefixes, zn
 
 __all__ = [
-    "DealiasConfig",
     "EntropyModel",
     "KIPParams",
     "Segment",
@@ -22,12 +15,9 @@ __all__ = [
     "TargetSet",
     "as_prefix",
     "build_suite",
-    "candidate_prefixes",
     "cluster_densities",
     "combine",
     "coverage",
-    "detect_aliased",
-    "filter_hitlist",
     "expand_short_prefixes",
     "fixediid",
     "generate",

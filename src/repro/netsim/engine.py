@@ -10,13 +10,13 @@ phenomenon that separates sequential from randomized probing in Figure 5
 — is preserved faithfully.
 
 **Virtual time is a loop variable.**  Every driver (the campaign loops,
-adaptive rate, MDA, Speedtrap, PMTUD, dealiasing, limiter inference) is
-a plain loop over its own clock ``now``: it hands each probe to
-``Internet.answer`` at its send time and hands the replies on itself, in
-(arrival, send order) order, a reply arriving on a slot's time before
-that slot.  No driver constructs an :class:`Engine`; it stays as the
-scheduler that order is defined by — the oracle of
-``tests/prober/test_per_probe_loop.py`` and a layer of the perf ledger.
+adaptive rate, Speedtrap, limiter inference) is a plain loop over its
+own clock ``now``: it hands each probe to ``Internet.answer`` at its
+send time and hands the replies on itself, in (arrival, send order)
+order, a reply arriving on a slot's time before that slot.  No driver
+constructs an :class:`Engine`; it stays as the scheduler that order is
+defined by — the oracle of ``tests/prober/test_per_probe_loop.py`` and
+a layer of the perf ledger.
 """
 
 from __future__ import annotations

@@ -127,11 +127,6 @@ class ICMPv6Message:
         return self.body
 
     @property
-    def is_error(self) -> bool:
-        """ICMPv6 errors have type < 128 (RFC 4443 Section 2.1)."""
-        return self.msg_type < 128
-
-    @property
     def is_time_exceeded(self) -> bool:
         return self.msg_type == TYPE_TIME_EXCEEDED
 

@@ -33,7 +33,6 @@ from .parallel import (
 )
 from .supervise import ShardFailure
 from .permutation import KeyedPermutation, ProbeSchedule
-from .mda import MDAConfig, MDAResult, run_mda
 from .output import (
     LoadedCampaign,
     dumps,
@@ -42,7 +41,6 @@ from .output import (
     save_campaign,
     write_campaign,
 )
-from .pmtud import PMTUDConfig, PMTUDResult, discover_pmtu, mtu_census
 from .records import ProbeRecord, ResponseProcessor
 from .speedtrap import IdSample, Speedtrap, SpeedtrapConfig, run_speedtrap
 from .traceroute import SequentialConfig, SequentialProber
@@ -60,12 +58,8 @@ __all__ = [
     "IdSample",
     "KeyedPermutation",
     "LoadedCampaign",
-    "MDAConfig",
-    "MDAResult",
     "MAGIC",
     "PAYLOAD_LENGTH",
-    "PMTUDConfig",
-    "PMTUDResult",
     "PROBERS",
     "ProbeRecord",
     "ProbeSchedule",
@@ -81,15 +75,12 @@ __all__ = [
     "Yarrp6",
     "Yarrp6Config",
     "decode_quotation",
-    "discover_pmtu",
     "dumps",
     "encode_probe",
     "load_campaign",
     "loads",
     "merge_results",
     "rtt_from",
-    "mtu_census",
-    "run_mda",
     "save_campaign",
     "run_adaptive_yarrp6",
     "run_campaign",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import isfinite
 from typing import List, Optional, Sequence, Tuple
 
 from ..netsim.engine import pps_interval
@@ -27,12 +28,21 @@ from .yarrp6 import Yarrp6, Yarrp6Config
 
 @dataclass
 class AdaptiveConfig:
-    """AIMD controller parameters."""
+    """AIMD controller parameters.
+
+    A value the controller would misuse is refused when the config is
+    built, naming the field: a rate that is not positive and finite, a
+    floor above the ceiling, a window shorter than 1 µs.  The run may
+    start above ``max_pps`` (an overloaded start the first windows pull
+    down); every rate the controller sets lies in [``min_pps``,
+    ``max_pps``].
+    """
 
     initial_pps: float = 2000.0
     min_pps: float = 50.0
     max_pps: float = 10_000.0
-    #: Controller evaluation window.
+    #: Controller evaluation window.  A window that closes before five
+    #: near-hop probes are sent closes without acting.
     window_us: int = 250_000
     #: TTLs counted as the "near neighborhood" whose health is watched.
     near_ttl: int = 3
@@ -42,6 +52,18 @@ class AdaptiveConfig:
     high_water: float = 0.9
     #: Additive increase per healthy window (pps).
     increase: float = 200.0
+
+    def __post_init__(self) -> None:
+        for name in ("initial_pps", "min_pps", "max_pps"):
+            rate = getattr(self, name)
+            if not isfinite(rate) or rate <= 0:
+                raise ValueError("%s must be positive and finite: %r" % (name, rate))
+        if self.min_pps > self.max_pps:
+            raise ValueError(
+                "min_pps %r is above max_pps %r" % (self.min_pps, self.max_pps)
+            )
+        if self.window_us < 1:
+            raise ValueError("window_us must be at least 1: %r" % self.window_us)
 
 
 class RateController:

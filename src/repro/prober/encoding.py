@@ -110,17 +110,16 @@ def _payload_with_fudge(
     instance: int,
     ttl: int,
     elapsed: int,
-    desired_sum: int = TARGET_SUM,
 ) -> bytes:
     """The 12-byte Yarrp6 payload, fudged so that the transport checksum
-    over (pseudo-header + fixed transport header + payload) lands on the
-    chosen constant (``TARGET_SUM`` shifted by the flow id)."""
+    over (pseudo-header + fixed transport header + payload) lands on
+    ``TARGET_SUM``."""
     head = PAYLOAD_HEAD.pack(MAGIC, instance & 0xFF, ttl & 0xFF, elapsed & 0xFFFFFFFF)
     length = len(fixed_header) + PAYLOAD_LENGTH
     base = ones_complement_sum(
         fixed_header + head, pseudo_header_sum(src, target, length, proto)
     )
-    fudge = checksum_fudge(base, desired_sum)
+    fudge = checksum_fudge(base, TARGET_SUM)
     return head + fudge.to_bytes(2, "big")
 
 
@@ -131,21 +130,17 @@ def encode_probe(
     elapsed: int,
     instance: int = 1,
     protocol: str = "icmp6",
-    flow_id: int = 0,
 ) -> bytes:
     """Build complete probe packet bytes for (target, TTL).
 
-    ``flow_id`` shifts the constant the checksum is fudged to: flow 0 is
-    the Paris-stable default; nonzero flows present a *different but
-    still per-flow-constant* checksum, steering ECMP hashes onto other
-    paths — the Multipath Detection (MDA) technique for enumerating
-    load-balanced siblings.
+    The checksum is fudged to ``TARGET_SUM`` for every probe, so the
+    headers an ECMP load balancer hashes stay constant per target and
+    every probe toward it follows one path (Paris-traceroute behaviour).
     """
     proto = PROTOCOLS.get(protocol)
     if proto is None:
         raise ValueError("unknown protocol %r" % protocol)
     sport = address_checksum(target)
-    desired_sum = (TARGET_SUM + flow_id) & 0xFFFF
 
     # The transport header with a zero checksum field.
     if proto == PROTO_ICMPV6:
@@ -158,13 +153,11 @@ def encode_probe(
     else:  # TCP SYN
         fixed = tcp.TCPHeader(sport, DEST_PORT, seq=0, flags=tcp.FLAG_SYN).pack()
 
-    payload = _payload_with_fudge(
-        src, target, proto, fixed, instance, ttl, elapsed, desired_sum
-    )
+    payload = _payload_with_fudge(src, target, proto, fixed, instance, ttl, elapsed)
     checksum_at = _CHECKSUM_OFFSET[proto]
     segment = (
         fixed[:checksum_at]
-        + ((~desired_sum) & 0xFFFF).to_bytes(2, "big")
+        + ((~TARGET_SUM) & 0xFFFF).to_bytes(2, "big")
         + fixed[checksum_at + 2 :]
         + payload
     )
@@ -180,13 +173,13 @@ class ProbeTemplate:
 
     Everything that is constant across one prober's emissions — the IPv6
     header scaffold, transport header, magic, instance, *and the final
-    transport checksum* (which Yarrp6's fudge field keeps constant by
-    construction) — is rendered once.  Per probe, :meth:`encode_into`
-    rewrites only the six variable field groups of a reusable
-    ``bytearray``: hop limit, destination address, target-checksum port,
-    payload TTL, elapsed timestamp, and the fudge word, recomputed
-    incrementally from a precomputed one's-complement base sum instead of
-    re-summing the packet.  Output bytes are identical to
+    transport checksum* (the complement of ``TARGET_SUM``, which the
+    fudge field steers every probe to) — is rendered once.  Per probe,
+    :meth:`encode_into` rewrites only the six variable field groups of a
+    reusable ``bytearray``: hop limit, destination address,
+    target-checksum port, payload TTL, elapsed timestamp, and the fudge
+    word, recomputed incrementally from a precomputed one's-complement
+    base sum instead of re-summing the packet.  Output bytes are identical to
     :func:`encode_probe`; the equivalence suite pins this per protocol.
     """
 
@@ -194,11 +187,9 @@ class ProbeTemplate:
         "src",
         "instance",
         "protocol",
-        "flow_id",
         "size",
         "_template",
         "_base_sum",
-        "_desired",
         "_sport_at",
         "_payload_at",
     )
@@ -208,7 +199,6 @@ class ProbeTemplate:
         src: int,
         instance: int = 1,
         protocol: str = "icmp6",
-        flow_id: int = 0,
     ) -> None:
         proto = PROTOCOLS.get(protocol)
         if proto is None:
@@ -216,8 +206,6 @@ class ProbeTemplate:
         self.src = src
         self.instance = instance
         self.protocol = protocol
-        self.flow_id = flow_id
-        self._desired = (TARGET_SUM + flow_id) & 0xFFFF
         transport_length = _TRANSPORT_LENGTH[proto]
         payload_at = _IPV6_HEADER + transport_length
         self._sport_at = _IPV6_HEADER + _SPORT_OFFSET[proto]
@@ -228,11 +216,7 @@ class ProbeTemplate:
         # all zero; ttl/elapsed 0), then zero the two fields encode_probe
         # derived *from* the target (sport, fudge) so the template is
         # canonical and correctness never depends on its initial values.
-        scaffold = bytearray(
-            encode_probe(
-                src, 0, 0, 0, instance=instance, protocol=protocol, flow_id=flow_id
-            )
-        )
+        scaffold = bytearray(encode_probe(src, 0, 0, 0, instance=instance, protocol=protocol))
         scaffold[self._sport_at : self._sport_at + 2] = b"\x00\x00"
         scaffold[payload_at + 10 : payload_at + 12] = b"\x00\x00"
         self._template = bytes(scaffold)
@@ -280,7 +264,7 @@ class ProbeTemplate:
         )
         # The base sum covers the magic, so the total is never zero and
         # folds with one modulo; then checksum_fudge, inline.
-        fudge = self._desired - ((total - 1) % 0xFFFF + 1)
+        fudge = TARGET_SUM - ((total - 1) % 0xFFFF + 1)
         if fudge <= 0:
             fudge += 0xFFFF
         buffer[payload_at + 10] = fudge >> 8

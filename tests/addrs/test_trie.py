@@ -58,6 +58,17 @@ class TestInsertLookup:
         assert trie.get(Prefix.parse("2001:db8::/48")) is None
         assert trie.get(Prefix.parse("2001:db8::/32")) == "A"
 
+    def test_exact_get_above_every_stored_prefix(self):
+        trie = build(("2001:db8::/32", "A"))
+        assert trie.get(Prefix.parse("2001::/16")) is None
+        assert Prefix.parse("2001::/16") not in trie
+
+    def test_exact_get_off_the_stored_branch(self):
+        trie = build(("2001:db8::/32", "A"), ("2001:db8:1::/48", "B"))
+        assert trie.get(Prefix.parse("2001:db9::/48")) is None
+        assert Prefix.parse("2001:db9:1::/48") not in trie
+        assert trie.get(Prefix.parse("2001:db8:1::/48")) == "B"
+
     def test_contains(self):
         trie = build(("2001:db8::/32", "A"))
         assert Prefix.parse("2001:db8::/32") in trie

@@ -11,6 +11,8 @@ from repro.analysis.alias import (
     _unwrap,
 )
 from repro.netsim import Internet, InternetConfig, build_internet
+from repro.packet import fragment, icmpv6, ipv6, udp
+from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_UDP
 from repro.prober.speedtrap import IdSample, Speedtrap, SpeedtrapConfig, run_speedtrap
 
 
@@ -123,6 +125,74 @@ class TestScore:
         # Address 4 was never probed: its pairs don't count against recall.
         accuracy = score_against_truth([{1, 2}], [{1, 2, 4}])
         assert accuracy.recall == 1.0
+
+
+def test_truth_clusters_skip_addresses_no_router_owns():
+    router_a, router_b = object(), object()
+    owners = {1: router_a, 2: router_a, 3: router_b}
+    clusters = truth_clusters_for([1, 2, 3, 4, 5], owners)
+    assert sorted(map(sorted, clusters)) == [[1, 2], [3]]
+
+
+SOURCE = 0x2001_0DB8 << 96 | 1
+ROUTER = 0x2001_0DB8 << 96 | 0xA
+
+
+def reply_from_router(next_header, segment):
+    return ipv6.build_packet(IPv6Header(ROUTER, SOURCE, 0, next_header), segment)
+
+
+ECHO_REPLY = icmpv6.echo_reply(1, 0, b"speedtrap").pack(ROUTER, SOURCE)
+
+
+class TestSpeedtrapReceive:
+    """Speedtrap samples only an Echo Reply that arrives as an atomic
+    fragment: the Identification is what it came for."""
+
+    def test_an_atomic_echo_reply_is_sampled(self):
+        machine = Speedtrap(SOURCE, [ROUTER])
+        packet = reply_from_router(
+            fragment.PROTO_FRAGMENT, fragment.wrap_atomic(PROTO_ICMPV6, 0xBEEF, ECHO_REPLY)
+        )
+        sample = machine.receive(packet, 1234, 2)
+        assert (sample.address, sample.time_us, sample.identification, sample.round_index) == (
+            ROUTER, 1234, 0xBEEF, 2,
+        )
+        assert machine.samples == {ROUTER: [sample]}
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            b"\x60\x00",
+            reply_from_router(PROTO_ICMPV6, ECHO_REPLY),
+            reply_from_router(fragment.PROTO_FRAGMENT, b"\x3a\x00"),
+            reply_from_router(
+                fragment.PROTO_FRAGMENT,
+                fragment.wrap_atomic(PROTO_UDP, 7, udp.build_datagram(ROUTER, SOURCE, 1, 2, b"")),
+            ),
+            reply_from_router(
+                fragment.PROTO_FRAGMENT, fragment.wrap_atomic(PROTO_ICMPV6, 7, b"\x81")
+            ),
+            reply_from_router(
+                fragment.PROTO_FRAGMENT,
+                fragment.wrap_atomic(
+                    PROTO_ICMPV6, 7, icmpv6.time_exceeded(b"\x60" + bytes(47)).pack(ROUTER, SOURCE)
+                ),
+            ),
+        ],
+        ids=[
+            "truncated-header",
+            "unfragmented",
+            "truncated-fragment-header",
+            "fragment-of-udp",
+            "fragment-of-truncated-icmpv6",
+            "fragment-of-time-exceeded",
+        ],
+    )
+    def test_anything_else_is_dropped(self, packet):
+        machine = Speedtrap(SOURCE, [ROUTER])
+        assert machine.receive(packet, 0, 0) is None
+        assert not machine.samples
 
 
 class TestEndToEnd:

@@ -82,6 +82,18 @@ class TestDiscoveryCurve:
         )
         assert discovery_curve(empty) == []
 
+    def test_a_short_curve_is_kept_whole(self):
+        from repro.prober.campaign import CampaignResult
+
+        curve = [(1, 1), (10, 4), (100, 9)]
+        short = CampaignResult(
+            name="x", vantage="v", prober="yarrp6", pps=1, targets=1, sent=100,
+            records=[], interfaces=set(), curve=curve, response_labels={},
+            summary={}, duration_us=0,
+        )
+        assert discovery_curve(short, points=3) == curve
+        assert discovery_curve(short, points=3) is not curve
+
 
 class TestEui64Analysis:
     def test_cpe_campaign_eui64_heavy(self, cpe_campaign, edge_campaign):
@@ -103,6 +115,15 @@ class TestEui64Analysis:
         """Each CPE ISP fields a single vendor: the top-2 OUI share of
         EUI-64 interfaces is overwhelming."""
         assert oui_concentration(cpe_campaign.interfaces, top=2) > 0.9
+
+    def test_no_interfaces_no_share(self):
+        assert eui64_share([]) == 0.0
+        assert oui_concentration([]) == 0.0
+
+    def test_no_eui64_interfaces_no_concentration(self):
+        lowbyte = [parse("2001:db8::1"), parse("2001:db8::2")]
+        assert eui64_share(lowbyte) == 0.0
+        assert oui_concentration(lowbyte) == 0.0
 
     def test_percentile(self):
         assert percentile([1, 2, 3, 4], 0.5) == 2

@@ -1,6 +1,7 @@
 """Tests for interface- and router-level graph construction."""
 
 import networkx as nx
+import pytest
 
 from repro.addrs import parse
 from repro.analysis.graph import (
@@ -120,3 +121,47 @@ class TestSummaryAccuracy:
         fraction, checked = edge_accuracy(graph, set())
         assert checked == 0
         assert fraction == 1.0
+
+
+class TestMeasuredRouterGraph:
+    """A router graph from a real campaign and Speedtrap's clusters: every
+    interface the traces saw lands on exactly one router."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        from repro.analysis import resolve_aliases
+        from repro.analysis.traces import build_traces
+        from repro.netsim import Internet, InternetConfig, build_internet
+        from repro.prober import run_speedtrap, run_yarrp6
+
+        built = build_internet(InternetConfig(n_edge=15, cpe_customers_per_isp=60, seed=3))
+        net = Internet(built)
+        targets = [subnet.prefix.base | 1 for subnet in list(built.truth.subnets.values())[:60]]
+        campaign = run_yarrp6(net, "US-EDU-1", targets, pps=500, max_ttl=16)
+        net.reset_dynamics()
+        machine = run_speedtrap(net, "US-EDU-1", sorted(campaign.interfaces))
+        clusters = resolve_aliases(machine.samples)
+        interfaces = interface_graph(build_traces(campaign.records))
+        return built, clusters, interfaces, router_graph(interfaces, clusters)
+
+    def test_every_interface_lands_on_one_router(self, measured):
+        _, _, interfaces, routers = measured
+        owned = [data["interfaces"] for _, data in routers.nodes(data=True)]
+        assert sum(len(members) for members in owned) == interfaces.number_of_nodes()
+        assert set().union(*owned) == set(interfaces.nodes)
+
+    def test_merged_routers_are_real_routers(self, measured):
+        built, _, _, routers = measured
+        merged = [
+            data["interfaces"] for _, data in routers.nodes(data=True) if len(data["interfaces"]) > 1
+        ]
+        assert merged
+        owner = built.truth.router_addresses
+        for members in merged:
+            assert len({owner[address].router_id for address in members}) == 1
+
+    def test_links_only_shrink(self, measured):
+        _, _, interfaces, routers = measured
+        assert 0 < routers.number_of_edges() <= interfaces.number_of_edges()
+        assert routers.number_of_nodes() < interfaces.number_of_nodes()
+        assert nx.number_of_selfloops(routers) == 0

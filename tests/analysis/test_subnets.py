@@ -147,6 +147,28 @@ class TestPathDivergence:
         assert not rejected.bounds
         assert accepted.bounds
 
+    def test_a_last_hop_inside_the_vantage_network_is_rejected(self):
+        """A trace whose deepest answer came from the vantage's own AS has
+        not left home (the A parameter); with A off the pair counts."""
+        common = [VP_HOP1, VP_HOP2, AS200_CORE, AS200_DIST]
+        traces = {
+            TARGET_A: trace_of(TARGET_A, common + [AS200_GW_A, parse("2001:100::3")]),
+            TARGET_B: trace_of(TARGET_B, common + [AS200_GW_B]),
+        }
+        resolver = AsnResolver(registry())
+        assert not discover_by_path_div(traces, resolver, VANTAGE_ASN).bounds
+        lenient = discover_by_path_div(traces, resolver, VANTAGE_ASN, PathDivParams(A=0))
+        assert lenient.bounds == {TARGET_A: 64, TARGET_B: 64}
+
+    def test_without_a_vantage_asn_the_last_hop_is_not_checked(self):
+        common = [VP_HOP1, VP_HOP2, AS200_CORE, AS200_DIST]
+        traces = {
+            TARGET_A: trace_of(TARGET_A, common + [AS200_GW_A, parse("2001:100::3")]),
+            TARGET_B: trace_of(TARGET_B, common + [AS200_GW_B]),
+        }
+        candidates = discover_by_path_div(traces, AsnResolver(registry()), None)
+        assert candidates.bounds == {TARGET_A: 64, TARGET_B: 64}
+
     def test_unrouted_target_skipped(self):
         traces = diverging_pair()
         resolver = AsnResolver(PrefixTrie())  # empty registry

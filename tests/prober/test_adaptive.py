@@ -73,6 +73,43 @@ class TestRateController:
         assert controller.evaluate(0) == controller.config.initial_pps
 
 
+class TestConfigRefusals:
+    """A value the controller would misuse fails when the config is
+    built, naming its field — not after the first probe, and not as a
+    run whose controller silently never acts."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"initial_pps": 0}, "initial_pps must be positive and finite: 0"),
+            ({"initial_pps": float("nan")}, "initial_pps must be positive and finite: nan"),
+            ({"initial_pps": float("inf")}, "initial_pps must be positive and finite: inf"),
+            (
+                {"initial_pps": 100, "max_pps": 50, "min_pps": -5},
+                "min_pps must be positive and finite: -5",
+            ),
+            ({"max_pps": 0.0}, "max_pps must be positive and finite: 0.0"),
+            ({"min_pps": 80, "max_pps": 50}, "min_pps 80 is above max_pps 50"),
+            ({"window_us": -1}, "window_us must be at least 1: -1"),
+            ({"window_us": 0}, "window_us must be at least 1: 0"),
+        ],
+        ids=[
+            "initial-zero", "initial-nan", "initial-inf", "min-negative",
+            "max-zero", "floor-above-ceiling", "window-negative", "window-zero",
+        ],
+    )
+    def test_refused_when_built(self, fields, message):
+        with pytest.raises(ValueError) as refused:
+            AdaptiveConfig(**fields)
+        assert str(refused.value) == message
+
+    def test_a_start_above_the_ceiling_is_kept(self):
+        """The overloaded start the adaptive bench runs (20 kpps against
+        the default 10 kpps ceiling) is a config, not a mistake."""
+        config = AdaptiveConfig(initial_pps=20_000)
+        assert config.initial_pps > config.max_pps
+
+
 class TestAdaptiveCampaign:
     def test_backs_off_under_limiting(self, built, targets):
         """Starting far above the premise buckets' rate, the controller

@@ -79,7 +79,8 @@ def _parent_classify_response(message: icmpv6.ICMPv6Message) -> str:
 
 
 class ObjectProcessor(ResponseProcessor):
-    """The object-based ``process``, verbatim but for the label helper."""
+    """The object-based ``process``, verbatim but for the label helper
+    and the error test, spelled ``msg_type < 128`` (RFC 4443 Section 2.1)."""
 
     def process(self, data: bytes, now: int, sent_so_far: int) -> Optional[ProbeRecord]:
         self.received += 1
@@ -102,7 +103,7 @@ class ObjectProcessor(ResponseProcessor):
 
         if message.is_echo_reply:
             record = self._from_echo_reply(header, message, now)
-        elif message.is_error:
+        elif message.msg_type < 128:
             record = self._from_error(header, message, now)
         else:
             self.foreign += 1

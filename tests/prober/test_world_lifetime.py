@@ -15,14 +15,10 @@ import weakref
 
 import pytest
 
-from repro.addrs.prefix import Prefix
 from repro.analysis.limiter import LimiterProbeConfig, infer_limiter
-from repro.hitlist.dealias import detect_aliased
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.prober.adaptive import run_adaptive_yarrp6
 from repro.prober.campaign import PROBERS, run_campaign
-from repro.prober.mda import MDAConfig, run_mda
-from repro.prober.pmtud import discover_pmtu
 from repro.prober.speedtrap import run_speedtrap
 from repro.prober.yarrp6 import Yarrp6Config
 
@@ -94,10 +90,6 @@ ENTRY_POINTS = {
         lambda net, targets: run_adaptive_yarrp6(net, VANTAGE, leaf_targets(net.truth, 40)),
         "fd4a998684c0e277cde08491b18a5e00e540e8247a62e416a02801bc2d94ba45",
     ),
-    "run_mda": (
-        lambda net, targets: run_mda(net, VANTAGE, targets, MDAConfig(max_ttl=6, flows=2)),
-        "b6bc0776b3bbc0563036cc6beed3195c82216d35f27fb61335a15eebbe5ab435",
-    ),
     "run_speedtrap": (
         lambda net, targets: run_speedtrap(net, VANTAGE, targets),
         "147481d82d7d445ac9b46d784dcade75d65742e81976ab539ef66c8fa79ed763",
@@ -107,16 +99,6 @@ ENTRY_POINTS = {
     "run_speedtrap[aliases]": (
         lambda net, targets: run_speedtrap(net, VANTAGE, router_aliases(net.truth, 24)),
         "ac5330ec21dd085705b91f57d0a1ba4abdf838a0f64c052bdfc979faad468231",
-    ),
-    "discover_pmtu": (
-        lambda net, targets: discover_pmtu(net, VANTAGE, targets),
-        "6ae3a0931c76f33fac4b7112b75769bae353171133fcd3515bb2dd025c531925",
-    ),
-    "detect_aliased": (
-        lambda net, targets: detect_aliased(
-            net, VANTAGE, [Prefix(target & ~((1 << 64) - 1), 64) for target in targets]
-        ),
-        "4906fbdcc7cc99d403c2d048afea2586501a3151dde69cb94f6241e85db81aeb",
     ),
     "infer_limiter": (
         lambda net, targets: infer_limiter(

@@ -1,14 +1,16 @@
-"""Every script under ``examples/`` runs to completion.
+"""Every script under ``examples/`` is documented and runs to completion.
 
 Outside ``tests/`` and ``benchmarks/`` the examples are the only callers
-of ``run_mda``, ``run_speedtrap``, ``discover_pmtu`` and the public
-``run_*`` names (three of them run fill mode through ``run_yarrp6``), so
-each runs as a user would: a fresh interpreter with ``src`` on the path,
-in a directory of its own, exit status 0.
+of ``run_speedtrap`` and the public ``run_*`` names (three of them run
+fill mode through ``run_yarrp6``), so each runs as a user would: a fresh
+interpreter with ``src`` on the path, in a directory of its own, exit
+status 0.  The scripts are exactly the rows of README.md's Examples
+table: a script without a row, or a row without a script, fails.
 """
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -18,8 +20,18 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 EXAMPLES = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
 
 
-def test_there_are_examples():
-    assert len(EXAMPLES) >= 8
+def readme_examples():
+    """The scripts README.md's Examples table lists, one per row."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as readme:
+        text = readme.read()
+    section = text.split("\n## Examples\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `examples/([^`]+\.py)` \|", section, re.MULTILINE)
+
+
+def test_the_readme_lists_every_example():
+    listed = readme_examples()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {os.path.basename(script) for script in EXAMPLES}
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=os.path.basename)
