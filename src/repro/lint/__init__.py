@@ -22,17 +22,12 @@ DET002    iteration over ``set``/``frozenset`` values in order-
           outside ``sorted(...)`` or a ``# lint: ordered`` annotation
 DET003    worker-boundary dataclasses (``CampaignSpec`` &c.) carrying
           field types outside the declared picklable set
-PERF101   per-iteration allocation in the hot region (functions
-          reachable from a ``# repro-lint: hot-loop`` root)
-PERF102   superlinear accumulation in the hot region
-PERF103   numpy<->Python scalar churn in the hot region
 LNT001    an unused or unknown ``# repro-lint: disable=`` suppression
 ========  ============================================================
 
-The PERF rows are the whole-program half (:mod:`repro.lint.program`);
-what a static rule cannot see at runtime the DetSan sanitizer
-(:mod:`.detsan`) and the Tier-1 budget rows (``TestCallBudget``,
-``TestRetainedBytes``) check.
+What a static rule cannot see the DetSan sanitizer (:mod:`.detsan`)
+checks at runtime; the hot path's cost is held by the Tier-1 budget rows
+(``TestCallBudget``, ``TestRetainedBytes``), not by a lint rule.
 
 Use the CLI (``repro-lint src/`` or ``python -m repro.lint.cli src/``)
 or the library entry points below.

@@ -14,10 +14,9 @@ violation on that line.  This rule reports:
 * suppressions naming rule ids the toolchain does not know (typos).
 
 A suppression for a rule that did *not* run (deselected via
-``--select``, scoped out by the rule's ``in_scope()``, or a whole-program
-rule in a per-file-only invocation) is left alone: its usefulness was not
-judgeable on this run.  Neither is anything in a file that failed to
-parse — no rule ran there.
+``--select``, or scoped out by the rule's ``in_scope()``) is left alone:
+its usefulness was not judgeable on this run.  Neither is anything in a
+file that failed to parse — no rule ran there.
 
 LNT001 is the last row of the rule table, so usage recorded by any rule
 counts.

@@ -2,10 +2,10 @@
 
 Usage::
 
-    repro-lint src/                      # file rules + whole-program pass
+    repro-lint src/                      # every rule
     repro-lint --format json src/ > v.json
     repro-lint --format sarif src/ > lint.sarif
-    repro-lint --select PERF101,PERF102,PERF103 src/repro
+    repro-lint --select DET001,LNT001 src/repro
     repro-lint --exclude tests/lint/fixtures tests/ benchmarks/
     repro-lint --list-checkers
 
@@ -13,12 +13,10 @@ Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 Pipeline (:mod:`repro.lint.rules`): every file under the given paths is
 read, parsed, tokenized and indexed once; the selected rows of the one
-rule table run in table order — the per-file rows, then the
-whole-program rows over the facts and call graph, then LNT001, which
+rule table run in table order — DET001–DET003, then LNT001, which
 judges the suppressions the earlier rows consumed — and the findings are
 sorted by (path, line, rule-id): identical order in text, JSON and SARIF
-output.  There is no subset mode and nothing is written to disk: what
-the whole-program rows judge is always the whole of what was named.
+output.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -61,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip files whose path starts with PREFIX (repeatable) — "
         "e.g. --exclude tests/lint/fixtures when linting the test tree, "
         "whose fixtures are deliberate violations",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print analysis statistics (files, graph size) to stderr",
     )
     parser.add_argument(
         "--list-checkers",
@@ -149,16 +142,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         out.write("error: %s\n" % error)
         return 2
 
-    violations, program = rules_mod.lint(files, rules_mod.select_rules(select))
-
-    if args.stats:
-        if program.graph is not None:
-            sys.stderr.write(
-                "repro-lint: %d files, %d functions, %d call edges\n"
-                % (len(files), len(program.graph.nodes), program.graph.edge_count)
-            )
-        else:
-            sys.stderr.write("repro-lint: %d files (file rules only)\n" % len(files))
+    violations = rules_mod.lint(files, rules_mod.select_rules(select))
 
     if args.format == "json":
         render_json(violations, out)

@@ -3,12 +3,11 @@
 One file is read **once**: :func:`load_source` is the only ``open()`` of
 lint input, and :func:`read_source` does the only ``ast.parse``, the only
 tokenizer pass (every comment directive — the three suppression forms
-below and the three ``# repro-lint: <marker>`` comments — is read from
+below and the ``# repro-lint: worker-boundary`` marker — is read from
 those comment tokens, so a directive inside a string literal does
 nothing) and the only index build (:mod:`repro.lint.index`).  The result
 is a :class:`SourceFile`, the one per-file record the rule table in
-:mod:`repro.lint.rules` runs over; a :class:`Program` is the set of them
-plus, when a whole-program rule is selected, their facts and call graph.
+:mod:`repro.lint.rules` runs over; a :class:`Program` is the set of them.
 
 A file that cannot be decoded or parsed still yields a record: an empty
 index and one ``E999`` finding, so the other files are linted regardless.
@@ -18,7 +17,7 @@ Suppression layers, narrowest first:
 * ``# lint: ordered`` on a line — asserts the iteration on that line is
   deterministic; honoured by DET002 only.
 * ``# repro-lint: disable=RULE[,RULE...]`` on a line — silences those
-  rules for that line (``disable=all`` for every rule).
+  rules for that line (``disable=all`` for every rule but LNT001).
 * ``# repro-lint: disable-file=RULE[,RULE...]`` anywhere — silences
   those rules for the whole file.
 
@@ -34,19 +33,18 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .index import ScopeIndex, build_index
-
-if TYPE_CHECKING:  # pragma: no cover - the fact/graph types live above the rules
-    from .program.facts import FileFacts
-    from .program.graph import ProgramGraph
 
 #: ``# lint: ordered`` — DET002's "this iteration is deterministic" mark.
 ORDERED_COMMENT = re.compile(r"#\s*lint:\s*ordered\b")
 
 _DISABLE_LINE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 _DISABLE_FILE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
+
+#: The rule that reports unused suppressions (:mod:`.checkers.lnt001`).
+_SUPPRESSION_RULE = "LNT001"
 
 
 @dataclass(frozen=True)
@@ -121,13 +119,16 @@ class Suppressions:
 
     def is_disabled(self, rule: str, line: int) -> bool:
         hit = False
-        for token in (rule, "all"):
+        # ``all`` does not cover LNT001, the rule that judges suppressions:
+        # an unused ``disable=all`` would otherwise hide its own finding.
+        tokens = (rule,) if rule == _SUPPRESSION_RULE else (rule, "all")
+        for token in tokens:
             if token in self.disabled_file:
                 self.used_file.add(token)
                 hit = True
         rules = self.disabled_lines.get(line)
         if rules:
-            for token in (rule, "all"):
+            for token in tokens:
                 if token in rules:
                     self.used_lines.add((line, token))
                     hit = True
@@ -179,13 +180,9 @@ class SourceFile:
 
 @dataclass
 class Program:
-    """What a rule's ``check(program)`` receives: the files, and — when a
-    whole-program rule is selected — their facts and the call graph."""
+    """What a rule's ``check(program)`` receives: the files."""
 
     files: List[SourceFile]
-    #: path -> facts (empty unless the whole-program half ran)
-    facts: Dict[str, "FileFacts"] = field(default_factory=dict)
-    graph: Optional["ProgramGraph"] = None
     #: Every rule id in the table, so LNT001 can tell "unused" from
     #: "unknown rule" suppressions.
     known_rules: FrozenSet[str] = frozenset()

@@ -2,10 +2,10 @@
 
 Static Analysis Results Interchange Format, the schema GitHub code
 scanning ingests.  One run, one driver (``repro-lint``), one rule entry
-per row of the rule table (per-file and whole-program alike), one result
-per violation.  Output is deterministic: results arrive already sorted
-by (path, line, rule-id, column), rules are listed in sorted id order,
-and the JSON is dumped with sorted keys.
+per row of the rule table, one result per violation.  Output is
+deterministic: results arrive already sorted by (path, line, rule-id,
+column), rules are listed in sorted id order, and the JSON is dumped
+with sorted keys.
 
 Paths are emitted as given on the command line, normalized to forward
 slashes — relative invocations (``repro-lint src/``) therefore produce

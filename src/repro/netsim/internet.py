@@ -506,7 +506,6 @@ class Internet:
     # ------------------------------------------------------------------
     # Packet handling
     # ------------------------------------------------------------------
-    # repro-lint: hot-loop
     def probe(self, data: bytes, now: int) -> Optional[Response]:
         """Inject probe bytes at virtual time ``now``; the vantage is
         identified by the packet's source address.  Returns the response
@@ -571,7 +570,6 @@ class Internet:
                 return self._deliver_lan(path, data, src, dst, next_header, now)
         return self._icmp_error(hop, msg_type, code, word, data, next_header, src, now)
 
-    # repro-lint: hot-loop
     def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
         """Inject probe bytes at virtual time ``when`` and say what comes
         back: ``(arrival time, response bytes)``, or None when the network

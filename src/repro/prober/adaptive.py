@@ -42,7 +42,9 @@ class AdaptiveConfig:
     min_pps: float = 50.0
     max_pps: float = 10_000.0
     #: Controller evaluation window.  A window that closes before five
-    #: near-hop probes are sent closes without acting.
+    #: near-hop probes are sent does not act: its counts carry into the
+    #: next window, so even a window shorter than one probe's interval
+    #: acts once five near-hop probes have gathered.
     window_us: int = 250_000
     #: TTLs counted as the "near neighborhood" whose health is watched.
     near_ttl: int = 3
@@ -86,7 +88,9 @@ class RateController:
             self.near_answered += 1
 
     def evaluate(self, now: int) -> float:
-        """Close the current window and return the (new) rate."""
+        """Close the current window and return the (new) rate.  A window
+        with fewer than five near-hop probes keeps its counts for the
+        next one."""
         config = self.config
         if self.near_sent >= 5:
             fraction = self.near_answered / self.near_sent
@@ -95,8 +99,8 @@ class RateController:
             elif fraction > config.high_water:
                 self.pps = min(config.max_pps, self.pps + config.increase)
             self.history.append((now, self.pps, fraction))
-        self.near_sent = 0
-        self.near_answered = 0
+            self.near_sent = 0
+            self.near_answered = 0
         return self.pps
 
 

@@ -302,7 +302,7 @@ def run_campaign(
         process = walker.processor.process
         held: List[Held] = []
 
-        def deliver_held(until: int) -> None:  # repro-lint: hot-loop
+        def deliver_held(until: int) -> None:
             """Record every held reply arriving at or before ``until``."""
             while held and held[0][0] <= until:
                 arrival, _, data, send_time = heappop(held)
@@ -316,7 +316,7 @@ def run_campaign(
                 )
                 process(data, arrival, sent)
 
-        def run_blocks() -> int:  # repro-lint: hot-loop
+        def run_blocks() -> int:
             # Called inside the open ``campaign.run`` phase, so the
             # per-block aggregates nest under it; a disabled profiler
             # hands both calls back untouched.
@@ -327,9 +327,10 @@ def run_campaign(
             start = pace_offset_us
             while True:
                 deliver(start)
-                # An arithmetic progression, not a materialized list: zero
-                # per-block allocation (PERF101); next_probes only slices,
-                # iterates and bisects it.  interval >= 1 (pps_interval).
+                # An arithmetic progression, not a materialized list: no
+                # block-long list of send times is built and thrown away;
+                # next_probes only slices, iterates and bisects it.
+                # interval >= 1 (pps_interval).
                 times = range(start, start + batch * interval, interval)
                 count = pull(times, answer, hold)
                 if sent_series is not None:

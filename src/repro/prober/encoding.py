@@ -237,7 +237,6 @@ class ProbeTemplate:
         """A fresh mutable packet buffer initialized from the template."""
         return bytearray(self._template)
 
-    # repro-lint: hot-loop
     def encode_into(
         self, buffer: bytearray, target: int, ttl: int, elapsed: int
     ) -> None:

@@ -94,7 +94,7 @@ class KeyedPermutation:
             value = self._encrypt(value)
         return value
 
-    def images(self, indices: Iterable[int]) -> List[int]:  # repro-lint: hot-loop
+    def images(self, indices: Iterable[int]) -> List[int]:
         """Batched ``[self[i] for i in indices]``.
 
         Contiguous/strided index ranges over domains that fit 64 bits are
@@ -151,7 +151,7 @@ class KeyedPermutation:
         result: List[int] = values.tolist()
         return result
 
-    def images_scalar(self, indices: Iterable[int]) -> List[int]:  # repro-lint: hot-loop
+    def images_scalar(self, indices: Iterable[int]) -> List[int]:
         """The pure-Python reference for :meth:`images`.
 
         The Feistel network is inlined with round keys, shift amounts and

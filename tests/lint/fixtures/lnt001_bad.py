@@ -16,3 +16,4 @@ def typo():
 
 
 # repro-lint: disable-file=PKT001
+# repro-lint: disable=PERF101

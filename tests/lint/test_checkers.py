@@ -90,6 +90,65 @@ class TestDET001:
         assert lint_file(profiler.__file__) == []
 
 
+    @pytest.mark.parametrize(
+        "module, call",
+        [
+            ("time", "time.time_ns()"),
+            ("time", "time.monotonic()"),
+            ("time", "time.monotonic_ns()"),
+            ("time", "time.perf_counter()"),
+            ("time", "time.perf_counter_ns()"),
+            ("time", "time.clock_gettime(0)"),
+            ("time", "time.clock_gettime_ns(0)"),
+            ("datetime", "datetime.datetime.utcnow()"),
+            ("datetime", "datetime.datetime.today()"),
+            ("datetime", "datetime.date.today()"),
+            ("os", "os.getrandom(8)"),
+            ("uuid", "uuid.uuid1()"),
+            ("secrets", "secrets.token_bytes(8)"),
+        ],
+    )
+    def test_every_banned_source_is_flagged(self, module, call):
+        source = "import %s\nx = %s\n" % (module, call)
+        [violation] = lint_source(source, module="repro.netsim.thing")
+        assert (violation.rule, violation.line) == ("DET001", 2)
+        assert call.split("(")[0] in violation.message
+
+    def test_wallclock_boundary_exempts_every_clock_read(self):
+        clocks = [
+            "time.time_ns()", "time.monotonic()", "time.perf_counter_ns()",
+            "time.clock_gettime(0)", "datetime.datetime.utcnow()",
+            "datetime.date.today()",
+        ]
+        source = "import datetime\nimport time\n" + "".join(
+            "x%d = %s\n" % (n, call) for n, call in enumerate(clocks)
+        )
+        assert lint_source(source, module="repro.obs.wallclock") == []
+        flagged = lint_source(source, module="repro.obs.profile")
+        assert lines_for(flagged, "DET001") == list(range(3, 3 + len(clocks)))
+
+    def test_seeded_random_is_clean_however_the_seed_is_passed(self):
+        source = (
+            "import random\n"
+            "a = random.Random(7)\n"
+            "b = random.Random(seed=7)\n"
+            "c = random.Random(x=1)\n"
+        )
+        assert lint_source(source) == []
+
+    def test_from_imports_resolve_to_their_module(self):
+        source = (
+            "from secrets import token_hex\n"
+            "from uuid import uuid4 as fresh\n"
+            "a = token_hex(4)\n"
+            "b = fresh()\n"
+        )
+        by_line = {v.line: v.message for v in lint_source(source)}
+        assert "secrets.token_hex" in by_line[3]
+        assert "OS-entropy" in by_line[3]
+        assert "uuid.uuid4" in by_line[4]
+
+
 class TestDET002:
     def test_fixture_lines(self):
         violations = lint_file(
@@ -135,6 +194,54 @@ class TestDET002:
         assert lines_for(violations, "DET002") == [2]
 
 
+    def test_set_method_results_are_sets(self):
+        source = (
+            "def f(a, b):\n"
+            "    s = set(a)\n"
+            "    for x in s.union(b):\n"
+            "        print(x)\n"
+            "    for x in list(a).copy():\n"
+            "        print(x)\n"
+        )
+        violations = lint_source(source, module="repro.prober.thing")
+        assert lines_for(violations, "DET002") == [3]
+        assert ".union(...) result" in violations[0].message
+
+    def test_set_returning_members_are_sets(self):
+        source = (
+            "from typing import FrozenSet, Set\n"
+            "class Table:\n"
+            "    def keys(self) -> Set[int]:\n"
+            "        return {1}\n"
+            "    @property\n"
+            "    def names(self) -> FrozenSet[str]:\n"
+            "        return frozenset()\n"
+            "    def dump(self):\n"
+            "        a = [k for k in self.keys()]\n"
+            "        b = [n for n in self.names]\n"
+            "        return a, b\n"
+        )
+        violations = lint_source(source, module="repro.analysis.thing")
+        assert lines_for(violations, "DET002") == [9, 10]
+        assert "set returned by self.keys()" in violations[0].message
+        assert "set attribute self.names" in violations[1].message
+
+    def test_qualified_and_string_set_annotations(self):
+        source = (
+            "import typing\n"
+            "def f(g):\n"
+            "    a: typing.FrozenSet[int] = g()\n"
+            "    b: 'Set[int]' = g()\n"
+            "    c: 'Set[int' = g()\n"
+            "    return list(a), list(b), list(c)\n"
+        )
+        violations = lint_source(source, module="repro.netsim.thing")
+        # a and b are sets; the malformed string annotation is not judged one.
+        assert [(v.line, v.column) for v in violations] == [(6, 12), (6, 21)]
+        assert "set 'a'" in violations[0].message
+        assert "set 'b'" in violations[1].message
+
+
 class TestDET003:
     def test_fixture_lines(self):
         violations = lint_file(fixture_path("det003_bad.py"))
@@ -172,6 +279,45 @@ class TestDET003:
         assert [v.rule for v in lint_source(above)] == ["DET003"]
 
 
+    def test_pep604_unions_are_checked_leaf_by_leaf(self):
+        source = (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class CampaignSpec:\n"
+            "    a: int | None = None\n"
+            "    b: int | Internet = 0\n"
+        )
+        [violation] = lint_source(source)
+        assert (violation.rule, violation.line) == ("DET003", 5)
+        assert "CampaignSpec.b" in violation.message
+        assert violation.message.count("Internet") == 1
+
+    def test_qualified_names_are_judged_by_their_last_segment(self):
+        source = (
+            "import typing\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class CampaignSpec:\n"
+            "    a: typing.Optional[typing.Tuple[int, ...]] = None\n"
+            "    b: 'repro.addrs.Prefix' = None\n"
+            "    c: typing.Callable = None\n"
+        )
+        [violation] = lint_source(source)
+        assert violation.line == 7
+        assert "Callable" in violation.message
+
+    def test_malformed_string_annotation_is_outside_the_set(self):
+        source = (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class CampaignSpec:\n"
+            "    a: 'Optional[int' = None\n"
+        )
+        [violation] = lint_source(source)
+        assert violation.line == 4
+        assert "Optional[int" in violation.message
+
+
 class TestFramework:
     def test_syntax_error_reported_not_raised(self):
         violations = lint_source("def broken(:\n")
@@ -188,15 +334,20 @@ class TestFramework:
         only = lint(fixture_path("det003_bad.py"), select=["DET001"])
         assert only == []
 
+    def test_everything_about_a_rule_follows_from_its_registry_row(self):
+        from repro.lint import rules
+
+        assert rules.DESCRIPTIONS == {rule.RULE: rule.DESCRIPTION for rule in rules.RULES}
+        assert rules.RULES[-1].RULE == "LNT001"  # judges what the others consumed
+
     def test_registry_rejects_duplicates(self, monkeypatch):
         # A duplicate id in the one table raises at import.
         import importlib
 
         from repro.lint import rules
-        from repro.lint.program import perf
+        from repro.lint.checkers import det002
 
-        clash = perf.HotRegionRule("DET001", "clashes", frozenset(), "%s via %s")
-        monkeypatch.setattr(perf, "RULES", perf.RULES + (clash,))
+        monkeypatch.setattr(det002, "RULE", "DET001")
         try:
             with pytest.raises(ValueError, match="duplicate rule id 'DET001'"):
                 importlib.reload(rules)

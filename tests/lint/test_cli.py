@@ -73,7 +73,7 @@ def test_retired_rule_id_is_an_unknown_rule_id(retired):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--cache", "facts.json"], ["--changed"], ["--no-program"]]
+    "argv", [["--cache", "facts.json"], ["--changed"], ["--no-program"], ["--stats"]]
 )
 def test_retired_option_is_a_usage_error(argv, capsys):
     # There is one way to run: every file under the paths, every selected
@@ -94,8 +94,26 @@ def test_list_checkers_names_every_rule():
     assert code == 0
     assert [line.split()[0] for line in output.splitlines()] == [
         "DET001", "DET002", "DET003", "LNT001",
-        "PERF101", "PERF102", "PERF103",
     ]
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # CI runs the linter as ``python -m repro.lint.cli``.
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    command = [sys.executable, "-m", "repro.lint.cli"]
+    listed = subprocess.run(
+        command + ["--list-checkers"], env=env, capture_output=True, text=True
+    )
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout.split()[0] == "DET001"
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nx = time.time()\n")
+    linted = subprocess.run(command + [str(bad)], env=env, capture_output=True, text=True)
+    assert linted.returncode == 1
+    assert "%s:2:5: DET001" % bad in linted.stdout
 
 
 def test_missing_path_is_io_error():
@@ -127,7 +145,7 @@ def test_each_file_is_read_parsed_tokenized_and_indexed_once(tmp_path, monkeypat
     tree = tmp_path / "repro" / "prober"
     tree.mkdir(parents=True)
     sources = {
-        "a.py": "def f(items):  # repro-lint: hot-loop\n    return [item for item in items]\n",
+        "a.py": "def f(items):\n    return [item for item in items]\n",
         "b.py": "from .a import f\n\n\ndef g(items):\n    return [f() for _ in set(items)]\n",
         "c.py": "X = 1  # repro-lint: disable=DET001\n",
     }
@@ -152,16 +170,16 @@ def test_each_file_is_read_parsed_tokenized_and_indexed_once(tmp_path, monkeypat
     monkeypatch.setattr(
         index, "_import_origins", counting("origins", index._import_origins)
     )
-    # Every rule selected, whole-program pass included.
+    # Every rule selected.
     code, output = run([str(tmp_path)])
-    assert code == 1 and "PERF101" in output and "LNT001" in output
+    assert code == 1 and "DET002" in output and "LNT001" in output
     assert sorted(counts["parse"]) == sorted(sources.values())
     assert counts["tokenize"] == len(sources)
     assert counts["origins"] == len(sources)
 
 
 def test_undecodable_file_is_one_e999_and_the_rest_is_still_linted(tmp_path):
-    from repro.lint.rules import lint_file, lint_program_paths
+    from repro.lint.rules import lint_file
 
     latin = tmp_path / "latin.py"
     latin.write_bytes(b'x = "caf\xe9"\n')
@@ -175,9 +193,6 @@ def test_undecodable_file_is_one_e999_and_the_rest_is_still_linted(tmp_path):
     assert [(v.rule, v.line, v.column) for v in lint_file(str(latin))] == [
         ("E999", 1, 1)
     ]
-    violations, program = lint_program_paths([str(tmp_path)])
-    assert [(v.rule, v.path) for v in violations] == [("E999", str(latin))]
-    assert program.facts[str(latin)].parse_error
 
 
 def test_exclude_skips_prefixed_paths():

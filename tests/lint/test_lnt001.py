@@ -1,20 +1,11 @@
-"""LNT001 — unused/unknown suppression detection, including program-rule
-suppressions whose usage is recorded by the whole-program pass."""
+"""LNT001 — unused/unknown suppression detection."""
 
-import io
 import os
 
-from repro.lint.cli import main
 from repro.lint.rules import lint_file, lint_source
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
-
-
-def run_cli(argv):
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
 
 
 def test_lnt001_fixture_findings():
@@ -23,6 +14,7 @@ def test_lnt001_fixture_findings():
         ("LNT001", 11),
         ("LNT001", 15),
         ("LNT001", 18),
+        ("LNT001", 19),
     ]
     by_line = {v.line: v.message for v in violations}
     assert "found nothing to suppress" in by_line[11]
@@ -32,6 +24,8 @@ def test_lnt001_fixture_findings():
     # any other unknown one, not ignored.
     assert "disable-file=PKT001" in by_line[18]
     assert "unknown rule" in by_line[18]
+    # So is one naming a retired hot-path (PERF) rule.
+    assert "unknown rule" in by_line[19]
 
 
 def test_lnt001_used_suppression_is_quiet():
@@ -47,7 +41,11 @@ def test_lnt001_skips_rules_that_did_not_run():
     violations = lint_file(
         os.path.join(FIXTURES, "lnt001_bad.py"), select=["DET002", "LNT001"]
     )
-    assert [(v.rule, v.line) for v in violations] == [("LNT001", 15), ("LNT001", 18)]
+    assert [(v.rule, v.line) for v in violations] == [
+        ("LNT001", 15),
+        ("LNT001", 18),
+        ("LNT001", 19),
+    ]
 
 
 def test_lnt001_stale_ordered_annotation():
@@ -64,120 +62,60 @@ def test_lnt001_silent_on_unparseable_files():
     assert not any(v.rule == "LNT001" for v in violations)
 
 
-def test_lnt001_counts_program_rule_suppression_as_used(tmp_path):
-    # The finding lands in a module the hot root only reaches through the
-    # call graph: its suppression is consumed there, by the program rule.
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "loop.py").write_text(
-        "from .cell import fill\n"
-        "\n"
-        "\n"
-        "def spin(items):  # repro-lint: hot-loop\n"
-        "    return fill(items)\n"
-    )
-    (tree / "cell.py").write_text(
-        "def fill(items):\n"
-        "    out = []\n"
-        "    for item in items:\n"
-        "        out.append([item])  # repro-lint: disable=PERF101\n"
-        "    return out\n"
-    )
-    code, output = run_cli(["--select", "PERF101,LNT001", str(tmp_path)])
-    assert code == 0, output
-    assert "LNT001" not in output
+def findings(source, module="repro.prober.thing", select=None):
+    return [
+        (v.rule, v.line, v.message)
+        for v in lint_source(source, module=module, select=select)
+    ]
 
 
-def test_lnt001_flags_unused_program_rule_suppression(tmp_path):
-    # The same loop outside every hot region: PERF101 never judges it, so
-    # the suppression is unused.
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "cell.py").write_text(
-        "def fill(items):\n"
-        "    out = []\n"
-        "    for item in items:\n"
-        "        out.append([item])  # repro-lint: disable=PERF101\n"
-        "    return out\n"
-    )
-    code, output = run_cli(["--select", "PERF101,LNT001", str(tmp_path)])
-    assert code == 1, output
-    assert "LNT001" in output
-    assert "disable=PERF101" in output
+def test_lnt001_flags_unused_disable_all():
+    # disable=all silences every rule but LNT001, so an 'all' that
+    # suppressed nothing is reported on its own line.
+    [(rule, line, message)] = findings("x = 1  # repro-lint: disable=all\n")
+    assert (rule, line) == ("LNT001", 1)
+    assert "'disable=all': no rule fired here" in message
 
 
-PERF_HOT_SOURCE = (
-    "def spin(items):  # repro-lint: hot-loop\n"
-    "    out = []\n"
-    "    for item in items:\n"
-    "        out.append({'item': item})"
-)
+def test_lnt001_flags_unused_disable_file_all():
+    [(rule, line, message)] = findings("x = 1\n# repro-lint: disable-file=all\n")
+    assert (rule, line) == ("LNT001", 2)
+    assert "'disable-file=all': no rule fired here" in message
 
 
-def test_lnt001_counts_perf_suppression_as_used(tmp_path):
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "hot.py").write_text(
-        PERF_HOT_SOURCE + "  # repro-lint: disable=PERF101\n    return out\n"
-    )
-    code, output = run_cli(["--select", "PERF101,LNT001", str(tmp_path)])
-    assert code == 0, output
-    assert "LNT001" not in output
-    assert "PERF101" not in output
+def test_lnt001_used_disable_all_is_quiet():
+    source = "import time\nx = time.time()  # repro-lint: disable=all\n"
+    assert findings(source) == []
+    source = "# repro-lint: disable-file=all\nimport time\nx = time.time()\n"
+    assert findings(source) == []
 
 
-def test_lnt001_flags_unused_perf_suppression(tmp_path):
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "cold.py").write_text(
-        "def harmless():\n"
-        "    return 1  # repro-lint: disable=PERF102\n"
-    )
-    code, output = run_cli(["--select", "PERF102,LNT001", str(tmp_path)])
-    assert code == 1, output
-    assert "LNT001" in output
-    assert "disable=PERF102" in output
+def test_lnt001_judges_disable_all_only_when_another_rule_ran():
+    assert findings("x = 1  # repro-lint: disable=all\n", select=["LNT001"]) == []
 
 
-def test_multi_rule_disable_line_suppresses_both_perf_rules(tmp_path):
-    # One comment carrying two PERF rules: the dict allocation (PERF101)
-    # and the list membership test (PERF102) on the same line are both
-    # suppressed, and LNT001 counts the shared comment as used.
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "hot.py").write_text(
-        "def spin(items):  # repro-lint: hot-loop\n"
-        "    out = []\n"
-        "    seen = list((0,))\n"
-        "    for item in items:\n"
-        "        out.append({'ok': item in seen})"
-        "  # repro-lint: disable=PERF101,PERF102\n"
-        "    return out\n"
-    )
-    code, output = run_cli(
-        ["--select", "PERF101,PERF102,LNT001", str(tmp_path)]
-    )
-    assert code == 0, output
-    assert output.strip().endswith("0 violations found")
+def test_lnt001_is_silenced_only_by_naming_it():
+    assert findings("x = 1  # repro-lint: disable=DET001,LNT001\n") == []
+    # 'all' does not cover LNT001: both unused tokens are reported.
+    found = findings("x = 1  # repro-lint: disable=DET001,all\n")
+    assert [(rule, line) for rule, line, _ in found] == [("LNT001", 1)] * 2
+    assert sorted(message.split("'")[1] for _, _, message in found) == [
+        "disable=DET001",
+        "disable=all",
+    ]
 
 
-def test_multi_rule_disable_line_only_covers_named_perf_rules(tmp_path):
-    # disable=PERF102,PERF103 does NOT cover the PERF101 allocation on
-    # the same line — and the PERF103 half is unused, so LNT001 fires.
-    tree = tmp_path / "repro"
-    tree.mkdir()
-    (tree / "hot.py").write_text(
-        "def spin(items):  # repro-lint: hot-loop\n"
-        "    out = []\n"
-        "    seen = list((0,))\n"
-        "    for item in items:\n"
-        "        out.append({'ok': item in seen})"
-        "  # repro-lint: disable=PERF102,PERF103\n"
-        "    return out\n"
-    )
-    code, output = run_cli(
-        ["--select", "PERF101,PERF102,PERF103,LNT001", str(tmp_path)]
-    )
-    assert code == 1, output
-    assert "PERF101" in output
-    assert "LNT001" in output and "PERF103" in output
+def test_lnt001_flags_unused_disable_file():
+    [(rule, line, message)] = findings("# repro-lint: disable-file=DET001\nx = 1\n")
+    assert (rule, line) == ("LNT001", 1)
+    assert "unused suppression 'disable-file=DET001'" in message
+
+
+def test_lnt001_leaves_suppressions_of_out_of_scope_rules_alone():
+    # DET002 judges only order-sensitive packages: outside them its
+    # suppression could not be judged, inside them it is unused.
+    source = "x = [1]  # repro-lint: disable=DET002\n"
+    assert findings(source, module="repro.addrs.thing") == []
+    [(rule, line, message)] = findings(source, module="repro.prober.thing")
+    assert (rule, line) == ("LNT001", 1)
+    assert "disable=DET002" in message

@@ -1048,3 +1048,37 @@ class TestAliasedSubnets:
             InternetConfig(n_edge=12, cpe_customers_per_isp=20, seed=41, aliased_subnet_fraction=0.0)
         )
         assert not any(subnet.aliased for subnet in built.truth.subnets.values())
+
+
+class TestProtocolSelectiveHops:
+    """About 1 % of routers answer ICMPv6 probes only (``respond =
+    {PROTO_ICMPV6}``, ``icmp_only_router_fraction``): the protocol
+    dependence of §4.2.  A Yarrp6 campaign meets them: on the seed-9
+    world, at 1 kpps over 200 leaf targets, the branch in
+    ``Internet._icmp_error`` silences 9 hops under UDP, 8 under TCP and
+    none under ICMPv6.  Deleting the branch would move §4.2's protocol
+    bytes."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return build_internet(InternetConfig(n_edge=20, cpe_customers_per_isp=60, seed=9))
+
+    @pytest.mark.parametrize("protocol", ["udp", "tcp", "icmp6"])
+    def test_campaign_meets_protocol_selective_silence(self, built, protocol):
+        subnets = sorted(built.truth.subnets.values(), key=lambda subnet: subnet.prefix.base)
+        targets = [subnet.prefix.base | 0x1234 for subnet in subnets[:200]]
+        net = Internet(built)
+        seen = []
+        icmp_error = net._icmp_error
+
+        def counting(hop, msg_type, code, word, invoking, next_header, src, now):
+            response = icmp_error(hop, msg_type, code, word, invoking, next_header, src, now)
+            respond = hop[0].respond_protocols
+            if respond is not None and next_header not in respond:
+                seen.append(response)
+            return response
+
+        net._icmp_error = counting
+        run_yarrp6(net, "US-EDU-1", targets, pps=1000, protocol=protocol)
+        assert bool(seen) == (protocol != "icmp6")
+        assert seen == [None] * len(seen)

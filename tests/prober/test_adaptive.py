@@ -55,6 +55,19 @@ class TestRateController:
         assert controller.evaluate(0) == 1000
         assert not controller.history
 
+    def test_a_thin_window_carries_its_counts_into_the_next(self):
+        controller = RateController(AdaptiveConfig(initial_pps=1000))
+        for _ in range(3):
+            controller.on_probe(1)
+        assert controller.evaluate(0) == 1000  # three probes: not yet
+        assert not controller.history
+        for _ in range(2):
+            controller.on_probe(1)
+        # Five probes over two windows, none answered: the second acts.
+        assert controller.evaluate(1) == 500
+        assert controller.history == [(1, 500, 0.0)]
+        assert (controller.near_sent, controller.near_answered) == (0, 0)
+
     def test_floor_and_ceiling(self):
         config = AdaptiveConfig(initial_pps=100, min_pps=80, max_pps=150, increase=100)
         controller = RateController(config)
@@ -158,6 +171,19 @@ class TestAdaptiveCampaign:
         )
         if controller.history:
             assert controller.history[-1][1] >= 500
+
+    def test_a_one_microsecond_window_still_acts(self, built, targets):
+        """Every window closes after at most one probe, under the
+        five-probe floor; the counts gather across windows, so the
+        controller still acts and pulls the overloaded start down."""
+        _, controller = run_adaptive_yarrp6(
+            Internet(built),
+            "US-EDU-1",
+            targets,
+            AdaptiveConfig(initial_pps=20_000, window_us=1),
+        )
+        assert controller.history
+        assert controller.pps != 20_000
 
     def test_pinned_rate_ends_where_the_fixed_rate_campaign_does(self, built, targets):
         """With the controller pinned, the adaptive loop is run_yarrp6's
