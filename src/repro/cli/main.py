@@ -127,6 +127,15 @@ def cmd_seeds(args: argparse.Namespace, out: TextIO) -> int:
             % (args.source, ", ".join(sorted(SOURCES)))
         )
         return 2
+    # Every knob is checked before the world file is read.
+    for flag, value, least in (
+        ("--random-count", args.random_count, 0),
+        ("--sixgen-budget", args.sixgen_budget, 0),
+        ("--cdn-k32", args.cdn_k32, 1),
+        ("--cdn-k256", args.cdn_k256, 1),
+    ):
+        if value < least:
+            raise ValueError("%s must be >= %d, not %d" % (flag, least, value))
     seed_list = build(
         _load_world(args.world),
         random_count=args.random_count,

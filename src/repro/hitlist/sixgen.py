@@ -50,6 +50,9 @@ class SixGenConfig:
             raise ValueError("mode must be 'loose' or 'tight'")
         if not 0 < self.cluster_bits <= 128 or self.cluster_bits % 4:
             raise ValueError("cluster_bits must be a positive multiple of 4 <= 128")
+        for name in ("min_cluster_size", "budget", "per_cluster_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0, not %d" % (name, getattr(self, name)))
 
 
 def _nybbles(value: int) -> Tuple[int, ...]:

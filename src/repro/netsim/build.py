@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..addrs.iid import eui64_iid
 from ..addrs.prefix import Prefix
+from ..obs.profiler import NULL_PROFILER, WallProfiler
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 from .addressing import CPE_OUIS, LOWBYTE_SERVER_RANGE, draw_between, interface_address
 from .ratelimit import provisioning
@@ -811,7 +812,7 @@ class _Builder:
         self.out.dist_index[vantage.asn] = []
         self.out.alloc_index[vantage.asn] = []
 
-    def build(self) -> BuiltInternet:
+    def build(self, prof: WallProfiler = NULL_PROFILER) -> BuiltInternet:
         # The build allocates only long-lived containers (routers, subnets,
         # per-AS lists and dicts) and no cyclic garbage; left on,
         # the generational collector re-walks them all as they accumulate.
@@ -821,29 +822,38 @@ class _Builder:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self.build_backbone()
-            for asn in self.out.tier1_asns + self.out.tier2_asns:
-                self.out.dist_index[asn] = []
-                self.out.alloc_index[asn] = []
-            self.build_edge_ases()
-            for index in range(self.config.n_cpe_isps):
-                self.build_cpe_isp(index)
+            with prof.phase("backbone"):
+                self.build_backbone()
+            with prof.phase("edge_ases"):
+                for asn in self.out.tier1_asns + self.out.tier2_asns:
+                    self.out.dist_index[asn] = []
+                    self.out.alloc_index[asn] = []
+                self.build_edge_ases()
+            with prof.phase("cpe_isps"):
+                for index in range(self.config.n_cpe_isps):
+                    self.build_cpe_isp(index)
             if self.config.include_6to4:
-                self.build_6to4_relay()
-            self.build_vantages()
+                with prof.phase("6to4_relay"):
+                    self.build_6to4_relay()
+            with prof.phase("vantages"):
+                self.build_vantages()
             return self.out
         finally:
             if collecting:
                 gc.enable()
 
 
-def build_internet(config: Optional[InternetConfig] = None) -> BuiltInternet:
+def build_internet(
+    config: Optional[InternetConfig] = None, profiler: WallProfiler = NULL_PROFILER
+) -> BuiltInternet:
     """Generate a ground-truth internet from ``config`` (seeded, repeatable);
     ``ValueError`` before the first draw for a config :func:`validate_config`
-    refuses."""
+    refuses.  ``profiler`` gives each build step a phase of its own
+    (``backbone``, ``edge_ases``, ``cpe_isps``, ``6to4_relay``,
+    ``vantages``): wall-clock reporting only, the world is the same."""
     config = config or InternetConfig()
     validate_config(config)
-    return _Builder(config).build()
+    return _Builder(config).build(profiler)
 
 
 #: A token-bucket parameterization that can never run dry at campaign

@@ -12,6 +12,20 @@ and cached; per-probe work after the first probe to a /64 is O(1) plus
 packet parse/build.  ECMP choice points (multi-homing, parallel cores)
 are resolved by the packet's flow hash, so a Paris-style prober with
 constant headers sees a stable path while a naive prober flaps.
+
+Two caches sit in front of a probe's path.  Per /64 (per address for a
+router's own interface) and per vantage AS and variant, the compiled
+path, kept for the instance's life: compilation is a pure function of
+the read-only world.  Per flow, a run-scoped table with one slot per
+destination address: the flow of the last well-formed probe sent there
+(its first 44 bytes less the hop limit, every byte the header check,
+the vantage lookup, the flow hash and the path lookup read) with the
+vantage, next header and path it resolved to.  A probe repeating its
+destination's flow, as every probe of a Yarrp6 target does, skips those
+four steps; any other takes them and overwrites the slot.  A malformed
+probe or one from an unknown vantage raises every time and is never
+stored.  The rewind (:meth:`Internet.reset_dynamics`) empties the flow
+table and keeps the paths.
 """
 
 from __future__ import annotations
@@ -225,13 +239,14 @@ class Internet:
     validation do).
 
     The built world is read-only; everything a campaign changes lives
-    here: ``stats``, the per-router ``router_state`` table, the loss RNG
+    here: ``stats``, the per-router ``router_state`` table, the per-flow
+    ``_flows`` table (one slot per destination address), the loss RNG
     and the limiter telemetry hook are rewound by :meth:`fresh_run_state`,
     so two instances over one world never see each other's campaigns.
-    ``_path_cache`` survives the rewind — path compilation is a pure
-    function of the immutable topology.  Both halves are checked by
-    fingerprint in ``tests/netsim/test_world_readonly.py``
-    (docs/determinism.md).
+    ``_path_cache`` (per /64, vantage AS and variant) survives the rewind
+    — path compilation is a pure function of the immutable topology.
+    Both halves are checked by fingerprint in
+    ``tests/netsim/test_world_readonly.py`` (docs/determinism.md).
     """
 
     @classmethod
@@ -248,15 +263,19 @@ class Internet:
         in its own process — no topology object ever crosses a pipe.
 
         ``profiler`` attributes the build's host cost to a ``world.build``
-        phase (wall-clock reporting only; the built world is identical
-        with or without it).  The facade is constructed inside the phase:
-        the build suspends the cyclic collector, so the first allocation
-        after it pays for a young-generation pass over the whole new
-        world, and that pass is the build's cost, not the caller's.
+        phase, with one child per build step (:func:`build_internet`) and
+        a ``facade`` child (wall-clock reporting only; the built world is
+        identical with or without it).  The facade is constructed inside
+        the phase: the build suspends the cyclic collector, so the first
+        allocation after it pays for a young-generation pass over the
+        whole new world, and that pass is the build's cost, not the
+        caller's; ``facade`` holds it.
         """
         prof = profiler if profiler is not None else NULL_PROFILER
         with prof.phase("world.build"):
-            return cls(build_internet(config))
+            built = build_internet(config, prof)
+            with prof.phase("facade"):
+                return cls(built)
 
     def __init__(self, built: Optional[BuiltInternet] = None, config: Optional[InternetConfig] = None) -> None:
         if built is None:
@@ -283,13 +302,19 @@ class Internet:
 
     def reset_dynamics(self) -> None:
         """Forget every router's limiter and probing state (atomic-fragment
-        holds, fragment Identification counters) and zero the stats — used
-        between campaigns so trials don't contaminate each other.  O(1):
-        a router's state reappears, just-built, when a probe next needs it."""
+        holds, fragment Identification counters) and every flow slot, and
+        zero the stats — used between campaigns so trials don't
+        contaminate each other.  O(1): a router's state reappears,
+        just-built, when a probe next needs it, and a slot on its
+        destination's next probe."""
         #: router_id -> what this run changed about that router: exactly
         #: the routers that made a limiter decision or took a sub-1280
         #: Packet Too Big since the last rewind.
         self.router_state: Dict[int, RouterState] = {}
+        #: Destination's 16 bytes -> (flow, vantage, next header, path) of
+        #: the last well-formed probe sent there: one slot per destination,
+        #: overwritten when another flow takes it.
+        self._flows: Dict[bytes, Tuple[bytes, Vantage, int, CompiledPath]] = {}
         self.stats = InternetStats()
 
     def fresh_run_state(self) -> None:
@@ -300,13 +325,13 @@ class Internet:
         This is what lets the parallel runner share ONE built world across
         shard campaigns (fork-inherited or run serially in-process) instead
         of paying :func:`~repro.netsim.build.build_internet` once per
-        shard: :meth:`reset_dynamics` drops limiters, probing state and
-        stats, the loss/response RNG is reseeded to its constructor value,
-        and the telemetry hook is unbound.  The path cache survives — path
-        compilation is a pure function of the immutable topology, so a
-        warm cache changes nothing observable.  Unlike
-        :meth:`reset_dynamics` alone, which deliberately lets the RNG
-        stream continue across trials, this is a full rewind.
+        shard: :meth:`reset_dynamics` drops limiters, probing state, flow
+        slots and stats, the loss/response RNG is reseeded to its
+        constructor value, and the telemetry hook is unbound.  The path
+        cache survives — path compilation is a pure function of the
+        immutable topology, so a warm cache changes nothing observable.
+        Unlike :meth:`reset_dynamics` alone, which deliberately lets the
+        RNG stream continue across trials, this is a full rewind.
         """
         self.reset_dynamics()
         self._rng = random.Random(self.config.seed ^ 0x5EED)
@@ -511,17 +536,28 @@ class Internet:
         identified by the packet's source address.  Returns the response
         (with its arrival delay) or None when the network stays silent."""
         self.stats.probes += 1
-        first_word, _, next_header, hop_limit, src_high, src_low, dst_high, dst_low = (
-            ipv6.header_fields(data)
-        )
-        src = (src_high << 64) | src_low
-        vantage = self._vantage_by_addr.get(src)
-        if vantage is None:
-            raise ValueError("probe source %x is not a configured vantage" % src)
-        dst = (dst_high << 64) | dst_low
-        path = self.path_for(
-            vantage, dst, flow_variant(src, dst, next_header, first_word & 0xFFFFF, data)
-        )
+        # The probe's flow: every byte the steps below read to find its
+        # vantage and path, i.e. the first 44 less the hop limit.  Its
+        # destination's slot skips them when it holds this very flow.
+        flow = data[:7] + data[8:44]
+        dst_bytes = data[24:40]
+        slot = self._flows.get(dst_bytes)
+        if slot is not None and slot[0] == flow:
+            _, vantage, next_header, path = slot
+            hop_limit = data[7]
+        else:
+            first_word, _, next_header, hop_limit, src_high, src_low, dst_high, dst_low = (
+                ipv6.header_fields(data)
+            )
+            src = (src_high << 64) | src_low
+            vantage = self._vantage_by_addr.get(src)
+            if vantage is None:
+                raise ValueError("probe source %x is not a configured vantage" % src)
+            dst = (dst_high << 64) | dst_low
+            path = self.path_for(
+                vantage, dst, flow_variant(src, dst, next_header, first_word & 0xFFFFF, data)
+            )
+            self._flows[dst_bytes] = (flow, vantage, next_header, path)
         # RFC 8200: the first router discards a packet that arrives with
         # hop limit 0 and reports it, as it does one with hop limit 1.
         hop_limit = hop_limit or 1
@@ -567,8 +603,13 @@ class Internet:
                 router, _, delay = path.hops[-1]
                 return self._host_response(data, delay, responder=router, now=now)
             else:
-                return self._deliver_lan(path, data, src, dst, next_header, now)
-        return self._icmp_error(hop, msg_type, code, word, data, next_header, src, now)
+                return self._deliver_lan(
+                    path, data, vantage.address, int.from_bytes(dst_bytes, "big"),
+                    next_header, now,
+                )
+        return self._icmp_error(
+            hop, msg_type, code, word, data, next_header, vantage.address, now
+        )
 
     def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
         """Inject probe bytes at virtual time ``when`` and say what comes

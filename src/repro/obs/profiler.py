@@ -14,7 +14,10 @@ process.  Two additions earn their keep on the hot path:
 * ``agg()`` handles — reusable aggregate accumulators for per-block
   work (``emit.craft`` runs thousands of times per campaign; recording
   one span per block would swamp the trace, so an aggregate keeps just
-  count and total under the enclosing phase);
+  count and total under the enclosing phase).  An aggregate whose every
+  interval falls inside another's (``net.answer`` inside ``emit.craft``)
+  names it as ``within``: its time comes out of that aggregate's self
+  time rather than the phase's, so nothing is counted twice;
 * byte accounting — ``add_bytes()`` attributes payload sizes (the
   pickled bytes each shard's outcome crossed the pipe as) to the
   innermost open phase, so "how big is the IPC result traffic" is a
@@ -49,6 +52,9 @@ from .wallclock import now
 #: One recorded span, flattened for export: (name, start_s, end_s,
 #: parent index, bytes, attrs-or-None).
 SpanRow = Tuple[str, float, float, int, int, Optional[Dict[str, Any]]]
+#: One aggregate, flattened for export: (parent span index, name, count,
+#: total seconds, the enclosing aggregate's name or "").
+AggRow = Tuple[int, str, int, float, str]
 
 
 class WallProfileError(ValueError):
@@ -103,7 +109,7 @@ class _AggHandle:
 
     __slots__ = ("_entry", "_started")
 
-    def __init__(self, entry: List[float]) -> None:
+    def __init__(self, entry: List[Any]) -> None:
         self._entry = entry
         self._started = 0.0
 
@@ -141,8 +147,8 @@ class WallProfiler:
     def __init__(self) -> None:
         self.spans: List[WallSpan] = []
         self._stack: List[int] = []
-        #: (parent span index, name) -> [count, total_seconds]
-        self._aggs: Dict[Tuple[int, str], List[float]] = {}
+        #: (parent span index, name) -> [count, total_seconds, within]
+        self._aggs: Dict[Tuple[int, str], List[Any]] = {}
         #: (shard, exported worker profile, pickled bytes of its outcome)
         self._workers: List[Tuple[int, Dict[str, Any], int]] = []
 
@@ -155,21 +161,33 @@ class WallProfiler:
         self._stack.append(index)
         return _PhaseHandle(self, index)
 
-    def agg(self, name: str) -> Any:
-        """A reusable aggregate handle bound under the open phase; each
-        ``with`` on it adds one interval (count + total, no span)."""
+    def _entry(self, name: str, within: str) -> List[Any]:
         parent = self._stack[-1] if self._stack else -1
-        entry = self._aggs.setdefault((parent, name), [0.0, 0.0])
-        return _AggHandle(entry)
+        return self._aggs.setdefault((parent, name), [0.0, 0.0, within])
 
-    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+    def agg(self, name: str, within: str = "") -> Any:
+        """A reusable aggregate handle bound under the open phase; each
+        ``with`` on it adds one interval (count + total, no span).
+        ``within`` names the aggregate of the same phase that encloses
+        every one of these intervals, and whose self time they leave."""
+        return _AggHandle(self._entry(name, within))
+
+    def wrap(
+        self, name: str, call: Callable[..., Any], within: str = ""
+    ) -> Callable[..., Any]:
         """``call``, each call adding one interval to the ``name``
-        aggregate under the phase open now (see :meth:`agg`)."""
-        handle = self.agg(name)
+        aggregate under the phase open now (see :meth:`agg`).  Timed
+        inline, without a handle's two method calls: ``net.answer``
+        wraps a call made once a probe."""
+        entry = self._entry(name, within)
 
         def timed(*args: Any) -> Any:
-            with handle:
+            started = now()
+            try:
                 return call(*args)
+            finally:
+                entry[0] += 1
+                entry[1] += now() - started
 
         return timed
 
@@ -202,10 +220,7 @@ class WallProfiler:
              span.attrs]
             for span in self.spans
         ]
-        aggs = [
-            [key[0], key[1], int(entry[0]), entry[1]]
-            for key, entry in sorted(self._aggs.items())
-        ]
+        aggs = [list(row) for row in self._agg_rows()]
         return {"spans": rows, "aggs": aggs}
 
     def complete(self) -> bool:
@@ -241,9 +256,9 @@ class WallProfiler:
             for span in self.spans
         ]
 
-    def _agg_rows(self) -> List[Tuple[int, str, int, float]]:
+    def _agg_rows(self) -> List[AggRow]:
         return [
-            (key[0], key[1], int(entry[0]), entry[1])
+            (key[0], key[1], int(entry[0]), entry[1], entry[2])
             for key, entry in sorted(self._aggs.items())
         ]
 
@@ -255,7 +270,8 @@ class WallProfiler:
 
     def coverage(self, name: Optional[str] = None) -> float:
         """Fraction of a phase's duration attributed to named children
-        (child phases plus aggregates).  ``name`` picks the first span
+        (child phases plus aggregates, each nested one counted once, in
+        the aggregate it lies ``within``).  ``name`` picks the first span
         with that name; default is the first root phase.  The acceptance
         bar for the pipeline is >= 0.95 at the top-level phase.
         """
@@ -277,7 +293,7 @@ class WallProfiler:
         attributed += sum(
             entry[1]
             for key, entry in self._aggs.items()
-            if key[0] == index
+            if key[0] == index and not entry[2]
         )
         return min(1.0, attributed / duration)
 
@@ -297,7 +313,7 @@ class WallProfiler:
         ):
             spans = [_row_tuple(row) for row in export.get("spans", [])]
             aggs = [
-                (int(row[0]), str(row[1]), int(row[2]), float(row[3]))
+                (int(row[0]), str(row[1]), int(row[2]), float(row[3]), str(row[4]))
                 for row in export.get("aggs", [])
             ]
             workers.append(
@@ -363,10 +379,12 @@ class NullWallProfiler(WallProfiler):
     def phase(self, name: str, **attrs: Any) -> Any:
         return _NULL_HANDLE
 
-    def agg(self, name: str) -> Any:
+    def agg(self, name: str, within: str = "") -> Any:
         return _NULL_HANDLE
 
-    def wrap(self, name: str, call: Callable[..., Any]) -> Callable[..., Any]:
+    def wrap(
+        self, name: str, call: Callable[..., Any], within: str = ""
+    ) -> Callable[..., Any]:
         return call
 
     def add_bytes(self, count: int) -> None:
@@ -397,21 +415,24 @@ def _row_tuple(row: List[Any]) -> SpanRow:
     )
 
 
-def _tree_rows(
-    spans: List[SpanRow], aggs: List[Tuple[int, str, int, float]]
-) -> List[Dict[str, Any]]:
+def _tree_rows(spans: List[SpanRow], aggs: List[AggRow]) -> List[Dict[str, Any]]:
     """Aggregate spans + aggs into one row per phase *path*.
 
     ``self_seconds`` is a span's duration minus its children's and its
     attached aggregates' totals — host time spent in the phase's own
-    code.  Sorted by path components, so a parent row always precedes
-    its children.
+    code; an aggregate's is its total minus those of the aggregates
+    nested ``within`` it, which the phase's does not subtract again.
+    Sorted by path components, so a parent row always precedes its
+    children.
     """
     paths: List[str] = []
     child_time = [0.0] * len(spans)
     agg_time = [0.0] * len(spans)
-    for parent, _, _, total in aggs:
-        if 0 <= parent < len(spans):
+    nested: Dict[Tuple[int, str], float] = {}
+    for parent, _, _, total, within in aggs:
+        if within:
+            nested[parent, within] = nested.get((parent, within), 0.0) + total
+        elif 0 <= parent < len(spans):
             agg_time[parent] += total
     for name, start, end, parent, _, _ in spans:
         paths.append(name if parent < 0 else paths[parent] + "/" + name)
@@ -425,12 +446,12 @@ def _tree_rows(
         row[1] += duration
         row[2] += duration - child_time[index] - agg_time[index]
         row[3] += byte_count
-    for parent, name, count, total in aggs:
+    for parent, name, count, total, _ in aggs:
         path = paths[parent] + "/" + name if 0 <= parent < len(paths) else name
         row = rows.setdefault(path, [0.0, 0.0, 0.0, 0.0])
         row[0] += count
         row[1] += total
-        row[2] += total
+        row[2] += total - nested.get((parent, name), 0.0)
     return [
         {
             "path": path,

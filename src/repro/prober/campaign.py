@@ -212,7 +212,10 @@ def run_campaign(
     ``profiler`` attributes *host* time to ``campaign.setup`` /
     ``campaign.run`` phases, with per-block aggregates (``emit.craft``,
     the pull loop crafting each probe and handing it to the wire, and
-    ``recv.deliver``, recording the replies due) on the columnar path.  Wall-clock
+    ``recv.deliver``, recording the replies due) on the columnar path,
+    and on either loop a per-probe ``net.answer`` aggregate, the time in
+    :meth:`Internet.answer` (on the columnar path it is taken out of
+    ``emit.craft``'s self time, inside which it runs).  Wall-clock
     reporting only: it never selects a code path, so the probe bytes and
     records stay bit-identical with profiling on or off.
     """
@@ -250,7 +253,7 @@ def run_campaign(
     def run_slots() -> int:
         emit = machine.next_probe
         receive = machine.receive
-        answer = internet.answer
+        answer = prof.wrap("net.answer", internet.answer)
         held: List[Tuple[int, int, bytes]] = []
         now = pace_offset_us
         while True:
@@ -319,10 +322,11 @@ def run_campaign(
         def run_blocks() -> int:
             # Called inside the open ``campaign.run`` phase, so the
             # per-block aggregates nest under it; a disabled profiler
-            # hands both calls back untouched.
+            # hands every call back untouched.  Each probe's network
+            # exchange runs inside the pull loop's craft interval.
             pull = prof.wrap("emit.craft", walker.next_probes)
             deliver = prof.wrap("recv.deliver", deliver_held)
-            answer = internet.answer
+            answer = prof.wrap("net.answer", internet.answer, within="emit.craft")
             hold = partial(heappush, held)
             start = pace_offset_us
             while True:

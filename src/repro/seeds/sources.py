@@ -272,6 +272,8 @@ def random_seed(built: BuiltInternet, count: int = 20_000) -> SeedList:
     """Random control: addresses uniformly drawn within routed space,
     prefix chosen uniformly then an address uniformly inside it (the
     paper's unguided BGP-informed baseline)."""
+    if count < 0:
+        raise ValueError("random seed count must be >= 0, not %d" % count)
     rng = _rng(built, 7)
     prefixes = built.truth.bgp.prefixes()
     items = [

@@ -285,6 +285,32 @@ class TestPipeline:
             "dnsdb, fdns_any, fiebig, random, tum\n"
         )
 
+    @pytest.mark.parametrize(
+        "source, flag, value, least",
+        [
+            ("random", "--random-count", "-5", 0),
+            ("6gen", "--sixgen-budget", "-1", 0),
+            ("cdn-k32", "--cdn-k32", "0", 1),
+            ("cdn-k256", "--cdn-k256", "-3", 1),
+            ("caida", "--cdn-k32", "0", 1),  # whichever source is asked for
+        ],
+    )
+    def test_a_bad_seed_knob_is_refused_before_the_world_is_read(
+        self, tmp_path, source, flag, value, least
+    ):
+        out = tmp_path / "x"
+        code, text = run(
+            [
+                "seeds",
+                "--world", str(tmp_path / "nonexistent"),
+                "--source", source,
+                flag, value,
+                "--out", str(out),
+            ]
+        )
+        assert (code, text) == (2, "%s must be >= %d, not %s\n" % (flag, least, value))
+        assert not out.exists()
+
     def test_seeds_builds_only_the_named_source(self, world_file, tmp_path, monkeypatch):
         """``--source dnsdb`` must not pay for 6Gen or the kIP aggregations."""
 
@@ -899,6 +925,12 @@ class TestProfile:
         # The world's teardown (tens of thousands of objects freed by
         # reference count) has a phase of its own.
         assert "probe/world.free" in paths
+        # Each probe's exchange with the network is named, and so is each
+        # step of the world build, the facade with the collector's first
+        # pass over the new world included.
+        assert "probe/campaign.run/net.answer" in paths
+        steps = ("backbone", "edge_ases", "cpe_isps", "6to4_relay", "vantages", "facade")
+        assert {"probe/world.build/" + step for step in steps} <= paths
         # Profiling is observe-only: the records match an unprofiled run.
         plain = str(tmp_path / "plain.yrp6")
         run(["probe", "--world", world_file, "--targets", targets_path, "--out", plain])

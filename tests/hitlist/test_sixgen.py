@@ -25,6 +25,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SixGenConfig(cluster_bits=0)
 
+    @pytest.mark.parametrize("count", ["min_cluster_size", "budget", "per_cluster_cap"])
+    def test_a_negative_count_is_refused(self, count):
+        with pytest.raises(ValueError, match="%s must be >= 0, not -1" % count):
+            SixGenConfig(**{count: -1})
+        SixGenConfig(**{count: 0})
+
 
 class TestNybbleRange:
     def test_loose_uses_observed_values(self):

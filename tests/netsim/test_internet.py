@@ -21,6 +21,7 @@ from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 from repro.prober import run_yarrp6
 from repro.prober.encoding import encode_probe
+from repro.prober.speedtrap import run_speedtrap
 
 
 def icmp_probe(src, dst, ttl, ident=7, seq=1, payload=b"probe"):
@@ -345,7 +346,9 @@ class TestDecisionOrder:
     def test_first_matching_condition_answers(
         self, lossless_net, monkeypatch, blocked, payload, hop_limit, answer
     ):
-        net = lossless_net
+        # A fresh instance per case: its flow table holds no path an
+        # earlier case's patch returned.
+        net = Internet(lossless_net.built)
         vantage = net.vantage("EU-NET")
         routers = list(net.truth.routers.values())[:3]
         hops = [
@@ -413,6 +416,17 @@ def with_flow_label(packet, flow_label):
     return first_word.to_bytes(4, "big") + packet[4:]
 
 
+def flow_of(packet):
+    """What a destination's slot compares: the first 44 bytes less the
+    hop limit."""
+    return packet[:7] + packet[8:44]
+
+
+def with_byte(packet, offset, value):
+    """``packet`` with the byte at ``offset`` set to ``value``."""
+    return packet[:offset] + bytes([value]) + packet[offset + 1:]
+
+
 class TestFlowPathChoice:
     """``probe`` walks ``path_for(vantage, dst, flow_variant(header,
     payload))`` — the packet's own flow picks the ECMP variant."""
@@ -453,6 +467,8 @@ class TestFlowPathChoice:
 
         monkeypatch.setattr(net, "path_for", spy)
         picked = set()
+        last_flow = {}
+        resolved = 0
         for packet in packets:
             del asked[:]
             net.probe(packet, now=0)
@@ -460,8 +476,17 @@ class TestFlowPathChoice:
             variant = flow_variant(
                 header.src, header.dst, header.next_header, header.flow_label, packet
             )
-            assert asked == [(vantage, header.dst, variant)]
-            picked.add(id(path_for(*asked[0])))
+            # A flow is resolved once per destination: a probe repeating
+            # the last flow sent there asks for nothing, any other for
+            # its variant's path.
+            flow = flow_of(packet)
+            new = last_flow.get(header.dst) != flow
+            last_flow[header.dst] = flow
+            assert asked == ([(vantage, header.dst, variant)] if new else [])
+            resolved += new
+            picked.add(id(path_for(vantage, header.dst, variant)))
+        # Each flow is sent at two hop limits, back to back; one slot a target.
+        assert 2 * resolved == len(packets) and len(net._flows) == 3
         return picked
 
     def test_probe_picks_the_flow_variants_path(self, net, monkeypatch):
@@ -495,9 +520,10 @@ class TestFlowPathChoice:
     def test_unknown_vantage_raises_before_any_lookup(self, net):
         paths = dict(net._path_cache)
         packet = encode_probe(parse("2001:db8:dead::1"), first_host(net), 3, 0)
-        with pytest.raises(ValueError, match="not a configured vantage"):
-            net.probe(packet, now=0)
-        assert net._path_cache == paths
+        for _ in range(3):  # on every repetition: nothing is kept
+            with pytest.raises(ValueError, match="not a configured vantage"):
+                net.probe(packet, now=0)
+        assert net._path_cache == paths and net._flows == {}
 
     def test_the_flow_label_alone_moves_a_probe_between_variants(self, net):
         vantage = net.vantage("US-EDU-1")
@@ -531,6 +557,157 @@ class TestFlowPathChoice:
                 len({path.hops[index][1] for path in paths}) > 1 for index in range(length)
             )
         assert parallel
+
+
+class TestFlowSlot:
+    """``probe`` keeps one slot per destination address: the flow of the
+    last well-formed probe sent there with the vantage, next header and
+    path it resolved to.  A probe repeating that flow skips the
+    resolution; any other is resolved again and answers exactly as a
+    fresh ``Internet`` does (the lossless world answers each probe as a
+    pure function of its bytes)."""
+
+    @pytest.fixture()
+    def slotted(self, lossless_net, monkeypatch):
+        """A fresh instance with one ICMPv6 probe's flow slotted, the
+        probe, and the ``path_for`` calls made since."""
+        net = Internet(lossless_net.built)
+        vantage = net.vantage("EU-NET")
+        packet = encode_probe(vantage.address, first_host(net), 5, 0)
+        asked = []
+        path_for = net.path_for
+
+        def spy(vantage, dst, variant=0):
+            asked.append(dst)
+            return path_for(vantage, dst, variant)
+
+        monkeypatch.setattr(net, "path_for", spy)
+        net.probe(packet, now=0)
+        path = path_for(vantage, asked[0], variant_of(packet))
+        assert net._flows == {packet[24:40]: (flow_of(packet), vantage, PROTO_ICMPV6, path)}
+        del asked[:]
+        return net, packet, asked
+
+    @staticmethod
+    def answers(net, packet):
+        """``net.probe(packet)`` as comparable data: the response, None, or
+        the message of the error it raised."""
+        try:
+            response = net.probe(packet, now=0)
+        except ValueError as error:
+            return str(error)
+        return response and tuple(response)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [
+            (7, 1),    # hop limit
+            (7, 0),
+            (7, 60),   # past the path: the host answers
+            (44, 0xEE),  # first byte past the flow
+            (-1, 0xEE),  # last byte
+        ],
+    )
+    def test_a_probe_differing_only_in_hop_limit_or_past_44_bytes_reuses_the_slot(
+        self, slotted, offset, value
+    ):
+        net, packet, asked = slotted
+        changed = with_byte(packet, offset % len(packet), value)
+        assert changed != packet and flow_of(changed) == flow_of(packet)
+        assert self.answers(net, changed) == self.answers(Internet(net.built), changed)
+        assert asked == [] and len(net._flows) == 1
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [
+            (3, 0x01),   # flow label
+            (1, 0x0F),   # flow label, high nibble
+            (6, PROTO_UDP),  # next header
+            (39, 0x07),  # destination
+            (40, 0x81),  # transport bytes 40-43: ICMPv6 type,
+            (41, 0x01),  # code,
+            (42, 0x00),  # checksum
+            (43, 0x00),
+        ],
+    )
+    def test_a_probe_differing_in_a_flow_byte_is_resolved_again(
+        self, slotted, offset, value
+    ):
+        net, packet, asked = slotted
+        changed = with_byte(packet, offset, value)
+        assert changed != packet
+        assert self.answers(net, changed) == self.answers(Internet(net.built), changed)
+        assert asked == [int.from_bytes(changed[24:40], "big")]
+        # The new flow takes its destination's slot, whichever that is.
+        assert net._flows[changed[24:40]][0] == flow_of(changed)
+        assert len(net._flows) == 1 + (offset == 39)
+
+    def test_a_probe_from_another_source_is_resolved_again(self, slotted):
+        net, packet, asked = slotted
+        changed = with_byte(packet, 23, packet[23] ^ 0x01)
+        fresh = Internet(net.built)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a configured vantage"):
+                net.probe(changed, now=0)
+            assert self.answers(net, changed) == self.answers(fresh, changed)
+        assert asked == [] and net._flows[packet[24:40]][0] == flow_of(packet)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda packet: packet[:39],  # short of a header
+            lambda packet: packet[:20],
+            lambda packet: b"",
+            lambda packet: with_byte(packet, 0, 0x40 | packet[0] & 0x0F),  # IPv4
+        ],
+        ids=["39-bytes", "20-bytes", "empty", "version-4"],
+    )
+    def test_a_malformed_packet_raises_every_time_and_is_never_stored(
+        self, lossless_net, mangle
+    ):
+        net = Internet(lossless_net.built)
+        packet = encode_probe(net.vantage("EU-NET").address, first_host(net), 5, 0)
+        bad = mangle(packet)
+        for _ in range(3):
+            with pytest.raises(ipv6.PacketError):
+                net.probe(bad, now=0)
+        assert net._flows == {}
+        # Nor does a well-formed flow's slot let one through.
+        net.probe(packet, now=0)
+        for _ in range(3):
+            with pytest.raises(ipv6.PacketError):
+                net.probe(bad, now=0)
+        assert list(net._flows.values())[0][0] == flow_of(packet) and len(net._flows) == 1
+
+    def test_the_rewind_empties_the_table(self, slotted):
+        net, packet, asked = slotted
+        net.reset_dynamics()
+        assert net._flows == {}
+        net.probe(packet, now=0)
+        assert len(asked) == 1 and len(net._flows) == 1
+        net.fresh_run_state()
+        assert net._flows == {}
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda net, targets: run_yarrp6(net, "EU-NET", targets, pps=2000.0, max_ttl=16),
+            # One flow per probe: every echo request carries its own
+            # sequence number and checksum.
+            lambda net, targets: run_speedtrap(net, "EU-NET", targets),
+        ],
+        ids=["yarrp6-walk", "speedtrap"],
+    )
+    def test_a_campaign_leaves_at_most_one_slot_per_target(self, small_built, run):
+        net = Internet(small_built)
+        truth = small_built.truth
+        targets = [subnet.prefix.base | 1 for subnet in list(truth.subnets.values())[:40]]
+        targets += [router.interfaces[0] for router in list(truth.routers.values())[:20]]
+        run(net, targets)
+        assert net.stats.probes > 2 * len(targets)
+        assert 0 < len(net._flows) and set(net._flows) <= {
+            target.to_bytes(16, "big") for target in targets
+        }
 
 
 class TestFiltering:
@@ -698,7 +875,9 @@ class TestHopLimitZero:
     sends one (``ProbeSchedule`` refuses TTL 0)."""
 
     def test_answered_by_the_first_hop_like_hop_limit_one(self, lossless_net):
-        net = lossless_net
+        # A fresh instance per case: its flow table holds no path an
+        # earlier case's patch returned.
+        net = Internet(lossless_net.built)
         vantage = net.vantage("EU-NET")
         target = first_host(net)
         answers = []
@@ -735,7 +914,9 @@ class TestQuotationMisbehaviour:
     def test_error_bytes_match_layered_build(self, lossless_net, msg_type, code, word):
         """What a router emits is header-over-message-over-pseudo-header
         construction of its (possibly mangled) quotation, byte for byte."""
-        net = lossless_net
+        # A fresh instance per case: its flow table holds no path an
+        # earlier case's patch returned.
+        net = Internet(lossless_net.built)
         vantage = net.vantage("EU-NET")
         short = encode_probe(vantage.address, first_host(net), 4, 77, protocol="udp")
         oversized = icmp_probe(vantage.address, first_host(net), 4, payload=b"\xa5" * 1399)

@@ -6,14 +6,15 @@ import pickle
 
 import pytest
 
-from repro.netsim import InternetConfig, build_internet, decoupled_dynamics
+from repro.netsim import Internet, InternetConfig, build_internet, decoupled_dynamics
+from repro.obs import profiler
 from repro.obs.profiler import (
     NULL_PROFILER,
     NullWallProfiler,
     WallProfileError,
     WallProfiler,
 )
-from repro.prober import CampaignSpec, run_parallel, run_single
+from repro.prober import CampaignSpec, run_campaign, run_parallel, run_single
 from repro.prober.output import dumps
 
 
@@ -58,6 +59,34 @@ class TestRecording:
         assert rows["run/block"]["count"] == 5
         assert rows["run/block"]["total_seconds"] >= 0.0
         assert len(prof.spans) == 1  # aggregates never add spans
+
+    def test_a_nested_aggregate_leaves_its_enclosing_aggregates_self_time(
+        self, monkeypatch
+    ):
+        ticks = iter(range(100))
+        monkeypatch.setattr(profiler, "now", lambda: float(next(ticks)))
+        prof = WallProfiler()
+        with prof.phase("run"):  # 0
+            craft = prof.agg("craft")
+            answer = prof.agg("answer", within="craft")
+            with craft:  # 1
+                with answer:  # 2
+                    pass  # 3
+                with answer:  # 4
+                    pass  # 5
+            # 6: craft took 5 s, 2 of them answering
+        # 7
+        rows = {row["path"]: row for row in prof.phase_rows()}
+        assert [(rows[path]["total_seconds"], rows[path]["self_seconds"])
+                for path in ("run", "run/craft", "run/answer")] == [(7, 2), (5, 3), (2, 2)]
+        assert rows["run/answer"]["count"] == 2
+        # Counted once: the phase's children cover craft's 5 of its 7 s.
+        assert prof.coverage() == pytest.approx(5 / 7)
+        # A shard's export carries the nesting home.
+        parent = WallProfiler()
+        parent.add_worker(0, pickle.loads(pickle.dumps(prof.export())), 0)
+        (worker,) = parent.to_profile_dict()["workers"]
+        assert worker["phases"] == prof.phase_rows()
 
     def test_add_bytes_goes_to_innermost_open_phase(self):
         prof = WallProfiler()
@@ -225,6 +254,35 @@ class TestPipelineContract:
         assert "parallel/shard.run" in paths
         assert "parallel/merge" in paths
         assert "parallel/shard.run/campaign.run/emit.craft" in paths
+
+    @pytest.mark.parametrize("prober", ["yarrp6", "sequential"])
+    def test_each_probes_answer_is_named_and_counted_once(self, prober):
+        """Both loops time ``Internet.answer`` as ``net.answer``; on the
+        block loop it runs inside ``emit.craft`` and leaves its self time."""
+        spec = small_spec()
+        world = Internet.from_config(spec.internet)
+        prof = WallProfiler()
+        result = run_campaign(world, spec.vantage, spec.targets, prober, profiler=prof)
+        assert dumps(result) == dumps(
+            run_campaign(Internet(world.built), spec.vantage, spec.targets, prober)
+        )
+        rows = {row["path"]: row for row in prof.phase_rows()}
+        answer = rows.pop("campaign.run/net.answer")
+        assert answer["count"] == result.sent
+        run = rows.pop("campaign.run")
+        children = [row for path, row in rows.items() if path.startswith("campaign.run/")]
+        assert bool(children) == (prober == "yarrp6")
+        if children:
+            craft = rows["campaign.run/emit.craft"]
+            assert craft["self_seconds"] == pytest.approx(
+                craft["total_seconds"] - answer["total_seconds"]
+            )
+            answer = {"total_seconds": 0.0}  # inside craft, not beside it
+        assert run["self_seconds"] == pytest.approx(
+            run["total_seconds"]
+            - answer["total_seconds"]
+            - sum(row["total_seconds"] for row in children)
+        )
 
     def test_worker_pool_profile_reports_pickle_bytes_per_shard(self):
         spec = small_spec()

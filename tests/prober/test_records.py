@@ -371,20 +371,23 @@ class TestCallBudget:
     #: without a helper call (no checksum helpers, ``_quote``,
     #: ``Response.__init__``, ``header_fields``, ``DecodedProbe``,
     #: ``rtt_from`` or null ``inc``); 15.34 with no registry in the
-    #: prober (no null ``inc`` a block).  The two block-loop budgets are
+    #: prober (no null ``inc`` a block); 12.50 with a probe that repeats
+    #: its destination's last flow skipping ``header_fields``,
+    #: ``flow_variant`` and ``path_for``.  The two block-loop budgets are
     #: their measured value plus 5 %: a helper re-wrapped around a
     #: per-response step costs ~0.8 a probe, around a per-probe step 1.0.
-    CALLS_PER_PROBE = 16.1
+    CALLS_PER_PROBE = 13.1
     #: The fill walk (``max_ttl=8, fill=True``): 13.57, 13.54 with no
-    #: registry in the prober, on the same loop.
-    FILL_CALLS_PER_PROBE = 14.2
+    #: registry in the prober, 10.85 with the flow slot, on the same loop.
+    FILL_CALLS_PER_PROBE = 11.4
     #: The per-event loop (``run_sequential`` at 20 kpps): 35.87 while the
     #: engine and the prober held a registry (two null instrument calls
     #: per scheduled event, one per emission); 31.36 with none; 22.39
     #: with the loop holding its own replies (no ``exchange``,
     #: ``schedule_at``, closure, engine pop, ``deliver`` or resumption
-    #: per probe), plus 2 % so that one more call per probe (23.39) fails.
-    PER_EVENT_CALLS_PER_PROBE = 22.8
+    #: per probe); 19.69 with the flow slot; plus 2 % so that one more
+    #: call per probe (20.69) fails.
+    PER_EVENT_CALLS_PER_PROBE = 20.1
 
     @staticmethod
     def calls_per_probe(smoke_built, run) -> float:

@@ -171,6 +171,11 @@ class TestSixGen:
     def test_budget_respected(self, built):
         assert len(sixgen_seed(built, budget=2000)) <= 2000
 
+    def test_a_negative_budget_is_refused(self, built):
+        with pytest.raises(ValueError, match="budget must be >= 0, not -1"):
+            sixgen_seed(built, budget=-1)
+        assert len(sixgen_seed(built, budget=0)) == len(sixgen_seed(built, budget=1))
+
 
 class TestTum:
     def test_subsets_shape(self, built):
@@ -202,6 +207,11 @@ class TestRandom:
 
     def test_deterministic(self, built):
         assert random_seed(built, 100).addresses == random_seed(built, 100).addresses
+
+    def test_a_negative_count_is_refused(self, built):
+        with pytest.raises(ValueError, match="count must be >= 0, not -5"):
+            random_seed(built, -5)
+        assert len(random_seed(built, 0)) == 0
 
 
 class TestBuildAll:
