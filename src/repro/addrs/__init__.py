@@ -19,7 +19,6 @@ from .address import (
 from .dpl import dpl_against, dpl_cdf, dpl_list, dpl_map, pairwise_dpl
 from .iid import (
     IIDClass,
-    class_fractions,
     classify_address,
     classify_iid,
     classify_set,
@@ -27,8 +26,8 @@ from .iid import (
     eui64_oui,
     make_eui64_iid,
 )
-from .prefix import Prefix, aggregate, merge_adjacent, spanning_prefix
-from .sets import SetFeatures, characterize_sets, shared_counts, union_size
+from .prefix import Prefix, aggregate
+from .sets import SetFeatures, characterize_sets
 from .trie import PrefixTrie
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "SetFeatures",
     "aggregate",
     "characterize_sets",
-    "class_fractions",
     "classify_address",
     "classify_iid",
     "classify_set",
@@ -59,13 +57,9 @@ __all__ = [
     "from_bytes",
     "interface_identifier",
     "make_eui64_iid",
-    "merge_adjacent",
     "pairwise_dpl",
     "parse",
-    "shared_counts",
-    "spanning_prefix",
     "subnet_prefix",
     "to_bytes",
-    "union_size",
     "with_iid",
 ]

@@ -10,7 +10,7 @@ conversion, and the bit-level helpers the rest of the library builds on.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 #: Number of bits in an IPv6 address.
 ADDRESS_BITS = 128
@@ -164,18 +164,6 @@ def common_prefix_length(a: int, b: int) -> int:
     if diff == 0:
         return ADDRESS_BITS
     return ADDRESS_BITS - diff.bit_length()
-
-
-def bit_at(value: int, position: int) -> int:
-    """Bit of ``value`` at ``position`` counted from the left (0 = MSB)."""
-    if not 0 <= position < ADDRESS_BITS:
-        raise IndexError("bit position out of range: %d" % position)
-    return (value >> (ADDRESS_BITS - 1 - position)) & 1
-
-
-def sort_unique(addresses: Iterable[int]) -> List[int]:
-    """Sorted, de-duplicated list of address integers."""
-    return sorted(set(addresses))
 
 
 #: The canonical low-byte interface identifier (``::1``).

@@ -115,12 +115,3 @@ def classify_set(addresses: Iterable[int]) -> Dict[IIDClass, int]:
     """Count IID classes across a set of addresses (Table 1 row)."""
     counts: Counter = Counter(classify_address(value) for value in addresses)
     return {cls: counts.get(cls, 0) for cls in IIDClass}
-
-
-def class_fractions(addresses: Iterable[int]) -> Dict[IIDClass, float]:
-    """IID class mix as fractions summing to 1 (0 for an empty set)."""
-    counts = classify_set(addresses)
-    total = sum(counts.values())
-    if total == 0:
-        return {cls: 0.0 for cls in IIDClass}
-    return {cls: count / total for cls, count in counts.items()}

@@ -9,7 +9,7 @@ aggregation routines rely on.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List
 
 from . import address
 from .address import ADDRESS_BITS, MAX_ADDRESS, AddressError
@@ -194,42 +194,3 @@ def aggregate(prefixes: Iterable[Prefix]) -> List[Prefix]:
             continue
         result.append(prefix)
     return result
-
-
-def merge_adjacent(prefixes: Iterable[Prefix]) -> List[Prefix]:
-    """Fully aggregate: also merge sibling pairs into their parent.
-
-    Standard CIDR aggregation, iterated to a fixed point.
-    """
-    work = aggregate(prefixes)
-    merged = True
-    while merged:
-        merged = False
-        out: List[Prefix] = []
-        index = 0
-        while index < len(work):
-            current = work[index]
-            if (
-                index + 1 < len(work)
-                and current.length == work[index + 1].length
-                and current.length > 0
-            ):
-                parent = Prefix(current.base, current.length - 1)
-                if parent.covers(work[index + 1]) and parent.base == current.base:
-                    out.append(parent)
-                    index += 2
-                    merged = True
-                    continue
-            out.append(current)
-            index += 1
-        work = aggregate(out)
-    return work
-
-
-def spanning_prefix(addresses: Sequence[int]) -> Optional[Prefix]:
-    """Smallest single prefix covering every address in the sequence."""
-    if not addresses:
-        return None
-    low, high = min(addresses), max(addresses)
-    length = address.common_prefix_length(low, high)
-    return Prefix(low, length)

@@ -10,7 +10,7 @@ of those given a collection of named address sets and a routing table.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from .prefix import Prefix
 from .trie import PrefixTrie
@@ -133,41 +133,3 @@ def characterize_sets(
             asn for asn in features.asns if asn_owners[asn] == {name}
         }
     return results
-
-
-def shared_counts(
-    sets: Mapping[str, Iterable[int]], bgp: PrefixTrie
-) -> Dict[str, Dict[str, int]]:
-    """For Figures 2/6 insets: per feature, how much is shared by two or
-    more sets versus exclusive to each single set."""
-    features = characterize_sets(sets, bgp)
-    all_prefixes: Dict[Prefix, Set[str]] = defaultdict(set)
-    all_asns: Dict[int, Set[str]] = defaultdict(set)
-    for name, summary in features.items():
-        for prefix in summary.bgp_prefixes:
-            all_prefixes[prefix].add(name)
-        for asn in summary.asns:
-            all_asns[asn].add(name)
-    return {
-        "bgp_prefixes": _ownership_histogram(all_prefixes),
-        "asns": _ownership_histogram(all_asns),
-    }
-
-
-def _ownership_histogram(owners: Mapping[object, Set[str]]) -> Dict[str, int]:
-    histogram: Dict[str, int] = {"shared": 0}
-    for owner_set in owners.values():
-        if len(owner_set) > 1:
-            histogram["shared"] += 1
-        else:
-            (name,) = owner_set
-            histogram[name] = histogram.get(name, 0) + 1
-    return histogram
-
-
-def union_size(sets: Mapping[str, Iterable[int]]) -> int:
-    """Total unique addresses across all sets ("Total" row of Table 5)."""
-    union: Set[int] = set()
-    for values in sets.values():
-        union.update(values)
-    return len(union)

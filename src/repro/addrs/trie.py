@@ -137,12 +137,6 @@ class PrefixTrie(Generic[V]):
         """True if any stored prefix covers the address."""
         return self.longest_match(value) is not None
 
-    def covered_by(self, covering: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate stored (prefix, value) pairs covered by ``covering``."""
-        for prefix, value in self.items():
-            if covering.covers(prefix):
-                yield prefix, value
-
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """All stored (prefix, value) pairs in sorted prefix order."""
         stack = [self._root]

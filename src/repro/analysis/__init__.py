@@ -15,7 +15,6 @@ from .discovery import (
     eui64_path_offsets,
     eui64_share,
     exclusive_interfaces,
-    interface_yield,
     offset_summary,
     oui_concentration,
     percentile,
@@ -29,7 +28,6 @@ from .graph import (
 from .limiter import LimiterEstimate, LimiterProbeConfig, infer_limiter
 from .report import (
     format_count,
-    format_fraction,
     render_cdf,
     render_series,
     render_table,
@@ -56,13 +54,11 @@ from .targetsets import (
     CampaignFeatures,
     characterize_results,
     characterize_target_sets,
-    combined_interfaces,
 )
 from .traces import Trace, build_traces, path_length_stats, reach_fraction
 from .vantages import (
     best_order,
     interfaces_by_vantage,
-    marginal_gain,
     overlap_matrix,
 )
 
@@ -80,7 +76,6 @@ __all__ = [
     "build_traces",
     "characterize_results",
     "characterize_target_sets",
-    "combined_interfaces",
     "discover_by_path_div",
     "discovery_curve",
     "edge_accuracy",
@@ -90,12 +85,9 @@ __all__ = [
     "exclusive_interfaces",
     "format_count",
     "infer_limiter",
-    "format_fraction",
     "graph_summary",
     "interfaces_by_vantage",
     "interface_graph",
-    "interface_yield",
-    "marginal_gain",
     "offset_summary",
     "other_icmp_count",
     "other_icmp_rate",

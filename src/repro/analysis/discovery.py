@@ -1,18 +1,19 @@
-"""Discovery metrics: target-set power, yields, EUI-64 structure.
+"""Discovery metrics: target-set power, EUI-64 structure.
 
-Implements the quantities behind Figure 7 (interfaces vs probes), Table 6
-(yield), and Table 7's EUI-64 columns (share of EUI-64 interface
-addresses and their hop position relative to path end).
+Implements the quantities behind Figure 7 (interfaces vs probes) and
+Table 7's EUI-64 columns (share of EUI-64 interface addresses and their
+hop position relative to path end); Table 6's yield is
+``CampaignResult.yield_per_probe``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..addrs.iid import IIDClass, classify_address, eui64_oui
 from ..prober.campaign import CampaignResult
-from .traces import Trace, build_traces
+from .traces import build_traces
 
 
 def discovery_curve(
@@ -41,11 +42,6 @@ def discovery_curve(
     if sampled[-1] != curve[-1]:
         sampled.append(curve[-1])
     return sampled
-
-
-def interface_yield(result: CampaignResult) -> float:
-    """Unique interface addresses per probe (Table 6's Yield %)."""
-    return result.yield_per_probe
 
 
 def eui64_interfaces(interfaces: Iterable[int]) -> List[int]:

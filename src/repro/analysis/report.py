@@ -20,10 +20,6 @@ def format_count(value: float) -> str:
     return "%d" % value
 
 
-def format_fraction(value: float) -> str:
-    return "%.1f%%" % (100.0 * value)
-
-
 def render_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
 ) -> str:

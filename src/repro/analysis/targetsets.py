@@ -7,7 +7,7 @@ machinery in :mod:`repro.addrs.sets`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from ..addrs.sets import SetFeatures, characterize_sets
 from ..addrs.trie import PrefixTrie
@@ -97,11 +97,3 @@ def characterize_results(
             asn for asn in summary.asns if asn_owners[asn] == {name}
         }
     return features
-
-
-def combined_interfaces(results: Iterable[CampaignResult]) -> Set[int]:
-    """Union of interfaces across campaigns (the Table 7 ALL row)."""
-    union: Set[int] = set()
-    for result in results:
-        union.update(result.interfaces)
-    return union

@@ -1,34 +1,17 @@
 """Multi-vantage analysis: how much does each extra vantage buy?
 
 The paper runs three vantages and plans "a large number" (Section 7.2).
-These helpers quantify that plan: the marginal interface gain of each
-added vantage, pairwise overlap between vantages' discoveries, and the
-diminishing-returns curve a deployment planner would consult.
+These helpers quantify that plan: the greedy order that adds the most
+new interfaces first (the diminishing-returns curve a deployment planner
+would consult) and pairwise overlap between vantages' discoveries.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from ..prober.campaign import CampaignResult
-
-
-def marginal_gain(
-    results: Sequence[Tuple[str, Set[int]]]
-) -> List[Tuple[str, int, int]]:
-    """Cumulative discovery as vantages are added in the given order.
-
-    Input: (vantage name, interface set) pairs.  Output rows:
-    (vantage, newly contributed interfaces, cumulative total).
-    """
-    seen: Set[int] = set()
-    rows: List[Tuple[str, int, int]] = []
-    for name, interfaces in results:
-        fresh = len(set(interfaces) - seen)
-        seen |= set(interfaces)
-        rows.append((name, fresh, len(seen)))
-    return rows
 
 
 def best_order(results: Mapping[str, Set[int]]) -> List[Tuple[str, int, int]]:

@@ -1,11 +1,11 @@
 """Target generation: seeds → prefix transformation → synthesis (Fig. 1)."""
 
-from .entropy import EntropyModel, Segment, nybble_entropy, segment, structure_summary
-from .kip import KIPParams, coverage, kip_aggregate, kn_transform
+from .entropy import EntropyModel, Segment, nybble_entropy, segment
+from .kip import KIPParams, coverage, kip_aggregate
 from .pipeline import TargetSet, build_suite, combine, make_targets
-from .sixgen import SixGenConfig, cluster_densities, generate
-from .synthesis import fixediid, known, lowbyte1, random_iid, synthesize, with_iid
-from .transform import as_prefix, expand_short_prefixes, zn
+from .sixgen import SixGenConfig, generate
+from .synthesis import fixediid, known, lowbyte1, random_iid, synthesize
+from .transform import as_prefix, zn
 
 __all__ = [
     "EntropyModel",
@@ -15,22 +15,17 @@ __all__ = [
     "TargetSet",
     "as_prefix",
     "build_suite",
-    "cluster_densities",
     "combine",
     "coverage",
-    "expand_short_prefixes",
     "fixediid",
     "generate",
     "kip_aggregate",
-    "kn_transform",
     "known",
     "lowbyte1",
     "make_targets",
     "nybble_entropy",
     "random_iid",
     "segment",
-    "structure_summary",
     "synthesize",
-    "with_iid",
     "zn",
 ]

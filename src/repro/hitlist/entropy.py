@@ -203,15 +203,3 @@ class EntropyModel:
             seen.add(candidate)
             out.append(candidate)
         return sorted(out)
-
-
-def structure_summary(addresses: Sequence[int]) -> Dict[str, float]:
-    """Aggregate structure metrics for reporting: total entropy, the
-    entropy of the network half vs the IID half, and the segment count."""
-    profile = nybble_entropy(addresses)
-    return {
-        "total_bits": sum(profile),
-        "network_bits": sum(profile[:16]),
-        "iid_bits": sum(profile[16:]),
-        "segments": float(len(segment(addresses))),
-    }

@@ -133,13 +133,6 @@ def kip_aggregate(
     return sorted(set(aggregates))
 
 
-def kn_transform(
-    observations: Iterable[Tuple[int, int]], k: int, **kwargs
-) -> List[Prefix]:
-    """The paper's ``kn`` prefix transformation: kIP with k = n."""
-    return kip_aggregate(observations, KIPParams(k=k, **kwargs))
-
-
 def coverage(aggregates: Sequence[Prefix], addresses: Iterable[int]) -> float:
     """Fraction of the given addresses covered by the aggregates.
 

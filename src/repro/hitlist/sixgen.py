@@ -139,15 +139,3 @@ def generate(seeds: Iterable[int], config: SixGenConfig = SixGenConfig()) -> Lis
         output.update(fresh)
         budget -= len(fresh)
     return sorted(output)
-
-
-def cluster_densities(
-    seeds: Iterable[int], cluster_bits: int = 48
-) -> Dict[int, int]:
-    """Seed count per cluster prefix-bits value (diagnostics)."""
-    shift = 128 - cluster_bits
-    result: Dict[int, int] = {}
-    for seed in set(seeds):
-        key = seed >> shift
-        result[key] = result.get(key, 0) + 1
-    return result

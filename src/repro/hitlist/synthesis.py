@@ -4,9 +4,9 @@ addresses, by choice of interface identifier."""
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from ..addrs.address import FIXED_IID, IID_MASK, LOWBYTE1_IID
+from ..addrs.address import FIXED_IID, LOWBYTE1_IID
 from ..addrs.prefix import Prefix
 
 
@@ -21,11 +21,6 @@ def fixediid(prefixes: Iterable[Prefix]) -> List[int]:
     ``:1234:5678:1234:5678`` — unlikely to hit an active host, which is
     what the paper chooses for its campaigns (Sections 3.3, 4.3)."""
     return _synthesize(prefixes, FIXED_IID)
-
-
-def with_iid(prefixes: Iterable[Prefix], iid: int) -> List[int]:
-    """Synthesis with an arbitrary caller-chosen IID."""
-    return _synthesize(prefixes, iid & IID_MASK)
 
 
 def random_iid(prefixes: Iterable[Prefix], seed: int = 0) -> List[int]:

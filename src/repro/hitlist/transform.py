@@ -10,7 +10,7 @@ target after ``z64``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Union
 
 from ..addrs.prefix import Prefix
 
@@ -39,37 +39,5 @@ def zn(items: Iterable[SeedItem], n: int) -> List[Prefix]:
         if prefix not in seen:
             seen.add(prefix)
             result.append(prefix)
-    result.sort()
-    return result
-
-
-def expand_short_prefixes(
-    items: Iterable[SeedItem], n: int, max_expansion: int = 256
-) -> List[Prefix]:
-    """Variant of ``zn`` that *enumerates* the /n subnets of short
-    prefixes instead of zero-extending, up to ``max_expansion`` subnets
-    per input prefix.  Useful for breadth studies: a /32 seed becomes a
-    sample of /48 targets rather than a single zero /48."""
-    result: List[Prefix] = []
-    seen = set()
-    for item in items:
-        prefix = as_prefix(item)
-        if prefix.length > n:
-            prefix = prefix.truncate(n)
-            if prefix not in seen:
-                seen.add(prefix)
-                result.append(prefix)
-            continue
-        count = 1 << (n - prefix.length)
-        step = max(1, count // max_expansion)
-        emitted = 0
-        index = 0
-        while index < count and emitted < max_expansion:
-            subnet = prefix.nth_subnet(n, index)
-            if subnet not in seen:
-                seen.add(subnet)
-                result.append(subnet)
-                emitted += 1
-            index += step
     result.sort()
     return result

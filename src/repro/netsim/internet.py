@@ -39,7 +39,7 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 from ..addrs.prefix import Prefix
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import NULL_PROFILER, WallProfiler
-from ..packet import fragment, icmpv6, ipv6, tcp, udp
+from ..packet import fragment, icmpv6, ipv6, tcp
 from ..packet.icmpv6 import UnreachableCode
 from ..packet.ipv6 import PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, IPv6Header
 from .build import BuiltInternet, InternetConfig, Vantage, build_internet
@@ -67,8 +67,6 @@ class CompiledPath:
         "filter_index",
         "filter_action",
         "blocked",
-        "mtu_profile",
-        "path_mtu",
     )
 
     def __init__(
@@ -80,7 +78,6 @@ class CompiledPath:
         filter_index: Optional[int] = None,
         filter_action: str = "drop",
         blocked: Optional[frozenset] = None,
-        mtu_profile: Optional[List[int]] = None,
     ) -> None:
         #: [(router, source interface address, one-way cumulative µs)].
         self.hops = hops
@@ -92,24 +89,10 @@ class CompiledPath:
         self.filter_index = filter_index
         self.filter_action = filter_action
         self.blocked = blocked or frozenset()
-        #: Per-hop MTU of the link each hop forwards onto (defaults 1500).
-        self.mtu_profile = mtu_profile or [1500] * len(hops)
-        #: The bottleneck MTU along the whole path: a packet no larger
-        #: fits every link, so ``probe`` skips :meth:`mtu_break` for it.
-        self.path_mtu = min(self.mtu_profile, default=1500)
 
     @property
     def length(self) -> int:
         return len(self.hops)
-
-    def mtu_break(self, size: int, hop_limit: int) -> Optional[int]:
-        """Index of the hop that must reject a packet of ``size`` before
-        it can travel ``hop_limit`` hops, or None when it fits."""
-        travel = min(hop_limit, len(self.hops))
-        for index in range(travel):
-            if size > self.mtu_profile[index]:
-                return index
-        return None
 
 
 class Response(tuple[int, bytes]):
@@ -153,6 +136,7 @@ class InternetStats:
         self.silent_terminal = 0
         self.tcp_responses = 0
         self.lost = 0
+        #: No model path counts one; kept because run digests include it.
         self.packet_too_big = 0
 
 
@@ -394,7 +378,6 @@ class Internet:
     def _compile_path(self, vantage: Vantage, dst: int, variant: int) -> CompiledPath:
         built = self.built
         hops: List[Hop] = []
-        mtus: List[int] = []
         cum = 0
         # Border filtering, decided below once the destination AS is known.
         filter_index: Optional[int] = None
@@ -405,7 +388,6 @@ class Internet:
             nonlocal cum
             cum += _hop_delay(router, self._tier.get(router.asn, 3))
             hops.append((router, iface, cum))
-            mtus.append(self.truth.ases[router.asn].link_mtu)
 
         def finish(
             terminal: TerminalKind,
@@ -414,7 +396,7 @@ class Internet:
         ) -> CompiledPath:
             return CompiledPath(
                 hops, terminal, error_code, subnet,
-                filter_index, filter_action, blocked, mtus,
+                filter_index, filter_action, blocked,
             )
 
         for router, iface in vantage.premise_chain:
@@ -521,11 +503,8 @@ class Internet:
         if shared:
             return [shared[variant % len(shared)]]
         if a_ups and b_ups:
-            t1_a = a_ups[variant % len(a_ups)]
-            t1_b = b_ups[variant % len(b_ups)]
-            if t1_a == t1_b:
-                return [t1_a]
-            return [t1_a, t1_b]
+            # Distinct: a common uplink would be in ``shared``.
+            return [a_ups[variant % len(a_ups)], b_ups[variant % len(b_ups)]]
         return []
 
     # ------------------------------------------------------------------
@@ -563,8 +542,7 @@ class Internet:
         hop_limit = hop_limit or 1
 
         # Who would answer with an ICMPv6 error, and with which one: at
-        # most one (hop, type, code, word), first match wins.
-        word = 0
+        # most one (hop, type, code), first match wins.
         if (
             path.filter_index is not None
             and next_header in path.blocked
@@ -576,39 +554,28 @@ class Internet:
             hop = path.hops[path.filter_index - 1] if path.filter_index else path.hops[-1]
             msg_type = icmpv6.TYPE_DEST_UNREACH
             code = int(UnreachableCode.ADMIN_PROHIBITED)
+        elif hop_limit <= len(path.hops):
+            hop = path.hops[hop_limit - 1]
+            msg_type = icmpv6.TYPE_TIME_EXCEEDED
+            code = icmpv6.CODE_HOP_LIMIT_EXCEEDED
+        elif path.terminal is TerminalKind.ERROR:
+            # From here the probe outlives the path: terminal behaviour.
+            if not path.hops:
+                return None
+            hop = path.hops[-1]
+            msg_type = icmpv6.TYPE_DEST_UNREACH
+            code = int(path.error_code)
+        elif path.terminal is TerminalKind.ROUTER:
+            # The router answers probes to its own interface address.
+            router, _, delay = path.hops[-1]
+            return self._host_response(data, delay, responder=router, now=now)
         else:
-            size = len(data)
-            break_index = path.mtu_break(size, hop_limit) if size > path.path_mtu else None
-            if break_index is not None:
-                # The packet exceeds a link MTU before its hop limit
-                # expires: the router at the bottleneck reports it.
-                self.stats.packet_too_big += 1
-                hop = path.hops[break_index]
-                msg_type = icmpv6.TYPE_PACKET_TOO_BIG
-                code = 0
-                word = path.mtu_profile[break_index]
-            elif hop_limit <= len(path.hops):
-                hop = path.hops[hop_limit - 1]
-                msg_type = icmpv6.TYPE_TIME_EXCEEDED
-                code = icmpv6.CODE_HOP_LIMIT_EXCEEDED
-            elif path.terminal is TerminalKind.ERROR:
-                # From here the probe outlives the path: terminal behaviour.
-                if not path.hops:
-                    return None
-                hop = path.hops[-1]
-                msg_type = icmpv6.TYPE_DEST_UNREACH
-                code = int(path.error_code)
-            elif path.terminal is TerminalKind.ROUTER:
-                # The router answers probes to its own interface address.
-                router, _, delay = path.hops[-1]
-                return self._host_response(data, delay, responder=router, now=now)
-            else:
-                return self._deliver_lan(
-                    path, data, vantage.address, int.from_bytes(dst_bytes, "big"),
-                    next_header, now,
-                )
+            return self._deliver_lan(
+                path, data, vantage.address, int.from_bytes(dst_bytes, "big"),
+                next_header, now,
+            )
         return self._icmp_error(
-            hop, msg_type, code, word, data, next_header, vantage.address, now
+            hop, msg_type, code, 0, data, next_header, vantage.address, now
         )
 
     def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
@@ -633,11 +600,8 @@ class Internet:
         subnet = path.subnet
         _, _, delay = path.hops[-1]
         delay += 100  # LAN hop
-        if dst == subnet.gateway_addr:
-            # The probe targets the gateway's own LAN address (e.g. the
-            # ::1 synthesis hitting an active /64): the router answers
-            # like a host — echo reply / port unreachable / RST.
-            return self._host_response(data, delay, responder=subnet.gateway, now=now)
+        # The gateway's own LAN address never gets here: it is a router
+        # address, so its path ends in TerminalKind.ROUTER.
         if subnet.aliased or subnet.has_host(dst):
             return self._host_response(data, delay, now=now)
         # Neighbour discovery fails; the gateway may report it.
@@ -773,7 +737,7 @@ class Internet:
         allowed = limiter.consume(now + delay)
         if self._limiter_observer is not None:
             self._limiter_observer(
-                router.router_id, now + delay, allowed, limiter.peek(now + delay)
+                router.router_id, now + delay, allowed, limiter.tokens
             )
         if not allowed:
             self.stats.rate_limited += 1
@@ -822,6 +786,3 @@ class Internet:
     # ------------------------------------------------------------------
     def trace_path(self, vantage_name: str, dst: int, variant: int = 0) -> CompiledPath:
         return self.path_for(self.vantage(vantage_name), dst, variant)
-
-    def path_length(self, vantage_name: str, dst: int) -> int:
-        return self.trace_path(vantage_name, dst).length

@@ -43,48 +43,31 @@ class TokenBucket:
     on the rewind, so there is nothing to reset.
     """
 
-    __slots__ = ("rate", "burst", "_tokens", "_updated", "allowed", "denied")
+    __slots__ = ("rate", "burst", "tokens", "_updated", "allowed", "denied")
 
     def __init__(self, rate: float, burst: float) -> None:
         self.rate, self.burst = provisioning(rate, burst)
-        self._tokens = self.burst
+        #: Tokens left as of the last ``consume``, refilled to its instant.
+        self.tokens = self.burst
         self._updated = 0
         self.allowed = 0
         self.denied = 0
 
-    def _refill(self, now: int) -> None:
-        if now > self._updated:
-            self._tokens = min(
-                self.burst,
-                self._tokens + self.rate * (now - self._updated) / US_PER_SECOND,
-            )
-            self._updated = now
-
     def consume(self, now: int, amount: float = 1.0) -> bool:
-        """Take ``amount`` tokens at virtual time ``now``; False if empty."""
-        # ``_refill``, inline: one call fewer per limiter decision.
+        """Refill to virtual time ``now``, then take ``amount`` tokens;
+        False if there are not that many."""
         if now > self._updated:
-            self._tokens = min(
+            self.tokens = min(
                 self.burst,
-                self._tokens + self.rate * (now - self._updated) / US_PER_SECOND,
+                self.tokens + self.rate * (now - self._updated) / US_PER_SECOND,
             )
             self._updated = now
-        if self._tokens >= amount:
-            self._tokens -= amount
+        if self.tokens >= amount:
+            self.tokens -= amount
             self.allowed += 1
             return True
         self.denied += 1
         return False
-
-    def peek(self, now: int) -> float:
-        """Token count at ``now`` without consuming."""
-        self._refill(now)
-        return self._tokens
-
-    @property
-    def total(self) -> int:
-        """Total consume() attempts observed."""
-        return self.allowed + self.denied
 
     def __repr__(self) -> str:
         return "TokenBucket(rate=%g/s, burst=%g, allowed=%d, denied=%d)" % (

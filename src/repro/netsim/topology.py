@@ -208,6 +208,8 @@ class AutonomousSystem:
         self.cpe_oui: Optional[int] = None
         #: MTU of this AS's internal links; tunnel-based networks (6to4,
         #: 6in4 transition infrastructure) run below the Ethernet 1500.
+        #: No model path reads it (every probe a driver sends fits in
+        #: 1280 bytes); the draw stays because the pinned worlds hash it.
         self.link_mtu: int = 1500
 
     def __repr__(self) -> str:
@@ -247,9 +249,6 @@ class GroundTruth:
         #: ASN -> canonical ASN for operationally-equivalent AS families
         #: (mergers; §6's "equivalent ASNs" augmentation).
         self.equivalent_asns: Dict[int, int] = {}
-
-    def canonical_asn(self, asn: int) -> int:
-        return self.equivalent_asns.get(asn, asn)
 
     def all_router_addresses(self) -> Set[int]:
         return set(self.router_addresses)

@@ -23,7 +23,6 @@ from .icmpv6 import (
     echo_reply,
     echo_request,
     time_exceeded,
-    unreachable_code,
 )
 from .ipv6 import (
     DEFAULT_HOP_LIMIT,
@@ -68,7 +67,6 @@ __all__ = [
     "split_segment",
     "time_exceeded",
     "transport_checksum",
-    "unreachable_code",
     "unwrap",
     "verify_datagram",
     "verify_segment",

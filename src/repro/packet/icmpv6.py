@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Optional
 
 from ..addrs.address import IID_MASK, MAX_ADDRESS
 from .checksum import transport_checksum, verify_transport_checksum
@@ -253,13 +252,3 @@ def response_label(msg_type: int, code: int) -> str:
 def classify_response(message: ICMPv6Message) -> str:
     """Table 4 style label for a response message."""
     return response_label(message.msg_type, message.code)
-
-
-def unreachable_code(message: ICMPv6Message) -> Optional[UnreachableCode]:
-    """The UnreachableCode of a Destination Unreachable, else None."""
-    if message.msg_type != TYPE_DEST_UNREACH:
-        return None
-    try:
-        return UnreachableCode(message.code)
-    except ValueError:
-        return None

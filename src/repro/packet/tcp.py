@@ -67,10 +67,6 @@ class TCPHeader:
         return bool(self.flags & FLAG_SYN)
 
     @property
-    def ack_flag(self) -> bool:
-        return bool(self.flags & FLAG_ACK)
-
-    @property
     def rst(self) -> bool:
         return bool(self.flags & FLAG_RST)
 

@@ -163,15 +163,3 @@ class TestBitHelpers:
             # Bits above the shared length must agree; the next must differ.
             shift = ADDRESS_BITS - shared
             assert (a >> shift) == (b >> shift)
-
-    def test_bit_at(self):
-        assert address.bit_at(1 << 127, 0) == 1
-        assert address.bit_at(1, 127) == 1
-        assert address.bit_at(1, 0) == 0
-
-    def test_bit_at_range(self):
-        with pytest.raises(IndexError):
-            address.bit_at(0, 128)
-
-    def test_sort_unique(self):
-        assert address.sort_unique([3, 1, 3, 2]) == [1, 2, 3]

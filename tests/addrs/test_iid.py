@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.addrs import address
 from repro.addrs.iid import (
     IIDClass,
-    class_fractions,
     classify_address,
     classify_iid,
     classify_set,
@@ -94,11 +93,3 @@ class TestSetClassification:
         assert counts[IIDClass.LOWBYTE] == 2
         assert counts[IIDClass.EUI64] == 1
         assert counts[IIDClass.RANDOMIZED] == 1
-
-    def test_fractions_sum_to_one(self):
-        values = [address.parse("2001:db8::%x" % index) for index in range(1, 6)]
-        fractions = class_fractions(values)
-        assert abs(sum(fractions.values()) - 1.0) < 1e-9
-
-    def test_fractions_empty(self):
-        assert all(value == 0.0 for value in class_fractions([]).values())

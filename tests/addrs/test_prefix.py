@@ -14,8 +14,6 @@ from repro.addrs.prefix import (
     aggregate,
     host_mask_for,
     mask_for,
-    merge_adjacent,
-    spanning_prefix,
 )
 
 prefixes = st.builds(
@@ -229,21 +227,6 @@ class TestAggregation:
         prefix = Prefix.parse("2001:db8::/32")
         assert aggregate([prefix, prefix]) == [prefix]
 
-    def test_merge_adjacent_siblings(self):
-        left = Prefix.parse("2001:db8::/33")
-        right = Prefix.parse("2001:db8:8000::/33")
-        assert merge_adjacent([left, right]) == [Prefix.parse("2001:db8::/32")]
-
-    def test_merge_adjacent_cascades(self):
-        quarters = list(Prefix.parse("2001:db8::/32").subnets(34))
-        assert merge_adjacent(quarters) == [Prefix.parse("2001:db8::/32")]
-
-    def test_merge_non_siblings_unchanged(self):
-        # Adjacent but not siblings: cannot merge without over-covering.
-        a = Prefix.parse("2001:db8:8000::/33")
-        b = Prefix.parse("2001:db9::/33")
-        assert merge_adjacent([a, b]) == sorted([a, b])
-
     @given(st.lists(prefixes, max_size=30))
     def test_aggregate_preserves_coverage(self, items):
         result = aggregate(items)
@@ -255,24 +238,3 @@ class TestAggregation:
             for j, b in enumerate(result):
                 if i != j:
                     assert not a.covers(b)
-
-
-class TestSpanningPrefix:
-    def test_empty(self):
-        assert spanning_prefix([]) is None
-
-    def test_single(self):
-        value = address.parse("2001:db8::1")
-        assert spanning_prefix([value]) == Prefix(value, 128)
-
-    def test_pair(self):
-        a = address.parse("2001:db8::1")
-        b = address.parse("2001:db8::2")
-        span = spanning_prefix([a, b])
-        assert span.contains(a) and span.contains(b)
-        assert span.length == 126
-
-    @given(st.lists(st.integers(min_value=0, max_value=MAX_ADDRESS), min_size=1, max_size=20))
-    def test_spans_all(self, values):
-        span = spanning_prefix(values)
-        assert all(span.contains(value) for value in values)

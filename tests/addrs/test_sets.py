@@ -5,8 +5,6 @@ from repro.addrs.prefix import Prefix
 from repro.addrs.sets import (
     SIXTOFOUR,
     characterize_sets,
-    shared_counts,
-    union_size,
 )
 from repro.addrs.trie import PrefixTrie
 
@@ -75,24 +73,6 @@ class TestCharacterize:
         summary = characterize_sets({"a": [1]}, bgp)["a"].as_dict()
         assert summary["unique_targets"] == 1
         assert "exclusive_asns" in summary
-
-
-class TestSharedCounts:
-    def test_shared_histogram(self):
-        bgp = make_bgp()
-        sets = {
-            "a": [address.parse("2001:db8::1")],
-            "b": [address.parse("2001:db8::2"), address.parse("2001:dead::1")],
-        }
-        histogram = shared_counts(sets, bgp)
-        assert histogram["bgp_prefixes"]["shared"] == 1  # 2001:db8::/32
-        assert histogram["bgp_prefixes"]["b"] == 1  # 2001:dead::/32
-        assert histogram["asns"]["shared"] == 1
-
-
-def test_union_size():
-    sets = {"a": [1, 2], "b": [2, 3]}
-    assert union_size(sets) == 3
 
 
 def test_sixtofour_prefix_value():

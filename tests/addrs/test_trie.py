@@ -109,15 +109,6 @@ class TestEnumeration:
         assert listed == sorted(listed)
         assert len(listed) == 3
 
-    def test_covered_by(self):
-        trie = build(
-            ("2001:db8:1::/48", "a"),
-            ("2001:db8:2::/48", "b"),
-            ("2001:dead::/48", "c"),
-        )
-        covered = dict(trie.covered_by(Prefix.parse("2001:db8::/32")))
-        assert set(covered.values()) == {"a", "b"}
-
 
 class TestOracle:
     @settings(max_examples=50, deadline=None)

@@ -15,7 +15,6 @@ from repro.analysis.discovery import (
 )
 from repro.analysis.report import (
     format_count,
-    format_fraction,
     render_cdf,
     render_series,
     render_table,
@@ -28,7 +27,7 @@ from repro.analysis.responses import (
     response_mix,
     transformation_table,
 )
-from repro.analysis.targetsets import characterize_results, combined_interfaces
+from repro.analysis.targetsets import characterize_results
 from repro.netsim import Internet, InternetConfig, build_internet
 from repro.prober import run_yarrp6
 
@@ -149,10 +148,6 @@ class TestExclusivity:
         for prefix in features["edge"].exclusive_prefixes:
             assert prefix not in features["cpe"].bgp_prefixes
 
-    def test_combined_interfaces(self, cpe_campaign, edge_campaign):
-        union = combined_interfaces([cpe_campaign, edge_campaign])
-        assert union == cpe_campaign.interfaces | edge_campaign.interfaces
-
 
 class TestResponses:
     def test_mix_sums_to_one(self, cpe_campaign):
@@ -190,9 +185,6 @@ class TestReport:
         assert format_count(45_500) == "45.5k"
         assert format_count(12) == "12"
         assert format_count(3.25) == "3.25"
-
-    def test_format_fraction(self):
-        assert format_fraction(0.981) == "98.1%"
 
     def test_render_table(self):
         text = render_table(["a", "bb"], [[1, 22], [333, 4]], title="T")

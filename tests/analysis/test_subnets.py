@@ -196,6 +196,31 @@ class TestIAHack:
         assert not candidates.ia_subnets
 
 
+class TestAsnResolver:
+    def test_an_unregistered_address_has_no_asn(self):
+        assert AsnResolver(registry()).asn_of(parse("2001:300::1")) is None
+
+    def test_equivalent_asns_fold_to_the_canonical_one(self):
+        resolver = AsnResolver(registry(), equivalents={TARGET_ASN: 64999})
+        assert resolver.asn_of(TARGET_A) == 64999
+        assert resolver.asn_of(VP_HOP1) == VANTAGE_ASN
+
+    def test_each_address_is_looked_up_once(self):
+        looked_up = []
+
+        class Counting(PrefixTrie):
+            def lookup(self, addr):
+                looked_up.append(addr)
+                return super().lookup(addr)
+
+        trie = Counting()
+        trie.insert(Prefix.parse("2001:200::/32"), TARGET_ASN)
+        resolver = AsnResolver(trie)
+        for addr in (TARGET_A, TARGET_A, VP_HOP1, VP_HOP1):
+            resolver.asn_of(addr)
+        assert looked_up == [TARGET_A, VP_HOP1]
+
+
 class TestHistogramCdf:
     def test_histogram_and_cdf(self):
         resolver = AsnResolver(registry())
@@ -235,6 +260,19 @@ class TestValidation:
         candidates.record_bound(parse("2001:200:1::1"), 39)
         report = validate_candidates(candidates, truth, [parse("2001:200:1::1")])
         assert report.one_bit_short == 1
+
+    def test_exact_fraction_is_per_candidate(self):
+        from repro.analysis.subnets import ValidationReport
+
+        report = ValidationReport(1000, 950, 914, 395, 200, 30, 10)
+        assert report.exact_fraction == pytest.approx(395 / 914)
+
+    def test_exact_fraction_without_candidates_is_zero(self):
+        from repro.analysis.subnets import SubnetCandidates
+
+        truth = [Prefix.parse("2001:200::/40")]
+        report = validate_candidates(SubnetCandidates(), truth, [parse("2001:200:1::1")])
+        assert (report.candidates, report.exact_fraction) == (0, 0.0)
 
     def test_stratified_sample_one_per_truth(self):
         truth = [Prefix.parse("2001:200:0:a::/64"), Prefix.parse("2001:200:0:b::/64")]

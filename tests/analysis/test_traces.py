@@ -38,6 +38,22 @@ HOP_B = parse("2001:db8::b")
 
 
 class TestTrace:
+    def test_max_responded_ttl_is_the_last_time_exceeded(self):
+        trace = Trace(TARGET)
+        trace.add(te_record(TARGET, 2, HOP_A))
+        trace.add(te_record(TARGET, 7, HOP_B))
+        trace.add(echo_record(TARGET, 9))
+        assert trace.max_responded_ttl == 7
+
+    def test_max_responded_ttl_without_time_exceeded_is_zero(self):
+        trace = Trace(TARGET)
+        trace.add(echo_record(TARGET, 9))
+        assert (trace.max_responded_ttl, trace.path) == (0, [])
+
+    def test_only_non_time_exceeded_records_are_terminal(self):
+        assert not te_record(TARGET, 1, HOP_A).is_terminal
+        assert echo_record(TARGET, 1).is_terminal
+
     def test_hops_assembled_out_of_order(self):
         trace = Trace(TARGET)
         trace.add(te_record(TARGET, 3, HOP_B))

@@ -3,7 +3,6 @@
 from repro.analysis.vantages import (
     best_order,
     interfaces_by_vantage,
-    marginal_gain,
     overlap_matrix,
 )
 from repro.prober.campaign import CampaignResult
@@ -24,15 +23,6 @@ def campaign(vantage, interfaces):
         summary={},
         duration_us=0,
     )
-
-
-class TestMarginalGain:
-    def test_ordered(self):
-        rows = marginal_gain([("a", {1, 2}), ("b", {2, 3}), ("c", {1})])
-        assert rows == [("a", 2, 2), ("b", 1, 3), ("c", 0, 3)]
-
-    def test_empty(self):
-        assert marginal_gain([]) == []
 
 
 class TestBestOrder:

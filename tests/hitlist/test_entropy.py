@@ -13,7 +13,6 @@ from repro.hitlist.entropy import (
     WIDTH,
     nybble_entropy,
     segment,
-    structure_summary,
 )
 
 
@@ -110,13 +109,3 @@ class TestModel:
         generated = model.generate(30, seed=7, exclude=seeds)
         holes = set(lowbyte_block(96)) - set(seeds)
         assert set(generated) & holes
-
-
-class TestSummary:
-    def test_structured_vs_random(self):
-        structured = structure_summary(lowbyte_block(128))
-        rng = random.Random(8)
-        scattered = structure_summary([rng.getrandbits(128) for _ in range(128)])
-        assert structured["total_bits"] < scattered["total_bits"]
-        assert structured["network_bits"] == 0.0
-        assert scattered["network_bits"] > 30

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addrs import parse
-from repro.hitlist.kip import KIPParams, coverage, kip_aggregate, kn_transform
+from repro.hitlist.kip import KIPParams, coverage, kip_aggregate
 
 
 def observe(addr_text, intervals):
@@ -98,10 +98,6 @@ class TestAggregation:
         # The same /64s active in all intervals do.
         steady = dense_block("2001:db8::", 20)
         assert kip_aggregate(steady, self.params(10))
-
-    def test_kn_transform_wrapper(self):
-        observations = dense_block("2001:db8::", 64)
-        assert kn_transform(observations, 8, window_days=1, interval_hours=6)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=10, max_value=120))

@@ -8,7 +8,6 @@ from repro.addrs import parse
 from repro.hitlist.sixgen import (
     NybbleRange,
     SixGenConfig,
-    cluster_densities,
     generate,
 )
 import random
@@ -126,10 +125,3 @@ class TestGenerate:
     def test_sorted_unique_output(self, seeds):
         output = generate(seeds, SixGenConfig(budget=200))
         assert output == sorted(set(output))
-
-
-def test_cluster_densities():
-    seeds = [parse("2001:db8::1"), parse("2001:db8::2"), parse("2a00::1")]
-    densities = cluster_densities(seeds, 48)
-    assert densities[parse("2001:db8::") >> 80] == 2
-    assert densities[parse("2a00::") >> 80] == 1

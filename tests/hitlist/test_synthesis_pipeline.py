@@ -11,7 +11,6 @@ from repro.hitlist.synthesis import (
     lowbyte1,
     random_iid,
     synthesize,
-    with_iid,
 )
 
 PREFIXES = [Prefix.parse("2001:db8::/64"), Prefix.parse("2001:db8:0:1::/64")]
@@ -28,10 +27,6 @@ class TestSynthesis:
         result = fixediid(PREFIXES)
         assert result[0] == parse("2001:db8::1234:5678:1234:5678")
         assert all(addr & ((1 << 64) - 1) == FIXED_IID for addr in result)
-
-    def test_with_iid(self):
-        result = with_iid(PREFIXES, 0xBEEF)
-        assert result[0] == parse("2001:db8::beef")
 
     def test_random_iid_deterministic_and_inside(self):
         a = random_iid(PREFIXES, seed=1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.addrs import parse
 from repro.addrs.address import MAX_ADDRESS
 from repro.addrs.prefix import Prefix
-from repro.hitlist.transform import as_prefix, expand_short_prefixes, zn
+from repro.hitlist.transform import as_prefix, zn
 
 addresses = st.integers(min_value=0, max_value=MAX_ADDRESS)
 
@@ -70,18 +70,3 @@ class TestZn:
     def test_monotone_in_level(self, addrs):
         sizes = [len(zn(addrs, level)) for level in (40, 48, 56, 64)]
         assert sizes == sorted(sizes)
-
-
-class TestExpand:
-    def test_expands_short_prefix(self):
-        result = expand_short_prefixes([Prefix.parse("2001:db8::/46")], 48)
-        assert len(result) == 4
-        assert all(prefix.length == 48 for prefix in result)
-
-    def test_caps_expansion(self):
-        result = expand_short_prefixes([Prefix.parse("2001:db8::/32")], 64, max_expansion=10)
-        assert len(result) <= 10
-
-    def test_truncates_long(self):
-        result = expand_short_prefixes([parse("2001:db8::1")], 48)
-        assert result == [Prefix.parse("2001:db8::/48")]

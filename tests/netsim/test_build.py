@@ -480,9 +480,6 @@ class TestGroundTruthHelpers:
             if asys.prefixes:
                 assert small_built.truth.origin_asn(asys.prefixes[0].base) == asn
 
-    def test_canonical_asn_identity_default(self, small_built):
-        assert small_built.truth.canonical_asn(99999) == 99999
-
     def test_host_population_nonempty(self, small_built):
         hosts = small_built.truth.all_host_addresses()
         assert len(hosts) > 500

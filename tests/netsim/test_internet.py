@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.addrs import format_address, parse
+from repro.analysis.limiter import LimiterProbeConfig, infer_limiter
 from repro.netsim import (
     CompiledPath,
     Internet,
@@ -14,14 +15,19 @@ from repro.netsim import (
     decoupled_dynamics,
 )
 from repro.netsim.ecmp import flow_variant
+from repro.netsim.internet import check_vantage
 from repro.netsim.topology import AddressPlan, Router, RouterRole
 from repro.obs import MetricsRegistry
 from repro.packet import fragment, icmpv6, ipv6, tcp, udp
 from repro.packet.icmpv6 import UnreachableCode
 from repro.packet.ipv6 import IPv6Header, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP
 from repro.prober import run_yarrp6
-from repro.prober.encoding import encode_probe
+from repro.prober.adaptive import run_adaptive_yarrp6
+from repro.prober.campaign import PROBERS, run_campaign
+from repro.prober.encoding import PROTOCOLS, encode_probe
 from repro.prober.speedtrap import run_speedtrap
+from repro.prober.yarrp6 import Yarrp6Config
+from tests.prober.test_world_lifetime import leaf_targets, router_aliases
 
 
 def icmp_probe(src, dst, ttl, ident=7, seq=1, payload=b"probe"):
@@ -331,20 +337,19 @@ class TestCampaignStateOwnership:
 
 class TestDecisionOrder:
     """``probe`` picks at most one ICMPv6 error, first match wins: border
-    filter, MTU break, hop-limit expiry, path-terminal error."""
+    filter, hop-limit expiry, path-terminal error."""
 
     @pytest.mark.parametrize(
-        "blocked, payload, hop_limit, answer",
+        "blocked, hop_limit, answer",
         [
-            # Filtered and oversized and expiring; then one condition fewer.
-            (True, 1300, 3, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED), 0, 1)),
-            (False, 1300, 3, (icmpv6.TYPE_PACKET_TOO_BIG, 0, 1280, 1)),
-            (False, 8, 3, (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED, 0, 2)),
-            (False, 8, 4, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.NO_ROUTE), 0, 2)),
+            # Filtered and expiring; then one condition fewer.
+            (True, 3, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED), 0, 1)),
+            (False, 3, (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED, 0, 2)),
+            (False, 4, (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.NO_ROUTE), 0, 2)),
         ],
     )
     def test_first_matching_condition_answers(
-        self, lossless_net, monkeypatch, blocked, payload, hop_limit, answer
+        self, lossless_net, monkeypatch, blocked, hop_limit, answer
     ):
         # A fresh instance per case: its flow table holds no path an
         # earlier case's patch returned.
@@ -362,13 +367,9 @@ class TestDecisionOrder:
             filter_index=2,
             filter_action="admin",
             blocked=frozenset({PROTO_ICMPV6} if blocked else ()),
-            mtu_profile=[1500, 1280, 1500],
         )
         monkeypatch.setattr(net, "path_for", lambda vantage, dst, variant=0: path)
-        probe = icmp_probe(
-            vantage.address, parse("2001:db8::1"), hop_limit, payload=b"\xa5" * payload
-        )
-        assert (len(probe) > 1280) == (payload == 1300)
+        probe = icmp_probe(vantage.address, parse("2001:db8::1"), hop_limit, payload=b"\xa5" * 8)
         header, message = parse_icmp(net.probe(probe, now=0))
         msg_type, code, word, hop = answer
         assert (message.msg_type, message.code, message.word) == (msg_type, code, word)
@@ -402,12 +403,6 @@ def variant_of(packet):
     """The ECMP variant ``packet``'s own flow picks."""
     header = IPv6Header.unpack(packet)
     return flow_variant(header.src, header.dst, header.next_header, header.flow_label, packet)
-
-
-def path_of(net, packet):
-    """The compiled path ``net.probe(packet)`` walks."""
-    header = IPv6Header.unpack(packet)
-    return net.path_for(net._vantage_by_addr[header.src], header.dst, variant_of(packet))
 
 
 def with_flow_label(packet, flow_label):
@@ -887,7 +882,7 @@ class TestHopLimitZero:
             header, message = parse_icmp(response)
             answers.append((response.delay_us, header.src, message.msg_type, message.code))
         _, first_iface = vantage.premise_chain[0]
-        assert net.path_length("EU-NET", target) > 1
+        assert net.trace_path("EU-NET", target).length > 1
         assert answers[0] == answers[1]
         assert answers[0][1:] == (first_iface, icmpv6.TYPE_TIME_EXCEEDED, 0)
 
@@ -954,9 +949,9 @@ class TestQuotationMisbehaviour:
 
 
 class TestTunnelMtu:
-    """6in4 tunnels: a tunnelled AS's links run at 1480 bytes, a path's
-    MTU is its bottleneck, and the router in front of the bottleneck
-    answers an oversize packet with Packet Too Big."""
+    """The world draws link MTUs: a 6in4-tunnelled AS's links run at 1480
+    bytes and the 6to4 relay's at the IPv6 minimum.  No probe a driver
+    sends comes near either (``TestProbesFitTheMinimumMtu``)."""
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -970,123 +965,8 @@ class TestTunnelMtu:
             )
         )
 
-    @staticmethod
-    def tunnelled_host(built):
-        for subnet in built.truth.subnets.values():
-            if subnet.host_iids and built.truth.ases[subnet.gateway.asn].link_mtu == 1480:
-                return subnet.host_addresses()[0]
-        raise AssertionError("no host behind a tunnel")
-
-    @staticmethod
-    def sized_probe(net, target, size, hop_limit=64):
-        """An Echo Request of ``size`` bytes on the wire, from US-EDU-1."""
-        vantage = net.vantage("US-EDU-1")
-        packet = icmp_probe(vantage.address, target, hop_limit, payload=b"\x00" * (size - 48))
-        assert len(packet) == size
-        return packet
-
-    def sized_reply(self, net, target, size, hop_limit=64):
-        """The (header, message) answering :meth:`sized_probe`."""
-        response = net.probe(self.sized_probe(net, target, size, hop_limit), 0)
-        assert response is not None
-        return parse_icmp(response)
-
-    def sized_echo(self, built, size):
-        """The reply to an Echo Request of ``size`` bytes on the wire, sent
-        to a tunnelled host."""
-        return self.sized_reply(Internet(built), self.tunnelled_host(built), size)[1]
-
     def test_tunnelled_ases_exist(self, built):
         assert [a for a in built.truth.ases.values() if a.link_mtu == 1480]
-
-    def test_path_mtu_is_the_bottleneck(self, built):
-        net = Internet(built)
-        path = net.path_for(net.vantage("US-EDU-1"), self.tunnelled_host(built), 0)
-        assert path.path_mtu == 1480
-
-    def test_oversize_probe_draws_packet_too_big(self, built):
-        message = self.sized_echo(built, 1500)
-        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
-        assert message.word == 1480
-
-    def test_fitting_probe_passes(self, built):
-        assert self.sized_echo(built, 1480).is_echo_reply
-
-    def test_one_byte_over_draws_packet_too_big(self, built):
-        message = self.sized_echo(built, 1481)
-        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
-        assert message.word == 1480
-
-    def test_each_hop_runs_at_its_as_link_mtu(self, built):
-        net = Internet(built)
-        vantage = net.vantage("US-EDU-1")
-        seen = set()
-        for subnet in list(built.truth.subnets.values())[::20]:
-            path = net.path_for(vantage, subnet.prefix.base | 1, 0)
-            assert path.mtu_profile == [
-                built.truth.ases[router.asn].link_mtu for router, _, _ in path.hops
-            ]
-            assert path.path_mtu == min(path.mtu_profile)
-            seen.update(path.mtu_profile)
-        assert seen == {1480, 1500}
-
-    def test_an_untunnelled_path_carries_1500_bytes(self, built):
-        net = Internet(built)
-        vantage = net.vantage("US-EDU-1")
-        target = next(
-            address
-            for subnet in built.truth.subnets.values()
-            for address in subnet.host_addresses()[:1]
-            if net.path_for(vantage, address, 0).path_mtu == 1500
-        )
-        assert self.sized_reply(net, target, 1500)[1].is_echo_reply
-        assert net.stats.packet_too_big == 0
-
-    def test_packet_too_big_comes_from_the_bottleneck_router(self, built):
-        net = Internet(built)
-        target = self.tunnelled_host(built)
-        path = path_of(net, self.sized_probe(net, target, 1500))
-        bottleneck = path.mtu_break(1500, 64)
-        assert path.mtu_profile[bottleneck] == 1480
-        assert set(path.mtu_profile[:bottleneck]) == {1500}
-        header, message = self.sized_reply(net, target, 1500)
-        assert message.msg_type == icmpv6.TYPE_PACKET_TOO_BIG
-        assert header.src == path.hops[bottleneck][1]
-
-    def test_packet_too_big_is_counted_alone(self, built):
-        net = Internet(built)
-        self.sized_reply(net, self.tunnelled_host(built), 1500)
-        stats = net.stats
-        assert (stats.probes, stats.packet_too_big) == (1, 1)
-        assert stats.time_exceeded == stats.echo_replies == stats.unreachables == 0
-
-    def test_packet_too_big_quotes_the_probe(self, built):
-        net = Internet(built)
-        target = self.tunnelled_host(built)
-        _, message = self.sized_reply(net, target, 1500)
-        quoted = IPv6Header.unpack(message.quotation)
-        assert (quoted.dst, quoted.payload_length) == (target, 1460)
-        assert len(message.quotation) == icmpv6.MAX_QUOTATION
-
-    def test_a_hop_limit_short_of_the_bottleneck_draws_time_exceeded(self, built):
-        """Every hop before the bottleneck that answers at all answers
-        Time Exceeded: the packet expires before it meets the narrow link."""
-        net = Internet(built)
-        target = self.tunnelled_host(built)
-        path = path_of(net, self.sized_probe(net, target, 1500))
-        bottleneck = path.mtu_break(1500, 64)
-        answered = 0
-        for hop_limit in range(1, bottleneck + 1):
-            packet = self.sized_probe(net, target, 1500, hop_limit)
-            assert path_of(net, packet) is path
-            response = net.probe(packet, hop_limit * 1_000_000)
-            if response is not None:
-                header, message = parse_icmp(response)
-                assert message.is_time_exceeded
-                assert header.src == path.hops[hop_limit - 1][1]
-                answered += 1
-        assert answered
-        assert net.stats.packet_too_big == 0
 
     def test_the_6to4_relay_runs_at_the_floor(self, built):
         (relay,) = [a for a in built.truth.ases.values() if a.name == "6TO4-RELAY"]
@@ -1094,41 +974,141 @@ class TestTunnelMtu:
         net = Internet(built)
         path = net.path_for(net.vantage("US-EDU-1"), parse("2002:c000:201::1"), 0)
         assert path.hops[-1][0].asn == relay.asn
-        assert path.path_mtu == icmpv6.MINIMUM_MTU
 
 
-class TestMtuBreak:
-    """``CompiledPath.mtu_break``: the first hop, within the hop limit,
-    whose link is narrower than the packet."""
+#: The smoke world (``tests/netsim/test_build.py``'s ``SMOKE``).
+SMOKE = InternetConfig(n_edge=30, cpe_customers_per_isp=150, seed=5)
 
-    @staticmethod
-    def path(profile):
-        hops = [(None, index + 1, 100 * (index + 1)) for index in range(len(profile))]
-        return CompiledPath(hops, TerminalKind.LAN, mtu_profile=profile)
 
-    def test_a_fitting_packet_breaks_nowhere(self):
-        assert self.path([1500, 1480, 1500]).mtu_break(1480, 64) is None
+@pytest.fixture(scope="module")
+def smoke_built():
+    return build_internet(SMOKE)
 
-    def test_the_first_narrower_link_breaks(self):
-        path = self.path([1500, 1480, 1280])
-        assert path.path_mtu == 1280
-        assert path.mtu_break(1500, 64) == 1
-        assert path.mtu_break(1400, 64) == 2
 
-    def test_a_hop_limit_short_of_the_narrow_link_breaks_nowhere(self):
-        path = self.path([1500, 1500, 1480])
-        assert path.mtu_break(1500, 2) is None
-        assert path.mtu_break(1500, 3) == 2
+class TestGatewaysAreRouters:
+    """A leaf's gateway address is one of its router's interfaces, so a
+    path to it ends at that router: ``_deliver_lan`` never sees a probe
+    to the gateway's own LAN address."""
 
-    def test_a_hop_limit_past_the_path_stops_at_its_end(self):
-        assert self.path([1500, 1500]).mtu_break(1500, 255) is None
-        assert self.path([1500, 1280]).mtu_break(1500, 255) == 1
+    def test_every_gateway_address_is_a_router_address(self, smoke_built):
+        truth = smoke_built.truth
+        assert truth.subnets
+        for subnet in truth.subnets.values():
+            assert truth.router_addresses.get(subnet.gateway_addr) is subnet.gateway
 
-    def test_the_default_profile_is_1500_on_every_hop(self):
-        path = CompiledPath([(None, 1, 100), (None, 2, 200)], TerminalKind.LAN)
-        assert path.mtu_profile == [1500, 1500]
-        assert path.path_mtu == 1500
-        assert CompiledPath([], TerminalKind.ERROR).path_mtu == 1500
+    def test_a_path_to_a_gateway_ends_at_its_router(self, smoke_built):
+        net = Internet(smoke_built)
+        for vantage in smoke_built.vantages.values():
+            for subnet in smoke_built.truth.subnets.values():
+                path = net.path_for(vantage, subnet.gateway_addr, 0)
+                assert path.terminal is TerminalKind.ROUTER
+                assert path.hops[-1][:2] == (subnet.gateway, subnet.gateway_addr)
+
+
+    def test_a_host_path_is_cached_apart_from_its_gateway(self, smoke_built):
+        """The gateway and its hosts share a /64, but the gateway's path
+        (compiled first here) ends at the router and theirs on the LAN."""
+        net = Internet(smoke_built)
+        vantage = smoke_built.vantages["US-EDU-1"]
+        routers = smoke_built.truth.router_addresses
+        hosted = [
+            (subnet, address)
+            for subnet in smoke_built.truth.subnets.values()
+            for address in [a for a in subnet.host_addresses() if a not in routers][:1]
+        ]
+        assert hosted
+        for subnet, address in hosted:
+            assert net.path_for(vantage, subnet.gateway_addr, 0).terminal is TerminalKind.ROUTER
+            host = net.path_for(vantage, address, 0)
+            assert host.terminal is TerminalKind.LAN
+            assert host.hops[-1][0] is subnet.gateway
+
+
+class TestTier1Transit:
+    """Two tier-2 ASes meet at one uplink they share, or else cross from
+    one's uplink to the other's, which are then distinct: a common uplink
+    is always found as shared first."""
+
+    def test_the_tier1_hops_between_two_tier2_ases(self, smoke_built):
+        net = Internet(smoke_built)
+        uplinks = smoke_built.uplinks
+        tier2 = smoke_built.tier2_asns
+        crossings = 0
+        for a in tier2:
+            for b in tier2:
+                if a == b:
+                    continue
+                shared = set(uplinks[a]) & set(uplinks[b])
+                for variant in range(4):
+                    route = net._pick_shared_tier1(a, b, variant)
+                    if shared:
+                        assert len(route) == 1 and route[0] in shared
+                    else:
+                        crossings += 1
+                        assert route[0] in uplinks[a] and route[1] in uplinks[b]
+                        assert route[0] != route[1]
+        assert crossings
+
+    def test_every_path_visits_each_as_in_one_run(self, smoke_built):
+        net = Internet(smoke_built)
+        subnets = list(smoke_built.truth.subnets.values())[::7]
+        for vantage in smoke_built.vantages.values():
+            for subnet in subnets:
+                for variant in range(4):
+                    path = net.path_for(vantage, subnet.prefix.base | 1, variant)
+                    runs = [router.asn for router, _, _ in path.hops]
+                    runs = [asn for at, asn in enumerate(runs) if not at or runs[at - 1] != asn]
+                    assert len(runs) == len(set(runs)), runs
+
+
+#: Every driver that hands probes to ``Internet.answer``: each prober
+#: kind under each protocol, fill, the adaptive walk, Speedtrap (its
+#: Packet Too Big lure included) and limiter inference.
+SIZE_DRIVERS = {
+    **{
+        "%s[%s]" % (kind, protocol): (
+            lambda net, targets, kind=kind, protocol=protocol: run_campaign(
+                net, "US-EDU-1", targets, kind, config=PROBERS[kind].Config(protocol=protocol)
+            )
+        )
+        for kind in PROBERS
+        for protocol in PROTOCOLS
+    },
+    "yarrp6[fill]": lambda net, targets: run_campaign(
+        net, "US-EDU-1", targets, "yarrp6", config=Yarrp6Config(max_ttl=8, fill=True)
+    ),
+    "adaptive": lambda net, targets: run_adaptive_yarrp6(net, "US-EDU-1", targets),
+    "speedtrap": lambda net, targets: run_speedtrap(
+        net, "US-EDU-1", router_aliases(net.truth, 24)
+    ),
+    "infer_limiter": lambda net, targets: infer_limiter(
+        net, "US-EDU-1", targets[0], 2,
+        LimiterProbeConfig(burst_probes=20, scan_rates=(100.0,), scan_seconds=0.2),
+    ),
+}
+
+
+class TestProbesFitTheMinimumMtu:
+    """No driver sends a probe over the IPv6 minimum MTU, so no link MTU
+    the world draws (at least 1280, ``TestTunnelMtu``) ever refuses one:
+    the model has no on-path Packet Too Big to send."""
+
+    @pytest.mark.parametrize("driver", sorted(SIZE_DRIVERS))
+    def test_every_probe_fits(self, smoke_built, monkeypatch, driver):
+        net = Internet(smoke_built)
+        answer = net.answer
+        sizes = []
+
+        def measured(data, when):
+            sizes.append(len(data))
+            return answer(data, when)
+
+        monkeypatch.setattr(net, "answer", measured)
+        leaves = leaf_targets(smoke_built.truth, 12)
+        gateways = [smoke_built.truth.subnet_of(leaf).gateway_addr for leaf in leaves]
+        SIZE_DRIVERS[driver](net, leaves + gateways)
+        assert sizes
+        assert max(sizes) <= icmpv6.MINIMUM_MTU
 
 
 class TestAliasedSubnets:
@@ -1263,3 +1243,13 @@ class TestProtocolSelectiveHops:
         run_yarrp6(net, "US-EDU-1", targets, pps=1000, protocol=protocol)
         assert bool(seen) == (protocol != "icmp6")
         assert seen == [None] * len(seen)
+
+
+class TestCheckVantage:
+    def test_a_configured_name_passes(self):
+        check_vantage("EU-NET", ("US-EDU-1", "EU-NET"))
+
+    def test_an_unknown_name_lists_the_configured_ones_sorted(self):
+        with pytest.raises(ValueError) as refusal:
+            check_vantage("eu-net", ("US-EDU-1", "EU-NET"))
+        assert str(refusal.value) == "unknown vantage 'eu-net' (configured: EU-NET, US-EDU-1)"

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from repro.netsim import Internet
 from repro.netsim.engine import Engine, pps_interval
 from repro.obs.metrics import MetricsRegistry
-from repro.prober.campaign import PROBERS, CampaignResult, record_discovery, run_campaign
+from repro.prober.campaign import (
+    PROBERS,
+    CampaignResult,
+    emissions_before,
+    record_discovery,
+    run_campaign,
+)
 from repro.prober.yarrp6 import Yarrp6Config
 from tests.obs.test_campaign_telemetry import small_world
 from tests.prober.test_batched_equivalence import assert_equivalent
@@ -135,3 +141,23 @@ def test_equivalence_property(prober, pps, offset, stride, n_targets):
         pace_offset_us=offset, pace_stride=stride,
     )
     assert_equivalent(reference, loop)
+
+
+class TestEmissionsBefore:
+    """``emissions_before``: the per-probe loop's count of emissions ahead
+    of a reply, for an instance emitting at ``10 + 5k``, four in all."""
+
+    @pytest.mark.parametrize(
+        "when, rtt_us, count",
+        [
+            (9, 1, 0),  # before the first slot
+            (10, 100, 0),  # on the first slot, a reply to no probe yet
+            (10, 1, 1),  # on the first slot, its own probe's quick reply
+            (17, 100, 2),  # between slots: the slots at 10 and 15
+            (20, 100, 2),  # on a slot: handed on before the slot emits
+            (20, 1, 3),  # unless the reply is to that slot's own probe
+            (10_000, 100, 4),  # past the last slot: capped
+        ],
+    )
+    def test_count(self, when, rtt_us, count):
+        assert emissions_before(when, rtt_us, offset=10, stride=5, cap=4, tick_gap=5) == count

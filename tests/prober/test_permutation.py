@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prober.permutation import KeyedPermutation, ProbeSchedule
+from repro.prober.permutation import KeyedPermutation, ProbeSchedule, check_ttl_range
 
 
 class TestKeyedPermutation:
@@ -154,3 +154,15 @@ class TestProbeSchedule:
         assert positions[-1] > total * 0.95
         gaps = [b - a for a, b in zip(positions, positions[1:])]
         assert max(gaps) < total * 0.05
+
+
+class TestTtlRange:
+    @pytest.mark.parametrize("ttl_min, ttl_max", [(1, 1), (1, 16), (4, 255)])
+    def test_a_range_the_hop_limit_byte_carries(self, ttl_min, ttl_max):
+        check_ttl_range(ttl_min, ttl_max)
+
+    @pytest.mark.parametrize("ttl_min, ttl_max", [(0, 16), (1, 256), (9, 3), (-1, -1)])
+    def test_any_other_range_is_refused(self, ttl_min, ttl_max):
+        with pytest.raises(ValueError) as refusal:
+            check_ttl_range(ttl_min, ttl_max)
+        assert str(refusal.value) == "bad TTL range [%d, %d]" % (ttl_min, ttl_max)

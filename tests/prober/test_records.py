@@ -360,7 +360,7 @@ class TestCallBudget:
 
     #: 54.7 with header and message objects on both sides (``split_packet``
     #: and ``IPv6Header.unpack`` twice per answered probe, an
-    #: ``ICMPv6Message`` per response, ``mtu_break``, ``path.length`` and
+    #: ``ICMPv6Message`` per response, the path's MTU check, ``path.length`` and
     #: the bucket refill a call each); 39.3 reading them as integers; 34.6
     #: with each probe handed to the wire from inside the pull loop and
     #: its delivery recording it straight (no ``receive`` wrapper, no
