@@ -105,10 +105,14 @@ def graph_summary(graph: nx.Graph) -> Dict[str, float]:
 
     if graph.number_of_nodes() == 0:
         return {"nodes": 0, "edges": 0, "components": 0, "mean_degree": 0.0}
-    degrees = [degree for _, degree in graph.degree()]
+    # Read off the adjacency, as ``graph.degree()`` counts (a self-loop
+    # twice): networkx caches its degree view on the graph, and the view
+    # holds the graph, so calling it leaves the whole graph a reference
+    # cycle that only the cyclic collector frees.
+    degrees = [len(nbrs) + (node in nbrs) for node, nbrs in graph.adj.items()]
     return {
         "nodes": graph.number_of_nodes(),
-        "edges": graph.number_of_edges(),
+        "edges": sum(degrees) // 2,
         "components": nx.number_connected_components(graph),
         "mean_degree": sum(degrees) / len(degrees),
         "max_degree": max(degrees),

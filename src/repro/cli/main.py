@@ -25,7 +25,13 @@ from ..addrs import address, format_address
 from ..addrs.prefix import Prefix
 from ..hitlist import make_targets
 from ..hitlist.transform import SeedItem
-from ..netsim import Internet, InternetConfig, build_internet, validate_config
+from ..netsim import (
+    Internet,
+    InternetConfig,
+    build_internet,
+    collector_paused,
+    validate_config,
+)
 from ..obs import (
     NULL_PROFILER,
     MetricsRegistry,
@@ -482,7 +488,12 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
     args = parser.parse_args(argv)
     out = out or sys.stdout
     try:
-        return args.handler(args, out)
+        # No command strands a reference cycle of its own (argparse's
+        # parser is the one cycle left behind), so a collection while it
+        # runs would walk its world, records and seeds and free nothing:
+        # reference counts free them when the handler returns.
+        with collector_paused():
+            return args.handler(args, out)
     except (ValueError, OSError) as error:
         # An input the command line named cannot be used — an unreadable
         # or malformed file or manifest, an unknown vantage, a

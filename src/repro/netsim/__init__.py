@@ -7,6 +7,7 @@ from .build import (
     Vantage,
     VantageConfig,
     build_internet,
+    collector_paused,
     decoupled_dynamics,
     validate_config,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Vantage",
     "VantageConfig",
     "build_internet",
+    "collector_paused",
     "decoupled_dynamics",
     "flow_variant",
     "pps_interval",

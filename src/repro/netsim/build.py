@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..addrs.iid import eui64_iid
 from ..addrs.prefix import Prefix
@@ -813,15 +814,7 @@ class _Builder:
         self.out.alloc_index[vantage.asn] = []
 
     def build(self, prof: WallProfiler = NULL_PROFILER) -> BuiltInternet:
-        # The build allocates only long-lived containers (routers, subnets,
-        # per-AS lists and dicts) and no cyclic garbage; left on,
-        # the generational collector re-walks them all as they accumulate.
-        # (What it saves, and what it only defers to the first collections
-        # after the build: docs/performance.md, "Where the CLI chain's
-        # host time goes".)
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             with prof.phase("backbone"):
                 self.build_backbone()
             with prof.phase("edge_ases"):
@@ -838,9 +831,29 @@ class _Builder:
             with prof.phase("vantages"):
                 self.build_vantages()
             return self.out
-        finally:
-            if collecting:
-                gc.enable()
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep CPython's cyclic collector off for the block, then give it
+    back as it was found: on again only if it was on, also when the
+    block raises.
+
+    For the blocks that allocate much and strand no reference cycle: a
+    world build, a campaign's run and one CLI command.  Left on, the
+    generational collector re-walks every router, subnet, record and
+    seed as they pile up, and frees nothing; reference counts free them
+    when the block's caller lets go.  (What it saves, per command:
+    docs/performance.md, "The collector over a command".)
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def build_internet(

@@ -575,7 +575,7 @@ class Internet:
                 next_header, now,
             )
         return self._icmp_error(
-            hop, msg_type, code, 0, data, next_header, vantage.address, now
+            hop, msg_type, code, data, next_header, vantage.address, now
         )
 
     def answer(self, data: bytes, when: int) -> Optional[Tuple[int, bytes]]:
@@ -610,7 +610,6 @@ class Internet:
                 path.hops[-1],
                 icmpv6.TYPE_DEST_UNREACH,
                 int(UnreachableCode.ADDRESS_UNREACHABLE),
-                0,
                 data,
                 next_header,
                 src,
@@ -711,7 +710,6 @@ class Internet:
         hop: Hop,
         msg_type: int,
         code: int,
-        word: int,
         invoking: bytes,
         next_header: int,
         src: int,
@@ -752,7 +750,7 @@ class Internet:
         behaviour = self.mangling(router.router_id)
         if behaviour is not None:
             invoking = self._quote(behaviour, invoking)
-        packet = icmpv6.error_packet(iface, src, msg_type, code, word, invoking)
+        packet = icmpv6.error_packet(iface, src, msg_type, code, 0, invoking)
         return Response((2 * delay + 200, packet))
 
     @staticmethod

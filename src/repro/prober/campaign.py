@@ -14,6 +14,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
+from ..netsim.build import collector_paused
 from ..netsim.engine import pps_interval
 from ..netsim.internet import Internet
 from ..obs.metrics import MetricDump, MetricsRegistry
@@ -171,7 +172,9 @@ def run_campaign(
     last slot or last arrival, whichever is later, and handing on what it
     still holds, so the campaign's duration is its last emission or
     response.  Nothing outlives the call, so when this function returns
-    the caller holds the only reference to ``internet``.
+    the caller holds the only reference to ``internet``; the cyclic
+    collector is paused while the loop runs (:func:`collector_paused`),
+    as it would find nothing to free.
 
     ``pace_offset_us``/``pace_stride`` interleave this instance with
     cooperating shard instances on the virtual clock: the first emission
@@ -359,7 +362,7 @@ def run_campaign(
     if metrics is not None:
         internet.attach_observers(metrics)
     try:
-        with prof.phase("campaign.run", prober=prober):
+        with prof.phase("campaign.run", prober=prober), collector_paused():
             duration_us = run()
     finally:
         internet.detach_observers()

@@ -1,6 +1,5 @@
 """Tests for the radix trie, including a linear-scan LPM oracle property."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

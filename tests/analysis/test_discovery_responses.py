@@ -3,7 +3,7 @@ real (small) campaigns against the simulated internet."""
 
 import pytest
 
-from repro.addrs import IIDClass, classify_address, make_eui64_iid, parse
+from repro.addrs import parse
 from repro.analysis.discovery import (
     discovery_curve,
     eui64_path_offsets,

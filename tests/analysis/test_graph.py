@@ -109,6 +109,32 @@ class TestSummaryAccuracy:
     def test_summary_empty(self):
         assert graph_summary(nx.Graph())["nodes"] == 0
 
+    def test_summary_counts_as_networkx_does(self):
+        """A self-loop is two degrees and one edge, as networkx counts."""
+        graph = nx.Graph([(A, B), (B, C), (C, C), (D, D)])
+        summary = graph_summary(graph)
+        degrees = [degree for _, degree in graph.degree()]
+        assert summary["edges"] == graph.number_of_edges() == 4
+        assert summary["max_degree"] == max(degrees) == 3
+        assert summary["mean_degree"] == sum(degrees) / len(degrees)
+        assert summary["components"] == 2
+
+    def test_summary_leaves_no_reference_cycle(self):
+        import gc
+        import weakref
+
+        graph = interface_graph({1: trace_of(1, [A, B, C])})
+        ref = weakref.ref(graph)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph_summary(graph)
+            del graph
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_edge_accuracy(self):
         graph = interface_graph({1: trace_of(1, [A, B, C])})
         truth = {(min(A, B), max(A, B))}

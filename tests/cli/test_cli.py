@@ -847,31 +847,41 @@ class TestPipeline:
 
 
 class TestNoGarbage:
-    def test_probe_strands_no_more_objects_than_seeds(self, world_file, tmp_path):
-        """A campaign leaves no reference cycle behind: with the collector
-        off, a ``probe`` command's unreachable objects are argparse's own
-        — what ``seeds`` leaves too — not the world and its records."""
+    """No command leaves a reference cycle that grows with its work.  Each
+    command runs with the cyclic collector paused, so a cycle would wait
+    for the first collection after it returns."""
+
+    @staticmethod
+    def stranded(argv):
+        """The objects only a collection frees after ``argv`` ran with
+        the collector off."""
         import gc
 
+        gc.collect()
+        gc.disable()
+        try:
+            code, text = run(argv)
+            assert code == 0, text
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def targets(self, world_file, tmp_path):
         seeds_path = str(tmp_path / "s")
         targets_path = str(tmp_path / "t")
         run(["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path])
         run(["targets", "--seeds", seeds_path, "--out", targets_path])
+        return seeds_path, targets_path
 
-        def stranded(argv):
-            gc.collect()
-            gc.disable()
-            try:
-                code, text = run(argv)
-                assert code == 0, text
-                return gc.collect()
-            finally:
-                gc.enable()
-
-        seeds = stranded(
+    def test_probe_strands_no_more_objects_than_seeds(self, world_file, tmp_path):
+        """A campaign leaves no reference cycle behind: with the collector
+        off, a ``probe`` command's unreachable objects are argparse's own
+        — what ``seeds`` leaves too — not the world and its records."""
+        seeds_path, targets_path = self.targets(world_file, tmp_path)
+        seeds = self.stranded(
             ["seeds", "--world", world_file, "--source", "caida", "--out", seeds_path]
         )
-        probe = stranded(
+        probe = self.stranded(
             [
                 "probe",
                 "--world", world_file,
@@ -880,6 +890,35 @@ class TestNoGarbage:
             ]
         )
         assert probe <= seeds, (probe, seeds)
+
+    def test_analyze_strands_no_more_when_its_results_double(self, world_file, tmp_path):
+        """``analyze --subnets --graph`` over twice the rows strands no
+        more: its traces, candidates and interface graph are freed by
+        reference counts, not left for the collector."""
+        _, targets_path = self.targets(world_file, tmp_path)
+        with open(targets_path) as source:
+            lines = [line for line in source if line.strip() and not line.startswith("#")]
+        half_path = str(tmp_path / "half")
+        with open(half_path, "w") as sink:
+            sink.writelines(lines[: len(lines) // 2])
+        results = {}
+        for name, path in (("half", half_path), ("all", targets_path)):
+            results[name] = str(tmp_path / (name + ".yrp6"))
+            code, text = run(
+                ["probe", "--world", world_file, "--targets", path, "--out", results[name]]
+            )
+            assert code == 0, text
+        assert os.path.getsize(results["all"]) > 1.8 * os.path.getsize(results["half"])
+
+        def analyze(name):
+            return self.stranded(
+                ["analyze", "--results", results[name], "--world", world_file,
+                 "--subnets", "--graph"]
+            )
+
+        analyze("half")  # the first call's imports leave their own cycles
+        half, whole = analyze("half"), analyze("all")
+        assert whole <= half, (whole, half)
 
 
 class TestProfile:

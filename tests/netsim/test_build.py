@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import importlib
+import io
 import pickle
 import sys
 from collections import Counter
@@ -21,6 +23,9 @@ from repro.netsim import (
 from repro.netsim import build
 from repro.netsim.topology import AddressPlan, RouterRole
 from repro.prober import run_yarrp6
+
+# The module, not the function ``repro.cli`` resolves ``main`` to.
+cli_main = importlib.import_module("repro.cli.main")
 
 
 class TestDeterminism:
@@ -167,28 +172,97 @@ class TestWorldPinned:
         assert world_digest(builder.build(), builder.rng) == digest
 
 
-class TestCollectorState:
-    """The build suspends the cyclic collector; the caller gets it back
-    exactly as it was."""
+#: The collector grid's world: small enough to build in every case.
+COLLECTOR_WORLD = InternetConfig(n_edge=6, cpe_customers_per_isp=10)
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("raises", [False, True], ids=["builds", "raises"])
-    def test_restored_as_found(self, enabled, raises, monkeypatch):
-        config = InternetConfig(n_edge=6, cpe_customers_per_isp=10)
-        if raises:
-            # Mid-build: the backbone, edge and CPE phases have run.
-            monkeypatch.setattr(build._Builder, "build_vantages", lambda self: 1 // 0)
+
+def _boom(*args, **kwargs):
+    raise ZeroDivisionError
+
+
+class TestCollectorState:
+    """The world build, a campaign's run and a CLI command each pause the
+    cyclic collector (``build.collector_paused``); the caller gets it back
+    exactly as it was, also when the block raises."""
+
+    @pytest.fixture(autouse=True)
+    def restore(self):
         was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def in_build(self, monkeypatch, tmp_path, outcome):
+        if outcome == "raises":
+            # Mid-build: the backbone, edge and CPE phases have run.
+            monkeypatch.setattr(build._Builder, "build_vantages", _boom)
+        build_internet(COLLECTOR_WORLD)
+
+    def in_campaign(self, monkeypatch, tmp_path, outcome):
+        net = Internet(build_internet(COLLECTOR_WORLD))
+        if outcome == "raises":
+            # Inside the loop: the first probe's exchange.
+            monkeypatch.setattr(net, "answer", _boom)
+        subnets = list(net.truth.subnets.values())[:20]
+        run_yarrp6(net, "EU-NET", [subnet.prefix.base | 1 for subnet in subnets])
+
+    def in_main(self, monkeypatch, tmp_path, outcome):
+        out = str(tmp_path / "w.json")
+        edge = "-1" if outcome == "exit 2" else "6"
+        if outcome == "raises":
+            monkeypatch.setattr(cli_main, "build_internet", _boom)
+        code = cli_main.main(["world", "--edge", edge, "--cpe", "10", "--out", out], io.StringIO())
+        # A handler's ValueError (here: the refused --edge) is exit 2.
+        assert code == (2 if outcome == "exit 2" else 0)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "entry, outcome",
+        [
+            ("build", "returns"),
+            ("build", "raises"),
+            ("campaign", "returns"),
+            ("campaign", "raises"),
+            ("main", "returns"),
+            ("main", "exit 2"),
+            ("main", "raises"),
+        ],
+    )
+    def test_restored_as_found(self, entry, outcome, enabled, monkeypatch, tmp_path):
         (gc.enable if enabled else gc.disable)()
-        try:
-            if raises:
-                with pytest.raises(ZeroDivisionError):
-                    build_internet(config)
-            else:
-                build_internet(config)
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
+        if outcome == "raises":
+            with pytest.raises(ZeroDivisionError):
+                getattr(self, "in_" + entry)(monkeypatch, tmp_path, outcome)
+        else:
+            getattr(self, "in_" + entry)(monkeypatch, tmp_path, outcome)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize(
+        "entry, owner, name",
+        [
+            # Between two build phases.
+            ("build", build._Builder, "build_vantages"),
+            # Each probe's exchange, on the campaign's block loop.
+            ("campaign", Internet, "answer"),
+            # In the world command's handler, before it builds a world.
+            ("main", cli_main, "validate_config"),
+        ],
+        ids=["build", "campaign", "main"],
+    )
+    def test_off_inside(self, entry, owner, name, monkeypatch, tmp_path):
+        """Each entry point's own pause: the hook runs outside the other
+        two (the campaign's world is built before its run starts)."""
+        seen = []
+        original = getattr(owner, name)
+
+        def hook(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, hook)
+        gc.enable()
+        getattr(self, "in_" + entry)(monkeypatch, tmp_path, "returns")
+        assert seen and not any(seen)
+        assert gc.isenabled()
 
 
 class TestConfigChecked:

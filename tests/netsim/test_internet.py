@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.addrs import format_address, parse
+from repro.addrs import parse
 from repro.analysis.limiter import LimiterProbeConfig, infer_limiter
 from repro.netsim import (
     CompiledPath,
@@ -855,7 +855,7 @@ class TestHostResponse:
 
         def error_for(packet):
             return net._icmp_error(
-                hop, icmpv6.TYPE_TIME_EXCEEDED, 0, 0, packet, packet[6], src, 0
+                hop, icmpv6.TYPE_TIME_EXCEEDED, 0, packet, packet[6], src, 0
             )
 
         assert error_for(udp_probe(src, host, 3)) is None
@@ -899,14 +899,13 @@ class TestQuotationMisbehaviour:
         assert 0 < len(manglers) < len(net.truth.routers) * 0.1
 
     @pytest.mark.parametrize(
-        "msg_type, code, word",
+        "msg_type, code",
         [
-            (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED, 0),
-            (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED), 0),
-            (icmpv6.TYPE_PACKET_TOO_BIG, 0, 1480),
+            (icmpv6.TYPE_TIME_EXCEEDED, icmpv6.CODE_HOP_LIMIT_EXCEEDED),
+            (icmpv6.TYPE_DEST_UNREACH, int(UnreachableCode.ADMIN_PROHIBITED)),
         ],
     )
-    def test_error_bytes_match_layered_build(self, lossless_net, msg_type, code, word):
+    def test_error_bytes_match_layered_build(self, lossless_net, msg_type, code):
         """What a router emits is header-over-message-over-pseudo-header
         construction of its (possibly mangled) quotation, byte for byte."""
         # A fresh instance per case: its flow table holds no path an
@@ -934,7 +933,6 @@ class TestQuotationMisbehaviour:
                     (router, iface, 500),
                     msg_type,
                     code,
-                    word,
                     invoking,
                     invoking[6],
                     vantage.address,
@@ -942,7 +940,7 @@ class TestQuotationMisbehaviour:
                 )
                 assert response.data == ipv6.build_packet(
                     IPv6Header(iface, vantage.address, 0, PROTO_ICMPV6),
-                    icmpv6.ICMPv6Message(msg_type, code, word, quotation).pack(
+                    icmpv6.ICMPv6Message(msg_type, code, 0, quotation).pack(
                         iface, vantage.address
                     ),
                 )
@@ -1232,8 +1230,8 @@ class TestProtocolSelectiveHops:
         seen = []
         icmp_error = net._icmp_error
 
-        def counting(hop, msg_type, code, word, invoking, next_header, src, now):
-            response = icmp_error(hop, msg_type, code, word, invoking, next_header, src, now)
+        def counting(hop, msg_type, code, invoking, next_header, src, now):
+            response = icmp_error(hop, msg_type, code, invoking, next_header, src, now)
             respond = hop[0].respond_protocols
             if respond is not None and next_header not in respond:
                 seen.append(response)
